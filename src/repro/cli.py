@@ -159,8 +159,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         collected.extend(results)
         wanted = args.experiment.lower()
         for result in results:
-            rid = getattr(result, "experiment_id", "")
-            if wanted in _PANELS and not rid.startswith(wanted):
+            if (wanted in _PANELS
+                    and not result.experiment_id.startswith(wanted)):
                 continue  # a specific panel was requested
             print(result.render())
             print()
@@ -206,11 +206,8 @@ def cmd_sql(args: argparse.Namespace) -> int:
               f"{table.num_deltas} delta segment(s))")
         return 0
     out = result.rows()
-    # HybridQueryResult carries shipped_bytes; QueryResult has the report.
-    shipped = (result.shipped_bytes if hasattr(result, "shipped_bytes")
-               else result.report.bytes_shipped)
     print(f"-- {len(out)} rows in {to_us(elapsed):.1f} us simulated "
-          f"({shipped} bytes shipped)")
+          f"({result.bytes_shipped} bytes shipped)")
     if result.explain is not None:
         print(result.explain.render())
     for row in out[:args.limit]:

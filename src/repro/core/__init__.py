@@ -2,9 +2,7 @@
 
 from .api import (
     ClusterClient,
-    ClusterQueryResult,
     FarviewClient,
-    HybridQueryResult,
     QueryResult,
     canonical_result_bytes,
 )
@@ -57,9 +55,7 @@ from .versioning import (
 
 __all__ = [
     "ClusterClient",
-    "ClusterQueryResult",
     "FarviewClient",
-    "HybridQueryResult",
     "QueryResult",
     "canonical_result_bytes",
     "Catalog",

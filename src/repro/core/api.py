@@ -1,6 +1,6 @@
 """Client-side data API, mirroring the paper's programmatic interface (§4.2).
 
-The paper's C-style functions map onto :class:`FarviewClient` methods:
+The paper's C-style functions map onto client methods:
 
 ====================================  =======================================
 Paper                                 This library
@@ -15,59 +15,67 @@ Paper                                 This library
 ``select(qp, ft, proj, sel, pred)``   ``client.select(ft, columns, predicate)``
 ====================================  =======================================
 
-Each verb exists in two forms: a ``*_proc`` generator to compose inside a
-running simulation (multi-client experiments) and a blocking convenience
-that drives the simulator to completion and returns ``(result, elapsed_ns)``
-— the paper's measurement endpoint is "until the final results are written
-to the memory of the client machine" (§6.2), which is exactly when these
-processes complete.
-
-:class:`ClusterClient` lifts the same verbs onto a sharded
-:class:`~repro.core.cluster.FarviewCluster` — the scatter-gather router the
-paper's pool deployment implies.  Single-node verbs map onto cluster verbs
-one to one:
+**One core, two topologies.**  Everything that does not depend on where
+the bytes live is written once, in :class:`_ClientCore`: the blocking
+runner, the retry loop, the placement fork and the planned-execution
+ladder, the client-side tail of ship / hybrid / compiled executions, the
+``select`` / ``select_distinct`` / ``group_by`` / ``sql`` helpers, the
+versioned write verbs and the materialized-view verbs.  A concrete
+client supplies only its topology primitives:
 
 ====================================  =======================================
-Single node (:class:`FarviewClient`)  Cluster (:class:`ClusterClient`)
+Primitive                             single node / cluster
 ====================================  =======================================
-``open_connection()``                 ``open_connection()`` — one QP + region
-                                      per node of the pool
-``alloc_table_mem`` + ``table_write``  ``create_table(name, schema, rows,
-                                      partition)`` — partition, allocate and
-                                      scatter-write the per-node shards
-``free_table_mem(ft)``                ``drop_table(st)``
-``table_read(ft)``                    ``table_read(st)`` — scatter raw reads,
-                                      gather bytes in shard order
-``far_view(ft, query)``               ``far_view(st, query)`` — scatter the
-                                      rewritten shard fragment, gather +
-                                      merge (DISTINCT dedup, GROUP BY /
-                                      aggregate partial re-merge); a join
-                                      broadcasts the build table to every
-                                      node first (replicas cached until
-                                      the build table is dropped)
-``select`` / ``select_distinct`` /    same helpers, same signatures, against
-``group_by`` / ``sql``                the cluster catalog
+``table_read_proc``                   one raw RDMA read / scatter raw reads,
+                                      gathered in shard order
+``far_view_proc`` (``_offload_proc``)  one offloaded scan (plain or MVCC
+                                      snapshot) / scatter the rewritten
+                                      fragment, gather + merge
+``_plan`` (public ``plan``)           price one node / the pool, folding
+                                      the join strategy in
+``_ship_read``                        raw read (+ decrypt, + delta merge) /
+                                      gathered raw read
+``_read_build_rows``                  a shipped join's build side
+``_prepare_proc`` + ``_commit``       delta prepare + commit / scatter
+                                      prepares + two-phase epoch commit
+``_view_chains``                      the version chains behind a handle
+join-build placement                  pinning / broadcast, shuffle,
+                                      co-location
 ====================================  =======================================
 
-Cluster results come back as :class:`ClusterQueryResult`: merged rows in
-single-node output order (byte-identical under order-preserving ``chunk``
-partitioning — see :mod:`repro.core.cluster` for the exact contract),
-response time measured until the *last* shard's results land client-side.
+Every verb that takes simulated time exists in two forms: a ``*_proc``
+generator to compose inside a running simulation (multi-client
+experiments) and a blocking twin that drives the simulator to completion
+and returns ``(result, elapsed_ns)`` — the paper's measurement endpoint
+is "until the final results are written to the memory of the client
+machine" (§6.2), which is exactly when these processes complete.  The
+twins are *generated* from the generators (:func:`_with_blocking_verbs`);
+only ``scan_versioned`` (placement), ``read_version`` (byte image) and
+``far_view_planned`` / ``select`` / ``sql`` (blocking by construction —
+they nest blocking reads) are written by hand.
 
-Beyond the paper's always-offload execution, both clients expose
-cost-based **operator placement**: ``select``/``sql`` accept
-``placement="auto" | "offload" | "ship"`` (default ``"offload"``, the
-unchanged legacy path), and :meth:`FarviewClient.far_view_planned` /
-:meth:`ClusterClient.far_view_planned` run any query under the
+**One result type.**  Every verb that returns rows returns a
+:class:`QueryResult`, whatever ran: a direct node execution carries the
+node's :class:`~repro.core.node.ExecutionReport` and the raw shipped
+stream; a scatter-gather carries its per-shard results as ``parts``; a
+planned (ship / hybrid) or compiled execution carries the offloaded
+fragment / stage results as ``parts``, the client
+:class:`~repro.baselines.cpu_model.CostBreakdown` and the planner's
+explain.  ``rows()``, ``data``, ``num_rows``, ``bytes_shipped`` and
+``bytes_scanned`` are defined on every instance;
+:func:`canonical_result_bytes` is the placement-invariant image.
+
+**Placement.**  ``select`` / ``sql`` / ``scan_versioned`` accept
+``placement="auto" | "offload" | "ship"`` (default ``"offload"``: the
+paper's path, plan-free and timing-exact) and
+:meth:`_ClientCore.far_view_planned` runs any query under the
 :mod:`repro.core.planner` decision — offload a prefix of the operator
-chain, ship the reduced intermediate, finish with the software kernels of
-:mod:`repro.baselines.sw_ops` on the client.  Results are byte-identical
-across placements (:func:`canonical_result_bytes` normalizes the
-comparison) and carry an :class:`~repro.core.planner.ExplainPlan`.
+chain, ship the reduced intermediate, finish with the software kernels
+of :mod:`repro.baselines.sw_ops` on the client.  Results are
+byte-identical across placements.
 
-Tables created with ``create_versioned_table`` are **mutable** through
-the versioned write path (:mod:`repro.core.versioning`); the write verbs
-exist on both clients with the same shapes as the read verbs:
+**Writes.**  Tables created with ``create_versioned_table`` are mutable
+through the versioned write path (:mod:`repro.core.versioning`):
 
 ====================================  =======================================
 Verb                                  Effect
@@ -85,11 +93,18 @@ Verb                                  Effect
 
 Cluster writes commit through a two-phase epoch broadcast (prepare on
 every shard, then one atomic commit step), so cluster-wide snapshot
-reads merge sha256-identical to single-node execution.
+reads merge sha256-identical to single-node execution.  Cluster tables
+are made with ``create_table(name, schema, rows, partition)`` and freed
+with ``drop_table``; merged rows come back in single-node output order
+(byte-identical under order-preserving ``chunk`` partitioning — see
+:mod:`repro.core.cluster` for the exact contract), response time
+measured until the *last* shard's results land client-side.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -97,22 +112,30 @@ from typing import Optional
 import numpy as np
 
 from ..baselines.cpu_model import CostBreakdown, CpuCostModel
-from ..baselines.sw_ops import software_decrypt
-from ..common.errors import (ConnectionError_, DegradedResultError,
-                             FarviewError, FaultError,
+from ..baselines.sw_ops import (software_aggregate, software_decrypt,
+                                software_distinct, software_groupby,
+                                software_join, software_limit,
+                                software_select, software_sort)
+from ..common.errors import (CatalogError, ConnectionError_,
+                             DegradedResultError, FarviewError, FaultError,
                              JoinBuildOverflowError, NodeFailedError,
                              QueryError, RegionFailedError,
                              RequestTimeoutError)
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
 from ..operators.crypto import AesCtr
+from ..operators.join import join_output_schema
 from ..operators.selection import Predicate
 from .catalog import Catalog
-from .compile import ParsedWrite, bind_select, parse_sql
-from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
-                         estimate_chain, view_circuit_cost_ns)
-from .planner import (ExplainPlan, PlacementPlan, operator_chain,
-                      plan_placement, run_client_steps)
+from .compile import (BoundAggregate, BoundDistinct, BoundEval, BoundFilter,
+                      BoundLimit, BoundSort, ParsedWrite, bind_select,
+                      parse_sql, resolve_join_query)
+from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
+                         PlanStats, delta_merge_cost_ns, estimate_chain,
+                         view_circuit_cost_ns)
+from .ir import eval_expr
+from .planner import (DagPlan, ExplainPlan, PlacementPlan, StagePlan,
+                      operator_chain, plan_placement, run_client_steps)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       ShardedTable, ShardReplica, TableShard,
                       aggregate_output_schema, group_output_schema,
@@ -121,12 +144,12 @@ from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
 from .faults import RetryPolicy
 from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
-from .pipeline_compiler import CompiledQuery, compile_query
+from .pipeline_compiler import compile_query
 from .query import Query, RegexFilter
 from .table import FTable
 from .versioning import (ROWID_COLUMN, VersionedShard, VersionedShardedTable,
-                         VersionedTable, VersionView, delta_schema,
-                         require_versionable, rows_from_literals)
+                         VersionedTable, delta_schema, require_versionable,
+                         rows_from_literals)
 from .views import (ChainTracker, MaterializedView, Subscription, ViewCatalog,
                     compile_circuit)
 from .zset import ZSet
@@ -134,29 +157,58 @@ from .zset import ZSet
 
 @dataclass
 class QueryResult:
-    """Client-visible result of one Farview-verb execution."""
+    """Client-visible result of any verb that returns rows.
 
-    data: bytes
+    One shape for every execution.  A *direct* node execution sets
+    ``report`` (the node's :class:`ExecutionReport`) and ``stream`` (the
+    raw shipped bytes, possibly encrypted, possibly carrying overflow
+    duplicates the client dedups).  Every other execution sets
+    ``merged`` — the final rows after the client-side work: the
+    scatter-gather merge (``parts`` are the per-shard results, shard
+    order), or the software remainder of a planned / compiled execution
+    (``parts`` are the offloaded fragment or stage results, ``read_bytes``
+    what the client read raw, ``client_cost`` the modeled client time —
+    already included in ``response_time_ns``, the simulator clock having
+    been advanced by it, matching the paper's "until the final results
+    are written to the memory of the client machine" endpoint).
+    """
+
     schema: Schema
-    report: ExecutionReport
-    response_time_ns: float
+    response_time_ns: float = 0.0
+    #: Node-side execution report; ``None`` unless one node ran this
+    #: result's pipeline directly.
+    report: Optional[ExecutionReport] = None
+    #: :class:`~repro.core.planner.ExplainPlan` (planned executions) or
+    #: :class:`~repro.core.planner.DagPlan` (compiled SQL); ``None`` on
+    #: the plan-free offload path.
+    explain: Optional[ExplainPlan | DagPlan] = None
+    #: Sub-results: per-shard results of a scatter-gather, or the
+    #: offloaded fragment / stage results of a planned execution.
+    parts: list["QueryResult"] = field(default_factory=list)
+    client_cost: Optional[CostBreakdown] = None
+    #: Resolved scatter strategy of a cluster join (``broadcast`` /
+    #: ``colocated`` / ``shuffle``), ``None`` otherwise.
+    join_strategy: Optional[str] = None
+    stream: Optional[bytes] = field(default=None, repr=False)
     output_key: Optional[tuple[bytes, bytes]] = None  # (key, nonce) if encrypted
-    explain: Optional[ExplainPlan] = None  # set by the placement planner
-    _client_dedup_applied: bool = field(default=False, repr=False)
+    merged: Optional[np.ndarray] = field(default=None, repr=False)
+    #: Bytes the client read raw over the wire for this result (shipped
+    #: table image, shipped join build sides) outside any sub-result.
+    read_bytes: int = 0
 
-    def raw_rows(self) -> np.ndarray:
-        """Decode the shipped bytes (decrypting the transmission first)."""
-        data = self.data
+    def rows(self) -> np.ndarray:
+        """The final rows.  For a direct node result this decodes the
+        shipped stream (decrypting the transmission first) and applies
+        the client-side software post-processing the paper prescribes:
+        deduplicate overflow leakage from the DISTINCT operator (§5.4)
+        and merge overflowed GROUP BY partial aggregates."""
+        if self.merged is not None:
+            return self.merged
+        data = self.stream
         if self.output_key is not None:
             key, nonce = self.output_key
             data = AesCtr(key, nonce).process(data)
-        return self.schema.from_bytes(data)
-
-    def rows(self) -> np.ndarray:
-        """Rows after the client-side software post-processing the paper
-        prescribes: deduplicate overflow leakage from the DISTINCT operator
-        (§5.4) and merge overflowed GROUP BY partial aggregates."""
-        rows = self.raw_rows()
+        rows = self.schema.from_bytes(data)
         if self.report.overflow_keys:
             rows = _software_dedup(rows)
         if self.report.overflow_groups:
@@ -164,8 +216,30 @@ class QueryResult:
         return rows
 
     @property
+    def data(self) -> bytes:
+        """The raw shipped stream of a direct node result; the canonical
+        byte image (plaintext, single-node layout) of ``rows()``
+        otherwise."""
+        if self.stream is not None:
+            return self.stream
+        return self.schema.to_bytes(self.merged)
+
+    @property
     def num_rows(self) -> int:
         return len(self.rows())
+
+    @property
+    def bytes_shipped(self) -> int:
+        """Bytes that crossed the wire to the client, over every link."""
+        own = self.report.bytes_shipped if self.report is not None else 0
+        return own + self.read_bytes + sum(p.bytes_shipped
+                                           for p in self.parts)
+
+    @property
+    def bytes_scanned(self) -> int:
+        """Bytes the nodes' pipelines ingested for this result."""
+        own = self.report.bytes_scanned if self.report is not None else 0
+        return own + sum(p.bytes_scanned for p in self.parts)
 
 
 def _software_dedup(rows: np.ndarray) -> np.ndarray:
@@ -183,20 +257,16 @@ def _software_dedup(rows: np.ndarray) -> np.ndarray:
 def _merge_overflow_groups(rows: np.ndarray, schema: Schema,
                            report: ExecutionReport) -> np.ndarray:
     """Append overflowed groups (partially aggregated server-side)."""
-    if not report.overflow_groups:
-        return rows
     # The overflow accumulators carry the same spec list as the pipeline's
     # group-by; the report stores (key_bytes -> Accumulator).  Key layout is
     # the group-key schema prefix of the output schema.
-    extra = schema.empty(len(report.overflow_groups))
-    agg_names = [n for n in schema.names]
-    # Group keys occupy the leading columns; remaining are aggregates.
     meta = report.overflow_groups.get("__meta__")
     items = [(k, v) for k, v in report.overflow_groups.items()
              if k != "__meta__"]
     if meta is None:
         raise QueryError(
             "overflow groups present but merge metadata missing")
+    extra = schema.empty(len(items))
     key_columns, specs, value_columns = meta
     key_schema = schema.project(key_columns)
     for i, (key_bytes, acc) in enumerate(items):
@@ -207,47 +277,7 @@ def _merge_overflow_groups(rows: np.ndarray, schema: Schema,
             idx = (value_columns.index(spec.column)
                    if spec.column in value_columns else 0)
             extra[spec.alias][i] = acc.result(spec, idx)
-    del agg_names
     return np.concatenate([rows, extra])
-
-
-@dataclass
-class HybridQueryResult:
-    """Client-visible result of a planned (ship or hybrid) execution.
-
-    ``rows()`` are the final rows after the client-side software
-    remainder; ``data`` is their canonical byte image — byte-identical
-    to what full offload produces for the same query (the planner's
-    exactness contract, pinned by the placement property tests).
-    ``response_time_ns`` covers the simulated verb *plus* the modeled
-    client compute time (the simulator clock is advanced by the
-    :class:`~repro.baselines.cpu_model.CostBreakdown` total, matching
-    the paper's "until the final results are written to the memory of
-    the client machine" endpoint).
-    """
-
-    schema: Schema
-    merged: np.ndarray = field(repr=False)
-    response_time_ns: float = 0.0
-    explain: Optional[ExplainPlan] = None
-    #: The offloaded fragment's result, when a hybrid split ran one — a
-    #: :class:`QueryResult` (single node) or :class:`ClusterQueryResult`
-    #: (scatter-gather); ``None`` for pure ship executions.
-    fragment_result: Optional[object] = None
-    client_cost: Optional[CostBreakdown] = None
-    shipped_bytes: int = 0
-
-    def rows(self) -> np.ndarray:
-        return self.merged
-
-    @property
-    def data(self) -> bytes:
-        """Canonical result bytes (single-node offload layout)."""
-        return self.schema.to_bytes(self.merged)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.merged)
 
 
 def _client_compute(sim, ns: float):
@@ -256,318 +286,466 @@ def _client_compute(sim, ns: float):
         yield sim.timeout(ns)
 
 
-def _execute_planned(sim, plan: PlacementPlan, query: Query,
-                     cpu: CpuCostModel, *, read_raw, run_fragment,
-                     schema: Schema,
-                     decrypt_keys: Optional[tuple[bytes, bytes]],
-                     read_build=None):
-    """Shared ship/hybrid execution body for both clients.
+def canonical_result_bytes(result: QueryResult) -> bytes:
+    """The placement-invariant byte image of a query result.
 
-    ``read_raw()`` returns the raw table bytes (single-node read or
-    scatter-gathered shard streams); ``run_fragment(fragment)`` returns
-    the offloaded fragment's result object; ``read_build()`` (required
-    when the plan ships the join) returns the build table's decoded rows
-    plus the bytes that crossed the wire for them.  The software
-    remainder runs through :func:`~repro.core.planner.run_client_steps`,
-    its :class:`CostBreakdown` time advances the simulator clock, and the
-    plan's explain is stamped with the actual response time.
+    ``result.data`` of a direct node execution is the raw shipped stream
+    (possibly encrypted, possibly carrying overflow duplicates the
+    client dedups).  This helper normalizes every result to
+    ``schema.to_bytes(rows())`` so results can be compared across
+    placements.
     """
-    start = sim.now
-    cost = CostBreakdown()
-    cost.add("setup", cpu.setup_ns())
-    client_steps = list(plan.client_steps)
-    build_rows = None
-    if "join" in client_steps:
-        if read_build is None:
-            raise QueryError(
-                "this client cannot ship a join: no build-side reader")
-        build_rows, build_shipped = read_build()
-        cost.add("read", cpu.read_ns(build_shipped))
-    if plan.fragment is None:
-        data = read_raw()
-        shipped = len(data)
-        cost.add("read", cpu.read_ns(shipped))
-        if client_steps and client_steps[0] == "decrypt":
-            if decrypt_keys is None:
-                raise QueryError(
-                    "cannot decrypt shipped bytes client-side: no table "
-                    "key available (encrypted tables are single-node "
-                    "only)")
-            key, nonce = decrypt_keys
-            data = software_decrypt(data, key, nonce)
-            cost.add("aes", cpu.aes_ns(len(data)))
-            client_steps = client_steps[1:]
-        rows = schema.from_bytes(data)
-        current = schema
-        fragment_result = None
-    else:
-        fragment_result = run_fragment(plan.fragment)
-        rows = fragment_result.rows()
-        current = fragment_result.schema
-        shipped = (fragment_result.report.bytes_shipped
-                   if hasattr(fragment_result, "report")
-                   else fragment_result.bytes_shipped)
-        cost.add("read", cpu.read_ns(shipped))
-    rows, current = run_client_steps(rows, current, client_steps,
-                                     query, cpu, cost,
-                                     build_rows=build_rows)
-    cost.add("write", cpu.write_ns(len(rows) * current.row_width))
-    sim.run_process(_client_compute(sim, cost.total_ns), "client-compute")
-    elapsed = sim.now - start
-    plan.explain.actual_ns = elapsed
-    result = HybridQueryResult(
-        schema=current, merged=rows, response_time_ns=elapsed,
-        explain=plan.explain, fragment_result=fragment_result,
-        client_cost=cost, shipped_bytes=shipped)
-    return result, elapsed
+    return result.schema.to_bytes(result.rows())
 
 
-def _dispatch_sql_write(client, table, parsed, required_type):
-    """Shared INSERT/UPDATE/DELETE dispatch for both clients.
+def _blocking(owner: type, verb: str, proc):
+    """The blocking twin of one ``*_proc`` generator method: drive the
+    simulator until the process completes, return ``(value,
+    elapsed_ns)``.  Signature and docstring are the generator's."""
 
-    ``required_type`` is the client's versioned-table class; anything
-    else in the catalog under that name cannot take writes.
-    """
-    if not isinstance(table, required_type):
-        raise QueryError(
-            f"table {parsed.table!r} is not versioned; write statements "
-            f"need a table created with create_versioned_table")
-    if parsed.kind == "insert":
-        rows = rows_from_literals(table.schema, parsed.values)
-        return client.insert(table, rows)
-    if parsed.kind == "update":
-        return client.update_where(table, parsed.predicate,
-                                   dict(parsed.assignments))
-    return client.delete_where(table, parsed.predicate)
+    @functools.wraps(proc)
+    def twin(self, *args, **kwargs):
+        return self._run(proc(self, *args, **kwargs), verb)
+
+    twin.__name__ = verb
+    twin.__qualname__ = f"{owner.__qualname__}.{verb}"
+    twin.__doc__ = (f"Blocking :meth:`{proc.__name__}`; returns "
+                    f"``(value, elapsed_ns)``.\n\n{inspect.getdoc(proc)}")
+    return twin
 
 
-def canonical_result_bytes(result) -> bytes:
-    """The placement-invariant byte image of any query result.
+def _with_blocking_verbs(cls):
+    """Class decorator — the wrapper table.  Every public ``verb_proc``
+    generator a concrete client has (its own or the core's) gets its
+    blocking twin ``verb``, unless that verb is written by hand
+    somewhere in the class (it does more than wrap)."""
+    members: dict = {}
+    for klass in reversed(cls.__mro__):
+        members.update(vars(klass))
+    for name, proc in members.items():
+        verb = name.removesuffix("_proc")
+        if (verb != name and not name.startswith("_")
+                and verb not in members):
+            setattr(cls, verb, _blocking(cls, verb, proc))
+    return cls
 
-    ``QueryResult.data`` is the raw shipped stream (possibly encrypted,
-    possibly carrying overflow duplicates the client dedups);
-    ``HybridQueryResult.data`` is already canonical.  This helper
-    normalizes both to ``schema.to_bytes(rows())`` so results can be
-    compared across placements.
-    """
-    rows = result.rows()
-    return result.schema.to_bytes(rows)
 
+class _ClientCore:
+    """Everything a client does that does not depend on topology.
 
-@dataclass
-class CompiledQueryResult:
-    """Result of a compiled (extended) SQL statement.
-
-    Mirrors :class:`HybridQueryResult`: ``rows()``/``data`` are the
-    final canonical rows after every stage of the lowered DAG (head
-    scan, join arms, client kernels); ``explain`` is the per-stage
-    :class:`~repro.core.planner.DagPlan`; ``response_time_ns`` includes
-    the modeled client compute time.
+    A concrete client sets ``sim``, ``catalog``, ``cpu``, ``views`` and
+    ``retry_policy`` and supplies the topology primitives listed in the
+    module docstring; the core turns them into the public verb set.
+    ``**topology`` on a core verb is forwarded untouched to those
+    primitives — ``as_of`` (snapshot epoch of a versioned table) on
+    :class:`FarviewClient`, ``join_strategy`` on :class:`ClusterClient`.
     """
 
-    schema: Schema
-    merged: np.ndarray = field(repr=False)
-    response_time_ns: float = 0.0
-    explain: Optional[object] = None            # DagPlan
-    client_cost: Optional[CostBreakdown] = None
-    #: Bytes that crossed the wire to the client, summed over every
-    #: stage (head scan, build reads) — the compiled analogue of
-    #: :attr:`HybridQueryResult.shipped_bytes`.
-    shipped_bytes: int = 0
+    sim: object
+    catalog: Catalog
+    #: Cost model of the compute node's CPU — prices the client-side
+    #: remainder of planned and compiled executions and view circuits.
+    cpu: CpuCostModel
+    views: ViewCatalog
+    #: Optional :class:`~repro.core.faults.RetryPolicy`: per-request
+    #: deadline + capped exponential backoff on every *read* verb
+    #: (``table_read``, ``far_view`` and everything built on them, on
+    #: plain and versioned tables alike) and on ``table_write``, an
+    #: idempotent overwrite.  The versioned write verbs (``insert``,
+    #: ``update_where``, ``delete_where``, ``compact``) are **not**
+    #: retried: a prepare that may have reached the node must not be
+    #: applied twice.  ``None`` (default) is the exact pre-fault-layer
+    #: request path — no extra simulator events.
+    retry_policy: RetryPolicy | None
+    #: The catalog handle class this client's write verbs accept.
+    _versioned_type: type
 
-    def rows(self) -> np.ndarray:
-        return self.merged
+    # -- the blocking runner and the retry loop -----------------------------
+    def _run(self, proc, name: str):
+        """Drive ``proc`` to completion; returns ``(value, elapsed_ns)``."""
+        start = self.sim.now
+        result = self.sim.run_process(proc, name)
+        return result, self.sim.now - start
 
-    @property
-    def data(self) -> bytes:
-        """Canonical result bytes (single-node offload layout)."""
-        return self.schema.to_bytes(self.merged)
+    def _attempts_proc(self, make_proc, verb: str, usable=None):
+        """Process: run ``make_proc()`` under :attr:`retry_policy`.
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.merged)
+        Typed fault errors retry with capped exponential backoff (as
+        long as ``usable()`` — when given — still holds); a completion
+        past the deadline is *discarded* (the late result is never
+        returned) and retried, surfacing as
+        :class:`RequestTimeoutError` once attempts are exhausted.  With
+        no policy installed this *is* ``make_proc()`` — no extra
+        generator frame, no simulator events, identical timing.
+        """
+        if self.retry_policy is None:
+            return make_proc()
+        return self._retry_proc(self.retry_policy, make_proc, verb, usable)
 
+    def _retry_proc(self, policy: RetryPolicy, make_proc, verb: str, usable):
+        attempt = 0
+        while True:
+            attempt += 1
+            last = attempt >= policy.max_attempts
+            start = self.sim.now
+            try:
+                result = yield from make_proc()
+            except FaultError:
+                if last or (usable is not None and not usable()):
+                    raise
+            else:
+                took = self.sim.now - start
+                if policy.deadline_ns is None or took <= policy.deadline_ns:
+                    return result
+                if last:
+                    raise RequestTimeoutError(
+                        f"{verb} took {took:.0f} ns (deadline "
+                        f"{policy.deadline_ns:.0f} ns, {attempt} attempts)")
+            yield self.sim.timeout(policy.backoff_ns(attempt))
 
-def _run_stage(client, handle, query: Query, placement: str,
-               stats, dag, name: str):
-    """Execute one offloadable stage of a compiled DAG and record its
-    placement decision.  ``placement="offload"`` pins the legacy path;
-    ship/auto price the stage independently through the planner — the
-    per-stage composition IS the DAG generalization of
-    :func:`~repro.core.planner.plan_placement`."""
-    from .planner import StagePlan
+    # -- placement: the fork, the ladder, the client-side tail --------------
+    def _placed(self, table, query: Query, placement: str,
+                stats: PlanStats | None = None, lease_manager=None,
+                **topology):
+        """The one placement fork.  ``"offload"`` is the paper's path —
+        no planner, no explain, timing-exact; anything else goes
+        through :meth:`far_view_planned`."""
+        if placement == "offload":
+            return self._run(self._offload_proc(table, query, **topology),
+                             "far_view")
+        return self.far_view_planned(table, query, placement, stats,
+                                     lease_manager, **topology)
 
-    if placement == "offload":
-        result, _ = client.far_view(handle, query)
-        note = "pinned"
-        strat = getattr(result, "join_strategy", None)
-        if strat is not None:
-            note = f"pinned, join={strat}"
-        dag.stages.append(StagePlan(name, "offload", note=note))
+    def plan(self, table, query: Query, placement: str = "auto",
+             stats: PlanStats | None = None, lease_manager=None,
+             refuse_join_offload: bool = False,
+             **topology) -> PlacementPlan:
+        """Plan (but do not run) ``query``: where should each operator go?
+
+        The estimate accounts for the pipeline currently loaded in the
+        connection's dynamic region (a different signature pays the
+        partial-reconfiguration charge) and, if a ``lease_manager`` is
+        given, for the expected region-lease wait on a saturated pool.
+        """
+        return self._plan(table, query, placement, stats, lease_manager,
+                          refuse_join_offload, **topology)
+
+    def far_view_planned(self, table, query: Query,
+                         placement: str = "auto",
+                         stats: PlanStats | None = None,
+                         lease_manager=None, **topology):
+        """Run ``query`` under cost-based placement.
+
+        ``placement="offload"`` plans the full-offload path (byte- and
+        timing-identical to :meth:`far_view`); ``"ship"`` reads raw
+        bytes and executes all operators in client software; ``"auto"``
+        picks the cheapest prefix split.  All variants carry an
+        :class:`~repro.core.planner.ExplainPlan` with estimated and
+        actual response times.  Under ``"auto"`` two refusals degrade
+        instead of failing: a join build that overflows the on-chip
+        hash below nominal capacity re-plans with the join on the
+        client, and a dead dynamic region falls back to ship (raw reads
+        need no region).  Returns ``(result, elapsed_ns)``.
+        """
+        topology = self._bind(table, **topology)
+
+        def attempt(placement, refuse_join_offload=False):
+            plan = self._plan(table, query, placement, stats, lease_manager,
+                              refuse_join_offload, **topology)
+            if plan is not None and not plan.full_offload:
+                return self._run_split(table, query, plan, **topology)
+            result, elapsed = self._run(
+                self._offload_proc(table, query, **topology), "far_view")
+            if plan is not None:
+                plan.explain.actual_ns = elapsed
+                result.explain = plan.explain
+            return result, elapsed
+
+        try:
+            return attempt(placement)
+        except JoinBuildOverflowError:
+            # The compile-time capacity pre-check is nominal; cuckoo
+            # kick chains can exhaust below it while actually loading
+            # the build.
+            if placement != "auto" or query.join is None:
+                raise
+            return attempt(placement, refuse_join_offload=True)
+        except RegionFailedError:
+            if placement != "auto":
+                raise
+            return attempt("ship")
+
+    def _client_side(self, explain, body):
+        """The one client-side tail of ship, hybrid and compiled
+        executions: open a :class:`CostBreakdown` with the setup charge,
+        let ``body(cost)`` fetch and compute (returning ``(rows, schema,
+        parts, read_bytes)``), charge the result write, advance the
+        simulator clock by the modeled client time and stamp ``explain``
+        with the actual response time."""
+        sim, cpu = self.sim, self.cpu
+        start = sim.now
+        cost = CostBreakdown()
+        cost.add("setup", cpu.setup_ns())
+        rows, schema, parts, read_bytes = body(cost)
+        cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
+        self._run(_client_compute(sim, cost.total_ns), "client-compute")
+        elapsed = sim.now - start
+        explain.actual_ns = elapsed
+        result = QueryResult(schema=schema, merged=rows,
+                             response_time_ns=elapsed, explain=explain,
+                             parts=parts, client_cost=cost,
+                             read_bytes=read_bytes)
+        return result, elapsed
+
+    def _run_split(self, table, query: Query, plan: PlacementPlan,
+                   **topology):
+        """Ship / hybrid execution of ``plan``: read the shipped join's
+        build side, then either the raw table (ship) or the offloaded
+        fragment's result (hybrid), and finish with
+        :func:`~repro.core.planner.run_client_steps`."""
+
+        def body(cost):
+            cpu = self.cpu
+            steps = list(plan.client_steps)
+            build_rows, read_bytes = None, 0
+            if "join" in steps:
+                build_rows, read_bytes = self._read_build_rows(
+                    query.join.build_table)
+                cost.add("read", cpu.read_ns(read_bytes))
+            if plan.fragment is None:
+                rows, schema, shipped = self._ship_read(table, steps, cost,
+                                                        **topology)
+                read_bytes += shipped
+                parts = []
+            else:
+                fragment, _ = self._run(
+                    self._offload_proc(table, plan.fragment, **topology),
+                    "far_view")
+                rows, schema = fragment.rows(), fragment.schema
+                cost.add("read", cpu.read_ns(fragment.bytes_shipped))
+                parts = [fragment]
+            rows, schema = run_client_steps(rows, schema, steps, query, cpu,
+                                            cost, build_rows=build_rows)
+            return rows, schema, parts, read_bytes
+
+        return self._client_side(plan.explain, body)
+
+    # -- compiled SQL: a DAG of placed stages + client kernels --------------
+    def _run_stage(self, handle, query: Query, placement: str, stats,
+                   dag: DagPlan, name: str) -> QueryResult:
+        """Execute one offloadable stage of a compiled DAG and record its
+        placement decision.  Each stage is priced independently through
+        the planner — the per-stage composition IS the DAG
+        generalization of :func:`~repro.core.planner.plan_placement`; a
+        stage without an explain ran on the plan-free offload path."""
+        result, _ = self._placed(handle, query, placement, stats)
+        explain = result.explain
+        strategy = ((explain.join_strategy if explain is not None else None)
+                    or result.join_strategy)
+        notes = ([] if explain is not None else ["pinned"]) \
+            + ([f"join={strategy}"] if strategy else [])
+        dag.stages.append(StagePlan(
+            name, explain.chosen if explain is not None else "offload",
+            explain=explain, note=", ".join(notes)))
         return result
-    result, _ = client.far_view_planned(handle, query, placement, stats)
-    explain = getattr(result, "explain", None)
-    chosen = explain.chosen if explain is not None else placement
-    strat = (explain.join_strategy if explain is not None else None) \
-        or getattr(result, "join_strategy", None)
-    dag.stages.append(StagePlan(name, chosen, explain=explain,
-                                note=f"join={strat}" if strat else ""))
-    return result
 
+    def _run_compiled(self, parsed, placement: str, stats):
+        """Execute an extended (compiled) SELECT.
 
-def _execute_compiled(client, parsed, placement: str, stats):
-    """Execute an extended (compiled) SELECT on either client.
+        Stage 0 runs the head :class:`~repro.core.query.Query`; each
+        :class:`~repro.core.compile.BoundArm` reads its build side (raw,
+        or through its own placed Query) and joins client-side; the
+        remaining bound kernels (expression projection, aggregation,
+        HAVING filter, DISTINCT, ORDER BY, LIMIT) run in client software
+        with their modeled cost advancing the simulator clock — the
+        same tail as :meth:`_run_split`.
+        """
+        bound = bind_select(parsed, self.catalog)
+        dag = DagPlan(requested=placement)
 
-    Stage 0 runs the head :class:`~repro.core.query.Query`; each
-    :class:`~repro.core.compile.BoundArm` reads its build side (raw, or
-    through its own placed Query) and joins client-side; the remaining
-    bound kernels (expression projection, aggregation, HAVING filter,
-    DISTINCT, ORDER BY, LIMIT) run in client software with their
-    modeled cost advancing the simulator clock — the same measurement
-    endpoint as :func:`_execute_planned`.
-    """
-    from ..baselines.sw_ops import (software_aggregate, software_distinct,
-                                    software_groupby, software_join,
-                                    software_limit, software_select,
-                                    software_sort)
-    from ..operators.join import join_output_schema
-    from .compile import (BoundAggregate, BoundDistinct, BoundEval,
-                          BoundFilter, BoundLimit, BoundSort, bind_select)
-    from .cost_model import HASHMAP_GROWTH_THRESHOLD
-    from .ir import eval_expr
-    from .planner import DagPlan, StagePlan
+        def body(cost):
+            cpu = self.cpu
+            head = self._run_stage(bound.base, bound.query, placement, stats,
+                                   dag, "scan")
+            rows, schema = head.rows(), head.schema
+            parts, read_bytes = [head], 0
+            for arm in bound.arms:
+                stage_name = f"build({arm.table})"
+                if arm.query is None:
+                    build_rows, shipped = self._read_build_rows(arm.build)
+                    build_schema = arm.build.schema
+                    cost.add("read", cpu.read_ns(shipped))
+                    read_bytes += shipped
+                    dag.stages.append(StagePlan(stage_name, "ship",
+                                                note="raw build read"))
+                else:
+                    build = self._run_stage(arm.build, arm.query, placement,
+                                            stats, dag, stage_name)
+                    build_rows, build_schema = build.rows(), build.schema
+                    parts.append(build)
+                cost.add("hash", cpu.hash_ns(
+                    len(build_rows),
+                    growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
+                cost.add("hash", cpu.hash_ns(len(rows), growing=False))
+                rows = software_join(rows, schema, build_rows, build_schema,
+                                     arm.build_key, arm.probe_key,
+                                     list(arm.payload))
+                schema = join_output_schema(schema, build_schema,
+                                            list(arm.payload))
+            for op in bound.ops:
+                rows, schema = self._run_kernel(op, rows, schema, cost)
+            return rows, schema, parts, read_bytes
 
-    def stage_shipped(stage_result) -> int:
-        report = getattr(stage_result, "report", None)
-        if report is not None:
-            return report.bytes_shipped
-        return getattr(stage_result, "shipped_bytes",
-                       getattr(stage_result, "bytes_shipped", 0))
+        return self._client_side(dag, body)
 
-    bound = bind_select(parsed, client.catalog)
-    cpu = getattr(client, "_cpu", None) or client._clients[0]._cpu
-    sim = client.sim
-    start = sim.now
-    cost = CostBreakdown()
-    cost.add("setup", cpu.setup_ns())
-    dag = DagPlan(requested=placement)
-
-    result = _run_stage(client, bound.base, bound.query, placement, stats,
-                        dag, "scan")
-    rows = result.rows()
-    schema = result.schema
-    shipped_total = stage_shipped(result)
-
-    for arm in bound.arms:
-        stage_name = f"build({arm.table})"
-        if arm.query is None:
-            build_rows, shipped = client._read_build_rows(arm.build)
-            build_schema = arm.build.schema
-            cost.add("read", cpu.read_ns(shipped))
-            shipped_total += shipped
-            dag.stages.append(StagePlan(stage_name, "ship",
-                                        note="raw build read"))
-        else:
-            build_result = _run_stage(client, arm.build, arm.query,
-                                      placement, stats, dag, stage_name)
-            build_rows = build_result.rows()
-            build_schema = build_result.schema
-            shipped_total += stage_shipped(build_result)
-        cost.add("hash", cpu.hash_ns(
-            len(build_rows),
-            growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
-        cost.add("hash", cpu.hash_ns(len(rows), growing=False))
-        rows = software_join(rows, schema, build_rows, build_schema,
-                             arm.build_key, arm.probe_key,
-                             list(arm.payload))
-        schema = join_output_schema(schema, build_schema,
-                                    list(arm.payload))
-
-    for op in bound.ops:
+    def _run_kernel(self, op, rows: np.ndarray, schema: Schema,
+                    cost: CostBreakdown):
+        """One bound client kernel of a compiled statement."""
+        cpu = self.cpu
         if isinstance(op, BoundEval):
             cost.add("project", cpu.select_ns(len(rows)))
             out = op.schema.empty(len(rows))
             for expr, name in op.items:
                 out[name] = eval_expr(expr, rows, schema)
-            rows, schema = out, op.schema
-        elif isinstance(op, BoundFilter):
+            return out, op.schema
+        if isinstance(op, BoundFilter):
             cost.add("predicate", cpu.select_ns(len(rows)))
-            rows = software_select(rows, op.predicate)
-        elif isinstance(op, BoundAggregate):
+            return software_select(rows, op.predicate), schema
+        if isinstance(op, BoundAggregate):
             if op.group_by:
                 output = software_groupby(rows, schema, list(op.group_by),
                                           list(op.aggregates))
                 cost.add("hash", cpu.hash_ns(
                     len(rows), growing=output.map_resizes > 0))
                 cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-                rows = output.rows
-                schema = group_output_schema(schema, list(op.group_by),
-                                             list(op.aggregates))
-            else:
-                cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-                rows = software_aggregate(rows, schema,
-                                          list(op.aggregates))
-                schema = aggregate_output_schema(schema,
-                                                 list(op.aggregates))
-        elif isinstance(op, BoundDistinct):
+                return output.rows, group_output_schema(
+                    schema, list(op.group_by), list(op.aggregates))
+            cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
+            return (software_aggregate(rows, schema, list(op.aggregates)),
+                    aggregate_output_schema(schema, list(op.aggregates)))
+        if isinstance(op, BoundDistinct):
             output = software_distinct(rows, schema, list(schema.names))
             cost.add("hash", cpu.hash_ns(len(rows),
                                          growing=output.map_resizes > 0))
-            rows = output.rows
-        elif isinstance(op, BoundSort):
+            return output.rows, schema
+        if isinstance(op, BoundSort):
             cost.add("sort", cpu.sort_ns(len(rows)))
-            rows = software_sort(rows, list(op.keys))
-        elif isinstance(op, BoundLimit):
-            rows = software_limit(rows, op.count)
-        else:
-            raise QueryError(f"unknown bound operator {type(op).__name__}")
+            return software_sort(rows, list(op.keys)), schema
+        if isinstance(op, BoundLimit):
+            return software_limit(rows, op.count), schema
+        raise QueryError(f"unknown bound operator {type(op).__name__}")
 
-    cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
-    sim.run_process(_client_compute(sim, cost.total_ns), "client-compute")
-    elapsed = sim.now - start
-    dag.actual_ns = elapsed
-    compiled = CompiledQueryResult(schema=schema, merged=rows,
-                                   response_time_ns=elapsed, explain=dag,
-                                   client_cost=cost,
-                                   shipped_bytes=shipped_total)
-    return compiled, elapsed
+    # -- paper-style higher-level helpers (§4.2's `select`) -----------------
+    def select(self, table, columns: list[str] | None,
+               predicate: Predicate, vectorized: bool = False,
+               placement: str = "offload",
+               stats: PlanStats | None = None):
+        """``SELECT columns FROM table WHERE predicate``.
 
+        ``placement`` routes through the cost-based planner:
+        ``"offload"`` (default, the paper's path), ``"ship"`` (raw read +
+        client software), or ``"auto"`` (cheapest split; pass ``stats``
+        for better estimates).
+        """
+        query = Query(projection=tuple(columns) if columns else None,
+                      predicate=predicate, vectorized=vectorized,
+                      label="select")
+        return self._placed(table, query, placement, stats)
 
-class _ViewEngineMixin:
-    """Shared view-maintenance verbs of both clients (docs/VIEWS.md).
+    def select_distinct(self, table, columns: list[str]):
+        query = Query(projection=tuple(columns), distinct=True,
+                      label="distinct")
+        return self.far_view(table, query)
 
-    The mixin owns the sim-facing half of the view subsystem: it reads
-    the committed delta segments over the wire, charges the circuit's
-    client-side cost, and only then hands the fetched bytes to the
-    yield-free :meth:`~repro.core.views.ViewCatalog.apply_refresh` fold.
-    Because every read happens before any state mutation, a typed
-    :class:`FaultError` mid-refresh surfaces with *no* partial push: the
-    segments stay pending, the pins stay put, and the next refresh (or a
-    :meth:`rebootstrap_view`) picks up from the last consistent epoch.
+    def group_by(self, table, keys: list[str],
+                 aggregates: list[AggregateSpec]):
+        query = Query(group_by=tuple(keys), aggregates=tuple(aggregates),
+                      label="group_by")
+        return self.far_view(table, query)
 
-    Concrete clients provide four hooks: :meth:`_view_chains` (the
-    per-node version chains behind a catalog handle, paired with the
-    client that reads them), :meth:`_view_static_read_proc` (raw bytes
-    of a static join build side), :meth:`_view_cpu` and
-    :meth:`_view_run`.
-    """
+    def sql(self, statement: str, placement: str | None = None,
+            stats: PlanStats | None = None):
+        """Parse and execute a SQL statement against the catalog.
 
-    views: ViewCatalog
+        SELECTs run against any registered table (versioned scans pin
+        the current epoch); ``INSERT INTO ... VALUES``, ``UPDATE ... SET
+        ... WHERE`` and ``DELETE FROM ... WHERE`` commit write batches
+        against a versioned table and return ``(new_epoch, elapsed_ns)``.
+        Placement precedence for reads: the ``placement`` argument, then
+        a ``/*+ placement(...) */`` hint, then full offload.  Returns
+        ``(result, elapsed_ns)``.
+        """
+        parsed = parse_sql(statement)
+        table = self.catalog.lookup(parsed.table)
+        if isinstance(parsed, ParsedWrite):
+            return self._sql_write(table, parsed)
+        placement = placement or parsed.placement or "offload"
+        if parsed.extended:
+            return self._run_compiled(parsed, placement, stats)
+        query = parsed.query
+        if parsed.join is not None:
+            build = self.catalog.lookup(parsed.join.table)
+            query = resolve_join_query(parsed, table.schema, build)
+        return self._placed(table, query, placement, stats)
 
-    # -- hooks supplied by the concrete client -----------------------------
-    def _view_chains(self, handle):
-        raise NotImplementedError
+    def _require_versioned(self, handle):
+        if not isinstance(handle, self._versioned_type):
+            raise QueryError(
+                f"table {handle.name!r} is not versioned; write statements "
+                f"and views need a table created with "
+                f"create_versioned_table on this client")
+        return handle
 
-    def _view_static_read_proc(self, handle):
-        raise NotImplementedError
+    def _sql_write(self, table, parsed: ParsedWrite):
+        """Dispatch a parsed INSERT/UPDATE/DELETE to the write verbs."""
+        self._require_versioned(table)
+        if parsed.kind == "insert":
+            rows = rows_from_literals(table.schema, parsed.values)
+            return self.insert(table, rows)
+        if parsed.kind == "update":
+            return self.update_where(table, parsed.predicate,
+                                     dict(parsed.assignments))
+        return self.delete_where(table, parsed.predicate)
 
-    def _view_cpu(self) -> CpuCostModel:
-        raise NotImplementedError
+    # -- versioned write verbs: prepare, commit, propagate ------------------
+    def _write_proc(self, kind: str, table, *args):
+        prepared = yield from self._prepare_proc(kind, table, *args)
+        epoch = self._commit(table, prepared)
+        yield from self._views_after_commit_proc()
+        return epoch
 
-    def _view_run(self, proc, name: str):
-        raise NotImplementedError
+    def insert_proc(self, table, rows: np.ndarray):
+        """Process: append ``rows`` as an insert delta (a cluster appends
+        to the tail shard); returns the new epoch."""
+        return self._write_proc("insert", table, rows)
 
-    # -- registration -------------------------------------------------------
+    def update_where_proc(self, table, predicate: Predicate | None,
+                          assignments: dict):
+        """Process: offloaded read-modify-write.  The node evaluates
+        ``predicate`` over the visible rows and writes an update delta
+        with the ``column -> literal`` assignments applied; no table
+        bytes cross the wire.  Returns the new epoch."""
+        return self._write_proc("update", table, predicate, assignments)
+
+    def delete_where_proc(self, table, predicate: Predicate | None):
+        """Process: offloaded predicate delete; returns the new epoch."""
+        return self._write_proc("delete", table, predicate)
+
+    def read_version(self, table, as_of: int | None = None):
+        """Visible byte image at an epoch; returns (bytes, elapsed_ns)."""
+        (rows, _ids, _shipped), elapsed = self._run(
+            self.read_version_proc(table, as_of), "read_version")
+        return table.schema.to_bytes(rows), elapsed
+
+    # -- incremental materialized views (docs/VIEWS.md) ---------------------
+    # The core owns the sim-facing half of the view subsystem: it reads
+    # the committed delta segments over the wire, charges the circuit's
+    # client-side cost, and only then hands the fetched bytes to the
+    # yield-free ViewCatalog.apply_refresh fold.  Because every read
+    # happens before any state mutation, a typed FaultError mid-refresh
+    # surfaces with *no* partial push: the segments stay pending, the
+    # pins stay put, and the next refresh (or a rebootstrap_view) picks
+    # up from the last consistent epoch.
     def create_view_proc(self, sql: str, name: str | None = None):
         """Process: compile ``sql`` into a circuit and bootstrap it from
         an epoch-consistent MVCC snapshot of every versioned input.
@@ -596,7 +774,8 @@ class _ViewEngineMixin:
             if table in engine.trackers:
                 continue
             trackers = []
-            for owner, chain in self._view_chains(handle):
+            for owner, chain in self._view_chains(
+                    self._require_versioned(handle)):
                 tracker = ChainTracker(table, chain)  # pins + listens now
                 tracker.owner = owner
                 trackers.append(tracker)
@@ -610,11 +789,11 @@ class _ViewEngineMixin:
                 tracker.load(rows, ids)
                 view.bootstrap_bytes += shipped
             for stage, handle in circuit.static_loads:
-                build_rows, nbytes = yield from \
-                    self._view_static_read_proc(handle)
-                stage.load_static(ZSet.from_rows(stage.build_in_schema,
-                                                 build_rows))
-                view.bootstrap_bytes += nbytes
+                data = yield from self.table_read_proc(handle)
+                stage.load_static(ZSet.from_rows(
+                    stage.build_in_schema,
+                    handle.schema.from_bytes(data, copy=True)))
+                view.bootstrap_bytes += len(data)
         except BaseException:
             self._view_abandon_bootstrap(circuit, new_trackers)
             raise
@@ -628,7 +807,7 @@ class _ViewEngineMixin:
             boot_rows += zset.entry_count
         yield from _client_compute(
             self.sim,
-            view_circuit_cost_ns(self._view_cpu(), boot_rows, circuit.depth))
+            view_circuit_cost_ns(self.cpu, boot_rows, circuit.depth))
         view.contents = circuit.step(boot)
         view.epochs = {table: engine.trackers[table][0].processed_epoch
                        for table in circuit.dynamic_tables}
@@ -656,7 +835,6 @@ class _ViewEngineMixin:
             except FarviewError:
                 pass  # a crashed node has nothing left to free
 
-    # -- refresh ------------------------------------------------------------
     def refresh_views_proc(self):
         """Process: fold every unconsumed committed segment into every
         registered view and push the deltas to subscribers.
@@ -678,8 +856,7 @@ class _ViewEngineMixin:
             depth = max((view.circuit.depth
                          for view in engine.views.values()), default=1)
             yield from _client_compute(
-                self.sim,
-                view_circuit_cost_ns(self._view_cpu(), delta_rows, depth))
+                self.sim, view_circuit_cost_ns(self.cpu, delta_rows, depth))
         stats = engine.apply_refresh(reads, targets)
         for trackers in engine.trackers.values():
             for tracker in trackers:
@@ -695,7 +872,6 @@ class _ViewEngineMixin:
             return
         yield from self.refresh_views_proc()
 
-    # -- subscriptions ------------------------------------------------------
     def subscribe(self, view: MaterializedView,
                   auto: bool = True) -> Subscription:
         """Attach a subscriber fed by pushed deltas from ``view``'s
@@ -726,26 +902,12 @@ class _ViewEngineMixin:
             fresh.subscriptions.append(sub)
         return fresh
 
-    # -- blocking conveniences ----------------------------------------------
-    def create_view(self, sql: str, name: str | None = None):
-        """Register + bootstrap a view; returns
-        (:class:`MaterializedView`, elapsed_ns)."""
-        return self._view_run(self.create_view_proc(sql, name), "create_view")
 
-    def refresh_views(self):
-        """Propagate committed segments; returns
-        (:class:`RefreshStats`, elapsed_ns)."""
-        return self._view_run(self.refresh_views_proc(), "refresh_views")
-
-    def rebootstrap_view(self, view: MaterializedView):
-        """Rebuild a view at the latest epoch; returns
-        (:class:`MaterializedView`, elapsed_ns)."""
-        return self._view_run(self.rebootstrap_view_proc(view),
-                              "rebootstrap_view")
-
-
-class FarviewClient(_ViewEngineMixin):
+@_with_blocking_verbs
+class FarviewClient(_ClientCore):
     """A query thread on a compute node, connected to a Farview node."""
+
+    _versioned_type = VersionedTable
 
     def __init__(self, node: FarviewNode,
                  buffer_capacity: int = 8 * 1024 * 1024,
@@ -755,16 +917,9 @@ class FarviewClient(_ViewEngineMixin):
         self.catalog = Catalog()
         self._buffer_capacity = buffer_capacity
         self._conn: Connection | None = None
-        self._compiled_cache: dict[str, CompiledQuery] = {}
-        #: Cost model of this compute node's CPU — prices the client-side
-        #: remainder of planned (ship/hybrid) executions.
-        self._cpu = cpu_model if cpu_model is not None else CpuCostModel()
-        #: Optional :class:`~repro.core.faults.RetryPolicy`: per-request
-        #: deadline + capped exponential backoff on every verb.  ``None``
-        #: (default) is the exact pre-fault-layer request path.
-        self.retry_policy: RetryPolicy | None = None
-        #: Registered materialized views + their chain trackers
-        #: (verbs in :class:`_ViewEngineMixin`).
+        self.cpu = cpu_model if cpu_model is not None else CpuCostModel()
+        self.retry_policy = None
+        #: Registered materialized views + their chain trackers.
         self.views = ViewCatalog()
 
     # -- connection -----------------------------------------------------------
@@ -785,15 +940,17 @@ class FarviewClient(_ViewEngineMixin):
         For a lease holder whose node died mid-lease (fail-stop with
         amnesia): the close RPC cannot reach the node, and the node-side
         state is gone with the crashed incarnation anyway.  Clears the
-        client-side handle — and the node's stale connection entry, so a
-        recovered node does not resurrect it — keeping lease-manager
-        accounting exact even when :meth:`close_connection` raises a
+        client-side handle — and the node's stale connection entry and
+        link flow, so a recovered node does not resurrect them —
+        keeping lease-manager accounting exact even when
+        :meth:`close_connection` raises a
         :class:`~repro.common.errors.FaultError`.
         """
         conn = self._require_conn()
         conn.qp.connected = False
         conn.closed = True
         self.node.connections.pop(conn.qp.qp_id, None)
+        self.node.link.unregister_flow(conn.qp.qp_id)
         self._conn = None
 
     def _require_conn(self) -> Connection:
@@ -819,8 +976,7 @@ class FarviewClient(_ViewEngineMixin):
     def drop_table(self, table: FTable | VersionedTable | str) -> None:
         """Free a table's disaggregated memory and deregister it.
 
-        The single-node counterpart of :meth:`ClusterClient.drop_table`:
-        accepts a plain :class:`FTable`, a :class:`VersionedTable`
+        Accepts a plain :class:`FTable`, a :class:`VersionedTable`
         (every live, retired and delta segment is freed), or a catalog
         name — no reaching into ``catalog.deregister`` or allocator
         internals required.
@@ -835,160 +991,244 @@ class FarviewClient(_ViewEngineMixin):
             return
         self.free_table_mem(table)
 
-    # -- fault-layer request wrapper ---------------------------------------------------
-    def _with_policy_proc(self, make_proc, verb: str):
-        """Process: run ``make_proc()`` under :attr:`retry_policy`.
-
-        Typed fault errors retry with capped exponential backoff; a
-        completion past the deadline is *discarded* (the late result is
-        never returned) and retried, surfacing as
-        :class:`RequestTimeoutError` once attempts are exhausted.  With
-        no policy installed this is a plain pass-through — no extra
-        simulator events, identical timing.
-        """
-        policy = self.retry_policy
-        if policy is None:
-            result = yield from make_proc()
-            return result
-        attempt = 0
-        while True:
-            attempt += 1
-            start = self.sim.now
-            try:
-                result = yield from make_proc()
-            except FaultError:
-                if attempt >= policy.max_attempts:
-                    raise
-                yield self.sim.timeout(policy.backoff_ns(attempt))
-                continue
-            if (policy.deadline_ns is not None
-                    and self.sim.now - start > policy.deadline_ns):
-                if attempt >= policy.max_attempts:
-                    raise RequestTimeoutError(
-                        f"{verb} took {self.sim.now - start:.0f} ns "
-                        f"(deadline {policy.deadline_ns:.0f} ns, "
-                        f"{attempt} attempts)")
-                yield self.sim.timeout(policy.backoff_ns(attempt))
-                continue
-            return result
-
     # -- verbs as processes ----------------------------------------------------------
     def table_write_proc(self, table: FTable, rows: np.ndarray | bytes):
-        """Process: upload ``rows`` (array or raw image) to the buffer pool."""
-        result = yield from self._with_policy_proc(
-            lambda: self._table_write_once_proc(table, rows), "table_write")
-        return result
+        """Process: upload ``rows`` (array or raw image) to the buffer
+        pool; returns the bytes written."""
 
-    def _table_write_once_proc(self, table: FTable, rows: np.ndarray | bytes):
-        conn = self._require_conn()
-        if isinstance(rows, np.ndarray):
-            table.validate_rows(rows)
-            data = table.schema.to_bytes(rows)
-        else:
-            data = bytes(rows)
-        result = yield from self.node.serve_write(conn, table, data)
-        return result
+        def once():
+            conn = self._require_conn()
+            if isinstance(rows, np.ndarray):
+                table.validate_rows(rows)
+                data = table.schema.to_bytes(rows)
+            else:
+                data = bytes(rows)
+            return (yield from self.node.serve_write(conn, table, data))
+
+        return self._attempts_proc(once, "table_write")
 
     def table_read_proc(self, table: FTable, offset: int = 0,
                         length: int | None = None):
         """Process: raw RDMA read; returns the bytes landed in the buffer."""
-        result = yield from self._with_policy_proc(
-            lambda: self._table_read_once_proc(table, offset, length),
-            "table_read")
-        return result
 
-    def _table_read_once_proc(self, table: FTable, offset: int,
-                              length: int | None):
-        conn = self._require_conn()
-        conn.qp.buffer.reset()
-        total = yield from self.node.serve_read(conn, table, offset, length)
-        return conn.qp.buffer.read(0, total)
-
-    def far_view_proc(self, table: FTable, query: Query):
-        """Process: the Farview verb; returns a :class:`QueryResult`."""
-        if isinstance(table, VersionedTable):
-            result = yield from self.scan_versioned_proc(table, query)
-            return result
-        result = yield from self._with_policy_proc(
-            lambda: self._far_view_once_proc(table, query), "far_view")
-        return result
-
-    def _far_view_once_proc(self, table: FTable, query: Query):
-        conn = self._require_conn()
-        build, build_token = self._pin_join_build(query)
-        try:
-            compiled = self._compile(table, query)
+        def once():
+            conn = self._require_conn()
             conn.qp.buffer.reset()
-            start = self.sim.now
-            report = yield from self.node.serve_farview(conn, table, compiled)
-        finally:
-            if build is not None:
-                self._release_pin(build, build_token)
-        self._attach_group_meta(compiled, report)
-        data = conn.qp.buffer.read(0, report.bytes_shipped)
-        return QueryResult(
-            data=data,
-            schema=compiled.output_schema,
-            report=report,
-            response_time_ns=self.sim.now - start,
-            output_key=query.encrypt_output)
+            total = yield from self.node.serve_read(conn, table, offset,
+                                                    length)
+            return conn.qp.buffer.read(0, total)
 
-    def _pin_join_build(self, query: Query):
-        """Pin a versioned join build side at its current epoch.
+        return self._attempts_proc(once, "table_read")
 
-        The pin is taken before any simulated time passes (the compile
-        resolves the same epoch into the build view), so a dimension
-        table being updated — or compacted — mid-scan cannot change or
-        free the segments this join reads.  Returns ``(table, token)``
-        or ``(None, None)`` when there is nothing to pin.
+    def far_view_proc(self, table: FTable | VersionedTable, query: Query):
+        """Process: the Farview verb; returns a :class:`QueryResult`.
+
+        Accepts a :class:`VersionedTable` too: the scan then runs over
+        the MVCC view pinned at the current epoch (see
+        :meth:`scan_versioned_proc`).
         """
+        return self._offload_proc(table, query)
+
+    def scan_versioned_proc(self, table: VersionedTable, query: Query,
+                            as_of: int | None = None):
+        """Process: offloaded scan over the snapshot pinned at start.
+
+        The epoch is resolved and pinned before any simulated time
+        passes, so writers committing — and compactions retiring
+        segments — mid-scan cannot change the bytes this scan returns.
+        """
+        return self._offload_proc(table, query, as_of)
+
+    def _offload_proc(self, table, query: Query, as_of: int | None = None):
+        """Process: one offloaded scan under the retry policy.  A
+        versioned table's epoch is resolved once, so every attempt
+        reads the same snapshot."""
+        if isinstance(table, VersionedTable) and as_of is None:
+            as_of = table.epoch
+        return (yield from self._attempts_proc(
+            lambda: self._scan_once_proc(table, query, as_of), "far_view"))
+
+    def _scan_once_proc(self, table, query: Query, epoch: int | None):
+        conn = self._require_conn()
+        versioned = isinstance(table, VersionedTable)
+        # Pins are taken before any simulated time passes (the compile
+        # resolves the same epochs), so a table — or a versioned join
+        # build side — being updated or compacted mid-scan cannot change
+        # or free the segments this scan reads.
+        pins = [(table, table.pin(epoch))] if versioned else []
         build = query.join.build_table if query.join is not None else None
         if isinstance(build, VersionedTable):
-            return build, build.pin(build.epoch)
-        return None, None
-
-    def _compile(self, table: FTable, query: Query) -> CompiledQuery:
-        # Pipelines are stateful/one-shot: always build a fresh one, but the
-        # signature keeps region reconfiguration free across repeats.
-        return compile_query(query, table, self.node.config)
-
-    @staticmethod
-    def _attach_group_meta(compiled: CompiledQuery,
-                           report: ExecutionReport) -> None:
+            pins.append((build, build.pin(build.epoch)))
+        try:
+            # Pipelines are stateful/one-shot: always compile a fresh one;
+            # the signature keeps region reconfiguration free across
+            # repeats.
+            if versioned:
+                view = table.view_at(epoch)
+                compiled = compile_query(self._versioned_query(query),
+                                         view.base, self.node.config)
+                serve = self.node.serve_farview_versioned(conn, view,
+                                                          compiled)
+            else:
+                compiled = compile_query(query, table, self.node.config)
+                serve = self.node.serve_farview(conn, table, compiled)
+            conn.qp.buffer.reset()
+            start = self.sim.now
+            report = yield from serve
+        finally:
+            for pinned, token in reversed(pins):
+                self._release_pin(pinned, token)
         if report.overflow_groups:
-            query = compiled.query
             report.overflow_groups["__meta__"] = (
                 list(query.group_by or ()),
                 list(query.aggregates),
                 sorted({s.column for s in query.aggregates
                         if not (s.func == "count" and s.column == "*")}))
+        return QueryResult(
+            schema=compiled.output_schema, report=report,
+            stream=conn.qp.buffer.read(0, report.bytes_shipped),
+            response_time_ns=self.sim.now - start,
+            output_key=query.encrypt_output)
 
-    # -- blocking conveniences ------------------------------------------------------------
-    def _run(self, proc, name: str):
-        start = self.sim.now
-        result = self.sim.run_process(proc, name)
-        return result, self.sim.now - start
+    @staticmethod
+    def _versioned_query(query: Query) -> Query:
+        """Delta-merge ingest needs the full row stream (like joins), so
+        smart addressing is not applicable to versioned scans."""
+        if query.smart_addressing:
+            raise QueryError(
+                "smart addressing is incompatible with versioned scans: "
+                "the delta-merge ingest consumes the full row stream")
+        if query.smart_addressing is None:
+            return replace(query, smart_addressing=False)
+        return query
 
-    def table_write(self, table: FTable, rows: np.ndarray | bytes):
-        """Upload rows; returns (bytes_written, elapsed_ns)."""
-        return self._run(self.table_write_proc(table, rows), "table_write")
+    def _release_pin(self, vt: VersionedTable, token: int) -> None:
+        conn = self._require_conn()
+        for segment in vt.unpin(token):
+            self.node.free_table_mem(conn, segment)
 
-    def table_read(self, table: FTable, offset: int = 0,
-                   length: int | None = None):
-        """Raw read; returns (bytes, elapsed_ns)."""
-        return self._run(self.table_read_proc(table, offset, length),
-                         "table_read")
+    def read_version_proc(self, table: VersionedTable,
+                          as_of: int | None = None):
+        """Process: raw RDMA reads of every segment + client-side merge.
 
-    def far_view(self, table: FTable, query: Query):
-        """Offloaded query; returns (QueryResult, elapsed_ns).
+        Returns ``(visible_rows, rowids, bytes_shipped)`` — the ship-side
+        building block of versioned placement, and the oracle the
+        snapshot-isolation tests re-execute."""
+        epoch = table.epoch if as_of is None else as_of
+        token = table.pin(epoch)
+        try:
+            view = table.view_at(epoch)
+            images: dict[str, bytes] = {}
+            shipped = 0
+            for segment in view.segment_tables:
+                data = yield from self.table_read_proc(segment)
+                images[segment.name] = data
+                shipped += len(data)
+            rows, ids = view.materialize(lambda t: images[t.name])
+            return rows, ids, shipped
+        finally:
+            self._release_pin(table, token)
 
-        Accepts a :class:`VersionedTable` too: the scan then runs over
-        the MVCC view pinned at the current epoch (see
-        :meth:`scan_versioned`).
+    def regex_match(self, table: FTable, column: str, pattern: str):
+        query = Query(regex=RegexFilter(column, pattern), label="regex")
+        return self.far_view(table, query)
+
+    # -- placement primitives ---------------------------------------------------
+    def scan_versioned(self, table: VersionedTable, query: Query,
+                       as_of: int | None = None, placement: str = "offload",
+                       stats: PlanStats | None = None,
+                       lease_manager=None):
+        """Snapshot scan, optionally under cost-based placement.
+
+        ``placement="offload"`` runs the delta-merge ingest on the node
+        (the default); ``"ship"`` reads the raw segments and merges +
+        executes client-side; ``"auto"`` picks the cheapest prefix split
+        with delta-aware costing (the ship/offload crossover shifts with
+        the delta fraction).  Returns ``(result, elapsed_ns)``.
         """
+        return self._placed(table, query, placement, stats, lease_manager,
+                            as_of=as_of)
+
+    def plan_versioned(self, vt: VersionedTable, query: Query,
+                       epoch: int | None = None, placement: str = "auto",
+                       stats: PlanStats | None = None,
+                       lease_manager=None,
+                       refuse_join_offload: bool = False) -> PlacementPlan:
+        """Plan a versioned scan: base + K delta segments on the ingest
+        side, raw segment reads + software merge on the ship side."""
+        return self._plan(vt, query, placement, stats, lease_manager,
+                          refuse_join_offload, as_of=epoch)
+
+    def _bind(self, table, as_of: int | None = None) -> dict:
+        """Resolve the snapshot epoch once, before the ladder's nested
+        blocking runs give concurrent writers a chance to commit."""
         if isinstance(table, VersionedTable):
-            return self.scan_versioned(table, query)
-        return self._run(self.far_view_proc(table, query), "far_view")
+            return {"as_of": table.epoch if as_of is None else as_of}
+        if as_of is not None:
+            raise QueryError(f"as_of needs a versioned table, not "
+                             f"{table.name!r}")
+        return {}
+
+    def _plan(self, table, query: Query, placement, stats, lease_manager,
+              refuse_join_offload: bool = False,
+              as_of: int | None = None) -> PlacementPlan:
+        versioned: dict = {}
+        if isinstance(table, VersionedTable):
+            epoch = table.epoch if as_of is None else as_of
+            view = table.view_at(epoch)
+            query = self._versioned_query(query)
+            versioned = dict(total_rows=table.visible_rows_at(epoch),
+                             scan_bytes=float(view.scan_bytes),
+                             delta_rows=float(view.delta_rows))
+            table = view.base
+        region = self._require_conn().region
+        return plan_placement(query, table, self.node.config,
+                              placement=placement, stats=stats,
+                              cpu=self.cpu,
+                              loaded_signature=region.loaded_pipeline,
+                              lease_manager=lease_manager,
+                              buffer_capacity=self._buffer_capacity,
+                              refuse_join_offload=refuse_join_offload,
+                              **versioned)
+
+    def _ship_read(self, table, steps: list[str], cost: CostBreakdown,
+                   as_of: int | None = None):
+        """Blocking raw read of the whole table for a ship plan; returns
+        ``(rows, schema, bytes_shipped)``.  Charges what turning the
+        bytes into rows costs the client — the read, a leading
+        ``decrypt`` step (consumed from ``steps``), a version chain's
+        delta merge."""
+        cpu = self.cpu
+        if isinstance(table, VersionedTable):
+            view = table.view_at(as_of)
+            (rows, _ids, shipped), _ = self._run(
+                self.read_version_proc(table, as_of), "read_version")
+            cost.add("read", cpu.read_ns(shipped))
+            cost.add("merge", delta_merge_cost_ns(
+                cpu, table.visible_rows_at(as_of), view.delta_rows))
+            return rows, table.schema, shipped
+        data, _ = self.table_read(table)
+        cost.add("read", cpu.read_ns(len(data)))
+        if steps and steps[0] == "decrypt":
+            data = software_decrypt(data, table.key, table.nonce)
+            cost.add("aes", cpu.aes_ns(len(data)))
+            del steps[0]
+        return table.schema.from_bytes(data), table.schema, len(data)
+
+    def _read_build_rows(self, build):
+        """Raw read + decode of a shipped join's build side.
+
+        A versioned build reads every segment of the chain pinned at the
+        current epoch and merges client-side (the same oracle
+        :meth:`read_version_proc` provides); a plain table is one raw
+        RDMA read.  Returns ``(build_rows, bytes_shipped)``.
+        """
+        if isinstance(build, VersionedTable):
+            (rows, _ids, shipped), _ = self._run(
+                self.read_version_proc(build), "read_build")
+            return rows, shipped
+        data, _ = self.table_read(build)
+        return build.schema.from_bytes(data), len(data)
 
     # -- versioned write path (MVCC snapshots + delta segments) -------------------------------
     def create_versioned_table(self, name: str, schema: Schema,
@@ -1005,7 +1245,6 @@ class FarviewClient(_ViewEngineMixin):
             raise QueryError(
                 f"versioned table {name!r} needs a non-empty base segment")
         if name in self.catalog:
-            from ..common.errors import CatalogError
             raise CatalogError(f"table {name!r} already registered")
         conn = self._require_conn()
         base = FTable(f"{name}#b0", schema, len(rows))
@@ -1022,90 +1261,48 @@ class FarviewClient(_ViewEngineMixin):
         return table.epoch
 
     # prepare/commit split: the cluster router prepares on every shard
-    # before committing any (two-phase epoch broadcast); the single-node
-    # verbs below are prepare + immediate commit.
-    def _prepare_insert_proc(self, vt: VersionedTable, rows: np.ndarray):
+    # before committing any (two-phase epoch broadcast); on one node a
+    # write verb is prepare + immediate commit.
+    def _prepare_proc(self, kind: str, vt: VersionedTable, *args):
+        """Process: build one write's delta segment on the node without
+        making it visible; returns ``(kind, segment, num_rows,
+        visible_change)`` for :meth:`_commit`."""
         conn = self._require_conn()
-        rows = np.asarray(rows, dtype=vt.schema.dtype)
-        if len(rows) == 0:
-            return ("insert", None, 0, 0)
-        ids = vt.allocate_rowids(len(rows))
-        dschema = delta_schema(vt.schema)
-        drows = dschema.empty(len(rows))
-        drows[ROWID_COLUMN] = ids
-        for column in vt.schema.names:
-            drows[column] = rows[column]
-        segment = FTable(vt.next_segment_name(), dschema, len(rows))
-        self.node.alloc_table_mem(conn, segment)
-        yield from self.node.serve_write(conn, segment,
-                                         dschema.to_bytes(drows))
-        return ("insert", segment, len(rows), len(rows))
-
-    def _prepare_update_proc(self, vt: VersionedTable,
-                             predicate: Predicate | None,
-                             assignments: dict):
-        conn = self._require_conn()
+        if kind == "insert":
+            rows = np.asarray(args[0], dtype=vt.schema.dtype)
+            if len(rows) == 0:
+                return (kind, None, 0, 0)
+            ids = vt.allocate_rowids(len(rows))
+            dschema = delta_schema(vt.schema)
+            drows = dschema.empty(len(rows))
+            drows[ROWID_COLUMN] = ids
+            for column in vt.schema.names:
+                drows[column] = rows[column]
+            segment = FTable(vt.next_segment_name(), dschema, len(rows))
+            self.node.alloc_table_mem(conn, segment)
+            yield from self.node.serve_write(conn, segment,
+                                             dschema.to_bytes(drows))
+            return (kind, segment, len(rows), len(rows))
+        serve = (self.node.serve_update_delta if kind == "update"
+                 else self.node.serve_delete_delta)
         token = vt.pin(vt.epoch)
         try:
-            prepared = yield from self.node.serve_update_delta(
-                conn, vt.view_at(vt.epoch), predicate, assignments,
-                vt.next_segment_name())
+            prepared = yield from serve(conn, vt.view_at(vt.epoch), *args,
+                                        vt.next_segment_name())
         finally:
             self._release_pin(vt, token)
         if prepared is None:
-            return ("update", None, 0, 0)
+            return (kind, None, 0, 0)
         segment, rowids = prepared
-        return ("update", segment, len(rowids), 0)
-
-    def _prepare_delete_proc(self, vt: VersionedTable,
-                             predicate: Predicate | None):
-        conn = self._require_conn()
-        token = vt.pin(vt.epoch)
-        try:
-            prepared = yield from self.node.serve_delete_delta(
-                conn, vt.view_at(vt.epoch), predicate,
-                vt.next_segment_name())
-        finally:
-            self._release_pin(vt, token)
-        if prepared is None:
-            return ("delete", None, 0, 0)
-        segment, rowids = prepared
-        return ("delete", segment, len(rowids), -len(rowids))
+        return (kind, segment, len(rowids),
+                -len(rowids) if kind == "delete" else 0)
 
     @staticmethod
-    def _commit_prepared(vt: VersionedTable, prepared) -> int:
+    def _commit(vt: VersionedTable, prepared) -> int:
         kind, segment, num_rows, visible_change = prepared
         return vt.commit_delta(kind, segment, num_rows, visible_change)
 
-    def insert_proc(self, vt: VersionedTable, rows: np.ndarray):
-        """Process: append ``rows`` as an insert delta; returns the new
-        epoch."""
-        prepared = yield from self._prepare_insert_proc(vt, rows)
-        epoch = self._commit_prepared(vt, prepared)
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    def update_where_proc(self, vt: VersionedTable,
-                          predicate: Predicate | None, assignments: dict):
-        """Process: offloaded read-modify-write.  The node evaluates
-        ``predicate`` over the visible rows and writes an update delta
-        with the ``column -> literal`` assignments applied; no table
-        bytes cross the wire.  Returns the new epoch."""
-        prepared = yield from self._prepare_update_proc(vt, predicate,
-                                                        assignments)
-        epoch = self._commit_prepared(vt, prepared)
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    def delete_where_proc(self, vt: VersionedTable,
-                          predicate: Predicate | None):
-        """Process: offloaded predicate delete; returns the new epoch."""
-        prepared = yield from self._prepare_delete_proc(vt, predicate)
-        epoch = self._commit_prepared(vt, prepared)
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    def compact_proc(self, vt: VersionedTable):
+    def compact_proc(self, table: VersionedTable):
         """Process: fold the delta chain into a fresh base segment.
 
         A background maintenance pass: contents and epoch are unchanged,
@@ -1115,454 +1312,19 @@ class FarviewClient(_ViewEngineMixin):
         and freed when the last such scan ends.  Returns the epoch.
         """
         conn = self._require_conn()
-        token = vt.pin(vt.epoch)
+        token = table.pin(table.epoch)
         try:
             new_base, ids = yield from self.node.serve_compact(
-                conn, vt.view_at(vt.epoch),
-                f"{vt.name}#b{vt.compactions + 1}")
+                conn, table.view_at(table.epoch),
+                f"{table.name}#b{table.compactions + 1}")
         finally:
-            self._release_pin(vt, token)
-        for segment in vt.retire_for_compaction(new_base, ids):
+            self._release_pin(table, token)
+        for segment in table.retire_for_compaction(new_base, ids):
             self.node.free_table_mem(conn, segment)
-        return vt.epoch
+        return table.epoch
 
-    def _release_pin(self, vt: VersionedTable, token: int) -> None:
-        conn = self._require_conn()
-        for segment in vt.unpin(token):
-            self.node.free_table_mem(conn, segment)
-
-    def scan_versioned_proc(self, vt: VersionedTable, query: Query,
-                            as_of: int | None = None):
-        """Process: offloaded scan over the snapshot pinned at start.
-
-        The epoch is resolved and pinned before any simulated time
-        passes, so writers committing — and compactions retiring
-        segments — mid-scan cannot change the bytes this scan returns.
-        """
-        conn = self._require_conn()
-        epoch = vt.epoch if as_of is None else as_of
-        token = vt.pin(epoch)
-        build, build_token = self._pin_join_build(query)
-        try:
-            view = vt.view_at(epoch)
-            compiled = compile_query(self._versioned_query(query),
-                                     view.base, self.node.config)
-            conn.qp.buffer.reset()
-            start = self.sim.now
-            report = yield from self.node.serve_farview_versioned(
-                conn, view, compiled)
-            self._attach_group_meta(compiled, report)
-            data = conn.qp.buffer.read(0, report.bytes_shipped)
-            return QueryResult(
-                data=data, schema=compiled.output_schema, report=report,
-                response_time_ns=self.sim.now - start,
-                output_key=query.encrypt_output)
-        finally:
-            if build is not None:
-                self._release_pin(build, build_token)
-            self._release_pin(vt, token)
-
-    @staticmethod
-    def _versioned_query(query: Query) -> Query:
-        """Delta-merge ingest needs the full row stream (like joins), so
-        smart addressing is not applicable to versioned scans."""
-        if query.smart_addressing:
-            raise QueryError(
-                "smart addressing is incompatible with versioned scans: "
-                "the delta-merge ingest consumes the full row stream")
-        if query.smart_addressing is None:
-            return replace(query, smart_addressing=False)
-        return query
-
-    def read_version_proc(self, vt: VersionedTable, as_of: int | None = None):
-        """Process: raw RDMA reads of every segment + client-side merge.
-
-        Returns ``(visible_rows, rowids, bytes_shipped)`` — the ship-side
-        building block of versioned placement, and the oracle the
-        snapshot-isolation tests re-execute."""
-        epoch = vt.epoch if as_of is None else as_of
-        token = vt.pin(epoch)
-        try:
-            view = vt.view_at(epoch)
-            images: dict[str, bytes] = {}
-            shipped = 0
-            for segment in view.segment_tables:
-                data = yield from self.table_read_proc(segment)
-                images[segment.name] = data
-                shipped += len(data)
-            rows, ids = view.materialize(lambda t: images[t.name])
-            return rows, ids, shipped
-        finally:
-            self._release_pin(vt, token)
-
-    # -- incremental view hooks (verbs in _ViewEngineMixin) -----------------------------------
-    def _view_chains(self, handle):
-        if not isinstance(handle, VersionedTable):
-            raise QueryError(
-                f"{getattr(handle, 'name', handle)!r} is not a versioned "
-                f"table on this client")
+    def _view_chains(self, handle: VersionedTable):
         return [(self, handle)]
-
-    def _view_static_read_proc(self, handle):
-        data = yield from self.table_read_proc(handle)
-        return handle.schema.from_bytes(data, copy=True), len(data)
-
-    def _view_cpu(self) -> CpuCostModel:
-        return self._cpu
-
-    def _view_run(self, proc, name: str):
-        return self._run(proc, name)
-
-    # -- versioned blocking conveniences ------------------------------------------------------
-    def insert(self, vt: VersionedTable, rows: np.ndarray):
-        """Append rows; returns (new_epoch, elapsed_ns)."""
-        return self._run(self.insert_proc(vt, rows), "insert")
-
-    def update_where(self, vt: VersionedTable,
-                     predicate: Predicate | None, assignments: dict):
-        """Offloaded UPDATE ... SET ... WHERE; returns
-        (new_epoch, elapsed_ns)."""
-        return self._run(self.update_where_proc(vt, predicate, assignments),
-                         "update_where")
-
-    def delete_where(self, vt: VersionedTable,
-                     predicate: Predicate | None):
-        """Offloaded DELETE ... WHERE; returns (new_epoch, elapsed_ns)."""
-        return self._run(self.delete_where_proc(vt, predicate),
-                         "delete_where")
-
-    def compact(self, vt: VersionedTable):
-        """Fold the delta chain; returns (epoch, elapsed_ns)."""
-        return self._run(self.compact_proc(vt), "compact")
-
-    def read_version(self, vt: VersionedTable, as_of: int | None = None):
-        """Visible byte image at an epoch; returns (bytes, elapsed_ns)."""
-        (rows, _ids, _shipped), elapsed = self._run(
-            self.read_version_proc(vt, as_of), "read_version")
-        return vt.schema.to_bytes(rows), elapsed
-
-    def scan_versioned(self, vt: VersionedTable, query: Query,
-                       as_of: int | None = None, placement: str = "offload",
-                       stats: PlanStats | None = None,
-                       lease_manager=None):
-        """Snapshot scan, optionally under cost-based placement.
-
-        ``placement="offload"`` runs the delta-merge ingest on the node
-        (the default, a plain :class:`QueryResult`); ``"ship"`` reads the
-        raw segments and merges + executes client-side; ``"auto"`` picks
-        the cheapest prefix split with delta-aware costing (the
-        ship/offload crossover shifts with the delta fraction).
-        Returns ``(result, elapsed_ns)``.
-        """
-        epoch = vt.epoch if as_of is None else as_of
-        if placement == "offload":
-            return self._run(self.scan_versioned_proc(vt, query, epoch),
-                             "scan_versioned")
-        plan = self.plan_versioned(vt, query, epoch, placement, stats,
-                                   lease_manager)
-        if plan.full_offload:
-            try:
-                result, elapsed = self._run(
-                    self.scan_versioned_proc(vt, query, epoch),
-                    "scan_versioned")
-            except JoinBuildOverflowError:
-                # The on-chip build load overflowed below nominal
-                # capacity (data-dependent kick exhaustion); re-plan
-                # with the join on the client.
-                if placement != "auto" or query.join is None:
-                    raise
-                plan = self.plan_versioned(vt, query, epoch, placement,
-                                           stats, lease_manager,
-                                           refuse_join_offload=True)
-                return self._scan_versioned_planned(vt, query, epoch, plan)
-            except RegionFailedError:
-                # The dynamic region died; under auto the ship path is
-                # the automatic fallback — raw segment reads need no
-                # region at all.
-                if placement != "auto":
-                    raise
-                plan = self.plan_versioned(vt, query, epoch, "ship",
-                                           stats, lease_manager)
-                return self._scan_versioned_planned(vt, query, epoch, plan)
-            plan.explain.actual_ns = elapsed
-            result.explain = plan.explain
-            return result, elapsed
-        return self._scan_versioned_planned(vt, query, epoch, plan)
-
-    def plan_versioned(self, vt: VersionedTable, query: Query,
-                       epoch: int | None = None, placement: str = "auto",
-                       stats: PlanStats | None = None,
-                       lease_manager=None,
-                       refuse_join_offload: bool = False) -> PlacementPlan:
-        """Plan a versioned scan: base + K delta segments on the ingest
-        side, raw segment reads + software merge on the ship side."""
-        epoch = vt.epoch if epoch is None else epoch
-        view = vt.view_at(epoch)
-        region = self._require_conn().region
-        return plan_placement(
-            self._versioned_query(query), view.base, self.node.config,
-            placement=placement, stats=stats, cpu=self._cpu,
-            loaded_signature=region.loaded_pipeline,
-            lease_manager=lease_manager,
-            total_rows=vt.visible_rows_at(epoch),
-            buffer_capacity=self._buffer_capacity,
-            scan_bytes=float(view.scan_bytes),
-            delta_rows=float(view.delta_rows),
-            refuse_join_offload=refuse_join_offload)
-
-    def _scan_versioned_planned(self, vt: VersionedTable, query: Query,
-                                epoch: int, plan: PlacementPlan):
-        """Ship/hybrid execution of a versioned scan (cf.
-        :func:`_execute_planned`, plus the client-side delta merge)."""
-        sim, cpu = self.sim, self._cpu
-        view = vt.view_at(epoch)
-        start = sim.now
-        cost = CostBreakdown()
-        cost.add("setup", cpu.setup_ns())
-        build_rows = None
-        if "join" in plan.client_steps:
-            build_rows, build_shipped = self._read_join_build(query)
-            cost.add("read", cpu.read_ns(build_shipped))
-        if plan.fragment is None:
-            rows, _ids, shipped = sim.run_process(
-                self.read_version_proc(vt, epoch), "read_version")
-            cost.add("read", cpu.read_ns(shipped))
-            cost.add("merge", delta_merge_cost_ns(
-                cpu, vt.visible_rows_at(epoch), view.delta_rows))
-            current = vt.schema
-            fragment_result = None
-        else:
-            fragment_result, _ = self._run(
-                self.scan_versioned_proc(vt, plan.fragment, epoch),
-                "scan_versioned")
-            rows = fragment_result.rows()
-            current = fragment_result.schema
-            shipped = fragment_result.report.bytes_shipped
-            cost.add("read", cpu.read_ns(shipped))
-        rows, current = run_client_steps(rows, current,
-                                         list(plan.client_steps), query,
-                                         cpu, cost, build_rows=build_rows)
-        cost.add("write", cpu.write_ns(len(rows) * current.row_width))
-        sim.run_process(_client_compute(sim, cost.total_ns),
-                        "client-compute")
-        elapsed = sim.now - start
-        plan.explain.actual_ns = elapsed
-        result = HybridQueryResult(
-            schema=current, merged=rows, response_time_ns=elapsed,
-            explain=plan.explain, fragment_result=fragment_result,
-            client_cost=cost, shipped_bytes=shipped)
-        return result, elapsed
-
-    # -- cost-based placement (offload vs ship-to-compute) -----------------------------------
-    def plan(self, table: FTable, query: Query, placement: str = "auto",
-             stats: PlanStats | None = None,
-             lease_manager=None,
-             refuse_join_offload: bool = False) -> PlacementPlan:
-        """Plan (but do not run) ``query``: where should each operator go?
-
-        The estimate accounts for the pipeline currently loaded in this
-        connection's dynamic region (a different signature pays the
-        partial-reconfiguration charge) and, if a ``lease_manager`` is
-        given, for the expected region-lease wait on a saturated pool.
-        """
-        region = self._require_conn().region
-        return plan_placement(query, table, self.node.config,
-                              placement=placement, stats=stats,
-                              cpu=self._cpu,
-                              loaded_signature=region.loaded_pipeline,
-                              lease_manager=lease_manager,
-                              buffer_capacity=self._buffer_capacity,
-                              refuse_join_offload=refuse_join_offload)
-
-    def far_view_planned(self, table: FTable, query: Query,
-                         placement: str = "auto",
-                         stats: PlanStats | None = None,
-                         lease_manager=None):
-        """Run ``query`` under cost-based placement.
-
-        ``placement="offload"`` is the legacy full-offload path (returns
-        a plain :class:`QueryResult`, byte- and timing-identical to
-        :meth:`far_view`); ``"ship"`` reads raw bytes and executes all
-        operators in client software; ``"auto"`` picks the cheapest
-        prefix split.  Ship/hybrid executions return a
-        :class:`HybridQueryResult`; all variants carry an
-        :class:`~repro.core.planner.ExplainPlan` with estimated and
-        actual response times.  Returns ``(result, elapsed_ns)``.
-        """
-        if isinstance(table, VersionedTable):
-            return self.scan_versioned(table, query, placement=placement,
-                                       stats=stats,
-                                       lease_manager=lease_manager)
-        try:
-            return self._far_view_planned_once(table, query, placement,
-                                               stats, lease_manager)
-        except JoinBuildOverflowError:
-            # The compile-time capacity pre-check is nominal; cuckoo
-            # kick chains can exhaust below it while actually loading
-            # the build.  Under auto the refusal is productive: re-plan
-            # with the join forced to the client.
-            if placement != "auto" or query.join is None:
-                raise
-            return self._far_view_planned_once(table, query, placement,
-                                               stats, lease_manager,
-                                               refuse_join_offload=True)
-        except RegionFailedError:
-            # A dead region cannot host any pipeline; under auto,
-            # degrade gracefully to the ship path (raw reads + client
-            # software need no region).
-            if placement != "auto":
-                raise
-            return self._far_view_planned_once(table, query, "ship",
-                                               stats, lease_manager)
-
-    def _far_view_planned_once(self, table: FTable, query: Query,
-                               placement: str, stats, lease_manager,
-                               refuse_join_offload: bool = False):
-        plan = self.plan(table, query, placement, stats, lease_manager,
-                         refuse_join_offload=refuse_join_offload)
-        if plan.full_offload:
-            result, elapsed = self.far_view(table, query)
-            plan.explain.actual_ns = elapsed
-            result.explain = plan.explain
-            return result, elapsed
-        return _execute_planned(
-            self.sim, plan, query, self._cpu,
-            read_raw=lambda: self.table_read(table)[0],
-            run_fragment=lambda fragment: self.far_view(table, fragment)[0],
-            schema=table.schema,
-            decrypt_keys=((table.key, table.nonce)
-                          if table.encrypted else None),
-            read_build=lambda: self._read_join_build(query))
-
-    def _read_join_build(self, query: Query):
-        """Fetch + decode a shipped join's build side (timed raw read)."""
-        return self._read_build_rows(query.join.build_table)
-
-    def _read_build_rows(self, build):
-        """Raw read + decode of a build-side table.
-
-        A versioned build reads every segment of the chain pinned at the
-        current epoch and merges client-side (the same oracle
-        :meth:`read_version_proc` provides); a plain table is one raw
-        RDMA read.  Returns ``(build_rows, bytes_shipped)``.
-        """
-        if isinstance(build, VersionedTable):
-            (rows, _ids, shipped), _ = self._run(
-                self.read_version_proc(build), "read_build")
-            return rows, shipped
-        data, _ = self.table_read(build)
-        return build.schema.from_bytes(data), len(data)
-
-    # -- paper-style higher-level helpers (§4.2's `select`) ----------------------------------
-    def select(self, table: FTable, columns: list[str] | None,
-               predicate: Predicate, vectorized: bool = False,
-               placement: str = "offload",
-               stats: PlanStats | None = None):
-        """``SELECT columns FROM table WHERE predicate``.
-
-        ``placement`` routes through the cost-based planner:
-        ``"offload"`` (default, the paper's path), ``"ship"`` (raw read +
-        client software), or ``"auto"`` (cheapest split; pass ``stats``
-        for better estimates).
-        """
-        query = Query(projection=tuple(columns) if columns else None,
-                      predicate=predicate, vectorized=vectorized,
-                      label="select")
-        if placement == "offload":
-            return self.far_view(table, query)
-        return self.far_view_planned(table, query, placement, stats)
-
-    def select_distinct(self, table: FTable, columns: list[str]):
-        query = Query(projection=tuple(columns), distinct=True,
-                      label="distinct")
-        return self.far_view(table, query)
-
-    def group_by(self, table: FTable, keys: list[str],
-                 aggregates: list[AggregateSpec]):
-        query = Query(group_by=tuple(keys), aggregates=tuple(aggregates),
-                      label="group_by")
-        return self.far_view(table, query)
-
-    def regex_match(self, table: FTable, column: str, pattern: str):
-        query = Query(regex=RegexFilter(column, pattern), label="regex")
-        return self.far_view(table, query)
-
-    def sql(self, statement: str, placement: str | None = None,
-            stats: PlanStats | None = None):
-        """Parse and execute a SQL statement against the catalog.
-
-        SELECTs run against any registered table (versioned scans pin
-        the current epoch); ``INSERT INTO ... VALUES``, ``UPDATE ... SET
-        ... WHERE`` and ``DELETE FROM ... WHERE`` commit write batches
-        against a versioned table and return ``(new_epoch, elapsed_ns)``.
-        Placement precedence for reads: the ``placement`` argument, then
-        a ``/*+ placement(...) */`` hint, then full offload.  Returns
-        ``(result, elapsed_ns)``.
-        """
-        from .sql import ParsedWrite, parse_sql, resolve_join_query
-
-        parsed = parse_sql(statement)
-        table = self.catalog.lookup(parsed.table)
-        if isinstance(parsed, ParsedWrite):
-            return self._execute_write(table, parsed)
-        if getattr(parsed, "extended", False):
-            placement = placement or parsed.placement or "offload"
-            return _execute_compiled(self, parsed, placement, stats)
-        query = parsed.query
-        if parsed.join is not None:
-            build = self.catalog.lookup(parsed.join.table)
-            query = resolve_join_query(parsed, table.schema, build)
-        placement = placement or parsed.placement or "offload"
-        if placement == "offload":
-            return self.far_view(table, query)
-        return self.far_view_planned(table, query, placement, stats)
-
-    def _execute_write(self, table, parsed):
-        """Dispatch a parsed INSERT/UPDATE/DELETE to the write verbs."""
-        return _dispatch_sql_write(self, table, parsed, VersionedTable)
-
-
-@dataclass
-class ClusterQueryResult:
-    """Merged client-visible result of one scatter-gather execution.
-
-    ``shard_results`` are the per-shard :class:`QueryResult`\\ s in shard
-    order; ``rows()`` is the client-side merge of their post-processed
-    rows (dedup / partial-group re-merge already applied).  ``data`` is
-    the canonical byte image of the merged rows — under order-preserving
-    ``chunk`` partitioning it is byte-identical to a single node's result
-    for the same data (the cluster tests pin this with sha256).
-    """
-
-    schema: Schema
-    shard_results: list[QueryResult]
-    response_time_ns: float
-    merged: np.ndarray = field(repr=False)
-    explain: Optional[ExplainPlan] = None  # set by the placement planner
-    #: Resolved scatter strategy of a join query (``broadcast`` /
-    #: ``colocated`` / ``shuffle``), ``None`` for join-less queries.
-    join_strategy: Optional[str] = None
-
-    def rows(self) -> np.ndarray:
-        return self.merged
-
-    @property
-    def data(self) -> bytes:
-        """Canonical merged result bytes (plaintext, single-node layout)."""
-        return self.schema.to_bytes(self.merged)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.merged)
-
-    @property
-    def bytes_shipped(self) -> int:
-        """Total result bytes shipped over all shard links (pre-merge)."""
-        return sum(r.report.bytes_shipped for r in self.shard_results)
-
-    @property
-    def bytes_scanned(self) -> int:
-        return sum(r.report.bytes_scanned for r in self.shard_results)
 
 
 @dataclass
@@ -1574,26 +1336,6 @@ class _JoinReplica:
     table: FTable
     incarnation: int = 0
 
-
-@dataclass
-class _EmptyShardResult:
-    """Fabricated zero-row result for a fact shard whose join-build
-    partition holds no rows.
-
-    Under co-located and shuffle joins the build side is partitioned on
-    the join key, so a fact shard facing an empty build partition cannot
-    produce output (inner join: nothing to match).  The pool cannot even
-    host a zero-byte build table (the MMU rejects empty allocations), so
-    the client answers these shards locally — zero requests, zero bytes
-    on the wire — shaped like a :class:`QueryResult` as far as
-    :meth:`ClusterClient._gather` is concerned.
-    """
-
-    schema: Schema
-    report: ExecutionReport
-
-    def rows(self) -> np.ndarray:
-        return self.schema.empty(0)
 
 
 #: Sentinel a shard executor returns (instead of raising) when every
@@ -1636,21 +1378,26 @@ class _ConnLock:
             self.locked = False
 
 
-class ClusterClient(_ViewEngineMixin):
+
+
+@_with_blocking_verbs
+class ClusterClient(_ClientCore):
     """Scatter-gather router: one query thread over a sharded pool.
 
     Owns one :class:`FarviewClient` (QP + dynamic region) per node of a
     :class:`~repro.core.cluster.FarviewCluster` and a cluster-level
     :class:`~repro.core.catalog.Catalog` of
-    :class:`~repro.core.cluster.ShardedTable`\\ s.  Verbs mirror the
-    single-node client (see the module docstring table): queries are
-    rewritten by :func:`~repro.core.cluster.plan_scatter`, scattered to
-    the shards that own data, executed with true node-level parallelism,
-    and gathered client-side — DISTINCT dedup, GROUP BY / aggregate
-    partial re-merges included.  Response time runs until the *last*
-    shard's results land in client memory, matching the paper's
-    measurement endpoint (§6.2).
+    :class:`~repro.core.cluster.ShardedTable`\\ s.  The verbs are the
+    core's; the topology primitives below rewrite queries with
+    :func:`~repro.core.cluster.plan_scatter`, scatter them to the shards
+    that own data, execute with true node-level parallelism, and gather
+    client-side — DISTINCT dedup, GROUP BY / aggregate partial
+    re-merges included.  Response time runs until the *last* shard's
+    results land in client memory, matching the paper's measurement
+    endpoint (§6.2).
     """
+
+    _versioned_type = VersionedShardedTable
 
     def __init__(self, cluster: FarviewCluster,
                  buffer_capacity: int = 8 * 1024 * 1024):
@@ -1659,6 +1406,7 @@ class ClusterClient(_ViewEngineMixin):
         self.catalog = Catalog()
         self._clients = [FarviewClient(node, buffer_capacity)
                          for node in cluster.nodes]
+        self.cpu = self._clients[0].cpu
         #: Broadcast join build replicas: build name -> node index ->
         #: the node-local copy of the dimension table (with the node's
         #: incarnation at write time).  Replicas are immutable (plain
@@ -1684,11 +1432,10 @@ class ClusterClient(_ViewEngineMixin):
         #: (broadcast replicas + shuffle fragments).  Co-located joins
         #: leave this untouched — the fig19 zero-replica-bytes assertion.
         self.replica_bytes_moved = 0
-        #: Optional :class:`~repro.core.faults.RetryPolicy`, applied per
-        #: shard request by the scatter router (backoff between retries
-        #: on the same candidate, post-completion deadline check).
-        #: ``None`` (default) keeps the exact pre-fault-layer path.
-        self.retry_policy: RetryPolicy | None = None
+        #: Applied per shard request by the scatter router (backoff
+        #: between retries on the same candidate, post-completion
+        #: deadline check) — see :attr:`_ClientCore.retry_policy`.
+        self.retry_policy = None
         #: When True, a read that loses *every* replica of a shard
         #: raises :class:`DegradedResultError` carrying the partial
         #: merge of the surviving shards instead of the bare failure.
@@ -1698,7 +1445,7 @@ class ClusterClient(_ViewEngineMixin):
         #: buffer serves one request at a time.
         self._conn_locks = [_ConnLock(self.sim) for _ in cluster.nodes]
         #: Registered materialized views + their chain trackers — one
-        #: tracker per shard chain (verbs in :class:`_ViewEngineMixin`).
+        #: tracker per shard chain.
         self.views = ViewCatalog()
 
     @property
@@ -1747,7 +1494,6 @@ class ClusterClient(_ViewEngineMixin):
         if name in self.catalog:
             # Fail before any shard is allocated or written — a duplicate
             # name is detectable from catalog information alone.
-            from ..common.errors import CatalogError
             raise CatalogError(f"table {name!r} already registered")
         spec = partition if partition is not None else PartitionSpec()
         indices = partition_indices(rows, schema, spec,
@@ -1819,28 +1565,30 @@ class ClusterClient(_ViewEngineMixin):
         return sharded
 
     def drop_table(self,
-                   sharded: ShardedTable | VersionedShardedTable) -> None:
+                   table: ShardedTable | VersionedShardedTable) -> None:
         """Free every shard's disaggregated memory and deregister.
 
         Reuses the single-node :meth:`FarviewClient.drop_table` per
         shard, so plain and versioned shard tables (whole chains) are
-        handled uniformly.  Broadcast join replicas of the table are
-        freed too.
+        handled uniformly.  Shard replicas, broadcast join replicas and
+        shuffle fragments of the table are freed too.
         """
-        for shard in sharded.shards:
+        for shard in table.shards:
             self._clients[shard.node_index].drop_table(shard.table)
-            for rep in getattr(shard, "replicas", ()):
-                rclient = self._clients[rep.node_index]
-                rclient.node.free_table_mem(rclient.connection, rep.table)
+            if isinstance(shard, TableShard):
+                for rep in shard.replicas:
+                    rclient = self._clients[rep.node_index]
+                    rclient.node.free_table_mem(rclient.connection,
+                                                rep.table)
         for node_index, replica in self._join_replicas.pop(
-                sharded.name, {}).items():
+                table.name, {}).items():
             client = self._clients[node_index]
             client.node.free_table_mem(client.connection, replica.table)
-        self._join_broadcasts.pop(sharded.name, None)
+        self._join_broadcasts.pop(table.name, None)
         # Shuffle fragments are keyed per (build, fact) pairing — free
         # every pairing this table participates in, on either side.
         for key in [k for k in self._shuffle_fragments
-                    if sharded.name in k.split("->")]:
+                    if table.name in k.split("->")]:
             for (_part, node_index), rep in self._shuffle_fragments.pop(
                     key).items():
                 if rep.table.allocated:
@@ -1848,9 +1596,22 @@ class ClusterClient(_ViewEngineMixin):
                     client.node.free_table_mem(client.connection, rep.table)
             self._shuffle_jobs.pop(key, None)
             self._shuffle_empty.pop(key, None)
-        self.catalog.deregister(sharded.name)
+        self.catalog.deregister(table.name)
 
-    # -- broadcast joins ------------------------------------------------------
+    # -- join-build placement -------------------------------------------------
+    @staticmethod
+    def _require_cluster_build(build) -> ShardedTable:
+        if isinstance(build, (VersionedTable, VersionedShardedTable)):
+            raise QueryError(
+                "versioned build sides are single-node only; materialize "
+                "the dimension table into a plain cluster table to join "
+                "against it pool-wide")
+        if not isinstance(build, ShardedTable):
+            raise QueryError(
+                "cluster joins need the build table registered in the "
+                "cluster catalog (create it with create_table)")
+        return build
+
     def _ensure_join_replicas_proc(self, build):
         """Process: replicate a join's build table onto every node.
 
@@ -1861,15 +1622,7 @@ class ClusterClient(_ViewEngineMixin):
         wire/ingest model.  Replicas are cached per build name; repeated
         joins against the same dimension table pay the broadcast once.
         """
-        if isinstance(build, (VersionedTable, VersionedShardedTable)):
-            raise QueryError(
-                "versioned build sides are single-node only; materialize "
-                "the dimension table into a plain cluster table to join "
-                "against it pool-wide")
-        if not isinstance(build, ShardedTable):
-            raise QueryError(
-                "cluster joins need the build table registered in the "
-                "cluster catalog (create it with create_table)")
+        self._require_cluster_build(build)
         for _round in range(self.num_nodes + 2):
             cached = self._join_replicas.get(build.name)
             if cached is not None:
@@ -2015,8 +1768,7 @@ class ClusterClient(_ViewEngineMixin):
         if len(feasible) == 1:
             return feasible[0]
         build = query.join.build_table
-        model = PlacementCostModel(self.cluster.config,
-                                   self._clients[0]._cpu)
+        model = PlacementCostModel(self.cluster.config, self.cpu)
         copies = min(sharded.partition.replicas, self.num_nodes)
         costs: dict[str, float] = {}
         for strat in feasible:
@@ -2047,15 +1799,7 @@ class ClusterClient(_ViewEngineMixin):
         broadcast cache, entries written to a node that crashed since
         are invalidated and re-shuffled onto the survivors.
         """
-        if isinstance(build, (VersionedTable, VersionedShardedTable)):
-            raise QueryError(
-                "versioned build sides are single-node only; materialize "
-                "the dimension table into a plain cluster table to join "
-                "against it pool-wide")
-        if not isinstance(build, ShardedTable):
-            raise QueryError(
-                "cluster joins need the build table registered in the "
-                "cluster catalog (create it with create_table)")
+        self._require_cluster_build(build)
         key = f"{build.name}->{sharded.name}"
         for _round in range(self.num_nodes + 2):
             cached = self._shuffle_fragments.get(key)
@@ -2195,37 +1939,30 @@ class ClusterClient(_ViewEngineMixin):
         spec = replace(shard_query.join, build_table=rep.table)
         return replace(shard_query, join=spec)
 
-    def _scatter_output_schema(self, sharded, plan: ScatterPlan) -> Schema:
-        """The per-shard result schema of one scatter fragment — used to
-        fabricate empty shard results without a node round-trip."""
+    def _empty_shard_result(self, sharded, plan: ScatterPlan) -> QueryResult:
+        """A zero-row stand-in for a fact shard whose join-build
+        partition holds no rows.
+
+        Under co-located and shuffle joins the build side is partitioned
+        on the join key, so a fact shard facing an empty build partition
+        cannot produce output (inner join: nothing to match).  The pool
+        cannot even host a zero-byte build table (the MMU rejects empty
+        allocations), so the client answers these shards locally — zero
+        requests, zero bytes on the wire.
+        """
         shard_query = plan.shard_query
         chain = operator_chain(shard_query)
-        if not chain:
-            return sharded.schema
-        steps = estimate_chain(chain, shard_query, sharded.schema, 0,
-                               PlanStats())
-        return steps[-1].schema_out
-
-    def _empty_shard_result(self, sharded, plan: ScatterPlan):
-        """A zero-row stand-in for a fact shard whose build partition
-        holds no rows: an inner join cannot match anything there, so no
-        request is scattered (pool memory cannot even hold a zero-byte
-        build table)."""
-        schema = self._scatter_output_schema(sharded, plan)
-        return _EmptyShardResult(schema,
-                                 ExecutionReport(signature="empty-partition"))
-
-    def _read_join_build(self, query: Query):
-        """Gather + decode a shipped join's build side (timed reads)."""
-        return self._read_build_rows(query.join.build_table)
+        schema = sharded.schema
+        if chain:
+            schema = estimate_chain(chain, shard_query, sharded.schema, 0,
+                                    PlanStats())[-1].schema_out
+        return QueryResult(schema=schema, merged=schema.empty(0),
+                           report=ExecutionReport(signature="empty-partition"))
 
     def _read_build_rows(self, build):
-        """Scatter-gathered raw read + decode of a build-side table."""
-        if not isinstance(build, ShardedTable):
-            raise QueryError(
-                "cluster joins need the build table registered in the "
-                "cluster catalog (create it with create_table)")
-        data, _ = self.table_read(build)
+        """Scatter-gathered raw read + decode of a shipped join's build
+        side.  Returns ``(build_rows, bytes_shipped)``."""
+        data, _ = self.table_read(self._require_cluster_build(build))
         return build.schema.from_bytes(data), len(data)
 
     # -- versioned write path (two-phase epoch broadcast) --------------------
@@ -2250,7 +1987,6 @@ class ClusterClient(_ViewEngineMixin):
             raise QueryError(
                 f"cannot shard empty versioned table {name!r}")
         if name in self.catalog:
-            from ..common.errors import CatalogError
             raise CatalogError(f"table {name!r} already registered")
         indices = partition_indices(rows, schema, spec,
                                     self.cluster.num_nodes)
@@ -2270,73 +2006,66 @@ class ClusterClient(_ViewEngineMixin):
             raise
         return sharded
 
-    def snapshot(self, sharded: VersionedShardedTable) -> int:
+    def snapshot(self, table: VersionedShardedTable) -> int:
         """The cluster-wide committed epoch (every shard agrees on it)."""
-        sharded.check_epochs()
-        return sharded.epoch
+        table.check_epochs()
+        return table.epoch
 
-    def _commit_all(self, sharded: VersionedShardedTable,
-                    prepared_by_shard: list) -> int:
-        """Phase 2 of the epoch broadcast: commit every shard's prepared
-        batch (no-op bumps included) and advance the cluster epoch.
+    def _prepare_proc(self, kind: str, sharded: VersionedShardedTable,
+                      *args):
+        """Process: phase 1 of the epoch broadcast — prepare the write on
+        every shard; returns one ``(tag, value)`` outcome per shard.
+
+        An insert appends to the tail shard (no-op bumps elsewhere).
+        Updates and deletes scatter their prepares, each capturing any
+        Farview error as a value, so one crashed shard cannot fail the
+        whole AllOf before the other prepares report — :meth:`_commit`
+        then aborts cleanly instead of leaving some shards prepared and
+        others not.
+        """
+        if kind == "insert":
+            last = sharded.last_shard
+            prepared = yield from self._clients[last.node_index] \
+                ._prepare_proc(kind, last.table, *args)
+            return [("ok", prepared if shard is last else (kind, None, 0, 0))
+                    for shard in sharded.shards]
+
+        def guarded(gen):
+            try:
+                value = yield from gen
+            except FarviewError as exc:
+                return ("err", exc)
+            return ("ok", value)
+
+        procs = [
+            self.sim.process(
+                guarded(self._clients[s.node_index]._prepare_proc(
+                    kind, s.table, *args)),
+                name=f"cluster.{kind}[{s.table.name}]")
+            for s in sharded.shards]
+        outcomes = yield self.sim.all_of(procs)
+        return list(outcomes)
+
+    def _commit(self, sharded: VersionedShardedTable, outcomes: list) -> int:
+        """Phase 2 of the epoch broadcast: commit everywhere, or abort.
 
         Contains no simulation yields, so between phase 1 and this call
         every reader still snapshots the old epoch on *all* shards, and
         after it every reader sees the new epoch on all shards — there
         is no interleaving in which a scatter-gather scan observes a
-        half-committed write.
-        """
-        for shard, prepared in zip(sharded.shards, prepared_by_shard):
-            kind, segment, num_rows, visible_change = prepared
-            shard.table.commit_delta(kind, segment, num_rows,
-                                     visible_change)
-        sharded.epoch += 1
-        sharded.check_epochs()
-        return sharded.epoch
-
-    def insert_proc(self, sharded: VersionedShardedTable, rows: np.ndarray):
-        """Process: append ``rows`` cluster-wide (tail shard), two-phase."""
-        rows = np.asarray(rows, dtype=sharded.schema.dtype)
-        last = sharded.last_shard
-        prepared = yield from self._clients[last.node_index] \
-            ._prepare_insert_proc(last.table, rows)
-        by_shard = [prepared if shard is last else ("insert", None, 0, 0)
-                    for shard in sharded.shards]
-        epoch = self._commit_all(sharded, by_shard)
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    @staticmethod
-    def _guarded_proc(gen):
-        """Process: run ``gen``, capturing any Farview error as a value.
-
-        The two-phase writes scatter their prepares under this wrapper
-        so one crashed shard cannot fail the whole AllOf before the
-        other prepares report — phase 2 then aborts cleanly
-        (:meth:`_commit_or_abort`) instead of leaving some shards
-        prepared and others not.
-        """
-        try:
-            value = yield from gen
-        except FarviewError as exc:
-            return ("err", exc)
-        return ("ok", value)
-
-    def _commit_or_abort(self, sharded: VersionedShardedTable,
-                         outcomes: list) -> int:
-        """Phase 2 of the epoch broadcast: commit everywhere, or abort.
-
-        On any failed prepare the abort frees the prepared delta
-        segments of the shards that *did* succeed (best effort — a dead
-        node has nothing left to free), verifies no shard epoch moved,
-        and re-raises the first failure.  A crash mid-write therefore
-        never splits cluster epochs: either every shard commits in the
-        atomic phase 2, or none does.
+        half-committed write.  On any failed prepare the abort frees the
+        prepared delta segments of the shards that *did* succeed (best
+        effort — a dead node has nothing left to free), verifies no
+        shard epoch moved, and re-raises the first failure: either every
+        shard commits (no-op bumps included), or none does.
         """
         failures = [value for tag, value in outcomes if tag == "err"]
         if not failures:
-            return self._commit_all(sharded,
-                                    [value for _tag, value in outcomes])
+            for shard, (_tag, prepared) in zip(sharded.shards, outcomes):
+                FarviewClient._commit(shard.table, prepared)
+            sharded.epoch += 1
+            sharded.check_epochs()
+            return sharded.epoch
         for (tag, value), shard in zip(outcomes, sharded.shards):
             if tag != "ok":
                 continue
@@ -2351,50 +2080,33 @@ class ClusterClient(_ViewEngineMixin):
         sharded.check_epochs()
         raise failures[0]
 
-    def update_where_proc(self, sharded: VersionedShardedTable,
-                          predicate: Predicate | None, assignments: dict):
-        """Process: scatter the offloaded read-modify-write, then commit
-        every shard's epoch at once (two-phase broadcast)."""
-        procs = [
-            self.sim.process(
-                self._guarded_proc(
-                    self._clients[s.node_index]._prepare_update_proc(
-                        s.table, predicate, assignments)),
-                name=f"cluster.update[{s.table.name}]")
-            for s in sharded.shards]
-        outcomes = yield self.sim.all_of(procs)
-        epoch = self._commit_or_abort(sharded, list(outcomes))
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    def delete_where_proc(self, sharded: VersionedShardedTable,
-                          predicate: Predicate | None):
-        """Process: scatter the offloaded delete, then commit all shards."""
-        procs = [
-            self.sim.process(
-                self._guarded_proc(
-                    self._clients[s.node_index]._prepare_delete_proc(
-                        s.table, predicate)),
-                name=f"cluster.delete[{s.table.name}]")
-            for s in sharded.shards]
-        outcomes = yield self.sim.all_of(procs)
-        epoch = self._commit_or_abort(sharded, list(outcomes))
-        yield from self._views_after_commit_proc()
-        return epoch
-
-    def compact_proc(self, sharded: VersionedShardedTable):
+    def compact_proc(self, table: VersionedShardedTable):
         """Process: fold every shard's delta chain (epoch unchanged)."""
         procs = [
             self.sim.process(
                 self._clients[s.node_index].compact_proc(s.table),
                 name=f"cluster.compact[{s.table.name}]")
-            for s in sharded.shards
+            for s in table.shards
             if s.table.num_deltas > 0 and s.table.num_rows > 0]
         if procs:
             yield self.sim.all_of(procs)
-        return sharded.epoch
+        return table.epoch
 
-    def scan_versioned_proc(self, sharded: VersionedShardedTable,
+    def _scatter_versioned_proc(self, sharded: VersionedShardedTable,
+                                tag: str, make_proc):
+        """Process: run ``make_proc(shard)`` on every shard chain in
+        parallel, each under the retry policy (version chains have no
+        replicas to fail over to); returns the per-shard values in shard
+        order."""
+        procs = [
+            self.sim.process(
+                self._attempts_proc(lambda s=s: make_proc(s),
+                                    f"{tag} of {s.table.name!r}"),
+                name=f"cluster.{tag}[{s.table.name}]")
+            for s in sharded.shards]
+        return (yield self.sim.all_of(procs))
+
+    def scan_versioned_proc(self, table: VersionedShardedTable,
                             query: Query, as_of: int | None = None):
         """Process: scatter-gather snapshot scan.
 
@@ -2403,103 +2115,41 @@ class ClusterClient(_ViewEngineMixin):
         so the merged result is a consistent cluster-wide snapshot even
         with writers committing mid-scatter.
         """
-        epoch = sharded.epoch if as_of is None else as_of
+        epoch = table.epoch if as_of is None else as_of
         plan = plan_scatter(query)
         start = self.sim.now
         shard_queries = {s.node_index: plan.shard_query
-                         for s in sharded.shards}
+                         for s in table.shards}
         if query.join is not None:
             replicas = yield from self._ensure_join_replicas_proc(
                 query.join.build_table)
             shard_queries = {
                 idx: self._localize_join(plan.shard_query, replicas, idx)
                 for idx in shard_queries}
-        procs = [
-            self.sim.process(
-                self._clients[s.node_index].scan_versioned_proc(
-                    s.table, shard_queries[s.node_index], epoch),
-                name=f"cluster.vscan[{s.table.name}]")
-            for s in sharded.shards]
-        shard_results = yield self.sim.all_of(procs)
-        return self._gather(sharded, query, plan, list(shard_results),
+        shard_results = yield from self._scatter_versioned_proc(
+            table, "vscan",
+            lambda s: self._clients[s.node_index].scan_versioned_proc(
+                s.table, shard_queries[s.node_index], epoch))
+        return self._gather(table, query, plan, list(shard_results),
                             self.sim.now - start)
 
-    def read_version_proc(self, sharded: VersionedShardedTable,
+    def read_version_proc(self, table: VersionedShardedTable,
                           as_of: int | None = None):
-        """Process: raw scatter reads + per-shard merges, shard order."""
-        epoch = sharded.epoch if as_of is None else as_of
-        procs = [
-            self.sim.process(
-                self._clients[s.node_index].read_version_proc(s.table,
-                                                              epoch),
-                name=f"cluster.vread[{s.table.name}]")
-            for s in sharded.shards]
-        parts = yield self.sim.all_of(procs)
-        merged = np.concatenate([rows for rows, _ids, _n in parts])
-        return merged
+        """Process: raw scatter reads + per-shard merges.  Returns
+        ``(visible_rows, rowids, bytes_shipped)`` in shard order (row
+        ids are shard-local)."""
+        epoch = table.epoch if as_of is None else as_of
+        parts = yield from self._scatter_versioned_proc(
+            table, "vread",
+            lambda s: self._clients[s.node_index].read_version_proc(
+                s.table, epoch))
+        return (np.concatenate([rows for rows, _ids, _n in parts]),
+                np.concatenate([ids for _rows, ids, _n in parts]),
+                sum(n for _rows, _ids, n in parts))
 
-    # -- incremental view hooks (verbs in _ViewEngineMixin) --------------------
-    def _view_chains(self, handle):
-        if not isinstance(handle, VersionedShardedTable):
-            raise QueryError(
-                f"{getattr(handle, 'name', handle)!r} is not a versioned "
-                f"table on this cluster")
+    def _view_chains(self, handle: VersionedShardedTable):
         return [(self._clients[s.node_index], s.table)
                 for s in handle.shards]
-
-    def _view_static_read_proc(self, handle):
-        data = yield from self.table_read_proc(handle)
-        return handle.schema.from_bytes(data, copy=True), len(data)
-
-    def _view_cpu(self) -> CpuCostModel:
-        return self._clients[0]._cpu
-
-    def _view_run(self, proc, name: str):
-        return self._run_timed(proc, f"cluster.{name}")
-
-    # -- versioned blocking conveniences --------------------------------------
-    def insert(self, sharded: VersionedShardedTable, rows: np.ndarray):
-        """Append rows cluster-wide; returns (new_epoch, elapsed_ns)."""
-        return self._run_timed(self.insert_proc(sharded, rows),
-                               "cluster.insert")
-
-    def update_where(self, sharded: VersionedShardedTable,
-                     predicate: Predicate | None, assignments: dict):
-        """Cluster-wide UPDATE; returns (new_epoch, elapsed_ns)."""
-        return self._run_timed(
-            self.update_where_proc(sharded, predicate, assignments),
-            "cluster.update_where")
-
-    def delete_where(self, sharded: VersionedShardedTable,
-                     predicate: Predicate | None):
-        """Cluster-wide DELETE; returns (new_epoch, elapsed_ns)."""
-        return self._run_timed(self.delete_where_proc(sharded, predicate),
-                               "cluster.delete_where")
-
-    def compact(self, sharded: VersionedShardedTable):
-        """Compact every shard; returns (epoch, elapsed_ns)."""
-        return self._run_timed(self.compact_proc(sharded),
-                               "cluster.compact")
-
-    def scan_versioned(self, sharded: VersionedShardedTable, query: Query,
-                       as_of: int | None = None):
-        """Scatter-gather snapshot scan; returns
-        (ClusterQueryResult, elapsed_ns)."""
-        return self._run_timed(
-            self.scan_versioned_proc(sharded, query, as_of),
-            "cluster.scan_versioned")
-
-    def read_version(self, sharded: VersionedShardedTable,
-                     as_of: int | None = None):
-        """Cluster-wide visible byte image; returns (bytes, elapsed_ns)."""
-        merged, elapsed = self._run_timed(
-            self.read_version_proc(sharded, as_of), "cluster.read_version")
-        return sharded.schema.to_bytes(merged), elapsed
-
-    def _run_timed(self, proc, name: str):
-        start = self.sim.now
-        result = self.sim.run_process(proc, name)
-        return result, self.sim.now - start
 
     # -- verbs as processes --------------------------------------------------
     def _shard_exec_proc(self, shard: TableShard, make_proc,
@@ -2508,61 +2158,44 @@ class ClusterClient(_ViewEngineMixin):
 
         Tries the primary, then each replica in fixed ring order
         (deterministic: which copy serves is a pure function of which
-        nodes are up).  Within a candidate, typed fault errors retry
-        under :attr:`retry_policy` with capped exponential backoff as
-        long as the node stays usable; a completion past the policy
-        deadline is discarded and counted as a timeout.  When every
-        candidate is exhausted: raise the last fault error, or return
+        nodes are up).  Within a candidate the request runs under
+        :meth:`_attempts_proc` — typed fault errors retry as long as the
+        node stays usable, a completion past the policy deadline is
+        discarded and counted as a timeout — holding the node
+        connection's lock per attempt.  When every candidate is
+        exhausted: raise the last fault error, or return
         :data:`_SHARD_LOST` when ``allow_degraded``.
         """
-        policy = self.retry_policy
-        last_exc: Exception | None = None
+        last_exc: Exception = NodeFailedError(
+            f"shard {shard.table.name!r} has no live candidates")
         for candidate in shard.candidates():
-            if not self._node_usable(candidate.node_index,
-                                     candidate.incarnation):
+            def usable(c=candidate):
+                return self._node_usable(c.node_index, c.incarnation)
+
+            def attempt(c=candidate):
+                lock = self._conn_locks[c.node_index]
+                yield from lock.acquire()
+                try:
+                    return (yield from make_proc(c))
+                finally:
+                    lock.release()
+
+            if not usable():
                 last_exc = NodeFailedError(
                     f"node {candidate.node_index} is down or lost shard "
                     f"{candidate.table.name!r}")
                 continue
-            attempt = 0
-            lock = self._conn_locks[candidate.node_index]
-            while True:
-                attempt += 1
-                start = self.sim.now
-                try:
-                    yield from lock.acquire()
-                    try:
-                        result = yield from make_proc(candidate)
-                    finally:
-                        lock.release()
-                except FaultError as exc:
-                    last_exc = exc
-                    if (policy is not None
-                            and attempt < policy.max_attempts
-                            and self._node_usable(candidate.node_index,
-                                                  candidate.incarnation)):
-                        yield self.sim.timeout(policy.backoff_ns(attempt))
-                        continue
-                    break  # fail over to the next candidate
-                if (policy is not None and policy.deadline_ns is not None
-                        and self.sim.now - start > policy.deadline_ns):
-                    last_exc = RequestTimeoutError(
-                        f"shard request {candidate.table.name!r} took "
-                        f"{self.sim.now - start:.0f} ns (deadline "
-                        f"{policy.deadline_ns:.0f} ns)")
-                    if attempt < policy.max_attempts:
-                        yield self.sim.timeout(policy.backoff_ns(attempt))
-                        continue
-                    break
-                return result
+            try:
+                return (yield from self._attempts_proc(
+                    attempt, f"shard request {candidate.table.name!r}",
+                    usable))
+            except FaultError as exc:
+                last_exc = exc  # fail over to the next candidate
         if allow_degraded:
             return _SHARD_LOST
-        if last_exc is None:
-            last_exc = NodeFailedError(
-                f"shard {shard.table.name!r} has no live candidates")
         raise last_exc
 
-    def table_read_proc(self, sharded: ShardedTable):
+    def table_read_proc(self, table: ShardedTable):
         """Process: scatter raw reads, gather bytes in shard order.
 
         Under ``chunk`` partitioning the concatenation is the original
@@ -2579,11 +2212,11 @@ class ClusterClient(_ViewEngineMixin):
                     .table_read_proc(candidate.table),
                     False),
                 name=f"cluster.read[{s.table.name}]")
-            for s in sharded.shards]
+            for s in table.shards]
         chunks = yield self.sim.all_of(procs)
         return b"".join(chunks)
 
-    def far_view_proc(self, sharded: ShardedTable, query: Query,
+    def far_view_proc(self, table: ShardedTable, query: Query,
                       join_strategy: str | None = None):
         """Process: scatter the shard fragment, gather + merge results.
 
@@ -2601,15 +2234,15 @@ class ClusterClient(_ViewEngineMixin):
         skip shards the predicate statically excludes
         (:func:`~repro.core.cluster.prune_scatter_shards`).
         """
-        if isinstance(sharded, VersionedShardedTable):
+        if isinstance(table, VersionedShardedTable):
             if join_strategy not in (None, "broadcast"):
                 raise QueryError(
                     "versioned cluster scans broadcast their build side; "
                     f"join_strategy={join_strategy!r} is not available")
-            result = yield from self.scan_versioned_proc(sharded, query)
+            result = yield from self.scan_versioned_proc(table, query)
             return result
-        strategy = self._resolve_join_strategy(sharded, query, join_strategy)
-        plan = plan_scatter(query, sharded, join_strategy=strategy)
+        strategy = self._resolve_join_strategy(table, query, join_strategy)
+        plan = plan_scatter(query, table, join_strategy=strategy)
         start = self.sim.now
         build = query.join.build_table if query.join is not None else None
         replicas = None
@@ -2618,15 +2251,15 @@ class ClusterClient(_ViewEngineMixin):
             replicas = yield from self._ensure_join_replicas_proc(build)
         elif strategy == "shuffle":
             fragments = yield from self._ensure_shuffle_fragments_proc(
-                build, sharded, query.join.build_key)
+                build, table, query.join.build_key)
         empty_parts: frozenset[int] = frozenset()
         if strategy == "colocated":
             present = {b.node_index for b in build.shards}
-            empty_parts = frozenset(p for p in range(sharded.num_partitions)
+            empty_parts = frozenset(p for p in range(table.num_partitions)
                                     if p not in present)
         elif strategy == "shuffle":
             empty_parts = self._shuffle_empty.get(
-                f"{build.name}->{sharded.name}", frozenset())
+                f"{build.name}->{table.name}", frozenset())
 
         def make_for(shard):
             partition = shard.node_index
@@ -2653,11 +2286,11 @@ class ClusterClient(_ViewEngineMixin):
         pruned = set(plan.pruned_nodes)
         slots: list = []
         procs: list = []
-        for s in sharded.shards:
+        for s in table.shards:
             if s.node_index in pruned:
                 continue
             if s.node_index in empty_parts:
-                slots.append(self._empty_shard_result(sharded, plan))
+                slots.append(self._empty_shard_result(table, plan))
                 continue
             procs.append(self.sim.process(
                 self._shard_exec_proc(s, make_for(s), self.allow_degraded),
@@ -2669,12 +2302,12 @@ class ClusterClient(_ViewEngineMixin):
                              for slot in slots]
         else:
             shard_results = slots
-        return self._gather(sharded, query, plan, shard_results,
+        return self._gather(table, query, plan, shard_results,
                             self.sim.now - start)
 
     def _gather(self, sharded: ShardedTable, query: Query,
                 plan: ScatterPlan, shard_results: list,
-                elapsed_ns: float) -> ClusterQueryResult:
+                elapsed_ns: float) -> QueryResult:
         """Client-side merge step of the scatter-gather execution.
 
         Shard slots holding :data:`_SHARD_LOST` (every replica gone,
@@ -2711,10 +2344,9 @@ class ClusterClient(_ViewEngineMixin):
         else:
             schema = survivors[0].schema
             merged = stacked
-        result = ClusterQueryResult(schema=schema, shard_results=survivors,
-                                    response_time_ns=elapsed_ns,
-                                    merged=merged,
-                                    join_strategy=plan.join_strategy)
+        result = QueryResult(schema=schema, parts=survivors,
+                             response_time_ns=elapsed_ns, merged=merged,
+                             join_strategy=plan.join_strategy)
         if lost:
             raise DegradedResultError(
                 f"{len(lost)} of {len(shard_results)} shards of "
@@ -2722,35 +2354,30 @@ class ClusterClient(_ViewEngineMixin):
                 failed_shards=lost)
         return result
 
-    # -- blocking conveniences -----------------------------------------------
-    def table_read(self, sharded: ShardedTable):
-        """Scatter raw reads; returns (bytes, elapsed_ns)."""
-        start = self.sim.now
-        data = self.sim.run_process(self.table_read_proc(sharded),
-                                    "cluster.table_read")
-        return data, self.sim.now - start
+    # -- placement primitives -------------------------------------------------
+    def _bind(self, sharded, join_strategy: str | None = None) -> dict:
+        return {"join_strategy": join_strategy}
 
-    def far_view(self, sharded: ShardedTable, query: Query,
-                 join_strategy: str | None = None):
-        """Scatter-gather offloaded query; returns
-        (ClusterQueryResult, elapsed_ns).
+    def _offload_proc(self, sharded, query: Query,
+                      join_strategy: str | None = None):
+        # A strategy pinned for a whole statement does not apply to a
+        # fragment whose join stayed on the client.
+        return self.far_view_proc(
+            sharded, query, join_strategy if query.join is not None else None)
 
-        ``join_strategy`` pins a join's build placement (one of
-        :data:`~repro.core.cluster.JOIN_STRATEGIES`); ``None`` lets the
-        cost model choose.
-        """
-        start = self.sim.now
-        result = self.sim.run_process(
-            self.far_view_proc(sharded, query, join_strategy=join_strategy),
-            "cluster.far_view")
-        return result, self.sim.now - start
+    def _ship_read(self, sharded: ShardedTable, steps: list[str],
+                   cost: CostBreakdown, join_strategy: str | None = None):
+        """Blocking gathered raw read of the whole table for a ship
+        plan; returns ``(rows, schema, bytes_shipped)``.  The cluster
+        layer does not shard encrypted tables, so there is never a
+        ``decrypt`` step to consume."""
+        data, _ = self.table_read(sharded)
+        cost.add("read", self.cpu.read_ns(len(data)))
+        return sharded.schema.from_bytes(data), sharded.schema, len(data)
 
-    # -- cost-based placement (offload vs ship-to-compute) -------------------
-    def plan(self, sharded: ShardedTable, query: Query,
-             placement: str = "auto", stats: PlanStats | None = None,
-             lease_manager=None,
-             refuse_join_offload: bool = False,
-             join_strategy: str | None = None) -> PlacementPlan:
+    def _plan(self, sharded, query: Query, placement, stats, lease_manager,
+              refuse_join_offload: bool = False,
+              join_strategy: str | None = None) -> PlacementPlan | None:
         """Plan ``query`` over the pool: offload, ship, or hybrid.
 
         Estimates use pool-level cardinalities with per-shard streaming
@@ -2762,56 +2389,8 @@ class ClusterClient(_ViewEngineMixin):
         an uncached shuffle charges its wire movement against the
         offload side, and the chosen strategy lands on the
         :class:`~repro.core.planner.ExplainPlan` (``ship`` when the
-        join stays client-side).
-        """
-        first = sharded.shards[0]
-        strategy = None
-        join_transfer_ns = 0.0
-        join_build_shards = 1
-        if query.join is not None and not isinstance(
-                sharded, VersionedShardedTable):
-            strategy = self._resolve_join_strategy(sharded, query,
-                                                   join_strategy)
-            if strategy in ("colocated", "shuffle"):
-                join_build_shards = sharded.num_partitions
-            if strategy == "shuffle":
-                build = query.join.build_table
-                if f"{build.name}->{sharded.name}" \
-                        not in self._shuffle_fragments:
-                    model = PlacementCostModel(
-                        self.cluster.config,
-                        self._clients[first.node_index]._cpu)
-                    join_transfer_ns = model.join_movement_ns(
-                        "shuffle", build.size_bytes, sharded.num_partitions,
-                        copies=min(sharded.partition.replicas,
-                                   self.num_nodes))
-        return plan_placement(
-            query, first.table, self.cluster.nodes[0].config,
-            placement=placement, stats=stats,
-            cpu=self._clients[first.node_index]._cpu,
-            loaded_signature=(self._clients[first.node_index]
-                              .connection.region.loaded_pipeline),
-            lease_manager=lease_manager,
-            shards=len(sharded.shards), total_rows=sharded.num_rows,
-            buffer_capacity=(self._clients[first.node_index]
-                             ._buffer_capacity),
-            refuse_join_offload=refuse_join_offload,
-            join_strategy=strategy, join_transfer_ns=join_transfer_ns,
-            join_build_shards=join_build_shards)
-
-    def far_view_planned(self, sharded: ShardedTable, query: Query,
-                         placement: str = "auto",
-                         stats: PlanStats | None = None,
-                         lease_manager=None,
-                         join_strategy: str | None = None):
-        """Scatter-gather execution under cost-based placement.
-
-        Full offload is the legacy :meth:`far_view` path (byte- and
-        timing-identical).  Ship/hybrid gathers the raw or partially
-        reduced shard streams and runs the remainder in client software;
-        merged-row order matches single-node execution under
-        order-preserving ``chunk`` partitioning (the same contract as
-        :meth:`table_read`).  Returns ``(result, elapsed_ns)``.
+        join stays client-side).  Versioned cluster tables only run
+        offloaded — there is nothing to place, so their plan is ``None``.
         """
         if isinstance(sharded, VersionedShardedTable):
             if placement not in ("offload", "auto"):
@@ -2819,110 +2398,28 @@ class ClusterClient(_ViewEngineMixin):
                     "versioned cluster scans run offloaded only (per-"
                     "shard ship/hybrid placement is a single-node "
                     "feature); use placement='offload'")
-            return self.far_view(sharded, query)
-        try:
-            return self._far_view_planned_once(sharded, query, placement,
-                                               stats, lease_manager,
-                                               join_strategy=join_strategy)
-        except JoinBuildOverflowError:
-            # Same fallback as the single-node client: a build load that
-            # overflowed below nominal capacity reroutes to the client.
-            if placement != "auto" or query.join is None:
-                raise
-            return self._far_view_planned_once(sharded, query, placement,
-                                               stats, lease_manager,
-                                               refuse_join_offload=True,
-                                               join_strategy=join_strategy)
-        except RegionFailedError:
-            # A shard's dynamic region died; under auto, degrade to the
-            # ship path — scatter raw reads need no regions.
-            if placement != "auto":
-                raise
-            return self._far_view_planned_once(sharded, query, "ship",
-                                               stats, lease_manager,
-                                               join_strategy=join_strategy)
-
-    def _far_view_planned_once(self, sharded: ShardedTable, query: Query,
-                               placement: str, stats, lease_manager,
-                               refuse_join_offload: bool = False,
-                               join_strategy: str | None = None):
-        plan = self.plan(sharded, query, placement, stats, lease_manager,
-                         refuse_join_offload=refuse_join_offload,
-                         join_strategy=join_strategy)
-        cpu = self._clients[sharded.shards[0].node_index]._cpu
-        if plan.full_offload:
-            strat = (plan.explain.join_strategy
-                     if plan.explain.join_strategy in JOIN_STRATEGIES
-                     else None)
-            result, elapsed = self.far_view(sharded, query,
-                                            join_strategy=strat)
-            plan.explain.actual_ns = elapsed
-            result.explain = plan.explain
-            return result, elapsed
-        # decrypt_keys=None: the cluster layer does not shard encrypted
-        # tables, so a client-side decrypt step fails loudly if reached.
-        return _execute_planned(
-            self.sim, plan, query, cpu,
-            read_raw=lambda: self.table_read(sharded)[0],
-            run_fragment=lambda fragment: self.far_view(sharded,
-                                                        fragment)[0],
-            schema=sharded.schema, decrypt_keys=None,
-            read_build=lambda: self._read_join_build(query))
-
-    # -- paper-style higher-level helpers ------------------------------------
-    def select(self, sharded: ShardedTable, columns: list[str] | None,
-               predicate: Predicate, vectorized: bool = False,
-               placement: str = "offload",
-               stats: PlanStats | None = None):
-        """``SELECT columns FROM sharded WHERE predicate``, pool-wide.
-
-        ``placement`` routes through the cost-based planner exactly as
-        on the single-node client.
-        """
-        query = Query(projection=tuple(columns) if columns else None,
-                      predicate=predicate, vectorized=vectorized,
-                      label="select")
-        if placement == "offload":
-            return self.far_view(sharded, query)
-        return self.far_view_planned(sharded, query, placement, stats)
-
-    def select_distinct(self, sharded: ShardedTable, columns: list[str]):
-        query = Query(projection=tuple(columns), distinct=True,
-                      label="distinct")
-        return self.far_view(sharded, query)
-
-    def group_by(self, sharded: ShardedTable, keys: list[str],
-                 aggregates: list[AggregateSpec]):
-        query = Query(group_by=tuple(keys), aggregates=tuple(aggregates),
-                      label="group_by")
-        return self.far_view(sharded, query)
-
-    def sql(self, statement: str, placement: str | None = None,
-            stats: PlanStats | None = None):
-        """Parse and scatter one SQL statement against the cluster catalog.
-
-        The FROM table must have been created via :meth:`create_table`.
-        Placement precedence matches the single-node client: argument,
-        then ``/*+ placement(...) */`` hint, then full offload.  Write
-        statements (INSERT / UPDATE / DELETE) commit through the
-        two-phase epoch broadcast and return ``(new_epoch, elapsed_ns)``.
-        Returns ``(result, elapsed_ns)``.
-        """
-        from .sql import ParsedWrite, parse_sql, resolve_join_query
-
-        parsed = parse_sql(statement)
-        sharded = self.catalog.lookup(parsed.table)
-        if isinstance(parsed, ParsedWrite):
-            return _dispatch_sql_write(self, sharded, parsed,
-                                       VersionedShardedTable)
-        if getattr(parsed, "extended", False):
-            placement = placement or parsed.placement or "offload"
-            return _execute_compiled(self, parsed, placement, stats)
-        query = parsed.query
-        if parsed.join is not None:
-            build = self.catalog.lookup(parsed.join.table)
-            query = resolve_join_query(parsed, sharded.schema, build)
-        placement = placement or parsed.placement or "offload"
-        if placement == "offload":
-            return self.far_view(sharded, query)
-        return self.far_view_planned(sharded, query, placement, stats)
+            return None
+        first = self._clients[sharded.shards[0].node_index]
+        strategy = self._resolve_join_strategy(sharded, query, join_strategy)
+        join_transfer_ns = 0.0
+        join_build_shards = 1
+        if strategy in ("colocated", "shuffle"):
+            join_build_shards = sharded.num_partitions
+        if strategy == "shuffle":
+            build = query.join.build_table
+            if f"{build.name}->{sharded.name}" not in self._shuffle_fragments:
+                join_transfer_ns = PlacementCostModel(
+                    self.cluster.config, self.cpu).join_movement_ns(
+                        "shuffle", build.size_bytes, sharded.num_partitions,
+                        copies=min(sharded.partition.replicas,
+                                   self.num_nodes))
+        return plan_placement(
+            query, sharded.shards[0].table, self.cluster.nodes[0].config,
+            placement=placement, stats=stats, cpu=self.cpu,
+            loaded_signature=first.connection.region.loaded_pipeline,
+            lease_manager=lease_manager,
+            shards=len(sharded.shards), total_rows=sharded.num_rows,
+            buffer_capacity=first._buffer_capacity,
+            refuse_join_offload=refuse_join_offload,
+            join_strategy=strategy, join_transfer_ns=join_transfer_ns,
+            join_build_shards=join_build_shards)

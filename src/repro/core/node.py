@@ -28,7 +28,7 @@ from ..common import calibration as cal
 from ..common.config import FarviewConfig
 from ..common.errors import (ConnectionError_, FarviewError, NodeFailedError,
                              OperatorError, ProtectionFault, RegionFailedError,
-                             TranslationFault)
+                             RegionUnavailableError, TranslationFault)
 from ..fpga.region import DynamicRegion, RegionManager, RegionState
 from ..fpga.resource_model import ResourceModel
 from ..memory.mmu import Mmu
@@ -156,7 +156,13 @@ class FarviewNode:
         self.link.register_flow(qp.qp_id)
         domain = next(_domain_ids)
         self.mmu.create_domain(domain)
-        region = self.regions.acquire(qp.qp_id)
+        try:
+            region = self.regions.acquire(qp.qp_id)
+        except RegionUnavailableError:
+            # A refused open must leave nothing behind on the node.
+            self.mmu.destroy_domain(domain)
+            self.link.unregister_flow(qp.qp_id)
+            raise
         qp.connected = True
         qp.region_index = region.index
         qp.domain = domain
@@ -169,6 +175,7 @@ class FarviewNode:
         self.regions.release(conn.region)
         self.resources.undeploy(conn.region.index)
         self.mmu.destroy_domain(conn.domain)
+        self.link.unregister_flow(conn.qp.qp_id)
         conn.qp.connected = False
         conn.closed = True
         del self.connections[conn.qp.qp_id]

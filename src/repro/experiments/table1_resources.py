@@ -21,6 +21,8 @@ from ..fpga.resource_model import (
 
 @dataclass
 class Table1Result:
+    experiment_id = "table1"
+
     text: str
     system_row: tuple[float, float, float, float]      # percentages
     operator_rows: dict[str, tuple[float, float, float, float]]

@@ -94,3 +94,6 @@ class Link:
 
     def register_flow(self, flow_id: int) -> None:
         self.down_arbiter.register_flow(flow_id)
+
+    def unregister_flow(self, flow_id: int) -> None:
+        self.down_arbiter.unregister_flow(flow_id)

@@ -218,12 +218,33 @@ class RoundRobinArbiter:
         self._order: list[int] = []
         self._next = 0
         self._pumping = False
+        #: Unregistered flows whose last queued items are still to grant.
+        self._draining: set[int] = set()
 
     def register_flow(self, flow_id: int) -> None:
         if flow_id in self._flows:
             raise SimulationError(f"flow {flow_id} already registered")
         self._flows[flow_id] = deque()
         self._order.append(flow_id)
+
+    def unregister_flow(self, flow_id: int) -> None:
+        """Forget a closed flow so ``_grant_next`` stops scanning it.
+
+        ``_next`` keeps pointing at the same live flow, so the grant
+        order among the remaining flows is unchanged.  A flow that still
+        has queued items (its connection was abandoned mid-stream) is
+        dropped once they have been granted.
+        """
+        if flow_id not in self._flows:
+            raise SimulationError(f"unknown flow {flow_id}")
+        if self._flows[flow_id]:
+            self._draining.add(flow_id)
+            return
+        index = self._order.index(flow_id)
+        del self._order[index], self._flows[flow_id]
+        if index < self._next:
+            self._next -= 1
+        self._next %= max(len(self._order), 1)
 
     def submit(self, flow_id: int, nbytes: int, extra_ns: float = 0.0) -> Event:
         """Queue ``nbytes`` for ``flow_id``; event fires when transferred.
@@ -262,5 +283,9 @@ class RoundRobinArbiter:
             queue = self._flows[flow_id]
             if queue:
                 self._next = (self._next + i + 1) % n
-                return queue.popleft()
+                item = queue.popleft()
+                if not queue and flow_id in self._draining:
+                    self._draining.discard(flow_id)
+                    self.unregister_flow(flow_id)
+                return item
         return None

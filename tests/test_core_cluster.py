@@ -423,8 +423,50 @@ def test_scatter_gather_response_time_improves_with_nodes():
 def test_shards_report_partial_bytes_and_merged_rows_are_final():
     schema, rows = distinct_workload(4096, 64, seed=6)
     result = cluster_result(schema, rows, select_distinct(["a"]), 4)
-    assert len(result.shard_results) == 4
+    assert len(result.parts) == 4
     # Every shard shipped some keys; the merge removed cross-shard dupes.
-    total_shard_rows = sum(len(r.rows()) for r in result.shard_results)
+    total_shard_rows = sum(len(r.rows()) for r in result.parts)
     assert total_shard_rows >= result.num_rows
     assert result.bytes_shipped >= result.num_rows * 8
+
+
+def test_both_clients_expose_one_verb_set():
+    """Parity: every public ``*_proc`` generator of either client has a
+    blocking twin generated from it by the wrapper table (or one of the
+    few hand-written verbs that do more than wrap), and every verb the
+    two clients share takes the same parameters — one client may extend
+    the shared list with its topology's options, never rename it."""
+    import inspect
+
+    from repro.core.api import ClusterClient as Cluster
+    from repro.core.api import FarviewClient as Single
+
+    # The verbs that do more than wrap: placement, and the byte image.
+    handwritten = {(Single, "scan_versioned"), (Single, "read_version"),
+                   (Cluster, "read_version")}
+    for cls in (Single, Cluster):
+        procs = [n for n in dir(cls)
+                 if n.endswith("_proc") and not n.startswith("_")]
+        assert len(procs) >= 10
+        for name in procs:
+            verb = name.removesuffix("_proc")
+            twin = inspect.getattr_static(cls, verb)
+            if "__wrapped__" in vars(twin):
+                assert twin.__wrapped__ is inspect.getattr_static(cls, name)
+                assert inspect.getdoc(twin.__wrapped__) in twin.__doc__
+            else:
+                assert (cls, verb) in handwritten, f"{cls.__name__}.{verb}"
+
+    def public(cls):
+        return {n for n in dir(cls) if not n.startswith("_")
+                and callable(getattr(cls, n))}
+
+    shared = public(Single) & public(Cluster)
+    assert {"far_view", "far_view_planned", "select", "sql", "plan",
+            "insert", "update_where", "delete_where", "compact",
+            "scan_versioned", "create_view", "table_read"} <= shared
+    for verb in sorted(shared):
+        a = list(inspect.signature(getattr(Single, verb)).parameters)
+        b = list(inspect.signature(getattr(Cluster, verb)).parameters)
+        short, long_ = sorted((a[1:], b[1:]), key=len)
+        assert long_[:len(short)] == short, f"{verb}: {a} vs {b}"

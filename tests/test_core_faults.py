@@ -268,6 +268,66 @@ class TestSingleNodeFaults:
         with pytest.raises(RequestTimeoutError):
             client.far_view(table, query)
 
+    @pytest.mark.parametrize("kind", ["plain", "versioned"])
+    def test_deadline_on_degraded_link_covers_versioned_reads(self, kind):
+        """Regression: far_view on a VersionedTable and scan_versioned
+        bypassed the retry loop, so a scan finishing past ``deadline_ns``
+        returned its late result instead of raising."""
+        sim, node, client = make_single()
+        wl = selection_workload(2048, 0.5, seed=3)
+        query = select_star(wl.predicate)
+        if kind == "plain":
+            table = FTable("T", wl.schema, len(wl.rows))
+            client.alloc_table_mem(table)
+            client.table_write(table, wl.rows)
+            verbs = [client.far_view]
+        else:
+            table = client.create_versioned_table("T", wl.schema, wl.rows)
+            client.update_where(table, wl.predicate, {"c": 7})
+            verbs = [client.far_view, client.scan_versioned]
+        client.far_view(table, query)  # warm (exclude reconfiguration)
+        reference, healthy_ns = client.far_view(table, query)
+        events = sim.events_processed
+        client.far_view(table, query)
+        per_scan = sim.events_processed - events
+        client.retry_policy = RetryPolicy(max_attempts=2,
+                                          base_backoff_ns=500.0,
+                                          deadline_ns=healthy_ns * 1.5)
+        for verb in verbs:
+            events = sim.events_processed
+            on_time, _ = verb(table, query)
+            assert sha(on_time.data) == sha(reference.data)
+            # An installed policy costs nothing until it has to act.
+            assert sim.events_processed - events == per_scan
+        FaultInjector(node).degrade_link(0, latency_add_ns=healthy_ns,
+                                         rate_factor=0.25)
+        for verb in verbs:
+            with pytest.raises(RequestTimeoutError):
+                verb(table, query)
+        if kind == "versioned":
+            assert table.active_pins == 0  # every discarded attempt unpinned
+
+    def test_deadline_covers_cluster_versioned_scans(self):
+        sim = Simulator()
+        cluster = FarviewCluster(sim, 2, TEST_CONFIG)
+        cc = ClusterClient(cluster)
+        cc.open_connection()
+        wl = selection_workload(1024, 0.5, seed=3)
+        vst = cc.create_versioned_table("T", wl.schema, wl.rows)
+        query = select_star(wl.predicate)
+        cc.far_view(vst, query)  # warm
+        _result, healthy_ns = cc.far_view(vst, query)
+        cc.retry_policy = RetryPolicy(max_attempts=2, base_backoff_ns=500.0,
+                                      deadline_ns=healthy_ns * 1.5)
+        cc.far_view(vst, query)
+        FaultInjector(cluster).degrade_link(1, latency_add_ns=healthy_ns,
+                                            rate_factor=0.25)
+        for verb in (cc.far_view, cc.scan_versioned):
+            with pytest.raises(RequestTimeoutError):
+                verb(vst, query)
+        with pytest.raises(RequestTimeoutError):
+            cc.read_version(vst)
+
     def test_backoff_is_capped_exponential(self):
         policy = RetryPolicy(max_attempts=5, base_backoff_ns=1_000.0,
                              max_backoff_ns=3_000.0)

@@ -78,6 +78,39 @@ def test_region_exhaustion():
         FarviewClient(node).open_connection()
 
 
+def test_refused_and_closed_connections_leave_nothing_behind():
+    """Regression: a refused open used to leak its MMU domain and link
+    flow, and no close ever unregistered a flow — the arbiter scanned
+    every flow ever opened, per packet."""
+    sim = Simulator()
+    node = FarviewNode(sim, SMALL_CONFIG)
+    regions = SMALL_CONFIG.operator_stack.regions
+    clients = []
+    refused = 0
+    for _ in range(regions + 2):
+        client = FarviewClient(node)
+        try:
+            client.open_connection()
+            clients.append(client)
+        except RegionUnavailableError:
+            refused += 1
+    assert (len(clients), refused) == (regions, 2)
+    for client in clients:
+        client.close_connection()
+    assert node.connections == {}
+    assert node.mmu._page_tables == {}
+    assert node.link.down_arbiter._flows == {}
+    assert node.link.down_arbiter._order == []
+    assert node.free_regions == regions
+    # The crash path drops its flow too (no node round trip).
+    holder = FarviewClient(node)
+    holder.open_connection()
+    node.fail()
+    holder.abandon_connection()
+    assert node.connections == {}
+    assert node.link.down_arbiter._flows == {}
+
+
 def test_verbs_require_connection():
     sim = Simulator()
     node = FarviewNode(sim, SMALL_CONFIG)
@@ -168,6 +201,30 @@ def test_groupby_matches_oracle(client):
     assert set(got) == set(expected)
     for k in expected:
         assert got[k] == pytest.approx(expected[k])
+
+
+def test_groupby_overflow_merges_to_exactly_the_groups():
+    """Regression: with the on-chip tables too small for the key set,
+    the client merge of overflowed groups used to size its output by the
+    report dict — merge metadata entry included — and emit one all-zero
+    extra row."""
+    config = FarviewConfig(
+        memory=SMALL_CONFIG.memory,
+        operator_stack=OperatorStackConfig(cuckoo_slots=8,
+                                           lru_depth_per_table=2))
+    client = FarviewClient(FarviewNode(Simulator(), config))
+    client.open_connection()
+    schema, rows = groupby_workload(1024, 256)
+    table = upload(client, "G", schema, rows)
+    result, _ = client.far_view(table, group_by_sum("a", "b"))
+    assert result.report.overflow_groups, "config did not force overflow"
+    expected = {}
+    for k, v in zip(rows["a"], rows["b"]):
+        expected[int(k)] = expected.get(int(k), 0.0) + float(v)
+    got = result.rows()
+    assert len(got) == len(expected)
+    assert dict(zip(got["a"].tolist(), got["sum_b"].tolist())) \
+        == pytest.approx(expected)
 
 
 def test_standalone_aggregation(client):

@@ -239,7 +239,8 @@ def _digest(result) -> str:
                            "groupby", "aggregate"]),
     placement=st.sampled_from(["auto", "ship"]),
 )
-def test_placement_never_changes_bytes(selectivity, nrows, shape, placement):
+def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
+                                       nrows, shape, placement):
     """Property: auto/ship results are sha256-identical to full offload.
 
     Group-by sums stay bit-exact even over the float column because the
@@ -272,9 +273,10 @@ def test_placement_never_changes_bytes(selectivity, nrows, shape, placement):
         table = FTable("S", wl.schema, nrows)
         client.alloc_table_mem(table)
         client.table_write(table, rows)
-        result, _ = client.far_view_planned(table, query, placement=mode,
-                                            stats=PlanStats(
-                                                selectivity=selectivity))
+        result, elapsed = client.far_view_planned(
+            table, query, placement=mode,
+            stats=PlanStats(selectivity=selectivity))
+        assert_uniform_result(result, elapsed)
         digests[mode] = _digest(result)
     assert digests[placement] == digests["offload"]
 
@@ -388,7 +390,7 @@ def test_ship_on_bare_scan_is_a_raw_read():
     result, _ = client.far_view_planned(table, Query(label="scan"),
                                         placement="ship")
     assert result.explain.chosen == "ship"
-    assert result.fragment_result is None
+    assert result.parts == []
     assert canonical_result_bytes(result) == schema.to_bytes(rows)
     # auto/offload on the same bare scan keep the legacy offload path.
     offload_result, _ = client.far_view_planned(table, Query(label="scan"),
@@ -434,7 +436,7 @@ def test_cluster_hybrid_keeps_fragment_result():
     result, _ = client.far_view_planned(
         sharded, Query(predicate=wl.predicate, label="c"),
         placement="ship")
-    assert result.shipped_bytes == 512 * wl.schema.row_width
+    assert result.bytes_shipped == 512 * wl.schema.row_width
     assert result.client_cost is not None
 
 

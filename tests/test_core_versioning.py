@@ -360,16 +360,18 @@ class TestVersionedPlacement:
                 {"c": 100 + b})
         return schema, vt
 
-    def test_ship_and_auto_match_offload_bytes(self):
+    def test_ship_and_auto_match_offload_bytes(self, assert_uniform_result):
         client = make_client()
         schema, vt = self._chained_table(client)
         query = Query(predicate=Compare("a", "<", 1024), label="sel")
         stats = PlanStats(selectivity=0.5)
-        offload, _ = client.scan_versioned(vt, query, placement="offload")
-        ship, _ = client.scan_versioned(vt, query, placement="ship",
-                                        stats=stats)
-        auto, _ = client.scan_versioned(vt, query, placement="auto",
-                                        stats=stats)
+        results = []
+        for placement in ("offload", "ship", "auto"):
+            result, elapsed = client.scan_versioned(
+                vt, query, placement=placement, stats=stats)
+            assert_uniform_result(result, elapsed)
+            results.append(result)
+        offload, ship, auto = results
         assert (canonical_result_bytes(ship)
                 == canonical_result_bytes(offload))
         assert (canonical_result_bytes(auto)

@@ -8,6 +8,7 @@ from repro.experiments import (
     fig8_selection,
     fig9_grouping,
     fig10_regex,
+    fig11_encryption,
     fig12_multiclient,
     fig13_scaleout,
     fig14_pushdown,
@@ -20,11 +21,48 @@ from repro.experiments import (
 KB = 1024
 
 
+def assert_dominates(faster, slower) -> None:
+    """Every point of ``faster`` must lie at or below ``slower``."""
+    for x in faster.xs:
+        assert faster.y_at(x) <= slower.y_at(x), (
+            f"expected {faster.name} <= {slower.name} at x={x}")
+
+
+def assert_monotonic(series, slack: float = 1.02) -> None:
+    """y must not decrease by more than ``slack`` jitter across x."""
+    for a, b in zip(series.ys, series.ys[1:]):
+        assert b >= a / slack, f"{series.name} not monotonic: {a} -> {b}"
+
+
 def test_table1_reproduces_paper_rows():
     result = table1_resources.run()
     assert result.system_row == pytest.approx((24.0, 23.0, 29.0, 0.0))
+    assert result.operator_rows["Regular expression"][0] == pytest.approx(2.3)
+    assert result.operator_rows["Distinct/Group by"][2] == pytest.approx(8.0)
+    assert result.operator_rows["En(de)cryption"][0] == pytest.approx(3.6)
+    # §6.1: the deployed system stays under 30% of the device.
     assert result.full_deployment_max_utilization <= 0.30
     assert "6 regions" in result.render()
+
+
+def test_fig6_paper_sweep_peaks_and_margins():
+    fig6a, fig6b = fig6_rdma.run()
+    tput_fv, tput_rnic = (fig6a.series_named(n) for n in ("FV", "RNIC"))
+    resp_fv, resp_rnic = (fig6b.series_named(n) for n in ("FV", "RNIC"))
+    # (a) Below 4 kB the RNIC achieves better throughput (paper §6.2).
+    for size in (128, 256, 512, 1 * KB, 2 * KB):
+        assert tput_rnic.y_at(size) >= tput_fv.y_at(size)
+    # (a) FV peaks near wire goodput (~12 GBps), above RNIC's PCIe-bound
+    # ~11 GBps.
+    assert 11.0 <= max(tput_fv.ys) <= 13.0
+    assert 10.0 <= max(tput_rnic.ys) <= 11.5
+    assert max(tput_fv.ys) > max(tput_rnic.ys)
+    # (b) FV wins large transfers by a substantial margin ("at least
+    # 20%"), and response time grows with transfer size for both.
+    advantage = 1.0 - resp_fv.y_at(32 * KB) / resp_rnic.y_at(32 * KB)
+    assert advantage >= 0.15, f"FV advantage at 32 kB only {advantage:.1%}"
+    assert_monotonic(resp_fv)
+    assert_monotonic(resp_rnic)
 
 
 def test_fig6_small_vs_large_transfer_shape():
@@ -43,12 +81,17 @@ def test_fig6_small_vs_large_transfer_shape():
 
 
 def test_fig7_crossover_between_256_and_512():
-    result = fig7_projection.run(tuple_counts=(1024, 4096))
+    result = fig7_projection.run(tuple_counts=(1024, 4096, 16384))
     sa = result.series_named("FV-SA")
     t256 = result.series_named("FV-t256B")
     t512 = result.series_named("FV-t512B")
-    for n in (1024, 4096):
+    for n in (1024, 4096, 16384):
         assert t256.y_at(n) <= sa.y_at(n) <= t512.y_at(n)
+    # At scale the SA advantage over t512B is roughly the ratio of bytes
+    # touched; expect at least 1.5x at the largest point.
+    assert t512.y_at(16384) / sa.y_at(16384) >= 1.5
+    for series in (sa, t256, t512):
+        assert_monotonic(series)
 
 
 def test_fig8_orderings_at_25pct():
@@ -68,6 +111,63 @@ def test_fig8_vectorization_useless_at_full_selectivity():
     assert fv.y_at(256 * KB) == pytest.approx(fvv.y_at(256 * KB), rel=0.1)
 
 
+@pytest.mark.parametrize("selectivity,low,high", [
+    (1.0, 0.9, 1.1),    # network-bound: vectorization buys nothing
+    (0.5, 1.1, 1.8),    # slightly more performant (paper)
+    (0.25, 1.5, 9.9),   # roughly twice as fast (bounded ~1.8x here)
+], ids=["100pct", "50pct", "25pct"])
+def test_fig8_vectorization_gain_at_the_largest_table(selectivity, low, high):
+    result = fig8_selection.run_panel(selectivity,
+                                      table_sizes=(64 * KB, 1024 * KB))
+    fvv, fv, lcpu, rcpu = (result.series_named(n)
+                           for n in ("FV-V", "FV", "LCPU", "RCPU"))
+    # Farview outperforms both baselines in all cases (paper §6.4).
+    for faster, slower in ((fvv, fv), (fv, lcpu), (lcpu, rcpu)):
+        assert_dominates(faster, slower)
+    assert low <= fv.y_at(1024 * KB) / fvv.y_at(1024 * KB) <= high
+    for series in (fv, fvv, lcpu, rcpu):
+        assert_monotonic(series)
+
+
+#: (runner at the paper's smallest + largest point, minimum LCPU/FV gap
+#: at the largest point) — §6.5-§6.8's "baselines degrade dramatically".
+PAPER_SCALE_GAPS = {
+    "fig9a": (lambda: fig9_grouping.run_distinct(
+        table_sizes=(64 * KB, 1024 * KB)), 5.0),
+    "fig9b": (lambda: fig9_grouping.run_groupby_scaling(
+        table_sizes=(64 * KB, 1024 * KB)), 5.0),
+    "fig10": (fig10_regex.run, 3.0),
+    "fig11a": (lambda: fig11_encryption.run_response(
+        table_sizes=(128 * KB, 1024 * KB)), 4.0),
+    "fig12": (lambda: fig12_multiclient.run(
+        table_sizes=(64 * KB, 2048 * KB)), 2.5),
+}
+
+
+@pytest.mark.parametrize("figure", list(PAPER_SCALE_GAPS))
+def test_fv_dominates_the_baselines_at_paper_scale(figure):
+    runner, min_gap = PAPER_SCALE_GAPS[figure]
+    result = runner()
+    fv, lcpu, rcpu = (result.series_named(n) for n in ("FV", "LCPU", "RCPU"))
+    assert_dominates(fv, lcpu)
+    assert_dominates(lcpu, rcpu)
+    largest = fv.xs[-1]
+    assert lcpu.y_at(largest) / fv.y_at(largest) >= min_gap
+    for series in (fv, lcpu, rcpu):
+        assert_monotonic(series)
+
+
+def test_fig11b_decryption_costs_no_throughput():
+    result = fig11_encryption.run_throughput()
+    rd = result.series_named("FV-RD")
+    rd_dec = result.series_named("FV-RD+Dec")
+    # "there is no noticeable performance penalty" (paper §6.7):
+    # within 10% at every transfer size.
+    for x in rd.xs:
+        penalty = 1.0 - rd_dec.y_at(x) / rd.y_at(x)
+        assert penalty <= 0.10, f"decryption penalty {penalty:.1%} at {x} B"
+
+
 def test_fig9a_baselines_grow_faster_than_fv():
     result = fig9_grouping.run_distinct(table_sizes=(64 * KB, 256 * KB))
     fv = result.series_named("FV")
@@ -81,7 +181,11 @@ def test_fig9a_baselines_grow_faster_than_fv():
 def test_fig9c_fv_flush_grows_with_groups():
     result = fig9_grouping.run_groupby_vs_groups(
         group_counts=(256, 2048), table_size=256 * KB)
-    fv = result.series_named("FV")
+    fv, lcpu, rcpu = (result.series_named(n) for n in ("FV", "LCPU", "RCPU"))
+    assert_dominates(fv, lcpu)
+    assert_dominates(lcpu, rcpu)
+    # The flush phase adds latency per aggregate (paper: "The response
+    # time is thus bigger if the number of aggregates is higher").
     assert fv.y_at(2048) > fv.y_at(256)
 
 

@@ -453,7 +453,7 @@ def test_duplicate_build_key_rejected_end_to_end():
 # ---------------------------------------------------------------------------
 
 from repro.common.errors import QueryError  # noqa: E402
-from repro.core.api import ClusterQueryResult  # noqa: E402
+from repro.core.api import QueryResult  # noqa: E402
 from repro.core.cluster import (colocated_compatible,  # noqa: E402
                                 join_strategies)
 from repro.core.partition import (PartitionSpec,  # noqa: E402
@@ -496,7 +496,7 @@ def _matrix_cluster(num_nodes, fact, dim, fact_spec, dim_spec):
     return cc, fact_sharded, dim_sharded
 
 
-def test_strategy_equivalence_matrix():
+def test_strategy_equivalence_matrix(assert_uniform_result):
     """Every (strategy x pool size x scheme) cell produces sha256 bytes
     identical to the serial model; infeasible explicit strategies raise
     the typed :class:`QueryError` instead of silently running."""
@@ -514,10 +514,11 @@ def test_strategy_equivalence_matrix():
                 query = make_query(ds, cut)
                 cell = f"{strategy} x N={num_nodes} x {scheme}"
                 if strategy == "ship":
-                    result, _ = cc.far_view_planned(
+                    result, elapsed = cc.far_view_planned(
                         fs, query, placement="ship",
                         stats=PlanStats(selectivity=0.9,
                                         join_match_ratio=0.8))
+                    assert_uniform_result(result, elapsed)
                     assert sha(canonical_result_bytes(result)) == expected, \
                         f"{cell} diverged"
                     continue
@@ -527,7 +528,9 @@ def test_strategy_equivalence_matrix():
                     with pytest.raises(QueryError, match="infeasible"):
                         cc.far_view(fs, query, join_strategy=requested)
                     continue
-                result, _ = cc.far_view(fs, query, join_strategy=requested)
+                result, elapsed = cc.far_view(fs, query,
+                                              join_strategy=requested)
+                assert_uniform_result(result, elapsed)
                 assert sha(result.data) == expected, f"{cell} diverged"
                 assert result.join_strategy in ("broadcast", "colocated",
                                                 "shuffle")
@@ -536,7 +539,7 @@ def test_strategy_equivalence_matrix():
                         f"{cell} moved replica bytes while co-located"
 
 
-def test_matrix_versioned_probe_cells():
+def test_matrix_versioned_probe_cells(assert_uniform_result):
     """The versioned-probe column of the matrix: a delta chain on the
     fact side still merges sha-identical (broadcast-only by design)."""
     fact = make_fact(list(range(40)) * 2, seed=42)
@@ -550,7 +553,8 @@ def test_matrix_versioned_probe_cells():
         head = len(fact) // 2
         vfact = cc.create_versioned_table("vfact", FACT_SCHEMA, fact[:head])
         cc.insert(vfact, fact[head:])
-        result, _ = cc.far_view(vfact, make_query(ds))
+        result, elapsed = cc.far_view(vfact, make_query(ds))
+        assert_uniform_result(result, elapsed)
         assert sha(result.data) == expected, \
             f"versioned probe x N={num_nodes} diverged"
         # Partitioned strategies are typed-refused on versioned scans.
@@ -580,7 +584,7 @@ def test_planner_picks_colocated_iff_cocompatible(fact_hash, dim_hash,
                       and fact_key == "a" and dim_key == "id")
     assert colocated_compatible(fs, ds, "a", "id") == should_colocate
     result, _ = cc.far_view(fs, query)
-    assert isinstance(result, ClusterQueryResult)
+    assert type(result) is QueryResult and len(result.parts) > 0
     if should_colocate:
         assert result.join_strategy == "colocated"
         assert cc.replica_bytes_moved == 0

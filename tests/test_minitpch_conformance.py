@@ -67,18 +67,21 @@ def cluster_client(tables: dict, num_nodes: int) -> ClusterClient:
 
 @pytest.mark.parametrize("label,statement", QUERIES,
                          ids=[label for label, _ in QUERIES])
-def test_placements_and_pools_match_model(tables, label, statement):
+def test_placements_and_pools_match_model(tables, assert_uniform_result,
+                                          label, statement):
     """query x {single, cluster2, cluster4} x {offload, ship, auto}."""
     expected = model_sha256(statement, tables)
     got = {}
     client = single_client(tables)
     for placement in PLACEMENTS:
-        result, _ = client.sql(statement, placement=placement)
+        result, elapsed = client.sql(statement, placement=placement)
+        assert_uniform_result(result, elapsed)
         got[f"single/{placement}"] = sha(result)
     for num_nodes in (2, 4):
         cc = cluster_client(tables, num_nodes)
         for placement in PLACEMENTS:
-            result, _ = cc.sql(statement, placement=placement)
+            result, elapsed = cc.sql(statement, placement=placement)
+            assert_uniform_result(result, elapsed)
             got[f"cluster{num_nodes}/{placement}"] = sha(result)
     mismatches = {k: v for k, v in got.items() if v != expected}
     assert not mismatches, (
@@ -108,7 +111,8 @@ def partitioned_cluster(tables: dict, num_nodes: int) -> ClusterClient:
 
 @pytest.mark.parametrize("label,statement", QUERIES,
                          ids=[label for label, _ in QUERIES])
-def test_partitioned_pools_match_model(tables, label, statement):
+def test_partitioned_pools_match_model(tables, assert_uniform_result, label,
+                                       statement):
     """query x {cluster2, cluster4 hash-partitioned} x placements: the
     compiled SQL path must exercise the partitioned join strategies and
     still match the serial model byte for byte."""
@@ -116,7 +120,8 @@ def test_partitioned_pools_match_model(tables, label, statement):
     for num_nodes in (2, 4):
         cc = partitioned_cluster(tables, num_nodes)
         for placement in PLACEMENTS:
-            result, _ = cc.sql(statement, placement=placement)
+            result, elapsed = cc.sql(statement, placement=placement)
+            assert_uniform_result(result, elapsed)
             assert sha(result) == expected, (
                 f"{label} under {placement} on {num_nodes} hash-"
                 f"partitioned nodes diverged from the serial model")

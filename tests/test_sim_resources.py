@@ -256,6 +256,51 @@ def test_arbiter_single_flow_uses_full_pipe():
     assert sim.run_process(client()) == pytest.approx(40.0)
 
 
+@pytest.mark.parametrize("closed", [1, 2, 3, 4])
+def test_arbiter_unregister_keeps_grant_order_of_live_flows(closed):
+    """Dropping an idle flow must not change who is granted next: the
+    completion order of the live flows equals the order with the dead
+    flow still registered (it never had anything queued)."""
+
+    def completion_order(unregister):
+        sim = Simulator()
+        arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
+        for flow in (1, 2, 3, 4):
+            arb.register_flow(flow)
+        live = [f for f in (1, 2, 3, 4) if f != closed]
+        done = []
+
+        def client(flow_id, count):
+            for _ in range(count):
+                yield arb.submit(flow_id, 10)
+                done.append(flow_id)
+
+        # Advance the round-robin pointer part-way round the ring first.
+        sim.run_process(client(live[0], 1))
+        if unregister:
+            arb.unregister_flow(closed)
+            assert closed not in arb._flows and closed not in arb._order
+        procs = [sim.process(client(f, 2)) for f in reversed(live)]
+        sim.run_process((lambda: (yield sim.all_of(procs)))())
+        return done
+
+    assert completion_order(True) == completion_order(False)
+
+
+def test_arbiter_unregister_drains_queued_items_first():
+    sim = Simulator()
+    arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
+    arb.register_flow(1)
+    arb.register_flow(2)
+    pending = [arb.submit(1, 10), arb.submit(1, 10)]
+    arb.unregister_flow(1)          # abandoned mid-stream
+    sim.run()
+    assert all(ev.triggered for ev in pending)
+    assert list(arb._flows) == [2] and arb._order == [2]
+    with pytest.raises(SimulationError):
+        arb.unregister_flow(1)
+
+
 def test_arbiter_rejects_unknown_flow():
     sim = Simulator()
     arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
