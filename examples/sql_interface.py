@@ -62,11 +62,10 @@ def main() -> None:
     print(f"orders: {len(rows)} rows x {SCHEMA.row_width} B\n")
 
     for statement in STATEMENTS:
-        parsed = parse_sql(statement)
         result, elapsed = client.sql(statement)
         out = result.rows()
         print(f"sql> {statement}")
-        print(f"     pipeline: {parsed.query.signature}")
+        print(f"     pipeline: {result.report.signature}")
         print(f"     {len(out)} rows, {result.report.bytes_shipped} bytes "
               f"shipped, {to_us(elapsed):.1f} us simulated")
         preview = out[:3].tolist()

@@ -112,10 +112,7 @@ from typing import Optional
 import numpy as np
 
 from ..baselines.cpu_model import CostBreakdown, CpuCostModel
-from ..baselines.sw_ops import (software_aggregate, software_decrypt,
-                                software_distinct, software_groupby,
-                                software_join, software_limit,
-                                software_select, software_sort)
+from ..baselines.sw_ops import software_decrypt
 from ..common.errors import (CatalogError, ConnectionError_,
                              DegradedResultError, FarviewError, FaultError,
                              JoinBuildOverflowError, NodeFailedError,
@@ -124,18 +121,14 @@ from ..common.errors import (CatalogError, ConnectionError_,
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
 from ..operators.crypto import AesCtr
-from ..operators.join import join_output_schema
 from ..operators.selection import Predicate
 from .catalog import Catalog
-from .compile import (BoundAggregate, BoundDistinct, BoundEval, BoundFilter,
-                      BoundLimit, BoundSort, ParsedWrite, bind_select,
-                      parse_sql, resolve_join_query)
-from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
-                         PlanStats, delta_merge_cost_ns, estimate_chain,
-                         view_circuit_cost_ns)
-from .ir import eval_expr
+from .compile import ParsedWrite, bind_select, parse_sql
+from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
+                         estimate_chain, view_circuit_cost_ns)
 from .planner import (DagPlan, ExplainPlan, PlacementPlan, StagePlan,
-                      operator_chain, plan_placement, run_client_steps)
+                      operator_chain, plan_placement, run_client_join,
+                      run_client_kernel, run_client_steps)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       ShardedTable, ShardReplica, TableShard,
                       aggregate_output_schema, group_output_schema,
@@ -549,8 +542,8 @@ class _ClientCore:
             explain=explain, note=", ".join(notes)))
         return result
 
-    def _run_compiled(self, parsed, placement: str, stats):
-        """Execute an extended (compiled) SELECT.
+    def _run_compiled(self, bound, placement: str, stats):
+        """Execute a bound SELECT that leaves work for the client.
 
         Stage 0 runs the head :class:`~repro.core.query.Query`; each
         :class:`~repro.core.compile.BoundArm` reads its build side (raw,
@@ -558,9 +551,8 @@ class _ClientCore:
         remaining bound kernels (expression projection, aggregation,
         HAVING filter, DISTINCT, ORDER BY, LIMIT) run in client software
         with their modeled cost advancing the simulator clock — the
-        same tail as :meth:`_run_split`.
+        same tail, and the same kernels, as :meth:`_run_split`.
         """
-        bound = bind_select(parsed, self.catalog)
         dag = DagPlan(requested=placement)
 
         def body(cost):
@@ -583,57 +575,14 @@ class _ClientCore:
                                             stats, dag, stage_name)
                     build_rows, build_schema = build.rows(), build.schema
                     parts.append(build)
-                cost.add("hash", cpu.hash_ns(
-                    len(build_rows),
-                    growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
-                cost.add("hash", cpu.hash_ns(len(rows), growing=False))
-                rows = software_join(rows, schema, build_rows, build_schema,
-                                     arm.build_key, arm.probe_key,
-                                     list(arm.payload))
-                schema = join_output_schema(schema, build_schema,
-                                            list(arm.payload))
+                rows, schema = run_client_join(rows, schema, build_rows,
+                                               build_schema, arm, cpu, cost)
             for op in bound.ops:
-                rows, schema = self._run_kernel(op, rows, schema, cost)
+                rows, schema = run_client_kernel(op.kernel, op, rows, schema,
+                                                 cpu, cost)
             return rows, schema, parts, read_bytes
 
         return self._client_side(dag, body)
-
-    def _run_kernel(self, op, rows: np.ndarray, schema: Schema,
-                    cost: CostBreakdown):
-        """One bound client kernel of a compiled statement."""
-        cpu = self.cpu
-        if isinstance(op, BoundEval):
-            cost.add("project", cpu.select_ns(len(rows)))
-            out = op.schema.empty(len(rows))
-            for expr, name in op.items:
-                out[name] = eval_expr(expr, rows, schema)
-            return out, op.schema
-        if isinstance(op, BoundFilter):
-            cost.add("predicate", cpu.select_ns(len(rows)))
-            return software_select(rows, op.predicate), schema
-        if isinstance(op, BoundAggregate):
-            if op.group_by:
-                output = software_groupby(rows, schema, list(op.group_by),
-                                          list(op.aggregates))
-                cost.add("hash", cpu.hash_ns(
-                    len(rows), growing=output.map_resizes > 0))
-                cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-                return output.rows, group_output_schema(
-                    schema, list(op.group_by), list(op.aggregates))
-            cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-            return (software_aggregate(rows, schema, list(op.aggregates)),
-                    aggregate_output_schema(schema, list(op.aggregates)))
-        if isinstance(op, BoundDistinct):
-            output = software_distinct(rows, schema, list(schema.names))
-            cost.add("hash", cpu.hash_ns(len(rows),
-                                         growing=output.map_resizes > 0))
-            return output.rows, schema
-        if isinstance(op, BoundSort):
-            cost.add("sort", cpu.sort_ns(len(rows)))
-            return software_sort(rows, list(op.keys)), schema
-        if isinstance(op, BoundLimit):
-            return software_limit(rows, op.count), schema
-        raise QueryError(f"unknown bound operator {type(op).__name__}")
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
     def select(self, table, columns: list[str] | None,
@@ -676,17 +625,14 @@ class _ClientCore:
         ``(result, elapsed_ns)``.
         """
         parsed = parse_sql(statement)
-        table = self.catalog.lookup(parsed.table)
         if isinstance(parsed, ParsedWrite):
-            return self._sql_write(table, parsed)
+            return self._sql_write(self.catalog.lookup(parsed.table), parsed)
         placement = placement or parsed.placement or "offload"
-        if parsed.extended:
-            return self._run_compiled(parsed, placement, stats)
-        query = parsed.query
-        if parsed.join is not None:
-            build = self.catalog.lookup(parsed.join.table)
-            query = resolve_join_query(parsed, table.schema, build)
-        return self._placed(table, query, placement, stats)
+        bound = bind_select(parsed, self.catalog)
+        if not bound.arms and not bound.ops:
+            # Nothing left for the client: the statement is its head query.
+            return self._placed(bound.base, bound.query, placement, stats)
+        return self._run_compiled(bound, placement, stats)
 
     def _require_versioned(self, handle):
         if not isinstance(handle, self._versioned_type):
@@ -2323,20 +2269,22 @@ class ClusterClient(_ClientCore):
                 f"every shard of {sharded.name!r} is unavailable")
         parts = [r.rows() for r in survivors]
         stacked = np.concatenate(parts)
+        # Grouping and aggregation sit after the join in the chain.
+        table_schema = query.post_join_schema(sharded.schema)
         if plan.mode == "group":
             assert query.group_by is not None
             merged = merge_group_rows(stacked, survivors[0].schema,
-                                      sharded.schema, list(query.group_by),
+                                      table_schema, list(query.group_by),
                                       plan.shard_specs, plan.partial_plans)
             schema = group_output_schema(
-                sharded.schema, list(query.group_by),
+                table_schema, list(query.group_by),
                 [p.spec for p in plan.partial_plans])
         elif plan.mode == "aggregate":
-            merged = merge_aggregate_rows(stacked, sharded.schema,
+            merged = merge_aggregate_rows(stacked, table_schema,
                                           plan.shard_specs,
                                           plan.partial_plans)
             schema = aggregate_output_schema(
-                sharded.schema, [p.spec for p in plan.partial_plans])
+                table_schema, [p.spec for p in plan.partial_plans])
         elif plan.mode == "distinct":
             schema = survivors[0].schema
             merged = merge_distinct_rows(stacked, schema,

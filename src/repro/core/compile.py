@@ -1,26 +1,27 @@
 """SQL compiler: tokenizer, parser -> relational-algebra IR, lowering.
 
 The front half of "the query compiler in Farview" (§4.2).  SQL text is
-tokenized and parsed into the typed IR of :mod:`repro.core.ir`, then
-*lowered* onto the engine:
+tokenized and parsed into the typed IR of :mod:`repro.core.ir`
+(:func:`parse_sql` — no catalog, nothing resolved), and every SELECT is
+then *bound* by :func:`bind_select`, the one name-resolution /
+type-check pass, which compiles the DAG down to
 
-* Statements expressible in the legacy single-chain grammar (one optional
-  join, no ORDER BY / LIMIT / HAVING, no expressions) lower to exactly
-  the :class:`ParsedQuery` the original parser produced — same
-  :class:`~repro.core.query.Query`, same unresolved
-  :class:`ParsedJoin` — and take the unchanged execution path, keeping
-  every pinned baseline byte- and timing-identical.
-* Anything beyond that (multi-way joins, expression projections,
-  expression aggregates, ORDER BY, LIMIT, HAVING, aliases) marks the
-  :class:`ParsedQuery` ``extended`` and carries the IR DAG; the clients
-  route such statements through :func:`bind_select`, the name-resolution
-  / type-check pass that compiles the DAG down to one offloadable head
-  :class:`~repro.core.query.Query`, a chain of client-side build/probe
-  join stages (:class:`BoundArm` — each arm's build read is itself an
-  offloadable Query, independently placeable), and a suffix of
-  deterministic client kernels (:class:`BoundEval` /
+* one offloadable head :class:`~repro.core.query.Query` — the node's
+  fixed chain regex -> selection -> join -> projection -> distinct |
+  group-by | aggregate, with the first unfiltered join riding it as a
+  :class:`~repro.core.query.JoinSpec`;
+* a chain of client-side build/probe join stages (:class:`BoundArm` —
+  each arm's build read is itself an offloadable Query, independently
+  placeable);
+* a tail of deterministic client kernels (:class:`BoundEval` /
   :class:`BoundAggregate` / :class:`BoundFilter` / :class:`BoundSort` /
   :class:`BoundLimit` / :class:`BoundDistinct`).
+
+When nothing is left for the client — no arms, no aggregate the head
+cannot run, no HAVING / ORDER BY / LIMIT, a select list of ``*`` or
+unaliased plain columns — the projection and DISTINCT are pushed into
+the head too and the tail is empty: the statement *is* its head query,
+and the clients run it as one.
 
 WHERE comparisons are restricted to ``column op literal`` so every
 conjunct references exactly one table: the bind pass partitions the
@@ -29,8 +30,8 @@ predicate per table and pushes each piece into the scan of its table
 falls out of composing :func:`~repro.core.planner.plan_placement` per
 stage.
 
-Grammar extensions over the legacy module docstring
-(:mod:`repro.core.sql` keeps the full grammar block)::
+The SELECT grammar (:mod:`repro.core.sql` keeps the full block, write
+statements included)::
 
     query     := [hint] SELECT [DISTINCT] select_list FROM ident
                  join_clause* [WHERE disjunction]
@@ -188,43 +189,19 @@ def like_to_regex(pattern: str) -> str:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ParsedJoin:
-    """The unresolved join clause of a SELECT.
-
-    The parser has no catalog, so the ON sides and the select list are
-    kept as ``(qualifier, column)`` pairs; :func:`resolve_join_query`
-    turns them into a :class:`~repro.core.query.JoinSpec` once both
-    schemas are known.
-    """
-
-    table: str                              # build (dimension) table name
-    left: tuple[str | None, str]            # ON left side
-    right: tuple[str | None, str]           # ON right side
-    select: tuple[tuple[str | None, str], ...] = ()
-    star: bool = False
-
-
-@dataclass(frozen=True)
 class ParsedQuery:
-    """A parsed statement: the table name plus the offloadable Query.
+    """A parsed SELECT: the FROM table's name and the relational-algebra
+    DAG the statement parsed to.  The parser has no catalog, so nothing
+    is resolved yet — :func:`bind_select` turns ``ir`` into the
+    executable head query, join arms and client tail.
 
     ``placement`` carries the optional ``/*+ placement(...) */`` hint
     (``None`` when the statement leaves the decision to the caller).
-    ``join`` is the unresolved JOIN clause; statements carrying one must
-    go through :func:`resolve_join_query` before execution.
-
-    ``ir`` is the relational-algebra DAG the statement parsed to (every
-    SELECT carries one).  ``extended`` marks statements beyond the
-    legacy single-chain grammar: ``query``/``join`` are then
-    placeholders and execution must go through :func:`bind_select`.
     """
 
     table: str
-    query: Query
+    ir: Rel = field(repr=False)
     placement: str | None = None
-    join: ParsedJoin | None = None
-    ir: Optional[Rel] = field(default=None, compare=False, repr=False)
-    extended: bool = False
 
 
 @dataclass(frozen=True)
@@ -293,7 +270,7 @@ def split_regex(condition: Optional[Expr]
 
     Farview's regex operator is a separate pipeline stage: at most one
     text-match term is supported and it must be a top-level AND term
-    (parentheses are transparent), mirroring the legacy parser's rules.
+    (parentheses are transparent).
     """
     matches: list[TextMatch] = []
     rest: list[Expr] = []
@@ -318,7 +295,7 @@ def predicate_from_ir(expr: Expr) -> Predicate:
     """Convert a bound comparison tree into operator predicates.
 
     Column qualifiers are stripped (the predicate runs against one
-    table's schema, exactly as the legacy parser behaved).
+    table's schema).
     """
     if isinstance(expr, Cmp):
         if not isinstance(expr.left, Col) or not isinstance(expr.right, Lit):
@@ -572,7 +549,7 @@ class _Parser:
         self._finish_statement()
         ir = _assemble_ir(table, joins, condition, group_cols, having,
                           star, items, distinct, order, limit)
-        return lower_select(ir, self.placement)
+        return ParsedQuery(table=table, ir=ir, placement=self.placement)
 
     def _join_clause(self) -> Optional[tuple[str, Col, Col]]:
         """``[INNER] JOIN ident ON column '=' column`` after FROM."""
@@ -778,8 +755,8 @@ def _unquote(text: str) -> str:
 
 
 def _strip_cmp_qualifiers(expr: Expr) -> Expr:
-    """Drop table qualifiers off every column in a comparison tree (the
-    legacy single-table behaviour for write-statement predicates)."""
+    """Drop table qualifiers off every column in a comparison tree (it
+    is evaluated against one table's schema)."""
     if isinstance(expr, Cmp) and isinstance(expr.left, Col):
         return replace(expr, left=Col(expr.left.name))
     if isinstance(expr, BoolAnd):
@@ -801,7 +778,7 @@ def _assemble_ir(table: str, joins, condition, group_cols, having,
                  star: bool, items, distinct: bool, order,
                  limit: Optional[int]) -> Rel:
     """Stack the parsed clauses into the canonical IR shape, running the
-    structural validations the legacy ``_build_query`` enforced."""
+    structural validations that need no catalog."""
     agg_items = [expr for expr, _alias in items if isinstance(expr, AggCall)]
     plain_items = [(expr, alias) for expr, alias in items
                    if not isinstance(expr, AggCall)]
@@ -833,8 +810,8 @@ def _assemble_ir(table: str, joins, condition, group_cols, having,
     elif agg_items and plain_items:
         raise SqlSyntaxError(
             "plain columns next to aggregates need a GROUP BY")
-    # Fires the legacy regex-composition errors at parse time (the split
-    # itself is redone during lowering/binding).
+    # Fires the regex-composition errors at parse time (the split itself
+    # is redone during binding).
     split_regex(condition)
     for expr in agg_items:
         if expr.arg is not None and not isinstance(expr.arg, Col):
@@ -906,180 +883,6 @@ def unstack_select(rel: Rel) -> SelectParts:
                        distinct=distinct, sort=sort, limit=limit)
 
 
-# --------------------------------------------------------------------------
-# Lowering: IR -> ParsedQuery (legacy fast path or extended marker)
-# --------------------------------------------------------------------------
-
-def _is_legacy(parts: SelectParts) -> bool:
-    """Statements the original grammar covered lower to the exact legacy
-    ParsedQuery and take the unchanged execution path."""
-    if parts.sort is not None or parts.limit is not None:
-        return False
-    if parts.aggregate is not None and parts.aggregate.having is not None:
-        return False
-    if len(parts.joins) > 1:
-        return False
-    for expr, alias in parts.project.items:
-        if isinstance(expr, AggCall):
-            if expr.arg is not None and not isinstance(expr.arg, Col):
-                return False
-        elif not (isinstance(expr, Col) and alias is None):
-            return False
-    return True
-
-
-def lower_select(ir: Rel, placement: str | None) -> ParsedQuery:
-    parts = unstack_select(ir)
-    if _is_legacy(parts):
-        return _lower_legacy(parts, ir, placement)
-    query = Query(label="sql")          # placeholder; bind_select builds
-    return ParsedQuery(table=parts.scan.table, query=query,
-                       placement=placement, join=None, ir=ir,
-                       extended=True)
-
-
-def _lower_legacy(parts: SelectParts, ir: Rel,
-                  placement: str | None) -> ParsedQuery:
-    star = parts.project.star
-    columns: list[str] = []
-    select_refs: list[tuple[str | None, str]] = []
-    aggregates: list[AggregateSpec] = []
-    for expr, _alias in parts.project.items:
-        if isinstance(expr, AggCall):
-            column = "*" if expr.arg is None else expr.arg.name
-            aggregates.append(AggregateSpec(expr.func, column, expr.alias))
-        else:
-            columns.append(expr.name)
-            select_refs.append((expr.qualifier, expr.name))
-    residual, tm = split_regex(parts.condition)
-    predicate = (predicate_from_ir(_strip_cmp_qualifiers(residual))
-                 if residual is not None else None)
-    regex = None
-    if tm is not None:
-        regex = _textmatch_regex(tm)
-    group_by = (tuple(col.name for col in parts.aggregate.group_by)
-                if parts.aggregate is not None and parts.aggregate.group_by
-                else None)
-    join = None
-    if parts.joins:
-        j = parts.joins[0]
-        join = ParsedJoin(table=j.table,
-                          left=(j.left.qualifier, j.left.name),
-                          right=(j.right.qualifier, j.right.name),
-                          select=tuple(select_refs), star=star)
-    projection = None
-    if (not star and columns and group_by is None and not aggregates
-            and join is None):
-        projection = tuple(columns)
-    query = Query(
-        projection=projection,
-        predicate=predicate,
-        regex=regex,
-        distinct=parts.distinct,
-        distinct_columns=None,  # DISTINCT applies to the projection
-        group_by=group_by,
-        aggregates=tuple(aggregates),
-        label="sql")
-    return ParsedQuery(table=parts.scan.table, query=query,
-                       placement=placement, join=join, ir=ir)
-
-
-# --------------------------------------------------------------------------
-# Legacy join resolution (single-join fast path)
-# --------------------------------------------------------------------------
-
-def resolve_join_query(parsed: ParsedQuery, probe_schema,
-                       build_table) -> Query:
-    """Resolve a parsed JOIN statement against the actual schemas.
-
-    ``probe_schema`` is the FROM table's schema; ``build_table`` is the
-    catalog handle of the joined table (anything with ``schema`` — a
-    plain :class:`~repro.core.table.FTable`, a sharded handle, or a
-    versioned table).  Decides which ON side is the probe key, splits
-    the select list into probe projection and build payload, and
-    returns the executable :class:`~repro.core.query.Query` carrying a
-    :class:`~repro.core.query.JoinSpec`.
-    """
-    pj = parsed.join
-    if pj is None:
-        return parsed.query
-    build_schema = build_table.schema
-    probe_name, build_name = parsed.table, pj.table
-
-    def side(qualifier: str | None, name: str) -> str:
-        if qualifier is not None and qualifier not in (probe_name,
-                                                       build_name):
-            raise SqlSyntaxError(
-                f"unknown table qualifier {qualifier!r}; the query joins "
-                f"{probe_name!r} with {build_name!r}")
-        if qualifier == probe_name:
-            if name not in probe_schema.names:
-                raise SqlSyntaxError(
-                    f"unknown column {probe_name}.{name}")
-            return "probe"
-        if qualifier == build_name:
-            if name not in build_schema.names:
-                raise SqlSyntaxError(
-                    f"unknown column {build_name}.{name}")
-            return "build"
-        if name in probe_schema.names:
-            return "probe"      # probe side wins an ambiguous bare name
-        if name in build_schema.names:
-            return "build"
-        raise SqlSyntaxError(
-            f"unknown column {name!r}: in neither {probe_name!r} nor "
-            f"{build_name!r}")
-
-    left_side, right_side = side(*pj.left), side(*pj.right)
-    if {left_side, right_side} != {"probe", "build"}:
-        raise SqlSyntaxError(
-            f"join ON must relate one column of {probe_name!r} to one "
-            f"column of {build_name!r}")
-    probe_key = pj.left[1] if left_side == "probe" else pj.right[1]
-    build_key = pj.left[1] if left_side == "build" else pj.right[1]
-
-    grouped = (parsed.query.group_by is not None
-               or bool(parsed.query.aggregates))
-    if pj.star:
-        payload = [n for n in build_schema.names if n != build_key]
-        projection = None
-    else:
-        payload = []
-        names: list[str] = []
-        probe_names = set(probe_schema.names)
-        for qualifier, name in pj.select:
-            if side(qualifier, name) == "probe":
-                names.append(name)
-                continue
-            if name == build_key:
-                # The build key equals the probe key after an inner join.
-                names.append(probe_key)
-                continue
-            if name not in payload:
-                payload.append(name)
-            names.append(name if name not in probe_names
-                         else f"build_{name}")
-        # GROUP BY / aggregate statements keep projection=None (exactly
-        # as _build_query does without a join): the grouping stage needs
-        # the aggregate input columns a select-list projection would
-        # drop.
-        projection = tuple(names) if names and not grouped else None
-    if not payload:
-        # A semi-join shape: no build column selected beyond the key (or
-        # SELECT * over the build side).  The operator must carry at
-        # least one payload column; borrow one — the projection (or the
-        # aggregation) drops it from the result.
-        extra = [n for n in build_schema.names if n != build_key]
-        if not extra:
-            raise SqlSyntaxError(
-                f"joined table {build_name!r} has no columns besides the "
-                f"key {build_key!r}; nothing to join in")
-        payload.append(extra[0])
-    return replace(parsed.query, projection=projection,
-                   join=JoinSpec(build_table, build_key, probe_key,
-                                 tuple(payload)))
-
-
 def parse_sql(sql: str) -> ParsedQuery | ParsedWrite:
     """Parse one SQL statement.
 
@@ -1095,6 +898,8 @@ def parse_sql(sql: str) -> ParsedQuery | ParsedWrite:
 # --------------------------------------------------------------------------
 # Bound client-side operators (the lowered DAG suffix)
 # --------------------------------------------------------------------------
+# ``kernel`` names the kernel of :func:`repro.core.planner.run_client_kernel`
+# that runs the node, reading its parameters off the node's fields.
 
 @dataclass(frozen=True)
 class BoundEval:
@@ -1102,6 +907,7 @@ class BoundEval:
 
     items: tuple[tuple[Expr, str], ...]
     schema: Schema
+    kernel = "eval"
 
 
 @dataclass(frozen=True)
@@ -1109,6 +915,7 @@ class BoundFilter:
     """Row filter over the current intermediate (WHERE residue, HAVING)."""
 
     predicate: Predicate
+    kernel = "selection"
 
 
 @dataclass(frozen=True)
@@ -1117,11 +924,15 @@ class BoundAggregate:
 
     group_by: tuple[str, ...]
     aggregates: tuple[AggregateSpec, ...]
+    kernel = "aggregate"
 
 
 @dataclass(frozen=True)
 class BoundDistinct:
     """Client-side dedup over every output column."""
+
+    distinct_columns = None
+    kernel = "distinct"
 
 
 @dataclass(frozen=True)
@@ -1129,11 +940,13 @@ class BoundSort:
     """Deterministic stable sort; keys are ``(column, ascending)``."""
 
     keys: tuple[tuple[str, bool], ...]
+    kernel = "sort"
 
 
 @dataclass(frozen=True)
 class BoundLimit:
     count: int
+    kernel = "limit"
 
 
 @dataclass(frozen=True)
@@ -1155,7 +968,7 @@ class BoundArm:
 
 @dataclass
 class BoundSelect:
-    """A fully resolved extended SELECT, ready to execute.
+    """A fully resolved SELECT, ready to execute.
 
     ``query`` is the head (stage-0) offloadable Query against ``base``;
     ``arms`` chain client-side joins onto its output; ``ops`` are the
@@ -1177,7 +990,7 @@ def _ordered_add(seq: list, value) -> None:
 
 
 def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
-    """Name-resolve and type-check an extended SELECT against the catalog,
+    """Name-resolve and type-check a SELECT against the catalog,
     lowering the IR DAG onto the engine (head Query + join arms + client
     kernels).  See the module docstring for the placement rationale."""
     parts = unstack_select(parsed.ir)
@@ -1229,7 +1042,7 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
 
     def canonical(table: str, name: str) -> tuple[str, str]:
         """Map a build key onto the probe column it equals after the
-        inner join (the legacy build-key-select rule, chained)."""
+        inner join (chained through multi-way joins)."""
         for info in join_info:
             if info["table"] == table and info["build_key"] == name:
                 return canonical(*info["probe_ref"])
@@ -1282,8 +1095,8 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
         regex_filter = _textmatch_regex(tm)
 
     # -- stage-0 eligibility -------------------------------------------------
-    # The first join rides the head query's on-chip hash (the legacy
-    # offloadable JoinSpec) when its build table carries no pushed-down
+    # The first join rides the head query's on-chip hash (an offloadable
+    # JoinSpec) when its build table carries no pushed-down
     # predicate; any filtered build — and every later join — becomes a
     # client arm whose build read is its own independently placed Query.
     # A later unfiltered join whose build is hash-co-located with the
@@ -1315,7 +1128,7 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
         if _stage0_ok(idx, info):
             stage0_idx = idx
             if _colocated(info):
-                break  # co-located beats the legacy (broadcast) pick
+                break  # co-located beats the first-join (broadcast) pick
     stage0_join: dict | None = None
     arm_infos: list[dict] = []
     for idx, info in enumerate(join_info):
@@ -1328,12 +1141,26 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
     stage0_agg = (agg is not None and not arm_infos
                   and all(a.arg is None or isinstance(a.arg, Col)
                           for a in agg.aggs))
+    # Nothing left for the client: the head's own projection / DISTINCT
+    # stages then emit the select list (in select order) and the tail
+    # stays empty.  Never under a client ORDER BY / LIMIT — the gather
+    # order of a node-side DISTINCT would leak into sort ties.
+    if agg is not None:
+        head_emits_select = stage0_agg and agg.having is None
+    else:
+        head_emits_select = all(isinstance(expr, Col) and alias is None
+                                for expr, alias in parts.project.items)
+    tail_empty = (head_emits_select and not arm_infos
+                  and parts.sort is None and parts.limit is None)
 
     def payload_for(info: dict) -> tuple[str, ...]:
         table, key = info["table"], info["build_key"]
         schema = schemas[table]
         payload = [n for n in needed[table] if n != key]
-        payload = [n for n in schema.names if n in payload]
+        if not tail_empty:
+            # The client tail re-orders anyway; schema order keeps the
+            # stage's shipped layout independent of the select list.
+            payload = [n for n in schema.names if n in payload]
         if not payload:
             extra = [n for n in schema.names if n != key]
             if not extra:
@@ -1471,10 +1298,13 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
                 out = alias
             items.append((_rebind(expr, current_name), out))
         eval_schema = _eval_schema(items, inter_schema)
-        ops.append(BoundEval(tuple(items), eval_schema))
+        if tail_empty:
+            projection0 = tuple(name for _expr, name in items)
+        else:
+            ops.append(BoundEval(tuple(items), eval_schema))
         inter_schema = eval_schema
 
-    if parts.distinct:
+    if parts.distinct and not tail_empty:
         ops.append(BoundDistinct())
     if parts.sort is not None:
         keys: list[tuple[str, bool]] = []
@@ -1491,6 +1321,7 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
         predicate=predicate0,
         regex=regex0,
         join=spec0,
+        distinct=parts.distinct and tail_empty,
         group_by=tuple(group_names) if (stage0_agg and group_names) else None,
         aggregates=tuple(specs) if stage0_agg else (),
         label="sql")

@@ -58,18 +58,21 @@ from ..baselines.sw_ops import (
     software_distinct,
     software_groupby,
     software_join,
+    software_limit,
     software_project,
     software_regex,
     software_select,
+    software_sort,
 )
 from ..common.config import FarviewConfig
 from ..common.errors import JoinBuildOverflowError, QueryError
 from ..common.records import Schema
 from ..operators.join import join_output_schema
 from .cluster import aggregate_output_schema, group_output_schema
-from .cost_model import (CardinalityStep, PlacementCostModel, PlanStats,
-                         delta_merge_cost_ns, estimate_chain,
-                         join_build_profile)
+from .cost_model import (HASHMAP_GROWTH_THRESHOLD, CardinalityStep,
+                         PlacementCostModel, PlanStats, delta_merge_cost_ns,
+                         estimate_chain, join_build_profile)
+from .ir import eval_expr
 from .pipeline_compiler import compile_query
 from .query import Query
 from .table import FTable
@@ -104,7 +107,7 @@ def build_fragment(query: Query, chain: list[str], split: int) -> Optional[Query
     """The offloaded prefix ``chain[:split]`` as a standalone Query.
 
     ``split == len(chain)`` returns the original query (identity — the
-    legacy full-offload path must stay byte- and signature-identical);
+    full-offload path must stay byte- and signature-identical);
     ``split == 0`` returns ``None`` (nothing offloaded, raw read).
     """
     if split == len(chain):
@@ -249,7 +252,7 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
     ship/hybrid candidates whose shipped intermediate would not fit the
     client buffer — a raw read of a table larger than the buffer cannot
     land.  Full offload is never pruned (its result-must-fit behaviour
-    is the legacy contract).  An *explicit* ``placement="ship"`` that
+    is :meth:`far_view`'s contract).  An *explicit* ``placement="ship"`` that
     cannot fit raises instead of crashing mid-read.
 
     Versioned tables pass ``scan_bytes`` (base + K delta segments — what
@@ -292,6 +295,7 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
             f"encrypted")
     chain = operator_chain(query)
     schema = table.schema
+    query.validate(schema)      # ship runs no compiler; type errors stay typed
     nrows = total_rows if total_rows is not None else table.num_rows
     bytes_in = nrows * schema.row_width
     scan_total = float(scan_bytes) if scan_bytes is not None else float(bytes_in)
@@ -424,86 +428,112 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
 
 
 # ---------------------------------------------------------------------------
-# Client-side remainder execution
+# Client software kernels: the one interpreter of "run one sw_ops operator
+# over decoded rows and charge CpuCostModel for it"
 # ---------------------------------------------------------------------------
+
+def run_client_kernel(name: str, op, rows: np.ndarray, schema: Schema,
+                      cpu: CpuCostModel, cost: CostBreakdown
+                      ) -> tuple[np.ndarray, Schema]:
+    """Run the unary client kernel ``name`` and charge its modeled time
+    into ``cost``; returns the new ``(rows, schema)``.
+
+    ``name`` is an :func:`operator_chain` step name or the compiled
+    tail's ``eval`` / ``sort`` / ``limit``.  ``op`` carries the
+    parameters: a planned split passes its :class:`Query`, a compiled
+    tail the ``Bound*`` node (whose ``kernel`` attribute is its name) —
+    the two vocabularies share field names (``predicate``,
+    ``group_by``, ``aggregates``, ``distinct_columns``), so one kernel
+    serves both, with the same :mod:`~repro.baselines.sw_ops` kernels as
+    the LCPU baseline: output bytes match the node pipeline operator for
+    operator.
+    """
+    n = len(rows)
+    if name == "regex":
+        regex = op.regex
+        cost.add("re2", cpu.regex_ns(n * schema.column(regex.column).width))
+        return software_regex(rows, regex.column, regex.pattern), schema
+    if name == "selection":
+        cost.add("predicate", cpu.select_ns(n))
+        return software_select(rows, op.predicate), schema
+    if name == "projection":
+        cost.add("project", cpu.select_ns(n))
+        columns = list(op.projection)
+        return software_project(rows, schema, columns), schema.project(columns)
+    if name == "eval":
+        cost.add("project", cpu.select_ns(n))
+        out = op.schema.empty(n)
+        for expr, column in op.items:
+            out[column] = eval_expr(expr, rows, schema)
+        return out, op.schema
+    if name == "distinct":
+        output = software_distinct(
+            rows, schema, list(op.distinct_columns or schema.names))
+        cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
+        return output.rows, schema
+    if name in ("groupby", "aggregate"):
+        specs = list(op.aggregates)
+        if not op.group_by:
+            cost.add("aggregate", cpu.aggregate_update_ns(n))
+            return (software_aggregate(rows, schema, specs),
+                    aggregate_output_schema(schema, specs))
+        keys = list(op.group_by)
+        output = software_groupby(rows, schema, keys, specs)
+        cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
+        cost.add("aggregate", cpu.aggregate_update_ns(n))
+        return output.rows, group_output_schema(schema, keys, specs)
+    if name == "sort":
+        cost.add("sort", cpu.sort_ns(n))
+        return software_sort(rows, list(op.keys)), schema
+    if name == "limit":
+        return software_limit(rows, op.count), schema
+    raise QueryError(f"unknown client step {name!r}")
+
+
+def run_client_join(rows: np.ndarray, schema: Schema,
+                    build_rows: np.ndarray, build_schema: Schema, spec,
+                    cpu: CpuCostModel, cost: CostBreakdown
+                    ) -> tuple[np.ndarray, Schema]:
+    """The binary kernel: hash ``build_rows``, probe with ``rows``.
+    ``spec`` names ``build_key`` / ``probe_key`` / ``payload`` (a
+    :class:`~repro.core.query.JoinSpec` or a compiled ``BoundArm``)."""
+    payload = list(spec.payload)
+    cost.add("hash", cpu.hash_ns(
+        len(build_rows), growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
+    cost.add("hash", cpu.hash_ns(len(rows), growing=False))
+    rows = software_join(rows, schema, build_rows, build_schema,
+                         spec.build_key, spec.probe_key, payload)
+    return rows, join_output_schema(schema, build_schema, payload)
+
 
 def run_client_steps(rows: np.ndarray, schema: Schema, steps: list[str],
                      query: Query, cpu: CpuCostModel,
                      cost: CostBreakdown,
                      build_rows: np.ndarray | None = None
                      ) -> tuple[np.ndarray, Schema]:
-    """Execute the software remainder over decoded rows.
-
-    Mirrors the node pipeline operator for operator (same
-    :mod:`~repro.baselines.sw_ops` kernels as the LCPU baseline, so the
-    output bytes match full offload exactly) and charges
-    :class:`~repro.baselines.cpu_model.CpuCostModel` time into ``cost``.
-    ``decrypt`` is a byte-level stage the caller must have applied before
-    decoding.  A shipped ``join`` step needs ``build_rows`` — the build
-    table's decoded rows, fetched by the caller with a timed raw read.
+    """Execute the software remainder of a planned split over decoded
+    rows: each step of ``steps`` is a client kernel parameterized by
+    ``query``.  ``decrypt`` is a byte-level stage the caller must have
+    applied before decoding.  A shipped ``join`` step needs
+    ``build_rows`` — the build table's decoded rows, fetched by the
+    caller with a timed raw read.
     """
-    from .cost_model import HASHMAP_GROWTH_THRESHOLD
-
     for step in steps:
         if step == "decrypt":
             raise QueryError(
                 "decrypt is a byte-level stage; apply software_decrypt "
                 "before decoding rows")
-        if step == "regex":
-            assert query.regex is not None
-            width = schema.column(query.regex.column).width
-            cost.add("re2", cpu.regex_ns(len(rows) * width))
-            rows = software_regex(rows, query.regex.column,
-                                  query.regex.pattern)
-        elif step == "selection":
-            assert query.predicate is not None
-            cost.add("predicate", cpu.select_ns(len(rows)))
-            rows = software_select(rows, query.predicate)
-        elif step == "join":
-            assert query.join is not None
+        if step == "join":
             if build_rows is None:
                 raise QueryError(
                     "shipped join needs the build table's rows; fetch "
                     "them with a raw read before running client steps")
-            spec = query.join
-            build_schema = spec.build_table.schema
-            cost.add("hash", cpu.hash_ns(
-                len(build_rows),
-                growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
-            cost.add("hash", cpu.hash_ns(len(rows), growing=False))
-            rows = software_join(rows, schema, build_rows, build_schema,
-                                 spec.build_key, spec.probe_key,
-                                 list(spec.payload))
-            schema = join_output_schema(schema, build_schema,
-                                        list(spec.payload))
-        elif step == "projection":
-            assert query.projection is not None
-            cost.add("project", cpu.select_ns(len(rows)))
-            rows = software_project(rows, schema, list(query.projection))
-            schema = schema.project(list(query.projection))
-        elif step == "distinct":
-            keys = (list(query.distinct_columns) if query.distinct_columns
-                    else list(schema.names))
-            output = software_distinct(rows, schema, keys)
-            cost.add("hash", cpu.hash_ns(len(rows),
-                                         growing=output.map_resizes > 0))
-            rows = output.rows
-        elif step == "groupby":
-            assert query.group_by is not None
-            output = software_groupby(rows, schema, list(query.group_by),
-                                      list(query.aggregates))
-            cost.add("hash", cpu.hash_ns(len(rows),
-                                         growing=output.map_resizes > 0))
-            cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-            rows = output.rows
-            schema = group_output_schema(schema, list(query.group_by),
-                                         list(query.aggregates))
-        elif step == "aggregate":
-            cost.add("aggregate", cpu.aggregate_update_ns(len(rows)))
-            rows = software_aggregate(rows, schema, list(query.aggregates))
-            schema = aggregate_output_schema(schema, list(query.aggregates))
+            rows, schema = run_client_join(
+                rows, schema, build_rows, query.join.build_table.schema,
+                query.join, cpu, cost)
         else:
-            raise QueryError(f"unknown client step {step!r}")
+            rows, schema = run_client_kernel(step, query, rows, schema, cpu,
+                                             cost)
     return rows, schema
 
 
@@ -528,7 +558,7 @@ class StagePlan:
 
 @dataclass
 class DagPlan:
-    """The placement decision record for a compiled (extended) statement.
+    """The placement decision record for a compiled statement.
 
     Generalizes :class:`ExplainPlan` from a prefix split of one operator
     chain to per-stage decisions over the lowered DAG: the head scan and

@@ -13,12 +13,13 @@ Farview, rather than directly by the client", §4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import QueryError
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
+from ..operators.join import join_output_schema
 from ..operators.selection import Predicate
 
 
@@ -105,28 +106,35 @@ class Query:
                     "encrypt_output needs a 16-byte key and 12-byte nonce")
 
     # -- validation against a schema -------------------------------------------
-    def _post_join_names(self, schema: Schema) -> set[str]:
-        """Column names visible after the (optional) join stage."""
-        names = set(schema.names)
-        if self.join is not None:
-            for name in self.join.payload:
-                names.add(name if name not in names else f"build_{name}")
-        return names
+    def post_join_schema(self, schema: Schema) -> Schema:
+        """What the stages after the (optional) join read: the table's
+        ``schema`` plus the payload columns."""
+        if self.join is None:
+            return schema
+        return join_output_schema(
+            schema, self.join.build_table.schema,  # type: ignore[attr-defined]
+            list(self.join.payload))
 
     def validate(self, schema: Schema) -> None:
-        """Check all referenced columns exist and combinations make sense."""
-        visible = self._post_join_names(schema)
-        for name in self.projection or ():
-            if name not in visible:
-                raise QueryError(
-                    f"unknown projected column {name!r}; visible: "
-                    f"{sorted(visible)}")
+        """Check all referenced columns exist and combinations make sense.
+
+        Regex, selection and the probe key read the table's ``schema``;
+        every stage after the join (projection, distinct, group-by,
+        aggregation) reads the post-join schema.
+        """
         if self.join is not None:
             schema.column(self.join.probe_key)
             build_schema = self.join.build_table.schema  # type: ignore[attr-defined]
             build_schema.column(self.join.build_key)
             for name in self.join.payload:
                 build_schema.column(name)
+        post = self.post_join_schema(schema)
+        visible = post.names
+        for name in self.projection or ():
+            if name not in visible:
+                raise QueryError(
+                    f"unknown projected column {name!r}; visible: "
+                    f"{sorted(visible)}")
         if self.predicate is not None:
             self.predicate.validate(schema)
         if self.regex is not None:
@@ -136,11 +144,11 @@ class Query:
                     f"regex column {self.regex.column!r} must be char, "
                     f"is {col.kind}")
         for name in self.distinct_columns or ():
-            schema.column(name)
+            post.column(name)
         for name in self.group_by or ():
-            schema.column(name)
+            post.column(name)
         for spec in self.aggregates:
-            spec.validate(schema)
+            spec.validate(post)
         self._validate_projection_consistency(schema)
 
     def _validate_projection_consistency(self, schema: Schema) -> None:

@@ -7,9 +7,8 @@ the compiler layers underneath:
   Filter, Aggregate/Having, Project-with-expressions, Distinct, Sort,
   Limit) plus scalar expression nodes and SQL rendering.
 * :mod:`repro.core.compile` — tokenizer, recursive-descent parser
-  producing the IR, the lowering pass onto the engine's operator
-  chains, and :func:`bind_select`, the name-resolution / type-check
-  pass for statements beyond the single-chain grammar.
+  producing the IR, and :func:`bind_select`, the one name-resolution /
+  type-check pass that lowers every SELECT onto the engine.
 
 Grammar (see ``docs/SQL.md`` for the full reference)::
 
@@ -39,27 +38,22 @@ Grammar (see ``docs/SQL.md`` for the full reference)::
                  (',' ident '=' literal)* [where] [';']
     delete    := DELETE FROM ident [where] [';']
 
-Statements expressible in the original single-chain grammar (at most
-one join, no ORDER BY / LIMIT / HAVING, no expressions or aliases on
-plain columns) parse to the exact same :class:`ParsedQuery` the
-original parser produced and execute on the unchanged legacy path.
-Everything else is marked ``extended`` and routed through the IR
-binder (multi-way joins become chained build/probe stages; ORDER BY /
-LIMIT / expression projections become deterministic client-side
-kernels).
+Every SELECT parses to a :class:`ParsedQuery` (table name, IR DAG,
+placement hint) and is bound against the catalog into one offloadable
+head query, client-side join arms and a tail of deterministic client
+kernels.  A statement the node's operator chain covers whole (at most
+one unfiltered join, no ORDER BY / LIMIT / HAVING, no expressions or
+aliases) binds with an empty tail and runs as its head query alone.
 """
 
-from .compile import (ParsedJoin, ParsedQuery, ParsedWrite, SqlSyntaxError,
-                      bind_select, like_to_regex, parse_sql,
-                      resolve_join_query)
+from .compile import (ParsedQuery, ParsedWrite, SqlSyntaxError, bind_select,
+                      like_to_regex, parse_sql)
 
 __all__ = [
-    "ParsedJoin",
     "ParsedQuery",
     "ParsedWrite",
     "SqlSyntaxError",
     "bind_select",
     "like_to_regex",
     "parse_sql",
-    "resolve_join_query",
 ]

@@ -12,6 +12,7 @@ deposit results; :class:`ClientBuffer` models that memory functionally.
 from __future__ import annotations
 
 import itertools
+import mmap
 
 from ..common.errors import NetworkError
 from ..sim.engine import Simulator
@@ -27,8 +28,7 @@ class ClientBuffer:
         if capacity <= 0:
             raise NetworkError(f"client buffer needs positive capacity: {capacity}")
         self.capacity = capacity
-        self._data = bytearray(capacity)
-        self.bytes_received = 0
+        self.reset()
 
     def deposit(self, offset: int, chunk: bytes) -> None:
         """Land one packet's payload at ``offset`` (out-of-order friendly)."""
@@ -48,7 +48,11 @@ class ClientBuffer:
         return bytes(self._data[offset:offset + length])
 
     def reset(self) -> None:
-        self._data = bytearray(self.capacity)
+        # An anonymous mapping, not heap memory: pages become resident
+        # only when a deposit touches them, whatever the allocator has
+        # recycled (a calloc'd bytearray is zero-filled, hence resident,
+        # exactly when glibc hands back a freed chunk).
+        self._data = mmap.mmap(-1, self.capacity)
         self.bytes_received = 0
 
 

@@ -312,6 +312,25 @@ def test_groupby_hybrid_split_matches_offload():
     assert schema.to_bytes(rows) == canonical_result_bytes(offload_result)
     assert cost.total_ns > 0
 
+    # A compiled statement's client tail runs the very same kernels: the
+    # same rows through Bound* nodes give equal rows and an equal bill.
+    from repro.core.compile import BoundAggregate, BoundFilter
+    from repro.core.planner import run_client_kernel
+
+    cpu = CpuCostModel()
+    step_cost, tail_cost = CostBreakdown(), CostBreakdown()
+    step_rows, step_schema = run_client_steps(
+        wl.rows, wl.schema, ["selection", "groupby"], query, cpu, step_cost)
+    tail_rows, tail_schema = wl.rows, wl.schema
+    for op in (BoundFilter(query.predicate),
+               BoundAggregate(("a",), query.aggregates)):
+        tail_rows, tail_schema = run_client_kernel(
+            op.kernel, op, tail_rows, tail_schema, cpu, tail_cost)
+    assert tail_schema == step_schema
+    assert tail_schema.to_bytes(tail_rows) == step_schema.to_bytes(step_rows)
+    assert tail_cost == step_cost
+    assert set(step_cost.parts) == {"predicate", "hash", "aggregate"}
+
 
 def test_explain_plan_estimates_and_actuals():
     wl = selection_workload(4096, 0.5, seed=5)

@@ -125,6 +125,31 @@ def test_query_validates_against_schema():
               aggregates=(AggregateSpec("sum", "a"),)).validate(schema)
 
 
+def test_post_join_stages_validate_against_the_post_join_schema():
+    """DISTINCT columns, GROUP BY keys and aggregate inputs sit after the
+    join in the chain, so payload columns (and their ``build_`` collision
+    renames) are visible to them; selection and regex still read the
+    probe table."""
+    from repro.common.records import Column, Schema
+    from repro.core.query import JoinSpec
+
+    probe = Schema([Column("k", "int64"), Column("v", "float64")])
+    build = FTable("dim", Schema([Column("id", "int64"),
+                                  Column("v", "float64"),
+                                  Column("zone", "int64")]), 4)
+    join = JoinSpec(build, "id", "k", ("zone", "v"))
+    Query(join=join, group_by=("zone",),
+          aggregates=(AggregateSpec("sum", "v", "s"),
+                      AggregateSpec("max", "build_v", "m"))).validate(probe)
+    Query(join=join, distinct=True,
+          distinct_columns=("zone",)).validate(probe)
+    with pytest.raises(QueryError):
+        Query(join=join, group_by=("nope",),
+              aggregates=(AggregateSpec("count", "*", "n"),)).validate(probe)
+    with pytest.raises(QueryError):
+        Query(join=join, predicate=Compare("zone", "<", 2)).validate(probe)
+
+
 def test_query_accessed_columns():
     schema = default_schema()
     q = Query(projection=("a",), predicate=Compare("c", "<", 5))

@@ -3,56 +3,91 @@
 import numpy as np
 import pytest
 
-from repro.common.records import default_schema, string_schema
-from repro.core.sql import (ParsedWrite, SqlSyntaxError, like_to_regex,
-                            parse_sql)
+from repro.common.records import Column, Schema, default_schema
+from repro.core.ir import Col, Join, Scan
+from repro.core.query import JoinSpec, Query, RegexFilter
+from repro.core.sql import (ParsedWrite, SqlSyntaxError, bind_select,
+                            like_to_regex, parse_sql)
+from repro.operators.aggregate import AggregateSpec
 from repro.operators.regex_engine import compile_pattern
 from repro.operators.selection import And, Compare, Not, Or
+
+
+# --- the one route: parse, then bind against a (stub) catalog -----------------
+
+#: What the stub catalog serves for any table a test does not describe.
+_ANY = Schema([Column("a", "int64"), Column("A", "int64"),
+               Column("b", "float64"), Column("c", "float64"),
+               Column("id", "int64"), Column("s", "char", 16)])
+
+
+class _Handle:
+    """A catalog-handle stand-in: the binder only needs name + schema."""
+
+    def __init__(self, name, schema):
+        self.name, self.schema = name, schema
+
+
+class _Catalog:
+    def __init__(self, **schemas):
+        self.handles = {name: _Handle(name, schema)
+                        for name, schema in schemas.items()}
+
+    def lookup(self, name):
+        return self.handles.setdefault(name, _Handle(name, _ANY))
+
+
+def _head(sql: str, **schemas) -> Query:
+    """The head query of a statement that leaves nothing for the client."""
+    bound = bind_select(parse_sql(sql), _Catalog(**schemas))
+    assert bound.arms == () and bound.ops == ()
+    return bound.query
 
 
 # --- basic statements ---------------------------------------------------------
 
 def test_select_star():
-    parsed = parse_sql("SELECT * FROM S")
-    assert parsed.table == "S"
-    assert parsed.query.projection is None
-    assert parsed.query.predicate is None
+    assert parse_sql("SELECT * FROM S").table == "S"
+    query = _head("SELECT * FROM S")
+    assert query.projection is None
+    assert query.predicate is None
 
 
 def test_select_columns():
-    parsed = parse_sql("SELECT a, b FROM t;")
-    assert parsed.query.projection == ("a", "b")
+    assert _head("SELECT a, b FROM t;").projection == ("a", "b")
+    # Select order, not schema order, and never pruned to "all columns".
+    assert _head("SELECT b, a FROM t;").projection == ("b", "a")
 
 
 def test_table_qualified_columns_resolve():
-    parsed = parse_sql("SELECT S.a FROM S WHERE S.c > 3.14;")
-    assert parsed.table == "S"
-    assert parsed.query.projection == ("a",)
-    assert parsed.query.predicate == Compare("c", ">", 3.14)
+    sql = "SELECT S.a FROM S WHERE S.c > 3.14;"
+    assert parse_sql(sql).table == "S"
+    query = _head(sql)
+    assert query.projection == ("a",)
+    assert query.predicate == Compare("c", ">", 3.14)
 
 
 def test_keywords_case_insensitive():
-    parsed = parse_sql("select A From T wHeRe A < 5")
-    assert parsed.query.predicate == Compare("A", "<", 5)
+    query = _head("select A From T wHeRe A < 5")
+    assert query.predicate == Compare("A", "<", 5)
 
 
 def test_paper_selection_query():
     """§6.4: SELECT * FROM S WHERE S.a < X AND S.b < Y."""
-    parsed = parse_sql("SELECT * FROM S WHERE S.a < 17 AND S.b < 0.5")
-    assert parsed.query.predicate == And(Compare("a", "<", 17),
-                                         Compare("b", "<", 0.5))
+    query = _head("SELECT * FROM S WHERE S.a < 17 AND S.b < 0.5")
+    assert query.predicate == And(Compare("a", "<", 17),
+                                  Compare("b", "<", 0.5))
 
 
 def test_distinct():
-    parsed = parse_sql("SELECT DISTINCT a FROM S")
-    assert parsed.query.distinct
-    assert parsed.query.projection == ("a",)
+    query = _head("SELECT DISTINCT a FROM S")
+    assert query.distinct
+    assert query.projection == ("a",)
 
 
 def test_group_by_sum():
     """§6.5: SELECT S.a, SUM(S.b) FROM S GROUP BY S.a."""
-    parsed = parse_sql("SELECT a, SUM(b) FROM S GROUP BY a")
-    q = parsed.query
+    q = _head("SELECT a, SUM(b) FROM S GROUP BY a")
     assert q.group_by == ("a",)
     assert len(q.aggregates) == 1
     assert q.aggregates[0].func == "sum"
@@ -60,53 +95,53 @@ def test_group_by_sum():
 
 
 def test_aggregates_with_aliases():
-    parsed = parse_sql(
-        "SELECT a, COUNT(*) AS n, AVG(b) AS mean FROM t GROUP BY a")
-    specs = parsed.query.aggregates
+    specs = _head(
+        "SELECT a, COUNT(*) AS n, AVG(b) AS mean FROM t GROUP BY a"
+    ).aggregates
     assert [s.alias for s in specs] == ["n", "mean"]
     assert specs[0].column == "*"
 
 
 def test_standalone_aggregate():
-    parsed = parse_sql("SELECT COUNT(*), MAX(a) FROM t")
-    assert parsed.query.group_by is None
-    assert len(parsed.query.aggregates) == 2
+    query = _head("SELECT COUNT(*), MAX(a) FROM t")
+    assert query.group_by is None
+    assert len(query.aggregates) == 2
 
 
 # --- WHERE expressions ------------------------------------------------------------
 
 def test_boolean_nesting():
-    parsed = parse_sql(
+    query = _head(
         "SELECT * FROM t WHERE (a < 1 OR b > 2.0) AND NOT c = 3")
     expected = And(Or(Compare("a", "<", 1), Compare("b", ">", 2.0)),
                    Not(Compare("c", "==", 3)))
-    assert parsed.query.predicate == expected
+    assert query.predicate == expected
 
 
 def test_operator_spellings():
-    parsed = parse_sql("SELECT * FROM t WHERE a <> 1 AND b != 2 AND c = 3")
+    query = _head("SELECT * FROM t WHERE a <> 1 AND b != 2 AND c = 3")
     expected = And(And(Compare("a", "!=", 1), Compare("b", "!=", 2)),
                    Compare("c", "==", 3))
-    assert parsed.query.predicate == expected
+    assert query.predicate == expected
 
 
 def test_string_literal_with_escaped_quote():
-    parsed = parse_sql("SELECT * FROM t WHERE s = 'it''s'")
-    assert parsed.query.predicate == Compare("s", "==", "it's")
+    query = _head("SELECT * FROM t WHERE s = 'it''s'")
+    assert query.predicate == Compare("s", "==", "it's")
 
 
 def test_regexp_term():
-    parsed = parse_sql("SELECT * FROM t WHERE s REGEXP 'far(view|sight)'")
-    assert parsed.query.regex is not None
-    assert parsed.query.regex.pattern == "far(view|sight)"
-    assert parsed.query.predicate is None
+    query = _head("SELECT * FROM t WHERE s REGEXP 'far(view|sight)'")
+    assert query.regex is not None
+    assert query.regex.pattern == "far(view|sight)"
+    assert query.predicate is None
 
 
 def test_like_combined_with_predicate():
-    parsed = parse_sql(
+    query = _head(
         "SELECT * FROM t WHERE id < 100 AND s LIKE '%farview%'")
-    assert parsed.query.predicate == Compare("id", "<", 100)
-    assert parsed.query.regex is not None
+    assert query.predicate == Compare("id", "<", 100)
+    assert query.regex is not None
 
 
 # --- LIKE translation ----------------------------------------------------------------
@@ -217,6 +252,17 @@ def test_sql_unknown_table_raises(bench):
         b.client.sql("SELECT * FROM missing")
 
 
+def test_ill_typed_statement_is_a_typed_error_on_every_placement(bench):
+    """The ship path compiles no pipeline; it must still refuse what the
+    compiler refuses, not crash inside a numpy kernel."""
+    from repro.common.errors import FarviewError
+    b, _, _ = bench
+    for placement in ("offload", "ship", "auto"):
+        with pytest.raises(FarviewError, match="must be char"):
+            b.client.sql("SELECT a FROM S WHERE a LIKE 'x%'",
+                         placement=placement)
+
+
 # --- write statements (versioned write path) ----------------------------------
 
 def test_insert_values():
@@ -256,8 +302,8 @@ def test_delete_without_where():
 
 
 def test_negative_literal_in_select_predicate():
-    parsed = parse_sql("SELECT * FROM t WHERE a > -5")
-    assert parsed.query.predicate == Compare("a", ">", -5)
+    query = _head("SELECT * FROM t WHERE a > -5")
+    assert query.predicate == Compare("a", ">", -5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -280,7 +326,6 @@ def test_write_syntax_errors(bad):
 # --- JOIN clause (the §7 small-table join) -------------------------------------
 
 def _schemas():
-    from repro.common.records import Column, Schema
     probe = Schema([Column("k", "int64"), Column("v", "float64"),
                     Column("rate", "int64")])
     build = Schema([Column("id", "int64"), Column("rate", "float64"),
@@ -288,40 +333,38 @@ def _schemas():
     return probe, build
 
 
-class _BuildHandle:
-    """A catalog-handle stand-in: resolve_join_query only needs .schema."""
-
-    def __init__(self, schema):
-        self.schema = schema
-        self.name = "dim"
+def _join_head(sql: str) -> Query:
+    probe, build = _schemas()
+    return _head(sql, fact=probe, dim=build)
 
 
 def test_join_clause_parses_qualified_on():
-    parsed = parse_sql(
-        "SELECT fact.k, dim.rate FROM fact JOIN dim ON fact.k = dim.id")
+    sql = "SELECT fact.k, dim.rate FROM fact JOIN dim ON fact.k = dim.id"
+    parsed = parse_sql(sql)
     assert parsed.table == "fact"
-    assert parsed.join is not None
-    assert parsed.join.table == "dim"
-    assert parsed.join.left == ("fact", "k")
-    assert parsed.join.right == ("dim", "id")
-    assert parsed.join.select == (("fact", "k"), ("dim", "rate"))
-    assert not parsed.join.star
-    # The projection is left to resolution (build columns are unknown).
-    assert parsed.query.projection is None
+    join = parsed.ir.child               # Project -> Join(dim) -> Scan
+    assert isinstance(join, Join)
+    assert join.table == "dim"
+    assert join.left == Col("k", "fact")
+    assert join.right == Col("id", "dim")
+    assert parsed.ir.items == ((Col("k", "fact"), None),
+                               (Col("rate", "dim"), None))
+    assert not parsed.ir.star
+    # Resolution happens at bind time (build columns are unknown before).
+    query = _join_head(sql)
+    assert query.join.build_table.name == "dim"
+    assert query.projection == ("k", "build_rate")
 
 
 def test_inner_join_keyword_and_star():
     parsed = parse_sql("SELECT * FROM f INNER JOIN d ON f.a = d.b;")
-    assert parsed.join is not None and parsed.join.star
+    assert isinstance(parsed.ir.child, Join) and parsed.ir.star
 
 
 def test_join_resolution_splits_select_list():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql(
+    query = _join_head(
         "SELECT fact.k, dim.rate, fact.v FROM fact JOIN dim "
         "ON fact.k = dim.id WHERE fact.v < 2.5")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
     assert query.join.build_key == "id"
     assert query.join.probe_key == "k"
     assert query.join.payload == ("rate",)
@@ -332,46 +375,32 @@ def test_join_resolution_splits_select_list():
 
 
 def test_join_resolution_unqualified_and_swapped_on_sides():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT k, zone FROM fact JOIN dim ON id = k")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT k, zone FROM fact JOIN dim ON id = k")
     assert (query.join.build_key, query.join.probe_key) == ("id", "k")
     assert query.join.payload == ("zone",)
     assert query.projection == ("k", "zone")
 
 
 def test_join_resolution_build_key_select_maps_to_probe_key():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql(
+    query = _join_head(
         "SELECT dim.id, dim.zone FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
     assert query.projection == ("k", "zone")
     assert query.join.payload == ("zone",)
 
 
 def test_join_resolution_star_appends_non_key_build_columns():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT * FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT * FROM fact JOIN dim ON fact.k = dim.id")
     assert query.projection is None
     assert query.join.payload == ("rate", "zone")
 
 
 def test_join_resolution_semi_join_borrows_payload():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
-    parsed = parse_sql("SELECT k, v FROM fact JOIN dim ON fact.k = dim.id")
-    query = resolve_join_query(parsed, probe, _BuildHandle(build))
+    query = _join_head("SELECT k, v FROM fact JOIN dim ON fact.k = dim.id")
     assert query.projection == ("k", "v")     # payload projected away
     assert len(query.join.payload) == 1
 
 
 def test_join_resolution_errors():
-    from repro.core.sql import resolve_join_query
-    probe, build = _schemas()
     for statement, message in [
         ("SELECT k FROM fact JOIN dim ON other.k = dim.id",
          "unknown table qualifier"),
@@ -382,9 +411,8 @@ def test_join_resolution_errors():
         ("SELECT fact.nope, dim.rate FROM fact JOIN dim "
          "ON fact.k = dim.id", "unknown column"),
     ]:
-        parsed = parse_sql(statement)
         with pytest.raises(SqlSyntaxError, match=message):
-            resolve_join_query(parsed, probe, _BuildHandle(build))
+            _join_head(statement)
 
 
 @pytest.mark.parametrize("bad", [
@@ -399,18 +427,26 @@ def test_join_syntax_errors(bad):
 
 
 def test_multi_join_parses_to_chained_stages():
-    """Multi-way joins are no longer a syntax error: they parse to an
-    extended statement whose IR chains one Join node per stage."""
-    from repro.core.ir import Join, Scan
+    """Multi-way joins are no longer a syntax error: the IR chains one
+    Join node per stage, and binding leaves the later stage (and the
+    select list) to the client."""
+    from repro.core.compile import BoundEval
 
     parsed = parse_sql(
         "SELECT a FROM f JOIN d ON a = b JOIN e ON c = k")
-    assert parsed.extended
     join2 = parsed.ir.child          # Project -> Join(e) -> Join(d) -> Scan
     join1 = join2.child
     assert isinstance(join2, Join) and join2.table == "e"
     assert isinstance(join1, Join) and join1.table == "d"
     assert isinstance(join1.child, Scan) and join1.child.table == "f"
+
+    def ints(*names):
+        return Schema([Column(n, "int64") for n in names])
+
+    bound = bind_select(parsed, _Catalog(f=ints("a", "c"), d=ints("b", "x"),
+                                         e=ints("k", "y")))
+    assert [arm.table for arm in bound.arms] == ["e"]
+    assert [type(op) for op in bound.ops] == [BoundEval]
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +494,6 @@ def test_golden_error_messages(statement, message):
 def test_expression_item_without_alias_rejected_at_bind_time():
     """``SELECT (a + 1) FROM t`` parses (the IR is valid) but binding
     demands a deterministic output name."""
-    from repro.core.compile import bind_select
-    from repro.common.records import Column, Schema
-
-    class _Handle:
-        def __init__(self, name, schema):
-            self.name, self.schema = name, schema
-
-    class _Catalog:
-        def lookup(self, name):
-            return _Handle(name, Schema([Column("a", "int64")]))
-
     parsed = parse_sql("SELECT (a + 1) FROM t ORDER BY a")
     with pytest.raises(SqlSyntaxError,
                        match="expression select items need an AS alias"):
@@ -479,3 +504,134 @@ def test_star_mixing_rejected_under_distinct_too():
     with pytest.raises(SqlSyntaxError,
                        match="cannot be mixed with other select items"):
         parse_sql("SELECT DISTINCT *, a FROM t")
+
+
+# ---------------------------------------------------------------------------
+# Single-chain text is its head query: empty tail, sql() == far_view()
+# ---------------------------------------------------------------------------
+
+_FACT = Schema([Column("k", "int64"), Column("v", "float64"),
+                Column("rate", "int64"), Column("s", "char", 16)])
+_DIM = Schema([Column("id", "int64"), Column("rate", "float64"),
+               Column("zone", "int64")])
+_ON = "FROM fact JOIN dim ON fact.k = dim.id"
+
+
+def _q(**fields):
+    """A hand-written head query; ``join=(payload...)`` is resolved
+    against the client's own ``dim`` handle."""
+    payload = fields.pop("join", None)
+
+    def make(dim) -> Query:
+        join = JoinSpec(dim, "id", "k", payload) if payload else None
+        return Query(join=join, label="sql", **fields)
+    return make
+
+
+_COUNT = AggregateSpec("count", "*", "n")
+
+#: statement -> the Query the node's one operator chain runs for it.
+SINGLE_CHAIN = {
+    "plain": ("SELECT * FROM fact WHERE v < 0.5",
+              _q(predicate=Compare("v", "<", 0.5))),
+    "projected": ("SELECT rate, k FROM fact WHERE k >= 3",
+                  _q(projection=("rate", "k"),
+                     predicate=Compare("k", ">=", 3))),
+    "every-column": ("SELECT k, v, rate, s FROM fact",
+                     _q(projection=("k", "v", "rate", "s"))),
+    "distinct": ("SELECT DISTINCT k FROM fact",
+                 _q(projection=("k",), distinct=True)),
+    "distinct-star": ("SELECT DISTINCT * FROM fact", _q(distinct=True)),
+    "grouped": ("SELECT k, COUNT(*) AS n, SUM(v) AS sv FROM fact GROUP BY k",
+                _q(group_by=("k",),
+                   aggregates=(_COUNT, AggregateSpec("sum", "v", "sv")))),
+    "aggregate": ("SELECT COUNT(*) AS n, MAX(v) AS m FROM fact WHERE k < 9",
+                  _q(predicate=Compare("k", "<", 9),
+                     aggregates=(_COUNT, AggregateSpec("max", "v", "m")))),
+    "like": ("SELECT k, s FROM fact WHERE s LIKE '%far%' AND k < 30",
+             _q(projection=("k", "s"), predicate=Compare("k", "<", 30),
+                regex=RegexFilter("s", like_to_regex("%far%")))),
+    "regexp": ("SELECT * FROM fact WHERE s REGEXP 'far(view|sight)'",
+               _q(regex=RegexFilter("s", "far(view|sight)"))),
+    "join-qualified-collision": (
+        f"SELECT fact.k, dim.rate, fact.v {_ON} WHERE fact.v < 0.5",
+        _q(projection=("k", "build_rate", "v"),
+           predicate=Compare("v", "<", 0.5), join=("rate",))),
+    "join-unqualified-swapped-on": (
+        "SELECT k, zone FROM fact JOIN dim ON id = k",
+        _q(projection=("k", "zone"), join=("zone",))),
+    "join-build-key-select": (
+        f"SELECT dim.id, dim.zone {_ON}",
+        _q(projection=("k", "zone"), join=("zone",))),
+    "join-select-order-payload": (
+        f"SELECT zone, dim.rate, k {_ON}",
+        _q(projection=("zone", "build_rate", "k"), join=("zone", "rate"))),
+    "join-semi": (f"SELECT k, v {_ON}",
+                  _q(projection=("k", "v"), join=("rate",))),
+    "join-star": (f"SELECT * {_ON}", _q(join=("rate", "zone"))),
+    "join-distinct": (f"SELECT DISTINCT zone {_ON}",
+                      _q(projection=("zone",), distinct=True,
+                         join=("zone",))),
+    "join-grouped": (f"SELECT k, COUNT(*) AS n {_ON} GROUP BY k",
+                     _q(group_by=("k",), aggregates=(_COUNT,),
+                        join=("rate",))),
+    "join-count": (f"SELECT COUNT(*) AS n {_ON}",
+                   _q(aggregates=(_COUNT,), join=("rate",))),
+}
+
+
+def _twin(topology: str):
+    """One of two identical worlds: a client with ``fact`` and ``dim``."""
+    from repro.core.api import ClusterClient, FarviewClient
+    from repro.core.cluster import FarviewCluster
+    from repro.core.node import FarviewNode
+    from repro.core.table import FTable
+    from repro.sim.engine import Simulator
+
+    rng = np.random.default_rng(5)
+    fact = _FACT.empty(256)
+    fact["k"] = np.arange(256) % 40
+    fact["v"] = rng.random(256)
+    fact["rate"] = rng.integers(0, 9, 256)
+    words = [b"farview", b"farsight", b"nearview", b"far away"]
+    fact["s"] = [words[i] for i in rng.integers(0, len(words), 256)]
+    dim = _DIM.empty(32)
+    dim["id"] = np.arange(32)
+    dim["rate"] = rng.integers(0, 100, 32) * 0.25
+    dim["zone"] = np.arange(32) % 4
+    if topology == "cluster":
+        client = ClusterClient(FarviewCluster(Simulator(), 2))
+        client.open_connection()
+        client.create_table("dim", _DIM, dim)
+        client.create_table("fact", _FACT, fact)
+        return client
+    client = FarviewClient(FarviewNode(Simulator()))
+    client.open_connection()
+    for name, schema, rows in (("dim", _DIM, dim), ("fact", _FACT, fact)):
+        table = FTable(name, schema, len(rows))
+        client.alloc_table_mem(table)
+        client.table_write(table, rows)
+    return client
+
+
+@pytest.mark.parametrize("topology", ["single", "cluster"])
+@pytest.mark.parametrize("shape", SINGLE_CHAIN)
+def test_single_chain_text_is_its_head_query(shape, topology):
+    """Nothing is left for the client, the bound head is the hand-written
+    Query field for field, and running the text costs exactly what
+    running that Query costs — bytes and simulated time."""
+    from repro.core.api import canonical_result_bytes
+
+    statement, make = SINGLE_CHAIN[shape]
+    by_sql, by_verb = _twin(topology), _twin(topology)
+    bound = bind_select(parse_sql(statement), by_sql.catalog)
+    assert bound.arms == () and bound.ops == ()
+    assert bound.query == make(by_sql.catalog.lookup("dim"))
+
+    sql_result, sql_ns = by_sql.sql(statement)
+    verb_result, verb_ns = by_verb.far_view(
+        by_verb.catalog.lookup("fact"), make(by_verb.catalog.lookup("dim")))
+    assert (canonical_result_bytes(sql_result)
+            == canonical_result_bytes(verb_result))
+    assert sql_result.schema == bound.schema
+    assert sql_ns == verb_ns

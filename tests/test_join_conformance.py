@@ -448,6 +448,102 @@ def test_duplicate_build_key_rejected_end_to_end():
 
 
 # ---------------------------------------------------------------------------
+# SQL cells: join statements whose columns live on the build side, every
+# placement x topology == the serial SQL model (and a numpy oracle)
+# ---------------------------------------------------------------------------
+
+CELL_FACT = Schema([Column("k", "int64"), Column("v", "float64")])
+CELL_DIM = Schema([Column("id", "int64"), Column("v", "float64"),
+                   Column("zone", "int64")])
+_CELL_ON = "FROM fact JOIN dim ON fact.k = dim.id"
+
+
+def _cell_tables():
+    rng = np.random.default_rng(44)
+    fact = CELL_FACT.empty(200)
+    fact["k"] = rng.integers(0, 24, 200)            # keys 16..23 never match
+    fact["v"] = rng.integers(0, 128, 200) / 128.0   # dyadic: sums are exact
+    dim = CELL_DIM.empty(16)
+    dim["id"] = np.arange(16)
+    dim["v"] = ((np.arange(16) * 7) % 16) / 16.0    # unrelated to fact.v
+    dim["zone"] = np.arange(16) % 4
+    return fact, dim
+
+
+def _cell_matches(fact, dim):
+    """(fact row, its dim row) for every fact row the inner join keeps."""
+    by_id = {int(d["id"]): d for d in dim}
+    return [(f, by_id[int(f["k"])]) for f in fact if int(f["k"]) in by_id]
+
+
+def _cell_groups(pairs, value):
+    groups: dict[int, list[float]] = {}
+    for f, d in pairs:
+        groups.setdefault(int(d["zone"]), []).append(value(f, d))
+    return groups
+
+
+#: name -> (statement, numpy oracle over (fact, dim) giving sorted tuples).
+#: Each was wrong, or an untyped error, on the single-chain lowering that
+#: stripped table qualifiers and validated against the probe schema only.
+SQL_CELLS = {
+    # ``v`` is in both tables: the qualifier must pick the build side.
+    "build-filter-shared-name": (
+        f"SELECT k, zone {_CELL_ON} WHERE dim.v < 0.5",
+        lambda fact, dim: sorted(
+            (int(f["k"]), int(d["zone"]))
+            for f, d in _cell_matches(fact, dim) if d["v"] < 0.5)),
+    # ``zone`` is only in the build table: filter the build read.
+    "build-filter-build-only-name": (
+        f"SELECT k, zone {_CELL_ON} WHERE dim.zone < 2",
+        lambda fact, dim: sorted(
+            (int(f["k"]), int(d["zone"]))
+            for f, d in _cell_matches(fact, dim) if d["zone"] < 2)),
+    # A qualified aggregate input must read the build side's ``v``.
+    "aggregate-over-build-column": (
+        f"SELECT zone, COUNT(*) AS n, MAX(dim.v) AS m {_CELL_ON} "
+        f"GROUP BY zone",
+        lambda fact, dim: sorted(
+            (zone, len(vs), max(vs)) for zone, vs in _cell_groups(
+                _cell_matches(fact, dim), lambda f, d: float(d["v"])
+            ).items())),
+    # GROUP BY a payload column: post-join stages see the post-join schema.
+    "group-by-build-column": (
+        f"SELECT zone, SUM(v) AS s {_CELL_ON} GROUP BY zone",
+        lambda fact, dim: sorted(
+            (zone, pytest.approx(sum(vs))) for zone, vs in _cell_groups(
+                _cell_matches(fact, dim), lambda f, d: float(f["v"])
+            ).items())),
+}
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+@pytest.mark.parametrize("placement", ["offload", "ship", "auto"])
+@pytest.mark.parametrize("cell", SQL_CELLS)
+def test_sql_join_cells_match_model(cell, placement, num_nodes):
+    from repro.baselines.sql_model import execute_model
+
+    statement, oracle = SQL_CELLS[cell]
+    fact, dim = _cell_tables()
+    if num_nodes == 1:
+        client = single_client()
+        upload(client, "dim", CELL_DIM, dim)
+        upload(client, "fact", CELL_FACT, fact)
+    else:
+        client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
+                                              TEST_CONFIG))
+        client.open_connection()
+        client.create_table("dim", CELL_DIM, dim)
+        client.create_table("fact", CELL_FACT, fact)
+    result, _ = client.sql(statement, placement=placement)
+    schema, rows = execute_model(
+        statement, {"fact": (CELL_FACT, fact), "dim": (CELL_DIM, dim)})
+    assert result.schema == schema
+    assert sha(canonical_result_bytes(result)) == sha(schema.to_bytes(rows))
+    assert sorted(result.rows().tolist()) == oracle(fact, dim)
+
+
+# ---------------------------------------------------------------------------
 # Strategy-equivalence matrix: broadcast / colocated / shuffle / ship /
 # auto x pool size x partitioning scheme, every cell == the serial model
 # ---------------------------------------------------------------------------
