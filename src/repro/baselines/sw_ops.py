@@ -10,6 +10,7 @@ both the result and the instrumentation the cost model charges for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -17,7 +18,12 @@ from ..common.errors import OperatorError
 from ..common.records import Schema
 from ..operators.aggregate import Accumulator, AggregateSpec, batch_accumulate
 from ..operators.crypto import AesCtr
-from ..operators.join import join_output_schema
+from ..operators.join import (
+    first_repeated_row,
+    gather_join_output,
+    join_output_schema,
+    key_image,
+)
 from ..operators.regex_engine import CompiledRegex
 from ..operators.selection import Predicate
 from .hashmap import SoftwareHashMap
@@ -161,40 +167,22 @@ def software_join(rows: np.ndarray, schema: Schema,
             f"join key type mismatch: probe {probe_key!r} is "
             f"{probe_col.kind}({probe_col.width}), build "
             f"{build_key!r} is {build_col.kind}({build_col.width})")
-    key_schema = build_schema.project([build_key])
-    width = key_schema.row_width
-    bkeys = key_schema.empty(len(build_rows))
-    bkeys[build_key] = build_rows[build_key]
-    braw = key_schema.to_bytes(bkeys)
-    # The same resizable map the other software kernels use — it is the
-    # structure the cost model's hash/resize terms are calibrated to.
-    table = SoftwareHashMap()
-    for i in range(len(build_rows)):
-        key = braw[i * width:(i + 1) * width]
-        if not table.put(key, i):
-            raise OperatorError(
-                f"duplicate build key at row {i}: the small table must "
-                f"have unique join keys")
-    pkeys = key_schema.empty(len(rows))
-    pkeys[build_key] = rows[probe_key]
-    praw = key_schema.to_bytes(pkeys)
-    probe_idx: list[int] = []
-    build_idx: list[int] = []
-    for i in range(len(rows)):
-        j = table.get(praw[i * width:(i + 1) * width])
-        if j is not None:
-            probe_idx.append(i)
-            build_idx.append(j)
+    # Build: key bytes -> build row.  Probe: one lookup per probe key, all
+    # in C (no map counters are reported, so the cost model reads nothing
+    # from this kernel's hash structure).
+    bkeys = key_image(build_rows, build_key).tolist()
+    build_row = dict(zip(bkeys, range(len(bkeys))))
+    if len(build_row) < len(bkeys):
+        raise OperatorError(
+            f"duplicate build key at row {first_repeated_row(bkeys)}: the "
+            f"small table must have unique join keys")
+    pkeys = key_image(rows, probe_key).tolist()
+    bidx = np.fromiter(map(build_row.get, pkeys, repeat(-1)),
+                       dtype=np.intp, count=len(pkeys))
+    pidx = np.flatnonzero(bidx >= 0)
     out_schema = join_output_schema(schema, build_schema, payload_columns)
-    out = out_schema.empty(len(probe_idx))
-    payload_names = list(out_schema.names[len(schema.names):])
-    pidx = np.asarray(probe_idx, dtype=np.int64)
-    bidx = np.asarray(build_idx, dtype=np.int64)
-    for name in schema.names:
-        out[name] = rows[name][pidx]
-    for out_name, src_name in zip(payload_names, payload_columns):
-        out[out_name] = build_rows[src_name][bidx]
-    return out
+    return gather_join_output(out_schema, rows, pidx, build_rows,
+                              payload_columns, bidx[pidx])
 
 
 def software_sort(rows: np.ndarray, keys: list[tuple[str, bool]]

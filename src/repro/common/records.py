@@ -77,6 +77,7 @@ class Schema:
         if len(set(names)) != len(names):
             raise QueryError(f"duplicate column names in schema: {names}")
         self._columns = tuple(columns)
+        self._names = tuple(names)
         self._offsets: dict[str, int] = {}
         off = 0
         for col in self._columns:
@@ -97,7 +98,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns)
+        return self._names
 
     @property
     def row_width(self) -> int:

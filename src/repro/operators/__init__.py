@@ -12,7 +12,7 @@ from .encryption_op import (
     encrypt_table_image,
 )
 from .groupby import GroupByOperator
-from .hashing import HashFamily, hash_key, hash_u64_array, mix64
+from .hashing import hash_key_batch, hash_u64_array, mix64
 from .lru_cache import ShiftRegisterLru
 from .packing import Packer, RoundRobinCombiner
 from .projection import ProjectionOperator, SmartAddressingPlan
@@ -45,8 +45,7 @@ __all__ = [
     "decrypt_table_image",
     "encrypt_table_image",
     "GroupByOperator",
-    "HashFamily",
-    "hash_key",
+    "hash_key_batch",
     "hash_u64_array",
     "mix64",
     "ShiftRegisterLru",

@@ -19,13 +19,16 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..common.errors import OperatorError
-from .hashing import HashFamily, hash_key_batch
+from .hashing import hash_key_batch
 
 
 @dataclass
 class _Entry:
     key: bytes
     value: object
+    #: Per-way slot indices, hashed once at insertion: an entry carries
+    #: them through every eviction, so nothing is ever re-hashed.
+    slots: Sequence[int]
 
 
 class CuckooHashTable:
@@ -42,9 +45,9 @@ class CuckooHashTable:
         self.ways = ways
         self.slots_per_way = slots_per_way
         self.max_kicks = max_kicks
-        self._family = HashFamily(ways)
-        self._tables: list[list[_Entry | None]] = [
-            [None] * slots_per_way for _ in range(ways)]
+        #: One sparse ``slot -> entry`` map per way, so walking the
+        #: residents costs O(size), not O(capacity).
+        self._tables: list[dict[int, _Entry]] = [{} for _ in range(ways)]
         self.size = 0
         self.overflow: list[tuple[bytes, object]] = []
         self.kicks = 0
@@ -53,51 +56,43 @@ class CuckooHashTable:
     def capacity(self) -> int:
         return self.ways * self.slots_per_way
 
-    # -- lookup -----------------------------------------------------------------
+    # -- hashing ----------------------------------------------------------------
+    def way_slots(self, raw: bytes | memoryview, width: int) -> np.ndarray:
+        """``(ways, n)`` slot indices for a packed batch of fixed-width keys
+        — way ``w`` hashes with seed ``w``, one vectorized pass each."""
+        return np.stack([
+            hash_key_batch(raw, width, seed=way) % self.slots_per_way
+            for way in range(self.ways)]).astype(np.intp)
+
     def batch_slots(self, raw: bytes | memoryview,
                     width: int) -> list[list[int]]:
-        """Per-way slot indices for a packed batch of fixed-width keys.
+        """Per-key rows of :meth:`way_slots` as plain lists.
 
         Hashing dominates the streaming operators' per-tuple cost, so the
         operators hash whole batches vectorized up front and thread the
-        precomputed slot rows through :meth:`_probe` / :meth:`put` /
-        :meth:`get` — bit-identical to hashing each key on demand.
+        precomputed slot rows through :meth:`put` / :meth:`get`.  Called
+        without a row, those hash the one key here as a batch of one.
         """
-        cols = [hash_key_batch(raw, width, seed=way) % self.slots_per_way
-                for way in range(self.ways)]
-        return np.stack(cols, axis=1).tolist()
+        return self.way_slots(raw, width).T.tolist()
 
-    def _probe(self, key: bytes,
-               slots: Optional[Sequence[int]] = None
-               ) -> tuple[int, int, _Entry] | None:
-        """Parallel lookup across all ways; returns (way, slot, entry)."""
-        tables = self._tables
-        if slots is None:
-            family_slot = self._family.slot
-            nslots = self.slots_per_way
-            for way in range(self.ways):
-                slot = family_slot(way, key, nslots)
-                entry = tables[way][slot]
-                if entry is not None and entry.key == key:
-                    return way, slot, entry
-        else:
-            for way, slot in enumerate(slots):
-                entry = tables[way][slot]
-                if entry is not None and entry.key == key:
-                    return way, slot, entry
+    # -- lookup -----------------------------------------------------------------
+    def _probe(self, key: bytes, slots: Sequence[int]) -> _Entry | None:
+        """Parallel lookup across all ways."""
+        for table, slot in zip(self._tables, slots):
+            entry = table.get(slot)
+            if entry is not None and entry.key == key:
+                return entry
         return None
 
     def get(self, key: bytes,
             slots: Optional[Sequence[int]] = None) -> object | None:
-        hit = self._probe(key, slots)
-        return hit[2].value if hit else None
+        entry = self._probe(
+            key, slots or self.batch_slots(key, len(key))[0])
+        return entry.value if entry is not None else None
 
     def __contains__(self, key: bytes) -> bool:
-        return self._probe(key) is not None
-
-    def contains_at(self, key: bytes, slots: Sequence[int]) -> bool:
-        """``key in table`` with precomputed per-way slots."""
-        return self._probe(key, slots) is not None
+        return self._probe(
+            key, self.batch_slots(key, len(key))[0]) is not None
 
     def __len__(self) -> int:
         return self.size
@@ -110,66 +105,59 @@ class CuckooHashTable:
         Overflowed entries are appended to :attr:`overflow` — they are *not*
         resident and subsequent lookups will miss, exactly like the
         hardware, where the overflow buffer is opaque to the pipeline.
-        ``slots`` may carry the key's precomputed per-way slot indices;
-        evicted residents are re-hashed on demand (the rare path).
+        ``slots`` may carry the key's precomputed per-way slot indices.
         """
+        slots = slots or self.batch_slots(key, len(key))[0]
         hit = self._probe(key, slots)
         if hit is not None:
-            hit[2].value = value
+            hit.value = value
             return True
-        entry = _Entry(key, value)
-        entry_slots = slots
-        way = self._way_hint(key, slots)
+        entry = _Entry(key, value, slots)
+        tables = self._tables
+        # Start insertion at the way whose slot is empty if any (parallel
+        # lookup sees all ways at once), else way 0.
+        way = 0
+        for w, slot in enumerate(slots):
+            if slot not in tables[w]:
+                way = w
+                break
         for _ in range(self.max_kicks):
-            slot = (entry_slots[way] if entry_slots is not None
-                    else self._family.slot(way, entry.key, self.slots_per_way))
-            resident = self._tables[way][slot]
+            table = tables[way]
+            slot = entry.slots[way]
+            resident = table.get(slot)
+            table[slot] = entry
             if resident is None:
-                self._tables[way][slot] = entry
                 self.size += 1
                 return True
-            # Evict the resident entry and move it to the next way
+            # The resident entry is evicted and moves to the next way
             # ("Upon the eviction from one of the tables, the evicted entry
             # is inserted into the next hash table with a different
             # function", §5.4).
-            self._tables[way][slot] = entry
             entry = resident
-            entry_slots = None
             way = (way + 1) % self.ways
             self.kicks += 1
         self.overflow.append((entry.key, entry.value))
         return False
 
-    def update_in_place(self, key: bytes, fn) -> bool:
-        """Apply ``fn(old_value) -> new_value`` to a resident entry."""
-        hit = self._probe(key)
-        if hit is None:
-            return False
-        hit[2].value = fn(hit[2].value)
-        return True
+    def owner_image(self) -> np.ndarray:
+        """``(ways, slots_per_way)`` int32 image of a table whose values are
+        row indices: the index resident in each slot, -1 where empty.
 
-    def _way_hint(self, key: bytes,
-                  slots: Optional[Sequence[int]] = None) -> int:
-        # Start insertion at the way whose slot is empty if any (parallel
-        # lookup sees all ways at once), else way 0.
-        if slots is None:
-            for way in range(self.ways):
-                slot = self._family.slot(way, key, self.slots_per_way)
-                if self._tables[way][slot] is None:
-                    return way
-        else:
-            for way, slot in enumerate(slots):
-                if self._tables[way][slot] is None:
-                    return way
-        return 0
+        This is the array the join probes — one fancy index per way is the
+        paper's parallel lookup.
+        """
+        image = np.full((self.ways, self.slots_per_way), -1, dtype=np.int32)
+        for way, table in enumerate(self._tables):
+            if table:
+                image[way, list(table)] = [e.value for e in table.values()]
+        return image
 
     # -- iteration / draining ---------------------------------------------------------
     def items(self) -> Iterator[tuple[bytes, object]]:
-        """Resident entries (excludes overflow), in table order."""
+        """Resident entries (excludes overflow), way by way."""
         for table in self._tables:
-            for entry in table:
-                if entry is not None:
-                    yield entry.key, entry.value
+            for entry in table.values():
+                yield entry.key, entry.value
 
     def drain_overflow(self) -> list[tuple[bytes, object]]:
         out = self.overflow

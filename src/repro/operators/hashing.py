@@ -32,31 +32,15 @@ def mix64(value: int, seed: int = 0) -> int:
     return x
 
 
-def hash_key(key: bytes, seed: int = 0) -> int:
-    """Hash an arbitrary-length byte key by chaining 8-byte mixes."""
-    if seed < 0:
-        raise OperatorError(f"negative hash seed: {seed}")
-    acc = mix64(len(key), seed)
-    for off in range(0, len(key), 8):
-        word = int.from_bytes(key[off:off + 8].ljust(8, b"\x00"), "little")
-        acc = mix64(acc ^ word, seed)
-    return acc
+def key_words(raw: bytes | memoryview, width: int) -> np.ndarray:
+    """``n`` packed ``width``-byte keys as an ``(n, words)`` uint64 matrix.
 
-
-def hash_key_batch(raw: bytes | memoryview, width: int,
-                   seed: int = 0) -> np.ndarray:
-    """Vectorized :func:`hash_key` over ``n`` fixed-width keys.
-
-    ``raw`` packs ``n`` keys of ``width`` bytes back to back (a key-schema
-    byte image).  Returns one uint64 hash per key, bit-identical to calling
-    :func:`hash_key` on each slice — the scalar path chains 8-byte
-    little-endian words, and so does this, just across the whole batch at
-    once.
+    Each key is split into little-endian 8-byte words, the last one
+    zero-padded.  Two keys of the same width are byte-equal exactly when
+    their word rows are equal, so the join compares keys on this matrix.
     """
     if width <= 0:
         raise OperatorError(f"key width must be positive: {width}")
-    if seed < 0:
-        raise OperatorError(f"negative hash seed: {seed}")
     data = np.frombuffer(raw, dtype=np.uint8)
     if data.size % width:
         raise OperatorError(
@@ -65,13 +49,27 @@ def hash_key_batch(raw: bytes | memoryview, width: int,
     n = data.size // width
     nwords = (width + 7) // 8
     if width == nwords * 8:
-        words = data.view("<u8").reshape(n, nwords)
-    else:
-        padded = np.zeros((n, nwords * 8), dtype=np.uint8)
-        padded[:, :width] = data.reshape(n, width)
-        words = padded.view("<u8")
-    acc = np.full(n, mix64(width, seed), dtype=np.uint64)
-    for j in range(nwords):
+        return data.view("<u8").reshape(n, nwords)
+    padded = np.zeros((n, nwords * 8), dtype=np.uint8)
+    padded[:, :width] = data.reshape(n, width)
+    return padded.view("<u8")
+
+
+def hash_key_batch(raw: bytes | memoryview, width: int,
+                   seed: int = 0) -> np.ndarray:
+    """Hash ``n`` fixed-width byte keys in one vectorized pass.
+
+    ``raw`` packs ``n`` keys of ``width`` bytes back to back (a key-schema
+    byte image).  Returns one uint64 hash per key: the key length is mixed
+    first, then each 8-byte word of :func:`key_words` is XOR-chained
+    through the seeded mixer.  This is the only key hash — a single key is
+    a batch of one.
+    """
+    if seed < 0:
+        raise OperatorError(f"negative hash seed: {seed}")
+    words = key_words(raw, width)
+    acc = np.full(len(words), mix64(width, seed), dtype=np.uint64)
+    for j in range(words.shape[1]):
         acc = hash_u64_array(acc ^ words[:, j], seed)
     return acc
 
@@ -87,21 +85,3 @@ def hash_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
         x *= np.uint64(_M2)
         x ^= x >> np.uint64(31)
     return x
-
-
-class HashFamily:
-    """A family of independent hash functions (one per cuckoo table)."""
-
-    def __init__(self, count: int):
-        if count <= 0:
-            raise OperatorError(f"hash family needs >= 1 function: {count}")
-        self.count = count
-
-    def hash(self, index: int, key: bytes) -> int:
-        if not 0 <= index < self.count:
-            raise OperatorError(
-                f"hash index {index} out of range [0, {self.count})")
-        return hash_key(key, seed=index)
-
-    def slot(self, index: int, key: bytes, table_slots: int) -> int:
-        return self.hash(index, key) % table_slots

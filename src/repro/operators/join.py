@@ -24,6 +24,7 @@ from ..common.errors import JoinBuildOverflowError, OperatorError
 from ..common.records import Column, Schema
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
+from .hashing import key_words
 
 
 def join_output_schema(probe_schema: Schema, build_schema: Schema,
@@ -46,6 +47,44 @@ def join_output_schema(probe_schema: Schema, build_schema: Schema,
         out_columns.append(Column(out_name, col.kind, col.width))
         existing.add(out_name)
     return Schema(out_columns)
+
+
+def key_image(rows: np.ndarray, column: str) -> np.ndarray:
+    """One key column as an owned array of raw fixed-width byte strings.
+
+    Keys match on these bytes, never on values: ``0.0`` and ``-0.0``
+    differ, a NaN equals its own bit pattern, and bytes after an embedded
+    NUL count.
+    """
+    col = rows[column].copy()
+    return col.view(f"V{col.dtype.itemsize}")
+
+
+def first_repeated_row(keys: list[bytes]) -> int | None:
+    """Index of the first row whose key repeats an earlier row's, or None
+    when every key is unique."""
+    n = len(keys)
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    if len(first) == n:
+        return None
+    rows = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=n)
+    return int((rows != np.arange(n)).argmax())
+
+
+def gather_join_output(out_schema: Schema, probe_rows: np.ndarray,
+                       pidx: np.ndarray, build_rows: np.ndarray,
+                       payload_columns: list[str],
+                       bidx: np.ndarray) -> np.ndarray:
+    """Joined rows: probe row ``pidx[j]`` extended with the payload columns
+    of build row ``bidx[j]`` — one fancy-index gather per column."""
+    out = out_schema.empty(len(pidx))
+    probe_names = probe_rows.dtype.names
+    for name in probe_names:
+        out[name] = probe_rows[name][pidx]
+    for out_name, src_name in zip(out_schema.names[len(probe_names):],
+                                  payload_columns):
+        out[out_name] = build_rows[src_name][bidx]
+    return out
 
 
 class SmallTableJoinOperator(RowOperator):
@@ -71,38 +110,47 @@ class SmallTableJoinOperator(RowOperator):
         for name in [build_key, *payload_columns]:
             build_schema.column(name)
         self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
-        self._key_schema = build_schema.project([build_key])
+        self._key_width = build_schema.column(build_key).width
         self._payload_schema = build_schema.project(payload_columns)
         self._built = False
         self.build_rows_loaded = 0
         self.probe_matches = 0
         self._out_schema: Schema | None = None
-        self._probe_schema: Schema | None = None
 
     # -- build phase -------------------------------------------------------------
     def load_build(self, rows: np.ndarray) -> None:
-        """Load the small table into the on-chip hash (one-off, at deploy)."""
+        """Load the small table into the on-chip hash (one-off, at deploy).
+
+        All keys are hashed per way in one pass; only the cuckoo insertion
+        itself — each placement depends on the evictions before it — walks
+        the rows, storing the build *row index*.  What the probe then reads
+        is arrays: the table's owner image, the build key words and the
+        payload columns.
+        """
         if self._built:
             raise OperatorError("build side already loaded")
-        keys = self._key_schema.empty(len(rows))
-        keys[self.build_key] = rows[self.build_key]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        payload = self._payload_schema.empty(len(rows))
-        for name in self.payload_columns:
-            payload[name] = rows[name]
-        for i in range(len(rows)):
-            key = raw[i * width:(i + 1) * width]
-            if key in self.table:
-                raise OperatorError(
-                    f"duplicate build key at row {i}: the small table must "
-                    f"have unique join keys")
-            ok = self.table.put(key, payload[i:i + 1].copy())
-            if not ok:
+        image = key_image(rows, self.build_key)
+        keys = image.tolist()
+        slots = self.table.batch_slots(image.data, self._key_width)
+        # Errors surface in row order: rows before the first repeated key
+        # may still overflow the table first.
+        repeat = first_repeated_row(keys)
+        put = self.table.put
+        for i in range(len(rows) if repeat is None else repeat):
+            if not put(keys[i], i, slots[i]):
                 raise JoinBuildOverflowError(
                     f"build side of {len(rows)} rows does not fit the "
                     f"on-chip hash ({self.table.capacity} slots); offload "
                     f"refused — execute the join on the client")
+        if repeat is not None:
+            raise OperatorError(
+                f"duplicate build key at row {repeat}: the small table "
+                f"must have unique join keys")
+        self._owner = self.table.owner_image()
+        self._build_words = key_words(image.data, self._key_width)
+        self._payload = self._payload_schema.empty(len(rows))
+        for name in self.payload_columns:
+            self._payload[name] = rows[name]
         self.build_rows_loaded = len(rows)
         self._built = True
 
@@ -115,36 +163,30 @@ class SmallTableJoinOperator(RowOperator):
                 f"join key type mismatch: probe {self.probe_key!r} is "
                 f"{probe_col.kind}({probe_col.width}), build "
                 f"{self.build_key!r} is {build_col.kind}({build_col.width})")
-        self._probe_schema = schema
         self._out_schema = join_output_schema(schema, self.build_schema,
                                               self.payload_columns)
         return self._out_schema
-
-    @property
-    def output_names_for_payload(self) -> list[str]:
-        assert self._out_schema is not None and self._probe_schema is not None
-        return list(self._out_schema.names[len(self._probe_schema.names):])
 
     # -- probe phase ----------------------------------------------------------------------
     def _process(self, batch: np.ndarray) -> np.ndarray:
         if not self._built:
             raise OperatorError("probe started before the build side loaded")
-        assert self._out_schema is not None and self._probe_schema is not None
-        keys = self._key_schema.empty(len(batch))
-        keys[self.build_key] = batch[self.probe_key]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        matches: list[tuple[int, np.ndarray]] = []
-        for i in range(len(batch)):
-            payload = self.table.get(raw[i * width:(i + 1) * width])
-            if payload is not None:
-                matches.append((i, payload))
-        out = self._out_schema.empty(len(matches))
-        payload_names = self.output_names_for_payload
-        for j, (i, payload) in enumerate(matches):
-            for name in self._probe_schema.names:
-                out[name][j] = batch[name][i]
-            for out_name, src_name in zip(payload_names, self.payload_columns):
-                out[out_name][j] = payload[src_name][0]
-        self.probe_matches += len(matches)
-        return out
+        assert self._out_schema is not None
+        raw = key_image(batch, self.probe_key).data
+        words = key_words(raw, self._key_width)
+        # Parallel lookup: every way is one fancy index into the owner
+        # image; a candidate is a match once its key words compare equal.
+        # Build keys are unique, so at most one way confirms per row.
+        bidx = np.full(len(batch), -1, dtype=np.int32)
+        for owner, slots in zip(self._owner,
+                                self.table.way_slots(raw, self._key_width)):
+            cand = owner[slots]
+            hit = cand >= 0
+            hit[hit] = (self._build_words[cand[hit]]
+                        == words[hit]).all(axis=1)
+            bidx[hit] = cand[hit]
+        pidx = np.flatnonzero(bidx >= 0)
+        self.probe_matches += len(pidx)
+        return gather_join_output(self._out_schema, batch, pidx,
+                                  self._payload, self.payload_columns,
+                                  bidx[pidx])

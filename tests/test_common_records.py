@@ -81,6 +81,11 @@ def test_index():
     assert schema.index("h") == 7
 
 
+def test_names_is_computed_once():
+    schema = default_schema()
+    assert schema.names is schema.names
+
+
 def test_project_preserves_order():
     schema = default_schema()
     sub = schema.project(["c", "a"])

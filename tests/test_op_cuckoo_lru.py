@@ -1,5 +1,7 @@
 """Cuckoo hash table and shift-register LRU cache."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,12 +35,17 @@ def test_put_updates_existing():
     assert len(table) == 1
 
 
-def test_update_in_place():
-    table = CuckooHashTable(ways=2, slots_per_way=8)
-    table.put(b"k", 10)
-    assert table.update_in_place(b"k", lambda v: v + 5)
-    assert table.get(b"k") == 15
-    assert not table.update_in_place(b"missing", lambda v: v)
+def test_precomputed_slots_equal_hashing_on_demand():
+    table = CuckooHashTable(ways=4, slots_per_way=64)
+    keys = [i.to_bytes(8, "little") for i in range(40)]
+    slots = table.batch_slots(b"".join(keys), 8)
+    for i, key in enumerate(keys[:20]):
+        assert table.put(key, i, slots[i])
+    for i, key in enumerate(keys):
+        expected = i if i < 20 else None
+        assert table.get(key) == expected           # batch of one
+        assert table.get(key, slots[i]) == expected  # precomputed row
+        assert (key in table) == (i < 20)
 
 
 def test_many_inserts_without_overflow():
@@ -65,6 +72,64 @@ def test_overload_produces_overflow_not_errors():
     overflowed = {k for k, _ in table.overflow}
     assert resident | overflowed == {f"key{i}".encode() for i in range(64)}
     assert resident.isdisjoint(overflowed)
+
+
+def _lcg_keys(n, x=14):
+    keys = []
+    for _ in range(n):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        keys.append(x.to_bytes(8, "little"))
+    return keys
+
+
+def test_high_load_state_is_pinned():
+    """Size, kicks, overflow and every resident's (way, slot) for a fixed
+    3,000-key sequence at ~150% load — literals captured on parent 0eb06a4,
+    where evicted entries were re-hashed instead of carrying their slots."""
+    keys = _lcg_keys(3000)
+    table = CuckooHashTable(ways=2, slots_per_way=1024, max_kicks=4)
+    results = [table.put(key, i) for i, key in enumerate(keys)]
+    assert (table.size, table.kicks, len(table.overflow)) == (1928, 4659, 1072)
+    assert results.count(False) == 1072
+    assert [v for _, v in table.overflow[:8]] == [
+        561, 342, 503, 562, 801, 942, 160, 698]
+    assert all(keys[v] == k for k, v in table.overflow)
+    assert hashlib.sha256(
+        b"".join(k for k, _ in table.overflow)).hexdigest() == (
+        "427dfb09f058e886acb4b484169639911f2315d7a2b702d9a4beae7696c93b36")
+    # Where every resident key lives: its row index wins exactly one
+    # (way, slot) of the owner image.
+    owner = table.owner_image()
+    slots = table.way_slots(b"".join(keys), 8)
+    place = {}
+    for way in range(2):
+        for i in range(3000):
+            if owner[way, slots[way, i]] == i:
+                assert i not in place
+                place[i] = (way, int(slots[way, i]))
+    assert len(place) == 1928
+    assert [place.get(i) for i in range(12)] == [
+        (0, 430), (0, 924), (1, 673), None, (1, 651), (0, 881), None,
+        (1, 188), (0, 452), (0, 320), None, (1, 701)]
+    assert [sum(1 for w, _ in place.values() if w == way)
+            for way in range(2)] == [961, 967]
+    digest = hashlib.sha256()
+    for i in sorted(place):
+        digest.update(f"{i}:{place[i][0]}:{place[i][1]};".encode())
+    assert digest.hexdigest() == (
+        "4675ac929b0e83a620fcd3e762d4ebf24cb29957b1b8a100bbd48e671c721bc1")
+    assert dict(table.items()) == {keys[i]: i for i in place}
+    for i in (0, 3, 2999):
+        assert table.get(keys[i]) == (i if i in place else None)
+
+
+def test_owner_image_marks_empty_slots():
+    table = CuckooHashTable(ways=2, slots_per_way=8)
+    assert (table.owner_image() == -1).all()
+    table.put(b"k", 5)
+    owner = table.owner_image()
+    assert owner.shape == (2, 8) and owner.dtype.name == "int32"
+    assert sorted(owner.ravel().tolist()) == [-1] * 15 + [5]
 
 
 def test_drain_overflow_empties_buffer():

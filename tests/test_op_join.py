@@ -1,10 +1,20 @@
 """Small-table join operator (§7 extension): unit + end-to-end tests."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.sw_ops import software_join
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
-from repro.common.errors import OperatorError, PipelineCompilationError, QueryError
+from repro.common.errors import (
+    JoinBuildOverflowError,
+    OperatorError,
+    PipelineCompilationError,
+    QueryError,
+)
 from repro.common.records import Column, Schema, default_schema
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
@@ -78,6 +88,43 @@ def test_join_duplicate_build_key_rejected():
     op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"])
     with pytest.raises(OperatorError, match="unique"):
         op.load_build(dim)
+    # The row named is the first one that repeats an earlier key — not the
+    # key's first holder, not a later repeat.
+    dim = make_dim(8)
+    dim["id"] = [5, 6, 7, 6, 5, 5, 8, 7]
+    for join in (
+            lambda: SmallTableJoinOperator(
+                DIM_SCHEMA, "id", "a", ["rate"]).load_build(dim),
+            lambda: software_join(make_fact(4)[1], default_schema(), dim,
+                                  DIM_SCHEMA, "id", "a", ["rate"])):
+        with pytest.raises(OperatorError, match=r"key at row 3:"):
+            join()
+
+
+def _tiny_join():
+    # ids 0..15 into 2 ways x 4 slots with 2 kicks: row 7 is the first
+    # whose eviction chain runs out.
+    return SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"],
+                                  ways=2, slots_per_way=4, max_kicks=2)
+
+
+def test_join_overflow_before_duplicate_raises_overflow():
+    dim = make_dim(16)
+    dim["id"][8] = 0                       # a repeat, one row too late
+    with pytest.raises(JoinBuildOverflowError, match="does not fit"):
+        _tiny_join().load_build(dim)
+    dim = make_dim(16)
+    dim["id"][7] = 0                       # the overflowing row itself
+    with pytest.raises(OperatorError, match=r"key at row 7:"):
+        _tiny_join().load_build(dim)
+
+
+def test_join_duplicate_before_overflow_raises_duplicate():
+    dim = make_dim(16)
+    dim["id"][3] = 0                       # rows 0..2 fit; 16 rows cannot
+    with pytest.raises(OperatorError, match=r"key at row 3:") as excinfo:
+        _tiny_join().load_build(dim)
+    assert not isinstance(excinfo.value, JoinBuildOverflowError)
 
 
 def test_join_build_overflow_rejected():
@@ -125,6 +172,93 @@ def test_join_validation():
         SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["id"])
 
 
+# --- operator == client kernel == nested loop, on raw key bytes ------------------
+
+def _f8(bits: int) -> bytes:
+    return struct.pack("<Q", bits)
+
+
+#: Per key type: the column and a pool of raw key images.  Keys match on
+#: bytes: 0.0 != -0.0, each NaN equals only its own bit pattern, bytes
+#: after an embedded NUL count and trailing NULs are padding.
+KEY_POOLS = {
+    "int64": (Column("k", "int64"), [
+        struct.pack("<q", v) for v in (0, 1, -1, 7, 2**62, -2**63, 256)]),
+    "float64": (Column("k", "float64"), [
+        _f8(0x0000000000000000), _f8(0x8000000000000000),     # 0.0, -0.0
+        _f8(0x7FF8000000000000), _f8(0x7FF8000000000001),     # two NaNs
+        _f8(0xFFF8000000000000), _f8(0x3FF8000000000000),     # -NaN, 1.5
+        _f8(0x7FF0000000000000)]),                            # inf
+    "char": (Column("k", "char", 6), [
+        key.ljust(6, b"\x00") for key in (
+            b"", b"a", b"a\x00b", b"a\x00c", b"ab", b"abcdef",
+            b"a\x00\x00\x00\x00z")]),
+}
+
+
+def _raw_keys(rows, column):
+    width = rows.dtype[column].itemsize
+    raw = np.ascontiguousarray(rows[column]).tobytes()
+    return [raw[i * width:(i + 1) * width] for i in range(len(rows))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(KEY_POOLS)),
+       build_picks=st.lists(st.integers(0, 6), unique=True, max_size=7),
+       probe_picks=st.lists(st.integers(0, 6), max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=4))
+def test_join_equals_client_kernel_and_nested_loop(kind, build_picks,
+                                                   probe_picks, cuts):
+    key_col, pool = KEY_POOLS[kind]
+    key_dtype = key_col.dtype
+    # Both sides have a column "v": the payload one comes out as build_v.
+    build_schema = Schema([Column("id", key_col.kind, key_col.width),
+                           Column("v", "float64"), Column("zone", "int64")])
+    probe_schema = Schema([Column("seq", "int64"), key_col,
+                           Column("v", "float64")])
+    build = build_schema.empty(len(build_picks))
+    build["id"] = np.frombuffer(
+        b"".join(pool[i] for i in build_picks), dtype=key_dtype)
+    build["v"] = np.arange(len(build)) + 0.25
+    build["zone"] = np.arange(len(build)) * 11
+    probe = probe_schema.empty(len(probe_picks))
+    probe["seq"] = np.arange(len(probe))
+    probe["k"] = np.frombuffer(
+        b"".join(pool[i] for i in probe_picks), dtype=key_dtype)
+    probe["v"] = -np.arange(len(probe)) - 0.5
+    assert _raw_keys(build, "id") == [pool[i] for i in build_picks]
+    assert _raw_keys(probe, "k") == [pool[i] for i in probe_picks]
+
+    op = SmallTableJoinOperator(build_schema, "id", "k", ["v", "zone"],
+                                ways=4, slots_per_way=8)
+    op.load_build(build)
+    out_schema = op.bind(probe_schema)
+    assert out_schema.names == ("seq", "k", "v", "build_v", "zone")
+    bounds = [0, *sorted(min(c, len(probe)) for c in cuts), len(probe)]
+    parts = [op.process(probe[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    offloaded = np.concatenate(parts)
+
+    shipped = software_join(probe, probe_schema, build, build_schema,
+                            "id", "k", ["v", "zone"])
+
+    build_keys = _raw_keys(build, "id")
+    pairs = [(i, j) for i, pkey in enumerate(_raw_keys(probe, "k"))
+             for j, bkey in enumerate(build_keys) if pkey == bkey]
+    oracle = out_schema.empty(len(pairs))
+    for row, (i, j) in enumerate(pairs):
+        for name in probe_schema.names:
+            oracle[name][row] = probe[name][i]
+        oracle["build_v"][row] = build["v"][j]
+        oracle["zone"][row] = build["zone"][j]
+
+    assert offloaded.dtype == shipped.dtype == oracle.dtype
+    assert offloaded.tobytes() == oracle.tobytes()
+    assert shipped.tobytes() == oracle.tobytes()
+    assert (op.build_rows_loaded, op.rows_in, op.rows_out,
+            op.probe_matches) == (len(build), len(probe), len(pairs),
+                                  len(pairs))
+
+
 # --- query / compiler integration ----------------------------------------------------
 
 def test_joinspec_validation():
@@ -163,7 +297,15 @@ def client():
     return c
 
 
-def test_offloaded_join_end_to_end(client):
+def test_offloaded_join_end_to_end(client, monkeypatch):
+    join_ops = []
+    load_build = SmallTableJoinOperator.load_build
+
+    def spy(self, rows):
+        join_ops.append(self)
+        load_build(self, rows)
+
+    monkeypatch.setattr(SmallTableJoinOperator, "load_build", spy)
     dim = make_dim(16)
     dim_table = FTable("dim", DIM_SCHEMA, len(dim))
     client.alloc_table_mem(dim_table)
@@ -185,6 +327,11 @@ def test_offloaded_join_end_to_end(client):
     # Build table bytes were scanned in addition to the probe.
     assert result.report.bytes_scanned >= fact_table.size_bytes
     assert elapsed > 0
+    # The operator's counters, as the node and the cost model read them.
+    (op,) = join_ops
+    assert (op.build_rows_loaded, op.rows_in, op.rows_out,
+            op.probe_matches) == (16, 500, 256, 256)
+    assert (result.report.rows_in, result.report.rows_out) == (500, 256)
 
 
 def test_offloaded_join_composes_with_selection_and_projection(client):

@@ -6,18 +6,24 @@ per-callback heap scheduling or per-burst byte copies this PR removed, not
 to flake on slow CI machines.
 """
 
+import cProfile
+import pstats
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig
-from repro.common.records import default_schema
+from repro.common.records import Column, Schema, default_schema
 from repro.common.units import MB
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
 from repro.core.query import select_distinct
 from repro.core.table import FTable
+from repro.memory.mmu import DEFAULT_BURST_BYTES
+from repro.operators.base import OperatorPipeline
+from repro.operators.join import SmallTableJoinOperator
 from repro.sim.engine import Simulator
 from repro.workloads.generator import distinct_workload
 
@@ -93,6 +99,65 @@ def test_run_is_deterministic():
     assert a["sim_ns"] == b["sim_ns"]
     assert a["events"] == b["events"]
     assert a["digests"] == b["digests"]
+
+
+# -- the join stays array-resident ---------------------------------------------
+
+def test_join_python_call_budget():
+    """Build 16,384 keys, probe 65,536 rows in DRAM-burst batches: the
+    Python-level calls into ``repro.operators`` are O(batches + build rows).
+
+    Only the cuckoo insertion walks rows (a put and its probe per build
+    row); hashing, lookup, key compare and gather are array passes per
+    batch.  Per-row hashing or a per-match copy loop — 2.3M calls here
+    before the join went array-resident — lands 10x over the budget.
+    """
+    build_rows, probe_rows = 16_384, 65_536
+    dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])
+    dim = dim_schema.empty(build_rows)
+    dim["id"] = np.arange(build_rows) * 3
+    dim["rate"] = np.arange(build_rows) * 0.5
+    schema = default_schema()
+    fact = schema.empty(probe_rows)
+    fact["a"] = np.arange(probe_rows)        # ids are 0, 3, ..., 49149
+    image = memoryview(schema.to_bytes(fact))
+    bursts = [image[off:off + DEFAULT_BURST_BYTES]
+              for off in range(0, len(image), DEFAULT_BURST_BYTES)]
+    op = SmallTableJoinOperator(dim_schema, "id", "a", ["rate"])
+    pipeline = OperatorPipeline("join", schema, [op])
+
+    profile = cProfile.Profile()
+    start = time.perf_counter()
+    profile.enable()
+    op.load_build(dim)
+    out = b"".join(pipeline.process_chunk(burst) for burst in bursts)
+    profile.disable()
+    wall = time.perf_counter() - start
+
+    joined = pipeline.output_schema.from_bytes(out)
+    keys = fact["a"]
+    expected = keys[(keys % 3 == 0) & (keys < 3 * build_rows)]
+    np.testing.assert_array_equal(joined["a"], expected)
+    np.testing.assert_array_equal(joined["rate"], (expected // 3) * 0.5)
+    assert (op.build_rows_loaded, op.rows_in, op.rows_out,
+            op.probe_matches) == (build_rows, probe_rows, len(expected),
+                                  len(expected))
+    calls = sum(
+        nc for (filename, _, _), (_, nc, _, _, _)
+        in pstats.Stats(profile).stats.items()
+        if "/repro/operators/" in filename.replace("\\", "/"))
+    assert 0 < calls < 8 * build_rows + 200 * len(bursts)
+    assert wall < 5.0   # ~0.1 s under the profiler; slack for slow CI
+
+
+def test_one_hash_one_probe_in_src():
+    """The scalar hash twin and the unhashed-probe branches stay deleted."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("hash_key(", "HashFamily", "slots is None",
+                     "update_in_place"):
+            assert gone not in text, f"{gone!r} is back in {path}"
 
 
 # -- zero-copy from_bytes contract --------------------------------------------
