@@ -116,10 +116,6 @@ class OperatorStackConfig:
         """Per-region streaming throughput, bytes/ns (width x clock)."""
         return self.datapath_bytes / self.cycle_ns
 
-    @property
-    def pipeline_fill_ns(self) -> float:
-        return self.pipeline_fill_cycles * self.cycle_ns
-
 
 @dataclass(frozen=True)
 class CpuConfig:

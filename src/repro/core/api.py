@@ -29,7 +29,8 @@ Primitive                             single node / cluster
 ``table_read_proc``                   one raw RDMA read / scatter raw reads,
                                       gathered in shard order
 ``far_view_proc`` (``_offload_proc``)  one offloaded scan (plain or MVCC
-                                      snapshot) / scatter the rewritten
+                                      snapshot — one node verb) / the
+                                      one scatter of the rewritten
                                       fragment, gather + merge
 ``_plan`` (public ``plan``)           price one node / the pool, folding
                                       the join strategy in
@@ -39,8 +40,9 @@ Primitive                             single node / cluster
 ``_prepare_proc`` + ``_commit``       delta prepare + commit / scatter
                                       prepares + two-phase epoch commit
 ``_view_chains``                      the version chains behind a handle
-join-build placement                  pinning / broadcast, shuffle,
-                                      co-location
+join-build placement                  pinning / one ``(partition, node)
+                                      -> copy`` map per build: broadcast,
+                                      shuffle, co-location
 ====================================  =======================================
 
 Every verb that takes simulated time exists in two forms: a ``*_proc``
@@ -1009,18 +1011,15 @@ class FarviewClient(_ClientCore):
             # Pipelines are stateful/one-shot: always compile a fresh one;
             # the signature keeps region reconfiguration free across
             # repeats.
+            source = table
             if versioned:
-                view = table.view_at(epoch)
-                compiled = compile_query(self._versioned_query(query),
-                                         view.base, self.node.config)
-                serve = self.node.serve_farview_versioned(conn, view,
-                                                          compiled)
-            else:
-                compiled = compile_query(query, table, self.node.config)
-                serve = self.node.serve_farview(conn, table, compiled)
+                source = table.view_at(epoch)
+                table, query = source.base, self._versioned_query(query)
+            compiled = compile_query(query, table, self.node.config)
             conn.qp.buffer.reset()
             start = self.sim.now
-            report = yield from serve
+            report = yield from self.node.serve_farview(conn, source,
+                                                        compiled)
         finally:
             for pinned, token in reversed(pins):
                 self._release_pin(pinned, token)
@@ -1094,16 +1093,6 @@ class FarviewClient(_ClientCore):
         """
         return self._placed(table, query, placement, stats, lease_manager,
                             as_of=as_of)
-
-    def plan_versioned(self, vt: VersionedTable, query: Query,
-                       epoch: int | None = None, placement: str = "auto",
-                       stats: PlanStats | None = None,
-                       lease_manager=None,
-                       refuse_join_offload: bool = False) -> PlacementPlan:
-        """Plan a versioned scan: base + K delta segments on the ingest
-        side, raw segment reads + software merge on the ship side."""
-        return self._plan(vt, query, placement, stats, lease_manager,
-                          refuse_join_offload, as_of=epoch)
 
     def _bind(self, table, as_of: int | None = None) -> dict:
         """Resolve the snapshot epoch once, before the ladder's nested
@@ -1215,6 +1204,10 @@ class FarviewClient(_ClientCore):
         visible_change)`` for :meth:`_commit`."""
         conn = self._require_conn()
         if kind == "insert":
+            # The one write verb whose prepare never scans the chain on
+            # the node: check §4.4 isolation here, before anything is
+            # allocated or committed against a foreign handle.
+            self.node.require_access(conn, vt.base)
             rows = np.asarray(args[0], dtype=vt.schema.dtype)
             if len(rows) == 0:
                 return (kind, None, 0, 0)
@@ -1274,14 +1267,19 @@ class FarviewClient(_ClientCore):
 
 
 @dataclass
-class _JoinReplica:
-    """A broadcast build-table copy on one node, stamped with the node's
-    incarnation at write time (a later crash makes the stamp stale — the
-    copy is gone and must never be probed against)."""
+class _Placement:
+    """Where one join's build side lives in the pool.
 
-    table: FTable
-    incarnation: int = 0
+    ``copies`` maps ``(partition, node_index)`` to the node-local copy
+    of that build partition, stamped with the node's incarnation at
+    write time (a later crash makes the stamp stale — the copy is gone
+    and must never be probed against).  ``empty`` are the partitions
+    that hold no build rows: their fact shards probe nothing and are
+    answered client-side.
+    """
 
+    copies: dict[tuple[int, int], ShardReplica] = field(default_factory=dict)
+    empty: frozenset[int] = frozenset()
 
 
 #: Sentinel a shard executor returns (instead of raising) when every
@@ -1324,8 +1322,6 @@ class _ConnLock:
             self.locked = False
 
 
-
-
 @_with_blocking_verbs
 class ClusterClient(_ClientCore):
     """Scatter-gather router: one query thread over a sharded pool.
@@ -1353,30 +1349,21 @@ class ClusterClient(_ClientCore):
         self._clients = [FarviewClient(node, buffer_capacity)
                          for node in cluster.nodes]
         self.cpu = self._clients[0].cpu
-        #: Broadcast join build replicas: build name -> node index ->
-        #: the node-local copy of the dimension table (with the node's
-        #: incarnation at write time).  Replicas are immutable (plain
-        #: tables only) so they stay valid until the build table is
-        #: dropped — or the node crashes, which invalidates the entry.
-        self._join_replicas: dict[str, dict[int, _JoinReplica]] = {}
-        #: In-flight broadcasts by build name: concurrent joins against
-        #: the same dimension table share one broadcast process instead
-        #: of racing the cache and leaking the loser's replicas.
-        self._join_broadcasts: dict[str, object] = {}
-        #: Repartition-shuffle fragment cache: ``"{build}->{fact}"`` ->
-        #: ``(partition, node_index)`` -> the node-local fragment of the
-        #: build's rows whose keys hash to ``partition`` (primary on node
-        #: ``partition`` plus the fact table's failover ring).
-        self._shuffle_fragments: dict[
-            str, dict[tuple[int, int], _JoinReplica]] = {}
-        #: In-flight shuffles by cache key (same dedupe as broadcasts).
-        self._shuffle_jobs: dict[str, object] = {}
-        #: Hash partitions of each shuffled build that hold no rows —
-        #: their fact shards probe nothing and are answered client-side.
-        self._shuffle_empty: dict[str, frozenset[int]] = {}
+        #: Join build placements that moved bytes, by ``(build name,
+        #: fact name | None)``.  ``broadcast`` is the one-partition
+        #: layout whose ring is every node (fact-independent: ``None``);
+        #: ``shuffle`` the N-partition layout on the fact table's
+        #: placement hash and failover ring.  Copies are immutable (plain
+        #: tables only), so a placement stays valid until either table
+        #: is dropped — or a node crashes, which invalidates its copies.
+        self._placements: dict[tuple[str, str | None], _Placement] = {}
+        #: In-flight moves by placement key: concurrent joins needing
+        #: the same placement share one move process instead of racing
+        #: the cache and leaking the loser's copies.
+        self._moves: dict[tuple[str, str | None], object] = {}
         #: Build-side bytes written into pool memory for join placement
-        #: (broadcast replicas + shuffle fragments).  Co-located joins
-        #: leave this untouched — the fig19 zero-replica-bytes assertion.
+        #: (every copy a move wrote).  Co-located joins leave this
+        #: untouched — the fig19 zero-replica-bytes assertion.
         self.replica_bytes_moved = 0
         #: Applied per shard request by the scatter router (backoff
         #: between retries on the same candidate, post-completion
@@ -1516,32 +1503,20 @@ class ClusterClient(_ClientCore):
 
         Reuses the single-node :meth:`FarviewClient.drop_table` per
         shard, so plain and versioned shard tables (whole chains) are
-        handled uniformly.  Shard replicas, broadcast join replicas and
-        shuffle fragments of the table are freed too.
+        handled uniformly.  Shard replicas and every join build
+        placement the table participates in — on either side — are
+        freed too.
         """
         for shard in table.shards:
             self._clients[shard.node_index].drop_table(shard.table)
             if isinstance(shard, TableShard):
-                for rep in shard.replicas:
-                    rclient = self._clients[rep.node_index]
-                    rclient.node.free_table_mem(rclient.connection,
-                                                rep.table)
-        for node_index, replica in self._join_replicas.pop(
-                table.name, {}).items():
-            client = self._clients[node_index]
-            client.node.free_table_mem(client.connection, replica.table)
-        self._join_broadcasts.pop(table.name, None)
-        # Shuffle fragments are keyed per (build, fact) pairing — free
-        # every pairing this table participates in, on either side.
-        for key in [k for k in self._shuffle_fragments
-                    if table.name in k.split("->")]:
-            for (_part, node_index), rep in self._shuffle_fragments.pop(
-                    key).items():
-                if rep.table.allocated:
-                    client = self._clients[node_index]
-                    client.node.free_table_mem(client.connection, rep.table)
-            self._shuffle_jobs.pop(key, None)
-            self._shuffle_empty.pop(key, None)
+                self._free_copies(shard.replicas)
+        # A move in flight loses its handle: it then frees the copies it
+        # wrote instead of publishing them.
+        for key in [k for k in self._moves if table.name in k]:
+            del self._moves[key]
+        for key in [k for k in self._placements if table.name in k]:
+            self._free_copies(self._placements.pop(key).copies.values())
         self.catalog.deregister(table.name)
 
     # -- join-build placement -------------------------------------------------
@@ -1558,113 +1533,13 @@ class ClusterClient(_ClientCore):
                 "cluster catalog (create it with create_table)")
         return build
 
-    def _ensure_join_replicas_proc(self, build):
-        """Process: replicate a join's build table onto every node.
-
-        The build-side broadcast of a distributed small-table join:
-        gather the dimension table's bytes from its shards (ordinary
-        scatter raw reads), then write one full copy into every node's
-        pool memory in parallel — all timed through the normal
-        wire/ingest model.  Replicas are cached per build name; repeated
-        joins against the same dimension table pay the broadcast once.
-        """
-        self._require_cluster_build(build)
-        for _round in range(self.num_nodes + 2):
-            cached = self._join_replicas.get(build.name)
-            if cached is not None:
-                # Invalidate entries written to a node that crashed
-                # since: its pool memory is gone, and a stale copy must
-                # never be probed against (never serve wrong bytes).
-                for idx in [i for i, rep in cached.items()
-                            if self.cluster.nodes[i].incarnation
-                            != rep.incarnation]:
-                    del cached[idx]
-            targets = tuple(
-                i for i in range(self.num_nodes)
-                if not self.cluster.nodes[i].failed
-                and (cached is None or i not in cached))
-            if cached is not None and not targets:
-                return cached
-            inflight = self._join_broadcasts.get(build.name)
-            if inflight is None:
-                inflight = self.sim.process(
-                    self._broadcast_build_proc(build, targets),
-                    name=f"cluster.broadcast[{build.name}]")
-                self._join_broadcasts[build.name] = inflight
-            try:
-                yield inflight
-            except FaultError:
-                # A node died mid-broadcast.  The loop re-evaluates:
-                # the dead node drops out of the next round's targets
-                # (re-replication onto the survivors only).
-                pass
-        raise NodeFailedError(
-            f"could not broadcast {build.name!r}: nodes kept failing")
-
-    def _broadcast_build_proc(self, build: ShardedTable,
-                              targets: tuple[int, ...]):
-        """Process: the broadcast itself (one in flight per build name),
-        writing one replica onto each node in ``targets``."""
-        replicas: dict[int, _JoinReplica] = {}
-        try:
-            data = yield from self.table_read_proc(build)
-            procs = []
-            for node_index in targets:
-                client = self._clients[node_index]
-                replica = FTable(f"{build.name}@bcast{node_index}",
-                                 build.schema, build.num_rows)
-                client.node.alloc_table_mem(client.connection, replica)
-                replicas[node_index] = _JoinReplica(
-                    replica, client.node.incarnation)
-                procs.append(self.sim.process(
-                    client.node.serve_write(client.connection, replica,
-                                            data),
-                    name=f"cluster.broadcast[{replica.name}]"))
-            if procs:
-                yield self.sim.all_of(procs)
-            for rep in replicas.values():
-                self.replica_bytes_moved += rep.table.size_bytes
-        except BaseException:
-            # A failed broadcast (e.g. a node out of pool memory) must
-            # not leave a dead in-flight handle behind — later joins
-            # would wait on it forever — nor leak partial replicas.
-            self._join_broadcasts.pop(build.name, None)
-            for node_index, rep in replicas.items():
-                if rep.table.allocated:
-                    client = self._clients[node_index]
-                    client.node.free_table_mem(client.connection, rep.table)
-            raise
-        # Publish cache and retire the in-flight handle in one step (no
-        # yields between), so callers see exactly one of the two.  A
-        # drop_table mid-broadcast removes the in-flight handle; the
-        # orphaned replicas are then freed instead of cached.  Merge
-        # (not replace): a re-replication round after a crash must keep
-        # the survivors' still-valid entries.
-        if self._join_broadcasts.pop(build.name, None) is not None:
-            cached = self._join_replicas.setdefault(build.name, {})
-            cached.update(replicas)
-            return cached
-        for node_index, rep in replicas.items():
-            client = self._clients[node_index]
-            client.node.free_table_mem(client.connection, rep.table)
-        return replicas
-
-    def _localize_join(self, shard_query: Query,
-                       replicas: dict[int, _JoinReplica],
-                       node_index: int) -> Query:
-        """Swap the node-local build replica into one shard's fragment.
-
-        Raises :class:`NodeFailedError` when the node has no live
-        replica (crashed since the broadcast) — the shard executor then
-        fails over to the next candidate node.
-        """
-        rep = replicas.get(node_index)
-        if rep is None or not self._node_usable(node_index,
-                                                rep.incarnation):
-            raise NodeFailedError(
-                f"no live build replica on node {node_index}")
-        spec = replace(shard_query.join, build_table=rep.table)
-        return replace(shard_query, join=spec)
+    def _free_copies(self, copies) -> None:
+        """Return the pool memory of node-local table copies (shard
+        replicas, join build copies) that are still allocated."""
+        for rep in copies:
+            if rep.table.allocated:
+                client = self._clients[rep.node_index]
+                client.node.free_table_mem(client.connection, rep.table)
 
     def _node_usable(self, node_index: int,
                      incarnation: int | None = None) -> bool:
@@ -1676,7 +1551,25 @@ class ClusterClient(_ClientCore):
             return False
         return incarnation is None or node.incarnation == incarnation
 
-    # -- partition-aware joins: strategy resolution, shuffle, co-location ----
+    @staticmethod
+    def _placement_key(build, fact, strategy: str):
+        return (build.name, None if strategy == "broadcast" else fact.name)
+
+    def _movement_ns(self, build, fact, strategy: str) -> float:
+        """Wire cost of placing ``build`` for ``strategy``
+        (:meth:`~repro.core.cost_model.PlacementCostModel.
+        join_movement_ns`) — zero when nothing has to move: co-located
+        builds already sit beside the fact shards, and a placement with
+        live copies is paid for."""
+        placed = self._placements.get(
+            self._placement_key(build, fact, strategy))
+        if placed is not None and placed.copies:
+            return 0.0
+        model = PlacementCostModel(self.cluster.config, self.cpu)
+        return model.join_movement_ns(
+            strategy, build.size_bytes, fact.num_partitions,
+            copies=min(fact.partition.replicas, self.num_nodes))
+
     def _resolve_join_strategy(self, sharded, query: Query,
                                requested: str | None = None
                                ) -> Optional[str]:
@@ -1686,9 +1579,8 @@ class ClusterClient(_ClientCore):
         feasible set (:func:`~repro.core.cluster.join_strategies`) and a
         typed error explains an infeasible request.  Under ``None``
         (auto) the cheapest build-movement cost wins
-        (:meth:`~repro.core.cost_model.PlacementCostModel.
-        join_movement_ns`, zero for placements already cached), with
-        ties broken toward the strategy that moves least.
+        (:meth:`_movement_ns`), with ties broken toward the strategy
+        that moves least.
         """
         if query.join is None:
             if requested is not None:
@@ -1714,174 +1606,163 @@ class ClusterClient(_ClientCore):
         if len(feasible) == 1:
             return feasible[0]
         build = query.join.build_table
-        model = PlacementCostModel(self.cluster.config, self.cpu)
-        copies = min(sharded.partition.replicas, self.num_nodes)
-        costs: dict[str, float] = {}
-        for strat in feasible:
-            if strat == "colocated":
-                costs[strat] = 0.0
-            elif strat == "broadcast":
-                cached = self._join_replicas.get(build.name)
-                costs[strat] = (0.0 if cached else model.join_movement_ns(
-                    "broadcast", build.size_bytes, self.num_nodes))
-            else:  # shuffle
-                key = f"{build.name}->{sharded.name}"
-                cached = self._shuffle_fragments.get(key)
-                costs[strat] = (0.0 if cached else model.join_movement_ns(
-                    "shuffle", build.size_bytes, sharded.num_partitions,
-                    copies=copies))
         order = {"colocated": 0, "shuffle": 1, "broadcast": 2}
-        return min(feasible, key=lambda s: (costs[s], order[s]))
+        return min(feasible, key=lambda s: (
+            self._movement_ns(build, sharded, s), order[s]))
 
-    def _ensure_shuffle_fragments_proc(self, build, sharded, build_key: str):
-        """Process: repartition a join's build side onto the fact shards.
+    def _place_build_proc(self, join, fact, strategy: str):
+        """Process: make sure the build side of ``join`` is placed for
+        ``strategy``; returns the :class:`_Placement` to probe against.
 
-        The node→node shuffle path: gather the build's bytes (ordinary
-        scatter raw reads), re-key every row with the same splitmix64
-        ``hash_key_batch`` the fact placement used, and write partition
-        ``s``'s fragment onto node ``s`` plus the fact table's failover
-        ring — all timed through the normal wire/ingest model.
-        Fragments are cached per ``(build, fact)`` pairing; like the
-        broadcast cache, entries written to a node that crashed since
-        are invalidated and re-shuffled onto the survivors.
+        One layout, three strategies.  ``colocated`` is the placement
+        that already exists — the build's own shards and their ring
+        replicas.  ``broadcast`` is one partition whose ring is every
+        node; ``shuffle`` is one partition per fact partition, re-keyed
+        with the same splitmix64 ``hash_key_batch`` the fact placement
+        used, on the fact table's failover ring.  Missing copies are
+        written by :meth:`_move_build_proc` (one move in flight per
+        placement, shared by concurrent joins) and cached; copies on a
+        node that crashed since are invalidated — its pool memory is
+        gone, and a stale copy must never be probed against — and
+        re-placed onto the survivors.
         """
-        self._require_cluster_build(build)
-        key = f"{build.name}->{sharded.name}"
+        build = self._require_cluster_build(join.build_table)
+        if strategy == "colocated":
+            return _Placement(
+                {(s.node_index, c.node_index): c
+                 for s in build.shards for c in s.candidates()},
+                frozenset(range(fact.num_partitions))
+                - {s.node_index for s in build.shards})
+        if strategy == "broadcast":
+            num_partitions = 1
+            rings = {0: tuple(range(self.num_nodes))}
+        else:
+            num_partitions = fact.num_partitions
+            rings = {s.node_index: (s.node_index,) + replica_nodes(
+                         s.node_index, self.num_nodes,
+                         fact.partition.replicas)
+                     for s in fact.shards}
+        key = self._placement_key(build, fact, strategy)
+        nodes = self.cluster.nodes
         for _round in range(self.num_nodes + 2):
-            cached = self._shuffle_fragments.get(key)
-            if cached is not None:
-                for fkey in [fk for fk, rep in cached.items()
-                             if self.cluster.nodes[fk[1]].incarnation
-                             != rep.incarnation]:
-                    del cached[fkey]
-            empty = self._shuffle_empty.get(key, frozenset())
-            targets: list[tuple[int, int]] = []
-            for shard in sharded.shards:
-                partition = shard.node_index
-                if cached is not None and partition in empty:
-                    continue
-                ring = (partition,) + replica_nodes(
-                    partition, self.num_nodes, sharded.partition.replicas)
-                for node_index in ring:
-                    if self.cluster.nodes[node_index].failed:
-                        continue
-                    if cached is None or (partition, node_index) not in cached:
-                        targets.append((partition, node_index))
-            if cached is not None and not targets:
-                return cached
-            inflight = self._shuffle_jobs.get(key)
+            placed = self._placements.get(key)
+            if placed is not None:
+                for ck in [ck for ck, rep in placed.copies.items()
+                           if nodes[ck[1]].incarnation != rep.incarnation]:
+                    del placed.copies[ck]
+            targets = tuple(
+                (partition, node_index)
+                for partition, ring in rings.items()
+                if placed is None or partition not in placed.empty
+                for node_index in ring
+                if not nodes[node_index].failed
+                and (placed is None
+                     or (partition, node_index) not in placed.copies))
+            if placed is not None and not targets:
+                return placed
+            inflight = self._moves.get(key)
             if inflight is None:
-                inflight = self.sim.process(
-                    self._shuffle_build_proc(build, sharded, build_key, key,
-                                             tuple(targets)),
-                    name=f"cluster.shuffle[{key}]")
-                self._shuffle_jobs[key] = inflight
+                inflight = self._moves[key] = self.sim.process(
+                    self._move_build_proc(build, key, join.build_key,
+                                          num_partitions, targets),
+                    name=f"cluster.move[{key[0]}->{key[1]}]")
             try:
                 yield inflight
             except FaultError:
-                # A node died mid-shuffle.  The loop re-evaluates: the
-                # dead node drops out of the next round's targets.
+                # A node died mid-move.  The loop re-evaluates: the dead
+                # node drops out of the next round's targets
+                # (re-placement onto the survivors only).
                 pass
         raise NodeFailedError(
-            f"could not shuffle {build.name!r} onto {sharded.name!r}: "
-            f"nodes kept failing")
+            f"could not place {build.name!r} for a {strategy} join: nodes "
+            f"kept failing")
 
-    def _shuffle_build_proc(self, build: ShardedTable, sharded, build_key: str,
-                            key: str, targets: tuple[tuple[int, int], ...]):
-        """Process: the shuffle itself (one in flight per pairing),
-        writing the per-partition fragments named by ``targets``."""
-        written: dict[tuple[int, int], _JoinReplica] = {}
+    def _move_build_proc(self, build: ShardedTable, key, build_key: str,
+                         num_partitions: int, targets):
+        """Process: the move itself — gather the build's bytes (ordinary
+        scatter raw reads), hash-partition them ``num_partitions`` ways
+        and write the ``(partition, node)`` copies named by ``targets``,
+        all timed through the normal wire/ingest model."""
+        written: dict[tuple[int, int], ShardReplica] = {}
+        images: dict[int, bytes] = {}  # one image per partition, shared
+        by_node: dict[int, list] = {}
         try:
             data = yield from self.table_read_proc(build)
             rows = build.schema.from_bytes(data)
-            spec = PartitionSpec("hash", key=build_key)
-            parts = partition_indices(rows, build.schema, spec,
-                                      sharded.num_partitions)
-            self._shuffle_empty[key] = frozenset(
-                p for p, idx in enumerate(parts) if len(idx) == 0)
-            by_node: dict[int, list[tuple[int, np.ndarray]]] = {}
+            parts = partition_indices(rows, build.schema,
+                                      PartitionSpec("hash", key=build_key),
+                                      num_partitions)
             for partition, node_index in targets:
                 idx = parts[partition]
                 if len(idx) == 0:
                     continue
+                if partition not in images:
+                    images[partition] = build.schema.to_bytes(rows[idx])
                 by_node.setdefault(node_index, []).append(
-                    (partition, rows[idx]))
+                    (partition, len(idx), images[partition]))
             procs = [
                 self.sim.process(
-                    self._write_fragments_proc(build, node_index, frags,
-                                               written),
-                    name=f"cluster.shuffle[{key}->n{node_index}]")
+                    self._write_copies_proc(build, node_index, frags,
+                                            written),
+                    name=f"cluster.move[{key[0]}->{key[1]}@n{node_index}]")
                 for node_index, frags in sorted(by_node.items())]
             if procs:
                 yield self.sim.all_of(procs)
         except BaseException:
-            # Mirror the broadcast cleanup: never leave a dead in-flight
-            # handle or partially written fragments behind.
-            self._shuffle_jobs.pop(key, None)
-            for (_part, node_index), rep in written.items():
-                if rep.table.allocated:
-                    client = self._clients[node_index]
-                    client.node.free_table_mem(client.connection, rep.table)
+            # A failed move (e.g. a node out of pool memory) must not
+            # leave a dead in-flight handle behind — later joins would
+            # wait on it forever — nor leak partially written copies.
+            self._moves.pop(key, None)
+            self._free_copies(written.values())
             raise
-        if self._shuffle_jobs.pop(key, None) is not None:
-            cached = self._shuffle_fragments.setdefault(key, {})
-            cached.update(written)
-            return cached
-        for (_part, node_index), rep in written.items():
-            client = self._clients[node_index]
-            client.node.free_table_mem(client.connection, rep.table)
-        return written
+        # Publish and retire the in-flight handle in one step (no yields
+        # between), so callers see exactly one of the two.  A drop_table
+        # mid-move removes the handle; the orphaned copies are then
+        # freed instead of cached.  Merge (not replace): a re-placement
+        # round after a crash must keep the survivors' valid entries.
+        if self._moves.pop(key, None) is None:
+            self._free_copies(written.values())
+            return
+        placed = self._placements.setdefault(key, _Placement())
+        placed.empty = frozenset(
+            p for p, idx in enumerate(parts) if len(idx) == 0)
+        placed.copies.update(written)
 
-    def _write_fragments_proc(self, build: ShardedTable, node_index: int,
-                              frags: list, written: dict):
-        """Process: write one node's shuffle fragments back-to-back.
+    def _write_copies_proc(self, build: ShardedTable, node_index: int,
+                           frags: list, written: dict):
+        """Process: write one node's build copies back-to-back.
 
-        One link per node: a node receiving several fragments (its own
-        partition plus the ring failover copies landing on it) pays each
-        write's fixed cost serially — the term that keeps broadcast
-        competitive for small builds under k-replication.
+        One link per node: a node receiving several partitions (its own
+        plus the ring failover copies landing on it) pays each write's
+        fixed cost serially — the term that keeps broadcast competitive
+        for small builds under k-replication.
         """
         client = self._clients[node_index]
-        for partition, fragment_rows in frags:
-            table = FTable(f"{build.name}@shf{partition}n{node_index}",
-                           build.schema, len(fragment_rows))
+        for partition, num_rows, image in frags:
+            table = FTable(f"{build.name}@p{partition}n{node_index}",
+                           build.schema, num_rows)
             client.node.alloc_table_mem(client.connection, table)
-            written[(partition, node_index)] = _JoinReplica(
-                table, client.node.incarnation)
-            yield from client.node.serve_write(
-                client.connection, table,
-                build.schema.to_bytes(fragment_rows))
+            written[(partition, node_index)] = ShardReplica(
+                node_index, table, client.node.incarnation)
+            yield from client.node.serve_write(client.connection, table,
+                                               image)
             self.replica_bytes_moved += table.size_bytes
 
-    def _localize_colocated(self, shard_query: Query, build: ShardedTable,
-                            partition: int, node_index: int) -> Query:
-        """Swap the build's co-located shard (or the ring replica living
-        on the candidate node) into one fact shard's fragment."""
-        for shard in build.shards:
-            if shard.node_index != partition:
-                continue
-            for candidate in shard.candidates():
-                if (candidate.node_index == node_index
-                        and self._node_usable(node_index,
-                                              candidate.incarnation)):
-                    spec = replace(shard_query.join,
-                                   build_table=candidate.table)
-                    return replace(shard_query, join=spec)
-            break
-        raise NodeFailedError(
-            f"no live co-located build shard for partition {partition} "
-            f"on node {node_index}")
+    def _localize_join(self, shard_query: Query, placement: _Placement,
+                       partition: int, node_index: int) -> Query:
+        """Swap the node-local copy of build ``partition`` into one
+        shard's fragment.
 
-    def _localize_shuffle(self, shard_query: Query, fragments: dict,
-                          partition: int, node_index: int) -> Query:
-        """Swap the node-local shuffle fragment into one shard's
-        fragment; a missing or stale fragment fails over."""
-        rep = fragments.get((partition, node_index))
+        Raises :class:`NodeFailedError` when the node has no live copy
+        (never placed there, or crashed since) — the shard executor
+        then fails over to the next candidate node.
+        """
+        rep = placement.copies.get((partition, node_index))
         if rep is None or not self._node_usable(node_index,
                                                 rep.incarnation):
             raise NodeFailedError(
-                f"no live shuffle fragment for partition {partition} on "
-                f"node {node_index}")
+                f"no live copy of build partition {partition} on node "
+                f"{node_index}")
         spec = replace(shard_query.join, build_table=rep.table)
         return replace(shard_query, join=spec)
 
@@ -2038,73 +1919,33 @@ class ClusterClient(_ClientCore):
             yield self.sim.all_of(procs)
         return table.epoch
 
-    def _scatter_versioned_proc(self, sharded: VersionedShardedTable,
-                                tag: str, make_proc):
-        """Process: run ``make_proc(shard)`` on every shard chain in
-        parallel, each under the retry policy (version chains have no
-        replicas to fail over to); returns the per-shard values in shard
-        order."""
-        procs = [
-            self.sim.process(
-                self._attempts_proc(lambda s=s: make_proc(s),
-                                    f"{tag} of {s.table.name!r}"),
-                name=f"cluster.{tag}[{s.table.name}]")
-            for s in sharded.shards]
-        return (yield self.sim.all_of(procs))
-
-    def scan_versioned_proc(self, table: VersionedShardedTable,
-                            query: Query, as_of: int | None = None):
-        """Process: scatter-gather snapshot scan.
-
-        The cluster epoch is resolved once up front and every shard scan
-        pins it locally (shard epochs always equal the cluster epoch),
-        so the merged result is a consistent cluster-wide snapshot even
-        with writers committing mid-scatter.
-        """
-        epoch = table.epoch if as_of is None else as_of
-        plan = plan_scatter(query)
-        start = self.sim.now
-        shard_queries = {s.node_index: plan.shard_query
-                         for s in table.shards}
-        if query.join is not None:
-            replicas = yield from self._ensure_join_replicas_proc(
-                query.join.build_table)
-            shard_queries = {
-                idx: self._localize_join(plan.shard_query, replicas, idx)
-                for idx in shard_queries}
-        shard_results = yield from self._scatter_versioned_proc(
-            table, "vscan",
-            lambda s: self._clients[s.node_index].scan_versioned_proc(
-                s.table, shard_queries[s.node_index], epoch))
-        return self._gather(table, query, plan, list(shard_results),
-                            self.sim.now - start)
-
-    def read_version_proc(self, table: VersionedShardedTable,
-                          as_of: int | None = None):
-        """Process: raw scatter reads + per-shard merges.  Returns
-        ``(visible_rows, rowids, bytes_shipped)`` in shard order (row
-        ids are shard-local)."""
-        epoch = table.epoch if as_of is None else as_of
-        parts = yield from self._scatter_versioned_proc(
-            table, "vread",
-            lambda s: self._clients[s.node_index].read_version_proc(
-                s.table, epoch))
-        return (np.concatenate([rows for rows, _ids, _n in parts]),
-                np.concatenate([ids for _rows, ids, _n in parts]),
-                sum(n for _rows, _ids, n in parts))
-
     def _view_chains(self, handle: VersionedShardedTable):
         return [(self._clients[s.node_index], s.table)
                 for s in handle.shards]
 
     # -- verbs as processes --------------------------------------------------
-    def _shard_exec_proc(self, shard: TableShard, make_proc,
-                         allow_degraded: bool):
+    def _scatter_proc(self, shards, tag: str, make_proc,
+                      allow_degraded: bool = False):
+        """Process: the one scatter — run ``make_proc(shard, candidate)``
+        for every shard in parallel, each with failover + retries
+        (:meth:`_shard_exec_proc`); returns the per-shard values in
+        shard order."""
+        procs = [
+            self.sim.process(
+                self._shard_exec_proc(s, make_proc, allow_degraded),
+                name=f"cluster.{tag}[{s.table.name}]")
+            for s in shards]
+        if not procs:
+            return []
+        return (yield self.sim.all_of(procs))
+
+    def _shard_exec_proc(self, shard, make_proc, allow_degraded: bool):
         """Process: run one shard's request with failover + retries.
 
         Tries the primary, then each replica in fixed ring order
         (deterministic: which copy serves is a pure function of which
-        nodes are up).  Within a candidate the request runs under
+        nodes are up; a version chain has no replicas and is its own
+        single candidate).  Within a candidate the request runs under
         :meth:`_attempts_proc` — typed fault errors retry as long as the
         node stays usable, a completion past the policy deadline is
         discarded and counted as a timeout — holding the node
@@ -2122,7 +1963,7 @@ class ClusterClient(_ClientCore):
                 lock = self._conn_locks[c.node_index]
                 yield from lock.acquire()
                 try:
-                    return (yield from make_proc(c))
+                    return (yield from make_proc(shard, c))
                 finally:
                     lock.release()
 
@@ -2150,104 +1991,91 @@ class ClusterClient(_ClientCore):
         construction), so the gathered image never changes under
         failover.
         """
-        procs = [
-            self.sim.process(
-                self._shard_exec_proc(
-                    s,
-                    lambda candidate: self._clients[candidate.node_index]
-                    .table_read_proc(candidate.table),
-                    False),
-                name=f"cluster.read[{s.table.name}]")
-            for s in table.shards]
-        chunks = yield self.sim.all_of(procs)
+        chunks = yield from self._scatter_proc(
+            table.shards, "read",
+            lambda _shard, c: self._clients[c.node_index]
+            .table_read_proc(c.table))
         return b"".join(chunks)
 
-    def far_view_proc(self, table: ShardedTable, query: Query,
-                      join_strategy: str | None = None):
+    def read_version_proc(self, table: VersionedShardedTable,
+                          as_of: int | None = None):
+        """Process: raw scatter reads + per-shard merges.  Returns
+        ``(visible_rows, rowids, bytes_shipped)`` in shard order (row
+        ids are shard-local)."""
+        epoch = table.epoch if as_of is None else as_of
+        parts = yield from self._scatter_proc(
+            table.shards, "vread",
+            lambda _shard, c: self._clients[c.node_index]
+            .read_version_proc(c.table, epoch))
+        return (np.concatenate([rows for rows, _ids, _n in parts]),
+                np.concatenate([ids for _rows, ids, _n in parts]),
+                sum(n for _rows, _ids, n in parts))
+
+    def far_view_proc(self, table: ShardedTable | VersionedShardedTable,
+                      query: Query, join_strategy: str | None = None):
         """Process: scatter the shard fragment, gather + merge results.
 
         Queries with a join place the build side first under the
-        resolved strategy (:meth:`_resolve_join_strategy`):
-        ``broadcast`` caches one full replica per node, ``shuffle``
-        repartitions the build node→node on the fact's splitmix64
-        placement hash, ``colocated`` moves nothing (both sides already
-        hash-partitioned on the join key).  Each shard request fails
-        over across its replica candidates (:meth:`_shard_exec_proc`);
-        the join fragment is localized per candidate node lazily, so a
-        failover probes against the surviving node's build copy.  Fact
-        shards facing an empty build partition are answered client-side
-        (inner join: nothing can match), and range-partitioned tables
-        skip shards the predicate statically excludes
-        (:func:`~repro.core.cluster.prune_scatter_shards`).
+        resolved strategy (:meth:`_resolve_join_strategy`,
+        :meth:`_place_build_proc`): ``broadcast`` caches one full copy
+        per node, ``shuffle`` repartitions the build node→node on the
+        fact's splitmix64 placement hash, ``colocated`` moves nothing
+        (both sides already hash-partitioned on the join key).  Each
+        shard request fails over across its replica candidates
+        (:meth:`_shard_exec_proc`); the join fragment is localized per
+        candidate node lazily, so a failover probes against the
+        surviving node's build copy.  Fact shards facing an empty build
+        partition are answered client-side (inner join: nothing can
+        match), and range-partitioned tables skip shards the predicate
+        statically excludes
+        (:func:`~repro.core.cluster.prune_scatter_shards`).  A versioned
+        table scans the snapshot at its current epoch
+        (:meth:`scan_versioned_proc`); its build side is broadcast.
         """
-        if isinstance(table, VersionedShardedTable):
-            if join_strategy not in (None, "broadcast"):
-                raise QueryError(
-                    "versioned cluster scans broadcast their build side; "
-                    f"join_strategy={join_strategy!r} is not available")
-            result = yield from self.scan_versioned_proc(table, query)
-            return result
+        return self._scan_proc(table, query, join_strategy)
+
+    def scan_versioned_proc(self, table: VersionedShardedTable,
+                            query: Query, as_of: int | None = None):
+        """Process: scatter-gather snapshot scan.
+
+        The cluster epoch is resolved once up front and every shard scan
+        pins it locally (shard epochs always equal the cluster epoch),
+        so the merged result is a consistent cluster-wide snapshot even
+        with writers committing mid-scatter.
+        """
+        return self._scan_proc(table, query, None, as_of)
+
+    def _scan_proc(self, table, query: Query, join_strategy: str | None,
+                   as_of: int | None = None):
+        if as_of is None and isinstance(table, VersionedShardedTable):
+            as_of = table.epoch
         strategy = self._resolve_join_strategy(table, query, join_strategy)
         plan = plan_scatter(query, table, join_strategy=strategy)
         start = self.sim.now
-        build = query.join.build_table if query.join is not None else None
-        replicas = None
-        fragments = None
-        if strategy == "broadcast":
-            replicas = yield from self._ensure_join_replicas_proc(build)
-        elif strategy == "shuffle":
-            fragments = yield from self._ensure_shuffle_fragments_proc(
-                build, table, query.join.build_key)
-        empty_parts: frozenset[int] = frozenset()
-        if strategy == "colocated":
-            present = {b.node_index for b in build.shards}
-            empty_parts = frozenset(p for p in range(table.num_partitions)
-                                    if p not in present)
-        elif strategy == "shuffle":
-            empty_parts = self._shuffle_empty.get(
-                f"{build.name}->{table.name}", frozenset())
+        placement = None
+        if strategy is not None:
+            placement = yield from self._place_build_proc(query.join, table,
+                                                          strategy)
+        empty = placement.empty if placement is not None else frozenset()
 
-        def make_for(shard):
-            partition = shard.node_index
+        def make(shard, candidate):
+            q = plan.shard_query
+            if placement is not None:
+                q = self._localize_join(
+                    q, placement,
+                    0 if strategy == "broadcast" else shard.node_index,
+                    candidate.node_index)
+            return self._clients[candidate.node_index]._offload_proc(
+                candidate.table, q, as_of)
 
-            def make(candidate):
-                if strategy == "broadcast":
-                    q = self._localize_join(plan.shard_query, replicas,
-                                            candidate.node_index)
-                elif strategy == "colocated":
-                    q = self._localize_colocated(plan.shard_query, build,
-                                                 partition,
-                                                 candidate.node_index)
-                elif strategy == "shuffle":
-                    q = self._localize_shuffle(plan.shard_query, fragments,
-                                               partition,
-                                               candidate.node_index)
-                else:
-                    q = plan.shard_query
-                return self._clients[candidate.node_index].far_view_proc(
-                    candidate.table, q)
-
-            return make
-
-        pruned = set(plan.pruned_nodes)
-        slots: list = []
-        procs: list = []
-        for s in table.shards:
-            if s.node_index in pruned:
-                continue
-            if s.node_index in empty_parts:
-                slots.append(self._empty_shard_result(table, plan))
-                continue
-            procs.append(self.sim.process(
-                self._shard_exec_proc(s, make_for(s), self.allow_degraded),
-                name=f"cluster.farview[{s.table.name}]"))
-            slots.append(None)
-        if procs:
-            live = iter((yield self.sim.all_of(procs)))
-            shard_results = [next(live) if slot is None else slot
-                             for slot in slots]
-        else:
-            shard_results = slots
+        shards = [s for s in table.shards
+                  if s.node_index not in plan.pruned_nodes]
+        live = iter((yield from self._scatter_proc(
+            [s for s in shards if s.node_index not in empty], "farview",
+            make, self.allow_degraded)))
+        shard_results = [self._empty_shard_result(table, plan)
+                         if s.node_index in empty else next(live)
+                         for s in shards]
         return self._gather(table, query, plan, shard_results,
                             self.sim.now - start)
 
@@ -2354,13 +2182,8 @@ class ClusterClient(_ClientCore):
         if strategy in ("colocated", "shuffle"):
             join_build_shards = sharded.num_partitions
         if strategy == "shuffle":
-            build = query.join.build_table
-            if f"{build.name}->{sharded.name}" not in self._shuffle_fragments:
-                join_transfer_ns = PlacementCostModel(
-                    self.cluster.config, self.cpu).join_movement_ns(
-                        "shuffle", build.size_bytes, sharded.num_partitions,
-                        copies=min(sharded.partition.replicas,
-                                   self.num_nodes))
+            join_transfer_ns = self._movement_ns(query.join.build_table,
+                                                 sharded, strategy)
         return plan_placement(
             query, sharded.shards[0].table, self.cluster.nodes[0].config,
             placement=placement, stats=stats, cpu=self.cpu,

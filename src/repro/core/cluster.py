@@ -343,14 +343,14 @@ def plan_scatter(query: Query, sharded=None,
                  join_strategy: Optional[str] = None) -> ScatterPlan:
     """Rewrite ``query`` into its shard fragment + merge mode.
 
-    ``broadcast`` joins scatter unchanged: the router broadcasts the
-    build side to every node first
-    (:meth:`~repro.core.api.ClusterClient._ensure_join_replicas_proc`)
-    and swaps the node-local replica into each shard's fragment, so
-    every shard probes its fact rows against the full dimension table.
-    ``colocated`` / ``shuffle`` joins instead swap in the node-local
-    build *partition* (a pre-placed shard, or a repartitioned fragment),
-    so each shard probes only the keys that can match its rows.  The
+    Joins scatter unchanged: the router places the build side first
+    (:meth:`~repro.core.api.ClusterClient._place_build_proc`) and swaps
+    the node-local copy into each shard's fragment.  Under
+    ``broadcast`` that copy is the full dimension table, so every shard
+    probes its fact rows against all of it; under ``colocated`` /
+    ``shuffle`` it is the node-local build *partition* (a pre-placed
+    shard, or a repartitioned fragment), so each shard probes only the
+    keys that can match its rows.  The
     merge mode is decided by the operators *after* the join —
     probe-order concatenation under chunk partitioning is exactly the
     single-node probe order, which keeps joined results byte-identical.

@@ -194,7 +194,7 @@ class FarviewNode:
         table.vaddr = None
         table.domain = None
 
-    def _require_access(self, conn: Connection, table: FTable) -> None:
+    def require_access(self, conn: Connection, table: FTable) -> None:
         """Enforce §4.4 isolation: a connection only reaches tables its
         own protection domain allocated (:class:`ProtectionFault`
         otherwise); a handle whose owning domain died with its
@@ -225,7 +225,7 @@ class FarviewNode:
         """Process: client writes ``data`` into the table's memory."""
         conn.require_open()
         self._check_alive()
-        self._require_access(conn, table)
+        self.require_access(conn, table)
         vaddr = table.require_allocated()
         if len(data) > table.size_bytes:
             raise OperatorError(
@@ -248,7 +248,7 @@ class FarviewNode:
         """Process: stream raw table bytes to the client buffer."""
         conn.require_open()
         self._check_alive()
-        self._require_access(conn, table)
+        self.require_access(conn, table)
         vaddr = table.require_allocated()
         if length is None:
             length = table.size_bytes - offset
@@ -307,20 +307,26 @@ class FarviewNode:
         yield store.put(None)
 
     # -- the Farview verb (§4.2 farView) ----------------------------------------------------------
-    def serve_farview(self, conn: Connection, table: FTable,
+    def serve_farview(self, conn: Connection, source: FTable | VersionView,
                       compiled: CompiledQuery):
-        """Process: run the compiled pipeline over the table, stream results.
+        """Process: run the compiled pipeline over ``source``, stream results.
 
-        Returns an :class:`ExecutionReport`; result bytes land in the
-        client's buffer.
+        ``source`` is a plain table or an MVCC :class:`VersionView`; the
+        pipeline downstream of the ingest sees the table's rows, or
+        exactly the rows visible at ``view.epoch`` (delta-merge ingest,
+        see :meth:`_run_streaming`).  Returns an
+        :class:`ExecutionReport`; result bytes land in the client's
+        buffer.
         """
         conn.require_open()
         self._check_alive()
         if conn.region.state is RegionState.FAILED:
             raise RegionFailedError(
                 f"region {conn.region.index} has failed")
-        self._require_access(conn, table)
-        vaddr = table.require_allocated()
+        view = source if isinstance(source, VersionView) else None
+        table = source if view is None else view.base
+        self.require_access(conn, table)
+        table.require_allocated()
         report = ExecutionReport(signature=compiled.signature,
                                  ingest_mode=compiled.ingest_mode)
 
@@ -348,11 +354,11 @@ class FarviewNode:
         sender = Sender(streamer)
 
         if compiled.ingest_mode == "smart":
-            yield from self._run_smart_addressing(conn, table, compiled,
-                                                  sender, report)
+            source_rows = yield from self._run_smart_addressing(
+                conn, table, compiled, sender, report)
         else:
-            yield from self._run_streaming(conn, vaddr, table.size_bytes,
-                                           compiled, sender, report)
+            source_rows = yield from self._run_streaming(
+                conn, table, view, compiled, sender, report)
 
         # End of stream: flush grouping state (costs cycles per group) and
         # the packer/encryption tails, then wait for delivery.
@@ -368,9 +374,8 @@ class FarviewNode:
         self._collect_overflow(compiled, report)
         report.bytes_shipped = total
         row_ops = compiled.pipeline.row_ops
-        report.rows_in = row_ops[0].rows_in if row_ops else table.num_rows
-        report.rows_out = (row_ops[-1].rows_out if row_ops
-                           else table.num_rows)
+        report.rows_in = row_ops[0].rows_in if row_ops else source_rows
+        report.rows_out = row_ops[-1].rows_out if row_ops else source_rows
         self.queries_served += 1
         return report
 
@@ -380,52 +385,77 @@ class FarviewNode:
 
         Plain build tables stream through one timed DRAM read; a
         versioned build side reads every segment of its pinned
-        :class:`VersionView` (like the delta-merge scan's prefetch) and
-        loads the merged visible rows, so concurrent dimension-table
-        writes never leak into an in-flight join.
+        :class:`VersionView` and loads the merged visible rows, so
+        concurrent dimension-table writes never leak into an in-flight
+        join.
         """
         if compiled.join_op is None:
             return
         if compiled.join_build_view is not None:
-            view = compiled.join_build_view
-            images = yield from self._read_view_images(conn, view, report)
-            rows, _ids = view.materialize(lambda t: images[t.name])
+            rows, _ids = yield from self._materialize_view(
+                conn, compiled.join_build_view, report)
             compiled.join_op.load_build(rows)
             return
         build = compiled.join_build_table
         if build is None:
             raise OperatorError(
                 "join build side is not resident on this node; the "
-                "scatter router must broadcast it before probing")
-        build_vaddr = build.require_allocated()
-        build_bytes = yield self.mmu.read(conn.domain, build_vaddr,
-                                          build.size_bytes)
-        compiled.join_op.load_build(build.schema.from_bytes(build_bytes))
-        report.bytes_scanned += build.size_bytes
+                "scatter router must place a copy before probing")
+        images = yield from self._read_segments(conn, [build], report)
+        compiled.join_op.load_build(
+            build.schema.from_bytes(images[build.name]))
 
-    def _run_streaming(self, conn: Connection, vaddr: int, length: int,
-                       compiled: CompiledQuery, sender: Sender,
-                       report: ExecutionReport):
-        """Standard / vectorized execution: sequential burst streaming."""
+    def _run_streaming(self, conn: Connection, table: FTable,
+                       view: VersionView | None, compiled: CompiledQuery,
+                       sender: Sender, report: ExecutionReport):
+        """Standard / vectorized / delta-merge execution: sequential
+        burst streaming of ``table``; returns the rows fed to the pipeline.
+
+        With a ``view`` the ingest is the delta-aware merge: the delta
+        segments are prefetched into the merge unit first (timed DRAM
+        reads, like the join build side), then the base segment streams
+        through the ingest pipe — base bytes pace the ingest — while the
+        merge unit substitutes updated row images, drops deleted rows
+        and appends inserts at line rate, feeding the pipeline the
+        corresponding share of the visible image.  ``bytes_scanned``
+        therefore covers base + every delta segment.
+        """
+        vaddr, length = table.require_allocated(), table.size_bytes
+        visible, source_rows = None, table.num_rows
+        if view is not None:
+            images = yield from self._read_segments(
+                conn, [d.table for d in view.deltas], report)
+            images[table.name] = self.mmu.peek(conn.domain, vaddr, length)
+            rows, _ids = view.materialize(lambda t: images[t.name])
+            visible, source_rows = view.schema.to_bytes(rows), len(rows)
         ingest = BandwidthPipe(self.sim, compiled.ingest_rate,
                                name=f"region{conn.region.index}.ingest")
+        streamed = fed = 0
 
         def sink(chunk: bytes):
+            nonlocal streamed, fed
             if conn.region.state is RegionState.FAILED:
                 raise RegionFailedError(
                     f"region {conn.region.index} failed mid-pipeline")
             yield ingest.transfer(len(chunk))
             report.bytes_scanned += len(chunk)
+            if visible is not None:
+                streamed += len(chunk)
+                end = len(visible) * streamed // length
+                chunk, fed = visible[fed:end], end
             out = compiled.pipeline.process_chunk(chunk)
             if out:
                 yield from sender.send(out)
 
         yield from self._stream_memory(conn, vaddr, length, sink)
+        assert visible is None or fed == len(visible)
+        return source_rows
 
     def _run_smart_addressing(self, conn: Connection, table: FTable,
                               compiled: CompiledQuery, sender: Sender,
                               report: ExecutionReport):
-        """Smart addressing: per-column scattered fetches (§5.2)."""
+        """Smart addressing: per-column scattered fetches (§5.2);
+        returns the rows gathered."""
         plan = compiled.sa_plan
         assert plan is not None
         vaddr = table.require_allocated()
@@ -464,185 +494,93 @@ class FarviewNode:
             if piece:
                 yield from sender.send(piece)
             out_cursor = out_end
+        return num_tuples
 
-    # -- versioned verbs (delta-aware scans and offloaded writes) ---------------------------
-    def serve_farview_versioned(self, conn: Connection, view: VersionView,
-                                compiled: CompiledQuery):
-        """Process: run the pipeline over the MVCC view's *visible* rows.
-
-        Delta-aware merge ingest: the delta segments are prefetched into
-        the merge unit first (timed DRAM reads, like the join build
-        side), then the base segment streams through the ingest pipe
-        while the merge unit substitutes updated row images, drops
-        deleted rows and appends inserts at line rate — the pipeline
-        downstream sees exactly the rows visible at ``view.epoch``.
-        ``bytes_scanned`` therefore covers base + every delta segment.
-        """
-        conn.require_open()
-        self._check_alive()
-        if conn.region.state is RegionState.FAILED:
-            raise RegionFailedError(
-                f"region {conn.region.index} has failed")
-        base_vaddr = view.base.require_allocated()
-        report = ExecutionReport(signature=compiled.signature,
-                                 ingest_mode=compiled.ingest_mode)
-
-        yield from deliver_request(self.sim, self.link, conn.qp)
-        yield from self._request_front_end()
-
-        if conn.region.loaded_pipeline != compiled.signature:
-            report.reconfigured = True
-            yield self.sim.process(
-                conn.region.load_pipeline(compiled.signature))
-            self.resources.deploy(conn.region.index,
-                                  compiled.resource_operators)
-
-        stack = self.config.operator_stack
-        yield self.sim.timeout(
-            compiled.pipeline.fill_latency_cycles * stack.cycle_ns)
-
-        # Joins on a versioned probe side load their build hash first,
-        # exactly like the plain-table verb.
-        yield from self._load_join_build(conn, compiled, report)
-
-        # Prefetch the delta chain into the merge unit (timed reads).
+    # -- node-local segment reads and writes (versioned verbs) ------------------------------
+    def _read_segments(self, conn: Connection, tables,
+                       report: ExecutionReport | None = None):
+        """Process: one timed DRAM read per table in ``tables`` (no
+        network egress); returns ``{name: image}``.  Every read passes
+        the §4.4 access check first."""
         images: dict[str, bytes] = {}
-        for delta in view.deltas:
-            seg = delta.table
-            data = yield self.mmu.read(conn.domain, seg.require_allocated(),
-                                       seg.size_bytes)
-            images[seg.name] = data
-            report.bytes_scanned += seg.size_bytes
-
-        # Functional merge: the visible row image at the pinned epoch.
-        base_len = view.base.size_bytes
-        images[view.base.name] = self.mmu.peek(conn.domain, base_vaddr,
-                                               base_len)
-        rows, _ids = view.materialize(lambda t: images[t.name])
-        visible_image = view.schema.to_bytes(rows)
-        visible_len = len(visible_image)
-
-        streamer = ResponseStreamer(self.sim, self.link, conn.qp,
-                                    self.config.network)
-        sender = Sender(streamer)
-        ingest = BandwidthPipe(self.sim, compiled.ingest_rate,
-                               name=f"region{conn.region.index}.ingest")
-        progress = {"streamed": 0, "fed": 0}
-
-        def sink(chunk: bytes):
-            if conn.region.state is RegionState.FAILED:
-                raise RegionFailedError(
-                    f"region {conn.region.index} failed mid-pipeline")
-            # Base bytes pace the ingest; the merge unit emits the
-            # corresponding share of the visible stream at line rate.
-            yield ingest.transfer(len(chunk))
-            report.bytes_scanned += len(chunk)
-            progress["streamed"] += len(chunk)
-            end = visible_len * progress["streamed"] // base_len
-            piece = compiled.pipeline.process_chunk(
-                visible_image[progress["fed"]:end])
-            progress["fed"] = end
-            if piece:
-                yield from sender.send(piece)
-
-        yield from self._stream_memory(conn, base_vaddr, base_len, sink)
-        assert progress["fed"] == visible_len
-
-        tail = compiled.pipeline.flush()
-        flush_ns = compiled.pipeline.flush_cycles() * stack.cycle_ns
-        if flush_ns > 0:
-            yield self.sim.timeout(flush_ns)
-        if tail:
-            yield from sender.send(tail)
-        total = yield from sender.finish()
-        self._check_alive()
-
-        self._collect_overflow(compiled, report)
-        report.bytes_shipped = total
-        row_ops = compiled.pipeline.row_ops
-        report.rows_in = row_ops[0].rows_in if row_ops else len(rows)
-        report.rows_out = row_ops[-1].rows_out if row_ops else len(rows)
-        self.queries_served += 1
-        return report
-
-    def _read_view_images(self, conn: Connection, view: VersionView,
-                          report: ExecutionReport | None = None):
-        """Process: timed DRAM reads of every segment of ``view``."""
-        images: dict[str, bytes] = {}
-        for seg in view.segment_tables:
+        for seg in tables:
             self._check_alive()
-            data = yield self.mmu.read(conn.domain, seg.require_allocated(),
-                                       seg.size_bytes)
-            images[seg.name] = data
+            self.require_access(conn, seg)
+            images[seg.name] = yield self.mmu.read(
+                conn.domain, seg.require_allocated(), seg.size_bytes)
             if report is not None:
                 report.bytes_scanned += seg.size_bytes
         return images
 
-    def serve_update_delta(self, conn: Connection, view: VersionView,
-                           predicate, assignments: dict,
-                           segment_name: str):
-        """Process: offloaded read-modify-write (prepare phase).
+    def _materialize_view(self, conn: Connection, view: VersionView,
+                          report: ExecutionReport | None = None):
+        """Process: timed-read every segment of ``view`` and merge;
+        returns ``(visible_rows, rowids)``."""
+        images = yield from self._read_segments(conn, view.segment_tables,
+                                                report)
+        return view.materialize(lambda t: images[t.name])
+
+    def _write_segment(self, conn: Connection, name: str, schema, rows):
+        """Process: allocate a fresh pool segment for ``rows`` and write
+        it (one timed DRAM write); returns the segment handle."""
+        segment = FTable(name, schema, len(rows))
+        self.alloc_table_mem(conn, segment)
+        yield self.mmu.write(conn.domain, segment.vaddr,
+                             schema.to_bytes(rows))
+        self._check_alive()
+        return segment
+
+    def _serve_delta(self, conn: Connection, view: VersionView, predicate,
+                     segment_name: str, coerced: dict | None):
+        """Process: the prepare phase of an offloaded predicate write.
 
         The node scans the version chain locally (timed DRAM reads — no
         network egress of table bytes: the computation was shipped, not
-        the data), evaluates ``predicate`` over the visible rows, applies
-        the ``column -> literal`` assignments to the matches, and writes
-        the resulting update-delta image into freshly allocated pool
-        memory.  Returns ``(segment_table, matched_rowids)`` or ``None``
-        when nothing matched (the commit is then a pure epoch bump).
+        the data), evaluates ``predicate`` over the visible rows and
+        writes the delta image into freshly allocated pool memory: the
+        matched row ids alone (delete, ``coerced=None``), or with the
+        full row images and the ``column -> value`` assignments applied
+        (update).  Returns ``(segment_table, matched_rowids)`` or
+        ``None`` when nothing matched (the commit is then a pure epoch
+        bump).
         """
         conn.require_open()
         self._check_alive()
-        schema = view.schema
-        coerced = {name: encode_value(schema.column(name), value)
+        rows, ids = yield from self._materialize_view(conn, view)
+        mask = (predicate.evaluate(rows) if predicate is not None
+                else np.ones(len(rows), dtype=bool))
+        if not mask.any():
+            return None
+        dschema = (delete_schema() if coerced is None
+                   else delta_schema(view.schema))
+        drows = dschema.empty(int(mask.sum()))
+        drows[ROWID_COLUMN] = ids[mask]
+        if coerced is not None:
+            matched = rows[mask]
+            for name in view.schema.names:
+                drows[name] = coerced.get(name, matched[name])
+        segment = yield from self._write_segment(conn, segment_name,
+                                                 dschema, drows)
+        return segment, ids[mask]
+
+    def serve_update_delta(self, conn: Connection, view: VersionView,
+                           predicate, assignments: dict,
+                           segment_name: str):
+        """Process: offloaded read-modify-write (prepare phase,
+        :meth:`_serve_delta`): the delta carries the matched rows' full
+        images with the ``column -> literal`` assignments applied."""
+        coerced = {name: encode_value(view.schema.column(name), value)
                    for name, value in assignments.items()}
         if not coerced:
             raise OperatorError("update needs at least one SET assignment")
-        images = yield from self._read_view_images(conn, view)
-        rows, ids = view.materialize(lambda t: images[t.name])
-        mask = (predicate.evaluate(rows) if predicate is not None
-                else np.ones(len(rows), dtype=bool))
-        if not mask.any():
-            return None
-        matched = rows[mask].copy()
-        for name, value in coerced.items():
-            matched[name] = value
-        dschema = delta_schema(schema)
-        drows = dschema.empty(len(matched))
-        drows[ROWID_COLUMN] = ids[mask]
-        for name in schema.names:
-            drows[name] = matched[name]
-        segment = FTable(segment_name, dschema, len(matched))
-        self.alloc_table_mem(conn, segment)
-        yield self.mmu.write(conn.domain, segment.vaddr,
-                             dschema.to_bytes(drows))
-        self._check_alive()
-        return segment, ids[mask]
+        return self._serve_delta(conn, view, predicate, segment_name, coerced)
 
     def serve_delete_delta(self, conn: Connection, view: VersionView,
                            predicate, segment_name: str):
-        """Process: offloaded predicate delete (prepare phase).
-
-        Same node-local scan as :meth:`serve_update_delta`; the delta
-        image carries only the matched row ids.
-        """
-        conn.require_open()
-        self._check_alive()
-        images = yield from self._read_view_images(conn, view)
-        rows, ids = view.materialize(lambda t: images[t.name])
-        mask = (predicate.evaluate(rows) if predicate is not None
-                else np.ones(len(rows), dtype=bool))
-        if not mask.any():
-            return None
-        dschema = delete_schema()
-        drows = dschema.empty(int(mask.sum()))
-        drows[ROWID_COLUMN] = ids[mask]
-        segment = FTable(segment_name, dschema, len(drows))
-        self.alloc_table_mem(conn, segment)
-        yield self.mmu.write(conn.domain, segment.vaddr,
-                             dschema.to_bytes(drows))
-        self._check_alive()
-        return segment, ids[mask]
+        """Process: offloaded predicate delete (prepare phase,
+        :meth:`_serve_delta`); the delta image carries only the matched
+        row ids."""
+        return self._serve_delta(conn, view, predicate, segment_name, None)
 
     def serve_compact(self, conn: Connection, view: VersionView,
                       base_name: str):
@@ -655,18 +593,14 @@ class FarviewNode:
         """
         conn.require_open()
         self._check_alive()
-        images = yield from self._read_view_images(conn, view)
-        rows, ids = view.materialize(lambda t: images[t.name])
+        rows, ids = yield from self._materialize_view(conn, view)
         if len(rows) == 0:
             raise OperatorError(
                 f"cannot compact {view.name!r}: no visible rows at epoch "
                 f"{view.epoch} (a zero-byte base segment cannot be "
                 f"allocated)")
-        new_base = FTable(base_name, view.schema, len(rows))
-        self.alloc_table_mem(conn, new_base)
-        yield self.mmu.write(conn.domain, new_base.vaddr,
-                             view.schema.to_bytes(rows))
-        self._check_alive()
+        new_base = yield from self._write_segment(conn, base_name,
+                                                  view.schema, rows)
         return new_base, ids
 
     @staticmethod

@@ -217,9 +217,3 @@ class FrontDoor:
     # -- introspection -----------------------------------------------------
     def latencies_ns(self) -> list[float]:
         return [record.latency_ns for record in self.records]
-
-    def completed_by_tenant(self) -> dict:
-        done: dict = {}
-        for record in self.records:
-            done[record.tenant] = done.get(record.tenant, 0) + 1
-        return done

@@ -53,10 +53,6 @@ class FTable:
                 f"alloc_table_mem first")
         return self.vaddr
 
-    def rows_from_bytes(self, data: bytes) -> np.ndarray:
-        """Decode a byte image of this table's rows."""
-        return self.schema.from_bytes(data)
-
     def validate_rows(self, rows: np.ndarray) -> None:
         if rows.dtype != self.schema.dtype:
             raise QueryError(

@@ -33,7 +33,8 @@ missing write path on top of the unchanged read stack:
 
 The node-side execution of versioned scans (delta-aware merge ingest)
 and of the offloaded write verbs lives in
-:meth:`repro.core.node.FarviewNode.serve_farview_versioned` and friends;
+:meth:`repro.core.node.FarviewNode.serve_farview` (given a
+:class:`VersionView`) and the ``serve_*_delta`` / ``serve_compact`` verbs;
 the client verbs are on :class:`repro.core.api.FarviewClient` /
 :class:`~repro.core.api.ClusterClient` (two-phase epoch broadcast for
 cluster-wide snapshot consistency).
@@ -454,6 +455,16 @@ class VersionedShard:
 
     node_index: int
     table: VersionedTable
+
+    #: Version chains carry no write-time incarnation stamp: the scatter
+    #: router only checks that the shard's node is up.
+    incarnation = None
+
+    def candidates(self) -> tuple["VersionedShard", ...]:
+        """A chain has no replicas: the shard is its own one candidate
+        (the shape :meth:`~repro.core.cluster.TableShard.candidates`
+        gives the scatter router)."""
+        return (self,)
 
 
 class VersionedShardedTable:

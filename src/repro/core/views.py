@@ -78,16 +78,6 @@ def is_versioned_handle(handle) -> bool:
     return isinstance(handle, VersionedShardedTable)
 
 
-def versioned_chains(handle) -> list[VersionedTable]:
-    """The per-node version chains behind ``handle`` (1 on single node)."""
-    if isinstance(handle, VersionedTable):
-        return [handle]
-    if isinstance(handle, VersionedShardedTable):
-        return [shard.table for shard in handle.shards]
-    raise QueryError(f"{getattr(handle, 'name', handle)!r} is not a "
-                     f"versioned table")
-
-
 # -- scalar evaluation (mirrors baselines/sql_model.py exactly) ---------------
 
 def _pred_row(pred: Predicate, row) -> bool:

@@ -36,7 +36,7 @@ Design points:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class ZSet:
             self.weights[image] = total
         else:
             del self.weights[image]
-
-    def add_rows(self, rows: np.ndarray, weight: int = 1) -> None:
-        for image in row_images(self.schema, rows):
-            self.add(image, weight)
 
     def update(self, other: "ZSet") -> None:
         """In-place Z-set addition (``self += other``)."""
@@ -167,11 +163,3 @@ class ZSet:
         for image, h in zip(images, hashes.tolist()):
             total = (total + self.weights[image] * h) % _U64
         return total
-
-
-def zset_sum(schema: Schema, zsets: Iterable[ZSet]) -> ZSet:
-    """Fold several Z-sets over ``schema`` into one consolidated sum."""
-    total = ZSet(schema)
-    for zset in zsets:
-        total.update(zset)
-    return total

@@ -53,8 +53,6 @@ from ..core.api import ClusterClient, FarviewClient
 from ..core.cluster import FarviewCluster
 from ..core.cost_model import PlacementCostModel
 from ..core.node import FarviewNode
-from ..core.query import Query
-from ..operators.aggregate import AggregateSpec
 from ..operators.selection import Compare
 from ..sim.engine import Simulator
 from ..sim.stats import Series
@@ -92,14 +90,6 @@ def make_base(num_rows: int, seed: int = 20) -> np.ndarray:
         rows["cat"][i] = CATEGORIES[i % len(CATEGORIES)]
     rows["val"] = rng.integers(0, 1000, num_rows) * 0.25
     return rows
-
-
-def view_query() -> Query:
-    """The offloadable Query equivalent of :data:`VIEW_SQL`."""
-    return Query(group_by=["cat"],
-                 aggregates=[AggregateSpec("sum", "val", "s"),
-                             AggregateSpec("count", "*", "n")],
-                 label="fig20")
 
 
 def sorted_sha(schema: Schema, rows: np.ndarray) -> str:

@@ -40,10 +40,6 @@ class Packet:
     params: tuple = ()           # operator parameters for FARVIEW requests
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
-    @property
-    def payload_size(self) -> int:
-        return len(self.payload)
-
 
 #: Wire size of a request/ack packet that carries no payload: headers plus
 #: the verb-specific parameter block (vaddr, length, operator params).

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common import calibration as cal
 from ..common.records import Column, Schema
 from ..operators.aggregate import AggregateSpec
 from ..operators.selection import And, Compare
@@ -64,11 +63,6 @@ def q6_query() -> Query:
             Compare("quantity", "<", 24.0)))
     return Query(projection=("extendedprice", "discount"),
                  predicate=predicate, label="tpch_q6")
-
-
-def q6_expected_selectivity() -> float:
-    """The paper's quoted Q6 selectivity anchor."""
-    return cal.TPCH_Q6_SELECTIVITY
 
 
 def q1_query() -> Query:

@@ -470,3 +470,86 @@ def test_both_clients_expose_one_verb_set():
         b = list(inspect.signature(getattr(Cluster, verb)).parameters)
         short, long_ = sorted((a[1:], b[1:]), key=len)
         assert long_[:len(short)] == short, f"{verb}: {a} vs {b}"
+
+
+# -- versioned tables through the one scatter ------------------------------------
+
+def _versioned_join_inputs():
+    from repro.common.records import Column, Schema
+
+    wl = selection_workload(192, 1.0, seed=9)
+    fact = wl.rows.copy()
+    fact["a"] = np.arange(len(fact)) % 48
+    dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])
+    dim = dim_schema.empty(32)
+    dim["id"] = np.arange(32)
+    dim["rate"] = np.arange(32) * 0.5
+    return wl.schema, fact, dim_schema, dim
+
+
+def test_versioned_cluster_join_is_a_broadcast_join():
+    """A versioned cluster table scans through the same scatter as a
+    plain one: its join build side is broadcast (and says so on the
+    result), the merge is sha-identical to the single-node versioned
+    join, and a partitioned strategy is refused by the ordinary
+    feasibility check."""
+    from repro.core.query import JoinSpec
+
+    schema, fact, dim_schema, dim = _versioned_join_inputs()
+    head = len(fact) // 2
+
+    single = FarviewClient(FarviewNode(Simulator(), EXPERIMENT_CONFIG))
+    single.open_connection()
+    dim_table = FTable("dim", dim_schema, len(dim))
+    single.alloc_table_mem(dim_table)
+    single.table_write(dim_table, dim)
+    vfact = single.create_versioned_table("fact", schema, fact[:head])
+    single.insert(vfact, fact[head:])
+    reference, _ = single.far_view(
+        vfact, Query(join=JoinSpec(dim_table, "id", "a", ("rate",))))
+    assert reference.num_rows == 128  # two of every three keys match
+
+    cc = ClusterClient(FarviewCluster(Simulator(), 3, EXPERIMENT_CONFIG))
+    cc.open_connection()
+    ds = cc.create_table("dim", dim_schema, dim)
+    vs = cc.create_versioned_table("fact", schema, fact[:head])
+    cc.insert(vs, fact[head:])
+    query = Query(join=JoinSpec(ds, "id", "a", ("rate",)))
+    for result in (cc.far_view(vs, query)[0],
+                   cc.scan_versioned(vs, query)[0],
+                   cc.far_view(vs, query, join_strategy="broadcast")[0]):
+        assert result.join_strategy == "broadcast"
+        assert sha(result.data) == sha(reference.data)
+    for strategy in ("colocated", "shuffle"):
+        with pytest.raises(QueryError, match="infeasible"):
+            cc.far_view(vs, query, join_strategy=strategy)
+
+
+def test_versioned_cluster_scan_fails_over_like_a_plain_one():
+    """A version chain is its own single candidate: with its node down
+    the scan reports ``NodeFailedError`` — or, under
+    ``allow_degraded``, a ``DegradedResultError`` whose partial is the
+    merge of the surviving shards."""
+    from repro.common.errors import DegradedResultError, NodeFailedError
+
+    wl = selection_workload(192, 0.5, seed=10)
+    cluster = FarviewCluster(Simulator(), 3, EXPERIMENT_CONFIG)
+    cc = ClusterClient(cluster)
+    cc.open_connection()
+    vs = cc.create_versioned_table("v", wl.schema, wl.rows)
+    query = select_star(wl.predicate)
+    complete, _ = cc.scan_versioned(vs, query)
+    cluster.node(1).fail()
+    with pytest.raises(NodeFailedError):
+        cc.scan_versioned(vs, query)
+    cc.allow_degraded = True
+    with pytest.raises(DegradedResultError) as info:
+        cc.scan_versioned(vs, query)
+    assert info.value.failed_shards == (1,)
+    kept = np.concatenate([
+        wl.rows[idx] for shard, idx in enumerate(
+            partition_indices(wl.rows, wl.schema, PartitionSpec(), 3))
+        if shard != 1])
+    expected = kept[wl.predicate.evaluate(kept)]
+    assert 0 < len(expected) < complete.num_rows
+    assert sha(info.value.partial.data) == sha(wl.schema.to_bytes(expected))

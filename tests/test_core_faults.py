@@ -444,9 +444,9 @@ class TestClusterRecovery:
                               PartitionSpec(replicas=2))
         query = Query(join=JoinSpec(dim, "id", "a", ("rate",)), label="join")
         reference, _ = cc.far_view(fact, query)  # broadcasts + caches
-        cached = cc._join_replicas["dim"]
-        assert set(cached) == {0, 1}
-        stale_incarnation = cached[1].incarnation
+        copies = cc._placements[("dim", None)].copies
+        assert set(copies) == {(0, 0), (0, 1)}
+        stale_incarnation = copies[(0, 1)].incarnation
 
         injector = FaultInjector(cluster)
         injector.crash(1)
@@ -459,7 +459,7 @@ class TestClusterRecovery:
         # its new incarnation — the stale entry may never be served.
         back, _ = cc.far_view(fact, query)
         assert sha(back.data) == sha(reference.data)
-        fresh = cc._join_replicas["dim"][1]
+        fresh = cc._placements[("dim", None)].copies[(0, 1)]
         assert fresh.incarnation == cluster.node(1).incarnation
         assert fresh.incarnation > stale_incarnation
 
@@ -511,7 +511,7 @@ class TestClusterRecovery:
             f"crash surfaced untyped: {outcomes[0]}"
         # No half-shuffle is left behind: the in-flight job handle is
         # cleared so the next attempt (after recovery) starts clean.
-        assert not cc._shuffle_jobs
+        assert not cc._moves
 
     def test_shuffle_failover_with_replicas_is_sha_identical(self):
         """k=2 fragment ring: a node crash after (or during) the shuffle

@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from repro.common.config import (FarviewConfig, MemoryConfig,
                                  OperatorStackConfig)
-from repro.common.errors import JoinBuildOverflowError, OperatorError
+from repro.common.errors import (FarviewError, JoinBuildOverflowError,
+                                 OperatorError)
 from repro.common.records import Column, Schema
 from repro.core.api import (ClusterClient, FarviewClient,
                             canonical_result_bytes)
@@ -304,30 +305,84 @@ def test_join_pins_dim_epoch_against_concurrent_update():
     assert sha(after.data) == sha(serial_join_model(fact, updated))
 
 
-def test_concurrent_broadcasts_share_one_replica_set():
-    """Two scans racing the first broadcast of the same dimension table
-    must share a single replica set — no doubled broadcast, no leaked
-    pool memory when the table is dropped."""
-    dim = make_dim(list(range(24)), seed=21)
+def _placement_bench():
+    """2-node pool, a fact table hash-partitioned on the join key (so
+    every strategy's layout exists) and a 24-row dimension table."""
     cc = ClusterClient(FarviewCluster(Simulator(), 2, TEST_CONFIG))
     cc.open_connection()
     free0 = [n.mmu.allocator.free_pages for n in cc.cluster.nodes]
-    dim_sharded = cc.create_table("dim", DIM_SCHEMA, dim)
+    fact = cc.create_table("fact", FACT_SCHEMA,
+                           make_fact([i % 24 for i in range(96)], seed=20),
+                           PartitionSpec("hash", key="a"))
+    dim = cc.create_table("dim", DIM_SCHEMA,
+                          make_dim(list(range(24)), seed=21))
+    join = JoinSpec(dim, "id", "a", ("rate", "zone"))
+    return cc, free0, fact, dim, join
+
+
+@pytest.mark.parametrize("strategy", ["broadcast", "shuffle"])
+def test_concurrent_broadcasts_share_one_replica_set(strategy):
+    """Two scans racing the first placement of the same dimension table
+    must share a single placement — no doubled move, no leaked pool
+    memory when the tables are dropped."""
+    cc, free0, fact, dim, join = _placement_bench()
     sim = cc.sim
     results = {}
 
     def requester(tag):
-        replicas = yield from cc._ensure_join_replicas_proc(dim_sharded)
-        results[tag] = replicas
+        results[tag] = yield from cc._place_build_proc(join, fact, strategy)
 
     procs = [sim.process(requester(0)), sim.process(requester(1))]
     sim.run()
     assert all(p.triggered for p in procs)
-    assert results[0] is results[1], "racing broadcasts built two sets"
-    assert len(cc._join_replicas) == 1 and not cc._join_broadcasts
-    cc.drop_table(dim_sharded)
+    assert results[0] is results[1], "racing placements built two sets"
+    assert len(cc._placements) == 1 and not cc._moves
+    # One copy per (partition, node) of the layout: the whole build on
+    # every node, or partition p on node p.
+    assert set(results[0].copies) == (
+        {(0, 0), (0, 1)} if strategy == "broadcast" else {(0, 0), (1, 1)})
+    cc.drop_table(dim)
+    assert not cc._placements
+    cc.drop_table(fact)
     assert [n.mmu.allocator.free_pages for n in cc.cluster.nodes] == free0, \
-        "racing broadcasts leaked replica pool memory"
+        "racing placements leaked build-copy pool memory"
+
+
+@pytest.mark.parametrize("strategy", ["broadcast", "shuffle"])
+def test_drop_mid_move_frees_orphaned_copies(strategy):
+    """A ``drop_table`` while the build copies are being written takes
+    the move's in-flight handle away: the copies it finishes writing
+    are freed, never cached under the dropped name."""
+    cc, free0, fact, dim, join = _placement_bench()
+    sim = cc.sim
+    created = [n.mmu.allocator.free_pages for n in cc.cluster.nodes]
+    outcome = []
+
+    def requester():
+        try:
+            yield from cc._place_build_proc(join, fact, strategy)
+        except FarviewError as exc:  # the build vanished under the join
+            outcome.append(exc)
+
+    def dropper():
+        # The first copy allocation marks the write phase: the build
+        # has been gathered, the copies are on the wire.
+        for _ in range(10_000):
+            if [n.mmu.allocator.free_pages
+                    for n in cc.cluster.nodes] != created:
+                break
+            yield sim.timeout(100.0)
+        assert cc._moves, "no move in flight to drop under"
+        cc.drop_table(dim)
+
+    procs = [sim.process(requester()), sim.process(dropper())]
+    sim.run()
+    assert all(p.triggered for p in procs)
+    assert outcome, "a join against a dropped build side succeeded"
+    assert not cc._placements and not cc._moves
+    cc.drop_table(fact)
+    assert [n.mmu.allocator.free_pages for n in cc.cluster.nodes] == free0, \
+        "copies written after the drop were leaked"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, NetworkConfig
-from repro.common.errors import CatalogError, ConnectionError_, NetworkError, OperatorError
+from repro.common.errors import (CatalogError, ConnectionError_, NetworkError,
+                                 OperatorError, ProtectionFault,
+                                 TranslationFault)
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
 from repro.core.query import select_star
@@ -141,3 +143,57 @@ def test_streamer_deposits_are_position_based_not_order_based():
         qp.credits.acquire()
         streamer._on_delivered(off, chunk)
     assert qp.buffer.read(0, len(payload)) == payload
+
+
+def test_versioned_table_is_isolated_between_connections():
+    """§4.4 isolation holds for version chains as for plain tables: a
+    second connection's scans and write verbs on another connection's
+    ``VersionedTable`` are refused (``ProtectionFault``) with nothing
+    allocated, committed or pinned — never served from the caller's own
+    memory at the same virtual address."""
+    sim = Simulator()
+    node = FarviewNode(sim, CONFIG)
+    owner, other = FarviewClient(node), FarviewClient(node)
+    owner.open_connection()
+    other.open_connection()
+    wl = selection_workload(64, 1.0, seed=1)
+    vt = owner.create_versioned_table("T", wl.schema, wl.rows)
+    owner.update_where(vt, Compare("a", ">=", 0), {"c": 1})
+    # Each domain has its own address space: the intruder's first table
+    # lands on the very vaddr the chain's base segment has.
+    mine = FTable("T", wl.schema, 64)
+    other.alloc_table_mem(mine)
+    other.table_write(mine, selection_workload(64, 1.0, seed=2).rows)
+    assert mine.vaddr == vt.base.vaddr
+    query = select_star(wl.predicate)
+    verbs = [
+        lambda: other.scan_versioned(vt, query, as_of=0),
+        lambda: other.far_view(vt, query),
+        lambda: other.update_where(vt, wl.predicate, {"c": 7}),
+        lambda: other.delete_where(vt, wl.predicate),
+        lambda: other.compact(vt),
+        lambda: other.insert(vt, wl.rows[:4]),
+        lambda: other.insert(vt, wl.rows[:0]),
+    ]
+
+    def state():
+        return (vt.epoch, vt.num_deltas, vt.active_pins,
+                node.mmu.allocator.free_pages,
+                node.mmu.domain_pages(other.connection.domain))
+
+    before = state()
+    owner_pages = node.mmu.domain_pages(owner.connection.domain)
+    for verb in verbs:
+        with pytest.raises(ProtectionFault):
+            verb()
+        assert state() == before
+        assert node.mmu.domain_pages(owner.connection.domain) == owner_pages
+    # The owner is unaffected, and reads exactly what it wrote.
+    result, _ = owner.far_view(vt, select_star(Compare("c", "==", 1)))
+    assert result.num_rows == 64
+    # Once the owning connection is gone its handle no longer translates.
+    owner.close_connection()
+    for verb in verbs:
+        with pytest.raises(TranslationFault):
+            verb()
+        assert state()[:3] == before[:3]

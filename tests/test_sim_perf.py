@@ -151,13 +151,25 @@ def test_join_python_call_budget():
 
 
 def test_one_hash_one_probe_in_src():
-    """The scalar hash twin and the unhashed-probe branches stay deleted."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    for path in src.rglob("*.py"):
-        text = path.read_text()
-        for gone in ("hash_key(", "HashFamily", "slots is None",
-                     "update_in_place"):
-            assert gone not in text, f"{gone!r} is back in {path}"
+    """The scalar hash twin and the unhashed-probe branches stay deleted
+    — and so do the forked scan verb, the per-strategy build-placement
+    caches and the second scatter (code and docs)."""
+    repo = Path(__file__).resolve().parent.parent
+    for roots, names in (
+            (("src",), ("hash_key(", "HashFamily", "slots is None",
+                        "update_in_place")),
+            (("src", "docs"), ("serve_farview_versioned", "_JoinReplica",
+                               "_join_replicas", "_join_broadcasts",
+                               "_shuffle_fragments", "_shuffle_jobs",
+                               "_shuffle_empty", "_scatter_versioned_proc",
+                               "plan_versioned"))):
+        for root in roots:
+            for path in (repo / root).rglob("*.*"):
+                if path.suffix not in (".py", ".md"):
+                    continue
+                text = path.read_text()
+                for gone in names:
+                    assert gone not in text, f"{gone!r} is back in {path}"
 
 
 # -- zero-copy from_bytes contract --------------------------------------------
