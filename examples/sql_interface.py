@@ -15,7 +15,7 @@ from repro.common.records import Column, Schema
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
-from repro.core.sql import SqlSyntaxError, parse_sql
+from repro.core.compile import SqlSyntaxError, parse_sql
 from repro.sim.engine import Simulator
 
 SCHEMA = Schema([

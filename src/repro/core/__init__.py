@@ -18,8 +18,6 @@ from .planner import (
 from .cluster import (
     FarviewCluster,
     ScatterPlan,
-    ShardedTable,
-    TableShard,
     plan_scatter,
 )
 from .node import Connection, ExecutionReport, FarviewNode
@@ -40,14 +38,12 @@ from .query import (
     select_distinct,
     select_star,
 )
-from .sql import (ParsedQuery, ParsedWrite, SqlSyntaxError, like_to_regex,
-                  parse_sql)
-from .table import FTable
+from .compile import (ParsedQuery, ParsedWrite, SqlSyntaxError, bind_select,
+                      like_to_regex, parse_sql)
+from .table import FTable, Shard, Table
 from .versioning import (
     DeltaSegment,
-    VersionedShard,
-    VersionedShardedTable,
-    VersionedTable,
+    VersionChain,
     VersionView,
     delta_schema,
     rows_from_literals,
@@ -69,8 +65,6 @@ __all__ = [
     "plan_placement",
     "FarviewCluster",
     "ScatterPlan",
-    "ShardedTable",
-    "TableShard",
     "plan_scatter",
     "PartitionSpec",
     "partition_indices",
@@ -96,13 +90,14 @@ __all__ = [
     "ParsedQuery",
     "ParsedWrite",
     "SqlSyntaxError",
+    "bind_select",
     "like_to_regex",
     "parse_sql",
     "FTable",
+    "Shard",
+    "Table",
     "DeltaSegment",
-    "VersionedShard",
-    "VersionedShardedTable",
-    "VersionedTable",
+    "VersionChain",
     "VersionView",
     "delta_schema",
     "rows_from_literals",

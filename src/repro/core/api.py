@@ -15,92 +15,32 @@ Paper                                 This library
 ``select(qp, ft, proj, sel, pred)``   ``client.select(ft, columns, predicate)``
 ====================================  =======================================
 
-**One core, two topologies.**  Everything that does not depend on where
-the bytes live is written once, in :class:`_ClientCore`: the blocking
-runner, the retry loop, the placement fork and the planned-execution
+**One client over one handle.**  A catalog entry is a
+:class:`~repro.core.table.Table`: a list of shards, each a version chain
+of segments on one memory node (handle → shards → chain → segments).
+:class:`ClusterClient` is the one router over that handle — the retry
+loop, the scatter with replica failover, the placement fork and planned
 ladder, the client-side tail of ship / hybrid / compiled executions, the
-``select`` / ``select_distinct`` / ``group_by`` / ``sql`` helpers, the
-versioned write verbs and the materialized-view verbs.  A concrete
-client supplies only its topology primitives:
+versioned write verbs, join-build placement and the materialized-view
+verbs are each written once, against a list of :class:`_NodeSession`\\ s
+(one connection per memory node; a session speaks segments and chains
+to its node and knows nothing of planning or catalogs).  A single memory
+node is the one-shard pool: :class:`FarviewClient` is the constructor of
+that case plus the paper's memory verbs on a raw
+:class:`~repro.core.table.FTable`, which every verb accepts by coercing
+it to its one-shard handle (:func:`~repro.core.table.as_table`).  A
+one-shard table's scatter runs its lone shard inline and returns the
+shard's own result, so it costs exactly what one node costs — same
+simulated time, same events.
 
-====================================  =======================================
-Primitive                             single node / cluster
-====================================  =======================================
-``table_read_proc``                   one raw RDMA read / scatter raw reads,
-                                      gathered in shard order
-``far_view_proc`` (``_offload_proc``)  one offloaded scan (plain or MVCC
-                                      snapshot — one node verb) / the
-                                      one scatter of the rewritten
-                                      fragment, gather + merge
-``_plan`` (public ``plan``)           price one node / the pool, folding
-                                      the join strategy in
-``_ship_read``                        raw read (+ decrypt, + delta merge) /
-                                      gathered raw read
-``_read_build_rows``                  a shipped join's build side
-``_prepare_proc`` + ``_commit``       delta prepare + commit / scatter
-                                      prepares + two-phase epoch commit
-``_view_chains``                      the version chains behind a handle
-join-build placement                  pinning / one ``(partition, node)
-                                      -> copy`` map per build: broadcast,
-                                      shuffle, co-location
-====================================  =======================================
-
-Every verb that takes simulated time exists in two forms: a ``*_proc``
-generator to compose inside a running simulation (multi-client
-experiments) and a blocking twin that drives the simulator to completion
-and returns ``(result, elapsed_ns)`` — the paper's measurement endpoint
-is "until the final results are written to the memory of the client
-machine" (§6.2), which is exactly when these processes complete.  The
-twins are *generated* from the generators (:func:`_with_blocking_verbs`);
-only ``scan_versioned`` (placement), ``read_version`` (byte image) and
-``far_view_planned`` / ``select`` / ``sql`` (blocking by construction —
-they nest blocking reads) are written by hand.
-
-**One result type.**  Every verb that returns rows returns a
-:class:`QueryResult`, whatever ran: a direct node execution carries the
-node's :class:`~repro.core.node.ExecutionReport` and the raw shipped
-stream; a scatter-gather carries its per-shard results as ``parts``; a
-planned (ship / hybrid) or compiled execution carries the offloaded
-fragment / stage results as ``parts``, the client
-:class:`~repro.baselines.cpu_model.CostBreakdown` and the planner's
-explain.  ``rows()``, ``data``, ``num_rows``, ``bytes_shipped`` and
-``bytes_scanned`` are defined on every instance;
-:func:`canonical_result_bytes` is the placement-invariant image.
-
-**Placement.**  ``select`` / ``sql`` / ``scan_versioned`` accept
-``placement="auto" | "offload" | "ship"`` (default ``"offload"``: the
-paper's path, plan-free and timing-exact) and
-:meth:`_ClientCore.far_view_planned` runs any query under the
-:mod:`repro.core.planner` decision — offload a prefix of the operator
-chain, ship the reduced intermediate, finish with the software kernels
-of :mod:`repro.baselines.sw_ops` on the client.  Results are
-byte-identical across placements.
-
-**Writes.**  Tables created with ``create_versioned_table`` are mutable
-through the versioned write path (:mod:`repro.core.versioning`):
-
-====================================  =======================================
-Verb                                  Effect
-====================================  =======================================
-``create_versioned_table(n, s, r)``   base segment + version chain, epoch 0
-``insert(vt, rows)``                  append an insert delta, epoch + 1
-``update_where(vt, pred, sets)``      offloaded read-modify-write delta
-``delete_where(vt, pred)``            offloaded delete delta
-``snapshot(vt)``                      the current committed epoch
-``far_view(vt, q)`` / ``select`` /    snapshot scan pinned at the epoch it
-``sql`` / ``scan_versioned(as_of=e)`` starts under (delta-merge ingest)
-``compact(vt)``                       fold the chain into a fresh base
-``drop_table(t)``                     free a plain table or a whole chain
-====================================  =======================================
-
-Cluster writes commit through a two-phase epoch broadcast (prepare on
-every shard, then one atomic commit step), so cluster-wide snapshot
-reads merge sha256-identical to single-node execution.  Cluster tables
-are made with ``create_table(name, schema, rows, partition)`` and freed
-with ``drop_table``; merged rows come back in single-node output order
-(byte-identical under order-preserving ``chunk`` partitioning — see
-:mod:`repro.core.cluster` for the exact contract), response time
-measured until the *last* shard's results land client-side.
+Every verb that takes simulated time is a ``*_proc`` generator (compose
+it inside a running simulation) with a blocking twin, generated by
+:func:`_with_blocking_verbs`, that drives the simulator to completion
+and returns ``(result, elapsed_ns)`` — the paper's measurement endpoint,
+"until the final results are written to the memory of the client
+machine" (§6.2).  ``docs/ARCHITECTURE.md`` ("Clients and results", "The
+versioned write path") has the verb tables, the one result type and the
+placement and write contracts.
 """
 
 from __future__ import annotations
@@ -132,7 +72,6 @@ from .planner import (DagPlan, ExplainPlan, PlacementPlan, StagePlan,
                       operator_chain, plan_placement, run_client_join,
                       run_client_kernel, run_client_steps)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
-                      ShardedTable, ShardReplica, TableShard,
                       aggregate_output_schema, group_output_schema,
                       join_strategies, merge_aggregate_rows,
                       merge_distinct_rows, merge_group_rows, plan_scatter)
@@ -141,10 +80,9 @@ from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
 from .pipeline_compiler import compile_query
 from .query import Query, RegexFilter
-from .table import FTable
-from .versioning import (ROWID_COLUMN, VersionedShard, VersionedShardedTable,
-                         VersionedTable, delta_schema, require_versionable,
-                         rows_from_literals)
+from .table import FTable, Shard, Table, as_table
+from .versioning import (ROWID_COLUMN, VersionChain, delta_schema,
+                         require_versionable, rows_from_literals)
 from .views import (ChainTracker, MaterializedView, Subscription, ViewCatalog,
                     compile_circuit)
 from .zset import ZSet
@@ -282,25 +220,27 @@ def _client_compute(sim, ns: float):
 
 
 def canonical_result_bytes(result: QueryResult) -> bytes:
-    """The placement-invariant byte image of a query result.
-
-    ``result.data`` of a direct node execution is the raw shipped stream
-    (possibly encrypted, possibly carrying overflow duplicates the
-    client dedups).  This helper normalizes every result to
-    ``schema.to_bytes(rows())`` so results can be compared across
-    placements.
-    """
+    """The placement-invariant byte image of a query result:
+    ``schema.to_bytes(rows())``, where ``result.data`` of a direct node
+    execution is the raw shipped stream (possibly encrypted, possibly
+    carrying overflow duplicates the client dedups)."""
     return result.schema.to_bytes(result.rows())
 
 
+def _run(sim, proc, name: str):
+    """Drive ``proc`` to completion; returns ``(value, elapsed_ns)``."""
+    start = sim.now
+    result = sim.run_process(proc, name)
+    return result, sim.now - start
+
+
 def _blocking(owner: type, verb: str, proc):
-    """The blocking twin of one ``*_proc`` generator method: drive the
-    simulator until the process completes, return ``(value,
-    elapsed_ns)``.  Signature and docstring are the generator's."""
+    """The blocking twin of one ``*_proc`` generator method; signature
+    and docstring are the generator's."""
 
     @functools.wraps(proc)
     def twin(self, *args, **kwargs):
-        return self._run(proc(self, *args, **kwargs), verb)
+        return _run(self.sim, proc(self, *args, **kwargs), verb)
 
     twin.__name__ = verb
     twin.__qualname__ = f"{owner.__qualname__}.{verb}"
@@ -311,68 +251,390 @@ def _blocking(owner: type, verb: str, proc):
 
 def _with_blocking_verbs(cls):
     """Class decorator — the wrapper table.  Every public ``verb_proc``
-    generator a concrete client has (its own or the core's) gets its
-    blocking twin ``verb``, unless that verb is written by hand
-    somewhere in the class (it does more than wrap)."""
-    members: dict = {}
-    for klass in reversed(cls.__mro__):
-        members.update(vars(klass))
-    for name, proc in members.items():
+    generator the class defines gets its blocking twin ``verb``, unless
+    the class writes that verb by hand (it does more than wrap)."""
+    own = dict(vars(cls))
+    for name, proc in own.items():
         verb = name.removesuffix("_proc")
-        if (verb != name and not name.startswith("_")
-                and verb not in members):
+        if verb != name and not name.startswith("_") and verb not in own:
             setattr(cls, verb, _blocking(cls, verb, proc))
     return cls
 
 
-class _ClientCore:
-    """Everything a client does that does not depend on topology.
+def _versioned_query(query: Query) -> Query:
+    """Delta-merge ingest needs the full row stream (like joins), so
+    smart addressing is not applicable to versioned scans."""
+    if query.smart_addressing:
+        raise QueryError(
+            "smart addressing is incompatible with versioned scans: "
+            "the delta-merge ingest consumes the full row stream")
+    if query.smart_addressing is None:
+        return replace(query, smart_addressing=False)
+    return query
 
-    A concrete client sets ``sim``, ``catalog``, ``cpu``, ``views`` and
-    ``retry_policy`` and supplies the topology primitives listed in the
-    module docstring; the core turns them into the public verb set.
-    ``**topology`` on a core verb is forwarded untouched to those
-    primitives — ``as_of`` (snapshot epoch of a versioned table) on
-    :class:`FarviewClient`, ``join_strategy`` on :class:`ClusterClient`.
+
+@dataclass
+class _Placement:
+    """Where one join's build side lives in the pool.
+
+    ``copies`` maps ``(partition, node_index)`` to the node-local copy
+    of that build partition — a replica-less plain
+    :class:`~repro.core.table.Shard`, stamped like any other (a stale
+    stamp means the copy is gone and must never be probed against).
+    ``empty`` are the partitions that hold no build rows: their fact
+    shards probe nothing and are answered client-side.
     """
 
-    sim: object
-    catalog: Catalog
-    #: Cost model of the compute node's CPU — prices the client-side
-    #: remainder of planned and compiled executions and view circuits.
-    cpu: CpuCostModel
-    views: ViewCatalog
-    #: Optional :class:`~repro.core.faults.RetryPolicy`: per-request
-    #: deadline + capped exponential backoff on every *read* verb
-    #: (``table_read``, ``far_view`` and everything built on them, on
-    #: plain and versioned tables alike) and on ``table_write``, an
-    #: idempotent overwrite.  The versioned write verbs (``insert``,
-    #: ``update_where``, ``delete_where``, ``compact``) are **not**
-    #: retried: a prepare that may have reached the node must not be
-    #: applied twice.  ``None`` (default) is the exact pre-fault-layer
-    #: request path — no extra simulator events.
-    retry_policy: RetryPolicy | None
-    #: The catalog handle class this client's write verbs accept.
-    _versioned_type: type
+    copies: dict[tuple[int, int], Shard] = field(default_factory=dict)
+    empty: frozenset[int] = frozenset()
 
-    # -- the blocking runner and the retry loop -----------------------------
-    def _run(self, proc, name: str):
-        """Drive ``proc`` to completion; returns ``(value, elapsed_ns)``."""
-        start = self.sim.now
-        result = self.sim.run_process(proc, name)
-        return result, self.sim.now - start
 
+#: Sentinel a shard executor returns (instead of raising) when every
+#: candidate replica of its shard is gone and the caller opted into
+#: degraded results.  Filtered out by :meth:`ClusterClient._gather`.
+_SHARD_LOST = object()
+
+
+class _ConnLock:
+    """FIFO mutex serializing shard requests on one node connection.
+
+    Replica failover can route two shards' requests of the same scatter
+    onto the same node, but a connection's landing buffer holds one
+    request at a time (reset + read) — interleaving would corrupt both
+    results.  The uncontended path takes and releases the lock
+    synchronously (no events, no yields), so the no-fault baselines are
+    bit-for-bit unaffected.
+    """
+
+    __slots__ = ("sim", "locked", "waiters")
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.locked = False
+        self.waiters: deque = deque()
+
+    def acquire(self):
+        """Process: returns holding the lock (synchronously when free)."""
+        if not self.locked:
+            self.locked = True
+            return
+        ticket = self.sim.event()
+        self.waiters.append(ticket)
+        yield ticket  # woken by release(), lock handed over directly
+
+    def release(self) -> None:
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.locked = False
+
+
+@_with_blocking_verbs
+class _NodeSession:
+    """One query thread's connection to one memory node: the QP, its
+    landing buffer and the dynamic region.  Speaks what the node speaks
+    — segments (:class:`~repro.core.table.FTable`) and the version
+    chains built from them.  No planning, no catalog, no retries: the
+    router (:class:`ClusterClient`) decides which session serves which
+    shard and wraps each request in its retry policy."""
+
+    def __init__(self, node: FarviewNode, buffer_capacity: int):
+        self.node = node
+        self.sim = node.sim
+        self.buffer_capacity = buffer_capacity
+        self._conn: Connection | None = None
+        self.lock = _ConnLock(node.sim)
+
+    # -- connection -----------------------------------------------------------
+    def open_connection(self) -> Connection:
+        if self._conn is not None:
+            raise ConnectionError_("connection already open")
+        self._conn = self.node.open_connection(self.buffer_capacity)
+        return self._conn
+
+    def close_connection(self) -> None:
+        conn = self.connection
+        self.node.close_connection(conn)
+        self._conn = None
+
+    def abandon_connection(self) -> None:
+        """Drop the connection handle without a node round trip — for a
+        lease holder whose node died mid-lease: the close RPC cannot
+        reach it, and the node-side state is gone with the crashed
+        incarnation.  Clears the node's stale connection entry and link
+        flow too, so a recovered node does not resurrect them and
+        lease-manager accounting stays exact."""
+        conn = self.connection
+        conn.qp.connected = False
+        conn.closed = True
+        self.node.connections.pop(conn.qp.qp_id, None)
+        self.node.link.unregister_flow(conn.qp.qp_id)
+        self._conn = None
+
+    @property
+    def connection(self) -> Connection:
+        if self._conn is None:
+            raise ConnectionError_("no open connection; call open_connection")
+        return self._conn
+
+    # -- segments -------------------------------------------------------------
+    def alloc_segment(self, segment: FTable) -> None:
+        self.node.alloc_table_mem(self.connection, segment)
+
+    def free_segment(self, segment: FTable) -> None:
+        self.node.free_table_mem(self.connection, segment)
+
+    def release_segments(self, segments) -> None:
+        """Best-effort free: a crashed node has nothing left to free."""
+        for segment in segments:
+            try:
+                self.free_segment(segment)
+            except FarviewError:
+                pass
+
+    def table_write_proc(self, segment: FTable, rows: np.ndarray | bytes):
+        """Process: upload ``rows`` (array or raw image) into one
+        segment; returns the bytes written."""
+        conn = self.connection
+        if isinstance(rows, np.ndarray):
+            segment.validate_rows(rows)
+            data = segment.schema.to_bytes(rows)
+        else:
+            data = bytes(rows)
+        return (yield from self.node.serve_write(conn, segment, data))
+
+    def table_read_proc(self, segment: FTable, offset: int = 0,
+                        length: int | None = None):
+        """Process: raw RDMA read of one segment; returns its bytes."""
+        conn = self.connection
+        conn.qp.buffer.reset()
+        total = yield from self.node.serve_read(conn, segment, offset, length)
+        return conn.qp.buffer.read(0, total)
+
+    # -- chains ---------------------------------------------------------------
+    def _release_pin(self, chain: VersionChain, token: int) -> None:
+        for segment in chain.unpin(token):
+            self.free_segment(segment)
+
+    def _scan_once_proc(self, chain: VersionChain, query: Query,
+                        epoch: int | None):
+        """Process: one offloaded scan of one chain — the base segment
+        of a plain chain, the snapshot at ``epoch`` of a versioned one.
+        Returns the node's own :class:`QueryResult` (report + stream)."""
+        conn = self.connection
+        # Pins are taken before any simulated time passes (the compile
+        # resolves the same epochs), so a chain — or a versioned join
+        # build side — being updated or compacted mid-scan cannot change
+        # or free the segments this scan reads.
+        pins = [(chain, chain.pin(epoch))] if chain.versioned else []
+        if query.join is not None:
+            build = as_table(query.join.build_table).shards[0].chain
+            if build.versioned:
+                pins.append((build, build.pin(build.epoch)))
+        try:
+            # Pipelines are stateful/one-shot: always compile a fresh one;
+            # the signature keeps region reconfiguration free across
+            # repeats.
+            source = chain.view_at(epoch) if chain.versioned else chain.base
+            compiled = compile_query(query, chain.base, self.node.config)
+            conn.qp.buffer.reset()
+            start = self.sim.now
+            report = yield from self.node.serve_farview(conn, source,
+                                                        compiled)
+        finally:
+            for pinned, token in reversed(pins):
+                self._release_pin(pinned, token)
+        if report.overflow_groups:
+            report.overflow_groups["__meta__"] = (
+                list(query.group_by or ()),
+                list(query.aggregates),
+                sorted({s.column for s in query.aggregates
+                        if not (s.func == "count" and s.column == "*")}))
+        return QueryResult(
+            schema=compiled.output_schema, report=report,
+            stream=conn.qp.buffer.read(0, report.bytes_shipped),
+            response_time_ns=self.sim.now - start,
+            output_key=query.encrypt_output)
+
+    def read_version_proc(self, chain: VersionChain, epoch: int):
+        """Process: raw RDMA reads of every segment of the chain pinned
+        at ``epoch`` + client-side merge.  Returns ``(visible_rows,
+        rowids, bytes_shipped)``."""
+        token = chain.pin(epoch)
+        try:
+            view = chain.view_at(epoch)
+            images: dict[str, bytes] = {}
+            shipped = 0
+            for segment in view.segment_tables:
+                data = yield from self.table_read_proc(segment)
+                images[segment.name] = data
+                shipped += len(data)
+            rows, ids = view.materialize(lambda t: images[t.name])
+            return rows, ids, shipped
+        finally:
+            self._release_pin(chain, token)
+
+    def prepare_delta_proc(self, kind: str, chain: VersionChain, *args):
+        """Process: build one write's delta segment on the node without
+        making it visible; returns ``(kind, segment, num_rows,
+        visible_change)`` for :meth:`VersionChain.commit_delta`."""
+        conn = self.connection
+        if kind == "insert":
+            # The one write verb whose prepare never scans the chain on
+            # the node: check §4.4 isolation here, before anything is
+            # allocated or committed against a foreign handle.
+            self.node.require_access(conn, chain.base)
+            rows = args[0]
+            if len(rows) == 0:
+                return (kind, None, 0, 0)
+            ids = chain.allocate_rowids(len(rows))
+            dschema = delta_schema(chain.schema)
+            drows = dschema.empty(len(rows))
+            drows[ROWID_COLUMN] = ids
+            for column in chain.schema.names:
+                drows[column] = rows[column]
+            segment = FTable(chain.next_segment_name(), dschema, len(rows))
+            self.alloc_segment(segment)
+            yield from self.node.serve_write(conn, segment,
+                                             dschema.to_bytes(drows))
+            return (kind, segment, len(rows), len(rows))
+        serve = (self.node.serve_update_delta if kind == "update"
+                 else self.node.serve_delete_delta)
+        token = chain.pin(chain.epoch)
+        try:
+            prepared = yield from serve(conn, chain.view_at(chain.epoch),
+                                        *args, chain.next_segment_name())
+        finally:
+            self._release_pin(chain, token)
+        if prepared is None:
+            return (kind, None, 0, 0)
+        segment, rowids = prepared
+        return (kind, segment, len(rowids),
+                -len(rowids) if kind == "delete" else 0)
+
+    def compact_chain_proc(self, chain: VersionChain):
+        """Process: fold the delta chain into a fresh base segment.
+
+        Superseded segments are freed immediately unless an in-flight
+        pinned scan still reads them — then they are retired and freed
+        when the last such scan ends.
+        """
+        conn = self.connection
+        token = chain.pin(chain.epoch)
+        try:
+            new_base, ids = yield from self.node.serve_compact(
+                conn, chain.view_at(chain.epoch),
+                f"{chain.name}#b{chain.compactions + 1}")
+        finally:
+            self._release_pin(chain, token)
+        for segment in chain.retire_for_compaction(new_base, ids):
+            self.free_segment(segment)
+
+    def drop_chain(self, chain: VersionChain) -> None:
+        """Free every live, retired and delta segment of the chain."""
+        for segment in chain.drain_segments():
+            self.free_segment(segment)
+
+
+@_with_blocking_verbs
+class ClusterClient:
+    """The one client: a query thread routing over a pool of memory nodes.
+
+    Owns one :class:`_NodeSession` (QP + dynamic region) per node and a
+    :class:`~repro.core.catalog.Catalog` of
+    :class:`~repro.core.table.Table` handles.  Reads rewrite the query
+    with :func:`~repro.core.cluster.plan_scatter`, scatter the fragment
+    to the shards that own data, execute with true node-level
+    parallelism, and gather client-side; response time runs until the
+    *last* shard's results land in client memory (§6.2).  A one-shard
+    table skips the rewrite and the gather (:meth:`_offload_proc`).
+    """
+
+    def __init__(self, cluster: FarviewCluster,
+                 buffer_capacity: int = 8 * 1024 * 1024):
+        self.cluster = cluster
+        self._attach(cluster.nodes, buffer_capacity, CpuCostModel())
+
+    def _attach(self, nodes, buffer_capacity: int, cpu: CpuCostModel) -> None:
+        self.sim = nodes[0].sim
+        self.catalog = Catalog()
+        self._sessions = [_NodeSession(node, buffer_capacity)
+                          for node in nodes]
+        #: Cost model of the compute node's CPU — prices the client-side
+        #: remainder of planned and compiled executions and view circuits.
+        self.cpu = cpu
+        #: Join build placements that moved bytes, by ``(build name,
+        #: fact name | None)`` — ``None`` for broadcast, whose layout is
+        #: fact-independent (:meth:`_place_build_proc`).  Copies are
+        #: immutable (plain tables only), so a placement stays valid
+        #: until either table is dropped — or a node crashes, which
+        #: invalidates its copies.
+        self._placements: dict[tuple[str, str | None], _Placement] = {}
+        #: In-flight moves by placement key: concurrent joins share one
+        #: move process instead of racing the cache and leaking copies.
+        self._moves: dict[tuple[str, str | None], object] = {}
+        #: Build-side bytes written into pool memory for join placement
+        #: (every copy a move wrote; co-located joins move none).
+        self.replica_bytes_moved = 0
+        #: Optional :class:`~repro.core.faults.RetryPolicy`: per-request
+        #: deadline + capped exponential backoff on every shard *read*
+        #: request (``table_read``, ``far_view`` and everything built on
+        #: them, plain or versioned; view bootstrap and refresh reads)
+        #: and on :meth:`FarviewClient.table_write`, an idempotent
+        #: overwrite.  The versioned write verbs are **not** retried: a
+        #: prepare that may have reached the node must not be applied
+        #: twice.  ``None`` (default) is the exact pre-fault-layer
+        #: request path — no extra simulator events.
+        self.retry_policy: RetryPolicy | None = None
+        #: When True, a read of a many-shard table that loses *every*
+        #: replica of a shard raises :class:`DegradedResultError` carrying
+        #: the partial merge of the survivors instead of the bare failure.
+        self.allow_degraded = False
+        #: Registered materialized views + their chain trackers — one
+        #: tracker per shard chain.
+        self.views = ViewCatalog()
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._sessions)
+
+    def node_client(self, index: int) -> _NodeSession:
+        """The per-node session behind shard ``index``'s node."""
+        return self._sessions[index]
+
+    # -- connection ----------------------------------------------------------
+    def open_connection(self):
+        """Open one QP + dynamic region on every node of the pool,
+        all-or-nothing: if any node cannot grant a region, the regions
+        already opened on earlier nodes are released first."""
+        opened: list[_NodeSession] = []
+        try:
+            for session in self._sessions:
+                session.open_connection()
+                opened.append(session)
+        except Exception:
+            for session in opened:
+                session.close_connection()
+            raise
+
+    def close_connection(self) -> None:
+        for session in self._sessions:
+            session.close_connection()
+
+    def abandon_connection(self) -> None:
+        """:meth:`_NodeSession.abandon_connection` on every node."""
+        for session in self._sessions:
+            session.abandon_connection()
+
+    # -- the retry loop -------------------------------------------------------
     def _attempts_proc(self, make_proc, verb: str, usable=None):
         """Process: run ``make_proc()`` under :attr:`retry_policy`.
-
         Typed fault errors retry with capped exponential backoff (as
         long as ``usable()`` — when given — still holds); a completion
-        past the deadline is *discarded* (the late result is never
-        returned) and retried, surfacing as
+        past the deadline is *discarded* and retried, surfacing as
         :class:`RequestTimeoutError` once attempts are exhausted.  With
         no policy installed this *is* ``make_proc()`` — no extra
-        generator frame, no simulator events, identical timing.
-        """
+        generator frame, no simulator events, identical timing."""
         if self.retry_policy is None:
             return make_proc()
         return self._retry_proc(self.retry_policy, make_proc, verb, usable)
@@ -399,36 +661,36 @@ class _ClientCore:
             yield self.sim.timeout(policy.backoff_ns(attempt))
 
     # -- placement: the fork, the ladder, the client-side tail --------------
+    def _bind(self, table, as_of: int | None = None) -> tuple:
+        """Coerce ``table`` to its handle and resolve the snapshot epoch
+        once, before nested blocking runs give concurrent writers a
+        chance to commit.  Idempotent on a bound pair."""
+        table = as_table(table)
+        if table.versioned:
+            return table, table.epoch if as_of is None else as_of
+        if as_of is not None:
+            raise QueryError(f"as_of needs a versioned table, not "
+                             f"{table.name!r}")
+        return table, None
+
     def _placed(self, table, query: Query, placement: str,
                 stats: PlanStats | None = None, lease_manager=None,
-                **topology):
+                as_of: int | None = None, join_strategy: str | None = None):
         """The one placement fork.  ``"offload"`` is the paper's path —
         no planner, no explain, timing-exact; anything else goes
         through :meth:`far_view_planned`."""
         if placement == "offload":
-            return self._run(self._offload_proc(table, query, **topology),
-                             "far_view")
+            return _run(self.sim, self._offload_proc(table, query, as_of,
+                                                     join_strategy),
+                        "far_view")
         return self.far_view_planned(table, query, placement, stats,
-                                     lease_manager, **topology)
-
-    def plan(self, table, query: Query, placement: str = "auto",
-             stats: PlanStats | None = None, lease_manager=None,
-             refuse_join_offload: bool = False,
-             **topology) -> PlacementPlan:
-        """Plan (but do not run) ``query``: where should each operator go?
-
-        The estimate accounts for the pipeline currently loaded in the
-        connection's dynamic region (a different signature pays the
-        partial-reconfiguration charge) and, if a ``lease_manager`` is
-        given, for the expected region-lease wait on a saturated pool.
-        """
-        return self._plan(table, query, placement, stats, lease_manager,
-                          refuse_join_offload, **topology)
+                                     lease_manager, as_of, join_strategy)
 
     def far_view_planned(self, table, query: Query,
                          placement: str = "auto",
                          stats: PlanStats | None = None,
-                         lease_manager=None, **topology):
+                         lease_manager=None, as_of: int | None = None,
+                         join_strategy: str | None = None):
         """Run ``query`` under cost-based placement.
 
         ``placement="offload"`` plans the full-offload path (byte- and
@@ -440,20 +702,23 @@ class _ClientCore:
         instead of failing: a join build that overflows the on-chip
         hash below nominal capacity re-plans with the join on the
         client, and a dead dynamic region falls back to ship (raw reads
-        need no region).  Returns ``(result, elapsed_ns)``.
+        need no region).  ``as_of`` pins a versioned table's snapshot
+        epoch, ``join_strategy`` a join's scatter strategy.  Returns
+        ``(result, elapsed_ns)``.
         """
-        topology = self._bind(table, **topology)
+        table, epoch = self._bind(table, as_of)
 
         def attempt(placement, refuse_join_offload=False):
-            plan = self._plan(table, query, placement, stats, lease_manager,
-                              refuse_join_offload, **topology)
-            if plan is not None and not plan.full_offload:
-                return self._run_split(table, query, plan, **topology)
-            result, elapsed = self._run(
-                self._offload_proc(table, query, **topology), "far_view")
-            if plan is not None:
-                plan.explain.actual_ns = elapsed
-                result.explain = plan.explain
+            plan = self.plan(table, query, placement, stats, lease_manager,
+                             refuse_join_offload, epoch, join_strategy)
+            if not plan.full_offload:
+                return self._run_split(table, epoch, query, plan,
+                                       join_strategy)
+            result, elapsed = _run(
+                self.sim, self._offload_proc(table, query, epoch,
+                                             join_strategy), "far_view")
+            plan.explain.actual_ns = elapsed
+            result.explain = plan.explain
             return result, elapsed
 
         try:
@@ -470,6 +735,54 @@ class _ClientCore:
                 raise
             return attempt("ship")
 
+    def plan(self, table, query: Query, placement: str = "auto",
+             stats: PlanStats | None = None, lease_manager=None,
+             refuse_join_offload: bool = False, as_of: int | None = None,
+             join_strategy: str | None = None) -> PlacementPlan:
+        """Plan (but do not run) ``query`` over the table's shards:
+        offload, ship, or hybrid — where should each operator go?
+
+        Estimates use table-level cardinalities with per-shard streaming
+        parallelism; the region-residency check samples the first
+        shard's region (a different loaded signature pays the
+        partial-reconfiguration charge).  A versioned table is priced at
+        its snapshot — ``scan_bytes`` over every chain's base + deltas,
+        ``delta_rows`` for the ship side's software merge.  A
+        ``lease_manager`` folds the expected region-lease wait on a
+        saturated pool into the offload side.  Joins fold the resolved
+        scatter strategy in: partitioned strategies size the per-node
+        build at ``1/N``, an uncached shuffle charges its wire movement
+        against the offload side, and the strategy lands on the
+        :class:`~repro.core.planner.ExplainPlan`.
+        """
+        table, epoch = self._bind(table, as_of)
+        first = table.shards[0]
+        session = self._sessions[first.node_index]
+        rows, snapshot = table.num_rows, {}
+        if table.versioned:
+            query = _versioned_query(query)
+            rows, scan_bytes, delta_rows = table.stats_at(epoch)
+            snapshot = dict(scan_bytes=float(scan_bytes),
+                            delta_rows=float(delta_rows))
+        strategy = self._resolve_join_strategy(table, query, join_strategy)
+        join_transfer_ns = 0.0
+        join_build_shards = 1
+        if strategy in ("colocated", "shuffle"):
+            join_build_shards = table.num_partitions
+        if strategy == "shuffle":
+            join_transfer_ns = self._movement_ns(
+                as_table(query.join.build_table), table, strategy)
+        return plan_placement(
+            query, first.chain.base, session.node.config,
+            placement=placement, stats=stats, cpu=self.cpu,
+            loaded_signature=session.connection.region.loaded_pipeline,
+            lease_manager=lease_manager,
+            shards=len(table.shards), total_rows=rows,
+            buffer_capacity=session.buffer_capacity,
+            refuse_join_offload=refuse_join_offload,
+            join_strategy=strategy, join_transfer_ns=join_transfer_ns,
+            join_build_shards=join_build_shards, **snapshot)
+
     def _client_side(self, explain, body):
         """The one client-side tail of ship, hybrid and compiled
         executions: open a :class:`CostBreakdown` with the setup charge,
@@ -483,7 +796,7 @@ class _ClientCore:
         cost.add("setup", cpu.setup_ns())
         rows, schema, parts, read_bytes = body(cost)
         cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
-        self._run(_client_compute(sim, cost.total_ns), "client-compute")
+        _run(sim, _client_compute(sim, cost.total_ns), "client-compute")
         elapsed = sim.now - start
         explain.actual_ns = elapsed
         result = QueryResult(schema=schema, merged=rows,
@@ -492,8 +805,8 @@ class _ClientCore:
                              read_bytes=read_bytes)
         return result, elapsed
 
-    def _run_split(self, table, query: Query, plan: PlacementPlan,
-                   **topology):
+    def _run_split(self, table: Table, epoch: int | None, query: Query,
+                   plan: PlacementPlan, join_strategy: str | None):
         """Ship / hybrid execution of ``plan``: read the shipped join's
         build side, then either the raw table (ship) or the offloaded
         fragment's result (hybrid), and finish with
@@ -508,14 +821,14 @@ class _ClientCore:
                     query.join.build_table)
                 cost.add("read", cpu.read_ns(read_bytes))
             if plan.fragment is None:
-                rows, schema, shipped = self._ship_read(table, steps, cost,
-                                                        **topology)
+                rows, schema, shipped = self._ship_read(table, epoch, steps,
+                                                        cost)
                 read_bytes += shipped
                 parts = []
             else:
-                fragment, _ = self._run(
-                    self._offload_proc(table, plan.fragment, **topology),
-                    "far_view")
+                fragment, _ = _run(
+                    self.sim, self._offload_proc(table, plan.fragment, epoch,
+                                                 join_strategy), "far_view")
                 rows, schema = fragment.rows(), fragment.schema
                 cost.add("read", cpu.read_ns(fragment.bytes_shipped))
                 parts = [fragment]
@@ -524,6 +837,46 @@ class _ClientCore:
             return rows, schema, parts, read_bytes
 
         return self._client_side(plan.explain, body)
+
+    def _ship_read(self, table: Table, epoch: int | None, steps: list[str],
+                   cost: CostBreakdown):
+        """Blocking raw read of the whole table for a ship plan; returns
+        ``(rows, schema, bytes_shipped)``.  Charges what turning the
+        bytes into rows costs the client — the read, a leading
+        ``decrypt`` step (consumed from ``steps``), a version chain's
+        delta merge."""
+        cpu = self.cpu
+        if table.versioned:
+            (rows, _ids, shipped), _ = _run(
+                self.sim, self.read_version_proc(table, epoch),
+                "read_version")
+            visible, _scan_bytes, delta_rows = table.stats_at(epoch)
+            cost.add("read", cpu.read_ns(shipped))
+            cost.add("merge", delta_merge_cost_ns(cpu, visible, delta_rows))
+            return rows, table.schema, shipped
+        data, _ = self.table_read(table)
+        cost.add("read", cpu.read_ns(len(data)))
+        if steps and steps[0] == "decrypt":
+            # Only a caller-placed segment can be encrypted; the pool's
+            # create loop writes plaintext shards.
+            base = table.shards[0].chain.base
+            data = software_decrypt(data, base.key, base.nonce)
+            cost.add("aes", cpu.aes_ns(len(data)))
+            del steps[0]
+        return table.schema.from_bytes(data), table.schema, len(data)
+
+    def _read_build_rows(self, build):
+        """Raw read + decode of a shipped join's build side —
+        :meth:`read_version_proc` at the current epoch for a versioned
+        one, one raw read per shard otherwise.  Returns ``(build_rows,
+        bytes_shipped)``."""
+        build = as_table(build)
+        if build.versioned:
+            (rows, _ids, shipped), _ = _run(
+                self.sim, self.read_version_proc(build), "read_build")
+            return rows, shipped
+        data, _ = self.table_read(build)
+        return build.schema.from_bytes(data), len(data)
 
     # -- compiled SQL: a DAG of placed stages + client kernels --------------
     def _run_stage(self, handle, query: Query, placement: str, stats,
@@ -614,6 +967,10 @@ class _ClientCore:
                       label="group_by")
         return self.far_view(table, query)
 
+    def regex_match(self, table, column: str, pattern: str):
+        query = Query(regex=RegexFilter(column, pattern), label="regex")
+        return self.far_view(table, query)
+
     def sql(self, statement: str, placement: str | None = None,
             stats: PlanStats | None = None):
         """Parse and execute a SQL statement against the catalog.
@@ -636,17 +993,17 @@ class _ClientCore:
             return self._placed(bound.base, bound.query, placement, stats)
         return self._run_compiled(bound, placement, stats)
 
-    def _require_versioned(self, handle):
-        if not isinstance(handle, self._versioned_type):
+    def _require_versioned(self, table) -> Table:
+        table = as_table(table)
+        if not table.versioned:
             raise QueryError(
-                f"table {handle.name!r} is not versioned; write statements "
+                f"table {table.name!r} is not versioned; write statements "
                 f"and views need a table created with "
-                f"create_versioned_table on this client")
-        return handle
+                f"create_versioned_table")
+        return table
 
-    def _sql_write(self, table, parsed: ParsedWrite):
+    def _sql_write(self, table: Table, parsed: ParsedWrite):
         """Dispatch a parsed INSERT/UPDATE/DELETE to the write verbs."""
-        self._require_versioned(table)
         if parsed.kind == "insert":
             rows = rows_from_literals(table.schema, parsed.values)
             return self.insert(table, rows)
@@ -655,16 +1012,136 @@ class _ClientCore:
                                      dict(parsed.assignments))
         return self.delete_where(table, parsed.predicate)
 
+    # -- table lifecycle ------------------------------------------------------
+    def create_table(self, name: str, schema: Schema, rows: np.ndarray,
+                     partition: PartitionSpec | None = None) -> Table:
+        """Partition ``rows``, allocate and scatter-write the shards of
+        a plain table (:meth:`_create`).  Nodes whose shard would be
+        empty get no shard; shard segments are named ``{name}@{node}``
+        and each shard's ``partition.replicas - 1`` byte-identical
+        failover copies land on the next ring nodes."""
+        return self._create(name, schema, rows, partition, versioned=False)
+
+    def create_versioned_table(self, name: str, schema: Schema,
+                               rows: np.ndarray,
+                               partition: PartitionSpec | None = None
+                               ) -> Table:
+        """Chunk-partition ``rows`` into per-node version chains, epoch
+        0 (:meth:`_create`); :meth:`insert` / :meth:`update_where` /
+        :meth:`delete_where` then each commit a copy-on-write delta
+        segment and advance the table's epoch.  Only order-preserving
+        ``chunk`` partitioning is supported: the global visible row
+        order is shard-concatenation order, which is what keeps
+        scatter-gather merges byte-identical to single-node execution
+        (inserts append to the last shard for the same reason).  Chains
+        are unreplicated."""
+        return self._create(name, schema, rows, partition, versioned=True)
+
+    def _create(self, name: str, schema: Schema, rows: np.ndarray,
+                partition: PartitionSpec | None, versioned: bool) -> Table:
+        """The one create loop: partition → allocate → write → register.
+        Everything refusable from the arguments and the catalog is
+        refused before the first allocation; any later failure frees
+        every segment and replica already allocated."""
+        spec = partition if partition is not None else PartitionSpec()
+        if versioned:
+            require_versionable(schema)
+            if not spec.order_preserving:
+                raise QueryError(
+                    f"versioned tables require order-preserving 'chunk' "
+                    f"partitioning, got {spec.scheme!r} (the write path's "
+                    f"byte-identity contract depends on global row order)")
+        if rows.dtype != schema.dtype:
+            raise QueryError(
+                f"rows dtype {rows.dtype} does not match table schema "
+                f"{schema.dtype}")
+        if len(rows) == 0:
+            raise QueryError(
+                f"cannot create empty table {name!r}; an empty shard has "
+                f"no disaggregated memory to allocate")
+        if name in self.catalog:
+            raise CatalogError(f"table {name!r} already registered")
+        indices = partition_indices(rows, schema, spec, self.num_nodes)
+        allocated: list[tuple[_NodeSession, FTable]] = []
+        shards: list[Shard] = []
+        shard_ranges: dict[int, tuple[float, float]] = {}
+        try:
+            for node_index, idx in enumerate(indices):
+                if len(idx) == 0:
+                    continue
+                part = rows if len(idx) == len(rows) else rows[idx]
+                # k-replica placement of a plain shard: byte-identical
+                # copies on the next ring nodes.  A version chain has no
+                # replicas and no stamp — its bytes survive a recovery.
+                hosts = (node_index,) if versioned else (
+                    node_index,) + replica_nodes(node_index, self.num_nodes,
+                                                 spec.replicas)
+                copies = []
+                for host in hosts:
+                    session = self._sessions[host]
+                    chain = f"{name}@{node_index}" + (
+                        f"r{host}" if host != node_index else "")
+                    segment = FTable(chain + ("#b0" if versioned else ""),
+                                     schema, len(part))
+                    session.alloc_segment(segment)
+                    # Track the segment before the write so a mid-upload
+                    # failure still rolls its allocation back.
+                    allocated.append((session, segment))
+                    session.table_write(segment, part)
+                    copies.append(Shard(
+                        host, VersionChain(chain, schema, segment, versioned),
+                        None if versioned else session.node.incarnation))
+                shards.append(replace(copies[0], replicas=tuple(copies[1:])))
+                if spec.scheme == "range":
+                    # Plan-time pruning metadata: each shard's observed
+                    # key span (recomputable from the deterministic
+                    # placement, cached here so pruning needs no reads).
+                    values = part[spec.key].astype(np.float64)
+                    shard_ranges[node_index] = (float(values.min()),
+                                                float(values.max()))
+            table = Table(name, schema, spec, shards,
+                          num_partitions=self.num_nodes,
+                          shard_ranges=shard_ranges)
+            self.catalog.register(table)
+        except Exception:
+            for session, segment in allocated:
+                session.free_segment(segment)
+            raise
+        return table
+
+    def drop_table(self, table) -> None:
+        """Free a table's disaggregated memory and deregister it —
+        handle, raw :class:`~repro.core.table.FTable` or catalog name.
+        Every live, retired and delta segment of every shard's chain is
+        freed, and so are the shard replicas, every join build placement
+        the table participates in — on either side — and the copies of
+        any move still in flight."""
+        if isinstance(table, str):
+            table = self.catalog.lookup(table)
+        table = as_table(table)
+        for shard in table.shards:
+            self._sessions[shard.node_index].drop_chain(shard.chain)
+            self._free_copies(shard.replicas)
+        # A move in flight loses its handle: it then frees the copies it
+        # wrote instead of publishing them.
+        for key in [k for k in self._moves if table.name in k]:
+            del self._moves[key]
+        for key in [k for k in self._placements if table.name in k]:
+            self._free_copies(self._placements.pop(key).copies.values())
+        self.catalog.deregister(table.name)
+
     # -- versioned write verbs: prepare, commit, propagate ------------------
     def _write_proc(self, kind: str, table, *args):
+        table = self._require_versioned(table)
         prepared = yield from self._prepare_proc(kind, table, *args)
         epoch = self._commit(table, prepared)
         yield from self._views_after_commit_proc()
         return epoch
 
     def insert_proc(self, table, rows: np.ndarray):
-        """Process: append ``rows`` as an insert delta (a cluster appends
-        to the tail shard); returns the new epoch."""
+        """Process: append ``rows`` as an insert delta (to the last
+        shard, the tail of the global row order); returns the new
+        epoch."""
         return self._write_proc("insert", table, rows)
 
     def update_where_proc(self, table, predicate: Predicate | None,
@@ -679,14 +1156,99 @@ class _ClientCore:
         """Process: offloaded predicate delete; returns the new epoch."""
         return self._write_proc("delete", table, predicate)
 
+    def snapshot(self, table) -> int:
+        """The current committed epoch (every shard agrees on it) — pass
+        to ``as_of`` for a repeatable snapshot read."""
+        table = self._require_versioned(table)
+        table.check_epochs()
+        return table.epoch
+
+    def _prepare_proc(self, kind: str, table: Table, *args):
+        """Process: phase 1 of the epoch broadcast — prepare the write on
+        every shard; returns one ``(tag, value)`` outcome per shard.
+
+        An insert appends to the last shard (no-op bumps elsewhere); a
+        mistyped batch is refused before any row id is reserved or
+        segment allocated.  Updates and deletes scatter their prepares,
+        each capturing any Farview error as a value, so one crashed
+        shard cannot fail the whole AllOf before the other prepares
+        report — :meth:`_commit` then aborts cleanly instead of leaving
+        some shards prepared and others not.
+        """
+        if kind == "insert":
+            try:
+                rows = np.asarray(args[0], dtype=table.schema.dtype)
+            except (TypeError, ValueError) as exc:
+                raise QueryError(
+                    f"insert into {table.name!r}: rows do not match the "
+                    f"table schema {table.schema.dtype}: {exc}") from exc
+            last = table.shards[-1]
+            prepared = yield from self._sessions[last.node_index] \
+                .prepare_delta_proc(kind, last.chain, rows)
+            return [("ok", prepared if shard is last else (kind, None, 0, 0))
+                    for shard in table.shards]
+
+        def guarded(gen):
+            try:
+                value = yield from gen
+            except FarviewError as exc:
+                return ("err", exc)
+            return ("ok", value)
+
+        return (yield from self._fan_out_proc(table, kind, [
+            (s, guarded(self._sessions[s.node_index].prepare_delta_proc(
+                kind, s.chain, *args)))
+            for s in table.shards]))
+
+    def _commit(self, table: Table, outcomes: list) -> int:
+        """Phase 2 of the epoch broadcast: commit everywhere, or abort.
+
+        Contains no simulation yields, so between phase 1 and this call
+        every reader still snapshots the old epoch on *all* shards, and
+        after it every reader sees the new epoch on all shards — there
+        is no interleaving in which a scatter-gather scan observes a
+        half-committed write.  On any failed prepare the abort frees the
+        prepared delta segments of the shards that *did* succeed (best
+        effort — a dead node has nothing left to free), verifies no
+        shard epoch moved, and re-raises the first failure: either every
+        shard commits (no-op bumps included), or none does.
+        """
+        failures = [value for tag, value in outcomes if tag == "err"]
+        if not failures:
+            for shard, (_tag, prepared) in zip(table.shards, outcomes):
+                shard.chain.commit_delta(*prepared)
+            table.check_epochs()
+            return table.epoch
+        for (tag, value), shard in zip(outcomes, table.shards):
+            if tag == "ok" and value[1] is not None:
+                self._sessions[shard.node_index].release_segments([value[1]])
+        table.check_epochs()
+        raise failures[0]
+
+    def compact_proc(self, table):
+        """Process: fold every shard's delta chain into a fresh base.
+
+        A background maintenance pass: contents and epoch are unchanged,
+        but subsequent scans ingest one segment per shard instead of
+        base + K deltas.  A shard with no visible rows cannot be given a
+        (zero-byte) base: it is skipped while another shard holds rows,
+        and an all-empty table is the node's typed refusal.
+        """
+        table = self._require_versioned(table)
+        empty = table.num_rows == 0
+        yield from self._fan_out_proc(table, "compact", [
+            (s, self._sessions[s.node_index].compact_chain_proc(s.chain))
+            for s in table.shards if s.chain.num_rows > 0 or empty])
+        return table.epoch
+
     def read_version(self, table, as_of: int | None = None):
         """Visible byte image at an epoch; returns (bytes, elapsed_ns)."""
-        (rows, _ids, _shipped), elapsed = self._run(
-            self.read_version_proc(table, as_of), "read_version")
+        (rows, _ids, _shipped), elapsed = _run(
+            self.sim, self.read_version_proc(table, as_of), "read_version")
         return table.schema.to_bytes(rows), elapsed
 
     # -- incremental materialized views (docs/VIEWS.md) ---------------------
-    # The core owns the sim-facing half of the view subsystem: it reads
+    # The client owns the sim-facing half of the view subsystem: it reads
     # the committed delta segments over the wire, charges the circuit's
     # client-side cost, and only then hands the fetched bytes to the
     # yield-free ViewCatalog.apply_refresh fold.  Because every read
@@ -722,18 +1284,19 @@ class _ClientCore:
             if table in engine.trackers:
                 continue
             trackers = []
-            for owner, chain in self._view_chains(
-                    self._require_versioned(handle)):
-                tracker = ChainTracker(table, chain)  # pins + listens now
-                tracker.owner = owner
+            for shard in self._require_versioned(handle).shards:
+                tracker = ChainTracker(table, shard.chain)  # pins + listens
+                tracker.owner = shard
                 trackers.append(tracker)
             engine.trackers[table] = trackers
             new_trackers.extend(trackers)
         view = MaterializedView(view_name, sql, bound, circuit)
         try:
             for tracker in new_trackers:
-                rows, ids, shipped = yield from tracker.owner \
-                    .read_version_proc(tracker.chain, tracker.processed_epoch)
+                rows, ids, shipped = yield from self._shard_exec_proc(
+                    tracker.owner,
+                    lambda _shard, c: self._sessions[c.node_index]
+                    .read_version_proc(c.chain, tracker.processed_epoch))
                 tracker.load(rows, ids)
                 view.bootstrap_bytes += shipped
             for stage, handle in circuit.static_loads:
@@ -776,12 +1339,7 @@ class _ClientCore:
                 self._view_free_segments(tracker, tracker.detach())
 
     def _view_free_segments(self, tracker, segments) -> None:
-        owner = tracker.owner
-        for segment in segments:
-            try:
-                owner.node.free_table_mem(owner.connection, segment)
-            except FarviewError:
-                pass  # a crashed node has nothing left to free
+        self._sessions[tracker.owner.node_index].release_segments(segments)
 
     def refresh_views_proc(self):
         """Process: fold every unconsumed committed segment into every
@@ -797,7 +1355,10 @@ class _ClientCore:
         reads = []
         delta_rows = 0
         for tracker, segment in work:
-            data = yield from tracker.owner.table_read_proc(segment.table)
+            data = yield from self._shard_exec_proc(
+                tracker.owner,
+                lambda _shard, c: self._sessions[c.node_index]
+                .table_read_proc(segment.table))
             reads.append((tracker, segment, data))
             delta_rows += segment.num_rows
         if delta_rows:
@@ -851,711 +1412,29 @@ class _ClientCore:
         return fresh
 
 
-@_with_blocking_verbs
-class FarviewClient(_ClientCore):
-    """A query thread on a compute node, connected to a Farview node."""
-
-    _versioned_type = VersionedTable
-
-    def __init__(self, node: FarviewNode,
-                 buffer_capacity: int = 8 * 1024 * 1024,
-                 cpu_model: CpuCostModel | None = None):
-        self.node = node
-        self.sim = node.sim
-        self.catalog = Catalog()
-        self._buffer_capacity = buffer_capacity
-        self._conn: Connection | None = None
-        self.cpu = cpu_model if cpu_model is not None else CpuCostModel()
-        self.retry_policy = None
-        #: Registered materialized views + their chain trackers.
-        self.views = ViewCatalog()
-
-    # -- connection -----------------------------------------------------------
-    def open_connection(self) -> Connection:
-        if self._conn is not None:
-            raise ConnectionError_("connection already open")
-        self._conn = self.node.open_connection(self._buffer_capacity)
-        return self._conn
-
-    def close_connection(self) -> None:
-        conn = self._require_conn()
-        self.node.close_connection(conn)
-        self._conn = None
-
-    def abandon_connection(self) -> None:
-        """Drop the connection handle without a node round trip.
-
-        For a lease holder whose node died mid-lease (fail-stop with
-        amnesia): the close RPC cannot reach the node, and the node-side
-        state is gone with the crashed incarnation anyway.  Clears the
-        client-side handle — and the node's stale connection entry and
-        link flow, so a recovered node does not resurrect them —
-        keeping lease-manager accounting exact even when
-        :meth:`close_connection` raises a
-        :class:`~repro.common.errors.FaultError`.
-        """
-        conn = self._require_conn()
-        conn.qp.connected = False
-        conn.closed = True
-        self.node.connections.pop(conn.qp.qp_id, None)
-        self.node.link.unregister_flow(conn.qp.qp_id)
-        self._conn = None
-
-    def _require_conn(self) -> Connection:
-        if self._conn is None:
-            raise ConnectionError_("no open connection; call open_connection")
-        return self._conn
-
-    @property
-    def connection(self) -> Connection:
-        return self._require_conn()
-
-    # -- memory management -------------------------------------------------------
-    def alloc_table_mem(self, table: FTable) -> FTable:
-        self.node.alloc_table_mem(self._require_conn(), table)
-        if table.name not in self.catalog:
-            self.catalog.register(table)
-        return table
-
-    def free_table_mem(self, table: FTable) -> None:
-        self.node.free_table_mem(self._require_conn(), table)
-        self.catalog.deregister(table.name)
-
-    def drop_table(self, table: FTable | VersionedTable | str) -> None:
-        """Free a table's disaggregated memory and deregister it.
-
-        Accepts a plain :class:`FTable`, a :class:`VersionedTable`
-        (every live, retired and delta segment is freed), or a catalog
-        name — no reaching into ``catalog.deregister`` or allocator
-        internals required.
-        """
-        if isinstance(table, str):
-            table = self.catalog.lookup(table)
-        if isinstance(table, VersionedTable):
-            conn = self._require_conn()
-            for segment in table.drain_segments():
-                self.node.free_table_mem(conn, segment)
-            self.catalog.deregister(table.name)
-            return
-        self.free_table_mem(table)
-
-    # -- verbs as processes ----------------------------------------------------------
-    def table_write_proc(self, table: FTable, rows: np.ndarray | bytes):
-        """Process: upload ``rows`` (array or raw image) to the buffer
-        pool; returns the bytes written."""
-
-        def once():
-            conn = self._require_conn()
-            if isinstance(rows, np.ndarray):
-                table.validate_rows(rows)
-                data = table.schema.to_bytes(rows)
-            else:
-                data = bytes(rows)
-            return (yield from self.node.serve_write(conn, table, data))
-
-        return self._attempts_proc(once, "table_write")
-
-    def table_read_proc(self, table: FTable, offset: int = 0,
-                        length: int | None = None):
-        """Process: raw RDMA read; returns the bytes landed in the buffer."""
-
-        def once():
-            conn = self._require_conn()
-            conn.qp.buffer.reset()
-            total = yield from self.node.serve_read(conn, table, offset,
-                                                    length)
-            return conn.qp.buffer.read(0, total)
-
-        return self._attempts_proc(once, "table_read")
-
-    def far_view_proc(self, table: FTable | VersionedTable, query: Query):
-        """Process: the Farview verb; returns a :class:`QueryResult`.
-
-        Accepts a :class:`VersionedTable` too: the scan then runs over
-        the MVCC view pinned at the current epoch (see
-        :meth:`scan_versioned_proc`).
-        """
-        return self._offload_proc(table, query)
-
-    def scan_versioned_proc(self, table: VersionedTable, query: Query,
-                            as_of: int | None = None):
-        """Process: offloaded scan over the snapshot pinned at start.
-
-        The epoch is resolved and pinned before any simulated time
-        passes, so writers committing — and compactions retiring
-        segments — mid-scan cannot change the bytes this scan returns.
-        """
-        return self._offload_proc(table, query, as_of)
-
-    def _offload_proc(self, table, query: Query, as_of: int | None = None):
-        """Process: one offloaded scan under the retry policy.  A
-        versioned table's epoch is resolved once, so every attempt
-        reads the same snapshot."""
-        if isinstance(table, VersionedTable) and as_of is None:
-            as_of = table.epoch
-        return (yield from self._attempts_proc(
-            lambda: self._scan_once_proc(table, query, as_of), "far_view"))
-
-    def _scan_once_proc(self, table, query: Query, epoch: int | None):
-        conn = self._require_conn()
-        versioned = isinstance(table, VersionedTable)
-        # Pins are taken before any simulated time passes (the compile
-        # resolves the same epochs), so a table — or a versioned join
-        # build side — being updated or compacted mid-scan cannot change
-        # or free the segments this scan reads.
-        pins = [(table, table.pin(epoch))] if versioned else []
-        build = query.join.build_table if query.join is not None else None
-        if isinstance(build, VersionedTable):
-            pins.append((build, build.pin(build.epoch)))
-        try:
-            # Pipelines are stateful/one-shot: always compile a fresh one;
-            # the signature keeps region reconfiguration free across
-            # repeats.
-            source = table
-            if versioned:
-                source = table.view_at(epoch)
-                table, query = source.base, self._versioned_query(query)
-            compiled = compile_query(query, table, self.node.config)
-            conn.qp.buffer.reset()
-            start = self.sim.now
-            report = yield from self.node.serve_farview(conn, source,
-                                                        compiled)
-        finally:
-            for pinned, token in reversed(pins):
-                self._release_pin(pinned, token)
-        if report.overflow_groups:
-            report.overflow_groups["__meta__"] = (
-                list(query.group_by or ()),
-                list(query.aggregates),
-                sorted({s.column for s in query.aggregates
-                        if not (s.func == "count" and s.column == "*")}))
-        return QueryResult(
-            schema=compiled.output_schema, report=report,
-            stream=conn.qp.buffer.read(0, report.bytes_shipped),
-            response_time_ns=self.sim.now - start,
-            output_key=query.encrypt_output)
-
-    @staticmethod
-    def _versioned_query(query: Query) -> Query:
-        """Delta-merge ingest needs the full row stream (like joins), so
-        smart addressing is not applicable to versioned scans."""
-        if query.smart_addressing:
-            raise QueryError(
-                "smart addressing is incompatible with versioned scans: "
-                "the delta-merge ingest consumes the full row stream")
-        if query.smart_addressing is None:
-            return replace(query, smart_addressing=False)
-        return query
-
-    def _release_pin(self, vt: VersionedTable, token: int) -> None:
-        conn = self._require_conn()
-        for segment in vt.unpin(token):
-            self.node.free_table_mem(conn, segment)
-
-    def read_version_proc(self, table: VersionedTable,
-                          as_of: int | None = None):
-        """Process: raw RDMA reads of every segment + client-side merge.
-
-        Returns ``(visible_rows, rowids, bytes_shipped)`` — the ship-side
-        building block of versioned placement, and the oracle the
-        snapshot-isolation tests re-execute."""
-        epoch = table.epoch if as_of is None else as_of
-        token = table.pin(epoch)
-        try:
-            view = table.view_at(epoch)
-            images: dict[str, bytes] = {}
-            shipped = 0
-            for segment in view.segment_tables:
-                data = yield from self.table_read_proc(segment)
-                images[segment.name] = data
-                shipped += len(data)
-            rows, ids = view.materialize(lambda t: images[t.name])
-            return rows, ids, shipped
-        finally:
-            self._release_pin(table, token)
-
-    def regex_match(self, table: FTable, column: str, pattern: str):
-        query = Query(regex=RegexFilter(column, pattern), label="regex")
-        return self.far_view(table, query)
-
-    # -- placement primitives ---------------------------------------------------
-    def scan_versioned(self, table: VersionedTable, query: Query,
-                       as_of: int | None = None, placement: str = "offload",
-                       stats: PlanStats | None = None,
-                       lease_manager=None):
-        """Snapshot scan, optionally under cost-based placement.
-
-        ``placement="offload"`` runs the delta-merge ingest on the node
-        (the default); ``"ship"`` reads the raw segments and merges +
-        executes client-side; ``"auto"`` picks the cheapest prefix split
-        with delta-aware costing (the ship/offload crossover shifts with
-        the delta fraction).  Returns ``(result, elapsed_ns)``.
-        """
-        return self._placed(table, query, placement, stats, lease_manager,
-                            as_of=as_of)
-
-    def _bind(self, table, as_of: int | None = None) -> dict:
-        """Resolve the snapshot epoch once, before the ladder's nested
-        blocking runs give concurrent writers a chance to commit."""
-        if isinstance(table, VersionedTable):
-            return {"as_of": table.epoch if as_of is None else as_of}
-        if as_of is not None:
-            raise QueryError(f"as_of needs a versioned table, not "
-                             f"{table.name!r}")
-        return {}
-
-    def _plan(self, table, query: Query, placement, stats, lease_manager,
-              refuse_join_offload: bool = False,
-              as_of: int | None = None) -> PlacementPlan:
-        versioned: dict = {}
-        if isinstance(table, VersionedTable):
-            epoch = table.epoch if as_of is None else as_of
-            view = table.view_at(epoch)
-            query = self._versioned_query(query)
-            versioned = dict(total_rows=table.visible_rows_at(epoch),
-                             scan_bytes=float(view.scan_bytes),
-                             delta_rows=float(view.delta_rows))
-            table = view.base
-        region = self._require_conn().region
-        return plan_placement(query, table, self.node.config,
-                              placement=placement, stats=stats,
-                              cpu=self.cpu,
-                              loaded_signature=region.loaded_pipeline,
-                              lease_manager=lease_manager,
-                              buffer_capacity=self._buffer_capacity,
-                              refuse_join_offload=refuse_join_offload,
-                              **versioned)
-
-    def _ship_read(self, table, steps: list[str], cost: CostBreakdown,
-                   as_of: int | None = None):
-        """Blocking raw read of the whole table for a ship plan; returns
-        ``(rows, schema, bytes_shipped)``.  Charges what turning the
-        bytes into rows costs the client — the read, a leading
-        ``decrypt`` step (consumed from ``steps``), a version chain's
-        delta merge."""
-        cpu = self.cpu
-        if isinstance(table, VersionedTable):
-            view = table.view_at(as_of)
-            (rows, _ids, shipped), _ = self._run(
-                self.read_version_proc(table, as_of), "read_version")
-            cost.add("read", cpu.read_ns(shipped))
-            cost.add("merge", delta_merge_cost_ns(
-                cpu, table.visible_rows_at(as_of), view.delta_rows))
-            return rows, table.schema, shipped
-        data, _ = self.table_read(table)
-        cost.add("read", cpu.read_ns(len(data)))
-        if steps and steps[0] == "decrypt":
-            data = software_decrypt(data, table.key, table.nonce)
-            cost.add("aes", cpu.aes_ns(len(data)))
-            del steps[0]
-        return table.schema.from_bytes(data), table.schema, len(data)
-
-    def _read_build_rows(self, build):
-        """Raw read + decode of a shipped join's build side.
-
-        A versioned build reads every segment of the chain pinned at the
-        current epoch and merges client-side (the same oracle
-        :meth:`read_version_proc` provides); a plain table is one raw
-        RDMA read.  Returns ``(build_rows, bytes_shipped)``.
-        """
-        if isinstance(build, VersionedTable):
-            (rows, _ids, shipped), _ = self._run(
-                self.read_version_proc(build), "read_build")
-            return rows, shipped
-        data, _ = self.table_read(build)
-        return build.schema.from_bytes(data), len(data)
-
-    # -- versioned write path (MVCC snapshots + delta segments) -------------------------------
-    def create_versioned_table(self, name: str, schema: Schema,
-                               rows: np.ndarray) -> VersionedTable:
-        """Allocate + upload ``rows`` as the base segment of a version
-        chain; registers the :class:`VersionedTable` under ``name``.
-
-        Writes then go through :meth:`insert` / :meth:`update_where` /
-        :meth:`delete_where`, each committing a copy-on-write delta
-        segment and advancing the table's epoch.
-        """
-        require_versionable(schema)
-        if len(rows) == 0:
-            raise QueryError(
-                f"versioned table {name!r} needs a non-empty base segment")
-        if name in self.catalog:
-            raise CatalogError(f"table {name!r} already registered")
-        conn = self._require_conn()
-        base = FTable(f"{name}#b0", schema, len(rows))
-        self.node.alloc_table_mem(conn, base)
-        self.table_write(base, rows)
-        vt = VersionedTable(name, schema, base,
-                            np.arange(len(rows), dtype=np.uint64))
-        self.catalog.register(vt)
-        return vt
-
-    def snapshot(self, table: VersionedTable) -> int:
-        """The current committed epoch — pass to ``as_of`` for a
-        repeatable snapshot read."""
-        return table.epoch
-
-    # prepare/commit split: the cluster router prepares on every shard
-    # before committing any (two-phase epoch broadcast); on one node a
-    # write verb is prepare + immediate commit.
-    def _prepare_proc(self, kind: str, vt: VersionedTable, *args):
-        """Process: build one write's delta segment on the node without
-        making it visible; returns ``(kind, segment, num_rows,
-        visible_change)`` for :meth:`_commit`."""
-        conn = self._require_conn()
-        if kind == "insert":
-            # The one write verb whose prepare never scans the chain on
-            # the node: check §4.4 isolation here, before anything is
-            # allocated or committed against a foreign handle.
-            self.node.require_access(conn, vt.base)
-            rows = np.asarray(args[0], dtype=vt.schema.dtype)
-            if len(rows) == 0:
-                return (kind, None, 0, 0)
-            ids = vt.allocate_rowids(len(rows))
-            dschema = delta_schema(vt.schema)
-            drows = dschema.empty(len(rows))
-            drows[ROWID_COLUMN] = ids
-            for column in vt.schema.names:
-                drows[column] = rows[column]
-            segment = FTable(vt.next_segment_name(), dschema, len(rows))
-            self.node.alloc_table_mem(conn, segment)
-            yield from self.node.serve_write(conn, segment,
-                                             dschema.to_bytes(drows))
-            return (kind, segment, len(rows), len(rows))
-        serve = (self.node.serve_update_delta if kind == "update"
-                 else self.node.serve_delete_delta)
-        token = vt.pin(vt.epoch)
-        try:
-            prepared = yield from serve(conn, vt.view_at(vt.epoch), *args,
-                                        vt.next_segment_name())
-        finally:
-            self._release_pin(vt, token)
-        if prepared is None:
-            return (kind, None, 0, 0)
-        segment, rowids = prepared
-        return (kind, segment, len(rowids),
-                -len(rowids) if kind == "delete" else 0)
-
-    @staticmethod
-    def _commit(vt: VersionedTable, prepared) -> int:
-        kind, segment, num_rows, visible_change = prepared
-        return vt.commit_delta(kind, segment, num_rows, visible_change)
-
-    def compact_proc(self, table: VersionedTable):
-        """Process: fold the delta chain into a fresh base segment.
-
-        A background maintenance pass: contents and epoch are unchanged,
-        but subsequent scans ingest one segment instead of base + K
-        deltas.  Superseded segments are freed immediately unless an
-        in-flight pinned scan still reads them — then they are retired
-        and freed when the last such scan ends.  Returns the epoch.
-        """
-        conn = self._require_conn()
-        token = table.pin(table.epoch)
-        try:
-            new_base, ids = yield from self.node.serve_compact(
-                conn, table.view_at(table.epoch),
-                f"{table.name}#b{table.compactions + 1}")
-        finally:
-            self._release_pin(table, token)
-        for segment in table.retire_for_compaction(new_base, ids):
-            self.node.free_table_mem(conn, segment)
-        return table.epoch
-
-    def _view_chains(self, handle: VersionedTable):
-        return [(self, handle)]
-
-
-@dataclass
-class _Placement:
-    """Where one join's build side lives in the pool.
-
-    ``copies`` maps ``(partition, node_index)`` to the node-local copy
-    of that build partition, stamped with the node's incarnation at
-    write time (a later crash makes the stamp stale — the copy is gone
-    and must never be probed against).  ``empty`` are the partitions
-    that hold no build rows: their fact shards probe nothing and are
-    answered client-side.
-    """
-
-    copies: dict[tuple[int, int], ShardReplica] = field(default_factory=dict)
-    empty: frozenset[int] = frozenset()
-
-
-#: Sentinel a shard executor returns (instead of raising) when every
-#: candidate replica of its shard is gone and the caller opted into
-#: degraded results.  Filtered out by :meth:`ClusterClient._gather`.
-_SHARD_LOST = object()
-
-
-class _ConnLock:
-    """FIFO mutex serializing shard requests on one per-node connection.
-
-    Replica failover can route two shards' requests of the same scatter
-    onto the same node, but a connection's landing buffer holds one
-    request at a time (reset + read) — interleaving would corrupt both
-    results.  The uncontended path takes and releases the lock
-    synchronously (no events, no yields), so the no-fault baselines are
-    bit-for-bit unaffected.
-    """
-
-    __slots__ = ("sim", "locked", "waiters")
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.locked = False
-        self.waiters: deque = deque()
-
-    def acquire(self):
-        """Process: returns holding the lock (synchronously when free)."""
-        if not self.locked:
-            self.locked = True
-            return
-        ticket = self.sim.event()
-        self.waiters.append(ticket)
-        yield ticket  # woken by release(), lock handed over directly
-
-    def release(self) -> None:
-        if self.waiters:
-            self.waiters.popleft().succeed()
-        else:
-            self.locked = False
-
-
-@_with_blocking_verbs
-class ClusterClient(_ClientCore):
-    """Scatter-gather router: one query thread over a sharded pool.
-
-    Owns one :class:`FarviewClient` (QP + dynamic region) per node of a
-    :class:`~repro.core.cluster.FarviewCluster` and a cluster-level
-    :class:`~repro.core.catalog.Catalog` of
-    :class:`~repro.core.cluster.ShardedTable`\\ s.  The verbs are the
-    core's; the topology primitives below rewrite queries with
-    :func:`~repro.core.cluster.plan_scatter`, scatter them to the shards
-    that own data, execute with true node-level parallelism, and gather
-    client-side — DISTINCT dedup, GROUP BY / aggregate partial
-    re-merges included.  Response time runs until the *last* shard's
-    results land in client memory, matching the paper's measurement
-    endpoint (§6.2).
-    """
-
-    _versioned_type = VersionedShardedTable
-
-    def __init__(self, cluster: FarviewCluster,
-                 buffer_capacity: int = 8 * 1024 * 1024):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.catalog = Catalog()
-        self._clients = [FarviewClient(node, buffer_capacity)
-                         for node in cluster.nodes]
-        self.cpu = self._clients[0].cpu
-        #: Join build placements that moved bytes, by ``(build name,
-        #: fact name | None)``.  ``broadcast`` is the one-partition
-        #: layout whose ring is every node (fact-independent: ``None``);
-        #: ``shuffle`` the N-partition layout on the fact table's
-        #: placement hash and failover ring.  Copies are immutable (plain
-        #: tables only), so a placement stays valid until either table
-        #: is dropped — or a node crashes, which invalidates its copies.
-        self._placements: dict[tuple[str, str | None], _Placement] = {}
-        #: In-flight moves by placement key: concurrent joins needing
-        #: the same placement share one move process instead of racing
-        #: the cache and leaking the loser's copies.
-        self._moves: dict[tuple[str, str | None], object] = {}
-        #: Build-side bytes written into pool memory for join placement
-        #: (every copy a move wrote).  Co-located joins leave this
-        #: untouched — the fig19 zero-replica-bytes assertion.
-        self.replica_bytes_moved = 0
-        #: Applied per shard request by the scatter router (backoff
-        #: between retries on the same candidate, post-completion
-        #: deadline check) — see :attr:`_ClientCore.retry_policy`.
-        self.retry_policy = None
-        #: When True, a read that loses *every* replica of a shard
-        #: raises :class:`DegradedResultError` carrying the partial
-        #: merge of the surviving shards instead of the bare failure.
-        self.allow_degraded = False
-        #: One lock per per-node connection: failover may put two shard
-        #: requests of one scatter on the same node, and its landing
-        #: buffer serves one request at a time.
-        self._conn_locks = [_ConnLock(self.sim) for _ in cluster.nodes]
-        #: Registered materialized views + their chain trackers — one
-        #: tracker per shard chain.
-        self.views = ViewCatalog()
-
-    @property
-    def num_nodes(self) -> int:
-        return self.cluster.num_nodes
-
-    def node_client(self, index: int) -> FarviewClient:
-        """The per-node client behind shard ``index``'s node."""
-        return self._clients[index]
-
-    # -- connection ----------------------------------------------------------
-    def open_connection(self) -> None:
-        """Open one QP + dynamic region on every node of the pool.
-
-        All-or-nothing: if any node cannot grant a region, the regions
-        already opened on earlier nodes are released before the error
-        propagates.
-        """
-        opened: list[FarviewClient] = []
-        try:
-            for client in self._clients:
-                client.open_connection()
-                opened.append(client)
-        except Exception:
-            for client in opened:
-                client.close_connection()
-            raise
-
-    def close_connection(self) -> None:
-        for client in self._clients:
-            client.close_connection()
-
-    # -- sharded table lifecycle ---------------------------------------------
-    def create_table(self, name: str, schema: Schema, rows: np.ndarray,
-                     partition: PartitionSpec | None = None) -> ShardedTable:
-        """Partition ``rows``, allocate and scatter-write the shards.
-
-        Nodes whose shard would be empty get no shard table; the returned
-        :class:`ShardedTable` is registered in the cluster catalog under
-        ``name`` and its shard tables are named ``{name}@{node}``.
-        """
-        if len(rows) == 0:
-            raise QueryError(
-                f"cannot shard empty table {name!r}; empty shards have no "
-                f"disaggregated memory to allocate")
-        if name in self.catalog:
-            # Fail before any shard is allocated or written — a duplicate
-            # name is detectable from catalog information alone.
-            raise CatalogError(f"table {name!r} already registered")
-        spec = partition if partition is not None else PartitionSpec()
-        indices = partition_indices(rows, schema, spec,
-                                    self.cluster.num_nodes)
-        shards: list[TableShard] = []
-        replica_allocs: list[tuple[int, FTable]] = []
-        try:
-            for node_index, idx in enumerate(indices):
-                if len(idx) == 0:
-                    continue
-                shard_table = FTable(f"{name}@{node_index}", schema, len(idx))
-                client = self._clients[node_index]
-                client.alloc_table_mem(shard_table)
-                # Track the shard before the write so a mid-upload failure
-                # still rolls its allocation back.
-                shard = TableShard(node_index, shard_table)
-                shards.append(shard)
-                client.table_write(shard_table, rows[idx])
-                shard.incarnation = client.node.incarnation
-                # k-replica placement: byte-identical copies on the next
-                # ring nodes.  Replicas bypass the per-node catalogs
-                # (like broadcast join copies) — only the cluster-level
-                # placement knows about them.
-                reps: list[ShardReplica] = []
-                for rep_node in replica_nodes(node_index,
-                                              self.cluster.num_nodes,
-                                              spec.replicas):
-                    rclient = self._clients[rep_node]
-                    rtable = FTable(f"{name}@{node_index}r{rep_node}",
-                                    schema, len(idx))
-                    rclient.node.alloc_table_mem(rclient.connection, rtable)
-                    replica_allocs.append((rep_node, rtable))
-                    rclient.table_write(rtable, rows[idx])
-                    reps.append(ShardReplica(rep_node, rtable,
-                                             rclient.node.incarnation))
-                shard.replicas = tuple(reps)
-            shard_ranges: dict[int, tuple[float, float]] = {}
-            if spec.scheme == "range":
-                # Plan-time pruning metadata: each shard's observed key
-                # span (recomputable from the deterministic placement,
-                # cached here so pruning needs no reads).
-                for node_index, idx in enumerate(indices):
-                    if len(idx) == 0:
-                        continue
-                    values = rows[idx][spec.key].astype(np.float64)
-                    shard_ranges[node_index] = (float(values.min()),
-                                                float(values.max()))
-            sharded = ShardedTable(name, schema, len(rows), spec, shards,
-                                   num_partitions=self.cluster.num_nodes,
-                                   shard_ranges=shard_ranges)
-            self.catalog.register(sharded)
-        except Exception:
-            # All-or-nothing: free any shards already written so a failed
-            # create leaves no orphaned pool memory behind.  Deregister a
-            # per-node catalog name only if it maps to *this* shard (a
-            # duplicate-name create never got to register its shards).
-            for shard in shards:
-                client = self._clients[shard.node_index]
-                shard_name = shard.table.name
-                if (shard_name in client.catalog
-                        and client.catalog.lookup(shard_name) is shard.table):
-                    client.free_table_mem(shard.table)
-                else:
-                    client.node.free_table_mem(client.connection, shard.table)
-            for rep_node, rtable in replica_allocs:
-                rclient = self._clients[rep_node]
-                rclient.node.free_table_mem(rclient.connection, rtable)
-            raise
-        return sharded
-
-    def drop_table(self,
-                   table: ShardedTable | VersionedShardedTable) -> None:
-        """Free every shard's disaggregated memory and deregister.
-
-        Reuses the single-node :meth:`FarviewClient.drop_table` per
-        shard, so plain and versioned shard tables (whole chains) are
-        handled uniformly.  Shard replicas and every join build
-        placement the table participates in — on either side — are
-        freed too.
-        """
-        for shard in table.shards:
-            self._clients[shard.node_index].drop_table(shard.table)
-            if isinstance(shard, TableShard):
-                self._free_copies(shard.replicas)
-        # A move in flight loses its handle: it then frees the copies it
-        # wrote instead of publishing them.
-        for key in [k for k in self._moves if table.name in k]:
-            del self._moves[key]
-        for key in [k for k in self._placements if table.name in k]:
-            self._free_copies(self._placements.pop(key).copies.values())
-        self.catalog.deregister(table.name)
-
     # -- join-build placement -------------------------------------------------
-    @staticmethod
-    def _require_cluster_build(build) -> ShardedTable:
-        if isinstance(build, (VersionedTable, VersionedShardedTable)):
-            raise QueryError(
-                "versioned build sides are single-node only; materialize "
-                "the dimension table into a plain cluster table to join "
-                "against it pool-wide")
-        if not isinstance(build, ShardedTable):
-            raise QueryError(
-                "cluster joins need the build table registered in the "
-                "cluster catalog (create it with create_table)")
-        return build
-
     def _free_copies(self, copies) -> None:
-        """Return the pool memory of node-local table copies (shard
+        """Return the pool memory of node-local plain copies (shard
         replicas, join build copies) that are still allocated."""
         for rep in copies:
-            if rep.table.allocated:
-                client = self._clients[rep.node_index]
-                client.node.free_table_mem(client.connection, rep.table)
+            if rep.chain.base.allocated:
+                self._sessions[rep.node_index].free_segment(rep.chain.base)
 
-    def _node_usable(self, node_index: int,
-                     incarnation: int | None = None) -> bool:
-        """Is the node up — and, if ``incarnation`` is given, still the
-        same incarnation that wrote the data we want to read?  (A crash
-        wipes pool memory: same index, new incarnation, empty node.)"""
-        node = self.cluster.nodes[node_index]
-        if node.failed:
-            return False
-        return incarnation is None or node.incarnation == incarnation
+    def _node_usable(self, node_index: int, incarnation: int | None) -> bool:
+        """Can the copy stamped ``incarnation`` on this node still be
+        served?  (A crash wipes pool memory: same index, new incarnation,
+        empty node.)  An unstamped copy is never ruled out here — its
+        node answers for it, typed, while it is down."""
+        if incarnation is None:
+            return True
+        node = self._sessions[node_index].node
+        return not node.failed and node.incarnation == incarnation
 
     @staticmethod
     def _placement_key(build, fact, strategy: str):
         return (build.name, None if strategy == "broadcast" else fact.name)
 
-    def _movement_ns(self, build, fact, strategy: str) -> float:
+    def _movement_ns(self, build: Table, fact: Table, strategy: str) -> float:
         """Wire cost of placing ``build`` for ``strategy``
         (:meth:`~repro.core.cost_model.PlacementCostModel.
         join_movement_ns`) — zero when nothing has to move: co-located
@@ -1565,30 +1444,23 @@ class ClusterClient(_ClientCore):
             self._placement_key(build, fact, strategy))
         if placed is not None and placed.copies:
             return 0.0
-        model = PlacementCostModel(self.cluster.config, self.cpu)
+        model = PlacementCostModel(self._sessions[0].node.config, self.cpu)
         return model.join_movement_ns(
             strategy, build.size_bytes, fact.num_partitions,
             copies=min(fact.partition.replicas, self.num_nodes))
 
-    def _resolve_join_strategy(self, sharded, query: Query,
+    def _resolve_join_strategy(self, table: Table, query: Query,
                                requested: str | None = None
                                ) -> Optional[str]:
-        """Resolve the scatter strategy for a join query.
-
-        An explicit ``requested`` strategy is validated against the
-        feasible set (:func:`~repro.core.cluster.join_strategies`) and a
-        typed error explains an infeasible request.  Under ``None``
+        """Resolve the scatter strategy for a join query — ``None`` when
+        there is nothing to scatter: no join, or a build side probed in
+        place (:func:`~repro.core.cluster.join_strategies`).  An explicit
+        ``requested`` strategy is validated against the feasible set
+        (a typed error explains an infeasible request); under ``None``
         (auto) the cheapest build-movement cost wins
-        (:meth:`_movement_ns`), with ties broken toward the strategy
-        that moves least.
-        """
-        if query.join is None:
-            if requested is not None:
-                raise QueryError(
-                    f"join_strategy={requested!r} given but the query has "
-                    f"no join")
-            return None
-        feasible = join_strategies(sharded, query)
+        (:meth:`_movement_ns`), ties broken toward the strategy that
+        moves least."""
+        feasible = join_strategies(table, query)
         if requested is not None:
             if requested not in JOIN_STRATEGIES:
                 raise QueryError(
@@ -1597,20 +1469,21 @@ class ClusterClient(_ClientCore):
             if requested not in feasible:
                 raise QueryError(
                     f"join strategy {requested!r} is infeasible for "
-                    f"{sharded.name!r}: feasible strategies are "
-                    f"{feasible} (colocated needs both sides "
+                    f"{table.name!r}: feasible strategies are "
+                    f"{feasible} (none without a join or for a build "
+                    f"probed in place; colocated needs both sides "
                     f"hash-partitioned on the join key with matching "
                     f"shard counts; shuffle needs the probe side "
                     f"hash-partitioned on the probe key)")
             return requested
-        if len(feasible) == 1:
-            return feasible[0]
-        build = query.join.build_table
+        if len(feasible) <= 1:
+            return feasible[0] if feasible else None
+        build = as_table(query.join.build_table)
         order = {"colocated": 0, "shuffle": 1, "broadcast": 2}
         return min(feasible, key=lambda s: (
-            self._movement_ns(build, sharded, s), order[s]))
+            self._movement_ns(build, table, s), order[s]))
 
-    def _place_build_proc(self, join, fact, strategy: str):
+    def _place_build_proc(self, join, fact: Table, strategy: str):
         """Process: make sure the build side of ``join`` is placed for
         ``strategy``; returns the :class:`_Placement` to probe against.
 
@@ -1626,7 +1499,7 @@ class ClusterClient(_ClientCore):
         gone, and a stale copy must never be probed against — and
         re-placed onto the survivors.
         """
-        build = self._require_cluster_build(join.build_table)
+        build = as_table(join.build_table)
         if strategy == "colocated":
             return _Placement(
                 {(s.node_index, c.node_index): c
@@ -1643,7 +1516,7 @@ class ClusterClient(_ClientCore):
                          fact.partition.replicas)
                      for s in fact.shards}
         key = self._placement_key(build, fact, strategy)
-        nodes = self.cluster.nodes
+        nodes = [session.node for session in self._sessions]
         for _round in range(self.num_nodes + 2):
             placed = self._placements.get(key)
             if placed is not None:
@@ -1677,13 +1550,13 @@ class ClusterClient(_ClientCore):
             f"could not place {build.name!r} for a {strategy} join: nodes "
             f"kept failing")
 
-    def _move_build_proc(self, build: ShardedTable, key, build_key: str,
+    def _move_build_proc(self, build: Table, key, build_key: str,
                          num_partitions: int, targets):
         """Process: the move itself — gather the build's bytes (ordinary
         scatter raw reads), hash-partition them ``num_partitions`` ways
         and write the ``(partition, node)`` copies named by ``targets``,
         all timed through the normal wire/ingest model."""
-        written: dict[tuple[int, int], ShardReplica] = {}
+        written: dict[tuple[int, int], Shard] = {}
         images: dict[int, bytes] = {}  # one image per partition, shared
         by_node: dict[int, list] = {}
         try:
@@ -1728,7 +1601,7 @@ class ClusterClient(_ClientCore):
             p for p, idx in enumerate(parts) if len(idx) == 0)
         placed.copies.update(written)
 
-    def _write_copies_proc(self, build: ShardedTable, node_index: int,
+    def _write_copies_proc(self, build: Table, node_index: int,
                            frags: list, written: dict):
         """Process: write one node's build copies back-to-back.
 
@@ -1737,16 +1610,16 @@ class ClusterClient(_ClientCore):
         fixed cost serially — the term that keeps broadcast competitive
         for small builds under k-replication.
         """
-        client = self._clients[node_index]
+        session = self._sessions[node_index]
         for partition, num_rows, image in frags:
-            table = FTable(f"{build.name}@p{partition}n{node_index}",
-                           build.schema, num_rows)
-            client.node.alloc_table_mem(client.connection, table)
-            written[(partition, node_index)] = ShardReplica(
-                node_index, table, client.node.incarnation)
-            yield from client.node.serve_write(client.connection, table,
-                                               image)
-            self.replica_bytes_moved += table.size_bytes
+            name = f"{build.name}@p{partition}n{node_index}"
+            segment = FTable(name, build.schema, num_rows)
+            session.alloc_segment(segment)
+            written[(partition, node_index)] = Shard(
+                node_index, VersionChain(name, build.schema, segment),
+                session.node.incarnation)
+            yield from session.table_write_proc(segment, image)
+            self.replica_bytes_moved += segment.size_bytes
 
     def _localize_join(self, shard_query: Query, placement: _Placement,
                        partition: int, node_index: int) -> Query:
@@ -1763,204 +1636,73 @@ class ClusterClient(_ClientCore):
             raise NodeFailedError(
                 f"no live copy of build partition {partition} on node "
                 f"{node_index}")
-        spec = replace(shard_query.join, build_table=rep.table)
+        spec = replace(shard_query.join, build_table=rep.chain.base)
         return replace(shard_query, join=spec)
 
-    def _empty_shard_result(self, sharded, plan: ScatterPlan) -> QueryResult:
+    def _empty_shard_result(self, table: Table,
+                            shard_query: Query) -> QueryResult:
         """A zero-row stand-in for a fact shard whose join-build
-        partition holds no rows.
-
-        Under co-located and shuffle joins the build side is partitioned
-        on the join key, so a fact shard facing an empty build partition
-        cannot produce output (inner join: nothing to match).  The pool
-        cannot even host a zero-byte build table (the MMU rejects empty
-        allocations), so the client answers these shards locally — zero
-        requests, zero bytes on the wire.
-        """
-        shard_query = plan.shard_query
+        partition holds no rows: under co-located and shuffle joins it
+        cannot produce output (inner join: nothing to match), and the
+        pool cannot even host a zero-byte build table (the MMU rejects
+        empty allocations), so the client answers these shards locally —
+        zero requests, zero bytes on the wire."""
         chain = operator_chain(shard_query)
-        schema = sharded.schema
+        schema = table.schema
         if chain:
-            schema = estimate_chain(chain, shard_query, sharded.schema, 0,
+            schema = estimate_chain(chain, shard_query, table.schema, 0,
                                     PlanStats())[-1].schema_out
         return QueryResult(schema=schema, merged=schema.empty(0),
                            report=ExecutionReport(signature="empty-partition"))
 
-    def _read_build_rows(self, build):
-        """Scatter-gathered raw read + decode of a shipped join's build
-        side.  Returns ``(build_rows, bytes_shipped)``."""
-        data, _ = self.table_read(self._require_cluster_build(build))
-        return build.schema.from_bytes(data), len(data)
-
-    # -- versioned write path (two-phase epoch broadcast) --------------------
-    def create_versioned_table(self, name: str, schema: Schema,
-                               rows: np.ndarray,
-                               partition: PartitionSpec | None = None
-                               ) -> VersionedShardedTable:
-        """Chunk-partition ``rows`` into per-node version chains.
-
-        Only order-preserving ``chunk`` partitioning is supported (the
-        global visible row order is shard-concatenation order, which is
-        what keeps scatter-gather merges byte-identical to single-node
-        execution); inserts append to the last shard for the same
-        reason.
-        """
-        spec = partition if partition is not None else PartitionSpec()
-        if not spec.order_preserving:
-            raise QueryError(
-                f"versioned cluster tables require 'chunk' partitioning, "
-                f"got {spec.scheme!r}")
-        if len(rows) == 0:
-            raise QueryError(
-                f"cannot shard empty versioned table {name!r}")
-        if name in self.catalog:
-            raise CatalogError(f"table {name!r} already registered")
-        indices = partition_indices(rows, schema, spec,
-                                    self.cluster.num_nodes)
-        shards: list[VersionedShard] = []
-        try:
-            for node_index, idx in enumerate(indices):
-                if len(idx) == 0:
-                    continue
-                vt = self._clients[node_index].create_versioned_table(
-                    f"{name}@{node_index}", schema, rows[idx])
-                shards.append(VersionedShard(node_index, vt))
-            sharded = VersionedShardedTable(name, schema, spec, shards)
-            self.catalog.register(sharded)
-        except Exception:
-            for shard in shards:
-                self._clients[shard.node_index].drop_table(shard.table)
-            raise
-        return sharded
-
-    def snapshot(self, table: VersionedShardedTable) -> int:
-        """The cluster-wide committed epoch (every shard agrees on it)."""
-        table.check_epochs()
-        return table.epoch
-
-    def _prepare_proc(self, kind: str, sharded: VersionedShardedTable,
-                      *args):
-        """Process: phase 1 of the epoch broadcast — prepare the write on
-        every shard; returns one ``(tag, value)`` outcome per shard.
-
-        An insert appends to the tail shard (no-op bumps elsewhere).
-        Updates and deletes scatter their prepares, each capturing any
-        Farview error as a value, so one crashed shard cannot fail the
-        whole AllOf before the other prepares report — :meth:`_commit`
-        then aborts cleanly instead of leaving some shards prepared and
-        others not.
-        """
-        if kind == "insert":
-            last = sharded.last_shard
-            prepared = yield from self._clients[last.node_index] \
-                ._prepare_proc(kind, last.table, *args)
-            return [("ok", prepared if shard is last else (kind, None, 0, 0))
-                    for shard in sharded.shards]
-
-        def guarded(gen):
-            try:
-                value = yield from gen
-            except FarviewError as exc:
-                return ("err", exc)
-            return ("ok", value)
-
-        procs = [
-            self.sim.process(
-                guarded(self._clients[s.node_index]._prepare_proc(
-                    kind, s.table, *args)),
-                name=f"cluster.{kind}[{s.table.name}]")
-            for s in sharded.shards]
-        outcomes = yield self.sim.all_of(procs)
-        return list(outcomes)
-
-    def _commit(self, sharded: VersionedShardedTable, outcomes: list) -> int:
-        """Phase 2 of the epoch broadcast: commit everywhere, or abort.
-
-        Contains no simulation yields, so between phase 1 and this call
-        every reader still snapshots the old epoch on *all* shards, and
-        after it every reader sees the new epoch on all shards — there
-        is no interleaving in which a scatter-gather scan observes a
-        half-committed write.  On any failed prepare the abort frees the
-        prepared delta segments of the shards that *did* succeed (best
-        effort — a dead node has nothing left to free), verifies no
-        shard epoch moved, and re-raises the first failure: either every
-        shard commits (no-op bumps included), or none does.
-        """
-        failures = [value for tag, value in outcomes if tag == "err"]
-        if not failures:
-            for shard, (_tag, prepared) in zip(sharded.shards, outcomes):
-                FarviewClient._commit(shard.table, prepared)
-            sharded.epoch += 1
-            sharded.check_epochs()
-            return sharded.epoch
-        for (tag, value), shard in zip(outcomes, sharded.shards):
-            if tag != "ok":
-                continue
-            _kind, segment, _num_rows, _visible = value
-            if segment is None:
-                continue
-            client = self._clients[shard.node_index]
-            try:
-                client.node.free_table_mem(client.connection, segment)
-            except FarviewError:
-                pass
-        sharded.check_epochs()
-        raise failures[0]
-
-    def compact_proc(self, table: VersionedShardedTable):
-        """Process: fold every shard's delta chain (epoch unchanged)."""
-        procs = [
-            self.sim.process(
-                self._clients[s.node_index].compact_proc(s.table),
-                name=f"cluster.compact[{s.table.name}]")
-            for s in table.shards
-            if s.table.num_deltas > 0 and s.table.num_rows > 0]
-        if procs:
-            yield self.sim.all_of(procs)
-        return table.epoch
-
-    def _view_chains(self, handle: VersionedShardedTable):
-        return [(self._clients[s.node_index], s.table)
-                for s in handle.shards]
-
-    # -- verbs as processes --------------------------------------------------
-    def _scatter_proc(self, shards, tag: str, make_proc,
-                      allow_degraded: bool = False):
-        """Process: the one scatter — run ``make_proc(shard, candidate)``
-        for every shard in parallel, each with failover + retries
-        (:meth:`_shard_exec_proc`); returns the per-shard values in
-        shard order."""
-        procs = [
-            self.sim.process(
-                self._shard_exec_proc(s, make_proc, allow_degraded),
-                name=f"cluster.{tag}[{s.table.name}]")
-            for s in shards]
+    # -- the scatter ---------------------------------------------------------
+    def _fan_out_proc(self, table: Table, tag: str, work: list):
+        """Process: run ``work`` — one ``(shard, generator)`` per shard
+        of ``table`` taking part — in parallel; values in shard order.
+        A one-shard table runs inline: no process, no event, so a single
+        memory node costs exactly what it costs without a pool."""
+        if len(table.shards) == 1:
+            values = []
+            for _shard, gen in work:
+                values.append((yield from gen))
+            return values
+        procs = [self.sim.process(gen, name=f"cluster.{tag}[{s.chain.name}]")
+                 for s, gen in work]
         if not procs:
             return []
         return (yield self.sim.all_of(procs))
 
-    def _shard_exec_proc(self, shard, make_proc, allow_degraded: bool):
+    def _scatter_proc(self, table: Table, tag: str, make_proc,
+                      skip=frozenset(), allow_degraded: bool = False):
+        """Process: the one scatter — run ``make_proc(shard, candidate)``
+        for every shard of ``table`` (but those on ``skip`` nodes), each
+        with failover + retries (:meth:`_shard_exec_proc`); returns the
+        per-shard values in shard order."""
+        return self._fan_out_proc(table, tag, [
+            (s, self._shard_exec_proc(s, make_proc, allow_degraded))
+            for s in table.shards if s.node_index not in skip])
+
+    def _shard_exec_proc(self, shard: Shard, make_proc,
+                         allow_degraded: bool = False):
         """Process: run one shard's request with failover + retries.
 
         Tries the primary, then each replica in fixed ring order
         (deterministic: which copy serves is a pure function of which
-        nodes are up; a version chain has no replicas and is its own
-        single candidate).  Within a candidate the request runs under
-        :meth:`_attempts_proc` — typed fault errors retry as long as the
-        node stays usable, a completion past the policy deadline is
-        discarded and counted as a timeout — holding the node
+        nodes are up; a version chain is its own single candidate).
+        Within a candidate the request runs under :meth:`_attempts_proc`
+        — retrying as long as the copy stays usable — holding the node
         connection's lock per attempt.  When every candidate is
         exhausted: raise the last fault error, or return
         :data:`_SHARD_LOST` when ``allow_degraded``.
         """
         last_exc: Exception = NodeFailedError(
-            f"shard {shard.table.name!r} has no live candidates")
+            f"shard {shard.chain.name!r} has no live candidates")
         for candidate in shard.candidates():
             def usable(c=candidate):
                 return self._node_usable(c.node_index, c.incarnation)
 
             def attempt(c=candidate):
-                lock = self._conn_locks[c.node_index]
+                lock = self._sessions[c.node_index].lock
                 yield from lock.acquire()
                 try:
                     return (yield from make_proc(shard, c))
@@ -1970,11 +1712,11 @@ class ClusterClient(_ClientCore):
             if not usable():
                 last_exc = NodeFailedError(
                     f"node {candidate.node_index} is down or lost shard "
-                    f"{candidate.table.name!r}")
+                    f"{candidate.chain.name!r}")
                 continue
             try:
                 return (yield from self._attempts_proc(
-                    attempt, f"shard request {candidate.table.name!r}",
+                    attempt, f"shard request {candidate.chain.name!r}",
                     usable))
             except FaultError as exc:
                 last_exc = exc  # fail over to the next candidate
@@ -1982,106 +1724,138 @@ class ClusterClient(_ClientCore):
             return _SHARD_LOST
         raise last_exc
 
-    def table_read_proc(self, table: ShardedTable):
-        """Process: scatter raw reads, gather bytes in shard order.
-
-        Under ``chunk`` partitioning the concatenation is the original
-        table image; other schemes return shard-order bytes.  A shard
-        whose primary is down reads from a replica (byte-identical by
-        construction), so the gathered image never changes under
-        failover.
-        """
+    def table_read_proc(self, table, offset: int = 0,
+                        length: int | None = None):
+        """Process: raw RDMA reads of a plain table, gathered in shard
+        order; returns the bytes.  Under ``chunk`` partitioning the
+        concatenation is the original table image; other schemes return
+        shard-order bytes.  A shard whose primary is down reads from a
+        replica (byte-identical by construction), so the image never
+        changes under failover.  ``offset`` / ``length`` address a byte
+        range of a one-shard table's segment."""
+        table = as_table(table)
+        if table.versioned or ((offset or length is not None)
+                               and len(table.shards) != 1):
+            raise QueryError(
+                f"table_read of {table.name!r}: a raw read returns plain "
+                f"segment bytes (read_version merges a version chain), "
+                f"and a byte range addresses one segment")
         chunks = yield from self._scatter_proc(
-            table.shards, "read",
-            lambda _shard, c: self._clients[c.node_index]
-            .table_read_proc(c.table))
-        return b"".join(chunks)
+            table, "read",
+            lambda _shard, c: self._sessions[c.node_index]
+            .table_read_proc(c.chain.base, offset, length))
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
-    def read_version_proc(self, table: VersionedShardedTable,
-                          as_of: int | None = None):
-        """Process: raw scatter reads + per-shard merges.  Returns
+    def read_version_proc(self, table, as_of: int | None = None):
+        """Process: raw reads of every segment of every shard's chain,
+        pinned at one epoch, + per-shard client-side merges.  Returns
         ``(visible_rows, rowids, bytes_shipped)`` in shard order (row
-        ids are shard-local)."""
-        epoch = table.epoch if as_of is None else as_of
+        ids are shard-local) — the ship-side building block of versioned
+        placement, and the oracle the snapshot-isolation tests
+        re-execute."""
+        table, epoch = self._bind(self._require_versioned(table), as_of)
         parts = yield from self._scatter_proc(
-            table.shards, "vread",
-            lambda _shard, c: self._clients[c.node_index]
-            .read_version_proc(c.table, epoch))
+            table, "vread",
+            lambda _shard, c: self._sessions[c.node_index]
+            .read_version_proc(c.chain, epoch))
+        if len(parts) == 1:
+            return parts[0]
         return (np.concatenate([rows for rows, _ids, _n in parts]),
                 np.concatenate([ids for _rows, ids, _n in parts]),
                 sum(n for _rows, _ids, n in parts))
 
-    def far_view_proc(self, table: ShardedTable | VersionedShardedTable,
-                      query: Query, join_strategy: str | None = None):
-        """Process: scatter the shard fragment, gather + merge results.
+    def far_view_proc(self, table, query: Query,
+                      join_strategy: str | None = None):
+        """Process: the Farview verb — scatter the shard fragment,
+        gather + merge (:meth:`_offload_proc`); returns a
+        :class:`QueryResult`.  A versioned table scans the snapshot at
+        its current epoch (:meth:`scan_versioned_proc`); a join's build
+        side is placed under ``join_strategy``
+        (:meth:`_resolve_join_strategy`)."""
+        return self._offload_proc(table, query, None, join_strategy)
 
-        Queries with a join place the build side first under the
-        resolved strategy (:meth:`_resolve_join_strategy`,
-        :meth:`_place_build_proc`): ``broadcast`` caches one full copy
-        per node, ``shuffle`` repartitions the build node→node on the
-        fact's splitmix64 placement hash, ``colocated`` moves nothing
-        (both sides already hash-partitioned on the join key).  Each
-        shard request fails over across its replica candidates
-        (:meth:`_shard_exec_proc`); the join fragment is localized per
-        candidate node lazily, so a failover probes against the
-        surviving node's build copy.  Fact shards facing an empty build
-        partition are answered client-side (inner join: nothing can
-        match), and range-partitioned tables skip shards the predicate
-        statically excludes
-        (:func:`~repro.core.cluster.prune_scatter_shards`).  A versioned
-        table scans the snapshot at its current epoch
-        (:meth:`scan_versioned_proc`); its build side is broadcast.
+    def scan_versioned_proc(self, table, query: Query,
+                            as_of: int | None = None):
+        """Process: offloaded scan over the snapshot pinned at start.
+        Every shard scan pins the epoch before any simulated time passes
+        (shard epochs always equal the table's), so writers committing —
+        and compactions retiring segments — mid-scan cannot change the
+        bytes this scan returns, on one shard or across many."""
+        return self._offload_proc(table, query, as_of)
+
+    def scan_versioned(self, table, query: Query,
+                       as_of: int | None = None, placement: str = "offload",
+                       stats: PlanStats | None = None,
+                       lease_manager=None):
+        """Snapshot scan under cost-based placement: ``"offload"`` (the
+        default) runs the delta-merge ingest on the nodes, ``"ship"``
+        reads the raw segments and merges + executes client-side,
+        ``"auto"`` picks the cheapest prefix split with delta-aware
+        costing (the ship/offload crossover shifts with the delta
+        fraction).  Returns ``(result, elapsed_ns)``."""
+        return self._placed(table, query, placement, stats, lease_manager,
+                            as_of=as_of)
+
+    def _offload_proc(self, table, query: Query, as_of: int | None = None,
+                      join_strategy: str | None = None):
+        """Process: the one offloaded scan.
+
+        A versioned table's epoch is resolved once, so every shard — and
+        every retry — reads the same snapshot.  A join places its build
+        side first (:meth:`_place_build_proc`); the fragment is
+        localized per candidate node lazily, so a failover probes
+        against the surviving node's build copy.  Fact shards facing an
+        empty build partition are answered client-side, and
+        range-partitioned tables skip shards the predicate statically
+        excludes (:func:`~repro.core.cluster.prune_scatter_shards`).  A
+        one-shard table's result is its shard's own (report + raw
+        stream, no rewrite, no gather); many shards merge into one.
         """
-        return self._scan_proc(table, query, join_strategy)
-
-    def scan_versioned_proc(self, table: VersionedShardedTable,
-                            query: Query, as_of: int | None = None):
-        """Process: scatter-gather snapshot scan.
-
-        The cluster epoch is resolved once up front and every shard scan
-        pins it locally (shard epochs always equal the cluster epoch),
-        so the merged result is a consistent cluster-wide snapshot even
-        with writers committing mid-scatter.
-        """
-        return self._scan_proc(table, query, None, as_of)
-
-    def _scan_proc(self, table, query: Query, join_strategy: str | None,
-                   as_of: int | None = None):
-        if as_of is None and isinstance(table, VersionedShardedTable):
-            as_of = table.epoch
-        strategy = self._resolve_join_strategy(table, query, join_strategy)
-        plan = plan_scatter(query, table, join_strategy=strategy)
+        table, epoch = self._bind(table, as_of)
+        if table.versioned:
+            query = _versioned_query(query)
+        # A strategy pinned for a whole statement does not apply to a
+        # fragment whose join stayed on the client.
+        strategy = self._resolve_join_strategy(
+            table, query, join_strategy if query.join is not None else None)
+        lone = len(table.shards) == 1
+        plan = None if lone else plan_scatter(query, table,
+                                              join_strategy=strategy)
+        fragment = query if lone else plan.shard_query
         start = self.sim.now
         placement = None
         if strategy is not None:
             placement = yield from self._place_build_proc(query.join, table,
                                                           strategy)
         empty = placement.empty if placement is not None else frozenset()
+        pruned = frozenset() if lone else frozenset(plan.pruned_nodes)
 
         def make(shard, candidate):
-            q = plan.shard_query
+            q = fragment
             if placement is not None:
                 q = self._localize_join(
                     q, placement,
                     0 if strategy == "broadcast" else shard.node_index,
                     candidate.node_index)
-            return self._clients[candidate.node_index]._offload_proc(
-                candidate.table, q, as_of)
+            return self._sessions[candidate.node_index]._scan_once_proc(
+                candidate.chain, q, epoch)
 
-        shards = [s for s in table.shards
-                  if s.node_index not in plan.pruned_nodes]
         live = iter((yield from self._scatter_proc(
-            [s for s in shards if s.node_index not in empty], "farview",
-            make, self.allow_degraded)))
-        shard_results = [self._empty_shard_result(table, plan)
+            table, "farview", make, pruned | empty,
+            self.allow_degraded and not lone)))
+        shard_results = [self._empty_shard_result(table, fragment)
                          if s.node_index in empty else next(live)
-                         for s in shards]
-        return self._gather(table, query, plan, shard_results,
-                            self.sim.now - start)
+                         for s in table.shards if s.node_index not in pruned]
+        elapsed = self.sim.now - start
+        if lone:
+            (result,) = shard_results
+            result.response_time_ns = elapsed
+            result.join_strategy = strategy
+            return result
+        return self._gather(table, query, plan, shard_results, elapsed)
 
-    def _gather(self, sharded: ShardedTable, query: Query,
-                plan: ScatterPlan, shard_results: list,
-                elapsed_ns: float) -> QueryResult:
+    def _gather(self, table: Table, query: Query, plan: ScatterPlan,
+                shard_results: list, elapsed_ns: float) -> QueryResult:
         """Client-side merge step of the scatter-gather execution.
 
         Shard slots holding :data:`_SHARD_LOST` (every replica gone,
@@ -2094,11 +1868,11 @@ class ClusterClient(_ClientCore):
         survivors = [r for r in shard_results if r is not _SHARD_LOST]
         if not survivors:
             raise NodeFailedError(
-                f"every shard of {sharded.name!r} is unavailable")
+                f"every shard of {table.name!r} is unavailable")
         parts = [r.rows() for r in survivors]
         stacked = np.concatenate(parts)
         # Grouping and aggregation sit after the join in the chain.
-        table_schema = query.post_join_schema(sharded.schema)
+        table_schema = query.post_join_schema(table.schema)
         if plan.mode == "group":
             assert query.group_by is not None
             merged = merge_group_rows(stacked, survivors[0].schema,
@@ -2126,71 +1900,51 @@ class ClusterClient(_ClientCore):
         if lost:
             raise DegradedResultError(
                 f"{len(lost)} of {len(shard_results)} shards of "
-                f"{sharded.name!r} unavailable", partial=result,
+                f"{table.name!r} unavailable", partial=result,
                 failed_shards=lost)
         return result
 
-    # -- placement primitives -------------------------------------------------
-    def _bind(self, sharded, join_strategy: str | None = None) -> dict:
-        return {"join_strategy": join_strategy}
 
-    def _offload_proc(self, sharded, query: Query,
-                      join_strategy: str | None = None):
-        # A strategy pinned for a whole statement does not apply to a
-        # fragment whose join stayed on the client.
-        return self.far_view_proc(
-            sharded, query, join_strategy if query.join is not None else None)
+@_with_blocking_verbs
+class FarviewClient(ClusterClient):
+    """A query thread on a compute node, connected to one Farview node —
+    the one-shard pool.  Everything it does is the router's; what it
+    adds is the set-up of that case (one session on ``node``) and the
+    paper's memory verbs on a raw :class:`~repro.core.table.FTable`
+    segment the caller places itself."""
 
-    def _ship_read(self, sharded: ShardedTable, steps: list[str],
-                   cost: CostBreakdown, join_strategy: str | None = None):
-        """Blocking gathered raw read of the whole table for a ship
-        plan; returns ``(rows, schema, bytes_shipped)``.  The cluster
-        layer does not shard encrypted tables, so there is never a
-        ``decrypt`` step to consume."""
-        data, _ = self.table_read(sharded)
-        cost.add("read", self.cpu.read_ns(len(data)))
-        return sharded.schema.from_bytes(data), sharded.schema, len(data)
+    def __init__(self, node: FarviewNode,
+                 buffer_capacity: int = 8 * 1024 * 1024,
+                 cpu_model: CpuCostModel | None = None):
+        self._attach([node], buffer_capacity,
+                     cpu_model if cpu_model is not None else CpuCostModel())
 
-    def _plan(self, sharded, query: Query, placement, stats, lease_manager,
-              refuse_join_offload: bool = False,
-              join_strategy: str | None = None) -> PlacementPlan | None:
-        """Plan ``query`` over the pool: offload, ship, or hybrid.
+    @property
+    def node(self) -> FarviewNode:
+        return self._sessions[0].node
 
-        Estimates use pool-level cardinalities with per-shard streaming
-        parallelism; the region-residency check samples the first
-        shard's region (shards are deployed symmetrically).  An optional
-        ``lease_manager`` folds per-shard lease contention into the
-        offload side.  Join queries fold the resolved scatter strategy
-        in: partitioned strategies size the per-node build at ``1/N``,
-        an uncached shuffle charges its wire movement against the
-        offload side, and the chosen strategy lands on the
-        :class:`~repro.core.planner.ExplainPlan` (``ship`` when the
-        join stays client-side).  Versioned cluster tables only run
-        offloaded — there is nothing to place, so their plan is ``None``.
-        """
-        if isinstance(sharded, VersionedShardedTable):
-            if placement not in ("offload", "auto"):
-                raise QueryError(
-                    "versioned cluster scans run offloaded only (per-"
-                    "shard ship/hybrid placement is a single-node "
-                    "feature); use placement='offload'")
-            return None
-        first = self._clients[sharded.shards[0].node_index]
-        strategy = self._resolve_join_strategy(sharded, query, join_strategy)
-        join_transfer_ns = 0.0
-        join_build_shards = 1
-        if strategy in ("colocated", "shuffle"):
-            join_build_shards = sharded.num_partitions
-        if strategy == "shuffle":
-            join_transfer_ns = self._movement_ns(query.join.build_table,
-                                                 sharded, strategy)
-        return plan_placement(
-            query, sharded.shards[0].table, self.cluster.nodes[0].config,
-            placement=placement, stats=stats, cpu=self.cpu,
-            loaded_signature=first.connection.region.loaded_pipeline,
-            lease_manager=lease_manager,
-            shards=len(sharded.shards), total_rows=sharded.num_rows,
-            buffer_capacity=first._buffer_capacity,
-            refuse_join_offload=refuse_join_offload,
-            join_strategy=strategy, join_transfer_ns=join_transfer_ns,
-            join_build_shards=join_build_shards)
+    @property
+    def connection(self) -> Connection:
+        return self._sessions[0].connection
+
+    def open_connection(self) -> Connection:
+        super().open_connection()
+        return self.connection
+
+    # -- the paper's memory verbs (§4.2) -------------------------------------
+    def alloc_table_mem(self, table: FTable) -> FTable:
+        self._sessions[0].alloc_segment(table)
+        if table.name not in self.catalog:
+            self.catalog.register(as_table(table))
+        return table
+
+    def free_table_mem(self, table: FTable) -> None:
+        self._sessions[0].free_segment(table)
+        self.catalog.deregister(table.name)
+
+    def table_write_proc(self, table: FTable, rows: np.ndarray | bytes):
+        """Process: upload ``rows`` (array or raw image) to the buffer
+        pool; returns the bytes written."""
+        return self._attempts_proc(
+            lambda: self._sessions[0].table_write_proc(table, rows),
+            "table_write")

@@ -5,27 +5,28 @@ to be accessed")."""
 from __future__ import annotations
 
 from ..common.errors import CatalogError
-from .table import FTable
+from .table import Table
 
 
 class Catalog:
-    """Name -> FTable registry shared by the query threads of one client."""
+    """Name -> :class:`~repro.core.table.Table` registry shared by the
+    query threads of one client."""
 
     def __init__(self) -> None:
-        self._tables: dict[str, FTable] = {}
+        self._tables: dict[str, Table] = {}
 
-    def register(self, table: FTable) -> FTable:
+    def register(self, table: Table) -> Table:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already registered")
         self._tables[table.name] = table
         return table
 
-    def deregister(self, name: str) -> FTable:
+    def deregister(self, name: str) -> Table:
         if name not in self._tables:
             raise CatalogError(f"table {name!r} not in catalog")
         return self._tables.pop(name)
 
-    def lookup(self, name: str) -> FTable:
+    def lookup(self, name: str) -> Table:
         if name not in self._tables:
             raise CatalogError(
                 f"table {name!r} not in catalog; known: {sorted(self._tables)}")

@@ -8,12 +8,9 @@ exercise one node.  This module adds the pool:
   one simulator.  Each node keeps its own MMU, 100 Gbps link, dynamic
   regions and resource model, so shards execute with true spatial
   parallelism (no shared bottleneck below the client).
-* :class:`TableShard` / :class:`ShardedTable` — one table split into
-  per-node :class:`~repro.core.table.FTable` fragments under a
-  :class:`~repro.core.partition.PartitionSpec`.  A ``ShardedTable``
-  quacks like an ``FTable`` for catalog purposes (``name`` /
-  ``size_bytes``), so the ordinary client :class:`~repro.core.catalog.
-  Catalog` can register it unchanged.
+* the partition-aware join feasibility checks and plan-time range
+  pruning over a :class:`~repro.core.table.Table` — one handle split
+  into per-node shards under a :class:`~repro.core.partition.PartitionSpec`.
 * :func:`plan_scatter` — rewrites a :class:`~repro.core.query.Query` into
   the fragment each shard executes plus the client-side merge mode.
   Non-decomposable aggregates (``avg``) are rewritten into exact partials
@@ -50,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..common.config import FarviewConfig
-from ..common.errors import CatalogError, QueryError
+from ..common.errors import QueryError
 from ..common.records import Schema
 from ..operators.aggregate import (AggregateSpec, PARTIAL_MERGE, PartialPlan,
                                    decompose_partials)
@@ -58,9 +55,8 @@ from ..operators.hashing import hash_key_batch
 from ..operators.selection import And, Compare, Not, Or
 from ..sim.engine import Simulator
 from .node import FarviewNode
-from .partition import PartitionSpec
 from .query import Query
-from .table import FTable
+from .table import as_table
 
 #: Scatter-level strategies for executing a distributed join's build
 #: side.  ``ship`` (client-side software join) is the fourth strategy of
@@ -110,97 +106,13 @@ class FarviewCluster:
                 f"{self.free_regions} free regions)")
 
 
-@dataclass
-class ShardReplica:
-    """One extra copy of a shard: a byte-identical :class:`FTable` on
-    another node, stamped with that node's incarnation at write time (a
-    mismatch means the node crashed since — the copy is gone)."""
-
-    node_index: int
-    table: FTable
-    incarnation: int = 0
-
-
-@dataclass
-class TableShard:
-    """One node's fragment of a sharded table.
-
-    The global-row → shard mapping is recomputable from the table's
-    :class:`~repro.core.partition.PartitionSpec` (placement is
-    deterministic), so only the shard handle itself is kept here.
-    ``incarnation`` records the primary node's incarnation when the shard
-    was written; ``replicas`` hold the k-1 failover copies in fixed ring
-    order (:func:`~repro.core.partition.replica_nodes`) — the scatter
-    router tries candidates in that order, so which copy serves a request
-    is deterministic.
-    """
-
-    node_index: int
-    table: FTable
-    incarnation: int = 0
-    replicas: tuple[ShardReplica, ...] = ()
-
-    @property
-    def num_rows(self) -> int:
-        return self.table.num_rows
-
-    def candidates(self) -> tuple[ShardReplica, ...]:
-        """Primary-first candidate list for executing against this shard."""
-        primary = ShardReplica(self.node_index, self.table, self.incarnation)
-        return (primary,) + self.replicas
-
-
-class ShardedTable:
-    """A table split across cluster nodes under one partition spec.
-
-    Holds per-shard :class:`FTable` handles plus the global row indices
-    each shard owns (ascending, so shard-local order mirrors the original
-    relative order).  Registered in the client catalog under the logical
-    table name; shard tables are named ``{name}@{node}``.
-    """
-
-    def __init__(self, name: str, schema: Schema, num_rows: int,
-                 partition: PartitionSpec, shards: Sequence[TableShard],
-                 num_partitions: int | None = None,
-                 shard_ranges: dict[int, tuple[float, float]] | None = None):
-        if not shards:
-            raise CatalogError(
-                f"sharded table {name!r} needs at least one non-empty shard")
-        self.name = name
-        self.schema = schema
-        self.num_rows = num_rows
-        self.partition = partition
-        self.shards = list(shards)
-        #: The modulus of the partition function (the cluster node count
-        #: at create time) — two hash-partitioned tables co-locate equal
-        #: keys iff their moduli match.  Empty shards are skipped in
-        #: ``shards``, so this cannot be derived from ``len(shards)``.
-        self.num_partitions = (num_partitions if num_partitions is not None
-                               else max(s.node_index for s in self.shards) + 1)
-        #: Per-shard observed ``[min, max]`` of the partition key (range
-        #: scheme only) — the plan-time shard-pruning metadata.
-        self.shard_ranges = dict(shard_ranges) if shard_ranges else {}
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(s.table.size_bytes for s in self.shards)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def __repr__(self) -> str:
-        return (f"ShardedTable({self.name!r}, {self.num_rows} rows over "
-                f"{self.num_shards} shards, {self.partition.describe()})")
-
-
 # -- partition-aware join strategy feasibility --------------------------------
 
 def hash_partitioned_on(table, key: str) -> bool:
-    """Is ``table`` a sharded table hash-partitioned on exactly ``key``?"""
+    """Is ``table`` hash-partitioned on exactly ``key``?  (The binder's
+    stub catalogs carry name + schema only: no partition, no.)"""
     part = getattr(table, "partition", None)
-    return (part is not None and part.scheme == "hash" and part.key == key
-            and isinstance(table, ShardedTable))
+    return part is not None and part.scheme == "hash" and part.key == key
 
 
 def colocated_compatible(fact, build, probe_key: str, build_key: str) -> bool:
@@ -213,39 +125,49 @@ def colocated_compatible(fact, build, probe_key: str, build_key: str) -> bool:
     excluded — their visible rows are a merge over the delta chain, not
     the shard's raw byte image.
     """
-    if getattr(fact, "epoch", None) is not None \
-            or getattr(build, "epoch", None) is not None:
-        return False
     if not (hash_partitioned_on(fact, probe_key)
             and hash_partitioned_on(build, build_key)):
         return False
-    if fact.num_partitions != build.num_partitions:
+    if (fact.versioned or build.versioned
+            or fact.num_partitions != build.num_partitions):
         return False
     fcol = fact.schema.column(probe_key)
     bcol = build.schema.column(build_key)
     return fcol.width == bcol.width and fcol.kind == bcol.kind
 
 
-def join_strategies(sharded, query: Query) -> tuple[str, ...]:
+def join_strategies(table, query: Query) -> tuple[str, ...]:
     """Feasible scatter strategies for this query's join.
 
-    ``broadcast`` is always feasible (the PR-5 path).  When the fact
-    side is hash-partitioned on the probe key, the build side can be
-    repartitioned node→node on the same splitmix64 hash (``shuffle``);
-    when the build side is *also* hash-partitioned on the join key with
-    a compatible shard map, the join runs shard-local with zero replica
-    bytes (``colocated``).
+    None for a build side the pool never copies — a version chain (its
+    visible rows are a merge, and they change) or a segment the caller
+    placed itself: it is probed **in place**, pinned at its current
+    epoch, so it must be one shard on the node of a one-shard fact table
+    (every single-node join).  Otherwise ``broadcast`` is always
+    feasible.  When the fact side is hash-partitioned on the probe key,
+    the build side can be repartitioned node→node on the same splitmix64
+    hash (``shuffle``); when the build side is *also* hash-partitioned
+    on the join key with a compatible shard map, the join runs
+    shard-local with zero replica bytes (``colocated``).
     """
     if query.join is None:
         return ()
+    build = as_table(query.join.build_table)
+    if build.versioned or build.partition is None:
+        if not (len(table.shards) == 1 == len(build.shards)
+                and table.shards[0].node_index == build.shards[0].node_index):
+            raise QueryError(
+                f"build side {build.name!r} is "
+                f"{'versioned' if build.versioned else 'caller-placed'}: it "
+                f"is probed in place, never copied, so the fact table must "
+                f"be one shard on the same node; materialize it with "
+                f"create_table to join against it pool-wide")
+        return ()
     feasible = ["broadcast"]
-    build = query.join.build_table
-    if (hash_partitioned_on(sharded, query.join.probe_key)
-            and getattr(sharded, "epoch", None) is None
-            and isinstance(build, ShardedTable)
-            and getattr(build, "epoch", None) is None):
+    if (hash_partitioned_on(table, query.join.probe_key)
+            and not table.versioned):
         feasible.append("shuffle")
-        if colocated_compatible(sharded, build, query.join.probe_key,
+        if colocated_compatible(table, build, query.join.probe_key,
                                 query.join.build_key):
             feasible.append("colocated")
     return tuple(feasible)
@@ -286,7 +208,7 @@ def _interval_may_match(pred, key: str, lo: float, hi: float) -> bool:
     return True
 
 
-def prune_scatter_shards(sharded, query: Query) -> tuple[int, ...]:
+def prune_scatter_shards(table, query: Query) -> tuple[int, ...]:
     """Node indices of shards statically excluded by the predicate.
 
     Range-partitioned tables record each shard's observed ``[min, max]``
@@ -296,20 +218,19 @@ def prune_scatter_shards(sharded, query: Query) -> tuple[int, ...]:
     result stream to gather (an all-pruned query returns zero rows
     through the ordinary merge).
     """
-    part = getattr(sharded, "partition", None)
-    spans = getattr(sharded, "shard_ranges", None)
+    part, spans = table.partition, table.shard_ranges
     if (part is None or part.scheme != "range" or not spans
             or query.predicate is None):
         return ()
     pruned = []
-    for shard in sharded.shards:
+    for shard in table.shards:
         span = spans.get(shard.node_index)
         if span is None:
             continue
         if not _interval_may_match(query.predicate, part.key,
                                    span[0], span[1]):
             pruned.append(shard.node_index)
-    if len(pruned) == len(sharded.shards):
+    if len(pruned) == len(table.shards):
         pruned = pruned[1:]  # keep one stream for the gather
     return tuple(pruned)
 
@@ -339,7 +260,7 @@ class ScatterPlan:
     pruned_nodes: tuple[int, ...] = ()
 
 
-def plan_scatter(query: Query, sharded=None,
+def plan_scatter(query: Query, table=None,
                  join_strategy: Optional[str] = None) -> ScatterPlan:
     """Rewrite ``query`` into its shard fragment + merge mode.
 
@@ -355,13 +276,14 @@ def plan_scatter(query: Query, sharded=None,
     probe-order concatenation under chunk partitioning is exactly the
     single-node probe order, which keeps joined results byte-identical.
 
-    ``sharded`` (optional — the fact-side :class:`ShardedTable`) enables
-    plan-time range pruning; ``join_strategy`` is recorded verbatim (the
+    ``table`` (optional — the fact-side
+    :class:`~repro.core.table.Table`) enables plan-time range pruning;
+    ``join_strategy`` is recorded verbatim (the
     router resolves it via
     :meth:`~repro.core.api.ClusterClient._resolve_join_strategy`).
     """
-    pruned = (prune_scatter_shards(sharded, query)
-              if sharded is not None else ())
+    pruned = (prune_scatter_shards(table, query)
+              if table is not None else ())
     if query.group_by:
         shard_specs, plans = decompose_partials(query.aggregates)
         shard_query = replace(query, aggregates=tuple(shard_specs))

@@ -30,19 +30,7 @@ predicate per table and pushes each piece into the scan of its table
 falls out of composing :func:`~repro.core.planner.plan_placement` per
 stage.
 
-The SELECT grammar (:mod:`repro.core.sql` keeps the full block, write
-statements included)::
-
-    query     := [hint] SELECT [DISTINCT] select_list FROM ident
-                 join_clause* [WHERE disjunction]
-                 [GROUP BY column_list] [HAVING having_disjunction]
-                 [ORDER BY order_list] [LIMIT integer] [';']
-    select_item := aggregate | expression [AS ident]
-    aggregate := (COUNT '(' '*' ')' | func '(' expression ')') [AS ident]
-    expression := term (('+'|'-') term)*
-    term      := factor (('*'|'/') factor)*
-    factor    := ['-'] number | string | column | '(' expression ')'
-    order_list := column [ASC|DESC] (',' column [ASC|DESC])*
+The grammar, write statements included, is ``docs/SQL.md``.
 
 Syntax and resolution errors are :class:`SqlSyntaxError` carrying the
 token ``position`` and offending ``fragment`` (offsets are relative to

@@ -96,10 +96,11 @@ class CardinalityStep:
 def join_build_profile(query) -> tuple[int, int, Schema]:
     """``(build_rows, build_bytes, build_schema)`` of a join's build side.
 
-    Works for every build handle the compiler accepts: a plain
-    :class:`~repro.core.table.FTable`, a sharded handle, or a versioned
-    table (whole-chain bytes — both sides must read every segment, the
-    node to merge-ingest, the client to software-merge).
+    Works for every build the compiler accepts: a raw
+    :class:`~repro.core.table.FTable` segment or a
+    :class:`~repro.core.table.Table` handle (a versioned one counts
+    whole-chain bytes — both sides must read every segment, the node to
+    merge-ingest, the client to software-merge).
     """
     build = query.join.build_table
     rows = getattr(build, "num_rows", 0)

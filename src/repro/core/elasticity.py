@@ -40,11 +40,13 @@ Liveness and fairness guarantees (the PR-10 bugfixes):
   original queue position (FIFO) / with its original finish tag (fair) —
   it never loses its turn to a newcomer.
 
-Placement is greedy load balancing, not partition-aware routing: a leased
-:class:`~repro.core.api.FarviewClient` talks to exactly one node.  Query
-threads that need scatter-gather over a sharded table use
-:class:`~repro.core.api.ClusterClient` instead, which holds one region on
-*every* node for the duration of the connection.
+Placement is greedy load balancing, not partition-aware routing: a lease
+is a :class:`~repro.core.api.FarviewClient` — the one client over a
+single session, so it talks to exactly one node and its tables are
+one-shard handles.  Query threads that need scatter-gather over a
+many-shard table construct the same client with
+:class:`~repro.core.api.ClusterClient`, which holds one session (one
+region) on *every* node for the duration of the connection.
 
 Accounting surfaces for the tests and experiments: ``leases_granted``
 (total), ``leases_per_node`` (live leases per node, the balance the tests

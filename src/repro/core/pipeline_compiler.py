@@ -33,8 +33,8 @@ from ..operators.projection import ProjectionOperator, SmartAddressingPlan
 from ..operators.regex_op import RegexMatchOperator
 from ..operators.selection import SelectionOperator, VectorizedSelectionOperator
 from .query import Query
-from .table import FTable
-from .versioning import VersionedTable, VersionView
+from .table import FTable, as_table
+from .versioning import VersionView
 
 
 @dataclass
@@ -161,25 +161,20 @@ def compile_query(query: Query, table: FTable,
     join_build: Optional[FTable] = None
     join_view: Optional[VersionView] = None
     if query.join is not None:
-        build = query.join.build_table
-        if isinstance(build, VersionedTable):
-            # Snapshot the chain at the current epoch; the client verb
-            # pins that epoch around the execution so concurrent dim
-            # writes/compactions cannot leak into this join.
-            join_view = build.view_at(build.epoch)
-            build_rows = build.visible_rows_at(build.epoch)
-        elif isinstance(build, FTable):
-            join_build = build
-            build_rows = build.num_rows
-        elif hasattr(build, "schema") and hasattr(build, "num_rows"):
-            # A sharded build handle: capacity-checkable here, but the
-            # scatter router must swap in a node-local replica before
-            # this pipeline can actually load it.
-            build_rows = build.num_rows
-        else:
-            raise PipelineCompilationError(
-                f"join build_table must be an FTable or VersionedTable, "
-                f"got {type(build).__name__}")
+        build = as_table(query.join.build_table)
+        build_rows = build.num_rows
+        if len(build.shards) == 1:
+            chain = build.shards[0].chain
+            if chain.versioned:
+                # Snapshot the chain at the current epoch; the client
+                # verb pins that epoch around the execution so concurrent
+                # dim writes/compactions cannot leak into this join.
+                join_view = chain.view_at(chain.epoch)
+            else:
+                join_build = chain.base
+        # else: a build spread over several shards is capacity-checkable
+        # here, but the scatter router must swap in a node-local copy
+        # before this pipeline can actually load it.
         if build_rows > stack.cuckoo_tables * stack.cuckoo_slots:
             raise JoinBuildOverflowError(
                 f"build side of {build_rows} rows exceeds the on-chip "

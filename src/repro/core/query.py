@@ -41,7 +41,7 @@ class JoinSpec:
     the build columns appended to matching probe tuples.
     """
 
-    build_table: object            # FTable (kept loose to avoid a cycle)
+    build_table: object            # Table handle or raw FTable segment
     build_key: str
     probe_key: str
     payload: tuple[str, ...]

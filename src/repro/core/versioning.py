@@ -7,11 +7,13 @@ argues that concurrent readers and writers over disaggregated memory are
 the defining systems problem of the architecture.  This module adds the
 missing write path on top of the unchanged read stack:
 
-* :class:`VersionedTable` — a client-side handle to a table's **version
-  chain**: one immutable *base segment* plus an ordered list of immutable
-  copy-on-write :class:`DeltaSegment`\\ s, all living in node DRAM through
-  the ordinary Mmu/allocator path.  A monotone **epoch counter** advances
-  on every committed write batch.
+* :class:`VersionChain` — what one shard of a table
+  (:class:`~repro.core.table.Shard`) owns on its node: one immutable
+  *base segment* plus an ordered list of immutable copy-on-write
+  :class:`DeltaSegment`\\ s, all living in node DRAM through the
+  ordinary Mmu/allocator path.  A monotone **epoch counter** advances
+  on every committed write batch.  A plain table is the chain that was
+  never written: base segment only, epoch 0, not ``versioned``.
 * **MVCC snapshots** — ``view_at(epoch)`` resolves the chain prefix
   visible at an epoch into an immutable :class:`VersionView`.  Readers
   *pin* the epoch they start under; segments retired by a later
@@ -35,23 +37,24 @@ The node-side execution of versioned scans (delta-aware merge ingest)
 and of the offloaded write verbs lives in
 :meth:`repro.core.node.FarviewNode.serve_farview` (given a
 :class:`VersionView`) and the ``serve_*_delta`` / ``serve_compact`` verbs;
-the client verbs are on :class:`repro.core.api.FarviewClient` /
-:class:`~repro.core.api.ClusterClient` (two-phase epoch broadcast for
-cluster-wide snapshot consistency).
+the client verbs are on :class:`repro.core.api.ClusterClient`
+(two-phase epoch broadcast, so a snapshot is consistent across every
+shard of the handle).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..common.errors import CatalogError, QueryError
+from ..common.errors import QueryError
 from ..common.records import Column, Schema
-from .partition import PartitionSpec
-from .table import FTable
+
+if TYPE_CHECKING:
+    from .table import FTable
 
 #: Hidden column carrying the stable row identity inside delta segments.
 ROWID_COLUMN = "__rowid"
@@ -233,46 +236,50 @@ class ChainListener:
 
     Callbacks fire synchronously inside the mutation (no simulator
     yields), so a listener sees every epoch exactly once and in order —
-    including the no-op bumps of the cluster's two-phase epoch
-    broadcast, whose ``_commit_all`` phase must stay yield-free.
+    including the no-op bumps of the two-phase epoch broadcast, whose
+    commit phase must stay yield-free.
     Listeners must not mutate the chain from a callback.
 
     The incremental view engine (:mod:`repro.core.views`) is the first
     client: its per-chain trackers queue committed segments for the next
     refresh and count compactions, closing the gap where
-    :meth:`VersionedTable.retire_for_compaction` used to retire
+    :meth:`VersionChain.retire_for_compaction` used to retire
     segments with no notification at all.
     """
 
-    def on_commit(self, table: "VersionedTable",
+    def on_commit(self, table: "VersionChain",
                   segment: Optional[DeltaSegment]) -> None:
         """One epoch committed; ``segment`` is ``None`` for a no-op bump."""
 
-    def on_compaction(self, table: "VersionedTable") -> None:
+    def on_compaction(self, table: "VersionChain") -> None:
         """The chain's base was swapped and its delta prefix folded away."""
 
 
-class VersionedTable:
-    """Client-side handle to one table's version chain.
+class VersionChain:
+    """One shard's version chain: a base segment plus committed deltas.
 
-    Quacks like an :class:`FTable` for catalog purposes (``name`` /
-    ``size_bytes``); the write verbs of
-    :class:`~repro.core.api.FarviewClient` mutate it by appending
-    segments and bumping the epoch.  Single writer per table: commits are
-    not synchronized between concurrent writer processes.
+    The body behind every :class:`~repro.core.table.Shard`.  A plain
+    table's chain is never written — base segment only, epoch 0,
+    ``versioned`` false, row ids never materialised; the write verbs of
+    :class:`~repro.core.api.ClusterClient` mutate a ``versioned`` chain
+    by appending segments and bumping the epoch.  Single writer per
+    chain: commits are not synchronized between concurrent writer
+    processes.
     """
 
     def __init__(self, name: str, schema: Schema, base: FTable,
-                 base_rowids: np.ndarray):
-        require_versionable(schema)
-        if base.num_rows != len(base_rowids):
-            raise CatalogError(
-                f"base segment of {name!r} has {base.num_rows} rows but "
-                f"{len(base_rowids)} row ids")
+                 versioned: bool = False):
+        if versioned:
+            require_versionable(schema)
         self.name = name
         self.schema = schema
         self.base = base
-        self.base_rowids = np.asarray(base_rowids, dtype=np.uint64)
+        #: Writable through the versioned write path; scans then ingest
+        #: through the delta merge and pin their epoch.
+        self.versioned = versioned
+        #: Row ids of the base segment; ``None`` until first needed (a
+        #: fresh base holds rows ``0..n-1`` in order).
+        self._base_rowids: np.ndarray | None = None
         self.deltas: list[DeltaSegment] = []
         #: Current committed epoch; ``snapshot()`` returns it.
         self.epoch = 0
@@ -281,8 +288,7 @@ class VersionedTable:
         self.compactions = 0
         #: Visible row count per readable epoch (planner statistics).
         self._visible_by_epoch: dict[int, int] = {0: base.num_rows}
-        self._next_rowid = (int(self.base_rowids.max()) + 1
-                            if len(self.base_rowids) else 0)
+        self._next_rowid = base.num_rows
         self._seg_serial = itertools.count(1)
         self._pin_tokens = itertools.count(1)
         self._pins: dict[int, int] = {}       # token -> pinned epoch
@@ -290,6 +296,13 @@ class VersionedTable:
         self._listeners: list[ChainListener] = []
 
     # -- introspection -----------------------------------------------------
+    @property
+    def base_rowids(self) -> np.ndarray:
+        if self._base_rowids is None:
+            self._base_rowids = np.arange(self.base.num_rows,
+                                          dtype=np.uint64)
+        return self._base_rowids
+
     @property
     def size_bytes(self) -> int:
         """Pool DRAM held by the live chain (retired segments excluded)."""
@@ -299,10 +312,6 @@ class VersionedTable:
     def num_rows(self) -> int:
         """Visible rows at the current epoch."""
         return self._visible_by_epoch[self.epoch]
-
-    @property
-    def num_deltas(self) -> int:
-        return len(self.deltas)
 
     @property
     def delta_bytes(self) -> int:
@@ -316,8 +325,8 @@ class VersionedTable:
         return f"{self.name}#s{next(self._seg_serial)}"
 
     def __repr__(self) -> str:
-        return (f"VersionedTable({self.name!r}, epoch {self.epoch}, "
-                f"{self.num_rows} visible rows, {self.num_deltas} deltas, "
+        return (f"VersionChain({self.name!r}, epoch {self.epoch}, "
+                f"{self.num_rows} visible rows, {len(self.deltas)} deltas, "
                 f"{self.compactions} compactions)")
 
     # -- snapshots ---------------------------------------------------------
@@ -365,7 +374,7 @@ class VersionedTable:
 
     def drain_segments(self) -> list[FTable]:
         """Every segment this chain still owns (live + retired), for
-        :meth:`~repro.core.api.FarviewClient.drop_table`.  Leaves the
+        :meth:`~repro.core.api.ClusterClient.drop_table`.  Leaves the
         handle empty; only call with no active pins."""
         if self._pins:
             raise QueryError(
@@ -406,9 +415,9 @@ class VersionedTable:
                      num_rows: int, visible_change: int = 0) -> int:
         """Commit one prepared write batch; returns the new epoch.
 
-        ``table=None`` commits a **no-op epoch bump** — used by cluster
-        shards untouched by a write so every shard's epoch stays equal to
-        the cluster-wide epoch (the second phase of the epoch broadcast).
+        ``table=None`` commits a **no-op epoch bump** — used by shards
+        a write left untouched, so every shard's epoch stays equal to
+        the table's epoch (the second phase of the epoch broadcast).
         """
         self.epoch += 1
         segment: Optional[DeltaSegment] = None
@@ -433,7 +442,7 @@ class VersionedTable:
         """
         old = [self.base] + [d.table for d in self.deltas]
         self.base = new_base
-        self.base_rowids = np.asarray(new_rowids, dtype=np.uint64)
+        self._base_rowids = np.asarray(new_rowids, dtype=np.uint64)
         self.deltas = []
         self.oldest_epoch = self.epoch
         self._visible_by_epoch = {self.epoch: new_base.num_rows}
@@ -445,89 +454,3 @@ class VersionedTable:
                 _RetiredBatch(old, set(self._pins)))
             return []
         return old
-
-
-# -- cluster-wide version chains ---------------------------------------------
-
-@dataclass
-class VersionedShard:
-    """One node's versioned fragment of a cluster table."""
-
-    node_index: int
-    table: VersionedTable
-
-    #: Version chains carry no write-time incarnation stamp: the scatter
-    #: router only checks that the shard's node is up.
-    incarnation = None
-
-    def candidates(self) -> tuple["VersionedShard", ...]:
-        """A chain has no replicas: the shard is its own one candidate
-        (the shape :meth:`~repro.core.cluster.TableShard.candidates`
-        gives the scatter router)."""
-        return (self,)
-
-
-class VersionedShardedTable:
-    """A versioned table chunk-partitioned across cluster nodes.
-
-    Only order-preserving ``chunk`` partitioning is supported: the global
-    visible order is then shard order, inserts append to the **last**
-    shard, and scatter-gather merges stay byte-identical to single-node
-    execution.  The cluster-wide ``epoch`` advances through the
-    two-phase broadcast in :class:`~repro.core.api.ClusterClient`; every
-    shard's local epoch always equals it (untouched shards commit no-op
-    bumps), so ``as_of(epoch)`` maps straight onto per-shard views.
-    """
-
-    def __init__(self, name: str, schema: Schema, partition: PartitionSpec,
-                 shards: Sequence[VersionedShard]):
-        if not partition.order_preserving:
-            raise QueryError(
-                f"versioned cluster tables require order-preserving "
-                f"'chunk' partitioning, got {partition.scheme!r} (the "
-                f"write path's byte-identity contract depends on global "
-                f"row order)")
-        if not shards:
-            raise CatalogError(
-                f"versioned sharded table {name!r} needs at least one shard")
-        self.name = name
-        self.schema = schema
-        self.partition = partition
-        self.shards = list(shards)
-        self.epoch = 0
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def num_rows(self) -> int:
-        return sum(s.table.num_rows for s in self.shards)
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(s.table.size_bytes for s in self.shards)
-
-    @property
-    def num_deltas(self) -> int:
-        return sum(s.table.num_deltas for s in self.shards)
-
-    @property
-    def last_shard(self) -> VersionedShard:
-        """The shard that owns the tail of the global row order — the
-        target of appends under chunk partitioning."""
-        return self.shards[-1]
-
-    def check_epochs(self) -> None:
-        """Invariant: every shard epoch equals the cluster epoch."""
-        for shard in self.shards:
-            if shard.table.epoch != self.epoch:
-                raise QueryError(
-                    f"shard {shard.table.name!r} at epoch "
-                    f"{shard.table.epoch} != cluster epoch {self.epoch}; "
-                    f"a two-phase commit was interrupted")
-
-    def __repr__(self) -> str:
-        return (f"VersionedShardedTable({self.name!r}, epoch {self.epoch}, "
-                f"{self.num_rows} visible rows over {self.num_shards} "
-                f"shards)")

@@ -62,20 +62,11 @@ from .compile import (BoundAggregate, BoundDistinct, BoundEval, BoundFilter,
 from .ir import Arith, Col, Lit
 from .query import Query
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
-                         VersionedShardedTable, VersionedTable, delete_schema,
-                         delta_schema)
+                         VersionChain, delete_schema, delta_schema)
 from .zset import ZSet, row_images
 
 __all__ = ["ChainTracker", "Circuit", "MaterializedView", "RefreshStats",
-           "Subscription", "ViewCatalog", "compile_circuit",
-           "is_versioned_handle"]
-
-
-def is_versioned_handle(handle) -> bool:
-    """True when a catalog handle is backed by version chain(s)."""
-    if isinstance(handle, VersionedTable):
-        return True
-    return isinstance(handle, VersionedShardedTable)
+           "Subscription", "ViewCatalog", "compile_circuit"]
 
 
 # -- scalar evaluation (mirrors baselines/sql_model.py exactly) ---------------
@@ -607,7 +598,7 @@ def _make_join_stage(probe_schema: Schema, build_handle, build_key: str,
                      static_loads: list[tuple[JoinStage, object]],
                      base_name: str) -> JoinStage:
     build_name = build_handle.name
-    dynamic = is_versioned_handle(build_handle)
+    dynamic = build_handle.versioned
     prestages: tuple[_Stage, ...] = ()
     if arm_query is not None:
         sub, _ = _query_stages(arm_query, build_handle.schema, head=False,
@@ -640,7 +631,7 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
     delta chain to subscribe to (non-versioned FROM tables).
     """
     base = bound.base
-    if not is_versioned_handle(base):
+    if not base.versioned:
         raise QueryError(
             f"view base table {bound.table!r} is not versioned: only a "
             f"delta chain can drive incremental maintenance")
@@ -702,11 +693,11 @@ class ChainTracker(ChainListener):
     deltas order-independently).
     """
 
-    def __init__(self, table_name: str, chain: VersionedTable):
+    def __init__(self, table_name: str, chain: VersionChain):
         self.table_name = table_name
         self.chain = chain
-        #: Set by the owning client: the per-node client whose connection
-        #: reads this chain's segment bytes (opaque to this module).
+        #: Set by the owning client: the shard this chain belongs to, whose
+        #: node reads its segment bytes (opaque to this module).
         self.owner: object = None
         self.images: dict[int, bytes] = {}
         self.pending: list[DeltaSegment] = []
@@ -717,12 +708,12 @@ class ChainTracker(ChainListener):
         chain.add_listener(self)
 
     # -- ChainListener ----------------------------------------------------
-    def on_commit(self, table: VersionedTable,
+    def on_commit(self, table: VersionChain,
                   segment: Optional[DeltaSegment]) -> None:
         if segment is not None:
             self.pending.append(segment)
 
-    def on_compaction(self, table: VersionedTable) -> None:
+    def on_compaction(self, table: VersionChain) -> None:
         self.compactions_seen += 1
 
     # -- bootstrap --------------------------------------------------------

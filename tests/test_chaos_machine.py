@@ -361,7 +361,7 @@ class ChaosMachine(RuleBasedStateMachine):
     # -- invariants ---------------------------------------------------------
     @invariant()
     def epochs_never_split(self):
-        assert all(s.table.epoch == self.vst.epoch
+        assert all(s.chain.epoch == self.vst.epoch
                    for s in self.vst.shards), \
             "cluster epochs split under chaos"
 

@@ -304,7 +304,7 @@ def test_create_table_skips_empty_shards_and_registers():
     client = ClusterClient(FarviewCluster(sim, 8, EXPERIMENT_CONFIG))
     client.open_connection()
     sharded = client.create_table("tiny", schema, rows)
-    assert sharded.num_shards <= 3  # 3 rows cannot fill 8 shards
+    assert len(sharded.shards) <= 3  # 3 rows cannot fill 8 shards
     assert "tiny" in client.catalog
     client.drop_table(sharded)
     assert "tiny" not in client.catalog
@@ -354,7 +354,52 @@ def test_create_table_failure_frees_partial_shards():
                        [client.node_client(i).connection for i in range(2)])]
     assert pages_after == pages_before  # node 0's shard was rolled back
     assert "doomed" not in client.catalog
-    assert "doomed@0" not in client.node_client(0).catalog
+
+
+def _pool_client(num_nodes: int):
+    """The one client by either constructor: ``FarviewClient(node)`` for
+    one node, ``ClusterClient`` over a pool otherwise."""
+    sim = Simulator()
+    if num_nodes == 1:
+        client = FarviewClient(FarviewNode(sim, EXPERIMENT_CONFIG))
+    else:
+        client = ClusterClient(FarviewCluster(sim, num_nodes,
+                                              EXPERIMENT_CONFIG))
+    client.open_connection()
+    nodes = [client.node_client(i).node for i in range(num_nodes)]
+    return client, nodes
+
+
+@pytest.mark.parametrize("failure", ["dtype", "mid-upload"])
+@pytest.mark.parametrize("versioned", [False, True],
+                         ids=["plain", "versioned"])
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_refused_create_conserves_pool_pages(num_nodes, versioned, failure):
+    """The one create loop refuses what it can before the first
+    allocation and rolls back every segment and replica on any later
+    failure.  Failing-first: on the parent a mistyped
+    ``create_versioned_table`` raised *after* allocating the base
+    segment and never freed it (one page gone per refused create, on
+    one node and on node 0 of a pool)."""
+    schema, rows = distinct_workload(1024, 8, seed=0)
+    client, nodes = _pool_client(num_nodes)
+    create = (client.create_versioned_table if versioned
+              else client.create_table)
+    spec = PartitionSpec() if versioned else PartitionSpec(replicas=2)
+    if failure == "dtype":
+        rows = selection_workload(1024, 0.5, seed=0).rows[["a", "b"]]
+        error, match = QueryError, "dtype"
+    else:
+        def exploding_write(table, data):
+            raise RuntimeError("link died mid-upload")
+
+        client.node_client(num_nodes - 1).table_write = exploding_write
+        error, match = RuntimeError, "mid-upload"
+    free0 = [n.mmu.allocator.free_pages for n in nodes]
+    with pytest.raises(error, match=match):
+        create("doomed", schema, rows, spec)
+    assert [n.mmu.allocator.free_pages for n in nodes] == free0
+    assert "doomed" not in client.catalog
 
 
 def test_open_connection_unwinds_on_full_node():
@@ -395,10 +440,10 @@ def test_cluster_needs_at_least_one_node():
 
 
 def test_sharded_table_needs_shards():
-    from repro.core.cluster import ShardedTable
+    from repro.core.table import Table
     schema, _ = distinct_workload(1, 1)
     with pytest.raises(CatalogError):
-        ShardedTable("x", schema, 0, PartitionSpec(), [])
+        Table("x", schema, PartitionSpec(), [])
 
 
 # -- scale-out behaviour -------------------------------------------------------
@@ -442,8 +487,8 @@ def test_both_clients_expose_one_verb_set():
     from repro.core.api import FarviewClient as Single
 
     # The verbs that do more than wrap: placement, and the byte image.
-    handwritten = {(Single, "scan_versioned"), (Single, "read_version"),
-                   (Cluster, "read_version")}
+    handwritten = {(cls, verb) for cls in (Single, Cluster)
+                   for verb in ("scan_versioned", "read_version")}
     for cls in (Single, Cluster):
         procs = [n for n in dir(cls)
                  if n.endswith("_proc") and not n.startswith("_")]
@@ -470,6 +515,96 @@ def test_both_clients_expose_one_verb_set():
         b = list(inspect.signature(getattr(Cluster, verb)).parameters)
         short, long_ = sorted((a[1:], b[1:]), key=len)
         assert long_[:len(short)] == short, f"{verb}: {a} vs {b}"
+
+
+# -- a single memory node is the one-shard pool ----------------------------------
+
+def _one_node_workload(client):
+    """The same plain + versioned workload, verb for verb: every cell is
+    ``(canonical bytes, elapsed_ns)``."""
+    from repro.common.records import Column, Schema
+    from repro.core.api import canonical_result_bytes
+    from repro.core.query import JoinSpec
+    from repro.operators.selection import Compare
+
+    wl = selection_workload(2048, 0.5, seed=12)
+    rows = wl.rows.copy()
+    rows["a"] = np.arange(len(rows)) % 48
+    dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])
+    dim = dim_schema.empty(32)
+    dim["id"] = np.arange(32)
+    dim["rate"] = np.arange(32) * 0.5
+    plain = client.create_table("p", wl.schema, rows)
+    build = client.create_table("dim", dim_schema, dim)
+    vt = client.create_versioned_table("v", wl.schema, rows)
+    group = Query(group_by=("a",), aggregates=(AggregateSpec("avg", "b"),
+                                               AggregateSpec("count", "*")))
+    join = Query(join=JoinSpec(build, "id", "a", ("rate",)))
+    cells = []
+
+    def run(verb, *args, **kwargs):
+        result, elapsed = verb(*args, **kwargs)
+        if isinstance(result, int):          # a write verb: the new epoch
+            cells.append((result, elapsed))
+        else:
+            cells.append((canonical_result_bytes(result), elapsed))
+
+    for table in (plain, vt):
+        run(client.far_view, table, select_star(wl.predicate))
+        run(client.far_view, table, select_star(wl.predicate))   # warm
+        run(client.far_view, table, select_distinct(["a"]))
+        run(client.far_view, table, group)
+        run(client.far_view, table, join)                 # cold: places dim
+        run(client.far_view, table, join)
+    run(client.update_where, vt, Compare("a", "<", 8), {"c": 7})
+    run(client.insert, vt, rows[:16])
+    for as_of in (0, 1, 2):
+        run(client.scan_versioned, vt, select_star(wl.predicate),
+            as_of=as_of)
+    run(client.compact, vt)
+    run(client.scan_versioned, vt, select_star(wl.predicate))
+    run(client.select, vt, ["a", "c"], wl.predicate, placement="ship")
+    return cells
+
+
+def test_one_node_cluster_is_the_farview_client():
+    """Not a different system: the same workload through
+    ``FarviewClient(node)`` and through ``ClusterClient`` over a
+    one-node cluster returns equal canonical bytes **and** equal
+    ``elapsed_ns``, cell by cell — and a one-shard scan hands back the
+    node's own result (report + stream), not a merged copy."""
+    sim = Simulator()
+    single = FarviewClient(FarviewNode(sim, EXPERIMENT_CONFIG))
+    single.open_connection()
+    pooled = ClusterClient(FarviewCluster(Simulator(), 1, EXPERIMENT_CONFIG))
+    pooled.open_connection()
+    assert _one_node_workload(single) == _one_node_workload(pooled)
+    for client in (single, pooled):
+        table = client.catalog.lookup("p")
+        result, _ = client.far_view(table, select_distinct(["a"]))
+        assert result.report is not None and result.stream is not None
+        assert result.merged is None and result.parts == []
+
+
+def test_raw_ftable_and_created_table_scan_alike():
+    """The paper's memory verbs and the create loop build the same
+    one-shard table: a raw ``FTable`` is coerced to its handle at entry
+    and scans in the same simulated time, to the same bytes."""
+    schema, rows = distinct_workload(2048, 16, seed=5)
+    query = select_distinct(["a"])
+    raw_client, _ = _pool_client(1)
+    raw = FTable("T", schema, len(rows))
+    raw_client.alloc_table_mem(raw)
+    raw_client.table_write(raw, rows)
+    made_client, _ = _pool_client(1)
+    made = made_client.create_table("T", schema, rows)
+    cells = []
+    for client, table in ((raw_client, raw), (made_client, made)):
+        client.far_view(table, query)                     # deploy
+        result, elapsed = client.far_view(table, query)
+        image, read_ns = client.table_read(table)
+        cells.append((result.data, elapsed, image, read_ns))
+    assert cells[0] == cells[1]
 
 
 # -- versioned tables through the one scatter ------------------------------------

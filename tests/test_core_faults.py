@@ -305,7 +305,7 @@ class TestSingleNodeFaults:
             with pytest.raises(RequestTimeoutError):
                 verb(table, query)
         if kind == "versioned":
-            assert table.active_pins == 0  # every discarded attempt unpinned
+            assert table.shards[0].chain.active_pins == 0  # every discarded attempt unpinned
 
     def test_deadline_covers_cluster_versioned_scans(self):
         sim = Simulator()
@@ -594,7 +594,7 @@ class TestClusterRecovery:
         with pytest.raises(FaultError):
             cc.update_where(vst, Compare("a", "<", 10**9), {"c": 1})
         assert vst.epoch == epoch_before
-        live_epochs = {s.table.epoch for i, s in enumerate(vst.shards)
+        live_epochs = {s.chain.epoch for i, s in enumerate(vst.shards)
                        if i != 2}
         assert live_epochs == {epoch_before}, \
             "abort left surviving shards at mixed epochs"
@@ -732,16 +732,16 @@ class TestViewFaults:
         sim, cluster, cc, schema, _vst, _view, _sub = self._view_bench()
         vst2 = cc.create_versioned_table(
             "w", schema, make_rows(schema, 128, seed=14 + CHAOS_SEED))
-        assert all(s.table.num_listeners == 0 for s in vst2.shards)
+        assert all(s.chain.num_listeners == 0 for s in vst2.shards)
         FaultInjector(cluster).crash(1)
         with pytest.raises(FaultError):
             cc.create_view("SELECT c, COUNT(*) AS n FROM w GROUP BY c",
                            name="doomed")
         assert "doomed" not in cc.views.views
         assert "w" not in cc.views.trackers, "abandoned tracker leaked"
-        assert all(s.table.num_listeners == 0 for s in vst2.shards), \
+        assert all(s.chain.num_listeners == 0 for s in vst2.shards), \
             "abandoned bootstrap leaked a chain listener"
-        assert all(s.table.active_pins == 0 for s in vst2.shards), \
+        assert all(s.chain.active_pins == 0 for s in vst2.shards), \
             "abandoned bootstrap leaked an epoch pin"
 
     def test_rebootstrap_after_fault_converges_to_rescan(self):

@@ -395,6 +395,67 @@ def test_cluster_placement_matches_offload():
     assert digests["auto"] == digests["offload"]
 
 
+@pytest.mark.parametrize("num_nodes", [2, 4])
+def test_versioned_pool_placement_matches_offload(assert_uniform_result,
+                                                  num_nodes):
+    """A versioned pool table is planned by the same
+    ``plan_placement(shards=N, scan_bytes=, delta_rows=)`` call as
+    everything else: ``ship`` and ``auto`` are sha256-identical to
+    ``offload`` and to the single-node versioned run, at the current
+    epoch and ``as_of`` an older one (on the parent ``ship`` was refused
+    and ``auto`` ran unplanned).  Degraded cell: with a shard's node
+    down every placement fails typed — ``offload`` under
+    ``allow_degraded`` carrying the survivors' partial, never a wrong
+    complete answer."""
+    from repro.common.errors import DegradedResultError, FaultError
+    from repro.core.api import ClusterClient
+    from repro.core.cluster import FarviewCluster
+
+    wl = selection_workload(1024, 0.5, seed=13)
+    query = Query(predicate=wl.predicate, projection=("a", "c"), label="vp")
+    stats = PlanStats(selectivity=0.5)
+
+    def load(client):
+        vt = client.create_versioned_table("V", wl.schema, wl.rows[:768])
+        client.update_where(vt, Compare("a", "<", 10**9), {"c": 3})
+        client.insert(vt, wl.rows[768:])
+        return vt
+
+    def digest(result):
+        return hashlib.sha256(canonical_result_bytes(result)).hexdigest()
+
+    single = FarviewClient(FarviewNode(Simulator(), SCENARIO))
+    single.open_connection()
+    svt = load(single)
+    reference = {as_of: digest(single.scan_versioned(svt, query,
+                                                     as_of=as_of)[0])
+                 for as_of in (None, 1)}
+
+    cluster = FarviewCluster(Simulator(), num_nodes, SCENARIO)
+    client = ClusterClient(cluster)
+    client.open_connection()
+    vt = load(client)
+    for as_of in (None, 1):
+        for mode in ("offload", "ship", "auto"):
+            result, elapsed = client.scan_versioned(
+                vt, query, as_of=as_of, placement=mode, stats=stats)
+            assert_uniform_result(result, elapsed)
+            assert digest(result) == reference[as_of], (mode, as_of)
+            if mode != "offload":
+                assert result.explain.requested == mode
+    assert client.plan(vt, query, "ship").explain.chosen == "ship"
+
+    cluster.node(1).fail()
+    client.allow_degraded = True
+    for mode in ("ship", "auto"):
+        with pytest.raises(FaultError):
+            client.scan_versioned(vt, query, placement=mode, stats=stats)
+    with pytest.raises(DegradedResultError) as info:
+        client.scan_versioned(vt, query)
+    assert info.value.failed_shards == (1,)
+    assert 0 < info.value.partial.num_rows < 1024
+
+
 def test_ship_on_bare_scan_is_a_raw_read():
     """placement="ship" with no offloadable operators must read raw
     bytes, not run the (empty) offload pipeline."""

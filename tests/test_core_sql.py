@@ -6,7 +6,7 @@ import pytest
 from repro.common.records import Column, Schema, default_schema
 from repro.core.ir import Col, Join, Scan
 from repro.core.query import JoinSpec, Query, RegexFilter
-from repro.core.sql import (ParsedWrite, SqlSyntaxError, bind_select,
+from repro.core.compile import (ParsedWrite, SqlSyntaxError, bind_select,
                             like_to_regex, parse_sql)
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.regex_engine import compile_pattern

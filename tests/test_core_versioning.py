@@ -24,7 +24,7 @@ from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
 from repro.core.partition import PartitionSpec
 from repro.core.query import JoinSpec, Query, group_by_sum, select_distinct
-from repro.core.versioning import (ROWID_COLUMN, VersionedTable, delta_schema,
+from repro.core.versioning import (ROWID_COLUMN, delta_schema,
                                    rows_from_literals)
 from repro.operators.selection import And, Compare
 from repro.sim.engine import Simulator
@@ -98,7 +98,8 @@ class TestWriteVerbs:
         schema = default_schema()
         rows = seeded_rows(schema, 64, seed=1)
         vt = client.create_versioned_table("t", schema, rows)
-        assert (vt.epoch, vt.oldest_epoch, vt.num_rows) == (0, 0, 64)
+        assert vt.shards[0].chain.oldest_epoch == 0
+        assert (vt.epoch, vt.num_rows) == (0, 64)
 
         extra = seeded_rows(schema, 8, seed=2, start_a=1000)
         epoch, _ = client.insert(vt, extra)
@@ -192,8 +193,8 @@ class TestCompaction:
 
         free_before = node.mmu.allocator.free_pages
         epoch, _ = client.compact(vt)
-        assert vt.num_deltas == 0 and vt.compactions == 1
-        assert epoch == vt.epoch == vt.oldest_epoch == 3
+        assert vt.num_deltas == 0 and vt.shards[0].chain.compactions == 1
+        assert epoch == vt.epoch == vt.shards[0].chain.oldest_epoch == 3
         assert node.mmu.allocator.free_pages >= free_before  # chain folded
         after, _ = client.scan_versioned(vt, full_scan_query(schema))
         assert after.data == before.data
@@ -252,6 +253,33 @@ class TestDropTable:
         assert node.mmu.allocator.free_pages == free0
         assert "t" not in client.catalog
 
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    def test_drop_by_name_on_both_constructors(self, num_nodes):
+        """One ``drop_table``, handle or name.  Failing-first: on a pool
+        a name was ``AttributeError: 'str' object has no attribute
+        'shards'``; an unknown name is a ``CatalogError`` everywhere."""
+        from repro.common.errors import CatalogError
+        if num_nodes == 1:
+            client = make_client()
+            nodes = [client.node]
+        else:
+            cluster = FarviewCluster(Simulator(), num_nodes, TEST_CONFIG)
+            client = ClusterClient(cluster)
+            client.open_connection()
+            nodes = cluster.nodes
+        free0 = [n.mmu.allocator.free_pages for n in nodes]
+        schema = default_schema()
+        rows = seeded_rows(schema, 64, seed=14)
+        client.create_table("p", schema, rows, PartitionSpec(replicas=2))
+        vt = client.create_versioned_table("v", schema, rows)
+        client.update_where(vt, Compare("a", "<", 10), {"c": 5})
+        client.drop_table("p")
+        client.drop_table("v")
+        assert [n.mmu.allocator.free_pages for n in nodes] == free0
+        assert "p" not in client.catalog and "v" not in client.catalog
+        with pytest.raises(CatalogError, match="not in catalog"):
+            client.drop_table("p")
+
     def test_cluster_drop_reuses_single_node_drop(self):
         sim = Simulator()
         cluster = FarviewCluster(sim, 2, TEST_CONFIG)
@@ -305,7 +333,7 @@ class TestScanUnderUpdate:
         replay, _ = client.scan_versioned(vt, query,
                                           as_of=captured["epoch"])
         assert replay.data == captured["result"].data
-        assert vt.active_pins == 0
+        assert vt.shards[0].chain.active_pins == 0
 
     def test_compaction_mid_scan_defers_frees_until_reader_ends(self):
         client = make_client()
@@ -317,6 +345,7 @@ class TestScanUnderUpdate:
         client.insert(vt, seeded_rows(schema, 64, seed=16, start_a=9000))
         query = full_scan_query(schema)
         expected, _ = client.scan_versioned(vt, query)   # also deploys
+        chain = vt.shards[0].chain
 
         captured = {}
 
@@ -328,8 +357,8 @@ class TestScanUnderUpdate:
             yield from client.compact_proc(vt)
             # Observed the instant compaction finished: the reader must
             # still be pinning the superseded segments.
-            captured["pins_at_compaction"] = vt.active_pins
-            captured["retired_at_compaction"] = vt.retired_segments
+            captured["pins_at_compaction"] = chain.active_pins
+            captured["retired_at_compaction"] = chain.retired_segments
 
         procs = [sim.process(reader()), sim.process(compactor())]
         sim.run()
@@ -340,7 +369,7 @@ class TestScanUnderUpdate:
             "superseded segments must be parked, not freed, under a pin"
         assert captured["result"].data == expected.data
         # Once the reader released its pin, the retired batch was freed.
-        assert vt.retired_segments == 0 and vt.active_pins == 0
+        assert chain.retired_segments == 0 and chain.active_pins == 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +486,7 @@ class TestClusterVersioning:
             assert client.update_where(table, Compare("a", "<", 40),
                                        {"e": 9})[0] == 2
             assert client.delete_where(table, Compare("a", ">=", 4008))[0] == 3
-        assert [s.table.epoch for s in vst.shards] == [3] * 4
+        assert [s.chain.epoch for s in vst.shards] == [3] * 4
         query = full_scan_query(schema)
         for epoch in range(4):
             r1, _ = single.scan_versioned(vt, query, as_of=epoch)
@@ -589,11 +618,12 @@ class VersioningMachine(RuleBasedStateMachine):
     def compact(self):
         self.client.compact(self.vt)
         self.history = {e: img for e, img in self.history.items()
-                        if e >= self.vt.oldest_epoch}
+                        if e >= self.vt.shards[0].chain.oldest_epoch}
 
     @rule(data=st.data())
     def scan_random_epoch(self, data):
-        epoch = data.draw(st.integers(self.vt.oldest_epoch, self.vt.epoch))
+        epoch = data.draw(st.integers(
+            self.vt.shards[0].chain.oldest_epoch, self.vt.epoch))
         result, _ = self.client.scan_versioned(self.vt, self.query,
                                                as_of=epoch)
         assert sha(result.data) == sha(self.history[epoch]), \
@@ -641,8 +671,8 @@ class VersioningMachine(RuleBasedStateMachine):
     @invariant()
     def visible_row_count_matches_model(self):
         assert self.vt.num_rows == len(self.model)
-        assert self.vt.active_pins == 0
-        assert self.dim.active_pins == 0
+        assert self.vt.shards[0].chain.active_pins == 0
+        assert self.dim.shards[0].chain.active_pins == 0
 
 
 VersioningMachine.TestCase.settings = settings(
@@ -706,7 +736,7 @@ class ClusterVersioningMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def scan_random_epoch(self, data):
-        floor = max(s.table.oldest_epoch for s in self.vst.shards)
+        floor = max(s.chain.oldest_epoch for s in self.vst.shards)
         epoch = data.draw(st.integers(floor, self.vst.epoch))
         result, _ = self.cc.scan_versioned(self.vst, self.query,
                                            as_of=epoch)
@@ -743,7 +773,7 @@ class ClusterVersioningMachine(RuleBasedStateMachine):
 
     @invariant()
     def shard_epochs_agree(self):
-        assert all(s.table.epoch == self.vst.epoch
+        assert all(s.chain.epoch == self.vst.epoch
                    for s in self.vst.shards)
 
 

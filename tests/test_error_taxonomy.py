@@ -35,7 +35,7 @@ from repro.core.faults import FaultInjector, RetryPolicy
 from repro.core.node import FarviewNode
 from repro.core.partition import PartitionSpec
 from repro.core.query import JoinSpec, Query, select_star
-from repro.core.sql import SqlSyntaxError
+from repro.core.compile import SqlSyntaxError
 from repro.core.table import FTable
 from repro.operators.selection import Compare
 from repro.sim.engine import SimulationError, Simulator
@@ -197,6 +197,35 @@ def trigger_degraded_result():
     cc.allow_degraded = True
     FaultInjector(cluster).crash(1)
     cc.far_view(sharded, select_star(wl.predicate))
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_mistyped_insert_is_a_query_error_before_anything_is_taken(num_nodes):
+    """Failing-first: rows of another schema used to surface numpy's bare
+    ``TypeError`` from inside the prepare.  It is a ``QueryError`` now,
+    raised before a row id is reserved or a segment allocated — one node
+    or a pool."""
+    sim = Simulator()
+    if num_nodes == 1:
+        client = FarviewClient(FarviewNode(sim, TEST_CONFIG))
+    else:
+        client = ClusterClient(FarviewCluster(sim, num_nodes, TEST_CONFIG))
+    client.open_connection()
+    nodes = [client.node_client(i).node for i in range(num_nodes)]
+    wl = selection_workload(64, 0.5, seed=11)
+    vt = client.create_versioned_table("v", wl.schema, wl.rows)
+    _schema, strings = string_workload(4, 32, seed=12)
+    free0 = [n.mmu.allocator.free_pages for n in nodes]
+    with pytest.raises(QueryError, match="schema"):
+        client.insert(vt, strings)
+    assert [n.mmu.allocator.free_pages for n in nodes] == free0
+    assert (vt.epoch, vt.num_deltas, vt.num_rows) == (0, 0, 64)
+    # No row id was burnt: the next insert takes the ids right after the
+    # base segment's.
+    client.insert(vt, wl.rows[:2])
+    _rows, ids, _shipped = sim.run_process(client.read_version_proc(vt),
+                                           "read_version")
+    assert int(ids.max()) == vt.shards[-1].chain.base.num_rows + 1
 
 
 TRIGGERS = {

@@ -164,7 +164,7 @@ def test_versioned_table_is_isolated_between_connections():
     mine = FTable("T", wl.schema, 64)
     other.alloc_table_mem(mine)
     other.table_write(mine, selection_workload(64, 1.0, seed=2).rows)
-    assert mine.vaddr == vt.base.vaddr
+    assert mine.vaddr == vt.shards[0].chain.base.vaddr
     query = select_star(wl.predicate)
     verbs = [
         lambda: other.scan_versioned(vt, query, as_of=0),
@@ -177,7 +177,7 @@ def test_versioned_table_is_isolated_between_connections():
     ]
 
     def state():
-        return (vt.epoch, vt.num_deltas, vt.active_pins,
+        return (vt.epoch, vt.num_deltas, vt.shards[0].chain.active_pins,
                 node.mmu.allocator.free_pages,
                 node.mmu.domain_pages(other.connection.domain))
 

@@ -153,7 +153,8 @@ def test_join_python_call_budget():
 def test_one_hash_one_probe_in_src():
     """The scalar hash twin and the unhashed-probe branches stay deleted
     — and so do the forked scan verb, the per-strategy build-placement
-    caches and the second scatter (code and docs)."""
+    caches, the second scatter, and the four table-handle classes and
+    second client body behind them (code and docs)."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -162,7 +163,11 @@ def test_one_hash_one_probe_in_src():
                                "_join_replicas", "_join_broadcasts",
                                "_shuffle_fragments", "_shuffle_jobs",
                                "_shuffle_empty", "_scatter_versioned_proc",
-                               "plan_versioned"))):
+                               "plan_versioned", "VersionedShardedTable",
+                               "VersionedShard", "TableShard", "ShardedTable",
+                               "_ClientCore", "_versioned_type",
+                               "is_versioned_handle",
+                               "_require_cluster_build"))):
         for root in roots:
             for path in (repo / root).rglob("*.*"):
                 if path.suffix not in (".py", ".md"):

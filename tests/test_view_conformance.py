@@ -331,16 +331,17 @@ def test_listener_lifecycle_and_pin_release():
     client = make_client(1)
     vt = client.create_versioned_table("t", BASE_SCHEMA,
                                        make_base(32, seed=15))
-    assert vt.num_listeners == 0
+    chain = vt.shards[0].chain
+    assert chain.num_listeners == 0
     view, _ = client.create_view(SHAPES["filter"], name="a")
     view2, _ = client.create_view(SHAPES["distinct"], name="b")
-    assert vt.num_listeners == 1, "views over one table share a tracker"
-    assert vt.active_pins >= 1
+    assert chain.num_listeners == 1, "views over one table share a tracker"
+    assert chain.active_pins >= 1
     client.drop_view(view)
-    assert vt.num_listeners == 1, "tracker still needed by view b"
+    assert chain.num_listeners == 1, "tracker still needed by view b"
     client.drop_view(view2)
-    assert vt.num_listeners == 0
-    assert vt.active_pins == 0, "dropping the last view must unpin"
+    assert chain.num_listeners == 0
+    assert chain.active_pins == 0, "dropping the last view must unpin"
 
 
 # ---------------------------------------------------------------------------
