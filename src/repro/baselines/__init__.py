@@ -1,7 +1,6 @@
 """Comparison baselines: LCPU, RCPU, RNIC (paper §6.1)."""
 
 from .cpu_model import CostBreakdown, CpuCostModel
-from .hashmap import SoftwareHashMap
 from .lcpu import LcpuBaseline
 from .rcpu import RcpuBaseline
 from .rnic import RnicBaseline
@@ -17,7 +16,6 @@ from .sw_ops import (
 __all__ = [
     "CostBreakdown",
     "CpuCostModel",
-    "SoftwareHashMap",
     "LcpuBaseline",
     "RcpuBaseline",
     "RnicBaseline",

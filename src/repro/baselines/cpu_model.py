@@ -1,9 +1,12 @@
 """Analytic CPU cost model for the LCPU / RCPU baselines (§6.1).
 
-The baselines *really compute* their results (numpy scans, the from-scratch
-:class:`~repro.baselines.hashmap.SoftwareHashMap`, our regex engine and
-AES); this model supplies the simulated wall-clock those computations
-would take on the paper's Xeon Gold testbed.  Constants live in
+The baselines *really compute* their results (numpy scans, dict-backed
+grouping through :func:`~repro.common.records.first_occurrence`, our regex
+engine and AES); this model supplies the simulated wall-clock those
+computations would take on the paper's Xeon Gold testbed.  How the host
+computes a result never feeds a charge: the hash map this model prices is
+the paper's, of which :func:`~repro.baselines.sw_ops.map_resizes` keeps
+the growth rule.  Constants live in
 :mod:`repro.common.calibration` with provenance notes.
 
 Multi-process interference (Figure 12): when ``active_clients`` processes

@@ -7,7 +7,9 @@ and not from cache, and also write it back", §6.4), applies the operator
 in software, and materializes the result back to memory.
 
 Every method returns ``(result, time_ns, breakdown)`` — the result is
-computed for real, the time comes from :class:`CpuCostModel`.
+computed for real, the time comes from :class:`CpuCostModel`.  The one
+thing a charge reads off a grouping kernel is whether the modelled hash
+map grew (``map_resizes > 0``, a closed form of the distinct-key count).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Functional software operators used by the CPU baselines.
 
 These mirror what the paper's C++ baseline code does: tight scans with all
-compiler optimizations (numpy vector kernels here), hashing through a fast
-resizable map (:class:`SoftwareHashMap`), RE2-style regex matching (our
-linear-time engine), and Cryptopp-style AES (our AES-CTR).  They return
-both the result and the instrumentation the cost model charges for.
+compiler optimizations (numpy vector kernels here), grouping through a fast
+hash map (the interpreter's own dict, driven from C by
+:func:`~repro.common.records.first_occurrence`), RE2-style regex matching
+(our linear-time engine), and Cryptopp-style AES (our AES-CTR).  They
+return both the result and the instrumentation the cost model charges for.
 """
 
 from __future__ import annotations
@@ -15,18 +16,19 @@ from itertools import repeat
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema
-from ..operators.aggregate import Accumulator, AggregateSpec, batch_accumulate
-from ..operators.crypto import AesCtr
-from ..operators.join import (
-    first_repeated_row,
-    gather_join_output,
-    join_output_schema,
-    key_image,
+from ..common.records import Schema, first_occurrence, key_image
+from ..operators.aggregate import (
+    Accumulator,
+    AggregateSpec,
+    accumulator_rows,
+    batch_accumulate,
+    fold_groups,
+    value_columns,
 )
+from ..operators.crypto import AesCtr
+from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from ..operators.selection import Predicate
-from .hashmap import SoftwareHashMap
 
 
 def software_select(rows: np.ndarray, predicate: Predicate) -> np.ndarray:
@@ -45,30 +47,25 @@ def software_project(rows: np.ndarray, schema: Schema,
     return out
 
 
+def map_resizes(distinct: int) -> int:
+    """Growth steps of the modelled hash map (the parallel-hashmap family,
+    §6.5) after ``distinct`` keys: 16 slots, doubling each time the load
+    reaches 7/8 — at 14, 28, 56, ... keys.  The cost model reads one bit
+    of it: did the map grow at all."""
+    return (distinct // (16 * 7 // 8)).bit_length()
+
+
 @dataclass
 class DistinctOutput:
     rows: np.ndarray
     map_resizes: int
-    rehashed_entries: int
 
 
 def software_distinct(rows: np.ndarray, schema: Schema,
                       key_columns: list[str]) -> DistinctOutput:
-    """Hash-based DISTINCT through the resizable software map."""
-    key_schema = schema.project(key_columns)
-    keys = key_schema.empty(len(rows))
-    for name in key_columns:
-        keys[name] = rows[name]
-    raw = key_schema.to_bytes(keys)
-    width = key_schema.row_width
-    table = SoftwareHashMap()
-    keep = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        key = raw[i * width:(i + 1) * width]
-        if table.put(key, True):
-            keep[i] = True
-    return DistinctOutput(rows=rows[keep], map_resizes=table.resizes,
-                          rehashed_entries=table.rehashed_entries)
+    """Hash-based DISTINCT: the first row of every key, in row order."""
+    first, _ = first_occurrence(key_image(rows, key_columns))
+    return DistinctOutput(rows=rows[first], map_resizes=map_resizes(len(first)))
 
 
 @dataclass
@@ -81,41 +78,28 @@ class GroupByOutput:
 def software_groupby(rows: np.ndarray, schema: Schema,
                      key_columns: list[str],
                      aggregates: list[AggregateSpec]) -> GroupByOutput:
-    """Hash aggregation through the resizable software map."""
-    key_schema = schema.project(key_columns)
-    keys = key_schema.empty(len(rows))
+    """Hash aggregation: groups in first-seen order, every value folded as
+    a float64 in row order — a group's sum accumulates sequentially from
+    ``0.0``, byte for byte what the reference model's loop computes."""
+    first, group = first_occurrence(key_image(rows, key_columns))
+    out_schema = Schema([schema.column(k) for k in key_columns]
+                        + [s.output_column(schema) for s in aggregates])
+    out = out_schema.empty(len(first))
     for name in key_columns:
-        keys[name] = rows[name]
-    raw = key_schema.to_bytes(keys)
-    width = key_schema.row_width
-    value_columns = sorted({s.column for s in aggregates
-                            if not (s.func == "count" and s.column == "*")})
-    columns = [rows[name] for name in value_columns]
-    table = SoftwareHashMap()
-    order: list[bytes] = []
-    for i in range(len(rows)):
-        key = raw[i * width:(i + 1) * width]
-        acc = table.get(key)
-        if acc is None:
-            acc = Accumulator(len(value_columns))
-            table.put(key, acc)
-            order.append(key)
-        acc.update(tuple(float(col[i]) for col in columns))
-    out_columns = ([schema.column(k) for k in key_columns]
-                   + [s.output_column(schema) for s in aggregates])
-    out_schema = Schema(out_columns)
-    out = out_schema.empty(len(order))
-    for i, key in enumerate(order):
-        acc = table.get(key)
-        key_row = key_schema.from_bytes(key)
-        for name in key_columns:
-            out[name][i] = key_row[name][0]
-        for spec in aggregates:
-            idx = (value_columns.index(spec.column)
-                   if spec.column in value_columns else 0)
-            out[spec.alias][i] = acc.result(spec, idx)
-    return GroupByOutput(rows=out, num_groups=len(order),
-                         map_resizes=table.resizes)
+        out[name] = rows[name][first]
+    count = np.bincount(group, minlength=len(first))
+    for spec in aggregates:
+        if spec.func == "count":
+            out[spec.alias] = count
+        elif spec.func in ("min", "max"):
+            out[spec.alias] = fold_groups(
+                spec.func, rows[spec.column].astype(np.float64), first, group)
+        else:
+            total = np.zeros(len(first))
+            np.add.at(total, group, rows[spec.column].astype(np.float64))
+            out[spec.alias] = total if spec.func == "sum" else total / count
+    return GroupByOutput(rows=out, num_groups=len(first),
+                         map_resizes=map_resizes(len(first)))
 
 
 def software_aggregate(rows: np.ndarray, schema: Schema,
@@ -127,22 +111,15 @@ def software_aggregate(rows: np.ndarray, schema: Schema,
     (same output schema, same accumulator arithmetic), so the hybrid
     planner can run the final aggregation on the client.
     """
-    value_columns = sorted({s.column for s in aggregates
-                            if not (s.func == "count" and s.column == "*")})
-    acc = Accumulator(len(value_columns))
+    columns = value_columns(aggregates)
+    acc = Accumulator(len(columns))
     # Same accumulation kernel as the offloaded operator (min/max stay in
     # the column dtype, no per-value float round-trip), so large-integer
     # extremes survive bit-exactly.
-    batch_accumulate(acc, rows, value_columns)
+    batch_accumulate(acc, rows, columns)
     out_schema = Schema([s.output_column(schema) for s in aggregates])
-    if acc.count == 0:
-        return out_schema.empty(0)
-    out = out_schema.empty(1)
-    for spec in aggregates:
-        idx = (value_columns.index(spec.column)
-               if spec.column in value_columns else 0)
-        out[spec.alias][0] = acc.result(spec, idx)
-    return out
+    return accumulator_rows(out_schema, (), aggregates,
+                            {b"": acc} if acc.count else {})
 
 
 def software_join(rows: np.ndarray, schema: Schema,
@@ -170,13 +147,15 @@ def software_join(rows: np.ndarray, schema: Schema,
     # Build: key bytes -> build row.  Probe: one lookup per probe key, all
     # in C (no map counters are reported, so the cost model reads nothing
     # from this kernel's hash structure).
-    bkeys = key_image(build_rows, build_key).tolist()
-    build_row = dict(zip(bkeys, range(len(bkeys))))
+    bkeys = key_image(build_rows, [build_key])
+    build_row = dict(zip(bkeys.tolist(), range(len(bkeys))))
     if len(build_row) < len(bkeys):
+        first, group = first_occurrence(bkeys)
+        repeated = np.flatnonzero(first[group] != np.arange(len(bkeys)))
         raise OperatorError(
-            f"duplicate build key at row {first_repeated_row(bkeys)}: the "
-            f"small table must have unique join keys")
-    pkeys = key_image(rows, probe_key).tolist()
+            f"duplicate build key at row {repeated[0]}: the small table "
+            f"must have unique join keys")
+    pkeys = key_image(rows, [probe_key]).tolist()
     bidx = np.fromiter(map(build_row.get, pkeys, repeat(-1)),
                        dtype=np.intp, count=len(pkeys))
     pidx = np.flatnonzero(bidx >= 0)

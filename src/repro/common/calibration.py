@@ -198,7 +198,9 @@ CPU_HASH_COST_PER_TUPLE_NS = 12.0
 
 #: Amortized extra per-tuple cost from hash-map growth/rehashing when the
 #: number of resident entries keeps growing (Fig 9(a): "memory resizing of
-#: the hash table as more elements are added").
+#: the hash table as more elements are added").  Charged when the paper's
+#: map would have grown at all (``sw_ops.map_resizes`` of the distinct-key
+#: count); the host's own grouping kernel keeps no map to instrument.
 CPU_HASH_RESIZE_COST_PER_TUPLE_NS = 16.0
 
 #: Per-tuple cost of updating aggregate state in a group-by (on top of the

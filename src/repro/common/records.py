@@ -8,7 +8,11 @@ fixed-length attributes; the default evaluation table has 8 attributes of
 * conversion between numpy structured arrays and the flat byte image that
   lives in simulated DRAM,
 * helpers used by the projection operator (column byte ranges) and by the
-  packing unit (packed output schemas).
+  packing unit (packed output schemas),
+* :func:`key_image` / :func:`first_occurrence` — how the host packs
+  fixed-width key columns and groups equal keys in first-seen order; every
+  host-side DISTINCT, GROUP BY, merge and duplicate check is an array
+  transform on these two.
 
 Data always round-trips bytes -> array -> bytes exactly, which the tests
 and the smart-addressing path rely on.
@@ -179,6 +183,47 @@ class Schema:
     def empty(self, nrows: int = 0) -> np.ndarray:
         """An empty (zeroed) structured array with this schema."""
         return np.zeros(nrows, dtype=self._dtype)
+
+
+def key_image(rows: np.ndarray, columns: Sequence[str]) -> np.ndarray:
+    """The ``columns`` of ``rows`` packed into one owned ``V<width>``
+    element per row.
+
+    Keys match on these bytes, never on values: ``0.0`` and ``-0.0``
+    differ, a NaN equals its own bit pattern, and bytes after an embedded
+    NUL count.
+    """
+    dtype = np.dtype([(name, rows.dtype[name]) for name in columns])
+    if dtype == rows.dtype:
+        # The key is the whole row: one block copy, not one strided copy
+        # per column (64 of them on a 512 B row).
+        packed = rows.copy()
+    else:
+        packed = np.empty(len(rows), dtype=dtype)
+        for name in columns:
+            packed[name] = rows[name]
+    return packed.view(f"V{dtype.itemsize}")
+
+
+def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal :func:`key_image` elements in first-seen order.
+
+    Returns ``(first, group)``: ``first[g]`` is the row where group ``g``
+    first appears (ascending, so ``rows[first]`` is the first-wins dedup in
+    row order) and ``group[i]`` is the group of row ``i``.
+
+    The grouping itself is one ``dict.setdefault`` pass run from C over
+    the key bytes; ``np.unique`` sorts, which on wide void keys is slower
+    than the per-row Python loop this replaces.
+    """
+    n = len(keys)
+    seen: dict[bytes, int] = {}
+    origin = np.fromiter(map(seen.setdefault, keys.tolist(), range(n)),
+                         dtype=np.intp, count=n)
+    first = np.flatnonzero(origin == np.arange(n))
+    rank = np.empty(n, dtype=np.intp)
+    rank[first] = np.arange(len(first))
+    return first, rank[origin]
 
 
 def default_schema(num_attributes: int = 8, attr_bytes: int = 8) -> Schema:

@@ -60,8 +60,8 @@ from ..common.errors import (CatalogError, ConnectionError_,
                              JoinBuildOverflowError, NodeFailedError,
                              QueryError, RegionFailedError,
                              RequestTimeoutError)
-from ..common.records import Schema
-from ..operators.aggregate import AggregateSpec
+from ..common.records import Schema, first_occurrence, key_image
+from ..operators.aggregate import AggregateSpec, accumulator_rows
 from ..operators.crypto import AesCtr
 from ..operators.selection import Predicate
 from .catalog import Catalog
@@ -93,9 +93,10 @@ class QueryResult:
     """Client-visible result of any verb that returns rows.
 
     One shape for every execution.  A *direct* node execution sets
-    ``report`` (the node's :class:`ExecutionReport`) and ``stream`` (the
-    raw shipped bytes, possibly encrypted, possibly carrying overflow
-    duplicates the client dedups).  Every other execution sets
+    ``report`` (the node's :class:`ExecutionReport`), ``query`` (what the
+    node ran) and ``stream`` (the raw shipped bytes, possibly encrypted,
+    possibly carrying overflow duplicates the client dedups on the
+    query's DISTINCT key).  Every other execution sets
     ``merged`` — the final rows after the client-side work: the
     scatter-gather merge (``parts`` are the per-shard results, shard
     order), or the software remainder of a planned / compiled execution
@@ -111,6 +112,9 @@ class QueryResult:
     #: Node-side execution report; ``None`` unless one node ran this
     #: result's pipeline directly.
     report: Optional[ExecutionReport] = None
+    #: The :class:`Query` a direct node execution ran: what ``rows()``
+    #: dedups on and merges overflowed groups by.
+    query: Optional[Query] = None
     #: :class:`~repro.core.planner.ExplainPlan` (planned executions) or
     #: :class:`~repro.core.planner.DagPlan` (compiled SQL); ``None`` on
     #: the plan-free offload path.
@@ -133,8 +137,9 @@ class QueryResult:
         """The final rows.  For a direct node result this decodes the
         shipped stream (decrypting the transmission first) and applies
         the client-side software post-processing the paper prescribes:
-        deduplicate overflow leakage from the DISTINCT operator (§5.4)
-        and merge overflowed GROUP BY partial aggregates."""
+        deduplicate overflow leakage from the DISTINCT operator on its
+        key, first row wins (§5.4), and append the overflowed GROUP BY
+        groups the node aggregated beside its tables."""
         if self.merged is not None:
             return self.merged
         data = self.stream
@@ -143,9 +148,13 @@ class QueryResult:
             data = AesCtr(key, nonce).process(data)
         rows = self.schema.from_bytes(data)
         if self.report.overflow_keys:
-            rows = _software_dedup(rows)
+            first, _ = first_occurrence(key_image(
+                rows, self.query.distinct_columns or self.schema.names))
+            rows = rows[first]
         if self.report.overflow_groups:
-            rows = _merge_overflow_groups(rows, self.schema, self.report)
+            rows = np.concatenate([rows, accumulator_rows(
+                self.schema, self.query.group_by, self.query.aggregates,
+                self.report.overflow_groups)])
         return rows
 
     @property
@@ -173,44 +182,6 @@ class QueryResult:
         """Bytes the nodes' pipelines ingested for this result."""
         own = self.report.bytes_scanned if self.report is not None else 0
         return own + sum(p.bytes_scanned for p in self.parts)
-
-
-def _software_dedup(rows: np.ndarray) -> np.ndarray:
-    """Order-preserving exact dedup (the paper's client-side fallback)."""
-    seen: set[bytes] = set()
-    keep = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep[i] = True
-    return rows[keep]
-
-
-def _merge_overflow_groups(rows: np.ndarray, schema: Schema,
-                           report: ExecutionReport) -> np.ndarray:
-    """Append overflowed groups (partially aggregated server-side)."""
-    # The overflow accumulators carry the same spec list as the pipeline's
-    # group-by; the report stores (key_bytes -> Accumulator).  Key layout is
-    # the group-key schema prefix of the output schema.
-    meta = report.overflow_groups.get("__meta__")
-    items = [(k, v) for k, v in report.overflow_groups.items()
-             if k != "__meta__"]
-    if meta is None:
-        raise QueryError(
-            "overflow groups present but merge metadata missing")
-    extra = schema.empty(len(items))
-    key_columns, specs, value_columns = meta
-    key_schema = schema.project(key_columns)
-    for i, (key_bytes, acc) in enumerate(items):
-        key_row = key_schema.from_bytes(key_bytes)
-        for name in key_columns:
-            extra[name][i] = key_row[name][0]
-        for spec in specs:
-            idx = (value_columns.index(spec.column)
-                   if spec.column in value_columns else 0)
-            extra[spec.alias][i] = acc.result(spec, idx)
-    return np.concatenate([rows, extra])
 
 
 def _client_compute(sim, ns: float):
@@ -444,14 +415,8 @@ class _NodeSession:
         finally:
             for pinned, token in reversed(pins):
                 self._release_pin(pinned, token)
-        if report.overflow_groups:
-            report.overflow_groups["__meta__"] = (
-                list(query.group_by or ()),
-                list(query.aggregates),
-                sorted({s.column for s in query.aggregates
-                        if not (s.func == "count" and s.column == "*")}))
         return QueryResult(
-            schema=compiled.output_schema, report=report,
+            schema=compiled.output_schema, report=report, query=query,
             stream=conn.qp.buffer.read(0, report.bytes_shipped),
             response_time_ns=self.sim.now - start,
             output_key=query.encrypt_output)
@@ -1875,8 +1840,8 @@ class ClusterClient:
         table_schema = query.post_join_schema(table.schema)
         if plan.mode == "group":
             assert query.group_by is not None
-            merged = merge_group_rows(stacked, survivors[0].schema,
-                                      table_schema, list(query.group_by),
+            merged = merge_group_rows(stacked, table_schema,
+                                      list(query.group_by),
                                       plan.shard_specs, plan.partial_plans)
             schema = group_output_schema(
                 table_schema, list(query.group_by),

@@ -17,11 +17,12 @@ exercise one node.  This module adds the pool:
   (sum + count) via :func:`~repro.operators.aggregate.decompose_partials`.
 * the merge kernels — :func:`merge_distinct_rows`,
   :func:`merge_group_rows`, :func:`merge_aggregate_rows` — which combine
-  per-shard results into the final answer.  Grouped merges bucket keys
-  with the same vectorized splitmix64 pass the on-chip cuckoo tables use
-  (:func:`~repro.operators.hashing.hash_key_batch`) and compare key bytes
-  exactly inside each bucket, so hash collisions can never corrupt a
-  merge.
+  per-shard results into the final answer.  Each is an array transform
+  on the host's one grouping kernel
+  (:func:`~repro.common.records.key_image` +
+  :func:`~repro.common.records.first_occurrence`): keys group on their
+  exact bytes in first-seen order, and partial columns fold per group
+  with :func:`~repro.operators.aggregate.fold_groups`.
 
 Order contract
 --------------
@@ -48,10 +49,9 @@ import numpy as np
 
 from ..common.config import FarviewConfig
 from ..common.errors import QueryError
-from ..common.records import Schema
-from ..operators.aggregate import (AggregateSpec, PARTIAL_MERGE, PartialPlan,
-                                   decompose_partials)
-from ..operators.hashing import hash_key_batch
+from ..common.records import Schema, first_occurrence, key_image
+from ..operators.aggregate import (AggregateSpec, PartialPlan,
+                                   decompose_partials, fold_groups)
 from ..operators.selection import And, Compare, Not, Or
 from ..sim.engine import Simulator
 from .node import FarviewNode
@@ -303,91 +303,36 @@ def plan_scatter(query: Query, table=None,
 
 # -- merge kernels -------------------------------------------------------------
 
-def iter_key_groups(raw: bytes, width: int) -> list[tuple[bytes, list[int]]]:
-    """Group fixed-width keys by value, in first-occurrence order.
-
-    One vectorized :func:`hash_key_batch` pass buckets the keys; byte
-    comparison inside each bucket keeps the grouping exact under hash
-    collisions.  Returns ``(key_bytes, row_indices)`` pairs ordered by the
-    first occurrence of each key — the order both the DISTINCT and GROUP
-    BY operators emit, which the byte-identity contract depends on.
-    """
-    n = len(raw) // width
-    groups: list[tuple[bytes, list[int]]] = []
-    if n == 0:
-        return groups
-    hashes = hash_key_batch(raw, width).tolist()
-    buckets: dict[int, list[int]] = {}  # hash -> positions into groups
-    for i in range(n):
-        key = raw[i * width:(i + 1) * width]
-        positions = buckets.setdefault(hashes[i], [])
-        for pos in positions:
-            if groups[pos][0] == key:
-                groups[pos][1].append(i)
-                break
-        else:
-            positions.append(len(groups))
-            groups.append((key, [i]))
-    return groups
-
-
-def _key_image(rows: np.ndarray, schema: Schema,
-               key_columns: Sequence[str]) -> tuple[bytes, int]:
-    """Serialized key columns of ``rows`` (one fixed-width key per row)."""
-    key_schema = schema.project(key_columns)
-    keys = key_schema.empty(len(rows))
-    for name in key_columns:
-        keys[name] = rows[name]
-    return key_schema.to_bytes(keys), key_schema.row_width
-
-
 def merge_distinct_rows(rows: np.ndarray, schema: Schema,
                         key_columns: Optional[Sequence[str]]) -> np.ndarray:
     """First-wins dedup of concatenated shard DISTINCT results."""
-    if len(rows) == 0:
-        return rows
-    names = list(key_columns) if key_columns else list(schema.names)
-    raw, width = _key_image(rows, schema, names)
-    keep = [indices[0] for _, indices in iter_key_groups(raw, width)]
-    return rows[np.asarray(keep, dtype=np.int64)]
+    first, _ = first_occurrence(key_image(rows, key_columns or schema.names))
+    return rows[first]
 
 
-def _merge_partial_columns(rows: np.ndarray, indices: list[int],
-                           shard_specs: Sequence[AggregateSpec]) -> dict:
-    """Fold one key's partial rows into exact merged partials per alias."""
-    merged: dict[str, object] = {}
-    for spec in shard_specs:
-        fold = PARTIAL_MERGE[spec.func]
-        value = rows[spec.alias][indices[0]].item()
-        for i in indices[1:]:
-            value = fold(value, rows[spec.alias][i].item())
-        merged[spec.alias] = value
-    return merged
-
-
-def merge_group_rows(rows: np.ndarray, shard_schema: Schema,
-                     table_schema: Schema, key_columns: Sequence[str],
+def merge_group_rows(rows: np.ndarray, table_schema: Schema,
+                     key_columns: Sequence[str],
                      shard_specs: Sequence[AggregateSpec],
                      partial_plans: Sequence[PartialPlan]) -> np.ndarray:
     """Re-merge concatenated per-shard partial groups into final groups.
 
-    ``rows`` carry ``shard_schema`` (keys + partial columns); the result
-    carries the single-node output schema (keys + original aggregate
-    columns), with groups in first-occurrence order.
+    ``rows`` carry the shard output schema (keys + partial columns); the
+    result carries the single-node output schema (keys + original
+    aggregate columns), with groups in first-occurrence order.
     """
-    out_schema = group_output_schema(table_schema, key_columns,
-                                     [p.spec for p in partial_plans])
-    raw, width = _key_image(rows, shard_schema, key_columns)
-    groups = iter_key_groups(raw, width)
-    out = out_schema.empty(len(groups))
-    key_schema = shard_schema.project(key_columns)
-    for g, (key_bytes, indices) in enumerate(groups):
-        key_row = key_schema.from_bytes(key_bytes)
-        for name in key_columns:
-            out[name][g] = key_row[name][0]
-        merged = _merge_partial_columns(rows, indices, shard_specs)
-        for plan in partial_plans:
-            out[plan.spec.alias][g] = plan.finalize(merged)
+    first, group = first_occurrence(key_image(rows, key_columns))
+    out = group_output_schema(table_schema, key_columns,
+                              [p.spec for p in partial_plans]
+                              ).empty(len(first))
+    for name in key_columns:
+        out[name] = rows[name][first]
+    # Each group's partial rows fold into exact merged partials: one
+    # column per shard alias, one element per group.
+    merged = {spec.alias: fold_groups(spec.func, rows[spec.alias], first,
+                                      group)
+              for spec in shard_specs}
+    for plan in partial_plans:
+        out[plan.spec.alias] = plan.finalize(merged)
     return out
 
 
@@ -395,16 +340,10 @@ def merge_aggregate_rows(rows: np.ndarray, table_schema: Schema,
                          shard_specs: Sequence[AggregateSpec],
                          partial_plans: Sequence[PartialPlan]) -> np.ndarray:
     """Merge the one-partial-row-per-shard results of a standalone
-    aggregation into the single final row."""
-    out_schema = aggregate_output_schema(table_schema,
-                                         [p.spec for p in partial_plans])
-    if len(rows) == 0:
-        return out_schema.empty(0)
-    merged = _merge_partial_columns(rows, list(range(len(rows))), shard_specs)
-    out = out_schema.empty(1)
-    for plan in partial_plans:
-        out[plan.spec.alias][0] = plan.finalize(merged)
-    return out
+    aggregation into the single final row: the group merge over zero key
+    columns, where every row shares the one empty key."""
+    return merge_group_rows(rows, table_schema, (), shard_specs,
+                            partial_plans)
 
 
 def group_output_schema(table_schema: Schema, key_columns: Sequence[str],

@@ -53,8 +53,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..common.errors import QueryError
-from ..common.records import Schema
-from ..operators.aggregate import AggregateSpec
+from ..common.records import Schema, key_image
+from ..operators.aggregate import AggregateSpec, value_columns
 from ..operators.join import join_output_schema
 from ..operators.selection import And, Compare, Not, Or, Predicate
 from .compile import (BoundAggregate, BoundDistinct, BoundEval, BoundFilter,
@@ -270,9 +270,7 @@ class GroupStage(_Stage):
         self.in_schema = schema
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates)
-        self.value_columns = sorted(
-            {s.column for s in aggregates
-             if not (s.func == "count" and s.column == "*")})
+        self.value_columns = value_columns(aggregates)
         if self.group_by:
             self.key_schema: Optional[Schema] = Schema(
                 [schema.column(k) for k in self.group_by])
@@ -285,14 +283,6 @@ class GroupStage(_Stage):
                 [s.output_column(schema) for s in aggregates])
         #: group key image -> {member row image -> weight}
         self.groups: dict[bytes, dict[bytes, int]] = {}
-
-    def _key_images(self, rows: np.ndarray) -> list[bytes]:
-        if self.key_schema is None:
-            return [b""] * len(rows)
-        keyed = self.key_schema.empty(len(rows))
-        for name in self.group_by:
-            keyed[name] = rows[name]
-        return row_images(self.key_schema, keyed)
 
     def _output_row(self, key: bytes) -> Optional[bytes]:
         members = self.groups.get(key)
@@ -341,7 +331,7 @@ class GroupStage(_Stage):
         out = ZSet(self.out_schema)
         images = list(delta.weights)
         rows, weights = delta.decode()
-        keys = self._key_images(rows)
+        keys = key_image(rows, self.group_by).tolist()
         touched: dict[bytes, list[tuple[bytes, int]]] = {}
         for image, key, weight in zip(images, keys, weights.tolist()):
             touched.setdefault(key, []).append((image, weight))

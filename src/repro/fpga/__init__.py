@@ -1,6 +1,5 @@
-"""FPGA fabric model: clocks, dynamic regions, resource accounting."""
+"""FPGA fabric model: dynamic regions, resource accounting."""
 
-from .clock import MEMORY_CLOCK, NETWORK_CLOCK, OPERATOR_CLOCK, ClockDomain
 from .region import DynamicRegion, RegionManager, RegionState
 from .resource_model import (
     OPERATOR_COSTS,
@@ -12,10 +11,6 @@ from .resource_model import (
 )
 
 __all__ = [
-    "MEMORY_CLOCK",
-    "NETWORK_CLOCK",
-    "OPERATOR_CLOCK",
-    "ClockDomain",
     "DynamicRegion",
     "RegionManager",
     "RegionState",

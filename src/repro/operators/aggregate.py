@@ -9,6 +9,7 @@ the accumulator machinery shared by both and the standalone operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class AggregateSpec:
         return Column(self.alias, kind, 8)
 
 
+def value_columns(specs: Sequence[AggregateSpec]) -> list[str]:
+    """The columns ``specs`` read, sorted: one accumulator lane each
+    (``count(*)`` reads none)."""
+    return sorted({s.column for s in specs
+                   if not (s.func == "count" and s.column == "*")})
+
+
 class Accumulator:
     """Running state for one group's aggregates (one hash-table entry)."""
 
@@ -68,24 +76,14 @@ class Accumulator:
         self.mins = [None] * num_value_columns
         self.maxs = [None] * num_value_columns
 
-    def update(self, values: tuple, weight: int = 1) -> None:
-        self.count += weight
+    def update(self, values: tuple) -> None:
+        self.count += 1
         for i, v in enumerate(values):
-            self.sums[i] += v * weight
+            self.sums[i] += v
             if self.mins[i] is None or v < self.mins[i]:
                 self.mins[i] = v
             if self.maxs[i] is None or v > self.maxs[i]:
                 self.maxs[i] = v
-
-    def merge(self, other: "Accumulator") -> None:
-        self.count += other.count
-        for i in range(len(self.sums)):
-            self.sums[i] += other.sums[i]
-            for mine, theirs, pick in ((self.mins, other.mins, min),
-                                       (self.maxs, other.maxs, max)):
-                if theirs[i] is not None:
-                    mine[i] = (theirs[i] if mine[i] is None
-                               else pick(mine[i], theirs[i]))
 
     def result(self, spec: AggregateSpec, column_index: int):
         if self.count == 0:
@@ -119,21 +117,68 @@ def batch_accumulate(acc: Accumulator, batch: np.ndarray,
             acc.maxs[i] = hi
 
 
+def accumulator_rows(out_schema: Schema, key_columns: Sequence[str],
+                     specs: Sequence[AggregateSpec],
+                     groups: dict[bytes, Accumulator]) -> np.ndarray:
+    """One output row per ``key image -> accumulator`` entry, in dict order.
+
+    The key columns lead ``out_schema`` (the GROUP BY output layout), so
+    the joined key images decode as one column gather; each aggregate
+    column is then read off the accumulators.  A standalone aggregation
+    is the zero-key-column case.
+    """
+    out = out_schema.empty(len(groups))
+    if key_columns:
+        keys = out_schema.project(key_columns).from_bytes(b"".join(groups))
+        for name in key_columns:
+            out[name] = keys[name]
+    columns = value_columns(specs)
+    for spec in specs:
+        idx = columns.index(spec.column) if spec.column in columns else 0
+        out[spec.alias] = [acc.result(spec, idx) for acc in groups.values()]
+    return out
+
+
+#: How one aggregate's values fold within a group — and, equally, how a
+#: shard-local partial column merges across shards (partial counts add).
+#: ``avg`` never appears here: the software kernel divides a sum by a
+#: count and :func:`decompose_partials` rewrites it into that pair.
+_GROUP_FOLD = {
+    "count": np.add,
+    "sum": np.add,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+
+def fold_groups(func: str, values: np.ndarray, first: np.ndarray,
+                group: np.ndarray) -> np.ndarray:
+    """Left-fold ``values`` per group in row order, seeded with each
+    group's first value; ``(first, group)`` come from
+    :func:`~repro.common.records.first_occurrence`.
+
+    ``ufunc.at`` applies one element at a time, so a float sum
+    accumulates sequentially exactly as a per-row loop would.  Under
+    ``min``/``max`` a NaN sticks only when it is the group's first value
+    and is skipped afterwards — what ``v < current`` does in that loop,
+    and what the reference model defines.
+    """
+    out = values[first]
+    rest = np.ones(len(values), dtype=bool)
+    rest[first] = False
+    if func in ("min", "max"):
+        # ``x == x`` is false exactly on NaN: drop the rows of a NaN-seeded
+        # group and every later NaN, so the ufunc never compares one.
+        rest &= (values == values) & (out == out)[group]
+    _GROUP_FOLD[func].at(out, group[rest], values[rest])
+    return out
+
+
 # -- distributed partial aggregation ------------------------------------------
 
 #: Alias prefix for synthesized shard-local partial columns; reserved so it
 #: can never collide with user aliases or group-key names.
 PARTIAL_PREFIX = "__fvpart_"
-
-#: How a shard-local partial column merges across shards, keyed by the
-#: *shard* aggregate function that produced it.  ``avg`` never appears
-#: here: :func:`decompose_partials` rewrites it into sum + count.
-PARTIAL_MERGE = {
-    "count": lambda a, b: a + b,
-    "sum": lambda a, b: a + b,
-    "min": min,
-    "max": max,
-}
 
 
 @dataclass(frozen=True)
@@ -149,12 +194,13 @@ class PartialPlan:
     mode: str
     sources: tuple[str, ...]
 
-    def finalize(self, merged: dict):
-        """Final value of this aggregate from the merged partial columns."""
+    def finalize(self, merged: dict[str, np.ndarray]) -> np.ndarray:
+        """Final column of this aggregate from the merged partial columns
+        (one element per group)."""
         if self.mode == "direct":
             return merged[self.sources[0]]
         numerator, count = (merged[s] for s in self.sources)
-        if count == 0:
+        if not count.all():
             raise OperatorError(f"{self.spec.alias}: empty group in merge")
         return numerator / count
 
@@ -165,7 +211,7 @@ def decompose_partials(
     """Rewrite aggregates into shard-local partials that merge exactly.
 
     ``count``, ``sum``, ``min`` and ``max`` are already decomposable (the
-    per-shard partial merges with :data:`PARTIAL_MERGE`); ``avg`` is not —
+    per-shard partial merges with :func:`fold_groups`); ``avg`` is not —
     averages of averages are wrong under skew — so it is replaced by a
     synthesized ``sum`` + ``count(*)`` pair and recomputed at merge time.
 
@@ -210,8 +256,7 @@ class StandaloneAggregateOperator(RowOperator):
         if not specs:
             raise OperatorError("aggregation needs at least one spec")
         self.specs = list(specs)
-        self._value_columns = sorted(
-            {s.column for s in self.specs if not (s.func == "count" and s.column == "*")})
+        self._value_columns = value_columns(self.specs)
         self._acc = Accumulator(len(self._value_columns))
         self._out_schema: Schema | None = None
 
@@ -234,14 +279,9 @@ class StandaloneAggregateOperator(RowOperator):
 
     def flush(self) -> np.ndarray | None:
         assert self._out_schema is not None
-        if self._acc.count == 0:
-            return self._out_schema.empty(0)
-        row = self._out_schema.empty(1)
-        for spec in self.specs:
-            idx = (self._value_columns.index(spec.column)
-                   if spec.column in self._value_columns else 0)
-            row[spec.alias] = self._acc.result(spec, idx)
-        self.rows_out += 1
+        row = accumulator_rows(self._out_schema, (), self.specs,
+                               {b"": self._acc} if self._acc.count else {})
+        self.rows_out += len(row)
         return row
 
     def flush_cycles(self) -> int:

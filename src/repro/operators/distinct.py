@@ -9,8 +9,9 @@ deduplicated in software".
 
 Overflowed keys are emitted too (the hardware cannot suppress what it
 cannot remember) and the node surfaces ``overflow_keys`` so the client-side
-software dedup can be applied — the integration tests verify end-to-end
-exactness of that contract.
+software dedup — on these same key columns, first row wins — can be
+applied; the integration tests verify end-to-end exactness of that
+contract.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema
+from ..common.records import Schema, key_image
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -38,8 +39,6 @@ class DistinctOperator(RowOperator):
         self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
         self.duplicates_dropped = 0
         self.overflow_count = 0
-        self._schema: Schema | None = None
-        self._key_schema: Schema | None = None
         #: O(1) mirror of the keys resident in the cuckoo table (kept in
         #: lock-step with every put/overflow) so the streaming probe is one
         #: hash lookup instead of a four-way table walk.
@@ -48,38 +47,25 @@ class DistinctOperator(RowOperator):
     def _bind(self, schema: Schema) -> Schema:
         if self.key_columns is None:
             self.key_columns = list(schema.names)
-        for name in self.key_columns:
-            schema.column(name)  # validates
-        self._schema = schema
-        self._key_schema = schema.project(self.key_columns)
+        schema.project(self.key_columns)  # validates
         return schema
-
-    def _key_image(self, batch: np.ndarray) -> bytes:
-        """Serialized key columns, one fixed-width key per row."""
-        assert self._key_schema is not None
-        key_schema = self._key_schema
-        keys = key_schema.empty(len(batch))
-        for name in self.key_columns:
-            keys[name] = batch[name]
-        return key_schema.to_bytes(keys)
 
     def _process(self, batch: np.ndarray) -> np.ndarray:
         n = len(batch)
         if n == 0:
             return batch
-        raw = self._key_image(batch)
-        width = self._key_schema.row_width
+        image = key_image(batch, self.key_columns)
+        keys = image.tolist()
         # Hash every key for every way in one vectorized pass; the per-row
         # scan below then runs on O(1) dict/set operations only.
-        slots = self.table.batch_slots(raw, width)
+        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
         keep = np.zeros(n, dtype=bool)
         lru_probe = self.lru.lookup_or_insert
         resident = self._resident
         table = self.table
         overflow = table.overflow
         dropped = 0
-        for i in range(n):
-            key = raw[i * width:(i + 1) * width]
+        for i, key in enumerate(keys):
             if lru_probe(key) or key in resident:
                 dropped += 1
                 continue

@@ -24,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError, QueryError
-from ..common.records import Schema
-from .aggregate import Accumulator, AggregateSpec
+from ..common.records import Schema, key_image
+from .aggregate import (Accumulator, AggregateSpec, accumulator_rows,
+                        value_columns)
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -58,11 +59,7 @@ class GroupByOperator(RowOperator):
         #: (maintained through every put/overflow) so the per-tuple group
         #: lookup is one dict access instead of a four-way table walk.
         self._acc_mirror: dict[bytes, Accumulator] = {}
-        self._value_columns = sorted(
-            {s.column for s in self.aggregates
-             if not (s.func == "count" and s.column == "*")})
-        self._schema: Schema | None = None
-        self._key_schema: Schema | None = None
+        self._value_columns = value_columns(self.aggregates)
         self._out_schema: Schema | None = None
 
     # -- binding ---------------------------------------------------------------
@@ -80,8 +77,6 @@ class GroupByOperator(RowOperator):
         overlap = set(aliases) & set(self.key_columns)
         if overlap:
             raise OperatorError(f"aggregate aliases collide with keys: {overlap}")
-        self._schema = schema
-        self._key_schema = schema.project(self.key_columns)
         out_columns = ([schema.column(k) for k in self.key_columns]
                        + [s.output_column(schema) for s in self.aggregates])
         self._out_schema = Schema(out_columns)
@@ -89,17 +84,12 @@ class GroupByOperator(RowOperator):
 
     # -- streaming phase -----------------------------------------------------------
     def _process(self, batch: np.ndarray) -> np.ndarray:
-        assert self._schema is not None and self._key_schema is not None
-        n = len(batch)
-        keys = self._key_schema.empty(n)
-        for name in self.key_columns:
-            keys[name] = batch[name]
-        raw = self._key_schema.to_bytes(keys)
-        width = self._key_schema.row_width
-        if n:
+        assert self._out_schema is not None
+        if len(batch):
             # Vectorized: hash all keys per way up front, convert the value
             # columns to plain floats in one pass.
-            slots = self.table.batch_slots(raw, width)
+            image = key_image(batch, self.key_columns)
+            slots = self.table.batch_slots(image.data, image.dtype.itemsize)
             if self._value_columns:
                 values = np.column_stack(
                     [batch[name].astype(np.float64, copy=False)
@@ -107,11 +97,9 @@ class GroupByOperator(RowOperator):
             else:
                 values = None
             empty: tuple = ()
-            for i in range(n):
-                key = raw[i * width:(i + 1) * width]
+            for i, key in enumerate(image.tolist()):
                 row_values = tuple(values[i]) if values is not None else empty
                 self._update(key, row_values, slots[i])
-        assert self._out_schema is not None
         return self._out_schema.empty(0)
 
     def _update(self, key: bytes, row_values: tuple,
@@ -140,23 +128,14 @@ class GroupByOperator(RowOperator):
     # -- flush phase ------------------------------------------------------------------
     def flush(self) -> np.ndarray | None:
         assert self._out_schema is not None
-        rows = []
-        for key in self._insertion_queue:
-            acc = self._acc_mirror.get(key)
-            if acc is None:
-                continue  # lives in the overflow area; client merges it
-            rows.append((key, acc))
-        out = self._out_schema.empty(len(rows))
-        assert self._key_schema is not None
-        for i, (key, acc) in enumerate(rows):
-            key_row = self._key_schema.from_bytes(key)
-            for name in self.key_columns:
-                out[name][i] = key_row[name][0]
-            for spec in self.aggregates:
-                idx = (self._value_columns.index(spec.column)
-                       if spec.column in self._value_columns else 0)
-                out[spec.alias][i] = acc.result(spec, idx)
-        self.rows_out += len(rows)
+        # Groups missing from the mirror live in the overflow area; the
+        # client merges those.
+        resident = {key: self._acc_mirror[key]
+                    for key in self._insertion_queue
+                    if key in self._acc_mirror}
+        out = accumulator_rows(self._out_schema, self.key_columns,
+                               self.aggregates, resident)
+        self.rows_out += len(out)
         return out
 
     def flush_cycles(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import JoinBuildOverflowError, OperatorError
-from ..common.records import Column, Schema
+from ..common.records import Column, Schema, first_occurrence, key_image
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .hashing import key_words
@@ -47,28 +47,6 @@ def join_output_schema(probe_schema: Schema, build_schema: Schema,
         out_columns.append(Column(out_name, col.kind, col.width))
         existing.add(out_name)
     return Schema(out_columns)
-
-
-def key_image(rows: np.ndarray, column: str) -> np.ndarray:
-    """One key column as an owned array of raw fixed-width byte strings.
-
-    Keys match on these bytes, never on values: ``0.0`` and ``-0.0``
-    differ, a NaN equals its own bit pattern, and bytes after an embedded
-    NUL count.
-    """
-    col = rows[column].copy()
-    return col.view(f"V{col.dtype.itemsize}")
-
-
-def first_repeated_row(keys: list[bytes]) -> int | None:
-    """Index of the first row whose key repeats an earlier row's, or None
-    when every key is unique."""
-    n = len(keys)
-    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
-    if len(first) == n:
-        return None
-    rows = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=n)
-    return int((rows != np.arange(n)).argmax())
 
 
 def gather_join_output(out_schema: Schema, probe_rows: np.ndarray,
@@ -129,23 +107,24 @@ class SmallTableJoinOperator(RowOperator):
         """
         if self._built:
             raise OperatorError("build side already loaded")
-        image = key_image(rows, self.build_key)
+        image = key_image(rows, [self.build_key])
         keys = image.tolist()
         slots = self.table.batch_slots(image.data, self._key_width)
         # Errors surface in row order: rows before the first repeated key
         # may still overflow the table first.
-        repeat = first_repeated_row(keys)
+        first, group = first_occurrence(image)
+        repeated = np.flatnonzero(first[group] != np.arange(len(rows)))
         put = self.table.put
-        for i in range(len(rows) if repeat is None else repeat):
+        for i in range(repeated[0] if len(repeated) else len(rows)):
             if not put(keys[i], i, slots[i]):
                 raise JoinBuildOverflowError(
                     f"build side of {len(rows)} rows does not fit the "
                     f"on-chip hash ({self.table.capacity} slots); offload "
                     f"refused — execute the join on the client")
-        if repeat is not None:
+        if len(repeated):
             raise OperatorError(
-                f"duplicate build key at row {repeat}: the small table "
-                f"must have unique join keys")
+                f"duplicate build key at row {repeated[0]}: the small "
+                f"table must have unique join keys")
         self._owner = self.table.owner_image()
         self._build_words = key_words(image.data, self._key_width)
         self._payload = self._payload_schema.empty(len(rows))
@@ -172,7 +151,7 @@ class SmallTableJoinOperator(RowOperator):
         if not self._built:
             raise OperatorError("probe started before the build side loaded")
         assert self._out_schema is not None
-        raw = key_image(batch, self.probe_key).data
+        raw = key_image(batch, [self.probe_key]).data
         words = key_words(raw, self._key_width)
         # Parallel lookup: every way is one fancy index into the owner
         # image; a candidate is a match once its key words compare equal.

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.baselines.cpu_model import CostBreakdown, CpuCostModel
-from repro.baselines.hashmap import SoftwareHashMap
 from repro.baselines.lcpu import LcpuBaseline
 from repro.baselines.rcpu import RcpuBaseline
 from repro.baselines.rnic import RnicBaseline
+from repro.baselines.sql_model import _aggregate, _distinct
+from repro.baselines.sw_ops import (map_resizes, software_distinct,
+                                    software_groupby)
 from repro.common import calibration as cal
 from repro.common.config import CpuConfig
-from repro.common.errors import ConfigurationError, OperatorError
+from repro.common.errors import ConfigurationError
+from repro.common.records import Column, Schema
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.encryption_op import encrypt_table_image
 from repro.workloads.generator import (
@@ -23,51 +26,67 @@ from repro.workloads.generator import (
 KB = 1024
 
 
-# --- software hash map ----------------------------------------------------------
+# --- software grouping kernels ---------------------------------------------------
 
-def test_hashmap_put_get():
-    m = SoftwareHashMap()
-    assert m.put(b"a", 1)
-    assert not m.put(b"a", 2)  # update, not new
-    assert m.get(b"a") == 2
-    assert b"a" in m and b"b" not in m
-    assert len(m) == 1
-
-
-def test_hashmap_grows():
-    m = SoftwareHashMap(initial_slots=16)
-    for i in range(100):
-        m.put(f"key{i}".encode(), i)
-    assert len(m) == 100
-    assert m.resizes >= 3
-    assert m.rehashed_entries > 0
-    for i in range(100):
-        assert m.get(f"key{i}".encode()) == i
+@pytest.mark.parametrize("distinct, resizes", [
+    (0, 0), (13, 0), (14, 1), (27, 1), (28, 2), (55, 2), (56, 3), (100, 3),
+    (111, 3), (112, 4)])
+def test_map_resizes_follows_the_map_growth_rule(distinct, resizes):
+    """16 slots doubling at 7/8 load: the sequence the hand-rolled map
+    this closed form replaced produced key by key."""
+    assert map_resizes(distinct) == resizes
 
 
-def test_hashmap_items():
-    m = SoftwareHashMap()
-    m.put(b"x", 1)
-    m.put(b"y", 2)
-    assert dict(m.items()) == {b"x": 1, b"y": 2}
+GROUPING_SCHEMA = Schema([Column("k", "int64"), Column("f", "float64"),
+                          Column("s", "char", 6), Column("v", "int64"),
+                          Column("x", "float64")])
+NAN = float("nan")
 
 
-def test_hashmap_validates_slots():
-    with pytest.raises(OperatorError):
-        SoftwareHashMap(initial_slots=12)  # not power of two
+def grouping_rows(seed, n=400):
+    rng = np.random.default_rng(seed)
+    rows = GROUPING_SCHEMA.empty(n)
+    rows["k"] = rng.integers(-3, 4, n)
+    rows["f"] = rng.choice([0.0, -0.0, 1.5, NAN], n)
+    rows["s"] = rng.choice([b"ab", b"ab\0c", b"ab\0d", b""], n)
+    rows["v"] = rng.integers(-2**40, 2**40, n)
+    rows["x"] = rng.normal(size=n)
+    # A NaN as a group's first value (it sticks under min/max) and as a
+    # later member of another group (it is skipped).
+    rows["k"][:4] = [7, 8, 7, 8]
+    rows["x"][:4] = [NAN, 1.0, 2.0, NAN]
+    return rows
 
 
-def test_hashmap_matches_dict_oracle():
-    import random
-    rng = random.Random(42)
-    m = SoftwareHashMap()
-    oracle = {}
-    for _ in range(500):
-        k = f"k{rng.randrange(100)}".encode()
-        v = rng.randrange(1000)
-        m.put(k, v)
-        oracle[k] = v
-    assert dict(m.items()) == oracle
+@pytest.mark.parametrize("keys", [["k"], ["f"], ["s"], ["s", "k", "f"]])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_software_grouping_is_byte_equal_to_the_reference(keys, seed):
+    rows = grouping_rows(seed)
+    specs = [AggregateSpec("count", "*"), AggregateSpec("sum", "x"),
+             AggregateSpec("min", "x"), AggregateSpec("max", "x"),
+             AggregateSpec("avg", "v"), AggregateSpec("sum", "v"),
+             AggregateSpec("min", "v")]
+    _, expected = _aggregate(GROUPING_SCHEMA, rows, keys, specs)
+    grouped = software_groupby(rows, GROUPING_SCHEMA, keys, specs)
+    assert grouped.rows.tobytes() == expected.tobytes()
+    assert grouped.num_groups == len(expected)
+    assert grouped.map_resizes == map_resizes(len(expected))
+    expected = _distinct(GROUPING_SCHEMA, rows, keys)
+    distinct = software_distinct(rows, GROUPING_SCHEMA, keys)
+    assert distinct.rows.tobytes() == expected.tobytes()
+    assert distinct.map_resizes == map_resizes(len(expected))
+    if keys == ["k"]:
+        by_key = {int(r["k"]): r for r in grouped.rows}
+        assert np.isnan(by_key[7]["min_x"]) and np.isnan(by_key[7]["max_x"])
+        assert not np.isnan(by_key[8]["min_x"])
+
+
+def test_software_grouping_of_no_rows():
+    rows = GROUPING_SCHEMA.empty(0)
+    grouped = software_groupby(rows, GROUPING_SCHEMA, ["k"],
+                               [AggregateSpec("avg", "v")])
+    assert len(grouped.rows) == 0 and grouped.map_resizes == 0
+    assert len(software_distinct(rows, GROUPING_SCHEMA, ["k"]).rows) == 0
 
 
 # --- cost model --------------------------------------------------------------------

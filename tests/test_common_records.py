@@ -10,6 +10,8 @@ from repro.common.records import (
     Column,
     Schema,
     default_schema,
+    first_occurrence,
+    key_image,
     string_schema,
     wide_schema,
 )
@@ -170,3 +172,78 @@ def test_round_trip_property_char(blobs):
     # numpy S-columns strip trailing NULs; compare against that normal form
     for got, want in zip(back["s"], blobs):
         assert got == want.rstrip(b"\x00")[:16] or got == want[:16].rstrip(b"\x00")
+
+
+# --- the host's grouping kernel: key_image + first_occurrence ------------------
+
+#: key width -> (schema, key columns): a 1 B and a 512 B whole-row key (the
+#: block-copy path), an 8 B single column and a 24 B key of three
+#: non-adjacent columns (the packing path).
+KEYED = {
+    1: (Schema([Column("k", "char", 1)]), ("k",)),
+    8: (Schema([Column("k", "int64"), Column("v", "float64")]), ("k",)),
+    24: (Schema([Column("k", "int64"), Column("pad", "int64"),
+                 Column("f", "float64"), Column("s", "char", 8)]),
+         ("s", "k", "f")),
+    512: (wide_schema(512), wide_schema(512).names),
+}
+
+
+def check_kernel_against_dict(rows, columns):
+    """``first_occurrence(key_image(...))`` vs a plain python dict over the
+    concatenated column bytes of each row."""
+    images = [b"".join(rows[name][i:i + 1].tobytes() for name in columns)
+              for i in range(len(rows))]
+    index: dict[bytes, int] = {}
+    group = [index.setdefault(image, len(index)) for image in images]
+    keys = key_image(rows, columns)
+    assert keys.dtype.kind == "V" and not np.shares_memory(keys, rows)
+    assert keys.tolist() == images
+    first, got = first_occurrence(keys)
+    assert got.tolist() == group
+    assert first.tolist() == [group.index(g) for g in range(len(index))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_occurrence_matches_dict_oracle(data):
+    schema, columns = KEYED[data.draw(st.sampled_from(sorted(KEYED)))]
+    pool = data.draw(st.lists(
+        st.binary(min_size=schema.row_width, max_size=schema.row_width),
+        min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=48))
+    rows = schema.from_bytes(b"".join(pool[i] for i in picks))
+    check_kernel_against_dict(rows, columns)
+
+
+@pytest.mark.parametrize("width", sorted(KEYED))
+@pytest.mark.parametrize("shape", ["zero rows", "one row", "all equal",
+                                   "all distinct"])
+def test_first_occurrence_edge_shapes(width, shape):
+    schema, columns = KEYED[width]
+    n = {"zero rows": 0, "one row": 1}.get(shape, 32)
+    rows = schema.empty(n)
+    if shape == "all distinct":
+        rows[columns[0]] = (np.arange(n) if width > 1
+                            else [bytes([65 + i]) for i in range(n)])
+    check_kernel_against_dict(rows, columns)
+    first, group = first_occurrence(key_image(rows, columns))
+    distinct = n if shape == "all distinct" else min(n, 1)
+    assert len(first) == distinct and len(group) == n
+
+
+def test_keys_group_on_bytes_not_values():
+    schema = Schema([Column("f", "float64"), Column("s", "char", 4)])
+    rows = schema.empty(3)
+    # 0.0 == -0.0 as values; two bit patterns.
+    rows["f"] = [0.0, -0.0, 0.0]
+    assert first_occurrence(key_image(rows, ["f"]))[1].tolist() == [0, 1, 0]
+    # NaN != NaN as values; a NaN equals exactly its own bit pattern.
+    rows["f"] = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                          0x7FF8000000000000], dtype="<u8").view("<f8")
+    assert first_occurrence(key_image(rows, ["f"]))[1].tolist() == [0, 1, 0]
+    # A C string ends at the NUL; the key does not.
+    rows = schema.from_bytes(b"".join(
+        bytes(8) + s for s in (b"a\0b\0", b"a\0c\0", b"a\0b\0")))
+    assert first_occurrence(key_image(rows, ["s"]))[1].tolist() == [0, 1, 0]
+    check_kernel_against_dict(rows, ["f", "s"])

@@ -11,6 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.baselines.sql_model import _aggregate
+from repro.baselines.sw_ops import software_groupby
 from repro.common.errors import CatalogError, QueryError
 from repro.core import (
     ClusterClient,
@@ -22,6 +24,7 @@ from repro.core import (
     plan_scatter,
     shard_assignment,
 )
+from repro.core.cluster import merge_group_rows
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.experiments.common import EXPERIMENT_CONFIG
@@ -234,6 +237,37 @@ def test_group_by_all_aggregates_byte_identical(num_nodes):
     ref = single_node_result(schema, rows, query)
     got = cluster_result(schema, rows, query, num_nodes)
     assert sha(got.data) == sha(ref.schema.to_bytes(ref.rows()))
+
+
+@pytest.mark.parametrize("num_nodes", [2, 4])
+def test_merge_group_rows_nan_and_int_avg_cells(num_nodes):
+    """The merge kernel against the serial reference, then the pool end
+    to end: a NaN that is its group's first value sticks under min/max,
+    a later NaN is skipped, and avg over an int column is rebuilt from
+    exact int sum + count partials."""
+    schema, rows = groupby_workload(64 * num_nodes, 5, seed=3)
+    rows = rows.copy()
+    rows["a"] = np.arange(len(rows)) % 5
+    rows["b"] = np.arange(len(rows), dtype=np.float64)
+    rows["c"] = np.arange(len(rows), dtype=np.int64) * 7 % 101
+    rows["b"][0] = np.nan   # group 0: first value
+    rows["b"][6] = np.nan   # group 1: a later member, on the first shard
+    aggregates = (AggregateSpec("min", "b"), AggregateSpec("max", "b"),
+                  AggregateSpec("avg", "c"), AggregateSpec("sum", "c"),
+                  AggregateSpec("count", "*"))
+    _, expected = _aggregate(schema, rows, ["a"], list(aggregates))
+    assert np.isnan(expected["min_b"][0]) and np.isnan(expected["max_b"][0])
+    assert expected["min_b"][1] == 1.0
+    shard_specs, plans = decompose_partials(aggregates)
+    partials = np.concatenate([
+        software_groupby(chunk, schema, ["a"], shard_specs).rows
+        for chunk in np.array_split(rows, num_nodes)])
+    merged = merge_group_rows(partials, schema, ["a"], shard_specs, plans)
+    assert merged.tobytes() == expected.tobytes()
+    got = cluster_result(schema, rows,
+                         Query(group_by=("a",), aggregates=aggregates),
+                         num_nodes)
+    assert got.data == expected.tobytes()
 
 
 def test_selection_concat_byte_identical():

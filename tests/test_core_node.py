@@ -5,7 +5,9 @@ import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
 from repro.common.errors import ConnectionError_, RegionUnavailableError
-from repro.core.api import FarviewClient
+from repro.common.records import default_schema
+from repro.core.api import ClusterClient, FarviewClient
+from repro.core.cluster import FarviewCluster
 from repro.core.node import FarviewNode
 from repro.core.query import Query, RegexFilter, group_by_sum, select_distinct, select_star
 from repro.core.table import FTable
@@ -225,6 +227,45 @@ def test_groupby_overflow_merges_to_exactly_the_groups():
     assert len(got) == len(expected)
     assert dict(zip(got["a"].tolist(), got["sum_b"].tolist())) \
         == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("route", ["far_view", "far_view_planned", "N=2"])
+def test_subset_distinct_overflow_dedups_on_the_distinct_key(route):
+    """Regression: DISTINCT over a key *subset* re-emits overflowed keys
+    with different full rows; the client used to dedup on the whole row
+    and returned 200 rows for 40 keys.  It must return exactly the
+    first-seen row per key — through the plain verb, through the same
+    node result under an explain, and on two shards (merged on the key
+    all along; pinned)."""
+    config = FarviewConfig(
+        memory=SMALL_CONFIG.memory,
+        operator_stack=OperatorStackConfig(
+            cuckoo_tables=2, cuckoo_slots=4, cuckoo_max_kicks=2,
+            lru_depth_per_table=1))
+    schema = default_schema()
+    rows = schema.empty(256)
+    rows["a"] = np.arange(256) % 40
+    rows["b"] = np.arange(256, dtype=np.float64)
+    query = Query(distinct=True, distinct_columns=("a",))
+    if route == "N=2":
+        client = ClusterClient(FarviewCluster(Simulator(), 2, config))
+        client.open_connection()
+        table = client.create_table("D", schema, rows)
+        result, _ = client.far_view(table, query)
+        assert any(p.report.overflow_keys for p in result.parts)
+    else:
+        client = FarviewClient(FarviewNode(Simulator(), config))
+        client.open_connection()
+        table = upload(client, "D", schema, rows)
+        if route == "far_view":
+            result, _ = client.far_view(table, query)
+        else:
+            result, _ = client.far_view_planned(table, query,
+                                                placement="offload")
+            assert result.explain is not None
+        assert result.report.overflow_keys, "config did not force overflow"
+        assert len(schema.from_bytes(result.data)) > 40, "nothing leaked"
+    np.testing.assert_array_equal(result.rows(), rows[:40])
 
 
 def test_standalone_aggregation(client):

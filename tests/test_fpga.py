@@ -1,10 +1,9 @@
-"""FPGA fabric: clocks, dynamic regions, resource model (Table 1)."""
+"""FPGA fabric: dynamic regions, resource model (Table 1)."""
 
 import pytest
 
 from repro.common.config import OperatorStackConfig
 from repro.common.errors import ConfigurationError, OperatorError, RegionUnavailableError
-from repro.fpga.clock import MEMORY_CLOCK, OPERATOR_CLOCK, ClockDomain
 from repro.fpga.region import DynamicRegion, RegionManager, RegionState
 from repro.fpga.resource_model import (
     OPERATOR_COSTS,
@@ -18,35 +17,6 @@ from repro.fpga.resource_model import (
     system_cost,
 )
 from repro.sim.engine import Simulator
-
-
-# --- clocks --------------------------------------------------------------------
-
-def test_paper_clock_frequencies():
-    assert OPERATOR_CLOCK.freq_mhz == 250.0
-    assert MEMORY_CLOCK.freq_mhz == 300.0
-
-
-def test_cycle_conversions():
-    clk = ClockDomain("t", 250.0)
-    assert clk.cycle_ns == pytest.approx(4.0)
-    assert clk.cycles_to_ns(100) == pytest.approx(400.0)
-    assert clk.ns_to_cycles(400.0) == pytest.approx(100.0)
-
-
-def test_datapath_throughput():
-    # 64 B at 250 MHz = 16 bytes/ns = 16 GB/s (paper §4.5 datapath)
-    assert OPERATOR_CLOCK.throughput(64) == pytest.approx(16.0)
-
-
-def test_clock_validation():
-    with pytest.raises(ConfigurationError):
-        ClockDomain("bad", 0.0)
-    clk = ClockDomain("t", 100.0)
-    with pytest.raises(ConfigurationError):
-        clk.cycles_to_ns(-1)
-    with pytest.raises(ConfigurationError):
-        clk.throughput(0)
 
 
 # --- dynamic regions ----------------------------------------------------------

@@ -60,19 +60,6 @@ def test_accumulator_updates():
     assert acc.result(spec_count, 0) == 3
 
 
-def test_accumulator_merge():
-    a = Accumulator(1)
-    b = Accumulator(1)
-    a.update((5.0,))
-    b.update((1.0,))
-    b.update((9.0,))
-    a.merge(b)
-    assert a.count == 3
-    assert a.sums[0] == 15.0
-    assert a.mins[0] == 1.0
-    assert a.maxs[0] == 9.0
-
-
 def test_empty_accumulator_result_raises():
     with pytest.raises(OperatorError):
         Accumulator(1).result(AggregateSpec("sum", "x"), 0)

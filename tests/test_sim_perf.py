@@ -14,18 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.sw_ops import software_distinct, software_groupby
 from repro.common.config import FarviewConfig, MemoryConfig
-from repro.common.records import Column, Schema, default_schema
+from repro.common.records import (Column, Schema, default_schema,
+                                  first_occurrence, key_image, wide_schema)
 from repro.common.units import MB
 from repro.core.api import FarviewClient
+from repro.core.cluster import merge_group_rows
 from repro.core.node import FarviewNode
 from repro.core.query import select_distinct
 from repro.core.table import FTable
 from repro.memory.mmu import DEFAULT_BURST_BYTES
+from repro.operators.aggregate import AggregateSpec, decompose_partials
 from repro.operators.base import OperatorPipeline
 from repro.operators.join import SmallTableJoinOperator
 from repro.sim.engine import Simulator
-from repro.workloads.generator import distinct_workload
+from repro.workloads.generator import (distinct_workload, groupby_workload,
+                                       make_rows)
 
 KB = 1024
 
@@ -101,6 +106,13 @@ def test_run_is_deterministic():
     assert a["digests"] == b["digests"]
 
 
+def _calls_into(profile, package: str) -> int:
+    """Python-level calls the profile recorded into files under ``package``."""
+    return sum(nc for (filename, _, _), (_, nc, _, _, _)
+               in pstats.Stats(profile).stats.items()
+               if package in filename.replace("\\", "/"))
+
+
 # -- the join stays array-resident ---------------------------------------------
 
 def test_join_python_call_budget():
@@ -142,19 +154,79 @@ def test_join_python_call_budget():
     assert (op.build_rows_loaded, op.rows_in, op.rows_out,
             op.probe_matches) == (build_rows, probe_rows, len(expected),
                                   len(expected))
-    calls = sum(
-        nc for (filename, _, _), (_, nc, _, _, _)
-        in pstats.Stats(profile).stats.items()
-        if "/repro/operators/" in filename.replace("\\", "/"))
+    calls = _calls_into(profile, "/repro/operators/")
     assert 0 < calls < 8 * build_rows + 200 * len(bursts)
     assert wall < 5.0   # ~0.1 s under the profiler; slack for slow CI
+
+
+# -- host-side grouping stays one array transform ------------------------------
+
+def test_host_grouping_python_call_budget():
+    """A shipped GROUP BY + DISTINCT over 65,536 rows and a 4-shard group
+    merge make O(columns) Python-level calls into ``repro``, not O(rows):
+    the hand-rolled map and per-row accumulators made 4+ calls per row
+    into ``repro.baselines`` alone."""
+    schema, rows = groupby_workload(65_536, 1_000, seed=5)
+    specs = [AggregateSpec("count", "*"), AggregateSpec("sum", "b"),
+             AggregateSpec("min", "c"), AggregateSpec("avg", "c")]
+    shard_specs, plans = decompose_partials(specs)
+    profile = cProfile.Profile()
+    profile.enable()
+    grouped = software_groupby(rows, schema, ["a"], specs)
+    distinct = software_distinct(rows, schema, ["a"])
+    partials = np.concatenate([
+        software_groupby(chunk, schema, ["a"], shard_specs).rows
+        for chunk in np.array_split(rows, 4)])
+    merged = merge_group_rows(partials, schema, ["a"], shard_specs, plans)
+    profile.disable()
+    assert grouped.num_groups == len(distinct.rows) == len(merged) == 1_000
+    for name in ("a", "count_star", "min_c", "avg_c"):
+        np.testing.assert_array_equal(merged[name], grouped.rows[name])
+    np.testing.assert_allclose(merged["sum_b"], grouped.rows["sum_b"])
+    assert 0 < _calls_into(profile, "/repro/") < 400
+
+
+def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
+    """16,384 x 512 B rows deduplicated on the whole row — the client's
+    overflow fallback at ``scan_stream`` width — must not lose to the
+    per-row ``set`` loop the kernel replaced (a sort-based ``np.unique``
+    over 512 B void keys does, 2-5x)."""
+    schema = wide_schema(512)
+    rows = make_rows(schema, 16_384, seed=9)
+    rows[1::2] = rows[0::2]
+
+    def loop():
+        seen, keep = set(), np.zeros(len(rows), dtype=bool)
+        for i in range(len(rows)):
+            image = rows[i].tobytes()
+            if image not in seen:
+                seen.add(image)
+                keep[i] = True
+        return rows[keep]
+
+    def kernel():
+        return rows[first_occurrence(key_image(rows, schema.names))[0]]
+
+    def best_of(fn, repeats=5):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            out = fn()
+            best = min(best, time.perf_counter() - start)
+        return out, best
+
+    expected, loop_s = best_of(loop)
+    got, kernel_s = best_of(kernel)
+    assert len(got) == 8_192 and got.tobytes() == expected.tobytes()
+    assert kernel_s < 1.5 * loop_s   # ~0.4x measured; slack for noise
 
 
 def test_one_hash_one_probe_in_src():
     """The scalar hash twin and the unhashed-probe branches stay deleted
     — and so do the forked scan verb, the per-strategy build-placement
-    caches, the second scatter, and the four table-handle classes and
-    second client body behind them (code and docs)."""
+    caches, the second scatter, the four table-handle classes and second
+    client body behind them, and the host's hand-rolled hash map with its
+    five sibling key-grouping mechanisms (code and docs)."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -167,7 +239,10 @@ def test_one_hash_one_probe_in_src():
                                "VersionedShard", "TableShard", "ShardedTable",
                                "_ClientCore", "_versioned_type",
                                "is_versioned_handle",
-                               "_require_cluster_build"))):
+                               "_require_cluster_build", "SoftwareHashMap",
+                               "iter_key_groups", "first_repeated_row",
+                               "PARTIAL_MERGE", "rehashed_entries",
+                               "__meta__"))):
         for root in roots:
             for path in (repo / root).rglob("*.*"):
                 if path.suffix not in (".py", ".md"):
