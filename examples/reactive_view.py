@@ -8,6 +8,10 @@ example registers a GROUP BY view over an orders table, streams mixed
 insert / update / delete commits through it — compacting the chain
 mid-stream — and checks after every commit that the incrementally
 maintained image is byte-identical to a full rescan at the same epoch.
+A second view beside it — a filtered join with an expression aggregate
+over a small plain ``regions`` table — runs every kind of circuit stage
+(mask, map, join, group) and is checked against ``client.sql()`` of the
+same statement: the engine is the oracle.
 
 Run:  python examples/reactive_view.py
 """
@@ -18,6 +22,7 @@ from repro.common.records import Column, Schema
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
+from repro.core.zset import ZSet
 from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
 
@@ -30,6 +35,15 @@ SCHEMA = Schema([
 VIEW_SQL = ("SELECT region, COUNT(*) AS n, SUM(price) AS revenue "
             "FROM orders GROUP BY region")
 
+REGIONS = Schema([
+    Column("region", "int64"),
+    Column("tax", "float64"),
+])
+
+TAXED_SQL = ("SELECT orders.region, SUM(price * tax) AS taxed "
+             "FROM orders JOIN regions ON orders.region = regions.region "
+             "WHERE price < 90.0 GROUP BY orders.region")
+
 
 def make_orders(n: int, seed: int = 23) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -39,6 +53,20 @@ def make_orders(n: int, seed: int = 23) -> np.ndarray:
     # Dyadic prices keep the incremental SUM bit-exact.
     rows["price"] = rng.integers(1, 400, n) * 0.25
     return rows
+
+
+def make_regions() -> np.ndarray:
+    rows = REGIONS.empty(4)
+    rows["region"] = np.arange(4)
+    rows["tax"] = 1.0 + 0.25 * np.arange(4)     # dyadic, like the prices
+    return rows
+
+
+def sql_sha256(client, sql: str) -> str:
+    """sha256 of the sorted row images the engine returns for ``sql`` —
+    the canonical form a view hashes."""
+    result, _ = client.sql(sql)
+    return ZSet.from_rows(result.schema, result.rows()).sha256()
 
 
 def show(view) -> None:
@@ -61,6 +89,13 @@ def main() -> None:
           f"{to_us(elapsed):.1f} us simulated")
     show(view)
 
+    client.create_table("regions", REGIONS, make_regions())
+    taxed, _ = client.create_view(TAXED_SQL, name="taxed_by_region")
+    client.subscribe(taxed)  # an unsubscribed view does not advance
+    stages = ", ".join(type(stage).__name__
+                       for stage in taxed.circuit.stages)
+    print(f"view {taxed.name!r} beside it: {stages}")
+
     next_id = orders.num_rows
     for round_index in range(4):
         batch = make_orders(256, seed=100 + round_index)
@@ -82,6 +117,9 @@ def main() -> None:
               f"{sub.updates_received} pushes, "
               f"{sub.rows_pushed} delta rows pushed "
               f"({sub.bytes_pushed} bytes) — matches rescan")
+        assert taxed.sha256() == sql_sha256(client, TAXED_SQL)
+        print(f"         {taxed.name!r}: {taxed.num_rows} rows — matches "
+              f"client.sql() of the same statement")
 
     print("\nfinal view (incremental == rescan at every epoch):")
     show(view)

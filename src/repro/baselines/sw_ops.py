@@ -192,12 +192,7 @@ def software_limit(rows: np.ndarray, count: int) -> np.ndarray:
 def software_regex(rows: np.ndarray, column: str,
                    pattern: str) -> np.ndarray:
     """RE2-equivalent filter over a char column."""
-    regex = CompiledRegex(pattern)
-    keep = np.zeros(len(rows), dtype=bool)
-    values = rows[column]
-    for i in range(len(rows)):
-        keep[i] = regex.search(bytes(values[i]))
-    return rows[keep]
+    return rows[CompiledRegex(pattern).search_column(rows[column])]
 
 
 def software_decrypt(image: bytes, key: bytes, nonce: bytes) -> bytes:

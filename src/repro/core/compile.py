@@ -157,13 +157,15 @@ _REGEX_META = set(".^$*+?()[]{}|\\")
 
 
 def like_to_regex(pattern: str) -> str:
-    """Translate a SQL LIKE pattern into our regex syntax (full match)."""
+    """Translate a SQL LIKE pattern into our regex syntax (full match).
+    ``%`` and ``_`` match any byte, a newline included — the engine's
+    ``.`` does not."""
     out = ["^"]
     for ch in pattern:
         if ch == "%":
-            out.append(".*")
+            out.append("[\\s\\S]*")
         elif ch == "_":
-            out.append(".")
+            out.append("[\\s\\S]")
         elif ch in _REGEX_META:
             out.append("\\" + ch)
         else:

@@ -327,6 +327,16 @@ def eval_expr(expr: Expr, rows: np.ndarray, schema: Schema) -> np.ndarray:
     raise QueryError(f"cannot evaluate {type(expr).__name__} as a value")
 
 
+def eval_items(items, rows: np.ndarray, schema: Schema,
+               out_schema: Schema) -> np.ndarray:
+    """Expression projection: every ``(expr, column)`` of ``items``
+    evaluated over ``rows`` into a fresh ``out_schema`` array."""
+    out = out_schema.empty(len(rows))
+    for expr, column in items:
+        out[column] = eval_expr(expr, rows, schema)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # SQL rendering (the round-trip direction)
 # ---------------------------------------------------------------------------

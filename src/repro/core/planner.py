@@ -72,7 +72,7 @@ from .cluster import aggregate_output_schema, group_output_schema
 from .cost_model import (HASHMAP_GROWTH_THRESHOLD, CardinalityStep,
                          PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, join_build_profile)
-from .ir import eval_expr
+from .ir import eval_items
 from .pipeline_compiler import compile_query
 from .query import Query
 from .table import FTable
@@ -462,10 +462,7 @@ def run_client_kernel(name: str, op, rows: np.ndarray, schema: Schema,
         return software_project(rows, schema, columns), schema.project(columns)
     if name == "eval":
         cost.add("project", cpu.select_ns(n))
-        out = op.schema.empty(n)
-        for expr, column in op.items:
-            out[column] = eval_expr(expr, rows, schema)
-        return out, op.schema
+        return eval_items(op.items, rows, schema, op.schema), op.schema
     if name == "distinct":
         output = software_distinct(
             rows, schema, list(op.distinct_columns or schema.names))

@@ -8,20 +8,36 @@ of incremental operators and maintains the registered views by pushing
 only the committed deltas through it, DBSP-style, instead of rescanning
 the base relation:
 
-* **Linear operators** (regex, selection, projection, expression
-  evaluation) distribute over Z-set addition — they map each delta
-  independently, with no state at all.
+* **Linear operators** distribute over Z-set addition — they map each
+  delta independently, with no state at all — and come in two shapes:
+  a *mask* stage (regex, selection) keeps or drops delta entries as
+  they are, a *map* stage (projection, expression evaluation) re-images
+  the kernel's output rows and carries the weights across.
 * **DISTINCT** keeps per-row multiplicities and emits ``+1`` only on a
   0→positive transition and ``-1`` only on a →0 transition.
-* **GROUP BY / aggregates** keep the weighted member set per group and
-  re-emit the group's output row (retract old, insert new) whenever a
-  delta touches it, using the exact arithmetic of the serial reference
-  model (:mod:`repro.baselines.sql_model`).
+* **GROUP BY / aggregates** keep the weighted member multiset per group
+  and, whenever a delta touches a group, re-fold its members and re-emit
+  the group's output row (retract old, insert new).
 * **JOIN** applies the bilinear chain rule
   ``Δ(R ⋈ S) = ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS`` against incrementally
   maintained key indexes of both sides.  Static (non-versioned) build
   sides are loaded once at bootstrap and ``ΔS`` stays empty forever;
   versioned build sides are tracked like the base.
+
+**A circuit computes nothing of its own.**  It keeps what is
+incremental — weights, multiplicities, member multisets, key indexes —
+and every value a stage emits comes from the kernel the client's ship /
+hybrid / compiled-SQL tails run for the same step
+(:func:`~repro.core.planner.run_client_kernel`):
+:meth:`Predicate.evaluate <repro.operators.selection.Predicate.evaluate>`,
+:meth:`CompiledRegex.search_column
+<repro.operators.regex_engine.CompiledRegex.search_column>`,
+:func:`~repro.baselines.sw_ops.software_project`,
+:func:`~repro.core.ir.eval_items`,
+:func:`~repro.baselines.sw_ops.software_groupby` and
+:func:`~repro.baselines.sw_ops.software_aggregate`.  A view therefore
+returns — and refuses — exactly what ``sql()`` of the same statement
+does.
 
 **Bootstrap is one circuit step.**  A view starts from an
 epoch-consistent MVCC snapshot of every versioned input, fed through the
@@ -32,12 +48,13 @@ refresh advances it by exactly the committed segments, so the cumulative
 materialization stays sha256-identical to a full rescan at the same
 epoch (the conformance suite pins this cell by cell).
 
-Exactness caveat: float SUM/AVG accumulation order differs between an
-incremental fold and a full rescan.  Byte-identity to the rescan is
-guaranteed when aggregated float values are dyadic rationals (multiples
-of 2^-k, e.g. ``n * 0.25``) whose sums stay below 2^53 — the convention
-all repo workloads follow; arbitrary floats converge mathematically but
-may differ in the last ulp.
+Exactness caveat: a group is re-folded in member-arrival order, a full
+rescan folds in row order, so float SUM/AVG association differs (and a
+member of weight *w* is added *w* times, not multiplied once).
+Byte-identity to the rescan is guaranteed when aggregated float values
+are dyadic rationals (multiples of 2^-k, e.g. ``n * 0.25``) whose sums
+stay below 2^53 — the convention all repo workloads follow; arbitrary
+floats converge mathematically but may differ in the last ulp.
 
 The sim-facing half (who reads segment bytes, what it costs, when
 refreshes run) lives in :mod:`repro.core.api`; everything here is pure
@@ -46,83 +63,29 @@ bookkeeping and runs inside one simulator event.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from ..baselines.sw_ops import (software_aggregate, software_groupby,
+                                software_project)
 from ..common.errors import QueryError
 from ..common.records import Schema, key_image
-from ..operators.aggregate import AggregateSpec, value_columns
+from ..operators.aggregate import AggregateSpec
 from ..operators.join import join_output_schema
-from ..operators.selection import And, Compare, Not, Or, Predicate
-from .compile import (BoundAggregate, BoundDistinct, BoundEval, BoundFilter,
-                      BoundLimit, BoundSelect, BoundSort)
-from .ir import Arith, Col, Lit
-from .query import Query
+from ..operators.regex_engine import CompiledRegex
+from .cluster import group_output_schema
+from .compile import BoundArm, BoundSelect
+from .ir import eval_items
+from .planner import operator_chain
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
                          VersionChain, delete_schema, delta_schema)
-from .zset import ZSet, row_images
+from .zset import ZSet
 
 __all__ = ["ChainTracker", "Circuit", "MaterializedView", "RefreshStats",
            "Subscription", "ViewCatalog", "compile_circuit"]
-
-
-# -- scalar evaluation (mirrors baselines/sql_model.py exactly) ---------------
-
-def _pred_row(pred: Predicate, row) -> bool:
-    if isinstance(pred, Compare):
-        value = pred.value
-        if isinstance(value, str):
-            value = value.encode()
-        x = row[pred.column]
-        if pred.op == "<":
-            return bool(x < value)
-        if pred.op == "<=":
-            return bool(x <= value)
-        if pred.op == ">":
-            return bool(x > value)
-        if pred.op == ">=":
-            return bool(x >= value)
-        if pred.op == "==":
-            return bool(x == value)
-        if pred.op == "!=":
-            return bool(x != value)
-        raise QueryError(f"unknown comparison {pred.op!r}")
-    if isinstance(pred, And):
-        return _pred_row(pred.left, row) and _pred_row(pred.right, row)
-    if isinstance(pred, Or):
-        return _pred_row(pred.left, row) or _pred_row(pred.right, row)
-    if isinstance(pred, Not):
-        return not _pred_row(pred.inner, row)
-    raise QueryError(f"unknown predicate node {type(pred).__name__}")
-
-
-def _eval_scalar(expr, row):
-    if isinstance(expr, Col):
-        return row[expr.name]
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Arith):
-        left = _eval_scalar(expr.left, row)
-        right = _eval_scalar(expr.right, row)
-        if expr.op == "/":
-            return float(left) / float(right)
-        is_float = any(isinstance(v, (float, np.floating))
-                       for v in (left, right))
-        if is_float:
-            left, right = float(left), float(right)
-        else:
-            left, right = int(left), int(right)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raise QueryError(f"unknown arithmetic op {expr.op!r}")
-    raise QueryError(f"unknown expression node {type(expr).__name__}")
 
 
 # -- circuit stages -----------------------------------------------------------
@@ -135,88 +98,40 @@ class _Stage:
     def apply(self, delta: ZSet) -> ZSet:
         raise NotImplementedError
 
-    @property
-    def state_entries(self) -> int:
-        """Rows of operator state held (0 for linear stages)."""
-        return 0
 
+class MaskStage(_Stage):
+    """Linear: ``mask(rows)`` keeps or drops each delta entry unchanged.
 
-class FilterStage(_Stage):
-    """Linear: a predicate keeps or drops each delta entry unchanged."""
+    The delta is decoded once and the surviving entries keep the image
+    and weight they arrived with (:meth:`ZSet.decode` is in dict order,
+    so the mask lines up with the entries) — nothing is re-encoded.
+    """
 
-    def __init__(self, schema: Schema, predicate: Predicate):
-        predicate.validate(schema)
+    def __init__(self, schema: Schema,
+                 mask: Callable[[np.ndarray], np.ndarray]):
         self.out_schema = schema
-        self.predicate = predicate
+        self.mask = mask
 
     def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        images = list(delta.weights)
-        rows, weights = delta.decode()
-        for i, image in enumerate(images):
-            if _pred_row(self.predicate, rows[i]):
-                out.add(image, int(weights[i]))
-        return out
+        rows, _ = delta.decode()
+        return ZSet(self.out_schema,
+                    dict(compress(delta, self.mask(rows).tolist())))
 
 
-class RegexStage(_Stage):
-    """Linear: char-column regex filter (LIKE / REGEXP)."""
+class MapStage(_Stage):
+    """Linear: ``kernel(rows)`` computes each output row; the weights
+    carry across (distinct inputs may merge into one output row)."""
 
-    def __init__(self, schema: Schema, column: str, pattern: str):
-        if schema.column(column).kind != "char":
-            raise QueryError(f"regex column {column!r} must be char")
-        self.out_schema = schema
-        self.column = column
-        self.pattern = re.compile(pattern.encode(), re.DOTALL)
-
-    def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        images = list(delta.weights)
-        rows, weights = delta.decode()
-        values = rows[self.column]
-        for i, image in enumerate(images):
-            if self.pattern.search(bytes(values[i])) is not None:
-                out.add(image, int(weights[i]))
-        return out
-
-
-class ProjectStage(_Stage):
-    """Linear: column projection (may merge distinct inputs)."""
-
-    def __init__(self, schema: Schema, columns: tuple[str, ...]):
-        self.in_schema = schema
-        self.columns = tuple(columns)
-        self.out_schema = schema.project(list(columns))
+    def __init__(self, out_schema: Schema,
+                 kernel: Callable[[np.ndarray], np.ndarray]):
+        self.out_schema = out_schema
+        self.kernel = kernel
 
     def apply(self, delta: ZSet) -> ZSet:
         out = ZSet(self.out_schema)
         rows, weights = delta.decode()
-        projected = self.out_schema.empty(len(rows))
-        for name in self.columns:
-            projected[name] = rows[name]
-        for image, weight in zip(row_images(self.out_schema, projected),
-                                 weights.tolist()):
-            out.add(image, weight)
-        return out
-
-
-class EvalStage(_Stage):
-    """Linear: expression projection (the BoundEval client kernel)."""
-
-    def __init__(self, items: tuple, schema: Schema):
-        self.items = items
-        self.out_schema = schema
-
-    def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        rows, weights = delta.decode()
-        evaluated = self.out_schema.empty(len(rows))
-        for expr, name in self.items:
-            col = evaluated[name]
-            for i in range(len(rows)):
-                col[i] = _eval_scalar(expr, rows[i])
-        for image, weight in zip(row_images(self.out_schema, evaluated),
-                                 weights.tolist()):
+        images = key_image(self.kernel(rows), self.out_schema.names)
+        for image, weight in zip(images.tolist(), weights.tolist()):
             out.add(image, weight)
         return out
 
@@ -247,40 +162,27 @@ class DistinctStage(_Stage):
                 out.add(image, -1)
         return out
 
-    @property
-    def state_entries(self) -> int:
-        return len(self.multiplicity)
-
 
 class GroupStage(_Stage):
     """Stateful GROUP BY / aggregation.
 
     Keeps the weighted member multiset per group key; a delta touching a
     group retracts its old output row and emits the recomputed one.  The
-    per-group arithmetic (count = Σw, sum = Σ w·float(v), min/max over
-    members, avg = sum/count in float) matches the reference model's
-    kernels value for value.  An empty ``group_by`` is the global
-    (ungrouped) aggregate: one pseudo-group keyed ``b""`` whose output
-    row disappears when the input empties — exactly the model's
-    zero-row result.
+    stage holds no arithmetic of its own: a group's output row is what
+    the client's aggregation kernel returns over the group's members,
+    each repeated ``weight`` times — :func:`software_groupby` for a
+    grouped statement, :func:`software_aggregate` for the global
+    (ungrouped) one, which is one pseudo-group keyed ``b""`` whose output
+    row disappears when the input empties — exactly the model's zero-row
+    result.
     """
 
     def __init__(self, schema: Schema, group_by: tuple[str, ...],
                  aggregates: tuple[AggregateSpec, ...]):
         self.in_schema = schema
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
-        self.value_columns = value_columns(aggregates)
-        if self.group_by:
-            self.key_schema: Optional[Schema] = Schema(
-                [schema.column(k) for k in self.group_by])
-            self.out_schema = Schema(
-                [schema.column(k) for k in self.group_by]
-                + [s.output_column(schema) for s in aggregates])
-        else:
-            self.key_schema = None
-            self.out_schema = Schema(
-                [s.output_column(schema) for s in aggregates])
+        self.group_by = list(group_by)
+        self.aggregates = list(aggregates)
+        self.out_schema = group_output_schema(schema, group_by, aggregates)
         #: group key image -> {member row image -> weight}
         self.groups: dict[bytes, dict[bytes, int]] = {}
 
@@ -288,44 +190,20 @@ class GroupStage(_Stage):
         members = self.groups.get(key)
         if not members:
             return None
-        images = list(members)
-        weights = [members[image] for image in images]
-        if any(w < 0 for w in weights):
+        weights = np.fromiter(members.values(), dtype=np.int64,
+                              count=len(members))
+        if (weights < 0).any():
             raise QueryError(
                 "group state went negative: a delta retracted a row the "
                 "view never saw (corrupt chain)")
-        rows = self.in_schema.from_bytes(b"".join(images), copy=True)
-        count = sum(weights)
-        sums = [0.0] * len(self.value_columns)
-        mins: list[Optional[float]] = [None] * len(self.value_columns)
-        maxs: list[Optional[float]] = [None] * len(self.value_columns)
-        for i, weight in enumerate(weights):
-            for j, name in enumerate(self.value_columns):
-                v = float(rows[name][i])
-                sums[j] += weight * v
-                if mins[j] is None or v < mins[j]:
-                    mins[j] = v
-                if maxs[j] is None or v > maxs[j]:
-                    maxs[j] = v
-        out = self.out_schema.empty(1)
-        if self.key_schema is not None:
-            key_row = self.key_schema.from_bytes(key, copy=True)
-            for name in self.group_by:
-                out[name][0] = key_row[name][0]
-        for spec in self.aggregates:
-            j = (self.value_columns.index(spec.column)
-                 if spec.column in self.value_columns else 0)
-            if spec.func == "count":
-                out[spec.alias][0] = count
-            elif spec.func == "sum":
-                out[spec.alias][0] = sums[j]
-            elif spec.func == "avg":
-                out[spec.alias][0] = sums[j] / count
-            elif spec.func == "min":
-                out[spec.alias][0] = mins[j]
-            else:
-                out[spec.alias][0] = maxs[j]
-        return row_images(self.out_schema, out)[0]
+        rows = np.repeat(self.in_schema.from_bytes(b"".join(members)),
+                         weights)
+        if self.group_by:
+            out = software_groupby(rows, self.in_schema, self.group_by,
+                                   self.aggregates).rows
+        else:
+            out = software_aggregate(rows, self.in_schema, self.aggregates)
+        return key_image(out, self.out_schema.names).tolist()[0]
 
     def apply(self, delta: ZSet) -> ZSet:
         out = ZSet(self.out_schema)
@@ -352,10 +230,6 @@ class GroupStage(_Stage):
             if new is not None:
                 out.add(new, 1)
         return out
-
-    @property
-    def state_entries(self) -> int:
-        return sum(len(m) for m in self.groups.values())
 
 
 class JoinStage(_Stage):
@@ -483,11 +357,6 @@ class JoinStage(_Stage):
     def apply(self, delta: ZSet) -> ZSet:
         return self.step(delta, None)
 
-    @property
-    def state_entries(self) -> int:
-        return (sum(len(s) for s in self.build_index.values())
-                + sum(len(s) for s in self.probe_index.values()))
-
 
 # -- circuit compilation ------------------------------------------------------
 
@@ -525,96 +394,42 @@ class Circuit:
     def depth(self) -> int:
         return max(1, len(self.stages))
 
-    @property
-    def state_entries(self) -> int:
-        return sum(stage.state_entries for stage in self.stages)
+
+#: Build-side scans must stay linear to be maintainable.
+_ARM_STEPS = ("regex", "selection", "projection")
 
 
-def _query_stages(query: Query, schema: Schema, *, head: bool,
-                  dynamic_tables: dict[str, object],
-                  static_loads: list[tuple[JoinStage, object]],
-                  base_name: str) -> tuple[list[_Stage], Schema]:
-    """Lower one offloadable Query into stages, in the engine's fixed
-    operator order (regex → selection → join → projection → distinct |
-    group-by).  Arm sub-queries (``head=False``) may only carry the
-    linear prefix the binder pushes down."""
-    if query.decrypt_input or query.encrypt_output is not None:
-        raise QueryError("encrypted tables cannot back a materialized "
-                         "view: deltas must be readable client-side")
-    stages: list[_Stage] = []
-    if query.regex is not None:
-        stage = RegexStage(schema, query.regex.column, query.regex.pattern)
-        stages.append(stage)
-    if query.predicate is not None:
-        stages.append(FilterStage(schema, query.predicate))
-    if query.join is not None:
-        if not head:
-            raise QueryError("nested joins inside a build-side scan are "
-                             "not maintainable")
-        stage = _make_join_stage(schema, query.join.build_table,
-                                 query.join.build_key, query.join.probe_key,
-                                 tuple(query.join.payload), None,
-                                 dynamic_tables, static_loads, base_name)
-        stages.append(stage)
-        schema = stage.out_schema
-    if query.projection is not None:
-        stage = ProjectStage(schema, tuple(query.projection))
-        stages.append(stage)
-        schema = stage.out_schema
-    if query.distinct:
-        if query.distinct_columns is not None and (
-                set(query.distinct_columns) != set(schema.names)):
-            raise QueryError(
-                "DISTINCT over a proper column subset keeps the first-seen "
-                "full row — an arrival-order-dependent result no "
-                "incremental view can maintain; project the key columns "
-                "first")
-        stages.append(DistinctStage(schema))
-    if query.group_by is not None or query.aggregates:
-        if not head:
-            raise QueryError("aggregates inside a build-side scan are not "
-                             "maintainable")
-        stage = GroupStage(schema, tuple(query.group_by or ()),
-                           tuple(query.aggregates))
-        stages.append(stage)
-        schema = stage.out_schema
-    return stages, schema
-
-
-def _make_join_stage(probe_schema: Schema, build_handle, build_key: str,
-                     probe_key: str, payload: tuple[str, ...],
-                     arm_query: Optional[Query],
-                     dynamic_tables: dict[str, object],
-                     static_loads: list[tuple[JoinStage, object]],
-                     base_name: str) -> JoinStage:
-    build_name = build_handle.name
-    dynamic = build_handle.versioned
-    prestages: tuple[_Stage, ...] = ()
-    if arm_query is not None:
-        sub, _ = _query_stages(arm_query, build_handle.schema, head=False,
-                               dynamic_tables=dynamic_tables,
-                               static_loads=static_loads,
-                               base_name=base_name)
-        if any(not isinstance(s, (RegexStage, FilterStage, ProjectStage))
-               for s in sub):
-            raise QueryError("build-side scans must stay linear "
-                             "(regex/filter/projection) to be maintainable")
-        prestages = tuple(sub)
-    stage = JoinStage(probe_schema, build_handle.schema, build_name,
-                      build_key, probe_key, payload, dynamic, prestages)
-    if dynamic:
-        if build_name == base_name or build_name in dynamic_tables:
-            raise QueryError(
-                f"versioned table {build_name!r} feeds this view twice; "
-                f"each delta chain may drive at most one circuit input")
-        dynamic_tables[build_name] = build_handle
-    else:
-        static_loads.append((stage, build_handle))
-    return stage
+def _linear_stage(name: str, op, schema: Schema) -> _Stage:
+    """The mask or map stage of one linear step, computing with the
+    kernel :func:`~repro.core.planner.run_client_kernel` runs for the
+    same ``(name, op)``."""
+    if name == "regex":
+        regex = CompiledRegex(op.regex.pattern)
+        return MaskStage(
+            schema, lambda rows: regex.search_column(rows[op.regex.column]))
+    if name == "selection":
+        return MaskStage(schema, op.predicate.evaluate)
+    if name == "projection":
+        columns = list(op.projection)
+        return MapStage(schema.project(columns),
+                        lambda rows: software_project(rows, schema, columns))
+    if name == "eval":
+        return MapStage(op.schema, lambda rows: eval_items(
+            op.items, rows, schema, op.schema))
+    if name in ("sort", "limit"):
+        raise QueryError(
+            "ORDER BY / LIMIT are not incrementally maintainable: a Z-set "
+            "has no row order; sort the subscriber's materialization "
+            "instead")
+    raise QueryError(f"step {name!r} is not incrementally maintainable")
 
 
 def compile_circuit(bound: BoundSelect) -> Circuit:
-    """Compile a bound SELECT into an incremental circuit.
+    """Compile a bound SELECT into an incremental circuit, one stage per
+    ``(name, op)`` step of the vocabulary
+    :func:`~repro.core.planner.run_client_kernel` executes: the head
+    query's :func:`~repro.core.planner.operator_chain`, one ``join`` per
+    arm, then the bound client ops.
 
     Rejects shapes whose results depend on arrival order rather than
     content (ORDER BY, LIMIT, subset-DISTINCT) and inputs without a
@@ -625,40 +440,66 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
         raise QueryError(
             f"view base table {bound.table!r} is not versioned: only a "
             f"delta chain can drive incremental maintenance")
+    head = bound.query
+    head.validate(base.schema)
+    steps: list[tuple[str, object]] = []
+    for name in operator_chain(head):
+        if name == "join":      # the on-chip join is an arm read raw
+            spec = head.join
+            steps.append((name, BoundArm(
+                spec.build_table, spec.build_table.name, None,
+                spec.build_key, spec.probe_key, spec.payload)))
+        else:
+            steps.append((name, head))
+    steps += [("join", arm) for arm in bound.arms]
+    steps += [(op.kernel, op) for op in bound.ops]
+
     dynamic_tables: dict[str, object] = {bound.table: base}
     static_loads: list[tuple[JoinStage, object]] = []
+    stages: list[_Stage] = []
     schema = base.schema
-    stages, schema = _query_stages(bound.query, schema, head=True,
-                                   dynamic_tables=dynamic_tables,
-                                   static_loads=static_loads,
-                                   base_name=bound.table)
-    for arm in bound.arms:
-        stage = _make_join_stage(schema, arm.build, arm.build_key,
-                                 arm.probe_key, tuple(arm.payload),
-                                 arm.query, dynamic_tables, static_loads,
-                                 bound.table)
+    for name, op in steps:
+        if name == "join":
+            prestages: list[_Stage] = []
+            build_schema = op.build.schema
+            if op.query is not None:
+                op.query.validate(build_schema)
+                for sub in operator_chain(op.query):
+                    if sub not in _ARM_STEPS:
+                        raise QueryError(
+                            f"build-side scans must stay linear "
+                            f"({'/'.join(_ARM_STEPS)}) to be maintainable")
+                    prestages.append(_linear_stage(sub, op.query,
+                                                   build_schema))
+                    build_schema = prestages[-1].out_schema
+            stage: _Stage = JoinStage(
+                schema, op.build.schema, op.table, op.build_key,
+                op.probe_key, tuple(op.payload), op.build.versioned,
+                tuple(prestages))
+            if not op.build.versioned:
+                static_loads.append((stage, op.build))
+            elif op.table in dynamic_tables:
+                raise QueryError(
+                    f"versioned table {op.table!r} feeds this view twice; "
+                    f"each delta chain may drive at most one circuit input")
+            else:
+                dynamic_tables[op.table] = op.build
+        elif name == "distinct":
+            if op.distinct_columns is not None and (
+                    set(op.distinct_columns) != set(schema.names)):
+                raise QueryError(
+                    "DISTINCT over a proper column subset keeps the first-seen "
+                    "full row — an arrival-order-dependent result no "
+                    "incremental view can maintain; project the key columns "
+                    "first")
+            stage = DistinctStage(schema)
+        elif name in ("groupby", "aggregate"):
+            stage = GroupStage(schema, tuple(op.group_by or ()),
+                               tuple(op.aggregates))
+        else:
+            stage = _linear_stage(name, op, schema)
         stages.append(stage)
         schema = stage.out_schema
-    for op in bound.ops:
-        if isinstance(op, BoundEval):
-            stages.append(EvalStage(op.items, op.schema))
-            schema = op.schema
-        elif isinstance(op, BoundFilter):
-            stages.append(FilterStage(schema, op.predicate))
-        elif isinstance(op, BoundAggregate):
-            stage = GroupStage(schema, tuple(op.group_by),
-                               tuple(op.aggregates))
-            stages.append(stage)
-            schema = stage.out_schema
-        elif isinstance(op, BoundDistinct):
-            stages.append(DistinctStage(schema))
-        elif isinstance(op, (BoundSort, BoundLimit)):
-            raise QueryError(
-                "ORDER BY / LIMIT are not incrementally maintainable: a "
-                "Z-set has no row order; sort the subscriber's "
-                "materialization instead")
-        else:
-            raise QueryError(f"unknown bound op {type(op).__name__}")
     if tuple(schema.names) != tuple(bound.schema.names):
         raise QueryError(
             f"circuit output schema {schema.names} diverged from the "
@@ -709,10 +550,9 @@ class ChainTracker(ChainListener):
     # -- bootstrap --------------------------------------------------------
     def load(self, rows: np.ndarray, rowids: np.ndarray) -> None:
         """Install the snapshot read at ``processed_epoch``."""
-        self.images = {int(rid): image
-                       for rid, image in zip(rowids.tolist(),
-                                             row_images(self.chain.schema,
-                                                        rows))}
+        self.images = dict(zip(
+            rowids.tolist(),
+            key_image(rows, self.chain.schema.names).tolist()))
         self.loaded = True
 
     def bootstrap_into(self, zset: ZSet) -> None:
@@ -740,11 +580,8 @@ class ChainTracker(ChainListener):
                             f"{self.table_name!r} (corrupt chain mirror)")
                     delta.add(image, -1)
                 continue
-            decoded = delta_schema(schema).from_bytes(data, copy=True)
-            payload = schema.empty(len(decoded))
-            for name in schema.names:
-                payload[name] = decoded[name]
-            images = row_images(schema, payload)
+            decoded = delta_schema(schema).from_bytes(data)
+            images = key_image(decoded, schema.names).tolist()
             rowids = decoded[ROWID_COLUMN].tolist()
             if segment.kind == "insert":
                 for rid, image in zip(rowids, images):

@@ -13,8 +13,9 @@ algebra they compute over.
 Design points:
 
 * **Keys are row byte-images.**  A row is identified by the exact bytes
-  of its packed record (:meth:`Schema.to_bytes` of one row), so equality
-  is byte equality — the same identity the repo's sha256 conformance
+  of its packed record (:func:`~repro.common.records.key_image` over
+  every column — the host's one key packing), so equality is byte
+  equality — the same identity the repo's sha256 conformance
   checks use.  Two float rows that differ in the last ulp are different
   rows, by construction.
 * **Always consolidated.**  :meth:`ZSet.add` drops entries the moment
@@ -41,17 +42,10 @@ from typing import Iterator
 import numpy as np
 
 from ..common.errors import QueryError
-from ..common.records import Schema
+from ..common.records import Schema, key_image
 from ..operators.hashing import hash_key_batch
 
 _U64 = 1 << 64
-
-
-def row_images(schema: Schema, rows: np.ndarray) -> list[bytes]:
-    """The packed byte-image of each row, in row order."""
-    data = schema.to_bytes(rows)
-    width = schema.row_width
-    return [bytes(data[i:i + width]) for i in range(0, len(data), width)]
 
 
 class ZSet:
@@ -71,7 +65,7 @@ class ZSet:
         """A Z-set with every row of ``rows`` at ``weight``."""
         zset = cls(schema)
         if weight:
-            for image in row_images(schema, rows):
+            for image in key_image(rows, schema.names).tolist():
                 zset.add(image, weight)
         return zset
 
@@ -96,10 +90,6 @@ class ZSet:
         for image, weight in other.weights.items():
             self.add(image, weight)
 
-    def negated(self) -> "ZSet":
-        return ZSet(self.schema, {image: -weight
-                                  for image, weight in self.weights.items()})
-
     # -- inspection ----------------------------------------------------------
     @property
     def is_empty(self) -> bool:
@@ -121,11 +111,11 @@ class ZSet:
         return iter(self.weights.items())
 
     def decode(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows and their weights, in insertion order."""
-        images = list(self.weights)
-        rows = self.schema.from_bytes(b"".join(images), copy=True)
-        weights = np.fromiter((self.weights[i] for i in images),
-                              dtype=np.int64, count=len(images))
+        """The distinct rows and their weights, both in dict (insertion)
+        order — entry ``i`` of ``iter(self)`` is row ``i``."""
+        rows = self.schema.from_bytes(b"".join(self.weights), copy=True)
+        weights = np.fromiter(self.weights.values(), dtype=np.int64,
+                              count=len(self.weights))
         return rows, weights
 
     # -- canonical image -----------------------------------------------------

@@ -16,12 +16,16 @@ Supported syntax (byte-oriented):
 * anchors ``^`` (pattern start) and ``$`` (pattern end).
 
 The public API is :class:`CompiledRegex` with RE2-style ``search`` /
-``fullmatch`` predicates over ``bytes``.
+``fullmatch`` predicates over ``bytes`` and ``search_column``, the one
+loop every char-column filter (the node operator, the client kernel, a
+view's mask stage) matches with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..common.errors import RegexSyntaxError
 
@@ -405,6 +409,13 @@ class CompiledRegex:
                 break
             current = self._step(current, data[i])
         return self._accept in current
+
+    def search_column(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`search` over every value of a char column, as a boolean
+        mask.  Fixed-width char columns pad with NULs; numpy strips
+        trailing NULs on access, matching the string's logical payload."""
+        return np.fromiter((self.search(bytes(value)) for value in values),
+                           dtype=bool, count=len(values))
 
     @property
     def num_states(self) -> int:

@@ -50,12 +50,7 @@ class RegexMatchOperator(RowOperator):
         return schema
 
     def _process(self, batch: np.ndarray) -> np.ndarray:
-        values = batch[self.column]
-        keep = np.zeros(len(batch), dtype=bool)
-        for i in range(len(batch)):
-            # Fixed-width char columns pad with NULs; numpy strips trailing
-            # NULs on access, matching the string's logical payload.
-            keep[i] = self.regex.search(bytes(values[i]))
+        keep = self.regex.search_column(batch[self.column])
         self.matched += int(keep.sum())
         return batch[keep]
 

@@ -148,7 +148,7 @@ def test_like_combined_with_predicate():
 
 def test_like_percent_and_underscore():
     regex = like_to_regex("a%b_c")
-    assert regex == "^a.*b.c$"
+    assert regex == r"^a[\s\S]*b[\s\S]c$"
     compiled = compile_pattern(regex)
     assert compiled.search(b"aXXXbYc")
     assert not compiled.search(b"aXXXbYYc")
@@ -165,6 +165,29 @@ def test_like_is_full_match():
     compiled = compile_pattern(like_to_regex("abc"))
     assert compiled.search(b"abc")
     assert not compiled.search(b"xabcx")  # SQL LIKE matches whole value
+
+
+@pytest.mark.parametrize("pattern", ["a%", "a_b", "%b"])
+def test_like_wildcards_match_a_newline_as_the_model_says(pattern):
+    """``%`` / ``_`` are "any character": the engine's ``.`` skips a
+    newline (right for REGEXP), so LIKE must not be spelled with it."""
+    from repro.baselines.sql_model import execute_model
+    from repro.core.api import FarviewClient
+    from repro.core.node import FarviewNode
+    from repro.sim.engine import Simulator
+
+    schema = Schema([Column("k", "int64"), Column("s", "char", 16)])
+    rows = schema.empty(4)
+    rows["k"] = np.arange(4)
+    rows["s"] = [b"ab", b"a\nb", b"xa", b"b"]
+    client = FarviewClient(FarviewNode(Simulator()))
+    client.open_connection()
+    client.create_table("t", schema, rows)
+    statement = f"SELECT k FROM t WHERE s LIKE '{pattern}'"
+    _, expected = execute_model(statement, {"t": (schema, rows)})
+    assert 1 in expected["k"], "the model keeps the embedded-newline row"
+    result, _ = client.sql(statement)
+    assert result.rows().tolist() == expected.tolist()
 
 
 # --- syntax errors -------------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.core.cluster import merge_group_rows
 from repro.core.node import FarviewNode
 from repro.core.query import select_distinct
 from repro.core.table import FTable
+from repro.core.views import GroupStage
+from repro.core.zset import ZSet
 from repro.memory.mmu import DEFAULT_BURST_BYTES
 from repro.operators.aggregate import AggregateSpec, decompose_partials
 from repro.operators.base import OperatorPipeline
@@ -106,11 +108,12 @@ def test_run_is_deterministic():
     assert a["digests"] == b["digests"]
 
 
-def _calls_into(profile, package: str) -> int:
-    """Python-level calls the profile recorded into files under ``package``."""
-    return sum(nc for (filename, _, _), (_, nc, _, _, _)
+def _calls_into(profile, package: str, but: str = "") -> int:
+    """Python-level calls the profile recorded into files under
+    ``package``, not counting functions named ``but``."""
+    return sum(nc for (filename, _, name), (_, nc, _, _, _)
                in pstats.Stats(profile).stats.items()
-               if package in filename.replace("\\", "/"))
+               if package in filename.replace("\\", "/") and name != but)
 
 
 # -- the join stays array-resident ---------------------------------------------
@@ -186,6 +189,66 @@ def test_host_grouping_python_call_budget():
     assert 0 < _calls_into(profile, "/repro/") < 400
 
 
+# -- a view circuit computes with the client's kernels, per batch ----------------
+
+def test_group_stage_refold_python_call_budget():
+    """One 1-row delta into a ``GroupStage`` holding two groups of 4,096
+    members re-folds the touched group (twice: the retracted row and the
+    new one) in O(columns) Python-level calls into ``repro`` — the
+    per-member fold the stage used to own made one generator step per
+    member per column, 8,230 calls here."""
+    schema = Schema([Column("g", "int64"), Column("k", "int64"),
+                     Column("v", "float64")])
+    rows = schema.empty(8_192)
+    rows["g"] = np.arange(8_192) % 2
+    rows["k"] = np.arange(8_192)
+    rows["v"] = (np.arange(8_192) % 100) * 0.25
+    stage = GroupStage(schema, ("g",), (
+        AggregateSpec("count", "*"), AggregateSpec("sum", "v"),
+        AggregateSpec("min", "k"), AggregateSpec("avg", "v")))
+    assert stage.apply(ZSet.from_rows(schema, rows)).entry_count == 2
+    one = schema.empty(1)
+    one["g"], one["k"], one["v"] = 1, 8_192, 2.5
+    profile = cProfile.Profile()
+    profile.enable()
+    out = stage.apply(ZSet.from_rows(schema, one))
+    profile.disable()
+    assert sorted(out.weights.values()) == [-1, 1]
+    new = stage.out_schema.from_bytes(
+        next(image for image, weight in out if weight == 1))
+    assert (new["count_star"][0], new["min_k"][0]) == (4_097, 1)
+    assert new["sum_v"][0] == rows["v"][1::2].sum() + 2.5
+    assert 0 < _calls_into(profile, "/repro/") < 400
+
+
+def test_linear_stages_python_call_budget():
+    """A 4,096-row delta through a mask stage and two map stages: each
+    decodes the delta once and runs one array kernel, so beyond the map
+    stages' ``ZSet.add`` per output row the Python-level calls into
+    ``repro`` are O(1) per stage, not O(rows)."""
+    schema = Schema([Column("k", "int64"), Column("pad", "int64"),
+                     Column("v", "float64")])
+    rows = schema.empty(4_096)
+    rows["k"] = np.arange(4_096)
+    rows["v"] = np.arange(4_096) * 0.25
+    client = FarviewClient(FarviewNode(Simulator()))
+    client.open_connection()
+    client.create_versioned_table("t", schema, rows[:4])
+    view, _ = client.create_view(
+        "SELECT k, v * 2.0 + 1.0 AS w FROM t WHERE v < 512.0")
+    circuit = view.circuit
+    assert ([type(stage).__name__ for stage in circuit.stages]
+            == ["MaskStage", "MapStage", "MapStage"])
+    delta = ZSet.from_rows(schema, rows)
+    profile = cProfile.Profile()
+    profile.enable()
+    out = circuit.step({"t": delta})
+    profile.disable()
+    assert out.entry_count == out.total_weight == 2_048
+    assert (0 < _calls_into(profile, "/repro/", but="add")
+            < 50 * len(circuit.stages))
+
+
 def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
     """16,384 x 512 B rows deduplicated on the whole row — the client's
     overflow fallback at ``scan_stream`` width — must not lose to the
@@ -226,7 +289,9 @@ def test_one_hash_one_probe_in_src():
     — and so do the forked scan verb, the per-strategy build-placement
     caches, the second scatter, the four table-handle classes and second
     client body behind them, and the host's hand-rolled hash map with its
-    five sibling key-grouping mechanisms (code and docs)."""
+    five sibling key-grouping mechanisms, and the view circuit's own
+    scalar stages, lowering helpers and eighth key packing (code and
+    docs)."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -242,7 +307,10 @@ def test_one_hash_one_probe_in_src():
                                "_require_cluster_build", "SoftwareHashMap",
                                "iter_key_groups", "first_repeated_row",
                                "PARTIAL_MERGE", "rehashed_entries",
-                               "__meta__"))):
+                               "__meta__", "row_images", "FilterStage",
+                               "RegexStage", "ProjectStage", "EvalStage",
+                               "_query_stages", "_make_join_stage",
+                               "state_entries"))):
         for root in roots:
             for path in (repo / root).rglob("*.*"):
                 if path.suffix not in (".py", ".md"):

@@ -1,7 +1,7 @@
 """View conformance: incremental maintenance vs the serial SQL model.
 
 The lock for the materialized-view PR: every cell of the conformance
-matrix — view shape (filter / project / distinct / group-by / join) x
+matrix — view shape (one per circuit stage and kernel: ``SHAPES``) x
 delta kind (insert / update / delete / mixed) x topology (single node,
 2- and 4-node cluster), with a compaction committed mid-stream in every
 cell — must leave the incrementally maintained view sha256-identical to
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.sql_model import execute_model
 from repro.common.config import FarviewConfig, MemoryConfig
-from repro.common.errors import CatalogError, QueryError
+from repro.common.errors import CatalogError, QueryError, RegexSyntaxError
 from repro.common.records import Column, Schema
 from repro.core.api import ClusterClient, FarviewClient
 from repro.core.cluster import FarviewCluster
@@ -51,15 +51,31 @@ DIM_SCHEMA = Schema([
 ])
 CATS = [f"c{i}".encode() for i in range(6)]
 
-#: shape name -> view SQL over the versioned base table ``t`` (the join
-#: shape additionally references the static dimension ``dim``).
+_JOIN_DIM = "FROM t JOIN dim ON t.cat = dim.cat"
+
+#: shape name -> view SQL over the versioned base table ``t`` (a
+#: statement naming the static dimension ``dim`` gets it uploaded).
 SHAPES = {
     "filter": "SELECT * FROM t WHERE val < 64.0",
     "project": "SELECT k, val FROM t",
     "distinct": "SELECT DISTINCT cat FROM t",
     "group_by": ("SELECT cat, SUM(val) AS s, COUNT(*) AS n "
                  "FROM t GROUP BY cat"),
-    "join": "SELECT * FROM t JOIN dim ON t.cat = dim.cat",
+    "join": f"SELECT * {_JOIN_DIM}",
+    "regex": "SELECT * FROM t WHERE cat REGEXP 'c[1-3]'",
+    "like": "SELECT * FROM t WHERE cat LIKE 'c1%'",
+    "eval": "SELECT k, val * 2.0 + 1.0 AS w FROM t",
+    "eval_int": "SELECT k * 3 + 1 AS kk FROM t",
+    "having": ("SELECT cat, SUM(val) AS s FROM t GROUP BY cat "
+               "HAVING SUM(val) > 1000.0"),
+    "global": ("SELECT COUNT(*) AS n, SUM(val) AS s, MIN(k) AS lo, "
+               "MAX(k) AS hi FROM t"),
+    "minmax_avg": ("SELECT cat, MIN(val) AS lo, MAX(val) AS hi, "
+                   "AVG(val) AS a FROM t GROUP BY cat"),
+    "expr_agg": "SELECT cat, SUM(val * 2.0) AS s FROM t GROUP BY cat",
+    "filtered_arm": f"SELECT k, val, rate {_JOIN_DIM} WHERE dim.rate < 1.25",
+    "join_group": (f"SELECT t.cat, SUM(val * rate) AS s {_JOIN_DIM} "
+                   f"GROUP BY t.cat"),
 }
 DELTA_KINDS = ("insert", "update", "delete", "mixed")
 BASE_ROWS = 96
@@ -153,7 +169,7 @@ def commit_round(client, vt, kind: str, round_index: int,
 def test_matrix_cell_matches_serial_rescan(shape, kind, num_nodes):
     sql = SHAPES[shape]
     client = make_client(num_nodes)
-    dim = make_dim() if shape == "join" else None
+    dim = make_dim() if " dim " in sql else None
     if dim is not None:
         upload_dim(client, num_nodes, dim)
     vt = client.create_versioned_table("t", BASE_SCHEMA,
@@ -176,6 +192,63 @@ def test_matrix_cell_matches_serial_rescan(shape, kind, num_nodes):
 
 
 # ---------------------------------------------------------------------------
+# A view and sql() of the same statement: one set of kernels, one answer
+# ---------------------------------------------------------------------------
+
+EDGE_SCHEMA = Schema([Column("k", "int64"), Column("v", "float64"),
+                      Column("s", "char", 16)])
+
+#: cell -> (statement, the typed error both sides must raise or None
+#: when both must return the same rows).  Each one a place where a
+#: circuit with arithmetic of its own used to part ways with the engine.
+EDGE_CELLS = {
+    "max_beyond_float": ("SELECT MAX(k) AS m FROM t", None),
+    "like_over_newline": ("SELECT k FROM t WHERE s LIKE 'a%'", None),
+    "regex_unbalanced": ("SELECT k FROM t WHERE s REGEXP '('",
+                         RegexSyntaxError),
+    "regex_lookahead": ("SELECT k FROM t WHERE s REGEXP 'a(?=b)'",
+                        RegexSyntaxError),
+    "divide_by_zero": ("SELECT k / v AS q FROM t", None),
+    "int64_wraps": ("SELECT k * k AS q FROM t", None),
+}
+
+
+def make_edge_rows(keys, values, strings) -> np.ndarray:
+    rows = EDGE_SCHEMA.empty(len(keys))
+    rows["k"], rows["v"], rows["s"] = keys, values, strings
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_view_agrees_with_sql_of_the_same_statement(cell):
+    statement, error = EDGE_CELLS[cell]
+    client = make_client(1)
+    vt = client.create_versioned_table("t", EDGE_SCHEMA, make_edge_rows(
+        [2 ** 60 + 1, 2 ** 60 + 3, 5, 7], [1.0, 0.0, 2.0, 4.0],
+        [b"ab", b"a\nb", b"xa", b"b"]))
+    if error is not None:
+        with pytest.raises(error) as from_sql:
+            client.sql(statement)
+        with pytest.raises(error) as from_view:
+            client.create_view(statement)
+        assert str(from_view.value) == str(from_sql.value)
+        return
+
+    def by_sql() -> str:
+        result, _ = client.sql(statement)
+        return sorted_sha(result.schema, result.rows())
+
+    view, _ = client.create_view(statement, name="v")
+    client.subscribe(view)                # so the view advances
+    assert sorted_sha(view.schema, view.materialize()) == by_sql()
+    client.insert(vt, make_edge_rows([2 ** 61 + 5, 9], [0.0, 8.0],
+                                     [b"a\n\nc", b"ba"]))
+    client.update_where(vt, Compare("k", "<", 6), {"v": 0.0})
+    assert sorted_sha(view.schema, view.materialize()) == by_sql()
+
+
+# ---------------------------------------------------------------------------
 # Property: random delta batches through a random circuit
 # ---------------------------------------------------------------------------
 
@@ -195,7 +268,7 @@ def test_random_stream_matches_serial_rescan(case):
     shape, kinds, compact_at, seed = case
     sql = SHAPES[shape]
     client = make_client(1)
-    dim = make_dim() if shape == "join" else None
+    dim = make_dim() if " dim " in sql else None
     if dim is not None:
         upload_dim(client, 1, dim)
     vt = client.create_versioned_table("t", BASE_SCHEMA,
