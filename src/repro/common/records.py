@@ -205,25 +205,40 @@ def key_image(rows: np.ndarray, columns: Sequence[str]) -> np.ndarray:
     return packed.view(f"V{dtype.itemsize}")
 
 
-def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_occurrence(keys: np.ndarray, seen: dict[bytes, int] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Group equal :func:`key_image` elements in first-seen order.
 
     Returns ``(first, group)``: ``first[g]`` is the row where group ``g``
     first appears (ascending, so ``rows[first]`` is the first-wins dedup in
     row order) and ``group[i]`` is the group of row ``i``.
 
+    A streaming operator passes the ``key -> group`` map it keeps across
+    batches as ``seen``: groups then continue from ``len(seen)``, ``first``
+    holds only the rows that introduce a key new to ``seen``, and ``seen``
+    is extended by those keys.
+
     The grouping itself is one ``dict.setdefault`` pass run from C over
     the key bytes; ``np.unique`` sorts, which on wide void keys is slower
     than the per-row Python loop this replaces.
     """
     n = len(keys)
-    seen: dict[bytes, int] = {}
-    origin = np.fromiter(map(seen.setdefault, keys.tolist(), range(n)),
-                         dtype=np.intp, count=n)
-    first = np.flatnonzero(origin == np.arange(n))
-    rank = np.empty(n, dtype=np.intp)
-    rank[first] = np.arange(len(first))
-    return first, rank[origin]
+    groups = {} if seen is None else seen
+    known = len(groups)
+    # A key met before answers its group, a new one the provisional group
+    # ``known + row`` of the row that introduces it.
+    group = np.fromiter(
+        map(groups.setdefault, keys.tolist(), range(known, known + n)),
+        dtype=np.intp, count=n)
+    first = np.flatnonzero(group == np.arange(known, known + n))
+    if len(first):
+        dense = np.empty(n, dtype=np.intp)
+        dense[first] = np.arange(known, known + len(first))
+        late = group >= known
+        group[late] = dense[group[late] - known]
+        if seen is not None:
+            seen.update(zip(keys[first].tolist(), dense[first].tolist()))
+    return first, group
 
 
 def default_schema(num_attributes: int = 8, attr_bytes: int = 8) -> Schema:

@@ -341,9 +341,20 @@ def merge_aggregate_rows(rows: np.ndarray, table_schema: Schema,
                          partial_plans: Sequence[PartialPlan]) -> np.ndarray:
     """Merge the one-partial-row-per-shard results of a standalone
     aggregation into the single final row: the group merge over zero key
-    columns, where every row shares the one empty key."""
-    return merge_group_rows(rows, table_schema, (), shard_specs,
-                            partial_plans)
+    columns, where every row shares the one empty key.
+
+    One rule differs.  A group's MIN/MAX keeps a NaN only as its first
+    value; a global one takes a NaN from anywhere (the reference is
+    ``col.min()`` over the whole column), so from any shard's partial."""
+    out = merge_group_rows(rows, table_schema, (), shard_specs,
+                           partial_plans)
+    for plan in partial_plans:
+        if plan.spec.func in ("min", "max"):
+            partials = rows[plan.spec.alias]
+            nans = partials[partials != partials]
+            if len(nans):
+                out[plan.spec.alias] = nans[0]
+    return out
 
 
 def group_output_schema(table_schema: Schema, key_columns: Sequence[str],

@@ -3,7 +3,9 @@
 Aggregations run either *standalone* ("simple computations are performed
 directly on the passing data streams") or on top of the group-by operator
 (each hash-table entry carries accumulator state).  This module provides
-the accumulator machinery shared by both and the standalone operator.
+the standalone operator, the accumulator it runs on, and the grouped
+folds the group-by operator, the software kernels and the shard merge
+share.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ def value_columns(specs: Sequence[AggregateSpec]) -> list[str]:
 
 
 class Accumulator:
-    """Running state for one group's aggregates (one hash-table entry)."""
+    """One group's aggregate state: what the standalone aggregation keeps
+    running (:func:`batch_accumulate`) and the wire form of a GROUP BY
+    group that overflowed to the client (the operator's resident groups
+    are columns, not objects)."""
 
     __slots__ = ("count", "sums", "mins", "maxs")
 
@@ -75,15 +80,6 @@ class Accumulator:
         self.sums = [0.0] * num_value_columns
         self.mins = [None] * num_value_columns
         self.maxs = [None] * num_value_columns
-
-    def update(self, values: tuple) -> None:
-        self.count += 1
-        for i, v in enumerate(values):
-            self.sums[i] += v
-            if self.mins[i] is None or v < self.mins[i]:
-                self.mins[i] = v
-            if self.maxs[i] is None or v > self.maxs[i]:
-                self.maxs[i] = v
 
     def result(self, spec: AggregateSpec, column_index: int):
         if self.count == 0:
@@ -109,12 +105,14 @@ def batch_accumulate(acc: Accumulator, batch: np.ndarray,
     for i, name in enumerate(value_columns):
         col = batch[name]
         acc.sums[i] += float(col.sum())
-        lo = col.min()
-        hi = col.max()
-        if acc.mins[i] is None or lo < acc.mins[i]:
-            acc.mins[i] = lo
-        if acc.maxs[i] is None or hi > acc.maxs[i]:
-            acc.maxs[i] = hi
+        lo, hi = col.min(), col.max()
+        if acc.mins[i] is not None:
+            # A NaN anywhere wins a global MIN/MAX (the reference is
+            # ``col.min()`` over the whole column): fold the bursts with
+            # the NaN-propagating ufuncs, not with ``lo < current``, which
+            # is false on a NaN in either seat.
+            lo, hi = np.minimum(acc.mins[i], lo), np.maximum(acc.maxs[i], hi)
+        acc.mins[i], acc.maxs[i] = lo, hi
 
 
 def accumulator_rows(out_schema: Schema, key_columns: Sequence[str],
@@ -151,6 +149,37 @@ _GROUP_FOLD = {
 }
 
 
+def fold_extreme(func: str, out: np.ndarray, group: np.ndarray,
+                 values: np.ndarray) -> None:
+    """Fold ``values`` into the running ``min`` / ``max`` ``out[group]``,
+    in place and in row order — the one min/max fold, seeded from running
+    state by the GROUP BY operator and from each group's first value by
+    :func:`fold_groups`.
+
+    It computes what the per-row loop ``if v < current: current = v``
+    does, which takes two rules beyond the ufunc:
+
+    * a NaN sticks only as a group's first value (``v < nan`` and
+      ``nan < current`` are both false), so NaN rows and NaN-seeded groups
+      never reach the ufunc;
+    * the first of equal values wins, where ``np.minimum`` / ``np.maximum``
+      return the later operand.  Only ``0.0`` and ``-0.0`` are equal yet
+      distinct, so a group whose extreme is a zero takes its first one:
+      the running value if that is a zero, else its first zero row.
+    """
+    current = out[group]
+    # ``x == x`` is false exactly on NaN.
+    live = (values == values) & (current == current)
+    group, values, current = group[live], values[live], current[live]
+    _GROUP_FOLD[func].at(out, group, values)
+    zeros = np.flatnonzero((out[group] == 0) & (values == 0))
+    if len(zeros):
+        tied, at = np.unique(group[zeros], return_index=True)
+        first = zeros[at]
+        out[tied] = np.where(current[first] == 0, current[first],
+                             values[first])
+
+
 def fold_groups(func: str, values: np.ndarray, first: np.ndarray,
                 group: np.ndarray) -> np.ndarray:
     """Left-fold ``values`` per group in row order, seeded with each
@@ -158,19 +187,17 @@ def fold_groups(func: str, values: np.ndarray, first: np.ndarray,
     :func:`~repro.common.records.first_occurrence`.
 
     ``ufunc.at`` applies one element at a time, so a float sum
-    accumulates sequentially exactly as a per-row loop would.  Under
-    ``min``/``max`` a NaN sticks only when it is the group's first value
-    and is skipped afterwards — what ``v < current`` does in that loop,
-    and what the reference model defines.
+    accumulates sequentially exactly as a per-row loop would; ``min`` /
+    ``max`` go through :func:`fold_extreme` and keep its NaN and tie rules
+    — what the reference model defines.
     """
     out = values[first]
     rest = np.ones(len(values), dtype=bool)
     rest[first] = False
     if func in ("min", "max"):
-        # ``x == x`` is false exactly on NaN: drop the rows of a NaN-seeded
-        # group and every later NaN, so the ufunc never compares one.
-        rest &= (values == values) & (out == out)[group]
-    _GROUP_FOLD[func].at(out, group[rest], values[rest])
+        fold_extreme(func, out, group[rest], values[rest])
+    else:
+        _GROUP_FOLD[func].at(out, group[rest], values[rest])
     return out
 
 

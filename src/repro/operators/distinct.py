@@ -12,6 +12,14 @@ cannot remember) and the node surfaces ``overflow_keys`` so the client-side
 software dedup — on these same key columns, first row wins — can be
 applied; the integration tests verify end-to-end exactness of that
 contract.
+
+On the host a DRAM burst is one array transform until the tables first
+overflow.  Up to then every key the LRU register holds is also resident,
+so the register decides nothing: a row survives exactly when its key is
+new, and only new keys are hashed and inserted.  Once a key has been
+forgotten it can be re-emitted, which depends on what the register holds
+tuple by tuple — from the overflowing insertion on, the operator steps
+through its rows one at a time for the rest of its life.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema, key_image
+from ..common.records import Schema, first_occurrence, key_image
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -41,8 +49,9 @@ class DistinctOperator(RowOperator):
         self.overflow_count = 0
         #: O(1) mirror of the keys resident in the cuckoo table (kept in
         #: lock-step with every put/overflow) so the streaming probe is one
-        #: hash lookup instead of a four-way table walk.
-        self._resident: set[bytes] = set()
+        #: hash lookup instead of a four-way table walk; only membership
+        #: is read (the values are :func:`first_occurrence`'s).
+        self._resident: dict[bytes, int] = {}
 
     def _bind(self, schema: Schema) -> Schema:
         if self.key_columns is None:
@@ -55,29 +64,62 @@ class DistinctOperator(RowOperator):
         if n == 0:
             return batch
         image = key_image(batch, self.key_columns)
-        keys = image.tolist()
-        # Hash every key for every way in one vectorized pass; the per-row
-        # scan below then runs on O(1) dict/set operations only.
-        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
         keep = np.zeros(n, dtype=bool)
+        done = 0
+        if not self.overflow_count:
+            done = self._admit_new(image, keep)
+        if done < n:
+            self._step(image[done:], keep[done:])
+        self.duplicates_dropped += n - int(keep.sum())
+        return batch[keep]
+
+    def _admit_new(self, image: np.ndarray, keep: np.ndarray) -> int:
+        """The batch path, valid while nothing has overflowed: keep the
+        rows that introduce a key and insert those keys.  Returns the rows
+        consumed — all of them, or up to and including the row whose
+        insertion overflowed."""
+        resident = self._resident
+        new, _ = first_occurrence(image, resident)
+        done = len(image)
+        if len(new):
+            fresh = image[new]
+            slots = self.table.batch_slots(fresh.data, fresh.dtype.itemsize)
+            new_keys = fresh.tolist()
+            for i, key in enumerate(new_keys):
+                if not self.table.put(key, True, slots[i]):
+                    # The first overflow: the keys after this one have not
+                    # been seen yet, and the evicted one is forgotten.
+                    self.overflow_count = 1
+                    for unseen in new_keys[i + 1:]:
+                        del resident[unseen]
+                    del resident[self.table.overflow[-1][0]]
+                    new = new[:i + 1]
+                    done = int(new[i]) + 1
+                    break
+        keep[new] = True
+        self.lru.advance(image[:done])
+        return done
+
+    def _step(self, image: np.ndarray, keep: np.ndarray) -> None:
+        """The per-row path, the only correct one once a key has been
+        forgotten: probe the register, then the tables, tuple by tuple."""
+        # Hash every key for every way in one vectorized pass; the per-row
+        # scan below then runs on O(1) dict operations only.
+        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
         lru_probe = self.lru.lookup_or_insert
         resident = self._resident
         table = self.table
         overflow = table.overflow
-        dropped = 0
-        for i, key in enumerate(keys):
+        for i, key in enumerate(image.tolist()):
             if lru_probe(key) or key in resident:
-                dropped += 1
                 continue
             keep[i] = True
-            resident.add(key)
+            resident[key] = i
             if not table.put(key, True, slots[i]):
                 # The eviction chain pushed exactly one key (possibly this
                 # one) out of residency into the overflow buffer.
                 self.overflow_count += 1
-                resident.discard(overflow[-1][0])
-        self.duplicates_dropped += dropped
-        return batch[keep]
+                del resident[overflow[-1][0]]
 
     @property
     def distinct_seen(self) -> int:

@@ -17,6 +17,13 @@ charges :meth:`flush_cycles` accordingly.
 Groups whose hash-table insertion overflows are aggregated in a dedicated
 overflow area and reported via :meth:`drain_overflow_groups` so the client
 can merge them in software — mirroring the DISTINCT overflow contract.
+
+On the host a DRAM burst is one array transform, not a loop over its
+tuples.  A key owns one aggregate state for the operator's life — an
+eviction moves it to the overflow area, it does not restart it — so
+accumulation never depends on where the cuckoo tables hold the key: the
+state is columnar, indexed by a dense group id handed out in first-seen
+order, and only keys new to the operator are hashed and inserted.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError, QueryError
-from ..common.records import Schema, key_image
-from .aggregate import (Accumulator, AggregateSpec, accumulator_rows,
-                        value_columns)
+from ..common.records import Schema, first_occurrence, key_image
+from .aggregate import Accumulator, AggregateSpec, fold_extreme, value_columns
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -51,15 +57,25 @@ class GroupByOperator(RowOperator):
             raise OperatorError("group by needs at least one aggregate")
         self.key_columns = list(key_columns)
         self.aggregates = list(aggregates)
+        #: Holds ``key image -> group id``; an overflowed entry stays on
+        #: ``table.overflow``, in eviction order, until it is drained.
         self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
         self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
-        self._insertion_queue: list[bytes] = []
-        self._overflow_groups: dict[bytes, Accumulator] = {}
-        #: O(1) mirror of the accumulators resident in the cuckoo table
-        #: (maintained through every put/overflow) so the per-tuple group
-        #: lookup is one dict access instead of a four-way table walk.
-        self._acc_mirror: dict[bytes, Accumulator] = {}
-        self._value_columns = value_columns(self.aggregates)
+        #: ``key image -> group id``, dense, in first-seen order: the
+        #: paper's insertion queue, and the index into ``_state``.
+        self._ids: dict[bytes, int] = {}
+        #: The running folds some aggregate reads, as ``(func, column)``
+        #: (``avg`` reads the ``sum``); a fold nothing reads is not kept.
+        self._folds = sorted({("sum" if s.func == "avg" else s.func, s.column)
+                              for s in self.aggregates if s.func != "count"})
+        #: One record per group: its row count, whether an eviction moved
+        #: it to the overflow area (the client merges those), and one
+        #: float64 field ``func(column)`` per fold.  Sized to a capacity
+        #: that doubles; the first ``len(_ids)`` records are live.
+        self._state = np.zeros(0, dtype=np.dtype([
+            ("count", np.int64), ("spilled", np.bool_),
+            *((f"{func}({column})", np.float64)
+              for func, column in self._folds)], align=True))
         self._out_schema: Schema | None = None
 
     # -- binding ---------------------------------------------------------------
@@ -86,68 +102,81 @@ class GroupByOperator(RowOperator):
     def _process(self, batch: np.ndarray) -> np.ndarray:
         assert self._out_schema is not None
         if len(batch):
-            # Vectorized: hash all keys per way up front, convert the value
-            # columns to plain floats in one pass.
             image = key_image(batch, self.key_columns)
-            slots = self.table.batch_slots(image.data, image.dtype.itemsize)
-            if self._value_columns:
-                values = np.column_stack(
-                    [batch[name].astype(np.float64, copy=False)
-                     for name in self._value_columns]).tolist()
-            else:
-                values = None
-            empty: tuple = ()
-            for i, key in enumerate(image.tolist()):
-                row_values = tuple(values[i]) if values is not None else empty
-                self._update(key, row_values, slots[i])
+            # Write-through cache: promotes hot keys; the authoritative
+            # state lives in the records.
+            self.lru.advance(image)
+            new, group = first_occurrence(image, self._ids)
+            if len(new):
+                self._admit(image[new], group[new])
+            state = self._state
+            np.add.at(state["count"], group, 1)
+            for func, column in self._folds:
+                running = state[f"{func}({column})"]
+                values = batch[column].astype(np.float64, copy=False)
+                if func == "sum":
+                    # In row order from the running sum, as ``+=`` per row.
+                    np.add.at(running, group, values)
+                else:
+                    running[group[new]] = values[new]  # a group's first value
+                    fold_extreme(func, running, group, values)
         return self._out_schema.empty(0)
 
-    def _update(self, key: bytes, row_values: tuple,
-                slots: list[int] | None = None) -> None:
-        # Write-through cache: promotes hot keys; the authoritative state
-        # lives in the cuckoo table / overflow area.
-        self.lru.lookup_or_insert(key)
-        if self._overflow_groups and key in self._overflow_groups:
-            self._overflow_groups[key].update(row_values)
-            return
-        acc = self._acc_mirror.get(key)
-        if acc is not None:
-            acc.update(row_values)
-            return
-        acc = Accumulator(len(self._value_columns))
-        acc.update(row_values)
-        self._insertion_queue.append(key)
-        self._acc_mirror[key] = acc
-        if not self.table.put(key, acc, slots):
-            # The eviction chain pushed some accumulator out; move it to the
-            # software overflow area so no updates are lost.
-            for evicted_key, evicted_acc in self.table.drain_overflow():
-                self._overflow_groups[evicted_key] = evicted_acc
-                self._acc_mirror.pop(evicted_key, None)
+    def _admit(self, fresh: np.ndarray, ids: np.ndarray) -> None:
+        """Open a record for each new key of ``fresh`` (first-seen order,
+        group ids ``ids``) and insert it: the only keys a batch hashes."""
+        grow = len(self._ids) - len(self._state)
+        if grow > 0:
+            self._state = np.concatenate([self._state, np.zeros(
+                max(grow, len(self._state)), dtype=self._state.dtype)])
+        slots = self.table.batch_slots(fresh.data, fresh.dtype.itemsize)
+        for key, gid, row in zip(fresh.tolist(), ids.tolist(), slots):
+            if not self.table.put(key, gid, row):
+                # The eviction chain pushed one group (possibly this one)
+                # out of the tables; its record keeps folding where it is.
+                self._state["spilled"][self.table.overflow[-1][1]] = True
 
     # -- flush phase ------------------------------------------------------------------
     def flush(self) -> np.ndarray | None:
         assert self._out_schema is not None
-        # Groups missing from the mirror live in the overflow area; the
-        # client merges those.
-        resident = {key: self._acc_mirror[key]
-                    for key in self._insertion_queue
-                    if key in self._acc_mirror}
-        out = accumulator_rows(self._out_schema, self.key_columns,
-                               self.aggregates, resident)
+        # Resident groups in queue order; spilled ones are the client's.
+        resident = ~self._state["spilled"][:len(self._ids)]
+        state = self._state[:len(self._ids)][resident]
+        out = self._out_schema.empty(len(state))
+        keys = self._out_schema.project(self.key_columns).from_bytes(
+            b"".join(self._ids))
+        for name in self.key_columns:
+            out[name] = keys[name][resident]
+        for spec in self.aggregates:
+            if spec.func == "count":
+                out[spec.alias] = state["count"]
+            elif spec.func == "avg":
+                out[spec.alias] = state[f"sum({spec.column})"] / state["count"]
+            else:
+                out[spec.alias] = state[f"{spec.func}({spec.column})"]
         self.rows_out += len(out)
         return out
 
     def flush_cycles(self) -> int:
-        return FLUSH_CYCLES_PER_GROUP * len(self._insertion_queue)
+        return FLUSH_CYCLES_PER_GROUP * len(self._ids)
 
     # -- overflow contract ---------------------------------------------------------------
     @property
     def num_groups(self) -> int:
-        return len(self.table) + len(self._overflow_groups)
+        return len(self.table) + len(self.table.overflow)
 
     def drain_overflow_groups(self) -> dict[bytes, Accumulator]:
-        """Partially aggregated overflow groups for client-side merging."""
-        out = self._overflow_groups
-        self._overflow_groups = {}
+        """Partially aggregated overflow groups for client-side merging,
+        in eviction order: the only groups that ever become
+        :class:`Accumulator` objects."""
+        lanes = value_columns(self.aggregates)
+        out = {}
+        for key, gid in self.table.drain_overflow():
+            record = self._state[gid]
+            acc = out[key] = Accumulator(len(lanes))
+            acc.count = int(record["count"])
+            fields = {"sum": acc.sums, "min": acc.mins, "max": acc.maxs}
+            for func, column in self._folds:
+                fields[func][lanes.index(column)] = float(
+                    record[f"{func}({column})"])
         return out

@@ -81,6 +81,31 @@ def test_software_grouping_is_byte_equal_to_the_reference(keys, seed):
         assert not np.isnan(by_key[8]["min_x"])
 
 
+#: ``0.0`` and ``-0.0`` compare equal, so ``v < current`` keeps whichever a
+#: group met first: the sign bits below, group by group.
+ZERO_TIE_KEYS = [1, 1, 2, 2, 1, 2, 3, 3, 3]
+ZERO_TIE_VALUES = [0.0, -0.0, -0.0, 0.0, 5.0, 5.0, -1.0, 0.0, -0.0]
+
+
+def test_grouped_min_max_keep_the_first_of_equal_zeros():
+    specs = [AggregateSpec("min", "x"), AggregateSpec("max", "x")]
+    rows = GROUPING_SCHEMA.empty(len(ZERO_TIE_KEYS))
+    rows["k"], rows["x"] = ZERO_TIE_KEYS, ZERO_TIE_VALUES
+    _, expected = _aggregate(GROUPING_SCHEMA, rows, ["k"], specs)
+    assert np.signbit(expected["min_x"]).tolist() == [False, True, True]
+    assert np.signbit(expected["max_x"]).tolist() == [False, False, False]
+    grouped = software_groupby(rows, GROUPING_SCHEMA, ["k"], specs)
+    assert grouped.rows.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(4)
+    rows = GROUPING_SCHEMA.empty(600)
+    rows["k"] = rng.integers(0, 40, 600)
+    rows["x"] = rng.choice([0.0, -0.0, 1.0, -1.0, NAN], 600,
+                           p=[0.35, 0.35, 0.1, 0.1, 0.1])
+    _, expected = _aggregate(GROUPING_SCHEMA, rows, ["k"], specs)
+    grouped = software_groupby(rows, GROUPING_SCHEMA, ["k"], specs)
+    assert grouped.rows.tobytes() == expected.tobytes()
+
+
 def test_software_grouping_of_no_rows():
     rows = GROUPING_SCHEMA.empty(0)
     grouped = software_groupby(rows, GROUPING_SCHEMA, ["k"],

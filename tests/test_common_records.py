@@ -191,7 +191,7 @@ KEYED = {
 
 def check_kernel_against_dict(rows, columns):
     """``first_occurrence(key_image(...))`` vs a plain python dict over the
-    concatenated column bytes of each row."""
+    concatenated column bytes of each row, in one call and streamed."""
     images = [b"".join(rows[name][i:i + 1].tobytes() for name in columns)
               for i in range(len(rows))]
     index: dict[bytes, int] = {}
@@ -202,6 +202,16 @@ def check_kernel_against_dict(rows, columns):
     first, got = first_occurrence(keys)
     assert got.tolist() == group
     assert first.tolist() == [group.index(g) for g in range(len(index))]
+    # Streamed five rows at a time through a long-lived map: the same
+    # groups, each key introduced once, the map left as the dict.
+    seen: dict[bytes, int] = {}
+    streamed, introduced = [], []
+    for start in range(0, len(keys), 5):
+        new, part = first_occurrence(keys[start:start + 5], seen)
+        streamed += part.tolist()
+        introduced += (new + start).tolist()
+    assert (streamed, introduced) == (group, first.tolist())
+    assert list(seen.items()) == list(index.items())
 
 
 @settings(max_examples=80, deadline=None)

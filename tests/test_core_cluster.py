@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.baselines.sql_model import _aggregate
+from repro.baselines.sql_model import _aggregate, execute_model
 from repro.baselines.sw_ops import software_groupby
 from repro.common.errors import CatalogError, QueryError
 from repro.core import (
@@ -268,6 +268,48 @@ def test_merge_group_rows_nan_and_int_avg_cells(num_nodes):
                          Query(group_by=("a",), aggregates=aggregates),
                          num_nodes)
     assert got.data == expected.tobytes()
+
+
+@pytest.mark.parametrize("placement", ["offload", "ship"])
+@pytest.mark.parametrize("num_nodes", [1, 2, 4])
+def test_grouped_min_max_zero_ties_match_the_model(num_nodes, placement):
+    """``0.0`` and ``-0.0`` tie under MIN/MAX and the reference keeps the
+    one a group met first; so must the node's fold, the shipped kernel
+    and the pool's partial merge, to the sign bit."""
+    schema, rows = groupby_workload(9, 3, seed=1)
+    rows = rows.copy()
+    rows["a"] = [1, 1, 2, 2, 1, 2, 3, 3, 3]
+    rows["b"] = [0.0, -0.0, -0.0, 0.0, 5.0, 5.0, -1.0, 0.0, -0.0]
+    statement = "SELECT a, MIN(b), MAX(b) FROM t GROUP BY a"
+    _, expected = execute_model(statement, {"t": (schema, rows)})
+    assert np.signbit(expected["min_b"]).tolist() == [False, True, True]
+    client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
+                                          EXPERIMENT_CONFIG))
+    client.open_connection()
+    client.create_table("t", schema, rows)
+    result, _ = client.sql(statement, placement=placement)
+    assert result.schema.to_bytes(result.rows()) == expected.tobytes()
+
+
+@pytest.mark.parametrize("placement", ["offload", "ship"])
+@pytest.mark.parametrize("num_nodes", [1, 2, 4])
+def test_global_min_max_take_a_nan_from_any_burst(num_nodes, placement):
+    """The reference's global MIN/MAX is ``col.min()``: a NaN anywhere
+    wins — also one that sits in a later DRAM burst, or on a later
+    shard, than the running extreme it meets."""
+    schema, rows = groupby_workload(4096, 7, seed=1)
+    rows = rows.copy()
+    rows["b"] = 10.0 + np.arange(4096) % 7
+    rows["b"][3000:3003] = [np.nan, 0.5, 99.0]
+    statement = "SELECT MIN(b), MAX(b), COUNT(*) FROM t"
+    _, expected = execute_model(statement, {"t": (schema, rows)})
+    assert np.isnan(expected["min_b"][0]) and np.isnan(expected["max_b"][0])
+    client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
+                                          EXPERIMENT_CONFIG))
+    client.open_connection()
+    client.create_table("t", schema, rows)
+    result, _ = client.sql(statement, placement=placement)
+    assert result.schema.to_bytes(result.rows()) == expected.tobytes()
 
 
 def test_selection_concat_byte_identical():

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,3 +230,23 @@ def test_lru_never_exceeds_depth(keys):
     for k in keys:
         lru.lookup_or_insert(k)
         assert len(lru.resident) <= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(st.lists(st.integers(min_value=0, max_value=9),
+                         max_size=40), max_size=5))
+def test_lru_advance_equals_the_probe_loop(depth, batches):
+    """``advance(keys)`` leaves the register exactly as one
+    ``lookup_or_insert`` per key does — content and recency — over any
+    batch split, empty batches and batches shorter than the register
+    included; it moves neither ``hits`` nor ``misses``."""
+    batched, stepped = ShiftRegisterLru(depth), ShiftRegisterLru(depth)
+    for batch in batches:
+        keys = [bytes([k]) for k in batch]
+        batched.advance(np.array(keys, dtype="V1"))
+        for key in keys:
+            stepped.lookup_or_insert(key)
+        assert batched.resident == stepped.resident
+    assert (batched.hits, batched.misses) == (0, 0)
+    assert stepped.hits + stepped.misses == sum(map(len, batches))

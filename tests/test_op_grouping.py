@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import OperatorError, QueryError
-from repro.common.records import default_schema
+from repro.common.records import Schema, default_schema, key_image
 from repro.operators.aggregate import (
     Accumulator,
     AggregateSpec,
     StandaloneAggregateOperator,
+    accumulator_rows,
+    batch_accumulate,
+    value_columns,
 )
+from repro.operators.cuckoo import CuckooHashTable
 from repro.operators.distinct import DistinctOperator
 from repro.operators.groupby import GroupByOperator
+from repro.operators.lru_cache import ShiftRegisterLru
 
 
 def make_batch(values_a, values_b=None):
@@ -45,9 +50,10 @@ def test_spec_rejects_char_column():
 
 
 def test_accumulator_updates():
+    _, batch = make_batch([0, 0, 0], [3.0, 1.0, 2.0])
     acc = Accumulator(1)
-    for v in (3.0, 1.0, 2.0):
-        acc.update((v,))
+    for row in range(3):
+        batch_accumulate(acc, batch[row:row + 1], ["b"])
     spec_sum = AggregateSpec("sum", "x")
     spec_min = AggregateSpec("min", "x")
     spec_max = AggregateSpec("max", "x")
@@ -96,6 +102,25 @@ def test_standalone_aggregate_multiple_batches():
     op.process(batch1)
     op.process(batch2)
     assert op.flush()["sum_a"][0] == 10
+
+
+@pytest.mark.parametrize("burst", [0, 1, 2])
+def test_standalone_min_max_take_a_nan_from_any_burst(burst):
+    """The reference's global MIN/MAX is ``col.min()`` over the whole
+    column, so a NaN wins wherever it sits; ``lo < current`` is false on
+    a NaN burst minimum and used to drop that burst's min *and* max."""
+    values = 10.0 + np.arange(768) % 7
+    values[256 * burst + 40:256 * burst + 43] = [np.nan, 0.5, 99.0]
+    schema, batch = make_batch(np.arange(768), values)
+    op = StandaloneAggregateOperator([AggregateSpec("min", "b"),
+                                      AggregateSpec("max", "b"),
+                                      AggregateSpec("min", "a")])
+    op.bind(schema)
+    for start in range(0, 768, 256):
+        op.process(batch[start:start + 256])
+    row = op.flush()
+    assert np.isnan(row["min_b"][0]) and np.isnan(row["max_b"][0])
+    assert row["min_a"][0] == 0
 
 
 def test_standalone_aggregate_empty_input():
@@ -311,3 +336,209 @@ def test_groupby_matches_python_dict_oracle(rows):
         s, c = expected.get(k, (0.0, 0))
         expected[k] = (s + v, c + 1)
     assert got == expected
+
+
+# --- pinned state: the per-batch operators against the per-row loops they replaced -------
+
+class _LoopAccumulator:
+    """One group's running aggregates, updated a tuple at a time."""
+
+    def __init__(self, lanes):
+        self.count = 0
+        self.sums = [0.0] * lanes
+        self.mins = [None] * lanes
+        self.maxs = [None] * lanes
+
+    def update(self, values):
+        self.count += 1
+        for i, v in enumerate(values):
+            self.sums[i] += v
+            if self.mins[i] is None or v < self.mins[i]:
+                self.mins[i] = v
+            if self.maxs[i] is None or v > self.maxs[i]:
+                self.maxs[i] = v
+
+    result = Accumulator.result
+
+
+class _LoopDistinct:
+    """DISTINCT as it ran before it went per batch: LRU probe, resident
+    mirror and cuckoo put once per tuple."""
+
+    def __init__(self, key_columns, ways, slots_per_way, max_kicks,
+                 lru_depth_per_way):
+        self.key_columns = key_columns
+        self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
+        self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
+        self.duplicates_dropped = self.overflow_count = 0
+        self.resident = set()
+
+    def process(self, batch):
+        image = key_image(batch, self.key_columns)
+        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
+        keep = np.zeros(len(batch), dtype=bool)
+        for i, key in enumerate(image.tolist()):
+            if self.lru.lookup_or_insert(key) or key in self.resident:
+                self.duplicates_dropped += 1
+                continue
+            keep[i] = True
+            self.resident.add(key)
+            if not self.table.put(key, True, slots[i]):
+                self.overflow_count += 1
+                self.resident.discard(self.table.overflow[-1][0])
+        return batch[keep]
+
+
+class _LoopGroupBy:
+    """GROUP BY as it ran before it went per batch: one accumulator object
+    per key, moved from the resident mirror to the overflow area by an
+    eviction, updated once per tuple."""
+
+    def __init__(self, schema, key_columns, aggregates, ways, slots_per_way,
+                 max_kicks, lru_depth_per_way):
+        self.key_columns, self.aggregates = key_columns, aggregates
+        self.lanes = value_columns(aggregates)
+        self.out_schema = Schema([schema.column(k) for k in key_columns]
+                                 + [s.output_column(schema)
+                                    for s in aggregates])
+        self.table = CuckooHashTable(ways, slots_per_way, max_kicks)
+        self.lru = ShiftRegisterLru(ways * lru_depth_per_way)
+        self.queue, self.mirror, self.overflow = [], {}, {}
+
+    def process(self, batch):
+        image = key_image(batch, self.key_columns)
+        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
+        values = [batch[name].astype(np.float64).tolist()
+                  for name in self.lanes]
+        for i, key in enumerate(image.tolist()):
+            row = tuple(lane[i] for lane in values)
+            self.lru.lookup_or_insert(key)
+            if key in self.overflow:
+                self.overflow[key].update(row)
+                continue
+            acc = self.mirror.get(key)
+            if acc is None:
+                acc = self.mirror[key] = _LoopAccumulator(len(self.lanes))
+                self.queue.append(key)
+                if not self.table.put(key, acc, slots[i]):
+                    for evicted, spilled in self.table.drain_overflow():
+                        self.overflow[evicted] = spilled
+                        del self.mirror[evicted]
+            acc.update(row)
+
+    def flush(self):
+        return accumulator_rows(
+            self.out_schema, self.key_columns, self.aggregates,
+            {key: self.mirror[key] for key in self.queue
+             if key in self.mirror})
+
+
+_TINY_TABLES = st.tuples(st.integers(1, 3), st.integers(2, 40),
+                         st.integers(1, 5), st.integers(1, 3))
+_TABLES = st.one_of(_TINY_TABLES, st.just((4, 16_384, 32, 4)))
+_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                           float("-inf"), 1e300, -1e300, 0.5, -2.25, 3.0,
+                           1024.125])
+_INTS = st.sampled_from([2**62, 2**62 - 1, 2**62 + 1, -2**62, -2**62 + 3,
+                         0, 1, -1])
+_ROWS = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2),
+                           _FLOATS, _INTS), max_size=120)
+_SPECS = [AggregateSpec("count", "*"), AggregateSpec("count", "b"),
+          AggregateSpec("sum", "b"), AggregateSpec("min", "b"),
+          AggregateSpec("max", "b"), AggregateSpec("avg", "b"),
+          # No sum(c): two 2**62 leave int64, which the loop's emitter
+          # refuses and an array cast wraps; avg(c) folds the same sums.
+          AggregateSpec("min", "c"), AggregateSpec("max", "c"),
+          AggregateSpec("avg", "c")]
+
+
+def _split(draw, rows):
+    """``rows`` cut into batches at drawn points; a repeated cut is an
+    empty batch."""
+    schema = default_schema()
+    table = schema.empty(len(rows))
+    for name, column in zip("adbc", zip(*rows)):
+        table[name] = column
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=6)))
+    return schema, [table[lo:hi]
+                    for lo, hi in zip([0] + cuts, cuts + [len(rows)])]
+
+
+def _table_state(table):
+    return ([{slot: entry.key for slot, entry in way.items()}
+             for way in table._tables], table.kicks, table.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_distinct_state_equals_the_per_row_loop(data):
+    """After every batch the per-batch DISTINCT has emitted the loop's
+    bytes and holds the loop's state: where every key sits, kicks, the
+    overflow buffer in order, the register and the counters — through the
+    first overflow (the hand-over to the per-row path) and beyond."""
+    geometry = data.draw(_TABLES)
+    key_columns = data.draw(st.sampled_from([["a"], ["a", "d"]]))
+    schema, batches = _split(data.draw, data.draw(_ROWS))
+    op = DistinctOperator(key_columns, *geometry)
+    op.bind(schema)
+    loop = _LoopDistinct(key_columns, *geometry)
+    for batch in batches:
+        assert op.process(batch).tobytes() == loop.process(batch).tobytes()
+        assert _table_state(op.table) == _table_state(loop.table)
+        assert op.table.overflow == loop.table.overflow
+        assert op.lru.resident == loop.lru.resident
+        assert set(op._resident) == loop.resident
+        assert ((op.duplicates_dropped, op.overflow_count, op.distinct_seen)
+                == (loop.duplicates_dropped, loop.overflow_count,
+                    loop.table.size))
+        assert op.rows_in - op.rows_out == op.duplicates_dropped
+    assert op.drain_overflow_keys() == [k for k, _ in loop.table.overflow]
+    assert op.drain_overflow_keys() == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_groupby_state_equals_the_per_row_loop(data):
+    """After every batch the columnar GROUP BY holds the loop's state —
+    where every key sits, kicks, the overflow order, the register, the
+    group counters — and at the end it flushes the loop's bytes and drains
+    the loop's overflow groups, whichever of the two comes first."""
+    geometry = data.draw(_TABLES)
+    key_columns = data.draw(st.sampled_from([["a"], ["a", "d"]]))
+    aggregates = data.draw(st.lists(st.sampled_from(_SPECS), min_size=1,
+                                    max_size=4, unique=True))
+    schema, batches = _split(data.draw, data.draw(_ROWS))
+    op = GroupByOperator(key_columns, aggregates, *geometry)
+    op.bind(schema)
+    loop = _LoopGroupBy(schema, key_columns, aggregates, *geometry)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for batch in batches:
+            assert len(op.process(batch)) == 0
+            loop.process(batch)
+            assert _table_state(op.table) == _table_state(loop.table)
+            assert [k for k, _ in op.table.overflow] == list(loop.overflow)
+            assert op.lru.resident == loop.lru.resident
+            assert op.flush_cycles() == 4 * len(loop.queue)
+            assert op.num_groups == len(loop.table) + len(loop.overflow)
+
+        def drain():
+            groups = op.drain_overflow_groups()
+            assert list(groups) == list(loop.overflow)
+            lanes = value_columns(aggregates)
+            for key, acc in groups.items():
+                want = loop.overflow[key]
+                assert acc.count == want.count
+                for spec in aggregates:
+                    lane = (lanes.index(spec.column)
+                            if spec.column in lanes else 0)
+                    np.testing.assert_array_equal(
+                        np.float64(acc.result(spec, lane)).tobytes(),
+                        np.float64(want.result(spec, lane)).tobytes())
+            assert op.drain_overflow_groups() == {}
+
+        drain_first = data.draw(st.booleans())
+        if drain_first:
+            drain()
+        assert op.flush().tobytes() == loop.flush().tobytes()
+        if not drain_first:
+            drain()

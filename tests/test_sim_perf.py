@@ -27,8 +27,11 @@ from repro.core.table import FTable
 from repro.core.views import GroupStage
 from repro.core.zset import ZSet
 from repro.memory.mmu import DEFAULT_BURST_BYTES
-from repro.operators.aggregate import AggregateSpec, decompose_partials
+from repro.operators.aggregate import (AggregateSpec, accumulator_rows,
+                                       decompose_partials)
 from repro.operators.base import OperatorPipeline
+from repro.operators.distinct import DistinctOperator
+from repro.operators.groupby import GroupByOperator
 from repro.operators.join import SmallTableJoinOperator
 from repro.sim.engine import Simulator
 from repro.workloads.generator import (distinct_workload, groupby_workload,
@@ -162,6 +165,58 @@ def test_join_python_call_budget():
     assert wall < 5.0   # ~0.1 s under the profiler; slack for slow CI
 
 
+# -- the grouping operators stay one array transform per burst -----------------
+
+def test_grouping_operator_python_call_budget():
+    """65,536 rows in DRAM-burst batches through a DISTINCT and a GROUP BY
+    pipeline, at 64 keys and at all-distinct keys: the Python-level calls
+    into ``repro.operators`` are O(batches + distinct keys).
+
+    Only a key new to the operator walks the cuckoo tables (a put and its
+    probe); grouping, accumulation and the LRU register are array passes
+    per burst: ~2,460 calls each at 64 keys, where the per-tuple loops
+    made 72,327 (DISTINCT, one register probe a row) and 203,916 (GROUP
+    BY, three calls a row).  At all-distinct keys the default tables fill
+    up: DISTINCT's last rows run on its per-row path (three calls a row,
+    as every row of the old loop did) and GROUP BY spills groups, both
+    inside the per-key term; the old GROUP BY made nine calls a key.
+    """
+    nrows = 65_536
+    schema = default_schema()
+    for distinct in (64, nrows):
+        rows = schema.empty(nrows)
+        rows["a"] = (np.arange(nrows) * 7) % distinct
+        rows["b"] = (np.arange(nrows) % 100) * 0.25
+        image = memoryview(schema.to_bytes(rows))
+        bursts = [image[off:off + DEFAULT_BURST_BYTES]
+                  for off in range(0, len(image), DEFAULT_BURST_BYTES)]
+        specs = [AggregateSpec("count", "*"), AggregateSpec("sum", "b"),
+                 AggregateSpec("min", "b")]
+        expected = software_groupby(rows, schema, ["a"], specs).rows
+        for op in (DistinctOperator(["a"]), GroupByOperator(["a"], specs)):
+            pipeline = OperatorPipeline(op.name, schema, [op])
+            profile = cProfile.Profile()
+            profile.enable()
+            out = b"".join([pipeline.process_chunk(burst)
+                            for burst in bursts] + [pipeline.flush()])
+            spilled = (op.drain_overflow_groups() if op.name == "groupby"
+                       else op.drain_overflow_keys())
+            profile.disable()
+            got = pipeline.output_schema.from_bytes(out)
+            if op.name == "groupby":
+                got = np.concatenate([got, accumulator_rows(
+                    pipeline.output_schema, ["a"], specs, spilled)])
+                got = got[np.argsort(got["a"])]
+                assert (got.tobytes()
+                        == expected[np.argsort(expected["a"])].tobytes())
+            else:
+                np.testing.assert_array_equal(got["a"], rows["a"][:distinct])
+            assert bool(spilled) == (distinct == nrows)
+            calls = _calls_into(profile, "/repro/operators/")
+            assert 0 < calls < 3 * distinct + 30 * len(bursts), (
+                op.name, distinct, calls)
+
+
 # -- host-side grouping stays one array transform ------------------------------
 
 def test_host_grouping_python_call_budget():
@@ -290,7 +345,8 @@ def test_one_hash_one_probe_in_src():
     caches, the second scatter, the four table-handle classes and second
     client body behind them, and the host's hand-rolled hash map with its
     five sibling key-grouping mechanisms, and the view circuit's own
-    scalar stages, lowering helpers and eighth key packing (code and
+    scalar stages, lowering helpers and eighth key packing, and the
+    per-tuple GROUP BY's object mirror, queue and overflow dict (code and
     docs)."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
@@ -310,7 +366,8 @@ def test_one_hash_one_probe_in_src():
                                "__meta__", "row_images", "FilterStage",
                                "RegexStage", "ProjectStage", "EvalStage",
                                "_query_stages", "_make_join_stage",
-                               "state_entries"))):
+                               "state_entries", "_acc_mirror",
+                               "_insertion_queue", "._overflow_groups"))):
         for root in roots:
             for path in (repo / root).rglob("*.*"):
                 if path.suffix not in (".py", ".md"):
