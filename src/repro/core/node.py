@@ -215,7 +215,7 @@ class FarviewNode:
         """Process: request latency through the pipelined request engine."""
         overhead = cal.FV_NIC_REQUEST_OVERHEAD_NS
         issue = min(cal.FV_REQUEST_ISSUE_NS, overhead)
-        yield self._request_engine.transfer(0, extra_ns=issue)
+        yield self.sim.timeout(self._request_engine.occupy(0, extra_ns=issue))
         remaining = overhead - issue
         if remaining > 0:
             yield self.sim.timeout(remaining)
@@ -437,7 +437,7 @@ class FarviewNode:
             if conn.region.state is RegionState.FAILED:
                 raise RegionFailedError(
                     f"region {conn.region.index} failed mid-pipeline")
-            yield ingest.transfer(len(chunk))
+            yield self.sim.timeout(ingest.occupy(len(chunk)))
             report.bytes_scanned += len(chunk)
             if visible is not None:
                 streamed += len(chunk)
@@ -480,12 +480,11 @@ class FarviewNode:
         while done_requests < total_requests:
             batch = min(batch_requests, total_requests - done_requests)
             per_channel = (batch + mem.channels - 1) // mem.channels
-            events = []
-            for channel in self.mmu.channels:
-                events.append(channel.read_pipe.transfer(
+            yield self.sim.timeout(max(
+                channel.read_pipe.occupy(
                     per_channel * mem.stripe_unit,
-                    extra_ns=per_channel * cal.SA_REQUEST_OVERHEAD_NS))
-            yield self.sim.all_of(events)
+                    extra_ns=per_channel * cal.SA_REQUEST_OVERHEAD_NS)
+                for channel in self.mmu.channels))
             done_requests += batch
             out_end = min(len(out_image),
                           out_cursor + batch * bytes_per_request)

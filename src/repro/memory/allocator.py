@@ -10,8 +10,10 @@ region".  We model this as:
 * consecutive 64-byte stripe units of the page rotate across channels:
   unit ``i`` lives on channel ``i % C`` at slice offset ``(i // C) * 64``.
 
-Slices are managed with a simple free-list per channel (constant-time
-allocate/free, no fragmentation because all slices are equal-sized).
+Slices are handed out recycled-first (last freed, first reused), then
+in ascending order from a high-water mark: constant-time allocate/free,
+no fragmentation because all slices are equal-sized, and a slice at or
+above the mark has never held data.
 """
 
 from __future__ import annotations
@@ -48,14 +50,19 @@ class StripedAllocator:
                 f"channel capacity {config.channel_capacity} smaller than a "
                 f"page slice {self.slice_size}")
         # All channels allocate the same slice index for a page, keeping the
-        # stripe arithmetic uniform; one shared free list suffices.
-        self._free_slices = list(range(slices_per_channel - 1, -1, -1))
+        # stripe arithmetic uniform; one shared free list suffices.  Freed
+        # slices, in the order they were freed (a dict: O(1) membership
+        # for the double-free check, ``popitem`` for last-in-first-out).
+        self._recycled: dict[int, None] = {}
+        #: Slices ``[0, high_water)`` have been handed out at some time;
+        #: the backing store of the rest is untouched, hence zero.
+        self.high_water = 0
         self._total_slices = slices_per_channel
         self.pages_allocated = 0
 
     @property
     def free_pages(self) -> int:
-        return len(self._free_slices)
+        return len(self._recycled) + self._total_slices - self.high_water
 
     @property
     def total_pages(self) -> int:
@@ -63,10 +70,14 @@ class StripedAllocator:
 
     def allocate_page(self) -> PageFrames:
         """Reserve one page worth of physical memory across all channels."""
-        if not self._free_slices:
+        if self._recycled:
+            index, _ = self._recycled.popitem()
+        elif self.high_water < self._total_slices:
+            index = self.high_water
+            self.high_water += 1
+        else:
             raise OutOfMemoryError(
                 f"no free pages ({self._total_slices} total, all in use)")
-        index = self._free_slices.pop()
         offset = index * self.slice_size
         self.pages_allocated += 1
         return PageFrames(tuple(offset for _ in range(self.config.channels)))
@@ -78,9 +89,9 @@ class StripedAllocator:
             raise ConfigurationError(
                 "uniform slice allocation invariant violated")
         index = frames.slice_offsets[0] // self.slice_size
-        if index in self._free_slices:
+        if index >= self.high_water or index in self._recycled:
             raise OutOfMemoryError(f"double free of page slice {index}")
-        self._free_slices.append(index)
+        self._recycled[index] = None
         self.pages_allocated -= 1
 
     # -- stripe arithmetic -----------------------------------------------------

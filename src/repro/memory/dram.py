@@ -1,9 +1,11 @@
 """On-board DRAM channel model (paper §4.4, §6.1).
 
-Each channel is a byte-addressable backing store (a real ``bytearray``, so
-reads return the bytes that were written) plus a :class:`BandwidthPipe`
-modelling the softcore controller: 64-byte interface at 300 MHz, ~18 GBps
-theoretical, with a fixed access latency for the first beat of a burst.
+Each channel is a byte-addressable backing store (real memory, so reads
+return the bytes that were written), reached through :meth:`store_slice`,
+plus a :class:`BandwidthPipe` per direction modelling the softcore
+controller: 64-byte interface at 300 MHz, ~18 GBps theoretical, with a
+fixed access latency for the first beat of a burst.  The MMU moves the
+bytes and charges the pipes; the channel itself runs nothing.
 
 Reads and writes use **decoupled pipes** ("fully decoupled read and write
 channels", §4.4): a stream of reads does not queue behind writes.
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..common.config import MemoryConfig
 from ..common.errors import MemoryError_
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Simulator
 from ..sim.resources import BandwidthPipe
 
 
@@ -45,18 +47,6 @@ class DramChannel:
                 f"channel {self.index}: access [{offset}, {offset + length}) "
                 f"outside capacity {self.capacity}")
 
-    # -- functional access (no timing) ---------------------------------------
-    def peek(self, offset: int, length: int) -> bytes:
-        """Read bytes without consuming simulated bandwidth."""
-        self._check_range(offset, length)
-        return self._data[offset:offset + length].tobytes()
-
-    def poke(self, offset: int, data: bytes | memoryview) -> None:
-        """Write bytes without consuming simulated bandwidth."""
-        self._check_range(offset, len(data))
-        self._data[offset:offset + len(data)] = np.frombuffer(data,
-                                                              dtype=np.uint8)
-
     def store_slice(self, offset: int, length: int) -> np.ndarray:
         """Raw view into the backing store (MMU de-striping internals).
 
@@ -65,20 +55,6 @@ class DramChannel:
         """
         self._check_range(offset, length)
         return self._data[offset:offset + length]
-
-    # -- timed access ---------------------------------------------------------
-    def read(self, offset: int, length: int) -> Event:
-        """Timed read; the event fires with the bytes read."""
-        data = self.peek(offset, length)
-        done = self.sim.event()
-        self.read_pipe.transfer(length).add_callback(
-            lambda _ev: done.succeed(data))
-        return done
-
-    def write(self, offset: int, data: bytes) -> Event:
-        """Timed write; the event fires when the last byte lands."""
-        self.poke(offset, data)
-        return self.write_pipe.transfer(len(data))
 
     @property
     def bytes_read(self) -> int:

@@ -141,13 +141,18 @@ class Mmu:
         alloc = _Allocation(vaddr=first_vpage * page_size, nbytes=nbytes)
         table = self._page_tables[domain]
         slice_size = self.allocator.slice_size
+        # Scrub recycled frames: fresh allocations read as zero, and no
+        # data leaks across protection domains when pages are reused.  A
+        # frame never handed out before reads zero as it is, and storing
+        # into it would only make the host back it with real memory.
+        recycled_below = self.allocator.high_water * slice_size
         for i in range(npages):
             vpage = first_vpage + i
             frames = self.allocator.allocate_page()
-            # Scrub recycled frames: fresh allocations read as zero, and no
-            # data leaks across protection domains when pages are reused.
-            for channel, offset in zip(self.channels, frames.slice_offsets):
-                channel.store_slice(offset, slice_size)[:] = 0
+            if frames.slice_offsets[0] < recycled_below:
+                for channel, offset in zip(self.channels,
+                                           frames.slice_offsets):
+                    channel.store_slice(offset, slice_size)[:] = 0
             table[vpage] = frames
             alloc.pages.append(vpage)
         self._next_vpage[domain] = first_vpage + npages
@@ -355,11 +360,11 @@ class Mmu:
         while cursor < length:
             burst = min(self.burst_bytes, length - cursor)
             per_channel = self.allocator.channel_extent(burst)
-            events = []
-            for channel in self.channels:
-                pipe = channel.write_pipe if write else channel.read_pipe
-                events.append(pipe.transfer(per_channel))
-            yield self.sim.all_of(events)
+            # Every channel is charged its stripe share; the burst is
+            # complete when the slowest of them is.
+            yield self.sim.timeout(max(
+                (channel.write_pipe if write else channel.read_pipe)
+                .occupy(per_channel) for channel in self.channels))
             cursor += burst
         done.succeed(payload if not write else length)
 

@@ -9,6 +9,7 @@ sender is added as extra occupancy.
 from __future__ import annotations
 
 import math
+from typing import Any, Callable
 
 from ..common.config import NetworkConfig
 from ..common.errors import QueryError
@@ -86,11 +87,12 @@ class Link:
         """Transmit one client->server packet; fires on arrival at server."""
         return self.uplink.transfer(self.wire_size(payload_bytes), extra_ns)
 
-    def send_down(self, flow_id: int, payload_bytes: int,
-                  extra_ns: float = 0.0) -> Event:
-        """Transmit one server->client packet through the fair-share arbiter."""
-        return self.down_arbiter.submit(flow_id, self.wire_size(payload_bytes),
-                                        extra_ns)
+    def send_down(self, flow_id: int, payload_bytes: int, extra_ns: float,
+                  fn: Callable, *args: Any) -> None:
+        """Transmit one server->client packet through the fair-share
+        arbiter; ``fn(*args)`` runs on arrival at the client."""
+        self.down_arbiter.submit(flow_id, self.wire_size(payload_bytes),
+                                 extra_ns, fn, *args)
 
     def register_flow(self, flow_id: int) -> None:
         self.down_arbiter.register_flow(flow_id)

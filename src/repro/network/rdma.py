@@ -19,6 +19,8 @@ way the paper's deeply pipelined design intends (§4.1).
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..common.config import NetworkConfig
 from ..common.errors import NetworkError
 from ..sim.engine import Event, Simulator
@@ -44,9 +46,12 @@ def deliver_write(sim: Simulator, link: Link, qp: QueuePair, payload: bytes,
     if not lengths:
         yield link.send_up(CONTROL_PACKET_BYTES)
         return payload
-    events = [link.send_up(n, per_packet_overhead_ns) for n in lengths]
-    # Completion when the last packet arrives (uplink preserves order).
-    yield events[-1]
+    # Every packet is priced onto the uplink, one behind the other; the
+    # write completes when the last one arrives (the uplink keeps order),
+    # which is the only arrival anything waits for.
+    for n in lengths:
+        arrival = link.uplink.occupy(link.wire_size(n), per_packet_overhead_ns)
+    yield sim.timeout(arrival)
     return payload
 
 
@@ -64,6 +69,11 @@ class ResponseStreamer:
     final partial packet is flushed by :meth:`finish`.  The client-buffer
     offset advances monotonically — exactly how Farview's sender issues
     one-sided writes into the client's posted buffer (§5.5 "Sending").
+
+    A packet costs the event loop its two timed hops — the arbiter grants
+    it the wire, :meth:`_on_delivered` runs when it lands — plus one
+    immediate hop (:meth:`_on_credit`) if it had to wait for a credit.
+    The producer is resumed once per chunk, not once per packet.
     """
 
     def __init__(self, sim: Simulator, link: Link, qp: QueuePair,
@@ -78,15 +88,24 @@ class ResponseStreamer:
             else per_packet_overhead_ns)
         self._pending = bytearray()
         self._buffer_offset = 0
-        self._inflight: list[Event] = []
+        #: Packets cut and waiting for a flow-control credit, oldest first;
+        #: while there are any, one waiter of ours is in the pool's FIFO.
+        self._backlog: deque[bytes | memoryview] = deque()
+        #: Packets cut and not yet landed (the backlog included).
+        self._inflight = 0
+        #: What :meth:`send` / :meth:`finish` are parked on, if they are.
+        self._credited: Event | None = None
+        self._drained: Event | None = None
         self._finished = False
         self.packets_sent = 0
         self.payload_bytes_sent = 0
 
     # -- producer interface ----------------------------------------------------
     def send(self, chunk: bytes | memoryview):
-        """Process: enqueue ``chunk``; emits any full packets (may block on
-        flow-control credits).
+        """Process: cut ``chunk`` into packets and put them on the wire;
+        returns once the last of them holds a flow-control credit (so a
+        producer is back-pressured exactly as if it had waited for each
+        credit in turn, but is resumed once).
 
         Zero-copy: whole packets are sliced straight out of ``chunk``
         (callers hand over stable buffers); only the partial-packet tail is
@@ -106,14 +125,18 @@ class ResponseStreamer:
             packet = bytes(self._pending)
             self._pending.clear()
             chunk = chunk[need:]
-            yield from self._emit(packet)
+            self._emit(packet)
         cursor = 0
         end = len(chunk)
         while end - cursor >= size:
-            yield from self._emit(chunk[cursor:cursor + size])
+            self._emit(chunk[cursor:cursor + size])
             cursor += size
         if cursor < end:
             self._pending.extend(chunk[cursor:] if cursor else chunk)
+        if self._backlog:
+            self._credited = self.sim.event()
+            yield self._credited
+            self._credited = None
 
     def finish(self):
         """Process: flush the final partial packet and wait for delivery.
@@ -125,23 +148,41 @@ class ResponseStreamer:
         if self._pending:
             packet = bytes(self._pending)
             self._pending.clear()
-            yield from self._emit(packet)
+            self._emit(packet)
         self._finished = True
         if self._inflight:
-            yield self.sim.all_of(self._inflight)
-            self._inflight.clear()
+            self._drained = self.sim.event()
+            yield self._drained
         return self.payload_bytes_sent
 
     # -- internals ---------------------------------------------------------------
-    def _emit(self, payload: bytes | memoryview):
-        yield self.qp.credits.acquire()
+    def _emit(self, payload: bytes | memoryview) -> None:
+        """Transmit ``payload`` now if a credit is free, else queue it
+        behind the packets already waiting for one."""
+        self._inflight += 1
+        if self._backlog:
+            self._backlog.append(payload)
+        elif self.qp.credits.try_acquire():
+            self._transmit(payload)
+        else:
+            self._backlog.append(payload)
+            self.qp.credits.acquire().add_callback(self._on_credit)
+
+    def _on_credit(self, _credit: Event) -> None:
+        """A landed packet returned the credit the oldest queued one
+        waits for; the pool hands out the next the same way."""
+        self._transmit(self._backlog.popleft())
+        if self._backlog:
+            self.qp.credits.acquire().add_callback(self._on_credit)
+        elif self._credited is not None:
+            self._credited.succeed()
+
+    def _transmit(self, payload: bytes | memoryview) -> None:
         offset = self._buffer_offset
         self._buffer_offset += len(payload)
-        delivered = self.link.send_down(self.qp.qp_id, len(payload),
-                                        self.per_packet_overhead_ns)
-        delivered.add_callback(
-            lambda _ev, off=offset, data=payload: self._on_delivered(off, data))
-        self._inflight.append(delivered)
+        self.link.send_down(self.qp.qp_id, len(payload),
+                            self.per_packet_overhead_ns,
+                            self._on_delivered, offset, payload)
         self.packets_sent += 1
         self.payload_bytes_sent += len(payload)
 
@@ -149,3 +190,6 @@ class ResponseStreamer:
         self.qp.buffer.deposit(offset, payload)
         self.qp.credits.release()
         self.qp.responses_received += 1
+        self._inflight -= 1
+        if not self._inflight and self._drained is not None:
+            self._drained.succeed()

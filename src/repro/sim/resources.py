@@ -16,7 +16,7 @@ These model the hardware structures the paper leans on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from .engine import Event, SimulationError, Simulator
 
@@ -85,11 +85,12 @@ class Store:
 class BandwidthPipe:
     """A serializing channel with fixed rate and optional per-use latency.
 
-    ``transfer(nbytes)`` returns an event that fires when the last byte has
-    left the pipe.  Transfers are serviced in request order; each holds the
-    pipe for ``nbytes / rate`` after an initial ``latency`` (which overlaps
-    with other transfers' service — it models pipelined access latency, not
-    occupancy).
+    ``occupy(nbytes)`` prices a transfer — it queues behind everything
+    priced before it, holds the pipe for ``nbytes / rate`` and completes
+    ``latency`` later (which overlaps with other transfers' service — it
+    models pipelined access latency, not occupancy) — and returns how long
+    from now that is, for the caller to schedule whatever happens then.
+    ``transfer(nbytes)`` is the same as an event to ``yield``.
     """
 
     def __init__(self, sim: Simulator, rate: float, latency_ns: float = 0.0,
@@ -108,8 +109,9 @@ class BandwidthPipe:
         #: Total occupancy (service time incl. per-transfer overhead), ns.
         self.occupied_ns = 0.0
 
-    def transfer(self, nbytes: int, extra_ns: float = 0.0) -> Event:
-        """Schedule ``nbytes`` through the pipe; event fires at completion.
+    def occupy(self, nbytes: int, extra_ns: float = 0.0) -> float:
+        """Queue ``nbytes`` through the pipe; returns the delay from now
+        until the transfer completes.
 
         ``extra_ns`` adds fixed occupancy to this transfer (e.g. per-packet
         header processing) — it delays everything queued behind it, unlike
@@ -119,16 +121,20 @@ class BandwidthPipe:
             raise SimulationError(f"negative transfer size: {nbytes}")
         if extra_ns < 0:
             raise SimulationError(f"negative extra occupancy: {extra_ns}")
-        start = max(self.sim.now, self._busy_until)
+        now = self.sim.now
+        start = max(now, self._busy_until)
         service = nbytes / self.rate + extra_ns
         done = start + service
         self._busy_until = done
-        finish = done + self.latency_ns
         self.bytes_transferred += nbytes
         self.transfers += 1
         self.occupied_ns += service
+        return done + self.latency_ns - now
+
+    def transfer(self, nbytes: int, extra_ns: float = 0.0) -> Event:
+        """:meth:`occupy` as an event that fires at completion."""
         ev = self.sim.event()
-        self.sim.schedule(finish - self.sim.now, ev.succeed, nbytes)
+        self.sim.schedule(self.occupy(nbytes, extra_ns), ev.succeed, nbytes)
         return ev
 
     def service_time(self, nbytes: int) -> float:
@@ -184,6 +190,13 @@ class CreditPool:
             self._waiters.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take a credit if one is free (then nobody is waiting for it)."""
+        if self._available > 0:
+            self._available -= 1
+            return True
+        return False
+
     def release(self) -> None:
         if self._waiters:
             self._waiters.popleft().succeed()
@@ -200,21 +213,22 @@ class CreditPool:
 class RoundRobinArbiter:
     """Fair-share arbitration: interleaves work items from competing flows.
 
-    Each flow registers a FIFO of pending grants; ``pump`` services one item
-    per grant cycle in round-robin order, guaranteeing that no client can
-    starve another (§4.3 "prevents any malevolent behaviour by any of the
-    users that could lead to a complete system stall").
+    Each flow registers a FIFO of pending grants; ``_pump`` services one
+    item per grant cycle in round-robin order, guaranteeing that no client
+    can starve another (§4.3 "prevents any malevolent behaviour by any of
+    the users that could lead to a complete system stall").
 
-    The arbiter is used by driving it as a process over a downstream
-    :class:`BandwidthPipe`: every granted item is a (nbytes, completion
-    event) pair whose completion fires when the pipe finishes that item.
+    A granted item costs two loop callbacks, the two timed hops it has on
+    a downstream :class:`BandwidthPipe`: its completion callback, scheduled
+    when the pipe will have delivered it, and the next grant, scheduled
+    when the pipe is free again.
     """
 
     def __init__(self, sim: Simulator, pipe: BandwidthPipe, name: str = ""):
         self.sim = sim
         self.pipe = pipe
         self.name = name
-        self._flows: dict[int, Deque[tuple[int, float, Event]]] = {}
+        self._flows: dict[int, Deque[tuple[int, float, Callable, tuple]]] = {}
         self._order: list[int] = []
         self._next = 0
         self._pumping = False
@@ -246,36 +260,36 @@ class RoundRobinArbiter:
             self._next -= 1
         self._next %= max(len(self._order), 1)
 
-    def submit(self, flow_id: int, nbytes: int, extra_ns: float = 0.0) -> Event:
-        """Queue ``nbytes`` for ``flow_id``; event fires when transferred.
+    def submit(self, flow_id: int, nbytes: int, extra_ns: float,
+               fn: Callable, *args: Any) -> None:
+        """Queue ``nbytes`` for ``flow_id``; ``fn(*args)`` runs when they
+        have been transferred.
 
         ``extra_ns`` is forwarded to the pipe as fixed per-item occupancy.
         """
         if flow_id not in self._flows:
             raise SimulationError(f"unknown flow {flow_id}")
-        done = self.sim.event()
-        self._flows[flow_id].append((nbytes, extra_ns, done))
+        self._flows[flow_id].append((nbytes, extra_ns, fn, args))
         if not self._pumping:
             self._pumping = True
-            self.sim.process(self._pump(), name=f"arbiter:{self.name}")
-        return done
+            self.sim.schedule(0.0, self._pump)
 
-    def _pump(self):
+    def _pump(self) -> None:
         while True:
             granted = self._grant_next()
             if granted is None:
                 self._pumping = False
                 return
-            nbytes, extra_ns, done = granted
-            delivered = self.pipe.transfer(nbytes, extra_ns)
-            # Wait only until the pipe is free again (occupancy); delivery
+            nbytes, extra_ns, fn, args = granted
+            self.sim.schedule(self.pipe.occupy(nbytes, extra_ns), fn, *args)
+            # Grant again once the pipe is free (occupancy); delivery
             # latency (propagation) overlaps with the next grant.
-            delivered.add_callback(lambda ev, d=done: d.succeed(ev.value))
             wait = self.pipe.busy_until - self.sim.now
             if wait > 0:
-                yield self.sim.timeout(wait)
+                self.sim.schedule(wait, self._pump)
+                return
 
-    def _grant_next(self) -> Optional[tuple[int, float, Event]]:
+    def _grant_next(self) -> Optional[tuple[int, float, Callable, tuple]]:
         """Pick the next pending item in round-robin flow order."""
         n = len(self._order)
         for i in range(n):

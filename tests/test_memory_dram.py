@@ -1,5 +1,6 @@
-"""DRAM channel model: backing store correctness and timing."""
+"""DRAM channel model: the backing store and the two bandwidth pipes."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import MemoryConfig
@@ -17,62 +18,48 @@ def channel(sim):
     return DramChannel(sim, config, index=0)
 
 
-def test_poke_peek_round_trip(channel):
-    channel.poke(100, b"hello world")
-    assert channel.peek(100, 11) == b"hello world"
+def test_store_slice_round_trip(channel):
+    """The view aliases live channel memory: what is stored through one
+    view reads back through another."""
+    channel.store_slice(100, 11)[:] = np.frombuffer(b"hello world", np.uint8)
+    assert channel.store_slice(100, 11).tobytes() == b"hello world"
+    assert channel.store_slice(96, 8).tobytes() == b"\x00" * 4 + b"hell"
 
 
-def test_peek_uninitialized_is_zero(channel):
-    assert channel.peek(0, 4) == b"\x00\x00\x00\x00"
+def test_store_reads_zero_until_written(channel):
+    assert channel.store_slice(0, 4).tobytes() == b"\x00\x00\x00\x00"
+    assert not channel.store_slice(0, channel.capacity).any()
 
 
 def test_out_of_range_access_raises(channel):
     with pytest.raises(MemoryError_):
-        channel.peek(1 * MB - 2, 4)
+        channel.store_slice(1 * MB - 2, 4)
     with pytest.raises(MemoryError_):
-        channel.poke(-1, b"x")
-
-
-def test_timed_read_returns_data_and_takes_time(sim, channel):
-    channel.poke(0, b"abcd" * 16)
-
-    def proc():
-        data = yield channel.read(0, 64)
-        return data, sim.now
-
-    data, elapsed = sim.run_process(proc())
-    assert data == b"abcd" * 16
-    # 64 B / (18 * 0.9) B/ns + 90 ns access latency
-    expected = 64 / (18.0 * 0.9) + 90.0
-    assert elapsed == pytest.approx(expected)
-
-
-def test_timed_write_lands_immediately_functionally(sim, channel):
-    def proc():
-        yield channel.write(10, b"xyz")
-        return channel.peek(10, 3)
-
-    assert sim.run_process(proc()) == b"xyz"
+        channel.store_slice(-1, 1)
+    with pytest.raises(MemoryError_):
+        channel.store_slice(0, -1)
+    assert len(channel.store_slice(1 * MB - 4, 4)) == 4
 
 
 def test_read_write_pipes_are_decoupled(sim, channel):
     """A large write must not delay a concurrent read (decoupled channels)."""
 
     def proc():
-        channel.write(0, bytes(512 * KB))  # occupies the write pipe
+        channel.write_pipe.occupy(512 * KB)
         start = sim.now
-        yield channel.read(0, 64)
+        yield channel.read_pipe.transfer(64)
         return sim.now - start
 
     elapsed = sim.run_process(proc())
+    # 64 B / (18 * 0.9) B/ns + 90 ns access latency
     expected = 64 / (18.0 * 0.9) + 90.0
     assert elapsed == pytest.approx(expected)
 
 
 def test_bytes_counters(sim, channel):
     def proc():
-        yield channel.write(0, bytes(128))
-        yield channel.read(0, 64)
+        yield channel.write_pipe.transfer(128)
+        yield channel.read_pipe.transfer(64)
 
     sim.run_process(proc())
     assert channel.bytes_written == 128

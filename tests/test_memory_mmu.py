@@ -164,6 +164,50 @@ def test_recycled_pages_are_scrubbed(mmu):
     assert mmu.peek(2, fresh, 128) == bytes(128)
 
 
+def test_partially_recycled_multi_page_allocation_reads_zero(mmu):
+    """Free two of three multi-page allocations, then allocate more than
+    they held from another domain: the new range mixes recycled frames
+    (scrubbed) with frames never handed out (zero as they are), and the
+    allocation that stayed keeps its bytes."""
+    page = mmu.config.page_size
+    sizes = (2 * page, 3 * page - 100, page + 1)
+    vaddrs = [mmu.alloc(1, n) for n in sizes]
+    for vaddr, n in zip(vaddrs, sizes):
+        mmu.poke(1, vaddr, b"\xa5" * n)
+    handed_out = mmu.allocator.high_water
+    assert handed_out == 2 + 3 + 2
+    mmu.free(1, vaddrs[0])
+    mmu.free(1, vaddrs[2])
+    mmu.create_domain(2)
+    fresh = mmu.alloc(2, 6 * page)     # 4 recycled frames + 2 new ones
+    assert mmu.allocator.high_water == handed_out + 2
+    assert mmu.peek(2, fresh, 6 * page) == bytes(6 * page)
+    assert mmu.peek(1, vaddrs[1], sizes[1]) == b"\xa5" * sizes[1]
+
+
+def test_fresh_pool_allocation_stores_nothing(mmu, monkeypatch):
+    """The backing store is lazily zero: allocating frames that were
+    never handed out must not touch it (a store per slice made the host
+    back every page of a pool nobody had written to); a recycled frame
+    is scrubbed, one store per channel."""
+    touched = []
+    for channel in mmu.channels:
+        inner = channel.store_slice
+        monkeypatch.setattr(
+            channel, "store_slice",
+            lambda offset, length, c=channel.index, inner=inner:
+            touched.append(c) or inner(offset, length))
+    page = mmu.config.page_size
+    first = mmu.alloc(1, 3 * page)
+    mmu.alloc(1, 100)
+    assert touched == []
+    assert mmu.peek(1, first, 3 * page) == bytes(3 * page)
+    touched.clear()
+    mmu.free(1, first)
+    mmu.alloc(1, page)                  # one recycled frame
+    assert sorted(touched) == [c.index for c in mmu.channels]
+
+
 def test_read_beyond_mapping_faults(mmu):
     mmu.alloc(1, 64)
     page = mmu.config.page_size

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
 from repro.network.link import Link
-from repro.network.packet import (
-    CONTROL_PACKET_BYTES,
-    Packet,
-    Verb,
-    packetize,
-    reassemble,
-    split_lengths,
-)
+from repro.network.packet import CONTROL_PACKET_BYTES, split_lengths
 from repro.network.qp import ClientBuffer, QueuePair
 from repro.network.rdma import ResponseStreamer, deliver_request, deliver_write
 from repro.sim.engine import Simulator
@@ -42,38 +35,6 @@ def test_split_lengths_validation():
         split_lengths(-1, 1024)
     with pytest.raises(NetworkError):
         split_lengths(100, 0)
-
-
-def test_packetize_marks_last():
-    packets = packetize(Verb.READ_RESPONSE, 7, b"x" * 2500, 1024)
-    assert len(packets) == 3
-    assert [p.last for p in packets] == [False, False, True]
-    assert [p.psn for p in packets] == [0, 1, 2]
-
-
-def test_packetize_empty_payload_single_packet():
-    packets = packetize(Verb.ACK, 7, b"", 1024)
-    assert len(packets) == 1
-    assert packets[0].last
-
-
-def test_reassemble_out_of_order():
-    packets = packetize(Verb.READ_RESPONSE, 3, bytes(range(256)) * 12, 1024)
-    shuffled = [packets[2], packets[0], packets[1]]
-    assert reassemble(shuffled) == bytes(range(256)) * 12
-
-
-def test_reassemble_detects_missing_packet():
-    packets = packetize(Verb.READ_RESPONSE, 3, b"a" * 3000, 1024)
-    with pytest.raises(NetworkError):
-        reassemble(packets[:-1] if packets[-1].last else packets)
-
-
-def test_reassemble_rejects_mixed_qps():
-    a = Packet(Verb.READ_RESPONSE, 1, 0, b"x", last=True)
-    b = Packet(Verb.READ_RESPONSE, 2, 1, b"y", last=True)
-    with pytest.raises(NetworkError):
-        reassemble([a, b])
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,7 +72,9 @@ def test_downlink_arbiter_interleaves_two_qps():
 
     def sender(flow, n):
         for i in range(n):
-            yield link.send_down(flow, 1024)
+            landed = sim.event()
+            link.send_down(flow, 1024, 0.0, landed.succeed)
+            yield landed
         done_times[flow] = sim.now
 
     def main():

@@ -22,7 +22,7 @@ from repro.common.units import MB
 from repro.core.api import FarviewClient
 from repro.core.cluster import merge_group_rows
 from repro.core.node import FarviewNode
-from repro.core.query import select_distinct
+from repro.core.query import select_distinct, select_star
 from repro.core.table import FTable
 from repro.core.views import GroupStage
 from repro.core.zset import ZSet
@@ -33,9 +33,10 @@ from repro.operators.base import OperatorPipeline
 from repro.operators.distinct import DistinctOperator
 from repro.operators.groupby import GroupByOperator
 from repro.operators.join import SmallTableJoinOperator
+from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
 from repro.workloads.generator import (distinct_workload, groupby_workload,
-                                       make_rows)
+                                       make_rows, selection_workload)
 
 KB = 1024
 
@@ -117,6 +118,90 @@ def _calls_into(profile, package: str, but: str = "") -> int:
     return sum(nc for (filename, _, name), (_, nc, _, _, _)
                in pstats.Stats(profile).stats.items()
                if package in filename.replace("\\", "/") and name != but)
+
+
+# -- a response packet is two loop callbacks, a burst a handful -------------------
+
+def _one_mebibyte_table():
+    """One warm client holding a 1 MiB selection table on a default node
+    (1 KiB packets, 32 credits, 16 KiB bursts)."""
+    sim = Simulator()
+    node = FarviewNode(sim, FarviewConfig(
+        memory=MemoryConfig(channels=2, channel_capacity=16 * MB)))
+    client = FarviewClient(node, buffer_capacity=MB + KB)
+    client.open_connection()
+    workload = selection_workload(MB // 64, selectivity=0.5, seed=3)
+    table = FTable("t", workload.schema, len(workload.rows))
+    client.alloc_table_mem(table)
+    return sim, client, table, workload
+
+
+def _events_and_packets(sim, client, verb, *args):
+    qp = client.connection.qp
+    events, packets = sim.events_processed, qp.responses_received
+    result = verb(*args)[0]
+    return (sim.events_processed - events,
+            qp.responses_received - packets, result)
+
+
+def test_response_packet_callback_budget():
+    """A packet's own loop callbacks are its two timed hops — granted the
+    wire, landed — plus one immediate hop when it had to wait for a credit.
+
+    1 MiB raw READ at 32 credits: DRAM outruns the wire, so nearly every
+    packet queues for a credit: 3 callbacks a packet + ~7 a burst = 3.4 a
+    packet (6.6 when each packet also resumed the producer, relayed its
+    pipe event through a lambda and an arbiter ``done`` event, and sat in
+    an ``AllOf`` at the end).  A selection at 50 % never exhausts the
+    window: against the same scan shipping nothing, a packet adds its
+    two callbacks (2.1 measured; 3.0 a packet all told, 8 packets sharing
+    a burst's ~7 callbacks, which this budget leaves alone; 7.6 before).
+    """
+    sim, client, table, workload = _one_mebibyte_table()
+    client.table_write(table, workload.rows)
+    events, packets, image = _events_and_packets(
+        sim, client, client.table_read, table)
+    assert packets == MB // KB and len(image) == MB
+    assert events <= 3.5 * packets
+
+    nothing = select_star(Compare("a", "<", 0))
+    half = select_star(workload.predicate)
+    idle_events, idle_packets, _ = _events_and_packets(
+        sim, client, client.far_view, table, nothing)
+    events, packets, result = _events_and_packets(
+        sim, client, client.far_view, table, half)
+    assert idle_packets == 0 and packets == -(-result.num_rows * 64 // KB)
+    assert 0.45 * MB < result.num_rows * 64 < 0.55 * MB
+    assert events - idle_events <= 2.5 * packets
+    assert events <= 3.5 * packets
+
+
+def test_table_write_callbacks_are_per_burst():
+    """Uploading 1 MiB prices its 1,024 packets onto the uplink and waits
+    once for the last arrival; the loop's work is the 64 DRAM write bursts
+    (71 callbacks, where an event and a heap entry per upload packet made
+    it 1,352)."""
+    sim, client, table, workload = _one_mebibyte_table()
+    before = sim.events_processed
+    client.table_write(table, workload.rows)
+    bursts = MB // DEFAULT_BURST_BYTES
+    assert 0 < sim.events_processed - before < 3 * bursts
+    assert client.node.link.uplink.transfers == MB // KB
+
+
+def test_raw_read_enters_the_client_per_burst():
+    """The producer is resumed once per chunk it hands the streamer, so
+    the client's ``yield from`` chain above ``serve_read`` is re-entered
+    O(bursts) times during a 1 MiB READ (676 calls into ``core/api.py``;
+    5,486 when every packet's credit resumed it)."""
+    sim, client, table, workload = _one_mebibyte_table()
+    client.table_write(table, workload.rows)
+    profile = cProfile.Profile()
+    profile.enable()
+    client.table_read(table)
+    profile.disable()
+    bursts = MB // DEFAULT_BURST_BYTES
+    assert 0 < _calls_into(profile, "/repro/core/api.py") < 20 * bursts
 
 
 # -- the join stays array-resident ---------------------------------------------
@@ -347,7 +432,7 @@ def test_one_hash_one_probe_in_src():
     five sibling key-grouping mechanisms, and the view circuit's own
     scalar stages, lowering helpers and eighth key packing, and the
     per-tuple GROUP BY's object mirror, queue and overflow dict (code and
-    docs)."""
+    docs), and the data plane's ``AllOf`` fan-ins and per-packet lambdas."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -367,9 +452,15 @@ def test_one_hash_one_probe_in_src():
                                "RegexStage", "ProjectStage", "EvalStage",
                                "_query_stages", "_make_join_stage",
                                "state_entries", "_acc_mirror",
-                               "_insertion_queue", "._overflow_groups"))):
+                               "_insertion_queue", "._overflow_groups")),
+            # The data plane schedules plain callbacks on priced pipes: no
+            # event fan-in and no per-packet closure in these three files.
+            (("src/repro/network/rdma.py", "src/repro/sim/resources.py",
+              "src/repro/memory/mmu.py"), ("all_of", "lambda"))):
         for root in roots:
-            for path in (repo / root).rglob("*.*"):
+            paths = ([repo / root] if (repo / root).is_file()
+                     else (repo / root).rglob("*.*"))
+            for path in paths:
                 if path.suffix not in (".py", ".md"):
                     continue
                 text = path.read_text()

@@ -218,6 +218,13 @@ def test_credit_pool_requires_positive_credits():
 
 # --- RoundRobinArbiter ---------------------------------------------------------
 
+def _submitted(arb, flow_id, nbytes):
+    """``arb.submit`` as an event a test process can yield on."""
+    done = arb.sim.event()
+    arb.submit(flow_id, nbytes, 0.0, done.succeed)
+    return done
+
+
 def test_arbiter_round_robins_between_flows():
     sim = Simulator()
     pipe = BandwidthPipe(sim, rate=1.0)
@@ -228,7 +235,7 @@ def test_arbiter_round_robins_between_flows():
 
     def client(flow_id, count):
         for i in range(count):
-            yield arb.submit(flow_id, 10)
+            yield _submitted(arb, flow_id, 10)
             completions.append((flow_id, sim.now))
 
     def main():
@@ -250,7 +257,7 @@ def test_arbiter_single_flow_uses_full_pipe():
 
     def client():
         for _ in range(4):
-            yield arb.submit(7, 20)
+            yield _submitted(arb, 7, 20)
         return sim.now
 
     assert sim.run_process(client()) == pytest.approx(40.0)
@@ -272,7 +279,7 @@ def test_arbiter_unregister_keeps_grant_order_of_live_flows(closed):
 
         def client(flow_id, count):
             for _ in range(count):
-                yield arb.submit(flow_id, 10)
+                yield _submitted(arb, flow_id, 10)
                 done.append(flow_id)
 
         # Advance the round-robin pointer part-way round the ring first.
@@ -292,7 +299,7 @@ def test_arbiter_unregister_drains_queued_items_first():
     arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
     arb.register_flow(1)
     arb.register_flow(2)
-    pending = [arb.submit(1, 10), arb.submit(1, 10)]
+    pending = [_submitted(arb, 1, 10), _submitted(arb, 1, 10)]
     arb.unregister_flow(1)          # abandoned mid-stream
     sim.run()
     assert all(ev.triggered for ev in pending)
@@ -305,7 +312,7 @@ def test_arbiter_rejects_unknown_flow():
     sim = Simulator()
     arb = RoundRobinArbiter(sim, BandwidthPipe(sim, rate=1.0))
     with pytest.raises(SimulationError):
-        arb.submit(99, 10)
+        arb.submit(99, 10, 0.0, print)
 
 
 def test_arbiter_rejects_duplicate_flow():

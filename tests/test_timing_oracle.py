@@ -1,0 +1,478 @@
+"""What the simulated clock must read, derived without the simulator.
+
+Every figure pins ``sim_ns``, which proves a change left it *unchanged*,
+never that it was *right*.  Two independent statements of the data
+plane's timing live here:
+
+* a closed form for the warm raw READ (ROADMAP item 3(a), first slice),
+  asserted to 1e-12 relative over transfer size x packet size x credits
+  x channels, each cell naming its regime from the configuration;
+* a golden grid of four concurrent mixed flows under credit windows of
+  1-3 and non-power-of-two packets — the contention cell the default
+  configuration's pins do not have — recorded on the commit before the
+  data plane went to plain callbacks and held to exact equality.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.common import calibration as cal
+from repro.common.config import FarviewConfig, MemoryConfig, NetworkConfig
+from repro.common.records import default_schema
+from repro.core.api import FarviewClient
+from repro.core.node import FarviewNode
+from repro.core.query import select_star
+from repro.core.table import FTable
+from repro.network.packet import CONTROL_PACKET_BYTES, split_lengths
+from repro.operators.selection import Compare
+from repro.sim.engine import Simulator
+
+KB = 1024
+MB = 1024 * 1024
+
+
+def _node(packet_size, credits, channels):
+    sim = Simulator()
+    return sim, FarviewNode(sim, FarviewConfig(
+        network=NetworkConfig(packet_size=packet_size,
+                              initial_credits=credits),
+        memory=MemoryConfig(channels=channels, channel_capacity=16 * MB)))
+
+
+# -- the raw READ in closed form ------------------------------------------------
+
+def _occupancy(net, payload):
+    return ((payload + net.header_overhead) / net.line_rate
+            + net.per_packet_overhead_ns)
+
+
+def _credits_bind(net):
+    """The regime, from the configuration alone: a full window of
+    packets leaves the wire before its first packet's credit is back
+    (one occupancy on the wire, one propagation to land)."""
+    occupancy = _occupancy(net, net.packet_size)
+    return net.initial_credits * occupancy < occupancy + net.one_way_latency_ns
+
+
+def read_response_ns(config: FarviewConfig, allocator, burst_bytes, length):
+    """Closed-form response time of a warm ``table_read`` of ``length``
+    bytes on an otherwise idle node.
+
+    Request packet up, the request front end, then the first DRAM burst
+    (one TLB hit, the slowest channel's stripe share, the access
+    latency); from there the response is a stream of packets of which
+    every one but the last is full:
+
+    * **wire-bound** — DRAM refills faster than the wire drains and the
+      credit window never closes, so the wire is busy from the first
+      packet to the last: the sum of the packets' occupancies, then one
+      propagation.
+    * **credit-bound** — packet ``k`` is submitted when packet
+      ``k - credits`` lands and finds the wire idle, so after the first
+      window every packet lands one ``occupancy + one_way`` cycle after
+      the packet ``credits`` before it.
+    """
+    net, mem = config.network, config.memory
+    request = ((CONTROL_PACKET_BYTES + net.header_overhead) / net.line_rate
+               + net.one_way_latency_ns)
+    first_burst = (mem.tlb_hit_ns
+                   + allocator.channel_extent(min(burst_bytes, length))
+                   / mem.effective_channel_bandwidth
+                   + mem.access_latency_ns)
+    start = request + cal.FV_NIC_REQUEST_OVERHEAD_NS + first_burst
+    packets = split_lengths(length, net.packet_size)
+    full = _occupancy(net, net.packet_size)
+    last = _occupancy(net, packets[-1])
+    credits = net.initial_credits
+    before_last = len(packets) - 1
+    if not _credits_bind(net) or before_last < credits:
+        return start + before_last * full + last + net.one_way_latency_ns
+    cycles, slot = divmod(before_last - credits, credits)
+    landed = (start + (slot + 1) * full + net.one_way_latency_ns
+              + cycles * (full + net.one_way_latency_ns))
+    return landed + last + net.one_way_latency_ns
+
+
+READ_LENGTHS = (64, 1_000, 16 * KB, 16 * KB + 64, 100_000, MB)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 4])
+@pytest.mark.parametrize("credits", [1, 2, 8, 32])
+@pytest.mark.parametrize("packet_size", [256, 1024, 4096])
+def test_raw_read_equals_its_closed_form(packet_size, credits, channels):
+    sim, node = _node(packet_size, credits, channels)
+    # The regime is a property of the cell, stated before anything runs.
+    assert _credits_bind(node.config.network) == (
+        (credits, packet_size) in {(1, 256), (1, 1024), (1, 4096),
+                                   (2, 256), (2, 1024), (2, 4096),
+                                   (8, 256), (8, 1024)})
+    # The wire-bound form also needs DRAM to refill a burst faster than
+    # the wire drains one; true of every cell (16.2 B/ns a channel
+    # against 12.5 B/ns less headers), checked rather than assumed.
+    mem, net = node.config.memory, node.config.network
+    burst = node.mmu.burst_bytes
+    assert (mem.tlb_hit_ns + node.mmu.allocator.channel_extent(burst)
+            / mem.effective_channel_bandwidth + mem.access_latency_ns
+            < burst // packet_size * _occupancy(net, packet_size))
+
+    client = FarviewClient(node, buffer_capacity=MB + KB)
+    client.open_connection()
+    schema = default_schema()
+    table = FTable("t", schema, MB // schema.row_width)
+    client.alloc_table_mem(table)
+    rows = schema.empty(table.num_rows)
+    rows["a"] = np.arange(table.num_rows)
+    client.table_write(table, rows)        # fills the TLB: reads run warm
+    image = schema.to_bytes(rows)
+    misses = node.mmu.tlb.misses
+    for length in READ_LENGTHS:
+        data, elapsed = client.table_read(table, 0, length)
+        assert data == image[:length]
+        expected = read_response_ns(node.config, node.mmu.allocator, burst,
+                                    length)
+        assert elapsed == pytest.approx(expected, rel=1e-12, abs=0), (
+            length, elapsed - expected)
+    assert node.mmu.tlb.misses == misses
+
+
+def test_raw_read_of_four_mebibytes_at_the_default_configuration():
+    """The ``scan_stream`` read: two pages, 256 bursts, 4,096 packets."""
+    sim = Simulator()
+    node = FarviewNode(sim, FarviewConfig(
+        memory=MemoryConfig(channel_capacity=16 * MB)))
+    client = FarviewClient(node, buffer_capacity=4 * MB + KB)
+    client.open_connection()
+    schema = default_schema()
+    table = FTable("t", schema, 4 * MB // schema.row_width)
+    client.alloc_table_mem(table)
+    client.table_write(table, schema.empty(table.num_rows))
+    _data, elapsed = client.table_read(table)
+    assert not _credits_bind(node.config.network)
+    assert elapsed == pytest.approx(read_response_ns(
+        node.config, node.mmu.allocator, node.mmu.burst_bytes, 4 * MB),
+        rel=1e-12, abs=0)
+
+
+# -- four mixed flows under small credit windows: the golden grid ---------------
+
+GRID_ROWS = (16, 1_000, 5_000, 333)
+GRID_STAGGER_NS = 137.5
+#: Both waves complete in this client order in every cell, and the
+#: result bytes cannot depend on the cell at all.
+GRID_COMPLETION_ORDER = (0, 3, 1, 2, 0, 3, 1, 2)
+GRID_DIGEST = "f73096673f778de4"
+#: packet size -> (responses landed per QP, packets granted the
+#: downlink), deploy runs included.
+GRID_PACKETS = {
+    256: ((9, 500, 1875, 168), 2552),
+    1000: ((3, 128, 480, 44), 655),
+    1024: ((3, 126, 471, 42), 642),
+    4096: ((3, 32, 120, 12), 167),
+}
+#: (credits, packet size, channels) -> (``sim.now`` as each of the eight
+#: operations completed, ``downlink.occupied_ns`` at the end), as the
+#: commit before the callback data plane (04f7bfe) printed them.
+GRID_GOLDEN = {
+    (1, 256, 1): (
+        (8581273.60691362, 8647191.75111122, 8774146.475061974,
+         9071974.231111651, 9076487.574321529, 9142443.218519129,
+         9269397.942469882, 9567225.69851956),
+        68520.95999999772),
+    (1, 256, 2): (
+        (8568165.45876546, 8632613.611851944, 8760567.051852081,
+         9057872.091852374, 9062369.882222744, 9126839.483210465,
+         9254792.923210602, 9552097.963210896),
+        68520.95999999772),
+    (1, 256, 4): (
+        (8561645.261234598, 8625322.541234665, 8753773.141728628,
+         9050828.141235095, 9055294.077037565, 9119042.733580843,
+         9247493.334074806, 9544548.333581273),
+        68520.95999999772),
+    (1, 1000, 1): (
+        (8217898.646913601, 8238432.79111114, 8271655.431111154,
+         8357445.431111188, 8360445.974321064, 8381017.618518602,
+         8414240.258518618, 8500030.258518651),
+        56380.16000000062),
+    (1, 1000, 2): (
+        (8204790.4987654565, 8223839.210864231, 8258011.6928395545,
+         8343340.492839587, 8346309.431111191, 8365395.643209966,
+         8399568.12518529, 8484896.92518532),
+        56380.16000000062),
+    (1, 1000, 4): (
+        (8198236.424691387, 8216563.581234604, 8251286.221234619,
+         8336239.821234652, 8339192.957037121, 8357557.613580338,
+         8392280.253580352, 8477233.853580385),
+        56380.16000000062),
+    (1, 1024, 1): (
+        (8215530.88691356, 8235308.631111097, 8268525.511111109,
+         8352791.191111134, 8355791.73432101, 8375606.978518547,
+         8408823.858518558, 8493089.538518585),
+        56296.95999999983),
+    (1, 1024, 2): (
+        (8202422.738765415, 8220718.652839496, 8254968.572839507,
+         8338590.652839531, 8341559.591111136, 8359893.005185217,
+         8394142.925185226, 8477765.005185252),
+        56296.95999999983),
+    (1, 1024, 4): (
+        (8195868.664691346, 8213439.42123456, 8248156.301234572,
+         8331583.661234598, 8334536.797037067, 8352145.053580281,
+         8386861.933580293, 8470289.29358032),
+        56296.95999999983),
+    (1, 4096, 1): (
+        (8121795.446913586, 8130514.500740745, 8139500.7071605,
+         8168077.140740748, 8171077.6839506235, 8179834.237777783,
+         8188820.444197537, 8217396.877777785),
+        53256.96000000018),
+    (1, 4096, 2): (
+        (8108687.298765441, 8115633.610864208, 8125862.650864209,
+         8153114.410864211, 8156083.349135815, 8163067.161234582,
+         8173296.201234583, 8200547.961234584),
+        53256.96000000018),
+    (1, 4096, 4): (
+        (8102133.224691372, 8108499.301728409, 8118810.18172841,
+         8146061.941728411, 8149015.07753088, 8155418.654567917,
+         8165729.534567918, 8192981.294567919),
+        53256.96000000018),
+    (2, 256, 1): (
+        (8338540.246913362, 8372660.071110888, 8435133.755061552,
+         8588898.955061708, 8592635.418271584, 8626792.742469152,
+         8689266.426419837, 8843031.626419993),
+        68520.95999999772),
+    (2, 256, 2): (
+        (8325432.098765217, 8358039.610863979, 8421554.331851663,
+         8574798.41185182, 8578503.270123426, 8611148.282222223,
+         8674663.003209947, 8827907.083210103),
+        68520.95999999772),
+    (2, 256, 4): (
+        (8318890.74074053, 8350790.861234353, 8414760.421728203,
+         8567748.741728358, 8571437.797530828, 8603388.134074073,
+         8667357.69456797, 8820346.014568124),
+        68520.95999999772),
+    (2, 1000, 1): (
+        (8153955.446913578, 8165519.191111114, 8181191.831111121,
+         8229833.031111141, 8232833.574321017, 8244434.818518553,
+         8260107.45851856, 8308748.65851858),
+        56380.16000000062),
+    (2, 1000, 2): (
+        (8140847.298765433, 8150982.33185186, 8167563.371851867,
+         8215570.571851885, 8218539.510123489, 8228712.043209916,
+         8245293.0832099235, 8293300.283209941),
+        56380.16000000062),
+    (2, 1000, 4): (
+        (8134293.224691364, 8143592.781234577, 8160823.021234584,
+         8208541.421234603, 8211494.557037072, 8220831.613580286,
+         8238061.853580292, 8285780.253580311),
+        56380.16000000062),
+    (2, 1024, 1): (
+        (8151731.686913542, 8163189.191111077, 8178729.351111082,
+         8225387.511111097, 8228388.054320973, 8239883.0585185075,
+         8255423.218518513, 8302081.378518528),
+        56296.95999999983),
+    (2, 1024, 2): (
+        (8138623.538765397, 8148654.251851821, 8165265.051851828,
+         8211286.891851842, 8214255.830123447, 8224324.043209871,
+         8240934.843209878, 8286956.683209892),
+        56296.95999999983),
+    (2, 1024, 4): (
+        (8132069.464691328, 8141257.021234539, 8158432.141234546,
+         8204163.66123456, 8207116.79703703, 8216341.853580241,
+         8233516.973580248, 8279248.493580262),
+        56296.95999999983),
+    (2, 4096, 1): (
+        (8102913.926913585, 8109600.151111116, 8115035.441975312,
+         8133241.521975313, 8136242.065185189, 8142965.78938272,
+         8148401.080246917, 8166607.160246918),
+        53256.96000000018),
+    (2, 4096, 2): (
+        (8089805.77876544, 8096342.890864207, 8101647.130864209,
+         8117745.1308642095, 8120714.069135814, 8127288.681234581,
+         8132592.921234583, 8148690.9212345835),
+        53256.96000000018),
+    (2, 4096, 4): (
+        (8083251.704691371, 8088540.421728408, 8094972.261728409,
+         8110736.18172841, 8113689.317530879, 8119015.534567916,
+         8125447.374567917, 8141211.2945679175),
+        53256.96000000018),
+    (3, 256, 1): (
+        (8260236.646913374, 8284257.031110901, 8325651.835061513,
+         8434487.995061552, 8437501.33827143, 8461559.222468987,
+         8502954.02641965, 8611790.186419759),
+        68520.95999999772),
+    (3, 256, 2): (
+        (8247128.498765228, 8269636.570863992, 8312068.01185164,
+         8420390.250864008, 8423371.989135616, 8445917.561234402,
+         8488349.0022221, 8596671.241234558),
+        68520.95999999772),
+    (3, 256, 4): (
+        (8240574.424691159, 8262387.821234365, 8305278.501728186,
+         8413337.7817282, 8416303.717530672, 8438154.614073906,
+         8481045.29456778, 8589104.574567888),
+        68520.95999999772),
+    (3, 1000, 1): (
+        (8135236.646913571, 8144088.791111108, 8153934.631111114,
+         8192625.43111113, 8195625.974321006, 8204515.6185185425,
+         8214361.458518549, 8253052.2585185645),
+        56380.16000000062),
+    (3, 1000, 2): (
+        (8122128.498765427, 8129682.731851851, 8140364.971851857,
+         8178219.371851873, 8181188.310123477, 8188780.043209901,
+         8199462.283209908, 8237316.683209923),
+        56380.16000000062),
+    (3, 1000, 4): (
+        (8115574.424691358, 8122234.381234571, 8133666.621234578,
+         8171434.621234593, 8174387.757037062, 8181085.213580276,
+         8192517.453580283, 8230285.4535802975),
+        56380.16000000062),
+    (3, 1024, 1): (
+        (8134965.2869135365, 8143404.711111072, 8153236.951111076,
+         8192085.271111088, 8195085.814320964, 8203562.7385185,
+         8213394.978518504, 8252243.298518515),
+        56296.95999999983),
+    (3, 1024, 2): (
+        (8121857.138765391, 8128985.211851815, 8139735.05185182,
+         8177745.051851831, 8180713.990123436, 8187879.56320986,
+         8198629.403209865, 8236639.403209876),
+        56296.95999999983),
+    (3, 1024, 4): (
+        (8115303.064691322, 8121499.6612345325, 8132876.781234539,
+         8170886.78123455, 8173839.9170370195, 8180074.01358023,
+         8191451.133580237, 8229461.133580248),
+        56296.95999999983),
+    (3, 4096, 1): (
+        (8100484.85135802, 8107171.075555551, 8111391.235555552,
+         8128406.096790111, 8131406.639999987, 8138130.364197518,
+         8142350.524197519, 8159365.385432078),
+        53256.96000000018),
+    (3, 4096, 2): (
+        (8086464.978765439, 8093002.090864207, 8097890.410864208,
+         8111649.850864208, 8114618.789135813, 8121193.40123458,
+         8126081.721234581, 8139841.161234582),
+        53256.96000000018),
+    (3, 4096, 4): (
+        (8079910.90469137, 8085867.781728407, 8091424.261728409,
+         8104638.421728409, 8107591.557530878, 8113585.934567915,
+         8119142.414567917, 8132356.574567917),
+        53256.96000000018),
+    (32, 256, 1): (
+        (8114728.378271392, 8123364.042468899, 8129869.002468872,
+         8147854.922468854, 8150868.265678729, 8159541.429876236,
+         8166046.389876209, 8184032.309876191),
+        68520.95999999772),
+    (32, 256, 2): (
+        (8101539.538765222, 8109452.492839266, 8116306.892839237,
+         8133647.772839215, 8136629.511110818, 8144579.965184862,
+         8151434.365184833, 8168775.245184811),
+        68520.95999999772),
+    (32, 256, 4): (
+        (8094985.464691153, 8102016.261728161, 8109892.101728128,
+         8126856.661728107, 8129822.5975305755, 8136890.894567584,
+         8144766.734567551, 8161731.29456753),
+        68520.95999999772),
+    (32, 1000, 1): (
+        (8102455.49135799, 8109658.835555539, 8114151.635555558,
+         8130388.976790085, 8133389.519999961, 8140630.36419751,
+         8145123.16419753, 8161360.505432057),
+        56380.16000000062),
+    (32, 1000, 2): (
+        (8087894.898765408, 8094675.05283951, 8099945.452839533,
+         8111121.052839538, 8114089.991111143, 8120907.645185244,
+         8126178.045185267, 8137353.645185272),
+        56380.16000000062),
+    (32, 1000, 4): (
+        (8081340.824691339, 8087192.7417284, 8093499.941728427,
+         8103997.141728434, 8106950.277530903, 8112839.6945679635,
+         8119146.894567991, 8129644.094567997),
+        56380.16000000062),
+    (32, 1024, 1): (
+        (8102355.011357959, 8109429.075555503, 8114157.3955555195,
+         8130252.016790054, 8133252.55999993, 8140364.124197474,
+         8145092.44419749, 8161187.065432024),
+        56296.95999999983),
+    (32, 1024, 2): (
+        (8087794.418765377, 8094491.372839472, 8099837.9328394905,
+         8110843.292839494, 8113812.231111098, 8120546.685185193,
+         8125893.245185211, 8136898.605185214),
+        56296.95999999983),
+    (32, 1024, 4): (
+        (8081240.344691308, 8086993.701728363, 8093400.101728384,
+         8103782.101728389, 8106735.237530858, 8112526.094567913,
+         8118932.494567934, 8129314.494567939),
+        56296.95999999983),
+    (32, 4096, 1): (
+        (8100403.01135802, 8107089.235555551, 8111309.395555552,
+         8128242.416790111, 8131242.959999987, 8137966.684197518,
+         8142186.844197519, 8159119.865432078),
+        53256.96000000018),
+    (32, 4096, 2): (
+        (8085842.418765439, 8092704.492839514, 8096924.652839515,
+         8107909.280987663, 8110878.219259268, 8117777.793333343,
+         8121997.953333344, 8132982.581481492),
+        53256.96000000018),
+    (32, 4096, 4): (
+        (8079288.34469137, 8085245.221728407, 8090801.701728408,
+         8100230.861234578, 8103183.9970370475, 8109178.374074085,
+         8114734.854074086, 8124164.013580256),
+        53256.96000000018),
+}
+
+
+def _run_contention_cell(credits, packet_size, channels):
+    """Four connections on one node, tables of 16 / 1,000 / 5,000 / 333
+    rows; odd clients ``table_read``, even clients ``SELECT * WHERE
+    a < 50`` (deployed beforehand, so both waves run warm); all four
+    issued at once, then again ``i * 137.5`` ns apart."""
+    sim, node = _node(packet_size, credits, channels)
+    schema = default_schema()
+    query = select_star(Compare("a", "<", 50))
+    clients, tables = [], []
+    for i, nrows in enumerate(GRID_ROWS):
+        client = FarviewClient(node, buffer_capacity=MB)
+        client.open_connection()
+        rows = schema.empty(nrows)
+        rows["a"] = (np.arange(nrows) * 7 + i) % 100
+        rows["b"] = np.arange(nrows) * 0.25
+        table = FTable(f"t{i}", schema, nrows)
+        client.alloc_table_mem(table)
+        client.table_write(table, rows)
+        if i % 2 == 0:
+            client.far_view(table, query)
+        clients.append(client)
+        tables.append(table)
+    ends, images = [], []
+
+    def issue(i, delay):
+        if delay:
+            yield sim.timeout(delay)
+        if i % 2:
+            image = yield from clients[i].table_read_proc(tables[i])
+        else:
+            image = (yield from clients[i].far_view_proc(tables[i],
+                                                         query)).data
+        ends.append((i, sim.now))
+        images.append((i, image))
+
+    for stagger in (0.0, GRID_STAGGER_NS):
+        procs = [sim.process(issue(i, i * stagger)) for i in range(4)]
+        sim.run()
+        assert all(proc.triggered and proc.ok for proc in procs)
+    digest = hashlib.sha256()
+    for _i, image in sorted(images, key=lambda entry: entry[0]):
+        digest.update(image)
+    return (tuple(i for i, _now in ends), tuple(now for _i, now in ends),
+            digest.hexdigest()[:16],
+            tuple(c.connection.qp.responses_received for c in clients),
+            node.link.downlink.transfers, node.link.downlink.occupied_ns)
+
+
+@pytest.mark.parametrize("cell", sorted(GRID_GOLDEN), ids=str)
+def test_contention_grid_matches_the_recorded_run(cell):
+    order, ends, digest, responses, transfers, occupied = (
+        _run_contention_cell(*cell))
+    golden_ends, golden_occupied = GRID_GOLDEN[cell]
+    assert order == GRID_COMPLETION_ORDER and digest == GRID_DIGEST
+    assert (responses, transfers) == GRID_PACKETS[cell[1]]
+    # Exact equality, not a tolerance: repr(float) round-trips.
+    assert ends == golden_ends
+    assert occupied == golden_occupied
