@@ -205,7 +205,11 @@ def key_image(rows: np.ndarray, columns: Sequence[str]) -> np.ndarray:
     return packed.view(f"V{dtype.itemsize}")
 
 
-def first_occurrence(keys: np.ndarray, seen: dict[bytes, int] | None = None
+#: A streaming ``key image -> group (slot)`` map, kept across batches.
+SlotMap = dict[bytes, int]
+
+
+def first_occurrence(keys: np.ndarray, seen: SlotMap | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Group equal :func:`key_image` elements in first-seen order.
 

@@ -1256,6 +1256,7 @@ class ClusterClient:
             engine.trackers[table] = trackers
             new_trackers.extend(trackers)
         view = MaterializedView(view_name, sql, bound, circuit)
+        boot: dict[str, ZSet] = {}
         try:
             for tracker in new_trackers:
                 rows, ids, shipped = yield from self._shard_exec_proc(
@@ -1266,25 +1267,21 @@ class ClusterClient:
                 view.bootstrap_bytes += shipped
             for stage, handle in circuit.static_loads:
                 data = yield from self.table_read_proc(handle)
-                stage.load_static(ZSet.from_rows(
-                    stage.build_in_schema,
-                    handle.schema.from_bytes(data, copy=True)))
+                boot[stage.build_name] = ZSet.from_rows(
+                    stage.build_in_schema, handle.schema.from_bytes(data))
                 view.bootstrap_bytes += len(data)
+            boot_rows = 0
+            for table, handle in circuit.dynamic_tables.items():
+                boot[table] = ZSet(handle.schema, np.concatenate(
+                    [tracker.images for tracker in engine.trackers[table]]))
+                boot_rows += boot[table].entry_count
+            yield from _client_compute(
+                self.sim,
+                view_circuit_cost_ns(self.cpu, boot_rows, circuit.depth))
+            view.contents = circuit.step(boot)
         except BaseException:
             self._view_abandon_bootstrap(circuit, new_trackers)
             raise
-        boot: dict[str, ZSet] = {}
-        boot_rows = 0
-        for table, handle in circuit.dynamic_tables.items():
-            zset = ZSet(handle.schema)
-            for tracker in engine.trackers[table]:
-                tracker.bootstrap_into(zset)
-            boot[table] = zset
-            boot_rows += zset.entry_count
-        yield from _client_compute(
-            self.sim,
-            view_circuit_cost_ns(self.cpu, boot_rows, circuit.depth))
-        view.contents = circuit.step(boot)
         view.epochs = {table: engine.trackers[table][0].processed_epoch
                        for table in circuit.dynamic_tables}
         engine.register(view)

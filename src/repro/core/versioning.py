@@ -242,9 +242,8 @@ class ChainListener:
 
     The incremental view engine (:mod:`repro.core.views`) is the first
     client: its per-chain trackers queue committed segments for the next
-    refresh and count compactions, closing the gap where
-    :meth:`VersionChain.retire_for_compaction` used to retire
-    segments with no notification at all.
+    refresh (their pins keep a compaction from freeing what it still has
+    to read).
     """
 
     def on_commit(self, table: "VersionChain",

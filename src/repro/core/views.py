@@ -6,75 +6,60 @@ incremental view maintenance engine consumes.  This module compiles a
 bound SELECT (:func:`~repro.core.compile.bind_select`) into a **circuit**
 of incremental operators and maintains the registered views by pushing
 only the committed deltas through it, DBSP-style, instead of rescanning
-the base relation:
+the base relation.  Deltas and stage state are columnar
+:class:`~repro.core.zset.ZSet`\\ s, so a refresh is array transforms over
+the delta, never a Python step per row:
 
-* **Linear operators** distribute over Z-set addition — they map each
-  delta independently, with no state at all — and come in two shapes:
-  a *mask* stage (regex, selection) keeps or drops delta entries as
-  they are, a *map* stage (projection, expression evaluation) re-images
-  the kernel's output rows and carries the weights across.
+* **Linear operators** keep no state: a *mask* stage (regex, selection)
+  is a boolean index over the delta, a *map* stage (projection,
+  expressions) one kernel call and one consolidation of its output.
 * **DISTINCT** keeps per-row multiplicities and emits ``+1`` only on a
   0→positive transition and ``-1`` only on a →0 transition.
-* **GROUP BY / aggregates** keep the weighted member multiset per group
-  and, whenever a delta touches a group, re-fold its members and re-emit
-  the group's output row (retract old, insert new).
+* **GROUP BY / aggregates** keep the weighted member multiset and each
+  group's last output row; a delta retracts the rows of the groups it
+  touches and re-folds their members in one kernel call.
 * **JOIN** applies the bilinear chain rule
-  ``Δ(R ⋈ S) = ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS`` against incrementally
-  maintained key indexes of both sides.  Static (non-versioned) build
-  sides are loaded once at bootstrap and ``ΔS`` stays empty forever;
-  versioned build sides are tracked like the base.
+  ``Δ(R ⋈ S) = ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS`` against accumulated
+  Z-sets of both sides.  A static (non-versioned) build side arrives
+  once, at bootstrap (``ΔS`` stays empty after); a versioned one is
+  tracked like the base.
 
 **A circuit computes nothing of its own.**  It keeps what is
-incremental — weights, multiplicities, member multisets, key indexes —
+incremental — weights, multiplicities, member multisets, join sides —
 and every value a stage emits comes from the kernel the client's ship /
 hybrid / compiled-SQL tails run for the same step
-(:func:`~repro.core.planner.run_client_kernel`):
-:meth:`Predicate.evaluate <repro.operators.selection.Predicate.evaluate>`,
-:meth:`CompiledRegex.search_column
-<repro.operators.regex_engine.CompiledRegex.search_column>`,
-:func:`~repro.baselines.sw_ops.software_project`,
-:func:`~repro.core.ir.eval_items`,
-:func:`~repro.baselines.sw_ops.software_groupby` and
-:func:`~repro.baselines.sw_ops.software_aggregate`.  A view therefore
-returns — and refuses — exactly what ``sql()`` of the same statement
-does.
+(:func:`~repro.core.planner.run_client_kernel`): a view returns — and
+refuses — exactly what ``sql()`` of the same statement does.
 
-**Bootstrap is one circuit step.**  A view starts from an
-epoch-consistent MVCC snapshot of every versioned input, fed through the
-circuit as an all-``+1`` delta with empty operator state — the
-``ΔR ⋈ ΔS`` term then produces the full join, the aggregate states fill
-in, and the resulting Z-set *is* the view at that epoch.  Every later
-refresh advances it by exactly the committed segments, so the cumulative
-materialization stays sha256-identical to a full rescan at the same
-epoch (the conformance suite pins this cell by cell).
+**Bootstrap is one circuit step**: the epoch-consistent snapshot of
+every versioned input goes through the empty circuit as an all-``+1``
+delta; every later refresh advances the result by exactly the committed
+segments, so it stays sha256-identical to a full rescan at the same
+epoch (exactness caveat for float SUM/AVG — a group folds in
+first-arrival order, a rescan in row order — in docs/VIEWS.md).
 
-Exactness caveat: a group is re-folded in member-arrival order, a full
-rescan folds in row order, so float SUM/AVG association differs (and a
-member of weight *w* is added *w* times, not multiplied once).
-Byte-identity to the rescan is guaranteed when aggregated float values
-are dyadic rationals (multiples of 2^-k, e.g. ``n * 0.25``) whose sums
-stay below 2^53 — the convention all repo workloads follow; arbitrary
-floats converge mathematically but may differ in the last ulp.
+**A refresh is validate-then-commit.**  Trackers and stages compute
+their next state beside their output and append the swap to the caller's
+``commits``; nothing changes unless the whole refresh raised no refusal.
 
-The sim-facing half (who reads segment bytes, what it costs, when
-refreshes run) lives in :mod:`repro.core.api`; everything here is pure
-bookkeeping and runs inside one simulator event.
+The sim-facing half (who reads segment bytes, what it costs, when) is
+:mod:`repro.core.api`; this is bookkeeping inside one simulator event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..baselines.sw_ops import (software_aggregate, software_groupby,
                                 software_project)
 from ..common.errors import QueryError
-from ..common.records import Schema, key_image
+from ..common.records import Schema, SlotMap, key_image
 from ..operators.aggregate import AggregateSpec
-from ..operators.join import join_output_schema
+from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from .cluster import group_output_schema
 from .compile import BoundArm, BoundSelect
@@ -82,7 +67,7 @@ from .ir import eval_items
 from .planner import operator_chain
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
                          VersionChain, delete_schema, delta_schema)
-from .zset import ZSet
+from .zset import ZSet, stage_slots
 
 __all__ = ["ChainTracker", "Circuit", "MaterializedView", "RefreshStats",
            "Subscription", "ViewCatalog", "compile_circuit"]
@@ -91,49 +76,35 @@ __all__ = ["ChainTracker", "Circuit", "MaterializedView", "RefreshStats",
 # -- circuit stages -----------------------------------------------------------
 
 class _Stage:
-    """One incremental operator: input delta in, output delta out."""
+    """One incremental operator: ``apply(delta, commits)`` maps a delta
+    to a delta of ``out_schema``; a stateful stage appends the swap to
+    its next state to ``commits``."""
 
     out_schema: Schema
 
-    def apply(self, delta: ZSet) -> ZSet:
-        raise NotImplementedError
 
-
+@dataclass
 class MaskStage(_Stage):
-    """Linear: ``mask(rows)`` keeps or drops each delta entry unchanged.
+    """Linear: ``mask(rows)`` keeps or drops each delta entry unchanged."""
 
-    The delta is decoded once and the surviving entries keep the image
-    and weight they arrived with (:meth:`ZSet.decode` is in dict order,
-    so the mask lines up with the entries) — nothing is re-encoded.
-    """
+    out_schema: Schema
+    mask: Callable[[np.ndarray], np.ndarray]
 
-    def __init__(self, schema: Schema,
-                 mask: Callable[[np.ndarray], np.ndarray]):
-        self.out_schema = schema
-        self.mask = mask
-
-    def apply(self, delta: ZSet) -> ZSet:
-        rows, _ = delta.decode()
-        return ZSet(self.out_schema,
-                    dict(compress(delta, self.mask(rows).tolist())))
+    def apply(self, delta: ZSet, commits: list) -> ZSet:
+        return delta.select(self.mask(delta.rows))
 
 
+@dataclass
 class MapStage(_Stage):
     """Linear: ``kernel(rows)`` computes each output row; the weights
     carry across (distinct inputs may merge into one output row)."""
 
-    def __init__(self, out_schema: Schema,
-                 kernel: Callable[[np.ndarray], np.ndarray]):
-        self.out_schema = out_schema
-        self.kernel = kernel
+    out_schema: Schema
+    kernel: Callable[[np.ndarray], np.ndarray]
 
-    def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        rows, weights = delta.decode()
-        images = key_image(self.kernel(rows), self.out_schema.names)
-        for image, weight in zip(images.tolist(), weights.tolist()):
-            out.add(image, weight)
-        return out
+    def apply(self, delta: ZSet, commits: list) -> ZSet:
+        return ZSet.from_rows(self.out_schema, self.kernel(delta.rows),
+                              delta.weights)
 
 
 class DistinctStage(_Stage):
@@ -141,221 +112,198 @@ class DistinctStage(_Stage):
 
     def __init__(self, schema: Schema):
         self.out_schema = schema
-        self.multiplicity: dict[bytes, int] = {}
+        self.multiplicity = ZSet(schema)
 
-    def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        for image, weight in delta:
-            old = self.multiplicity.get(image, 0)
-            new = old + weight
-            if new < 0:
-                raise QueryError(
-                    "distinct state went negative: a delta retracted a row "
-                    "the view never saw (corrupt chain)")
-            if new:
-                self.multiplicity[image] = new
-            else:
-                self.multiplicity.pop(image, None)
-            if old == 0 and new > 0:
-                out.add(image, 1)
-            elif old > 0 and new == 0:
-                out.add(image, -1)
-        return out
+    def apply(self, delta: ZSet, commits: list) -> ZSet:
+        slot, _, weights, commit = self.multiplicity.stage(delta)
+        new = weights[slot]
+        if (new < 0).any():
+            raise QueryError(
+                "distinct state went negative: a delta retracted a row "
+                "the view never saw (corrupt chain)")
+        commits.append(commit)
+        edge = (new > 0).astype(np.int64) - (new - delta.weights > 0)
+        return ZSet(self.out_schema, delta.images[edge != 0], edge[edge != 0])
 
 
 class GroupStage(_Stage):
     """Stateful GROUP BY / aggregation.
 
-    Keeps the weighted member multiset per group key; a delta touching a
-    group retracts its old output row and emits the recomputed one.  The
-    stage holds no arithmetic of its own: a group's output row is what
-    the client's aggregation kernel returns over the group's members,
-    each repeated ``weight`` times — :func:`software_groupby` for a
-    grouped statement, :func:`software_aggregate` for the global
-    (ungrouped) one, which is one pseudo-group keyed ``b""`` whose output
-    row disappears when the input empties — exactly the model's zero-row
-    result.
+    Keeps the weighted member multiset (one accumulator :class:`ZSet`,
+    each member slot tagged with its group's slot) and every group's
+    last output row; a delta retracts the cached rows of the groups it
+    touches and emits what the client's aggregation kernel returns over
+    those groups' members, in slot (first-arrival) order, each repeated
+    ``weight`` times — **one** :func:`software_groupby` call per delta,
+    or for the global (ungrouped) statement :func:`software_aggregate`
+    over its one pseudo-group, whose row disappears when the input
+    empties (the model's zero-row result).
     """
 
     def __init__(self, schema: Schema, group_by: tuple[str, ...],
                  aggregates: tuple[AggregateSpec, ...]):
-        self.in_schema = schema
-        self.group_by = list(group_by)
+        self.in_schema, self.group_by = schema, list(group_by)
         self.aggregates = list(aggregates)
         self.out_schema = group_output_schema(schema, group_by, aggregates)
-        #: group key image -> {member row image -> weight}
-        self.groups: dict[bytes, dict[bytes, int]] = {}
+        self.members = ZSet(schema)
+        #: member slot -> group slot; group key image -> group slot.
+        self.group_of = np.zeros(0, dtype=np.intp)
+        self.group_slots: SlotMap = {} if group_by else {b"": 0}
+        #: Per group slot: the row last emitted, and whether one is out.
+        self.outputs = self.out_schema.empty(len(self.group_slots))
+        self.emitted = np.zeros(len(self.group_slots), dtype=bool)
 
-    def _output_row(self, key: bytes) -> Optional[bytes]:
-        members = self.groups.get(key)
-        if not members:
-            return None
-        weights = np.fromiter(members.values(), dtype=np.int64,
-                              count=len(members))
-        if (weights < 0).any():
+    def apply(self, delta: ZSet, commits: list) -> ZSet:
+        slot, images, counts, commit_members = self.members.stage(delta)
+        if (counts[slot] < 0).any():
             raise QueryError(
                 "group state went negative: a delta retracted a row the "
                 "view never saw (corrupt chain)")
-        rows = np.repeat(self.in_schema.from_bytes(b"".join(members)),
-                         weights)
+        arrived = images[len(self.group_of):].view(self.in_schema.dtype)
         if self.group_by:
-            out = software_groupby(rows, self.in_schema, self.group_by,
-                                   self.aggregates).rows
+            group, fresh = stage_slots(self.group_slots,
+                                       key_image(arrived, self.group_by))
         else:
-            out = software_aggregate(rows, self.in_schema, self.aggregates)
-        return key_image(out, self.out_schema.names).tolist()[0]
+            group, fresh = np.zeros(len(arrived), dtype=np.intp), {}
+        group_of = np.concatenate([self.group_of, group])
+        outputs = np.concatenate([self.outputs,
+                                  self.out_schema.empty(len(fresh))])
+        emitted = np.concatenate([self.emitted, np.zeros(len(fresh), bool)])
+        touched = np.zeros(len(emitted), dtype=bool)
+        touched[group_of[slot]] = True
+        retracted = outputs[touched & emitted]
+        member = touched[group_of] & (counts > 0)
+        folded = images[member].view(self.in_schema.dtype)
+        if counts.max(initial=0) > 1:
+            folded = np.repeat(folded, counts[member])
+        if self.group_by:
+            recomputed = software_groupby(folded, self.in_schema,
+                                          self.group_by, self.aggregates).rows
+            # A group new to this delta shows up among the kernel's rows
+            # in the order its first member arrived: ``fresh``'s order.
+            refolded = stage_slots(self.group_slots, key_image(
+                recomputed, self.group_by))[0]
+        else:
+            recomputed = software_aggregate(folded, self.in_schema,
+                                            self.aggregates)
+            refolded = np.zeros(len(recomputed), dtype=np.intp)
+        emitted[touched] = False
+        emitted[refolded] = True
+        outputs[refolded] = recomputed
 
-    def apply(self, delta: ZSet) -> ZSet:
-        out = ZSet(self.out_schema)
-        images = list(delta.weights)
-        rows, weights = delta.decode()
-        keys = key_image(rows, self.group_by).tolist()
-        touched: dict[bytes, list[tuple[bytes, int]]] = {}
-        for image, key, weight in zip(images, keys, weights.tolist()):
-            touched.setdefault(key, []).append((image, weight))
-        for key, changes in touched.items():
-            old = self._output_row(key)
-            members = self.groups.setdefault(key, {})
-            for image, weight in changes:
-                total = members.get(image, 0) + weight
-                if total:
-                    members[image] = total
-                else:
-                    members.pop(image, None)
-            if not members:
-                self.groups.pop(key, None)
-            new = self._output_row(key)
-            if old is not None:
-                out.add(old, -1)
-            if new is not None:
-                out.add(new, 1)
-        return out
+        def commit() -> None:
+            self.group_slots.update(fresh)
+            self.group_of, self.outputs, self.emitted = (group_of, outputs,
+                                                         emitted)
+            keep = commit_members()
+            if keep is not None:
+                self._compact(keep)
+        commits.append(commit)
+        return ZSet.from_rows(
+            self.out_schema, np.concatenate([retracted, recomputed]),
+            np.repeat([-1, 1], [len(retracted), len(recomputed)]))
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """The members compacted down to slots ``keep``: renumber the
+        groups that still have one (every such group has a row out)."""
+        self.group_of = self.group_of[keep]
+        if self.group_by:
+            live, self.group_of = np.unique(self.group_of,
+                                            return_inverse=True)
+            self.outputs, self.emitted = self.outputs[live], self.emitted[live]
+            self.group_slots = dict(zip(
+                key_image(self.outputs, self.group_by).tolist(),
+                range(len(live))))
 
 
+def _match(left: np.ndarray, right: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(i, j)`` with ``left[i] == right[j]``: the
+    shorter side is sorted once and the longer one binary-searches it."""
+    if len(left) > len(right):
+        j, i = _match(right, left)
+        return i, j
+    order = np.argsort(left, kind="stable")
+    ranked = left[order]
+    low = np.searchsorted(ranked, right, "left")
+    count = np.searchsorted(ranked, right, "right") - low
+    j = np.repeat(np.arange(len(right)), count)
+    run = np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+    return order[np.repeat(low, count) + run], j
+
+
+def _join_keys(rows: np.ndarray, column: str) -> np.ndarray:
+    """Every row's serialized join key; a machine word sorts as one."""
+    keys = key_image(rows, [column])
+    return keys.view("<u8") if keys.dtype.itemsize == 8 else keys
+
+
+@dataclass(eq=False)
 class JoinStage(_Stage):
     """Bilinear: ``Δ(R ⋈ S) = ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS``.
 
-    Both sides are indexed by the serialized key image; an output row is
-    the probe row's bytes concatenated with the payload column slices of
-    the matching build row (packed schemas concatenate exactly), at
-    weight ``w_probe · w_build``.  Build keys must stay unique — the
-    same contract the engine's hash-join and the reference model
-    enforce — checked on every index update.  A static build side is
-    loaded once via :meth:`load_static` and contributes no deltas, which
-    zeroes two of the three terms and lets the stage skip maintaining
-    the probe index entirely.
+    Each side is one accumulator :class:`ZSet`; a term matches the two
+    sides' serialized key images and gathers the output columns
+    (:func:`gather_join_output`) at weight ``w_probe · w_build``.  Build
+    keys must stay unique — the contract the engine's hash-join and the
+    reference model enforce — checked on every update of the build side
+    before it commits.  A static build side arrives whole in the
+    bootstrap step and never again, which zeroes two of the three terms
+    from then on and leaves the probe side unkept.
     """
 
-    def __init__(self, probe_schema: Schema, build_in_schema: Schema,
-                 build_name: str, build_key: str, probe_key: str,
-                 payload: tuple[str, ...], dynamic: bool,
-                 prestages: tuple[_Stage, ...] = ()):
-        self.probe_schema = probe_schema
-        self.build_in_schema = build_in_schema
-        self.build_name = build_name
-        self.build_key = build_key
-        self.probe_key = probe_key
-        self.payload = tuple(payload)
-        self.dynamic = dynamic
-        self.prestages = tuple(prestages)
-        self.build_schema = (prestages[-1].out_schema if prestages
-                             else build_in_schema)
-        self.out_schema = join_output_schema(probe_schema, self.build_schema,
-                                             list(payload))
-        probe_fields = probe_schema.dtype.fields
-        build_fields = self.build_schema.dtype.fields
-        self._probe_key_slice = self._field_slice(probe_fields, probe_key)
-        self._build_key_slice = self._field_slice(build_fields, build_key)
-        self._payload_slices = [self._field_slice(build_fields, name)
-                                for name in self.payload]
-        #: key image -> {row image -> weight}, per side.
-        self.build_index: dict[bytes, dict[bytes, int]] = {}
-        self.probe_index: dict[bytes, dict[bytes, int]] = {}
+    probe_schema: Schema
+    build_in_schema: Schema
+    build_name: str
+    build_key: str
+    probe_key: str
+    payload: tuple[str, ...]
+    dynamic: bool
+    prestages: tuple[_Stage, ...] = ()
 
-    @staticmethod
-    def _field_slice(fields, name: str) -> slice:
-        dtype, offset = fields[name][0], fields[name][1]
-        return slice(offset, offset + dtype.itemsize)
+    def __post_init__(self):
+        self.build_schema = (self.prestages[-1].out_schema if self.prestages
+                             else self.build_in_schema)
+        self.out_schema = join_output_schema(
+            self.probe_schema, self.build_schema, list(self.payload))
+        self.build = ZSet(self.build_schema)
+        self.probe = ZSet(self.probe_schema)
 
-    def _through_prestages(self, delta: ZSet) -> ZSet:
+    def _term(self, probe, build) -> tuple[np.ndarray, np.ndarray]:
+        """``probe ⋈ build`` over two ``(rows, weights)`` pairs."""
+        i, j = _match(_join_keys(probe[0], self.probe_key),
+                      _join_keys(build[0], self.build_key))
+        return (gather_join_output(self.out_schema, probe[0], i, build[0],
+                                   self.payload, j),
+                probe[1][i] * build[1][j])
+
+    def apply(self, probe_delta: ZSet, commits: list,
+              build_delta: ZSet) -> ZSet:
         for stage in self.prestages:
-            delta = stage.apply(delta)
-        return delta
-
-    def _by_key(self, zset: ZSet, key_slice: slice
-                ) -> dict[bytes, dict[bytes, int]]:
-        keyed: dict[bytes, dict[bytes, int]] = {}
-        for image, weight in zset:
-            keyed.setdefault(image[key_slice], {})[image] = weight
-        return keyed
-
-    @staticmethod
-    def _merge_index(index: dict[bytes, dict[bytes, int]],
-                     deltas: dict[bytes, dict[bytes, int]]) -> None:
-        for key, entries in deltas.items():
-            slot = index.setdefault(key, {})
-            for image, weight in entries.items():
-                total = slot.get(image, 0) + weight
-                if total:
-                    slot[image] = total
-                else:
-                    slot.pop(image, None)
-            if not slot:
-                index.pop(key, None)
-
-    def _check_build_keys(self, keys: Iterable[bytes]) -> None:
-        for key in keys:
-            slot = self.build_index.get(key)
-            if not slot:
-                continue
-            if len(slot) > 1 or any(w < 0 or w > 1 for w in slot.values()):
+            build_delta = stage.apply(build_delta, commits)
+        new_probe = probe_delta.rows, probe_delta.weights
+        new_build = build_delta.rows, build_delta.weights
+        terms = [self._term(new_probe, (self.build.rows, self.build.weights)),
+                 self._term((self.probe.rows, self.probe.weights), new_build),
+                 self._term(new_probe, new_build)]
+        if not build_delta.is_empty:
+            _, images, after, commit = self.build.stage(build_delta)
+            keys = _join_keys(images.view(self.build_schema.dtype),
+                              self.build_key)
+            live = np.flatnonzero(after)
+            i, j = _match(_join_keys(new_build[0], self.build_key), keys[live])
+            if (after[live[j]] != 1).any() or (
+                    np.bincount(i, minlength=1).max() > 1):
                 raise QueryError(
                     f"duplicate build key in {self.build_name!r}: the "
                     f"build side of a view join must keep unique join "
                     f"keys at every epoch")
-
-    def _emit(self, out: ZSet, probe_side: dict[bytes, dict[bytes, int]],
-              build_side: dict[bytes, dict[bytes, int]]) -> None:
-        if not probe_side or not build_side:
-            return
-        small = (probe_side if len(probe_side) <= len(build_side)
-                 else build_side)
-        for key in small:
-            probe_entries = probe_side.get(key)
-            build_entries = build_side.get(key)
-            if not probe_entries or not build_entries:
-                continue
-            for build_image, build_weight in build_entries.items():
-                tail = b"".join(build_image[s] for s in self._payload_slices)
-                for probe_image, probe_weight in probe_entries.items():
-                    out.add(probe_image + tail, probe_weight * build_weight)
-
-    def load_static(self, build_delta: ZSet) -> None:
-        """Index the static build side's full contents at bootstrap."""
-        keyed = self._by_key(self._through_prestages(build_delta),
-                             self._build_key_slice)
-        self._merge_index(self.build_index, keyed)
-        self._check_build_keys(keyed)
-
-    def step(self, probe_delta: ZSet, build_delta: Optional[ZSet]) -> ZSet:
-        if build_delta is None or not self.dynamic:
-            build_keyed: dict[bytes, dict[bytes, int]] = {}
-        else:
-            build_keyed = self._by_key(self._through_prestages(build_delta),
-                                       self._build_key_slice)
-        probe_keyed = self._by_key(probe_delta, self._probe_key_slice)
-        out = ZSet(self.out_schema)
-        self._emit(out, probe_keyed, self.build_index)   # ΔR ⋈ S
-        self._emit(out, self.probe_index, build_keyed)   # R ⋈ ΔS
-        self._emit(out, probe_keyed, build_keyed)        # ΔR ⋈ ΔS
+            commits.append(commit)
         if self.dynamic:
-            self._merge_index(self.probe_index, probe_keyed)
-            self._merge_index(self.build_index, build_keyed)
-            self._check_build_keys(build_keyed)
-        return out
-
-    def apply(self, delta: ZSet) -> ZSet:
-        return self.step(delta, None)
+            commits.append(self.probe.stage(probe_delta)[-1])
+        rows, weights = zip(*terms)
+        return ZSet.from_rows(self.out_schema, np.concatenate(rows),
+                              np.concatenate(weights))
 
 
 # -- circuit compilation ------------------------------------------------------
@@ -363,12 +311,10 @@ class JoinStage(_Stage):
 @dataclass
 class Circuit:
     """A compiled incremental query: stages in execution order.
-
     ``dynamic_tables`` maps each versioned input (the base plus any
     versioned build sides) to its catalog handle; ``static_loads`` pairs
-    each join stage with the static build handle it must index at
-    bootstrap.
-    """
+    each join stage with the static build table whose contents the
+    bootstrap step carries under the stage's ``build_name``."""
 
     base_name: str
     base_handle: object
@@ -378,16 +324,23 @@ class Circuit:
     dynamic_tables: dict[str, object]
     static_loads: list[tuple[JoinStage, object]]
 
-    def step(self, deltas: dict[str, ZSet]) -> ZSet:
-        """Propagate one batch of input deltas; returns the output delta."""
-        current = deltas.get(self.base_name)
-        if current is None:
-            current = ZSet(self.in_schema)
+    def step(self, deltas: dict[str, ZSet],
+             commits: Optional[list] = None) -> ZSet:
+        """Propagate one batch of input deltas; returns the output delta.
+        Without a ``commits`` to defer to, the stages' swaps run here,
+        after the last stage — a refused step changes no stage."""
+        pending: list = [] if commits is None else commits
+        current = deltas.get(self.base_name) or ZSet(self.in_schema)
         for stage in self.stages:
-            if isinstance(stage, JoinStage) and stage.dynamic:
-                current = stage.step(current, deltas.get(stage.build_name))
+            if isinstance(stage, JoinStage):
+                current = stage.apply(
+                    current, pending, deltas.get(stage.build_name)
+                    or ZSet(stage.build_in_schema))
             else:
-                current = stage.apply(current)
+                current = stage.apply(current, pending)
+        if commits is None:
+            for commit in pending:
+                commit()
         return current
 
     @property
@@ -514,14 +467,15 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
 class ChainTracker(ChainListener):
     """Client-side mirror of one version chain, as Z-set deltas.
 
-    Keeps the row-id → row-image map at ``processed_epoch`` (pinned, so
+    Keeps the chain's visible rows at ``processed_epoch`` (pinned, so
     compaction parks rather than frees the segments a pending refresh
-    still needs), queues committed segments via the listener interface,
-    and turns a batch of segment byte images into one consolidated
-    Z-set delta: insert → +1, delete → −1 of the remembered image,
-    update → −old/+new.  Cluster tables run one tracker per shard chain
-    (per-shard row-id spaces overlap; Z-set addition merges the shard
-    deltas order-independently).
+    still needs) as byte images beside their row ids — ascending, as
+    every snapshot returns and every insert extends them, so a row id is
+    found by binary search — queues committed segments via the listener
+    interface, and turns a batch of segment images into one consolidated
+    Z-set delta: insert → +1, delete → −1 of the remembered row, update
+    → −old/+new.  Cluster tables run one tracker per shard chain (row-id
+    spaces overlap; Z-set addition merges the shard deltas).
     """
 
     def __init__(self, table_name: str, chain: VersionChain):
@@ -530,76 +484,72 @@ class ChainTracker(ChainListener):
         #: Set by the owning client: the shard this chain belongs to, whose
         #: node reads its segment bytes (opaque to this module).
         self.owner: object = None
-        self.images: dict[int, bytes] = {}
+        self.rowids = np.zeros(0, dtype=np.uint64)
+        self.images = key_image(chain.schema.empty(0), chain.schema.names)
         self.pending: list[DeltaSegment] = []
         self.processed_epoch = chain.epoch
         self.pin_token: Optional[int] = chain.pin(chain.epoch)
-        self.loaded = False
-        self.compactions_seen = 0
         chain.add_listener(self)
 
-    # -- ChainListener ----------------------------------------------------
     def on_commit(self, table: VersionChain,
                   segment: Optional[DeltaSegment]) -> None:
         if segment is not None:
             self.pending.append(segment)
 
-    def on_compaction(self, table: VersionChain) -> None:
-        self.compactions_seen += 1
-
-    # -- bootstrap --------------------------------------------------------
     def load(self, rows: np.ndarray, rowids: np.ndarray) -> None:
         """Install the snapshot read at ``processed_epoch``."""
-        self.images = dict(zip(
-            rowids.tolist(),
-            key_image(rows, self.chain.schema.names).tolist()))
-        self.loaded = True
+        self.images = key_image(rows, self.chain.schema.names)
+        self.rowids = rowids
 
-    def bootstrap_into(self, zset: ZSet) -> None:
-        for image in self.images.values():
-            zset.add(image, 1)
+    def _locate(self, rowids: np.ndarray, wanted: np.ndarray,
+                verb: str) -> np.ndarray:
+        """Where each of ``wanted`` sits in the ascending ``rowids``."""
+        at = np.searchsorted(rowids, wanted)
+        found = at < len(rowids)
+        found[found] = rowids[at[found]] == wanted[found]
+        if not found.all():
+            raise QueryError(
+                f"{verb} of unknown row id {int(wanted[~found][0])} on "
+                f"{self.table_name!r} (corrupt chain mirror)")
+        return at
 
-    # -- refresh ----------------------------------------------------------
-    def pending_upto(self, target_epoch: int) -> list[DeltaSegment]:
-        return [seg for seg in self.pending if seg.epoch <= target_epoch]
-
-    def apply_batch(self, batch: list[tuple[DeltaSegment, bytes]]) -> ZSet:
-        """Fold read segment images into the mirror; returns the delta."""
-        delta = ZSet(self.chain.schema)
-        consumed: set[int] = set()
+    def apply_batch(self, batch: list[tuple[DeltaSegment, bytes]],
+                    commits: list) -> ZSet:
+        """The delta of the read segment images, each decoded once; the
+        mirror and ``pending`` move past them when ``commits`` run."""
         schema = self.chain.schema
+        rowids, images = self.rowids, self.images
+        parts, signs = [images[:0]], [1]
         for segment, data in batch:
-            consumed.add(id(segment))
             if segment.kind == "delete":
-                rowids = delete_schema().from_bytes(data)[ROWID_COLUMN]
-                for rid in rowids.tolist():
-                    image = self.images.pop(int(rid), None)
-                    if image is None:
-                        raise QueryError(
-                            f"delete of unknown row id {rid} on "
-                            f"{self.table_name!r} (corrupt chain mirror)")
-                    delta.add(image, -1)
+                gone = delete_schema().from_bytes(data)[ROWID_COLUMN]
+                at = self._locate(rowids, gone, "delete")
+                parts.append(images[at])
+                signs.append(-1)
+                rowids, images = np.delete(rowids, at), np.delete(images, at)
                 continue
             decoded = delta_schema(schema).from_bytes(data)
-            images = key_image(decoded, schema.names).tolist()
-            rowids = decoded[ROWID_COLUMN].tolist()
+            arrived = key_image(decoded, schema.names)
             if segment.kind == "insert":
-                for rid, image in zip(rowids, images):
-                    self.images[int(rid)] = image
-                    delta.add(image, 1)
+                rowids = np.concatenate([rowids, decoded[ROWID_COLUMN]])
+                images = np.concatenate([images, arrived])
             else:                                   # update
-                for rid, image in zip(rowids, images):
-                    old = self.images.get(int(rid))
-                    if old is None:
-                        raise QueryError(
-                            f"update of unknown row id {rid} on "
-                            f"{self.table_name!r} (corrupt chain mirror)")
-                    delta.add(old, -1)
-                    delta.add(image, 1)
-                    self.images[int(rid)] = image
-        self.pending = [seg for seg in self.pending
-                        if id(seg) not in consumed]
-        return delta
+                at = self._locate(rowids, decoded[ROWID_COLUMN], "update")
+                parts.append(images[at])
+                signs.append(-1)
+                images = images.copy()
+                images[at] = arrived
+            parts.append(arrived)
+            signs.append(1)
+        consumed = {id(segment) for segment, _ in batch}
+
+        def commit() -> None:
+            self.rowids, self.images = rowids, images
+            self.pending = [seg for seg in self.pending
+                            if id(seg) not in consumed]
+        commits.append(commit)
+        return ZSet(schema, np.concatenate(parts),
+                    np.repeat(signs, [len(part) for part in parts]))
 
     def repin(self) -> list:
         """Move the pin to ``processed_epoch``; returns freed segments."""
@@ -651,6 +601,21 @@ class MaterializedView:
     def num_rows(self) -> int:
         return self.contents.total_weight
 
+    def advance(self, out: Optional[ZSet], epochs_now: dict[str, int]) -> None:
+        """Commit one refresh: move to ``epochs_now`` and, when the
+        circuit stepped, fold its output delta in and push it on."""
+        self.epochs.update((table, epochs_now[table])
+                           for table in self.circuit.dynamic_tables
+                           if table in epochs_now)
+        if out is not None:
+            self.contents.update(out)
+            self.refresh_count += 1
+        for sub in self.subscriptions:
+            if out is None:
+                sub.epochs = dict(self.epochs)
+            else:
+                sub.push(out, self.epochs)
+
     def materialize(self) -> np.ndarray:
         """The full view in canonical (sorted byte-image) order."""
         return self.contents.materialize()
@@ -672,18 +637,14 @@ class Subscription:
 
     ``auto=True`` (the default) asks the owning client to propagate
     every committed write batch immediately; ``auto=False`` receives
-    updates only on explicit refreshes.  The subscriber state is folded
-    from pushed deltas alone — never copied from the view after
-    bootstrap — so ``sha256()`` equality with the view (and with a full
-    rescan) is the end-to-end delivery check, and ``digest()`` is its
-    O(1)-per-delta integrity shortcut.
+    updates only on explicit refreshes.  The state is folded from pushed
+    deltas alone, never copied from the view after bootstrap: ``sha256()``
+    equality with the view is the delivery check, ``digest()`` its shortcut.
     """
 
     def __init__(self, view: MaterializedView, auto: bool = True):
-        self.view = view
         self.auto = auto
-        self.state = view.contents.copy()
-        self.epochs = dict(view.epochs)
+        self.rebind(view)
         self.updates_received = 0
         self.rows_pushed = 0
         self.bytes_pushed = 0
@@ -696,7 +657,7 @@ class Subscription:
         self.bytes_pushed += delta.entry_count * delta.schema.row_width
 
     def rebind(self, view: MaterializedView) -> None:
-        """Re-bootstrap from ``view`` (e.g. after a failed refresh)."""
+        """(Re-)bootstrap from ``view`` (e.g. after a failed refresh)."""
         self.view = view
         self.state = view.contents.copy()
         self.epochs = dict(view.epochs)
@@ -716,12 +677,12 @@ class ViewCatalog:
 
     Pure bookkeeping: the owning client performs the reads, charges the
     simulated time, then hands the fetched segment bytes to
-    :meth:`apply_refresh`, which is atomic — it either folds a whole
-    batch into every registered view and its subscribers or (on a
-    decode error) leaves no partial state behind, because all reads
-    happened before any state mutation.  Refreshes are engine-wide:
-    trackers are shared between views over the same table, so segments
-    are consumed once and every view advances to the same epochs.
+    :meth:`apply_refresh`, which is atomic — it folds the whole batch
+    into every tracker, view and subscriber, or (on any refusal) leaves
+    them and ``pending`` exactly as they were.  Refreshes are
+    engine-wide: trackers are shared between views over the same table,
+    so segments are consumed once and every view advances to the same
+    epochs.
     """
 
     def __init__(self):
@@ -729,7 +690,6 @@ class ViewCatalog:
         self.trackers: dict[str, list[ChainTracker]] = {}
         self._serial = 0
 
-    # -- naming / registration -------------------------------------------
     def fresh_name(self) -> str:
         self._serial += 1
         return f"view{self._serial}"
@@ -747,13 +707,10 @@ class ViewCatalog:
         del self.views[name]
         still_needed = {table for view in self.views.values()
                         for table in view.circuit.dynamic_tables}
-        orphans: list[ChainTracker] = []
-        for table in list(self.trackers):
-            if table not in still_needed:
-                orphans.extend(self.trackers.pop(table))
-        return orphans
+        return [tracker for table in list(self.trackers)
+                if table not in still_needed
+                for tracker in self.trackers.pop(table)]
 
-    # -- refresh bookkeeping ----------------------------------------------
     def has_pending(self) -> bool:
         return any(tracker.pending
                    for trackers in self.trackers.values()
@@ -761,38 +718,35 @@ class ViewCatalog:
 
     def needs_auto_refresh(self) -> bool:
         """Any auto-subscribed view with unconsumed input segments?"""
-        for view in self.views.values():
-            if not any(sub.auto for sub in view.subscriptions):
-                continue
-            for table in view.circuit.dynamic_tables:
-                for tracker in self.trackers.get(table, ()):
-                    if tracker.pending:
-                        return True
-        return False
+        return any(tracker.pending
+                   for view in self.views.values()
+                   if any(sub.auto for sub in view.subscriptions)
+                   for table in view.circuit.dynamic_tables
+                   for tracker in self.trackers.get(table, ()))
 
     def pending_work(self) -> tuple[list[tuple[ChainTracker, DeltaSegment]],
                                     dict[ChainTracker, int]]:
-        """Segments to read this refresh + per-tracker target epochs.
-
-        Targets are captured *now* (synchronously): segments committed
-        while the refresh's reads are in flight carry later epochs, stay
-        pending, and belong to the next refresh.
-        """
+        """Segments to read this refresh + per-tracker target epochs,
+        captured *now*: segments committed while the reads are in flight
+        carry later epochs, stay pending, and belong to the next one."""
         work: list[tuple[ChainTracker, DeltaSegment]] = []
         targets: dict[ChainTracker, int] = {}
         for trackers in self.trackers.values():
             for tracker in trackers:
                 target = tracker.chain.epoch
                 targets[tracker] = target
-                for segment in tracker.pending_upto(target):
-                    work.append((tracker, segment))
+                work += [(tracker, segment) for segment in tracker.pending
+                         if segment.epoch <= target]
         return work, targets
 
     def apply_refresh(self, reads: list[tuple[ChainTracker, DeltaSegment,
                                               bytes]],
                       targets: dict[ChainTracker, int]) -> RefreshStats:
-        """Fold fetched segment bytes into every view — yield-free."""
+        """Fold fetched segment bytes into every view — yield-free, and
+        validate-then-commit: only when no tracker or stage has refused
+        do the collected ``commits`` swap every next state in."""
         stats = RefreshStats()
+        commits: list[Callable[[], object]] = []
         by_tracker: dict[ChainTracker, list[tuple[DeltaSegment, bytes]]] = {}
         for tracker, segment, data in reads:
             by_tracker.setdefault(tracker, []).append((segment, data))
@@ -801,31 +755,27 @@ class ViewCatalog:
             stats.bytes_read += len(data)
         deltas: dict[str, ZSet] = {}
         for tracker, batch in by_tracker.items():
-            delta = tracker.apply_batch(batch)
+            delta = tracker.apply_batch(batch, commits)
             if tracker.table_name in deltas:
                 deltas[tracker.table_name].update(delta)
             else:
                 deltas[tracker.table_name] = delta
-        for tracker, target in targets.items():
-            tracker.processed_epoch = max(tracker.processed_epoch, target)
-        epochs_now = {table: trackers[0].processed_epoch
-                      for table, trackers in self.trackers.items() if trackers}
+        reached = {tracker: max(tracker.processed_epoch, target)
+                   for tracker, target in targets.items()}
+        epochs_now = {
+            table: reached.get(trackers[0], trackers[0].processed_epoch)
+            for table, trackers in self.trackers.items() if trackers}
         for view in self.views.values():
             inputs = {table: deltas[table]
                       for table in view.circuit.dynamic_tables
                       if table in deltas and not deltas[table].is_empty}
-            for table in view.circuit.dynamic_tables:
-                if table in epochs_now:
-                    view.epochs[table] = epochs_now[table]
-            if inputs:
-                out = view.circuit.step(inputs)
-                view.contents.update(out)
-                view.refresh_count += 1
+            out = view.circuit.step(inputs, commits) if inputs else None
+            if out is not None:
                 stats.views_stepped += 1
                 stats.output_delta_rows += out.entry_count
-                for sub in view.subscriptions:
-                    sub.push(out, view.epochs)
-            else:
-                for sub in view.subscriptions:
-                    sub.epochs = dict(view.epochs)
+            commits.append(partial(view.advance, out, epochs_now))
+        for tracker, epoch in reached.items():
+            tracker.processed_epoch = epoch
+        for commit in commits:
+            commit()
         return stats

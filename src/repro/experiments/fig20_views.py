@@ -79,15 +79,14 @@ BASE_SCHEMA = Schema([
 #: The maintained view: a grouped aggregate (stateful circuit).
 VIEW_SQL = "SELECT cat, SUM(val) AS s, COUNT(*) AS n FROM t GROUP BY cat"
 
-CATEGORIES = [f"c{i}".encode() for i in range(8)]
+CATEGORIES = np.array([f"c{i}".encode() for i in range(8)])
 
 
 def make_base(num_rows: int, seed: int = 20) -> np.ndarray:
     rows = BASE_SCHEMA.empty(num_rows)
     rng = np.random.default_rng(seed)
     rows["k"] = np.arange(num_rows)
-    for i in range(num_rows):
-        rows["cat"][i] = CATEGORIES[i % len(CATEGORIES)]
+    rows["cat"] = CATEGORIES[np.arange(num_rows) % len(CATEGORIES)]
     rows["val"] = rng.integers(0, 1000, num_rows) * 0.25
     return rows
 
@@ -243,8 +242,8 @@ def run_subscription_stream() -> ExperimentResult:
     for round_index in range(STREAM_ROUNDS):
         batch = BASE_SCHEMA.empty(STREAM_BATCH)
         batch["k"] = np.arange(next_key, next_key + STREAM_BATCH)
-        for i in range(STREAM_BATCH):
-            batch["cat"][i] = CATEGORIES[int(rng.integers(len(CATEGORIES)))]
+        batch["cat"] = CATEGORIES[rng.integers(len(CATEGORIES),
+                                               size=STREAM_BATCH)]
         batch["val"] = rng.integers(0, 1000, STREAM_BATCH) * 0.25
         next_key += STREAM_BATCH
         client.insert(vt, batch)

@@ -112,12 +112,12 @@ def test_run_is_deterministic():
     assert a["digests"] == b["digests"]
 
 
-def _calls_into(profile, package: str, but: str = "") -> int:
+def _calls_into(profile, package: str) -> int:
     """Python-level calls the profile recorded into files under
-    ``package``, not counting functions named ``but``."""
-    return sum(nc for (filename, _, name), (_, nc, _, _, _)
+    ``package``."""
+    return sum(nc for (filename, _, _), (_, nc, _, _, _)
                in pstats.Stats(profile).stats.items()
-               if package in filename.replace("\\", "/") and name != but)
+               if package in filename.replace("\\", "/"))
 
 
 # -- a response packet is two loop callbacks, a burst a handful -------------------
@@ -329,43 +329,87 @@ def test_host_grouping_python_call_budget():
     assert 0 < _calls_into(profile, "/repro/") < 400
 
 
-# -- a view circuit computes with the client's kernels, per batch ----------------
+# -- a view refresh is array transforms over the delta -------------------------
 
-def test_group_stage_refold_python_call_budget():
-    """One 1-row delta into a ``GroupStage`` holding two groups of 4,096
-    members re-folds the touched group (twice: the retracted row and the
-    new one) in O(columns) Python-level calls into ``repro`` — the
-    per-member fold the stage used to own made one generator step per
-    member per column, 8,230 calls here."""
+def _commit(commits):
+    for commit in commits:
+        commit()
+
+
+def _group_stage(members: int, groups: int):
+    """A ``GroupStage`` holding ``members`` rows in ``groups`` groups."""
     schema = Schema([Column("g", "int64"), Column("k", "int64"),
                      Column("v", "float64")])
-    rows = schema.empty(8_192)
-    rows["g"] = np.arange(8_192) % 2
-    rows["k"] = np.arange(8_192)
-    rows["v"] = (np.arange(8_192) % 100) * 0.25
+    rows = schema.empty(members)
+    rows["g"] = np.arange(members) % groups
+    rows["k"] = np.arange(members)
+    rows["v"] = (np.arange(members) % 100) * 0.25
     stage = GroupStage(schema, ("g",), (
         AggregateSpec("count", "*"), AggregateSpec("sum", "v"),
         AggregateSpec("min", "k"), AggregateSpec("avg", "v")))
-    assert stage.apply(ZSet.from_rows(schema, rows)).entry_count == 2
+    commits: list = []
+    assert stage.apply(ZSet.from_rows(schema, rows),
+                       commits).entry_count == groups
+    _commit(commits)
+    return schema, rows, stage
+
+
+def test_group_stage_refold_python_call_budget():
+    """One 1-row delta into a ``GroupStage`` holding two groups of 4,096
+    members retracts the touched group's cached row and re-folds it once,
+    in O(columns) Python-level calls into ``repro`` — the per-member fold
+    the stage used to own made one generator step per member per column
+    (8,230 calls here), and the dict stage folded the group twice."""
+    schema, rows, stage = _group_stage(8_192, 2)
     one = schema.empty(1)
     one["g"], one["k"], one["v"] = 1, 8_192, 2.5
+    commits: list = []
     profile = cProfile.Profile()
     profile.enable()
-    out = stage.apply(ZSet.from_rows(schema, one))
+    out = stage.apply(ZSet.from_rows(schema, one), commits)
+    _commit(commits)
     profile.disable()
-    assert sorted(out.weights.values()) == [-1, 1]
-    new = stage.out_schema.from_bytes(
-        next(image for image, weight in out if weight == 1))
+    assert sorted(out.weights.tolist()) == [-1, 1]
+    new = out.rows[out.weights == 1]
     assert (new["count_star"][0], new["min_k"][0]) == (4_097, 1)
     assert new["sum_v"][0] == rows["v"][1::2].sum() + 2.5
-    assert 0 < _calls_into(profile, "/repro/") < 400
+    assert 0 < _calls_into(profile, "/repro/") < 150
+
+
+def test_group_stage_folds_every_touched_group_in_one_kernel_call():
+    """A 2,048-row delta touching all 8 groups of a 16,384-member stage
+    makes exactly one ``software_groupby`` call, and O(1) Python-level
+    calls into ``repro`` — not one per delta row, not two per group."""
+    schema, rows, stage = _group_stage(16_384, 8)
+    delta = ZSet.from_rows(
+        schema, np.concatenate([rows[:1_024], rows[:1_024]]),
+        np.repeat([-1, 1], 1_024))
+    assert delta.is_empty                   # the same rows cancel ...
+    moved = rows[:1_024].copy()
+    moved["v"] += 0.25                      # ... an update does not
+    delta = ZSet.from_rows(schema, np.concatenate([rows[:1_024], moved]),
+                           np.repeat([-1, 1], 1_024))
+    assert delta.entry_count == 2_048
+    commits: list = []
+    profile = cProfile.Profile()
+    profile.enable()
+    out = stage.apply(delta, commits)
+    _commit(commits)
+    profile.disable()
+    assert out.entry_count == 16 and out.total_weight == 0
+    folds = [nc for (_, _, name), (_, nc, _, _, _)
+             in pstats.Stats(profile).stats.items()
+             if name == "software_groupby"]
+    assert folds == [1]
+    assert 0 < _calls_into(profile, "/repro/") < 150
+    assert stage.members.total_weight == 16_384
 
 
 def test_linear_stages_python_call_budget():
     """A 4,096-row delta through a mask stage and two map stages: each
-    decodes the delta once and runs one array kernel, so beyond the map
-    stages' ``ZSet.add`` per output row the Python-level calls into
-    ``repro`` are O(1) per stage, not O(rows)."""
+    runs one array kernel over the delta's rows and (a map stage) one
+    consolidation of its output, so the Python-level calls into ``repro``
+    are O(1) per stage, not O(rows) — no call per output row."""
     schema = Schema([Column("k", "int64"), Column("pad", "int64"),
                      Column("v", "float64")])
     rows = schema.empty(4_096)
@@ -385,8 +429,50 @@ def test_linear_stages_python_call_budget():
     out = circuit.step({"t": delta})
     profile.disable()
     assert out.entry_count == out.total_weight == 2_048
-    assert (0 < _calls_into(profile, "/repro/", but="add")
-            < 50 * len(circuit.stages))
+    assert 0 < _calls_into(profile, "/repro/") < 50 * len(circuit.stages)
+
+
+def test_tracker_batch_and_subscriber_push_python_call_budget():
+    """A 4,096-row update segment through ``ChainTracker.apply_batch``
+    (decoded once, the mirror indexed by row id) and the resulting
+    8,192-entry delta through ``Subscription.push`` are O(1) Python-level
+    calls into ``repro`` each — the dict mirror and the dict Z-set made
+    three ``ZSet.add`` calls per row between them."""
+    schema = Schema([Column("k", "int64"), Column("v", "float64")])
+    rows = schema.empty(4_096)
+    rows["k"] = np.arange(4_096)
+    client = FarviewClient(FarviewNode(Simulator()))
+    client.open_connection()
+    vt = client.create_versioned_table("t", schema, rows)
+    view, _ = client.create_view("SELECT k, v FROM t")
+    sub = client.subscribe(view, auto=False)
+    client.update_where(vt, Compare("k", ">=", 0), {"v": 0.5})
+    engine = client.views
+    (tracker,) = engine.trackers["t"]
+    captured = []
+    real_apply = engine.apply_refresh
+    engine.apply_refresh = lambda reads, targets: captured.extend(reads)
+    client.refresh_views()                  # performs the reads only
+    engine.apply_refresh = real_apply
+    ((_, segment, data),) = captured
+    assert (segment.kind, segment.num_rows) == ("update", 4_096)
+
+    commits: list = []
+    profile = cProfile.Profile()
+    profile.enable()
+    delta = tracker.apply_batch([(segment, data)], commits)
+    profile.disable()
+    assert delta.entry_count == 8_192 and delta.total_weight == 0
+    assert 0 < _calls_into(profile, "/repro/") < 60
+
+    out = view.circuit.step({"t": delta})
+    profile = cProfile.Profile()
+    profile.enable()
+    sub.push(out, view.epochs)
+    profile.disable()
+    assert sub.rows_pushed == 8_192 and sub.state.total_weight == 4_096
+    assert 0 < _calls_into(profile, "/repro/") < 60
+    assert sub.state.rows["v"].tolist() == [0.5] * 4_096
 
 
 def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
@@ -432,7 +518,8 @@ def test_one_hash_one_probe_in_src():
     five sibling key-grouping mechanisms, and the view circuit's own
     scalar stages, lowering helpers and eighth key packing, and the
     per-tuple GROUP BY's object mirror, queue and overflow dict (code and
-    docs), and the data plane's ``AllOf`` fan-ins and per-packet lambdas."""
+    docs), and the view engine's dict Z-set and per-entry index loops, and
+    the data plane's ``AllOf`` fan-ins and per-packet lambdas."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -453,6 +540,13 @@ def test_one_hash_one_probe_in_src():
                                "_query_stages", "_make_join_stage",
                                "state_entries", "_acc_mirror",
                                "_insertion_queue", "._overflow_groups")),
+            # The dict Z-set lives on only as the oracle of
+            # tests/test_core_zset.py: no image -> weight dict, per-entry
+            # index merge or per-row bootstrap in the view engine.
+            (("src/repro/core/views.py", "src/repro/core/zset.py",
+              "src/repro/core/api.py"),
+             ("dict[bytes, int]", "dict[bytes, dict", "bootstrap_into",
+              "_merge_index", "load_static", "compactions_seen")),
             # The data plane schedules plain callbacks on priced pipes: no
             # event fan-in and no per-packet closure in these three files.
             (("src/repro/network/rdma.py", "src/repro/sim/resources.py",

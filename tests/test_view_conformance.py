@@ -502,3 +502,65 @@ def test_rebootstrap_converges_to_the_maintained_image():
     assert fresh.sha256() == expected
     assert sub.sha256() == expected, \
         "rebound subscription stopped receiving pushes"
+
+
+# ---------------------------------------------------------------------------
+# Refresh transactionality: a typed refusal moves nothing
+# ---------------------------------------------------------------------------
+
+def test_refused_refresh_leaves_no_partial_state():
+    """A refresh that raises a typed refusal is validate-then-commit:
+    with a plain view and a join view over the same versioned build
+    table, a commit that duplicates a build key refuses the refresh and
+    leaves trackers, both views, their subscribers and ``pending``
+    exactly as they were — the refusal used to surface *after* the plain
+    view had advanced and pushed, the duplicate had been merged into the
+    join's build index and the segment had been consumed, so deleting
+    the offending row left the join view short and its contents holding
+    a negative weight.  Once the delete commits, one refresh folds both
+    segments and everything is sha256-identical to fresh views."""
+    f_schema = Schema([Column("k", "int64"), Column("fk", "int64"),
+                       Column("v", "float64")])
+    d_schema = Schema([Column("id", "int64"), Column("w", "float64")])
+    facts = f_schema.empty(8)
+    facts["k"], facts["fk"] = np.arange(8), np.arange(8) % 4
+    facts["v"] = np.arange(8) * 0.5
+    dims = d_schema.empty(4)
+    dims["id"], dims["w"] = np.arange(4), np.arange(4) * 0.25
+    plain_sql = "SELECT id, w FROM d WHERE w >= 0.0"
+    joined_sql = "SELECT k, v, w FROM f JOIN d ON fk = id"
+
+    client = make_client(1)
+    client.create_versioned_table("f", f_schema, facts)
+    d = client.create_versioned_table("d", d_schema, dims)
+    plain, _ = client.create_view(plain_sql, name="plain")
+    joined, _ = client.create_view(joined_sql, name="joined")
+    subs = [client.subscribe(plain), client.subscribe(joined)]
+
+    def observable():
+        return ([(v.sha256(), dict(v.epochs), v.refresh_count)
+                 for v in (plain, joined)],
+                [(s.sha256(), s.digest(), dict(s.epochs),
+                  s.updates_received, s.rows_pushed) for s in subs],
+                [t.processed_epoch
+                 for ts in client.views.trackers.values() for t in ts])
+
+    before = observable()
+    dupe = d_schema.empty(1)
+    dupe["id"], dupe["w"] = 2, 7.5        # id 2 already exists
+    with pytest.raises(QueryError, match="duplicate build key"):
+        client.insert(d, dupe)
+    assert observable() == before, "a refused refresh moved state"
+    assert client.views.has_pending(), "the refused segment was consumed"
+    with pytest.raises(QueryError, match="duplicate build key"):
+        client.refresh_views()            # still refused, still intact
+    assert observable() == before
+
+    client.delete_where(d, Compare("w", "==", 7.5))    # commit + refresh
+    assert not client.views.has_pending()
+    assert joined.num_rows == 8
+    fresh_plain, _ = client.create_view(plain_sql, name="plain2")
+    fresh_joined, _ = client.create_view(joined_sql, name="joined2")
+    assert plain.sha256() == subs[0].sha256() == fresh_plain.sha256()
+    assert joined.sha256() == subs[1].sha256() == fresh_joined.sha256()
+    assert plain.epochs["d"] == joined.epochs["d"] == d.epoch
