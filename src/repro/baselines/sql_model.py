@@ -3,12 +3,15 @@
 ``execute_model`` re-runs a SELECT statement on plain numpy arrays with
 naive serial kernels: python row loops, dict-based hash joins, stdlib
 ``re`` for LIKE/REGEXP, first-seen dict grouping, and python's stable
-sorts.  It shares the compiler *front end* (``parse_sql`` +
-``bind_select`` name resolution, so column renaming and output schemas
-agree by construction) but none of the execution machinery — no
-simulator, no operator chains, no cluster scatter/gather, no
-``sw_ops`` kernels.  The mini-TPC-H conformance suite and
-``fig18_minitpch`` pin every engine result's sha256 against this model.
+sorts.  It shares the parser and ``resolve`` (what a statement means:
+which table owns each column, what each output column is called),
+nothing else: :func:`interpret` walks the *resolved, un-rewritten* tree
+node by node — every join under table-qualified column names, WHERE
+where the text put it — so no pushdown, pruning, key canonicalisation or
+offload decision of the binder is on this side of a sha256 comparison.
+No simulator, no operator chains, no cluster scatter/gather, no
+``sw_ops`` kernels.  The same walk runs a *rewritten* tree, which is how
+each rewrite's ``run(rewrite(rel)) == run(rel)`` property is checked.
 
 Bit-exactness contract (what makes a sha comparison meaningful):
 
@@ -26,70 +29,75 @@ Bit-exactness contract (what makes a sha comparison meaningful):
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema
-from ..core.compile import (BoundAggregate, BoundDistinct, BoundEval,
-                            BoundFilter, BoundLimit, BoundSort, ParsedWrite,
-                            bind_select, parse_sql)
-from ..core.ir import Arith, Col, Lit
-from ..operators.join import join_output_schema
-from ..operators.selection import And, Compare, Not, Or
+from ..common.records import Column, Schema
+from ..core.compile import ParsedWrite, parse_sql, resolve
+from ..core.ir import (Aggregate, Arith, BoolAnd, BoolNot, BoolOr, Cmp, Col,
+                       Distinct, Filter, Join, Limit, Lit, Project, Rel, Scan,
+                       Sort, TextMatch)
+from ..operators.aggregate import AggregateSpec
 
-__all__ = ["execute_model", "model_sha256"]
-
-
-class _Handle:
-    """Catalog stand-in: just a name and a schema for ``bind_select``."""
-
-    def __init__(self, name: str, schema: Schema):
-        self.name = name
-        self.schema = schema
+__all__ = ["execute_model", "interpret", "model_sha256"]
 
 
 class _Catalog:
+    """Catalog stand-in: ``resolve`` asks a handle for its schema only."""
+
     def __init__(self, tables: dict):
         self._tables = tables
 
-    def lookup(self, name: str) -> _Handle:
+    def lookup(self, name: str) -> SimpleNamespace:
         if name not in self._tables:
             raise OperatorError(
                 f"reference model has no table {name!r}; known: "
                 f"{sorted(self._tables)}")
-        return _Handle(name, self._tables[name][0])
+        return SimpleNamespace(name=name, schema=self._tables[name][0])
 
 
 # -- scalar evaluation ---------------------------------------------------------
 
-def _pred_row(pred, row) -> bool:
-    if isinstance(pred, Compare):
-        value = pred.value
+def _field(col: Col) -> str:
+    """A column's name in the model's intermediates: table-qualified
+    for a table column, bare for a derived one."""
+    return f"{col.qualifier}.{col.name}" if col.qualifier else col.name
+
+
+def _like(pattern: str) -> str:
+    """LIKE as a stdlib regex: ``%`` / ``_`` match any byte, newline
+    included; the whole value must match."""
+    parts = {"%": "(?s:.*)", "_": "(?s:.)"}
+    return "^" + "".join(parts.get(ch, re.escape(ch)) for ch in pattern) + "$"
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _truth(cond, row) -> bool:
+    """One WHERE / HAVING condition on one row."""
+    if isinstance(cond, Cmp):
+        value = cond.right.value
         if isinstance(value, str):
             value = value.encode()
-        x = row[pred.column]
-        if pred.op == "<":
-            return bool(x < value)
-        if pred.op == "<=":
-            return bool(x <= value)
-        if pred.op == ">":
-            return bool(x > value)
-        if pred.op == ">=":
-            return bool(x >= value)
-        if pred.op == "==":
-            return bool(x == value)
-        if pred.op == "!=":
-            return bool(x != value)
-        raise OperatorError(f"unknown comparison {pred.op!r}")
-    if isinstance(pred, And):
-        return _pred_row(pred.left, row) and _pred_row(pred.right, row)
-    if isinstance(pred, Or):
-        return _pred_row(pred.left, row) or _pred_row(pred.right, row)
-    if isinstance(pred, Not):
-        return not _pred_row(pred.inner, row)
-    raise OperatorError(f"unknown predicate node {type(pred).__name__}")
+        return bool(_COMPARE[cond.op](row[_field(cond.left)], value))
+    if isinstance(cond, TextMatch):
+        pattern = cond.pattern if cond.regexp else _like(cond.pattern)
+        return re.search(pattern.encode(),
+                         bytes(row[_field(cond.column)])) is not None
+    if isinstance(cond, BoolAnd):
+        return _truth(cond.left, row) and _truth(cond.right, row)
+    if isinstance(cond, BoolOr):
+        return _truth(cond.left, row) or _truth(cond.right, row)
+    if isinstance(cond, BoolNot):
+        return not _truth(cond.operand, row)
+    raise OperatorError(f"unknown condition node {type(cond).__name__}")
 
 
 def _eval_scalar(expr, row):
@@ -100,7 +108,7 @@ def _eval_scalar(expr, row):
     exact integers.
     """
     if isinstance(expr, Col):
-        return row[expr.name]
+        return row[_field(expr)]
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Arith):
@@ -108,19 +116,9 @@ def _eval_scalar(expr, row):
         right = _eval_scalar(expr.right, row)
         if expr.op == "/":
             return float(left) / float(right)
-        is_float = any(isinstance(v, (float, np.floating))
-                       for v in (left, right))
-        if is_float:
-            left, right = float(left), float(right)
-        else:
-            left, right = int(left), int(right)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raise OperatorError(f"unknown arithmetic op {expr.op!r}")
+        if any(isinstance(v, (float, np.floating)) for v in (left, right)):
+            return _ARITH[expr.op](float(left), float(right))
+        return _ARITH[expr.op](int(left), int(right))
     raise OperatorError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -130,12 +128,43 @@ def _mask(rows: np.ndarray, keep: list) -> np.ndarray:
 
 # -- naive relational kernels --------------------------------------------------
 
-def _dict_join(schema: Schema, rows: np.ndarray,
-               build_schema: Schema, build_rows: np.ndarray,
-               build_key: str, probe_key: str,
-               payload: list[str]) -> tuple[Schema, np.ndarray]:
+def _is_float(expr, schema: Schema) -> bool:
+    """Does ``expr`` evaluate in float64?  (``/`` always does.)"""
+    if isinstance(expr, Col):
+        return schema.column(_field(expr)).kind == "float64"
+    if isinstance(expr, Lit):
+        return isinstance(expr.value, float)
+    return (expr.op == "/" or _is_float(expr.left, schema)
+            or _is_float(expr.right, schema))
+
+
+def _project(schema: Schema, rows: np.ndarray,
+             items: list) -> tuple[Schema, np.ndarray]:
+    """One output column per ``(expression, name)``: a column is copied
+    under its new name, anything else evaluated row by row."""
+    columns = []
+    for expr, name in items:
+        if isinstance(expr, Col):
+            source = schema.column(_field(expr))
+            columns.append((Column(name, source.kind, source.width),
+                            rows[_field(expr)]))
+        else:
+            kind = "float64" if _is_float(expr, schema) else "int64"
+            columns.append((Column(name, kind), [
+                _eval_scalar(expr, rows[i]) for i in range(len(rows))]))
+    out_schema = Schema([column for column, _values in columns])
+    out = out_schema.empty(len(rows))
+    for column, values in columns:
+        out[column.name] = values
+    return out_schema, out
+
+
+def _dict_join(schema: Schema, rows: np.ndarray, build_schema: Schema,
+               build_rows: np.ndarray, build_key: str,
+               probe_key: str) -> tuple[Schema, np.ndarray]:
     """Inner join through a python dict keyed on the serialized key image;
-    unique build keys, probe-order output, payload collision renaming."""
+    unique build keys, probe-order output, every column of both sides
+    (their names are table-qualified: nothing collides)."""
     table: dict[bytes, int] = {}
     bkeys = build_rows[build_key]
     for i in range(len(build_rows)):
@@ -145,7 +174,6 @@ def _dict_join(schema: Schema, rows: np.ndarray,
                 f"duplicate build key at row {i}: the small table must "
                 f"have unique join keys")
         table[key] = i
-    out_schema = join_output_schema(schema, build_schema, payload)
     probe_idx: list[int] = []
     build_idx: list[int] = []
     pkeys = rows[probe_key]
@@ -154,13 +182,12 @@ def _dict_join(schema: Schema, rows: np.ndarray,
         if j is not None:
             probe_idx.append(i)
             build_idx.append(j)
+    out_schema = Schema(list(schema.columns) + list(build_schema.columns))
     out = out_schema.empty(len(probe_idx))
-    payload_names = list(out_schema.names[len(schema.names):])
     for name in schema.names:
-        out[name] = rows[name][probe_idx] if probe_idx else out[name]
-    for out_name, src_name in zip(payload_names, payload):
-        out[out_name] = (build_rows[src_name][build_idx]
-                         if build_idx else out[out_name])
+        out[name] = rows[name][probe_idx]
+    for name in build_schema.names:
+        out[name] = build_rows[name][build_idx]
     return out_schema, out
 
 
@@ -177,8 +204,6 @@ def _distinct(schema: Schema, rows: np.ndarray,
 
 def _aggregate(schema: Schema, rows: np.ndarray, group_by: list[str],
                aggregates: list) -> tuple[Schema, np.ndarray]:
-    value_columns = sorted({s.column for s in aggregates
-                            if not (s.func == "count" and s.column == "*")})
     if not group_by:
         out_schema = Schema([s.output_column(schema) for s in aggregates])
         if len(rows) == 0:
@@ -200,52 +225,32 @@ def _aggregate(schema: Schema, rows: np.ndarray, group_by: list[str],
         return out_schema, out
     out_schema = Schema([schema.column(k) for k in group_by]
                         + [s.output_column(schema) for s in aggregates])
-    order: list[tuple] = []
-    first_row: dict[tuple, int] = {}
-    state: dict[tuple, dict] = {}
+    groups: dict[tuple, list[int]] = {}         # first-seen order
     for i in range(len(rows)):
         key = tuple(rows[name][i].tobytes() for name in group_by)
-        st = state.get(key)
-        if st is None:
-            st = {"count": 0, "sums": [0.0] * len(value_columns),
-                  "mins": [None] * len(value_columns),
-                  "maxs": [None] * len(value_columns)}
-            state[key] = st
-            first_row[key] = i
-            order.append(key)
-        st["count"] += 1
-        for j, name in enumerate(value_columns):
-            v = float(rows[name][i])
-            st["sums"][j] += v
-            if st["mins"][j] is None or v < st["mins"][j]:
-                st["mins"][j] = v
-            if st["maxs"][j] is None or v > st["maxs"][j]:
-                st["maxs"][j] = v
-    out = out_schema.empty(len(order))
-    for i, key in enumerate(order):
-        st = state[key]
-        src = first_row[key]
+        groups.setdefault(key, []).append(i)
+    out = out_schema.empty(len(groups))
+    for g, members in enumerate(groups.values()):
         for name in group_by:
-            out[name][i] = rows[name][src]
+            out[name][g] = rows[name][members[0]]
         for spec in aggregates:
-            j = (value_columns.index(spec.column)
-                 if spec.column in value_columns else 0)
             if spec.func == "count":
-                out[spec.alias][i] = st["count"]
-            elif spec.func == "sum":
-                out[spec.alias][i] = st["sums"][j]
-            elif spec.func == "avg":
-                out[spec.alias][i] = st["sums"][j] / st["count"]
-            elif spec.func == "min":
-                out[spec.alias][i] = st["mins"][j]
-            else:
-                out[spec.alias][i] = st["maxs"][j]
+                out[spec.alias][g] = len(members)
+                continue
+            values = [float(rows[spec.column][i]) for i in members]
+            if spec.func in ("sum", "avg"):
+                total = 0.0
+                for v in values:        # sequential, in global row order
+                    total += v
+                out[spec.alias][g] = (total / len(members)
+                                      if spec.func == "avg" else total)
+            else:       # first of equal (or NaN-incomparable) values wins
+                out[spec.alias][g] = (min(values) if spec.func == "min"
+                                      else max(values))
     return out_schema, out
 
 
 def _sort(rows: np.ndarray, keys: list[tuple[str, bool]]) -> np.ndarray:
-    if len(rows) == 0:
-        return rows
     idx = list(range(len(rows)))
     for name, ascending in reversed(keys):
         col = rows[name]
@@ -253,39 +258,58 @@ def _sort(rows: np.ndarray, keys: list[tuple[str, bool]]) -> np.ndarray:
     return rows[idx]
 
 
-def _run_query(query, schema: Schema, rows: np.ndarray,
-               tables: dict) -> tuple[Schema, np.ndarray]:
-    """Re-execute one offloadable chain in the engine's fixed operator
-    order: regex -> selection -> join -> projection -> distinct |
-    group-by | aggregate."""
-    if query.regex is not None:
-        pattern = re.compile(query.regex.pattern.encode(), re.DOTALL)
-        values = rows[query.regex.column]
-        rows = _mask(rows, [pattern.search(bytes(values[i])) is not None
+def _aggregate_node(rel: Aggregate, schema: Schema, rows: np.ndarray
+                    ) -> tuple[Schema, np.ndarray]:
+    """GROUP BY / aggregate / HAVING: an expression argument is first
+    computed into a scratch column the aggregate then reads."""
+    specs = []
+    computed = []
+    for i, call in enumerate(rel.aggs):
+        if call.arg is None or isinstance(call.arg, Col):
+            column = "*" if call.arg is None else _field(call.arg)
+        else:
+            column = f"arg{i}"
+            computed.append((call.arg, column))
+        specs.append(AggregateSpec(call.func, column, call.alias))
+    if computed:
+        schema, rows = _project(
+            schema, rows, [(Col(n), n) for n in schema.names] + computed)
+    schema, rows = _aggregate(schema, rows,
+                              [_field(col) for col in rel.group_by], specs)
+    if rel.having is not None:
+        rows = _mask(rows, [_truth(rel.having, rows[i])
                             for i in range(len(rows))])
-    if query.predicate is not None:
-        rows = _mask(rows, [_pred_row(query.predicate, rows[i])
-                            for i in range(len(rows))])
-    if query.join is not None:
-        # ``build_table`` is the bound catalog handle, not a bare name.
-        build_schema, build_rows = tables[query.join.build_table.name]
-        schema, rows = _dict_join(schema, rows, build_schema, build_rows,
-                                  query.join.build_key, query.join.probe_key,
-                                  list(query.join.payload))
-    if query.projection is not None:
-        out_schema = schema.project(list(query.projection))
-        out = out_schema.empty(len(rows))
-        for name in query.projection:
-            out[name] = rows[name]
-        schema, rows = out_schema, out
-    if query.distinct:
-        keys = list(query.distinct_columns or schema.names)
-        rows = _distinct(schema, rows, keys)
-    if query.group_by is not None or query.aggregates:
-        schema, rows = _aggregate(schema, rows,
-                                  list(query.group_by or ()),
-                                  list(query.aggregates))
     return schema, rows
+
+
+def interpret(rel: Rel, tables: dict) -> tuple[Schema, np.ndarray]:
+    """Run a resolved tree — rewritten or not — node by node against
+    ``tables`` (``{name: (schema, rows)}``)."""
+    if isinstance(rel, Scan):
+        schema, rows = tables[rel.table]
+        return _project(schema, rows, [
+            (Col(name), f"{rel.table}.{name}") for name in schema.names])
+    schema, rows = interpret(rel.child, tables)
+    if isinstance(rel, Join):
+        build_schema, build_rows = interpret(rel.build, tables)
+        return _dict_join(schema, rows, build_schema, build_rows,
+                          _field(rel.right), _field(rel.left))
+    if isinstance(rel, Filter):
+        return schema, _mask(rows, [_truth(rel.condition, rows[i])
+                                    for i in range(len(rows))])
+    if isinstance(rel, Aggregate):
+        return _aggregate_node(rel, schema, rows)
+    if isinstance(rel, Project):
+        return _project(schema, rows, [
+            (expr, alias or _field(expr)) for expr, alias in rel.items])
+    if isinstance(rel, Distinct):
+        return schema, _distinct(schema, rows, list(schema.names))
+    if isinstance(rel, Sort):
+        return schema, _sort(rows, [(_field(col), ascending)
+                                    for col, ascending in rel.keys])
+    if isinstance(rel, Limit):
+        return schema, rows[:rel.count]
+    raise OperatorError(f"unknown IR node {type(rel).__name__}")
 
 
 # -- entry points --------------------------------------------------------------
@@ -300,41 +324,7 @@ def execute_model(statement: str, tables: dict
     parsed = parse_sql(statement)
     if isinstance(parsed, ParsedWrite):
         raise OperatorError("the reference model only executes SELECT")
-    bound = bind_select(parsed, _Catalog(tables))
-    schema = tables[bound.table][0]
-    rows = tables[bound.table][1]
-    schema, rows = _run_query(bound.query, schema, rows, tables)
-    for arm in bound.arms:
-        build_schema, build_rows = tables[arm.table]
-        if arm.query is not None:
-            build_schema, build_rows = _run_query(
-                arm.query, build_schema, build_rows, tables)
-        schema, rows = _dict_join(schema, rows, build_schema, build_rows,
-                                  arm.build_key, arm.probe_key,
-                                  list(arm.payload))
-    for op in bound.ops:
-        if isinstance(op, BoundEval):
-            out = op.schema.empty(len(rows))
-            for expr, name in op.items:
-                col = out[name]
-                for i in range(len(rows)):
-                    col[i] = _eval_scalar(expr, rows[i])
-            schema, rows = op.schema, out
-        elif isinstance(op, BoundFilter):
-            rows = _mask(rows, [_pred_row(op.predicate, rows[i])
-                                for i in range(len(rows))])
-        elif isinstance(op, BoundAggregate):
-            schema, rows = _aggregate(schema, rows, list(op.group_by),
-                                      list(op.aggregates))
-        elif isinstance(op, BoundDistinct):
-            rows = _distinct(schema, rows, list(schema.names))
-        elif isinstance(op, BoundSort):
-            rows = _sort(rows, list(op.keys))
-        elif isinstance(op, BoundLimit):
-            rows = rows[:op.count]
-        else:
-            raise OperatorError(f"unknown bound op {type(op).__name__}")
-    return schema, rows
+    return interpret(resolve(parsed.ir, _Catalog(tables)), tables)
 
 
 def model_sha256(statement: str, tables: dict) -> str:

@@ -1,34 +1,28 @@
-"""SQL compiler: tokenizer, parser -> relational-algebra IR, lowering.
+"""SQL compiler: tokenizer, parser -> relational-algebra IR, binder.
 
 The front half of "the query compiler in Farview" (§4.2).  SQL text is
 tokenized and parsed into the typed IR of :mod:`repro.core.ir`
-(:func:`parse_sql` — no catalog, nothing resolved), and every SELECT is
-then *bound* by :func:`bind_select`, the one name-resolution /
-type-check pass, which compiles the DAG down to
+(:func:`parse_sql` — no catalog, nothing resolved).  Every SELECT is
+then bound by :func:`bind_select`, three steps on that one tree:
 
-* one offloadable head :class:`~repro.core.query.Query` — the node's
-  fixed chain regex -> selection -> join -> projection -> distinct |
-  group-by | aggregate, with the first unfiltered join riding it as a
-  :class:`~repro.core.query.JoinSpec`;
-* a chain of client-side build/probe join stages (:class:`BoundArm` —
-  each arm's build read is itself an offloadable Query, independently
-  placeable);
-* a tail of deterministic client kernels (:class:`BoundEval` /
+* :func:`resolve` fixes what the statement *means* against the catalog:
+  every column qualified and typed, every refusal raised, every output
+  column named — from the text and the FROM-list schemas alone.
+* five ``Rel -> Rel`` rewrites (:data:`REWRITES`) move work towards the
+  data without changing a row: WHERE conjuncts onto the Scan each reads
+  (comparisons are ``column op literal``, so each reads one table),
+  unused columns pruned, build keys read as the probe column they equal,
+  expression aggregate arguments lifted, the co-located join promoted.
+* :func:`cut` chooses *placement*, bottom-up: the run above the base
+  Scan that fits the node's fixed chain regex -> selection -> join ->
+  projection -> distinct | group-by | aggregate becomes the head
+  :class:`~repro.core.query.Query`; each further join a client-side
+  :class:`BoundArm` whose filtered build read is its own, independently
+  placed, Query; the rest client kernels (:class:`BoundEval` /
   :class:`BoundAggregate` / :class:`BoundFilter` / :class:`BoundSort` /
-  :class:`BoundLimit` / :class:`BoundDistinct`).
-
-When nothing is left for the client — no arms, no aggregate the head
-cannot run, no HAVING / ORDER BY / LIMIT, a select list of ``*`` or
-unaliased plain columns — the projection and DISTINCT are pushed into
-the head too and the tail is empty: the statement *is* its head query,
-and the clients run it as one.
-
-WHERE comparisons are restricted to ``column op literal`` so every
-conjunct references exactly one table: the bind pass partitions the
-predicate per table and pushes each piece into the scan of its table
-(the head query or a join arm) — REMOP-style placement over the DAG
-falls out of composing :func:`~repro.core.planner.plan_placement` per
-stage.
+  :class:`BoundLimit` / :class:`BoundDistinct`).  When nothing is left
+  for the client the statement *is* its head query, and the clients run
+  it as one.
 
 The grammar, write statements included, is ``docs/SQL.md``.
 
@@ -42,6 +36,7 @@ from __future__ import annotations
 import enum
 import re as _stdlib_re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from ..common.errors import QueryError
@@ -53,7 +48,7 @@ from .cluster import (aggregate_output_schema, colocated_compatible,
 from .ir import (AggCall, Aggregate, Arith, BoolAnd, BoolNot, BoolOr, Cmp,
                  Col, Distinct, Expr, Filter, Join, Limit, Lit, Project, Rel,
                  Scan, Sort, TextMatch, conjoin, conjuncts, expr_columns,
-                 expr_dtype)
+                 expr_dtype, map_cols, render_expr, spine, subexprs)
 from ..operators.join import join_output_schema
 from .query import JoinSpec, Query, RegexFilter
 
@@ -129,22 +124,11 @@ def _tokenize(sql: str, base: int = 0) -> list[_Token]:
         pos = match.end()
         if match.lastgroup == "ws":
             continue
-        text = match.group()
-        start = base + match.start()
-        if match.lastgroup == "ident":
-            lowered = text.lower()
-            if lowered in _KEYWORDS and "." not in text:
-                tokens.append(_Token(_Kind.KEYWORD, lowered, start))
-            else:
-                tokens.append(_Token(_Kind.IDENT, text, start))
-        elif match.lastgroup == "number":
-            tokens.append(_Token(_Kind.NUMBER, text, start))
-        elif match.lastgroup == "string":
-            tokens.append(_Token(_Kind.STRING, text, start))
-        elif match.lastgroup == "op":
-            tokens.append(_Token(_Kind.OP, text, start))
-        else:
-            tokens.append(_Token(_Kind.PUNCT, text, start))
+        kind, text = _Kind(match.lastgroup), match.group()
+        if (kind is _Kind.IDENT and text.lower() in _KEYWORDS
+                and "." not in text):
+            kind, text = _Kind.KEYWORD, text.lower()
+        tokens.append(_Token(kind, text, base + match.start()))
     tokens.append(_Token(_Kind.END, "", base + len(sql)))
     return tokens
 
@@ -182,8 +166,7 @@ def like_to_regex(pattern: str) -> str:
 class ParsedQuery:
     """A parsed SELECT: the FROM table's name and the relational-algebra
     DAG the statement parsed to.  The parser has no catalog, so nothing
-    is resolved yet — :func:`bind_select` turns ``ir`` into the
-    executable head query, join arms and client tail.
+    is resolved yet — :func:`bind_select` does that.
 
     ``placement`` carries the optional ``/*+ placement(...) */`` hint
     (``None`` when the statement leaves the decision to the caller).
@@ -229,56 +212,34 @@ def _strip_placement_hint(sql: str) -> tuple[str, str | None, int]:
 # --------------------------------------------------------------------------
 
 def _has_textmatch(expr: Expr) -> bool:
-    if isinstance(expr, TextMatch):
-        return True
-    if isinstance(expr, (BoolAnd, BoolOr)):
-        return _has_textmatch(expr.left) or _has_textmatch(expr.right)
-    if isinstance(expr, BoolNot):
-        return _has_textmatch(expr.operand)
-    return False
-
-
-def _check_no_nested_textmatch(expr: Expr) -> None:
-    """Enforce the pipeline's regex composition rule below the top level."""
-    if isinstance(expr, BoolNot):
-        if _has_textmatch(expr.operand):
-            raise SqlSyntaxError("NOT cannot apply to LIKE/REGEXP")
-        _check_no_nested_textmatch(expr.operand)
-    elif isinstance(expr, BoolOr):
-        if _has_textmatch(expr):
-            raise SqlSyntaxError(
-                "LIKE/REGEXP cannot appear under OR; the regex stage "
-                "is AND-combined with the predicate")
-    elif isinstance(expr, BoolAnd):
-        _check_no_nested_textmatch(expr.left)
-        _check_no_nested_textmatch(expr.right)
+    return any(isinstance(node, TextMatch) for node in subexprs(expr))
 
 
 def split_regex(condition: Optional[Expr]
                 ) -> tuple[Optional[Expr], Optional[TextMatch]]:
     """Split a WHERE condition into (comparison tree, LIKE/REGEXP term).
 
-    Farview's regex operator is a separate pipeline stage: at most one
-    text-match term is supported and it must be a top-level AND term
-    (parentheses are transparent).
+    Farview's regex operator is a separate pipeline stage, AND-combined
+    with the predicate: at most one text-match term is supported and it
+    must be a top-level AND term (parentheses are transparent).
     """
     matches: list[TextMatch] = []
     rest: list[Expr] = []
     for term in conjuncts(condition):
         if isinstance(term, TextMatch):
             matches.append(term)
-            continue
-        _check_no_nested_textmatch(term)
-        rest.append(term)
+        elif not _has_textmatch(term):
+            rest.append(term)
+        elif isinstance(term, BoolNot):
+            raise SqlSyntaxError("NOT cannot apply to LIKE/REGEXP")
+        else:
+            raise SqlSyntaxError(
+                "LIKE/REGEXP cannot appear under OR; the regex stage "
+                "is AND-combined with the predicate")
     if len(matches) > 1:
         raise SqlSyntaxError(
             "only one LIKE/REGEXP term is supported per query")
     return conjoin(rest), (matches[0] if matches else None)
-
-
-def _textmatch_regex(tm: TextMatch) -> RegexFilter:
-    pattern = tm.pattern if tm.regexp else like_to_regex(tm.pattern)
-    return RegexFilter(tm.column.name, pattern)
 
 
 def predicate_from_ir(expr: Expr) -> Predicate:
@@ -300,15 +261,6 @@ def predicate_from_ir(expr: Expr) -> Predicate:
         return Not(predicate_from_ir(expr.operand))
     raise SqlSyntaxError(
         f"cannot convert {type(expr).__name__} to a predicate")
-
-
-def _fold_predicates(terms: list[Predicate]) -> Predicate | None:
-    if not terms:
-        return None
-    out = terms[0]
-    for term in terms[1:]:
-        out = And(out, term)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -335,68 +287,82 @@ class _Parser:
         return SqlSyntaxError(message, position=token.pos,
                               fragment=token.text)
 
-    def _expect_keyword(self, word: str) -> None:
-        token = self._advance()
-        if not token.is_keyword(word):
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it is the keyword / punctuation
+        ``text``."""
+        token = self._peek()
+        if token.kind in (_Kind.KEYWORD, _Kind.PUNCT) and token.text == text:
+            self.index += 1
+            return True
+        return False
+
+    def _expect(self, text: str) -> None:
+        if not self._accept(text):
+            token = self._peek()
+            wanted = text.upper() if text.isalpha() else repr(text)
             raise self._fail(
-                f"expected {word.upper()} at offset {token.pos}, got "
+                f"expected {wanted} at offset {token.pos}, got "
                 f"{token.text!r}", token)
 
-    def _expect_punct(self, text: str) -> None:
-        token = self._advance()
-        if token.kind is not _Kind.PUNCT or token.text != text:
-            raise self._fail(
-                f"expected {text!r} at offset {token.pos}, got "
-                f"{token.text!r}", token)
-
-    def _column_name(self) -> str:
+    def _ident(self, what: str) -> str:
         token = self._advance()
         if token.kind is not _Kind.IDENT:
             raise self._fail(
-                f"expected a column name at offset {token.pos}, got "
+                f"expected {what} at offset {token.pos}, got "
                 f"{token.text!r}", token)
-        # Strip the table qualifier (single-table queries).
-        return token.text.split(".")[-1]
+        return token.text
+
+    def _column_name(self) -> str:
+        # Strip the table qualifier (single-table statements).
+        return self._ident("a column name").split(".")[-1]
+
+    def _table_name(self) -> str:
+        return self._ident("a table name").split(".")[-1]
 
     def _col_ref(self) -> Col:
         """A column reference keeping its table qualifier."""
+        qualifier, _, name = self._ident("a column name").rpartition(".")
+        return Col(name, qualifier or None)
+
+    def _alias(self) -> Optional[str]:
+        """``[AS ident]``."""
+        if not self._accept("as"):
+            return None
         token = self._advance()
         if token.kind is not _Kind.IDENT:
+            raise self._fail(f"expected an alias at offset {token.pos}",
+                             token)
+        return token.text
+
+    def _comma_list(self, item) -> list:
+        out = [item()]
+        while self._accept(","):
+            out.append(item())
+        return out
+
+    def _comparison_op(self) -> str:
+        token = self._advance()
+        if token.kind is not _Kind.OP:
             raise self._fail(
-                f"expected a column name at offset {token.pos}, got "
+                f"expected a comparison operator at offset {token.pos}, got "
                 f"{token.text!r}", token)
-        if "." in token.text:
-            qualifier, name = token.text.split(".", 1)
-            return Col(name, qualifier)
-        return Col(token.text)
+        return {"=": "==", "<>": "!="}.get(token.text, token.text)
 
     # -- grammar ------------------------------------------------------------------
     def parse(self) -> ParsedQuery | ParsedWrite:
+        writes = {"insert": self._insert, "update": self._update,
+                  "delete": self._delete}
         token = self._peek()
-        if (token.is_keyword("insert") or token.is_keyword("update")
-                or token.is_keyword("delete")):
-            if self.placement is not None:
-                raise SqlSyntaxError(
-                    "a /*+ placement(...) */ hint applies to reads only; "
-                    "write statements always execute at the node")
-            if token.is_keyword("insert"):
-                return self._insert()
-            if token.is_keyword("update"):
-                return self._update()
-            return self._delete()
-        return self._select()
-
-    def _table_name(self) -> str:
-        token = self._advance()
-        if token.kind is not _Kind.IDENT:
-            raise self._fail(
-                f"expected a table name at offset {token.pos}, got "
-                f"{token.text!r}", token)
-        return token.text.split(".")[-1]
+        if token.kind is not _Kind.KEYWORD or token.text not in writes:
+            return self._select()
+        if self.placement is not None:
+            raise SqlSyntaxError(
+                "a /*+ placement(...) */ hint applies to reads only; "
+                "write statements always execute at the node")
+        return writes[token.text]()
 
     def _finish_statement(self) -> None:
-        if self._peek().kind is _Kind.PUNCT and self._peek().text == ";":
-            self._advance()
+        self._accept(";")
         if self._peek().kind is not _Kind.END:
             token = self._peek()
             raise self._fail(
@@ -404,11 +370,8 @@ class _Parser:
                 f"{token.text!r}", token)
 
     def _literal(self) -> object:
+        negative = self._accept("-")
         token = self._advance()
-        negative = False
-        if token.kind is _Kind.PUNCT and token.text == "-":
-            negative = True
-            token = self._advance()
         if token.kind is _Kind.NUMBER:
             text = token.text
             value: object = float(text) if "." in text else int(text)
@@ -425,60 +388,49 @@ class _Parser:
     # -- write statements -------------------------------------------------------
     def _write_where(self) -> Predicate | None:
         """Optional WHERE clause of a write statement (no regex stage)."""
-        if not self._peek().is_keyword("where"):
+        if not self._accept("where"):
             return None
-        self._advance()
         condition = self._condition(self._where_comparison)
         if _has_textmatch(condition):
             raise SqlSyntaxError(
                 "LIKE/REGEXP is not supported in write statements (the "
                 "write verbs evaluate comparison predicates only)")
-        return predicate_from_ir(_strip_cmp_qualifiers(condition))
+        return predicate_from_ir(condition)
+
+    def _value_tuple(self) -> tuple[object, ...]:
+        self._expect("(")
+        values = self._comma_list(self._literal)
+        self._expect(")")
+        return tuple(values)
 
     def _insert(self) -> ParsedWrite:
-        self._expect_keyword("insert")
-        self._expect_keyword("into")
+        self._expect("insert")
+        self._expect("into")
         table = self._table_name()
-        self._expect_keyword("values")
-        tuples: list[tuple[object, ...]] = []
-        while True:
-            self._expect_punct("(")
-            values = [self._literal()]
-            while (self._peek().kind is _Kind.PUNCT
-                   and self._peek().text == ","):
-                self._advance()
-                values.append(self._literal())
-            self._expect_punct(")")
-            tuples.append(tuple(values))
-            if self._peek().kind is _Kind.PUNCT and self._peek().text == ",":
-                self._advance()
-                continue
-            break
+        self._expect("values")
+        tuples = self._comma_list(self._value_tuple)
         self._finish_statement()
         return ParsedWrite(kind="insert", table=table, values=tuple(tuples))
 
+    def _assignment(self) -> tuple[str, object]:
+        column = self._column_name()
+        token = self._advance()
+        if token.kind is not _Kind.OP or token.text not in ("=", "=="):
+            raise self._fail(
+                f"expected '=' at offset {token.pos}, got "
+                f"{token.text!r}", token)
+        return column, self._literal()
+
     def _update(self) -> ParsedWrite:
-        self._expect_keyword("update")
+        self._expect("update")
         table = self._table_name()
-        self._expect_keyword("set")
-        assignments: list[tuple[str, object]] = []
-        seen: set[str] = set()
-        while True:
-            column = self._column_name()
-            token = self._advance()
-            if token.kind is not _Kind.OP or token.text not in ("=", "=="):
-                raise self._fail(
-                    f"expected '=' at offset {token.pos}, got "
-                    f"{token.text!r}", token)
-            if column in seen:
+        self._expect("set")
+        assignments = self._comma_list(self._assignment)
+        columns = [column for column, _value in assignments]
+        for column in columns:
+            if columns.count(column) > 1:
                 raise SqlSyntaxError(
                     f"column {column!r} assigned twice in SET")
-            seen.add(column)
-            assignments.append((column, self._literal()))
-            if self._peek().kind is _Kind.PUNCT and self._peek().text == ",":
-                self._advance()
-                continue
-            break
         predicate = self._write_where()
         self._finish_statement()
         return ParsedWrite(kind="update", table=table,
@@ -486,8 +438,8 @@ class _Parser:
                            predicate=predicate)
 
     def _delete(self) -> ParsedWrite:
-        self._expect_keyword("delete")
-        self._expect_keyword("from")
+        self._expect("delete")
+        self._expect("from")
         table = self._table_name()
         predicate = self._write_where()
         self._finish_statement()
@@ -495,41 +447,30 @@ class _Parser:
 
     # -- SELECT -> IR -----------------------------------------------------------
     def _select(self) -> ParsedQuery:
-        self._expect_keyword("select")
-        distinct = False
-        if self._peek().is_keyword("distinct"):
-            self._advance()
-            distinct = True
+        self._expect("select")
+        distinct = self._accept("distinct")
         star, items = self._select_list()
-        self._expect_keyword("from")
+        self._expect("from")
         table = self._table_name()
         joins = []
-        while True:
-            join = self._join_clause()
-            if join is None:
-                break
+        while (join := self._join_clause()) is not None:
             joins.append(join)
         condition: Optional[Expr] = None
-        if self._peek().is_keyword("where"):
-            self._advance()
+        if self._accept("where"):
             condition = self._condition(self._where_comparison)
         group_cols: tuple[Col, ...] = ()
-        if self._peek().is_keyword("group"):
-            self._advance()
-            self._expect_keyword("by")
-            group_cols = tuple(self._col_ref_list())
+        if self._accept("group"):
+            self._expect("by")
+            group_cols = tuple(self._comma_list(self._col_ref))
         having: Optional[Expr] = None
-        if self._peek().is_keyword("having"):
-            self._advance()
+        if self._accept("having"):
             having = self._condition(self._having_comparison)
         order: tuple[tuple[Col, bool], ...] = ()
-        if self._peek().is_keyword("order"):
-            self._advance()
-            self._expect_keyword("by")
-            order = tuple(self._order_list())
+        if self._accept("order"):
+            self._expect("by")
+            order = tuple(self._comma_list(self._order_key))
         limit: Optional[int] = None
-        if self._peek().is_keyword("limit"):
-            self._advance()
+        if self._accept("limit"):
             token = self._advance()
             if token.kind is not _Kind.NUMBER or "." in token.text:
                 raise self._fail(
@@ -543,15 +484,12 @@ class _Parser:
 
     def _join_clause(self) -> Optional[tuple[str, Col, Col]]:
         """``[INNER] JOIN ident ON column '=' column`` after FROM."""
-        if self._peek().is_keyword("inner"):
-            self._advance()
-            self._expect_keyword("join")
-        elif self._peek().is_keyword("join"):
-            self._advance()
-        else:
+        if self._accept("inner"):
+            self._expect("join")
+        elif not self._accept("join"):
             return None
         build = self._table_name()
-        self._expect_keyword("on")
+        self._expect("on")
         left = self._col_ref()
         token = self._advance()
         if token.kind is not _Kind.OP or token.text not in ("=", "=="):
@@ -566,58 +504,29 @@ class _Parser:
         items: list[tuple[Expr, Optional[str]]] = []
         while True:
             token = self._peek()
-            if token.kind is _Kind.PUNCT and token.text == "*":
+            is_star = token.kind is _Kind.PUNCT and token.text == "*"
+            if star or (is_star and items):
+                raise self._fail(
+                    "'*' cannot be mixed with other select items", token)
+            if is_star:
                 self._advance()
-                if star or items:
-                    raise self._fail(
-                        "'*' cannot be mixed with other select items", token)
                 star = True
             elif (token.kind is _Kind.KEYWORD
                     and token.text in SUPPORTED_FUNCS):
-                if star:
-                    raise self._fail(
-                        "'*' cannot be mixed with other select items", token)
                 items.append((self._agg_call(), None))
             else:
-                if star:
-                    raise self._fail(
-                        "'*' cannot be mixed with other select items", token)
-                expr = self._expression()
-                alias: Optional[str] = None
-                if self._peek().is_keyword("as"):
-                    self._advance()
-                    alias_token = self._advance()
-                    if alias_token.kind is not _Kind.IDENT:
-                        raise self._fail(
-                            f"expected an alias at offset {alias_token.pos}",
-                            alias_token)
-                    alias = alias_token.text
-                items.append((expr, alias))
-            if self._peek().kind is _Kind.PUNCT and self._peek().text == ",":
-                self._advance()
-                continue
-            return star, items
+                items.append((self._expression(), self._alias()))
+            if not self._accept(","):
+                return star, items
 
     def _agg_call(self) -> AggCall:
-        func_token = self._advance()
-        func = func_token.text
-        self._expect_punct("(")
+        func = self._advance().text
+        self._expect("(")
         arg: Optional[Expr] = None
-        if func == "count" and self._peek().text == "*":
-            self._advance()
-        else:
+        if not (func == "count" and self._accept("*")):
             arg = self._expression()
-        self._expect_punct(")")
-        alias = ""
-        if self._peek().is_keyword("as"):
-            self._advance()
-            alias_token = self._advance()
-            if alias_token.kind is not _Kind.IDENT:
-                raise self._fail(
-                    f"expected an alias at offset {alias_token.pos}",
-                    alias_token)
-            alias = alias_token.text
-        return AggCall(func, arg, alias)
+        self._expect(")")
+        return AggCall(func, arg, self._alias() or "")
 
     # -- expressions ------------------------------------------------------------
     def _expression(self) -> Expr:
@@ -637,12 +546,11 @@ class _Parser:
         return left
 
     def _factor(self) -> Expr:
-        token = self._peek()
-        if token.kind is _Kind.PUNCT and token.text == "(":
-            self._advance()
+        if self._accept("("):
             inner = self._expression()
-            self._expect_punct(")")
+            self._expect(")")
             return inner
+        token = self._peek()
         if token.kind in (_Kind.NUMBER, _Kind.STRING) or (
                 token.kind is _Kind.PUNCT and token.text == "-"):
             return Lit(self._literal())
@@ -654,51 +562,38 @@ class _Parser:
 
     # -- boolean conditions -----------------------------------------------------
     def _condition(self, comparison) -> Expr:
-        return self._disjunction(comparison)
-
-    def _disjunction(self, comparison) -> Expr:
         left = self._conjunction(comparison)
-        while self._peek().is_keyword("or"):
-            self._advance()
+        while self._accept("or"):
             left = BoolOr(left, self._conjunction(comparison))
         return left
 
     def _conjunction(self, comparison) -> Expr:
         left = self._cond_factor(comparison)
-        while self._peek().is_keyword("and"):
-            self._advance()
+        while self._accept("and"):
             left = BoolAnd(left, self._cond_factor(comparison))
         return left
 
     def _cond_factor(self, comparison) -> Expr:
-        token = self._peek()
-        if token.is_keyword("not"):
-            self._advance()
+        if self._accept("not"):
             return BoolNot(self._cond_factor(comparison))
-        if token.kind is _Kind.PUNCT and token.text == "(":
-            self._advance()
-            inner = self._disjunction(comparison)
-            self._expect_punct(")")
+        if self._accept("("):
+            inner = self._condition(comparison)
+            self._expect(")")
             return inner
         return comparison()
 
     def _where_comparison(self) -> Expr:
         column = self._col_ref()
-        token = self._advance()
-        if token.is_keyword("like") or token.is_keyword("regexp"):
+        if self._peek().is_keyword("like") or self._peek().is_keyword("regexp"):
+            regexp = self._advance().text == "regexp"
             pattern_token = self._advance()
             if pattern_token.kind is not _Kind.STRING:
                 raise self._fail(
                     f"expected a string pattern at offset "
                     f"{pattern_token.pos}", pattern_token)
             return TextMatch(column, _unquote(pattern_token.text),
-                             regexp=token.text == "regexp")
-        if token.kind is not _Kind.OP:
-            raise self._fail(
-                f"expected a comparison operator at offset {token.pos}, got "
-                f"{token.text!r}", token)
-        op = {"=": "==", "<>": "!="}.get(token.text, token.text)
-        return Cmp(op, column, Lit(self._literal()))
+                             regexp=regexp)
+        return Cmp(self._comparison_op(), column, Lit(self._literal()))
 
     def _having_comparison(self) -> Expr:
         token = self._peek()
@@ -706,58 +601,18 @@ class _Parser:
             left: Expr = self._agg_call()
         else:
             left = self._col_ref()
-        op_token = self._advance()
-        if op_token.kind is not _Kind.OP:
-            raise self._fail(
-                f"expected a comparison operator at offset {op_token.pos}, "
-                f"got {op_token.text!r}", op_token)
-        op = {"=": "==", "<>": "!="}.get(op_token.text, op_token.text)
-        return Cmp(op, left, Lit(self._literal()))
-
-    # -- list helpers -----------------------------------------------------------
-    def _col_ref_list(self) -> list[Col]:
-        columns = [self._col_ref()]
-        while self._peek().kind is _Kind.PUNCT and self._peek().text == ",":
-            self._advance()
-            columns.append(self._col_ref())
-        return columns
-
-    def _order_list(self) -> list[tuple[Col, bool]]:
-        keys = [self._order_key()]
-        while self._peek().kind is _Kind.PUNCT and self._peek().text == ",":
-            self._advance()
-            keys.append(self._order_key())
-        return keys
+        return Cmp(self._comparison_op(), left, Lit(self._literal()))
 
     def _order_key(self) -> tuple[Col, bool]:
         col = self._col_ref()
-        ascending = True
-        if self._peek().is_keyword("asc"):
-            self._advance()
-        elif self._peek().is_keyword("desc"):
-            self._advance()
-            ascending = False
-        return col, ascending
+        if self._accept("desc"):
+            return col, False
+        self._accept("asc")
+        return col, True
 
 
 def _unquote(text: str) -> str:
     return text[1:-1].replace("''", "'")
-
-
-def _strip_cmp_qualifiers(expr: Expr) -> Expr:
-    """Drop table qualifiers off every column in a comparison tree (it
-    is evaluated against one table's schema)."""
-    if isinstance(expr, Cmp) and isinstance(expr.left, Col):
-        return replace(expr, left=Col(expr.left.name))
-    if isinstance(expr, BoolAnd):
-        return BoolAnd(_strip_cmp_qualifiers(expr.left),
-                       _strip_cmp_qualifiers(expr.right))
-    if isinstance(expr, BoolOr):
-        return BoolOr(_strip_cmp_qualifiers(expr.left),
-                      _strip_cmp_qualifiers(expr.right))
-    if isinstance(expr, BoolNot):
-        return BoolNot(_strip_cmp_qualifiers(expr.operand))
-    return expr
 
 
 # --------------------------------------------------------------------------
@@ -804,10 +659,9 @@ def _assemble_ir(table: str, joins, condition, group_cols, having,
     # is redone during binding).
     split_regex(condition)
     for expr in agg_items:
-        if expr.arg is not None and not isinstance(expr.arg, Col):
-            if not expr.alias:
-                raise SqlSyntaxError(
-                    "aggregates over expressions need an AS alias")
+        if _computed(expr) and not expr.alias:
+            raise SqlSyntaxError(
+                "aggregates over expressions need an AS alias")
     rel: Rel = Scan(table)
     for build, left, right in joins:
         rel = Join(rel, build, left, right)
@@ -823,54 +677,6 @@ def _assemble_ir(table: str, joins, condition, group_cols, having,
     if limit is not None:
         rel = Limit(rel, limit)
     return rel
-
-
-@dataclass(frozen=True)
-class SelectParts:
-    """One SELECT's clauses, unstacked from the canonical IR shape."""
-
-    scan: Scan
-    joins: tuple[Join, ...]
-    condition: Optional[Expr]
-    aggregate: Optional[Aggregate]
-    project: Project
-    distinct: bool
-    sort: Optional[Sort]
-    limit: Optional[int]
-
-
-def unstack_select(rel: Rel) -> SelectParts:
-    """Walk the canonical Scan->...->Limit stacking back into clauses."""
-    limit: Optional[int] = None
-    if isinstance(rel, Limit):
-        limit, rel = rel.count, rel.child
-    sort: Optional[Sort] = None
-    if isinstance(rel, Sort):
-        sort, rel = rel, rel.child
-    distinct = False
-    if isinstance(rel, Distinct):
-        distinct, rel = True, rel.child
-    if not isinstance(rel, Project):
-        raise QueryError(
-            f"non-canonical IR: expected Project, got {type(rel).__name__}")
-    project, rel = rel, rel.child
-    aggregate: Optional[Aggregate] = None
-    if isinstance(rel, Aggregate):
-        aggregate, rel = rel, rel.child
-    condition: Optional[Expr] = None
-    if isinstance(rel, Filter):
-        condition, rel = rel.condition, rel.child
-    joins: list[Join] = []
-    while isinstance(rel, Join):
-        joins.append(rel)
-        rel = rel.child
-    joins.reverse()
-    if not isinstance(rel, Scan):
-        raise QueryError(
-            f"non-canonical IR: expected Scan, got {type(rel).__name__}")
-    return SelectParts(scan=rel, joins=tuple(joins), condition=condition,
-                       aggregate=aggregate, project=project,
-                       distinct=distinct, sort=sort, limit=limit)
 
 
 def parse_sql(sql: str) -> ParsedQuery | ParsedWrite:
@@ -974,362 +780,605 @@ class BoundSelect:
     schema: Schema
 
 
-def _ordered_add(seq: list, value) -> None:
-    if value not in seq:
-        seq.append(value)
+# --------------------------------------------------------------------------
+# resolve: where a statement's meaning is fixed
+# --------------------------------------------------------------------------
+
+def _probe_column(col: Col, equal: dict[Col, Col]) -> Col:
+    """A build key is the probe column it equals after the inner join
+    (chained through multi-way joins)."""
+    while col in equal:
+        col = equal[col]
+    return col
+
+
+@dataclass(frozen=True)
+class _Scope:
+    """The FROM list a statement resolves against: its tables in FROM
+    order, their schemas, and each ON clause as ``build key -> probe
+    column``."""
+
+    tables: tuple[str, ...]
+    schemas: dict[str, Schema]
+    equal: dict[Col, Col]
+
+    def qualify(self, col: Col) -> Col:
+        """``col`` under the table that owns it: the one the text names,
+        else the first in FROM order with a column of that name."""
+        if col.qualifier is not None:
+            if col.qualifier not in self.schemas:
+                raise SqlSyntaxError(
+                    f"unknown table qualifier {col.qualifier!r}; the "
+                    f"query reads {', '.join(repr(t) for t in self.tables)}")
+            if col.name not in self.schemas[col.qualifier].names:
+                raise SqlSyntaxError(
+                    f"unknown column {col.qualifier}.{col.name}")
+            return col
+        for table in self.tables:
+            if col.name in self.schemas[table].names:
+                return Col(col.name, table)
+        raise SqlSyntaxError(f"unknown column {col.name!r}")
+
+    def canonical(self, col: Col) -> Col:
+        return _probe_column(self.qualify(col), self.equal)
+
+    def name(self, col: Col) -> str:
+        """The one name a FROM-list column has above the joins:
+        ``build_<name>`` exactly when an earlier FROM-list table has a
+        column of that name."""
+        col = self.canonical(col)
+        earlier = self.tables[:self.tables.index(col.qualifier)]
+        if any(col.name in self.schemas[table].names for table in earlier):
+            return f"build_{col.name}"
+        return col.name
+
+    def dtype_of(self, col: Col):
+        return self.schemas[col.qualifier].column(col.name).dtype
+
+
+def _scope(rel: Rel, catalog) -> _Scope:
+    """Look the FROM list up and settle each join's probe and build side."""
+    nodes = spine(rel)
+    joins = [node for node in reversed(nodes) if isinstance(node, Join)]
+    tables = (nodes[-1].table,) + tuple(join.table for join in joins)
+    for index, table in enumerate(tables):
+        if table in tables[:index]:
+            raise SqlSyntaxError(
+                f"table {table!r} appears twice in FROM; self-joins are "
+                f"not supported")
+    schemas = {table: catalog.lookup(table).schema for table in tables}
+    scope = _Scope(tables, schemas, {})
+    for index, join in enumerate(joins, start=1):
+        probe, key = scope.qualify(join.left), scope.qualify(join.right)
+        if probe.qualifier == join.table:
+            probe, key = key, probe
+        if (key.qualifier != join.table
+                or probe.qualifier not in tables[:index]):
+            raise SqlSyntaxError(
+                f"join ON must relate one column of {join.table!r} to one "
+                f"column of an already-joined table")
+        if len(schemas[join.table].names) == 1:
+            raise SqlSyntaxError(
+                f"joined table {join.table!r} has no columns besides the "
+                f"key {key.name!r}; nothing to join in")
+        scope.equal[key] = probe
+    return scope
+
+
+def _claim(taken: dict[str, Expr], name: str, expr: Expr, where: str) -> None:
+    """Two columns that end up with one name are one refusal naming both."""
+    if name in taken:
+        raise SqlSyntaxError(
+            f"{render_expr(taken[name])} and {render_expr(expr)} would both "
+            f"be named {name!r} {where}")
+    taken[name] = expr
+
+
+def _resolve_join(rel: Join, scope: _Scope) -> Join:
+    key = next(key for key in scope.equal if key.qualifier == rel.table)
+    return replace(rel, left=scope.equal[key], right=key)
+
+
+def _resolve_filter(rel: Filter, scope: _Scope) -> Filter:
+    condition = map_cols(rel.condition, scope.qualify)
+    for term in conjuncts(condition):
+        if len({col.qualifier for col in expr_columns(term)}) != 1:
+            raise SqlSyntaxError(
+                "WHERE comparisons must reference exactly one table")
+    return replace(rel, condition=condition)
+
+
+def _computed(call: AggCall) -> bool:
+    """Does the aggregate read an expression rather than a column?"""
+    return call.arg is not None and not isinstance(call.arg, Col)
+
+
+def _resolve_aggregate(rel: Aggregate, scope: _Scope) -> Aggregate:
+    """Qualify the grouping, name every aggregate, and read HAVING as a
+    condition over the node's own output columns."""
+    group_by = tuple(scope.qualify(col) for col in rel.group_by)
+    aggs = []
+    for call in rel.aggs:
+        call = map_cols(call, scope.qualify)
+        if _computed(call):     # the parser made it carry an alias
+            expr_dtype(call.arg, scope)
+        elif not call.alias:
+            source = "star" if call.arg is None else scope.name(call.arg)
+            call = replace(call, alias=f"{call.func}_{source}")
+        aggs.append(call)
+    outputs = {scope.canonical(col): col for col in group_by}
+    outputs.update((map_cols(replace(call, alias=""), scope.canonical),
+                    Col(call.alias)) for call in aggs)
+    having = rel.having and _resolve_having(rel.having, outputs, scope)
+    return Aggregate(rel.child, group_by, tuple(aggs), having)
+
+
+def _resolve_having(expr: Expr, outputs: dict, scope: _Scope) -> Expr:
+    """HAVING compares a select-list aggregate (read as its output
+    column) or a GROUP BY column with a literal."""
+    if isinstance(expr, (BoolAnd, BoolOr)):
+        return type(expr)(_resolve_having(expr.left, outputs, scope),
+                          _resolve_having(expr.right, outputs, scope))
+    if isinstance(expr, BoolNot):
+        return BoolNot(_resolve_having(expr.operand, outputs, scope))
+    wanted = map_cols(expr.left, scope.canonical)
+    if isinstance(wanted, AggCall):
+        wanted = replace(wanted, alias="")
+    if wanted in outputs:
+        return replace(expr, left=outputs[wanted])
+    if isinstance(wanted, AggCall):
+        raise SqlSyntaxError(
+            "HAVING aggregates must also appear in the select list")
+    raise SqlSyntaxError(
+        f"HAVING column {wanted.name!r} must be a GROUP BY column")
+
+
+def _resolve_project(rel: Project, scope: _Scope) -> Project:
+    """Expand ``*``, qualify every item and fix its output name."""
+    items: list[tuple[Expr, str]] = []
+    if rel.star:    # every column but the build keys, in FROM order
+        items = [(col, scope.name(col)) for table in scope.tables
+                 for col in (Col(name, table)
+                             for name in scope.schemas[table].names)
+                 if col not in scope.equal]
+    calls = iter(rel.child.aggs if isinstance(rel.child, Aggregate) else ())
+    for expr, alias in rel.items:
+        if isinstance(expr, AggCall):   # the child's aggs, in select order
+            name = next(calls).alias
+            items.append((Col(name), name))
+        elif isinstance(expr, Col):
+            items.append((scope.qualify(expr), alias or scope.name(expr)))
+        elif alias is None:
+            raise SqlSyntaxError("expression select items need an AS alias")
+        else:
+            expr = map_cols(expr, scope.qualify)
+            expr_dtype(expr, scope)
+            items.append((expr, alias))
+    taken: dict[str, Expr] = {}
+    for expr, name in items:
+        _claim(taken, name, expr, "in the result; give one an AS alias")
+    return replace(rel, items=tuple(items))
+
+
+def _resolve_sort(rel: Sort, scope: _Scope) -> Sort:
+    """An ORDER BY key is an output column: named as one, or a column the
+    select list carries as a plain item."""
+    items = next(n for n in spine(rel) if isinstance(n, Project)).items
+    keys = []
+    for col, ascending in rel.keys:
+        names = [name for _expr, name in items
+                 if col.qualifier is None and name == col.name] or [
+            name for expr, name in items
+            if isinstance(expr, Col) and expr.qualifier is not None
+            and scope.canonical(expr) == scope.canonical(col)]
+        if not names:
+            raise SqlSyntaxError(
+                f"ORDER BY column {col.name!r} must appear in the select "
+                f"list")
+        keys.append((Col(names[0]), ascending))
+    return replace(rel, keys=tuple(keys))
+
+
+_RESOLVERS = {Join: _resolve_join, Filter: _resolve_filter,
+              Aggregate: _resolve_aggregate, Project: _resolve_project,
+              Sort: _resolve_sort}
+
+
+def _resolve(rel: Rel, scope: _Scope) -> Rel:
+    if isinstance(rel, Scan):
+        return rel
+    rel = replace(rel, child=_resolve(rel.child, scope))
+    return _RESOLVERS.get(type(rel), lambda node, _scope: node)(rel, scope)
+
+
+def _columns_above_scans(rel: Rel) -> list[Col]:
+    """Every table column a node above the scans reads, first use first
+    (a pushed-down Filter reads its own scan, not the intermediate)."""
+    exprs: list[Expr] = []
+    for node in spine(rel):
+        if isinstance(node, Project):
+            exprs += [expr for expr, _alias in node.items]
+        elif isinstance(node, Aggregate):
+            exprs += node.group_by + node.aggs
+        elif isinstance(node, Join):
+            exprs += [node.left, node.right]
+    return list(dict.fromkeys(col for expr in exprs
+                              for col in expr_columns(expr) if col.qualifier))
+
+
+def _check_joined_names(rel: Rel, scope: _Scope) -> None:
+    """Refuse a statement whose joined columns cannot all carry their one
+    name through the joins — judged on the FROM-list schemas alone, so
+    acceptance never depends on which join the cut offloads."""
+    base = scope.tables[0]
+    taken: dict[str, Expr] = {
+        name: Col(name, base) for name in scope.schemas[base].names}
+    used = [scope.canonical(col) for col in _columns_above_scans(rel)]
+    for table in scope.tables[1:]:
+        # A semi-join still ships one payload column: the first non-key.
+        columns = [col for col in used if col.qualifier == table] or [
+            col for col in (Col(n, table) for n in scope.schemas[table].names)
+            if col not in scope.equal][:1]
+        for col in dict.fromkeys(columns):
+            _claim(taken, scope.name(col), col,
+                   "above the joins; cannot disambiguate the joined column")
+
+
+def resolve(rel: Rel, catalog) -> Rel:
+    """Qualify and type every column of a parsed SELECT against the
+    catalog, and fix every output column's name.
+
+    What a statement *means* is settled here, from its text and the
+    FROM-list schemas alone: every catalog-dependent refusal, ``*``
+    expanded, each join's probe (``left``) and build (``right``) side,
+    every aggregate's alias, HAVING over the aggregate's output columns,
+    ORDER BY keys as output columns.  *Where* a node runs is not — the
+    rewrites and :func:`cut` choose that — and
+    :mod:`repro.baselines.sql_model` interprets this function's output.
+    """
+    scope = _scope(rel, catalog)
+    resolved = _resolve(rel, scope)
+    _check_joined_names(resolved, scope)
+    return resolved
+
+
+# --------------------------------------------------------------------------
+# Rewrites: Rel -> Rel over a resolved tree, each leaving its rows unchanged
+# --------------------------------------------------------------------------
+
+def _map_sources(rel: Rel, fn) -> Rel:
+    """``rel`` with ``fn(source)`` in place of every FROM-list source:
+    the base Scan and each Join's build side, each together with the
+    Filter :func:`push_filters` put on it."""
+    if isinstance(rel, Scan) or (isinstance(rel, Filter)
+                                 and isinstance(rel.child, Scan)):
+        return fn(rel)
+    child = _map_sources(rel.child, fn)
+    if isinstance(rel, Join):
+        return replace(rel, child=child, build=fn(rel.build))
+    return replace(rel, child=child)
+
+
+def push_filters(rel: Rel, catalog) -> Rel:
+    """Split WHERE into conjuncts and push each — the one LIKE / REGEXP
+    term included — onto the Scan of the table it reads."""
+    if isinstance(rel, Scan):
+        return rel
+    if not isinstance(rel, Filter):
+        return replace(rel, child=push_filters(rel.child, catalog))
+    terms: dict[str, list[Expr]] = {}
+    for term in conjuncts(rel.condition):
+        terms.setdefault(expr_columns(term)[0].qualifier, []).append(term)
+    return _map_sources(rel.child, lambda scan: (
+        Filter(scan, conjoin(terms[scan.table])) if scan.table in terms
+        else scan))
+
+
+def canonicalise_keys(rel: Rel, catalog) -> Rel:
+    """Read every build key above its join as the probe column it
+    equals, so no join has to carry its key as payload.  (A Filter keeps
+    reading the table it sits on, key included.)"""
+    if isinstance(rel, Scan):
+        return rel
+    probe = partial(_probe_column, equal={
+        node.right: node.left for node in spine(rel)
+        if isinstance(node, Join)})
+    rel = replace(rel, child=canonicalise_keys(rel.child, catalog))
+    if isinstance(rel, Join):
+        return replace(rel, left=probe(rel.left))
+    if isinstance(rel, Aggregate):
+        return replace(
+            rel, group_by=tuple(probe(col) for col in rel.group_by),
+            aggs=tuple(map_cols(call, probe) for call in rel.aggs),
+            having=rel.having and map_cols(rel.having, probe))
+    if isinstance(rel, Project):
+        return replace(rel, items=tuple(
+            (map_cols(expr, probe), alias) for expr, alias in rel.items))
+    return rel
+
+
+def lift_aggregate_args(rel: Rel, catalog) -> Rel:
+    """Compute every expression argument of an Aggregate in a Project
+    under it (as ``_agg<i>``), beside the columns it passes through."""
+    if isinstance(rel, Scan):
+        return rel
+    rel = replace(rel, child=lift_aggregate_args(rel.child, catalog))
+    if not isinstance(rel, Aggregate) or not any(map(_computed, rel.aggs)):
+        return rel
+    passed = rel.group_by + tuple(call.arg for call in rel.aggs
+                                  if isinstance(call.arg, Col))
+    items: list[tuple[Expr, Optional[str]]] = [
+        (col, None) for col in dict.fromkeys(passed)]
+    aggs = list(rel.aggs)
+    for index, call in enumerate(rel.aggs):
+        if _computed(call):
+            items.append((call.arg, f"_agg{index}"))
+            aggs[index] = replace(call, arg=Col(f"_agg{index}"))
+    return replace(rel, child=Project(rel.child, tuple(items)),
+                   aggs=tuple(aggs))
+
+
+def _pruned(source: Rel, needed: list[Col], catalog) -> Rel:
+    table = spine(source)[-1].table
+    names = catalog.lookup(table).schema.names
+    keep = [Col(name, table) for name in names if Col(name, table) in needed]
+    if not keep or len(keep) == len(names):
+        return source
+    return Project(source, tuple((col, None) for col in keep))
+
+
+def prune_columns(rel: Rel, catalog) -> Rel:
+    """Put a Project above every scan that reads fewer columns than its
+    table has: what the nodes above it use, in schema order.  Needs
+    :func:`push_filters` first (a WHERE still above the joins would lose
+    the columns only it reads)."""
+    return _map_sources(rel, partial(
+        _pruned, needed=_columns_above_scans(rel), catalog=catalog))
+
+
+def _unfiltered(source: Rel) -> bool:
+    return not any(isinstance(node, Filter) for node in spine(source))
+
+
+def promote_join(rel: Rel, catalog) -> Rel:
+    """Move the first unfiltered join that is hash-co-located with the
+    base table next to the base Scan, where the cut can offload it
+    shard-local.  Not under ``SELECT *``, whose column order is the join
+    order."""
+    if isinstance(rel, Scan) or (isinstance(rel, Project) and rel.star):
+        return rel
+    if not isinstance(rel, Join):
+        return replace(rel, child=promote_join(rel.child, catalog))
+    joins = [node for node in reversed(spine(rel)) if isinstance(node, Join)]
+    base = joins[0].child
+    table = spine(base)[-1].table
+    pick = next((join for join in joins
+                 if _unfiltered(join.build) and join.left.qualifier == table
+                 and colocated_compatible(
+                     catalog.lookup(table), catalog.lookup(join.table),
+                     join.left.name, join.right.name)), None)
+    if pick is None or pick is joins[0]:
+        return rel
+    for join in [pick] + [other for other in joins if other is not pick]:
+        base = replace(join, child=base)
+    return base
+
+
+#: The rewrites in the order :func:`bind_select` applies them.
+REWRITES = (push_filters, canonicalise_keys, lift_aggregate_args,
+            prune_columns, promote_join)
+
+
+# --------------------------------------------------------------------------
+# cut: where a statement's placement is chosen
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Cut:
+    """The cut so far, walking up from the base Scan: what the head
+    Query has absorbed, what was left to the client, and the
+    intermediate at this point — its schema, and what each IR column
+    reference is called in it."""
+
+    base: object                        # catalog handle of the FROM table
+    query: Query
+    arms: tuple[BoundArm, ...]
+    ops: tuple[object, ...]
+    schema: Schema
+    names: dict[Col, str]
+
+    @property
+    def head_open(self) -> bool:
+        """Nothing runs at the client yet: the head can still grow."""
+        return not self.arms and not self.ops
+
+    def at_client(self, op, **changes) -> "_Cut":
+        return replace(self, ops=self.ops + (op,), **changes)
+
+
+def _physical(expr: Expr, names: dict[Col, str]) -> Expr:
+    """``expr`` over the intermediate's own column names."""
+    return map_cols(expr, lambda col: Col(names[col]))
+
+
+def _scan_filter(condition: Expr
+                 ) -> tuple[Optional[Predicate], Optional[RegexFilter]]:
+    """A pushed-down Filter as the chain's selection and regex stages."""
+    residual, tm = split_regex(condition)
+    return (residual and predicate_from_ir(residual),
+            tm and RegexFilter(tm.column.name, tm.pattern if tm.regexp
+                               else like_to_regex(tm.pattern)))
+
+
+def _sorts_above(above: list[Rel]) -> bool:
+    """A client ORDER BY / LIMIT keeps the select list and DISTINCT at
+    the client too: the gather order of a node-side DISTINCT would leak
+    into sort ties."""
+    return any(isinstance(node, (Sort, Limit)) for node in above)
+
+
+def _cut_filter(cut: _Cut, node: Filter, above, catalog) -> _Cut:
+    if not isinstance(node.child, Scan):
+        raise QueryError("cut() needs push_filters: a Filter off its Scan")
+    predicate, regex = _scan_filter(node.condition)
+    return replace(cut, query=replace(cut.query, predicate=predicate,
+                                      regex=regex))
+
+
+def _cut_join(cut: _Cut, node: Join, above, catalog) -> _Cut:
+    """The first join rides the head's on-chip hash when its build side
+    is read whole; a filtered build — and every later join — is a client
+    arm whose build read is its own, independently placed, Query."""
+    handle = catalog.lookup(node.table)
+    source, key = node.build, node.right.name
+    kept = ([col.name for col, _alias in source.items]
+            if isinstance(source, Project) else handle.schema.names)
+    # A semi-join still has to ship one payload column: the first.
+    payload = tuple(n for n in kept if n != key) or tuple(
+        n for n in handle.schema.names if n != key)[:1]
+    build_schema, probe_schema = handle.schema, cut.schema
+    if cut.head_open and cut.query.join is None and _unfiltered(source):
+        # The chain projects after it joins: a pruning projection the
+        # head took on goes, the join reads the whole probe row.
+        probe_schema = cut.base.schema
+        cut = replace(cut, query=replace(
+            cut.query, projection=None,
+            join=JoinSpec(handle, key, cut.names[node.left], payload)))
+    else:
+        query = None
+        if not _unfiltered(source):
+            predicate, regex = _scan_filter(next(
+                n for n in spine(source) if isinstance(n, Filter)).condition)
+            query = Query(projection=tuple(n for n in handle.schema.names
+                                           if n == key or n in payload),
+                          predicate=predicate, regex=regex, label="sql")
+            build_schema = build_schema.project(list(query.projection))
+        cut = replace(cut, arms=cut.arms + (BoundArm(
+            handle, node.table, query, key, cut.names[node.left], payload),))
+    schema = join_output_schema(probe_schema, build_schema, list(payload))
+    joined = zip(payload, schema.names[len(probe_schema.names):])
+    return replace(cut, schema=schema, names={
+        **cut.names, **{Col(p, node.table): name for p, name in joined}})
+
+
+def _cut_project(cut: _Cut, node: Project, above, catalog) -> _Cut:
+    """A pure column selection joins the head's projection stage — the
+    select list only when nothing above it needs the client; ``*`` and
+    an aggregate's own output order need no kernel at all; anything else
+    is the client's ``eval``."""
+    items = [(_physical(expr, cut.names), alias or cut.names[expr])
+             for expr, alias in node.items]
+    out = tuple(name for _expr, name in items)
+    names = {(Col(alias) if alias else expr): name
+             for (expr, alias), name in zip(node.items, out)}
+    selection = all(isinstance(expr, Col) and expr.name == name
+                    for expr, name in items)
+    pruning = all(alias is None for _expr, alias in node.items)
+    implied = node.star or isinstance(node.child, Aggregate)
+    if implied and selection and out == cut.schema.names:
+        return replace(cut, names=names)
+    if (cut.head_open and selection and not cut.query.aggregates
+            and (pruning or not _sorts_above(above))):
+        schema = cut.query.post_join_schema(cut.base.schema)
+        return replace(cut, query=replace(cut.query, projection=out),
+                       schema=schema.project(list(out)), names=names)
+    schema = _eval_schema(items, cut.schema)
+    return cut.at_client(BoundEval(tuple(items), schema), schema=schema,
+                         names=names)
+
+
+def _cut_aggregate(cut: _Cut, node: Aggregate, above, catalog) -> _Cut:
+    """Grouping over plain columns joins the head while it is open;
+    HAVING is a client selection over the aggregate's output."""
+    group = tuple(cut.names[col] for col in node.group_by)
+    specs = tuple(AggregateSpec(
+        call.func, "*" if call.arg is None else cut.names[call.arg],
+        call.alias) for call in node.aggs)
+    source = cut.schema
+    if cut.head_open:
+        # The grouping stages read the columns they name: no projection.
+        cut = replace(cut, query=replace(
+            cut.query, projection=None, group_by=group or None,
+            aggregates=specs))
+        source = cut.query.post_join_schema(cut.base.schema)
+    else:
+        cut = cut.at_client(BoundAggregate(group, specs))
+    schema = (group_output_schema(source, group, specs) if group
+              else aggregate_output_schema(source, specs))
+    names = {**dict(zip(node.group_by, group)),
+             **{Col(call.alias): call.alias for call in node.aggs}}
+    cut = replace(cut, schema=schema, names=names)
+    if node.having is None:
+        return cut
+    predicate = predicate_from_ir(_physical(node.having, names))
+    predicate.validate(schema)
+    return cut.at_client(BoundFilter(predicate))
+
+
+def _cut_tail(cut: _Cut, node: Rel, above, catalog) -> _Cut:
+    """DISTINCT joins the head on the select list's terms; ORDER BY and
+    LIMIT are the client's."""
+    if isinstance(node, Sort):
+        return cut.at_client(BoundSort(tuple(
+            (cut.names[col], ascending) for col, ascending in node.keys)))
+    if isinstance(node, Limit):
+        return cut.at_client(BoundLimit(node.count))
+    if cut.head_open and not _sorts_above(above):
+        return replace(cut, query=replace(cut.query, distinct=True))
+    return cut.at_client(BoundDistinct())
+
+
+_CUTS = {Filter: _cut_filter, Join: _cut_join, Project: _cut_project,
+         Aggregate: _cut_aggregate, Distinct: _cut_tail, Sort: _cut_tail,
+         Limit: _cut_tail}
+
+
+def _payload_in_select_order(query: Query, base_schema: Schema) -> Query:
+    """When the statement *is* its head query the join emits its payload
+    in select order; under a client tail the payload stays in schema
+    order, the shipped layout independent of the select list."""
+    order = query.projection or ((query.group_by or ()) + tuple(
+        spec.column for spec in query.aggregates))
+    emitted = dict(zip(query.join.payload, query.post_join_schema(
+        base_schema).names[len(base_schema.names):]))
+    payload = sorted(query.join.payload, key=lambda p: (
+        order.index(emitted[p]) if emitted[p] in order else len(order)))
+    return replace(query, join=replace(query.join, payload=tuple(payload)))
+
+
+def cut(rel: Rel, catalog) -> BoundSelect:
+    """Lower a resolved, rewritten DAG onto the engine, bottom-up.
+
+    The maximal run of nodes above the base Scan that the node's fixed
+    chain (regex -> selection -> join -> projection -> distinct |
+    group-by | aggregate) can run merges into the head
+    :class:`~repro.core.query.Query`, the Filter and Project on a build
+    Scan into that arm's Query, and every other node stays in
+    :func:`~repro.core.planner.run_client_kernel`'s vocabulary.  This is
+    the only place that decides what a node runs.
+    """
+    nodes = spine(rel)[::-1]
+    table = nodes[0].table
+    base = catalog.lookup(table)
+    state = _Cut(base, Query(label="sql"), (), (), base.schema,
+                 {Col(name, table): name for name in base.schema.names})
+    for index, node in enumerate(nodes[1:], start=2):
+        state = _CUTS[type(node)](state, node, nodes[index:], catalog)
+    query = state.query
+    if state.head_open and query.join is not None:
+        query = _payload_in_select_order(query, base.schema)
+    return BoundSelect(base=base, table=table, query=query, arms=state.arms,
+                       ops=state.ops, schema=state.schema)
 
 
 def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
-    """Name-resolve and type-check a SELECT against the catalog,
-    lowering the IR DAG onto the engine (head Query + join arms + client
-    kernels).  See the module docstring for the placement rationale."""
-    parts = unstack_select(parsed.ir)
-    base_name = parts.scan.table
-    from_tables = [base_name] + [j.table for j in parts.joins]
-    seen: set[str] = set()
-    for name in from_tables:
-        if name in seen:
-            raise SqlSyntaxError(
-                f"table {name!r} appears twice in FROM; self-joins are "
-                f"not supported")
-        seen.add(name)
-    handles = {name: catalog.lookup(name) for name in from_tables}
-    schemas = {name: handles[name].schema for name in from_tables}
-
-    def owner(col: Col) -> str:
-        if col.qualifier is not None:
-            if col.qualifier not in handles:
-                raise SqlSyntaxError(
-                    f"unknown table qualifier {col.qualifier!r}; the "
-                    f"query reads {', '.join(repr(t) for t in from_tables)}")
-            if col.name not in schemas[col.qualifier].names:
-                raise SqlSyntaxError(
-                    f"unknown column {col.qualifier}.{col.name}")
-            return col.qualifier
-        for name in from_tables:
-            if col.name in schemas[name].names:
-                return name
-        raise SqlSyntaxError(f"unknown column {col.name!r}")
-
-    # -- join resolution (pass A): build/probe sides per join ---------------
-    joined: list[str] = [base_name]
-    join_info: list[dict] = []
-    for join in parts.joins:
-        build_name = join.table
-        lo, ro = owner(join.left), owner(join.right)
-        if lo == build_name and ro in joined:
-            build_col, probe_col = join.left, join.right
-        elif ro == build_name and lo in joined:
-            build_col, probe_col = join.right, join.left
-        else:
-            raise SqlSyntaxError(
-                f"join ON must relate one column of {build_name!r} to one "
-                f"column of an already-joined table")
-        join_info.append({"table": build_name,
-                          "build_key": build_col.name,
-                          "probe_ref": (owner(probe_col), probe_col.name)})
-        joined.append(build_name)
-
-    def canonical(table: str, name: str) -> tuple[str, str]:
-        """Map a build key onto the probe column it equals after the
-        inner join (chained through multi-way joins)."""
-        for info in join_info:
-            if info["table"] == table and info["build_key"] == name:
-                return canonical(*info["probe_ref"])
-        return table, name
-
-    def canonical_col(col: Col) -> tuple[str, str]:
-        return canonical(owner(col), col.name)
-
-    # -- needed-column analysis (pass B) ------------------------------------
-    needed: dict[str, list[str]] = {name: [] for name in from_tables}
-
-    def require(col: Col) -> None:
-        table, name = canonical_col(col)
-        _ordered_add(needed[table], name)
-
-    if parts.project.star:
-        for name in schemas[base_name].names:
-            _ordered_add(needed[base_name], name)
-        for info in join_info:
-            for name in schemas[info["table"]].names:
-                if name != info["build_key"]:
-                    _ordered_add(needed[info["table"]], name)
-    else:
-        for expr, _alias in parts.project.items:
-            for col in expr_columns(expr):
-                require(col)
-    if parts.aggregate is not None:
-        for col in parts.aggregate.group_by:
-            require(col)
-    for info in join_info:
-        table, name = canonical(*info["probe_ref"])
-        _ordered_add(needed[table], name)
-
-    # -- WHERE pushdown: one table per conjunct ------------------------------
-    residual, tm = split_regex(parts.condition)
-    conj_by_table: dict[str, list[Predicate]] = {n: [] for n in from_tables}
-    for term in conjuncts(residual):
-        cols = expr_columns(term)
-        owners = {owner(col) for col in cols}
-        if len(owners) != 1:
-            raise SqlSyntaxError(
-                "WHERE comparisons must reference exactly one table")
-        table = owners.pop()
-        conj_by_table[table].append(
-            predicate_from_ir(_strip_cmp_qualifiers(term)))
-    regex_table: str | None = None
-    regex_filter: RegexFilter | None = None
-    if tm is not None:
-        regex_table = owner(tm.column)
-        regex_filter = _textmatch_regex(tm)
-
-    # -- stage-0 eligibility -------------------------------------------------
-    # The first join rides the head query's on-chip hash (an offloadable
-    # JoinSpec) when its build table carries no pushed-down
-    # predicate; any filtered build — and every later join — becomes a
-    # client arm whose build read is its own independently placed Query.
-    # A later unfiltered join whose build is hash-co-located with the
-    # base (both sides partitioned on the join key, matching shard
-    # counts) is promoted to stage 0 instead, so the scatter layer can
-    # run it shard-local with zero build movement.  Promotion is skipped
-    # under SELECT * — reordering joins permutes the star column order.
-    def _stage0_ok(idx: int, info: dict) -> bool:
-        table = info["table"]
-        if bool(conj_by_table[table]) or regex_table == table:
-            return False
-        probe_tbl, probe_nm = canonical(*info["probe_ref"])
-        if probe_tbl != base_name:
-            return False
-        if idx == 0:
-            return True
-        return (not parts.project.star
-                and colocated_compatible(handles[base_name], handles[table],
-                                         probe_nm, info["build_key"]))
-
-    def _colocated(info: dict) -> bool:
-        return colocated_compatible(handles[base_name],
-                                    handles[info["table"]],
-                                    canonical(*info["probe_ref"])[1],
-                                    info["build_key"])
-
-    stage0_idx: int | None = None
-    for idx, info in enumerate(join_info):
-        if _stage0_ok(idx, info):
-            stage0_idx = idx
-            if _colocated(info):
-                break  # co-located beats the first-join (broadcast) pick
-    stage0_join: dict | None = None
-    arm_infos: list[dict] = []
-    for idx, info in enumerate(join_info):
-        if idx == stage0_idx:
-            stage0_join = info
-        else:
-            arm_infos.append(info)
-
-    agg = parts.aggregate
-    stage0_agg = (agg is not None and not arm_infos
-                  and all(a.arg is None or isinstance(a.arg, Col)
-                          for a in agg.aggs))
-    # Nothing left for the client: the head's own projection / DISTINCT
-    # stages then emit the select list (in select order) and the tail
-    # stays empty.  Never under a client ORDER BY / LIMIT — the gather
-    # order of a node-side DISTINCT would leak into sort ties.
-    if agg is not None:
-        head_emits_select = stage0_agg and agg.having is None
-    else:
-        head_emits_select = all(isinstance(expr, Col) and alias is None
-                                for expr, alias in parts.project.items)
-    tail_empty = (head_emits_select and not arm_infos
-                  and parts.sort is None and parts.limit is None)
-
-    def payload_for(info: dict) -> tuple[str, ...]:
-        table, key = info["table"], info["build_key"]
-        schema = schemas[table]
-        payload = [n for n in needed[table] if n != key]
-        if not tail_empty:
-            # The client tail re-orders anyway; schema order keeps the
-            # stage's shipped layout independent of the select list.
-            payload = [n for n in schema.names if n in payload]
-        if not payload:
-            extra = [n for n in schema.names if n != key]
-            if not extra:
-                raise SqlSyntaxError(
-                    f"joined table {table!r} has no columns besides the "
-                    f"key {key!r}; nothing to join in")
-            payload.append(extra[0])
-        return tuple(payload)
-
-    # -- intermediate schema + current-name tracking -------------------------
-    colmap: dict[str, dict[str, str]] = {
-        base_name: {n: n for n in schemas[base_name].names}}
-
-    def current_name(col: Col) -> str:
-        table, name = canonical_col(col)
-        return colmap[table][name]
-
-    base_schema = schemas[base_name]
-    spec0: JoinSpec | None = None
-    if stage0_join is not None:
-        payload0 = payload_for(stage0_join)
-        probe_tbl, probe_nm = canonical(*stage0_join["probe_ref"])
-        spec0 = JoinSpec(handles[stage0_join["table"]],
-                         stage0_join["build_key"],
-                         colmap[probe_tbl][probe_nm], payload0)
-        colmap[stage0_join["table"]] = {
-            p: (f"build_{p}" if p in base_schema.names else p)
-            for p in payload0}
-        inter_schema = join_output_schema(base_schema,
-                                          schemas[stage0_join["table"]],
-                                          list(payload0))
-    else:
-        inter_schema = base_schema
-
-    # -- stage-0 (head) query -------------------------------------------------
-    predicate0 = _fold_predicates(conj_by_table[base_name])
-    regex0 = regex_filter if regex_table == base_name else None
-    projection0: tuple[str, ...] | None = None
-    if stage0_join is None and not stage0_agg:
-        cols0 = [n for n in base_schema.names if n in needed[base_name]]
-        if cols0 and len(cols0) < len(base_schema.names):
-            projection0 = tuple(cols0)
-            inter_schema = base_schema.project(cols0)
-
-    # -- join arms ------------------------------------------------------------
-    arms: list[BoundArm] = []
-    for info in arm_infos:
-        table = info["table"]
-        schema = schemas[table]
-        payload = payload_for(info)
-        predicate = _fold_predicates(conj_by_table[table])
-        regex = regex_filter if regex_table == table else None
-        query: Query | None = None
-        if predicate is not None or regex is not None:
-            proj = tuple(n for n in schema.names
-                         if n == info["build_key"] or n in payload)
-            query = Query(projection=proj, predicate=predicate,
-                          regex=regex, label="sql")
-            build_schema = schema.project(list(proj))
-        else:
-            build_schema = schema
-        probe_tbl, probe_nm = canonical(*info["probe_ref"])
-        probe_key = colmap[probe_tbl][probe_nm]
-        colmap[table] = {p: (f"build_{p}" if p in inter_schema.names else p)
-                         for p in payload}
-        arms.append(BoundArm(build=handles[table], table=table, query=query,
-                             build_key=info["build_key"],
-                             probe_key=probe_key, payload=payload))
-        inter_schema = join_output_schema(inter_schema, build_schema,
-                                          list(payload))
-
-    # -- aggregation ----------------------------------------------------------
-    ops: list[object] = []
-    specs: list[AggregateSpec] = []
-    group_names: list[str] = []
-    if agg is not None:
-        group_names = [current_name(col) for col in agg.group_by]
-        if stage0_agg:
-            for a in agg.aggs:
-                column = "*" if a.arg is None else current_name(a.arg)
-                specs.append(AggregateSpec(a.func, column, a.alias))
-            if group_names:
-                inter_schema = group_output_schema(inter_schema, group_names,
-                                                   specs)
-            else:
-                inter_schema = aggregate_output_schema(inter_schema, specs)
-        else:
-            derived: list[tuple[Expr, str]] = []
-            eval_needed = False
-            for i, a in enumerate(agg.aggs):
-                if a.arg is None:
-                    specs.append(AggregateSpec(a.func, "*", a.alias))
-                elif isinstance(a.arg, Col):
-                    specs.append(AggregateSpec(a.func, current_name(a.arg),
-                                               a.alias))
-                else:
-                    eval_needed = True
-                    name = f"_agg{i}"
-                    derived.append((_rebind(a.arg, current_name), name))
-                    specs.append(AggregateSpec(a.func, name, a.alias))
-            if eval_needed:
-                items: list[tuple[Expr, str]] = []
-                for name in group_names:
-                    _ordered_add(items, (Col(name), name))
-                for spec in specs:
-                    if (spec.column not in ("*",)
-                            and not any(n == spec.column
-                                        for _e, n in derived)):
-                        _ordered_add(items, (Col(spec.column), spec.column))
-                items.extend(derived)
-                eval_schema = _eval_schema(items, inter_schema)
-                ops.append(BoundEval(tuple(items), eval_schema))
-                inter_schema = eval_schema
-            ops.append(BoundAggregate(tuple(group_names), tuple(specs)))
-            if group_names:
-                inter_schema = group_output_schema(inter_schema, group_names,
-                                                   specs)
-            else:
-                inter_schema = aggregate_output_schema(inter_schema, specs)
-        if agg.having is not None:
-            having = _bind_having(agg.having, agg, specs, group_names,
-                                  current_name)
-            predicate = predicate_from_ir(having)
-            predicate.validate(inter_schema)
-            ops.append(BoundFilter(predicate))
-    elif not parts.project.star:
-        items = []
-        for expr, alias in parts.project.items:
-            if isinstance(expr, Col):
-                out = alias or current_name(expr)
-            else:
-                if alias is None:
-                    raise SqlSyntaxError(
-                        "expression select items need an AS alias")
-                out = alias
-            items.append((_rebind(expr, current_name), out))
-        eval_schema = _eval_schema(items, inter_schema)
-        if tail_empty:
-            projection0 = tuple(name for _expr, name in items)
-        else:
-            ops.append(BoundEval(tuple(items), eval_schema))
-        inter_schema = eval_schema
-
-    if parts.distinct and not tail_empty:
-        ops.append(BoundDistinct())
-    if parts.sort is not None:
-        keys: list[tuple[str, bool]] = []
-        for col, ascending in parts.sort.keys:
-            name = _bind_sort_key(col, inter_schema, from_tables, handles,
-                                  current_name)
-            keys.append((name, ascending))
-        ops.append(BoundSort(tuple(keys)))
-    if parts.limit is not None:
-        ops.append(BoundLimit(parts.limit))
-
-    head = Query(
-        projection=projection0,
-        predicate=predicate0,
-        regex=regex0,
-        join=spec0,
-        distinct=parts.distinct and tail_empty,
-        group_by=tuple(group_names) if (stage0_agg and group_names) else None,
-        aggregates=tuple(specs) if stage0_agg else (),
-        label="sql")
-    return BoundSelect(base=handles[base_name], table=base_name, query=head,
-                       arms=tuple(arms), ops=tuple(ops), schema=inter_schema)
-
-
-def _rebind(expr: Expr, current_name) -> Expr:
-    """Rewrite every column reference to its bound intermediate name."""
-    if isinstance(expr, Col):
-        return Col(current_name(expr))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _rebind(expr.left, current_name),
-                     _rebind(expr.right, current_name))
-    if isinstance(expr, Lit):
-        return expr
-    raise SqlSyntaxError(
-        f"cannot use {type(expr).__name__} in a value expression")
+    """Bind a parsed SELECT against the catalog: :func:`resolve` fixes
+    what it means, the :data:`REWRITES` move work towards the data, and
+    :func:`cut` chooses what runs where."""
+    rel = resolve(parsed.ir, catalog)
+    for rewrite in REWRITES:
+        rel = rewrite(rel, catalog)
+    return cut(rel, catalog)
 
 
 def _eval_schema(items: list[tuple[Expr, str]], schema: Schema) -> Schema:
@@ -1339,67 +1388,7 @@ def _eval_schema(items: list[tuple[Expr, str]], schema: Schema) -> Schema:
         if isinstance(expr, Col):
             source = schema.column(expr.name)
             columns.append(Column(name, source.kind, source.width))
-            continue
-        dtype = expr_dtype(expr, schema)
-        kind = "float64" if dtype.kind == "f" else "int64"
-        columns.append(Column(name, kind, 8))
+        else:
+            floating = expr_dtype(expr, schema).kind == "f"
+            columns.append(Column(name, "float64" if floating else "int64"))
     return Schema(columns)
-
-
-def _bind_having(having: Expr, agg: Aggregate, specs, group_names,
-                 current_name) -> Expr:
-    """Rewrite HAVING aggregate calls onto their output columns."""
-    def key_of(call: AggCall):
-        arg = call.arg
-        if isinstance(arg, Col):
-            arg = Col(current_name(arg))
-        elif arg is not None:
-            arg = _rebind(arg, current_name)
-        return (call.func, arg)
-
-    by_key = {}
-    for a, spec in zip(agg.aggs, specs):
-        by_key[key_of(a)] = spec.alias
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, AggCall):
-            alias = by_key.get(key_of(expr))
-            if alias is None:
-                raise SqlSyntaxError(
-                    "HAVING aggregates must also appear in the select "
-                    "list")
-            return Col(alias)
-        if isinstance(expr, Col):
-            name = current_name(expr)
-            if name not in group_names:
-                raise SqlSyntaxError(
-                    f"HAVING column {expr.name!r} must be a GROUP BY "
-                    f"column")
-            return Col(name)
-        if isinstance(expr, Cmp):
-            return Cmp(expr.op, rewrite(expr.left), expr.right)
-        if isinstance(expr, BoolAnd):
-            return BoolAnd(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, BoolOr):
-            return BoolOr(rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, BoolNot):
-            return BoolNot(rewrite(expr.operand))
-        return expr
-
-    return rewrite(having)
-
-
-def _bind_sort_key(col: Col, schema: Schema, from_tables, handles,
-                   current_name) -> str:
-    """ORDER BY keys bind against the output schema (select aliases or
-    selected column names)."""
-    if col.qualifier is None and col.name in schema.names:
-        return col.name
-    try:
-        name = current_name(col)
-    except (SqlSyntaxError, KeyError):
-        name = None
-    if name is not None and name in schema.names:
-        return name
-    raise SqlSyntaxError(
-        f"ORDER BY column {col.name!r} must appear in the select list")

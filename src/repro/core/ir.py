@@ -2,12 +2,11 @@
 
 The paper leaves "the query compiler in Farview" as future work; this
 module is its middle layer.  :mod:`repro.core.compile` parses SQL text
-into the small algebra defined here, runs name resolution / type checks
-against the catalog, and lowers the DAG onto the engine's operator chains
+into the small algebra defined here, resolves it against the catalog,
+rewrites it as a tree and cuts it into the engine's operator chains
 (:class:`~repro.core.query.Query` descriptors plus client-side kernels).
 REMOP's argument — operator placement over remote memory must be decided
-on a query *DAG*, not a fixed chain — is why the IR exists as its own
-layer instead of the parser emitting descriptors directly.
+on a query *DAG*, not a fixed chain — is why the IR is its own layer.
 
 Two node families, all frozen dataclasses (structural equality is the
 round-trip test's oracle):
@@ -20,7 +19,7 @@ Scalar expressions
     over a column or arithmetic expression).
 
 Relational operators
-    :class:`Scan`, :class:`Join` (build side is always a named table),
+    :class:`Scan`, :class:`Join` (the build side is one named table's tree),
     :class:`Filter`, :class:`Aggregate` (grouping + HAVING),
     :class:`Project` (expressions with aliases, or ``*``),
     :class:`Distinct`, :class:`Sort`, :class:`Limit`.
@@ -30,9 +29,11 @@ The parser always produces the canonical operator stacking
     Scan -> Join* -> Filter? -> Aggregate? -> Project
          -> Distinct? -> Sort? -> Limit?
 
-and :func:`render_sql` walks exactly that shape back into SQL text, so
+and :func:`render_sql` walks that shape back into SQL text, so
 ``parse(render(dag)) == dag`` holds structurally (the property the
-hypothesis round-trip suite pins).
+hypothesis round-trip suite pins).  What the binder's rewrites move out
+of that stacking — a Filter or Project under a Join or on its ``build``
+side — renders as a derived table: the fixture of each rewrite's tests.
 
 Expressions evaluate vectorized over decoded numpy rows
 (:func:`eval_expr`), mirroring how
@@ -42,7 +43,8 @@ lowering uses this for expression projections and aggregate inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -163,12 +165,23 @@ class Scan:
 
 @dataclass(frozen=True)
 class Join:
-    """Inner equi-join of ``child`` against named build table ``table``."""
+    """Inner equi-join of ``child`` against named build table ``table``.
+
+    ``build`` is the build side as a tree: the whole table unless a
+    rewrite pushed a Filter or a Project onto it.  Once resolved,
+    ``left`` is the probe column (already joined), ``right`` the build
+    key.
+    """
 
     child: "Rel"
     table: str
     left: Col
     right: Col
+    build: Optional["Rel"] = None
+
+    def __post_init__(self) -> None:
+        if self.build is None:
+            object.__setattr__(self, "build", Scan(self.table))
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,10 @@ class Project:
     carry one (deterministic output naming).  Over an :class:`Aggregate`
     child the items mirror the select list (group columns +
     :class:`AggCall` entries) — the aggregation itself already lives in
-    the child node.
+    the child node.  Resolution fills in every alias (the output name)
+    and expands ``*`` into ``items``; the Projects a rewrite inserts
+    leave the alias of a column they pass through empty: it keeps its
+    qualified identity for the nodes above.
     """
 
     child: "Rel"
@@ -229,28 +245,47 @@ Rel = Union[Scan, Join, Filter, Aggregate, Project, Distinct, Sort, Limit]
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
+#: Per expression class, the fields that hold a sub-expression.
+_CHILD_FIELDS = {
+    Arith: ("left", "right"), Cmp: ("left", "right"),
+    BoolAnd: ("left", "right"), BoolOr: ("left", "right"),
+    BoolNot: ("operand",), TextMatch: ("column",), AggCall: ("arg",)}
+
+
+def _children(expr: Expr) -> list[tuple[str, Expr]]:
+    """``(field, sub-expression)`` of one node, left to right."""
+    pairs = [(name, getattr(expr, name))
+             for name in _CHILD_FIELDS.get(type(expr), ())]
+    return [pair for pair in pairs if pair[1] is not None]  # COUNT(*)
+
+
+def subexprs(expr: Expr):
+    """``expr`` and every expression under it, parents first."""
+    yield expr
+    for _name, child in _children(expr):
+        yield from subexprs(child)
+
+
 def expr_columns(expr: Expr) -> list[Col]:
     """Every column reference in ``expr``, in first-appearance order."""
-    out: list[Col] = []
+    return list(dict.fromkeys(
+        node for node in subexprs(expr) if isinstance(node, Col)))
 
-    def walk(node: Expr) -> None:
-        if isinstance(node, Col):
-            if node not in out:
-                out.append(node)
-        elif isinstance(node, (Arith, Cmp, BoolAnd, BoolOr)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, BoolNot):
-            walk(node.operand)
-        elif isinstance(node, TextMatch):
-            walk(node.column)
-        elif isinstance(node, AggCall):
-            if node.arg is not None:
-                walk(node.arg)
-        # Lit: no columns
 
-    walk(expr)
-    return out
+def map_cols(expr: Expr, fn) -> Expr:
+    """``expr`` with every column reference replaced by ``fn(col)``."""
+    if isinstance(expr, Col):
+        return fn(expr)
+    return replace(expr, **{name: map_cols(child, fn)
+                            for name, child in _children(expr)})
+
+
+def spine(rel: Rel) -> list[Rel]:
+    """The nodes from ``rel`` down its ``child`` links to the base Scan."""
+    nodes = [rel]
+    while not isinstance(nodes[-1], Scan):
+        nodes.append(nodes[-1].child)
+    return nodes
 
 
 def conjuncts(condition: Optional[Expr]) -> list[Expr]:
@@ -264,27 +299,26 @@ def conjuncts(condition: Optional[Expr]) -> list[Expr]:
 
 def conjoin(terms: list[Expr]) -> Optional[Expr]:
     """Left-assoc AND of ``terms`` (the parser's associativity)."""
-    if not terms:
-        return None
-    out = terms[0]
-    for term in terms[1:]:
-        out = BoolAnd(out, term)
-    return out
+    return reduce(BoolAnd, terms) if terms else None
 
 
 # ---------------------------------------------------------------------------
 # Vectorized expression evaluation (client-side kernels)
 # ---------------------------------------------------------------------------
 
-def expr_dtype(expr: Expr, schema: Schema) -> np.dtype:
+def expr_dtype(expr: Expr, schema) -> np.dtype:
     """The numpy dtype ``expr`` evaluates to over ``schema``.
 
     Arithmetic follows SQL-ish numeric promotion: any float operand (or a
-    division) makes the result ``float64``; otherwise ``int64``.  Column
-    references must be bound (no qualifier) by the time this runs.
+    division) makes the result ``float64``; otherwise ``int64``.
+    ``schema`` is a :class:`Schema` (columns bound by bare name) or
+    anything else with a ``dtype_of(col)`` — the resolver's FROM-list
+    scope, which types table-qualified references.
     """
     if isinstance(expr, Col):
-        return schema.column(expr.name).dtype
+        if isinstance(schema, Schema):
+            return schema.column(expr.name).dtype
+        return schema.dtype_of(expr)
     if isinstance(expr, Lit):
         if isinstance(expr.value, float):
             return np.dtype("<f8")
@@ -378,58 +412,63 @@ def render_expr(expr: Expr) -> str:
     raise QueryError(f"cannot render {type(expr).__name__}")
 
 
+def _peel(rel: Rel, kind) -> tuple[Optional[Rel], Rel]:
+    """``(rel, its child)`` when ``rel`` is a ``kind``, else ``(None, rel)``."""
+    return (rel, rel.child) if isinstance(rel, kind) else (None, rel)
+
+
+def _render_source(rel: Rel) -> str:
+    """A FROM-list entry: a table name, or a derived table."""
+    return rel.table if isinstance(rel, Scan) else f"({render_sql(rel)})"
+
+
+def _render_select_list(project: Optional[Project],
+                        aggregate: Optional[Aggregate]) -> str:
+    if project is None or project.star:
+        return "*"
+    calls = {agg.alias: agg for agg in aggregate.aggs} if aggregate else {}
+    parts = []
+    for expr, alias in project.items:
+        if isinstance(expr, Col) and expr.qualifier is None:
+            expr = calls.get(expr.name, expr)   # a resolved aggregate item
+        text = render_expr(expr)
+        if alias and not isinstance(expr, AggCall) and not (
+                isinstance(expr, Col) and expr.name == alias):
+            text += f" AS {alias}"
+        parts.append(text)
+    return ", ".join(parts)
+
+
 def render_sql(rel: Rel) -> str:
-    """Render a canonical-shape DAG back into one SELECT statement."""
-    limit: Optional[int] = None
-    if isinstance(rel, Limit):
-        limit, rel = rel.count, rel.child
-    sort: Optional[Sort] = None
-    if isinstance(rel, Sort):
-        sort, rel = rel, rel.child
-    distinct = False
-    if isinstance(rel, Distinct):
-        distinct, rel = True, rel.child
-    if not isinstance(rel, Project):
-        raise QueryError(
-            f"render_sql expects a canonical DAG; got {type(rel).__name__} "
-            f"where Project was required")
-    project, rel = rel, rel.child
-    aggregate: Optional[Aggregate] = None
-    if isinstance(rel, Aggregate):
-        aggregate, rel = rel, rel.child
-    condition: Optional[Expr] = None
-    if isinstance(rel, Filter):
-        condition, rel = rel.condition, rel.child
+    """Render a DAG as one SELECT statement.
+
+    The canonical stacking renders to text that re-parses to the same
+    tree.  Whatever a rewrite moved out of it — a Filter or Project
+    under a Join, a Join's ``build`` subtree — renders as a parenthesised
+    derived table: readable, not re-parseable.
+    """
+    limit, rel = _peel(rel, Limit)
+    sort, rel = _peel(rel, Sort)
+    distinct, rel = _peel(rel, Distinct)
+    project, rel = _peel(rel, Project)
+    aggregate, rel = _peel(rel, Aggregate)
+    where, rel = _peel(rel, Filter)
     joins: list[Join] = []
     while isinstance(rel, Join):
         joins.append(rel)
         rel = rel.child
     joins.reverse()
-    if not isinstance(rel, Scan):
-        raise QueryError(
-            f"render_sql expects a canonical DAG; got {type(rel).__name__} "
-            f"where Scan was required")
 
-    if project.star:
-        select_list = "*"
-    else:
-        parts = []
-        for expr, alias in project.items:
-            text = render_expr(expr)
-            if alias and not isinstance(expr, AggCall):
-                text += f" AS {alias}"
-            parts.append(text)
-        select_list = ", ".join(parts)
     sql = ["SELECT"]
-    if distinct:
+    if distinct is not None:
         sql.append("DISTINCT")
-    sql.append(select_list)
-    sql.append(f"FROM {rel.table}")
+    sql.append(_render_select_list(project, aggregate))
+    sql.append(f"FROM {_render_source(rel)}")
     for join in joins:
-        sql.append(f"JOIN {join.table} ON {render_expr(join.left)} = "
-                   f"{render_expr(join.right)}")
-    if condition is not None:
-        sql.append(f"WHERE {render_expr(condition)}")
+        sql.append(f"JOIN {_render_source(join.build)} ON "
+                   f"{render_expr(join.left)} = {render_expr(join.right)}")
+    if where is not None:
+        sql.append(f"WHERE {render_expr(where.condition)}")
     if aggregate is not None and aggregate.group_by:
         sql.append("GROUP BY " + ", ".join(render_expr(c)
                                            for c in aggregate.group_by))
@@ -440,5 +479,5 @@ def render_sql(rel: Rel) -> str:
                          for col, ascending in sort.keys)
         sql.append(f"ORDER BY {keys}")
     if limit is not None:
-        sql.append(f"LIMIT {limit}")
+        sql.append(f"LIMIT {limit.count}")
     return " ".join(sql)

@@ -173,26 +173,6 @@ class Query:
                     f"distinct column {name!r} dropped by projection")
 
     # -- introspection -------------------------------------------------------------
-    def accessed_columns(self, schema: Schema) -> tuple[str, ...]:
-        """Columns the pipeline must read from memory, in schema order."""
-        needed: set[str] = set()
-        if self.projection is not None:
-            needed.update(self.projection)
-        else:
-            needed.update(schema.names)
-        if self.predicate is not None:
-            needed.update(self.predicate.columns())
-        if self.regex is not None:
-            needed.add(self.regex.column)
-        if self.join is not None:
-            needed.add(self.join.probe_key)
-        for name in self.group_by or ():
-            needed.add(name)
-        for spec in self.aggregates:
-            if not (spec.func == "count" and spec.column == "*"):
-                needed.add(spec.column)
-        return tuple(n for n in schema.names if n in needed)
-
     @property
     def is_projection_only(self) -> bool:
         return (self.predicate is None and self.regex is None

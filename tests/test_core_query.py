@@ -150,14 +150,6 @@ def test_post_join_stages_validate_against_the_post_join_schema():
         Query(join=join, predicate=Compare("zone", "<", 2)).validate(probe)
 
 
-def test_query_accessed_columns():
-    schema = default_schema()
-    q = Query(projection=("a",), predicate=Compare("c", "<", 5))
-    assert q.accessed_columns(schema) == ("a", "c")
-    q_all = Query(predicate=Compare("a", "<", 5))
-    assert q_all.accessed_columns(schema) == schema.names
-
-
 def test_query_signature_stable_and_distinct():
     q1 = select_star(Compare("a", "<", 5))
     q2 = select_star(Compare("a", "<", 5))

@@ -463,11 +463,8 @@ def test_multi_join_parses_to_chained_stages():
     assert isinstance(join1, Join) and join1.table == "d"
     assert isinstance(join1.child, Scan) and join1.child.table == "f"
 
-    def ints(*names):
-        return Schema([Column(n, "int64") for n in names])
-
-    bound = bind_select(parsed, _Catalog(f=ints("a", "c"), d=ints("b", "x"),
-                                         e=ints("k", "y")))
+    bound = bind_select(parsed, _Catalog(
+        f=_ints("a", "c"), d=_ints("b", "x"), e=_ints("k", "y")))
     assert [arm.table for arm in bound.arms] == ["e"]
     assert [type(op) for op in bound.ops] == [BoundEval]
 
@@ -658,3 +655,105 @@ def test_single_chain_text_is_its_head_query(shape, topology):
             == canonical_result_bytes(verb_result))
     assert sql_result.schema == bound.schema
     assert sql_ns == verb_ns
+
+
+# ---------------------------------------------------------------------------
+# Acceptance and output names are functions of the statement and the
+# FROM-list schemas — never of which arm the cut picked for a join
+# ---------------------------------------------------------------------------
+
+def _ints(*names):
+    return Schema([Column(n, "int64") for n in names])
+
+
+_NAMING = dict(f=_ints("k", "x", "v", "j"), d=_ints("k", "x", "w"),
+               e=_ints("j", "x", "z"))
+_FD = "FROM f JOIN d ON f.k = d.k"
+_FDE = _FD + " JOIN e ON f.j = e.j"
+
+
+def _names(sql: str):
+    return bind_select(parse_sql(sql), _Catalog(**_NAMING)).schema.names
+
+
+@pytest.mark.parametrize("select,names", [
+    ("SELECT d.x", ("build_x",)),
+    ("SELECT DISTINCT d.x", ("build_x",)),
+    ("SELECT MAX(d.x)", ("max_build_x",)),
+    ("SELECT f.v AS x, d.x", ("x", "build_x")),
+    ("SELECT d.w, d.k", ("w", "k")),
+    ("SELECT *", ("k", "x", "v", "j", "build_x", "w")),
+])
+def test_output_names_do_not_depend_on_the_arm(select, names):
+    """A filter on the joined table turns its join into a client arm
+    over a pruned head: ``d.x`` used to come out as ``x`` there and as
+    ``build_x`` on the unfiltered (on-chip) join, and ``f.v AS x, d.x``
+    became ``duplicate column names in schema``."""
+    assert _names(f"{select} {_FD}") == names
+    assert _names(f"{select} {_FD} WHERE d.w > 3") == names
+
+
+@pytest.mark.parametrize("where", ["", " WHERE d.w > 1", " WHERE e.z > 1"])
+@pytest.mark.parametrize("select,both", [
+    ("SELECT e.x, d.x", ("e.x", "d.x")),          # two items, one name
+    ("SELECT DISTINCT e.x, d.x", ("e.x", "d.x")),
+    ("SELECT *", ("d.x", "e.x")),
+    ("SELECT e.x AS ex, d.x AS dx", ("d.x", "e.x")),     # one join-time name
+    ("SELECT MAX(e.x) AS m, MIN(d.x) AS n", ("d.x", "e.x")),
+])
+def test_one_name_for_two_columns_is_one_typed_refusal(select, both, where):
+    """Refused the same way whichever join is filtered — it used to be
+    ``join_output_schema``'s OperatorError unfiltered and an accepted
+    statement (``e.x`` as ``build_x``, ``d.x`` as ``x``) once ``d`` was
+    filtered — and the message names both columns."""
+    with pytest.raises(SqlSyntaxError, match="would both be named") as info:
+        _names(f"{select} {_FDE}{where}")
+    assert all(name in str(info.value) for name in both)
+
+
+def test_join_name_refusals_reach_sql_callers_typed():
+    """End to end: ``sql()`` raises the binder's SqlSyntaxError, never the
+    join kernel's OperatorError."""
+    from repro.core.api import FarviewClient
+    from repro.core.node import FarviewNode
+    from repro.core.table import FTable
+    from repro.sim.engine import Simulator
+
+    client = FarviewClient(FarviewNode(Simulator()))
+    client.open_connection()
+    for name, schema in _NAMING.items():
+        rows = schema.empty(8)
+        for column in schema.names:
+            rows[column] = np.arange(8)
+        table = FTable(name, schema, len(rows))
+        client.alloc_table_mem(table)
+        client.table_write(table, rows)
+    for placement in ("offload", "ship"):
+        with pytest.raises(SqlSyntaxError, match="would both be named"):
+            client.sql(f"SELECT e.x, d.x {_FDE}", placement=placement)
+    result, _ = client.sql(
+        "SELECT e.x, f.x AS fx FROM f JOIN e ON f.j = e.j WHERE e.z > 2")
+    assert result.schema.names == ("build_x", "fx")
+    assert result.rows()["build_x"].tolist() == [3, 4, 5, 6, 7]
+
+
+def test_select_order_is_kept_over_an_aggregate():
+    """The select list, not ``GROUP BY`` columns then aggregates, orders
+    the output (the shared binder hid this from every sha comparison)."""
+    schemas = dict(fact=_FACT, dim=_DIM)
+    bound = bind_select(parse_sql(
+        f"SELECT SUM(v) AS sv, k {_ON} GROUP BY k"), _Catalog(**schemas))
+    assert bound.schema.names == ("sv", "k")
+    bound = bind_select(parse_sql(
+        "SELECT COUNT(*) AS n FROM fact GROUP BY k"), _Catalog(**schemas))
+    assert bound.schema.names == ("n",)
+
+
+def test_order_by_resolves_against_the_select_list_only():
+    bound = bind_select(parse_sql("SELECT v AS key FROM f ORDER BY f.v"),
+                        _Catalog(**_NAMING))
+    assert bound.ops[-1].keys == (("key", True),)
+    with pytest.raises(SqlSyntaxError, match="must appear in the select"):
+        _names("SELECT v FROM f ORDER BY f.x")
+    with pytest.raises(SqlSyntaxError, match="unknown column 'nosuch'"):
+        _names("SELECT v FROM f ORDER BY nosuch")

@@ -562,6 +562,13 @@ SQL_CELLS = {
             (zone, len(vs), max(vs)) for zone, vs in _cell_groups(
                 _cell_matches(fact, dim), lambda f, d: float(d["v"])
             ).items())),
+    # An un-aliased build column whose name the fact table also has is
+    # ``build_v`` wherever its join runs (it was ``v`` on a client arm).
+    "select-shared-name": (
+        f"SELECT k, dim.v {_CELL_ON}",
+        lambda fact, dim: sorted(
+            (int(f["k"]), float(d["v"]))
+            for f, d in _cell_matches(fact, dim))),
     # GROUP BY a payload column: post-join stages see the post-join schema.
     "group-by-build-column": (
         f"SELECT zone, SUM(v) AS s {_CELL_ON} GROUP BY zone",
@@ -572,6 +579,20 @@ SQL_CELLS = {
 }
 
 
+def _cell_client(num_nodes: int, fact, dim):
+    if num_nodes == 1:
+        client = single_client()
+        upload(client, "dim", CELL_DIM, dim)
+        upload(client, "fact", CELL_FACT, fact)
+        return client
+    client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
+                                          TEST_CONFIG))
+    client.open_connection()
+    client.create_table("dim", CELL_DIM, dim)
+    client.create_table("fact", CELL_FACT, fact)
+    return client
+
+
 @pytest.mark.parametrize("num_nodes", [1, 2])
 @pytest.mark.parametrize("placement", ["offload", "ship", "auto"])
 @pytest.mark.parametrize("cell", SQL_CELLS)
@@ -580,22 +601,42 @@ def test_sql_join_cells_match_model(cell, placement, num_nodes):
 
     statement, oracle = SQL_CELLS[cell]
     fact, dim = _cell_tables()
-    if num_nodes == 1:
-        client = single_client()
-        upload(client, "dim", CELL_DIM, dim)
-        upload(client, "fact", CELL_FACT, fact)
-    else:
-        client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
-                                              TEST_CONFIG))
-        client.open_connection()
-        client.create_table("dim", CELL_DIM, dim)
-        client.create_table("fact", CELL_FACT, fact)
+    client = _cell_client(num_nodes, fact, dim)
     result, _ = client.sql(statement, placement=placement)
     schema, rows = execute_model(
         statement, {"fact": (CELL_FACT, fact), "dim": (CELL_DIM, dim)})
     assert result.schema == schema
     assert sha(canonical_result_bytes(result)) == sha(schema.to_bytes(rows))
     assert sorted(result.rows().tolist()) == oracle(fact, dim)
+
+
+def _and_where(statement: str, conjunct: str) -> str:
+    """``statement`` with one more top-level WHERE conjunct."""
+    if " WHERE " in statement:
+        return statement.replace(" WHERE ", f" WHERE {conjunct} AND ", 1)
+    head, group, tail = statement.partition(" GROUP BY ")
+    return f"{head} WHERE {conjunct}{group}{tail}"
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+@pytest.mark.parametrize("placement", ["offload", "ship", "auto"])
+@pytest.mark.parametrize("cell", SQL_CELLS)
+def test_an_always_true_conjunct_changes_nothing(cell, placement, num_nodes):
+    """Metamorphic: ``<table>.<column> >= <its minimum>`` on either FROM
+    table moves that table's join between the head's on-chip hash and a
+    client arm over a pruned scan — which must change neither
+    acceptance, nor the output names, nor one result byte."""
+    statement, _oracle = SQL_CELLS[cell]
+    fact, dim = _cell_tables()
+    baseline, _ = _cell_client(num_nodes, fact, dim).sql(
+        statement, placement=placement)
+    for conjunct in (f"fact.k >= {fact['k'].min()}",
+                     f"dim.id >= {dim['id'].min()}"):
+        variant, _ = _cell_client(num_nodes, fact, dim).sql(
+            _and_where(statement, conjunct), placement=placement)
+        assert variant.schema.names == baseline.schema.names, conjunct
+        assert (canonical_result_bytes(variant)
+                == canonical_result_bytes(baseline)), conjunct
 
 
 # ---------------------------------------------------------------------------

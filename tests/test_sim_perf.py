@@ -519,7 +519,9 @@ def test_one_hash_one_probe_in_src():
     scalar stages, lowering helpers and eighth key packing, and the
     per-tuple GROUP BY's object mirror, queue and overflow dict (code and
     docs), and the view engine's dict Z-set and per-entry index loops, and
-    the data plane's ``AllOf`` fan-ins and per-packet lambdas."""
+    the data plane's ``AllOf`` fan-ins and per-packet lambdas, and the
+    binder's clause record with its un-stacking walk — and the reference
+    model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -539,7 +541,12 @@ def test_one_hash_one_probe_in_src():
                                "RegexStage", "ProjectStage", "EvalStage",
                                "_query_stages", "_make_join_stage",
                                "state_entries", "_acc_mirror",
-                               "_insertion_queue", "._overflow_groups")),
+                               "_insertion_queue", "._overflow_groups",
+                               "SelectParts", "unstack_select")),
+            # The oracle interprets the resolved tree: no binder, head
+            # Query or Bound* record on its side of a comparison.
+            (("src/repro/baselines",), ("bind_select", "Bound", "Query(",
+                                        "core.query")),
             # The dict Z-set lives on only as the oracle of
             # tests/test_core_zset.py: no image -> weight dict, per-entry
             # index merge or per-row bootstrap in the view engine.
