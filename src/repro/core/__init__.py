@@ -10,7 +10,6 @@ from .catalog import Catalog
 from .cost_model import PlacementCostModel, PlanStats, estimate_chain
 from .planner import (
     ExplainPlan,
-    PlacementPlan,
     build_fragment,
     operator_chain,
     plan_placement,
@@ -28,7 +27,6 @@ from .pipeline_compiler import (
     CompiledQuery,
     choose_smart_addressing,
     compile_query,
-    explain,
 )
 from .query import (
     JoinSpec,
@@ -59,7 +57,6 @@ __all__ = [
     "PlanStats",
     "estimate_chain",
     "ExplainPlan",
-    "PlacementPlan",
     "build_fragment",
     "operator_chain",
     "plan_placement",
@@ -80,7 +77,6 @@ __all__ = [
     "CompiledQuery",
     "choose_smart_addressing",
     "compile_query",
-    "explain",
     "JoinSpec",
     "Query",
     "RegexFilter",

@@ -68,9 +68,9 @@ from .catalog import Catalog
 from .compile import ParsedWrite, bind_select, parse_sql
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, view_circuit_cost_ns)
-from .planner import (DagPlan, ExplainPlan, PlacementPlan, StagePlan,
+from .planner import (ExplainPlan, build_fragment, client_steps,
                       operator_chain, plan_placement, run_client_join,
-                      run_client_kernel, run_client_steps)
+                      run_client_kernel)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       aggregate_output_schema, group_output_schema,
                       join_strategies, merge_aggregate_rows,
@@ -99,8 +99,8 @@ class QueryResult:
     query's DISTINCT key).  Every other execution sets
     ``merged`` — the final rows after the client-side work: the
     scatter-gather merge (``parts`` are the per-shard results, shard
-    order), or the software remainder of a planned / compiled execution
-    (``parts`` are the offloaded fragment or stage results, ``read_bytes``
+    order), or the client tail of a planned / compiled execution
+    (``parts`` are the head and arm Query results, ``read_bytes``
     what the client read raw, ``client_cost`` the modeled client time —
     already included in ``response_time_ns``, the simulator clock having
     been advanced by it, matching the paper's "until the final results
@@ -115,12 +115,12 @@ class QueryResult:
     #: The :class:`Query` a direct node execution ran: what ``rows()``
     #: dedups on and merges overflowed groups by.
     query: Optional[Query] = None
-    #: :class:`~repro.core.planner.ExplainPlan` (planned executions) or
-    #: :class:`~repro.core.planner.DagPlan` (compiled SQL); ``None`` on
-    #: the plan-free offload path.
-    explain: Optional[ExplainPlan | DagPlan] = None
-    #: Sub-results: per-shard results of a scatter-gather, or the
-    #: offloaded fragment / stage results of a planned execution.
+    #: The :class:`~repro.core.planner.ExplainPlan` of a planned
+    #: execution or a compiled statement; ``None`` on the plan-free
+    #: offload path.
+    explain: Optional[ExplainPlan] = None
+    #: Sub-results: per-shard results of a scatter-gather, or the head
+    #: and arm Query results of a client tail.
     parts: list["QueryResult"] = field(default_factory=list)
     client_cost: Optional[CostBreakdown] = None
     #: Resolved scatter strategy of a cluster join (``broadcast`` /
@@ -182,6 +182,17 @@ class QueryResult:
         """Bytes the nodes' pipelines ingested for this result."""
         own = self.report.bytes_scanned if self.report is not None else 0
         return own + sum(p.bytes_scanned for p in self.parts)
+
+
+def _node(result: QueryResult, query: Query) -> ExplainPlan:
+    """The placement node of the Query ``result`` ran: the planner's
+    record, or the plan-free offload path's (whole chain offloaded,
+    nothing estimated)."""
+    if result.explain is not None:
+        return result.explain
+    chain = operator_chain(query)
+    return ExplainPlan("offload", "offload", len(chain), chain,
+                       join_strategy=result.join_strategy)
 
 
 def _client_compute(sim, ns: float):
@@ -676,14 +687,29 @@ class ClusterClient:
         def attempt(placement, refuse_join_offload=False):
             plan = self.plan(table, query, placement, stats, lease_manager,
                              refuse_join_offload, epoch, join_strategy)
-            if not plan.full_offload:
-                return self._run_split(table, epoch, query, plan,
-                                       join_strategy)
-            result, elapsed = _run(
-                self.sim, self._offload_proc(table, query, epoch,
-                                             join_strategy), "far_view")
-            plan.explain.actual_ns = elapsed
-            result.explain = plan.explain
+
+            def head(cost, steps):
+                # Ship reads the table raw; hybrid offloads the prefix
+                # and reads its result.
+                if plan.chosen == "ship":
+                    rows, schema, shipped = self._ship_read(table, epoch,
+                                                            steps, cost)
+                    return rows, schema, [], shipped
+                fragment = build_fragment(query, plan.chain, plan.split)
+                result, _ = _run(self.sim, self._offload_proc(
+                    table, fragment, epoch, join_strategy), "far_view")
+                cost.add("read", self.cpu.read_ns(result.bytes_shipped))
+                return result.rows(), result.schema, [result], 0
+
+            if plan.chosen == "offload":
+                result, elapsed = _run(
+                    self.sim, self._offload_proc(table, query, epoch,
+                                                 join_strategy), "far_view")
+            else:
+                result, elapsed = self._run_tail(
+                    table, epoch, head, client_steps(query, plan.split))
+            plan.actual_ns = elapsed
+            result.explain = plan
             return result, elapsed
 
         try:
@@ -703,9 +729,10 @@ class ClusterClient:
     def plan(self, table, query: Query, placement: str = "auto",
              stats: PlanStats | None = None, lease_manager=None,
              refuse_join_offload: bool = False, as_of: int | None = None,
-             join_strategy: str | None = None) -> PlacementPlan:
+             join_strategy: str | None = None) -> ExplainPlan:
         """Plan (but do not run) ``query`` over the table's shards:
         offload, ship, or hybrid — where should each operator go?
+        Returns the decision's :class:`~repro.core.planner.ExplainPlan`.
 
         Estimates use table-level cardinalities with per-shard streaming
         parallelism; the region-residency check samples the first
@@ -717,8 +744,7 @@ class ClusterClient:
         saturated pool into the offload side.  Joins fold the resolved
         scatter strategy in: partitioned strategies size the per-node
         build at ``1/N``, an uncached shuffle charges its wire movement
-        against the offload side, and the strategy lands on the
-        :class:`~repro.core.planner.ExplainPlan`.
+        against the offload side, and the strategy lands on the plan.
         """
         table, epoch = self._bind(table, as_of)
         first = table.shards[0]
@@ -748,62 +774,67 @@ class ClusterClient:
             join_strategy=strategy, join_transfer_ns=join_transfer_ns,
             join_build_shards=join_build_shards, **snapshot)
 
-    def _client_side(self, explain, body):
-        """The one client-side tail of ship, hybrid and compiled
-        executions: open a :class:`CostBreakdown` with the setup charge,
-        let ``body(cost)`` fetch and compute (returning ``(rows, schema,
-        parts, read_bytes)``), charge the result write, advance the
-        simulator clock by the modeled client time and stamp ``explain``
-        with the actual response time."""
+    def _run_tail(self, table: Table, epoch: int | None, head, steps,
+                  placement: str = "offload", stats=None):
+        """The one client tail, of a ship / hybrid split and of a
+        compiled statement alike: land ``head(cost, steps)`` — which
+        returns ``(rows, schema, parts, read_bytes)`` — then walk
+        ``steps``, a ``(kernel, op)`` list
+        (:func:`~repro.core.planner.client_steps`).  A ``join`` step
+        reads its arm's build side — raw, or through the arm's own Query
+        placed under ``placement`` — and probes it
+        (:func:`~repro.core.planner.run_client_join`); every other step
+        is :func:`~repro.core.planner.run_client_kernel`.
+
+        One snapshot per statement: ``table`` at ``epoch`` and every
+        versioned build side are bound and pinned before any simulated
+        time passes and released after the last read, so a writer
+        committing mid-statement reaches none of its reads.  The modeled
+        client time — setup, reads, kernels, the result write — then
+        advances the simulator clock.  Returns ``(result,
+        elapsed_ns)``."""
         sim, cpu = self.sim, self.cpu
         start = sim.now
+        snapshot = [(table, epoch)] + [self._bind(op.build)
+                                       for name, op in steps if name == "join"]
+        epochs = {handle.name: at for handle, at in snapshot}
+        pins = [(shard, shard.chain.pin(at)) for handle, at in snapshot
+                if at is not None for shard in handle.shards]
         cost = CostBreakdown()
         cost.add("setup", cpu.setup_ns())
-        rows, schema, parts, read_bytes = body(cost)
+        try:
+            rows, schema, parts, read_bytes = head(cost, steps)
+            for name, op in steps:
+                if name != "join":
+                    rows, schema = run_client_kernel(name, op, rows, schema,
+                                                     cpu, cost)
+                    continue
+                if op.query is None:
+                    build_rows, shipped = self._read_build_rows(
+                        op.build, epochs[op.table])
+                    build_schema = op.build.schema
+                    cost.add("read", cpu.read_ns(shipped))
+                    read_bytes += shipped
+                else:
+                    build, _ = self._placed(op.build, op.query, placement,
+                                            stats, as_of=epochs[op.table])
+                    build_rows, build_schema = build.rows(), build.schema
+                    parts.append(build)
+                rows, schema = run_client_join(rows, schema, build_rows,
+                                               build_schema, op, cpu, cost)
+        finally:
+            for shard, token in reversed(pins):
+                self._sessions[shard.node_index]._release_pin(shard.chain,
+                                                              token)
         cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
         _run(sim, _client_compute(sim, cost.total_ns), "client-compute")
         elapsed = sim.now - start
-        explain.actual_ns = elapsed
         result = QueryResult(schema=schema, merged=rows,
-                             response_time_ns=elapsed, explain=explain,
-                             parts=parts, client_cost=cost,
-                             read_bytes=read_bytes)
+                             response_time_ns=elapsed, parts=parts,
+                             client_cost=cost, read_bytes=read_bytes)
         return result, elapsed
 
-    def _run_split(self, table: Table, epoch: int | None, query: Query,
-                   plan: PlacementPlan, join_strategy: str | None):
-        """Ship / hybrid execution of ``plan``: read the shipped join's
-        build side, then either the raw table (ship) or the offloaded
-        fragment's result (hybrid), and finish with
-        :func:`~repro.core.planner.run_client_steps`."""
-
-        def body(cost):
-            cpu = self.cpu
-            steps = list(plan.client_steps)
-            build_rows, read_bytes = None, 0
-            if "join" in steps:
-                build_rows, read_bytes = self._read_build_rows(
-                    query.join.build_table)
-                cost.add("read", cpu.read_ns(read_bytes))
-            if plan.fragment is None:
-                rows, schema, shipped = self._ship_read(table, epoch, steps,
-                                                        cost)
-                read_bytes += shipped
-                parts = []
-            else:
-                fragment, _ = _run(
-                    self.sim, self._offload_proc(table, plan.fragment, epoch,
-                                                 join_strategy), "far_view")
-                rows, schema = fragment.rows(), fragment.schema
-                cost.add("read", cpu.read_ns(fragment.bytes_shipped))
-                parts = [fragment]
-            rows, schema = run_client_steps(rows, schema, steps, query, cpu,
-                                            cost, build_rows=build_rows)
-            return rows, schema, parts, read_bytes
-
-        return self._client_side(plan.explain, body)
-
-    def _ship_read(self, table: Table, epoch: int | None, steps: list[str],
+    def _ship_read(self, table: Table, epoch: int | None, steps: list,
                    cost: CostBreakdown):
         """Blocking raw read of the whole table for a ship plan; returns
         ``(rows, schema, bytes_shipped)``.  Charges what turning the
@@ -821,7 +852,7 @@ class ClusterClient:
             return rows, table.schema, shipped
         data, _ = self.table_read(table)
         cost.add("read", cpu.read_ns(len(data)))
-        if steps and steps[0] == "decrypt":
+        if steps and steps[0][0] == "decrypt":
             # Only a caller-placed segment can be encrypted; the pool's
             # create loop writes plaintext shards.
             base = table.shards[0].chain.base
@@ -830,79 +861,18 @@ class ClusterClient:
             del steps[0]
         return table.schema.from_bytes(data), table.schema, len(data)
 
-    def _read_build_rows(self, build):
-        """Raw read + decode of a shipped join's build side —
-        :meth:`read_version_proc` at the current epoch for a versioned
-        one, one raw read per shard otherwise.  Returns ``(build_rows,
+    def _read_build_rows(self, build, as_of: int | None):
+        """Raw read + decode of a join arm's build side —
+        :meth:`read_version_proc` at ``as_of`` for a versioned one, one
+        raw read per shard otherwise.  Returns ``(build_rows,
         bytes_shipped)``."""
         build = as_table(build)
         if build.versioned:
             (rows, _ids, shipped), _ = _run(
-                self.sim, self.read_version_proc(build), "read_build")
+                self.sim, self.read_version_proc(build, as_of), "read_build")
             return rows, shipped
         data, _ = self.table_read(build)
         return build.schema.from_bytes(data), len(data)
-
-    # -- compiled SQL: a DAG of placed stages + client kernels --------------
-    def _run_stage(self, handle, query: Query, placement: str, stats,
-                   dag: DagPlan, name: str) -> QueryResult:
-        """Execute one offloadable stage of a compiled DAG and record its
-        placement decision.  Each stage is priced independently through
-        the planner — the per-stage composition IS the DAG
-        generalization of :func:`~repro.core.planner.plan_placement`; a
-        stage without an explain ran on the plan-free offload path."""
-        result, _ = self._placed(handle, query, placement, stats)
-        explain = result.explain
-        strategy = ((explain.join_strategy if explain is not None else None)
-                    or result.join_strategy)
-        notes = ([] if explain is not None else ["pinned"]) \
-            + ([f"join={strategy}"] if strategy else [])
-        dag.stages.append(StagePlan(
-            name, explain.chosen if explain is not None else "offload",
-            explain=explain, note=", ".join(notes)))
-        return result
-
-    def _run_compiled(self, bound, placement: str, stats):
-        """Execute a bound SELECT that leaves work for the client.
-
-        Stage 0 runs the head :class:`~repro.core.query.Query`; each
-        :class:`~repro.core.compile.BoundArm` reads its build side (raw,
-        or through its own placed Query) and joins client-side; the
-        remaining bound kernels (expression projection, aggregation,
-        HAVING filter, DISTINCT, ORDER BY, LIMIT) run in client software
-        with their modeled cost advancing the simulator clock — the
-        same tail, and the same kernels, as :meth:`_run_split`.
-        """
-        dag = DagPlan(requested=placement)
-
-        def body(cost):
-            cpu = self.cpu
-            head = self._run_stage(bound.base, bound.query, placement, stats,
-                                   dag, "scan")
-            rows, schema = head.rows(), head.schema
-            parts, read_bytes = [head], 0
-            for arm in bound.arms:
-                stage_name = f"build({arm.table})"
-                if arm.query is None:
-                    build_rows, shipped = self._read_build_rows(arm.build)
-                    build_schema = arm.build.schema
-                    cost.add("read", cpu.read_ns(shipped))
-                    read_bytes += shipped
-                    dag.stages.append(StagePlan(stage_name, "ship",
-                                                note="raw build read"))
-                else:
-                    build = self._run_stage(arm.build, arm.query, placement,
-                                            stats, dag, stage_name)
-                    build_rows, build_schema = build.rows(), build.schema
-                    parts.append(build)
-                rows, schema = run_client_join(rows, schema, build_rows,
-                                               build_schema, arm, cpu, cost)
-            for op in bound.ops:
-                rows, schema = run_client_kernel(op.kernel, op, rows, schema,
-                                                 cpu, cost)
-            return rows, schema, parts, read_bytes
-
-        return self._client_side(dag, body)
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
     def select(self, table, columns: list[str] | None,
@@ -956,7 +926,30 @@ class ClusterClient:
         if not bound.arms and not bound.ops:
             # Nothing left for the client: the statement is its head query.
             return self._placed(bound.base, bound.query, placement, stats)
-        return self._run_compiled(bound, placement, stats)
+        # The head is placed like any Query (a ship / hybrid head runs
+        # its own tail); the arms and the bound ops are the client steps.
+        table, epoch = self._bind(bound.base)
+        steps = ([("join", arm) for arm in bound.arms]
+                 + [(op.kernel, op) for op in bound.ops])
+
+        def head(cost, steps):
+            result, _ = self._placed(table, bound.query, placement, stats,
+                                     as_of=epoch)
+            return result.rows(), result.schema, [result], 0
+
+        result, elapsed = self._run_tail(table, epoch, head, steps,
+                                         placement, stats)
+        placed = iter(result.parts)
+        record = _node(next(placed), bound.query)
+        tail = []
+        for name, op in steps:
+            if name == "join":
+                tail.append((f"join({op.table})", None if op.query is None
+                             else _node(next(placed), op.query)))
+            else:
+                tail.append((name, None))
+        result.explain = replace(record, tail=tail, actual_ns=elapsed)
+        return result, elapsed
 
     def _require_versioned(self, table) -> Table:
         table = as_table(table)

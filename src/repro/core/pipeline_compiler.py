@@ -248,41 +248,3 @@ def compile_query(query: Query, table: FTable,
                          sa_plan=sa_plan, lanes=lanes,
                          join_op=join_op, join_build_table=join_build,
                          join_build_view=join_view)
-
-
-def explain(query: Query, table: FTable, config: FarviewConfig) -> str:
-    """Render the execution plan for a query, EXPLAIN-style.
-
-    Shows the chosen ingest mode (with the Figure-7 cost comparison when
-    smart addressing was considered), the operator pipeline as deployed in
-    the dynamic region, and the expected per-stage resource footprint.
-    """
-    compiled = compile_query(query, table, config)
-    lines = [f"Farview plan for {table.name!r} ({table.num_rows} rows x "
-             f"{table.schema.row_width} B):"]
-    lines.append(f"  ingest: {compiled.ingest_mode} "
-                 f"({compiled.ingest_rate:.1f} GB/s into the region"
-                 + (f", {compiled.lanes} lanes" if compiled.lanes > 1 else "")
-                 + ")")
-    if query.is_projection_only and query.smart_addressing is None:
-        std = _standard_cost_per_tuple(table.schema.row_width, config)
-        plan = SmartAddressingPlan(table.schema, list(query.projection or ()))
-        sa = _sa_cost_per_tuple(plan, config)
-        lines.append(f"  planner: standard {std:.1f} ns/tuple vs smart "
-                     f"addressing {sa:.1f} ns/tuple -> "
-                     f"{'smart' if sa < std else 'standard'}")
-    lines.append("  pipeline:")
-    for name in compiled.pipeline.operator_names:
-        lines.append(f"    -> {name}")
-    lines.append("    -> packing -> sending")
-    if compiled.join_build_table is not None:
-        build = compiled.join_build_table
-        lines.append(f"  build side: {build.name!r} ({build.num_rows} rows) "
-                     f"loaded into on-chip hash at query start")
-    elif compiled.join_build_view is not None:
-        view = compiled.join_build_view
-        lines.append(f"  build side: {view.name!r} pinned at epoch "
-                     f"{view.epoch} (base + {len(view.deltas)} delta "
-                     f"segment(s)) merged into on-chip hash at query start")
-    lines.append(f"  region bitstream: {compiled.signature}")
-    return "\n".join(lines)

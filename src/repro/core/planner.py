@@ -40,8 +40,15 @@ Split-validity notes:
   side — under ``placement="auto"`` the planner then routes the join to
   the client instead of failing.
 
+Whatever runs at the client is one list of ``(kernel, op)`` steps,
+produced by :func:`client_steps` for the suffix of a split chain (a
+compiled statement appends its arms and bound ops) and run by the one
+client executor — the same list a view circuit compiles into stages.
+
 The decision, the estimates it was based on, and the eventually measured
-time are exposed as an :class:`ExplainPlan` for observability.
+time are the one placement record, :class:`ExplainPlan`: one node per
+Query, the split a parameter of that node, a compiled statement's node
+carrying its client tail and each arm Query's node.
 """
 
 from __future__ import annotations
@@ -69,9 +76,10 @@ from ..common.errors import JoinBuildOverflowError, QueryError
 from ..common.records import Schema
 from ..operators.join import join_output_schema
 from .cluster import aggregate_output_schema, group_output_schema
-from .cost_model import (HASHMAP_GROWTH_THRESHOLD, CardinalityStep,
-                         PlacementCostModel, PlanStats, delta_merge_cost_ns,
-                         estimate_chain, join_build_profile)
+from .compile import BoundArm
+from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
+                         PlanStats, delta_merge_cost_ns, estimate_chain,
+                         join_build_profile)
 from .ir import eval_items
 from .pipeline_compiler import compile_query
 from .query import Query
@@ -101,6 +109,25 @@ def operator_chain(query: Query) -> list[str]:
     elif query.aggregates:
         chain.append("aggregate")
     return chain
+
+
+def client_steps(query: Query, split: int) -> list[tuple[str, object]]:
+    """The client's share of ``query`` split at ``split``: one ``(name,
+    op)`` step per operator of ``operator_chain(query)[split:]``.  ``op``
+    is ``query`` itself, except that a ``join`` becomes a raw-read
+    :class:`~repro.core.compile.BoundArm` over the join's build table —
+    the vocabulary a compiled statement's tail is written in.  ``split
+    == 0`` is the whole chain: the list a view circuit compiles."""
+    steps: list[tuple[str, object]] = []
+    for name in operator_chain(query)[split:]:
+        if name == "join":
+            spec = query.join
+            steps.append((name, BoundArm(
+                spec.build_table, spec.build_table.name, None,
+                spec.build_key, spec.probe_key, spec.payload)))
+        else:
+            steps.append((name, query))
+    return steps
 
 
 def build_fragment(query: Query, chain: list[str], split: int) -> Optional[Query]:
@@ -151,24 +178,35 @@ class Candidate:
 
 @dataclass
 class ExplainPlan:
-    """The planner's decision record: chosen placement per operator,
-    estimated cost of every candidate, and (once executed) actual ns."""
+    """The one placement record: the node of one Query — chosen
+    placement per operator (the split), estimated cost of every
+    candidate, and (once executed) actual ns.
+
+    A Query run on the plan-free offload path has a node with no
+    candidates, its whole chain offloaded.  A compiled statement's
+    record is its head Query's node plus ``tail``: the client steps
+    after the head, in run order, each join arm's ``join(<table>)``
+    step carrying the node of the arm's own build Query (``None``: the
+    build was read raw).
+    """
 
     requested: str
     chosen: str                         # "offload" | "ship" | "hybrid"
     split: int
     chain: list[str]
-    candidates: list[Candidate]
-    est_chosen_ns: float
-    est_offload_ns: float
-    est_ship_ns: float
-    stats: PlanStats
+    candidates: list[Candidate] = field(default_factory=list)
+    est_chosen_ns: float = float("nan")
+    est_offload_ns: float = float("nan")
+    est_ship_ns: float = float("nan")
+    stats: PlanStats = field(default_factory=PlanStats)
     actual_ns: Optional[float] = None
     #: Distributed-join build strategy for cluster queries: one of
     #: ``broadcast`` / ``colocated`` / ``shuffle`` when the chosen
     #: fragment offloads the join, ``ship`` when the join runs in client
     #: software, ``None`` for join-less or single-node queries.
     join_strategy: Optional[str] = None
+    tail: list[tuple[str, Optional[ExplainPlan]]] = field(
+        default_factory=list)
 
     @property
     def placements(self) -> list[tuple[str, str]]:
@@ -185,6 +223,12 @@ class ExplainPlan:
             lines.append(f"  {op:<10} -> {where}")
         if not self.chain:
             lines.append("  (raw read: no offloadable operators)")
+        for step, arm in self.tail:
+            lines.append(f"  {step:<10} -> client"
+                         + (", build read raw" if step.startswith("join")
+                            and arm is None else ""))
+            if arm is not None:
+                lines += ["    " + sub for sub in arm.render().splitlines()]
         for cand in self.candidates:
             marker = "*" if cand.split == self.split else " "
             lines.append(
@@ -192,28 +236,15 @@ class ExplainPlan:
                 f"  (node {cand.node_ns / 1000:.1f} + client "
                 f"{cand.client_ns / 1000:.1f}"
                 + (", cold region" if cand.cold else "") + ")")
-        line = f"  estimated: {self.est_chosen_ns / 1000:.1f} us"
+        # A compiled statement's estimate prices its head Query only.
+        times = ([f"estimated: {self.est_chosen_ns / 1000:.1f} us"
+                  + (" (head)" if self.tail else "")]
+                 if self.candidates else [])
         if self.actual_ns is not None:
-            line += f", actual: {self.actual_ns / 1000:.1f} us"
-        lines.append(line)
+            times.append(f"actual: {self.actual_ns / 1000:.1f} us")
+        if times:
+            lines.append("  " + ", ".join(times))
         return "\n".join(lines)
-
-
-@dataclass
-class PlacementPlan:
-    """Everything needed to execute one placed query."""
-
-    query: Query
-    chain: list[str]
-    split: int
-    fragment: Optional[Query]          # None => raw read (full ship)
-    client_steps: list[str]            # suffix executed in software
-    steps: list[CardinalityStep]       # full-chain cardinality estimates
-    explain: ExplainPlan
-
-    @property
-    def full_offload(self) -> bool:
-        return self.fragment is not None and not self.client_steps
 
 
 def _requires_full_offload(query: Query) -> Optional[str]:
@@ -237,8 +268,11 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
                    refuse_join_offload: bool = False,
                    join_strategy: Optional[str] = None,
                    join_transfer_ns: float = 0.0,
-                   join_build_shards: int = 1) -> PlacementPlan:
-    """Choose where each operator of ``query`` runs.
+                   join_build_shards: int = 1) -> ExplainPlan:
+    """Choose where each operator of ``query`` runs; returns the
+    decision's :class:`ExplainPlan`, whose offloaded fragment is
+    ``build_fragment(query, chain, split)`` (``None`` when ``chosen ==
+    "ship"``) and whose client share is ``client_steps(query, split)``.
 
     ``table`` provides the schema and (for fragments) the compile
     context; for a sharded table pass one shard's :class:`FTable` plus
@@ -409,10 +443,6 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
             "intermediate does not fit the client buffer")
     best = min(candidates, key=lambda c: (c.total_ns, -c.split))
     chosen = "hybrid" if best.label.startswith("hybrid") else best.label
-    if best.label == "ship":
-        best_fragment = None
-    else:
-        best_fragment = build_fragment(query, chain, best.split)
     by_label = {c.label: c.total_ns for c in candidates}
     explain = ExplainPlan(
         requested=placement, chosen=chosen, split=best.split, chain=chain,
@@ -420,11 +450,9 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
         est_offload_ns=by_label.get("offload", float("nan")),
         est_ship_ns=by_label.get("ship", float("nan")), stats=stats)
     if query.join is not None and join_strategy is not None:
-        offloaded = best_fragment is not None and best_fragment.join is not None
+        offloaded = chosen != "ship" and "join" in chain[:best.split]
         explain.join_strategy = join_strategy if offloaded else "ship"
-    return PlacementPlan(
-        query=query, chain=chain, split=best.split, fragment=best_fragment,
-        client_steps=chain[best.split:], steps=steps, explain=explain)
+    return explain
 
 
 # ---------------------------------------------------------------------------
@@ -501,83 +529,3 @@ def run_client_join(rows: np.ndarray, schema: Schema,
     rows = software_join(rows, schema, build_rows, build_schema,
                          spec.build_key, spec.probe_key, payload)
     return rows, join_output_schema(schema, build_schema, payload)
-
-
-def run_client_steps(rows: np.ndarray, schema: Schema, steps: list[str],
-                     query: Query, cpu: CpuCostModel,
-                     cost: CostBreakdown,
-                     build_rows: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, Schema]:
-    """Execute the software remainder of a planned split over decoded
-    rows: each step of ``steps`` is a client kernel parameterized by
-    ``query``.  ``decrypt`` is a byte-level stage the caller must have
-    applied before decoding.  A shipped ``join`` step needs
-    ``build_rows`` — the build table's decoded rows, fetched by the
-    caller with a timed raw read.
-    """
-    for step in steps:
-        if step == "decrypt":
-            raise QueryError(
-                "decrypt is a byte-level stage; apply software_decrypt "
-                "before decoding rows")
-        if step == "join":
-            if build_rows is None:
-                raise QueryError(
-                    "shipped join needs the build table's rows; fetch "
-                    "them with a raw read before running client steps")
-            rows, schema = run_client_join(
-                rows, schema, build_rows, query.join.build_table.schema,
-                query.join, cpu, cost)
-        else:
-            rows, schema = run_client_kernel(step, query, rows, schema, cpu,
-                                             cost)
-    return rows, schema
-
-
-# ---------------------------------------------------------------------------
-# DAG placement (the compiled multi-stage path)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StagePlan:
-    """One independently placed stage of a compiled query DAG.
-
-    ``explain`` is the stage's own :class:`ExplainPlan` when the planner
-    priced it (ship/auto), ``None`` when the placement was pinned by the
-    requested mode (the ``note`` says which).
-    """
-
-    name: str                           # "scan", "build(<table>)", op name
-    placement: str                      # "offload" | "ship" | "hybrid" | "client"
-    explain: Optional[ExplainPlan] = None
-    note: str = ""
-
-
-@dataclass
-class DagPlan:
-    """The placement decision record for a compiled statement.
-
-    Generalizes :class:`ExplainPlan` from a prefix split of one operator
-    chain to per-stage decisions over the lowered DAG: the head scan and
-    every join-arm build read are placed independently (each through
-    :func:`plan_placement`), the remaining client kernels always run at
-    the client.
-    """
-
-    requested: str
-    stages: list[StagePlan] = field(default_factory=list)
-    actual_ns: Optional[float] = None
-
-    def render(self) -> str:
-        lines = [f"DAG placement plan (requested={self.requested}):"]
-        for stage in self.stages:
-            line = f"  {stage.name:<18} -> {stage.placement}"
-            if stage.note:
-                line += f"  ({stage.note})"
-            lines.append(line)
-            if stage.explain is not None:
-                for sub in stage.explain.render().splitlines():
-                    lines.append("    " + sub)
-        if self.actual_ns is not None:
-            lines.append(f"  actual: {self.actual_ns / 1000:.1f} us")
-        return "\n".join(lines)

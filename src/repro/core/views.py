@@ -26,10 +26,11 @@ the delta, never a Python step per row:
 
 **A circuit computes nothing of its own.**  It keeps what is
 incremental — weights, multiplicities, member multisets, join sides —
-and every value a stage emits comes from the kernel the client's ship /
-hybrid / compiled-SQL tails run for the same step
-(:func:`~repro.core.planner.run_client_kernel`): a view returns — and
-refuses — exactly what ``sql()`` of the same statement does.
+and its stages are the ``(kernel, op)`` steps the one client tail runs
+(:func:`~repro.core.planner.client_steps`), each value computed by that
+step's kernel (:func:`~repro.core.planner.run_client_kernel`): a view
+returns — and refuses — exactly what ``sql()`` of the same statement
+does.
 
 **Bootstrap is one circuit step**: the epoch-consistent snapshot of
 every versioned input goes through the empty circuit as an all-``+1``
@@ -62,9 +63,9 @@ from ..operators.aggregate import AggregateSpec
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from .cluster import group_output_schema
-from .compile import BoundArm, BoundSelect
+from .compile import BoundSelect
 from .ir import eval_items
-from .planner import operator_chain
+from .planner import client_steps
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
                          VersionChain, delete_schema, delta_schema)
 from .zset import ZSet, stage_slots
@@ -379,10 +380,10 @@ def _linear_stage(name: str, op, schema: Schema) -> _Stage:
 
 def compile_circuit(bound: BoundSelect) -> Circuit:
     """Compile a bound SELECT into an incremental circuit, one stage per
-    ``(name, op)`` step of the vocabulary
-    :func:`~repro.core.planner.run_client_kernel` executes: the head
-    query's :func:`~repro.core.planner.operator_chain`, one ``join`` per
-    arm, then the bound client ops.
+    ``(name, op)`` step of the list the client tail runs: the whole head
+    query as steps (:func:`~repro.core.planner.client_steps` at split 0,
+    its on-chip join an arm read raw), one ``join`` per arm, then the
+    bound client ops.
 
     Rejects shapes whose results depend on arrival order rather than
     content (ORDER BY, LIMIT, subset-DISTINCT) and inputs without a
@@ -393,19 +394,10 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
         raise QueryError(
             f"view base table {bound.table!r} is not versioned: only a "
             f"delta chain can drive incremental maintenance")
-    head = bound.query
-    head.validate(base.schema)
-    steps: list[tuple[str, object]] = []
-    for name in operator_chain(head):
-        if name == "join":      # the on-chip join is an arm read raw
-            spec = head.join
-            steps.append((name, BoundArm(
-                spec.build_table, spec.build_table.name, None,
-                spec.build_key, spec.probe_key, spec.payload)))
-        else:
-            steps.append((name, head))
-    steps += [("join", arm) for arm in bound.arms]
-    steps += [(op.kernel, op) for op in bound.ops]
+    bound.query.validate(base.schema)
+    steps = (client_steps(bound.query, 0)
+             + [("join", arm) for arm in bound.arms]
+             + [(op.kernel, op) for op in bound.ops])
 
     dynamic_tables: dict[str, object] = {bound.table: base}
     static_loads: list[tuple[JoinStage, object]] = []
@@ -417,12 +409,12 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
             build_schema = op.build.schema
             if op.query is not None:
                 op.query.validate(build_schema)
-                for sub in operator_chain(op.query):
+                for sub, sub_op in client_steps(op.query, 0):
                     if sub not in _ARM_STEPS:
                         raise QueryError(
                             f"build-side scans must stay linear "
                             f"({'/'.join(_ARM_STEPS)}) to be maintainable")
-                    prestages.append(_linear_stage(sub, op.query,
+                    prestages.append(_linear_stage(sub, sub_op,
                                                    build_schema))
                     build_schema = prestages[-1].out_schema
             stage: _Stage = JoinStage(

@@ -84,6 +84,18 @@ def test_sql_command(capsys):
     assert "more)" in out
 
 
+def test_sql_join_prints_the_arm_and_the_client_steps(capsys):
+    code, out, _ = run_cli(
+        capsys, "sql", "SELECT c, rate FROM demo JOIN dim ON demo.c = "
+        "dim.id WHERE dim.rate < 2.0 ORDER BY rate", "--rows", "64")
+    assert code == 0
+    plan = out.split("Placement plan", 1)[1]
+    # The filtered dim build is a client arm over its own placed scan.
+    assert "join(dim)  -> client" in plan
+    assert "selection  -> offload" in plan
+    assert "sort       -> client" in plan
+
+
 def test_sql_custom_table_name(capsys):
     code, out, _ = run_cli(
         capsys, "sql", "SELECT COUNT(*) FROM mytab", "--table", "mytab",

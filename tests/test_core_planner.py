@@ -66,7 +66,7 @@ class TestGoldenCrossovers:
         # 64 B tuples, 1 MB, cold region: ship wins the selective half,
         # offload wins once egress reduction stops paying for the
         # reconfiguration; the crossover sits between 0.50 and 0.75.
-        decisions = {sel: _plan_selection(sel, 64).explain.chosen
+        decisions = {sel: _plan_selection(sel, 64).chosen
                      for sel in (0.02, 0.1, 0.25, 0.5, 0.75, 1.0)}
         assert decisions == {0.02: "ship", 0.1: "ship", 0.25: "ship",
                              0.5: "ship", 0.75: "offload", 1.0: "offload"}
@@ -74,14 +74,14 @@ class TestGoldenCrossovers:
     def test_selection_crossover_moves_with_width(self):
         # Wider tuples -> fewer tuples -> cheaper client software -> the
         # ship region extends to higher selectivities.
-        assert _plan_selection(0.75, 64).explain.chosen == "offload"
-        assert _plan_selection(0.75, 512).explain.chosen == "ship"
+        assert _plan_selection(0.75, 64).chosen == "offload"
+        assert _plan_selection(0.75, 512).chosen == "ship"
 
     def test_selection_tiny_table_ships(self):
         # A 64 kB table cannot amortize the reconfiguration at all.
         for sel in (0.02, 0.5, 1.0):
             plan = _plan_selection(sel, 64, table_mb=1 / 16)
-            assert plan.explain.chosen == "ship", sel
+            assert plan.chosen == "ship", sel
 
     def test_distinct_crossover_512B(self):
         # DISTINCT over 512 B tuples, 1 MB, cold region: the unique
@@ -94,7 +94,7 @@ class TestGoldenCrossovers:
             plan = plan_placement(
                 query, _table(wide_schema, MB // 512), SCENARIO,
                 placement="auto", stats=PlanStats(distinct_ratio=ratio))
-            decisions[ratio] = plan.explain.chosen
+            decisions[ratio] = plan.chosen
         assert decisions == {0.02: "ship", 0.1: "ship", 0.25: "ship",
                              0.5: "ship", 0.75: "offload", 1.0: "offload"}
 
@@ -107,7 +107,7 @@ class TestGoldenCrossovers:
             plan = plan_placement(
                 query, _table(schema, MB // schema.row_width), SCENARIO,
                 placement="auto", stats=PlanStats(distinct_ratio=ratio))
-            assert plan.explain.chosen == "offload", ratio
+            assert plan.chosen == "offload", ratio
 
     def test_warm_region_always_offloads(self):
         # With the query's pipeline already resident there is no setup
@@ -120,7 +120,7 @@ class TestGoldenCrossovers:
                                   placement="auto",
                                   stats=PlanStats(selectivity=sel),
                                   loaded_signature=query.signature)
-            assert plan.explain.chosen == "offload", sel
+            assert plan.chosen == "offload", sel
 
 
 class TestChainAndFragments:
@@ -163,7 +163,7 @@ class TestChainAndFragments:
         assert fragment.join is None and fragment.predicate is not None
         plan = plan_placement(query, _table(schema, 1024), SCENARIO,
                               placement="ship")
-        assert plan.fragment is None and "join" in plan.client_steps
+        assert plan.chosen == "ship" and "join" in plan.chain[plan.split:]
 
     def test_join_build_overflow_refuses_offload_but_auto_ships(self):
         """An oversized build side is a typed refusal on the offload
@@ -184,7 +184,7 @@ class TestChainAndFragments:
                            placement="offload")
         plan = plan_placement(query, _table(schema, 1024), tiny,
                               placement="auto")
-        assert "join" in plan.client_steps
+        assert "join" in plan.chain[plan.split:]
 
 
 class TestLeaseContention:
@@ -206,13 +206,13 @@ class TestLeaseContention:
                               placement="auto",
                               stats=PlanStats(selectivity=0.5),
                               loaded_signature=query.signature)
-        assert warm.explain.chosen == "offload"
+        assert warm.chosen == "offload"
         contended = plan_placement(
             query, _table(schema, nrows), SCENARIO, placement="auto",
             stats=PlanStats(selectivity=0.5),
             loaded_signature=query.signature,
             lease_manager=self._BusyManager([node]))
-        assert contended.explain.chosen == "ship"
+        assert contended.chosen == "ship"
 
 
 # ---------------------------------------------------------------------------
@@ -282,54 +282,56 @@ def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
 
 
 def test_groupby_hybrid_split_matches_offload():
-    """Force the mid-chain split (selection offloaded, group-by on the
-    client) and pin byte-equality plus the hybrid explain shape."""
-    wl = selection_workload(512, 0.5, seed=3)
-    query = Query(predicate=wl.predicate, group_by=("a",),
-                  aggregates=(AggregateSpec("sum", "b"),), label="h")
-
-    client = _bench()
-    table = FTable("S", wl.schema, 512)
-    client.alloc_table_mem(table)
-    client.table_write(table, wl.rows)
-    offload_result, _ = client.far_view_planned(table, query,
-                                                placement="offload")
-
-    client2 = _bench()
-    table2 = FTable("S", wl.schema, 512)
-    client2.alloc_table_mem(table2)
-    client2.table_write(table2, wl.rows)
-    plan = client2.plan(table2, query)
-    fragment = build_fragment(query, plan.chain, 1)  # selection only
+    """Every split ``k`` of a ``selection -> join -> projection ->
+    groupby`` chain: offloading ``build_fragment(query, chain, k)`` and
+    running ``client_steps(query, k)`` over what lands gives the full
+    offload's bytes.  ``k = 0`` is the list a view circuit compiles —
+    the whole chain as client steps, the join an arm read raw."""
     from repro.baselines.cpu_model import CostBreakdown, CpuCostModel
-    from repro.core.planner import run_client_steps
+    from repro.common.records import Column, Schema
+    from repro.core.planner import (client_steps, run_client_join,
+                                    run_client_kernel)
+    from repro.core.query import JoinSpec
 
-    frag_result, _ = client2.far_view(table2, fragment)
-    cost = CostBreakdown()
-    rows, schema = run_client_steps(frag_result.rows(), frag_result.schema,
-                                    ["groupby"], query, CpuCostModel(),
-                                    cost)
-    assert schema.to_bytes(rows) == canonical_result_bytes(offload_result)
-    assert cost.total_ns > 0
-
-    # A compiled statement's client tail runs the very same kernels: the
-    # same rows through Bound* nodes give equal rows and an equal bill.
-    from repro.core.compile import BoundAggregate, BoundFilter
-    from repro.core.planner import run_client_kernel
-
+    wl = selection_workload(512, 0.5, seed=3)
+    wl.rows["c"] = np.arange(512) % 16
+    dim_schema = Schema([Column("id", "int64"), Column("rate", "int64")])
+    dim_rows = dim_schema.empty(12)
+    dim_rows["id"], dim_rows["rate"] = np.arange(12), np.arange(12) % 5
+    client = _bench()
+    fact, dim = FTable("S", wl.schema, 512), FTable("dim", dim_schema, 12)
+    for table, rows in ((fact, wl.rows), (dim, dim_rows)):
+        client.alloc_table_mem(table)
+        client.table_write(table, rows)
+    query = Query(predicate=wl.predicate,
+                  join=JoinSpec(dim, "id", "c", ("rate",)),
+                  projection=("rate", "d"), group_by=("rate",),
+                  aggregates=(AggregateSpec("sum", "d"),), label="h")
+    chain = operator_chain(query)
+    assert chain == ["selection", "join", "projection", "groupby"]
+    assert [name for name, _ in client_steps(query, 0)] == chain
+    expected = canonical_result_bytes(client.far_view(fact, query)[0])
     cpu = CpuCostModel()
-    step_cost, tail_cost = CostBreakdown(), CostBreakdown()
-    step_rows, step_schema = run_client_steps(
-        wl.rows, wl.schema, ["selection", "groupby"], query, cpu, step_cost)
-    tail_rows, tail_schema = wl.rows, wl.schema
-    for op in (BoundFilter(query.predicate),
-               BoundAggregate(("a",), query.aggregates)):
-        tail_rows, tail_schema = run_client_kernel(
-            op.kernel, op, tail_rows, tail_schema, cpu, tail_cost)
-    assert tail_schema == step_schema
-    assert tail_schema.to_bytes(tail_rows) == step_schema.to_bytes(step_rows)
-    assert tail_cost == step_cost
-    assert set(step_cost.parts) == {"predicate", "hash", "aggregate"}
+    for k in range(len(chain) + 1):
+        fragment = build_fragment(query, chain, k)
+        if fragment is None:
+            rows, schema = wl.schema.from_bytes(client.table_read(fact)[0]), \
+                wl.schema
+        else:
+            head, _ = client.far_view(fact, fragment)
+            rows, schema = head.rows(), head.schema
+        cost = CostBreakdown()
+        for name, op in client_steps(query, k):
+            if name == "join":
+                assert op.query is None and op.build is dim
+                rows, schema = run_client_join(rows, schema, dim_rows,
+                                               dim_schema, op, cpu, cost)
+            else:
+                assert op is query
+                rows, schema = run_client_kernel(name, op, rows, schema,
+                                                 cpu, cost)
+        assert schema.to_bytes(rows) == expected, k
+        assert (cost.total_ns > 0) == (k < len(chain)), k
 
 
 def test_explain_plan_estimates_and_actuals():
@@ -443,7 +445,7 @@ def test_versioned_pool_placement_matches_offload(assert_uniform_result,
             assert digest(result) == reference[as_of], (mode, as_of)
             if mode != "offload":
                 assert result.explain.requested == mode
-    assert client.plan(vt, query, "ship").explain.chosen == "ship"
+    assert client.plan(vt, query, "ship").chosen == "ship"
 
     cluster.node(1).fail()
     client.allow_degraded = True
@@ -533,8 +535,8 @@ def test_ship_pruned_when_table_exceeds_client_buffer():
                           placement="auto",
                           stats=PlanStats(selectivity=0.1),
                           buffer_capacity=small_buffer)
-    assert plan.explain.chosen == "offload"  # ship would win but cannot fit
-    assert all(c.label != "ship" for c in plan.explain.candidates)
+    assert plan.chosen == "offload"  # ship would win but cannot fit
+    assert all(c.label != "ship" for c in plan.candidates)
     with pytest.raises(QueryError):
         plan_placement(query, _table(schema, nrows), SCENARIO,
                        placement="ship", buffer_capacity=small_buffer)
@@ -543,7 +545,7 @@ def test_ship_pruned_when_table_exceeds_client_buffer():
                           placement="auto",
                           stats=PlanStats(selectivity=0.1),
                           buffer_capacity=2 * MB)
-    assert plan.explain.chosen == "ship"
+    assert plan.chosen == "ship"
 
 
 def test_ship_on_encrypted_table_requires_decrypt_input():

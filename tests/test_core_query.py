@@ -11,7 +11,8 @@ from repro.common.errors import (
 from repro.common.records import default_schema, string_schema, wide_schema
 from repro.core.catalog import Catalog
 from repro.core.pipeline_compiler import choose_smart_addressing, compile_query
-from repro.core.query import Query, RegexFilter, group_by_sum, select_distinct, select_star
+from repro.core.query import (JoinSpec, Query, RegexFilter, group_by_sum,
+                              select_distinct, select_star)
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.selection import Compare
@@ -212,6 +213,14 @@ def test_compile_smart_addressing_query():
     assert compiled.ingest_mode == "smart"
     assert compiled.sa_plan is not None
     assert compiled.output_schema.names == ("a", "b", "c")
+
+
+def test_compile_join_loads_the_build_side_on_chip():
+    dim = FTable("dim", default_schema(), 8)
+    compiled = compile_query(Query(join=JoinSpec(dim, "a", "a", ("b",))),
+                             make_table(), CONFIG)
+    assert "join_small_table" in compiled.pipeline.operator_names
+    assert compiled.join_build_table is dim
 
 
 def test_compile_rejects_encrypted_table_without_decrypt():

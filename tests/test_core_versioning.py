@@ -416,12 +416,12 @@ class TestVersionedPlacement:
             "t", schema, seeded_rows(schema, 2048, seed=18))
         query = Query(predicate=Compare("a", "<", 1024), label="sel")
         plan0 = client.plan(vt, query)
-        ratio0 = plan0.explain.est_ship_ns / plan0.explain.est_offload_ns
+        ratio0 = plan0.est_ship_ns / plan0.est_offload_ns
         for b in range(6):
             client.update_where(vt, Compare("a", "<", 1024), {"c": b})
         plan6 = client.plan(vt, query)
-        ratio6 = plan6.explain.est_ship_ns / plan6.explain.est_offload_ns
-        assert plan6.explain.est_ship_ns > plan0.explain.est_ship_ns
+        ratio6 = plan6.est_ship_ns / plan6.est_offload_ns
+        assert plan6.est_ship_ns > plan0.est_ship_ns
         assert ratio6 > ratio0
 
 

@@ -1,54 +1,12 @@
-"""EXPLAIN plan rendering and TLB-miss timing in the MMU timed path."""
+"""TLB-miss timing in the MMU timed path."""
 
 import pytest
 
-from repro.common.config import FarviewConfig, MemoryConfig
-from repro.common.records import default_schema, wide_schema
-from repro.core.pipeline_compiler import explain
-from repro.core.query import JoinSpec, Query, select_star
-from repro.core.table import FTable
+from repro.common.config import MemoryConfig
 from repro.memory.mmu import Mmu
-from repro.operators.selection import Compare
-from repro.sim.engine import Simulator
 
 KB = 1024
 MB = 1024 * KB
-CONFIG = FarviewConfig()
-
-
-# --- explain ----------------------------------------------------------------------
-
-def test_explain_selection_plan():
-    table = FTable("S", default_schema(), 100)
-    text = explain(select_star(Compare("a", "<", 5)), table, CONFIG)
-    assert "ingest: standard" in text
-    assert "-> selection" in text
-    assert "region bitstream" in text
-
-
-def test_explain_shows_planner_costs_for_projection():
-    table = FTable("W", wide_schema(512), 100)
-    text = explain(Query(projection=("a", "b", "c")), table, CONFIG)
-    assert "planner:" in text
-    assert "-> smart" in text
-    assert "ingest: smart" in text
-
-
-def test_explain_vectorized_lanes():
-    table = FTable("S", default_schema(), 100)
-    text = explain(select_star(Compare("a", "<", 5), vectorized=True),
-                   table, CONFIG)
-    assert "vectorized" in text
-    assert "lanes" in text
-
-
-def test_explain_join_build_side():
-    dim = FTable("dim", default_schema(), 8)
-    fact = FTable("fact", default_schema(), 100)
-    query = Query(join=JoinSpec(dim, "a", "a", ("b",)))
-    text = explain(query, fact, CONFIG)
-    assert "build side: 'dim'" in text
-    assert "-> join_small_table" in text
 
 
 # --- TLB timing ------------------------------------------------------------------------

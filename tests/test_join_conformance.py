@@ -639,6 +639,66 @@ def test_an_always_true_conjunct_changes_nothing(cell, placement, num_nodes):
                 == canonical_result_bytes(baseline)), conjunct
 
 
+SNAP_FACT = Schema([Column("k", "int64"), Column("j", "int64"),
+                    Column("v", "int64")])
+SNAP_D = Schema([Column("id", "int64"), Column("w", "int64")])
+SNAP_E = Schema([Column("eid", "int64"), Column("x", "int64")])
+_SNAP_ON = "FROM f JOIN d ON f.k = d.id"
+
+#: name -> (statement, the table a writer updates mid-statement).
+SNAPSHOT_CELLS = {
+    # The unfiltered first join runs in the head: one read, one epoch.
+    "unfiltered-control": (f"SELECT f.v, d.w {_SNAP_ON}", "d"),
+    # The always-true filter makes ``d`` a client arm over its own scan.
+    "filtered-arm": (f"SELECT f.v, d.w {_SNAP_ON} WHERE d.w >= 0", "d"),
+    # A second join is a raw-read arm after the head.
+    "raw-later-arm": (f"SELECT f.v, d.w, e.x {_SNAP_ON} "
+                      f"JOIN e ON f.j = e.eid", "e"),
+}
+
+
+def _snapshot_client():
+    client = single_client()
+    fact = SNAP_FACT.empty(48)
+    fact["k"] = np.arange(48) % 12
+    fact["j"] = np.arange(48) % 5
+    fact["v"] = np.arange(48)
+    d = SNAP_D.empty(12)
+    d["id"], d["w"] = np.arange(12), np.arange(12) * 3
+    e = SNAP_E.empty(5)
+    e["eid"], e["x"] = np.arange(5), np.arange(5) * 7
+    for name, schema, rows in (("f", SNAP_FACT, fact), ("d", SNAP_D, d),
+                               ("e", SNAP_E, e)):
+        client.create_versioned_table(name, schema, rows)
+    return client
+
+
+@pytest.mark.parametrize("placement", ["offload", "ship", "auto"])
+@pytest.mark.parametrize("cell", SNAPSHOT_CELLS)
+def test_a_statement_reads_one_snapshot(cell, placement):
+    """A writer commits to a joined table 500 ns into the statement:
+    every read of the statement — the head, a filtered arm's own scan, a
+    raw arm — sees the epoch current at its start, whichever physical
+    arm the cut picked, so the bytes equal the writer-free run's; and
+    every pin the statement took is released."""
+    statement, target = SNAPSHOT_CELLS[cell]
+    quiet, _ = _snapshot_client().sql(statement, placement=placement)
+    client = _snapshot_client()
+    written = client.catalog.lookup(target)
+    column = {"d": "w", "e": "x"}[target]
+
+    def writer():
+        yield client.sim.timeout(500)
+        yield from client.update_where_proc(written, None, {column: 1000})
+
+    proc = client.sim.process(writer())
+    result, _ = client.sql(statement, placement=placement)
+    assert proc.triggered and written.epoch == 1, "the writer never ran"
+    assert canonical_result_bytes(result) == canonical_result_bytes(quiet)
+    for name in ("f", "d", "e"):
+        assert client.catalog.lookup(name).shards[0].chain.active_pins == 0
+
+
 # ---------------------------------------------------------------------------
 # Strategy-equivalence matrix: broadcast / colocated / shuffle / ship /
 # auto x pool size x partitioning scheme, every cell == the serial model

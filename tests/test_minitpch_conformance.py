@@ -133,12 +133,19 @@ def test_partitioned_pools_match_model(tables, assert_uniform_result, label,
 
 
 def test_q3_stage0_join_reports_colocated(tables):
-    """The compiled Q3 head stage must record the co-located strategy
-    in its DAG explain when lineitem and orders share the hash map."""
+    """The compiled Q3 head Query's node must record the co-located
+    strategy when lineitem and orders share the hash map — and the
+    record names every arm and client step after the head."""
     cc = partitioned_cluster(tables, 4)
-    result, _ = cc.sql(tpch.q3_sql(), placement="offload")
-    notes = [s.note for s in result.explain.stages]
-    assert any("join=colocated" in note for note in notes), notes
+    result, elapsed = cc.sql(tpch.q3_sql(), placement="offload")
+    record = result.explain
+    assert record.join_strategy == "colocated", record.render()
+    assert record.chosen == "offload" and record.actual_ns == elapsed
+    assert "join" in record.chain[:record.split]
+    steps = [step for step, _arm in record.tail]
+    assert steps[0] == "join(customer)" and steps[-2:] == ["sort", "limit"]
+    # The filtered customer build is an arm with its own Query's node.
+    assert record.tail[0][1].chain == ["selection", "projection"]
 
 
 @pytest.mark.parametrize("label,statement", QUERIES,

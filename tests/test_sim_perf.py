@@ -520,8 +520,9 @@ def test_one_hash_one_probe_in_src():
     per-tuple GROUP BY's object mirror, queue and overflow dict (code and
     docs), and the view engine's dict Z-set and per-entry index loops, and
     the data plane's ``AllOf`` fan-ins and per-packet lambdas, and the
-    binder's clause record with its un-stacking walk — and the reference
-    model binds nothing."""
+    binder's clause record with its un-stacking walk, and the second
+    client tail with its second and third plan records — and the
+    reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -542,7 +543,10 @@ def test_one_hash_one_probe_in_src():
                                "_query_stages", "_make_join_stage",
                                "state_entries", "_acc_mirror",
                                "_insertion_queue", "._overflow_groups",
-                               "SelectParts", "unstack_select")),
+                               "SelectParts", "unstack_select",
+                               "DagPlan", "StagePlan", "PlacementPlan",
+                               "run_client_steps", "_run_split",
+                               "_run_stage", "client_steps=")),
             # The oracle interprets the resolved tree: no binder, head
             # Query or Bound* record on its side of a comparison.
             (("src/repro/baselines",), ("bind_select", "Bound", "Query(",
