@@ -92,7 +92,7 @@ BASELINE_SIM_NS: dict[str, float] = {
     "fig14_pushdown": 885469.9437036433,
     "fig15_updates": 506161.7501241565,
     "fig16_joins": 594298.7022225005,
-    "fig18_minitpch": 21283121.9340407,
+    "fig18_minitpch": 21081179.9340407,
     "fig19_shuffle": 12098753.244444625,
     "fig20_views": 1026246.4424691297,
     "fig21_serving": 4014954.909664512,
@@ -113,7 +113,7 @@ SMOKE_BASELINE_SIM_NS: dict[str, float] = {
     "fig14_pushdown": 318579.70370370464,
     "fig15_updates": 41392.16197529016,
     "fig16_joins": 367966.41580253653,
-    "fig18_minitpch": 20622244.33744394,
+    "fig18_minitpch": 20460032.33744394,
     "fig19_shuffle": 12034620.086913591,
     "fig20_views": 262656.87012345716,
     "fig21_serving": 4023463.3341900907,

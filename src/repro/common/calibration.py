@@ -250,21 +250,6 @@ RNIC_ADVANTAGE_BELOW_BYTES = 4 * KB
 EXPECTED_RESPONSE_TIME_BAND_US = (1.0, 2_000.0)
 
 
-def operator_cycle_ns() -> float:
-    """Clock period of the operator/network stacks."""
-    return mhz_cycle_ns(OPERATOR_CLOCK_MHZ)
-
-
-def memory_cycle_ns() -> float:
-    """Clock period of the memory stack."""
-    return mhz_cycle_ns(MEMORY_CLOCK_MHZ)
-
-
-def pipeline_fill_latency_ns() -> float:
-    """Time for the first tuple to traverse an operator pipeline."""
-    return PIPELINE_FILL_CYCLES * operator_cycle_ns()
-
-
 def reconfiguration_latency_ns(region_fraction: float = 1.0) -> float:
     """Partial-reconfiguration time scaled by relative region size.
 

@@ -19,8 +19,8 @@ Paper                                 This library
 :class:`~repro.core.table.Table`: a list of shards, each a version chain
 of segments on one memory node (handle → shards → chain → segments).
 :class:`ClusterClient` is the one router over that handle — the retry
-loop, the scatter with replica failover, the placement fork and planned
-ladder, the client-side tail of ship / hybrid / compiled executions, the
+loop, the scatter with replica failover, the one placement route and
+the one client tail of ship / hybrid / compiled executions, the
 versioned write verbs, join-build placement and the materialized-view
 verbs are each written once, against a list of :class:`_NodeSession`\\ s
 (one connection per memory node; a session speaks segments and chains
@@ -96,15 +96,12 @@ class QueryResult:
     ``report`` (the node's :class:`ExecutionReport`), ``query`` (what the
     node ran) and ``stream`` (the raw shipped bytes, possibly encrypted,
     possibly carrying overflow duplicates the client dedups on the
-    query's DISTINCT key).  Every other execution sets
-    ``merged`` — the final rows after the client-side work: the
-    scatter-gather merge (``parts`` are the per-shard results, shard
-    order), or the client tail of a planned / compiled execution
-    (``parts`` are the head and arm Query results, ``read_bytes``
-    what the client read raw, ``client_cost`` the modeled client time —
-    already included in ``response_time_ns``, the simulator clock having
-    been advanced by it, matching the paper's "until the final results
-    are written to the memory of the client machine" endpoint).
+    query's DISTINCT key).  Every other execution sets ``merged``, the
+    final rows after the client-side work: a scatter-gather merge, or
+    a statement's one client tail, whose ``client_cost`` is its one
+    bill (one setup, one result write), already in
+    ``response_time_ns`` — the paper's "until the final results are
+    written to the memory of the client machine" endpoint (§6.2).
     """
 
     schema: Schema
@@ -115,12 +112,13 @@ class QueryResult:
     #: The :class:`Query` a direct node execution ran: what ``rows()``
     #: dedups on and merges overflowed groups by.
     query: Optional[Query] = None
-    #: The :class:`~repro.core.planner.ExplainPlan` of a planned
-    #: execution or a compiled statement; ``None`` on the plan-free
-    #: offload path.
+    #: The :class:`~repro.core.planner.ExplainPlan`: the head Query's
+    #: node, plus one ``tail`` entry per compiled client step; ``None``
+    #: on the plan-free offload path with nothing after the head.
     explain: Optional[ExplainPlan] = None
-    #: Sub-results: per-shard results of a scatter-gather, or the head
-    #: and arm Query results of a client tail.
+    #: Sub-results: the per-shard results of a scatter-gather, or the
+    #: node results a client tail landed (head or hybrid prefix, and
+    #: each offloaded arm), in landing order.
     parts: list["QueryResult"] = field(default_factory=list)
     client_cost: Optional[CostBreakdown] = None
     #: Resolved scatter strategy of a cluster join (``broadcast`` /
@@ -182,17 +180,6 @@ class QueryResult:
         """Bytes the nodes' pipelines ingested for this result."""
         own = self.report.bytes_scanned if self.report is not None else 0
         return own + sum(p.bytes_scanned for p in self.parts)
-
-
-def _node(result: QueryResult, query: Query) -> ExplainPlan:
-    """The placement node of the Query ``result`` ran: the planner's
-    record, or the plan-free offload path's (whole chain offloaded,
-    nothing estimated)."""
-    if result.explain is not None:
-        return result.explain
-    chain = operator_chain(query)
-    return ExplainPlan("offload", "offload", len(chain), chain,
-                       join_strategy=result.join_strategy)
 
 
 def _client_compute(sim, ns: float):
@@ -651,63 +638,32 @@ class ClusterClient:
 
     def _placed(self, table, query: Query, placement: str,
                 stats: PlanStats | None = None, lease_manager=None,
-                as_of: int | None = None, join_strategy: str | None = None):
-        """The one placement fork.  ``"offload"`` is the paper's path —
-        no planner, no explain, timing-exact; anything else goes
-        through :meth:`far_view_planned`."""
-        if placement == "offload":
+                as_of: int | None = None, join_strategy: str | None = None,
+                tail=()):
+        """The one route of a Query and of a compiled statement (its
+        head Query, then ``tail``).  ``"offload"`` with an empty tail is
+        the paper's path: no planner, no explain, timing-exact.  Anything
+        else plans the head once (plan-free under ``"offload"``) and runs
+        one :meth:`_run_tail`, unless the whole chain offloads and leaves
+        the client nothing.  Under ``"auto"`` a join build overflowing
+        the on-chip hash below nominal capacity re-plans with the join
+        on the client, and a dead dynamic region ships (raw reads need
+        no region).  Returns ``(result, elapsed_ns)``."""
+        if placement == "offload" and not tail:
             return _run(self.sim, self._offload_proc(table, query, as_of,
                                                      join_strategy),
                         "far_view")
-        return self.far_view_planned(table, query, placement, stats,
-                                     lease_manager, as_of, join_strategy)
-
-    def far_view_planned(self, table, query: Query,
-                         placement: str = "auto",
-                         stats: PlanStats | None = None,
-                         lease_manager=None, as_of: int | None = None,
-                         join_strategy: str | None = None):
-        """Run ``query`` under cost-based placement.
-
-        ``placement="offload"`` plans the full-offload path (byte- and
-        timing-identical to :meth:`far_view`); ``"ship"`` reads raw
-        bytes and executes all operators in client software; ``"auto"``
-        picks the cheapest prefix split.  All variants carry an
-        :class:`~repro.core.planner.ExplainPlan` with estimated and
-        actual response times.  Under ``"auto"`` two refusals degrade
-        instead of failing: a join build that overflows the on-chip
-        hash below nominal capacity re-plans with the join on the
-        client, and a dead dynamic region falls back to ship (raw reads
-        need no region).  ``as_of`` pins a versioned table's snapshot
-        epoch, ``join_strategy`` a join's scatter strategy.  Returns
-        ``(result, elapsed_ns)``.
-        """
         table, epoch = self._bind(table, as_of)
 
         def attempt(placement, refuse_join_offload=False):
-            plan = self.plan(table, query, placement, stats, lease_manager,
-                             refuse_join_offload, epoch, join_strategy)
-
-            def head(cost, steps):
-                # Ship reads the table raw; hybrid offloads the prefix
-                # and reads its result.
-                if plan.chosen == "ship":
-                    rows, schema, shipped = self._ship_read(table, epoch,
-                                                            steps, cost)
-                    return rows, schema, [], shipped
-                fragment = build_fragment(query, plan.chain, plan.split)
-                result, _ = _run(self.sim, self._offload_proc(
-                    table, fragment, epoch, join_strategy), "far_view")
-                cost.add("read", self.cpu.read_ns(result.bytes_shipped))
-                return result.rows(), result.schema, [result], 0
-
-            if plan.chosen == "offload":
-                result, elapsed = _run(
-                    self.sim, self._offload_proc(table, query, epoch,
-                                                 join_strategy), "far_view")
-            else:
-                result, elapsed = self._run_tail(
-                    table, epoch, head, client_steps(query, plan.split))
+            plan = None if placement == "offload" else self.plan(
+                table, query, placement, stats, lease_manager,
+                refuse_join_offload, epoch, join_strategy)
+            if tail or plan.chosen != "offload":
+                return self._run_tail(table, epoch, query, plan, list(tail),
+                                      placement, stats, join_strategy)
+            result, elapsed = _run(self.sim, self._offload_proc(
+                table, query, epoch, join_strategy), "far_view")
             plan.actual_ns = elapsed
             result.explain = plan
             return result, elapsed
@@ -725,6 +681,29 @@ class ClusterClient:
             if placement != "auto":
                 raise
             return attempt("ship")
+
+    def far_view_planned(self, table, query: Query,
+                         placement: str = "auto",
+                         stats: PlanStats | None = None,
+                         lease_manager=None, as_of: int | None = None,
+                         join_strategy: str | None = None):
+        """:meth:`_placed` with the plan always recorded: ``"offload"``
+        (byte- and timing-identical to :meth:`far_view`), ``"ship"``
+        (raw read, every operator in client software) or ``"auto"``
+        (the cheapest split; degrades on a join-build overflow or a dead
+        region) carry an :class:`~repro.core.planner.ExplainPlan` with
+        estimated and actual times.  ``as_of`` pins a versioned table's
+        snapshot, ``join_strategy`` a join's scatter strategy."""
+        if placement != "offload":
+            return self._placed(table, query, placement, stats,
+                                lease_manager, as_of, join_strategy)
+        plan = self.plan(table, query, placement, stats, lease_manager,
+                         as_of=as_of, join_strategy=join_strategy)
+        result, elapsed = self._placed(table, query, placement, as_of=as_of,
+                                       join_strategy=join_strategy)
+        plan.actual_ns = elapsed
+        result.explain = plan
+        return result, elapsed
 
     def plan(self, table, query: Query, placement: str = "auto",
              stats: PlanStats | None = None, lease_manager=None,
@@ -774,54 +753,86 @@ class ClusterClient:
             join_strategy=strategy, join_transfer_ns=join_transfer_ns,
             join_build_shards=join_build_shards, **snapshot)
 
-    def _run_tail(self, table: Table, epoch: int | None, head, steps,
-                  placement: str = "offload", stats=None):
-        """The one client tail, of a ship / hybrid split and of a
-        compiled statement alike: land ``head(cost, steps)`` — which
-        returns ``(rows, schema, parts, read_bytes)`` — then walk
-        ``steps``, a ``(kernel, op)`` list
-        (:func:`~repro.core.planner.client_steps`).  A ``join`` step
-        reads its arm's build side — raw, or through the arm's own Query
-        placed under ``placement`` — and probes it
-        (:func:`~repro.core.planner.run_client_join`); every other step
-        is :func:`~repro.core.planner.run_client_kernel`.
+    def _run_tail(self, table: Table, epoch: int | None, query: Query,
+                  plan: ExplainPlan | None, tail: list, placement: str,
+                  stats=None, join_strategy: str | None = None):
+        """The one client tail: one statement, one bill (one ``setup``,
+        its reads and kernels, one result write), one clock advance.
 
-        One snapshot per statement: ``table`` at ``epoch`` and every
-        versioned build side are bound and pinned before any simulated
-        time passes and released after the last read, so a writer
-        committing mid-statement reaches none of its reads.  The modeled
-        client time — setup, reads, kernels, the result write — then
-        advances the simulator clock.  Returns ``(result,
-        elapsed_ns)``."""
+        ``land`` puts a Query's rows into the bill, the head's and each
+        filtered arm's alike — ship: the raw :meth:`_read_raw`; hybrid:
+        the offloaded prefix plus ``read_ns``; whole chain (``plan``
+        ``None``: plan-free): the node's result — then runs its
+        ``client_steps(query, split)``; the head's are followed by
+        ``tail``.  A ``join`` step reads its build raw or lands the
+        arm's Query, planned under ``placement``, then probes it
+        (:func:`~repro.core.planner.run_client_join`); any other step is
+        :func:`~repro.core.planner.run_client_kernel`.  One snapshot:
+        ``table`` at ``epoch`` and every versioned build side are pinned
+        before any simulated time passes, until the last read.  The
+        record is the head's node, one ``tail`` entry per tail step."""
         sim, cpu = self.sim, self.cpu
         start = sim.now
-        snapshot = [(table, epoch)] + [self._bind(op.build)
-                                       for name, op in steps if name == "join"]
+        steps = [] if plan is None else client_steps(query, plan.split)
+        snapshot = [(table, epoch)] + [self._bind(op.build) for name, op
+                                       in steps + tail if name == "join"]
         epochs = {handle.name: at for handle, at in snapshot}
         pins = [(shard, shard.chain.pin(at)) for handle, at in snapshot
                 if at is not None for shard in handle.shards]
         cost = CostBreakdown()
         cost.add("setup", cpu.setup_ns())
-        try:
-            rows, schema, parts, read_bytes = head(cost, steps)
+        parts, read_bytes = [], 0
+
+        def land(table, at, query, plan, steps, strategy=None):
+            nonlocal read_bytes
+            if plan is not None and plan.chosen == "ship":
+                rows, shipped = self._read_raw(table, at, cost, steps)
+                schema = table.schema
+                read_bytes += shipped
+            else:
+                fragment = (query if plan is None else
+                            build_fragment(query, plan.chain, plan.split))
+                landed, _ = _run(sim, self._offload_proc(
+                    table, fragment, at, strategy), "far_view")
+                if plan is None:
+                    chain = operator_chain(query)
+                    plan = ExplainPlan("offload", "offload", len(chain),
+                                       chain,
+                                       join_strategy=landed.join_strategy)
+                elif plan.chosen == "hybrid":
+                    cost.add("read", cpu.read_ns(landed.bytes_shipped))
+                rows, schema = landed.rows(), landed.schema
+                parts.append(landed)
             for name, op in steps:
-                if name != "join":
-                    rows, schema = run_client_kernel(name, op, rows, schema,
-                                                     cpu, cost)
-                    continue
-                if op.query is None:
-                    build_rows, shipped = self._read_build_rows(
-                        op.build, epochs[op.table])
-                    build_schema = op.build.schema
-                    cost.add("read", cpu.read_ns(shipped))
-                    read_bytes += shipped
-                else:
-                    build, _ = self._placed(op.build, op.query, placement,
-                                            stats, as_of=epochs[op.table])
-                    build_rows, build_schema = build.rows(), build.schema
-                    parts.append(build)
-                rows, schema = run_client_join(rows, schema, build_rows,
-                                               build_schema, op, cpu, cost)
+                rows, schema, _arm = step(name, op, rows, schema)
+            return rows, schema, plan
+
+        def step(name, op, rows, schema):
+            nonlocal read_bytes
+            if name != "join":
+                return (*run_client_kernel(name, op, rows, schema, cpu,
+                                           cost), None)
+            at = epochs[op.table]
+            if op.query is None:
+                build_rows, shipped = self._read_raw(op.build, at, cost)
+                build_schema, arm = op.build.schema, None
+                read_bytes += shipped
+            else:
+                arm = None if placement == "offload" else self.plan(
+                    op.build, op.query, placement, stats, as_of=at)
+                build_rows, build_schema, arm = land(
+                    as_table(op.build), at, op.query, arm,
+                    [] if arm is None else client_steps(op.query, arm.split))
+            return (*run_client_join(rows, schema, build_rows, build_schema,
+                                     op, cpu, cost), arm)
+
+        try:
+            rows, schema, record = land(table, epoch, query, plan, steps,
+                                        join_strategy)
+            for name, op in tail:
+                rows, schema, arm = step(name, op, rows, schema)
+                record.tail.append(
+                    (f"join({op.table})" if name == "join" else name, arm))
         finally:
             for shard, token in reversed(pins):
                 self._sessions[shard.node_index]._release_pin(shard.chain,
@@ -829,27 +840,31 @@ class ClusterClient:
         cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
         _run(sim, _client_compute(sim, cost.total_ns), "client-compute")
         elapsed = sim.now - start
+        record.actual_ns = elapsed
         result = QueryResult(schema=schema, merged=rows,
-                             response_time_ns=elapsed, parts=parts,
-                             client_cost=cost, read_bytes=read_bytes)
+                             response_time_ns=elapsed, explain=record,
+                             parts=parts, client_cost=cost,
+                             read_bytes=read_bytes)
         return result, elapsed
 
-    def _ship_read(self, table: Table, epoch: int | None, steps: list,
-                   cost: CostBreakdown):
-        """Blocking raw read of the whole table for a ship plan; returns
-        ``(rows, schema, bytes_shipped)``.  Charges what turning the
-        bytes into rows costs the client — the read, a leading
-        ``decrypt`` step (consumed from ``steps``), a version chain's
-        delta merge."""
-        cpu = self.cpu
+    def _read_raw(self, table, epoch: int | None, cost: CostBreakdown,
+                  steps: list | None = None):
+        """Blocking raw read of a whole table, decoded; returns ``(rows,
+        bytes_shipped)`` and charges the client the read.  A ship plan
+        passes its ``steps``: it also pays a leading ``decrypt`` step
+        (consumed from ``steps``) and a version chain's delta merge,
+        which a raw join build does not."""
+        cpu, table = self.cpu, as_table(table)
         if table.versioned:
             (rows, _ids, shipped), _ = _run(
                 self.sim, self.read_version_proc(table, epoch),
                 "read_version")
-            visible, _scan_bytes, delta_rows = table.stats_at(epoch)
             cost.add("read", cpu.read_ns(shipped))
-            cost.add("merge", delta_merge_cost_ns(cpu, visible, delta_rows))
-            return rows, table.schema, shipped
+            if steps is not None:
+                visible, _scan_bytes, delta_rows = table.stats_at(epoch)
+                cost.add("merge",
+                         delta_merge_cost_ns(cpu, visible, delta_rows))
+            return rows, shipped
         data, _ = self.table_read(table)
         cost.add("read", cpu.read_ns(len(data)))
         if steps and steps[0][0] == "decrypt":
@@ -859,20 +874,7 @@ class ClusterClient:
             data = software_decrypt(data, base.key, base.nonce)
             cost.add("aes", cpu.aes_ns(len(data)))
             del steps[0]
-        return table.schema.from_bytes(data), table.schema, len(data)
-
-    def _read_build_rows(self, build, as_of: int | None):
-        """Raw read + decode of a join arm's build side —
-        :meth:`read_version_proc` at ``as_of`` for a versioned one, one
-        raw read per shard otherwise.  Returns ``(build_rows,
-        bytes_shipped)``."""
-        build = as_table(build)
-        if build.versioned:
-            (rows, _ids, shipped), _ = _run(
-                self.sim, self.read_version_proc(build, as_of), "read_build")
-            return rows, shipped
-        data, _ = self.table_read(build)
-        return build.schema.from_bytes(data), len(data)
+        return table.schema.from_bytes(data), len(data)
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
     def select(self, table, columns: list[str] | None,
@@ -923,33 +925,10 @@ class ClusterClient:
             return self._sql_write(self.catalog.lookup(parsed.table), parsed)
         placement = placement or parsed.placement or "offload"
         bound = bind_select(parsed, self.catalog)
-        if not bound.arms and not bound.ops:
-            # Nothing left for the client: the statement is its head query.
-            return self._placed(bound.base, bound.query, placement, stats)
-        # The head is placed like any Query (a ship / hybrid head runs
-        # its own tail); the arms and the bound ops are the client steps.
-        table, epoch = self._bind(bound.base)
-        steps = ([("join", arm) for arm in bound.arms]
-                 + [(op.kernel, op) for op in bound.ops])
-
-        def head(cost, steps):
-            result, _ = self._placed(table, bound.query, placement, stats,
-                                     as_of=epoch)
-            return result.rows(), result.schema, [result], 0
-
-        result, elapsed = self._run_tail(table, epoch, head, steps,
-                                         placement, stats)
-        placed = iter(result.parts)
-        record = _node(next(placed), bound.query)
-        tail = []
-        for name, op in steps:
-            if name == "join":
-                tail.append((f"join({op.table})", None if op.query is None
-                             else _node(next(placed), op.query)))
-            else:
-                tail.append((name, None))
-        result.explain = replace(record, tail=tail, actual_ns=elapsed)
-        return result, elapsed
+        # The arms and the bound ops are the client steps after the head.
+        return self._placed(bound.base, bound.query, placement, stats,
+                            tail=[("join", arm) for arm in bound.arms]
+                            + [(op.kernel, op) for op in bound.ops])
 
     def _require_versioned(self, table) -> Table:
         table = as_table(table)

@@ -14,7 +14,7 @@ from .encryption_op import (
 from .groupby import GroupByOperator
 from .hashing import hash_key_batch, hash_u64_array, mix64
 from .lru_cache import ShiftRegisterLru
-from .packing import Packer, RoundRobinCombiner
+from .packing import Packer
 from .projection import ProjectionOperator, SmartAddressingPlan
 from .regex_engine import CompiledRegex, compile_pattern
 from .regex_op import RegexMatchOperator
@@ -50,7 +50,6 @@ __all__ = [
     "mix64",
     "ShiftRegisterLru",
     "Packer",
-    "RoundRobinCombiner",
     "ProjectionOperator",
     "SmartAddressingPlan",
     "CompiledRegex",

@@ -8,8 +8,7 @@ uses an overflow buffer to efficiently sustain the line rate."
 
 Our row operators already narrow tuples to the annotated columns, so the
 packer's functional job is dense serialization into 64-byte words with a
-carry (the "overflow buffer") for the partial word between bursts.  For
-the vectorized model it also models the round-robin lane combiner.
+carry (the "overflow buffer") for the partial word between bursts.
 """
 
 from __future__ import annotations
@@ -54,41 +53,3 @@ class Packer:
     @property
     def pending_bytes(self) -> int:
         return len(self._carry)
-
-
-class RoundRobinCombiner:
-    """Combines the output of parallel vectorized lanes (§5.5).
-
-    "In case of the vectorized processing model, the tuples are first
-    combined from each of the parallel pipelines with a simple round-robin
-    arbiter."  Lanes push row-serialized chunks; the combiner releases them
-    in strict lane order so the output is deterministic.
-    """
-
-    def __init__(self, lanes: int):
-        if lanes <= 0:
-            raise OperatorError(f"lanes must be positive: {lanes}")
-        self.lanes = lanes
-        self._queues: list[list[bytes]] = [[] for _ in range(lanes)]
-        self._next = 0
-
-    def push(self, lane: int, chunk: bytes) -> None:
-        if not 0 <= lane < self.lanes:
-            raise OperatorError(f"lane {lane} out of range [0, {self.lanes})")
-        self._queues[lane].append(chunk)
-
-    def drain(self) -> bytes:
-        """Release queued chunks in round-robin lane order."""
-        out = bytearray()
-        while True:
-            progressed = False
-            for offset in range(self.lanes):
-                lane = (self._next + offset) % self.lanes
-                if self._queues[lane]:
-                    out.extend(self._queues[lane].pop(0))
-                    self._next = (lane + 1) % self.lanes
-                    progressed = True
-                    break
-            if not progressed:
-                break
-        return bytes(out)

@@ -88,24 +88,15 @@ class SmartAddressingPlan:
     def bytes_per_tuple(self) -> int:
         return sum(run.width for run in self.runs)
 
-    def requests(self, base_vaddr: int, num_tuples: int):
-        """Yield (vaddr, length) memory requests, tuple-major order."""
-        width = self.schema.row_width
-        for i in range(num_tuples):
-            row_base = base_vaddr + i * width
-            for run in self.runs:
-                yield row_base + run.offset, run.width
-
     def total_bytes(self, num_tuples: int) -> int:
         return self.bytes_per_tuple * num_tuples
 
     def gather(self, image: bytes | memoryview, num_tuples: int) -> np.ndarray:
-        """Vectorized gather of the projected columns from a row image.
-
-        Equivalent to issuing :meth:`requests` and :meth:`assemble`-ing the
-        per-request chunks, but performed as one strided copy per column
-        over a zero-copy view of ``image`` — the functional half of smart
-        addressing at memory bandwidth instead of a per-tuple Python loop.
+        """Vectorized gather of the projected columns from a row image:
+        what the per-tuple requests over :attr:`runs` fetch, as one
+        strided copy per column over a zero-copy view of ``image`` — the
+        functional half of smart addressing at memory bandwidth instead
+        of a per-tuple Python loop.
         """
         full = self.schema.from_bytes(image)
         if len(full) != num_tuples:
@@ -115,36 +106,4 @@ class SmartAddressingPlan:
         out = self.out_schema.empty(num_tuples)
         for name in self.columns:
             out[name] = full[name]
-        return out
-
-    def assemble(self, chunks: list[bytes], num_tuples: int) -> np.ndarray:
-        """Rebuild projected tuples from the per-request result chunks.
-
-        ``chunks`` must be in the order produced by :meth:`requests`.  The
-        result is a structured array over the *projected* schema — note the
-        projected schema's column order follows the original byte order of
-        the coalesced runs.
-        """
-        expected = num_tuples * self.requests_per_tuple
-        if len(chunks) != expected:
-            raise OperatorError(
-                f"smart addressing expected {expected} chunks, got {len(chunks)}")
-        # Columns sorted by their source offset = concatenation order.
-        ordered_cols = sorted(self.columns, key=self.schema.offset)
-        packed_schema = self.schema.project(ordered_cols)
-        rows = bytearray()
-        it = iter(chunks)
-        for _ in range(num_tuples):
-            for run in self.runs:
-                chunk = next(it)
-                if len(chunk) != run.width:
-                    raise OperatorError(
-                        f"chunk of {len(chunk)} bytes does not match run "
-                        f"width {run.width}")
-                rows.extend(chunk)
-        arr = packed_schema.from_bytes(bytes(rows))
-        # Reorder into the requested projection order.
-        out = self.out_schema.empty(num_tuples)
-        for name in self.columns:
-            out[name] = arr[name]
         return out

@@ -148,6 +148,57 @@ def test_q3_stage0_join_reports_colocated(tables):
     assert record.tail[0][1].chain == ["selection", "projection"]
 
 
+#: A head-only statement; its ORDER BY twin adds an ``eval`` and a
+#: ``sort`` client step after the same head.
+FILTERED_SCAN = "SELECT orderkey, quantity FROM lineitem WHERE quantity < 10"
+
+#: A sort-only client tail, and Q3's shape: a filtered customer build
+#: landed as an arm Query beside the head.
+ONE_BILL = (("sort-tail", FILTERED_SCAN + " ORDER BY orderkey"),
+            ("Q3", tpch.q3_sql()))
+
+
+def pool(tables: dict, num_nodes: int):
+    return (single_client(tables) if num_nodes == 1
+            else cluster_client(tables, num_nodes))
+
+
+def setup_charged(result) -> float:
+    """The ``setup`` billed by ``result`` and every sub-result it holds."""
+    own = result.client_cost.parts.get("setup", 0.0) \
+        if result.client_cost is not None else 0.0
+    return own + sum(setup_charged(part) for part in result.parts)
+
+
+@pytest.mark.parametrize("label,statement", ONE_BILL,
+                         ids=[label for label, _ in ONE_BILL])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("num_nodes", (1, 2))
+def test_a_statement_pays_one_setup(tables, num_nodes, placement, label,
+                                    statement):
+    """The paper times a query until its results are written to client
+    memory (§6.2): one statement, one bill.  However its head and arms
+    were placed, the setup over the result and all its parts is charged
+    once."""
+    client = pool(tables, num_nodes)
+    result, _ = client.sql(statement, placement=placement)
+    assert setup_charged(result) == client.cpu.setup_ns()
+
+
+@pytest.mark.parametrize("num_nodes", (1, 2))
+def test_order_by_adds_only_its_own_steps_under_ship(tables, num_nodes):
+    """Adding ORDER BY to a shipped statement adds its ``eval`` and
+    ``sort`` steps to the one bill — no second setup, no second result
+    write."""
+    runs = [pool(tables, num_nodes).sql(text, placement="ship")
+            for text in (FILTERED_SCAN, FILTERED_SCAN + " ORDER BY orderkey")]
+    (plain, plain_ns), (ordered, ordered_ns) = runs
+    assert [step for step, _arm in ordered.explain.tail] == ["eval", "sort"]
+    before, after = plain.client_cost.parts, ordered.client_cost.parts
+    own = after["sort"] + after["project"] - before["project"]
+    assert ordered_ns - plain_ns == pytest.approx(own, rel=0, abs=1e-6)
+
+
 @pytest.mark.parametrize("label,statement", QUERIES,
                          ids=[label for label, _ in QUERIES])
 def test_versioned_snapshot_read_matches_model(tables, label, statement):

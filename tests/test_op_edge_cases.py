@@ -128,8 +128,8 @@ def test_smart_addressing_all_columns_is_one_run():
 def test_smart_addressing_single_trailing_column():
     schema = default_schema()
     plan = SmartAddressingPlan(schema, ["h"])
-    reqs = list(plan.requests(base_vaddr=0, num_tuples=2))
-    assert reqs == [(56, 8), (120, 8)]
+    assert [(run.offset, run.width) for run in plan.runs] == [(56, 8)]
+    assert plan.total_bytes(2) == 16
 
 
 # --- CTR block boundaries --------------------------------------------------------------------

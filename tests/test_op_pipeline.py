@@ -19,7 +19,7 @@ from repro.operators.encryption_op import (
     encrypt_table_image,
 )
 from repro.operators.groupby import GroupByOperator
-from repro.operators.packing import Packer, RoundRobinCombiner
+from repro.operators.packing import Packer
 from repro.operators.projection import ProjectionOperator
 from repro.operators.regex_op import RegexMatchOperator
 from repro.operators.selection import Compare, SelectionOperator
@@ -242,22 +242,6 @@ def test_packer_flush_empty():
 def test_packer_validation():
     with pytest.raises(OperatorError):
         Packer(word_bytes=0)
-
-
-def test_round_robin_combiner_orders_lanes():
-    combiner = RoundRobinCombiner(lanes=2)
-    combiner.push(0, b"A0")
-    combiner.push(0, b"A1")
-    combiner.push(1, b"B0")
-    assert combiner.drain() == b"A0B0A1"
-
-
-def test_combiner_validation():
-    with pytest.raises(OperatorError):
-        RoundRobinCombiner(0)
-    combiner = RoundRobinCombiner(2)
-    with pytest.raises(OperatorError):
-        combiner.push(5, b"x")
 
 
 # --- sender -----------------------------------------------------------------------------------

@@ -87,32 +87,27 @@ def test_smart_addressing_separate_runs():
 def test_smart_addressing_request_stream():
     schema = wide_schema(256)
     plan = SmartAddressingPlan(schema, ["a", "b"])
-    reqs = list(plan.requests(base_vaddr=0, num_tuples=3))
-    assert reqs == [(0, 16), (256, 16), (512, 16)]
+    assert [(run.offset, run.width) for run in plan.runs] == [(0, 16)]
     assert plan.total_bytes(3) == 48
 
 
-def test_smart_addressing_assemble_round_trip():
+def test_smart_addressing_gather_round_trip():
     schema = wide_schema(256)
     batch = schema.empty(4)
     for i, name in enumerate(schema.names):
         batch[name] = np.arange(4) * 100 + i
-    image = schema.to_bytes(batch)
     plan = SmartAddressingPlan(schema, ["c", "a"])  # out of byte order
-    chunks = [image[v:v + w] for v, w in plan.requests(0, 4)]
-    out = plan.assemble(chunks, 4)
+    out = plan.gather(schema.to_bytes(batch), 4)
     np.testing.assert_array_equal(out["a"], batch["a"])
     np.testing.assert_array_equal(out["c"], batch["c"])
     assert out.dtype.names == ("c", "a")
 
 
-def test_smart_addressing_assemble_validates():
+def test_smart_addressing_gather_validates():
     schema = wide_schema(256)
     plan = SmartAddressingPlan(schema, ["a"])
     with pytest.raises(OperatorError):
-        plan.assemble([b"12345678"], 2)  # wrong chunk count
-    with pytest.raises(OperatorError):
-        plan.assemble([b"123"], 1)  # wrong chunk width
+        plan.gather(schema.to_bytes(schema.empty(2)), 3)  # wrong count
 
 
 def test_smart_addressing_needs_columns():

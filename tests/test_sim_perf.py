@@ -19,13 +19,14 @@ from repro.common.config import FarviewConfig, MemoryConfig
 from repro.common.records import (Column, Schema, default_schema,
                                   first_occurrence, key_image, wide_schema)
 from repro.common.units import MB
-from repro.core.api import FarviewClient
-from repro.core.cluster import merge_group_rows
+from repro.core.api import ClusterClient, FarviewClient
+from repro.core.cluster import FarviewCluster, merge_group_rows
 from repro.core.node import FarviewNode
 from repro.core.query import select_distinct, select_star
 from repro.core.table import FTable
 from repro.core.views import GroupStage
 from repro.core.zset import ZSet
+from repro.experiments.fig18_minitpch import QUERIES, make_tables
 from repro.memory.mmu import DEFAULT_BURST_BYTES
 from repro.operators.aggregate import (AggregateSpec, accumulator_rows,
                                        decompose_partials)
@@ -510,6 +511,39 @@ def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
     assert kernel_s < 1.5 * loop_s   # ~0.4x measured; slack for noise
 
 
+def test_a_statement_enters_the_client_tail_once(monkeypatch):
+    """Every fig18 statement x placement that leaves the client work — a
+    split below its chain, or steps after its head — enters
+    ``ClusterClient._run_tail`` exactly once, and none re-enters it: the
+    head and each arm are landed inside the statement's own tail."""
+    client = ClusterClient(FarviewCluster(Simulator(), 2))
+    client.open_connection()
+    for name, (schema, rows) in make_tables(256, 64, 16).items():
+        client.create_table(name, schema, rows)
+    run_tail = ClusterClient._run_tail
+    entries, depth, deepest = 0, 0, 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal entries, depth, deepest
+        entries, depth = entries + 1, depth + 1
+        deepest = max(deepest, depth)
+        try:
+            return run_tail(self, *args, **kwargs)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(ClusterClient, "_run_tail", counted)
+    with_client_work = 0
+    for _label, statement in QUERIES:
+        for placement in ("offload", "ship", "auto"):
+            result, _ = client.sql(statement, placement=placement)
+            plan = result.explain
+            with_client_work += plan is not None and (
+                bool(plan.tail) or plan.split < len(plan.chain))
+    assert with_client_work > 0
+    assert (entries, deepest) == (with_client_work, 1)
+
+
 def test_one_hash_one_probe_in_src():
     """The scalar hash twin and the unhashed-probe branches stay deleted
     — and so do the forked scan verb, the per-strategy build-placement
@@ -521,8 +555,10 @@ def test_one_hash_one_probe_in_src():
     docs), and the view engine's dict Z-set and per-entry index loops, and
     the data plane's ``AllOf`` fan-ins and per-packet lambdas, and the
     binder's clause record with its un-stacking walk, and the second
-    client tail with its second and third plan records — and the
-    reference model binds nothing."""
+    client tail with its second and third plan records, and the nested
+    tail's head callables with their two raw readers, and the unused
+    clock, combiner and request-stream helpers — and the reference model
+    binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -546,7 +582,12 @@ def test_one_hash_one_probe_in_src():
                                "SelectParts", "unstack_select",
                                "DagPlan", "StagePlan", "PlacementPlan",
                                "run_client_steps", "_run_split",
-                               "_run_stage", "client_steps=")),
+                               "_run_stage", "client_steps=", "_ship_read",
+                               "_read_build_rows", "RoundRobinCombiner",
+                               "operator_cycle_ns", "memory_cycle_ns",
+                               "pipeline_fill_latency_ns")),
+            (("src",), ("def assemble(", "def requests(")),
+            (("src/repro/core/api.py",), ("def _node(", "def head(")),
             # The oracle interprets the resolved tree: no binder, head
             # Query or Bound* record on its side of a comparison.
             (("src/repro/baselines",), ("bind_select", "Bound", "Query(",
