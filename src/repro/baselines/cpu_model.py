@@ -40,12 +40,6 @@ class CostBreakdown:
     def total_ns(self) -> float:
         return sum(self.parts.values())
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v / 1000:.1f}us"
-                          for k, v in sorted(self.parts.items()))
-        return f"CostBreakdown({inner})"
-
-
 class CpuCostModel:
     """Time formulas for the software baselines."""
 

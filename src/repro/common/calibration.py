@@ -124,12 +124,12 @@ DRAM_CHANNEL_CAPACITY = 64 * MB
 #: MMU page size (§4.4: "naturally aligned 2 MB pages").
 PAGE_SIZE = 2 * MB
 
-#: TLB hit latency (BRAM lookup, 1 cycle at 300 MHz) and miss penalty.
-TLB_HIT_LATENCY_NS = mhz_cycle_ns(300.0)
-TLB_MISS_PENALTY_NS = 12 * mhz_cycle_ns(300.0)
-
 #: Memory-stack clock (§4.1: 300 MHz).
 MEMORY_CLOCK_MHZ = 300.0
+
+#: TLB hit latency (BRAM lookup, one memory-clock cycle) and miss penalty.
+TLB_HIT_LATENCY_NS = mhz_cycle_ns(MEMORY_CLOCK_MHZ)
+TLB_MISS_PENALTY_NS = 12 * mhz_cycle_ns(MEMORY_CLOCK_MHZ)
 
 # ---------------------------------------------------------------------------
 # Operator stack / FPGA fabric (paper §4.1, §4.5, §5)
@@ -234,9 +234,6 @@ CPU_SOCKET_DRAM_BANDWIDTH = 40.0 * GBPS
 #: Figure 6(b) anchor: FV response-time advantage at large transfers >= 20 %.
 FV_LARGE_TRANSFER_LATENCY_ADVANTAGE = 0.20
 
-#: Figure 8 anchor: FV-V ~2x faster than FV at 25 % selectivity.
-FV_V_SPEEDUP_AT_25PCT = 2.0
-
 #: TPC-H Q6 selectivity quoted in §5.3 ("only 2% of the data is finally
 #: selected").
 TPCH_Q6_SELECTIVITY = 0.02
@@ -244,10 +241,6 @@ TPCH_Q6_SELECTIVITY = 0.02
 #: Small-transfer regime where RNIC beats FV (Fig 6: "Below 4 kB ... RNIC
 #: achieves better throughput").
 RNIC_ADVANTAGE_BELOW_BYTES = 4 * KB
-
-#: Microsecond band sanity-check for single-table experiments (Figures 8-12
-#: report tens to hundreds of microseconds).
-EXPECTED_RESPONSE_TIME_BAND_US = (1.0, 2_000.0)
 
 
 def reconfiguration_latency_ns(region_fraction: float = 1.0) -> float:

@@ -81,10 +81,6 @@ class MemoryConfig:
         """Sustainable bandwidth across all striped channels, bytes/ns."""
         return self.effective_channel_bandwidth * self.channels
 
-    @property
-    def total_capacity(self) -> int:
-        return self.channel_capacity * self.channels
-
 
 @dataclass(frozen=True)
 class OperatorStackConfig:
@@ -157,13 +153,6 @@ class RnicConfig:
         _require_positive("line_rate", self.line_rate)
         _require_positive("pcie_bandwidth", self.pcie_bandwidth)
         _require_positive("packet_size", self.packet_size)
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Bottleneck bandwidth of the RNIC data path, bytes/ns."""
-        frame = self.packet_size + self.header_overhead
-        wire = self.line_rate * (self.packet_size / frame)
-        return min(wire, self.pcie_bandwidth)
 
 
 @dataclass(frozen=True)

@@ -43,18 +43,6 @@ def to_us(time_ns: float) -> float:
     return time_ns / US
 
 
-def to_ms(time_ns: float) -> float:
-    """Convert nanoseconds to milliseconds (for reporting)."""
-    return time_ns / MS
-
-
-def to_gbps(nbytes: int, time_ns: float) -> float:
-    """Effective throughput in GB/s for ``nbytes`` moved in ``time_ns``."""
-    if time_ns <= 0:
-        raise ValueError(f"non-positive duration: {time_ns}")
-    return nbytes / time_ns
-
-
 def mhz_cycle_ns(freq_mhz: float) -> float:
     """Clock period in nanoseconds for a frequency in MHz."""
     if freq_mhz <= 0:

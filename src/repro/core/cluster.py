@@ -97,10 +97,6 @@ class FarviewCluster:
         """Dynamic regions currently free across the whole pool."""
         return sum(node.free_regions for node in self.nodes)
 
-    @property
-    def queries_served(self) -> int:
-        return sum(node.queries_served for node in self.nodes)
-
     def __repr__(self) -> str:
         return (f"FarviewCluster({self.num_nodes} nodes, "
                 f"{self.free_regions} free regions)")

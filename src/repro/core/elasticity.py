@@ -106,8 +106,7 @@ class RegionLeaseManager:
             raise QueryError(
                 f"unknown admission policy {policy!r}; choose from {POLICIES}")
         self.nodes: list[FarviewNode] = _resolve_nodes(target)
-        self.node = self.nodes[0]  # single-node compatibility alias
-        self.sim: Simulator = self.node.sim
+        self.sim: Simulator = self.nodes[0].sim
         self.buffer_capacity = buffer_capacity
         self.policy = policy
         self._waiters: deque[_Ticket] = deque()

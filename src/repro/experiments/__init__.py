@@ -1,46 +1,13 @@
 """Experiment harnesses: one module per paper table/figure.
 
-================  =====================================================
-Module            Reproduces
-================  =====================================================
-table1_resources  Table 1 — FPGA resource overhead
-fig6_rdma         Figure 6 — RDMA throughput & response time (FV, RNIC)
-fig7_projection   Figure 7 — standard projection vs smart addressing
-fig8_selection    Figure 8 — selection at 100/50/25% selectivity
-fig9_grouping     Figure 9 — DISTINCT and GROUP BY + SUM
-fig10_regex       Figure 10 — regular-expression matching
-fig11_encryption  Figure 11 — decryption response time & throughput
-fig12_multiclient Figure 12 — six concurrent clients
-fig13_scaleout    Figure 13 (extension) — pool scale-out, sharded DISTINCT
-fig14_pushdown    Figure 14 (extension) — cost-based offload vs ship placement
-================  =====================================================
+``repro list`` names every experiment and the figure it reproduces;
+``cli.EXPERIMENTS`` is that registry, and ``repro run <id>`` is the one
+entry point that runs them.
 """
 
-from . import (
-    fig6_rdma,
-    fig7_projection,
-    fig8_selection,
-    fig9_grouping,
-    fig10_regex,
-    fig11_encryption,
-    fig12_multiclient,
-    fig13_scaleout,
-    fig14_pushdown,
-    table1_resources,
-)
 from .common import Bench, ExperimentResult, make_bench, run_query_warm, upload_table
 
 __all__ = [
-    "fig6_rdma",
-    "fig7_projection",
-    "fig8_selection",
-    "fig9_grouping",
-    "fig10_regex",
-    "fig11_encryption",
-    "fig12_multiclient",
-    "fig13_scaleout",
-    "fig14_pushdown",
-    "table1_resources",
     "Bench",
     "ExperimentResult",
     "make_bench",

@@ -53,11 +53,3 @@ def run(string_sizes=STRING_SIZES, num_rows: int = NUM_ROWS
         series=[fv, lcpu_s, rcpu_s],
         notes=[f"{num_rows} rows per table, {int(MATCH_FRACTION * 100)}% "
                f"match rate, pattern {REGEX_PATTERN!r}"])
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -129,13 +129,3 @@ def run_throughput(sizes=THROUGHPUT_SIZES) -> ExperimentResult:
 
 def run() -> list[ExperimentResult]:
     return [run_response(), run_throughput()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -105,11 +105,3 @@ def run(table_sizes=TABLE_SIZES) -> ExperimentResult:
         notes=["time until all clients complete; small distinct count",
                "FV: spatial parallelism + fair-shared DRAM; CPU baselines "
                "contend for DRAM/LLC"])
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

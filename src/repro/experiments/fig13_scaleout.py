@@ -111,11 +111,3 @@ def run(node_counts=NODE_COUNTS, table_size=TABLE_SIZE) -> ExperimentResult:
                f"over all nodes; completion = all clients merged",
                f"FV-pool: scatter-gather over independent nodes; ideal: "
                f"linear scaling from the {node_counts[0]}-node measurement"])
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

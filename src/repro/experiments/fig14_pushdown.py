@@ -147,13 +147,3 @@ def run(table_bytes: int = TABLE_BYTES,
                 f"(bound {(TRACKING_BOUND - 1) * 100:.0f}%)",
             ]))
     return results
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

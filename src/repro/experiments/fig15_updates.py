@@ -233,13 +233,3 @@ def run_scan_under_update(rates=UPDATE_RATES,
 
 def run() -> list[ExperimentResult]:
     return [run_delta_sweep(), run_scan_under_update()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

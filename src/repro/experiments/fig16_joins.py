@@ -201,13 +201,3 @@ def run_scaleout(fact_rows: int = CLUSTER_FACT_ROWS,
 
 def run() -> list[ExperimentResult]:
     return [run_build_sweep(), run_scaleout()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -244,13 +244,3 @@ def run_availability(node_counts=NODE_COUNTS) -> ExperimentResult:
 def run() -> list[ExperimentResult]:
     result_a, result_b = run_fault_sweep()
     return [result_a, result_b, run_availability()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

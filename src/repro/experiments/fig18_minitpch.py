@@ -114,13 +114,3 @@ def run_conformance(num_nodes: int = NUM_NODES) -> ExperimentResult:
 
 def run() -> list[ExperimentResult]:
     return [run_conformance()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

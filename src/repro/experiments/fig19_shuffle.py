@@ -248,13 +248,3 @@ def run_scheme_grid(node_counts=NODE_COUNTS,
 
 def run() -> list[ExperimentResult]:
     return [run_build_sweep(), run_scheme_grid()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

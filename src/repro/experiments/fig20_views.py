@@ -286,13 +286,3 @@ def run_subscription_stream() -> ExperimentResult:
 
 def run() -> list[ExperimentResult]:
     return run_crossover() + [run_subscription_stream()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -288,13 +288,3 @@ def run_fairness(weights=FAIR_WEIGHTS, shapes=None) -> ExperimentResult:
 def run() -> list[ExperimentResult]:
     result_a, result_b = run_load_sweep()
     return [result_a, result_b, run_fairness()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

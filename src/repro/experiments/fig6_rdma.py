@@ -110,13 +110,3 @@ def run(sizes_throughput=THROUGHPUT_SIZES,
         series=[resp_fv, resp_rnic],
         notes=["FV >= ~20% lower at large transfers; RNIC lower at small"])
     return fig6a, fig6b
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -49,11 +49,3 @@ def run(tuple_counts=TUPLE_COUNTS) -> ExperimentResult:
         series=[sa, t256, t512],
         notes=["crossover: smart addressing wins for 512 B tuples, "
                "sequential scan wins for 256 B tuples"])
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -68,13 +68,3 @@ def run_panel(selectivity: float,
 def run(table_sizes=TABLE_SIZES,
         selectivities=SELECTIVITIES) -> list[ExperimentResult]:
     return [run_panel(sel, table_sizes) for sel in selectivities]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

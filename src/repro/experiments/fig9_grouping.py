@@ -116,13 +116,3 @@ def run_groupby_vs_groups(group_counts=GROUP_COUNTS,
 
 def run() -> list[ExperimentResult]:
     return [run_distinct(), run_groupby_scaling(), run_groupby_vs_groups()]
-
-
-def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

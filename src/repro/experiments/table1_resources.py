@@ -56,11 +56,3 @@ def run(regions: int = 6) -> Table1Result:
         operator_rows=operator_rows,
         full_deployment_max_utilization=worst,
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -96,11 +96,6 @@ class DynamicRegion:
         self.state = RegionState.READY
         self.reconfigurations += 1
 
-    def __repr__(self) -> str:
-        return (f"DynamicRegion({self.index}, {self.state.value}, "
-                f"pipeline={self.loaded_pipeline!r}, qp={self.owner_qp})")
-
-
 class RegionManager:
     """Allocates the fixed pool of dynamic regions to client connections."""
 
@@ -121,12 +116,6 @@ class RegionManager:
 
     def release(self, region: DynamicRegion) -> None:
         region.release()
-
-    def region_of(self, qp_id: int) -> DynamicRegion:
-        for region in self.regions:
-            if region.owner_qp == qp_id:
-                return region
-        raise OperatorError(f"no region owned by QP {qp_id}")
 
     @property
     def free_count(self) -> int:

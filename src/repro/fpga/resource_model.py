@@ -152,13 +152,6 @@ class ResourceModel:
                 usage = usage + operator_cost(op)
         return usage
 
-    def fits(self, budget_fraction: float = 1.0) -> bool:
-        """Whether the current deployment fits within a utilization budget."""
-        total = self.total()
-        return all(v <= budget_fraction
-                   for v in (total.luts, total.regs, total.bram, total.dsps))
-
-
 def _fmt_pct(value: float) -> str:
     pct = value * 100
     if pct == 0:

@@ -1,24 +1,16 @@
-"""Memory stack: DRAM channels, striped allocation, MMU, buffer pool (§4.4)."""
+"""Memory stack: DRAM channels, striped allocation, MMU with TLB (§4.4).
+
+The node's DRAM is the disaggregated buffer pool: tables live in it, and
+the operators run beside it.
+"""
 
 from .allocator import PageFrames, StripedAllocator
-from .buffer_pool import (
-    BufferPool,
-    ClockPolicy,
-    FifoPolicy,
-    LruPolicy,
-    StorageBackend,
-)
 from .dram import DramChannel, build_channels
 from .mmu import Mmu, Tlb
 
 __all__ = [
     "PageFrames",
     "StripedAllocator",
-    "BufferPool",
-    "ClockPolicy",
-    "FifoPolicy",
-    "LruPolicy",
-    "StorageBackend",
     "DramChannel",
     "build_channels",
     "Mmu",

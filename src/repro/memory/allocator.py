@@ -64,10 +64,6 @@ class StripedAllocator:
     def free_pages(self) -> int:
         return len(self._recycled) + self._total_slices - self.high_water
 
-    @property
-    def total_pages(self) -> int:
-        return self._total_slices
-
     def allocate_page(self) -> PageFrames:
         """Reserve one page worth of physical memory across all channels."""
         if self._recycled:

@@ -170,14 +170,6 @@ class Mmu:
             self.allocator.free_page(table.pop(vpage))
         self.tlb.invalidate_domain(domain)
 
-    def allocation_size(self, domain: int, vaddr: int) -> int:
-        self._require_domain(domain)
-        alloc = self._allocations[domain].get(vaddr)
-        if alloc is None:
-            raise MemoryError_(
-                f"domain {domain}: no allocation at vaddr {vaddr:#x}")
-        return alloc.nbytes
-
     # -- translation --------------------------------------------------------------
     def translate(self, domain: int, vaddr: int) -> tuple[PageFrames, int, float]:
         """Translate one address; returns (frames, page_offset, latency_ns)."""

@@ -16,7 +16,7 @@ from .hashing import hash_key_batch, hash_u64_array, mix64
 from .lru_cache import ShiftRegisterLru
 from .packing import Packer
 from .projection import ProjectionOperator, SmartAddressingPlan
-from .regex_engine import CompiledRegex, compile_pattern
+from .regex_engine import CompiledRegex
 from .regex_op import RegexMatchOperator
 from .selection import (
     And,
@@ -53,7 +53,6 @@ __all__ = [
     "ProjectionOperator",
     "SmartAddressingPlan",
     "CompiledRegex",
-    "compile_pattern",
     "RegexMatchOperator",
     "And",
     "Compare",

@@ -72,9 +72,6 @@ class RowOperator(abc.ABC):
         """Operator-clock cycles consumed by the flush phase."""
         return 0
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class ByteOperator(abc.ABC):
     """A streaming transformation over the raw byte stream.
@@ -97,12 +94,9 @@ class ByteOperator(abc.ABC):
     def _process(self, chunk: bytes | memoryview) -> bytes:
         ...
 
+    @abc.abstractmethod
     def finish(self) -> bytes:
         """Drain any internal remainder at end of stream."""
-        return b""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
 
 
 class _RowParser:
@@ -249,6 +243,3 @@ class OperatorPipeline:
         return ([op.name for op in self.pre_ops]
                 + [op.name for op in self.row_ops]
                 + [op.name for op in self.post_ops])
-
-    def __repr__(self) -> str:
-        return f"OperatorPipeline({self.name!r}, ops={self.operator_names})"

@@ -163,7 +163,3 @@ class CuckooHashTable:
         out = self.overflow
         self.overflow = []
         return out
-
-    @property
-    def load_factor(self) -> float:
-        return self.size / self.capacity

@@ -42,30 +42,10 @@ class ShiftRegisterLru:
             raise OperatorError(f"LRU depth must be positive: {depth}")
         self.depth = depth
         self._reg: dict[bytes, None] = {}  # insertion order: oldest first
-        #: Outcomes of the single-key probes (:meth:`lookup`,
-        #: :meth:`lookup_or_insert`) only — see :meth:`advance`.
+        #: Outcomes of the single-key probe (:meth:`lookup_or_insert`)
+        #: only — see :meth:`advance`.
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, key: bytes) -> bool:
-        """True if ``key`` is resident; promotes it to most-recent."""
-        reg = self._reg
-        if key in reg:
-            del reg[key]
-            reg[key] = None  # re-append: most-recent position
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def insert(self, key: bytes) -> None:
-        """Push ``key`` as most-recent; the oldest entry falls off the end."""
-        reg = self._reg
-        if key in reg:
-            del reg[key]
-        reg[key] = None
-        if len(reg) > self.depth:
-            del reg[next(iter(reg))]
 
     def lookup_or_insert(self, key: bytes) -> bool:
         """Combined probe+insert as the hardware does in one pass."""
@@ -106,9 +86,3 @@ class ShiftRegisterLru:
     def resident(self) -> list[bytes]:
         """Resident keys, most-recent first."""
         return list(reversed(self._reg))
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._reg
-
-    def __repr__(self) -> str:
-        return f"ShiftRegisterLru(depth={self.depth}, live={len(self._reg)})"

@@ -49,7 +49,3 @@ class Packer:
         self._carry.clear()
         self.words_emitted += 1
         return out
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._carry)

@@ -420,11 +420,3 @@ class CompiledRegex:
     @property
     def num_states(self) -> int:
         return len(self._states)
-
-    def __repr__(self) -> str:
-        return f"CompiledRegex({self.pattern!r}, states={self.num_states})"
-
-
-def compile_pattern(pattern: str) -> CompiledRegex:
-    """Compile ``pattern``; raises :class:`RegexSyntaxError` on bad syntax."""
-    return CompiledRegex(pattern)

@@ -40,7 +40,6 @@ class RegexMatchOperator(RowOperator):
             self.regex = CompiledRegex(pattern)
         except RegexSyntaxError:
             raise
-        self.matched = 0
 
     def _bind(self, schema: Schema) -> Schema:
         col = schema.column(self.column)
@@ -51,9 +50,4 @@ class RegexMatchOperator(RowOperator):
 
     def _process(self, batch: np.ndarray) -> np.ndarray:
         keep = self.regex.search_column(batch[self.column])
-        self.matched += int(keep.sum())
         return batch[keep]
-
-    @property
-    def match_rate(self) -> float:
-        return self.matched / self.rows_in if self.rows_in else 0.0

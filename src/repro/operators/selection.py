@@ -175,12 +175,6 @@ class SelectionOperator(RowOperator):
         mask = self.predicate.evaluate(batch)
         return batch[mask]
 
-    @property
-    def selectivity(self) -> float:
-        """Observed fraction of tuples that passed so far."""
-        return self.rows_out / self.rows_in if self.rows_in else 0.0
-
-
 class VectorizedSelectionOperator(SelectionOperator):
     """Selection with parallel lanes fed from striped memory channels.
 

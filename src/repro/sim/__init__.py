@@ -2,7 +2,7 @@
 
 from .engine import AllOf, Event, Process, SimulationError, Simulator, Timeout
 from .resources import BandwidthPipe, CreditPool, RoundRobinArbiter, Store
-from .stats import Series, Tally, ThroughputMeter, median, percentile
+from .stats import Series, percentile
 
 __all__ = [
     "AllOf",
@@ -16,8 +16,5 @@ __all__ = [
     "RoundRobinArbiter",
     "Store",
     "Series",
-    "Tally",
-    "ThroughputMeter",
-    "median",
     "percentile",
 ]

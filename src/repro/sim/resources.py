@@ -34,9 +34,6 @@ class Store:
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
@@ -66,14 +63,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: (True, item) or (False, None)."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_waiting_putter()
-            return True, item
-        return False, None
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and not self.is_full:
@@ -137,10 +126,6 @@ class BandwidthPipe:
         self.sim.schedule(self.occupy(nbytes, extra_ns), ev.succeed, nbytes)
         return ev
 
-    def service_time(self, nbytes: int) -> float:
-        """Pure occupancy time for ``nbytes`` (no queueing, no latency)."""
-        return nbytes / self.rate
-
     @property
     def busy_until(self) -> float:
         return self._busy_until
@@ -172,14 +157,6 @@ class CreditPool:
         self._capacity = credits
         self._available = credits
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self._available
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     def acquire(self) -> Event:
         ev = self.sim.event()

@@ -1,66 +1,10 @@
-"""Measurement collection for experiments: tallies, series, meters."""
+"""Measurement collection for experiments: series and percentiles."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-
-class Tally:
-    """Streaming summary statistics (count / mean / min / max / stdev)."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.record(v)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:
-        if not self.count:
-            return f"Tally({self.name!r}, empty)"
-        return (f"Tally({self.name!r}, n={self.count}, mean={self.mean:.3g}, "
-                f"min={self.minimum:.3g}, max={self.maximum:.3g})")
-
-
-def median(values: Sequence[float]) -> float:
-    """Median of a sequence (the paper reports medians for RDMA numbers)."""
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -106,30 +50,3 @@ class Series:
             if p.x == x:
                 return p.y
         raise KeyError(f"series {self.name!r} has no point at x={x}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __repr__(self) -> str:
-        return f"Series({self.name!r}, n={len(self.points)})"
-
-
-class ThroughputMeter:
-    """Accumulates (bytes, elapsed) to compute effective GB/s."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total_bytes = 0
-        self.total_time_ns = 0.0
-
-    def record(self, nbytes: int, elapsed_ns: float) -> None:
-        if elapsed_ns < 0:
-            raise ValueError(f"negative elapsed time: {elapsed_ns}")
-        self.total_bytes += nbytes
-        self.total_time_ns += elapsed_ns
-
-    @property
-    def gbps(self) -> float:
-        if self.total_time_ns <= 0:
-            return 0.0
-        return self.total_bytes / self.total_time_ns

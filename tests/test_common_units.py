@@ -26,19 +26,8 @@ def test_gbit_conversion_100g():
     assert units.gbit(100.0) == pytest.approx(12.5)
 
 
-def test_to_us_and_ms():
+def test_to_us():
     assert units.to_us(2_500.0) == pytest.approx(2.5)
-    assert units.to_ms(3_000_000.0) == pytest.approx(3.0)
-
-
-def test_to_gbps():
-    # 1 MiB in 100 us -> ~10.49 GB/s
-    assert units.to_gbps(units.MB, 100 * units.US) == pytest.approx(10.48576)
-
-
-def test_to_gbps_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        units.to_gbps(100, 0.0)
 
 
 def test_mhz_cycle_ns():

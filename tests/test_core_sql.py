@@ -9,7 +9,7 @@ from repro.core.query import JoinSpec, Query, RegexFilter
 from repro.core.compile import (ParsedWrite, SqlSyntaxError, bind_select,
                             like_to_regex, parse_sql)
 from repro.operators.aggregate import AggregateSpec
-from repro.operators.regex_engine import compile_pattern
+from repro.operators.regex_engine import CompiledRegex
 from repro.operators.selection import And, Compare, Not, Or
 
 
@@ -149,20 +149,20 @@ def test_like_combined_with_predicate():
 def test_like_percent_and_underscore():
     regex = like_to_regex("a%b_c")
     assert regex == r"^a[\s\S]*b[\s\S]c$"
-    compiled = compile_pattern(regex)
+    compiled = CompiledRegex(regex)
     assert compiled.search(b"aXXXbYc")
     assert not compiled.search(b"aXXXbYYc")
 
 
 def test_like_escapes_metacharacters():
     regex = like_to_regex("50.5%")
-    compiled = compile_pattern(regex)
+    compiled = CompiledRegex(regex)
     assert compiled.search(b"50.5 percent")
     assert not compiled.search(b"50x5 percent")
 
 
 def test_like_is_full_match():
-    compiled = compile_pattern(like_to_regex("abc"))
+    compiled = CompiledRegex(like_to_regex("abc"))
     assert compiled.search(b"abc")
     assert not compiled.search(b"xabcx")  # SQL LIKE matches whole value
 

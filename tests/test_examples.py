@@ -7,15 +7,8 @@ from pathlib import Path
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
-EXAMPLES = [
-    "quickstart",
-    "analytics_offload",
-    "secure_analytics",
-    "multi_tenant",
-    "buffer_cache",
-    "sql_interface",
-    "read_write",
-]
+#: Every script in examples/, so a new example cannot be left out.
+EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
 
 
 def _load(name: str):

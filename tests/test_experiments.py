@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import calibration as cal
 from repro.experiments import (
     fig6_rdma,
     fig7_projection,
@@ -50,17 +51,20 @@ def test_fig6_paper_sweep_peaks_and_margins():
     tput_fv, tput_rnic = (fig6a.series_named(n) for n in ("FV", "RNIC"))
     resp_fv, resp_rnic = (fig6b.series_named(n) for n in ("FV", "RNIC"))
     # (a) Below 4 kB the RNIC achieves better throughput (paper §6.2).
-    for size in (128, 256, 512, 1 * KB, 2 * KB):
+    small = [x for x in tput_fv.xs if x < cal.RNIC_ADVANTAGE_BELOW_BYTES]
+    assert small
+    for size in small:
         assert tput_rnic.y_at(size) >= tput_fv.y_at(size)
     # (a) FV peaks near wire goodput (~12 GBps), above RNIC's PCIe-bound
     # ~11 GBps.
-    assert 11.0 <= max(tput_fv.ys) <= 13.0
+    assert max(tput_fv.ys) == pytest.approx(cal.FV_PEAK_READ_GBPS, abs=1.0)
     assert 10.0 <= max(tput_rnic.ys) <= 11.5
     assert max(tput_fv.ys) > max(tput_rnic.ys)
     # (b) FV wins large transfers by a substantial margin ("at least
     # 20%"), and response time grows with transfer size for both.
     advantage = 1.0 - resp_fv.y_at(32 * KB) / resp_rnic.y_at(32 * KB)
-    assert advantage >= 0.15, f"FV advantage at 32 kB only {advantage:.1%}"
+    assert advantage >= cal.FV_LARGE_TRANSFER_LATENCY_ADVANTAGE, (
+        f"FV advantage at 32 kB only {advantage:.1%}")
     assert_monotonic(resp_fv)
     assert_monotonic(resp_rnic)
 

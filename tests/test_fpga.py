@@ -31,7 +31,6 @@ def test_acquire_assigns_free_regions(sim, manager):
     r2 = manager.acquire(qp_id=11)
     assert r1.index != r2.index
     assert manager.free_count == 1
-    assert manager.region_of(10) is r1
 
 
 def test_exhaustion_raises(sim, manager):
@@ -94,11 +93,6 @@ def test_load_without_owner_rejected(sim):
         next(region.load_pipeline("x"))
 
 
-def test_region_of_unknown_qp(manager):
-    with pytest.raises(OperatorError):
-        manager.region_of(12345)
-
-
 # --- resource model (Table 1) ----------------------------------------------------
 
 def test_shell_plus_regions_reproduces_table1_row():
@@ -137,7 +131,7 @@ def test_full_deployment_stays_under_30_percent():
     total = model.total()
     assert total.luts <= 0.30
     assert total.regs <= 0.30
-    assert model.fits(0.35)
+    assert max(total.luts, total.regs, total.bram, total.dsps) <= 0.35
 
 
 def test_heavy_deployment_exceeds_budget():
@@ -145,7 +139,9 @@ def test_heavy_deployment_exceeds_budget():
     for i in range(6):
         model.deploy(i, ["decryption", "regex", "distinct", "groupby",
                          "encryption", "packing", "sending"])
-    assert not model.fits(0.30)  # BRAM-hungry pipelines blow the budget
+    total = model.total()
+    # BRAM-hungry pipelines blow the budget.
+    assert max(total.luts, total.regs, total.bram, total.dsps) > 0.30
 
 
 def test_undeploy_restores(sim):

@@ -13,7 +13,7 @@ from repro.operators.encryption_op import DecryptOperator, EncryptOperator
 from repro.operators.groupby import GroupByOperator
 from repro.operators.packing import Packer
 from repro.operators.projection import ProjectionOperator, SmartAddressingPlan
-from repro.operators.regex_engine import compile_pattern
+from repro.operators.regex_engine import CompiledRegex
 from repro.operators.regex_op import RegexMatchOperator
 from repro.operators.selection import Compare, SelectionOperator
 
@@ -160,7 +160,7 @@ def test_ctr_stage_counts_bytes():
 # --- regex degenerate patterns ------------------------------------------------------------------
 
 def test_regex_empty_pattern_matches_everything():
-    rx = compile_pattern("")
+    rx = CompiledRegex("")
     assert rx.search(b"")
     assert rx.search(b"anything")
     assert rx.fullmatch(b"")
@@ -168,7 +168,7 @@ def test_regex_empty_pattern_matches_everything():
 
 
 def test_regex_single_alternation_with_empty_branch():
-    rx = compile_pattern("a|")
+    rx = CompiledRegex("a|")
     assert rx.fullmatch(b"a")
     assert rx.fullmatch(b"")
 

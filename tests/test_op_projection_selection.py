@@ -177,7 +177,6 @@ def test_selection_filters():
     assert op.bind(schema) == schema
     out = op.process(batch)
     assert len(out) == 4
-    assert op.selectivity == pytest.approx(0.4)
 
 
 def test_selection_multi_column_predicate():

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import RegexSyntaxError
-from repro.operators.regex_engine import CompiledRegex, compile_pattern
+from repro.operators.regex_engine import CompiledRegex
 
 
 def search(pattern, data):
-    return compile_pattern(pattern).search(data)
+    return CompiledRegex(pattern).search(data)
 
 
 def fullmatch(pattern, data):
-    return compile_pattern(pattern).fullmatch(data)
+    return CompiledRegex(pattern).fullmatch(data)
 
 
 # --- literals and basic operators ----------------------------------------------
@@ -167,23 +167,23 @@ def test_both_anchors():
 def test_syntax_errors(bad):
     if bad == "a**":
         # Our engine treats ** as star-of-star: legal (like grep -E).
-        compile_pattern(bad)
+        CompiledRegex(bad)
         return
     with pytest.raises(RegexSyntaxError):
-        compile_pattern(bad)
+        CompiledRegex(bad)
 
 
 # --- pathological patterns stay linear -----------------------------------------------------
 
 def test_no_catastrophic_backtracking():
     """(a+)+b on a^n is exponential for backtrackers; NFA stays linear."""
-    pattern = compile_pattern("(a+)+b")
+    pattern = CompiledRegex("(a+)+b")
     assert not pattern.search(b"a" * 200)
     assert pattern.search(b"a" * 200 + b"b")
 
 
 def test_state_count_reasonable():
-    assert compile_pattern("(a|b)*c{1,8}[d-f]+").num_states < 200
+    assert CompiledRegex("(a|b)*c{1,8}[d-f]+").num_states < 200
 
 
 # --- oracle comparison against Python re -----------------------------------------------------
@@ -200,7 +200,7 @@ ORACLE_PATTERNS = [
        data=st.binary(min_size=0, max_size=24,
                       ).map(lambda b: bytes(x % 128 for x in b)))
 def test_search_agrees_with_re(pattern, data):
-    ours = compile_pattern(pattern).search(data)
+    ours = CompiledRegex(pattern).search(data)
     theirs = re.search(pattern.encode(), data) is not None
     assert ours == theirs, f"pattern={pattern!r} data={data!r}"
 
@@ -211,6 +211,6 @@ def test_search_agrees_with_re(pattern, data):
        data=st.binary(min_size=0, max_size=24,
                       ).map(lambda b: bytes(x % 128 for x in b)))
 def test_fullmatch_agrees_with_re(pattern, data):
-    ours = compile_pattern(pattern).fullmatch(data)
+    ours = CompiledRegex(pattern).fullmatch(data)
     theirs = re.fullmatch(pattern.encode(), data) is not None
     assert ours == theirs, f"pattern={pattern!r} data={data!r}"

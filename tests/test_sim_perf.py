@@ -557,8 +557,9 @@ def test_one_hash_one_probe_in_src():
     binder's clause record with its un-stacking walk, and the second
     client tail with its second and third plan records, and the nested
     tail's head callables with their two raw readers, and the unused
-    clock, combiner and request-stream helpers — and the reference model
-    binds nothing."""
+    clock, combiner and request-stream helpers, and the buffer pool, the
+    unused tallies and the per-figure entry points beside ``repro run`` —
+    and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -587,6 +588,10 @@ def test_one_hash_one_probe_in_src():
                                "operator_cycle_ns", "memory_cycle_ns",
                                "pipeline_fill_latency_ns")),
             (("src",), ("def assemble(", "def requests(")),
+            (("src", "docs"), ("BufferPool", "StorageBackend", "class Tally",
+                               "ThroughputMeter", "def median(")),
+            # ``repro run`` is the one entry point to the experiments.
+            (("src/repro/experiments",), ("def main(",)),
             (("src/repro/core/api.py",), ("def _node(", "def head(")),
             # The oracle interprets the resolved tree: no binder, head
             # Query or Bound* record on its side of a comparison.

@@ -72,29 +72,12 @@ def test_store_capacity_backpressure():
     assert put2_time == pytest.approx(50.0)
 
 
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert not ok and item is None
-    store.put("z")
-    sim.run()
-    ok, item = store.try_get()
-    assert ok and item == "z"
-
-
 def test_store_rejects_bad_capacity():
     with pytest.raises(SimulationError):
         Store(Simulator(), capacity=0)
 
 
 # --- BandwidthPipe -----------------------------------------------------------
-
-def test_pipe_service_time():
-    sim = Simulator()
-    pipe = BandwidthPipe(sim, rate=2.0)  # 2 bytes/ns
-    assert pipe.service_time(100) == pytest.approx(50.0)
-
 
 def test_pipe_single_transfer_completes_at_size_over_rate():
     sim = Simulator()

@@ -1,42 +1,8 @@
-"""Tallies, medians, percentiles, series, throughput meters."""
-
-import math
+"""Percentiles and series."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim.stats import Series, Tally, ThroughputMeter, median, percentile
-
-
-def test_tally_basic():
-    t = Tally("lat")
-    t.record_many([1.0, 2.0, 3.0, 4.0])
-    assert t.count == 4
-    assert t.mean == pytest.approx(2.5)
-    assert t.minimum == 1.0
-    assert t.maximum == 4.0
-    assert t.stdev == pytest.approx(1.2909944, rel=1e-6)
-
-
-def test_tally_empty_mean_is_nan():
-    assert math.isnan(Tally().mean)
-
-
-def test_tally_single_value_zero_variance():
-    t = Tally()
-    t.record(5.0)
-    assert t.variance == 0.0
-
-
-def test_median_odd_even():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([4.0, 1.0, 2.0, 3.0]) == pytest.approx(2.5)
-
-
-def test_median_empty_raises():
-    with pytest.raises(ValueError):
-        median([])
+from repro.sim.stats import Series, percentile
 
 
 def test_percentile():
@@ -53,28 +19,6 @@ def test_percentile_validation():
         percentile([1.0], 101)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=100))
-def test_median_is_order_statistic(values):
-    m = median(values)
-    below = sum(1 for v in values if v <= m)
-    above = sum(1 for v in values if v >= m)
-    assert below >= len(values) / 2
-    assert above >= len(values) / 2
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=0, max_value=1e6,
-                          allow_nan=False, allow_infinity=False),
-                min_size=2, max_size=200))
-def test_tally_mean_matches_numpy_semantics(values):
-    t = Tally()
-    t.record_many(values)
-    assert t.mean == pytest.approx(sum(values) / len(values), rel=1e-9, abs=1e-9)
-
-
 def test_series():
     s = Series("FV")
     s.add(64, 100.0, runs=10)
@@ -82,22 +26,5 @@ def test_series():
     assert s.xs == [64, 128]
     assert s.ys == [100.0, 180.0]
     assert s.y_at(64) == 100.0
-    assert len(s) == 2
     with pytest.raises(KeyError):
         s.y_at(999)
-
-
-def test_throughput_meter():
-    m = ThroughputMeter()
-    m.record(1000, 100.0)  # 10 B/ns
-    m.record(1000, 100.0)
-    assert m.gbps == pytest.approx(10.0)
-
-
-def test_throughput_meter_empty_is_zero():
-    assert ThroughputMeter().gbps == 0.0
-
-
-def test_throughput_meter_rejects_negative_time():
-    with pytest.raises(ValueError):
-        ThroughputMeter().record(1, -1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common import calibration as cal
 from repro.common.errors import QueryError
 from repro.workloads.generator import (
     REGEX_NEEDLE,
@@ -112,7 +113,8 @@ def test_q6_selectivity_near_paper_quote():
     rows = lineitem(50_000)
     q6 = q6_query()
     mask = q6.predicate.evaluate(rows)
-    assert float(mask.mean()) == pytest.approx(0.02, abs=0.01)
+    assert float(mask.mean()) == pytest.approx(cal.TPCH_Q6_SELECTIVITY,
+                                               abs=0.01)
 
 
 def test_q1_produces_six_groups():
