@@ -34,13 +34,16 @@ shard's own result, so it costs exactly what one node costs — same
 simulated time, same events.
 
 Every verb that takes simulated time is a ``*_proc`` generator (compose
-it inside a running simulation) with a blocking twin, generated by
-:func:`_with_blocking_verbs`, that drives the simulator to completion
-and returns ``(result, elapsed_ns)`` — the paper's measurement endpoint,
-"until the final results are written to the memory of the client
-machine" (§6.2).  ``docs/ARCHITECTURE.md`` ("Clients and results", "The
-versioned write path") has the verb tables, the one result type and the
-placement and write contracts.
+it inside a running simulation: a SQL statement is one process, so many
+run concurrently, from many clients, under a fault schedule) with a
+blocking twin, generated by :func:`_with_blocking_verbs`, that drives
+the simulator to completion and returns ``(result, elapsed_ns)`` — the
+paper's measurement endpoint, "until the final results are written to
+the memory of the client machine" (§6.2).  Only the twins,
+``read_version`` and the create verbs drive the simulator.
+``docs/ARCHITECTURE.md`` ("Clients and results", "The versioned write
+path") has the verb tables, the one result type and the placement and
+write contracts.
 """
 
 from __future__ import annotations
@@ -626,8 +629,8 @@ class ClusterClient:
     # -- placement: the fork, the ladder, the client-side tail --------------
     def _bind(self, table, as_of: int | None = None) -> tuple:
         """Coerce ``table`` to its handle and resolve the snapshot epoch
-        once, before nested blocking runs give concurrent writers a
-        chance to commit.  Idempotent on a bound pair."""
+        once, before simulated time passes and concurrent writers can
+        commit.  Idempotent on a bound pair."""
         table = as_table(table)
         if table.versioned:
             return table, table.epoch if as_of is None else as_of
@@ -636,23 +639,22 @@ class ClusterClient:
                              f"{table.name!r}")
         return table, None
 
-    def _placed(self, table, query: Query, placement: str,
-                stats: PlanStats | None = None, lease_manager=None,
-                as_of: int | None = None, join_strategy: str | None = None,
-                tail=()):
-        """The one route of a Query and of a compiled statement (its
-        head Query, then ``tail``).  ``"offload"`` with an empty tail is
-        the paper's path: no planner, no explain, timing-exact.  Anything
-        else plans the head once (plan-free under ``"offload"``) and runs
-        one :meth:`_run_tail`, unless the whole chain offloads and leaves
-        the client nothing.  Under ``"auto"`` a join build overflowing
-        the on-chip hash below nominal capacity re-plans with the join
-        on the client, and a dead dynamic region ships (raw reads need
-        no region).  Returns ``(result, elapsed_ns)``."""
+    def _placed_proc(self, table, query: Query, placement: str,
+                     stats: PlanStats | None = None, lease_manager=None,
+                     as_of: int | None = None,
+                     join_strategy: str | None = None, tail=()):
+        """Process: the one route of a Query and of a compiled statement
+        (its head Query, then ``tail``).  ``"offload"`` with an empty
+        tail is the paper's path: no planner, no explain, timing-exact.
+        Anything else plans the head once (plan-free under
+        ``"offload"``) and runs one :meth:`_run_tail_proc`, unless the
+        whole chain offloads and leaves the client nothing.  Under
+        ``"auto"`` a join build overflowing the on-chip hash below
+        nominal capacity re-plans with the join on the client, and a
+        dead dynamic region ships (raw reads need no region)."""
         if placement == "offload" and not tail:
-            return _run(self.sim, self._offload_proc(table, query, as_of,
-                                                     join_strategy),
-                        "far_view")
+            return (yield from self._offload_proc(table, query, as_of,
+                                                  join_strategy))
         table, epoch = self._bind(table, as_of)
 
         def attempt(placement, refuse_join_offload=False):
@@ -660,50 +662,54 @@ class ClusterClient:
                 table, query, placement, stats, lease_manager,
                 refuse_join_offload, epoch, join_strategy)
             if tail or plan.chosen != "offload":
-                return self._run_tail(table, epoch, query, plan, list(tail),
-                                      placement, stats, join_strategy)
-            result, elapsed = _run(self.sim, self._offload_proc(
-                table, query, epoch, join_strategy), "far_view")
-            plan.actual_ns = elapsed
-            result.explain = plan
-            return result, elapsed
+                return self._run_tail_proc(table, epoch, query, plan,
+                                           list(tail), placement, stats,
+                                           join_strategy)
+            return self._recorded_proc(plan, self._offload_proc(
+                table, query, epoch, join_strategy))
 
         try:
-            return attempt(placement)
+            return (yield from attempt(placement))
         except JoinBuildOverflowError:
             # The compile-time capacity pre-check is nominal; cuckoo
             # kick chains can exhaust below it while actually loading
             # the build.
             if placement != "auto" or query.join is None:
                 raise
-            return attempt(placement, refuse_join_offload=True)
+            return (yield from attempt(placement, refuse_join_offload=True))
         except RegionFailedError:
             if placement != "auto":
                 raise
-            return attempt("ship")
+            return (yield from attempt("ship"))
 
-    def far_view_planned(self, table, query: Query,
-                         placement: str = "auto",
-                         stats: PlanStats | None = None,
-                         lease_manager=None, as_of: int | None = None,
-                         join_strategy: str | None = None):
-        """:meth:`_placed` with the plan always recorded: ``"offload"``
-        (byte- and timing-identical to :meth:`far_view`), ``"ship"``
-        (raw read, every operator in client software) or ``"auto"``
-        (the cheapest split; degrades on a join-build overflow or a dead
-        region) carry an :class:`~repro.core.planner.ExplainPlan` with
-        estimated and actual times.  ``as_of`` pins a versioned table's
-        snapshot, ``join_strategy`` a join's scatter strategy."""
-        if placement != "offload":
-            return self._placed(table, query, placement, stats,
-                                lease_manager, as_of, join_strategy)
-        plan = self.plan(table, query, placement, stats, lease_manager,
-                         as_of=as_of, join_strategy=join_strategy)
-        result, elapsed = self._placed(table, query, placement, as_of=as_of,
-                                       join_strategy=join_strategy)
-        plan.actual_ns = elapsed
+    def _recorded_proc(self, plan: ExplainPlan, proc):
+        """Process: ``proc``, its result carrying ``plan`` timed to it."""
+        start = self.sim.now
+        result = yield from proc
+        plan.actual_ns = self.sim.now - start
         result.explain = plan
-        return result, elapsed
+        return result
+
+    def far_view_planned_proc(self, table, query: Query,
+                              placement: str = "auto",
+                              stats: PlanStats | None = None,
+                              lease_manager=None, as_of: int | None = None,
+                              join_strategy: str | None = None):
+        """Process: :meth:`_placed_proc` with the plan always recorded:
+        ``"offload"`` (byte- and timing-identical to :meth:`far_view`),
+        ``"ship"`` (raw read, every operator in client software) or
+        ``"auto"`` (the cheapest split; degrades on a join-build
+        overflow or a dead region) carry an
+        :class:`~repro.core.planner.ExplainPlan` with estimated and
+        actual times.  ``as_of`` pins a versioned table's snapshot,
+        ``join_strategy`` a join's scatter strategy."""
+        if placement != "offload":
+            return self._placed_proc(table, query, placement, stats,
+                                     lease_manager, as_of, join_strategy)
+        return self._recorded_proc(
+            self.plan(table, query, placement, stats, lease_manager,
+                      as_of=as_of, join_strategy=join_strategy),
+            self._offload_proc(table, query, as_of, join_strategy))
 
     def plan(self, table, query: Query, placement: str = "auto",
              stats: PlanStats | None = None, lease_manager=None,
@@ -753,15 +759,16 @@ class ClusterClient:
             join_strategy=strategy, join_transfer_ns=join_transfer_ns,
             join_build_shards=join_build_shards, **snapshot)
 
-    def _run_tail(self, table: Table, epoch: int | None, query: Query,
-                  plan: ExplainPlan | None, tail: list, placement: str,
-                  stats=None, join_strategy: str | None = None):
-        """The one client tail: one statement, one bill (one ``setup``,
-        its reads and kernels, one result write), one clock advance.
+    def _run_tail_proc(self, table: Table, epoch: int | None, query: Query,
+                       plan: ExplainPlan | None, tail: list, placement: str,
+                       stats=None, join_strategy: str | None = None):
+        """Process: the one client tail — one statement, one bill (one
+        ``setup``, its reads and kernels, one result write), one clock
+        advance.
 
         ``land`` puts a Query's rows into the bill, the head's and each
-        filtered arm's alike — ship: the raw :meth:`_read_raw`; hybrid:
-        the offloaded prefix plus ``read_ns``; whole chain (``plan``
+        filtered arm's alike — ship: the raw :meth:`_read_raw_proc`;
+        hybrid: the offloaded prefix plus ``read_ns``; whole chain (``plan``
         ``None``: plan-free): the node's result — then runs its
         ``client_steps(query, split)``; the head's are followed by
         ``tail``.  A ``join`` step reads its build raw or lands the
@@ -786,14 +793,15 @@ class ClusterClient:
         def land(table, at, query, plan, steps, strategy=None):
             nonlocal read_bytes
             if plan is not None and plan.chosen == "ship":
-                rows, shipped = self._read_raw(table, at, cost, steps)
+                rows, shipped = yield from self._read_raw_proc(table, at,
+                                                               cost, steps)
                 schema = table.schema
                 read_bytes += shipped
             else:
                 fragment = (query if plan is None else
                             build_fragment(query, plan.chain, plan.split))
-                landed, _ = _run(sim, self._offload_proc(
-                    table, fragment, at, strategy), "far_view")
+                landed = yield from self._offload_proc(table, fragment, at,
+                                                       strategy)
                 if plan is None:
                     chain = operator_chain(query)
                     plan = ExplainPlan("offload", "offload", len(chain),
@@ -804,7 +812,7 @@ class ClusterClient:
                 rows, schema = landed.rows(), landed.schema
                 parts.append(landed)
             for name, op in steps:
-                rows, schema, _arm = step(name, op, rows, schema)
+                rows, schema, _arm = yield from step(name, op, rows, schema)
             return rows, schema, plan
 
         def step(name, op, rows, schema):
@@ -814,23 +822,24 @@ class ClusterClient:
                                            cost), None)
             at = epochs[op.table]
             if op.query is None:
-                build_rows, shipped = self._read_raw(op.build, at, cost)
+                build_rows, shipped = yield from self._read_raw_proc(
+                    op.build, at, cost)
                 build_schema, arm = op.build.schema, None
                 read_bytes += shipped
             else:
                 arm = None if placement == "offload" else self.plan(
                     op.build, op.query, placement, stats, as_of=at)
-                build_rows, build_schema, arm = land(
+                build_rows, build_schema, arm = yield from land(
                     as_table(op.build), at, op.query, arm,
                     [] if arm is None else client_steps(op.query, arm.split))
             return (*run_client_join(rows, schema, build_rows, build_schema,
                                      op, cpu, cost), arm)
 
         try:
-            rows, schema, record = land(table, epoch, query, plan, steps,
-                                        join_strategy)
+            rows, schema, record = yield from land(table, epoch, query, plan,
+                                                   steps, join_strategy)
             for name, op in tail:
-                rows, schema, arm = step(name, op, rows, schema)
+                rows, schema, arm = yield from step(name, op, rows, schema)
                 record.tail.append(
                     (f"join({op.table})" if name == "join" else name, arm))
         finally:
@@ -838,34 +847,31 @@ class ClusterClient:
                 self._sessions[shard.node_index]._release_pin(shard.chain,
                                                               token)
         cost.add("write", cpu.write_ns(len(rows) * schema.row_width))
-        _run(sim, _client_compute(sim, cost.total_ns), "client-compute")
-        elapsed = sim.now - start
-        record.actual_ns = elapsed
-        result = QueryResult(schema=schema, merged=rows,
-                             response_time_ns=elapsed, explain=record,
-                             parts=parts, client_cost=cost,
-                             read_bytes=read_bytes)
-        return result, elapsed
+        yield from _client_compute(sim, cost.total_ns)
+        record.actual_ns = sim.now - start
+        return QueryResult(schema=schema, merged=rows,
+                           response_time_ns=record.actual_ns, explain=record,
+                           parts=parts, client_cost=cost,
+                           read_bytes=read_bytes)
 
-    def _read_raw(self, table, epoch: int | None, cost: CostBreakdown,
-                  steps: list | None = None):
-        """Blocking raw read of a whole table, decoded; returns ``(rows,
+    def _read_raw_proc(self, table, epoch: int | None, cost: CostBreakdown,
+                       steps: list | None = None):
+        """Process: raw read of a whole table, decoded; returns ``(rows,
         bytes_shipped)`` and charges the client the read.  A ship plan
         passes its ``steps``: it also pays a leading ``decrypt`` step
         (consumed from ``steps``) and a version chain's delta merge,
         which a raw join build does not."""
         cpu, table = self.cpu, as_table(table)
         if table.versioned:
-            (rows, _ids, shipped), _ = _run(
-                self.sim, self.read_version_proc(table, epoch),
-                "read_version")
+            rows, _ids, shipped = yield from self.read_version_proc(table,
+                                                                    epoch)
             cost.add("read", cpu.read_ns(shipped))
             if steps is not None:
                 visible, _scan_bytes, delta_rows = table.stats_at(epoch)
                 cost.add("merge",
                          delta_merge_cost_ns(cpu, visible, delta_rows))
             return rows, shipped
-        data, _ = self.table_read(table)
+        data = yield from self.table_read_proc(table)
         cost.add("read", cpu.read_ns(len(data)))
         if steps and steps[0][0] == "decrypt":
             # Only a caller-placed segment can be encrypted; the pool's
@@ -877,48 +883,49 @@ class ClusterClient:
         return table.schema.from_bytes(data), len(data)
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
-    def select(self, table, columns: list[str] | None,
-               predicate: Predicate, vectorized: bool = False,
-               placement: str = "offload",
-               stats: PlanStats | None = None):
-        """``SELECT columns FROM table WHERE predicate``.
-
-        ``placement`` routes through the cost-based planner:
-        ``"offload"`` (default, the paper's path), ``"ship"`` (raw read +
-        client software), or ``"auto"`` (cheapest split; pass ``stats``
-        for better estimates).
-        """
+    def select_proc(self, table, columns: list[str] | None,
+                    predicate: Predicate, vectorized: bool = False,
+                    placement: str = "offload",
+                    stats: PlanStats | None = None):
+        """Process: ``SELECT columns FROM table WHERE predicate`` under
+        ``placement``: ``"offload"`` (default, the paper's path),
+        ``"ship"`` (raw read + client software) or ``"auto"`` (cheapest
+        split; pass ``stats`` for better estimates)."""
         query = Query(projection=tuple(columns) if columns else None,
                       predicate=predicate, vectorized=vectorized,
                       label="select")
-        return self._placed(table, query, placement, stats)
+        return self._placed_proc(table, query, placement, stats)
 
-    def select_distinct(self, table, columns: list[str]):
-        query = Query(projection=tuple(columns), distinct=True,
-                      label="distinct")
-        return self.far_view(table, query)
+    def select_distinct_proc(self, table, columns: list[str]):
+        """Process: ``SELECT DISTINCT columns FROM table``, offloaded."""
+        return self.far_view_proc(table, Query(
+            projection=tuple(columns), distinct=True, label="distinct"))
 
-    def group_by(self, table, keys: list[str],
-                 aggregates: list[AggregateSpec]):
-        query = Query(group_by=tuple(keys), aggregates=tuple(aggregates),
-                      label="group_by")
-        return self.far_view(table, query)
+    def group_by_proc(self, table, keys: list[str],
+                      aggregates: list[AggregateSpec]):
+        """Process: ``aggregates`` per group of ``keys``, offloaded."""
+        return self.far_view_proc(table, Query(
+            group_by=tuple(keys), aggregates=tuple(aggregates),
+            label="group_by"))
 
-    def regex_match(self, table, column: str, pattern: str):
-        query = Query(regex=RegexFilter(column, pattern), label="regex")
-        return self.far_view(table, query)
+    def regex_match_proc(self, table, column: str, pattern: str):
+        """Process: the rows whose ``column`` matches ``pattern``."""
+        return self.far_view_proc(table, Query(
+            regex=RegexFilter(column, pattern), label="regex"))
 
-    def sql(self, statement: str, placement: str | None = None,
-            stats: PlanStats | None = None):
-        """Parse and execute a SQL statement against the catalog.
+    def sql_proc(self, statement: str, placement: str | None = None,
+                 stats: PlanStats | None = None):
+        """Process: parse and execute a SQL statement against the catalog.
 
         SELECTs run against any registered table (versioned scans pin
-        the current epoch); ``INSERT INTO ... VALUES``, ``UPDATE ... SET
-        ... WHERE`` and ``DELETE FROM ... WHERE`` commit write batches
-        against a versioned table and return ``(new_epoch, elapsed_ns)``.
-        Placement precedence for reads: the ``placement`` argument, then
-        a ``/*+ placement(...) */`` hint, then full offload.  Returns
-        ``(result, elapsed_ns)``.
+        the current epoch) and return the :class:`QueryResult`, timed
+        from the statement's own start; ``INSERT INTO ... VALUES``,
+        ``UPDATE ... SET ... WHERE`` and ``DELETE FROM ... WHERE``
+        commit write batches against a versioned table and return the
+        new epoch.  Placement precedence for reads: the ``placement``
+        argument, then a ``/*+ placement(...) */`` hint, then full
+        offload.  Parsing and binding run when the verb is called; the
+        rest runs in the caller's process, beside any other statement.
         """
         parsed = parse_sql(statement)
         if isinstance(parsed, ParsedWrite):
@@ -926,9 +933,9 @@ class ClusterClient:
         placement = placement or parsed.placement or "offload"
         bound = bind_select(parsed, self.catalog)
         # The arms and the bound ops are the client steps after the head.
-        return self._placed(bound.base, bound.query, placement, stats,
-                            tail=[("join", arm) for arm in bound.arms]
-                            + [(op.kernel, op) for op in bound.ops])
+        return self._placed_proc(bound.base, bound.query, placement, stats,
+                                 tail=[("join", arm) for arm in bound.arms]
+                                 + [(op.kernel, op) for op in bound.ops])
 
     def _require_versioned(self, table) -> Table:
         table = as_table(table)
@@ -940,14 +947,14 @@ class ClusterClient:
         return table
 
     def _sql_write(self, table: Table, parsed: ParsedWrite):
-        """Dispatch a parsed INSERT/UPDATE/DELETE to the write verbs."""
+        """The write verb's process for a parsed INSERT/UPDATE/DELETE."""
         if parsed.kind == "insert":
             rows = rows_from_literals(table.schema, parsed.values)
-            return self.insert(table, rows)
+            return self.insert_proc(table, rows)
         if parsed.kind == "update":
-            return self.update_where(table, parsed.predicate,
-                                     dict(parsed.assignments))
-        return self.delete_where(table, parsed.predicate)
+            return self.update_where_proc(table, parsed.predicate,
+                                          dict(parsed.assignments))
+        return self.delete_where_proc(table, parsed.predicate)
 
     # -- table lifecycle ------------------------------------------------------
     def create_table(self, name: str, schema: Schema, rows: np.ndarray,
@@ -1345,7 +1352,6 @@ class ClusterClient:
             fresh.subscriptions.append(sub)
         return fresh
 
-
     # -- join-build placement -------------------------------------------------
     def _free_copies(self, copies) -> None:
         """Return the pool memory of node-local plain copies (shard
@@ -1709,26 +1715,19 @@ class ClusterClient:
         return self._offload_proc(table, query, None, join_strategy)
 
     def scan_versioned_proc(self, table, query: Query,
-                            as_of: int | None = None):
-        """Process: offloaded scan over the snapshot pinned at start.
-        Every shard scan pins the epoch before any simulated time passes
-        (shard epochs always equal the table's), so writers committing —
-        and compactions retiring segments — mid-scan cannot change the
-        bytes this scan returns, on one shard or across many."""
-        return self._offload_proc(table, query, as_of)
-
-    def scan_versioned(self, table, query: Query,
-                       as_of: int | None = None, placement: str = "offload",
-                       stats: PlanStats | None = None,
-                       lease_manager=None):
-        """Snapshot scan under cost-based placement: ``"offload"`` (the
-        default) runs the delta-merge ingest on the nodes, ``"ship"``
-        reads the raw segments and merges + executes client-side,
-        ``"auto"`` picks the cheapest prefix split with delta-aware
-        costing (the ship/offload crossover shifts with the delta
-        fraction).  Returns ``(result, elapsed_ns)``."""
-        return self._placed(table, query, placement, stats, lease_manager,
-                            as_of=as_of)
+                            as_of: int | None = None,
+                            placement: str = "offload",
+                            stats: PlanStats | None = None,
+                            lease_manager=None):
+        """Process: scan of the snapshot at ``as_of`` (default: the
+        current epoch) under cost-based placement — ``"offload"`` runs
+        the delta-merge ingest on the nodes, ``"ship"`` reads the raw
+        segments and merges client-side, ``"auto"`` picks the cheapest
+        prefix split with delta-aware costing.  The epoch is pinned on
+        every shard before any simulated time passes, so writers and
+        compactions mid-scan cannot change the bytes it returns."""
+        return self._placed_proc(table, query, placement, stats,
+                                 lease_manager, as_of=as_of)
 
     def _offload_proc(self, table, query: Query, as_of: int | None = None,
                       join_strategy: str | None = None):

@@ -102,6 +102,22 @@ class FarviewCluster:
                 f"{self.free_regions} free regions)")
 
 
+def pool_nodes(target, owner: str) -> list[FarviewNode]:
+    """The nodes of a node, a cluster or a sequence of nodes sharing one
+    simulator; ``owner`` names the caller in the refusal."""
+    if isinstance(target, FarviewNode):
+        return [target]
+    nodes = list(getattr(target, "nodes", None)
+                 or (target if isinstance(target, Sequence) else ()))
+    if not nodes or not all(isinstance(n, FarviewNode) for n in nodes):
+        raise QueryError(
+            f"{owner} needs a FarviewNode, a FarviewCluster, or a "
+            f"non-empty sequence of nodes; got {target!r}")
+    if len({id(n.sim) for n in nodes}) != 1:
+        raise QueryError(f"all of {owner}'s nodes must share one simulator")
+    return nodes
+
+
 # -- partition-aware join strategy feasibility --------------------------------
 
 def hash_partitioned_on(table, key: str) -> bool:

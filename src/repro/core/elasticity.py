@@ -59,11 +59,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Sequence
 
 from ..common.errors import FaultError, QueryError, RegionUnavailableError
 from ..sim.engine import Event, Simulator
 from .api import FarviewClient
+from .cluster import pool_nodes
 from .node import FarviewNode
 
 POLICIES = ("fifo", "fair")
@@ -105,7 +105,8 @@ class RegionLeaseManager:
         if policy not in POLICIES:
             raise QueryError(
                 f"unknown admission policy {policy!r}; choose from {POLICIES}")
-        self.nodes: list[FarviewNode] = _resolve_nodes(target)
+        self.nodes: list[FarviewNode] = pool_nodes(target,
+                                                   "RegionLeaseManager")
         self.sim: Simulator = self.nodes[0].sim
         self.buffer_capacity = buffer_capacity
         self.policy = policy
@@ -320,19 +321,3 @@ class RegionLeaseManager:
     @property
     def free_regions(self) -> int:
         return sum(node.free_regions for node in self.nodes)
-
-
-def _resolve_nodes(target) -> list[FarviewNode]:
-    """Normalize a node / cluster / sequence-of-nodes into a node list."""
-    if isinstance(target, FarviewNode):
-        return [target]
-    nodes = list(getattr(target, "nodes", None)
-                 or (target if isinstance(target, Sequence) else ()))
-    if not nodes or not all(isinstance(n, FarviewNode) for n in nodes):
-        raise QueryError(
-            "RegionLeaseManager needs a FarviewNode, a FarviewCluster, or "
-            f"a non-empty sequence of nodes; got {target!r}")
-    sims = {id(n.sim) for n in nodes}
-    if len(sims) != 1:
-        raise QueryError("all pooled nodes must share one simulator")
-    return nodes

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..common.errors import QueryError
+from .cluster import pool_nodes
 
 #: Every fault kind a plan may schedule.
 KINDS = ("node_crash", "node_recover",
@@ -196,7 +197,7 @@ class FaultInjector:
     """
 
     def __init__(self, target, plan: Optional[FaultPlan] = None):
-        self.nodes = _as_nodes(target)
+        self.nodes = pool_nodes(target, "FaultInjector")
         self.sim = self.nodes[0].sim
         self.plan = plan if plan is not None else FaultPlan()
         self.applied: list[tuple[float, str, int]] = []
@@ -282,22 +283,3 @@ class FaultInjector:
             raise QueryError(f"node {index} has no region {region}")
         regions[region].repair()
         self._log("region_repair", index)
-
-
-def _as_nodes(target) -> list:
-    """Normalize node / cluster / sequence-of-nodes (no import cycle —
-    mirrors :func:`repro.core.elasticity._resolve_nodes` structurally)."""
-    from .node import FarviewNode
-
-    if isinstance(target, FarviewNode):
-        return [target]
-    nodes = list(getattr(target, "nodes", None)
-                 or (target if isinstance(target, Sequence) else ()))
-    if not nodes or not all(isinstance(n, FarviewNode) for n in nodes):
-        raise QueryError(
-            "FaultInjector needs a FarviewNode, a FarviewCluster, or a "
-            f"non-empty sequence of nodes; got {target!r}")
-    sims = {id(n.sim) for n in nodes}
-    if len(sims) != 1:
-        raise QueryError("all fault-injection targets must share one simulator")
-    return nodes

@@ -649,6 +649,56 @@ class TestClusterRecovery:
                 if tag == "ok":
                     assert detail == ref_sha, "chaos produced wrong bytes"
 
+    def test_sql_under_a_fault_schedule_stays_exact(self):
+        """The mini TPC-H statements as processes, under offload, ship
+        and auto, while a random crash and link degradation strike a k=2
+        pool: every result is the serial model's, every failure a typed
+        FaultError, and the worker finishes."""
+        from repro.baselines.sql_model import model_sha256
+        from repro.core.api import canonical_result_bytes
+        from repro.experiments.fig18_minitpch import QUERIES, make_tables
+
+        tables = make_tables(600, 120, 40)
+        sim = Simulator()
+        cluster = FarviewCluster(sim, 4, TEST_CONFIG)
+        cc = ClusterClient(cluster)
+        cc.open_connection()
+        for name, (schema, rows) in tables.items():
+            cc.create_table(name, schema, rows, PartitionSpec(replicas=2))
+        cc.retry_policy = RetryPolicy(max_attempts=2, base_backoff_ns=1_000.0)
+        # The 12 statements take ~20 ms of simulated time (each cold
+        # offload pays a reconfiguration); outages span several of them.
+        plan = FaultPlan.random(29 + CHAOS_SEED, 4,
+                                horizon_ns=sim.now + 20_000_000.0,
+                                crashes=1, degrades=1,
+                                mean_outage_ns=2_000_000.0)
+        FaultInjector(cluster, plan).install()
+        outcomes = []
+
+        def worker():
+            for _label, statement in QUERIES:
+                for placement in ("offload", "ship", "auto"):
+                    try:
+                        result = yield from cc.sql_proc(statement,
+                                                        placement=placement)
+                    except FaultError:
+                        outcomes.append((statement, None))      # typed
+                    else:
+                        outcomes.append(
+                            (statement, sha(canonical_result_bytes(result))))
+
+        proc = sim.process(worker())
+        sim.run()
+        assert proc.triggered, "SQL under chaos hung"
+        if not proc.ok:
+            raise proc.value                     # an untyped failure
+        assert len(outcomes) == 3 * len(QUERIES)
+        expected = {statement: model_sha256(statement, tables)
+                    for _label, statement in QUERIES}
+        for statement, digest in outcomes:
+            assert digest in (None, expected[statement]), \
+                f"chaos produced wrong bytes for {statement!r}"
+
 
 # ---------------------------------------------------------------------------
 # Materialized views under faults: typed refusal, no partial push,

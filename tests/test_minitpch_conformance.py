@@ -199,6 +199,71 @@ def test_order_by_adds_only_its_own_steps_under_ship(tables, num_nodes):
     assert ordered_ns - plain_ns == pytest.approx(own, rel=0, abs=1e-6)
 
 
+def test_a_statement_reports_its_own_time(tables):
+    """An unrelated process pending on the simulator is not part of a
+    statement: with a 1 ms timer registered before each deployed
+    statement, every statement x placement reports the
+    ``response_time_ns`` and ``explain.actual_ns`` it reports on an idle
+    simulator."""
+    idle, busy = cluster_client(tables, 2), cluster_client(tables, 2)
+
+    def timer():
+        yield busy.sim.timeout(1_000_000.0)
+
+    def timing(result):
+        return (result.response_time_ns,
+                None if result.explain is None else result.explain.actual_ns)
+
+    for label, statement in QUERIES:
+        for placement in PLACEMENTS:
+            for client in (idle, busy):
+                client.sql(statement, placement=placement)   # deploy
+            # Same start instant on both clocks: the same float sums.
+            idle.sim.run(until=busy.sim.now)
+            quiet, _ = idle.sql(statement, placement=placement)
+            busy.sim.process(timer())
+            loaded, _ = busy.sql(statement, placement=placement)
+            assert timing(loaded) == timing(quiet), (label, placement)
+
+
+@pytest.mark.parametrize("num_clients", (1, 3))
+def test_statements_compose(tables, num_clients):
+    """A statement is a process: offload, ship and auto streams of every
+    fig18 statement run concurrently on one 4-node pool — from one
+    client, or from three, each with its own copy of the tables
+    (protection domains are per connection, §4.4) — and every result is
+    the serial model's."""
+    sim = Simulator()
+    cluster = FarviewCluster(sim, 4)
+    clients = []
+    for _ in range(num_clients):
+        client = ClusterClient(cluster)
+        client.open_connection()
+        for name, (schema, rows) in tables.items():
+            client.create_table(name, schema, rows)
+        clients.append(client)
+    got = []
+
+    def stream(client, placement):
+        for _label, statement in QUERIES:
+            result = yield from client.sql_proc(statement,
+                                                placement=placement)
+            got.append((statement, sha(result)))
+
+    procs = [sim.process(stream(clients[i % num_clients], placement))
+             for i, placement in enumerate(PLACEMENTS)]
+    sim.run()
+    for proc in procs:
+        assert proc.triggered
+        if not proc.ok:
+            raise proc.value
+    assert len(got) == len(QUERIES) * len(PLACEMENTS)
+    expected = {statement: model_sha256(statement, tables)
+                for _label, statement in QUERIES}
+    for statement, digest in got:
+        assert digest == expected[statement], statement
+
+
 @pytest.mark.parametrize("label,statement", QUERIES,
                          ids=[label for label, _ in QUERIES])
 def test_versioned_snapshot_read_matches_model(tables, label, statement):

@@ -514,13 +514,13 @@ def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
 def test_a_statement_enters_the_client_tail_once(monkeypatch):
     """Every fig18 statement x placement that leaves the client work — a
     split below its chain, or steps after its head — enters
-    ``ClusterClient._run_tail`` exactly once, and none re-enters it: the
-    head and each arm are landed inside the statement's own tail."""
+    ``ClusterClient._run_tail_proc`` exactly once, and none re-enters it:
+    the head and each arm are landed inside the statement's own tail."""
     client = ClusterClient(FarviewCluster(Simulator(), 2))
     client.open_connection()
     for name, (schema, rows) in make_tables(256, 64, 16).items():
         client.create_table(name, schema, rows)
-    run_tail = ClusterClient._run_tail
+    run_tail = ClusterClient._run_tail_proc
     entries, depth, deepest = 0, 0, 0
 
     def counted(self, *args, **kwargs):
@@ -528,11 +528,11 @@ def test_a_statement_enters_the_client_tail_once(monkeypatch):
         entries, depth = entries + 1, depth + 1
         deepest = max(deepest, depth)
         try:
-            return run_tail(self, *args, **kwargs)
+            return (yield from run_tail(self, *args, **kwargs))
         finally:
             depth -= 1
 
-    monkeypatch.setattr(ClusterClient, "_run_tail", counted)
+    monkeypatch.setattr(ClusterClient, "_run_tail_proc", counted)
     with_client_work = 0
     for _label, statement in QUERIES:
         for placement in ("offload", "ship", "auto"):
@@ -558,8 +558,9 @@ def test_one_hash_one_probe_in_src():
     client tail with its second and third plan records, and the nested
     tail's head callables with their two raw readers, and the unused
     clock, combiner and request-stream helpers, and the buffer pool, the
-    unused tallies and the per-figure entry points beside ``repro run`` —
-    and the reference model binds nothing."""
+    unused tallies and the per-figure entry points beside ``repro run``,
+    and the blocking statement route beside its process and the second
+    pool normalizer — and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -587,12 +588,19 @@ def test_one_hash_one_probe_in_src():
                                "_read_build_rows", "RoundRobinCombiner",
                                "operator_cycle_ns", "memory_cycle_ns",
                                "pipeline_fill_latency_ns")),
-            (("src",), ("def assemble(", "def requests(")),
+            (("src",), ("def assemble(", "def requests(", "def _as_nodes(",
+                        "def _resolve_nodes(")),
             (("src", "docs"), ("BufferPool", "StorageBackend", "class Tally",
                                "ThroughputMeter", "def median(")),
             # ``repro run`` is the one entry point to the experiments.
             (("src/repro/experiments",), ("def main(",)),
-            (("src/repro/core/api.py",), ("def _node(", "def head(")),
+            # A statement is one process: no blocking route, tail, raw
+            # reader or second scan verb beside the generators.
+            (("src/repro/core/api.py",), ("def _node(", "def head(",
+                                          "def _placed(", "def _run_tail(",
+                                          "def _read_raw(",
+                                          "def scan_versioned(",
+                                          "def sql(")),
             # The oracle interprets the resolved tree: no binder, head
             # Query or Bound* record on its side of a comparison.
             (("src/repro/baselines",), ("bind_select", "Bound", "Query(",
@@ -617,6 +625,24 @@ def test_one_hash_one_probe_in_src():
                 text = path.read_text()
                 for gone in names:
                     assert gone not in text, f"{gone!r} is back in {path}"
+
+
+def test_only_the_twins_drive_the_simulator():
+    """Inside ``core/api.py`` only the generated blocking twin and the
+    hand-written ``read_version`` call ``_run``: every route below a verb
+    is a process, so it composes inside a running simulation."""
+    import ast
+
+    path = Path(__file__).resolve().parent.parent / "src/repro/core/api.py"
+    tree = ast.parse(path.read_text())
+    defs = [node for top in tree.body
+            for node in ([top] if not isinstance(top, ast.ClassDef)
+                         else top.body)
+            if isinstance(node, ast.FunctionDef)]
+    callers = {d.name for d in defs for node in ast.walk(d)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_run"}
+    assert callers == {"_blocking", "read_version"}
 
 
 # -- zero-copy from_bytes contract --------------------------------------------
