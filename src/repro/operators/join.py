@@ -97,30 +97,31 @@ class SmallTableJoinOperator(RowOperator):
 
     # -- build phase -------------------------------------------------------------
     def load_build(self, rows: np.ndarray) -> None:
-        """Load the small table into the on-chip hash (one-off, at deploy).
+        """Load the small table into the on-chip hash, at query start (a
+        cold join loads its build on every execution).
 
-        All keys are hashed per way in one pass; only the cuckoo insertion
-        itself — each placement depends on the evictions before it — walks
-        the rows, storing the build *row index*.  What the probe then reads
-        is arrays: the table's owner image, the build key words and the
+        All keys are hashed per way in one pass and the build *row
+        indices* go in through one bulk :meth:`CuckooHashTable.insert` —
+        an array pass per way, with only the rows from the first eviction
+        chain on placed one at a time.  What the probe then reads is
+        arrays: the table's owner image, the build key words and the
         payload columns.
         """
         if self._built:
             raise OperatorError("build side already loaded")
         image = key_image(rows, [self.build_key])
-        keys = image.tolist()
-        slots = self.table.batch_slots(image.data, self._key_width)
         # Errors surface in row order: rows before the first repeated key
         # may still overflow the table first.
         first, group = first_occurrence(image)
         repeated = np.flatnonzero(first[group] != np.arange(len(rows)))
-        put = self.table.put
-        for i in range(repeated[0] if len(repeated) else len(rows)):
-            if not put(keys[i], i, slots[i]):
-                raise JoinBuildOverflowError(
-                    f"build side of {len(rows)} rows does not fit the "
-                    f"on-chip hash ({self.table.capacity} slots); offload "
-                    f"refused — execute the join on the client")
+        fresh = image[:repeated[0] if len(repeated) else len(rows)]
+        slots = self.table.way_slots(fresh.data, self._key_width)
+        if self.table.insert(fresh.tolist(), range(len(fresh)),
+                             slots) < len(fresh):
+            raise JoinBuildOverflowError(
+                f"build side of {len(rows)} rows does not fit the "
+                f"on-chip hash ({self.table.capacity} slots); offload "
+                f"refused — execute the join on the client")
         if len(repeated):
             raise OperatorError(
                 f"duplicate build key at row {repeated[0]}: the small "

@@ -124,6 +124,94 @@ def test_high_load_state_is_pinned():
         assert table.get(keys[i]) == (i if i in place else None)
 
 
+def _insert_in_chunks(table, keys, values, cuts=()):
+    """Load ``keys`` through :meth:`CuckooHashTable.insert`, one call per
+    chunk between ``cuts``, resuming after each overflowing row as a
+    caller does; returns each call's stop row (as a global row index)."""
+    slots = table.way_slots(b"".join(keys), 8)
+    stops = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(keys)]):
+        while True:
+            stop = table.insert(keys[lo:hi], values[lo:hi], slots[:, lo:hi])
+            stops.append(lo + stop)
+            lo += stop + 1
+            if lo >= hi:
+                break
+    return stops
+
+
+def _put_in_chunks(table, keys, values, cuts=()):
+    """The same calls, answered by one ``put`` per key."""
+    slots = table.batch_slots(b"".join(keys), 8)
+    stops = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(keys)]):
+        while True:
+            stop = next((i for i in range(lo, hi)
+                         if not table.put(keys[i], values[i], slots[i])), hi)
+            stops.append(stop)
+            lo = stop + 1
+            if lo >= hi:
+                break
+    return stops
+
+
+def _state(table):
+    """Where every key sits, way by way, plus the counters and the
+    overflow buffer in order."""
+    return ([{slot: table._keys[entry] for slot, entry in way.items()}
+             for way in table._tables],
+            table.kicks, table.size, table.overflow)
+
+
+def test_high_load_state_is_pinned_through_insert():
+    """``test_high_load_state_is_pinned``'s 3,000 keys loaded through
+    ``insert`` hit the same pins: size, kicks and overflow count, the
+    overflow digest and the digest of where every resident sits."""
+    keys = _lcg_keys(3000)
+    table = CuckooHashTable(ways=2, slots_per_way=1024, max_kicks=4)
+    stops = _insert_in_chunks(table, keys, range(3000))
+    assert (table.size, table.kicks, len(table.overflow)) == (1928, 4659, 1072)
+    assert len(set(stops) - {3000}) == 1072
+    assert hashlib.sha256(
+        b"".join(k for k, _ in table.overflow)).hexdigest() == (
+        "427dfb09f058e886acb4b484169639911f2315d7a2b702d9a4beae7696c93b36")
+    owner = table.owner_image()
+    slots = table.way_slots(b"".join(keys), 8)
+    digest = hashlib.sha256()
+    for i in range(3000):
+        for way in range(2):
+            if owner[way, slots[way, i]] == i:
+                digest.update(f"{i}:{way}:{slots[way, i]};".encode())
+    assert digest.hexdigest() == (
+        "4675ac929b0e83a620fcd3e762d4ebf24cb29957b1b8a100bbd48e671c721bc1")
+    stepped = CuckooHashTable(ways=2, slots_per_way=1024, max_kicks=4)
+    assert _put_in_chunks(stepped, keys, range(3000)) == stops
+    assert _state(table) == _state(stepped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 64), st.integers(1, 8), st.data())
+def test_insert_equals_one_put_per_key(ways, slots_per_way, max_kicks, data):
+    """On a table pre-filled by ``put``s, up to 2x capacity of further
+    keys through ``insert`` in drawn chunks leave the per-way layout,
+    ``kicks``, ``size``, the overflow buffer in order, the owner image and
+    every chunk's stop row exactly as one ``put`` per key does."""
+    bulk = CuckooHashTable(ways, slots_per_way, max_kicks)
+    stepped = CuckooHashTable(ways, slots_per_way, max_kicks)
+    prefill = data.draw(st.integers(0, bulk.capacity), label="prefill")
+    more = data.draw(st.integers(0, 2 * bulk.capacity), label="more")
+    keys = _lcg_keys(prefill + more, x=data.draw(st.integers(0, 2**64 - 1)))
+    for i, key in enumerate(keys[:prefill]):
+        assert bulk.put(key, i) == stepped.put(key, i)
+    cuts = sorted(data.draw(st.lists(st.integers(0, more), max_size=4),
+                            label="cuts"))
+    rest, values = keys[prefill:], range(prefill, prefill + more)
+    assert (_insert_in_chunks(bulk, rest, values, cuts)
+            == _put_in_chunks(stepped, rest, values, cuts))
+    assert _state(bulk) == _state(stepped)
+    np.testing.assert_array_equal(bulk.owner_image(), stepped.owner_image())
+
+
 def test_owner_image_marks_empty_slots():
     table = CuckooHashTable(ways=2, slots_per_way=8)
     assert (table.owner_image() == -1).all()

@@ -465,7 +465,7 @@ def _split(draw, rows):
 
 
 def _table_state(table):
-    return ([{slot: entry.key for slot, entry in way.items()}
+    return ([{slot: table._keys[entry] for slot, entry in way.items()}
              for way in table._tables], table.kicks, table.size)
 
 

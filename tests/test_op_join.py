@@ -21,6 +21,7 @@ from repro.core.node import FarviewNode
 from repro.core.pipeline_compiler import compile_query
 from repro.core.query import JoinSpec, Query
 from repro.core.table import FTable
+from repro.operators.cuckoo import CuckooHashTable
 from repro.operators.join import SmallTableJoinOperator
 from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
@@ -125,6 +126,67 @@ def test_join_duplicate_before_overflow_raises_duplicate():
     with pytest.raises(OperatorError, match=r"key at row 3:") as excinfo:
         _tiny_join().load_build(dim)
     assert not isinstance(excinfo.value, JoinBuildOverflowError)
+
+
+def test_join_repeat_before_and_after_the_first_eviction_chain():
+    # In _tiny_join's geometry ids 0..5 each find a free slot and id 6 is
+    # the first row that evicts (its chain fits); id 7's runs out.
+    op = _tiny_join()
+    op.load_build(make_dim(7))
+    assert (op.table.size, op.table.kicks) == (7, 1)
+    for row in (5, 6, 7):                  # up to the overflowing row
+        dim = make_dim(16)
+        dim["id"][row] = 2
+        with pytest.raises(OperatorError, match=f"key at row {row}:") as exc:
+            _tiny_join().load_build(dim)
+        assert not isinstance(exc.value, JoinBuildOverflowError)
+
+
+def _loop_build_error(geometry, dim):
+    """The build-side refusal of one ``put`` per row, in row order, up to
+    the first repeated key: the error the bulk load must raise."""
+    table = CuckooHashTable(*geometry)
+    seen = set()
+    for i, key in enumerate(dim["id"].tolist()):
+        if key in seen:
+            return OperatorError, f"key at row {i}:"
+        seen.add(key)
+        if not table.put(int(key).to_bytes(8, "little", signed=True), i):
+            return JoinBuildOverflowError, "does not fit"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 3)),
+       st.lists(st.integers(0, 30), max_size=24))
+def test_join_build_refusal_equals_the_per_row_loop(geometry, ids):
+    """Tiny tables, drawn ids with repeats anywhere: the bulk load refuses
+    with the per-row loop's typed error, naming the same row, or loads
+    every row as the loop does."""
+    dim = make_dim(len(ids))
+    dim["id"] = ids
+    op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"], *geometry)
+    want = _loop_build_error(geometry, dim)
+    if want is None:
+        op.load_build(dim)
+        assert op.build_rows_loaded == len(ids)
+    else:
+        with pytest.raises(want[0], match=want[1]) as exc:
+            op.load_build(dim)
+        assert type(exc.value) is want[0]
+
+
+def test_join_empty_and_single_row_builds():
+    schema, fact = make_fact(10, key_mod=3)
+    for n in (0, 1):
+        op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"])
+        op.load_build(make_dim(n))
+        owner = op.table.owner_image()
+        assert owner[owner >= 0].tolist() == list(range(n))
+        op.bind(schema)
+        out = op.process(fact)
+        assert out["a"].tolist() == [0] * (4 if n else 0)
+        assert out["rate"].tolist() == [0.0] * (4 if n else 0)
 
 
 def test_join_build_overflow_rejected():

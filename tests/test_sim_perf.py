@@ -207,33 +207,48 @@ def test_raw_read_enters_the_client_per_burst():
 
 # -- the join stays array-resident ---------------------------------------------
 
-def test_join_python_call_budget():
-    """Build 16,384 keys, probe 65,536 rows in DRAM-burst batches: the
-    Python-level calls into ``repro.operators`` are O(batches + build rows).
-
-    Only the cuckoo insertion walks rows (a put and its probe per build
-    row); hashing, lookup, key compare and gather are array passes per
-    batch.  Per-row hashing or a per-match copy loop — 2.3M calls here
-    before the join went array-resident — lands 10x over the budget.
-    """
-    build_rows, probe_rows = 16_384, 65_536
+def _build_calls(build_rows):
+    """Python-level calls into ``repro.operators`` that loading a
+    ``build_rows``-row build side makes, and the join it loaded."""
     dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])
     dim = dim_schema.empty(build_rows)
     dim["id"] = np.arange(build_rows) * 3
     dim["rate"] = np.arange(build_rows) * 0.5
+    op = SmallTableJoinOperator(dim_schema, "id", "a", ["rate"])
+    profile = cProfile.Profile()
+    profile.enable()
+    op.load_build(dim)
+    profile.disable()
+    return _calls_into(profile, "/repro/operators/"), op
+
+
+def test_join_python_call_budget():
+    """Build 16,384 keys, probe 65,536 rows in DRAM-burst batches: the
+    Python-level calls into ``repro.operators`` are O(ways) for the build
+    and O(batches) for the probe.
+
+    The build is one bulk cuckoo ``insert``, an array pass per way, so its
+    calls do not grow with the build rows (22 at 1,024 and at 16,384
+    rows; ~2 per row when each row was its own ``put``).  Hashing,
+    lookup, key compare and gather are array passes per batch.  Per-row
+    hashing or a per-match copy loop — 2.3M calls here before the join
+    went array-resident — lands 10x over the budget.
+    """
+    build_rows, probe_rows = 16_384, 65_536
+    small, _ = _build_calls(1_024)
+    build, op = _build_calls(build_rows)
+    assert 0 < build == small < 10 * op.table.ways
     schema = default_schema()
     fact = schema.empty(probe_rows)
     fact["a"] = np.arange(probe_rows)        # ids are 0, 3, ..., 49149
     image = memoryview(schema.to_bytes(fact))
     bursts = [image[off:off + DEFAULT_BURST_BYTES]
               for off in range(0, len(image), DEFAULT_BURST_BYTES)]
-    op = SmallTableJoinOperator(dim_schema, "id", "a", ["rate"])
     pipeline = OperatorPipeline("join", schema, [op])
 
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
-    op.load_build(dim)
     out = b"".join(pipeline.process_chunk(burst) for burst in bursts)
     profile.disable()
     wall = time.perf_counter() - start
@@ -247,7 +262,7 @@ def test_join_python_call_budget():
             op.probe_matches) == (build_rows, probe_rows, len(expected),
                                   len(expected))
     calls = _calls_into(profile, "/repro/operators/")
-    assert 0 < calls < 8 * build_rows + 200 * len(bursts)
+    assert 0 < calls < 200 * len(bursts)
     assert wall < 5.0   # ~0.1 s under the profiler; slack for slow CI
 
 
@@ -560,11 +575,12 @@ def test_one_hash_one_probe_in_src():
     clock, combiner and request-stream helpers, and the buffer pool, the
     unused tallies and the per-figure entry points beside ``repro run``,
     and the blocking statement route beside its process and the second
-    pool normalizer — and the reference model binds nothing."""
+    pool normalizer, and the cuckoo table's object per entry — and the
+    reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
-                        "update_in_place")),
+                        "update_in_place", "class _Entry")),
             (("src", "docs"), ("serve_farview_versioned", "_JoinReplica",
                                "_join_replicas", "_join_broadcasts",
                                "_shuffle_fragments", "_shuffle_jobs",
