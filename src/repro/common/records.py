@@ -222,10 +222,18 @@ def first_occurrence(keys: np.ndarray, seen: SlotMap | None = None
     holds only the rows that introduce a key new to ``seen``, and ``seen``
     is extended by those keys.
 
-    The grouping itself is one ``dict.setdefault`` pass run from C over
-    the key bytes; ``np.unique`` sorts, which on wide void keys is slower
-    than the per-row Python loop this replaces.
+    Two routes, chosen by the key width and by whether ``seen`` is passed:
+
+    * Without ``seen``, a key of at most 8 bytes is one unsigned word, and
+      grouping is one stable sort of the words (:func:`_group_words`):
+      no Python object per row.
+    * With ``seen``, or on a key wider than 8 bytes, it is one
+      ``dict.setdefault`` pass run from C over the key bytes.  A sort of
+      wide void keys (``np.unique``) is slower than that pass, and a
+      streaming map must outlive the call anyway.
     """
+    if seen is None and keys.dtype.itemsize <= 8:
+        return _group_words(_key_words(keys))
     n = len(keys)
     groups = {} if seen is None else seen
     known = len(groups)
@@ -243,6 +251,41 @@ def first_occurrence(keys: np.ndarray, seen: SlotMap | None = None
         if seen is not None:
             seen.update(zip(keys[first].tolist(), dense[first].tolist()))
     return first, group
+
+
+def _key_words(keys: np.ndarray) -> np.ndarray:
+    """Each key of at most 8 bytes as one unsigned word: equal words are
+    equal key bytes.  Widths 1, 2, 4 and 8 are a view, the others are
+    zero-padded to 8 bytes."""
+    width = keys.dtype.itemsize
+    if width in (1, 2, 4, 8):
+        return keys.view(f"<u{width}")
+    words = np.zeros(len(keys), dtype="<u8")
+    words.view(np.dtype({"names": ["k"], "formats": [keys.dtype],
+                         "itemsize": 8}))["k"] = keys
+    return words
+
+
+def _group_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`first_occurrence` over unsigned words.
+
+    A stable sort puts each group's rows in one run in row order, so a
+    run's first index is the row where its group first appears; ranking
+    those rows gives the first-seen group order.
+    """
+    n = len(words)
+    order = np.argsort(words, kind="stable")
+    ordered = words[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    run_first = order[starts]
+    rank = np.argsort(run_first)
+    group_of_run = np.empty(len(rank), dtype=np.intp)
+    group_of_run[rank] = np.arange(len(rank))
+    group = np.empty(n, dtype=np.intp)
+    group[order] = group_of_run[np.cumsum(starts) - 1]
+    return run_first[rank], group
 
 
 def default_schema(num_attributes: int = 8, attr_bytes: int = 8) -> Schema:

@@ -191,10 +191,15 @@ class VersionView:
         peek on the node, gathered RDMA reads on the client).  Rows come
         back in ascending row-id order — the canonical visible order every
         snapshot scan and compaction reproduces.
+
+        Rows are patched as byte blocks: each visible row is one
+        ``V<row_width>`` element, and an insert or update delta is read as
+        its 8-byte row id beside such an element (``delta_schema``).
         """
-        rows = self.schema.from_bytes(read(self.base), copy=True)
+        row = np.dtype(f"V{self.schema.row_width}")
+        delta_record = np.dtype([(ROWID_COLUMN, "<u8"), ("row", row)])
+        rows = self.schema.from_bytes(read(self.base), copy=True).view(row)
         ids = self.base_rowids.copy()
-        dschema = delta_schema(self.schema)
         for delta in self.deltas:
             image = read(delta.table)
             if delta.kind == "delete":
@@ -202,25 +207,21 @@ class VersionView:
                 keep = ~np.isin(ids, gone)
                 rows, ids = rows[keep], ids[keep]
                 continue
-            drows = dschema.from_bytes(image)
-            payload = self.schema.empty(len(drows))
-            for namecol in self.schema.names:
-                payload[namecol] = drows[namecol]
+            block = np.frombuffer(image, dtype=delta_record)
+            targets, payload = block[ROWID_COLUMN], block["row"]
             if delta.kind == "insert":
                 rows = np.concatenate([rows, payload])
-                ids = np.concatenate(
-                    [ids, drows[ROWID_COLUMN].astype(np.uint64)])
+                ids = np.concatenate([ids, targets])
             else:
                 # Update: patch in place by row id.  Row ids are always
                 # ascending (base order, then insertion order; deletes
                 # and compaction preserve it), so one vectorized
                 # searchsorted replaces a per-row dict probe.
-                targets = drows[ROWID_COLUMN].astype(np.uint64)
                 pos = np.searchsorted(ids, targets)
                 valid = pos < len(ids)
                 valid[valid] = ids[pos[valid]] == targets[valid]
                 rows[pos[valid]] = payload[valid]
-        return rows, ids
+        return rows.view(self.schema.dtype), ids
 
 
 @dataclass

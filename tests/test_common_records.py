@@ -176,12 +176,22 @@ def test_round_trip_property_char(blobs):
 
 # --- the host's grouping kernel: key_image + first_occurrence ------------------
 
-#: key width -> (schema, key columns): a 1 B and a 512 B whole-row key (the
-#: block-copy path), an 8 B single column and a 24 B key of three
-#: non-adjacent columns (the packing path).
+#: key width -> (schema, key columns).  Keys of at most 8 bytes group as
+#: one unsigned word each (widths 1, 2, 4 and 8 viewed, 3 and 7
+#: zero-padded), wider ones through the dict pass: a 1 B and a 512 B
+#: whole-row key (the block-copy path), an 8 B single column, a 3 B and
+#: a 4 B char key (the view's ``cat``), a 7 B key of two adjacent columns,
+#: a 9 B key (the first width still on the dict route) and a 24 B key of
+#: three non-adjacent columns (the packing path).
 KEYED = {
     1: (Schema([Column("k", "char", 1)]), ("k",)),
+    3: (Schema([Column("k", "char", 3), Column("v", "int64")]), ("k",)),
+    4: (Schema([Column("id", "int64"), Column("k", "char", 4),
+                Column("v", "float64")]), ("k",)),
+    7: (Schema([Column("p", "char", 2), Column("k", "char", 5),
+                Column("v", "int64")]), ("p", "k")),
     8: (Schema([Column("k", "int64"), Column("v", "float64")]), ("k",)),
+    9: (Schema([Column("v", "int64"), Column("k", "char", 9)]), ("k",)),
     24: (Schema([Column("k", "int64"), Column("pad", "int64"),
                  Column("f", "float64"), Column("s", "char", 8)]),
          ("s", "k", "f")),
@@ -189,26 +199,34 @@ KEYED = {
 }
 
 
-def check_kernel_against_dict(rows, columns):
-    """``first_occurrence(key_image(...))`` vs a plain python dict over the
-    concatenated column bytes of each row, in one call and streamed."""
-    images = [b"".join(rows[name][i:i + 1].tobytes() for name in columns)
-              for i in range(len(rows))]
+def check_kernel_against_dict(rows, columns, cut=slice(None)):
+    """``first_occurrence(key_image(...)[cut])`` vs a plain python dict over
+    the concatenated column bytes of each row of ``rows[cut]``: in one call
+    (the word route for a key of at most 8 bytes), in one call with a fresh
+    map (the dict route) and streamed.  ``cut`` takes a strided or prefix
+    view of the packed keys, as a caller grouping part of an image does."""
+    part = rows[cut]
+    images = [b"".join(part[name][i:i + 1].tobytes() for name in columns)
+              for i in range(len(part))]
     index: dict[bytes, int] = {}
     group = [index.setdefault(image, len(index)) for image in images]
     keys = key_image(rows, columns)
     assert keys.dtype.kind == "V" and not np.shares_memory(keys, rows)
+    keys = keys[cut]
     assert keys.tolist() == images
     first, got = first_occurrence(keys)
     assert got.tolist() == group
     assert first.tolist() == [group.index(g) for g in range(len(index))]
+    assert first.dtype == got.dtype == np.intp
+    mapped = first_occurrence(keys, {})
+    assert [a.tolist() for a in mapped] == [first.tolist(), group]
     # Streamed five rows at a time through a long-lived map: the same
     # groups, each key introduced once, the map left as the dict.
     seen: dict[bytes, int] = {}
     streamed, introduced = [], []
     for start in range(0, len(keys), 5):
-        new, part = first_occurrence(keys[start:start + 5], seen)
-        streamed += part.tolist()
+        new, part_group = first_occurrence(keys[start:start + 5], seen)
+        streamed += part_group.tolist()
         introduced += (new + start).tolist()
     assert (streamed, introduced) == (group, first.tolist())
     assert list(seen.items()) == list(index.items())
@@ -224,6 +242,25 @@ def test_first_occurrence_matches_dict_oracle(data):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=48))
     rows = schema.from_bytes(b"".join(pool[i] for i in picks))
     check_kernel_against_dict(rows, columns)
+    # A strided view and a prefix (the join's ``image[:k]``) of the keys.
+    check_kernel_against_dict(rows, columns, slice(None, None, 2))
+    check_kernel_against_dict(
+        rows, columns, slice(data.draw(st.integers(0, len(rows)))))
+
+
+@pytest.mark.parametrize("width", sorted(KEYED))
+def test_first_occurrence_many_rows_few_keys(width):
+    """4,096 rows over five keys, each key's rows spread over the whole
+    input: a group's first row is its earliest, which an unstable sort of
+    the key words gets wrong, and equal keys stay equal whatever bytes
+    pad them to a word."""
+    schema, columns = KEYED[width]
+    pool = np.random.default_rng(width).integers(
+        0, 256, (5, schema.row_width), dtype=np.uint8)
+    picks = np.random.default_rng(width + 1).integers(0, 5, 4_096)
+    rows = schema.from_bytes(pool[picks].tobytes())
+    check_kernel_against_dict(rows, columns)
+    check_kernel_against_dict(rows, columns, slice(1, None, 3))
 
 
 @pytest.mark.parametrize("width", sorted(KEYED))
@@ -243,17 +280,32 @@ def test_first_occurrence_edge_shapes(width, shape):
 
 
 def test_keys_group_on_bytes_not_values():
+    """On both routes: the word route (no map, a key of at most 8 bytes)
+    and the dict route (a map passed, or a wider key)."""
+    def groups(keys):
+        plain, mapped = first_occurrence(keys), first_occurrence(keys, {})
+        assert [a.tolist() for a in plain] == [a.tolist() for a in mapped]
+        return plain[1].tolist()
+
     schema = Schema([Column("f", "float64"), Column("s", "char", 4)])
     rows = schema.empty(3)
     # 0.0 == -0.0 as values; two bit patterns.
     rows["f"] = [0.0, -0.0, 0.0]
-    assert first_occurrence(key_image(rows, ["f"]))[1].tolist() == [0, 1, 0]
+    assert groups(key_image(rows, ["f"])) == [0, 1, 0]
+    assert groups(key_image(rows, ["f", "s"])) == [0, 1, 0]
     # NaN != NaN as values; a NaN equals exactly its own bit pattern.
     rows["f"] = np.array([0x7FF8000000000000, 0x7FF8000000000001,
                           0x7FF8000000000000], dtype="<u8").view("<f8")
-    assert first_occurrence(key_image(rows, ["f"]))[1].tolist() == [0, 1, 0]
+    assert groups(key_image(rows, ["f"])) == [0, 1, 0]
+    assert groups(key_image(rows, ["f", "s"])) == [0, 1, 0]
     # A C string ends at the NUL; the key does not.
     rows = schema.from_bytes(b"".join(
         bytes(8) + s for s in (b"a\0b\0", b"a\0c\0", b"a\0b\0")))
-    assert first_occurrence(key_image(rows, ["s"]))[1].tolist() == [0, 1, 0]
+    assert groups(key_image(rows, ["s"])) == [0, 1, 0]
+    assert groups(key_image(rows, ["f", "s"])) == [0, 1, 0]
+    # Zero-padding a 3-byte key to a word: a trailing NUL still counts.
+    short = Schema([Column("s", "char", 3)]).from_bytes(b"a\0\0" b"a\0\1"
+                                                        b"a\0\0")
+    assert groups(key_image(short, ["s"])) == [0, 1, 0]
     check_kernel_against_dict(rows, ["f", "s"])
+    check_kernel_against_dict(rows, ["s"])

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -24,8 +24,11 @@ from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
 from repro.core.partition import PartitionSpec
 from repro.core.query import JoinSpec, Query, group_by_sum, select_distinct
-from repro.core.versioning import (ROWID_COLUMN, delta_schema,
+from repro.core.table import FTable
+from repro.core.versioning import (ROWID_COLUMN, DeltaSegment, VersionView,
+                                   delete_schema, delta_schema,
                                    rows_from_literals)
+from repro.experiments import fig20_views
 from repro.operators.selection import And, Compare
 from repro.sim.engine import Simulator
 from repro.workloads.generator import make_rows
@@ -552,6 +555,102 @@ class TestClusterVersioning:
             cc.create_versioned_table(
                 "t", schema, seeded_rows(schema, 32, seed=23),
                 partition=PartitionSpec("hash", key="a"))
+
+
+# ---------------------------------------------------------------------------
+# VersionView.materialize against a per-row replay keyed by row id
+# ---------------------------------------------------------------------------
+
+def check_materialize_against_replay(schema, base_ids, base, segments):
+    """Materialize ``base`` (row images under ascending ``base_ids``) and
+    ``segments`` (``(kind, row ids, row images)`` in commit order), and
+    compare with replaying them one row at a time into a dict keyed by
+    row id: an insert adds, an update replaces a live row only, a delete
+    drops; the visible rows come out in ascending row id."""
+    images: dict[str, bytes] = {}
+
+    def segment(name, table_schema, data):
+        images[name] = data
+        return FTable(name, table_schema, len(data) // table_schema.row_width)
+
+    replay = dict(zip(base_ids, base))
+    deltas = []
+    for epoch, (kind, ids, rows) in enumerate(segments, 1):
+        if kind == "delete":
+            data, table_schema = (np.array(ids, dtype="<u8").tobytes(),
+                                  delete_schema())
+        else:
+            data = b"".join(i.to_bytes(8, "little") + row
+                            for i, row in zip(ids, rows))
+            table_schema = delta_schema(schema)
+        for i, row in zip(ids, rows or [None] * len(ids)):
+            if kind == "delete":
+                replay.pop(i, None)
+            elif kind == "insert" or i in replay:
+                replay[i] = row
+        deltas.append(DeltaSegment(
+            epoch, kind, segment(f"t#s{epoch}", table_schema, data),
+            len(ids)))
+    view = VersionView("t", len(segments), schema,
+                       segment("t", schema, b"".join(base)),
+                       np.array(base_ids, dtype=np.uint64), tuple(deltas))
+    rows, ids = view.materialize(lambda table: images[table.name])
+    assert rows.dtype == schema.dtype and ids.dtype == np.uint64
+    assert ids.tolist() == sorted(replay)
+    assert rows.tobytes() == b"".join(replay[i] for i in sorted(replay))
+
+
+#: fig20's 20-byte view base (``char(4)`` at offset 8) and the 64-byte
+#: default schema.
+MATERIALIZE_SCHEMAS = (fig20_views.BASE_SCHEMA, default_schema())
+
+
+@st.composite
+def delta_chains(draw):
+    """A base segment under ascending (possibly compacted, so gapped) row
+    ids, then up to six insert / update / delete segments.  An update or
+    delete names any id handed out so far, deleted ones included, or the
+    next one, which no row holds yet."""
+    schema = draw(st.sampled_from(MATERIALIZE_SCHEMAS))
+    row = st.binary(min_size=schema.row_width, max_size=schema.row_width)
+    base_ids = sorted(draw(st.lists(st.integers(0, 40), unique=True,
+                                    max_size=12)))
+    base = [draw(row) for _ in base_ids]
+    next_id = base_ids[-1] + 1 if base_ids else 0
+    segments = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("insert", "update", "delete")))
+        if kind == "insert":
+            rows = draw(st.lists(row, max_size=5))
+            ids = list(range(next_id, next_id + len(rows)))
+            next_id += len(rows)
+        else:
+            ids = draw(st.lists(st.integers(0, next_id), unique=True,
+                                max_size=6))
+            rows = [draw(row) for _ in ids] if kind == "update" else []
+        segments.append((kind, ids, rows))
+    return schema, base_ids, base, segments
+
+
+@settings(max_examples=150, deadline=None)
+@given(delta_chains())
+def test_materialize_matches_a_per_row_replay(chain):
+    check_materialize_against_replay(*chain)
+
+
+@pytest.mark.parametrize("schema", MATERIALIZE_SCHEMAS,
+                         ids=lambda schema: f"{schema.row_width}B")
+def test_materialize_updates_a_deleted_row_and_takes_zero_row_deltas(schema):
+    def row(fill):
+        return bytes([fill]) * schema.row_width
+
+    check_materialize_against_replay(
+        schema, [0, 1, 2, 5], [row(1), row(2), row(3), row(4)],
+        [("delete", [1], []),
+         ("update", [1, 5], [row(7), row(8)]),   # 1 is gone: only 5 moves
+         ("insert", [], []), ("update", [], []), ("delete", [], []),
+         ("insert", [6, 7], [row(9), row(10)]),
+         ("update", [7, 0], [row(11), row(12)])])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ to flake on slow CI machines.
 
 import cProfile
 import pstats
+import sys
 import time
 from pathlib import Path
 
@@ -489,6 +490,58 @@ def test_tracker_batch_and_subscriber_push_python_call_budget():
     assert sub.rows_pushed == 8_192 and sub.state.total_weight == 4_096
     assert 0 < _calls_into(profile, "/repro/") < 60
     assert sub.state.rows["v"].tolist() == [0.5] * 4_096
+
+
+def _c_calls(call) -> list[str]:
+    """Names of the C functions ``call()`` enters, in order, as
+    ``sys.setprofile`` reports them."""
+    names: list[str] = []
+
+    def hook(_frame, event, arg):
+        if event == "c_call":
+            owner = type(getattr(arg, "__self__", None)).__name__
+            names.append(f"{owner}.{arg.__name__}")
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_short_key_grouping_makes_no_python_object_per_row():
+    """A ``first_occurrence`` without a map over keys of at most 8 bytes
+    is a fixed sequence of array calls: no ``tolist``, no dict, and the
+    same C calls at 16,384 keys as at 1,024.  With a map (the streaming
+    operators) it is still the ``dict.setdefault`` pass docs/OPERATORS.md
+    describes: the map gains exactly the keys new to it, numbered on
+    from its length in first-seen order."""
+    schema = Schema([Column("id", "int64"), Column("cat", "char", 4),
+                     Column("tag", "char", 3)])
+    for columns in (["cat"], ["tag"], ["id"]):
+        traces = []
+        for n in (1_024, 16_384):
+            rows = schema.empty(n)
+            rows["id"] = np.arange(n) % 97
+            rows["cat"] = rows["tag"] = (np.arange(n) % 13).astype("S")
+            keys = key_image(rows, columns)
+            traces.append(_c_calls(lambda: first_occurrence(keys)))
+        small, large = traces
+        assert small == large, columns
+        assert not [name for name in large
+                    if "tolist" in name or name.startswith("dict.")]
+
+    rows = schema.empty(6)
+    rows["cat"] = [b"a", b"b", b"a", b"c", b"b", b"d"]
+    keys = key_image(rows, ["cat"])
+    seen = {keys[0].tobytes(): 0, keys[1].tobytes(): 1}
+    out = []
+    trace = _c_calls(lambda: out.extend(first_occurrence(keys, seen)))
+    assert "ndarray.tolist" in trace and "dict.update" in trace
+    assert [a.tolist() for a in out] == [[3, 5], [0, 1, 0, 2, 1, 3]]
+    assert list(seen.values()) == [0, 1, 2, 3]
+    assert list(seen) == [keys[i].tobytes() for i in (0, 1, 3, 5)]
 
 
 def test_full_row_dedup_keeps_up_with_the_loop_it_replaced():
