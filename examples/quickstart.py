@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.common.expr import eval_mask
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
@@ -47,7 +48,7 @@ def main() -> None:
     # --- offloaded selection: SELECT * WHERE a < 2^30 -------------------------
     predicate = Compare("a", "<", 2**30)
     result, t_sel = client.far_view(table, select_star(predicate))
-    expected = rows[predicate.evaluate(rows)]
+    expected = rows[eval_mask(predicate, rows)]
     assert np.array_equal(result.rows()["a"], expected["a"])
     print(f"selection: {len(expected)}/{len(rows)} rows shipped in "
           f"{to_us(t_sel):.1f} us (first run includes the ms-scale "

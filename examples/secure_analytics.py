@@ -17,10 +17,11 @@ Run:  python examples/secure_analytics.py
 
 import numpy as np
 
+from repro.common.expr import Col, TextMatch, eval_mask
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
-from repro.core.query import Query, RegexFilter
+from repro.core.query import Query
 from repro.core.table import FTable
 from repro.operators.crypto import AesCtr
 from repro.operators.encryption_op import encrypt_table_image
@@ -57,8 +58,8 @@ def main() -> None:
     client.table_write(table, cipher_image)
     print(f"stored {len(cipher_image)} encrypted bytes")
 
-    query = Query(regex=RegexFilter("s", REGEX_PATTERN), decrypt_input=True,
-                  label="secure-regex")
+    query = Query(regex=TextMatch(Col("s"), REGEX_PATTERN, regexp=True),
+                  decrypt_input=True, label="secure-regex")
     client.far_view(table, query)
     result, elapsed = client.far_view(table, query)
     matched = result.rows()
@@ -82,7 +83,7 @@ def main() -> None:
     client.far_view(sel_table, query)
     result, elapsed = client.far_view(sel_table, query)
 
-    expected_rows = wl.rows[wl.predicate.evaluate(wl.rows)]
+    expected_rows = wl.rows[eval_mask(wl.predicate, wl.rows)]
     # The bytes on the wire are ciphertext under the session key...
     assert result.data != wl.schema.to_bytes(expected_rows)
     # ...and the client decrypts them with its session key.

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.expr import Expr
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
-from ..operators.selection import Predicate
 from .cpu_model import CostBreakdown, CpuCostModel
 from .sw_ops import (
     software_decrypt,
@@ -37,7 +37,7 @@ class LcpuBaseline:
 
     # -- selection (Figure 8) -----------------------------------------------------
     def select(self, schema: Schema, rows: np.ndarray,
-               predicate: Predicate):
+               predicate: Expr):
         table_bytes = len(rows) * schema.row_width
         result = software_select(rows, predicate)
         out_bytes = len(result) * schema.row_width

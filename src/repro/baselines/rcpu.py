@@ -19,9 +19,9 @@ import numpy as np
 
 from ..common import calibration as cal
 from ..common.config import RnicConfig
+from ..common.expr import Expr
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
-from ..operators.selection import Predicate
 from .cpu_model import CostBreakdown, CpuCostModel
 from .lcpu import LcpuBaseline
 
@@ -53,7 +53,7 @@ class RcpuBaseline:
         return result, cost.total_ns, cost
 
     # -- operators (same signatures as LCPU) --------------------------------------------
-    def select(self, schema: Schema, rows: np.ndarray, predicate: Predicate):
+    def select(self, schema: Schema, rows: np.ndarray, predicate: Expr):
         result, local_ns, cost = self._local.select(schema, rows, predicate)
         return self._wrap(result, local_ns, cost,
                           len(result) * schema.row_width)

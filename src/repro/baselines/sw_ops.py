@@ -16,6 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from ..common.errors import OperatorError
+from ..common.expr import Expr, eval_mask
 from ..common.records import Schema, first_occurrence, key_image
 from ..operators.aggregate import (
     Accumulator,
@@ -28,14 +29,13 @@ from ..operators.aggregate import (
 from ..operators.crypto import AesCtr
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
-from ..operators.selection import Predicate
 
 
-def software_select(rows: np.ndarray, predicate: Predicate) -> np.ndarray:
+def software_select(rows: np.ndarray, predicate: Expr) -> np.ndarray:
     """Scan + filter, as the LCPU query thread would."""
     if len(rows) == 0:
         return rows
-    return rows[predicate.evaluate(rows)]
+    return rows[eval_mask(predicate, rows)]
 
 
 def software_project(rows: np.ndarray, schema: Schema,

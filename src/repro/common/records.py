@@ -133,21 +133,10 @@ class Schema:
                 return col
         raise QueryError(f"unknown column {name!r}; schema has {self.names}")
 
-    def offset(self, name: str) -> int:
-        if name not in self._offsets:
-            raise QueryError(f"unknown column {name!r}; schema has {self.names}")
-        return self._offsets[name]
-
     def byte_range(self, name: str) -> tuple[int, int]:
         """(offset, width) of a column within a row — used by smart addressing."""
         col = self.column(name)
         return self._offsets[name], col.width
-
-    def index(self, name: str) -> int:
-        for i, col in enumerate(self._columns):
-            if col.name == name:
-                return i
-        raise QueryError(f"unknown column {name!r}; schema has {self.names}")
 
     def project(self, names: Iterable[str]) -> "Schema":
         """A new schema containing only ``names``, in the given order."""

@@ -1,5 +1,6 @@
 """Farview core: node, cluster, client API, catalog, queries, compiler."""
 
+from ..common.expr import like_to_regex
 from .api import (
     ClusterClient,
     FarviewClient,
@@ -31,13 +32,12 @@ from .pipeline_compiler import (
 from .query import (
     JoinSpec,
     Query,
-    RegexFilter,
     group_by_sum,
     select_distinct,
     select_star,
 )
 from .compile import (ParsedQuery, ParsedWrite, SqlSyntaxError, bind_select,
-                      like_to_regex, parse_sql)
+                      parse_sql)
 from .table import FTable, Shard, Table
 from .versioning import (
     DeltaSegment,
@@ -79,7 +79,6 @@ __all__ = [
     "compile_query",
     "JoinSpec",
     "Query",
-    "RegexFilter",
     "group_by_sum",
     "select_distinct",
     "select_star",

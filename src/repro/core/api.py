@@ -63,10 +63,10 @@ from ..common.errors import (CatalogError, ConnectionError_,
                              JoinBuildOverflowError, NodeFailedError,
                              QueryError, RegionFailedError,
                              RequestTimeoutError)
+from ..common.expr import Col, Expr, TextMatch
 from ..common.records import Schema, first_occurrence, key_image
 from ..operators.aggregate import AggregateSpec, accumulator_rows
 from ..operators.crypto import AesCtr
-from ..operators.selection import Predicate
 from .catalog import Catalog
 from .compile import ParsedWrite, bind_select, parse_sql
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
@@ -82,7 +82,7 @@ from .faults import RetryPolicy
 from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
 from .pipeline_compiler import compile_query
-from .query import Query, RegexFilter
+from .query import Query
 from .table import FTable, Shard, Table, as_table
 from .versioning import (ROWID_COLUMN, VersionChain, delta_schema,
                          require_versionable, rows_from_literals)
@@ -884,7 +884,7 @@ class ClusterClient:
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
     def select_proc(self, table, columns: list[str] | None,
-                    predicate: Predicate, vectorized: bool = False,
+                    predicate: Expr, vectorized: bool = False,
                     placement: str = "offload",
                     stats: PlanStats | None = None):
         """Process: ``SELECT columns FROM table WHERE predicate`` under
@@ -911,7 +911,7 @@ class ClusterClient:
     def regex_match_proc(self, table, column: str, pattern: str):
         """Process: the rows whose ``column`` matches ``pattern``."""
         return self.far_view_proc(table, Query(
-            regex=RegexFilter(column, pattern), label="regex"))
+            regex=TextMatch(Col(column), pattern, regexp=True), label="regex"))
 
     def sql_proc(self, statement: str, placement: str | None = None,
                  stats: PlanStats | None = None):
@@ -1008,7 +1008,7 @@ class ClusterClient:
         indices = partition_indices(rows, schema, spec, self.num_nodes)
         allocated: list[tuple[_NodeSession, FTable]] = []
         shards: list[Shard] = []
-        shard_ranges: dict[int, tuple[float, float]] = {}
+        shard_ranges: dict[int, tuple] = {}
         try:
             for node_index, idx in enumerate(indices):
                 if len(idx) == 0:
@@ -1038,11 +1038,11 @@ class ClusterClient:
                 shards.append(replace(copies[0], replicas=tuple(copies[1:])))
                 if spec.scheme == "range":
                     # Plan-time pruning metadata: each shard's observed
-                    # key span (recomputable from the deterministic
-                    # placement, cached here so pruning needs no reads).
-                    values = part[spec.key].astype(np.float64)
-                    shard_ranges[node_index] = (float(values.min()),
-                                                float(values.max()))
+                    # key span, exact in the key's own type (recomputable
+                    # from the deterministic placement, cached here so
+                    # pruning needs no reads).
+                    shard_ranges[node_index] = (part[spec.key].min().item(),
+                                                part[spec.key].max().item())
             table = Table(name, schema, spec, shards,
                           num_partitions=self.num_nodes,
                           shard_ranges=shard_ranges)
@@ -1088,7 +1088,7 @@ class ClusterClient:
         epoch."""
         return self._write_proc("insert", table, rows)
 
-    def update_where_proc(self, table, predicate: Predicate | None,
+    def update_where_proc(self, table, predicate: Expr | None,
                           assignments: dict):
         """Process: offloaded read-modify-write.  The node evaluates
         ``predicate`` over the visible rows and writes an update delta
@@ -1096,7 +1096,7 @@ class ClusterClient:
         bytes cross the wire.  Returns the new epoch."""
         return self._write_proc("update", table, predicate, assignments)
 
-    def delete_where_proc(self, table, predicate: Predicate | None):
+    def delete_where_proc(self, table, predicate: Expr | None):
         """Process: offloaded predicate delete; returns the new epoch."""
         return self._write_proc("delete", table, predicate)
 

@@ -41,6 +41,3 @@ class Catalog:
     @property
     def names(self) -> list[str]:
         return sorted(self._tables)
-
-    def total_bytes(self) -> int:
-        return sum(t.size_bytes for t in self._tables.values())

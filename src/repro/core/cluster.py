@@ -42,6 +42,7 @@ is :class:`~repro.core.api.ClusterClient`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -49,10 +50,10 @@ import numpy as np
 
 from ..common.config import FarviewConfig
 from ..common.errors import QueryError
+from ..common.expr import BoolAnd, BoolOr, Cmp, Col
 from ..common.records import Schema, first_occurrence, key_image
 from ..operators.aggregate import (AggregateSpec, PartialPlan,
                                    decompose_partials, fold_groups)
-from ..operators.selection import And, Compare, Not, Or
 from ..sim.engine import Simulator
 from .node import FarviewNode
 from .query import Query
@@ -187,16 +188,17 @@ def join_strategies(table, query: Query) -> tuple[str, ...]:
 
 # -- plan-time range pruning ---------------------------------------------------
 
-def _interval_may_match(pred, key: str, lo: float, hi: float) -> bool:
+def _interval_may_match(pred, key: str, lo, hi) -> bool:
     """May any value in the closed interval ``[lo, hi]`` satisfy ``pred``?
 
-    Conservative: anything not provably empty (``Not``, predicates on
-    other columns, unknown node types) keeps the shard.
+    ``lo`` / ``hi`` are in the key's own type and compare exactly with
+    the literal (an int64 key beyond 2**53 included).  Conservative:
+    anything not provably empty (NOT, a non-numeric literal, predicates
+    on other columns) keeps the shard.
     """
-    if isinstance(pred, Compare) and pred.column == key:
-        try:
-            v = float(pred.value)
-        except (TypeError, ValueError):
+    if isinstance(pred, Cmp) and pred.left == Col(key):
+        v = pred.right.value
+        if not isinstance(v, numbers.Real):
             return True
         if pred.op == "<":
             return lo < v
@@ -211,10 +213,10 @@ def _interval_may_match(pred, key: str, lo: float, hi: float) -> bool:
         if pred.op == "!=":
             return not (lo == hi == v)
         return True
-    if isinstance(pred, And):
+    if isinstance(pred, BoolAnd):
         return (_interval_may_match(pred.left, key, lo, hi)
                 and _interval_may_match(pred.right, key, lo, hi))
-    if isinstance(pred, Or):
+    if isinstance(pred, BoolOr):
         return (_interval_may_match(pred.left, key, lo, hi)
                 or _interval_may_match(pred.right, key, lo, hi))
     return True

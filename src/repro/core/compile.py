@@ -40,9 +40,9 @@ from functools import partial
 from typing import Optional
 
 from ..common.errors import QueryError
+from ..common.expr import check_condition
 from ..common.records import Column, Schema
 from ..operators.aggregate import SUPPORTED_FUNCS, AggregateSpec
-from ..operators.selection import And, Compare, Not, Or, Predicate
 from .cluster import (aggregate_output_schema, colocated_compatible,
                       group_output_schema)
 from .ir import (AggCall, Aggregate, Arith, BoolAnd, BoolNot, BoolOr, Cmp,
@@ -50,7 +50,7 @@ from .ir import (AggCall, Aggregate, Arith, BoolAnd, BoolNot, BoolOr, Cmp,
                  Scan, Sort, TextMatch, conjoin, conjuncts, expr_columns,
                  expr_dtype, map_cols, render_expr, spine, subexprs)
 from ..operators.join import join_output_schema
-from .query import JoinSpec, Query, RegexFilter
+from .query import JoinSpec, Query
 
 
 class SqlSyntaxError(QueryError):
@@ -134,31 +134,6 @@ def _tokenize(sql: str, base: int = 0) -> list[_Token]:
 
 
 # --------------------------------------------------------------------------
-# LIKE -> regex translation
-# --------------------------------------------------------------------------
-
-_REGEX_META = set(".^$*+?()[]{}|\\")
-
-
-def like_to_regex(pattern: str) -> str:
-    """Translate a SQL LIKE pattern into our regex syntax (full match).
-    ``%`` and ``_`` match any byte, a newline included — the engine's
-    ``.`` does not."""
-    out = ["^"]
-    for ch in pattern:
-        if ch == "%":
-            out.append("[\\s\\S]*")
-        elif ch == "_":
-            out.append("[\\s\\S]")
-        elif ch in _REGEX_META:
-            out.append("\\" + ch)
-        else:
-            out.append(ch)
-    out.append("$")
-    return "".join(out)
-
-
-# --------------------------------------------------------------------------
 # Parse results
 # --------------------------------------------------------------------------
 
@@ -191,7 +166,7 @@ class ParsedWrite:
     table: str
     values: tuple[tuple[object, ...], ...] = ()
     assignments: tuple[tuple[str, object], ...] = ()
-    predicate: Predicate | None = None
+    predicate: Expr | None = None
 
 
 #: Optimizer-style placement hint, accepted before the SELECT keyword.
@@ -208,7 +183,7 @@ def _strip_placement_hint(sql: str) -> tuple[str, str | None, int]:
 
 
 # --------------------------------------------------------------------------
-# IR condition helpers (regex extraction, predicate conversion)
+# IR condition helpers (regex extraction)
 # --------------------------------------------------------------------------
 
 def _has_textmatch(expr: Expr) -> bool:
@@ -242,25 +217,9 @@ def split_regex(condition: Optional[Expr]
     return conjoin(rest), (matches[0] if matches else None)
 
 
-def predicate_from_ir(expr: Expr) -> Predicate:
-    """Convert a bound comparison tree into operator predicates.
-
-    Column qualifiers are stripped (the predicate runs against one
-    table's schema).
-    """
-    if isinstance(expr, Cmp):
-        if not isinstance(expr.left, Col) or not isinstance(expr.right, Lit):
-            raise SqlSyntaxError(
-                "comparisons must be 'column op literal'")
-        return Compare(expr.left.name, expr.op, expr.right.value)
-    if isinstance(expr, BoolAnd):
-        return And(predicate_from_ir(expr.left), predicate_from_ir(expr.right))
-    if isinstance(expr, BoolOr):
-        return Or(predicate_from_ir(expr.left), predicate_from_ir(expr.right))
-    if isinstance(expr, BoolNot):
-        return Not(predicate_from_ir(expr.operand))
-    raise SqlSyntaxError(
-        f"cannot convert {type(expr).__name__} to a predicate")
+def _unqualified(expr: Expr) -> Expr:
+    """``expr`` over one table's own column names (qualifiers dropped)."""
+    return map_cols(expr, lambda col: Col(col.name))
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +345,7 @@ class _Parser:
             token)
 
     # -- write statements -------------------------------------------------------
-    def _write_where(self) -> Predicate | None:
+    def _write_where(self) -> Expr | None:
         """Optional WHERE clause of a write statement (no regex stage)."""
         if not self._accept("where"):
             return None
@@ -395,7 +354,7 @@ class _Parser:
             raise SqlSyntaxError(
                 "LIKE/REGEXP is not supported in write statements (the "
                 "write verbs evaluate comparison predicates only)")
-        return predicate_from_ir(condition)
+        return _unqualified(condition)
 
     def _value_tuple(self) -> tuple[object, ...]:
         self._expect("(")
@@ -710,7 +669,7 @@ class BoundEval:
 class BoundFilter:
     """Row filter over the current intermediate (WHERE residue, HAVING)."""
 
-    predicate: Predicate
+    predicate: Expr
     kernel = "selection"
 
 
@@ -1201,13 +1160,14 @@ def _physical(expr: Expr, names: dict[Col, str]) -> Expr:
     return map_cols(expr, lambda col: Col(names[col]))
 
 
-def _scan_filter(condition: Expr
-                 ) -> tuple[Optional[Predicate], Optional[RegexFilter]]:
-    """A pushed-down Filter as the chain's selection and regex stages."""
-    residual, tm = split_regex(condition)
-    return (residual and predicate_from_ir(residual),
-            tm and RegexFilter(tm.column.name, tm.pattern if tm.regexp
-                               else like_to_regex(tm.pattern)))
+def _scan_filter(condition: Expr, schema: Schema
+                 ) -> tuple[Optional[Expr], Optional[TextMatch]]:
+    """A pushed-down Filter as the chain's selection and regex stages,
+    over the scanned table's own column names."""
+    residual, tm = split_regex(_unqualified(condition))
+    if residual is not None:
+        check_condition(residual, schema)
+    return residual, tm
 
 
 def _sorts_above(above: list[Rel]) -> bool:
@@ -1220,7 +1180,7 @@ def _sorts_above(above: list[Rel]) -> bool:
 def _cut_filter(cut: _Cut, node: Filter, above, catalog) -> _Cut:
     if not isinstance(node.child, Scan):
         raise QueryError("cut() needs push_filters: a Filter off its Scan")
-    predicate, regex = _scan_filter(node.condition)
+    predicate, regex = _scan_filter(node.condition, cut.base.schema)
     return replace(cut, query=replace(cut.query, predicate=predicate,
                                       regex=regex))
 
@@ -1248,7 +1208,8 @@ def _cut_join(cut: _Cut, node: Join, above, catalog) -> _Cut:
         query = None
         if not _unfiltered(source):
             predicate, regex = _scan_filter(next(
-                n for n in spine(source) if isinstance(n, Filter)).condition)
+                n for n in spine(source) if isinstance(n, Filter)).condition,
+                handle.schema)
             query = Query(projection=tuple(n for n in handle.schema.names
                                            if n == key or n in payload),
                           predicate=predicate, regex=regex, label="sql")
@@ -1310,8 +1271,8 @@ def _cut_aggregate(cut: _Cut, node: Aggregate, above, catalog) -> _Cut:
     cut = replace(cut, schema=schema, names=names)
     if node.having is None:
         return cut
-    predicate = predicate_from_ir(_physical(node.having, names))
-    predicate.validate(schema)
+    predicate = _physical(node.having, names)
+    check_condition(predicate, schema)
     return cut.at_client(BoundFilter(predicate))
 
 

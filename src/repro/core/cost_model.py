@@ -335,7 +335,7 @@ class PlacementCostModel:
             if step.op == "decrypt":
                 total += cpu.aes_ns(int(bytes_in))
             elif step.op == "regex":
-                width = current.column(query.regex.column).width
+                width = current.column(query.regex.column.name).width
                 total += cpu.regex_ns(int(rows_in * width))
             elif step.op == "selection":
                 total += cpu.select_ns(int(rows_in))

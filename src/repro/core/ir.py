@@ -8,17 +8,11 @@ rewrites it as a tree and cuts it into the engine's operator chains
 REMOP's argument — operator placement over remote memory must be decided
 on a query *DAG*, not a fixed chain — is why the IR is its own layer.
 
-Two node families, all frozen dataclasses (structural equality is the
-round-trip test's oracle):
+The relational operators are frozen dataclasses (structural equality is
+the round-trip test's oracle) over the scalar expressions of
+:mod:`repro.common.expr` — the engine's one expression language, which
+this module re-exports:
 
-Scalar expressions
-    :class:`Col`, :class:`Lit`, :class:`Arith` (+ - * /), :class:`Cmp`
-    (< <= > >= == !=), :class:`BoolAnd` / :class:`BoolOr` /
-    :class:`BoolNot`, :class:`TextMatch` (LIKE / REGEXP, kept untranslated
-    so rendering round-trips), and :class:`AggCall` (aggregate function
-    over a column or arithmetic expression).
-
-Relational operators
     :class:`Scan`, :class:`Join` (the build side is one named table's tree),
     :class:`Filter`, :class:`Aggregate` (grouping + HAVING),
     :class:`Project` (expressions with aliases, or ``*``),
@@ -34,122 +28,18 @@ and :func:`render_sql` walks that shape back into SQL text, so
 hypothesis round-trip suite pins).  What the binder's rewrites move out
 of that stacking — a Filter or Project under a Join or on its ``build``
 side — renders as a derived table: the fixture of each rewrite's tests.
-
-Expressions evaluate vectorized over decoded numpy rows
-(:func:`eval_expr`), mirroring how
-:class:`~repro.operators.selection.Predicate` evaluates — the client-side
-lowering uses this for expression projections and aggregate inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Union
 
-import numpy as np
-
-from ..common.errors import QueryError
-from ..common.records import Schema
-
-#: Binary arithmetic operators the expression grammar supports.
-ARITH_OPS = ("+", "-", "*", "/")
-
-#: Comparison operators, in canonical spelling (``=`` and ``<>`` are
-#: normalized by the parser).
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
-
-# ---------------------------------------------------------------------------
-# Scalar expressions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Col:
-    """A column reference, optionally table-qualified (``t.a``)."""
-
-    name: str
-    qualifier: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class Lit:
-    """An integer, float, or string literal."""
-
-    value: object
-
-
-@dataclass(frozen=True)
-class Arith:
-    """Binary arithmetic over numeric operands."""
-
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-    def __post_init__(self) -> None:
-        if self.op not in ARITH_OPS:
-            raise QueryError(f"unknown arithmetic operator {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Cmp:
-    """A comparison; the grammar restricts it to column-vs-expression."""
-
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-    def __post_init__(self) -> None:
-        if self.op not in CMP_OPS:
-            raise QueryError(f"unknown comparison {self.op!r}")
-
-
-@dataclass(frozen=True)
-class BoolAnd:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class BoolOr:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class BoolNot:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class TextMatch:
-    """``column LIKE pattern`` / ``column REGEXP pattern``.
-
-    The *raw* pattern is kept (LIKE translation to the regex engine
-    happens at lowering) so rendering reproduces the original clause.
-    """
-
-    column: Col
-    pattern: str
-    regexp: bool = False
-
-
-@dataclass(frozen=True)
-class AggCall:
-    """``func(arg)`` in a select list; ``arg is None`` means ``COUNT(*)``.
-
-    ``alias`` is the output column name (``""`` lets
-    :class:`~repro.operators.aggregate.AggregateSpec` derive one).
-    """
-
-    func: str
-    arg: Optional["Expr"]
-    alias: str = ""
-
-
-Expr = Union[Col, Lit, Arith, Cmp, BoolAnd, BoolOr, BoolNot, TextMatch,
-             AggCall]
+# Re-exported: the expression nodes are the IR's scalar vocabulary.
+from ..common.expr import (AggCall, Arith, BoolAnd, BoolNot, BoolOr, Cmp,
+                           Col, Expr, Lit, TextMatch, expr_columns,
+                           expr_dtype, map_cols, render_expr, subexprs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +135,6 @@ Rel = Union[Scan, Join, Filter, Aggregate, Project, Distinct, Sort, Limit]
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
-#: Per expression class, the fields that hold a sub-expression.
-_CHILD_FIELDS = {
-    Arith: ("left", "right"), Cmp: ("left", "right"),
-    BoolAnd: ("left", "right"), BoolOr: ("left", "right"),
-    BoolNot: ("operand",), TextMatch: ("column",), AggCall: ("arg",)}
-
-
-def _children(expr: Expr) -> list[tuple[str, Expr]]:
-    """``(field, sub-expression)`` of one node, left to right."""
-    pairs = [(name, getattr(expr, name))
-             for name in _CHILD_FIELDS.get(type(expr), ())]
-    return [pair for pair in pairs if pair[1] is not None]  # COUNT(*)
-
-
-def subexprs(expr: Expr):
-    """``expr`` and every expression under it, parents first."""
-    yield expr
-    for _name, child in _children(expr):
-        yield from subexprs(child)
-
-
-def expr_columns(expr: Expr) -> list[Col]:
-    """Every column reference in ``expr``, in first-appearance order."""
-    return list(dict.fromkeys(
-        node for node in subexprs(expr) if isinstance(node, Col)))
-
-
-def map_cols(expr: Expr, fn) -> Expr:
-    """``expr`` with every column reference replaced by ``fn(col)``."""
-    if isinstance(expr, Col):
-        return fn(expr)
-    return replace(expr, **{name: map_cols(child, fn)
-                            for name, child in _children(expr)})
-
 
 def spine(rel: Rel) -> list[Rel]:
     """The nodes from ``rel`` down its ``child`` links to the base Scan."""
@@ -301,115 +157,6 @@ def conjoin(terms: list[Expr]) -> Optional[Expr]:
     """Left-assoc AND of ``terms`` (the parser's associativity)."""
     return reduce(BoolAnd, terms) if terms else None
 
-
-# ---------------------------------------------------------------------------
-# Vectorized expression evaluation (client-side kernels)
-# ---------------------------------------------------------------------------
-
-def expr_dtype(expr: Expr, schema) -> np.dtype:
-    """The numpy dtype ``expr`` evaluates to over ``schema``.
-
-    Arithmetic follows SQL-ish numeric promotion: any float operand (or a
-    division) makes the result ``float64``; otherwise ``int64``.
-    ``schema`` is a :class:`Schema` (columns bound by bare name) or
-    anything else with a ``dtype_of(col)`` — the resolver's FROM-list
-    scope, which types table-qualified references.
-    """
-    if isinstance(expr, Col):
-        if isinstance(schema, Schema):
-            return schema.column(expr.name).dtype
-        return schema.dtype_of(expr)
-    if isinstance(expr, Lit):
-        if isinstance(expr.value, float):
-            return np.dtype("<f8")
-        if isinstance(expr.value, int):
-            return np.dtype("<i8")
-        raise QueryError(
-            f"string literal {expr.value!r} has no arithmetic type")
-    if isinstance(expr, Arith):
-        left = expr_dtype(expr.left, schema)
-        right = expr_dtype(expr.right, schema)
-        for side in (left, right):
-            if side.kind not in "iuf":
-                raise QueryError(
-                    f"arithmetic over non-numeric operand ({side})")
-        if expr.op == "/" or left.kind == "f" or right.kind == "f":
-            return np.dtype("<f8")
-        return np.dtype("<i8")
-    raise QueryError(f"expression {expr!r} has no column type")
-
-
-def eval_expr(expr: Expr, rows: np.ndarray, schema: Schema) -> np.ndarray:
-    """Evaluate a *bound* numeric expression vectorized over ``rows``."""
-    if isinstance(expr, Col):
-        return rows[expr.name]
-    if isinstance(expr, Lit):
-        return np.asarray(expr.value)
-    if isinstance(expr, Arith):
-        left = eval_expr(expr.left, rows, schema)
-        right = eval_expr(expr.right, rows, schema)
-        out_dtype = expr_dtype(expr, schema)
-        if expr.op == "+":
-            result = np.add(left, right)
-        elif expr.op == "-":
-            result = np.subtract(left, right)
-        elif expr.op == "*":
-            result = np.multiply(left, right)
-        else:
-            result = np.true_divide(left, right)
-        return result.astype(out_dtype, copy=False)
-    raise QueryError(f"cannot evaluate {type(expr).__name__} as a value")
-
-
-def eval_items(items, rows: np.ndarray, schema: Schema,
-               out_schema: Schema) -> np.ndarray:
-    """Expression projection: every ``(expr, column)`` of ``items``
-    evaluated over ``rows`` into a fresh ``out_schema`` array."""
-    out = out_schema.empty(len(rows))
-    for expr, column in items:
-        out[column] = eval_expr(expr, rows, schema)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# SQL rendering (the round-trip direction)
-# ---------------------------------------------------------------------------
-
-def _render_literal(value: object) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
-
-
-def render_expr(expr: Expr) -> str:
-    """Render an expression; nested operators are fully parenthesized so
-    re-parsing reproduces the exact tree regardless of precedence."""
-    if isinstance(expr, Col):
-        return f"{expr.qualifier}.{expr.name}" if expr.qualifier else expr.name
-    if isinstance(expr, Lit):
-        return _render_literal(expr.value)
-    if isinstance(expr, Arith):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, Cmp):
-        op = {"==": "=", "!=": "<>"}.get(expr.op, expr.op)
-        return f"{render_expr(expr.left)} {op} {render_expr(expr.right)}"
-    if isinstance(expr, BoolAnd):
-        return f"({render_expr(expr.left)} AND {render_expr(expr.right)})"
-    if isinstance(expr, BoolOr):
-        return f"({render_expr(expr.left)} OR {render_expr(expr.right)})"
-    if isinstance(expr, BoolNot):
-        return f"(NOT {render_expr(expr.operand)})"
-    if isinstance(expr, TextMatch):
-        keyword = "REGEXP" if expr.regexp else "LIKE"
-        return (f"{render_expr(expr.column)} {keyword} "
-                f"{_render_literal(expr.pattern)}")
-    if isinstance(expr, AggCall):
-        arg = "*" if expr.arg is None else render_expr(expr.arg)
-        text = f"{expr.func.upper()}({arg})"
-        if expr.alias:
-            text += f" AS {expr.alias}"
-        return text
-    raise QueryError(f"cannot render {type(expr).__name__}")
 
 
 def _peel(rel: Rel, kind) -> tuple[Optional[Rel], Rel]:

@@ -29,6 +29,7 @@ from ..common.config import FarviewConfig
 from ..common.errors import (ConnectionError_, FarviewError, NodeFailedError,
                              OperatorError, ProtectionFault, RegionFailedError,
                              RegionUnavailableError, TranslationFault)
+from ..common.expr import eval_mask
 from ..fpga.region import DynamicRegion, RegionManager, RegionState
 from ..fpga.resource_model import ResourceModel
 from ..memory.mmu import Mmu
@@ -546,7 +547,7 @@ class FarviewNode:
         conn.require_open()
         self._check_alive()
         rows, ids = yield from self._materialize_view(conn, view)
-        mask = (predicate.evaluate(rows) if predicate is not None
+        mask = (eval_mask(predicate, rows) if predicate is not None
                 else np.ones(len(rows), dtype=bool))
         if not mask.any():
             return None

@@ -140,8 +140,8 @@ def compile_query(query: Query, table: FTable,
 
     lanes = 1
     if query.regex is not None:
-        row_ops.append(RegexMatchOperator(query.regex.column,
-                                          query.regex.pattern))
+        row_ops.append(RegexMatchOperator(query.regex.column.name,
+                                          query.regex.engine_pattern))
         resource_ops.append("regex")
     if query.predicate is not None:
         if query.vectorized:

@@ -73,6 +73,7 @@ from ..baselines.sw_ops import (
 )
 from ..common.config import FarviewConfig
 from ..common.errors import JoinBuildOverflowError, QueryError
+from ..common.expr import eval_items
 from ..common.records import Schema
 from ..operators.join import join_output_schema
 from .cluster import aggregate_output_schema, group_output_schema
@@ -80,7 +81,6 @@ from .compile import BoundArm
 from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
                          PlanStats, delta_merge_cost_ns, estimate_chain,
                          join_build_profile)
-from .ir import eval_items
 from .pipeline_compiler import compile_query
 from .query import Query
 from .table import FTable
@@ -478,9 +478,9 @@ def run_client_kernel(name: str, op, rows: np.ndarray, schema: Schema,
     """
     n = len(rows)
     if name == "regex":
-        regex = op.regex
-        cost.add("re2", cpu.regex_ns(n * schema.column(regex.column).width))
-        return software_regex(rows, regex.column, regex.pattern), schema
+        column = op.regex.column.name
+        cost.add("re2", cpu.regex_ns(n * schema.column(column).width))
+        return software_regex(rows, column, op.regex.engine_pattern), schema
     if name == "selection":
         cost.add("predicate", cpu.select_ns(n))
         return software_select(rows, op.predicate), schema

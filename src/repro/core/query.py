@@ -17,18 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import QueryError
+from ..common.expr import Expr, TextMatch, check_condition, render_expr
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
 from ..operators.join import join_output_schema
-from ..operators.selection import Predicate
-
-
-@dataclass(frozen=True)
-class RegexFilter:
-    """Filter rows whose char ``column`` matches ``pattern``."""
-
-    column: str
-    pattern: str
 
 
 @dataclass(frozen=True)
@@ -58,6 +50,8 @@ class Query:
     Fields mirror the paper's operator classes (§3.1): projection,
     selection (predicate and/or regex), grouping (distinct, group by,
     aggregation), and system support (decrypt input / encrypt output).
+    ``predicate`` is a condition and ``regex`` a LIKE / REGEXP term of
+    the one expression language (:mod:`repro.common.expr`).
 
     ``vectorized`` requests the vectorized processing model (§5.3);
     ``smart_addressing`` forces (True/False) or lets the planner decide
@@ -65,8 +59,8 @@ class Query:
     """
 
     projection: Optional[tuple[str, ...]] = None
-    predicate: Optional[Predicate] = None
-    regex: Optional[RegexFilter] = None
+    predicate: Optional[Expr] = None
+    regex: Optional[TextMatch] = None
     join: Optional[JoinSpec] = None
     distinct: bool = False
     distinct_columns: Optional[tuple[str, ...]] = None
@@ -136,13 +130,13 @@ class Query:
                     f"unknown projected column {name!r}; visible: "
                     f"{sorted(visible)}")
         if self.predicate is not None:
-            self.predicate.validate(schema)
+            check_condition(self.predicate, schema)
         if self.regex is not None:
-            col = schema.column(self.regex.column)
+            name = self.regex.column.name
+            col = schema.column(name)
             if col.kind != "char":
                 raise QueryError(
-                    f"regex column {self.regex.column!r} must be char, "
-                    f"is {col.kind}")
+                    f"regex column {name!r} must be char, is {col.kind}")
         for name in self.distinct_columns or ():
             post.column(name)
         for name in self.group_by or ():
@@ -187,9 +181,10 @@ class Query:
         if self.decrypt_input:
             parts.append("dec")
         if self.regex is not None:
-            parts.append(f"regex[{self.regex.column}:{self.regex.pattern}]")
+            parts.append(f"regex[{self.regex.column.name}:"
+                         f"{self.regex.engine_pattern}]")
         if self.predicate is not None:
-            parts.append(f"sel[{self.predicate!r}]")
+            parts.append(f"sel[{render_expr(self.predicate)}]")
         if self.join is not None:
             build_name = getattr(self.join.build_table, "name", "?")
             parts.append(f"join[{build_name}.{self.join.build_key}="
@@ -212,7 +207,7 @@ class Query:
         return "|".join(parts) if parts else "raw-read"
 
 
-def select_star(predicate: Predicate, vectorized: bool = False) -> Query:
+def select_star(predicate: Expr, vectorized: bool = False) -> Query:
     """``SELECT * FROM t WHERE <predicate>`` (the Figure 8 query shape)."""
     return Query(predicate=predicate, vectorized=vectorized,
                  label="select_star")

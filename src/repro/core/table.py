@@ -122,7 +122,7 @@ class Table:
     def __init__(self, name: str, schema: Schema,
                  partition: PartitionSpec | None, shards: Sequence[Shard],
                  num_partitions: int = 1,
-                 shard_ranges: dict[int, tuple[float, float]] | None = None):
+                 shard_ranges: dict[int, tuple] | None = None):
         if not shards:
             raise CatalogError(
                 f"table {name!r} needs at least one non-empty shard")
@@ -135,8 +135,9 @@ class Table:
         #: keys iff their moduli match.  Empty shards are skipped in
         #: ``shards``, so this cannot be derived from ``len(shards)``.
         self.num_partitions = num_partitions
-        #: Per-shard observed ``[min, max]`` of the partition key (range
-        #: scheme only) — the plan-time shard-pruning metadata.
+        #: Per-shard observed ``[min, max]`` of the partition key, in the
+        #: key's own type (range scheme only) — the plan-time
+        #: shard-pruning metadata.
         self.shard_ranges = shard_ranges or {}
 
     @property

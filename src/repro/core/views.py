@@ -58,13 +58,13 @@ import numpy as np
 from ..baselines.sw_ops import (software_aggregate, software_groupby,
                                 software_project)
 from ..common.errors import QueryError
+from ..common.expr import eval_items, eval_mask
 from ..common.records import Schema, SlotMap, key_image
 from ..operators.aggregate import AggregateSpec
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from .cluster import group_output_schema
 from .compile import BoundSelect
-from .ir import eval_items
 from .planner import client_steps
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
                          VersionChain, delete_schema, delta_schema)
@@ -358,11 +358,11 @@ def _linear_stage(name: str, op, schema: Schema) -> _Stage:
     kernel :func:`~repro.core.planner.run_client_kernel` runs for the
     same ``(name, op)``."""
     if name == "regex":
-        regex = CompiledRegex(op.regex.pattern)
+        regex, column = CompiledRegex(op.regex.engine_pattern), op.regex.column
         return MaskStage(
-            schema, lambda rows: regex.search_column(rows[op.regex.column]))
+            schema, lambda rows: regex.search_column(rows[column.name]))
     if name == "selection":
-        return MaskStage(schema, op.predicate.evaluate)
+        return MaskStage(schema, partial(eval_mask, op.predicate))
     if name == "projection":
         columns = list(op.projection)
         return MapStage(schema.project(columns),

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
-from ..core.query import Query, RegexFilter
+from ..common.expr import Col, TextMatch
+from ..core.query import Query
 from ..sim.stats import Series
 from ..workloads.generator import REGEX_PATTERN, string_workload
 from .common import ExperimentResult, make_bench, run_query_warm, upload_table, us
@@ -27,7 +28,8 @@ MATCH_FRACTION = 0.5
 def _fv_time(schema, rows) -> float:
     bench = make_bench()
     table = upload_table(bench, "R", schema, rows)
-    query = Query(regex=RegexFilter("s", REGEX_PATTERN), label="regex")
+    query = Query(regex=TextMatch(Col("s"), REGEX_PATTERN, regexp=True),
+                  label="regex")
     result, elapsed = run_query_warm(bench, table, query)
     assert len(result.rows()) <= len(rows)
     return elapsed

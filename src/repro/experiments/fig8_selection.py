@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
+from ..common.expr import eval_mask
 from ..core.query import select_star
 from ..sim.stats import Series
 from ..workloads.generator import selection_workload
@@ -33,7 +34,7 @@ def _fv_time(workload, vectorized: bool) -> float:
     table = upload_table(bench, "S", workload.schema, workload.rows)
     query = select_star(workload.predicate, vectorized=vectorized)
     result, elapsed = run_query_warm(bench, table, query)
-    expected = int(workload.predicate.evaluate(workload.rows).sum())
+    expected = int(eval_mask(workload.predicate, workload.rows).sum())
     assert len(result.rows()) == expected
     return elapsed
 

@@ -91,17 +91,6 @@ class StripedAllocator:
         self.pages_allocated -= 1
 
     # -- stripe arithmetic -----------------------------------------------------
-    def locate(self, frames: PageFrames, page_offset: int) -> tuple[int, int]:
-        """Map a byte offset within a page to (channel, channel_offset)."""
-        unit = self.config.stripe_unit
-        channels = self.config.channels
-        unit_index = page_offset // unit
-        within = page_offset % unit
-        channel = unit_index % channels
-        channel_offset = (frames.slice_offsets[channel]
-                          + (unit_index // channels) * unit + within)
-        return channel, channel_offset
-
     def channel_extent(self, length: int) -> int:
         """Bytes a ``length``-byte striped access moves per channel (max)."""
         unit = self.config.stripe_unit

@@ -23,7 +23,6 @@ from .selection import (
     Compare,
     Not,
     Or,
-    Predicate,
     SelectionOperator,
     VectorizedSelectionOperator,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Compare",
     "Not",
     "Or",
-    "Predicate",
     "SelectionOperator",
     "VectorizedSelectionOperator",
     "Sender",

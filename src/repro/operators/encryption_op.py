@@ -53,10 +53,6 @@ class _CtrStage(ByteOperator):
         self._offset += len(tail)
         return bytes(a ^ b for a, b in zip(tail, ks))
 
-    @property
-    def bytes_processed(self) -> int:
-        return self._offset
-
 
 class DecryptOperator(_CtrStage):
     """Decrypt the base-table stream before parsing."""

@@ -130,17 +130,6 @@ class BandwidthPipe:
     def busy_until(self) -> float:
         return self._busy_until
 
-    def utilization(self, elapsed_ns: float) -> float:
-        """Fraction of ``elapsed_ns`` the pipe was occupied.
-
-        Counts true occupancy — wire time plus per-transfer ``extra_ns``
-        overhead — so per-packet header processing no longer under-reports
-        link utilization.
-        """
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self.occupied_ns / elapsed_ns)
-
 
 class CreditPool:
     """Credit-based flow control: acquire blocks until a credit is free.

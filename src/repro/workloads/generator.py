@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.errors import QueryError
+from ..common.expr import Expr, eval_mask
 from ..common.records import Schema, default_schema, string_schema, wide_schema
-from ..operators.selection import And, Compare, Predicate
+from ..operators.selection import And, Compare
 
 DEFAULT_SEED = 0x5EED
 
@@ -25,12 +26,12 @@ class SelectionWorkload:
 
     schema: Schema
     rows: np.ndarray
-    predicate: Predicate
+    predicate: Expr
     target_selectivity: float
 
     @property
     def actual_selectivity(self) -> float:
-        mask = self.predicate.evaluate(self.rows)
+        mask = eval_mask(self.predicate, self.rows)
         return float(mask.mean()) if len(self.rows) else 0.0
 
 

@@ -13,6 +13,7 @@ from repro.baselines.sw_ops import (map_resizes, software_distinct,
 from repro.common import calibration as cal
 from repro.common.config import CpuConfig
 from repro.common.errors import ConfigurationError
+from repro.common.expr import eval_mask
 from repro.common.records import Column, Schema
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.encryption_op import encrypt_table_image
@@ -150,7 +151,7 @@ def test_lcpu_select_matches_numpy():
     wl = selection_workload(2048, 0.5)
     result, elapsed, cost = LcpuBaseline().select(wl.schema, wl.rows,
                                                   wl.predicate)
-    expected = wl.rows[wl.predicate.evaluate(wl.rows)]
+    expected = wl.rows[eval_mask(wl.predicate, wl.rows)]
     np.testing.assert_array_equal(result["a"], expected["a"])
     assert elapsed > 0
     assert set(cost.parts) == {"setup", "read", "predicate", "write"}

@@ -57,9 +57,7 @@ def test_schema_rejects_empty():
 
 def test_offsets_are_cumulative():
     schema = default_schema()
-    assert schema.offset("a") == 0
-    assert schema.offset("b") == 8
-    assert schema.offset("h") == 56
+    assert [schema.byte_range(n)[0] for n in "abh"] == [0, 8, 56]
 
 
 def test_byte_range():
@@ -70,17 +68,9 @@ def test_byte_range():
 def test_unknown_column_raises():
     schema = default_schema()
     with pytest.raises(QueryError):
-        schema.offset("zz")
-    with pytest.raises(QueryError):
         schema.column("zz")
     with pytest.raises(QueryError):
-        schema.index("zz")
-
-
-def test_index():
-    schema = default_schema()
-    assert schema.index("a") == 0
-    assert schema.index("h") == 7
+        schema.byte_range("zz")
 
 
 def test_names_is_computed_once():

@@ -14,6 +14,8 @@ import pytest
 from repro.baselines.sql_model import _aggregate, execute_model
 from repro.baselines.sw_ops import software_groupby
 from repro.common.errors import CatalogError, QueryError
+from repro.common.expr import eval_mask
+from repro.common.records import default_schema
 from repro.core import (
     ClusterClient,
     FarviewClient,
@@ -24,12 +26,13 @@ from repro.core import (
     plan_scatter,
     shard_assignment,
 )
-from repro.core.cluster import merge_group_rows
+from repro.core.cluster import merge_group_rows, prune_scatter_shards
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.experiments.common import EXPERIMENT_CONFIG
 from repro.operators.aggregate import (PARTIAL_PREFIX, AggregateSpec,
                                        decompose_partials)
+from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
 from repro.workloads.generator import (distinct_workload, groupby_workload,
                                        selection_workload)
@@ -372,6 +375,30 @@ def test_cluster_sql_round_trip():
     client.create_table("demo", schema, rows)
     result, _ = client.sql("SELECT DISTINCT a FROM demo")
     assert result.num_rows == 8
+
+
+@pytest.mark.parametrize("op, sql_op, matches, pruned", [
+    (">", ">", 4, (0,)), ("!=", "<>", 8, ())])
+def test_range_pruning_is_exact_for_int64_keys_beyond_2_53(
+        op, sql_op, matches, pruned):
+    """A shard's key span is kept in the key's own type.  Read as
+    float64, shard 1's span ``[2**53 + 1, 2**53 + 1]`` collapsed to
+    ``2**53`` and both predicates pruned the shard holding their
+    matches — under ``far_view`` and under SQL alike."""
+    schema = default_schema()
+    rows = schema.empty(8)
+    rows["a"] = [0, 1, 2, 3] + [2**53 + 1] * 4
+    client = ClusterClient(FarviewCluster(Simulator(), 2, EXPERIMENT_CONFIG))
+    client.open_connection()
+    table = client.create_table("big", schema, rows, PartitionSpec(
+        "range", key="a", bounds=((0, 2**52), (2**52, 2**54))))
+    query = select_star(Compare("a", op, 2**53))
+    assert prune_scatter_shards(table, query) == pruned
+    expected = schema.to_bytes(rows[eval_mask(query.predicate, rows)])
+    viewed, _ = client.far_view(table, query)
+    bound, _ = client.sql(f"SELECT * FROM big WHERE a {sql_op} {2**53}")
+    assert viewed.num_rows == bound.num_rows == matches
+    assert viewed.data == bound.data == expected
 
 
 def test_create_table_skips_empty_shards_and_registers():
@@ -761,6 +788,6 @@ def test_versioned_cluster_scan_fails_over_like_a_plain_one():
         wl.rows[idx] for shard, idx in enumerate(
             partition_indices(wl.rows, wl.schema, PartitionSpec(), 3))
         if shard != 1])
-    expected = kept[wl.predicate.evaluate(kept)]
+    expected = kept[eval_mask(wl.predicate, kept)]
     assert 0 < len(expected) < complete.num_rows
     assert sha(info.value.partial.data) == sha(wl.schema.to_bytes(expected))

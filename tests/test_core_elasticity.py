@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
 from repro.common.errors import QueryError
+from repro.common.expr import eval_mask
 from repro.core.cluster import FarviewCluster
 from repro.core.elasticity import RegionLeaseManager
 from repro.core.node import FarviewNode
@@ -146,7 +147,7 @@ def test_leased_clients_run_real_queries():
 
     sim.run_process(main())
     assert len(completions) == 5
-    expected = int(wl.predicate.evaluate(wl.rows).sum())
+    expected = int(eval_mask(wl.predicate, wl.rows).sum())
     assert all(count == expected for _, count, _ in completions)
     # With 2 regions and 5 tenants, some had to queue.
     assert manager.max_queue_depth >= 1
@@ -278,7 +279,7 @@ def test_cluster_leased_queries_execute_on_their_node():
         yield sim.all_of([sim.process(tenant(i)) for i in range(6)])
 
     sim.run_process(main())
-    expected = int(wl.predicate.evaluate(wl.rows).sum())
+    expected = int(eval_mask(wl.predicate, wl.rows).sum())
     assert counts == [expected] * 6
     # Both nodes actually served queries.
     assert all(node.queries_served > 0 for node in cluster.nodes)

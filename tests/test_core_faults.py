@@ -28,6 +28,7 @@ from repro.common.config import FarviewConfig, MemoryConfig
 from repro.common.errors import (DegradedResultError, FaultError,
                                  NodeFailedError, QueryError,
                                  RegionFailedError, RequestTimeoutError)
+from repro.common.expr import eval_mask
 from repro.core.api import ClusterClient, FarviewClient
 from repro.core.cluster import FarviewCluster
 from repro.core.cost_model import PlanStats
@@ -417,7 +418,7 @@ class TestClusterRecovery:
         # The partial is exactly the surviving shard's contribution: a
         # strict prefix of the no-fault rows under chunk partitioning.
         surviving_rows = err.partial.num_rows
-        expected_total = int(wl.predicate.evaluate(wl.rows).sum())
+        expected_total = int(eval_mask(wl.predicate, wl.rows).sum())
         assert 0 < surviving_rows < expected_total
 
     def test_broadcast_replicas_reinstalled_after_crash_recover(self):

@@ -5,11 +5,12 @@ import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
 from repro.common.errors import ConnectionError_, RegionUnavailableError
+from repro.common.expr import eval_mask
 from repro.common.records import default_schema
 from repro.core.api import ClusterClient, FarviewClient
 from repro.core.cluster import FarviewCluster
 from repro.core.node import FarviewNode
-from repro.core.query import Query, RegexFilter, group_by_sum, select_distinct, select_star
+from repro.core.query import Query, group_by_sum, select_distinct, select_star
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.crypto import AesCtr
@@ -152,7 +153,7 @@ def test_selection_matches_oracle(client):
     wl = selection_workload(2048, 0.5)
     table = upload(client, "S", wl.schema, wl.rows)
     result, elapsed = client.far_view(table, select_star(wl.predicate))
-    expected = wl.rows[wl.predicate.evaluate(wl.rows)]
+    expected = wl.rows[eval_mask(wl.predicate, wl.rows)]
     got = result.rows()
     assert len(got) == len(expected)
     for col in wl.schema.names:
@@ -165,7 +166,7 @@ def test_selection_with_projection(client):
     wl = selection_workload(512, 0.25)
     table = upload(client, "S", wl.schema, wl.rows)
     result, _ = client.select(table, ["a", "c"], wl.predicate)
-    expected = wl.rows[wl.predicate.evaluate(wl.rows)]
+    expected = wl.rows[eval_mask(wl.predicate, wl.rows)]
     got = result.rows()
     assert got.dtype.names == ("a", "c")
     np.testing.assert_array_equal(got["a"], expected["a"])
@@ -296,7 +297,7 @@ def test_encrypted_table_query(client):
                    encrypted=True, key=key, nonce=nonce)
     query = Query(predicate=wl.predicate, decrypt_input=True)
     result, _ = client.far_view(table, query)
-    expected = wl.rows[wl.predicate.evaluate(wl.rows)]
+    expected = wl.rows[eval_mask(wl.predicate, wl.rows)]
     np.testing.assert_array_equal(result.rows()["a"], expected["a"])
 
 

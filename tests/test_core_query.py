@@ -8,10 +8,11 @@ from repro.common.errors import (
     PipelineCompilationError,
     QueryError,
 )
+from repro.common.expr import Col, TextMatch
 from repro.common.records import default_schema, string_schema, wide_schema
 from repro.core.catalog import Catalog
 from repro.core.pipeline_compiler import choose_smart_addressing, compile_query
-from repro.core.query import (JoinSpec, Query, RegexFilter, group_by_sum,
+from repro.core.query import (JoinSpec, Query, group_by_sum,
                               select_distinct, select_star)
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
@@ -80,12 +81,6 @@ def test_catalog_missing_lookup():
         cat.deregister("missing")
 
 
-def test_catalog_total_bytes():
-    cat = Catalog()
-    cat.register(make_table(rows=10))
-    assert cat.total_bytes() == 640
-
-
 # --- query validation ----------------------------------------------------------------
 
 def test_query_builders():
@@ -120,7 +115,7 @@ def test_query_validates_against_schema():
     with pytest.raises(QueryError):
         Query(projection=("zz",)).validate(schema)
     with pytest.raises(QueryError):
-        Query(regex=RegexFilter("a", "x")).validate(schema)  # not char
+        Query(regex=TextMatch(Col("a"), "x")).validate(schema)  # not char
     with pytest.raises(QueryError):
         Query(projection=("a",), group_by=("c",),
               aggregates=(AggregateSpec("sum", "a"),)).validate(schema)
@@ -260,7 +255,7 @@ def test_compile_groupby_and_distinct_and_agg():
 def test_compile_regex_query():
     table = FTable("s", string_schema(64), 10)
     compiled = compile_query(
-        Query(regex=RegexFilter("s", "abc|def")), table, CONFIG)
+        Query(regex=TextMatch(Col("s"), "abc|def", regexp=True)), table, CONFIG)
     assert "regex" in compiled.resource_operators
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.common.expr import like_to_regex
 from repro.common.records import Column, Schema, default_schema
-from repro.core.ir import Col, Join, Scan
-from repro.core.query import JoinSpec, Query, RegexFilter
+from repro.core.ir import Col, Join, Scan, TextMatch
+from repro.core.query import JoinSpec, Query, select_star
 from repro.core.compile import (ParsedWrite, SqlSyntaxError, bind_select,
-                            like_to_regex, parse_sql)
+                                parse_sql)
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.regex_engine import CompiledRegex
 from repro.operators.selection import And, Compare, Not, Or
@@ -45,6 +46,16 @@ def _head(sql: str, **schemas) -> Query:
 
 
 # --- basic statements ---------------------------------------------------------
+
+def test_sql_and_verb_conditions_share_one_signature():
+    """A WHERE clause binds to the condition the verb constructors build,
+    so the region's bitstream identity is one string for both."""
+    by_sql = _head("SELECT * FROM t WHERE a < 5 AND b < 2.0")
+    by_verb = select_star(Compare("a", "<", 5) & Compare("b", "<", 2.0))
+    assert by_sql.predicate == by_verb.predicate
+    assert by_sql.signature == by_verb.signature
+    assert by_sql.signature.startswith("sel[")
+
 
 def test_select_star():
     assert parse_sql("SELECT * FROM S").table == "S"
@@ -570,9 +581,9 @@ SINGLE_CHAIN = {
                      aggregates=(_COUNT, AggregateSpec("max", "v", "m")))),
     "like": ("SELECT k, s FROM fact WHERE s LIKE '%far%' AND k < 30",
              _q(projection=("k", "s"), predicate=Compare("k", "<", 30),
-                regex=RegexFilter("s", like_to_regex("%far%")))),
+                regex=TextMatch(Col("s"), "%far%"))),
     "regexp": ("SELECT * FROM fact WHERE s REGEXP 'far(view|sight)'",
-               _q(regex=RegexFilter("s", "far(view|sight)"))),
+               _q(regex=TextMatch(Col("s"), "far(view|sight)", regexp=True))),
     "join-qualified-collision": (
         f"SELECT fact.k, dim.rate, fact.v {_ON} WHERE fact.v < 0.5",
         _q(projection=("k", "build_rate", "v"),

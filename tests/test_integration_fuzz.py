@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import FarviewConfig, MemoryConfig
+from repro.common.expr import eval_mask
 from repro.common.records import default_schema
 from repro.core.api import FarviewClient
 from repro.core.node import FarviewNode
@@ -86,7 +87,7 @@ def _make_table(num_rows: int, seed: int):
 def _oracle(rows, query: Query):
     out = rows
     if query.predicate is not None:
-        out = out[query.predicate.evaluate(out)]
+        out = out[eval_mask(query.predicate, out)]
     if query.group_by:
         sums: dict[int, float] = {}
         counts: dict[int, int] = {}

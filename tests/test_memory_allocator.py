@@ -74,16 +74,6 @@ def test_distinct_pages_have_distinct_slices(alloc):
     assert a.slice_offsets != b.slice_offsets
 
 
-def test_locate_round_robins_across_channels(alloc):
-    page = alloc.allocate_page()
-    base = page.slice_offsets[0]
-    # unit 0 -> channel 0, unit 1 -> channel 1, unit 2 -> channel 0 row 1
-    assert alloc.locate(page, 0) == (0, base)
-    assert alloc.locate(page, 64) == (1, base)
-    assert alloc.locate(page, 128) == (0, base + 64)
-    assert alloc.locate(page, 129) == (0, base + 65)
-
-
 def test_channel_extent(alloc):
     # 256 bytes = 4 units over 2 channels -> 2 units = 128 B per channel
     assert alloc.channel_extent(256) == 128

@@ -150,13 +150,6 @@ def test_ctr_stage_one_byte_chunks():
     assert out == plain
 
 
-def test_ctr_stage_counts_bytes():
-    enc = EncryptOperator(KEY, NONCE)
-    enc.process(b"z" * 40)
-    enc.finish()
-    assert enc.bytes_processed == 40
-
-
 # --- regex degenerate patterns ------------------------------------------------------------------
 
 def test_regex_empty_pattern_matches_everything():

@@ -1,12 +1,17 @@
 """Projection (standard + smart addressing) and selection operators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.sql_model import _truth
 from repro.common.errors import OperatorError, QueryError
-from repro.common.records import default_schema, wide_schema
+from repro.common.expr import (CMP_OPS, BoolAnd, BoolNot, BoolOr, Cmp, Col,
+                               Lit, check_condition, eval_mask, expr_columns)
+from repro.common.records import Column, Schema, default_schema, wide_schema
 from repro.operators.projection import ProjectionOperator, SmartAddressingPlan
 from repro.operators.selection import (
     And,
@@ -120,12 +125,12 @@ def test_smart_addressing_needs_columns():
 
 def test_compare_operators():
     schema, batch = make_batch()
-    assert Compare("a", "<", 5).evaluate(batch).sum() == 5
-    assert Compare("a", "<=", 5).evaluate(batch).sum() == 6
-    assert Compare("a", ">", 7).evaluate(batch).sum() == 2
-    assert Compare("a", ">=", 7).evaluate(batch).sum() == 3
-    assert Compare("a", "==", 3).evaluate(batch).sum() == 1
-    assert Compare("a", "!=", 3).evaluate(batch).sum() == 9
+    assert eval_mask(Compare("a", "<", 5), batch).sum() == 5
+    assert eval_mask(Compare("a", "<=", 5), batch).sum() == 6
+    assert eval_mask(Compare("a", ">", 7), batch).sum() == 2
+    assert eval_mask(Compare("a", ">=", 7), batch).sum() == 3
+    assert eval_mask(Compare("a", "==", 3), batch).sum() == 1
+    assert eval_mask(Compare("a", "!=", 3), batch).sum() == 9
 
 
 def test_compare_rejects_unknown_op():
@@ -136,37 +141,37 @@ def test_compare_rejects_unknown_op():
 def test_compare_validates_types():
     schema, _ = make_batch()
     with pytest.raises(QueryError):
-        Compare("a", "<", "text").validate(schema)
+        check_condition(Compare("a", "<", "text"), schema)
     with pytest.raises(QueryError):
-        Compare("a", "<", 1).validate(default_schema()) or \
-            Compare("zz", "<", 1).validate(schema)
+        check_condition(Compare("a", "<", 1), default_schema()) or \
+            check_condition(Compare("zz", "<", 1), schema)
 
 
 def test_boolean_combinators():
     schema, batch = make_batch()
     p = And(Compare("a", ">=", 2), Compare("a", "<", 5))
-    assert p.evaluate(batch).sum() == 3
+    assert eval_mask(p, batch).sum() == 3
     q = Or(Compare("a", "==", 0), Compare("a", "==", 9))
-    assert q.evaluate(batch).sum() == 2
+    assert eval_mask(q, batch).sum() == 2
     r = Not(Compare("a", "<", 5))
-    assert r.evaluate(batch).sum() == 5
+    assert eval_mask(r, batch).sum() == 5
 
 
 def test_operator_overloads():
     schema, batch = make_batch()
     p = (Compare("a", ">=", 2) & Compare("a", "<", 5)) | Compare("a", "==", 9)
-    assert p.evaluate(batch).sum() == 4
-    assert (~p).evaluate(batch).sum() == 6
+    assert eval_mask(p, batch).sum() == 4
+    assert eval_mask(~p, batch).sum() == 6
 
 
 def test_predicate_columns():
     p = And(Compare("a", "<", 1), Or(Compare("b", ">", 0.0), Compare("c", "==", 1)))
-    assert p.columns() == {"a", "b", "c"}
+    assert expr_columns(p) == [Col("a"), Col("b"), Col("c")]
 
 
 def test_float_predicate():
     schema, batch = make_batch()
-    assert Compare("b", ">", 3.14).evaluate(batch).sum() == 3  # 3.5, 4.0, 4.5
+    assert eval_mask(Compare("b", ">", 3.14), batch).sum() == 3  # 3.5, 4.0, 4.5
 
 
 # --- selection operator --------------------------------------------------------------------
@@ -242,3 +247,56 @@ def test_selection_selectivity_property(threshold):
     expected = max(0, min(10, threshold))
     assert len(out) == expected
     assert np.all(out["a"] < threshold)
+
+
+# --- the one evaluator against the reference model's row loop ------------------
+
+_ORACLE_SCHEMA = Schema(list(default_schema().columns)
+                        + [Column("s", "char", 4)])
+_INTS = [0, -1, 2**53, 2**53 + 1, 2**63 - 1]
+_FLOATS = [0.0, -0.0, float("nan"), 0.5, 2.0**53]
+_CHARS = [b"", b"ab", b"abcd", b"zz"]
+
+
+def _oracle_rows():
+    """Every ``(a, b, s)`` combination of the edge values; ``c`` runs
+    ``a`` backwards."""
+    combos = list(itertools.product(_INTS, _FLOATS, _CHARS))
+    rows = _ORACLE_SCHEMA.empty(len(combos))
+    for name, column in zip("abs", zip(*combos)):
+        rows[name] = column
+    rows["c"] = rows["a"][::-1]
+    return rows
+
+
+def _comparisons():
+    numeric = st.builds(
+        lambda name, op, value: Cmp(op, Col(name), Lit(value)),
+        st.sampled_from(["a", "b", "c"]), st.sampled_from(CMP_OPS),
+        st.sampled_from(_INTS + _FLOATS))
+    char = st.builds(
+        lambda op, value: Cmp(op, Col("s"), Lit(value)),
+        st.sampled_from(["==", "!="]),
+        st.sampled_from(_CHARS + [v.decode() for v in _CHARS]))
+    return numeric | char
+
+
+_CONDITIONS = st.recursive(
+    _comparisons(),
+    lambda inner: (st.builds(BoolAnd, inner, inner)
+                   | st.builds(BoolOr, inner, inner)
+                   | st.builds(BoolNot, inner)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cond=_CONDITIONS)
+def test_eval_mask_matches_the_model_row_by_row(cond):
+    """The vectorized mask equals ``sql_model``'s per-row truth on the
+    edges a comparator can get wrong: signed zeros, NaN, int64 beyond
+    2**53 against int and float literals, and char literals given as
+    ``str`` and as ``bytes``."""
+    rows = _oracle_rows()
+    check_condition(cond, _ORACLE_SCHEMA)
+    assert eval_mask(cond, rows).tolist() == [_truth(cond, row)
+                                              for row in rows]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
 from repro.common.errors import FaultError, QueryError
+from repro.common.expr import eval_mask
 from repro.core.elasticity import RegionLeaseManager
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.node import FarviewNode
@@ -42,7 +43,7 @@ def test_session_serves_correct_rows_and_accounts():
     session = door.session("t0")
 
     result = sim.run_process(session.request_proc(shape))
-    expected = int(wl.predicate.evaluate(wl.rows).sum())
+    expected = int(eval_mask(wl.predicate, wl.rows).sum())
     assert len(result.rows()) == expected
     assert session.submitted == session.completed == 1
     assert session.failed == 0

@@ -628,8 +628,9 @@ def test_one_hash_one_probe_in_src():
     clock, combiner and request-stream helpers, and the buffer pool, the
     unused tallies and the per-figure entry points beside ``repro run``,
     and the blocking statement route beside its process and the second
-    pool normalizer, and the cuckoo table's object per entry — and the
-    reference model binds nothing."""
+    pool normalizer, and the cuckoo table's object per entry, and the
+    second boolean expression tree with its converter and regex record —
+    and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -674,6 +675,13 @@ def test_one_hash_one_probe_in_src():
             # Query or Bound* record on its side of a comparison.
             (("src/repro/baselines",), ("bind_select", "Bound", "Query(",
                                         "core.query")),
+            # One expression language: a selection predicate is an IR
+            # condition, checked by check_condition and masked by
+            # eval_mask — no node class of its own.
+            (("src", "docs"), ("class Predicate", "predicate_from_ir",
+                               "RegexFilter")),
+            (("src/repro/operators/selection.py",), ("def evaluate(",
+                                                     "def validate(")),
             # The dict Z-set lives on only as the oracle of
             # tests/test_core_zset.py: no image -> weight dict, per-entry
             # index merge or per-row bootstrap in the view engine.

@@ -134,11 +134,12 @@ def test_pipe_counts_bytes():
     sim.run_process(proc())
     assert pipe.bytes_transferred == 100
     assert pipe.transfers == 2
-    assert pipe.utilization(100.0) == pytest.approx(1.0)
+    assert pipe.occupied_ns == pytest.approx(100.0)
 
 
 def test_pipe_utilization_counts_extra_occupancy():
-    """Per-packet overhead occupies the pipe and must show in utilization."""
+    """Per-packet overhead occupies the pipe: wire time plus header
+    processing."""
     sim = Simulator()
     pipe = BandwidthPipe(sim, rate=1.0)
 
@@ -146,10 +147,8 @@ def test_pipe_utilization_counts_extra_occupancy():
         yield pipe.transfer(50, extra_ns=25.0)
 
     sim.run_process(proc())
+    # 50 B of wire time + 25 ns of header processing.
     assert pipe.occupied_ns == pytest.approx(75.0)
-    # 50 B of wire time + 25 ns of header processing over a 100 ns window.
-    assert pipe.utilization(100.0) == pytest.approx(0.75)
-    assert pipe.utilization(50.0) == pytest.approx(1.0)  # clamped
 
 
 def test_pipe_rejects_bad_args():

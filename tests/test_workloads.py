@@ -5,6 +5,7 @@ import pytest
 
 from repro.common import calibration as cal
 from repro.common.errors import QueryError
+from repro.common.expr import eval_mask
 from repro.workloads.generator import (
     REGEX_NEEDLE,
     distinct_workload,
@@ -112,7 +113,7 @@ def test_q6_selectivity_near_paper_quote():
     """§5.3: 'only 2% of the data is finally selected' for TPC-H Q6."""
     rows = lineitem(50_000)
     q6 = q6_query()
-    mask = q6.predicate.evaluate(rows)
+    mask = eval_mask(q6.predicate, rows)
     assert float(mask.mean()) == pytest.approx(cal.TPCH_Q6_SELECTIVITY,
                                                abs=0.01)
 
