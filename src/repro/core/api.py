@@ -1038,11 +1038,11 @@ class ClusterClient:
                 shards.append(replace(copies[0], replicas=tuple(copies[1:])))
                 if spec.scheme == "range":
                     # Plan-time pruning metadata: each shard's observed
-                    # key span, exact in the key's own type (recomputable
-                    # from the deterministic placement, cached here so
-                    # pruning needs no reads).
-                    shard_ranges[node_index] = (part[spec.key].min().item(),
-                                                part[spec.key].max().item())
+                    # key span, numpy scalars of the key's dtype so they
+                    # compare with a literal as eval_mask does (cached
+                    # here so pruning needs no reads).
+                    shard_ranges[node_index] = (part[spec.key].min(),
+                                                part[spec.key].max())
             table = Table(name, schema, spec, shards,
                           num_partitions=self.num_nodes,
                           shard_ranges=shard_ranges)

@@ -191,8 +191,8 @@ def join_strategies(table, query: Query) -> tuple[str, ...]:
 def _interval_may_match(pred, key: str, lo, hi) -> bool:
     """May any value in the closed interval ``[lo, hi]`` satisfy ``pred``?
 
-    ``lo`` / ``hi`` are in the key's own type and compare exactly with
-    the literal (an int64 key beyond 2**53 included).  Conservative:
+    ``lo`` / ``hi`` are numpy scalars of the key's dtype, so they promote
+    with the literal as ``eval_mask`` does (monotonically).  Conservative:
     anything not provably empty (NOT, a non-numeric literal, predicates
     on other columns) keeps the shard.
     """

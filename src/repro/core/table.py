@@ -135,9 +135,9 @@ class Table:
         #: keys iff their moduli match.  Empty shards are skipped in
         #: ``shards``, so this cannot be derived from ``len(shards)``.
         self.num_partitions = num_partitions
-        #: Per-shard observed ``[min, max]`` of the partition key, in the
-        #: key's own type (range scheme only) — the plan-time
-        #: shard-pruning metadata.
+        #: Per-shard observed ``[min, max]`` of the partition key, as
+        #: numpy scalars of the key's dtype (range scheme only) — the
+        #: plan-time shard-pruning metadata.
         self.shard_ranges = shard_ranges or {}
 
     @property

@@ -7,6 +7,7 @@ and for GROUP BY with every supported aggregate.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.baselines.sql_model import _aggregate, execute_model
 from repro.baselines.sw_ops import software_groupby
 from repro.common.errors import CatalogError, QueryError
-from repro.common.expr import eval_mask
+from repro.common.expr import CMP_OPS, Cmp, Col, Lit, eval_mask
 from repro.common.records import default_schema
 from repro.core import (
     ClusterClient,
@@ -26,7 +27,8 @@ from repro.core import (
     plan_scatter,
     shard_assignment,
 )
-from repro.core.cluster import merge_group_rows, prune_scatter_shards
+from repro.core.cluster import (_interval_may_match, merge_group_rows,
+                                prune_scatter_shards)
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.experiments.common import EXPERIMENT_CONFIG
@@ -377,28 +379,60 @@ def test_cluster_sql_round_trip():
     assert result.num_rows == 8
 
 
-@pytest.mark.parametrize("op, sql_op, matches, pruned", [
-    (">", ">", 4, (0,)), ("!=", "<>", 8, ())])
+@pytest.mark.parametrize("key, big, op, sql_op, literal, matches, pruned", [
+    ("a", 2**53 + 1, ">", ">", 2**53, 4, (0,)),
+    ("a", 2**53 + 1, "!=", "<>", 2**53, 8, ()),
+    ("a", 2**53 + 1, "<=", "<=", float(2**53), 8, ()),
+    ("a", 2**53 + 1, "==", "=", float(2**53), 4, (0,)),
+    ("b", float(2**53), "==", "=", 2**53 + 1, 4, (0,)),
+])
 def test_range_pruning_is_exact_for_int64_keys_beyond_2_53(
-        op, sql_op, matches, pruned):
-    """A shard's key span is kept in the key's own type.  Read as
-    float64, shard 1's span ``[2**53 + 1, 2**53 + 1]`` collapsed to
-    ``2**53`` and both predicates pruned the shard holding their
-    matches — under ``far_view`` and under SQL alike."""
+        key, big, op, sql_op, literal, matches, pruned):
+    """A shard's key span compares with a literal exactly as the
+    evaluator does.  Read as float64, the int64 span ``[2**53 + 1,
+    2**53 + 1]`` collapsed to ``2**53`` and ``>`` / ``!=`` against the
+    int ``2**53`` pruned the shard holding their matches.  Against a
+    float literal (or a float key against an int one) the evaluator
+    rounds to float64, so pruning must too — under ``far_view`` and
+    under SQL alike."""
     schema = default_schema()
     rows = schema.empty(8)
-    rows["a"] = [0, 1, 2, 3] + [2**53 + 1] * 4
+    rows[key] = [0, 1, 2, 3] + [big] * 4
     client = ClusterClient(FarviewCluster(Simulator(), 2, EXPERIMENT_CONFIG))
     client.open_connection()
     table = client.create_table("big", schema, rows, PartitionSpec(
-        "range", key="a", bounds=((0, 2**52), (2**52, 2**54))))
-    query = select_star(Compare("a", op, 2**53))
+        "range", key=key, bounds=((0, 2**52), (2**52, 2**54))))
+    query = select_star(Compare(key, op, literal))
     assert prune_scatter_shards(table, query) == pruned
     expected = schema.to_bytes(rows[eval_mask(query.predicate, rows)])
     viewed, _ = client.far_view(table, query)
-    bound, _ = client.sql(f"SELECT * FROM big WHERE a {sql_op} {2**53}")
+    bound, _ = client.sql(f"SELECT * FROM big WHERE {key} {sql_op} {literal}")
     assert viewed.num_rows == bound.num_rows == matches
     assert viewed.data == bound.data == expected
+
+
+_SPAN_EDGES = {"a": [-1, 0, 3, 2**53, 2**53 + 1, 2**63 - 1],
+               "b": [-1.0, -0.0, 0.0, 0.5, 2.0**53, 2.0**60]}
+_SPAN_LITERALS = [-1, 0, 2**53, 2**53 + 1, 2**63 - 1, 2**64,
+                  -0.0, 0.5, 2.0**53, float("nan")]
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_pruned_span_holds_no_matching_row(key):
+    """Soundness of range pruning against the evaluator, exhaustively
+    over edge spans and comparisons: a span it calls empty holds no
+    value ``eval_mask`` matches, across int/float promotion, values
+    beyond 2**53, signed zeros and NaN literals.  AND / OR of sound
+    answers stay sound, so single comparisons cover the walk."""
+    edges = _SPAN_EDGES[key]
+    for i, j in itertools.combinations_with_replacement(range(len(edges)), 2):
+        rows = default_schema().empty(j - i + 1)
+        rows[key] = edges[i:j + 1]
+        lo, hi = rows[key].min(), rows[key].max()
+        for op, value in itertools.product(CMP_OPS, _SPAN_LITERALS):
+            cond = Cmp(op, Col(key), Lit(value))
+            if not _interval_may_match(cond, key, lo, hi):
+                assert not eval_mask(cond, rows).any(), (cond, lo, hi)
 
 
 def test_create_table_skips_empty_shards_and_registers():
