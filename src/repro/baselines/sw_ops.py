@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from ..operators.aggregate import (
     accumulator_rows,
     batch_accumulate,
     fold_groups,
+    grouped_schema,
     value_columns,
 )
 from ..operators.crypto import AesCtr
@@ -62,9 +64,10 @@ class DistinctOutput:
 
 
 def software_distinct(rows: np.ndarray, schema: Schema,
-                      key_columns: list[str]) -> DistinctOutput:
-    """Hash-based DISTINCT: the first row of every key, in row order."""
-    first, _ = first_occurrence(key_image(rows, key_columns))
+                      key_columns: Optional[Sequence[str]]) -> DistinctOutput:
+    """Hash-based DISTINCT: the first row of every key (``None``: the
+    whole row), in row order."""
+    first, _ = first_occurrence(key_image(rows, key_columns or schema.names))
     return DistinctOutput(rows=rows[first], map_resizes=map_resizes(len(first)))
 
 
@@ -82,9 +85,7 @@ def software_groupby(rows: np.ndarray, schema: Schema,
     a float64 in row order — a group's sum accumulates sequentially from
     ``0.0``, byte for byte what the reference model's loop computes."""
     first, group = first_occurrence(key_image(rows, key_columns))
-    out_schema = Schema([schema.column(k) for k in key_columns]
-                        + [s.output_column(schema) for s in aggregates])
-    out = out_schema.empty(len(first))
+    out = grouped_schema(schema, key_columns, aggregates).empty(len(first))
     for name in key_columns:
         out[name] = rows[name][first]
     count = np.bincount(group, minlength=len(first))
@@ -117,9 +118,8 @@ def software_aggregate(rows: np.ndarray, schema: Schema,
     # the column dtype, no per-value float round-trip), so large-integer
     # extremes survive bit-exactly.
     batch_accumulate(acc, rows, columns)
-    out_schema = Schema([s.output_column(schema) for s in aggregates])
-    return accumulator_rows(out_schema, (), aggregates,
-                            {b"": acc} if acc.count else {})
+    return accumulator_rows(grouped_schema(schema, (), aggregates), (),
+                            aggregates, {b"": acc} if acc.count else {})
 
 
 def software_join(rows: np.ndarray, schema: Schema,

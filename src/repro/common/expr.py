@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import QueryError
-from .records import Schema
+from .records import Column, Schema
 
 #: Binary arithmetic operators the expression grammar supports.
 ARITH_OPS = ("+", "-", "*", "/")
@@ -273,6 +273,21 @@ def eval_expr(expr: Expr, rows: np.ndarray, schema: Schema) -> np.ndarray:
             result = np.true_divide(left, right)
         return result.astype(out_dtype, copy=False)
     raise QueryError(f"cannot evaluate {type(expr).__name__} as a value")
+
+
+def items_schema(items, schema: Schema) -> Schema:
+    """The output schema of expression projection ``items`` over
+    ``schema``: a column keeps its type, arithmetic is typed by
+    :func:`expr_dtype` (which also refuses a non-numeric operand)."""
+    columns: list[Column] = []
+    for expr, name in items:
+        if isinstance(expr, Col):
+            source = schema.column(expr.name)
+            columns.append(Column(name, source.kind, source.width))
+        else:
+            floating = expr_dtype(expr, schema).kind == "f"
+            columns.append(Column(name, "float64" if floating else "int64"))
+    return Schema(columns)
 
 
 def eval_items(items, rows: np.ndarray, schema: Schema,

@@ -57,15 +57,16 @@ from typing import Optional
 import numpy as np
 
 from ..baselines.cpu_model import CostBreakdown, CpuCostModel
-from ..baselines.sw_ops import software_decrypt
+from ..baselines.sw_ops import software_decrypt, software_distinct
 from ..common.errors import (CatalogError, ConnectionError_,
                              DegradedResultError, FarviewError, FaultError,
                              JoinBuildOverflowError, NodeFailedError,
                              QueryError, RegionFailedError,
                              RequestTimeoutError)
 from ..common.expr import Col, Expr, TextMatch
-from ..common.records import Schema, first_occurrence, key_image
-from ..operators.aggregate import AggregateSpec, accumulator_rows
+from ..common.records import Schema
+from ..operators.aggregate import (AggregateSpec, accumulator_rows,
+                                   grouped_schema)
 from ..operators.crypto import AesCtr
 from .catalog import Catalog
 from .compile import ParsedWrite, bind_select, parse_sql
@@ -75,9 +76,8 @@ from .planner import (ExplainPlan, build_fragment, client_steps,
                       operator_chain, plan_placement, run_client_join,
                       run_client_kernel)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
-                      aggregate_output_schema, group_output_schema,
                       join_strategies, merge_aggregate_rows,
-                      merge_distinct_rows, merge_group_rows, plan_scatter)
+                      merge_group_rows, plan_scatter)
 from .faults import RetryPolicy
 from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
@@ -149,9 +149,8 @@ class QueryResult:
             data = AesCtr(key, nonce).process(data)
         rows = self.schema.from_bytes(data)
         if self.report.overflow_keys:
-            first, _ = first_occurrence(key_image(
-                rows, self.query.distinct_columns or self.schema.names))
-            rows = rows[first]
+            rows = software_distinct(rows, self.schema,
+                                     self.query.distinct_columns).rows
         if self.report.overflow_groups:
             rows = np.concatenate([rows, accumulator_rows(
                 self.schema, self.query.group_by, self.query.aggregates,
@@ -781,8 +780,8 @@ class ClusterClient:
         sim, cpu = self.sim, self.cpu
         start = sim.now
         steps = [] if plan is None else client_steps(query, plan.split)
-        snapshot = [(table, epoch)] + [self._bind(op.build) for name, op
-                                       in steps + tail if name == "join"]
+        snapshot = [(table, epoch)] + [self._bind(op.build) for op
+                                       in steps + tail if op.kernel == "join"]
         epochs = {handle.name: at for handle, at in snapshot}
         pins = [(shard, shard.chain.pin(at)) for handle, at in snapshot
                 if at is not None for shard in handle.shards]
@@ -794,7 +793,7 @@ class ClusterClient:
             nonlocal read_bytes
             if plan is not None and plan.chosen == "ship":
                 rows, shipped = yield from self._read_raw_proc(table, at,
-                                                               cost, steps)
+                                                               cost, query)
                 schema = table.schema
                 read_bytes += shipped
             else:
@@ -811,15 +810,15 @@ class ClusterClient:
                     cost.add("read", cpu.read_ns(landed.bytes_shipped))
                 rows, schema = landed.rows(), landed.schema
                 parts.append(landed)
-            for name, op in steps:
-                rows, schema, _arm = yield from step(name, op, rows, schema)
+            for op in steps:
+                rows, schema, _arm = yield from step(op, rows, schema)
             return rows, schema, plan
 
-        def step(name, op, rows, schema):
+        def step(op, rows, schema):
             nonlocal read_bytes
-            if name != "join":
-                return (*run_client_kernel(name, op, rows, schema, cpu,
-                                           cost), None)
+            if op.kernel != "join":
+                return (*run_client_kernel(op, rows, schema, cpu, cost),
+                        None)
             at = epochs[op.table]
             if op.query is None:
                 build_rows, shipped = yield from self._read_raw_proc(
@@ -838,10 +837,10 @@ class ClusterClient:
         try:
             rows, schema, record = yield from land(table, epoch, query, plan,
                                                    steps, join_strategy)
-            for name, op in tail:
-                rows, schema, arm = yield from step(name, op, rows, schema)
-                record.tail.append(
-                    (f"join({op.table})" if name == "join" else name, arm))
+            for op in tail:
+                rows, schema, arm = yield from step(op, rows, schema)
+                record.tail.append((f"join({op.table})" if op.kernel == "join"
+                                    else op.kernel, arm))
         finally:
             for shard, token in reversed(pins):
                 self._sessions[shard.node_index]._release_pin(shard.chain,
@@ -855,31 +854,30 @@ class ClusterClient:
                            read_bytes=read_bytes)
 
     def _read_raw_proc(self, table, epoch: int | None, cost: CostBreakdown,
-                       steps: list | None = None):
+                       query: Query | None = None):
         """Process: raw read of a whole table, decoded; returns ``(rows,
         bytes_shipped)`` and charges the client the read.  A ship plan
-        passes its ``steps``: it also pays a leading ``decrypt`` step
-        (consumed from ``steps``) and a version chain's delta merge,
-        which a raw join build does not."""
+        passes its ``query``: it also pays the decrypt the query asks for
+        and a version chain's delta merge, which a raw join build does
+        not."""
         cpu, table = self.cpu, as_table(table)
         if table.versioned:
             rows, _ids, shipped = yield from self.read_version_proc(table,
                                                                     epoch)
             cost.add("read", cpu.read_ns(shipped))
-            if steps is not None:
+            if query is not None:
                 visible, _scan_bytes, delta_rows = table.stats_at(epoch)
                 cost.add("merge",
                          delta_merge_cost_ns(cpu, visible, delta_rows))
             return rows, shipped
         data = yield from self.table_read_proc(table)
         cost.add("read", cpu.read_ns(len(data)))
-        if steps and steps[0][0] == "decrypt":
+        if query is not None and query.decrypt_input:
             # Only a caller-placed segment can be encrypted; the pool's
             # create loop writes plaintext shards.
             base = table.shards[0].chain.base
             data = software_decrypt(data, base.key, base.nonce)
             cost.add("aes", cpu.aes_ns(len(data)))
-            del steps[0]
         return table.schema.from_bytes(data), len(data)
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
@@ -932,10 +930,8 @@ class ClusterClient:
             return self._sql_write(self.catalog.lookup(parsed.table), parsed)
         placement = placement or parsed.placement or "offload"
         bound = bind_select(parsed, self.catalog)
-        # The arms and the bound ops are the client steps after the head.
         return self._placed_proc(bound.base, bound.query, placement, stats,
-                                 tail=[("join", arm) for arm in bound.arms]
-                                 + [(op.kernel, op) for op in bound.ops])
+                                 tail=bound.tail)
 
     def _require_versioned(self, table) -> Table:
         table = as_table(table)
@@ -1806,26 +1802,22 @@ class ClusterClient:
         stacked = np.concatenate(parts)
         # Grouping and aggregation sit after the join in the chain.
         table_schema = query.post_join_schema(table.schema)
+        schema = survivors[0].schema
+        if plan.mode in ("group", "aggregate"):
+            schema = grouped_schema(table_schema, query.group_by or (),
+                                    [p.spec for p in plan.partial_plans])
         if plan.mode == "group":
-            assert query.group_by is not None
             merged = merge_group_rows(stacked, table_schema,
                                       list(query.group_by),
                                       plan.shard_specs, plan.partial_plans)
-            schema = group_output_schema(
-                table_schema, list(query.group_by),
-                [p.spec for p in plan.partial_plans])
         elif plan.mode == "aggregate":
             merged = merge_aggregate_rows(stacked, table_schema,
                                           plan.shard_specs,
                                           plan.partial_plans)
-            schema = aggregate_output_schema(
-                table_schema, [p.spec for p in plan.partial_plans])
         elif plan.mode == "distinct":
-            schema = survivors[0].schema
-            merged = merge_distinct_rows(stacked, schema,
-                                         query.distinct_columns)
+            merged = software_distinct(stacked, schema,
+                                       query.distinct_columns).rows
         else:
-            schema = survivors[0].schema
             merged = stacked
         result = QueryResult(schema=schema, parts=survivors,
                              response_time_ns=elapsed_ns, merged=merged,

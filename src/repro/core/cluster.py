@@ -15,10 +15,11 @@ exercise one node.  This module adds the pool:
   the fragment each shard executes plus the client-side merge mode.
   Non-decomposable aggregates (``avg``) are rewritten into exact partials
   (sum + count) via :func:`~repro.operators.aggregate.decompose_partials`.
-* the merge kernels — :func:`merge_distinct_rows`,
-  :func:`merge_group_rows`, :func:`merge_aggregate_rows` — which combine
-  per-shard results into the final answer.  Each is an array transform
-  on the host's one grouping kernel
+* the merge kernels — :func:`merge_group_rows`,
+  :func:`merge_aggregate_rows` — which combine per-shard partial
+  aggregates into the final answer (a DISTINCT merge is the client's own
+  :func:`~repro.baselines.sw_ops.software_distinct`).  Each is an array
+  transform on the host's one grouping kernel
   (:func:`~repro.common.records.key_image` +
   :func:`~repro.common.records.first_occurrence`): keys group on their
   exact bytes in first-seen order, and partial columns fold per group
@@ -53,7 +54,8 @@ from ..common.errors import QueryError
 from ..common.expr import BoolAnd, BoolOr, Cmp, Col
 from ..common.records import Schema, first_occurrence, key_image
 from ..operators.aggregate import (AggregateSpec, PartialPlan,
-                                   decompose_partials, fold_groups)
+                                   decompose_partials, fold_groups,
+                                   grouped_schema)
 from ..sim.engine import Simulator
 from .node import FarviewNode
 from .query import Query
@@ -317,13 +319,6 @@ def plan_scatter(query: Query, table=None,
 
 # -- merge kernels -------------------------------------------------------------
 
-def merge_distinct_rows(rows: np.ndarray, schema: Schema,
-                        key_columns: Optional[Sequence[str]]) -> np.ndarray:
-    """First-wins dedup of concatenated shard DISTINCT results."""
-    first, _ = first_occurrence(key_image(rows, key_columns or schema.names))
-    return rows[first]
-
-
 def merge_group_rows(rows: np.ndarray, table_schema: Schema,
                      key_columns: Sequence[str],
                      shard_specs: Sequence[AggregateSpec],
@@ -335,9 +330,8 @@ def merge_group_rows(rows: np.ndarray, table_schema: Schema,
     aggregate columns), with groups in first-occurrence order.
     """
     first, group = first_occurrence(key_image(rows, key_columns))
-    out = group_output_schema(table_schema, key_columns,
-                              [p.spec for p in partial_plans]
-                              ).empty(len(first))
+    out = grouped_schema(table_schema, key_columns,
+                         [p.spec for p in partial_plans]).empty(len(first))
     for name in key_columns:
         out[name] = rows[name][first]
     # Each group's partial rows fold into exact merged partials: one
@@ -370,16 +364,3 @@ def merge_aggregate_rows(rows: np.ndarray, table_schema: Schema,
                 out[plan.spec.alias] = nans[0]
     return out
 
-
-def group_output_schema(table_schema: Schema, key_columns: Sequence[str],
-                        specs: Sequence[AggregateSpec]) -> Schema:
-    """The single-node GROUP BY output schema (keys + aggregate columns),
-    mirroring :meth:`GroupByOperator._bind`."""
-    return Schema([table_schema.column(k) for k in key_columns]
-                  + [s.output_column(table_schema) for s in specs])
-
-
-def aggregate_output_schema(table_schema: Schema,
-                            specs: Sequence[AggregateSpec]) -> Schema:
-    """The single-node standalone-aggregation output schema."""
-    return Schema([s.output_column(table_schema) for s in specs])

@@ -16,13 +16,13 @@ then bound by :func:`bind_select`, three steps on that one tree:
 * :func:`cut` chooses *placement*, bottom-up: the run above the base
   Scan that fits the node's fixed chain regex -> selection -> join ->
   projection -> distinct | group-by | aggregate becomes the head
-  :class:`~repro.core.query.Query`; each further join a client-side
-  :class:`BoundArm` whose filtered build read is its own, independently
-  placed, Query; the rest client kernels (:class:`BoundEval` /
-  :class:`BoundAggregate` / :class:`BoundFilter` / :class:`BoundSort` /
-  :class:`BoundLimit` / :class:`BoundDistinct`).  When nothing is left
-  for the client the statement *is* its head query, and the clients run
-  it as one.
+  :class:`~repro.core.query.Query`; everything above it is the client's
+  ``tail``, one ``Bound*`` step node per operator in run order — each
+  further join a :class:`BoundArm` whose filtered build read is its own,
+  independently placed, Query.  The ``Bound*`` nodes are the one
+  vocabulary of client work: a split Query's suffix and a view circuit's
+  stages are written in them too.  When nothing is left for the client
+  the statement *is* its head query, and the clients run it as one.
 
 The grammar, write statements included, is ``docs/SQL.md``.
 
@@ -40,11 +40,11 @@ from functools import partial
 from typing import Optional
 
 from ..common.errors import QueryError
-from ..common.expr import check_condition
-from ..common.records import Column, Schema
-from ..operators.aggregate import SUPPORTED_FUNCS, AggregateSpec
-from .cluster import (aggregate_output_schema, colocated_compatible,
-                      group_output_schema)
+from ..common.expr import check_condition, items_schema
+from ..common.records import Schema
+from ..operators.aggregate import (SUPPORTED_FUNCS, AggregateSpec,
+                                   grouped_schema)
+from .cluster import colocated_compatible
 from .ir import (AggCall, Aggregate, Arith, BoolAnd, BoolNot, BoolOr, Cmp,
                  Col, Distinct, Expr, Filter, Join, Limit, Lit, Project, Rel,
                  Scan, Sort, TextMatch, conjoin, conjuncts, expr_columns,
@@ -651,23 +651,30 @@ def parse_sql(sql: str) -> ParsedQuery | ParsedWrite:
 
 
 # --------------------------------------------------------------------------
-# Bound client-side operators (the lowered DAG suffix)
+# Client steps: the one vocabulary of client work
 # --------------------------------------------------------------------------
-# ``kernel`` names the kernel of :func:`repro.core.planner.run_client_kernel`
-# that runs the node, reading its parameters off the node's fields.
+# A SQL tail, a split Query's suffix and a view circuit's stages are lists
+# of these nodes; ``kernel`` names the planner kernel that runs one.
+
+@dataclass(frozen=True)
+class BoundRegex:
+    """Row filter by a LIKE / REGEXP match on one column."""
+
+    match: TextMatch
+    kernel = "regex"
+
 
 @dataclass(frozen=True)
 class BoundEval:
     """Expression projection: output columns are ``items`` exactly."""
 
     items: tuple[tuple[Expr, str], ...]
-    schema: Schema
     kernel = "eval"
 
 
 @dataclass(frozen=True)
 class BoundFilter:
-    """Row filter over the current intermediate (WHERE residue, HAVING)."""
+    """Row filter over the current intermediate (WHERE, HAVING)."""
 
     predicate: Expr
     kernel = "selection"
@@ -675,7 +682,7 @@ class BoundFilter:
 
 @dataclass(frozen=True)
 class BoundAggregate:
-    """Client-side (grouped) aggregation."""
+    """(Grouped) aggregation; no ``group_by`` is the one global row."""
 
     group_by: tuple[str, ...]
     aggregates: tuple[AggregateSpec, ...]
@@ -684,9 +691,9 @@ class BoundAggregate:
 
 @dataclass(frozen=True)
 class BoundDistinct:
-    """Client-side dedup over every output column."""
+    """Dedup on ``columns`` (``None``: every column), first row wins."""
 
-    distinct_columns = None
+    columns: Optional[tuple[str, ...]] = None
     kernel = "distinct"
 
 
@@ -719,6 +726,7 @@ class BoundArm:
     build_key: str
     probe_key: str
     payload: tuple[str, ...]
+    kernel = "join"
 
 
 @dataclass
@@ -726,16 +734,14 @@ class BoundSelect:
     """A fully resolved SELECT, ready to execute.
 
     ``query`` is the head (stage-0) offloadable Query against ``base``;
-    ``arms`` chain client-side joins onto its output; ``ops`` are the
-    remaining client kernels in execution order; ``schema`` is the final
-    output schema.
+    ``tail`` the client steps over its output, in run order; ``schema``
+    is the final output schema.
     """
 
     base: object                        # catalog handle of the FROM table
     table: str
     query: Query
-    arms: tuple[BoundArm, ...]
-    ops: tuple[object, ...]
+    tail: tuple[object, ...]
     schema: Schema
 
 
@@ -1141,18 +1147,17 @@ class _Cut:
 
     base: object                        # catalog handle of the FROM table
     query: Query
-    arms: tuple[BoundArm, ...]
-    ops: tuple[object, ...]
+    tail: tuple[object, ...]
     schema: Schema
     names: dict[Col, str]
 
     @property
     def head_open(self) -> bool:
         """Nothing runs at the client yet: the head can still grow."""
-        return not self.arms and not self.ops
+        return not self.tail
 
     def at_client(self, op, **changes) -> "_Cut":
-        return replace(self, ops=self.ops + (op,), **changes)
+        return replace(self, tail=self.tail + (op,), **changes)
 
 
 def _physical(expr: Expr, names: dict[Col, str]) -> Expr:
@@ -1214,8 +1219,8 @@ def _cut_join(cut: _Cut, node: Join, above, catalog) -> _Cut:
                                            if n == key or n in payload),
                           predicate=predicate, regex=regex, label="sql")
             build_schema = build_schema.project(list(query.projection))
-        cut = replace(cut, arms=cut.arms + (BoundArm(
-            handle, node.table, query, key, cut.names[node.left], payload),))
+        cut = cut.at_client(BoundArm(handle, node.table, query, key,
+                                     cut.names[node.left], payload))
     schema = join_output_schema(probe_schema, build_schema, list(payload))
     joined = zip(payload, schema.names[len(probe_schema.names):])
     return replace(cut, schema=schema, names={
@@ -1243,9 +1248,8 @@ def _cut_project(cut: _Cut, node: Project, above, catalog) -> _Cut:
         schema = cut.query.post_join_schema(cut.base.schema)
         return replace(cut, query=replace(cut.query, projection=out),
                        schema=schema.project(list(out)), names=names)
-    schema = _eval_schema(items, cut.schema)
-    return cut.at_client(BoundEval(tuple(items), schema), schema=schema,
-                         names=names)
+    return cut.at_client(BoundEval(tuple(items)), names=names,
+                         schema=items_schema(items, cut.schema))
 
 
 def _cut_aggregate(cut: _Cut, node: Aggregate, above, catalog) -> _Cut:
@@ -1264,8 +1268,7 @@ def _cut_aggregate(cut: _Cut, node: Aggregate, above, catalog) -> _Cut:
         source = cut.query.post_join_schema(cut.base.schema)
     else:
         cut = cut.at_client(BoundAggregate(group, specs))
-    schema = (group_output_schema(source, group, specs) if group
-              else aggregate_output_schema(source, specs))
+    schema = grouped_schema(source, group, specs)
     names = {**dict(zip(node.group_by, group)),
              **{Col(call.alias): call.alias for call in node.aggs}}
     cut = replace(cut, schema=schema, names=names)
@@ -1314,22 +1317,22 @@ def cut(rel: Rel, catalog) -> BoundSelect:
     chain (regex -> selection -> join -> projection -> distinct |
     group-by | aggregate) can run merges into the head
     :class:`~repro.core.query.Query`, the Filter and Project on a build
-    Scan into that arm's Query, and every other node stays in
-    :func:`~repro.core.planner.run_client_kernel`'s vocabulary.  This is
-    the only place that decides what a node runs.
+    Scan into that arm's Query, and every other node becomes a step node
+    of the client ``tail``.  This is the only place that decides what a
+    node runs.
     """
     nodes = spine(rel)[::-1]
     table = nodes[0].table
     base = catalog.lookup(table)
-    state = _Cut(base, Query(label="sql"), (), (), base.schema,
+    state = _Cut(base, Query(label="sql"), (), base.schema,
                  {Col(name, table): name for name in base.schema.names})
     for index, node in enumerate(nodes[1:], start=2):
         state = _CUTS[type(node)](state, node, nodes[index:], catalog)
     query = state.query
     if state.head_open and query.join is not None:
         query = _payload_in_select_order(query, base.schema)
-    return BoundSelect(base=base, table=table, query=query, arms=state.arms,
-                       ops=state.ops, schema=state.schema)
+    return BoundSelect(base=base, table=table, query=query, tail=state.tail,
+                       schema=state.schema)
 
 
 def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
@@ -1341,15 +1344,3 @@ def bind_select(parsed: ParsedQuery, catalog) -> BoundSelect:
         rel = rewrite(rel, catalog)
     return cut(rel, catalog)
 
-
-def _eval_schema(items: list[tuple[Expr, str]], schema: Schema) -> Schema:
-    """Output schema of an expression projection (type-checks arithmetic)."""
-    columns: list[Column] = []
-    for expr, name in items:
-        if isinstance(expr, Col):
-            source = schema.column(expr.name)
-            columns.append(Column(name, source.kind, source.width))
-        else:
-            floating = expr_dtype(expr, schema).kind == "f"
-            columns.append(Column(name, "float64" if floating else "int64"))
-    return Schema(columns)

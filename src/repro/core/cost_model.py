@@ -42,8 +42,8 @@ from ..common import calibration as cal
 from ..common.config import FarviewConfig
 from ..common.errors import QueryError
 from ..common.records import Schema
+from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
-from .cluster import aggregate_output_schema, group_output_schema
 
 #: Estimated-unique-entry count above which the software hash map is
 #: priced with its growth/rehash surcharge (the map starts small and
@@ -135,14 +135,11 @@ def estimate_chain(chain: Sequence[str], query, schema: Schema,
             current = current.project(list(query.projection))
         elif op == "distinct":
             rows = min(rows, max(1.0, rows * stats.distinct_ratio))
-        elif op == "groupby":
-            current = group_output_schema(current, list(query.group_by),
-                                          list(query.aggregates))
-            rows = min(rows, float(stats.groups))
-        elif op == "aggregate":
-            current = aggregate_output_schema(current,
-                                              list(query.aggregates))
-            rows = 1.0
+        elif op in ("groupby", "aggregate"):
+            current = grouped_schema(current, query.group_by or (),
+                                     query.aggregates)
+            rows = (min(rows, float(stats.groups)) if op == "groupby"
+                    else 1.0)
         # "decrypt" keeps rows and schema unchanged.
         steps.append(CardinalityStep(op, rows_in, rows, current))
     return steps

@@ -40,10 +40,11 @@ Split-validity notes:
   side — under ``placement="auto"`` the planner then routes the join to
   the client instead of failing.
 
-Whatever runs at the client is one list of ``(kernel, op)`` steps,
-produced by :func:`client_steps` for the suffix of a split chain (a
-compiled statement appends its arms and bound ops) and run by the one
-client executor — the same list a view circuit compiles into stages.
+Whatever runs at the client is one list of step nodes, the ``Bound*``
+nodes of :mod:`repro.core.compile` that each name their ``kernel``:
+:func:`client_steps` produces it for the suffix of a split chain (a
+compiled statement appends its ``tail``), :func:`run_client_kernel` runs
+it, and a view circuit compiles the same list into stages.
 
 The decision, the estimates it was based on, and the eventually measured
 time are the one placement record, :class:`ExplainPlan`: one node per
@@ -66,18 +67,18 @@ from ..baselines.sw_ops import (
     software_groupby,
     software_join,
     software_limit,
-    software_project,
     software_regex,
     software_select,
     software_sort,
 )
 from ..common.config import FarviewConfig
 from ..common.errors import JoinBuildOverflowError, QueryError
-from ..common.expr import eval_items
+from ..common.expr import Col, eval_items, items_schema
 from ..common.records import Schema
+from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
-from .cluster import aggregate_output_schema, group_output_schema
-from .compile import BoundArm
+from .compile import (BoundAggregate, BoundArm, BoundDistinct, BoundEval,
+                      BoundFilter, BoundRegex)
 from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
                          PlanStats, delta_merge_cost_ns, estimate_chain,
                          join_build_profile)
@@ -111,23 +112,30 @@ def operator_chain(query: Query) -> list[str]:
     return chain
 
 
-def client_steps(query: Query, split: int) -> list[tuple[str, object]]:
-    """The client's share of ``query`` split at ``split``: one ``(name,
-    op)`` step per operator of ``operator_chain(query)[split:]``.  ``op``
-    is ``query`` itself, except that a ``join`` becomes a raw-read
-    :class:`~repro.core.compile.BoundArm` over the join's build table —
-    the vocabulary a compiled statement's tail is written in.  ``split
-    == 0`` is the whole chain: the list a view circuit compiles."""
-    steps: list[tuple[str, object]] = []
-    for name in operator_chain(query)[split:]:
-        if name == "join":
-            spec = query.join
-            steps.append((name, BoundArm(
-                spec.build_table, spec.build_table.name, None,
-                spec.build_key, spec.probe_key, spec.payload)))
-        else:
-            steps.append((name, query))
-    return steps
+#: The step node each :func:`operator_chain` operator runs as at the
+#: client.  ``decrypt`` is none: a ship read decrypts as it lands.
+_CLIENT_STEP = {
+    "regex": lambda q: BoundRegex(q.regex),
+    "selection": lambda q: BoundFilter(q.predicate),
+    "join": lambda q: BoundArm(q.join.build_table, q.join.build_table.name,
+                               None, q.join.build_key, q.join.probe_key,
+                               q.join.payload),
+    "projection": lambda q: BoundEval(tuple((Col(c), c)
+                                            for c in q.projection)),
+    "distinct": lambda q: BoundDistinct(q.distinct_columns),
+    "groupby": lambda q: BoundAggregate(q.group_by, q.aggregates),
+    "aggregate": lambda q: BoundAggregate((), q.aggregates),
+}
+
+
+def client_steps(query: Query, split: int) -> list:
+    """The client's share of ``query`` split at ``split``: one step node
+    per operator of ``operator_chain(query)[split:]``, a ``join`` a
+    raw-read :class:`~repro.core.compile.BoundArm` over its build table.
+    ``split == 0`` is the whole chain: the list a view circuit
+    compiles."""
+    return [_CLIENT_STEP[name](query)
+            for name in operator_chain(query)[split:] if name != "decrypt"]
 
 
 def build_fragment(query: Query, chain: list[str], split: int) -> Optional[Query]:
@@ -460,59 +468,46 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
 # over decoded rows and charge CpuCostModel for it"
 # ---------------------------------------------------------------------------
 
-def run_client_kernel(name: str, op, rows: np.ndarray, schema: Schema,
+def run_client_kernel(op, rows: np.ndarray, schema: Schema,
                       cpu: CpuCostModel, cost: CostBreakdown
                       ) -> tuple[np.ndarray, Schema]:
-    """Run the unary client kernel ``name`` and charge its modeled time
-    into ``cost``; returns the new ``(rows, schema)``.
-
-    ``name`` is an :func:`operator_chain` step name or the compiled
-    tail's ``eval`` / ``sort`` / ``limit``.  ``op`` carries the
-    parameters: a planned split passes its :class:`Query`, a compiled
-    tail the ``Bound*`` node (whose ``kernel`` attribute is its name) —
-    the two vocabularies share field names (``predicate``,
-    ``group_by``, ``aggregates``, ``distinct_columns``), so one kernel
-    serves both, with the same :mod:`~repro.baselines.sw_ops` kernels as
-    the LCPU baseline: output bytes match the node pipeline operator for
-    operator.
+    """Run the unary step node ``op`` through its ``kernel`` and charge
+    its modeled time into ``cost``; returns the new ``(rows, schema)``.
+    The kernels are the LCPU baseline's :mod:`~repro.baselines.sw_ops`:
+    output bytes match the node pipeline operator for operator.
     """
-    n = len(rows)
-    if name == "regex":
-        column = op.regex.column.name
+    n, kernel = len(rows), op.kernel
+    if kernel == "regex":
+        column = op.match.column.name
         cost.add("re2", cpu.regex_ns(n * schema.column(column).width))
-        return software_regex(rows, column, op.regex.engine_pattern), schema
-    if name == "selection":
+        return software_regex(rows, column, op.match.engine_pattern), schema
+    if kernel == "selection":
         cost.add("predicate", cpu.select_ns(n))
         return software_select(rows, op.predicate), schema
-    if name == "projection":
+    if kernel == "eval":
         cost.add("project", cpu.select_ns(n))
-        columns = list(op.projection)
-        return software_project(rows, schema, columns), schema.project(columns)
-    if name == "eval":
-        cost.add("project", cpu.select_ns(n))
-        return eval_items(op.items, rows, schema, op.schema), op.schema
-    if name == "distinct":
-        output = software_distinct(
-            rows, schema, list(op.distinct_columns or schema.names))
+        out = items_schema(op.items, schema)
+        return eval_items(op.items, rows, schema, out), out
+    if kernel == "distinct":
+        output = software_distinct(rows, schema, op.columns)
         cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
         return output.rows, schema
-    if name in ("groupby", "aggregate"):
-        specs = list(op.aggregates)
-        if not op.group_by:
-            cost.add("aggregate", cpu.aggregate_update_ns(n))
-            return (software_aggregate(rows, schema, specs),
-                    aggregate_output_schema(schema, specs))
-        keys = list(op.group_by)
-        output = software_groupby(rows, schema, keys, specs)
-        cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
+    if kernel == "aggregate":
+        keys, specs = list(op.group_by), list(op.aggregates)
+        if keys:
+            output = software_groupby(rows, schema, keys, specs)
+            cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
+            grouped = output.rows
+        else:
+            grouped = software_aggregate(rows, schema, specs)
         cost.add("aggregate", cpu.aggregate_update_ns(n))
-        return output.rows, group_output_schema(schema, keys, specs)
-    if name == "sort":
+        return grouped, grouped_schema(schema, keys, specs)
+    if kernel == "sort":
         cost.add("sort", cpu.sort_ns(n))
         return software_sort(rows, list(op.keys)), schema
-    if name == "limit":
+    if kernel == "limit":
         return software_limit(rows, op.count), schema
-    raise QueryError(f"unknown client step {name!r}")
+    raise QueryError(f"unknown client step {kernel!r}")
 
 
 def run_client_join(rows: np.ndarray, schema: Schema,
@@ -520,8 +515,8 @@ def run_client_join(rows: np.ndarray, schema: Schema,
                     cpu: CpuCostModel, cost: CostBreakdown
                     ) -> tuple[np.ndarray, Schema]:
     """The binary kernel: hash ``build_rows``, probe with ``rows``.
-    ``spec`` names ``build_key`` / ``probe_key`` / ``payload`` (a
-    :class:`~repro.core.query.JoinSpec` or a compiled ``BoundArm``)."""
+    ``spec`` is the ``join`` step's
+    :class:`~repro.core.compile.BoundArm`."""
     payload = list(spec.payload)
     cost.add("hash", cpu.hash_ns(
         len(build_rows), growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))

@@ -26,11 +26,11 @@ the delta, never a Python step per row:
 
 **A circuit computes nothing of its own.**  It keeps what is
 incremental — weights, multiplicities, member multisets, join sides —
-and its stages are the ``(kernel, op)`` steps the one client tail runs
-(:func:`~repro.core.planner.client_steps`), each value computed by that
-step's kernel (:func:`~repro.core.planner.run_client_kernel`): a view
-returns — and refuses — exactly what ``sql()`` of the same statement
-does.
+and its stages are the step nodes the one client tail runs (the head's
+:func:`~repro.core.planner.client_steps`, then the bound ``tail``), each
+value computed by that node's kernel
+(:func:`~repro.core.planner.run_client_kernel`): a view returns — and
+refuses — exactly what ``sql()`` of the same statement does.
 
 **Bootstrap is one circuit step**: the epoch-consistent snapshot of
 every versioned input goes through the empty circuit as an all-``+1``
@@ -55,15 +55,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..baselines.sw_ops import (software_aggregate, software_groupby,
-                                software_project)
+from ..baselines.sw_ops import software_aggregate, software_groupby
 from ..common.errors import QueryError
-from ..common.expr import eval_items, eval_mask
+from ..common.expr import eval_items, eval_mask, items_schema
 from ..common.records import Schema, SlotMap, key_image
-from ..operators.aggregate import AggregateSpec
+from ..operators.aggregate import AggregateSpec, grouped_schema
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
-from .cluster import group_output_schema
 from .compile import BoundSelect
 from .planner import client_steps
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
@@ -145,7 +143,7 @@ class GroupStage(_Stage):
                  aggregates: tuple[AggregateSpec, ...]):
         self.in_schema, self.group_by = schema, list(group_by)
         self.aggregates = list(aggregates)
-        self.out_schema = group_output_schema(schema, group_by, aggregates)
+        self.out_schema = grouped_schema(schema, group_by, aggregates)
         self.members = ZSet(schema)
         #: member slot -> group slot; group key image -> group slot.
         self.group_of = np.zeros(0, dtype=np.intp)
@@ -349,41 +347,33 @@ class Circuit:
         return max(1, len(self.stages))
 
 
-#: Build-side scans must stay linear to be maintainable.
-_ARM_STEPS = ("regex", "selection", "projection")
-
-
-def _linear_stage(name: str, op, schema: Schema) -> _Stage:
-    """The mask or map stage of one linear step, computing with the
-    kernel :func:`~repro.core.planner.run_client_kernel` runs for the
-    same ``(name, op)``."""
-    if name == "regex":
-        regex, column = CompiledRegex(op.regex.engine_pattern), op.regex.column
+def _linear_stage(op, schema: Schema) -> _Stage:
+    """The mask or map stage of one linear step node, computing with the
+    kernel :func:`~repro.core.planner.run_client_kernel` runs for it."""
+    if op.kernel == "regex":
+        regex, column = CompiledRegex(op.match.engine_pattern), op.match.column
         return MaskStage(
             schema, lambda rows: regex.search_column(rows[column.name]))
-    if name == "selection":
+    if op.kernel == "selection":
         return MaskStage(schema, partial(eval_mask, op.predicate))
-    if name == "projection":
-        columns = list(op.projection)
-        return MapStage(schema.project(columns),
-                        lambda rows: software_project(rows, schema, columns))
-    if name == "eval":
-        return MapStage(op.schema, lambda rows: eval_items(
-            op.items, rows, schema, op.schema))
-    if name in ("sort", "limit"):
+    if op.kernel == "eval":
+        out = items_schema(op.items, schema)
+        return MapStage(out, lambda rows: eval_items(op.items, rows, schema,
+                                                     out))
+    if op.kernel in ("sort", "limit"):
         raise QueryError(
             "ORDER BY / LIMIT are not incrementally maintainable: a Z-set "
             "has no row order; sort the subscriber's materialization "
             "instead")
-    raise QueryError(f"step {name!r} is not incrementally maintainable")
+    raise QueryError(f"step {op.kernel!r} is not incrementally maintainable")
 
 
 def compile_circuit(bound: BoundSelect) -> Circuit:
     """Compile a bound SELECT into an incremental circuit, one stage per
-    ``(name, op)`` step of the list the client tail runs: the whole head
-    query as steps (:func:`~repro.core.planner.client_steps` at split 0,
-    its on-chip join an arm read raw), one ``join`` per arm, then the
-    bound client ops.
+    step node the client tail runs: the whole head query as steps
+    (:func:`~repro.core.planner.client_steps` at split 0, its on-chip
+    join an arm read raw), then the bound ``tail``.  A join arm's own
+    build Query becomes the join's linear prestages.
 
     Rejects shapes whose results depend on arrival order rather than
     content (ORDER BY, LIMIT, subset-DISTINCT) and inputs without a
@@ -395,27 +385,19 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
             f"view base table {bound.table!r} is not versioned: only a "
             f"delta chain can drive incremental maintenance")
     bound.query.validate(base.schema)
-    steps = (client_steps(bound.query, 0)
-             + [("join", arm) for arm in bound.arms]
-             + [(op.kernel, op) for op in bound.ops])
 
     dynamic_tables: dict[str, object] = {bound.table: base}
     static_loads: list[tuple[JoinStage, object]] = []
     stages: list[_Stage] = []
     schema = base.schema
-    for name, op in steps:
-        if name == "join":
+    for op in client_steps(bound.query, 0) + list(bound.tail):
+        if op.kernel == "join":
             prestages: list[_Stage] = []
             build_schema = op.build.schema
             if op.query is not None:
                 op.query.validate(build_schema)
-                for sub, sub_op in client_steps(op.query, 0):
-                    if sub not in _ARM_STEPS:
-                        raise QueryError(
-                            f"build-side scans must stay linear "
-                            f"({'/'.join(_ARM_STEPS)}) to be maintainable")
-                    prestages.append(_linear_stage(sub, sub_op,
-                                                   build_schema))
+                for sub in client_steps(op.query, 0):
+                    prestages.append(_linear_stage(sub, build_schema))
                     build_schema = prestages[-1].out_schema
             stage: _Stage = JoinStage(
                 schema, op.build.schema, op.table, op.build_key,
@@ -429,20 +411,18 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
                     f"each delta chain may drive at most one circuit input")
             else:
                 dynamic_tables[op.table] = op.build
-        elif name == "distinct":
-            if op.distinct_columns is not None and (
-                    set(op.distinct_columns) != set(schema.names)):
+        elif op.kernel == "distinct":
+            if set(op.columns or schema.names) != set(schema.names):
                 raise QueryError(
                     "DISTINCT over a proper column subset keeps the first-seen "
                     "full row — an arrival-order-dependent result no "
                     "incremental view can maintain; project the key columns "
                     "first")
             stage = DistinctStage(schema)
-        elif name in ("groupby", "aggregate"):
-            stage = GroupStage(schema, tuple(op.group_by or ()),
-                               tuple(op.aggregates))
+        elif op.kernel == "aggregate":
+            stage = GroupStage(schema, op.group_by, op.aggregates)
         else:
-            stage = _linear_stage(name, op, schema)
+            stage = _linear_stage(op, schema)
         stages.append(stage)
         schema = stage.out_schema
     if tuple(schema.names) != tuple(bound.schema.names):

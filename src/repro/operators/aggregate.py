@@ -60,6 +60,14 @@ class AggregateSpec:
         return Column(self.alias, kind, 8)
 
 
+def grouped_schema(schema: Schema, keys: Sequence[str],
+                   specs: Sequence[AggregateSpec]) -> Schema:
+    """The output of grouping ``schema`` on ``keys``: the key columns,
+    then each spec's output column.  No keys is the one global row."""
+    return Schema([schema.column(k) for k in keys]
+                  + [s.output_column(schema) for s in specs])
+
+
 def value_columns(specs: Sequence[AggregateSpec]) -> list[str]:
     """The columns ``specs`` read, sorted: one accumulator lane each
     (``count(*)`` reads none)."""
@@ -296,7 +304,7 @@ class StandaloneAggregateOperator(RowOperator):
         aliases = [s.alias for s in self.specs]
         if len(set(aliases)) != len(aliases):
             raise OperatorError(f"duplicate aggregate aliases: {aliases}")
-        self._out_schema = Schema([s.output_column(schema) for s in self.specs])
+        self._out_schema = grouped_schema(schema, (), self.specs)
         return self._out_schema
 
     def _process(self, batch: np.ndarray) -> np.ndarray:

@@ -32,7 +32,8 @@ import numpy as np
 
 from ..common.errors import OperatorError, QueryError
 from ..common.records import Schema, first_occurrence, key_image
-from .aggregate import Accumulator, AggregateSpec, fold_extreme, value_columns
+from .aggregate import (Accumulator, AggregateSpec, fold_extreme,
+                        grouped_schema, value_columns)
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -93,9 +94,8 @@ class GroupByOperator(RowOperator):
         overlap = set(aliases) & set(self.key_columns)
         if overlap:
             raise OperatorError(f"aggregate aliases collide with keys: {overlap}")
-        out_columns = ([schema.column(k) for k in self.key_columns]
-                       + [s.output_column(schema) for s in self.aggregates])
-        self._out_schema = Schema(out_columns)
+        self._out_schema = grouped_schema(schema, self.key_columns,
+                                          self.aggregates)
         return self._out_schema
 
     # -- streaming phase -----------------------------------------------------------

@@ -281,57 +281,81 @@ def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
     assert digests[placement] == digests["offload"]
 
 
-def test_groupby_hybrid_split_matches_offload():
+@pytest.mark.parametrize("shape", ["groupby", "distinct"])
+def test_groupby_hybrid_split_matches_offload(shape):
     """Every split ``k`` of a ``selection -> join -> projection ->
-    groupby`` chain: offloading ``build_fragment(query, chain, k)`` and
-    running ``client_steps(query, k)`` over what lands gives the full
-    offload's bytes.  ``k = 0`` is the list a view circuit compiles —
-    the whole chain as client steps, the join an arm read raw."""
+    groupby`` chain, and of a ``regex -> selection -> projection ->
+    distinct(columns)`` one: offloading ``build_fragment(query, chain,
+    k)`` and running the step nodes of ``client_steps(query, k)`` over
+    what lands gives the full offload's bytes.  ``k = 0`` is the ship
+    split and the list a view circuit compiles — the whole chain as
+    client steps, the join an arm read raw."""
     from repro.baselines.cpu_model import CostBreakdown, CpuCostModel
+    from repro.common.expr import Col, TextMatch
     from repro.common.records import Column, Schema
     from repro.core.planner import (client_steps, run_client_join,
                                     run_client_kernel)
     from repro.core.query import JoinSpec
 
-    wl = selection_workload(512, 0.5, seed=3)
-    wl.rows["c"] = np.arange(512) % 16
-    dim_schema = Schema([Column("id", "int64"), Column("rate", "int64")])
-    dim_rows = dim_schema.empty(12)
-    dim_rows["id"], dim_rows["rate"] = np.arange(12), np.arange(12) % 5
     client = _bench()
-    fact, dim = FTable("S", wl.schema, 512), FTable("dim", dim_schema, 12)
-    for table, rows in ((fact, wl.rows), (dim, dim_rows)):
+    if shape == "groupby":
+        wl = selection_workload(512, 0.5, seed=3)
+        wl.rows["c"] = np.arange(512) % 16
+        dim_schema = Schema([Column("id", "int64"), Column("rate", "int64")])
+        dim_rows = dim_schema.empty(12)
+        dim_rows["id"], dim_rows["rate"] = np.arange(12), np.arange(12) % 5
+        fact, dim = FTable("S", wl.schema, 512), FTable("dim", dim_schema, 12)
+        tables = ((fact, wl.rows), (dim, dim_rows))
+        query = Query(predicate=wl.predicate,
+                      join=JoinSpec(dim, "id", "c", ("rate",)),
+                      projection=("rate", "d"), group_by=("rate",),
+                      aggregates=(AggregateSpec("sum", "d"),), label="h")
+        kernels = ["selection", "join", "eval", "aggregate"]
+    else:
+        schema = Schema([Column("a", "int64"), Column("b", "int64"),
+                         Column("s", "char", 8)])
+        rows = schema.empty(512)
+        rows["a"], rows["b"] = np.arange(512) % 7, np.arange(512)
+        rows["s"] = [b"id%05d" % i for i in range(512)]
+        fact = FTable("T", schema, 512)
+        tables = ((fact, rows),)
+        # The first row per ``a`` wins: deduplicating on (a, b) instead
+        # would keep every row.
+        query = Query(regex=TextMatch(Col("s"), "%1%"),
+                      predicate=Compare("b", "<", 400),
+                      projection=("a", "b"), distinct=True,
+                      distinct_columns=("a",), label="d")
+        kernels = ["regex", "selection", "eval", "distinct"]
+    for table, table_rows in tables:
         client.alloc_table_mem(table)
-        client.table_write(table, rows)
-    query = Query(predicate=wl.predicate,
-                  join=JoinSpec(dim, "id", "c", ("rate",)),
-                  projection=("rate", "d"), group_by=("rate",),
-                  aggregates=(AggregateSpec("sum", "d"),), label="h")
+        client.table_write(table, table_rows)
     chain = operator_chain(query)
-    assert chain == ["selection", "join", "projection", "groupby"]
-    assert [name for name, _ in client_steps(query, 0)] == chain
-    expected = canonical_result_bytes(client.far_view(fact, query)[0])
+    assert [op.kernel for op in client_steps(query, 0)] == kernels
+    offloaded = client.far_view(fact, query)[0]
+    expected = canonical_result_bytes(offloaded)
+    if shape == "distinct":
+        assert offloaded.num_rows == 7
     cpu = CpuCostModel()
     for k in range(len(chain) + 1):
         fragment = build_fragment(query, chain, k)
         if fragment is None:
-            rows, schema = wl.schema.from_bytes(client.table_read(fact)[0]), \
-                wl.schema
+            rows = fact.schema.from_bytes(client.table_read(fact)[0])
+            schema = fact.schema
         else:
             head, _ = client.far_view(fact, fragment)
             rows, schema = head.rows(), head.schema
         cost = CostBreakdown()
-        for name, op in client_steps(query, k):
-            if name == "join":
+        for op in client_steps(query, k):
+            if op.kernel == "join":
                 assert op.query is None and op.build is dim
                 rows, schema = run_client_join(rows, schema, dim_rows,
                                                dim_schema, op, cpu, cost)
             else:
-                assert op is query
-                rows, schema = run_client_kernel(name, op, rows, schema,
-                                                 cpu, cost)
+                rows, schema = run_client_kernel(op, rows, schema, cpu, cost)
         assert schema.to_bytes(rows) == expected, k
         assert (cost.total_ns > 0) == (k < len(chain)), k
+    ship, _ = client.far_view_planned(fact, query, placement="ship")
+    assert canonical_result_bytes(ship) == expected
 
 
 def test_explain_plan_estimates_and_actuals():

@@ -41,7 +41,7 @@ class _Catalog:
 def _head(sql: str, **schemas) -> Query:
     """The head query of a statement that leaves nothing for the client."""
     bound = bind_select(parse_sql(sql), _Catalog(**schemas))
-    assert bound.arms == () and bound.ops == ()
+    assert bound.tail == ()
     return bound.query
 
 
@@ -463,8 +463,8 @@ def test_join_syntax_errors(bad):
 def test_multi_join_parses_to_chained_stages():
     """Multi-way joins are no longer a syntax error: the IR chains one
     Join node per stage, and binding leaves the later stage (and the
-    select list) to the client."""
-    from repro.core.compile import BoundEval
+    select list) to the client, in that order."""
+    from repro.core.compile import BoundArm, BoundEval
 
     parsed = parse_sql(
         "SELECT a FROM f JOIN d ON a = b JOIN e ON c = k")
@@ -476,8 +476,8 @@ def test_multi_join_parses_to_chained_stages():
 
     bound = bind_select(parsed, _Catalog(
         f=_ints("a", "c"), d=_ints("b", "x"), e=_ints("k", "y")))
-    assert [arm.table for arm in bound.arms] == ["e"]
-    assert [type(op) for op in bound.ops] == [BoundEval]
+    assert [type(op) for op in bound.tail] == [BoundArm, BoundEval]
+    assert bound.tail[0].table == "e"
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def test_single_chain_text_is_its_head_query(shape, topology):
     statement, make = SINGLE_CHAIN[shape]
     by_sql, by_verb = _twin(topology), _twin(topology)
     bound = bind_select(parse_sql(statement), by_sql.catalog)
-    assert bound.arms == () and bound.ops == ()
+    assert bound.tail == ()
     assert bound.query == make(by_sql.catalog.lookup("dim"))
 
     sql_result, sql_ns = by_sql.sql(statement)
@@ -763,7 +763,7 @@ def test_select_order_is_kept_over_an_aggregate():
 def test_order_by_resolves_against_the_select_list_only():
     bound = bind_select(parse_sql("SELECT v AS key FROM f ORDER BY f.v"),
                         _Catalog(**_NAMING))
-    assert bound.ops[-1].keys == (("key", True),)
+    assert bound.tail[-1].keys == (("key", True),)
     with pytest.raises(SqlSyntaxError, match="must appear in the select"):
         _names("SELECT v FROM f ORDER BY f.x")
     with pytest.raises(SqlSyntaxError, match="unknown column 'nosuch'"):

@@ -35,7 +35,7 @@ from repro.common.config import FarviewConfig, MemoryConfig
 from repro.common.errors import OperatorError, QueryError
 from repro.common.records import Column, Schema, key_image
 from repro.core.api import ClusterClient, FarviewClient
-from repro.core.cluster import FarviewCluster, group_output_schema
+from repro.core.cluster import FarviewCluster
 from repro.core.node import FarviewNode
 from repro.core.table import FTable
 from repro.core.versioning import (ROWID_COLUMN, delete_schema,
@@ -43,7 +43,7 @@ from repro.core.versioning import (ROWID_COLUMN, delete_schema,
 from repro.core.views import (Circuit, DistinctStage, GroupStage, JoinStage,
                               MapStage, MaskStage, RefreshStats)
 from repro.core.zset import ZSet, stage_slots
-from repro.operators.aggregate import AggregateSpec
+from repro.operators.aggregate import AggregateSpec, grouped_schema
 from repro.operators.hashing import hash_key_batch
 from repro.operators.join import join_output_schema
 from repro.operators.selection import Compare
@@ -172,7 +172,7 @@ class RefGroup:
         self.in_schema = schema
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
-        self.out_schema = group_output_schema(schema, group_by, aggregates)
+        self.out_schema = grouped_schema(schema, group_by, aggregates)
         self.groups: dict[bytes, dict[bytes, int]] = {}
 
     def _output_row(self, key):

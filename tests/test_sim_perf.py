@@ -629,7 +629,9 @@ def test_one_hash_one_probe_in_src():
     unused tallies and the per-figure entry points beside ``repro run``,
     and the blocking statement route beside its process and the second
     pool normalizer, and the cuckoo table's object per entry, and the
-    second boolean expression tree with its converter and regex record —
+    second boolean expression tree with its converter and regex record,
+    and the second client-step vocabulary with its second grouped-schema
+    rule, dedup merge, arm-step list and expression-schema helper —
     and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
@@ -682,6 +684,14 @@ def test_one_hash_one_probe_in_src():
                                "RegexFilter")),
             (("src/repro/operators/selection.py",), ("def evaluate(",
                                                      "def validate(")),
+            # One client-step vocabulary: a step is a Bound* node naming
+            # its own kernel, never a (name, Query) pair; one grouped
+            # output schema (operators.aggregate.grouped_schema) and one
+            # first-wins dedup (sw_ops.software_distinct).
+            (("src", "docs"), ("aggregate_output_schema",
+                               "group_output_schema", "merge_distinct_rows",
+                               "_ARM_STEPS", "_eval_schema")),
+            (("src/repro/core",), ("for name, op in",)),
             # The dict Z-set lives on only as the oracle of
             # tests/test_core_zset.py: no image -> weight dict, per-entry
             # index merge or per-row bootstrap in the view engine.

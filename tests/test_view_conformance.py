@@ -248,6 +248,21 @@ def test_view_agrees_with_sql_of_the_same_statement(cell):
     assert sorted_sha(view.schema, view.materialize()) == by_sql()
 
 
+@pytest.mark.parametrize("statement", ["SELECT k FROM t ORDER BY k",
+                                       "SELECT k FROM t LIMIT 2"])
+def test_order_by_and_limit_are_not_maintainable(statement):
+    """``sql()`` runs the statement; a view of it is refused, typed."""
+    client = make_client(1)
+    client.create_versioned_table("t", EDGE_SCHEMA, make_edge_rows(
+        [3, 1, 2], [1.0, 2.0, 3.0], [b"a", b"b", b"c"]))
+    client.sql(statement)
+    with pytest.raises(QueryError) as refused:
+        client.create_view(statement)
+    assert str(refused.value) == (
+        "ORDER BY / LIMIT are not incrementally maintainable: a Z-set has "
+        "no row order; sort the subscriber's materialization instead")
+
+
 # ---------------------------------------------------------------------------
 # Property: random delta batches through a random circuit
 # ---------------------------------------------------------------------------
