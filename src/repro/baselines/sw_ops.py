@@ -109,8 +109,9 @@ def software_aggregate(rows: np.ndarray, schema: Schema,
 
     Byte-compatible with the offloaded
     :class:`~repro.operators.aggregate.StandaloneAggregateOperator`
-    (same output schema, same accumulator arithmetic), so the hybrid
-    planner can run the final aggregation on the client.
+    (same output schema, same accumulator arithmetic, one whole-column
+    sum on both sides: the node runs its operators once per scan), so
+    the hybrid planner can run the final aggregation on the client.
     """
     columns = value_columns(aggregates)
     acc = Accumulator(len(columns))

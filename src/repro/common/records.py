@@ -211,18 +211,24 @@ def first_occurrence(keys: np.ndarray, seen: SlotMap | None = None
     holds only the rows that introduce a key new to ``seen``, and ``seen``
     is extended by those keys.
 
-    Two routes, chosen by the key width and by whether ``seen`` is passed:
+    Two routes, chosen by the key width and by whether ``seen`` holds
+    keys:
 
-    * Without ``seen``, a key of at most 8 bytes is one unsigned word, and
-      grouping is one stable sort of the words (:func:`_group_words`):
-      no Python object per row.
-    * With ``seen``, or on a key wider than 8 bytes, it is one
-      ``dict.setdefault`` pass run from C over the key bytes.  A sort of
-      wide void keys (``np.unique``) is slower than that pass, and a
+    * Without ``seen``, or with an empty one, a key of at most 8 bytes is
+      one unsigned word, and grouping is one stable sort of the words
+      (:func:`_group_words`): no Python object per row.  An empty
+      ``seen`` then learns the batch's keys.  The node runs a grouping
+      operator once over a whole scan, so a short-key scan is one sort.
+    * With a non-empty ``seen``, or on a key wider than 8 bytes, it is
+      one ``dict.setdefault`` pass run from C over the key bytes.  A sort
+      of wide void keys (``np.unique``) is slower than that pass, and a
       streaming map must outlive the call anyway.
     """
-    if seen is None and keys.dtype.itemsize <= 8:
-        return _group_words(_key_words(keys))
+    if not seen and keys.dtype.itemsize <= 8:
+        first, group = _group_words(_key_words(keys))
+        if seen is not None:
+            seen.update(zip(keys[first].tolist(), range(len(first))))
+        return first, group
     n = len(keys)
     groups = {} if seen is None else seen
     known = len(groups)

@@ -36,6 +36,7 @@ from ..memory.mmu import Mmu
 from ..network.link import Link
 from ..network.qp import QueuePair
 from ..network.rdma import ResponseStreamer, deliver_request, deliver_write
+from ..operators.base import OperatorPipeline
 from ..operators.sending import Sender
 from ..sim.engine import Simulator
 from ..sim.resources import BandwidthPipe, Store
@@ -62,6 +63,31 @@ class _StreamAbort:
 
     def __init__(self, exc: BaseException):
         self.exc = exc
+
+
+def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
+    """Run ``pipeline`` over a whole input ``image`` once; returns
+    ``release(streamed, total)``, the bytes to send once ``streamed`` of
+    the ``total`` units that pace the scan have been timed, which have
+    fed the first ``len(image) * streamed // total`` bytes of ``image``:
+    the output rows whose source row ends within them and that no
+    earlier call released, emitted through the packer-side stages.  A
+    burst that completes no output row calls nothing in the pipeline.
+    Only the output rows outlive the call, not ``image``."""
+    rows, source = pipeline.run(image)
+    ends = (source + 1) * pipeline.input_schema.row_width
+    size, released = len(image), 0
+
+    def release(streamed: int, total: int) -> bytes:
+        nonlocal released
+        upto = int(ends.searchsorted(size * streamed // total, side="right"))
+        if upto == released:
+            return b""
+        out = pipeline.emit(rows[released:upto])
+        released = upto
+        return out
+
+    return release
 
 
 @dataclass
@@ -269,11 +295,13 @@ class FarviewNode:
         return total
 
     def _stream_memory(self, conn: Connection, vaddr: int, length: int,
-                       sink_send):
-        """Producer/consumer: overlapped burst reads feeding ``sink_send``."""
+                       sink_send, copy: bool = True):
+        """Producer/consumer: overlapped burst reads feeding ``sink_send``
+        each burst's bytes, or only its length when ``copy`` is False."""
         store = Store(self.sim, capacity=2, name="read-bursts")
         producer = self.sim.process(
-            self._burst_producer(conn, vaddr, length, store), "fv.producer")
+            self._burst_producer(conn, vaddr, length, store, copy),
+            "fv.producer")
         while True:
             chunk = yield store.get()
             if chunk is None:
@@ -284,7 +312,7 @@ class FarviewNode:
         yield producer  # surface any producer failure
 
     def _burst_producer(self, conn: Connection, vaddr: int, length: int,
-                        store: Store):
+                        store: Store, copy: bool):
         cursor = 0
         while cursor < length:
             if self.failed:
@@ -296,7 +324,8 @@ class FarviewNode:
                 return
             n = min(self.mmu.burst_bytes, length - cursor)
             try:
-                data = yield self.mmu.read(conn.domain, vaddr + cursor, n)
+                data = yield self.mmu.read(conn.domain, vaddr + cursor, n,
+                                           copy)
             except FarviewError as exc:
                 # A memory fault mid-stream must reach the consumer as a
                 # typed abort — failing only the producer would leave the
@@ -412,6 +441,11 @@ class FarviewNode:
         """Standard / vectorized / delta-merge execution: sequential
         burst streaming of ``table``; returns the rows fed to the pipeline.
 
+        The result depends only on the table, so the pipeline runs once
+        over the whole scanned image, read untimed up front; each timed
+        DRAM burst then releases the output rows whose source row it
+        completed (:func:`releaser`).
+
         With a ``view`` the ingest is the delta-aware merge: the delta
         segments are prefetched into the merge unit first (timed DRAM
         reads, like the join build side), then the base segment streams
@@ -422,35 +456,48 @@ class FarviewNode:
         therefore covers base + every delta segment.
         """
         vaddr, length = table.require_allocated(), table.size_bytes
-        visible, source_rows = None, table.num_rows
-        if view is not None:
-            images = yield from self._read_segments(
-                conn, [d.table for d in view.deltas], report)
-            images[table.name] = self.mmu.peek(conn.domain, vaddr, length)
-            rows, _ids = view.materialize(lambda t: images[t.name])
-            visible, source_rows = view.schema.to_bytes(rows), len(rows)
+        if view is None:
+            image, source_rows = (self.mmu.image(conn.domain, vaddr, length),
+                                  table.num_rows)
+        else:
+            image, source_rows = yield from self._merged_image(conn, view,
+                                                               report)
+        release = releaser(compiled.pipeline, image)
+        # Concurrent scans hold only their results while they stream.
+        del image
         ingest = BandwidthPipe(self.sim, compiled.ingest_rate,
                                name=f"region{conn.region.index}.ingest")
-        streamed = fed = 0
+        streamed = 0
 
-        def sink(chunk: bytes):
-            nonlocal streamed, fed
+        def sink(nbytes: int):
+            nonlocal streamed
             if conn.region.state is RegionState.FAILED:
                 raise RegionFailedError(
                     f"region {conn.region.index} failed mid-pipeline")
-            yield self.sim.timeout(ingest.occupy(len(chunk)))
-            report.bytes_scanned += len(chunk)
-            if visible is not None:
-                streamed += len(chunk)
-                end = len(visible) * streamed // length
-                chunk, fed = visible[fed:end], end
-            out = compiled.pipeline.process_chunk(chunk)
+            yield self.sim.timeout(ingest.occupy(nbytes))
+            report.bytes_scanned += nbytes
+            streamed += nbytes
+            # The merge unit feeds the visible image in proportion to the
+            # base bytes streamed so far.
+            out = release(streamed, length)
             if out:
                 yield from sender.send(out)
 
-        yield from self._stream_memory(conn, vaddr, length, sink)
-        assert visible is None or fed == len(visible)
+        yield from self._stream_memory(conn, vaddr, length, sink, copy=False)
         return source_rows
+
+    def _merged_image(self, conn: Connection, view: VersionView,
+                      report: ExecutionReport):
+        """Process: the merge unit's visible image of ``view`` — delta
+        segments prefetched with timed reads, the base read as it
+        streams — and its row count."""
+        base = view.base
+        images = yield from self._read_segments(
+            conn, [d.table for d in view.deltas], report)
+        images[base.name] = self.mmu.peek(
+            conn.domain, base.require_allocated(), base.size_bytes)
+        rows, _ids = view.materialize(lambda t: images[t.name])
+        return view.schema.to_bytes(rows), len(rows)
 
     def _run_smart_addressing(self, conn: Connection, table: FTable,
                               compiled: CompiledQuery, sender: Sender,
@@ -466,8 +513,9 @@ class FarviewNode:
         # zero-copy view of the table image (no per-tuple request loop).
         image = self.mmu.peek(conn.domain, vaddr,
                               num_tuples * plan.schema.row_width)
-        rows = plan.gather(image, num_tuples)
-        out_image = plan.out_schema.to_bytes(rows)
+        release = releaser(compiled.pipeline, plan.out_schema.to_bytes(
+            plan.gather(image, num_tuples)))
+        del image
         report.bytes_scanned = plan.total_bytes(num_tuples)
 
         # Timing: each coalesced run is a discrete DRAM request paying a
@@ -475,8 +523,6 @@ class FarviewNode:
         # the channels.  Batched so output streaming overlaps.
         total_requests = num_tuples * plan.requests_per_tuple
         batch_requests = 1024
-        out_cursor = 0
-        bytes_per_request = plan.bytes_per_tuple // plan.requests_per_tuple
         done_requests = 0
         while done_requests < total_requests:
             batch = min(batch_requests, total_requests - done_requests)
@@ -487,13 +533,9 @@ class FarviewNode:
                     extra_ns=per_channel * cal.SA_REQUEST_OVERHEAD_NS)
                 for channel in self.mmu.channels))
             done_requests += batch
-            out_end = min(len(out_image),
-                          out_cursor + batch * bytes_per_request)
-            piece = compiled.pipeline.process_chunk(
-                out_image[out_cursor:out_end])
-            if piece:
-                yield from sender.send(piece)
-            out_cursor = out_end
+            out = release(done_requests, total_requests)
+            if out:
+                yield from sender.send(out)
         return num_tuples
 
     # -- node-local segment reads and writes (versioned verbs) ------------------------------

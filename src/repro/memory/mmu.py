@@ -206,21 +206,40 @@ class Mmu:
 
         Returns a **read-only memoryview** over a freshly assembled buffer:
         exactly one gather out of the channel stores, then zero further
-        copies as the burst flows through parser, operators, and network.
+        copies as the bytes flow through operators and network.
+        Each page is translated through the TLB, as a timed read does.
         """
+        return self._gather(domain, vaddr, length, self._translated)
+
+    def image(self, domain: int, vaddr: int, length: int) -> memoryview:
+        """:meth:`peek` that walks the page table and leaves the TLB
+        alone (no fill, no hit or miss counted): the node reads a scanned
+        table once with it, while each timed burst of the scan still
+        translates its own pages (:meth:`read` with ``copy=False``)."""
+        return self._gather(domain, vaddr, length, self._mapped)
+
+    def _gather(self, domain: int, vaddr: int, length: int,
+                frames_at) -> memoryview:
         self._require_domain(domain)
         self._check_bounds(domain, vaddr, length)
         out = np.empty(length, dtype=np.uint8)
         cursor = 0
         page_size = self.config.page_size
         while cursor < length:
-            addr = vaddr + cursor
-            frames, page_offset, _lat = self.translate(domain, addr)
+            frames, page_offset = frames_at(domain, vaddr + cursor)
             chunk = min(length - cursor, page_size - page_offset)
             self._page_read_into(frames, page_offset,
                                  out[cursor:cursor + chunk])
             cursor += chunk
         return memoryview(out.data).toreadonly()
+
+    def _translated(self, domain: int, vaddr: int) -> tuple[PageFrames, int]:
+        frames, page_offset, _lat = self.translate(domain, vaddr)
+        return frames, page_offset
+
+    def _mapped(self, domain: int, vaddr: int) -> tuple[PageFrames, int]:
+        vpage, page_offset = divmod(vaddr, self.config.page_size)
+        return self._page_tables[domain][vpage], page_offset
 
     def poke(self, domain: int, vaddr: int, data: bytes | memoryview) -> None:
         """Untimed write of a virtual range."""
@@ -319,15 +338,29 @@ class Mmu:
                 charge += self.config.tlb_miss_ns
         return charge
 
-    def read(self, domain: int, vaddr: int, length: int) -> Event:
+    def read(self, domain: int, vaddr: int, length: int,
+             copy: bool = True) -> Event:
         """Timed striped read; event fires with the bytes.
 
         The request is split into bursts; each burst charges every channel
         its stripe share and completes when the slowest channel finishes.
         Translation latency (TLB hit or miss) is charged per page touched.
+
+        With ``copy=False`` the event fires with ``length`` instead: the
+        caller already holds the bytes (:meth:`image`), and the read is
+        timed, translated and fault-checked exactly as a copying one.
         """
         translation = self._translation_charge(domain, vaddr, length)
-        data = self.peek(domain, vaddr, length)  # functional result + faults
+        if copy:
+            data = self.peek(domain, vaddr, length)  # bytes + faults
+        else:
+            self._require_domain(domain)
+            self._check_bounds(domain, vaddr, length)
+            page_size = self.config.page_size
+            for vpage in range(vaddr // page_size,
+                               (vaddr + length - 1) // page_size + 1):
+                self.translate(domain, max(vaddr, vpage * page_size))
+            data = length
         done = self.sim.event()
         self.sim.process(
             self._timed_access(translation, length, done, data, write=False),
@@ -345,7 +378,7 @@ class Mmu:
         return done
 
     def _timed_access(self, translation: float, length: int, done: Event,
-                      payload: bytes | None, write: bool):
+                      payload: bytes | int | None, write: bool):
         if translation:
             yield self.sim.timeout(translation)
         cursor = 0

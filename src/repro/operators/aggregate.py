@@ -17,7 +17,7 @@ import numpy as np
 
 from ..common.errors import OperatorError, QueryError
 from ..common.records import Column, Schema
-from .base import RowOperator
+from .base import NO_SOURCE, RowOperator
 
 SUPPORTED_FUNCS = ("count", "sum", "min", "max", "avg")
 
@@ -116,7 +116,7 @@ def batch_accumulate(acc: Accumulator, batch: np.ndarray,
         lo, hi = col.min(), col.max()
         if acc.mins[i] is not None:
             # A NaN anywhere wins a global MIN/MAX (the reference is
-            # ``col.min()`` over the whole column): fold the bursts with
+            # ``col.min()`` over the whole column): fold the batches with
             # the NaN-propagating ufuncs, not with ``lo < current``, which
             # is false on a NaN in either seat.
             lo, hi = np.minimum(acc.mins[i], lo), np.maximum(acc.maxs[i], hi)
@@ -307,10 +307,10 @@ class StandaloneAggregateOperator(RowOperator):
         self._out_schema = grouped_schema(schema, (), self.specs)
         return self._out_schema
 
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         assert self._out_schema is not None
         batch_accumulate(self._acc, batch, self._value_columns)
-        return self._out_schema.empty(0)
+        return self._out_schema.empty(0), NO_SOURCE
 
     def flush(self) -> np.ndarray | None:
         assert self._out_schema is not None

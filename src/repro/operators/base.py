@@ -16,6 +16,13 @@ Operators report their pipeline-fill contribution in operator-clock cycles
 and an optional *flush* phase (used by group-by, which must consume the
 whole table before emitting results, §5.4).  Data transformation is real:
 the output bytes are exactly what the paper's hardware would emit.
+
+The result bytes depend only on the table, so on the host a scan computes
+them once: :meth:`OperatorPipeline.run` takes the whole scanned image, and
+each output row carries the index of the input row it came from.  Only
+the *timing* is per DRAM burst: the node hands each burst's released rows
+to :meth:`OperatorPipeline.emit`, which serializes them through the
+packer-side byte stages exactly as a burst-by-burst pipeline would.
 """
 
 from __future__ import annotations
@@ -29,7 +36,16 @@ from ..common.records import Schema
 
 
 class RowOperator(abc.ABC):
-    """A streaming operator over tuple batches."""
+    """A streaming operator over tuple batches.
+
+    :meth:`process` returns the output rows together with, for each of
+    them, the index of the input row it came from (ascending).  The
+    node runs the operators once over a whole table image and releases
+    an output row with the DRAM burst that carried its source row's last
+    byte, so the source index is what keeps the result streaming.
+    GROUP BY and the standalone aggregate return no rows until
+    :meth:`flush`.
+    """
 
     #: Pipeline registers this block adds (contributes to fill latency).
     fill_latency_cycles: int = 4
@@ -51,17 +67,18 @@ class RowOperator(abc.ABC):
     def _bind(self, schema: Schema) -> Schema:
         ...
 
-    def process(self, batch: np.ndarray) -> np.ndarray:
-        """Transform one batch (may return fewer/more rows, or none)."""
+    def process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transform one batch: ``(rows, source)``, where ``source[j]`` is
+        the index in ``batch`` of the row output row ``j`` came from."""
         if not self._bound:
             raise OperatorError(f"operator {self.name!r} used before bind()")
         self.rows_in += len(batch)
-        out = self._process(batch)
+        out, source = self._process(batch)
         self.rows_out += len(out)
-        return out
+        return out, source
 
     @abc.abstractmethod
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
     def flush(self) -> np.ndarray | None:
@@ -73,11 +90,17 @@ class RowOperator(abc.ABC):
         return 0
 
 
+#: The ``source`` of an operator that emits nothing while streaming.
+NO_SOURCE = np.empty(0, dtype=np.intp)
+NO_SOURCE.flags.writeable = False
+
+
 class ByteOperator(abc.ABC):
     """A streaming transformation over the raw byte stream.
 
-    Chunks may be ``bytes`` or read-only ``memoryview`` bursts straight off
-    the memory stack; implementations must not assume they own the buffer.
+    Chunks may be ``bytes`` or a read-only ``memoryview`` of a table image
+    straight off the memory stack; implementations must not assume they
+    own the buffer.
     """
 
     fill_latency_cycles: int = 4
@@ -99,45 +122,6 @@ class ByteOperator(abc.ABC):
         """Drain any internal remainder at end of stream."""
 
 
-class _RowParser:
-    """Splits the incoming byte stream into whole tuples of a schema.
-
-    Bursts from the memory stack do not respect row boundaries; the parser
-    buffers the residual bytes of a split row until the next burst.
-    """
-
-    def __init__(self, schema: Schema):
-        self.schema = schema
-        self._residue = b""
-
-    def feed(self, chunk: bytes | memoryview) -> np.ndarray:
-        """Parse one burst into whole rows — zero-copy on the aligned path.
-
-        Bursts from the memory stack are row-aligned in the common case
-        (burst size is a multiple of the row width), so the chunk is viewed
-        in place; only a split row's tail is ever copied into the residue.
-        """
-        width = self.schema.row_width
-        if self._residue:
-            chunk = self._residue + bytes(chunk)
-            self._residue = b""
-        extra = len(chunk) % width
-        if extra:
-            split = len(chunk) - extra
-            # Compact copy of the tail so the burst buffer is not pinned.
-            self._residue = bytes(chunk[split:])
-            chunk = chunk[:split]
-        if not len(chunk):
-            return self.schema.empty(0)
-        return self.schema.from_bytes(chunk)
-
-    def finish(self) -> None:
-        if self._residue:
-            raise OperatorError(
-                f"stream ended mid-tuple: {len(self._residue)} residual bytes "
-                f"(row width {self.schema.row_width})")
-
-
 class OperatorPipeline:
     """A complete pipeline as deployed into one dynamic region (§5.1).
 
@@ -156,7 +140,6 @@ class OperatorPipeline:
         self.pre_ops = list(pre_ops or [])
         self.row_ops = list(row_ops)
         self.post_ops = list(post_ops or [])
-        self._parser = _RowParser(input_schema)
         schema = input_schema
         try:
             for op in self.row_ops:
@@ -169,29 +152,51 @@ class OperatorPipeline:
         self.bytes_out = 0
         self._flushed = False
 
-    # -- streaming -------------------------------------------------------------
-    def process_chunk(self, chunk: bytes | memoryview) -> bytes:
-        """Push one burst of base-table bytes; returns output-ready bytes."""
+    # -- execution --------------------------------------------------------------
+    def run(self, image: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
+        """Run the pre-ops and row operators over a whole input image,
+        once; returns ``(rows, source)``: the output rows (flush output
+        aside) and, for each, the index of the input row it came from,
+        ascending.  The node hands the rows to :meth:`emit` as the DRAM
+        bursts carrying their source rows are timed."""
         if self._flushed:
             raise OperatorError(f"pipeline {self.name!r} already flushed")
-        self.bytes_in += len(chunk)
+        self.bytes_in += len(image)
         for op in self.pre_ops:
-            chunk = op.process(chunk)
-        batch = self._parser.feed(chunk)
-        out = self._run_rows(batch)
-        return self._emit(out)
+            image = op.process(image)
+            tail = op.finish()
+            if tail:
+                raise OperatorError(
+                    f"pre-stage {op.name!r} held back {len(tail)} bytes")
+        width = self.input_schema.row_width
+        if len(image) % width:
+            raise OperatorError(
+                f"stream ended mid-tuple: {len(image) % width} residual "
+                f"bytes (row width {width})")
+        batch = self.input_schema.from_bytes(image)
+        source = np.arange(len(batch))
+        for op in self.row_ops:
+            if len(batch) == 0:
+                return self.output_schema.empty(0), NO_SOURCE
+            batch, picked = op.process(batch)
+            source = source[picked]
+        return batch, source
+
+    def emit(self, rows: np.ndarray) -> bytes:
+        """Serialize released output rows and pass them through the
+        post-ops (the packer side).  An empty slice would emit nothing
+        and move no CTR carry, so a caller need not make the call."""
+        if self._flushed:
+            raise OperatorError(f"pipeline {self.name!r} already flushed")
+        out = self._emit_rows(rows)
+        self.bytes_out += len(out)
+        return out
 
     def flush(self) -> bytes:
         """End of stream: drain flush phases (group-by results, CTR tails)."""
         if self._flushed:
             raise OperatorError(f"pipeline {self.name!r} already flushed")
         self._flushed = True
-        for op in self.pre_ops:
-            tail = op.finish()
-            if tail:
-                raise OperatorError(
-                    f"pre-stage {op.name!r} held back {len(tail)} bytes")
-        self._parser.finish()
         # Cascade flushes: operator i's flush output passes through i+1..n.
         collected = self.output_schema.empty(0)
         for i, op in enumerate(self.row_ops):
@@ -199,7 +204,7 @@ class OperatorPipeline:
             if tail is None or len(tail) == 0:
                 continue
             for downstream in self.row_ops[i + 1:]:
-                tail = downstream.process(tail)
+                tail, _ = downstream.process(tail)
                 if len(tail) == 0:
                     break
             if len(tail):
@@ -207,18 +212,6 @@ class OperatorPipeline:
         out = self._emit_rows(collected)
         for op in self.post_ops:
             out += op.finish()
-        self.bytes_out += len(out)
-        return out
-
-    def _run_rows(self, batch: np.ndarray) -> np.ndarray:
-        for op in self.row_ops:
-            if len(batch) == 0:
-                return self.output_schema.empty(0)
-            batch = op.process(batch)
-        return batch
-
-    def _emit(self, rows: np.ndarray) -> bytes:
-        out = self._emit_rows(rows)
         self.bytes_out += len(out)
         return out
 

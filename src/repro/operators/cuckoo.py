@@ -60,21 +60,16 @@ class CuckooHashTable:
     # -- hashing ----------------------------------------------------------------
     def way_slots(self, raw: bytes | memoryview, width: int) -> np.ndarray:
         """``(ways, n)`` slot indices for a packed batch of fixed-width keys
-        — way ``w`` hashes with seed ``w``, one vectorized pass each."""
+        — way ``w`` hashes with seed ``w``, one vectorized pass each.
+
+        Hashing dominates the operators' per-key cost, so they hash whole
+        batches up front and thread each key's column through :meth:`put`
+        / :meth:`get`.  Called without one, those hash the one key as a
+        batch of one.
+        """
         return np.stack([
             hash_key_batch(raw, width, seed=way) % self.slots_per_way
             for way in range(self.ways)]).astype(np.intp)
-
-    def batch_slots(self, raw: bytes | memoryview,
-                    width: int) -> list[list[int]]:
-        """Per-key rows of :meth:`way_slots` as plain lists.
-
-        Hashing dominates the streaming operators' per-tuple cost, so the
-        operators hash whole batches vectorized up front and thread the
-        precomputed slot rows through :meth:`put` / :meth:`get`.  Called
-        without a row, those hash the one key here as a batch of one.
-        """
-        return self.way_slots(raw, width).T.tolist()
 
     # -- lookup -----------------------------------------------------------------
     def _probe(self, key: bytes,
@@ -96,12 +91,12 @@ class CuckooHashTable:
     def get(self, key: bytes,
             slots: Optional[Sequence[int]] = None) -> object | None:
         entry, _ = self._probe(
-            key, slots or self.batch_slots(key, len(key))[0])
+            key, slots or self.way_slots(key, len(key))[:, 0].tolist())
         return self._values[entry] if entry is not None else None
 
     def __contains__(self, key: bytes) -> bool:
-        return self._probe(
-            key, self.batch_slots(key, len(key))[0])[0] is not None
+        return self._probe(key, self.way_slots(
+            key, len(key))[:, 0].tolist())[0] is not None
 
     def __len__(self) -> int:
         return self.size
@@ -116,7 +111,7 @@ class CuckooHashTable:
         hardware, where the overflow buffer is opaque to the pipeline.
         ``slots`` may carry the key's precomputed per-way slot indices.
         """
-        slots = slots or self.batch_slots(key, len(key))[0]
+        slots = slots or self.way_slots(key, len(key))[:, 0].tolist()
         entry, way = self._probe(key, slots)
         if entry is not None:
             self._values[entry] = value

@@ -13,8 +13,8 @@ software dedup — on these same key columns, first row wins — can be
 applied; the integration tests verify end-to-end exactness of that
 contract.
 
-On the host a DRAM burst is one array transform until the tables first
-overflow.  Up to then every key the LRU register holds is also resident,
+On the host a batch — the node's whole scan, run once — is one array
+transform until the tables first overflow.  Up to then every key the LRU register holds is also resident,
 so the register decides nothing: a row survives exactly when its key is
 new, and only new keys are hashed and inserted.  Once a key has been
 forgotten it can be re-emitted, which depends on what the register holds
@@ -59,10 +59,8 @@ class DistinctOperator(RowOperator):
         schema.project(self.key_columns)  # validates
         return schema
 
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(batch)
-        if n == 0:
-            return batch
         image = key_image(batch, self.key_columns)
         keep = np.zeros(n, dtype=bool)
         done = 0
@@ -70,32 +68,34 @@ class DistinctOperator(RowOperator):
             done = self._admit_new(image, keep)
         if done < n:
             self._step(image[done:], keep[done:])
-        self.duplicates_dropped += n - int(keep.sum())
-        return batch[keep]
+        picked = np.flatnonzero(keep)
+        self.duplicates_dropped += n - len(picked)
+        return batch[picked], picked
 
     def _admit_new(self, image: np.ndarray, keep: np.ndarray) -> int:
         """The batch path, valid while nothing has overflowed: keep the
-        rows that introduce a key and insert those keys.  Returns the rows
-        consumed — all of them, or up to and including the row whose
-        insertion overflowed."""
+        rows that introduce a key and insert those keys, in one batch
+        :meth:`~repro.operators.cuckoo.CuckooHashTable.insert`.  Returns
+        the rows consumed — all of them, or up to and including the row
+        whose insertion overflowed."""
         resident = self._resident
         new, _ = first_occurrence(image, resident)
         done = len(image)
         if len(new):
             fresh = image[new]
-            slots = self.table.batch_slots(fresh.data, fresh.dtype.itemsize)
             new_keys = fresh.tolist()
-            for i, key in enumerate(new_keys):
-                if not self.table.put(key, True, slots[i]):
-                    # The first overflow: the keys after this one have not
-                    # been seen yet, and the evicted one is forgotten.
-                    self.overflow_count = 1
-                    for unseen in new_keys[i + 1:]:
-                        del resident[unseen]
-                    del resident[self.table.overflow[-1][0]]
-                    new = new[:i + 1]
-                    done = int(new[i]) + 1
-                    break
+            i = self.table.insert(
+                new_keys, [True] * len(new_keys),
+                self.table.way_slots(fresh.data, fresh.dtype.itemsize))
+            if i < len(new_keys):
+                # The first overflow: the keys after this one have not
+                # been seen yet, and the evicted one is forgotten.
+                self.overflow_count = 1
+                for unseen in new_keys[i + 1:]:
+                    del resident[unseen]
+                del resident[self.table.overflow[-1][0]]
+                new = new[:i + 1]
+                done = int(new[i]) + 1
         keep[new] = True
         self.lru.advance(image[:done])
         return done
@@ -105,7 +105,8 @@ class DistinctOperator(RowOperator):
         forgotten: probe the register, then the tables, tuple by tuple."""
         # Hash every key for every way in one vectorized pass; the per-row
         # scan below then runs on O(1) dict operations only.
-        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
+        slots = self.table.way_slots(image.data,
+                                     image.dtype.itemsize).T.tolist()
         lru_probe = self.lru.lookup_or_insert
         resident = self._resident
         table = self.table

@@ -18,8 +18,8 @@ Groups whose hash-table insertion overflows are aggregated in a dedicated
 overflow area and reported via :meth:`drain_overflow_groups` so the client
 can merge them in software — mirroring the DISTINCT overflow contract.
 
-On the host a DRAM burst is one array transform, not a loop over its
-tuples.  A key owns one aggregate state for the operator's life — an
+On the host a batch — the node's whole scan, run once — is one array
+transform, not a loop over its tuples.  A key owns one aggregate state for the operator's life — an
 eviction moves it to the overflow area, it does not restart it — so
 accumulation never depends on where the cuckoo tables hold the key: the
 state is columnar, indexed by a dense group id handed out in first-seen
@@ -34,7 +34,7 @@ from ..common.errors import OperatorError, QueryError
 from ..common.records import Schema, first_occurrence, key_image
 from .aggregate import (Accumulator, AggregateSpec, fold_extreme,
                         grouped_schema, value_columns)
-from .base import RowOperator
+from .base import NO_SOURCE, RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
 
@@ -99,7 +99,7 @@ class GroupByOperator(RowOperator):
         return self._out_schema
 
     # -- streaming phase -----------------------------------------------------------
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         assert self._out_schema is not None
         if len(batch):
             image = key_image(batch, self.key_columns)
@@ -120,21 +120,29 @@ class GroupByOperator(RowOperator):
                 else:
                     running[group[new]] = values[new]  # a group's first value
                     fold_extreme(func, running, group, values)
-        return self._out_schema.empty(0)
+        return self._out_schema.empty(0), NO_SOURCE
 
     def _admit(self, fresh: np.ndarray, ids: np.ndarray) -> None:
         """Open a record for each new key of ``fresh`` (first-seen order,
-        group ids ``ids``) and insert it: the only keys a batch hashes."""
+        group ids ``ids``) and insert it: the only keys a batch hashes.
+
+        One batch :meth:`~repro.operators.cuckoo.CuckooHashTable.insert`
+        places the keys up to the first overflow; from there on each key
+        is its own ``put``."""
         grow = len(self._ids) - len(self._state)
         if grow > 0:
             self._state = np.concatenate([self._state, np.zeros(
                 max(grow, len(self._state)), dtype=self._state.dtype)])
-        slots = self.table.batch_slots(fresh.data, fresh.dtype.itemsize)
-        for key, gid, row in zip(fresh.tolist(), ids.tolist(), slots):
-            if not self.table.put(key, gid, row):
-                # The eviction chain pushed one group (possibly this one)
-                # out of the tables; its record keeps folding where it is.
-                self._state["spilled"][self.table.overflow[-1][1]] = True
+        table = self.table
+        keys, ids = fresh.tolist(), ids.tolist()
+        slots = table.way_slots(fresh.data, fresh.dtype.itemsize)
+        before = len(table.overflow)
+        for i in range(table.insert(keys, ids, slots) + 1, len(keys)):
+            table.put(keys[i], ids[i], slots[:, i].tolist())
+        # Each eviction chain pushed one group (possibly the new one) out
+        # of the tables; its record keeps folding where it is.
+        self._state["spilled"][[gid for _, gid in
+                                table.overflow[before:]]] = True
 
     # -- flush phase ------------------------------------------------------------------
     def flush(self) -> np.ndarray | None:

@@ -148,7 +148,7 @@ class SmallTableJoinOperator(RowOperator):
         return self._out_schema
 
     # -- probe phase ----------------------------------------------------------------------
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not self._built:
             raise OperatorError("probe started before the build side loaded")
         assert self._out_schema is not None
@@ -169,4 +169,4 @@ class SmallTableJoinOperator(RowOperator):
         self.probe_matches += len(pidx)
         return gather_join_output(self._out_schema, batch, pidx,
                                   self._payload, self.payload_columns,
-                                  bidx[pidx])
+                                  bidx[pidx]), pidx

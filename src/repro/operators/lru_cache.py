@@ -19,10 +19,10 @@ for the lookup-then-insert protocol; the one divergence is that ``insert``
 of an already-resident key promotes it instead of storing a duplicate copy
 (true-LRU semantics; the old register could briefly hold the key twice).
 
-DISTINCT and GROUP BY move the register one DRAM burst at a time with
+DISTINCT and GROUP BY move the register one batch at a time with
 :meth:`ShiftRegisterLru.advance`: a true LRU of depth *d* holds the *d* most
-recently used distinct keys, so its state after a burst is read off the
-burst's tail instead of being stepped once per tuple.
+recently used distinct keys, so its state after a batch is read off the
+batch's tail instead of being stepped once per tuple.
 """
 
 from __future__ import annotations

@@ -36,12 +36,12 @@ class ProjectionOperator(RowOperator):
         self._out_schema = schema.project(self.columns)
         return self._out_schema
 
-    def _process(self, batch: np.ndarray) -> np.ndarray:
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         assert self._out_schema is not None
         out = self._out_schema.empty(len(batch))
         for name in self.columns:
             out[name] = batch[name]
-        return out
+        return out, np.arange(len(batch))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,6 @@ class RegexMatchOperator(RowOperator):
                 f"regex needs a char column, {self.column!r} is {col.kind}")
         return schema
 
-    def _process(self, batch: np.ndarray) -> np.ndarray:
-        keep = self.regex.search_column(batch[self.column])
-        return batch[keep]
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        picked = np.flatnonzero(self.regex.search_column(batch[self.column]))
+        return batch[picked], picked

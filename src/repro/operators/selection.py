@@ -49,8 +49,9 @@ class SelectionOperator(RowOperator):
             raise OperatorError(str(exc)) from exc
         return schema
 
-    def _process(self, batch: np.ndarray) -> np.ndarray:
-        return batch[eval_mask(self.predicate, batch)]
+    def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        picked = np.flatnonzero(eval_mask(self.predicate, batch))
+        return batch[picked], picked
 
 
 class VectorizedSelectionOperator(SelectionOperator):

@@ -331,6 +331,26 @@ def test_smart_addressing_query(client):
     assert result.report.bytes_scanned == 128 * 24
 
 
+def test_smart_addressing_runs_of_unequal_width(client):
+    """Three column runs of 16, 8 and 8 bytes: 32 bytes a tuple over
+    three requests.  Each request batch releases the rows its share of
+    the gathered image completes, and the last one releases them all; a
+    fixed 10 bytes a request used to stop 2 bytes short of every tuple
+    and end the stream mid-tuple."""
+    schema = default_schema()
+    rows = schema.empty(256)
+    for name in schema.names:
+        rows[name] = np.arange(256)
+    table = upload(client, "W", schema, rows)
+    query = Query(projection=("a", "b", "d", "f"), smart_addressing=True)
+    result, _ = client.far_view(table, query)
+    assert result.report.ingest_mode == "smart"
+    got = result.rows()
+    for name in ("a", "b", "d", "f"):
+        np.testing.assert_array_equal(got[name], rows[name])
+    assert result.report.bytes_scanned == 256 * 32
+
+
 # --- reconfiguration and timing behaviour --------------------------------------------------
 
 def test_first_query_pays_reconfiguration(client):

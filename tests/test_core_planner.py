@@ -245,9 +245,8 @@ def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
 
     Group-by sums stay bit-exact even over the float column because the
     hardware operator and the software kernel accumulate per-row in the
-    same stream order; the standalone-aggregate shape sticks to
-    order-insensitive functions (min/max/count), since its offloaded
-    block accumulates per-batch.
+    same stream order; a standalone sum is one whole-column sum on both
+    sides, since the node runs its operators once over the scan.
     """
     wl = selection_workload(nrows, selectivity, seed=nrows)
     if shape == "select":
@@ -264,6 +263,7 @@ def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
     else:
         query = Query(aggregates=(AggregateSpec("min", "a"),
                                   AggregateSpec("max", "b"),
+                                  AggregateSpec("sum", "b"),
                                   AggregateSpec("count", "*")),
                       label="p")
     rows = wl.rows
@@ -503,6 +503,42 @@ def test_ship_on_bare_scan_is_a_raw_read():
                                                 placement="auto")
     assert offload_result.explain.chosen == "offload"
     assert canonical_result_bytes(offload_result) == schema.to_bytes(rows)
+
+
+@pytest.mark.parametrize("versioned", [False, True])
+def test_offloaded_sum_is_one_whole_column_sum(versioned):
+    """A standalone SUM/AVG over a float column returns the same bytes
+    offloaded and shipped, and both equal ``software_aggregate`` over the
+    whole table, on a plain and on a versioned one-node table.  The node
+    used to add one pairwise ``col.sum()`` per 16 KiB DRAM burst, so its
+    bytes depended on where the bursts cut the column (8 of 10 seeds
+    differed at 5,000 rows)."""
+    from repro.baselines.sw_ops import software_aggregate
+    from repro.common.records import Column, Schema
+
+    schema = Schema([Column("id", "int64"), Column("x", "float64")])
+    specs = (AggregateSpec("sum", "x", "s"), AggregateSpec("avg", "x", "m"))
+    query = Query(aggregates=specs, label="sum")
+    for seed in range(4):
+        rows = schema.empty(5_000)
+        rows["id"] = np.arange(5_000)
+        rows["x"] = np.random.default_rng(seed).standard_normal(5_000) * 1e3
+        expected = software_aggregate(rows, schema, list(specs)).tobytes()
+        got = {}
+        for mode in ("offload", "ship"):
+            client = _bench()
+            if versioned:
+                table = client.create_versioned_table("V", schema, rows)
+                result, _ = client.scan_versioned(table, query,
+                                                  placement=mode)
+            else:
+                table = FTable("S", schema, len(rows))
+                client.alloc_table_mem(table)
+                client.table_write(table, rows)
+                result, _ = client.far_view_planned(table, query,
+                                                    placement=mode)
+            got[mode] = canonical_result_bytes(result)
+        assert got["offload"] == got["ship"] == expected, seed
 
 
 def test_software_aggregate_large_int_extremes_bit_exact():

@@ -39,7 +39,7 @@ def test_put_updates_existing():
 def test_precomputed_slots_equal_hashing_on_demand():
     table = CuckooHashTable(ways=4, slots_per_way=64)
     keys = [i.to_bytes(8, "little") for i in range(40)]
-    slots = table.batch_slots(b"".join(keys), 8)
+    slots = table.way_slots(b"".join(keys), 8).T.tolist()
     for i, key in enumerate(keys[:20]):
         assert table.put(key, i, slots[i])
     for i, key in enumerate(keys):
@@ -142,7 +142,7 @@ def _insert_in_chunks(table, keys, values, cuts=()):
 
 def _put_in_chunks(table, keys, values, cuts=()):
     """The same calls, answered by one ``put`` per key."""
-    slots = table.batch_slots(b"".join(keys), 8)
+    slots = table.way_slots(b"".join(keys), 8).T.tolist()
     stops = []
     for lo, hi in zip([0, *cuts], [*cuts, len(keys)]):
         while True:

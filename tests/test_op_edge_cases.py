@@ -32,7 +32,7 @@ def test_operators_tolerate_empty_batches():
                GroupByOperator(["a"], [AggregateSpec("sum", "b")]),
                StandaloneAggregateOperator([AggregateSpec("count", "*")])):
         op.bind(schema)
-        out = op.process(empty)
+        out = op.process(empty)[0]
         assert len(out) == 0
 
 
@@ -42,7 +42,8 @@ def test_empty_table_through_full_pipeline():
         "empty", schema,
         row_ops=[SelectionOperator(Compare("a", "<", 1)),
                  ProjectionOperator(["a"])])
-    assert pipeline.process_chunk(b"") == b""
+    rows, source = pipeline.run(b"")
+    assert len(rows) == len(source) == 0
     assert pipeline.flush() == b""
 
 
@@ -63,10 +64,10 @@ def test_selection_zero_and_full():
     batch["a"] = np.arange(10)
     none = SelectionOperator(Compare("a", "<", -1))
     none.bind(schema)
-    assert len(none.process(batch)) == 0
+    assert len(none.process(batch)[0]) == 0
     every = SelectionOperator(Compare("a", ">=", 0))
     every.bind(schema)
-    assert len(every.process(batch)) == 10
+    assert len(every.process(batch)[0]) == 10
 
 
 # --- multi-key distinct ordering ----------------------------------------------------
@@ -78,7 +79,7 @@ def test_distinct_multi_key_first_occurrence_order():
     batch["c"] = [9, 9, 9, 8, 9, 9]
     op = DistinctOperator(["a", "c"])
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert [(int(r["a"]), int(r["c"])) for r in out] == [
         (1, 9), (2, 9), (1, 8), (3, 9)]
 
@@ -173,7 +174,7 @@ def test_regex_operator_empty_strings_column():
     rows["s"] = [b"", b"abc"]
     op = RegexMatchOperator("s", "abc")
     op.bind(schema)
-    out = op.process(rows)
+    out = op.process(rows)[0]
     assert out["id"].tolist() == [2]
 
 
@@ -184,7 +185,7 @@ def test_regex_on_max_width_value():
     rows["s"] = [b"12345678"]  # exactly the column width, no NUL padding
     op = RegexMatchOperator("s", r"\d{8}")
     op.bind(schema)
-    assert len(op.process(rows)) == 1
+    assert len(op.process(rows)[0]) == 1
 
 
 # --- packer boundary sizes -------------------------------------------------------------------------
@@ -204,4 +205,4 @@ def test_identity_projection():
     batch["only"] = [1, 2, 3]
     op = ProjectionOperator(["only"])
     assert op.bind(schema) == schema
-    np.testing.assert_array_equal(op.process(batch)["only"], [1, 2, 3])
+    np.testing.assert_array_equal(op.process(batch)[0]["only"], [1, 2, 3])

@@ -83,7 +83,7 @@ def test_standalone_aggregate_single_row_at_flush():
         AggregateSpec("avg", "a"),
     ])
     out_schema = op.bind(schema)
-    assert len(op.process(batch)) == 0  # nothing while streaming
+    assert len(op.process(batch)[0]) == 0  # nothing while streaming
     row = op.flush()
     assert len(row) == 1
     assert row["count_star"][0] == 4
@@ -146,7 +146,7 @@ def test_distinct_drops_duplicates():
     schema, batch = make_batch([1, 2, 1, 3, 2, 1])
     op = DistinctOperator(["a"])
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert sorted(out["a"].tolist()) == [1, 2, 3]
     assert op.duplicates_dropped == 3
     assert op.distinct_seen == 3
@@ -157,8 +157,8 @@ def test_distinct_across_batches():
     _, batch2 = make_batch([2, 3])
     op = DistinctOperator(["a"])
     op.bind(schema)
-    out1 = op.process(batch1)
-    out2 = op.process(batch2)
+    out1 = op.process(batch1)[0]
+    out2 = op.process(batch2)[0]
     assert sorted(np.concatenate([out1, out2])["a"].tolist()) == [1, 2, 3]
 
 
@@ -166,7 +166,7 @@ def test_distinct_defaults_to_all_columns():
     schema, batch = make_batch([1, 1], [1.0, 2.0])
     op = DistinctOperator()
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert len(out) == 2  # rows differ in column b
 
 
@@ -174,7 +174,7 @@ def test_distinct_streaming_emits_first_occurrence():
     schema, batch = make_batch([5, 5, 6])
     op = DistinctOperator(["a"])
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert out["a"].tolist() == [5, 6]
 
 
@@ -184,7 +184,7 @@ def test_distinct_overflow_contract():
     op = DistinctOperator(["a"], ways=1, slots_per_way=16, max_kicks=2,
                           lru_depth_per_way=2)
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     # All 100 distinct values must be emitted exactly once (first sight).
     assert sorted(out["a"].tolist()) == list(range(100))
     assert op.overflow_count > 0
@@ -203,7 +203,7 @@ def test_distinct_duplicates_of_overflowed_key_leak_and_client_dedups():
     emitted = []
     for chunk in ([list(range(32))], [list(range(32))]):
         _, batch = make_batch(chunk[0])
-        emitted.extend(op.process(batch)["a"].tolist())
+        emitted.extend(op.process(batch)[0]["a"].tolist())
     # Software dedup restores exactness.
     assert sorted(set(emitted)) == list(range(32))
 
@@ -221,7 +221,7 @@ def test_distinct_property_exact_when_not_overflowing(values):
     schema, batch = make_batch(values)
     op = DistinctOperator(["a"])  # default large table: no overflow
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert sorted(out["a"].tolist()) == sorted(set(values))
     assert op.overflow_count == 0
 
@@ -234,7 +234,7 @@ def test_groupby_sum():
     op = GroupByOperator(["a"], [AggregateSpec("sum", "b")])
     out_schema = op.bind(schema)
     assert out_schema.names == ("a", "sum_b")
-    assert len(op.process(batch)) == 0  # nothing during streaming (§5.4)
+    assert len(op.process(batch)[0]) == 0  # nothing during streaming (§5.4)
     result = op.flush()
     got = dict(zip(result["a"].tolist(), result["sum_b"].tolist()))
     assert got == {1: 15.0, 2: 21.0, 3: 7.0}
@@ -375,7 +375,8 @@ class _LoopDistinct:
 
     def process(self, batch):
         image = key_image(batch, self.key_columns)
-        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
+        slots = self.table.way_slots(image.data,
+                                     image.dtype.itemsize).T.tolist()
         keep = np.zeros(len(batch), dtype=bool)
         for i, key in enumerate(image.tolist()):
             if self.lru.lookup_or_insert(key) or key in self.resident:
@@ -407,7 +408,8 @@ class _LoopGroupBy:
 
     def process(self, batch):
         image = key_image(batch, self.key_columns)
-        slots = self.table.batch_slots(image.data, image.dtype.itemsize)
+        slots = self.table.way_slots(image.data,
+                                     image.dtype.itemsize).T.tolist()
         values = [batch[name].astype(np.float64).tolist()
                   for name in self.lanes]
         for i, key in enumerate(image.tolist()):
@@ -483,7 +485,7 @@ def test_distinct_state_equals_the_per_row_loop(data):
     op.bind(schema)
     loop = _LoopDistinct(key_columns, *geometry)
     for batch in batches:
-        assert op.process(batch).tobytes() == loop.process(batch).tobytes()
+        assert op.process(batch)[0].tobytes() == loop.process(batch).tobytes()
         assert _table_state(op.table) == _table_state(loop.table)
         assert op.table.overflow == loop.table.overflow
         assert op.lru.resident == loop.lru.resident
@@ -500,9 +502,10 @@ def test_distinct_state_equals_the_per_row_loop(data):
 @given(st.data())
 def test_groupby_state_equals_the_per_row_loop(data):
     """After every batch the columnar GROUP BY holds the loop's state —
-    where every key sits, kicks, the overflow order, the register, the
-    group counters — and at the end it flushes the loop's bytes and drains
-    the loop's overflow groups, whichever of the two comes first."""
+    where every key sits, kicks, the overflow order, which groups spilled,
+    the register, the group counters — and at the end it flushes the
+    loop's bytes and drains the loop's overflow groups, whichever of the
+    two comes first."""
     geometry = data.draw(_TABLES)
     key_columns = data.draw(st.sampled_from([["a"], ["a", "d"]]))
     aggregates = data.draw(st.lists(st.sampled_from(_SPECS), min_size=1,
@@ -513,10 +516,12 @@ def test_groupby_state_equals_the_per_row_loop(data):
     loop = _LoopGroupBy(schema, key_columns, aggregates, *geometry)
     with np.errstate(invalid="ignore", over="ignore"):
         for batch in batches:
-            assert len(op.process(batch)) == 0
+            assert len(op.process(batch)[0]) == 0
             loop.process(batch)
             assert _table_state(op.table) == _table_state(loop.table)
             assert [k for k, _ in op.table.overflow] == list(loop.overflow)
+            assert ({key for key, gid in op._ids.items()
+                     if op._state["spilled"][gid]} == set(loop.overflow))
             assert op.lru.resident == loop.lru.resident
             assert op.flush_cycles() == 4 * len(loop.queue)
             assert op.num_groups == len(loop.table) + len(loop.overflow)

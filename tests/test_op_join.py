@@ -61,7 +61,7 @@ def test_join_matches_nested_loop_oracle():
     op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate", "zone"])
     op.load_build(dim)
     out_schema = op.bind(schema)
-    out = op.process(fact)
+    out = op.process(fact)[0]
     # Oracle: keys 0..15 match, 16..19 do not.
     expected = [(int(r["a"]), float(r["b"])) for r in fact if r["a"] < 16]
     assert len(out) == len(expected)
@@ -79,7 +79,7 @@ def test_join_unmatched_probe_dropped():
     op = SmallTableJoinOperator(DIM_SCHEMA, "id", "a", ["rate"])
     op.load_build(dim)
     op.bind(schema)
-    out = op.process(fact)
+    out = op.process(fact)[0]
     assert set(out["a"].tolist()) == {0, 1, 2, 3}
 
 
@@ -184,7 +184,7 @@ def test_join_empty_and_single_row_builds():
         owner = op.table.owner_image()
         assert owner[owner >= 0].tolist() == list(range(n))
         op.bind(schema)
-        out = op.process(fact)
+        out = op.process(fact)[0]
         assert out["a"].tolist() == [0] * (4 if n else 0)
         assert out["rate"].tolist() == [0.0] * (4 if n else 0)
 
@@ -222,7 +222,7 @@ def test_join_column_name_collision_prefixed():
     op.load_build(dim)
     out_schema = op.bind(schema)
     assert "build_b" in out_schema.names
-    out = op.process(fact)
+    out = op.process(fact)[0]
     assert float(out["build_b"][0]) == 10.0
     assert float(out["b"][0]) == fact["b"][0]
 
@@ -297,7 +297,7 @@ def test_join_equals_client_kernel_and_nested_loop(kind, build_picks,
     out_schema = op.bind(probe_schema)
     assert out_schema.names == ("seq", "k", "v", "build_v", "zone")
     bounds = [0, *sorted(min(c, len(probe)) for c in cuts), len(probe)]
-    parts = [op.process(probe[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    parts = [op.process(probe[lo:hi])[0] for lo, hi in zip(bounds, bounds[1:])]
     offloaded = np.concatenate(parts)
 
     shipped = software_join(probe, probe_schema, build, build_schema,

@@ -1,5 +1,5 @@
-"""Operator pipelines: composition, streaming across burst boundaries,
-packing, sender, regex operator integration."""
+"""Operator pipelines: composition, rows released across burst
+boundaries, packing, sender, regex operator integration."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from repro.common.config import NetworkConfig
 from repro.common.errors import OperatorError, PipelineCompilationError
 from repro.common.records import default_schema, string_schema
+from repro.core.node import releaser
 from repro.network.link import Link
 from repro.network.qp import QueuePair
 from repro.network.rdma import ResponseStreamer
@@ -39,6 +40,17 @@ def make_table(n=100):
     return schema, rows, schema.to_bytes(rows)
 
 
+def scan(pipeline, image, burst=None):
+    """What the node sends for ``image``: one pass, the output rows
+    released burst by burst as their source rows complete, then the
+    flush."""
+    release = releaser(pipeline, image)
+    burst = burst or max(len(image), 1)
+    out = b"".join(release(min(end, len(image)), len(image))
+                   for end in range(burst, len(image) + burst, burst))
+    return out + pipeline.flush()
+
+
 # --- basic pipelines -----------------------------------------------------------------
 
 def test_selection_projection_pipeline():
@@ -47,33 +59,32 @@ def test_selection_projection_pipeline():
         "sel+proj", schema,
         row_ops=[SelectionOperator(Compare("a", "<", 10)),
                  ProjectionOperator(["a", "b"])])
-    out = pipeline.process_chunk(image) + pipeline.flush()
-    result = pipeline.output_schema.from_bytes(out)
+    result = pipeline.output_schema.from_bytes(scan(pipeline, image))
     assert len(result) == 10
     np.testing.assert_array_equal(result["a"], np.arange(10))
     assert pipeline.output_schema.row_width == 16
 
 
 def test_pipeline_streaming_across_unaligned_bursts():
-    """Bursts that split tuples mid-row must still parse correctly."""
+    """Bursts that split tuples mid-row release each row with the burst
+    that completes it."""
     schema, rows, image = make_table(64)
     pipeline = OperatorPipeline(
         "sel", schema, row_ops=[SelectionOperator(Compare("a", ">=", 0))])
-    out = b""
+    release = releaser(pipeline, image)
     # 100-byte bursts do not align with 64-byte rows.
-    for i in range(0, len(image), 100):
-        out += pipeline.process_chunk(image[i:i + 100])
-    out += pipeline.flush()
-    assert out == image  # 100% selectivity round trip
+    sent = [release(min(end, len(image)), len(image))
+            for end in range(100, len(image) + 100, 100)]
+    assert [len(out) // 64 for out in sent[:4]] == [1, 2, 1, 2]
+    assert b"".join(sent) + pipeline.flush() == image  # 100% selectivity
 
 
 def test_pipeline_rejects_mid_tuple_end():
     schema, _, image = make_table(4)
     pipeline = OperatorPipeline(
         "sel", schema, row_ops=[SelectionOperator(Compare("a", ">=", 0))])
-    pipeline.process_chunk(image[:100])  # 1.5 rows
-    with pytest.raises(OperatorError):
-        pipeline.flush()
+    with pytest.raises(OperatorError, match="mid-tuple"):
+        pipeline.run(image[:100])  # 1.5 rows
 
 
 def test_pipeline_groupby_emits_only_at_flush():
@@ -81,8 +92,8 @@ def test_pipeline_groupby_emits_only_at_flush():
     pipeline = OperatorPipeline(
         "gb", schema,
         row_ops=[GroupByOperator(["c"], [AggregateSpec("sum", "a")])])
-    streamed = pipeline.process_chunk(image)
-    assert streamed == b""
+    streamed, source = pipeline.run(image)
+    assert len(streamed) == len(source) == 0
     out = pipeline.flush()
     result = pipeline.output_schema.from_bytes(out)
     assert len(result) == 5
@@ -97,8 +108,7 @@ def test_pipeline_selection_then_groupby():
         "sel+gb", schema,
         row_ops=[SelectionOperator(Compare("a", "<", 20)),
                  GroupByOperator(["c"], [AggregateSpec("count", "*")])])
-    pipeline.process_chunk(image)
-    result = pipeline.output_schema.from_bytes(pipeline.flush())
+    result = pipeline.output_schema.from_bytes(scan(pipeline, image))
     assert result["count_star"].sum() == 20
 
 
@@ -109,8 +119,7 @@ def test_pipeline_flush_cascades_through_downstream_ops():
         "gb+sel", schema,
         row_ops=[GroupByOperator(["c"], [AggregateSpec("sum", "a")]),
                  SelectionOperator(Compare("sum_a", ">", 85))])
-    pipeline.process_chunk(image)
-    result = pipeline.output_schema.from_bytes(pipeline.flush())
+    result = pipeline.output_schema.from_bytes(scan(pipeline, image))
     # Group sums are 75, 81, 87, 93, 99 for c = 0..4; three exceed 85.
     assert sorted(result["sum_a"].tolist()) == [87, 93, 99]
 
@@ -128,12 +137,11 @@ def test_pipeline_double_flush_rejected():
     schema, _, image = make_table(2)
     pipeline = OperatorPipeline(
         "sel", schema, row_ops=[SelectionOperator(Compare("a", ">=", 0))])
-    pipeline.process_chunk(image)
-    pipeline.flush()
+    scan(pipeline, image)
     with pytest.raises(OperatorError):
         pipeline.flush()
     with pytest.raises(OperatorError):
-        pipeline.process_chunk(image)
+        pipeline.run(image)
 
 
 def test_pipeline_fill_latency_accumulates():
@@ -159,10 +167,7 @@ def test_decrypt_select_encrypt_pipeline():
         row_ops=[SelectionOperator(Compare("a", "<", 5))],
         pre_ops=[DecryptOperator(KEY, NONCE)],
         post_ops=[EncryptOperator(out_key, out_nonce)])
-    out = b""
-    for i in range(0, len(cipher_image), 300):
-        out += pipeline.process_chunk(cipher_image[i:i + 300])
-    out += pipeline.flush()
+    out = scan(pipeline, cipher_image, burst=320)
     # Client decrypts the transmission.
     from repro.operators.crypto import AesCtr
     plain = AesCtr(out_key, out_nonce).process(out)
@@ -182,8 +187,7 @@ def test_regex_on_encrypted_strings():
         "dec+regex", schema,
         row_ops=[RegexMatchOperator("s", "hello|fpga")],
         pre_ops=[DecryptOperator(KEY, NONCE)])
-    out = pipeline.process_chunk(cipher) + pipeline.flush()
-    result = schema.from_bytes(out)
+    result = schema.from_bytes(scan(pipeline, cipher))
     assert result["id"].tolist() == [1, 2, 3]
 
 
@@ -196,7 +200,7 @@ def test_regex_operator_filters_rows():
     rows["s"] = [b"abc123", b"xyz", b"123abc"]
     op = RegexMatchOperator("s", r"\d{3}")
     op.bind(schema)
-    out = op.process(rows)
+    out = op.process(rows)[0]
     assert out["id"].tolist() == [1, 3]
 
 

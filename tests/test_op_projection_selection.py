@@ -39,7 +39,7 @@ def test_projection_narrows_columns():
     op = ProjectionOperator(["a", "c"])
     out_schema = op.bind(schema)
     assert out_schema.names == ("a", "c")
-    out = op.process(batch)
+    out = op.process(batch)[0]
     np.testing.assert_array_equal(out["a"], batch["a"])
     np.testing.assert_array_equal(out["c"], batch["c"])
     assert out_schema.row_width == 16
@@ -180,7 +180,7 @@ def test_selection_filters():
     schema, batch = make_batch()
     op = SelectionOperator(Compare("a", "<", 4))
     assert op.bind(schema) == schema
-    out = op.process(batch)
+    out = op.process(batch)[0]
     assert len(out) == 4
 
 
@@ -189,7 +189,7 @@ def test_selection_multi_column_predicate():
     schema, batch = make_batch()
     op = SelectionOperator(Compare("a", "<", 8) & Compare("b", "<", 2.0))
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     np.testing.assert_array_equal(out["a"], [0, 1, 2, 3])
 
 
@@ -214,7 +214,7 @@ def test_vectorized_same_semantics():
     vec = VectorizedSelectionOperator(pred, lanes=4)
     scalar.bind(schema)
     vec.bind(schema)
-    np.testing.assert_array_equal(scalar.process(batch), vec.process(batch))
+    np.testing.assert_array_equal(scalar.process(batch)[0], vec.process(batch)[0])
     assert vec.lanes == 4
 
 
@@ -243,7 +243,7 @@ def test_selection_selectivity_property(threshold):
     schema, batch = make_batch(10)
     op = SelectionOperator(Compare("a", "<", threshold))
     op.bind(schema)
-    out = op.process(batch)
+    out = op.process(batch)[0]
     expected = max(0, min(10, threshold))
     assert len(out) == expected
     assert np.all(out["a"] < threshold)

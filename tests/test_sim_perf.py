@@ -22,8 +22,9 @@ from repro.common.records import (Column, Schema, default_schema,
 from repro.common.units import MB
 from repro.core.api import ClusterClient, FarviewClient
 from repro.core.cluster import FarviewCluster, merge_group_rows
-from repro.core.node import FarviewNode
-from repro.core.query import select_distinct, select_star
+from repro.core.node import FarviewNode, releaser
+from repro.core.pipeline_compiler import compile_query
+from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.core.views import GroupStage
 from repro.core.zset import ZSet
@@ -224,16 +225,16 @@ def _build_calls(build_rows):
 
 
 def test_join_python_call_budget():
-    """Build 16,384 keys, probe 65,536 rows in DRAM-burst batches: the
-    Python-level calls into ``repro.operators`` are O(ways) for the build
-    and O(batches) for the probe.
+    """Build 16,384 keys, probe 65,536 rows in one pass: the Python-level
+    calls into ``repro.operators`` are O(ways) for the build and O(1) for
+    the probe.
 
     The build is one bulk cuckoo ``insert``, an array pass per way, so its
     calls do not grow with the build rows (22 at 1,024 and at 16,384
     rows; ~2 per row when each row was its own ``put``).  Hashing,
-    lookup, key compare and gather are array passes per batch.  Per-row
-    hashing or a per-match copy loop — 2.3M calls here before the join
-    went array-resident — lands 10x over the budget.
+    lookup, key compare and gather are array passes over the whole probe
+    side.  Per-row hashing or a per-match copy loop — 2.3M calls here
+    before the join went array-resident — lands far over the budget.
     """
     build_rows, probe_rows = 16_384, 65_536
     small, _ = _build_calls(1_024)
@@ -243,14 +244,13 @@ def test_join_python_call_budget():
     fact = schema.empty(probe_rows)
     fact["a"] = np.arange(probe_rows)        # ids are 0, 3, ..., 49149
     image = memoryview(schema.to_bytes(fact))
-    bursts = [image[off:off + DEFAULT_BURST_BYTES]
-              for off in range(0, len(image), DEFAULT_BURST_BYTES)]
     pipeline = OperatorPipeline("join", schema, [op])
 
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
-    out = b"".join(pipeline.process_chunk(burst) for burst in bursts)
+    rows, _ = pipeline.run(image)
+    out = pipeline.emit(rows)
     profile.disable()
     wall = time.perf_counter() - start
 
@@ -263,25 +263,28 @@ def test_join_python_call_budget():
             op.probe_matches) == (build_rows, probe_rows, len(expected),
                                   len(expected))
     calls = _calls_into(profile, "/repro/operators/")
-    assert 0 < calls < 200 * len(bursts)
+    assert 0 < calls < 100
     assert wall < 5.0   # ~0.1 s under the profiler; slack for slow CI
 
 
-# -- the grouping operators stay one array transform per burst -----------------
+# -- the grouping operators run once per scan ---------------------------------
 
 def test_grouping_operator_python_call_budget():
-    """65,536 rows in DRAM-burst batches through a DISTINCT and a GROUP BY
-    pipeline, at 64 keys and at all-distinct keys: the Python-level calls
-    into ``repro.operators`` are O(batches + distinct keys).
+    """65,536 rows through a DISTINCT and a GROUP BY pipeline, run once
+    and released in DRAM-burst steps, at 64 keys and at all-distinct
+    keys: the Python-level calls into ``repro.operators`` are
+    O(distinct keys past the first overflow + bursts that release rows).
 
-    Only a key new to the operator walks the cuckoo tables (a put and its
-    probe); grouping, accumulation and the LRU register are array passes
-    per burst: ~2,460 calls each at 64 keys, where the per-tuple loops
-    made 72,327 (DISTINCT, one register probe a row) and 203,916 (GROUP
-    BY, three calls a row).  At all-distinct keys the default tables fill
-    up: DISTINCT's last rows run on its per-row path (three calls a row,
-    as every row of the old loop did) and GROUP BY spills groups, both
-    inside the per-key term; the old GROUP BY made nine calls a key.
+    Grouping, accumulation, the LRU register and the insertion of new
+    keys up to the first overflow are array passes over the whole scan:
+    32 and 33 calls at 64 keys, where one array transform per burst made
+    ~2,460 each and the per-tuple loops 72,327 (DISTINCT, one register
+    probe a row) and 203,916 (GROUP BY, three calls a row).  At
+    all-distinct keys the default tables fill up: DISTINCT's last rows
+    run on its per-row path (three calls a row, as every row of the old
+    loop did) and GROUP BY puts each key past the first overflow, both
+    inside the per-key term; DISTINCT's output then also releases with
+    every burst, two calls each.
     """
     nrows = 65_536
     schema = default_schema()
@@ -290,8 +293,8 @@ def test_grouping_operator_python_call_budget():
         rows["a"] = (np.arange(nrows) * 7) % distinct
         rows["b"] = (np.arange(nrows) % 100) * 0.25
         image = memoryview(schema.to_bytes(rows))
-        bursts = [image[off:off + DEFAULT_BURST_BYTES]
-                  for off in range(0, len(image), DEFAULT_BURST_BYTES)]
+        ends = range(DEFAULT_BURST_BYTES, len(image) + 1,
+                     DEFAULT_BURST_BYTES)
         specs = [AggregateSpec("count", "*"), AggregateSpec("sum", "b"),
                  AggregateSpec("min", "b")]
         expected = software_groupby(rows, schema, ["a"], specs).rows
@@ -299,8 +302,9 @@ def test_grouping_operator_python_call_budget():
             pipeline = OperatorPipeline(op.name, schema, [op])
             profile = cProfile.Profile()
             profile.enable()
-            out = b"".join([pipeline.process_chunk(burst)
-                            for burst in bursts] + [pipeline.flush()])
+            release = releaser(pipeline, image)
+            out = b"".join([release(end, len(image)) for end in ends]
+                           + [pipeline.flush()])
             spilled = (op.drain_overflow_groups() if op.name == "groupby"
                        else op.drain_overflow_keys())
             profile.disable()
@@ -315,8 +319,63 @@ def test_grouping_operator_python_call_budget():
                 np.testing.assert_array_equal(got["a"], rows["a"][:distinct])
             assert bool(spilled) == (distinct == nrows)
             calls = _calls_into(profile, "/repro/operators/")
-            assert 0 < calls < 3 * distinct + 30 * len(bursts), (
-                op.name, distinct, calls)
+            budget = (60 if distinct == 64
+                      else 3 * distinct + 2 * len(ends) + 60)
+            assert 0 < calls < budget, (op.name, distinct, calls)
+
+
+# -- a pipeline scan runs its operators once -----------------------------------
+
+def _grouping_scan_calls(bursts):
+    """One offloaded GROUP BY scan of a ``bursts``-burst table on a warm
+    region: the Python-level calls it makes into ``repro.operators`` and
+    ``repro.common``, and how many times the MMU de-stripes a span
+    (``_page_read_into``) against how many pages the table spans."""
+    sim = Simulator()
+    config = FarviewConfig(memory=MemoryConfig(channels=2,
+                                               channel_capacity=16 * MB))
+    client = FarviewClient(FarviewNode(sim, config))
+    client.open_connection()
+    schema = default_schema()
+    nrows = bursts * DEFAULT_BURST_BYTES // schema.row_width
+    rows = schema.empty(nrows)
+    rows["a"] = np.arange(nrows) % 16
+    rows["b"] = np.arange(nrows) * 0.5
+    table = FTable("t", schema, nrows)
+    client.alloc_table_mem(table)
+    client.table_write(table, rows)
+    query = Query(group_by=("a",), aggregates=(AggregateSpec("sum", "b"),))
+    client.far_view(table, query)  # load the region
+    compiled = compile_query(query, table, config)
+    profile = cProfile.Profile()
+    profile.enable()
+    report = sim.run_process(client.node.serve_farview(
+        client.connection, table, compiled))
+    profile.disable()
+    assert report.rows_in == nrows and report.rows_out == 16
+    page_reads = sum(
+        nc for (filename, _, name), (_, nc, _, _, _)
+        in pstats.Stats(profile).stats.items()
+        if name == "_page_read_into")
+    pages = -(-table.size_bytes // config.memory.page_size)
+    return (_calls_into(profile, "/repro/operators/"),
+            _calls_into(profile, "/repro/common/"), page_reads, pages)
+
+
+def test_pipeline_scan_python_call_budget():
+    """A pipeline scan computes its result once: at 512 DRAM bursts it
+    makes exactly as many Python-level calls into ``repro.operators`` and
+    ``repro.common`` as at 64, and the MMU de-stripes the table once per
+    page it spans, not once per burst — each burst is only timed,
+    translated and fault-checked.  Here that is 48 and 24 calls at
+    either size; running the operators burst by burst made 8 and 6 more
+    calls a burst (4,172 and 3,087 at 512 bursts), and one 16 KiB
+    de-striping copy a burst."""
+    *small, small_reads, small_pages = _grouping_scan_calls(64)
+    *large, large_reads, large_pages = _grouping_scan_calls(512)
+    assert small == large and all(small), (small, large)
+    assert (small_reads, large_reads) == (small_pages, large_pages)
+    assert large_pages < 512
 
 
 # -- host-side grouping stays one array transform ------------------------------
@@ -631,7 +690,8 @@ def test_one_hash_one_probe_in_src():
     pool normalizer, and the cuckoo table's object per entry, and the
     second boolean expression tree with its converter and regex record,
     and the second client-step vocabulary with its second grouped-schema
-    rule, dedup merge, arm-step list and expression-schema helper —
+    rule, dedup merge, arm-step list and expression-schema helper, and
+    the per-burst pipeline entry with its row parser and slot rows —
     and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
@@ -699,6 +759,12 @@ def test_one_hash_one_probe_in_src():
               "src/repro/core/api.py"),
              ("dict[bytes, int]", "dict[bytes, dict", "bootstrap_into",
               "_merge_index", "load_static", "compactions_seen")),
+            # A scan runs its operators once over the whole image: no
+            # per-burst pipeline entry, no parser carrying a split row's
+            # tail between bursts, and no per-key slot rows for the
+            # grouping operators' first-seen keys (one batch insert).
+            (("src", "docs"), ("process_chunk", "_RowParser",
+                               "batch_slots")),
             # The data plane schedules plain callbacks on priced pipes: no
             # event fan-in and no per-packet closure in these three files.
             (("src/repro/network/rdma.py", "src/repro/sim/resources.py",
@@ -776,25 +842,3 @@ def test_from_bytes_copy_flag_gives_writable_owned_array():
     assert schema.from_bytes(image)["a"][0] == 0
 
 
-def test_row_parser_handles_misaligned_bursts_over_memoryviews():
-    """Split rows across memoryview chunks still parse byte-exactly."""
-    from repro.operators.base import _RowParser
-
-    schema = default_schema()
-    rows = schema.empty(33)
-    rows["a"] = np.arange(33)
-    image = schema.to_bytes(rows)
-    parser = _RowParser(schema)
-    out = []
-    cursor = 0
-    mv = memoryview(image)
-    for size in (100, 7, 512, 1, 1000, len(image)):  # ragged chunking
-        chunk = mv[cursor:cursor + size]
-        cursor += len(chunk)
-        batch = parser.feed(chunk)
-        if len(batch):
-            out.append(schema.to_bytes(batch))
-        if cursor >= len(image):
-            break
-    parser.finish()
-    assert b"".join(out) == image
