@@ -50,13 +50,13 @@ def main() -> None:
     # Both tenants' tables sit at the same *virtual* address, but each
     # domain translates it to its own physical pages: tenant 1 reading
     # tenant 0's vaddr sees its own bytes, never tenant 0's.
-    via_0 = node.mmu.peek(clients[0].connection.domain, tables[0].vaddr, 64)
-    via_1 = node.mmu.peek(clients[1].connection.domain, tables[0].vaddr, 64)
+    via_0 = node.mmu.image(clients[0].connection.domain, tables[0].vaddr, 64)
+    via_1 = node.mmu.image(clients[1].connection.domain, tables[0].vaddr, 64)
     assert via_0 != via_1, "domains must map the same vaddr differently"
     print("isolation: identical vaddr resolves to different tenants' pages")
     # And an address a tenant never allocated faults outright.
     try:
-        node.mmu.peek(clients[1].connection.domain, 1 << 40, 64)
+        node.mmu.image(clients[1].connection.domain, 1 << 40, 64)
         raise AssertionError("isolation violated!")
     except TranslationFault:
         print("isolation: unmapped address raises TranslationFault")

@@ -52,17 +52,54 @@ _domain_ids = itertools.count(1)
 
 
 class _StreamAbort:
-    """Failure sentinel a dying burst producer hands its consumer.
-
-    Failing the producer *process* would leave the consumer blocked on
-    ``store.get()`` forever (a real deadlock, not a modeled one); pushing
-    the error through the queue keeps the stream's control flow intact.
-    """
+    """Failure sentinel a failing burst producer hands its consumer:
+    pushing the error through the queue, not raising it in a loop
+    callback, keeps the consumer from waiting on ``store.get()``
+    forever and fails the verb in its own process."""
 
     __slots__ = ("exc",)
 
     def __init__(self, exc: BaseException):
         self.exc = exc
+
+
+class _BurstReader:
+    """The producer side of :meth:`FarviewNode._stream_memory`, as loop
+    callbacks: each burst is fetched (translated, fault-checked), charged
+    on the DRAM pipes (:meth:`Mmu.read_burst`) and put into ``store``
+    when it lands; the next is fetched in the slot after the put is
+    accepted, so the reader runs at most two bursts ahead."""
+
+    __slots__ = ("node", "conn", "vaddr", "length", "store", "cursor")
+
+    def __init__(self, node: "FarviewNode", conn: "Connection", vaddr: int,
+                 length: int, store: Store):
+        self.node, self.conn, self.store = node, conn, store
+        self.vaddr, self.length, self.cursor = vaddr, length, 0
+
+    def fetch(self, _accepted=None) -> None:
+        node = self.node
+        if self.cursor >= self.length:
+            self.store.put(None)
+        elif node.failed:
+            # Fail-stop mid-stream: hand the consumer a typed abort
+            # instead of more data (never partial-then-silent).
+            self.store.put(_StreamAbort(NodeFailedError(
+                f"node crashed mid-stream (incarnation "
+                f"{node.incarnation})")))
+        else:
+            n = min(node.mmu.burst_bytes, self.length - self.cursor)
+            try:
+                node.mmu.read_burst(self.conn.domain, self.vaddr + self.cursor,
+                                    n, self.landed)
+            except FarviewError as exc:
+                # A memory fault mid-stream reaches the consumer as a
+                # typed abort, never as a consumer parked forever.
+                self.store.put(_StreamAbort(exc))
+
+    def landed(self, n: int) -> None:
+        self.cursor += n
+        self.store.put(n).add_callback(self.fetch)
 
 
 def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
@@ -272,69 +309,49 @@ class FarviewNode:
     # -- RDMA READ (raw buffer-cache read) ---------------------------------------------------
     def serve_read(self, conn: Connection, table: FTable,
                    offset: int = 0, length: int | None = None):
-        """Process: stream raw table bytes to the client buffer."""
+        """Process: stream raw table bytes to the client buffer.
+
+        Its length is known at the request, so a read the client's
+        buffer cannot hold is refused there.  The bytes are the table's
+        image when the node starts the stream; they land in the buffer
+        once the last packet has."""
         conn.require_open()
         self._check_alive()
         self.require_access(conn, table)
         vaddr = table.require_allocated()
         if length is None:
             length = table.size_bytes - offset
-        if offset < 0 or offset + length > table.size_bytes:
+        if offset < 0 or length < 0 or offset + length > table.size_bytes:
             raise OperatorError(
                 f"read [{offset}, +{length}) outside table of "
                 f"{table.size_bytes} bytes")
+        conn.qp.buffer.require_room(length)
         yield from deliver_request(self.sim, self.link, conn.qp)
         yield from self._request_front_end()
+        image = self.mmu.image(conn.domain, vaddr + offset, length)
         streamer = ResponseStreamer(self.sim, self.link, conn.qp,
                                     self.config.network)
         yield from self._stream_memory(conn, vaddr + offset, length,
                                        streamer.send)
-        total = yield from streamer.finish()
+        total = yield from streamer.finish(image)
         # A crash before the final ack means the response never completed.
         self._check_alive()
         return total
 
     def _stream_memory(self, conn: Connection, vaddr: int, length: int,
-                       sink_send, copy: bool = True):
+                       sink_send):
         """Producer/consumer: overlapped burst reads feeding ``sink_send``
-        each burst's bytes, or only its length when ``copy`` is False."""
+        each burst's length, two bursts ahead of it at most."""
         store = Store(self.sim, capacity=2, name="read-bursts")
-        producer = self.sim.process(
-            self._burst_producer(conn, vaddr, length, store, copy),
-            "fv.producer")
+        self.sim._immediate(_BurstReader(self, conn, vaddr, length,
+                                         store).fetch)
         while True:
             chunk = yield store.get()
             if chunk is None:
-                break
+                return
             if type(chunk) is _StreamAbort:
                 raise chunk.exc
             yield from sink_send(chunk)
-        yield producer  # surface any producer failure
-
-    def _burst_producer(self, conn: Connection, vaddr: int, length: int,
-                        store: Store, copy: bool):
-        cursor = 0
-        while cursor < length:
-            if self.failed:
-                # Fail-stop mid-stream: hand the consumer a typed abort
-                # instead of more data (never partial-then-silent).
-                yield store.put(_StreamAbort(NodeFailedError(
-                    f"node crashed mid-stream (incarnation "
-                    f"{self.incarnation})")))
-                return
-            n = min(self.mmu.burst_bytes, length - cursor)
-            try:
-                data = yield self.mmu.read(conn.domain, vaddr + cursor, n,
-                                           copy)
-            except FarviewError as exc:
-                # A memory fault mid-stream must reach the consumer as a
-                # typed abort — failing only the producer would leave the
-                # consumer parked on an empty store forever.
-                yield store.put(_StreamAbort(exc))
-                return
-            yield store.put(data)
-            cursor += n
-        yield store.put(None)
 
     # -- the Farview verb (§4.2 farView) ----------------------------------------------------------
     def serve_farview(self, conn: Connection, source: FTable | VersionView,
@@ -483,7 +500,7 @@ class FarviewNode:
             if out:
                 yield from sender.send(out)
 
-        yield from self._stream_memory(conn, vaddr, length, sink, copy=False)
+        yield from self._stream_memory(conn, vaddr, length, sink)
         return source_rows
 
     def _merged_image(self, conn: Connection, view: VersionView,
@@ -494,8 +511,10 @@ class FarviewNode:
         base = view.base
         images = yield from self._read_segments(
             conn, [d.table for d in view.deltas], report)
-        images[base.name] = self.mmu.peek(
-            conn.domain, base.require_allocated(), base.size_bytes)
+        vaddr = base.require_allocated()
+        self.mmu.translate_range(conn.domain, vaddr, base.size_bytes)
+        images[base.name] = self.mmu.image(conn.domain, vaddr,
+                                           base.size_bytes)
         rows, _ids = view.materialize(lambda t: images[t.name])
         return view.schema.to_bytes(rows), len(rows)
 
@@ -509,10 +528,12 @@ class FarviewNode:
         vaddr = table.require_allocated()
         mem = self.config.memory
         num_tuples = table.num_rows
-        # Functional result: strided gather of the projected columns over a
-        # zero-copy view of the table image (no per-tuple request loop).
-        image = self.mmu.peek(conn.domain, vaddr,
-                              num_tuples * plan.schema.row_width)
+        # Functional result: strided gather of the projected columns over
+        # the table image (no per-tuple request loop); the scattered
+        # fetches translate every page the table spans.
+        span = num_tuples * plan.schema.row_width
+        self.mmu.translate_range(conn.domain, vaddr, span)
+        image = self.mmu.image(conn.domain, vaddr, span)
         release = releaser(compiled.pipeline, plan.out_schema.to_bytes(
             plan.gather(image, num_tuples)))
         del image
@@ -548,8 +569,10 @@ class FarviewNode:
         for seg in tables:
             self._check_alive()
             self.require_access(conn, seg)
-            images[seg.name] = yield self.mmu.read(
-                conn.domain, seg.require_allocated(), seg.size_bytes)
+            vaddr = seg.require_allocated()
+            images[seg.name] = self.mmu.image(conn.domain, vaddr,
+                                              seg.size_bytes)
+            yield self.mmu.read(conn.domain, vaddr, seg.size_bytes)
             if report is not None:
                 report.bytes_scanned += seg.size_bytes
         return images

@@ -187,8 +187,8 @@ class VersionView:
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply the chain to the base image: ``(visible_rows, rowids)``.
 
-        ``read(table)`` supplies each segment's byte image (functional
-        peek on the node, gathered RDMA reads on the client).  Rows come
+        ``read(table)`` supplies each segment's byte image (``Mmu.image``
+        on the node, gathered RDMA reads on the client).  Rows come
         back in ascending row-id order — the canonical visible order every
         snapshot scan and compaction reproduces.
 

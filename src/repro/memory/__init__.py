@@ -4,14 +4,14 @@ The node's DRAM is the disaggregated buffer pool: tables live in it, and
 the operators run beside it.
 """
 
-from .allocator import PageFrames, StripedAllocator
-from .dram import DramChannel, build_channels
+from .allocator import StripedAllocator
+from .dram import DramChannel, FrameStore, build_channels
 from .mmu import Mmu, Tlb
 
 __all__ = [
-    "PageFrames",
     "StripedAllocator",
     "DramChannel",
+    "FrameStore",
     "build_channels",
     "Mmu",
     "Tlb",

@@ -5,34 +5,28 @@ memory channels, thus maximizing the available bandwidth to each dynamic
 region".  We model this as:
 
 * virtual memory is allocated in naturally aligned 2 MB pages;
-* each page is backed by one *slice* of ``page_size / channels`` bytes on
-  **every** channel;
+* each page is backed by one page *frame*: frame ``i`` is the ``i``-th
+  *slice* of ``page_size / channels`` bytes on **every** channel;
 * consecutive 64-byte stripe units of the page rotate across channels:
   unit ``i`` lives on channel ``i % C`` at slice offset ``(i // C) * 64``.
 
-Slices are handed out recycled-first (last freed, first reused), then
+Striping is what a timed access pays (:meth:`channel_extent`); the bytes
+themselves are kept unstriped, frame by frame (``dram.FrameStore``).
+
+Frames are handed out recycled-first (last freed, first reused), then
 in ascending order from a high-water mark: constant-time allocate/free,
-no fragmentation because all slices are equal-sized, and a slice at or
+no fragmentation because all frames are equal-sized, and a frame at or
 above the mark has never held data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.config import MemoryConfig
 from ..common.errors import ConfigurationError, OutOfMemoryError
 
 
-@dataclass(frozen=True)
-class PageFrames:
-    """Physical backing of one virtual page: one slice offset per channel."""
-
-    slice_offsets: tuple[int, ...]  # byte offset of the slice in each channel
-
-
 class StripedAllocator:
-    """Allocates page-sized, channel-striped physical frames."""
+    """Allocates page frames, each striped across every channel."""
 
     def __init__(self, config: MemoryConfig):
         if config.page_size % config.channels:
@@ -44,49 +38,43 @@ class StripedAllocator:
         if self.slice_size % config.stripe_unit:
             raise ConfigurationError(
                 "page slice is not a whole number of stripe units")
-        slices_per_channel = config.channel_capacity // self.slice_size
-        if slices_per_channel == 0:
+        #: Every channel holds this many slices, so the pool this many
+        #: page frames.
+        self.total_pages = config.channel_capacity // self.slice_size
+        if self.total_pages == 0:
             raise ConfigurationError(
                 f"channel capacity {config.channel_capacity} smaller than a "
                 f"page slice {self.slice_size}")
-        # All channels allocate the same slice index for a page, keeping the
-        # stripe arithmetic uniform; one shared free list suffices.  Freed
-        # slices, in the order they were freed (a dict: O(1) membership
-        # for the double-free check, ``popitem`` for last-in-first-out).
+        # Freed frames, in the order they were freed (a dict: O(1)
+        # membership for the double-free check, ``popitem`` for
+        # last-in-first-out).
         self._recycled: dict[int, None] = {}
-        #: Slices ``[0, high_water)`` have been handed out at some time;
-        #: the backing store of the rest is untouched, hence zero.
+        #: Frames ``[0, high_water)`` have been handed out at some time;
+        #: the bytes of the rest are untouched, hence zero.
         self.high_water = 0
-        self._total_slices = slices_per_channel
         self.pages_allocated = 0
 
     @property
     def free_pages(self) -> int:
-        return len(self._recycled) + self._total_slices - self.high_water
+        return len(self._recycled) + self.total_pages - self.high_water
 
-    def allocate_page(self) -> PageFrames:
-        """Reserve one page worth of physical memory across all channels."""
+    def allocate_page(self) -> int:
+        """Reserve one page frame; returns its index."""
         if self._recycled:
             index, _ = self._recycled.popitem()
-        elif self.high_water < self._total_slices:
+        elif self.high_water < self.total_pages:
             index = self.high_water
             self.high_water += 1
         else:
             raise OutOfMemoryError(
-                f"no free pages ({self._total_slices} total, all in use)")
-        offset = index * self.slice_size
+                f"no free pages ({self.total_pages} total, all in use)")
         self.pages_allocated += 1
-        return PageFrames(tuple(offset for _ in range(self.config.channels)))
+        return index
 
-    def free_page(self, frames: PageFrames) -> None:
-        """Return a page's frames to the free list."""
-        offsets = set(frames.slice_offsets)
-        if len(offsets) != 1:
-            raise ConfigurationError(
-                "uniform slice allocation invariant violated")
-        index = frames.slice_offsets[0] // self.slice_size
+    def free_page(self, index: int) -> None:
+        """Return page frame ``index`` to the free list."""
         if index >= self.high_water or index in self._recycled:
-            raise OutOfMemoryError(f"double free of page slice {index}")
+            raise OutOfMemoryError(f"double free of page frame {index}")
         self._recycled[index] = None
         self.pages_allocated -= 1
 

@@ -1,11 +1,11 @@
-"""On-board DRAM channel model (paper §4.4, §6.1).
+"""On-board DRAM model (paper §4.4, §6.1): the pool's bytes and its channels.
 
-Each channel is a byte-addressable backing store (real memory, so reads
-return the bytes that were written), reached through :meth:`store_slice`,
-plus a :class:`BandwidthPipe` per direction modelling the softcore
-controller: 64-byte interface at 300 MHz, ~18 GBps theoretical, with a
-fixed access latency for the first beat of a burst.  The MMU moves the
-bytes and charges the pipes; the channel itself runs nothing.
+The bytes live in one :class:`FrameStore`, a page frame after another,
+unstriped: striping is a bandwidth property, so only the timing needs
+it.  Each :class:`DramChannel` is a :class:`BandwidthPipe` per direction
+modelling the softcore controller: 64-byte interface at 300 MHz, ~18
+GBps theoretical, with a fixed access latency for the first beat of a
+burst.  The MMU moves the bytes and charges the pipes its stripe share.
 
 Reads and writes use **decoupled pipes** ("fully decoupled read and write
 channels", §4.4): a stream of reads does not queue behind writes.
@@ -21,18 +21,30 @@ from ..sim.engine import Simulator
 from ..sim.resources import BandwidthPipe
 
 
+class FrameStore:
+    """``frames`` page frames of ``page_size`` bytes, lazily zero: the
+    host backs a frame with memory only once something is stored in
+    it (multi-GB pools cost nothing until touched)."""
+
+    def __init__(self, page_size: int, frames: int):
+        self.page_size = page_size
+        self.frames = frames
+        self._data = np.zeros(frames * page_size, dtype=np.uint8)
+
+    def frame(self, index: int) -> np.ndarray:
+        """Writable view of frame ``index``; it aliases the store."""
+        if not 0 <= index < self.frames:
+            raise MemoryError_(
+                f"frame {index} outside the store's {self.frames} frames")
+        base = index * self.page_size
+        return self._data[base:base + self.page_size]
+
+
 class DramChannel:
-    """One memory channel: backing store + read/write bandwidth pipes."""
+    """One memory channel: read and write bandwidth pipes."""
 
     def __init__(self, sim: Simulator, config: MemoryConfig, index: int):
-        self.sim = sim
-        self.config = config
         self.index = index
-        self.capacity = config.channel_capacity
-        # numpy backing store: zero pages are materialized lazily by the OS
-        # (multi-GB channels cost nothing until touched) and the MMU's
-        # de-striping path can gather/scatter through views without copies.
-        self._data = np.zeros(self.capacity, dtype=np.uint8)
         rate = config.effective_channel_bandwidth
         self.read_pipe = BandwidthPipe(
             sim, rate, latency_ns=config.access_latency_ns,
@@ -40,21 +52,6 @@ class DramChannel:
         self.write_pipe = BandwidthPipe(
             sim, rate, latency_ns=config.access_latency_ns,
             name=f"dram{index}.wr")
-
-    def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > self.capacity:
-            raise MemoryError_(
-                f"channel {self.index}: access [{offset}, {offset + length}) "
-                f"outside capacity {self.capacity}")
-
-    def store_slice(self, offset: int, length: int) -> np.ndarray:
-        """Raw view into the backing store (MMU de-striping internals).
-
-        The view aliases live channel memory: the MMU copies out of it (or
-        scatters into it) immediately and never hands it to callers.
-        """
-        self._check_range(offset, length)
-        return self._data[offset:offset + length]
 
     @property
     def bytes_read(self) -> int:

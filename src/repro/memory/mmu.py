@@ -2,8 +2,8 @@
 
 The MMU owns the page tables for every *protection domain* (one per client
 connection / dynamic region), a TLB, and the striped physical allocator.
-It routes functional data through the :class:`DramChannel` backing stores
-and charges the channels' bandwidth pipes for timed accesses.
+It keeps the bytes in one unstriped :class:`FrameStore` and charges the
+channels' bandwidth pipes their stripe share for timed accesses.
 
 Key properties modelled from the paper:
 
@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..common.config import MemoryConfig
 from ..common.errors import MemoryError_, OutOfMemoryError, ProtectionFault, TranslationFault
 from ..sim.engine import Event, Simulator
-from .allocator import PageFrames, StripedAllocator
-from .dram import DramChannel, build_channels
+from ..sim.resources import BandwidthPipe
+from .allocator import StripedAllocator
+from .dram import DramChannel, FrameStore, build_channels
 
 #: Timed accesses are chopped into bursts of this many bytes so that
 #: concurrent domains interleave on the channel pipes.
@@ -41,23 +43,23 @@ class Tlb:
         if entries <= 0:
             raise MemoryError_(f"TLB needs >= 1 entry, got {entries}")
         self.entries = entries
-        self._map: OrderedDict[tuple[int, int], PageFrames] = OrderedDict()
+        self._map: OrderedDict[tuple[int, int], int] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, domain: int, vpage: int) -> PageFrames | None:
+    def lookup(self, domain: int, vpage: int) -> int | None:
         key = (domain, vpage)
-        frames = self._map.get(key)
-        if frames is None:
+        frame = self._map.get(key)
+        if frame is None:
             self.misses += 1
             return None
         self._map.move_to_end(key)
         self.hits += 1
-        return frames
+        return frame
 
-    def fill(self, domain: int, vpage: int, frames: PageFrames) -> None:
+    def fill(self, domain: int, vpage: int, frame: int) -> None:
         key = (domain, vpage)
-        self._map[key] = frames
+        self._map[key] = frame
         self._map.move_to_end(key)
         while len(self._map) > self.entries:
             self._map.popitem(last=False)
@@ -82,7 +84,7 @@ class _Allocation:
 
 
 class Mmu:
-    """Page tables + TLB + striped data path over the DRAM channels."""
+    """Page tables + TLB + the frame store, timed on the DRAM channels."""
 
     def __init__(self, sim: Simulator, config: MemoryConfig,
                  tlb_entries: int = 512,
@@ -95,9 +97,13 @@ class Mmu:
         self.config = config
         self.channels: list[DramChannel] = build_channels(sim, config)
         self.allocator = StripedAllocator(config)
+        self.store = FrameStore(config.page_size, self.allocator.total_pages)
+        self._read_pipes = [c.read_pipe for c in self.channels]
+        self._write_pipes = [c.write_pipe for c in self.channels]
         self.tlb = Tlb(tlb_entries)
         self.burst_bytes = burst_bytes
-        self._page_tables: dict[int, dict[int, PageFrames]] = {}
+        #: Per domain: virtual page -> page frame index.
+        self._page_tables: dict[int, dict[int, int]] = {}
         self._allocations: dict[int, dict[int, _Allocation]] = {}
         self._next_vpage: dict[int, int] = {}
         self.translation_ns_accumulated = 0.0
@@ -140,20 +146,17 @@ class Mmu:
         first_vpage = self._next_vpage[domain]
         alloc = _Allocation(vaddr=first_vpage * page_size, nbytes=nbytes)
         table = self._page_tables[domain]
-        slice_size = self.allocator.slice_size
         # Scrub recycled frames: fresh allocations read as zero, and no
         # data leaks across protection domains when pages are reused.  A
         # frame never handed out before reads zero as it is, and storing
         # into it would only make the host back it with real memory.
-        recycled_below = self.allocator.high_water * slice_size
+        recycled_below = self.allocator.high_water
         for i in range(npages):
             vpage = first_vpage + i
-            frames = self.allocator.allocate_page()
-            if frames.slice_offsets[0] < recycled_below:
-                for channel, offset in zip(self.channels,
-                                           frames.slice_offsets):
-                    channel.store_slice(offset, slice_size)[:] = 0
-            table[vpage] = frames
+            frame = self.allocator.allocate_page()
+            if frame < recycled_below:
+                self.store.frame(frame)[:] = 0
+            table[vpage] = frame
             alloc.pages.append(vpage)
         self._next_vpage[domain] = first_vpage + npages
         self._allocations[domain][alloc.vaddr] = alloc
@@ -171,25 +174,27 @@ class Mmu:
         self.tlb.invalidate_domain(domain)
 
     # -- translation --------------------------------------------------------------
-    def translate(self, domain: int, vaddr: int) -> tuple[PageFrames, int, float]:
-        """Translate one address; returns (frames, page_offset, latency_ns)."""
+    def translate(self, domain: int, vaddr: int) -> tuple[int, int, float]:
+        """Translate one address; returns (frame, page_offset, latency_ns)."""
         self._require_domain(domain)
         page_size = self.config.page_size
         vpage, page_offset = divmod(vaddr, page_size)
-        frames = self.tlb.lookup(domain, vpage)
+        frame = self.tlb.lookup(domain, vpage)
         latency = self.config.tlb_hit_ns
-        if frames is None:
+        if frame is None:
             table = self._page_tables[domain]
             if vpage not in table:
                 raise TranslationFault(
                     f"domain {domain}: no mapping for vaddr {vaddr:#x}")
-            frames = table[vpage]
-            self.tlb.fill(domain, vpage, frames)
+            frame = table[vpage]
+            self.tlb.fill(domain, vpage, frame)
             latency = self.config.tlb_miss_ns
         self.translation_ns_accumulated += latency
-        return frames, page_offset, latency
+        return frame, page_offset, latency
 
     def _check_bounds(self, domain: int, vaddr: int, length: int) -> None:
+        """Fault an access outside ``domain``'s mapped pages."""
+        self._require_domain(domain)
         if vaddr < 0 or length < 0:
             raise MemoryError_(f"bad access ({vaddr:#x}, {length})")
         page_size = self.config.page_size
@@ -201,129 +206,47 @@ class Mmu:
                     f"unmapped page {vpage}")
 
     # -- functional data path ------------------------------------------------------
-    def peek(self, domain: int, vaddr: int, length: int) -> memoryview:
-        """Untimed read of a virtual range (crosses pages and stripes).
+    def image(self, domain: int, vaddr: int, length: int) -> bytes:
+        """Untimed read of a virtual range: one join of its pages' bytes.
 
-        Returns a **read-only memoryview** over a freshly assembled buffer:
-        exactly one gather out of the channel stores, then zero further
-        copies as the bytes flow through operators and network.
-        Each page is translated through the TLB, as a timed read does.
+        Walks the page table and leaves the TLB alone (no fill, no hit or
+        miss counted): a verb takes the image it ships or scans once,
+        while each timed burst translates its own pages (:meth:`read`);
+        where the hardware would translate the range itself, the caller
+        does (:meth:`translate_range`).
         """
-        return self._gather(domain, vaddr, length, self._translated)
-
-    def image(self, domain: int, vaddr: int, length: int) -> memoryview:
-        """:meth:`peek` that walks the page table and leaves the TLB
-        alone (no fill, no hit or miss counted): the node reads a scanned
-        table once with it, while each timed burst of the scan still
-        translates its own pages (:meth:`read` with ``copy=False``)."""
-        return self._gather(domain, vaddr, length, self._mapped)
-
-    def _gather(self, domain: int, vaddr: int, length: int,
-                frames_at) -> memoryview:
-        self._require_domain(domain)
-        self._check_bounds(domain, vaddr, length)
-        out = np.empty(length, dtype=np.uint8)
-        cursor = 0
-        page_size = self.config.page_size
-        while cursor < length:
-            frames, page_offset = frames_at(domain, vaddr + cursor)
-            chunk = min(length - cursor, page_size - page_offset)
-            self._page_read_into(frames, page_offset,
-                                 out[cursor:cursor + chunk])
-            cursor += chunk
-        return memoryview(out.data).toreadonly()
-
-    def _translated(self, domain: int, vaddr: int) -> tuple[PageFrames, int]:
-        frames, page_offset, _lat = self.translate(domain, vaddr)
-        return frames, page_offset
-
-    def _mapped(self, domain: int, vaddr: int) -> tuple[PageFrames, int]:
-        vpage, page_offset = divmod(vaddr, self.config.page_size)
-        return self._page_tables[domain][vpage], page_offset
+        return b"".join(self._spans(domain, vaddr, length, translate=False))
 
     def poke(self, domain: int, vaddr: int, data: bytes | memoryview) -> None:
-        """Untimed write of a virtual range."""
-        self._require_domain(domain)
-        self._check_bounds(domain, vaddr, len(data))
+        """Untimed write of a virtual range (translated through the TLB)."""
         src = np.frombuffer(data, dtype=np.uint8)
         cursor = 0
+        for span in self._spans(domain, vaddr, len(src), translate=True):
+            span[:] = src[cursor:cursor + len(span)]
+            cursor += len(span)
+
+    def _spans(self, domain: int, vaddr: int, length: int, translate: bool):
+        """Yield, page by page, the store slice backing ``[vaddr,
+        +length)``: through the TLB, or straight off the page table."""
+        self._check_bounds(domain, vaddr, length)
         page_size = self.config.page_size
-        while cursor < len(src):
-            addr = vaddr + cursor
-            frames, page_offset, _lat = self.translate(domain, addr)
-            chunk = min(len(src) - cursor, page_size - page_offset)
-            self._page_write(frames, page_offset, src[cursor:cursor + chunk])
-            cursor += chunk
-
-    def _page_read_into(self, frames: PageFrames, start: int,
-                        dest: np.ndarray) -> None:
-        """De-stripe ``len(dest)`` bytes at ``start`` directly into ``dest``."""
-        length = len(dest)
-        if length == 0:
-            return
-        unit = self.config.stripe_unit
-        nchan = self.config.channels
-        if nchan == 1:
-            dest[:] = self.channels[0].store_slice(
-                frames.slice_offsets[0] + start, length)
-            return
-        row0 = (start // unit) // nchan
-        row1 = ((start + length - 1) // unit) // nchan
-        nrows = row1 - row0 + 1
-        window_start = start - row0 * nchan * unit
-        if window_start == 0 and length == nrows * nchan * unit:
-            # Stripe-aligned burst (the hot path): one strided gather per
-            # channel straight into the destination.
-            dest3 = dest.reshape(nrows, nchan, unit)
-            for c, channel in enumerate(self.channels):
-                base = frames.slice_offsets[c] + row0 * unit
-                dest3[:, c, :] = channel.store_slice(
-                    base, nrows * unit).reshape(nrows, unit)
-            return
-        span = np.empty((nrows, nchan, unit), dtype=np.uint8)
-        for c, channel in enumerate(self.channels):
-            base = frames.slice_offsets[c] + row0 * unit
-            span[:, c, :] = channel.store_slice(
-                base, nrows * unit).reshape(nrows, unit)
-        dest[:] = span.reshape(-1)[window_start:window_start + length]
-
-    def _page_write(self, frames: PageFrames, start: int,
-                    data: np.ndarray) -> None:
-        """Stripe ``data`` into the channels (read-modify-write at edges)."""
-        length = len(data)
-        if length == 0:
-            return
-        unit = self.config.stripe_unit
-        nchan = self.config.channels
-        if nchan == 1:
-            self.channels[0].store_slice(
-                frames.slice_offsets[0] + start, length)[:] = data
-            return
-        row0 = (start // unit) // nchan
-        row1 = ((start + length - 1) // unit) // nchan
-        nrows = row1 - row0 + 1
-        window_start = start - row0 * nchan * unit
-        span = np.empty((nrows, nchan, unit), dtype=np.uint8)
-        aligned = window_start == 0 and length == nrows * nchan * unit
-        if not aligned:
-            # Read-modify-write: gather the aligned span around the edges.
-            for c, channel in enumerate(self.channels):
-                base = frames.slice_offsets[c] + row0 * unit
-                span[:, c, :] = channel.store_slice(
-                    base, nrows * unit).reshape(nrows, unit)
-        span.reshape(-1)[window_start:window_start + length] = data
-        for c, channel in enumerate(self.channels):
-            base = frames.slice_offsets[c] + row0 * unit
-            channel.store_slice(base, nrows * unit).reshape(
-                nrows, unit)[:, :] = span[:, c, :]
+        table = self._page_tables[domain]
+        end = vaddr + length
+        while vaddr < end:
+            vpage, offset = divmod(vaddr, page_size)
+            frame = (self.translate(domain, vaddr)[0] if translate
+                     else table[vpage])
+            chunk = min(end - vaddr, page_size - offset)
+            yield self.store.frame(frame)[offset:offset + chunk]
+            vaddr += chunk
 
     # -- timed data path -------------------------------------------------------------
     def _translation_charge(self, domain: int, vaddr: int,
                             length: int) -> float:
         """Translation latency for an access: hit or miss per page touched.
 
-        Probed *before* the functional access (which itself fills the TLB),
-        so the timed path charges the miss penalty exactly for pages that
+        Probed *before* the access translates (which fills the TLB), so
+        the timed path charges the miss penalty exactly for pages that
         were cold when the request arrived.
         """
         if length <= 0:
@@ -338,60 +261,68 @@ class Mmu:
                 charge += self.config.tlb_miss_ns
         return charge
 
-    def read(self, domain: int, vaddr: int, length: int,
-             copy: bool = True) -> Event:
-        """Timed striped read; event fires with the bytes.
-
-        The request is split into bursts; each burst charges every channel
-        its stripe share and completes when the slowest channel finishes.
-        Translation latency (TLB hit or miss) is charged per page touched.
-
-        With ``copy=False`` the event fires with ``length`` instead: the
-        caller already holds the bytes (:meth:`image`), and the read is
-        timed, translated and fault-checked exactly as a copying one.
-        """
+    def translate_range(self, domain: int, vaddr: int, length: int) -> float:
+        """Translate every page ``[vaddr, +length)`` touches through the
+        TLB (fault-checked, filling it); returns the latency those
+        translations cost as the TLB stood before."""
         translation = self._translation_charge(domain, vaddr, length)
-        if copy:
-            data = self.peek(domain, vaddr, length)  # bytes + faults
-        else:
-            self._require_domain(domain)
-            self._check_bounds(domain, vaddr, length)
-            page_size = self.config.page_size
-            for vpage in range(vaddr // page_size,
-                               (vaddr + length - 1) // page_size + 1):
-                self.translate(domain, max(vaddr, vpage * page_size))
-            data = length
+        self._check_bounds(domain, vaddr, length)
+        page_size = self.config.page_size
+        for vpage in range(vaddr // page_size,
+                           (vaddr + length - 1) // page_size + 1):
+            self.translate(domain, max(vaddr, vpage * page_size))
+        return translation
+
+    def read(self, domain: int, vaddr: int, length: int) -> Event:
+        """Timed striped read; the event fires with ``length``.
+
+        Charge only — :meth:`image` holds the bytes.  The request is
+        translated (TLB hit or miss per page touched) and fault-checked
+        now; from the next loop slot it waits out the translation, then
+        its bursts go one after the other, each charging every channel
+        its stripe share and done when the slowest channel is.
+        """
+        translation = self.translate_range(domain, vaddr, length)
         done = self.sim.event()
-        self.sim.process(
-            self._timed_access(translation, length, done, data, write=False),
-            name="mmu.read")
+        self.sim._immediate(self._charge, translation, length,
+                            self._read_pipes, done.succeed)
         return done
+
+    def read_burst(self, domain: int, vaddr: int, length: int,
+                   landed: Callable[[int], None]) -> None:
+        """One burst of a streamed read, as callbacks on the priced
+        pipes: translated and fault-checked now, then translation delay
+        → channel occupancy → ``landed(length)``."""
+        self._charge(self.translate_range(domain, vaddr, length), length,
+                     self._read_pipes, landed)
 
     def write(self, domain: int, vaddr: int, data: bytes) -> Event:
         """Timed striped write; event fires when the last burst lands."""
         translation = self._translation_charge(domain, vaddr, len(data))
         self.poke(domain, vaddr, data)
         done = self.sim.event()
-        self.sim.process(
-            self._timed_access(translation, len(data), done, None, write=True),
-            name="mmu.write")
+        self.sim._immediate(self._charge, translation, len(data),
+                            self._write_pipes, done.succeed)
         return done
 
-    def _timed_access(self, translation: float, length: int, done: Event,
-                      payload: bytes | int | None, write: bool):
+    def _charge(self, translation: float, length: int,
+                pipes: list[BandwidthPipe],
+                landed: Callable[[int], None]) -> None:
         if translation:
-            yield self.sim.timeout(translation)
-        cursor = 0
-        while cursor < length:
-            burst = min(self.burst_bytes, length - cursor)
-            per_channel = self.allocator.channel_extent(burst)
-            # Every channel is charged its stripe share; the burst is
-            # complete when the slowest of them is.
-            yield self.sim.timeout(max(
-                (channel.write_pipe if write else channel.read_pipe)
-                .occupy(per_channel) for channel in self.channels))
-            cursor += burst
-        done.succeed(payload if not write else length)
+            self.sim.schedule(translation, self._burst, 0, length, pipes,
+                              landed)
+        else:
+            self._burst(0, length, pipes, landed)
+
+    def _burst(self, cursor: int, length: int, pipes: list[BandwidthPipe],
+               landed: Callable[[int], None]) -> None:
+        if cursor >= length:
+            landed(length)
+            return
+        burst = min(self.burst_bytes, length - cursor)
+        per_channel = self.allocator.channel_extent(burst)
+        self.sim.schedule(max([pipe.occupy(per_channel) for pipe in pipes]),
+                          self._burst, cursor + burst, length, pipes, landed)
 
     # -- introspection ------------------------------------------------------------
     @property

@@ -4,8 +4,7 @@ The network stack processes requests "at the granularity of single network
 packets" with out-of-order execution and credit-based flow control.  Every
 transfer is chopped into payload chunks of the configured packet size
 (1 kB in the paper's evaluation), each carrying RoCE v2 framing overhead
-on the wire; a packet is a payload slice and a buffer offset, never an
-object of its own.
+on the wire; a packet is a payload length, never an object of its own.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ such queue pairs" — each QP carries a unique id used for routing, fair
 arbitration, and isolation, plus credit-based flow control state.
 
 The client posts a *local buffer* into which Farview's one-sided writes
-deposit results; :class:`ClientBuffer` models that memory functionally.
+put results; :class:`ClientBuffer` models that memory functionally.
+Only the timing needs packets: a response's bytes land once, whole,
+when its last packet has.
 """
 
 from __future__ import annotations
 
 import itertools
-import mmap
 
 from ..common.errors import NetworkError
 from ..sim.engine import Simulator
@@ -30,29 +31,31 @@ class ClientBuffer:
         self.capacity = capacity
         self.reset()
 
-    def deposit(self, offset: int, chunk: bytes) -> None:
-        """Land one packet's payload at ``offset`` (out-of-order friendly)."""
-        if offset < 0 or offset + len(chunk) > self.capacity:
+    def require_room(self, nbytes: int) -> None:
+        """Refuse a response of ``nbytes`` that the buffer cannot hold."""
+        if nbytes > self.capacity:
             raise NetworkError(
-                f"deposit [{offset}, +{len(chunk)}) overflows client buffer "
-                f"of {self.capacity} bytes")
-        self._data[offset:offset + len(chunk)] = chunk
-        self.bytes_received += len(chunk)
+                f"response of {nbytes} bytes overflows client buffer of "
+                f"{self.capacity} bytes")
 
-    def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        if length is None:
-            length = self.capacity - offset
-        if offset < 0 or offset + length > self.capacity:
+    def land(self, image: bytes) -> None:
+        """Land a whole response image at offset 0 (kept, not copied)."""
+        self.require_room(len(image))
+        self._data = image
+        self.bytes_received += len(image)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The landed bytes ``[offset, +length)``; the whole landed image
+        is the object :meth:`land` was given.  Bytes nothing landed on
+        read as zero."""
+        if offset < 0 or length < 0 or offset + length > self.capacity:
             raise NetworkError(
                 f"read [{offset}, +{length}) overflows client buffer")
-        return bytes(self._data[offset:offset + length])
+        data = self._data[offset:offset + length]
+        return data + bytes(length - len(data)) if len(data) < length else data
 
     def reset(self) -> None:
-        # An anonymous mapping, not heap memory: pages become resident
-        # only when a deposit touches them, whatever the allocator has
-        # recycled (a calloc'd bytearray is zero-filled, hence resident,
-        # exactly when glibc hands back a freed chunk).
-        self._data = mmap.mmap(-1, self.capacity)
+        self._data = b""
         self.bytes_received = 0
 
 

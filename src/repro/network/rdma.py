@@ -4,12 +4,12 @@ Implements the data movement shared by all one-sided verbs (paper §4.2-4.3):
 
 * :func:`deliver_request` — a small control packet travels client->server
   (wire + propagation + NIC processing).
-* :class:`ResponseStreamer` — the server streams a response payload to the
+* :class:`ResponseStreamer` — the server streams a response to the
   client's buffer as a sequence of packets through the fair-share downlink
   arbiter, consuming a flow-control credit per packet in flight and
   releasing it when the packet lands (credit-based flow control, §4.3).
-  Packets may land out of order; each carries its own buffer offset, as
-  one-sided RDMA writes do, so reassembly is positional.
+  Packets carry lengths; the response's bytes land whole once the last
+  packet has, so the order packets land in cannot change them.
 * :func:`deliver_write` — packetized client->server payload for RDMA WRITE.
 
 The streamer is deliberately *incremental*: producers feed it chunk by
@@ -61,14 +61,16 @@ class ResponseStreamer:
     Usage (inside server processes)::
 
         streamer = ResponseStreamer(sim, link, qp, config)
-        yield from streamer.send(chunk_bytes)     # repeatedly, any chunk sizes
+        yield from streamer.send(nbytes)          # repeatedly, any lengths
         ...
-        yield from streamer.finish()              # flush + wait for delivery
+        yield from streamer.finish(image)         # flush, deliver, land
 
-    Chunks are coalesced into wire packets of ``config.packet_size``; the
-    final partial packet is flushed by :meth:`finish`.  The client-buffer
-    offset advances monotonically — exactly how Farview's sender issues
-    one-sided writes into the client's posted buffer (§5.5 "Sending").
+    The stream carries lengths: they are coalesced into wire packets of
+    ``config.packet_size``, and :meth:`finish` flushes the final partial
+    packet.  The response's bytes land in the client's buffer once,
+    whole, when its last packet has — Farview's sender posts one-sided
+    writes into the client's posted buffer (§5.5 "Sending"), and only
+    their timing needs packets.
 
     A packet costs the event loop its two timed hops — the arbiter grants
     it the wire, :meth:`_on_delivered` runs when it lands — plus one
@@ -86,11 +88,12 @@ class ResponseStreamer:
         self.per_packet_overhead_ns = (
             config.per_packet_overhead_ns if per_packet_overhead_ns is None
             else per_packet_overhead_ns)
-        self._pending = bytearray()
-        self._buffer_offset = 0
-        #: Packets cut and waiting for a flow-control credit, oldest first;
-        #: while there are any, one waiter of ours is in the pool's FIFO.
-        self._backlog: deque[bytes | memoryview] = deque()
+        #: Bytes sent and not yet cut into a packet.
+        self._pending = 0
+        #: Lengths of the packets cut and waiting for a flow-control
+        #: credit, oldest first; while there are any, one waiter of ours
+        #: is in the pool's FIFO.
+        self._backlog: deque[int] = deque()
         #: Packets cut and not yet landed (the backlog included).
         self._inflight = 0
         #: What :meth:`send` / :meth:`finish` are parked on, if they are.
@@ -101,93 +104,73 @@ class ResponseStreamer:
         self.payload_bytes_sent = 0
 
     # -- producer interface ----------------------------------------------------
-    def send(self, chunk: bytes | memoryview):
-        """Process: cut ``chunk`` into packets and put them on the wire;
-        returns once the last of them holds a flow-control credit (so a
-        producer is back-pressured exactly as if it had waited for each
-        credit in turn, but is resumed once).
-
-        Zero-copy: whole packets are sliced straight out of ``chunk``
-        (callers hand over stable buffers); only the partial-packet tail is
-        ever copied into the coalescing buffer.
-        """
+    def send(self, nbytes: int):
+        """Process: cut ``nbytes`` more into packets and put them on the
+        wire; returns once the last of them holds a flow-control credit
+        (so a producer is back-pressured exactly as if it had waited for
+        each credit in turn, but is resumed once)."""
         if self._finished:
             raise NetworkError("stream already finished")
         size = self.config.packet_size
-        if type(chunk) is bytes:
-            chunk = memoryview(chunk)  # free; makes packet slices zero-copy
-        if self._pending:
-            need = size - len(self._pending)
-            if len(chunk) < need:
-                self._pending.extend(chunk)
-                return
-            self._pending.extend(chunk[:need])
-            packet = bytes(self._pending)
-            self._pending.clear()
-            chunk = chunk[need:]
-            self._emit(packet)
-        cursor = 0
-        end = len(chunk)
-        while end - cursor >= size:
-            self._emit(chunk[cursor:cursor + size])
-            cursor += size
-        if cursor < end:
-            self._pending.extend(chunk[cursor:] if cursor else chunk)
+        packets, self._pending = divmod(self._pending + nbytes, size)
+        for _ in range(packets):
+            self._emit(size)
         if self._backlog:
             self._credited = self.sim.event()
             yield self._credited
             self._credited = None
 
-    def finish(self):
-        """Process: flush the final partial packet and wait for delivery.
+    def finish(self, image: bytes):
+        """Process: flush the final partial packet, wait for delivery and
+        land ``image``, the bytes streamed, in the client's buffer.
 
         Returns the total payload bytes streamed.
         """
         if self._finished:
             raise NetworkError("stream already finished")
         if self._pending:
-            packet = bytes(self._pending)
-            self._pending.clear()
-            self._emit(packet)
+            self._emit(self._pending)
+            self._pending = 0
         self._finished = True
         if self._inflight:
             self._drained = self.sim.event()
             yield self._drained
+        if len(image) != self.payload_bytes_sent:
+            raise NetworkError(
+                f"response image of {len(image)} bytes for a stream of "
+                f"{self.payload_bytes_sent}")
+        self.qp.buffer.land(image)
         return self.payload_bytes_sent
 
     # -- internals ---------------------------------------------------------------
-    def _emit(self, payload: bytes | memoryview) -> None:
-        """Transmit ``payload`` now if a credit is free, else queue it
+    def _emit(self, nbytes: int) -> None:
+        """Transmit a packet now if a credit is free, else queue it
         behind the packets already waiting for one."""
         self._inflight += 1
         if self._backlog:
-            self._backlog.append(payload)
+            self._backlog.append(nbytes)
         elif self.qp.credits.try_acquire():
-            self._transmit(payload)
+            self._transmit(nbytes)
         else:
-            self._backlog.append(payload)
-            self.qp.credits.acquire().add_callback(self._on_credit)
+            self._backlog.append(nbytes)
+            self.qp.credits.acquire_then(self._on_credit)
 
-    def _on_credit(self, _credit: Event) -> None:
+    def _on_credit(self) -> None:
         """A landed packet returned the credit the oldest queued one
         waits for; the pool hands out the next the same way."""
         self._transmit(self._backlog.popleft())
         if self._backlog:
-            self.qp.credits.acquire().add_callback(self._on_credit)
+            self.qp.credits.acquire_then(self._on_credit)
         elif self._credited is not None:
             self._credited.succeed()
 
-    def _transmit(self, payload: bytes | memoryview) -> None:
-        offset = self._buffer_offset
-        self._buffer_offset += len(payload)
-        self.link.send_down(self.qp.qp_id, len(payload),
-                            self.per_packet_overhead_ns,
-                            self._on_delivered, offset, payload)
+    def _transmit(self, nbytes: int) -> None:
+        self.link.send_down(self.qp.qp_id, nbytes,
+                            self.per_packet_overhead_ns, self._on_delivered)
         self.packets_sent += 1
-        self.payload_bytes_sent += len(payload)
+        self.payload_bytes_sent += nbytes
 
-    def _on_delivered(self, offset: int, payload: bytes | memoryview) -> None:
-        self.qp.buffer.deposit(offset, payload)
+    def _on_delivered(self) -> None:
         self.qp.credits.release()
         self.qp.responses_received += 1
         self._inflight -= 1

@@ -9,7 +9,8 @@ not known a priori, as is the case with most of the operators."
 The sender couples the packer's output queue to a
 :class:`~repro.network.rdma.ResponseStreamer`: every drained word batch
 becomes RDMA WRITE commands into the client's buffer, and ``finish``
-flushes the partial word plus the end-of-message command.
+flushes the partial word plus the end-of-message command, landing the
+response's bytes, joined once.
 """
 
 from __future__ import annotations
@@ -25,16 +26,19 @@ class Sender:
         self.streamer = streamer
         self.packer = packer if packer is not None else Packer()
         self.commands_issued = 0
+        self._words: list[bytes] = []
 
     def send(self, data: bytes):
         """Process: pack ``data`` and emit any whole words to the network."""
         ready = self.packer.pack(data)
         if ready:
             self.commands_issued += 1
-            yield from self.streamer.send(ready)
+            self._words.append(ready)
+            yield from self.streamer.send(len(ready))
 
     def finish(self):
-        """Process: flush the final partial word and close the stream.
+        """Process: flush the final partial word and close the stream,
+        landing every word sent as one image.
 
         Returns total payload bytes sent (the size was not known a priori —
         the sender computed it on the fly, as the paper emphasizes).
@@ -42,6 +46,7 @@ class Sender:
         tail = self.packer.flush()
         if tail:
             self.commands_issued += 1
-            yield from self.streamer.send(tail)
-        total = yield from self.streamer.finish()
-        return total
+            self._words.append(tail)
+            yield from self.streamer.send(len(tail))
+        words, self._words = b"".join(self._words), []
+        return (yield from self.streamer.finish(words))

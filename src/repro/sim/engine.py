@@ -78,6 +78,15 @@ class Event:
             self._callbacks.clear()
         return self
 
+    def _fire(self, value: Any = None) -> None:
+        """Trigger the event as a loop callback of its own: its waiters
+        run now, in this slot, rather than each in a slot after it."""
+        self._value = value
+        self.triggered = True
+        for fn in self._callbacks:
+            fn(self)
+        self._callbacks.clear()
+
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event now with an exception to raise in the waiter."""
         if self.triggered:
@@ -102,13 +111,6 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = delay
         sim.schedule(delay, self._fire, value)
-
-    def _fire(self, value: Any = None) -> None:
-        self._value = value
-        self.triggered = True
-        for fn in self._callbacks:
-            fn(self)
-        self._callbacks.clear()
 
 
 ProcessGenerator = Generator[Event, Any, Any]

@@ -132,7 +132,7 @@ class BandwidthPipe:
 
 
 class CreditPool:
-    """Credit-based flow control: acquire blocks until a credit is free.
+    """Credit-based flow control: a waiter runs once a credit is free.
 
     Models the network stack's per-flow credits (§4.3): a sender may have at
     most ``credits`` packets in flight; receiving a response returns one.
@@ -145,15 +145,21 @@ class CreditPool:
         self.name = name
         self._capacity = credits
         self._available = credits
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Callable[[], None]] = deque()
 
-    def acquire(self) -> Event:
-        ev = self.sim.event()
+    def acquire_then(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` holding a credit: at the next loop slot if one is
+        free, else at the slot of the :meth:`release` that hands it over."""
         if self._available > 0:
             self._available -= 1
-            ev.succeed()
+            self.sim._immediate(fn)
         else:
-            self._waiters.append(ev)
+            self._waiters.append(fn)
+
+    def acquire(self) -> Event:
+        """:meth:`acquire_then` as an event for a process to yield."""
+        ev = self.sim.event()
+        self.acquire_then(ev._fire)
         return ev
 
     def try_acquire(self) -> bool:
@@ -165,7 +171,7 @@ class CreditPool:
 
     def release(self) -> None:
         if self._waiters:
-            self._waiters.popleft().succeed()
+            self.sim._immediate(self._waiters.popleft())
         else:
             self._available += 1
             if self._available > self._capacity:

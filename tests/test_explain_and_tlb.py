@@ -46,8 +46,8 @@ def test_translation_charge_counts_pages(mmu_small):
     vaddr = mmu_small.alloc(1, 3 * page)
     charge = mmu_small._translation_charge(1, vaddr, 3 * page)
     assert charge == pytest.approx(3 * mmu_small.config.tlb_miss_ns)
-    # Warm the TLB through the functional path, then recompute.
-    mmu_small.peek(1, vaddr, 3 * page)
+    # Warm the TLB by translating the range, then recompute.
+    mmu_small.translate_range(1, vaddr, 3 * page)
     warm_charge = mmu_small._translation_charge(1, vaddr, 3 * page)
     assert warm_charge == pytest.approx(3 * mmu_small.config.tlb_hit_ns)
 

@@ -1,11 +1,11 @@
-"""DRAM channel model: the backing store and the two bandwidth pipes."""
+"""DRAM model: the frame store and each channel's two bandwidth pipes."""
 
 import numpy as np
 import pytest
 
 from repro.common.config import MemoryConfig
 from repro.common.errors import MemoryError_
-from repro.memory.dram import DramChannel, build_channels
+from repro.memory.dram import DramChannel, FrameStore, build_channels
 from repro.sim.engine import Simulator
 
 KB = 1024
@@ -18,27 +18,31 @@ def channel(sim):
     return DramChannel(sim, config, index=0)
 
 
-def test_store_slice_round_trip(channel):
-    """The view aliases live channel memory: what is stored through one
-    view reads back through another."""
-    channel.store_slice(100, 11)[:] = np.frombuffer(b"hello world", np.uint8)
-    assert channel.store_slice(100, 11).tobytes() == b"hello world"
-    assert channel.store_slice(96, 8).tobytes() == b"\x00" * 4 + b"hell"
+@pytest.fixture
+def store():
+    return FrameStore(page_size=64 * KB, frames=16)
 
 
-def test_store_reads_zero_until_written(channel):
-    assert channel.store_slice(0, 4).tobytes() == b"\x00\x00\x00\x00"
-    assert not channel.store_slice(0, channel.capacity).any()
+def test_store_slice_round_trip(store):
+    """A frame view aliases live store memory: what is stored through one
+    view reads back through another, and frames do not overlap."""
+    store.frame(3)[100:111] = np.frombuffer(b"hello world", np.uint8)
+    assert store.frame(3)[100:111].tobytes() == b"hello world"
+    assert store.frame(3)[96:104].tobytes() == b"\x00" * 4 + b"hell"
+    assert not store.frame(2).any() and not store.frame(4).any()
 
 
-def test_out_of_range_access_raises(channel):
+def test_store_reads_zero_until_written(store):
+    assert store.frame(0)[:4].tobytes() == b"\x00\x00\x00\x00"
+    assert not any(store.frame(i).any() for i in range(store.frames))
+
+
+def test_out_of_range_access_raises(store):
     with pytest.raises(MemoryError_):
-        channel.store_slice(1 * MB - 2, 4)
+        store.frame(16)
     with pytest.raises(MemoryError_):
-        channel.store_slice(-1, 1)
-    with pytest.raises(MemoryError_):
-        channel.store_slice(0, -1)
-    assert len(channel.store_slice(1 * MB - 4, 4)) == 4
+        store.frame(-1)
+    assert len(store.frame(15)) == 64 * KB
 
 
 def test_read_write_pipes_are_decoupled(sim, channel):

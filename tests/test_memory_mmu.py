@@ -1,18 +1,25 @@
-"""MMU: translation, isolation, striped data path, timed accesses."""
+"""MMU: translation, isolation, the frame store, timed accesses."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import MemoryConfig
+from repro.common.config import FarviewConfig, MemoryConfig
 from repro.common.errors import (
     MemoryError_,
     OutOfMemoryError,
     ProtectionFault,
     TranslationFault,
 )
+from repro.common.records import default_schema
+from repro.core.api import FarviewClient
+from repro.core.node import FarviewNode
+from repro.core.query import Query, select_star
+from repro.core.table import FTable
 from repro.memory.mmu import Mmu, Tlb
+from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
+from repro.workloads.generator import make_rows, projection_workload
 
 KB = 1024
 MB = 1024 * 1024
@@ -84,7 +91,7 @@ def test_domain_isolation(mmu):
     mmu.poke(1, vaddr, b"secret!!")
     # Domain 2 has no mapping at this address.
     with pytest.raises(TranslationFault):
-        mmu.peek(2, vaddr, 8)
+        mmu.image(2, vaddr, 8)
 
 
 def test_free_unknown_vaddr_raises(mmu):
@@ -118,21 +125,21 @@ def test_destroy_domain_releases_pages(sim, small_memconfig):
 def test_poke_peek_round_trip_small(mmu):
     vaddr = mmu.alloc(1, 256)
     mmu.poke(1, vaddr, b"0123456789abcdef" * 4)
-    assert mmu.peek(1, vaddr, 64) == b"0123456789abcdef" * 4
+    assert mmu.image(1, vaddr, 64) == b"0123456789abcdef" * 4
 
 
 def test_round_trip_crosses_stripe_units(mmu):
     vaddr = mmu.alloc(1, 4 * KB)
     payload = bytes(range(256)) * 16  # 4 KB distinctive pattern
     mmu.poke(1, vaddr, payload)
-    assert mmu.peek(1, vaddr, len(payload)) == payload
+    assert mmu.image(1, vaddr, len(payload)) == payload
 
 
 def test_round_trip_unaligned_window(mmu):
     vaddr = mmu.alloc(1, 1 * KB)
     mmu.poke(1, vaddr, bytes(range(256)) * 4)
     # Window straddles stripe-unit boundaries at both ends.
-    assert mmu.peek(1, vaddr + 50, 100) == (bytes(range(256)) * 4)[50:150]
+    assert mmu.image(1, vaddr + 50, 100) == (bytes(range(256)) * 4)[50:150]
 
 
 def test_round_trip_crosses_pages(mmu):
@@ -140,14 +147,14 @@ def test_round_trip_crosses_pages(mmu):
     vaddr = mmu.alloc(1, 2 * page)
     payload = b"PQRS" * 64
     mmu.poke(1, vaddr + page - 128, payload)
-    assert mmu.peek(1, vaddr + page - 128, len(payload)) == payload
+    assert mmu.image(1, vaddr + page - 128, len(payload)) == payload
 
 
 def test_partial_overwrite_preserves_neighbours(mmu):
     vaddr = mmu.alloc(1, 256)
     mmu.poke(1, vaddr, b"A" * 256)
     mmu.poke(1, vaddr + 70, b"B" * 10)
-    got = mmu.peek(1, vaddr, 256)
+    got = mmu.image(1, vaddr, 256)
     assert got == b"A" * 70 + b"B" * 10 + b"A" * 176
 
 
@@ -160,7 +167,7 @@ def test_recycled_pages_are_scrubbed(mmu):
     mmu.free(1, vaddr)
     mmu.create_domain(2)
     fresh = mmu.alloc(2, 128)  # recycles the freed frames
-    assert mmu.peek(2, fresh, 128) == bytes(128)
+    assert mmu.image(2, fresh, 128) == bytes(128)
 
 
 def test_partially_recycled_multi_page_allocation_reads_zero(mmu):
@@ -180,38 +187,35 @@ def test_partially_recycled_multi_page_allocation_reads_zero(mmu):
     mmu.create_domain(2)
     fresh = mmu.alloc(2, 6 * page)     # 4 recycled frames + 2 new ones
     assert mmu.allocator.high_water == handed_out + 2
-    assert mmu.peek(2, fresh, 6 * page) == bytes(6 * page)
-    assert mmu.peek(1, vaddrs[1], sizes[1]) == b"\xa5" * sizes[1]
+    assert mmu.image(2, fresh, 6 * page) == bytes(6 * page)
+    assert mmu.image(1, vaddrs[1], sizes[1]) == b"\xa5" * sizes[1]
 
 
 def test_fresh_pool_allocation_stores_nothing(mmu, monkeypatch):
-    """The backing store is lazily zero: allocating frames that were
-    never handed out must not touch it (a store per slice made the host
-    back every page of a pool nobody had written to); a recycled frame
-    is scrubbed, one store per channel."""
+    """The frame store is lazily zero: allocating frames that were never
+    handed out must not touch it (a store per frame made the host back
+    every page of a pool nobody had written to); a recycled frame is
+    scrubbed, one store into its frame."""
     touched = []
-    for channel in mmu.channels:
-        inner = channel.store_slice
-        monkeypatch.setattr(
-            channel, "store_slice",
-            lambda offset, length, c=channel.index, inner=inner:
-            touched.append(c) or inner(offset, length))
+    frame = mmu.store.frame
+    monkeypatch.setattr(mmu.store, "frame",
+                        lambda index: touched.append(index) or frame(index))
     page = mmu.config.page_size
     first = mmu.alloc(1, 3 * page)
     mmu.alloc(1, 100)
     assert touched == []
-    assert mmu.peek(1, first, 3 * page) == bytes(3 * page)
+    assert mmu.image(1, first, 3 * page) == bytes(3 * page)
     touched.clear()
     mmu.free(1, first)
-    mmu.alloc(1, page)                  # one recycled frame
-    assert sorted(touched) == [c.index for c in mmu.channels]
+    mmu.alloc(1, page)                  # one recycled frame: the last freed
+    assert touched == [2]
 
 
 def test_read_beyond_mapping_faults(mmu):
     mmu.alloc(1, 64)
     page = mmu.config.page_size
     with pytest.raises(TranslationFault):
-        mmu.peek(1, page * 100, 8)
+        mmu.image(1, page * 100, 8)
 
 
 def test_single_channel_path(sim):
@@ -220,7 +224,7 @@ def test_single_channel_path(sim):
     mmu.create_domain(1)
     vaddr = mmu.alloc(1, 1 * KB)
     mmu.poke(1, vaddr, b"single-channel" * 10)
-    assert mmu.peek(1, vaddr, 140) == b"single-channel" * 10
+    assert mmu.image(1, vaddr, 140) == b"single-channel" * 10
 
 
 @settings(max_examples=20, deadline=None)
@@ -233,20 +237,22 @@ def test_round_trip_property(offset, data):
     mmu.create_domain(1)
     vaddr = mmu.alloc(1, 16 * KB)
     mmu.poke(1, vaddr + offset, data)
-    assert mmu.peek(1, vaddr + offset, len(data)) == data
+    assert mmu.image(1, vaddr + offset, len(data)) == data
 
 
 # --- timed data path ---------------------------------------------------------------
 
 def test_timed_read_returns_data(sim, mmu):
+    """A timed read only charges: it fires with its length, and the
+    bytes it times are the range's image."""
     vaddr = mmu.alloc(1, 1 * KB)
     mmu.poke(1, vaddr, b"Z" * 1024)
 
     def proc():
-        data = yield mmu.read(1, vaddr, 1024)
-        return data
+        length = yield mmu.read(1, vaddr, 1024)
+        return length, mmu.image(1, vaddr, 1024)
 
-    assert sim.run_process(proc()) == b"Z" * 1024
+    assert sim.run_process(proc()) == (1024, b"Z" * 1024)
 
 
 def test_timed_read_uses_aggregate_bandwidth(sim, mmu):
@@ -274,7 +280,7 @@ def test_timed_write_returns_length(sim, mmu):
         return n
 
     assert sim.run_process(proc()) == 512
-    assert mmu.peek(1, vaddr, 4) == b"wwww"
+    assert mmu.image(1, vaddr, 4) == b"wwww"
 
 
 def test_concurrent_reads_share_channels_fairly(sim, mmu):
@@ -304,3 +310,56 @@ def test_mmu_rejects_bad_burst():
     config = MemoryConfig(channels=2, channel_capacity=1 * MB, page_size=64 * KB)
     with pytest.raises(MemoryError_):
         Mmu(sim, config, burst_bytes=100)  # not a stripe multiple
+
+
+# --- the TLB effect of each verb ------------------------------------------------------
+
+def _tlb_verbs():
+    """One client holding a 4-page table, a 2-page wide table and a
+    versioned table with one update delta (64 KiB pages); returns the
+    node's TLB, the client's domain and one call per verb."""
+    config = FarviewConfig(memory=MemoryConfig(
+        channels=2, channel_capacity=8 * MB, page_size=64 * KB))
+    client = FarviewClient(FarviewNode(Simulator(), config),
+                           buffer_capacity=2 * MB)
+    client.open_connection()
+    schema = default_schema()
+    rows = make_rows(schema, 4096, seed=1)              # 256 KiB: 4 pages
+    table = FTable("t", schema, len(rows))
+    client.alloc_table_mem(table)
+    client.table_write(table, rows)
+    wide_schema, wide_rows = projection_workload(256, 512, seed=2)
+    wide = FTable("w", wide_schema, len(wide_rows))     # 128 KiB: 2 pages
+    client.alloc_table_mem(wide)
+    client.table_write(wide, wide_rows)
+    versioned = client.create_versioned_table("v", schema, rows)
+    client.update_where(versioned, Compare("a", "<", 100), {"c": 7})
+    everything = select_star(Compare("a", ">=", 0))
+    return client.node.mmu.tlb, client.connection.domain, {
+        "raw": lambda: client.table_read(table),
+        "pipeline": lambda: client.far_view(table, everything),
+        "smart": lambda: client.far_view(wide, Query(
+            projection=tuple(wide_schema.names[:2]), smart_addressing=True)),
+        "versioned": lambda: client.far_view(versioned, everything),
+    }
+
+
+def test_each_verb_translates_through_the_tlb_as_pinned():
+    """Hits and misses per verb, cold (the domain's TLB entries dropped)
+    then warm.  A raw READ and a pipeline scan translate once per 16 KiB
+    burst (16 bursts over 4 pages: a miss per page when cold); smart
+    addressing translates the table's 2 pages once; a versioned scan
+    adds its delta and base reads to the base bursts.  However the MMU
+    splits functional and timed access, these counts stay put."""
+    tlb, domain, verbs = _tlb_verbs()
+    pinned = {"raw": ((12, 4), (16, 0)), "pipeline": ((12, 4), (16, 0)),
+              "smart": ((0, 2), (2, 0)), "versioned": ((16, 4), (20, 0))}
+    for name, verb in verbs.items():
+        seen = []
+        for cold in (True, False):
+            if cold:
+                tlb.invalidate_domain(domain)
+            hits, misses = tlb.hits, tlb.misses
+            verb()
+            seen.append((tlb.hits - hits, tlb.misses - misses))
+        assert tuple(seen) == pinned[name], name

@@ -98,23 +98,31 @@ def test_goodput_below_line_rate():
 # --- client buffer -------------------------------------------------------------------
 
 def test_client_buffer_deposit_and_read():
+    """A response lands whole and reads back by range; the whole landed
+    image is the very object landed (no second copy)."""
     buf = ClientBuffer(1024)
-    buf.deposit(100, b"abc")
+    image = bytes(100) + b"abc"
+    buf.land(image)
     assert buf.read(100, 3) == b"abc"
-    assert buf.bytes_received == 3
+    assert buf.read(0, len(image)) is image
+    assert buf.read(101, 4) == b"bc\x00\x00"   # nothing landed there
+    assert buf.bytes_received == len(image)
 
 
 def test_client_buffer_overflow_rejected():
     buf = ClientBuffer(16)
-    with pytest.raises(NetworkError):
-        buf.deposit(10, b"0123456789")
+    with pytest.raises(NetworkError, match="overflows client buffer"):
+        buf.land(b"0123456789" * 2)
+    with pytest.raises(NetworkError, match="overflows client buffer"):
+        buf.require_room(17)
     with pytest.raises(NetworkError):
         buf.read(10, 10)
+    assert buf.bytes_received == 0
 
 
 def test_client_buffer_reset():
     buf = ClientBuffer(8)
-    buf.deposit(0, b"dead")
+    buf.land(b"dead")
     buf.reset()
     assert buf.read(0, 4) == b"\x00" * 4
     assert buf.bytes_received == 0
@@ -162,14 +170,18 @@ def _make_stream(credits=8):
 
 
 def test_stream_delivers_exact_bytes():
+    """The stream carries lengths; the response image lands once the
+    last packet has."""
     sim, config, link, qp = _make_stream()
     payload = bytes(range(256)) * 20  # 5120 B
 
     def server():
         streamer = ResponseStreamer(sim, link, qp, config)
-        yield from streamer.send(payload[:3000])
-        yield from streamer.send(payload[3000:])
-        total = yield from streamer.finish()
+        yield from streamer.send(3000)
+        yield from streamer.send(len(payload) - 3000)
+        assert qp.buffer.read(0, len(payload)) == bytes(len(payload))
+        total = yield from streamer.finish(payload)
+        assert qp.responses_received == streamer.packets_sent == 5
         return total
 
     total = sim.run_process(server())
@@ -182,8 +194,8 @@ def test_stream_packet_count():
 
     def server():
         streamer = ResponseStreamer(sim, link, qp, config)
-        yield from streamer.send(b"z" * 2500)
-        yield from streamer.finish()
+        yield from streamer.send(2500)
+        yield from streamer.finish(b"z" * 2500)
         return streamer.packets_sent
 
     assert sim.run_process(server()) == 3  # 1024 + 1024 + 452
@@ -197,8 +209,8 @@ def test_stream_respects_credits():
     def run(sim, config, link, qp):
         def server():
             streamer = ResponseStreamer(sim, link, qp, config)
-            yield from streamer.send(b"z" * (16 * KB))
-            yield from streamer.finish()
+            yield from streamer.send(16 * KB)
+            yield from streamer.finish(b"z" * (16 * KB))
             return sim.now
         return sim.run_process(server())
 
@@ -212,7 +224,7 @@ def test_stream_empty_finish():
 
     def server():
         streamer = ResponseStreamer(sim, link, qp, config)
-        total = yield from streamer.finish()
+        total = yield from streamer.finish(b"")
         return total
 
     assert sim.run_process(server()) == 0
@@ -223,9 +235,9 @@ def test_stream_send_after_finish_rejected():
 
     def server():
         streamer = ResponseStreamer(sim, link, qp, config)
-        yield from streamer.finish()
+        yield from streamer.finish(b"")
         try:
-            yield from streamer.send(b"late")
+            yield from streamer.send(4)
         except NetworkError:
             return "rejected"
 
@@ -243,8 +255,8 @@ def test_two_streams_share_downlink_fairly():
 
     def server(qp, tag):
         streamer = ResponseStreamer(sim, link, qp, config)
-        yield from streamer.send(b"x" * (128 * KB))
-        yield from streamer.finish()
+        yield from streamer.send(128 * KB)
+        yield from streamer.finish(b"x" * (128 * KB))
         finish[tag] = sim.now
 
     def main():

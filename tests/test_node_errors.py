@@ -51,6 +51,67 @@ def test_read_outside_table_rejected(client):
         client.table_read(table, offset=table.size_bytes - 8, length=64)
 
 
+def test_read_with_negative_length_rejected(client):
+    """A raw READ of a negative length is refused, not answered with an
+    empty image."""
+    wl = selection_workload(16, 1.0)
+    table = FTable("S", wl.schema, 16)
+    client.alloc_table_mem(table)
+    client.table_write(table, wl.rows)
+    with pytest.raises(OperatorError, match="outside"):
+        client.table_read(table, 10, -5)
+    assert client.connection.qp.requests_sent == 0  # refused before it
+
+
+def _tenants(*buffers):
+    """One node, one client per receive-buffer capacity, each holding
+    its own 64 KB selection table."""
+    node = FarviewNode(Simulator(), CONFIG)
+    tenants = []
+    for i, capacity in enumerate(buffers):
+        client = FarviewClient(node, buffer_capacity=capacity)
+        client.open_connection()
+        wl = selection_workload(KB, 1.0, seed=i)
+        table = FTable(f"S{i}", wl.schema, len(wl.rows))
+        client.alloc_table_mem(table)
+        client.table_write(table, wl.rows)
+        tenants.append((client, table, wl))
+    return node.sim, tenants
+
+
+def test_overflowing_read_fails_in_its_own_process():
+    """A raw READ longer than its client's buffer is refused at the
+    request, inside its own process: a concurrent healthy READ on the
+    same node still returns its bytes (the overflow used to raise out
+    of a delivery callback and stop the event loop)."""
+    sim, [(big, big_table, big_wl), (small, small_table, _)] = _tenants(
+        MB, KB)
+    ok = sim.process(big.table_read_proc(big_table))
+    refused = sim.process(small.table_read_proc(small_table))
+    sim.run()
+    assert ok.ok and ok.value == big_wl.schema.to_bytes(big_wl.rows)
+    assert not refused.ok and isinstance(refused.value, NetworkError)
+    assert "overflows client buffer" in str(refused.value)
+    qp = small.connection.qp
+    assert qp.requests_sent == qp.responses_received == 0
+
+
+def test_overflowing_scan_fails_at_landing_in_its_own_process():
+    """An offloaded scan's result size is known only once it has
+    streamed: a result larger than the client's buffer fails that scan
+    with a typed error when it lands, and a concurrent scan completes."""
+    sim, [(big, big_table, big_wl), (small, small_table, small_wl)] = (
+        _tenants(MB, KB))
+    ok = sim.process(big.far_view_proc(big_table,
+                                       select_star(big_wl.predicate)))
+    refused = sim.process(small.far_view_proc(
+        small_table, select_star(small_wl.predicate)))
+    sim.run()
+    assert ok.ok and ok.value.data == big_wl.schema.to_bytes(big_wl.rows)
+    assert not refused.ok and isinstance(refused.value, NetworkError)
+    assert "overflows client buffer" in str(refused.value)
+
+
 def test_query_on_unallocated_table_rejected(client):
     wl = selection_workload(16, 1.0)
     table = FTable("S", wl.schema, 16)  # never allocated
@@ -125,9 +186,9 @@ def test_free_table_memory_is_reusable(client):
 # --- out-of-order delivery ---------------------------------------------------------
 
 def test_streamer_deposits_are_position_based_not_order_based():
-    """One-sided writes carry their own buffer offset: delivering packets
-    out of order must still produce the correct client image (§4.3
-    out-of-order execution at packet granularity)."""
+    """Packets may land in any order (§4.3 out-of-order execution at
+    packet granularity): the response image lands whole once the last
+    packet has, so the client image cannot depend on landing order."""
     sim = Simulator()
     config = NetworkConfig()
     link = Link(sim, config)
@@ -135,13 +196,23 @@ def test_streamer_deposits_are_position_based_not_order_based():
     link.register_flow(qp.qp_id)
     streamer = ResponseStreamer(sim, link, qp, config)
     payload = bytes(range(256)) * 12  # 3 packets
+    landings = []
+    # Bypass the link: hold each packet's landing callback.
+    link.send_down = (lambda _flow, _nbytes, _extra, fn, *args:
+                      landings.append((fn, args)))
 
-    # Bypass the link: invoke the delivery callbacks in reverse order.
-    chunks = [payload[0:1024], payload[1024:2048], payload[2048:3072]]
-    offsets = [0, 1024, 2048]
-    for off, chunk in reversed(list(zip(offsets, chunks))):
-        qp.credits.acquire()
-        streamer._on_delivered(off, chunk)
+    def server():
+        yield from streamer.send(len(payload))
+        return (yield from streamer.finish(payload))
+
+    proc = sim.process(server())
+    sim.run()
+    assert len(landings) == 3 and not proc.triggered
+    assert qp.buffer.read(0, len(payload)) == bytes(len(payload))
+    for fn, args in reversed(landings):
+        fn(*args)
+    sim.run()
+    assert proc.value == len(payload)
     assert qp.buffer.read(0, len(payload)) == payload
 
 

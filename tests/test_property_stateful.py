@@ -70,7 +70,7 @@ class MmuModelCheck(RuleBasedStateMachine):
         ref = self.reference[vaddr]
         length = data.draw(st.integers(1, len(ref)))
         offset = data.draw(st.integers(0, len(ref) - length))
-        got = self.mmu.peek(1, vaddr + offset, length)
+        got = self.mmu.image(1, vaddr + offset, length)
         assert got == bytes(ref[offset:offset + length])
 
     @precondition(lambda self: self.reference)

@@ -324,13 +324,49 @@ def test_grouping_operator_python_call_budget():
             assert 0 < calls < budget, (op.name, distinct, calls)
 
 
+def _frame_copies(profile) -> int:
+    """How many page frames the profiled code took bytes out of or put
+    bytes into (``FrameStore.frame`` calls)."""
+    return sum(nc for (filename, _, name), (_, nc, _, _, _)
+               in pstats.Stats(profile).stats.items()
+               if name == "frame"
+               and filename.replace("\\", "/").endswith("memory/dram.py"))
+
+
+def test_raw_read_lands_its_bytes_once():
+    """A 1 MiB raw READ over 64 KiB pages: its 1,024 packets carry
+    lengths, so it makes O(1) calls into ``network/qp.py`` (1,024
+    ``deposit`` calls, one a packet, when each landed its own slice),
+    and the MMU takes its bytes out of the frame store once per page
+    (16), not once per 16 KiB burst (64) — and they reach the client as
+    the one image the node took, with no second copy out of a buffer."""
+    sim = Simulator()
+    node = FarviewNode(sim, FarviewConfig(memory=MemoryConfig(
+        channels=2, channel_capacity=16 * MB, page_size=64 * KB)))
+    client = FarviewClient(node, buffer_capacity=MB)
+    client.open_connection()
+    workload = selection_workload(MB // 64, selectivity=0.5, seed=3)
+    table = FTable("t", workload.schema, len(workload.rows))
+    client.alloc_table_mem(table)
+    client.table_write(table, workload.rows)
+    qp = client.connection.qp
+    profile = cProfile.Profile()
+    profile.enable()
+    data, _ = client.table_read(table)
+    profile.disable()
+    assert data == workload.schema.to_bytes(workload.rows)
+    assert qp.responses_received == MB // KB
+    assert 0 < _calls_into(profile, "/repro/network/qp.py") < 10
+    assert _frame_copies(profile) == MB // (64 * KB)
+
+
 # -- a pipeline scan runs its operators once -----------------------------------
 
 def _grouping_scan_calls(bursts):
     """One offloaded GROUP BY scan of a ``bursts``-burst table on a warm
     region: the Python-level calls it makes into ``repro.operators`` and
-    ``repro.common``, and how many times the MMU de-stripes a span
-    (``_page_read_into``) against how many pages the table spans."""
+    ``repro.common``, and how many page frames the MMU copies bytes out
+    of (``_frame_copies``) against how many pages the table spans."""
     sim = Simulator()
     config = FarviewConfig(memory=MemoryConfig(channels=2,
                                                channel_capacity=16 * MB))
@@ -353,10 +389,7 @@ def _grouping_scan_calls(bursts):
         client.connection, table, compiled))
     profile.disable()
     assert report.rows_in == nrows and report.rows_out == 16
-    page_reads = sum(
-        nc for (filename, _, name), (_, nc, _, _, _)
-        in pstats.Stats(profile).stats.items()
-        if name == "_page_read_into")
+    page_reads = _frame_copies(profile)
     pages = -(-table.size_bytes // config.memory.page_size)
     return (_calls_into(profile, "/repro/operators/"),
             _calls_into(profile, "/repro/common/"), page_reads, pages)
@@ -365,12 +398,12 @@ def _grouping_scan_calls(bursts):
 def test_pipeline_scan_python_call_budget():
     """A pipeline scan computes its result once: at 512 DRAM bursts it
     makes exactly as many Python-level calls into ``repro.operators`` and
-    ``repro.common`` as at 64, and the MMU de-stripes the table once per
-    page it spans, not once per burst — each burst is only timed,
-    translated and fault-checked.  Here that is 48 and 24 calls at
-    either size; running the operators burst by burst made 8 and 6 more
-    calls a burst (4,172 and 3,087 at 512 bursts), and one 16 KiB
-    de-striping copy a burst."""
+    ``repro.common`` as at 64, and the MMU copies the table out of the
+    frame store once per page it spans, not once per burst — each burst
+    is only timed, translated and fault-checked.  Here that is 48 and 24
+    calls at either size; running the operators burst by burst made 8
+    and 6 more calls a burst (4,172 and 3,087 at 512 bursts), and one
+    16 KiB de-striping copy a burst."""
     *small, small_reads, small_pages = _grouping_scan_calls(64)
     *large, large_reads, large_pages = _grouping_scan_calls(512)
     assert small == large and all(small), (small, large)
@@ -691,8 +724,10 @@ def test_one_hash_one_probe_in_src():
     second boolean expression tree with its converter and regex record,
     and the second client-step vocabulary with its second grouped-schema
     rule, dedup merge, arm-step list and expression-schema helper, and
-    the per-burst pipeline entry with its row parser and slot rows —
-    and the reference model binds nothing."""
+    the per-burst pipeline entry with its row parser and slot rows, and
+    the read path's per-packet deposits, striped channel stores with
+    their de-striping copy, and burst producer process — and the
+    reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -768,7 +803,13 @@ def test_one_hash_one_probe_in_src():
             # The data plane schedules plain callbacks on priced pipes: no
             # event fan-in and no per-packet closure in these three files.
             (("src/repro/network/rdma.py", "src/repro/sim/resources.py",
-              "src/repro/memory/mmu.py"), ("all_of", "lambda"))):
+              "src/repro/memory/mmu.py"), ("all_of", "lambda")),
+            # Bytes once on the read path: a response lands whole, pages
+            # are stored unstriped, and a burst's hand-off is callbacks —
+            # no per-packet deposit, de-striping copy, channel store or
+            # burst producer process.
+            (("src",), ("deposit", "_page_read_into", "store_slice",
+                        "_burst_producer"))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))
