@@ -80,8 +80,7 @@ def main() -> None:
     client = FarviewClient(FarviewNode(sim))
     client.open_connection()
 
-    orders = client.create_versioned_table("orders", SCHEMA,
-                                           make_orders(4_096))
+    orders = client.create_table("orders", SCHEMA, make_orders(4_096))
     view, elapsed = client.create_view(VIEW_SQL, name="revenue_by_region")
     sub = client.subscribe(view)  # auto: every commit pushes an update
     print(f"view {view.name!r} bootstrapped from epoch {orders.epoch}: "

@@ -38,7 +38,7 @@ def main() -> None:
     rows = make_rows(schema, 4096, seed=42)
     rows["a"] = np.arange(4096)
     rows["c"] = rows["a"] % 32
-    table = client.create_versioned_table("events", schema, rows)
+    table = client.create_table("events", schema, rows)
     print(f"created {table!r}")
 
     # --- write verbs: each commit is a delta segment + an epoch bump ---------
@@ -60,20 +60,21 @@ def main() -> None:
     # --- MVCC: as_of reads reconstruct any committed epoch -------------------
     full_scan = Query(projection=tuple(schema.names), label="read")
     for as_of in range(epoch + 1):
-        result, _ = client.scan_versioned(table, full_scan, as_of=as_of)
+        result, _ = client.far_view_planned(table, full_scan, "offload",
+                                             as_of=as_of)
         print(f"  as_of({as_of}): {result.num_rows} rows, "
               f"sha256 {sha(result.data)}")
-    snap0, _ = client.scan_versioned(table, full_scan, as_of=0)
-    assert snap0.data == schema.to_bytes(rows), "epoch 0 must be pristine"
+    snap0, _ = client.table_read(table, as_of=0)
+    assert snap0 == schema.to_bytes(rows), "epoch 0 must be pristine"
 
     # --- scan-under-update: the scan pins the epoch it started under ---------
     distinct = select_distinct(["c"])
-    client.scan_versioned(table, distinct)        # deploy the pipeline
+    client.far_view(table, distinct)        # deploy the pipeline
     captured = {}
 
     def reader():
         captured["epoch"] = table.epoch
-        result = yield from client.scan_versioned_proc(table, distinct)
+        result = yield from client.far_view_proc(table, distinct)
         captured["result"] = result
 
     def writer():
@@ -84,17 +85,17 @@ def main() -> None:
     procs = [sim.process(reader()), sim.process(writer())]
     sim.run()
     assert all(p.triggered for p in procs)
-    replay, _ = client.scan_versioned(table, distinct,
-                                      as_of=captured["epoch"])
+    replay, _ = client.far_view_planned(table, distinct, "offload",
+                                        as_of=captured["epoch"])
     assert replay.data == captured["result"].data
     print(f"scan pinned epoch {captured['epoch']}: result sha256 "
           f"{sha(captured['result'].data)} == quiesced replay "
           f"{sha(replay.data)} (snapshot isolation)")
 
     # --- compaction: fold the chain, same bytes, fewer segments --------------
-    before, _ = client.scan_versioned(table, full_scan)
+    before, _ = client.far_view(table, full_scan)
     epoch, t_cmp = client.compact(table)
-    after, t_scan = client.scan_versioned(table, full_scan)
+    after, t_scan = client.far_view(table, full_scan)
     assert after.data == before.data, "compaction must not change contents"
     print(f"compacted in {to_us(t_cmp):.1f} us -> epoch still {epoch}, "
           f"{table.num_deltas} deltas, scan now {to_us(t_scan):.1f} us, "

@@ -186,9 +186,10 @@ def cmd_sql(args: argparse.Namespace) -> int:
     schema = default_schema()
     rows = make_rows(schema, args.rows)
     rows["c"] = np.arange(args.rows) % 16
-    # A *versioned* demo table, so INSERT / UPDATE / DELETE statements
-    # work alongside SELECTs (each write commits a delta + epoch bump).
-    table = bench.client.create_versioned_table(args.table, schema, rows)
+    # A writable demo table (the default spec), so INSERT / UPDATE /
+    # DELETE statements work alongside SELECTs (each write commits a
+    # delta + epoch bump).
+    table = bench.client.create_table(args.table, schema, rows)
     # A small dimension table keyed on demo.c, so JOIN statements work:
     #   SELECT c, rate FROM demo JOIN dim ON demo.c = dim.id
     dim_schema = Schema([Column("id", "int64"), Column("rate", "float64")])

@@ -39,8 +39,8 @@ run concurrently, from many clients, under a fault schedule) with a
 blocking twin, generated by :func:`_with_blocking_verbs`, that drives
 the simulator to completion and returns ``(result, elapsed_ns)`` — the
 paper's measurement endpoint, "until the final results are written to
-the memory of the client machine" (§6.2).  Only the twins,
-``read_version`` and the create verbs drive the simulator.
+the memory of the client machine" (§6.2).  Only the twins and the create
+verb drive the simulator.
 ``docs/ARCHITECTURE.md`` ("Clients and results", "The versioned write
 path") has the verb tables, the one result type and the placement and
 write contracts.
@@ -232,13 +232,14 @@ def _with_blocking_verbs(cls):
     return cls
 
 
-def _versioned_query(query: Query) -> Query:
+def _merge_query(query: Query) -> Query:
     """Delta-merge ingest needs the full row stream (like joins), so
-    smart addressing is not applicable to versioned scans."""
+    smart addressing is not applicable to a scan over deltas."""
     if query.smart_addressing:
         raise QueryError(
-            "smart addressing is incompatible with versioned scans: "
-            "the delta-merge ingest consumes the full row stream")
+            "smart addressing is incompatible with a scan over deltas: "
+            "the delta-merge ingest consumes the full row stream; compact "
+            "the table first")
     if query.smart_addressing is None:
         return replace(query, smart_addressing=False)
     return query
@@ -253,11 +254,16 @@ class _Placement:
     :class:`~repro.core.table.Shard`, stamped like any other (a stale
     stamp means the copy is gone and must never be probed against).
     ``empty`` are the partitions that hold no build rows: their fact
-    shards probe nothing and are answered client-side.
+    shards probe nothing and are answered client-side.  A commit to the
+    build (or a drop) *retires* a placement: later joins place anew, and
+    its copies are freed once the last of its ``users`` — the scans
+    probing them — ends.
     """
 
     copies: dict[tuple[int, int], Shard] = field(default_factory=dict)
     empty: frozenset[int] = frozenset()
+    users: int = 0
+    retired: bool = False
 
 
 #: Sentinel a shard executor returns (instead of raising) when every
@@ -388,30 +394,28 @@ class _NodeSession:
             self.free_segment(segment)
 
     def _scan_once_proc(self, chain: VersionChain, query: Query,
-                        epoch: int | None):
-        """Process: one offloaded scan of one chain — the base segment
-        of a plain chain, the snapshot at ``epoch`` of a versioned one.
-        Returns the node's own :class:`QueryResult` (report + stream)."""
+                        epoch: int):
+        """Process: one offloaded scan of the chain's snapshot at
+        ``epoch``.  Returns the node's own :class:`QueryResult` (report +
+        stream)."""
         conn = self.connection
         # Pins are taken before any simulated time passes (the compile
-        # resolves the same epochs), so a chain — or a versioned join
-        # build side — being updated or compacted mid-scan cannot change
-        # or free the segments this scan reads.
-        pins = [(chain, chain.pin(epoch))] if chain.versioned else []
+        # resolves the same epochs), so a chain — or a join build side
+        # probed in place — being updated or compacted mid-scan cannot
+        # change or free the segments this scan reads.
+        pins = [(chain, chain.pin(epoch))]
         if query.join is not None:
             build = as_table(query.join.build_table).shards[0].chain
-            if build.versioned:
-                pins.append((build, build.pin(build.epoch)))
+            pins.append((build, build.pin(build.epoch)))
         try:
             # Pipelines are stateful/one-shot: always compile a fresh one;
             # the signature keeps region reconfiguration free across
             # repeats.
-            source = chain.view_at(epoch) if chain.versioned else chain.base
             compiled = compile_query(query, chain.base, self.node.config)
             conn.qp.buffer.reset()
             start = self.sim.now
-            report = yield from self.node.serve_farview(conn, source,
-                                                        compiled)
+            report = yield from self.node.serve_farview(
+                conn, chain.view_at(epoch), compiled)
         finally:
             for pinned, token in reversed(pins):
                 self._release_pin(pinned, token)
@@ -421,23 +425,27 @@ class _NodeSession:
             response_time_ns=self.sim.now - start,
             output_key=query.encrypt_output)
 
-    def read_version_proc(self, chain: VersionChain, epoch: int):
-        """Process: raw RDMA reads of every segment of the chain pinned
-        at ``epoch`` + client-side merge.  Returns ``(visible_rows,
-        rowids, bytes_shipped)``."""
+    def read_chain_proc(self, chain: VersionChain, epoch: int,
+                        offset: int = 0, length: int | None = None):
+        """Process: the chain's visible rows at ``epoch`` — raw RDMA
+        reads of every segment of the pinned snapshot, merged on the
+        client when it holds deltas; without deltas the image is the
+        base segment's bytes (its ``offset`` / ``length`` range).
+        Returns ``(image, rowids, bytes_shipped)``."""
         token = chain.pin(epoch)
         try:
             view = chain.view_at(epoch)
             images: dict[str, bytes] = {}
-            shipped = 0
             for segment in view.segment_tables:
-                data = yield from self.table_read_proc(segment)
-                images[segment.name] = data
-                shipped += len(data)
-            rows, ids = view.materialize(lambda t: images[t.name])
-            return rows, ids, shipped
+                images[segment.name] = yield from self.table_read_proc(
+                    segment, offset, length)
         finally:
             self._release_pin(chain, token)
+        shipped = sum(map(len, images.values()))
+        if not view.deltas:
+            return images[view.base.name], view.base_rowids, shipped
+        rows, ids = view.materialize(lambda t: images[t.name])
+        return chain.schema.to_bytes(rows), ids, shipped
 
     def prepare_delta_proc(self, kind: str, chain: VersionChain, *args):
         """Process: build one write's delta segment on the node without
@@ -530,9 +538,10 @@ class ClusterClient:
         self.cpu = cpu
         #: Join build placements that moved bytes, by ``(build name,
         #: fact name | None)`` — ``None`` for broadcast, whose layout is
-        #: fact-independent (:meth:`_place_build_proc`).  Copies are
-        #: immutable (plain tables only), so a placement stays valid
-        #: until either table is dropped — or a node crashes, which
+        #: fact-independent (:meth:`_place_build_proc`).  Copies hold the
+        #: build's rows when they were placed, so a placement stays valid
+        #: until a commit to the build or a drop of either table retires
+        #: it (:meth:`_retire_placements`) — or a node crashes, which
         #: invalidates its copies.
         self._placements: dict[tuple[str, str | None], _Placement] = {}
         #: In-flight moves by placement key: concurrent joins share one
@@ -544,9 +553,9 @@ class ClusterClient:
         #: Optional :class:`~repro.core.faults.RetryPolicy`: per-request
         #: deadline + capped exponential backoff on every shard *read*
         #: request (``table_read``, ``far_view`` and everything built on
-        #: them, plain or versioned; view bootstrap and refresh reads)
-        #: and on :meth:`FarviewClient.table_write`, an idempotent
-        #: overwrite.  The versioned write verbs are **not** retried: a
+        #: them; view bootstrap and refresh reads) and on
+        #: :meth:`FarviewClient.table_write`, an idempotent
+        #: overwrite.  The write verbs are **not** retried: a
         #: prepare that may have reached the node must not be applied
         #: twice.  ``None`` (default) is the exact pre-fault-layer
         #: request path — no extra simulator events.
@@ -628,15 +637,11 @@ class ClusterClient:
     # -- placement: the fork, the ladder, the client-side tail --------------
     def _bind(self, table, as_of: int | None = None) -> tuple:
         """Coerce ``table`` to its handle and resolve the snapshot epoch
-        once, before simulated time passes and concurrent writers can
-        commit.  Idempotent on a bound pair."""
+        once (default: the current one), before simulated time passes
+        and concurrent writers can commit.  Idempotent on a bound
+        pair."""
         table = as_table(table)
-        if table.versioned:
-            return table, table.epoch if as_of is None else as_of
-        if as_of is not None:
-            raise QueryError(f"as_of needs a versioned table, not "
-                             f"{table.name!r}")
-        return table, None
+        return table, table.epoch if as_of is None else as_of
 
     def _placed_proc(self, table, query: Query, placement: str,
                      stats: PlanStats | None = None, lease_manager=None,
@@ -700,8 +705,8 @@ class ClusterClient:
         ``"auto"`` (the cheapest split; degrades on a join-build
         overflow or a dead region) carry an
         :class:`~repro.core.planner.ExplainPlan` with estimated and
-        actual times.  ``as_of`` pins a versioned table's snapshot,
-        ``join_strategy`` a join's scatter strategy."""
+        actual times.  ``as_of`` pins the table's snapshot (default: the
+        current epoch), ``join_strategy`` a join's scatter strategy."""
         if placement != "offload":
             return self._placed_proc(table, query, placement, stats,
                                      lease_manager, as_of, join_strategy)
@@ -721,8 +726,8 @@ class ClusterClient:
         Estimates use table-level cardinalities with per-shard streaming
         parallelism; the region-residency check samples the first
         shard's region (a different loaded signature pays the
-        partial-reconfiguration charge).  A versioned table is priced at
-        its snapshot — ``scan_bytes`` over every chain's base + deltas,
+        partial-reconfiguration charge).  A table is priced at its
+        snapshot — ``scan_bytes`` over every chain's base + deltas,
         ``delta_rows`` for the ship side's software merge.  A
         ``lease_manager`` folds the expected region-lease wait on a
         saturated pool into the offload side.  Joins fold the resolved
@@ -733,12 +738,9 @@ class ClusterClient:
         table, epoch = self._bind(table, as_of)
         first = table.shards[0]
         session = self._sessions[first.node_index]
-        rows, snapshot = table.num_rows, {}
-        if table.versioned:
-            query = _versioned_query(query)
-            rows, scan_bytes, delta_rows = table.stats_at(epoch)
-            snapshot = dict(scan_bytes=float(scan_bytes),
-                            delta_rows=float(delta_rows))
+        rows, scan_bytes, delta_rows = table.stats_at(epoch)
+        if delta_rows:
+            query = _merge_query(query)
         strategy = self._resolve_join_strategy(table, query, join_strategy)
         join_transfer_ns = 0.0
         join_build_shards = 1
@@ -756,9 +758,10 @@ class ClusterClient:
             buffer_capacity=session.buffer_capacity,
             refuse_join_offload=refuse_join_offload,
             join_strategy=strategy, join_transfer_ns=join_transfer_ns,
-            join_build_shards=join_build_shards, **snapshot)
+            join_build_shards=join_build_shards,
+            scan_bytes=float(scan_bytes), delta_rows=float(delta_rows))
 
-    def _run_tail_proc(self, table: Table, epoch: int | None, query: Query,
+    def _run_tail_proc(self, table: Table, epoch: int, query: Query,
                        plan: ExplainPlan | None, tail: list, placement: str,
                        stats=None, join_strategy: str | None = None):
         """Process: the one client tail — one statement, one bill (one
@@ -774,9 +777,10 @@ class ClusterClient:
         arm's Query, planned under ``placement``, then probes it
         (:func:`~repro.core.planner.run_client_join`); any other step is
         :func:`~repro.core.planner.run_client_kernel`.  One snapshot:
-        ``table`` at ``epoch`` and every versioned build side are pinned
-        before any simulated time passes, until the last read.  The
-        record is the head's node, one ``tail`` entry per tail step."""
+        ``table`` at ``epoch`` and every build side at its current epoch
+        are pinned before any simulated time passes, until the last
+        read.  The record is the head's node, one ``tail`` entry per
+        tail step."""
         sim, cpu = self.sim, self.cpu
         start = sim.now
         steps = [] if plan is None else client_steps(query, plan.split)
@@ -784,7 +788,7 @@ class ClusterClient:
                                        in steps + tail if op.kernel == "join"]
         epochs = {handle.name: at for handle, at in snapshot}
         pins = [(shard, shard.chain.pin(at)) for handle, at in snapshot
-                if at is not None for shard in handle.shards]
+                for shard in handle.shards]
         cost = CostBreakdown()
         cost.add("setup", cpu.setup_ns())
         parts, read_bytes = [], 0
@@ -853,32 +857,26 @@ class ClusterClient:
                            parts=parts, client_cost=cost,
                            read_bytes=read_bytes)
 
-    def _read_raw_proc(self, table, epoch: int | None, cost: CostBreakdown,
+    def _read_raw_proc(self, table, epoch: int, cost: CostBreakdown,
                        query: Query | None = None):
-        """Process: raw read of a whole table, decoded; returns ``(rows,
-        bytes_shipped)`` and charges the client the read.  A ship plan
-        passes its ``query``: it also pays the decrypt the query asks for
-        and a version chain's delta merge, which a raw join build does
-        not."""
+        """Process: the one raw read of a whole table at ``epoch``
+        (:meth:`table_read_proc`: base + deltas cross the wire), decoded;
+        returns ``(rows, bytes_shipped)`` and charges the client the
+        read and the merge of the deltas (none without them).  A ship
+        plan passes its ``query``: it also pays the decrypt it asks
+        for."""
         cpu, table = self.cpu, as_table(table)
-        if table.versioned:
-            rows, _ids, shipped = yield from self.read_version_proc(table,
-                                                                    epoch)
-            cost.add("read", cpu.read_ns(shipped))
-            if query is not None:
-                visible, _scan_bytes, delta_rows = table.stats_at(epoch)
-                cost.add("merge",
-                         delta_merge_cost_ns(cpu, visible, delta_rows))
-            return rows, shipped
-        data = yield from self.table_read_proc(table)
-        cost.add("read", cpu.read_ns(len(data)))
+        visible, shipped, delta_rows = table.stats_at(epoch)
+        data = yield from self.table_read_proc(table, as_of=epoch)
+        cost.add("read", cpu.read_ns(shipped))
+        cost.add("merge", delta_merge_cost_ns(cpu, visible, delta_rows))
         if query is not None and query.decrypt_input:
             # Only a caller-placed segment can be encrypted; the pool's
             # create loop writes plaintext shards.
             base = table.shards[0].chain.base
             data = software_decrypt(data, base.key, base.nonce)
             cost.add("aes", cpu.aes_ns(len(data)))
-        return table.schema.from_bytes(data), len(data)
+        return table.schema.from_bytes(data), shipped
 
     # -- paper-style higher-level helpers (§4.2's `select`) -----------------
     def select_proc(self, table, columns: list[str] | None,
@@ -915,14 +913,13 @@ class ClusterClient:
                  stats: PlanStats | None = None):
         """Process: parse and execute a SQL statement against the catalog.
 
-        SELECTs run against any registered table (versioned scans pin
-        the current epoch) and return the :class:`QueryResult`, timed
-        from the statement's own start; ``INSERT INTO ... VALUES``,
-        ``UPDATE ... SET ... WHERE`` and ``DELETE FROM ... WHERE``
-        commit write batches against a versioned table and return the
-        new epoch.  Placement precedence for reads: the ``placement``
-        argument, then a ``/*+ placement(...) */`` hint, then full
-        offload.  Parsing and binding run when the verb is called; the
+        SELECTs run against any registered table (pinned at its current
+        epoch) and return the :class:`QueryResult`, timed from the
+        statement's own start; ``INSERT INTO ... VALUES``, ``UPDATE ...
+        SET ... WHERE`` and ``DELETE FROM ... WHERE`` commit write
+        batches against a writable table and return the new epoch.
+        Placement precedence for reads: the ``placement`` argument, then
+        a ``/*+ placement(...) */`` hint, then full offload.  Parsing and binding run when the verb is called; the
         rest runs in the caller's process, beside any other statement.
         """
         parsed = parse_sql(statement)
@@ -933,13 +930,17 @@ class ClusterClient:
         return self._placed_proc(bound.base, bound.query, placement, stats,
                                  tail=bound.tail)
 
-    def _require_versioned(self, table) -> Table:
+    @staticmethod
+    def _require_writable(table) -> Table:
+        """The handle behind ``table``, refused typed unless the write
+        verbs may commit to it (:attr:`Table.writable`)."""
         table = as_table(table)
-        if not table.versioned:
+        if not table.writable:
             raise QueryError(
-                f"table {table.name!r} is not versioned; write statements "
-                f"and views need a table created with "
-                f"create_versioned_table")
+                f"table {table.name!r} is not writable: writes need a "
+                f"chunk-partitioned, unreplicated table; writes to "
+                f"caller-placed, hash- or range-partitioned and replicated "
+                f"tables are not supported")
         return table
 
     def _sql_write(self, table: Table, parsed: ParsedWrite):
@@ -955,42 +956,20 @@ class ClusterClient:
     # -- table lifecycle ------------------------------------------------------
     def create_table(self, name: str, schema: Schema, rows: np.ndarray,
                      partition: PartitionSpec | None = None) -> Table:
-        """Partition ``rows``, allocate and scatter-write the shards of
-        a plain table (:meth:`_create`).  Nodes whose shard would be
-        empty get no shard; shard segments are named ``{name}@{node}``
-        and each shard's ``partition.replicas - 1`` byte-identical
-        failover copies land on the next ring nodes."""
-        return self._create(name, schema, rows, partition, versioned=False)
+        """The one create loop: partition → allocate → write → register
+        the per-node version chains of a table at epoch 0.  Nodes whose
+        shard would be empty get no shard; shard segments are named
+        ``{name}@{node}`` and each shard's ``partition.replicas - 1``
+        byte-identical failover copies land on the next ring nodes.  The
+        default spec (``chunk``, unreplicated) is :attr:`Table.writable`:
+        :meth:`insert` / :meth:`update_where` / :meth:`delete_where` then
+        each commit a copy-on-write delta segment and advance its epoch.
 
-    def create_versioned_table(self, name: str, schema: Schema,
-                               rows: np.ndarray,
-                               partition: PartitionSpec | None = None
-                               ) -> Table:
-        """Chunk-partition ``rows`` into per-node version chains, epoch
-        0 (:meth:`_create`); :meth:`insert` / :meth:`update_where` /
-        :meth:`delete_where` then each commit a copy-on-write delta
-        segment and advance the table's epoch.  Only order-preserving
-        ``chunk`` partitioning is supported: the global visible row
-        order is shard-concatenation order, which is what keeps
-        scatter-gather merges byte-identical to single-node execution
-        (inserts append to the last shard for the same reason).  Chains
-        are unreplicated."""
-        return self._create(name, schema, rows, partition, versioned=True)
-
-    def _create(self, name: str, schema: Schema, rows: np.ndarray,
-                partition: PartitionSpec | None, versioned: bool) -> Table:
-        """The one create loop: partition → allocate → write → register.
         Everything refusable from the arguments and the catalog is
         refused before the first allocation; any later failure frees
         every segment and replica already allocated."""
         spec = partition if partition is not None else PartitionSpec()
-        if versioned:
-            require_versionable(schema)
-            if not spec.order_preserving:
-                raise QueryError(
-                    f"versioned tables require order-preserving 'chunk' "
-                    f"partitioning, got {spec.scheme!r} (the write path's "
-                    f"byte-identity contract depends on global row order)")
+        require_versionable(schema)
         if rows.dtype != schema.dtype:
             raise QueryError(
                 f"rows dtype {rows.dtype} does not match table schema "
@@ -1010,27 +989,28 @@ class ClusterClient:
                 if len(idx) == 0:
                     continue
                 part = rows if len(idx) == len(rows) else rows[idx]
-                # k-replica placement of a plain shard: byte-identical
-                # copies on the next ring nodes.  A version chain has no
-                # replicas and no stamp — its bytes survive a recovery.
-                hosts = (node_index,) if versioned else (
-                    node_index,) + replica_nodes(node_index, self.num_nodes,
-                                                 spec.replicas)
+                # k-replica placement: byte-identical copies on the next
+                # ring nodes.  The stamp rule (Shard): a replicated
+                # table's copies carry their node's incarnation; an
+                # unreplicated shard is unstamped and survives a
+                # recovery.
+                hosts = (node_index,) + replica_nodes(
+                    node_index, self.num_nodes, spec.replicas)
                 copies = []
                 for host in hosts:
                     session = self._sessions[host]
                     chain = f"{name}@{node_index}" + (
                         f"r{host}" if host != node_index else "")
-                    segment = FTable(chain + ("#b0" if versioned else ""),
-                                     schema, len(part))
+                    segment = FTable(chain, schema, len(part))
                     session.alloc_segment(segment)
                     # Track the segment before the write so a mid-upload
                     # failure still rolls its allocation back.
                     allocated.append((session, segment))
                     session.table_write(segment, part)
                     copies.append(Shard(
-                        host, VersionChain(chain, schema, segment, versioned),
-                        None if versioned else session.node.incarnation))
+                        host, VersionChain(chain, schema, segment),
+                        session.node.incarnation if len(hosts) > 1
+                        else None))
                 shards.append(replace(copies[0], replicas=tuple(copies[1:])))
                 if spec.scheme == "range":
                     # Plan-time pruning metadata: each shard's observed
@@ -1062,17 +1042,29 @@ class ClusterClient:
         for shard in table.shards:
             self._sessions[shard.node_index].drop_chain(shard.chain)
             self._free_copies(shard.replicas)
-        # A move in flight loses its handle: it then frees the copies it
-        # wrote instead of publishing them.
-        for key in [k for k in self._moves if table.name in k]:
-            del self._moves[key]
-        for key in [k for k in self._placements if table.name in k]:
-            self._free_copies(self._placements.pop(key).copies.values())
+        self._retire_placements(table.name)
         self.catalog.deregister(table.name)
 
-    # -- versioned write verbs: prepare, commit, propagate ------------------
+    def _retire_placements(self, name: str) -> None:
+        """Retire every join build placement table ``name`` takes part
+        in, on either side: later joins place anew.  A move in flight
+        loses its handle — it then hands its copies to the joins waiting
+        on it alone — and copies no scan is probing are freed now."""
+        for key in [k for k in self._moves if name in k]:
+            del self._moves[key]
+        for key in [k for k in self._placements if name in k]:
+            placed = self._placements.pop(key)
+            placed.retired = True
+            self._free_unused(placed)
+
+    def _free_unused(self, placed: _Placement) -> None:
+        """Free a retired placement's copies once no scan probes them."""
+        if placed.retired and not placed.users:
+            self._free_copies(placed.copies.values())
+
+    # -- write verbs: prepare, commit, propagate ----------------------------
     def _write_proc(self, kind: str, table, *args):
-        table = self._require_versioned(table)
+        table = self._require_writable(table)
         prepared = yield from self._prepare_proc(kind, table, *args)
         epoch = self._commit(table, prepared)
         yield from self._views_after_commit_proc()
@@ -1099,7 +1091,7 @@ class ClusterClient:
     def snapshot(self, table) -> int:
         """The current committed epoch (every shard agrees on it) — pass
         to ``as_of`` for a repeatable snapshot read."""
-        table = self._require_versioned(table)
+        table = as_table(table)
         table.check_epochs()
         return table.epoch
 
@@ -1147,17 +1139,21 @@ class ClusterClient:
         every reader still snapshots the old epoch on *all* shards, and
         after it every reader sees the new epoch on all shards — there
         is no interleaving in which a scatter-gather scan observes a
-        half-committed write.  On any failed prepare the abort frees the
-        prepared delta segments of the shards that *did* succeed (best
-        effort — a dead node has nothing left to free), verifies no
-        shard epoch moved, and re-raises the first failure: either every
-        shard commits (no-op bumps included), or none does.
+        half-committed write, and the join build copies placed from the
+        table retire in the same step (:meth:`_retire_placements`), so
+        no later join probes a copy older than the commit.  On any
+        failed prepare the abort frees the prepared delta segments of
+        the shards that *did* succeed (best effort — a dead node has
+        nothing left to free), verifies no shard epoch moved, and
+        re-raises the first failure: either every shard commits (no-op
+        bumps included), or none does.
         """
         failures = [value for tag, value in outcomes if tag == "err"]
         if not failures:
             for shard, (_tag, prepared) in zip(table.shards, outcomes):
                 shard.chain.commit_delta(*prepared)
             table.check_epochs()
+            self._retire_placements(table.name)
             return table.epoch
         for (tag, value), shard in zip(outcomes, table.shards):
             if tag == "ok" and value[1] is not None:
@@ -1174,18 +1170,28 @@ class ClusterClient:
         (zero-byte) base: it is skipped while another shard holds rows,
         and an all-empty table is the node's typed refusal.
         """
-        table = self._require_versioned(table)
+        table = self._require_writable(table)
         empty = table.num_rows == 0
         yield from self._fan_out_proc(table, "compact", [
             (s, self._sessions[s.node_index].compact_chain_proc(s.chain))
             for s in table.shards if s.chain.num_rows > 0 or empty])
         return table.epoch
 
+    # -- the earlier spellings of the unified verbs ------------------------
+    def create_versioned_table(self, *args, **kwargs) -> Table:
+        """:meth:`create_table` (every table is a version chain)."""
+        return self.create_table(*args, **kwargs)
+
+    def scan_versioned_proc(self, table, query: Query, as_of=None,
+                            placement="offload", stats=None,
+                            lease_manager=None):
+        """Process: :meth:`far_view_planned_proc`'s route, unrecorded."""
+        return self._placed_proc(table, query, placement, stats,
+                                 lease_manager, as_of=as_of)
+
     def read_version(self, table, as_of: int | None = None):
-        """Visible byte image at an epoch; returns (bytes, elapsed_ns)."""
-        (rows, _ids, _shipped), elapsed = _run(
-            self.sim, self.read_version_proc(table, as_of), "read_version")
-        return table.schema.to_bytes(rows), elapsed
+        """:meth:`table_read` of the snapshot at ``as_of``."""
+        return self.table_read(table, as_of=as_of)
 
     # -- incremental materialized views (docs/VIEWS.md) ---------------------
     # The client owns the sim-facing half of the view subsystem: it reads
@@ -1198,7 +1204,7 @@ class ClusterClient:
     # up from the last consistent epoch.
     def create_view_proc(self, sql: str, name: str | None = None):
         """Process: compile ``sql`` into a circuit and bootstrap it from
-        an epoch-consistent MVCC snapshot of every versioned input.
+        an epoch-consistent MVCC snapshot of every writable input.
 
         The chain trackers pin their chains *before* any simulated time
         passes, so writes committing mid-bootstrap queue as pending
@@ -1224,7 +1230,7 @@ class ClusterClient:
             if table in engine.trackers:
                 continue
             trackers = []
-            for shard in self._require_versioned(handle).shards:
+            for shard in handle.shards:
                 tracker = ChainTracker(table, shard.chain)  # pins + listens
                 tracker.owner = shard
                 trackers.append(tracker)
@@ -1234,11 +1240,11 @@ class ClusterClient:
         boot: dict[str, ZSet] = {}
         try:
             for tracker in new_trackers:
-                rows, ids, shipped = yield from self._shard_exec_proc(
+                image, ids, shipped = yield from self._shard_exec_proc(
                     tracker.owner,
                     lambda _shard, c: self._sessions[c.node_index]
-                    .read_version_proc(c.chain, tracker.processed_epoch))
-                tracker.load(rows, ids)
+                    .read_chain_proc(c.chain, tracker.processed_epoch))
+                tracker.load(tracker.chain.schema.from_bytes(image), ids)
                 view.bootstrap_bytes += shipped
             for stage, handle in circuit.static_loads:
                 data = yield from self.table_read_proc(handle)
@@ -1433,7 +1439,8 @@ class ClusterClient:
         placement, shared by concurrent joins) and cached; copies on a
         node that crashed since are invalidated — its pool memory is
         gone, and a stale copy must never be probed against — and
-        re-placed onto the survivors.
+        re-placed onto the survivors.  A move a commit overtook serves
+        the joins that waited on it, uncached.
         """
         build = as_table(join.build_table)
         if strategy == "colocated":
@@ -1476,12 +1483,14 @@ class ClusterClient:
                                           num_partitions, targets),
                     name=f"cluster.move[{key[0]}->{key[1]}]")
             try:
-                yield inflight
+                moved = yield inflight
             except FaultError:
                 # A node died mid-move.  The loop re-evaluates: the dead
                 # node drops out of the next round's targets
                 # (re-placement onto the survivors only).
-                pass
+                continue
+            if moved is not None and moved.retired:
+                return moved
         raise NodeFailedError(
             f"could not place {build.name!r} for a {strategy} join: nodes "
             f"kept failing")
@@ -1525,17 +1534,23 @@ class ClusterClient:
             self._free_copies(written.values())
             raise
         # Publish and retire the in-flight handle in one step (no yields
-        # between), so callers see exactly one of the two.  A drop_table
-        # mid-move removes the handle; the orphaned copies are then
-        # freed instead of cached.  Merge (not replace): a re-placement
-        # round after a crash must keep the survivors' valid entries.
+        # between), so callers see exactly one of the two.  A commit or a
+        # drop_table mid-move removes the handle.  After a commit the
+        # copies go, retired, to the joins that waited on this move (they
+        # started before the commit) and are freed when the last one
+        # ends; after a drop they are freed now.  Merge (not replace): a
+        # re-placement round after a crash must keep the survivors'
+        # valid entries.
+        empty = frozenset(p for p, idx in enumerate(parts) if len(idx) == 0)
         if self._moves.pop(key, None) is None:
+            if build.name in self.catalog:
+                return _Placement(written, empty, retired=True)
             self._free_copies(written.values())
-            return
+            return None
         placed = self._placements.setdefault(key, _Placement())
-        placed.empty = frozenset(
-            p for p, idx in enumerate(parts) if len(idx) == 0)
+        placed.empty = empty
         placed.copies.update(written)
+        return placed
 
     def _write_copies_proc(self, build: Table, node_index: int,
                            frags: list, written: dict):
@@ -1661,79 +1676,50 @@ class ClusterClient:
         raise last_exc
 
     def table_read_proc(self, table, offset: int = 0,
-                        length: int | None = None):
-        """Process: raw RDMA reads of a plain table, gathered in shard
-        order; returns the bytes.  Under ``chunk`` partitioning the
-        concatenation is the original table image; other schemes return
-        shard-order bytes.  A shard whose primary is down reads from a
-        replica (byte-identical by construction), so the image never
-        changes under failover.  ``offset`` / ``length`` address a byte
-        range of a one-shard table's segment."""
-        table = as_table(table)
-        if table.versioned or ((offset or length is not None)
-                               and len(table.shards) != 1):
+                        length: int | None = None,
+                        as_of: int | None = None):
+        """Process: the one raw read — the table's visible rows at
+        ``as_of`` (default: the current epoch), gathered in shard order
+        (:meth:`_NodeSession.read_chain_proc`); returns the bytes.  Under
+        ``chunk`` partitioning the concatenation is the table's row
+        image; other schemes return shard-order bytes.  A shard whose primary is down
+        reads from a replica (byte-identical by construction), so the
+        image never changes under failover.  ``offset`` / ``length``
+        address a byte range of a one-shard, delta-free table's
+        segment."""
+        table, epoch = self._bind(table, as_of)
+        if (offset or length is not None) and (
+                len(table.shards) != 1 or table.has_deltas(epoch)):
             raise QueryError(
-                f"table_read of {table.name!r}: a raw read returns plain "
-                f"segment bytes (read_version merges a version chain), "
-                f"and a byte range addresses one segment")
-        chunks = yield from self._scatter_proc(
+                f"table_read of {table.name!r}: a byte range addresses "
+                f"the one segment of a one-shard table without deltas")
+        parts = yield from self._scatter_proc(
             table, "read",
             lambda _shard, c: self._sessions[c.node_index]
-            .table_read_proc(c.chain.base, offset, length))
-        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
-
-    def read_version_proc(self, table, as_of: int | None = None):
-        """Process: raw reads of every segment of every shard's chain,
-        pinned at one epoch, + per-shard client-side merges.  Returns
-        ``(visible_rows, rowids, bytes_shipped)`` in shard order (row
-        ids are shard-local) — the ship-side building block of versioned
-        placement, and the oracle the snapshot-isolation tests
-        re-execute."""
-        table, epoch = self._bind(self._require_versioned(table), as_of)
-        parts = yield from self._scatter_proc(
-            table, "vread",
-            lambda _shard, c: self._sessions[c.node_index]
-            .read_version_proc(c.chain, epoch))
-        if len(parts) == 1:
-            return parts[0]
-        return (np.concatenate([rows for rows, _ids, _n in parts]),
-                np.concatenate([ids for _rows, ids, _n in parts]),
-                sum(n for _rows, _ids, n in parts))
+            .read_chain_proc(c.chain, epoch, offset, length))
+        return (parts[0][0] if len(parts) == 1
+                else b"".join(image for image, _ids, _n in parts))
 
     def far_view_proc(self, table, query: Query,
                       join_strategy: str | None = None):
         """Process: the Farview verb — scatter the shard fragment,
-        gather + merge (:meth:`_offload_proc`); returns a
-        :class:`QueryResult`.  A versioned table scans the snapshot at
-        its current epoch (:meth:`scan_versioned_proc`); a join's build
-        side is placed under ``join_strategy``
+        gather + merge (:meth:`_offload_proc`) over the snapshot at the
+        table's current epoch; returns a :class:`QueryResult`.  A join's
+        build side is placed under ``join_strategy``
         (:meth:`_resolve_join_strategy`)."""
         return self._offload_proc(table, query, None, join_strategy)
-
-    def scan_versioned_proc(self, table, query: Query,
-                            as_of: int | None = None,
-                            placement: str = "offload",
-                            stats: PlanStats | None = None,
-                            lease_manager=None):
-        """Process: scan of the snapshot at ``as_of`` (default: the
-        current epoch) under cost-based placement — ``"offload"`` runs
-        the delta-merge ingest on the nodes, ``"ship"`` reads the raw
-        segments and merges client-side, ``"auto"`` picks the cheapest
-        prefix split with delta-aware costing.  The epoch is pinned on
-        every shard before any simulated time passes, so writers and
-        compactions mid-scan cannot change the bytes it returns."""
-        return self._placed_proc(table, query, placement, stats,
-                                 lease_manager, as_of=as_of)
 
     def _offload_proc(self, table, query: Query, as_of: int | None = None,
                       join_strategy: str | None = None):
         """Process: the one offloaded scan.
 
-        A versioned table's epoch is resolved once, so every shard — and
-        every retry — reads the same snapshot.  A join places its build
-        side first (:meth:`_place_build_proc`); the fragment is
-        localized per candidate node lazily, so a failover probes
-        against the surviving node's build copy.  Fact shards facing an
+        The epoch is resolved once, so every shard — and every retry —
+        reads the same snapshot; with deltas at it, forced smart
+        addressing is refused (:func:`_merge_query`).  A join places its
+        build side first (:meth:`_place_build_proc`) and holds that
+        placement until the scan ends; the fragment is localized per
+        candidate node lazily, so a failover probes against the
+        surviving node's build copy.  Fact shards facing an
         empty build partition are answered client-side, and
         range-partitioned tables skip shards the predicate statically
         excludes (:func:`~repro.core.cluster.prune_scatter_shards`).  A
@@ -1741,8 +1727,8 @@ class ClusterClient:
         stream, no rewrite, no gather); many shards merge into one.
         """
         table, epoch = self._bind(table, as_of)
-        if table.versioned:
-            query = _versioned_query(query)
+        if table.has_deltas(epoch):
+            query = _merge_query(query)
         # A strategy pinned for a whole statement does not apply to a
         # fragment whose join stayed on the client.
         strategy = self._resolve_join_strategy(
@@ -1756,6 +1742,7 @@ class ClusterClient:
         if strategy is not None:
             placement = yield from self._place_build_proc(query.join, table,
                                                           strategy)
+            placement.users += 1
         empty = placement.empty if placement is not None else frozenset()
         pruned = frozenset() if lone else frozenset(plan.pruned_nodes)
 
@@ -1769,9 +1756,14 @@ class ClusterClient:
             return self._sessions[candidate.node_index]._scan_once_proc(
                 candidate.chain, q, epoch)
 
-        live = iter((yield from self._scatter_proc(
-            table, "farview", make, pruned | empty,
-            self.allow_degraded and not lone)))
+        try:
+            live = iter((yield from self._scatter_proc(
+                table, "farview", make, pruned | empty,
+                self.allow_degraded and not lone)))
+        finally:
+            if placement is not None:
+                placement.users -= 1
+                self._free_unused(placement)
         shard_results = [self._empty_shard_result(table, fragment)
                          if s.node_index in empty else next(live)
                          for s in table.shards if s.node_index not in pruned]

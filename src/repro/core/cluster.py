@@ -136,15 +136,13 @@ def colocated_compatible(fact, build, probe_key: str, build_key: str) -> bool:
     Requires both sides hash-partitioned on their join key with the same
     partition modulus *and* byte-compatible key columns (the splitmix64
     placement hash runs over the key's byte image, so equal values only
-    co-locate when their serialized widths match).  Versioned tables are
-    excluded — their visible rows are a merge over the delta chain, not
-    the shard's raw byte image.
+    co-locate when their serialized widths match).  A hash-partitioned
+    table is never written, so its shards' bytes are its rows.
     """
     if not (hash_partitioned_on(fact, probe_key)
             and hash_partitioned_on(build, build_key)):
         return False
-    if (fact.versioned or build.versioned
-            or fact.num_partitions != build.num_partitions):
+    if fact.num_partitions != build.num_partitions:
         return False
     fcol = fact.schema.column(probe_key)
     bcol = build.schema.column(build_key)
@@ -154,33 +152,35 @@ def colocated_compatible(fact, build, probe_key: str, build_key: str) -> bool:
 def join_strategies(table, query: Query) -> tuple[str, ...]:
     """Feasible scatter strategies for this query's join.
 
-    None for a build side the pool never copies — a version chain (its
-    visible rows are a merge, and they change) or a segment the caller
-    placed itself: it is probed **in place**, pinned at its current
-    epoch, so it must be one shard on the node of a one-shard fact table
-    (every single-node join).  Otherwise ``broadcast`` is always
-    feasible.  When the fact side is hash-partitioned on the probe key,
-    the build side can be repartitioned node→node on the same splitmix64
-    hash (``shuffle``); when the build side is *also* hash-partitioned
-    on the join key with a compatible shard map, the join runs
-    shard-local with zero replica bytes (``colocated``).
+    None for a build side the pool does not copy — one with deltas at
+    its current epoch (its visible rows are a merge, and they change) or
+    a segment the caller placed itself: it is probed **in place**,
+    pinned at its current epoch, so it must be one shard on the node of
+    a one-shard fact table (every single-node join).  Otherwise
+    ``broadcast`` is always feasible: the copies hold the build's rows
+    at the epoch they were placed, and a commit to it retires them.  When
+    the fact side is hash-partitioned on the probe key, the build side
+    can be repartitioned node→node on the same splitmix64 hash
+    (``shuffle``); when the build side is *also* hash-partitioned on the
+    join key with a compatible shard map, the join runs shard-local with
+    zero replica bytes (``colocated``).
     """
     if query.join is None:
         return ()
     build = as_table(query.join.build_table)
-    if build.versioned or build.partition is None:
+    if build.partition is None or build.has_deltas(build.epoch):
         if not (len(table.shards) == 1 == len(build.shards)
                 and table.shards[0].node_index == build.shards[0].node_index):
+            why = ("is caller-placed" if build.partition is None
+                   else "has deltas at its epoch")
             raise QueryError(
-                f"build side {build.name!r} is "
-                f"{'versioned' if build.versioned else 'caller-placed'}: it "
-                f"is probed in place, never copied, so the fact table must "
-                f"be one shard on the same node; materialize it with "
-                f"create_table to join against it pool-wide")
+                f"build side {build.name!r} {why}: it is probed in place, "
+                f"never copied, so the fact table must be one shard on the "
+                f"same node; compact it, or materialize it with "
+                f"create_table, to join against it pool-wide")
         return ()
     feasible = ["broadcast"]
-    if (hash_partitioned_on(table, query.join.probe_key)
-            and not table.versioned):
+    if hash_partitioned_on(table, query.join.probe_key):
         feasible.append("shuffle")
         if colocated_compatible(table, build, query.join.probe_key,
                                 query.join.build_key):

@@ -98,7 +98,7 @@ def join_build_profile(query) -> tuple[int, int, Schema]:
 
     Works for every build the compiler accepts: a raw
     :class:`~repro.core.table.FTable` segment or a
-    :class:`~repro.core.table.Table` handle (a versioned one counts
+    :class:`~repro.core.table.Table` handle (a written one counts
     whole-chain bytes — both sides must read every segment, the node to
     merge-ingest, the client to software-merge).
     """
@@ -149,7 +149,7 @@ def delta_merge_cost_ns(cpu: CpuCostModel, base_rows: float,
                         delta_rows: float) -> float:
     """Client-side software cost of merging a version chain.
 
-    Shipping a versioned table raw means shipping base + delta segments
+    Shipping a table with deltas raw means shipping base + delta segments
     and reconstructing the visible rows on the compute node: build a
     row-id hash over the delta rows, then probe it once per base row.
     Priced with the same LCPU terms as the other software kernels, and

@@ -358,10 +358,11 @@ class FarviewNode:
                       compiled: CompiledQuery):
         """Process: run the compiled pipeline over ``source``, stream results.
 
-        ``source`` is a plain table or an MVCC :class:`VersionView`; the
-        pipeline downstream of the ingest sees the table's rows, or
-        exactly the rows visible at ``view.epoch`` (delta-merge ingest,
-        see :meth:`_run_streaming`).  Returns an
+        ``source`` is a segment or an MVCC :class:`VersionView`; the
+        pipeline downstream of the ingest sees exactly the rows visible
+        at ``view.epoch``.  A view's deltas decide the ingest: with none
+        it is the base segment's plain ingest, with some the delta merge
+        (see :meth:`_run_streaming`).  Returns an
         :class:`ExecutionReport`; result bytes land in the client's
         buffer.
         """
@@ -370,8 +371,8 @@ class FarviewNode:
         if conn.region.state is RegionState.FAILED:
             raise RegionFailedError(
                 f"region {conn.region.index} has failed")
-        view = source if isinstance(source, VersionView) else None
-        table = source if view is None else view.base
+        table = source.base if isinstance(source, VersionView) else source
+        view = source if table is not source and source.deltas else None
         self.require_access(conn, table)
         table.require_allocated()
         report = ExecutionReport(signature=compiled.signature,
@@ -430,27 +431,20 @@ class FarviewNode:
                          report: ExecutionReport):
         """Process: fill the join operator's on-chip hash (§7 extension).
 
-        Plain build tables stream through one timed DRAM read; a
-        versioned build side reads every segment of its pinned
-        :class:`VersionView` and loads the merged visible rows, so
-        concurrent dimension-table writes never leak into an in-flight
-        join.
+        Reads every segment of the build side's pinned
+        :class:`VersionView` (one timed DRAM read of the base when it has
+        no deltas) and loads the visible rows, so concurrent
+        dimension-table writes never leak into an in-flight join.
         """
         if compiled.join_op is None:
             return
-        if compiled.join_build_view is not None:
-            rows, _ids = yield from self._materialize_view(
-                conn, compiled.join_build_view, report)
-            compiled.join_op.load_build(rows)
-            return
-        build = compiled.join_build_table
-        if build is None:
+        if compiled.join_build is None:
             raise OperatorError(
                 "join build side is not resident on this node; the "
                 "scatter router must place a copy before probing")
-        images = yield from self._read_segments(conn, [build], report)
-        compiled.join_op.load_build(
-            build.schema.from_bytes(images[build.name]))
+        rows, _ids = yield from self._materialize_view(
+            conn, compiled.join_build, report)
+        compiled.join_op.load_build(rows)
 
     def _run_streaming(self, conn: Connection, table: FTable,
                        view: VersionView | None, compiled: CompiledQuery,
@@ -506,14 +500,13 @@ class FarviewNode:
     def _merged_image(self, conn: Connection, view: VersionView,
                       report: ExecutionReport):
         """Process: the merge unit's visible image of ``view`` — delta
-        segments prefetched with timed reads, the base read as it
-        streams — and its row count."""
+        segments prefetched with timed reads, the base translated and
+        timed as it streams, like a plain scan's — and its row count."""
         base = view.base
         images = yield from self._read_segments(
             conn, [d.table for d in view.deltas], report)
-        vaddr = base.require_allocated()
-        self.mmu.translate_range(conn.domain, vaddr, base.size_bytes)
-        images[base.name] = self.mmu.image(conn.domain, vaddr,
+        images[base.name] = self.mmu.image(conn.domain,
+                                           base.require_allocated(),
                                            base.size_bytes)
         rows, _ids = view.materialize(lambda t: images[t.name])
         return view.schema.to_bytes(rows), len(rows)

@@ -50,11 +50,9 @@ class CompiledQuery:
     sa_plan: Optional[SmartAddressingPlan] = None
     lanes: int = 1
     join_op: Optional[SmallTableJoinOperator] = None
-    join_build_table: Optional[FTable] = None
-    #: Set instead of ``join_build_table`` when the build side is a
-    #: versioned table: the MVCC view (resolved at compile time, pinned
-    #: by the client verb) whose visible rows load into the on-chip hash.
-    join_build_view: Optional[VersionView] = None
+    #: The build side's snapshot (resolved at compile time, pinned by the
+    #: client verb) whose visible rows load into the on-chip hash.
+    join_build: Optional[VersionView] = None
 
     @property
     def output_schema(self) -> Schema:
@@ -158,20 +156,16 @@ def compile_query(query: Query, table: FTable,
 
     stack = config.operator_stack
     join_op: Optional[SmallTableJoinOperator] = None
-    join_build: Optional[FTable] = None
-    join_view: Optional[VersionView] = None
+    join_build: Optional[VersionView] = None
     if query.join is not None:
         build = as_table(query.join.build_table)
         build_rows = build.num_rows
         if len(build.shards) == 1:
+            # Snapshot the chain at the current epoch; the client verb
+            # pins that epoch around the execution so concurrent dim
+            # writes/compactions cannot leak into this join.
             chain = build.shards[0].chain
-            if chain.versioned:
-                # Snapshot the chain at the current epoch; the client
-                # verb pins that epoch around the execution so concurrent
-                # dim writes/compactions cannot leak into this join.
-                join_view = chain.view_at(chain.epoch)
-            else:
-                join_build = chain.base
+            join_build = chain.view_at(chain.epoch)
         # else: a build spread over several shards is capacity-checkable
         # here, but the scatter router must swap in a node-local copy
         # before this pipeline can actually load it.
@@ -246,5 +240,4 @@ def compile_query(query: Query, table: FTable,
                          resource_operators=resource_ops,
                          ingest_mode=ingest_mode, ingest_rate=ingest_rate,
                          sa_plan=sa_plan, lanes=lanes,
-                         join_op=join_op, join_build_table=join_build,
-                         join_build_view=join_view)
+                         join_op=join_op, join_build=join_build)

@@ -80,15 +80,18 @@ class FTable:
 class Shard:
     """One node's fragment of a table: a version chain plus its copies.
 
-    ``incarnation`` is the node's incarnation when the shard's bytes
-    were written — a later crash makes the stamp stale (fail-stop with
-    amnesia: the copy is gone and must never be served).  ``None`` means
-    unstamped: a segment the caller placed itself through the paper's
-    memory verbs, or a version chain (unreplicated; its bytes survive a
-    recovery), which the node alone answers for.  ``replicas`` are the
-    k-1 byte-identical failover copies of a plain shard, in fixed ring
-    order (:func:`~repro.core.partition.replica_nodes`) — each, like a
-    join build copy, itself a replica-less shard over its own segment.
+    ``incarnation`` stamps a shard with its node's incarnation when its
+    bytes were written; a later crash makes the stamp stale and the copy
+    is never served again (fail-stop with amnesia).  **The stamp rule:**
+    a table's shard is stamped iff the table is replicated — it then has
+    live copies to fail over to — and every copy the pool makes
+    (``replicas``, join build copies) is stamped.  An unreplicated shard
+    (``None``: a default table's, a caller-placed segment's) is the only
+    copy there is, so its node alone answers for it, typed while it is
+    down, and it is served again after a recovery.  ``replicas`` are the
+    k-1 byte-identical failover copies of a shard, in fixed ring order
+    (:func:`~repro.core.partition.replica_nodes`) — each, like a join
+    build copy, itself a replica-less shard over its own segment.
     """
 
     node_index: int
@@ -109,10 +112,12 @@ class Table:
     Handle → shards → chain → segments.  Each :class:`Shard` owns a
     :class:`~repro.core.versioning.VersionChain` on one node; a chain is
     one base :class:`FTable` segment plus committed delta segments.  A
-    plain table is the chain that was never written (epoch 0, not
-    writable); a single memory node is the one-shard pool.  Everything
+    plain table is the chain that was never written (epoch 0, no
+    deltas); a single memory node is the one-shard pool.  Everything
     that differs between tables is a property read off the handle —
-    ``versioned``, ``partition.scheme``, ``len(shards)`` — never a type.
+    ``writable``, ``partition.scheme``, ``len(shards)`` — never a type,
+    and what a scan does follows from the deltas at its epoch
+    (:meth:`has_deltas`), never from how the table was created.
 
     ``partition`` is ``None`` for a segment the caller placed itself
     (:func:`as_table`): it lives where it was allocated and is never
@@ -141,10 +146,22 @@ class Table:
         self.shard_ranges = shard_ranges or {}
 
     @property
-    def versioned(self) -> bool:
-        """Writable through the versioned write path (every shard of one
-        table is, or none)."""
-        return self.shards[0].chain.versioned
+    def writable(self) -> bool:
+        """May the write verbs commit to it?  Only a chunk-partitioned,
+        unreplicated table: the global visible row order is
+        shard-concatenation order (what keeps scatter-gather merges
+        byte-identical to one node), and a write has one copy of each
+        shard to append to."""
+        return (self.partition is not None
+                and self.partition.order_preserving
+                and not any(s.replicas for s in self.shards))
+
+    def has_deltas(self, epoch: int) -> bool:
+        """Does any shard's chain hold a delta visible at ``epoch``?
+        With none, a scan of the snapshot is a scan of the base
+        segments."""
+        return any(d.epoch <= epoch for s in self.shards
+                   for d in s.chain.deltas)
 
     @property
     def epoch(self) -> int:
@@ -167,8 +184,8 @@ class Table:
         return sum(len(s.chain.deltas) for s in self.shards)
 
     def stats_at(self, epoch: int) -> tuple[int, int, int]:
-        """``(visible_rows, scan_bytes, delta_rows)`` of a versioned
-        table at ``epoch``, over every shard's chain — what the planner
+        """``(visible_rows, scan_bytes, delta_rows)`` of the table at
+        ``epoch``, over every shard's chain — what the planner
         prices and what a shipped read pays to merge."""
         views = [s.chain.view_at(epoch) for s in self.shards]
         return (sum(s.chain.visible_rows_at(epoch) for s in self.shards),

@@ -13,7 +13,7 @@ missing write path on top of the unchanged read stack:
   :class:`DeltaSegment`\\ s, all living in node DRAM through the
   ordinary Mmu/allocator path.  A monotone **epoch counter** advances
   on every committed write batch.  A plain table is the chain that was
-  never written: base segment only, epoch 0, not ``versioned``.
+  never written: base segment only, epoch 0, no deltas.
 * **MVCC snapshots** — ``view_at(epoch)`` resolves the chain prefix
   visible at an epoch into an immutable :class:`VersionView`.  Readers
   *pin* the epoch they start under; segments retired by a later
@@ -33,8 +33,9 @@ missing write path on top of the unchanged read stack:
   (in-flight pinned scans keep their segments alive via the retire
   barrier).
 
-The node-side execution of versioned scans (delta-aware merge ingest)
-and of the offloaded write verbs lives in
+Every table is such a chain per shard.  The node-side execution of
+scans (delta-aware merge ingest when the pinned view holds deltas) and
+of the offloaded write verbs lives in
 :meth:`repro.core.node.FarviewNode.serve_farview` (given a
 :class:`VersionView`) and the ``serve_*_delta`` / ``serve_compact`` verbs;
 the client verbs are on :class:`repro.core.api.ClusterClient`
@@ -71,6 +72,8 @@ def delete_schema() -> Schema:
 
 
 def require_versionable(schema: Schema) -> None:
+    """Every table is a version chain, so every schema leaves the
+    hidden row-id column to the write path."""
     if ROWID_COLUMN in schema.names:
         raise QueryError(
             f"column name {ROWID_COLUMN!r} is reserved for the versioned "
@@ -258,25 +261,19 @@ class ChainListener:
 class VersionChain:
     """One shard's version chain: a base segment plus committed deltas.
 
-    The body behind every :class:`~repro.core.table.Shard`.  A plain
-    table's chain is never written — base segment only, epoch 0,
-    ``versioned`` false, row ids never materialised; the write verbs of
-    :class:`~repro.core.api.ClusterClient` mutate a ``versioned`` chain
-    by appending segments and bumping the epoch.  Single writer per
-    chain: commits are not synchronized between concurrent writer
-    processes.
+    The body behind every :class:`~repro.core.table.Shard`.  A chain
+    that was never written is base segment only, epoch 0, row ids never
+    materialised; the write verbs of :class:`~repro.core.api.ClusterClient`
+    append segments and bump the epoch of a writable table's chains.
+    What a scan does follows from the deltas visible at its pinned
+    epoch.  Single writer per chain: commits are not synchronized
+    between concurrent writer processes.
     """
 
-    def __init__(self, name: str, schema: Schema, base: FTable,
-                 versioned: bool = False):
-        if versioned:
-            require_versionable(schema)
+    def __init__(self, name: str, schema: Schema, base: FTable):
         self.name = name
         self.schema = schema
         self.base = base
-        #: Writable through the versioned write path; scans then ingest
-        #: through the delta merge and pin their epoch.
-        self.versioned = versioned
         #: Row ids of the base segment; ``None`` until first needed (a
         #: fresh base holds rows ``0..n-1`` in order).
         self._base_rowids: np.ndarray | None = None

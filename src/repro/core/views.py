@@ -20,9 +20,9 @@ the delta, never a Python step per row:
   touches and re-folds their members in one kernel call.
 * **JOIN** applies the bilinear chain rule
   ``Δ(R ⋈ S) = ΔR ⋈ S + R ⋈ ΔS + ΔR ⋈ ΔS`` against accumulated
-  Z-sets of both sides.  A static (non-versioned) build side arrives
-  once, at bootstrap (``ΔS`` stays empty after); a versioned one is
-  tracked like the base.
+  Z-sets of both sides.  A static build side (one no write can extend)
+  arrives once, at bootstrap (``ΔS`` stays empty after); a writable one
+  is tracked like the base.
 
 **A circuit computes nothing of its own.**  It keeps what is
 incremental — weights, multiplicities, member multisets, join sides —
@@ -33,7 +33,7 @@ value computed by that node's kernel
 refuses — exactly what ``sql()`` of the same statement does.
 
 **Bootstrap is one circuit step**: the epoch-consistent snapshot of
-every versioned input goes through the empty circuit as an all-``+1``
+every writable input goes through the empty circuit as an all-``+1``
 delta; every later refresh advances the result by exactly the committed
 segments, so it stays sha256-identical to a full rescan at the same
 epoch (exactness caveat for float SUM/AVG — a group folds in
@@ -310,8 +310,8 @@ class JoinStage(_Stage):
 @dataclass
 class Circuit:
     """A compiled incremental query: stages in execution order.
-    ``dynamic_tables`` maps each versioned input (the base plus any
-    versioned build sides) to its catalog handle; ``static_loads`` pairs
+    ``dynamic_tables`` maps each writable input (the base plus any
+    writable build sides) to its catalog handle; ``static_loads`` pairs
     each join stage with the static build table whose contents the
     bootstrap step carries under the stage's ``build_name``."""
 
@@ -376,13 +376,13 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
     build Query becomes the join's linear prestages.
 
     Rejects shapes whose results depend on arrival order rather than
-    content (ORDER BY, LIMIT, subset-DISTINCT) and inputs without a
-    delta chain to subscribe to (non-versioned FROM tables).
+    content (ORDER BY, LIMIT, subset-DISTINCT) and a FROM table no write
+    can extend.  A join's build side is dynamic exactly when writable.
     """
     base = bound.base
-    if not base.versioned:
+    if not base.writable:
         raise QueryError(
-            f"view base table {bound.table!r} is not versioned: only a "
+            f"view base table {bound.table!r} is not writable: only a "
             f"delta chain can drive incremental maintenance")
     bound.query.validate(base.schema)
 
@@ -401,13 +401,13 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
                     build_schema = prestages[-1].out_schema
             stage: _Stage = JoinStage(
                 schema, op.build.schema, op.table, op.build_key,
-                op.probe_key, tuple(op.payload), op.build.versioned,
+                op.probe_key, tuple(op.payload), op.build.writable,
                 tuple(prestages))
-            if not op.build.versioned:
+            if not op.build.writable:
                 static_loads.append((stage, op.build))
             elif op.table in dynamic_tables:
                 raise QueryError(
-                    f"versioned table {op.table!r} feeds this view twice; "
+                    f"writable table {op.table!r} feeds this view twice; "
                     f"each delta chain may drive at most one circuit input")
             else:
                 dynamic_tables[op.table] = op.build

@@ -77,7 +77,7 @@ def _versioned_bench(name: str, num_rows: int, seed: int,
     rows["a"] = np.arange(num_rows)      # deterministic update targets
     if distinct_values is not None:
         rows["c"] = np.arange(num_rows) % distinct_values
-    vt = client.create_versioned_table(name, schema, rows)
+    vt = client.create_table(name, schema, rows)
     return client, vt, rows
 
 
@@ -103,16 +103,16 @@ def delta_point(fraction: float,
     stats = PlanStats(selectivity=0.5)
     _apply_update_batches(client, vt, num_rows, fraction)
 
-    client.scan_versioned(vt, query)              # deploy (warm the region)
-    deltas_result, t_deltas = client.scan_versioned(vt, query)
-    ship_result, t_ship = client.scan_versioned(vt, query,
-                                                placement="ship",
-                                                stats=stats)
+    client.far_view(vt, query)                    # deploy (warm the region)
+    deltas_result, t_deltas = client.far_view(vt, query)
+    ship_result, t_ship = client.far_view_planned(vt, query,
+                                                  placement="ship",
+                                                  stats=stats)
     assert (canonical_result_bytes(ship_result)
             == canonical_result_bytes(deltas_result)), \
         "ship merge changed result bytes"
     _epoch, t_compact = client.compact(vt)
-    compacted_result, t_compacted = client.scan_versioned(vt, query)
+    compacted_result, t_compacted = client.far_view(vt, query)
     assert compacted_result.data == deltas_result.data, \
         "compaction changed result bytes"
     return {
@@ -176,7 +176,7 @@ def scan_under_update_time(num_updates: int,
         tables.append(vt)
     query = select_distinct(["c"])
     for client, vt in zip(clients, tables):
-        client.scan_versioned(vt, query)   # deploy all pipelines first
+        client.far_view(vt, query)         # deploy all pipelines first
 
     results: dict[int, object] = {}
     pinned: dict[int, int] = {}
@@ -184,8 +184,8 @@ def scan_under_update_time(num_updates: int,
     def reader(i):
         vt = tables[i]
         pinned[i] = vt.epoch
-        result = yield from clients[i].scan_versioned_proc(vt, query,
-                                                           pinned[i])
+        result = yield from clients[i].far_view_planned_proc(
+            vt, query, "offload", as_of=pinned[i])
         results[i] = result
 
     def writer(i):
@@ -203,8 +203,8 @@ def scan_under_update_time(num_updates: int,
     elapsed = sim.now - start
 
     for i in range(num_clients):
-        replay, _ = clients[i].scan_versioned(tables[i], query,
-                                              as_of=pinned[i])
+        replay, _ = clients[i].far_view_planned(tables[i], query,
+                                                "offload", as_of=pinned[i])
         assert replay.data == results[i].data, (
             f"client {i}: scan under {num_updates} updates diverged from "
             f"its pinned epoch {pinned[i]}")

@@ -26,10 +26,12 @@ Correctness is asserted inline, not just plotted:
   :class:`~repro.common.errors.FaultError` subclasses — never hangs,
   never silent corruption.
 
-Crashes are fail-stop with amnesia: a recovered node comes back empty
-under a new incarnation, so ``k=1`` queries on its shard keep failing
-after recovery (the bytes are gone) while ``k=2`` keeps serving from the
-replica.  Every run is deterministic: same seed → same fault schedule →
+Crashes follow the one stamp rule (:class:`~repro.core.table.Shard`): a
+recovered node comes back under a new incarnation, so a ``k=2`` shard's
+stamped copy on it stays lost and ``k=2`` keeps serving from the
+replica, while a ``k=1`` shard — unstamped, the only copy — fails its
+queries typed while the node is down and serves them again once it
+recovers.  Every run is deterministic: same seed → same fault schedule →
 same per-query outcomes.
 """
 

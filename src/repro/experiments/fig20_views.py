@@ -119,8 +119,7 @@ def _run_crossover_cell(fraction: float):
     incremental refresh and a full re-bootstrap at the same epoch.
     Returns the cell's measurements."""
     client = _fresh_client()
-    vt = client.create_versioned_table("t", BASE_SCHEMA,
-                                       make_base(BASE_ROWS))
+    vt = client.create_table("t", BASE_SCHEMA, make_base(BASE_ROWS))
     view, _ = client.create_view(VIEW_SQL, name="fig20")
     touched = max(1, int(round(fraction * BASE_ROWS)))
     for round_index in range(CHURN_ROUNDS):
@@ -138,7 +137,7 @@ def _run_crossover_cell(fraction: float):
     client.drop_view(view)
     rescan_view, rescan_ns = client.create_view(VIEW_SQL, name="fig20r")
 
-    image, _ = client.read_version(vt)
+    image, _ = client.table_read(vt)
     expected = model_sha(BASE_SCHEMA.from_bytes(image, copy=True))
     assert view.sha256() == expected, (
         f"refreshed view diverged from the model at fraction {fraction}")
@@ -230,7 +229,7 @@ def run_subscription_stream() -> ExperimentResult:
     client = ClusterClient(FarviewCluster(Simulator(), STREAM_NODES,
                                           EXPERIMENT_CONFIG))
     client.open_connection()
-    vt = client.create_versioned_table(
+    vt = client.create_table(
         "t", BASE_SCHEMA, make_base(STREAM_BASE_ROWS, seed=41))
     view, _ = client.create_view(VIEW_SQL, name="fig20c")
     sub = client.subscribe(view)          # auto: every commit pushes
@@ -255,7 +254,7 @@ def run_subscription_stream() -> ExperimentResult:
         client.delete_where(
             vt, Compare("k", ">=", next_key - STREAM_BATCH // 4))
 
-        image, _ = client.read_version(vt)
+        image, _ = client.table_read(vt)
         expected = model_sha(BASE_SCHEMA.from_bytes(image, copy=True))
         assert view.sha256() == expected, (
             f"view diverged from the model at round {round_index}")

@@ -508,21 +508,20 @@ def _pool_client(num_nodes: int):
 
 
 @pytest.mark.parametrize("failure", ["dtype", "mid-upload"])
-@pytest.mark.parametrize("versioned", [False, True],
+@pytest.mark.parametrize("writable", [False, True],
                          ids=["plain", "versioned"])
 @pytest.mark.parametrize("num_nodes", [1, 2])
-def test_refused_create_conserves_pool_pages(num_nodes, versioned, failure):
+def test_refused_create_conserves_pool_pages(num_nodes, writable, failure):
     """The one create loop refuses what it can before the first
     allocation and rolls back every segment and replica on any later
-    failure.  Failing-first: on the parent a mistyped
-    ``create_versioned_table`` raised *after* allocating the base
+    failure, for a replicated spec (``plain``: never writable) and the
+    default, writable one (``versioned``).  Failing-first: a mistyped
+    create of a writable table once raised *after* allocating the base
     segment and never freed it (one page gone per refused create, on
     one node and on node 0 of a pool)."""
     schema, rows = distinct_workload(1024, 8, seed=0)
     client, nodes = _pool_client(num_nodes)
-    create = (client.create_versioned_table if versioned
-              else client.create_table)
-    spec = PartitionSpec() if versioned else PartitionSpec(replicas=2)
+    spec = PartitionSpec() if writable else PartitionSpec(replicas=2)
     if failure == "dtype":
         rows = selection_workload(1024, 0.5, seed=0).rows[["a", "b"]]
         error, match = QueryError, "dtype"
@@ -534,7 +533,7 @@ def test_refused_create_conserves_pool_pages(num_nodes, versioned, failure):
         error, match = RuntimeError, "mid-upload"
     free0 = [n.mmu.allocator.free_pages for n in nodes]
     with pytest.raises(error, match=match):
-        create("doomed", schema, rows, spec)
+        client.create_table("doomed", schema, rows, spec)
     assert [n.mmu.allocator.free_pages for n in nodes] == free0
     assert "doomed" not in client.catalog
 

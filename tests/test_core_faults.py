@@ -271,21 +271,19 @@ class TestSingleNodeFaults:
 
     @pytest.mark.parametrize("kind", ["plain", "versioned"])
     def test_deadline_on_degraded_link_covers_versioned_reads(self, kind):
-        """Regression: far_view on a VersionedTable and scan_versioned
+        """Regression: far_view on a written table and the planned scan
         bypassed the retry loop, so a scan finishing past ``deadline_ns``
-        returned its late result instead of raising."""
+        returned its late result instead of raising.  Deltas at the
+        epoch: none (``plain``, never written) or some (``versioned``)."""
         sim, node, client = make_single()
         wl = selection_workload(2048, 0.5, seed=3)
         query = select_star(wl.predicate)
-        if kind == "plain":
-            table = FTable("T", wl.schema, len(wl.rows))
-            client.alloc_table_mem(table)
-            client.table_write(table, wl.rows)
-            verbs = [client.far_view]
-        else:
-            table = client.create_versioned_table("T", wl.schema, wl.rows)
+        table = client.create_table("T", wl.schema, wl.rows)
+        if kind == "versioned":
             client.update_where(table, wl.predicate, {"c": 7})
-            verbs = [client.far_view, client.scan_versioned]
+        assert table.has_deltas(table.epoch) == (kind == "versioned")
+        verbs = [client.far_view,
+                 lambda t, q: client.far_view_planned(t, q, "offload")]
         client.far_view(table, query)  # warm (exclude reconfiguration)
         reference, healthy_ns = client.far_view(table, query)
         events = sim.events_processed
@@ -305,8 +303,7 @@ class TestSingleNodeFaults:
         for verb in verbs:
             with pytest.raises(RequestTimeoutError):
                 verb(table, query)
-        if kind == "versioned":
-            assert table.shards[0].chain.active_pins == 0  # every discarded attempt unpinned
+        assert table.shards[0].chain.active_pins == 0  # every discarded attempt unpinned
 
     def test_deadline_covers_cluster_versioned_scans(self):
         sim = Simulator()
@@ -386,6 +383,24 @@ class TestClusterRecovery:
             cc.far_view(sharded, query)
         with pytest.raises(NodeFailedError):
             cc.table_read(sharded)
+
+    def test_unreplicated_shard_is_served_after_recovery(self):
+        """The stamp rule: a default (k=1) table's shards are unstamped,
+        so once its node recovers the shard is served again, byte-exact
+        — as a written table's are; a replicated table's primary copy is
+        stamped and stays lost (the next test)."""
+        sim, cluster, cc, sharded, query, _wl = make_cluster(2, 1)
+        assert all(s.incarnation is None for s in sharded.shards)
+        reference, _ = cc.far_view(sharded, query)
+        ref_read = cc.table_read(sharded)[0]
+        injector = FaultInjector(cluster)
+        injector.crash(1)
+        with pytest.raises(NodeFailedError):
+            cc.far_view(sharded, query)
+        injector.recover(1)
+        result, _ = cc.far_view(sharded, query)
+        assert sha(result.data) == sha(reference.data)
+        assert sha(cc.table_read(sharded)[0]) == sha(ref_read)
 
     def test_failover_back_pressure_after_recovery(self):
         """A recovered primary lost its shard (incarnation mismatch):

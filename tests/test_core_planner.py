@@ -505,14 +505,15 @@ def test_ship_on_bare_scan_is_a_raw_read():
     assert canonical_result_bytes(offload_result) == schema.to_bytes(rows)
 
 
-@pytest.mark.parametrize("versioned", [False, True])
-def test_offloaded_sum_is_one_whole_column_sum(versioned):
+@pytest.mark.parametrize("deltas", [False, True])
+def test_offloaded_sum_is_one_whole_column_sum(deltas):
     """A standalone SUM/AVG over a float column returns the same bytes
     offloaded and shipped, and both equal ``software_aggregate`` over the
-    whole table, on a plain and on a versioned one-node table.  The node
-    used to add one pairwise ``col.sum()`` per 16 KiB DRAM burst, so its
-    bytes depended on where the bursts cut the column (8 of 10 seeds
-    differed at 5,000 rows)."""
+    whole table, with no delta at the scanned epoch and with one (the
+    table's second half arrives as an insert).  The node used to add
+    one pairwise ``col.sum()`` per 16 KiB DRAM burst, so its bytes
+    depended on where the bursts cut the column (8 of 10 seeds differed
+    at 5,000 rows)."""
     from repro.baselines.sw_ops import software_aggregate
     from repro.common.records import Column, Schema
 
@@ -527,16 +528,13 @@ def test_offloaded_sum_is_one_whole_column_sum(versioned):
         got = {}
         for mode in ("offload", "ship"):
             client = _bench()
-            if versioned:
-                table = client.create_versioned_table("V", schema, rows)
-                result, _ = client.scan_versioned(table, query,
-                                                  placement=mode)
-            else:
-                table = FTable("S", schema, len(rows))
-                client.alloc_table_mem(table)
-                client.table_write(table, rows)
-                result, _ = client.far_view_planned(table, query,
-                                                    placement=mode)
+            head = len(rows) // 2 if deltas else len(rows)
+            table = client.create_table("V", schema, rows[:head])
+            if deltas:
+                client.insert(table, rows[head:])
+            assert table.has_deltas(table.epoch) == deltas
+            result, _ = client.far_view_planned(table, query,
+                                                placement=mode)
             got[mode] = canonical_result_bytes(result)
         assert got["offload"] == got["ship"] == expected, seed
 

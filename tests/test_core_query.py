@@ -215,7 +215,7 @@ def test_compile_join_loads_the_build_side_on_chip():
     compiled = compile_query(Query(join=JoinSpec(dim, "a", "a", ("b",))),
                              make_table(), CONFIG)
     assert "join_small_table" in compiled.pipeline.operator_names
-    assert compiled.join_build_table is dim
+    assert compiled.join_build.base is dim
 
 
 def test_compile_rejects_encrypted_table_without_decrypt():

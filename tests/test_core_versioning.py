@@ -156,13 +156,54 @@ class TestWriteVerbs:
             client.create_versioned_table("t", schema, schema.empty(4))
 
     def test_smart_addressing_rejected_on_versioned_scan(self):
+        """Forced smart addressing is refused on a scan over deltas (the
+        merge ingest consumes the full row stream) and runs on the same
+        table without them: before its first write, and at an epoch
+        before it."""
         client = make_client()
         schema = default_schema()
-        vt = client.create_versioned_table("t", schema,
-                                           seeded_rows(schema, 16, seed=5))
+        rows = seeded_rows(schema, 16, seed=5)
+        vt = client.create_table("t", schema, rows)
         query = Query(projection=("a", "b"), smart_addressing=True)
+        projected = Schema([schema.column("a"), schema.column("b")])
+        expected = projected.empty(len(rows))
+        for name in projected.names:
+            expected[name] = rows[name]
+        result, _ = client.far_view_planned(vt, query, placement="offload")
+        assert result.report.ingest_mode == "smart"
+        assert canonical_result_bytes(result) == projected.to_bytes(expected)
+        client.update_where(vt, None, {"c": 1})
         with pytest.raises(QueryError, match="smart addressing"):
-            client.scan_versioned(vt, query)
+            client.far_view(vt, query)
+        with pytest.raises(QueryError, match="smart addressing"):
+            client.far_view_planned(vt, query, placement="offload")
+        result, _ = client.far_view_planned(vt, query, placement="offload",
+                                            as_of=0)
+        assert result.report.ingest_mode == "smart"
+        assert canonical_result_bytes(result) == projected.to_bytes(expected)
+
+    def test_forced_smart_addressing_on_a_compacted_chain(self):
+        """Compaction leaves no delta at the epoch, so forced smart
+        addressing runs on the chain and returns the sha256 of the same
+        rows created as a table that was never written."""
+        client = make_client()
+        schema = default_schema()
+        rows = seeded_rows(schema, 64, seed=6)
+        extra = seeded_rows(schema, 8, seed=7, start_a=1000)
+        vt = client.create_table("t", schema, rows)
+        client.update_where(vt, Compare("a", "<", 10), {"c": 7})
+        client.insert(vt, extra)
+        client.delete_where(vt, Compare("a", ">=", 1004))
+        client.compact(vt)
+        model = np.concatenate([rows, extra])
+        model["c"][model["a"] < 10] = 7
+        plain = client.create_table("p", schema, model[model["a"] < 1004])
+        query = Query(projection=("a", "c"), smart_addressing=True)
+        written, _ = client.far_view(vt, query)
+        fresh, _ = client.far_view(plain, query)
+        assert written.report.ingest_mode == fresh.report.ingest_mode == \
+            "smart"
+        assert sha(written.data) == sha(fresh.data)
 
     def test_rows_from_literals_types_and_errors(self):
         schema = Schema([Column("i", "int64", 8), Column("f", "float64", 8),
@@ -458,7 +499,7 @@ class TestSqlWritePath:
         table = FTable("p", schema, 8)
         client.alloc_table_mem(table)
         client.table_write(table, seeded_rows(schema, 8, seed=20))
-        with pytest.raises(QueryError, match="not versioned"):
+        with pytest.raises(QueryError, match="not writable"):
             client.sql("DELETE FROM p WHERE a = 1")
 
 
@@ -548,13 +589,25 @@ class TestClusterVersioning:
         assert vst.num_deltas == 0
 
     def test_non_chunk_partition_rejected(self):
+        """A write to a hash-partitioned or a replicated table is refused
+        typed before anything is allocated; the table stays readable at
+        epoch 0."""
         cc = ClusterClient(FarviewCluster(Simulator(), 2, TEST_CONFIG))
         cc.open_connection()
         schema = default_schema()
-        with pytest.raises(QueryError, match="chunk"):
-            cc.create_versioned_table(
-                "t", schema, seeded_rows(schema, 32, seed=23),
-                partition=PartitionSpec("hash", key="a"))
+        rows = seeded_rows(schema, 32, seed=23)
+        nodes = [cc.node_client(i).node for i in range(2)]
+        for name, spec in (("h", PartitionSpec("hash", key="a")),
+                           ("r", PartitionSpec(replicas=2))):
+            table = cc.create_table(name, schema, rows, partition=spec)
+            assert not table.writable
+            free0 = [n.mmu.allocator.free_pages for n in nodes]
+            with pytest.raises(QueryError, match="chunk"):
+                cc.insert(table, rows[:2])
+            with pytest.raises(QueryError, match="not writable"):
+                cc.update_where(table, None, {"c": 1})
+            assert [n.mmu.allocator.free_pages for n in nodes] == free0
+            assert table.epoch == 0 and table.num_rows == 32
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.core.partition import PartitionSpec
 from repro.core.query import JoinSpec, Query, select_star
 from repro.core.compile import SqlSyntaxError
 from repro.core.table import FTable
+from repro.core.versioning import ROWID_COLUMN
 from repro.operators.selection import Compare
 from repro.sim.engine import SimulationError, Simulator
 from repro.workloads.generator import (make_rows, selection_workload,
@@ -223,9 +224,11 @@ def test_mistyped_insert_is_a_query_error_before_anything_is_taken(num_nodes):
     # No row id was burnt: the next insert takes the ids right after the
     # base segment's.
     client.insert(vt, wl.rows[:2])
-    _rows, ids, _shipped = sim.run_process(client.read_version_proc(vt),
-                                           "read_version")
-    assert int(ids.max()) == vt.shards[-1].chain.base.num_rows + 1
+    last = vt.shards[-1]
+    delta = last.chain.deltas[-1].table
+    image, _ = client.node_client(last.node_index).table_read(delta)
+    ids = delta.schema.from_bytes(image)[ROWID_COLUMN]
+    assert int(ids.max()) == last.chain.base.num_rows + 1
 
 
 TRIGGERS = {

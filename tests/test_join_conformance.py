@@ -385,6 +385,77 @@ def test_drop_mid_move_frees_orphaned_copies(strategy):
         "copies written after the drop were leaked"
 
 
+@pytest.mark.parametrize("strategy", ["broadcast", "shuffle"])
+def test_a_commit_frees_the_join_copies_of_its_table(strategy):
+    """A commit to the build side retires the copies placed from it.
+    The build is copied again once compaction leaves it without deltas,
+    and that join probes the updated rates; before the retirement the
+    cached pre-update copies answered (rates 0-24.75, silently wrong).
+    Every copy is freed by the time the tables are dropped."""
+    cc, free0, fact, dim, join = _placement_bench()
+    dim_rows = make_dim(list(range(24)), seed=21)
+    query = Query(join=join, label="join")
+
+    def rates(result):
+        rows = result.rows()
+        return rows["a"], rows["rate"]
+
+    keys, before = rates(cc.far_view(fact, query, join_strategy=strategy)[0])
+    assert np.array_equal(before, dim_rows["rate"][keys])
+    assert cc._placements
+    cc.update_where(dim, Compare("id", "<", 8), {"rate": 999.0})
+    assert not cc._placements, "the commit left copies of the old dim"
+    with pytest.raises(QueryError, match="has deltas"):
+        cc.far_view(fact, query, join_strategy=strategy)
+    cc.compact(dim)
+    keys, after = rates(cc.far_view(fact, query, join_strategy=strategy)[0])
+    expected = np.where(keys < 8, 999.0, dim_rows["rate"][keys])
+    assert np.array_equal(after, expected)
+    cc.drop_table(dim)
+    cc.drop_table(fact)
+    assert [n.mmu.allocator.free_pages for n in cc.cluster.nodes] == free0
+
+
+def test_a_join_racing_a_commit_keeps_the_copies_it_placed():
+    """A join whose build copies are being placed when a commit to the
+    build lands probes those copies (it started before the commit), and
+    they are freed when it ends; the next join places the new rows."""
+    cc, free0, fact, dim, join = _placement_bench()
+    dim_rows = make_dim(list(range(24)), seed=21)
+    query = Query(join=join, label="join")
+    sim = cc.sim
+    captured = {}
+
+    def reader():
+        captured["result"] = yield from cc.far_view_proc(fact, query)
+
+    def writer():
+        while not cc._moves:
+            yield sim.timeout(10.0)
+        yield from cc.update_where_proc(dim, None, {"rate": -1.0})
+
+    commit = cc._commit
+
+    def commit_during_the_move(table, outcomes):
+        captured["moving"] = bool(cc._moves)
+        return commit(table, outcomes)
+
+    cc._commit = commit_during_the_move
+    procs = [sim.process(reader()), sim.process(writer())]
+    sim.run()
+    assert all(p.ok for p in procs)
+    assert captured["moving"], "the commit did not land mid-move"
+    rows = captured["result"].rows()
+    assert np.array_equal(rows["rate"], dim_rows["rate"][rows["a"]])
+    assert not cc._placements and not cc._moves
+    cc.compact(dim)
+    rows = cc.far_view(fact, query)[0].rows()
+    assert (rows["rate"] == -1.0).all()
+    cc.drop_table(dim)
+    cc.drop_table(fact)
+    assert [n.mmu.allocator.free_pages for n in cc.cluster.nodes] == free0
+
+
 # ---------------------------------------------------------------------------
 # Build overflow: typed refusal through every entry point
 # ---------------------------------------------------------------------------
@@ -812,6 +883,32 @@ def test_matrix_versioned_probe_cells(assert_uniform_result):
         # Partitioned strategies are typed-refused on versioned scans.
         with pytest.raises(QueryError, match="broadcast"):
             cc.far_view(vfact, make_query(ds), join_strategy="shuffle")
+
+
+def test_a_build_side_without_deltas_joins_pool_wide(assert_uniform_result):
+    """Deltas at the build's epoch, not how it was created, decide
+    whether it is copied: a written dimension with no delta left (a
+    no-op write, then a compaction of a real one) is broadcast to a
+    2-node pool, sha-identical to the serial model; with a delta it is
+    probed in place, which a pool refuses typed."""
+    fact = make_fact(list(range(40)) * 2, seed=44)
+    dim = make_dim(list(range(32)), seed=45)
+    cc = ClusterClient(FarviewCluster(Simulator(), 2, TEST_CONFIG))
+    cc.open_connection()
+    fs = cc.create_table("fact", FACT_SCHEMA, fact)
+    ds = cc.create_table("dim", DIM_SCHEMA, dim)
+    cc.update_where(ds, Compare("id", ">", 10 ** 6), {"rate": 1.0})
+    assert ds.epoch == 1 and not ds.has_deltas(ds.epoch)
+    result, elapsed = cc.far_view(fs, make_query(ds))
+    assert_uniform_result(result, elapsed)
+    assert result.join_strategy == "broadcast"
+    assert sha(result.data) == sha(serial_join_model(fact, dim))
+    cc.delete_where(ds, Compare("id", ">=", 28))
+    with pytest.raises(QueryError, match="has deltas"):
+        cc.far_view(fs, make_query(ds))
+    cc.compact(ds)
+    result, _ = cc.far_view(fs, make_query(ds))
+    assert sha(result.data) == sha(serial_join_model(fact, dim[:28]))
 
 
 @given(fact_hash=st.booleans(), dim_hash=st.booleans(),

@@ -315,9 +315,10 @@ def test_mmu_rejects_bad_burst():
 # --- the TLB effect of each verb ------------------------------------------------------
 
 def _tlb_verbs():
-    """One client holding a 4-page table, a 2-page wide table and a
-    versioned table with one update delta (64 KiB pages); returns the
-    node's TLB, the client's domain and one call per verb."""
+    """One client holding a 4-page table, a 2-page wide table, a
+    4-page table whose only write matched no row (no delta) and one with
+    a one-page insert delta (64 KiB pages); returns the node's TLB, the
+    client's domain and one call per verb."""
     config = FarviewConfig(memory=MemoryConfig(
         channels=2, channel_capacity=8 * MB, page_size=64 * KB))
     client = FarviewClient(FarviewNode(Simulator(), config),
@@ -332,15 +333,18 @@ def _tlb_verbs():
     wide = FTable("w", wide_schema, len(wide_rows))     # 128 KiB: 2 pages
     client.alloc_table_mem(wide)
     client.table_write(wide, wide_rows)
-    versioned = client.create_versioned_table("v", schema, rows)
-    client.update_where(versioned, Compare("a", "<", 100), {"c": 7})
+    chain = client.create_table("v", schema, rows)
+    client.update_where(chain, Compare("a", "<", -1), {"c": 7})
+    deltas = client.create_table("d", schema, rows)
+    client.insert(deltas, rows[:100])
     everything = select_star(Compare("a", ">=", 0))
     return client.node.mmu.tlb, client.connection.domain, {
         "raw": lambda: client.table_read(table),
         "pipeline": lambda: client.far_view(table, everything),
         "smart": lambda: client.far_view(wide, Query(
             projection=tuple(wide_schema.names[:2]), smart_addressing=True)),
-        "versioned": lambda: client.far_view(versioned, everything),
+        "chain": lambda: client.far_view(chain, everything),
+        "deltas": lambda: client.far_view(deltas, everything),
     }
 
 
@@ -348,12 +352,14 @@ def test_each_verb_translates_through_the_tlb_as_pinned():
     """Hits and misses per verb, cold (the domain's TLB entries dropped)
     then warm.  A raw READ and a pipeline scan translate once per 16 KiB
     burst (16 bursts over 4 pages: a miss per page when cold); smart
-    addressing translates the table's 2 pages once; a versioned scan
-    adds its delta and base reads to the base bursts.  However the MMU
-    splits functional and timed access, these counts stay put."""
+    addressing translates the table's 2 pages once; a chain with no
+    delta at its epoch scans as a plain table, and one with a delta adds
+    the delta's timed read (one page) to the base bursts.  However the
+    MMU splits functional and timed access, these counts stay put."""
     tlb, domain, verbs = _tlb_verbs()
     pinned = {"raw": ((12, 4), (16, 0)), "pipeline": ((12, 4), (16, 0)),
-              "smart": ((0, 2), (2, 0)), "versioned": ((16, 4), (20, 0))}
+              "smart": ((0, 2), (2, 0)), "chain": ((12, 4), (16, 0)),
+              "deltas": ((12, 5), (17, 0))}
     for name, verb in verbs.items():
         seen = []
         for cold in (True, False):

@@ -726,8 +726,9 @@ def test_one_hash_one_probe_in_src():
     rule, dedup merge, arm-step list and expression-schema helper, and
     the per-burst pipeline entry with its row parser and slot rows, and
     the read path's per-packet deposits, striped channel stores with
-    their de-striping copy, and burst producer process — and the
-    reference model binds nothing."""
+    their de-striping copy, and burst producer process, and the table
+    flag that forked reads and writes — and the reference model binds
+    nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -809,7 +810,11 @@ def test_one_hash_one_probe_in_src():
             # no per-packet deposit, de-striping copy, channel store or
             # burst producer process.
             (("src",), ("deposit", "_page_read_into", "store_slice",
-                        "_burst_producer"))):
+                        "_burst_producer")),
+            # One kind of table: the deltas at the pinned epoch decide a
+            # scan and the partition spec decides a write — no flag.
+            (("src",), (".versioned", "_require_versioned",
+                        "versioned="))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))
@@ -822,9 +827,9 @@ def test_one_hash_one_probe_in_src():
 
 
 def test_only_the_twins_drive_the_simulator():
-    """Inside ``core/api.py`` only the generated blocking twin and the
-    hand-written ``read_version`` call ``_run``: every route below a verb
-    is a process, so it composes inside a running simulation."""
+    """Inside ``core/api.py`` only the generated blocking twin calls
+    ``_run``: every route below a verb is a process, so it composes
+    inside a running simulation."""
     import ast
 
     path = Path(__file__).resolve().parent.parent / "src/repro/core/api.py"
@@ -836,7 +841,7 @@ def test_only_the_twins_drive_the_simulator():
     callers = {d.name for d in defs for node in ast.walk(d)
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "_run"}
-    assert callers == {"_blocking", "read_version"}
+    assert callers == {"_blocking"}
 
 
 # -- zero-copy from_bytes contract --------------------------------------------

@@ -484,7 +484,7 @@ def test_view_registration_rejections_are_typed():
         client.create_view("INSERT INTO t VALUES (1, 'c0', 2.0)")
     with pytest.raises(CatalogError, match="not in catalog"):
         client.create_view("SELECT * FROM nosuch")
-    with pytest.raises(QueryError, match="versioned"):
+    with pytest.raises(QueryError, match="not writable"):
         client.create_view("SELECT * FROM p")
     client.create_view(SHAPES["filter"], name="taken")
     with pytest.raises(QueryError, match="already exists"):
