@@ -17,6 +17,7 @@ from repro.baselines.lcpu import LcpuBaseline
 from repro.baselines.rcpu import RcpuBaseline
 from repro.common.units import to_us
 from repro.core.api import FarviewClient
+from repro.core.compile import BoundFilter
 from repro.core.node import FarviewNode
 from repro.core.table import FTable
 from repro.sim.engine import Simulator
@@ -51,8 +52,9 @@ def main() -> None:
     print(f"  FV: {to_us(elapsed):.1f} us; network traffic reduced "
           f"{reduction:.0f}x by the pushdown")
 
-    _, t_l, _ = LcpuBaseline().select(LINEITEM_SCHEMA, rows, q6.predicate)
-    _, t_r, _ = RcpuBaseline().select(LINEITEM_SCHEMA, rows, q6.predicate)
+    steps = [BoundFilter(q6.predicate)]
+    _, t_l, _ = LcpuBaseline().run(LINEITEM_SCHEMA, rows, steps)
+    _, t_r, _ = RcpuBaseline().run(LINEITEM_SCHEMA, rows, steps)
     print(f"  LCPU: {to_us(t_l):.1f} us   RCPU: {to_us(t_r):.1f} us")
 
     # ---- Q1: group-by aggregation ------------------------------------------------

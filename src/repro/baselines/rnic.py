@@ -45,7 +45,7 @@ class RnicBaseline:
         per_packet = max(
             (min(transfer_bytes, cfg.packet_size) + cfg.header_overhead)
             / cfg.line_rate,
-            cal.RNIC_PER_PACKET_OVERHEAD_NS,
+            cfg.per_packet_overhead_ns,
         )
         return (request
                 + cfg.request_overhead_ns

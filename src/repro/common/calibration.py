@@ -145,10 +145,6 @@ DATAPATH_BYTES = 64
 #: Number of dynamic regions deployed in the evaluation (§6.1).
 DYNAMIC_REGIONS = 6
 
-#: Pipeline fill latency of a typical operator pipeline, in operator-clock
-#: cycles (deep pipelining, §4.1).
-PIPELINE_FILL_CYCLES = 48
-
 #: Partial reconfiguration time for a dynamic region (§3.2: "on the order of
 #: milliseconds").
 RECONFIGURATION_TIME_NS = 4.0 * 1e6  # 4 ms

@@ -89,7 +89,6 @@ class OperatorStackConfig:
     regions: int = cal.DYNAMIC_REGIONS
     clock_mhz: float = cal.OPERATOR_CLOCK_MHZ
     datapath_bytes: int = cal.DATAPATH_BYTES
-    pipeline_fill_cycles: int = cal.PIPELINE_FILL_CYCLES
     reconfiguration_ns: float = cal.RECONFIGURATION_TIME_NS
     cuckoo_tables: int = cal.CUCKOO_TABLES
     cuckoo_slots: int = cal.CUCKOO_TABLE_SLOTS

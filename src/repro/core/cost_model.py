@@ -34,8 +34,8 @@ or unselective queries tip the balance toward shipping raw bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..baselines.cpu_model import CpuCostModel
 from ..common import calibration as cal
@@ -143,6 +143,45 @@ def estimate_chain(chain: Sequence[str], query, schema: Schema,
         # "decrypt" keeps rows and schema unchanged.
         steps.append(CardinalityStep(op, rows_in, rows, current))
     return steps
+
+
+def kernel_cost(op, rows_in: float, schema: Schema, cpu: CpuCostModel,
+                growing: bool) -> list[tuple[str, float]]:
+    """The client's CPU charges, ``(breakdown name, ns)``, for running the
+    unary step node ``op`` over ``rows_in`` rows of ``schema``.
+
+    The one price of a client step: the executor's bill
+    (:func:`~repro.core.planner.run_client_kernel`, ``growing`` read off
+    the kernel's hash map) and the planner's estimate
+    (:meth:`PlacementCostModel.client_ops_ns`, ``growing`` guessed from
+    the estimated output) both charge it.
+    """
+    n, kernel = int(rows_in), op.kernel
+    if kernel == "regex":
+        width = schema.column(op.match.column.name).width
+        return [("re2", cpu.regex_ns(int(rows_in * width)))]
+    if kernel == "selection":
+        return [("predicate", cpu.select_ns(n))]
+    if kernel == "eval":
+        return [("project", cpu.select_ns(n))]
+    if kernel == "distinct":
+        return [("hash", cpu.hash_ns(n, growing=growing))]
+    if kernel == "aggregate":
+        hashed = ([("hash", cpu.hash_ns(n, growing=growing))]
+                  if op.group_by else [])
+        return hashed + [("aggregate", cpu.aggregate_update_ns(n))]
+    if kernel == "sort":
+        return [("sort", cpu.sort_ns(n))]
+    return []                   # limit: a slice, no per-tuple work
+
+
+def join_cost(build_rows: int, probe_rows: int,
+              cpu: CpuCostModel) -> list[tuple[str, float]]:
+    """The client join's CPU charges: hash the build side (growing past
+    :data:`HASHMAP_GROWTH_THRESHOLD` rows), then probe once per row."""
+    growing = build_rows > HASHMAP_GROWTH_THRESHOLD
+    return [("hash", cpu.hash_ns(build_rows, growing=growing)),
+            ("hash", cpu.hash_ns(probe_rows, growing=False))]
 
 
 def delta_merge_cost_ns(cpu: CpuCostModel, base_rows: float,
@@ -315,48 +354,36 @@ class PlacementCostModel:
                 + view_circuit_cost_ns(self.cpu, base_rows + delta_rows,
                                        depth))
 
-    def client_ops_ns(self, steps: Sequence[CardinalityStep],
+    def client_ops_ns(self, steps: Sequence[CardinalityStep], nodes,
                       schema_in: Schema, bytes_in: float,
                       query) -> float:
         """Software execution of the remainder ``steps`` on the client.
 
         LCPU-style accounting: one cold DRAM scan of the shipped bytes,
-        per-operator per-tuple costs, one materializing write of the
-        final result (intermediate operators stream through cache).
+        each step's node (``nodes``, aligned with ``steps``; ``None`` for
+        a decrypt) priced by :func:`kernel_cost` at its estimated rows,
+        one materializing write of the final result (intermediate
+        operators stream through cache).
         """
         cpu = self.cpu
         total = cpu.setup_ns() + cpu.read_ns(int(bytes_in))
         current = schema_in
-        for step in steps:
-            rows_in = step.rows_in
-            if step.op == "decrypt":
-                total += cpu.aes_ns(int(bytes_in))
-            elif step.op == "regex":
-                width = current.column(query.regex.column.name).width
-                total += cpu.regex_ns(int(rows_in * width))
-            elif step.op == "selection":
-                total += cpu.select_ns(int(rows_in))
-            elif step.op == "join":
+        for step, node in zip(steps, nodes):
+            if node is None:
+                charges = [("aes", cpu.aes_ns(int(bytes_in)))]
+            elif node.kernel == "join":
                 # The client must fetch the build table itself (a second
-                # raw read over the same link), build the hash over it,
-                # then probe once per surviving tuple.
+                # raw read over the same link) before it builds and probes.
                 brows, bbytes, _bschema = join_build_profile(query)
                 total += self.ship_bytes_ns(float(bbytes))
                 total += cpu.read_ns(bbytes)
-                total += cpu.hash_ns(brows,
-                                     growing=brows > HASHMAP_GROWTH_THRESHOLD)
-                total += cpu.hash_ns(int(rows_in), growing=False)
-            elif step.op == "projection":
-                total += cpu.select_ns(int(rows_in))
-            elif step.op == "distinct":
-                growing = step.rows_out > HASHMAP_GROWTH_THRESHOLD
-                total += cpu.hash_ns(int(rows_in), growing=growing)
-            elif step.op == "groupby":
-                growing = step.rows_out > HASHMAP_GROWTH_THRESHOLD
-                total += cpu.hash_ns(int(rows_in), growing=growing)
-                total += cpu.aggregate_update_ns(int(rows_in))
-            elif step.op == "aggregate":
-                total += cpu.aggregate_update_ns(int(rows_in))
+                charges = join_cost(brows, int(step.rows_in), cpu)
+            else:
+                charges = kernel_cost(
+                    node, step.rows_in, current, cpu,
+                    growing=step.rows_out > HASHMAP_GROWTH_THRESHOLD)
+            for _name, ns in charges:
+                total += ns
             current = step.schema_out
         if steps:
             out_bytes = steps[-1].rows_out * steps[-1].schema_out.row_width

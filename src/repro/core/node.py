@@ -277,7 +277,7 @@ class FarviewNode:
     # -- request front-end ------------------------------------------------------------
     def _request_front_end(self):
         """Process: request latency through the pipelined request engine."""
-        overhead = cal.FV_NIC_REQUEST_OVERHEAD_NS
+        overhead = self.config.network.request_overhead_ns
         issue = min(cal.FV_REQUEST_ISSUE_NS, overhead)
         yield self.sim.timeout(self._request_engine.occupy(0, extra_ns=issue))
         remaining = overhead - issue

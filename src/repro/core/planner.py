@@ -79,9 +79,9 @@ from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
 from .compile import (BoundAggregate, BoundArm, BoundDistinct, BoundEval,
                       BoundFilter, BoundRegex)
-from .cost_model import (HASHMAP_GROWTH_THRESHOLD, PlacementCostModel,
-                         PlanStats, delta_merge_cost_ns, estimate_chain,
-                         join_build_profile)
+from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
+                         estimate_chain, join_build_profile, join_cost,
+                         kernel_cost)
 from .pipeline_compiler import compile_query
 from .query import Query
 from .table import FTable
@@ -115,6 +115,7 @@ def operator_chain(query: Query) -> list[str]:
 #: The step node each :func:`operator_chain` operator runs as at the
 #: client.  ``decrypt`` is none: a ship read decrypts as it lands.
 _CLIENT_STEP = {
+    "decrypt": lambda q: None,
     "regex": lambda q: BoundRegex(q.regex),
     "selection": lambda q: BoundFilter(q.predicate),
     "join": lambda q: BoundArm(q.join.build_table, q.join.build_table.name,
@@ -419,9 +420,9 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
             if fragment.join is not None:
                 node_ns += join_transfer_ns
             node_ns += cost_model.lease_wait_ns(lease_manager, node_ns)
-        client_ns = (cost_model.client_ops_ns(steps[k:], inter_schema,
-                                              inter_bytes, query)
-                     if k < len(chain) else 0.0)
+        client_ns = (cost_model.client_ops_ns(
+            steps[k:], [_CLIENT_STEP[op](query) for op in chain[k:]],
+            inter_schema, inter_bytes, query) if k < len(chain) else 0.0)
         if fragment is None:
             # Shipping a version chain raw: the client also pays the
             # software merge before the remaining operators can run.
@@ -472,42 +473,40 @@ def run_client_kernel(op, rows: np.ndarray, schema: Schema,
                       cpu: CpuCostModel, cost: CostBreakdown
                       ) -> tuple[np.ndarray, Schema]:
     """Run the unary step node ``op`` through its ``kernel`` and charge
-    its modeled time into ``cost``; returns the new ``(rows, schema)``.
-    The kernels are the LCPU baseline's :mod:`~repro.baselines.sw_ops`:
-    output bytes match the node pipeline operator for operator.
+    its :func:`~repro.core.cost_model.kernel_cost` into ``cost``; returns
+    the new ``(rows, schema)``.  The kernels are the LCPU baseline's
+    :mod:`~repro.baselines.sw_ops`: output bytes match the node pipeline
+    operator for operator.
     """
-    n, kernel = len(rows), op.kernel
+    kernel, out, growing = op.kernel, schema, False
     if kernel == "regex":
-        column = op.match.column.name
-        cost.add("re2", cpu.regex_ns(n * schema.column(column).width))
-        return software_regex(rows, column, op.match.engine_pattern), schema
-    if kernel == "selection":
-        cost.add("predicate", cpu.select_ns(n))
-        return software_select(rows, op.predicate), schema
-    if kernel == "eval":
-        cost.add("project", cpu.select_ns(n))
+        result = software_regex(rows, op.match.column.name,
+                                op.match.engine_pattern)
+    elif kernel == "selection":
+        result = software_select(rows, op.predicate)
+    elif kernel == "eval":
         out = items_schema(op.items, schema)
-        return eval_items(op.items, rows, schema, out), out
-    if kernel == "distinct":
+        result = eval_items(op.items, rows, schema, out)
+    elif kernel == "distinct":
         output = software_distinct(rows, schema, op.columns)
-        cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
-        return output.rows, schema
-    if kernel == "aggregate":
+        result, growing = output.rows, output.map_resizes > 0
+    elif kernel == "aggregate":
         keys, specs = list(op.group_by), list(op.aggregates)
         if keys:
             output = software_groupby(rows, schema, keys, specs)
-            cost.add("hash", cpu.hash_ns(n, growing=output.map_resizes > 0))
-            grouped = output.rows
+            result, growing = output.rows, output.map_resizes > 0
         else:
-            grouped = software_aggregate(rows, schema, specs)
-        cost.add("aggregate", cpu.aggregate_update_ns(n))
-        return grouped, grouped_schema(schema, keys, specs)
-    if kernel == "sort":
-        cost.add("sort", cpu.sort_ns(n))
-        return software_sort(rows, list(op.keys)), schema
-    if kernel == "limit":
-        return software_limit(rows, op.count), schema
-    raise QueryError(f"unknown client step {kernel!r}")
+            result = software_aggregate(rows, schema, specs)
+        out = grouped_schema(schema, keys, specs)
+    elif kernel == "sort":
+        result = software_sort(rows, list(op.keys))
+    elif kernel == "limit":
+        result = software_limit(rows, op.count)
+    else:
+        raise QueryError(f"unknown client step {kernel!r}")
+    for name, ns in kernel_cost(op, len(rows), schema, cpu, growing):
+        cost.add(name, ns)
+    return result, out
 
 
 def run_client_join(rows: np.ndarray, schema: Schema,
@@ -518,9 +517,8 @@ def run_client_join(rows: np.ndarray, schema: Schema,
     ``spec`` is the ``join`` step's
     :class:`~repro.core.compile.BoundArm`."""
     payload = list(spec.payload)
-    cost.add("hash", cpu.hash_ns(
-        len(build_rows), growing=len(build_rows) > HASHMAP_GROWTH_THRESHOLD))
-    cost.add("hash", cpu.hash_ns(len(rows), growing=False))
+    for name, ns in join_cost(len(build_rows), len(rows), cpu):
+        cost.add(name, ns)
     rows = software_join(rows, schema, build_rows, build_schema,
                          spec.build_key, spec.probe_key, payload)
     return rows, join_output_schema(schema, build_schema, payload)

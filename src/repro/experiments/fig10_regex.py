@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
 from ..common.expr import Col, TextMatch
+from ..core.compile import BoundRegex
 from ..core.query import Query
 from ..sim.stats import Series
 from ..workloads.generator import REGEX_PATTERN, string_workload
@@ -41,12 +42,13 @@ def run(string_sizes=STRING_SIZES, num_rows: int = NUM_ROWS
     lcpu_s = Series("LCPU")
     rcpu_s = Series("RCPU")
     lcpu, rcpu = LcpuBaseline(), RcpuBaseline()
+    steps = [BoundRegex(TextMatch(Col("s"), REGEX_PATTERN, regexp=True))]
     for size in string_sizes:
         schema, rows = string_workload(num_rows, size, MATCH_FRACTION)
         fv.add(size, us(_fv_time(schema, rows)))
-        _, t_l, _ = lcpu.regex(schema, rows, "s", REGEX_PATTERN)
+        _, t_l, _ = lcpu.run(schema, rows, steps)
         lcpu_s.add(size, us(t_l))
-        _, t_r, _ = rcpu.regex(schema, rows, "s", REGEX_PATTERN)
+        _, t_r, _ = rcpu.run(schema, rows, steps)
         rcpu_s.add(size, us(t_r))
     return ExperimentResult(
         experiment_id="fig10",

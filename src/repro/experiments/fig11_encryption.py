@@ -100,9 +100,9 @@ def run_response(table_sizes=TABLE_SIZES) -> ExperimentResult:
         fv.add(size, us(_fv_decrypt_time(workload)))
         image = encrypt_table_image(
             workload.schema.to_bytes(workload.rows), KEY, NONCE)
-        _, t_l, _ = lcpu.decrypt(workload.schema, image, KEY, NONCE)
+        _, t_l, _ = lcpu.run(workload.schema, image, key=KEY, nonce=NONCE)
         lcpu_s.add(size, us(t_l))
-        _, t_r, _ = rcpu.decrypt(workload.schema, image, KEY, NONCE)
+        _, t_r, _ = rcpu.run(workload.schema, image, key=KEY, nonce=NONCE)
         rcpu_s.add(size, us(t_r))
     return ExperimentResult(
         experiment_id="fig11a",

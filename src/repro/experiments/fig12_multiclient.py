@@ -22,6 +22,7 @@ from ..baselines.cpu_model import CpuCostModel
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
 from ..core.api import FarviewClient
+from ..core.compile import BoundDistinct
 from ..core.node import FarviewNode
 from ..core.query import select_distinct
 from ..core.table import FTable
@@ -83,7 +84,7 @@ def cpu_multiclient_time(table_size: int, remote: bool,
     baseline = RcpuBaseline(model) if remote else LcpuBaseline(model)
     n = table_size // ROW_WIDTH
     schema, rows = distinct_workload(n, min(DISTINCT_VALUES, n))
-    _, elapsed, _ = baseline.distinct(schema, rows, ["a"])
+    _, elapsed, _ = baseline.run(schema, rows, [BoundDistinct(("a",))])
     # All six run the same workload concurrently; with fair contention
     # each sees the degraded bandwidth already, so the slowest ~ the model.
     return elapsed

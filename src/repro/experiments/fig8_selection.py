@@ -18,6 +18,7 @@ from __future__ import annotations
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
 from ..common.expr import eval_mask
+from ..core.compile import BoundFilter
 from ..core.query import select_star
 from ..sim.stats import Series
 from ..workloads.generator import selection_workload
@@ -51,11 +52,10 @@ def run_panel(selectivity: float,
         workload = selection_workload(size // ROW_WIDTH, selectivity)
         fv.add(size, us(_fv_time(workload, vectorized=False)))
         fvv.add(size, us(_fv_time(workload, vectorized=True)))
-        _, t_l, _ = lcpu.select(workload.schema, workload.rows,
-                                workload.predicate)
+        steps = [BoundFilter(workload.predicate)]
+        _, t_l, _ = lcpu.run(workload.schema, workload.rows, steps)
         lcpu_s.add(size, us(t_l))
-        _, t_r, _ = rcpu.select(workload.schema, workload.rows,
-                                workload.predicate)
+        _, t_r, _ = rcpu.run(workload.schema, workload.rows, steps)
         rcpu_s.add(size, us(t_r))
     pct = int(selectivity * 100)
     return ExperimentResult(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..baselines.lcpu import LcpuBaseline
 from ..baselines.rcpu import RcpuBaseline
+from ..core.compile import BoundAggregate, BoundDistinct
 from ..core.query import group_by_sum, select_distinct
 from ..operators.aggregate import AggregateSpec
 from ..sim.stats import Series
@@ -50,13 +51,14 @@ def run_distinct(table_sizes=TABLE_SIZES) -> ExperimentResult:
     lcpu_s = Series("LCPU")
     rcpu_s = Series("RCPU")
     lcpu, rcpu = LcpuBaseline(), RcpuBaseline()
+    steps = [BoundDistinct(("a",))]
     for size in table_sizes:
         n = size // ROW_WIDTH
         schema, rows = distinct_workload(n, n)  # all distinct (paper)
         fv.add(size, us(_fv_distinct_time(schema, rows)))
-        _, t_l, _ = lcpu.distinct(schema, rows, ["a"])
+        _, t_l, _ = lcpu.run(schema, rows, steps)
         lcpu_s.add(size, us(t_l))
-        _, t_r, _ = rcpu.distinct(schema, rows, ["a"])
+        _, t_r, _ = rcpu.run(schema, rows, steps)
         rcpu_s.add(size, us(t_r))
     return ExperimentResult(
         experiment_id="fig9a",
@@ -71,15 +73,15 @@ def run_groupby_scaling(table_sizes=TABLE_SIZES) -> ExperimentResult:
     lcpu_s = Series("LCPU")
     rcpu_s = Series("RCPU")
     lcpu, rcpu = LcpuBaseline(), RcpuBaseline()
-    aggs = [AggregateSpec("sum", "b")]
+    steps = [BoundAggregate(("a",), (AggregateSpec("sum", "b"),))]
     for size in table_sizes:
         n = size // ROW_WIDTH
         groups = max(1, n // GROUPS_PER_TUPLES)
         schema, rows = groupby_workload(n, groups)
         fv.add(size, us(_fv_groupby_time(schema, rows, groups)))
-        _, t_l, _ = lcpu.group_by(schema, rows, ["a"], aggs)
+        _, t_l, _ = lcpu.run(schema, rows, steps)
         lcpu_s.add(size, us(t_l))
-        _, t_r, _ = rcpu.group_by(schema, rows, ["a"], aggs)
+        _, t_r, _ = rcpu.run(schema, rows, steps)
         rcpu_s.add(size, us(t_r))
     return ExperimentResult(
         experiment_id="fig9b",
@@ -96,14 +98,14 @@ def run_groupby_vs_groups(group_counts=GROUP_COUNTS,
     lcpu_s = Series("LCPU")
     rcpu_s = Series("RCPU")
     lcpu, rcpu = LcpuBaseline(), RcpuBaseline()
-    aggs = [AggregateSpec("sum", "b")]
+    steps = [BoundAggregate(("a",), (AggregateSpec("sum", "b"),))]
     n = table_size // ROW_WIDTH
     for groups in group_counts:
         schema, rows = groupby_workload(n, groups)
         fv.add(groups, us(_fv_groupby_time(schema, rows, groups)))
-        _, t_l, _ = lcpu.group_by(schema, rows, ["a"], aggs)
+        _, t_l, _ = lcpu.run(schema, rows, steps)
         lcpu_s.add(groups, us(t_l))
-        _, t_r, _ = rcpu.group_by(schema, rows, ["a"], aggs)
+        _, t_r, _ = rcpu.run(schema, rows, steps)
         rcpu_s.add(groups, us(t_r))
     return ExperimentResult(
         experiment_id="fig9c",

@@ -11,10 +11,12 @@ from repro.baselines.sql_model import _aggregate, _distinct
 from repro.baselines.sw_ops import (map_resizes, software_distinct,
                                     software_groupby)
 from repro.common import calibration as cal
-from repro.common.config import CpuConfig
+from repro.common.config import CpuConfig, RnicConfig
 from repro.common.errors import ConfigurationError
-from repro.common.expr import eval_mask
+from repro.common.expr import Col, TextMatch, eval_mask
 from repro.common.records import Column, Schema
+from repro.core.compile import (BoundAggregate, BoundDistinct, BoundFilter,
+                                BoundRegex)
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.encryption_op import encrypt_table_image
 from repro.workloads.generator import (
@@ -149,8 +151,8 @@ def test_model_validates_clients():
 
 def test_lcpu_select_matches_numpy():
     wl = selection_workload(2048, 0.5)
-    result, elapsed, cost = LcpuBaseline().select(wl.schema, wl.rows,
-                                                  wl.predicate)
+    result, elapsed, cost = LcpuBaseline().run(wl.schema, wl.rows,
+                                               [BoundFilter(wl.predicate)])
     expected = wl.rows[eval_mask(wl.predicate, wl.rows)]
     np.testing.assert_array_equal(result["a"], expected["a"])
     assert elapsed > 0
@@ -159,15 +161,16 @@ def test_lcpu_select_matches_numpy():
 
 def test_lcpu_distinct_matches_set():
     schema, rows = distinct_workload(1024, 200)
-    result, elapsed, cost = LcpuBaseline().distinct(schema, rows, ["a"])
+    result, elapsed, cost = LcpuBaseline().run(schema, rows,
+                                               [BoundDistinct(("a",))])
     assert sorted(result["a"].tolist()) == sorted(set(rows["a"].tolist()))
     assert "hash" in cost.parts
 
 
 def test_lcpu_groupby_matches_dict():
     schema, rows = groupby_workload(1024, 32)
-    result, _, _ = LcpuBaseline().group_by(
-        schema, rows, ["a"], [AggregateSpec("sum", "b")])
+    result, _, _ = LcpuBaseline().run(
+        schema, rows, [BoundAggregate(("a",), (AggregateSpec("sum", "b"),))])
     got = {int(k): v for k, v in zip(result["a"], result["sum_b"])}
     expected = {}
     for k, v in zip(rows["a"], rows["b"]):
@@ -179,7 +182,8 @@ def test_lcpu_groupby_matches_dict():
 
 def test_lcpu_regex_matches_substring_oracle():
     schema, rows = string_workload(256, 64, match_fraction=0.5)
-    result, _, cost = LcpuBaseline().regex(schema, rows, "s", "farview")
+    regex = BoundRegex(TextMatch(Col("s"), "farview", regexp=True))
+    result, _, cost = LcpuBaseline().run(schema, rows, [regex])
     expected_ids = {int(r["id"]) for r in rows if b"farview" in bytes(r["s"])}
     assert set(result["id"].tolist()) == expected_ids
     assert "re2" in cost.parts
@@ -189,7 +193,8 @@ def test_lcpu_decrypt_round_trip():
     key, nonce = b"k" * 16, b"n" * 12
     wl = selection_workload(256, 1.0)
     image = encrypt_table_image(wl.schema.to_bytes(wl.rows), key, nonce)
-    rows, _, cost = LcpuBaseline().decrypt(wl.schema, image, key, nonce)
+    rows, _, cost = LcpuBaseline().run(wl.schema, image, key=key,
+                                       nonce=nonce)
     np.testing.assert_array_equal(rows["a"], wl.rows["a"])
     assert "aes" in cost.parts
 
@@ -198,25 +203,27 @@ def test_lcpu_decrypt_round_trip():
 
 def test_rcpu_slower_than_lcpu_everywhere():
     wl = selection_workload(4096, 0.5)
-    _, t_l, _ = LcpuBaseline().select(wl.schema, wl.rows, wl.predicate)
-    _, t_r, _ = RcpuBaseline().select(wl.schema, wl.rows, wl.predicate)
+    steps = [BoundFilter(wl.predicate)]
+    _, t_l, _ = LcpuBaseline().run(wl.schema, wl.rows, steps)
+    _, t_r, _ = RcpuBaseline().run(wl.schema, wl.rows, steps)
     assert t_r > t_l  # §6.4: "in all the cases it is slower than LCPU"
 
 
 def test_rcpu_result_identical_to_lcpu():
     schema, rows = distinct_workload(512, 64)
-    r_l, _, _ = LcpuBaseline().distinct(schema, rows, ["a"])
-    r_r, _, _ = RcpuBaseline().distinct(schema, rows, ["a"])
+    steps = [BoundDistinct(("a",))]
+    r_l, _, _ = LcpuBaseline().run(schema, rows, steps)
+    r_r, _, _ = RcpuBaseline().run(schema, rows, steps)
     np.testing.assert_array_equal(r_l["a"], r_r["a"])
 
 
 def test_rcpu_ship_cost_grows_with_result_size():
     wl_small = selection_workload(4096, 0.1)
     wl_large = selection_workload(4096, 0.9)
-    _, _, cost_small = RcpuBaseline().select(wl_small.schema, wl_small.rows,
-                                             wl_small.predicate)
-    _, _, cost_large = RcpuBaseline().select(wl_large.schema, wl_large.rows,
-                                             wl_large.predicate)
+    _, _, cost_small = RcpuBaseline().run(
+        wl_small.schema, wl_small.rows, [BoundFilter(wl_small.predicate)])
+    _, _, cost_large = RcpuBaseline().run(
+        wl_large.schema, wl_large.rows, [BoundFilter(wl_large.predicate)])
     assert cost_large.parts["ship_result"] > cost_small.parts["ship_result"]
 
 
@@ -240,6 +247,18 @@ def test_rnic_pcie_latency_visible_at_small_sizes():
     rnic = RnicBaseline()
     rt = rnic.read_response_time_ns(512)
     assert rt > cal.RNIC_PCIE_LATENCY_NS  # the crossing is paid
+
+
+def test_rnic_charges_the_configured_per_packet_overhead():
+    # A 64 KiB READ is 64 packets of 1 KiB; each costs the larger of its
+    # wire time and the NIC's per-packet overhead.  At the default 160 ns
+    # the overhead binds; at 10 ns the wire time does.
+    default = RnicBaseline().read_response_time_ns(64 * KB)
+    assert default == pytest.approx(12_851.52, rel=1e-12)
+    cfg = RnicConfig(per_packet_overhead_ns=10.0)
+    wire = (cfg.packet_size + cfg.header_overhead) / cfg.line_rate
+    fast = RnicBaseline(cfg).read_response_time_ns(64 * KB)
+    assert default - fast == pytest.approx(64 * (160.0 - wire), rel=1e-12)
 
 
 def test_rnic_validates_inputs():

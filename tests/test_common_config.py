@@ -13,7 +13,12 @@ from repro.common.config import (
     RnicConfig,
 )
 from repro.common.errors import ConfigurationError
-from repro.common.units import mhz_cycle_ns
+from repro.common.records import default_schema
+from repro.core.pipeline_compiler import compile_query
+from repro.core.query import Query
+from repro.core.table import FTable
+from repro.operators.aggregate import AggregateSpec
+from repro.operators.selection import Compare
 
 
 # --- NetworkConfig -------------------------------------------------------------
@@ -125,8 +130,16 @@ def test_reconfiguration_is_millisecond_scale():
 
 
 def test_pipeline_fill_is_sub_microsecond():
-    fill_ns = cal.PIPELINE_FILL_CYCLES * mhz_cycle_ns(cal.OPERATOR_CLOCK_MHZ)
-    assert fill_ns < 1_000.0
+    # What the node charges: a compiled pipeline's fill is the sum of its
+    # blocks' fill latencies, paid at the operator clock.
+    stack = OperatorStackConfig()
+    schema = default_schema()
+    query = Query(predicate=Compare("a", "<", 5), projection=("a", "b"),
+                  group_by=("a",), aggregates=(AggregateSpec("sum", "b"),))
+    compiled = compile_query(query, FTable("t", schema, 1024),
+                             FarviewConfig())
+    fill_ns = compiled.pipeline.fill_latency_cycles * stack.cycle_ns
+    assert 0.0 < fill_ns < 1_000.0
 
 
 def test_rnic_latency_path_slower_than_pipelined():

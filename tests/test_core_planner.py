@@ -358,6 +358,32 @@ def test_groupby_hybrid_split_matches_offload(shape):
     assert canonical_result_bytes(ship) == expected
 
 
+@pytest.mark.parametrize("shape", ["selection", "distinct", "groupby"])
+def test_ship_tail_bills_what_lcpu_charges(shape):
+    """One client bill: a ship-placed statement's ``client_cost`` is the
+    LCPU baseline over the same rows and steps, charge for charge, apart
+    from the tail's zero ``merge`` (the table has no deltas)."""
+    from repro.baselines.lcpu import LcpuBaseline
+    from repro.core.planner import client_steps
+
+    wl = selection_workload(2048, 0.5, seed=7)
+    query = {"selection": Query(predicate=wl.predicate, label="s"),
+             "distinct": select_distinct(["c"]),
+             "groupby": Query(predicate=wl.predicate, group_by=("c",),
+                              aggregates=(AggregateSpec("sum", "d"),),
+                              label="g")}[shape]
+    client = _bench()
+    table = FTable("S", wl.schema, len(wl.rows))
+    client.alloc_table_mem(table)
+    client.table_write(table, wl.rows)
+    shipped, _ = client.far_view_planned(table, query, placement="ship")
+    rows, _, cost = LcpuBaseline(client.cpu).run(wl.schema, wl.rows,
+                                                 client_steps(query, 0))
+    assert shipped.client_cost.parts.pop("merge") == 0.0
+    assert list(shipped.client_cost.parts.items()) == list(cost.parts.items())
+    assert canonical_result_bytes(shipped) == shipped.schema.to_bytes(rows)
+
+
 def test_explain_plan_estimates_and_actuals():
     wl = selection_workload(4096, 0.5, seed=5)
     client = _bench()

@@ -727,8 +727,9 @@ def test_one_hash_one_probe_in_src():
     the per-burst pipeline entry with its row parser and slot rows, and
     the read path's per-packet deposits, striped channel stores with
     their de-striping copy, and burst producer process, and the table
-    flag that forked reads and writes — and the reference model binds
-    nothing."""
+    flag that forked reads and writes, and the CPU baselines'
+    per-operator methods with the planner's per-operator price chain —
+    and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -814,7 +815,13 @@ def test_one_hash_one_probe_in_src():
             # One kind of table: the deltas at the pinned epoch decide a
             # scan and the partition spec decides a write — no flag.
             (("src",), (".versioned", "_require_versioned",
-                        "versioned="))):
+                        "versioned=")),
+            # One client bill: the baselines run step nodes through the
+            # client kernels, and a step's price is kernel_cost's.
+            (("src/repro/baselines/lcpu.py", "src/repro/baselines/rcpu.py"),
+             ("def select(", "def distinct(", "def group_by(", "def regex(",
+              "def decrypt(")),
+            (("src/repro/core/cost_model.py",), ("step.op ==",))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))

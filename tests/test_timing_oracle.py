@@ -18,7 +18,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.common import calibration as cal
 from repro.common.config import FarviewConfig, MemoryConfig, NetworkConfig
 from repro.common.records import default_schema
 from repro.core.api import FarviewClient
@@ -81,7 +80,7 @@ def read_response_ns(config: FarviewConfig, allocator, burst_bytes, length):
                    + allocator.channel_extent(min(burst_bytes, length))
                    / mem.effective_channel_bandwidth
                    + mem.access_latency_ns)
-    start = request + cal.FV_NIC_REQUEST_OVERHEAD_NS + first_burst
+    start = request + net.request_overhead_ns + first_burst
     packets = split_lengths(length, net.packet_size)
     full = _occupancy(net, net.packet_size)
     last = _occupancy(net, packets[-1])
@@ -153,6 +152,32 @@ def test_raw_read_of_four_mebibytes_at_the_default_configuration():
     assert elapsed == pytest.approx(read_response_ns(
         node.config, node.mmu.allocator, node.mmu.burst_bytes, 4 * MB),
         rel=1e-12, abs=0)
+
+
+def test_the_node_charges_the_configured_request_overhead():
+    """The request front end pays ``NetworkConfig.request_overhead_ns``:
+    doubling it makes the same warm 16 KiB read exactly 1,200 ns
+    slower."""
+    def warm_read(overhead_ns):
+        sim = Simulator()
+        node = FarviewNode(sim, FarviewConfig(
+            network=NetworkConfig(request_overhead_ns=overhead_ns),
+            memory=MemoryConfig(channel_capacity=16 * MB)))
+        client = FarviewClient(node, buffer_capacity=MB)
+        client.open_connection()
+        schema = default_schema()
+        table = FTable("t", schema, 16 * KB // schema.row_width)
+        client.alloc_table_mem(table)
+        client.table_write(table, schema.empty(table.num_rows))
+        _data, elapsed = client.table_read(table)
+        assert elapsed == pytest.approx(read_response_ns(
+            node.config, node.mmu.allocator, node.mmu.burst_bytes, 16 * KB),
+            rel=1e-12, abs=0)
+        return elapsed
+
+    base = warm_read(1_200.0)
+    assert base == pytest.approx(4_723.65, abs=0.005)
+    assert warm_read(2_400.0) - base == pytest.approx(1_200.0, rel=1e-12)
 
 
 # -- four mixed flows under small credit windows: the golden grid ---------------
