@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..common import calibration as cal
-from ..common.config import CpuConfig
 from ..common.errors import ConfigurationError
 
 
@@ -43,33 +42,31 @@ class CostBreakdown:
 class CpuCostModel:
     """Time formulas for the software baselines."""
 
-    def __init__(self, config: CpuConfig | None = None,
-                 active_clients: int = 1):
+    def __init__(self, active_clients: int = 1):
         if active_clients <= 0:
             raise ConfigurationError(
                 f"active_clients must be positive: {active_clients}")
-        self.config = config if config is not None else CpuConfig()
         self.active_clients = active_clients
 
     # -- bandwidth under contention ------------------------------------------------
     def _contended(self, solo_bandwidth: float) -> float:
         n = self.active_clients
-        cfg = self.config
-        interfered = solo_bandwidth / (1 + cfg.interference_factor * (n - 1))
-        fair_share = cfg.socket_dram_bandwidth / n
+        interfered = solo_bandwidth / (1 + cal.CPU_INTERFERENCE_FACTOR
+                                       * (n - 1))
+        fair_share = cal.CPU_SOCKET_DRAM_BANDWIDTH / n
         return min(interfered, fair_share) if n > 1 else interfered
 
     @property
     def read_bandwidth(self) -> float:
-        return self._contended(self.config.dram_read_bandwidth)
+        return self._contended(cal.CPU_DRAM_READ_BANDWIDTH)
 
     @property
     def write_bandwidth(self) -> float:
-        return self._contended(self.config.dram_write_bandwidth)
+        return self._contended(cal.CPU_DRAM_WRITE_BANDWIDTH)
 
     # -- component times ---------------------------------------------------------------
     def setup_ns(self) -> float:
-        return self.config.query_setup_ns
+        return cal.CPU_QUERY_SETUP_NS
 
     def read_ns(self, nbytes: int) -> float:
         """Streaming read of cold data from DRAM (the paper stresses the
@@ -80,14 +77,14 @@ class CpuCostModel:
         return nbytes / self.write_bandwidth
 
     def select_ns(self, num_tuples: int) -> float:
-        return num_tuples * self.config.select_cost_per_tuple_ns
+        return num_tuples * cal.CPU_SELECT_COST_PER_TUPLE_NS
 
     def hash_ns(self, num_tuples: int, growing: bool) -> float:
         """Hash-probe cost; ``growing`` adds the resize amortization the
         paper blames for the baselines' slowdown on DISTINCT (§6.5)."""
-        per_tuple = self.config.hash_cost_per_tuple_ns
+        per_tuple = cal.CPU_HASH_COST_PER_TUPLE_NS
         if growing:
-            per_tuple += self.config.hash_resize_cost_per_tuple_ns
+            per_tuple += cal.CPU_HASH_RESIZE_COST_PER_TUPLE_NS
         return num_tuples * per_tuple
 
     def aggregate_update_ns(self, num_tuples: int) -> float:
@@ -98,16 +95,16 @@ class CpuCostModel:
         if num_tuples <= 1:
             return 0.0
         return (num_tuples * math.log2(num_tuples)
-                * self.config.select_cost_per_tuple_ns)
+                * cal.CPU_SELECT_COST_PER_TUPLE_NS)
 
     def regex_ns(self, nbytes: int) -> float:
         """RE2 scan cost over the string payload (§6.6)."""
-        return nbytes * self.config.re2_cost_per_byte_ns
+        return nbytes * cal.CPU_RE2_COST_PER_BYTE_NS
 
     def aes_ns(self, nbytes: int) -> float:
         """Cryptopp AES-CTR cost (§6.7)."""
-        return nbytes * self.config.aes_cost_per_byte_ns
+        return nbytes * cal.CPU_AES_COST_PER_BYTE_NS
 
     def two_sided_ns(self) -> float:
         """Software RPC round-trip overhead for the RCPU baseline."""
-        return self.config.two_sided_overhead_ns
+        return cal.RCPU_TWO_SIDED_OVERHEAD_NS

@@ -24,10 +24,9 @@ from .lcpu import LcpuBaseline
 class RcpuBaseline:
     """Remote-CPU query execution: LCPU semantics + result shipping."""
 
-    def __init__(self, model: CpuCostModel | None = None,
-                 nic: RnicConfig | None = None):
+    def __init__(self, model: CpuCostModel | None = None):
         self.model = model if model is not None else CpuCostModel()
-        self.nic = nic if nic is not None else RnicConfig()
+        self.nic = RnicConfig()
         self._local = LcpuBaseline(self.model)
 
     def _ship_ns(self, nbytes: int) -> float:

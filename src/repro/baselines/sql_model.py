@@ -237,14 +237,16 @@ def _aggregate(schema: Schema, rows: np.ndarray, group_by: list[str],
             if spec.func == "count":
                 out[spec.alias][g] = len(members)
                 continue
-            values = [float(rows[spec.column][i]) for i in members]
+            values = [rows[spec.column][i].item() for i in members]
             if spec.func in ("sum", "avg"):
                 total = 0.0
                 for v in values:        # sequential, in global row order
-                    total += v
+                    total += float(v)
                 out[spec.alias][g] = (total / len(members)
                                       if spec.func == "avg" else total)
-            else:       # first of equal (or NaN-incomparable) values wins
+            else:
+                # First of equal (or NaN-incomparable) values wins; an
+                # int64 compares as a Python int, exactly.
                 out[spec.alias][g] = (min(values) if spec.func == "min"
                                       else max(values))
     return out_schema, out

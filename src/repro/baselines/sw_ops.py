@@ -81,9 +81,10 @@ class GroupByOutput:
 def software_groupby(rows: np.ndarray, schema: Schema,
                      key_columns: list[str],
                      aggregates: list[AggregateSpec]) -> GroupByOutput:
-    """Hash aggregation: groups in first-seen order, every value folded as
-    a float64 in row order — a group's sum accumulates sequentially from
-    ``0.0``, byte for byte what the reference model's loop computes."""
+    """Hash aggregation: groups in first-seen order, every value folded in
+    row order — a group's sum accumulates sequentially from ``0.0`` as a
+    float64, its min / max keep the column's dtype, byte for byte what
+    the reference model's loop computes."""
     first, group = first_occurrence(key_image(rows, key_columns))
     out = grouped_schema(schema, key_columns, aggregates).empty(len(first))
     for name in key_columns:
@@ -93,8 +94,8 @@ def software_groupby(rows: np.ndarray, schema: Schema,
         if spec.func == "count":
             out[spec.alias] = count
         elif spec.func in ("min", "max"):
-            out[spec.alias] = fold_groups(
-                spec.func, rows[spec.column].astype(np.float64), first, group)
+            out[spec.alias] = fold_groups(spec.func, rows[spec.column],
+                                          first, group)
         else:
             total = np.zeros(len(first))
             np.add.at(total, group, rows[spec.column].astype(np.float64))

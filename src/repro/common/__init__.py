@@ -2,7 +2,6 @@
 
 from .config import (
     DEFAULT_CONFIG,
-    CpuConfig,
     FarviewConfig,
     MemoryConfig,
     NetworkConfig,
@@ -27,7 +26,6 @@ from .records import Column, Schema, default_schema, string_schema, wide_schema
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "CpuConfig",
     "FarviewConfig",
     "MemoryConfig",
     "NetworkConfig",

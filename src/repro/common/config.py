@@ -113,29 +113,6 @@ class OperatorStackConfig:
 
 
 @dataclass(frozen=True)
-class CpuConfig:
-    """Cost model of the CPU baselines (paper §6.1)."""
-
-    dram_read_bandwidth: float = cal.CPU_DRAM_READ_BANDWIDTH
-    dram_write_bandwidth: float = cal.CPU_DRAM_WRITE_BANDWIDTH
-    socket_dram_bandwidth: float = cal.CPU_SOCKET_DRAM_BANDWIDTH
-    query_setup_ns: float = cal.CPU_QUERY_SETUP_NS
-    select_cost_per_tuple_ns: float = cal.CPU_SELECT_COST_PER_TUPLE_NS
-    hash_cost_per_tuple_ns: float = cal.CPU_HASH_COST_PER_TUPLE_NS
-    hash_resize_cost_per_tuple_ns: float = cal.CPU_HASH_RESIZE_COST_PER_TUPLE_NS
-    re2_cost_per_byte_ns: float = cal.CPU_RE2_COST_PER_BYTE_NS
-    aes_cost_per_byte_ns: float = cal.CPU_AES_COST_PER_BYTE_NS
-    two_sided_overhead_ns: float = cal.RCPU_TWO_SIDED_OVERHEAD_NS
-    interference_factor: float = cal.CPU_INTERFERENCE_FACTOR
-
-    def __post_init__(self) -> None:
-        _require_positive("dram_read_bandwidth", self.dram_read_bandwidth)
-        _require_positive("dram_write_bandwidth", self.dram_write_bandwidth)
-        if self.interference_factor < 0:
-            raise ConfigurationError("interference_factor must be >= 0")
-
-
-@dataclass(frozen=True)
 class RnicConfig:
     """Commercial RDMA NIC model (ConnectX-5; paper §6.1-6.2)."""
 

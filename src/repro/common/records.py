@@ -283,25 +283,15 @@ def _group_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run_first[rank], group
 
 
-def default_schema(num_attributes: int = 8, attr_bytes: int = 8) -> Schema:
+def default_schema() -> Schema:
     """The paper's default evaluation schema: 8 attributes x 8 bytes (§6.2).
 
     Columns are named ``a``, ``b``, ``c``, ... and typed ``int64`` except the
     second column, which is ``float64`` so float-predicate queries (§4.2's
     ``select`` example) have a natural target.
     """
-    if num_attributes <= 0:
-        raise QueryError("num_attributes must be > 0")
-    if attr_bytes != 8:
-        # Non-8-byte attributes are modelled as fixed char columns.
-        cols = [Column(_attr_name(i), "char", attr_bytes)
-                for i in range(num_attributes)]
-        return Schema(cols)
-    cols = []
-    for i in range(num_attributes):
-        kind = "float64" if i == 1 else "int64"
-        cols.append(Column(_attr_name(i), kind, 8))
-    return Schema(cols)
+    return Schema([Column(_attr_name(i), "float64" if i == 1 else "int64")
+                   for i in range(8)])
 
 
 def wide_schema(total_width: int, attr_bytes: int = 8) -> Schema:

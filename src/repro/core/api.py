@@ -526,16 +526,16 @@ class ClusterClient:
     def __init__(self, cluster: FarviewCluster,
                  buffer_capacity: int = 8 * 1024 * 1024):
         self.cluster = cluster
-        self._attach(cluster.nodes, buffer_capacity, CpuCostModel())
+        self._attach(cluster.nodes, buffer_capacity)
 
-    def _attach(self, nodes, buffer_capacity: int, cpu: CpuCostModel) -> None:
+    def _attach(self, nodes, buffer_capacity: int) -> None:
         self.sim = nodes[0].sim
         self.catalog = Catalog()
         self._sessions = [_NodeSession(node, buffer_capacity)
                           for node in nodes]
         #: Cost model of the compute node's CPU — prices the client-side
         #: remainder of planned and compiled executions and view circuits.
-        self.cpu = cpu
+        self.cpu = CpuCostModel()
         #: Join build placements that moved bytes, by ``(build name,
         #: fact name | None)`` — ``None`` for broadcast, whose layout is
         #: fact-independent (:meth:`_place_build_proc`).  Copies hold the
@@ -644,7 +644,7 @@ class ClusterClient:
         return table, table.epoch if as_of is None else as_of
 
     def _placed_proc(self, table, query: Query, placement: str,
-                     stats: PlanStats | None = None, lease_manager=None,
+                     stats: PlanStats | None = None,
                      as_of: int | None = None,
                      join_strategy: str | None = None, tail=()):
         """Process: the one route of a Query and of a compiled statement
@@ -663,8 +663,8 @@ class ClusterClient:
 
         def attempt(placement, refuse_join_offload=False):
             plan = None if placement == "offload" else self.plan(
-                table, query, placement, stats, lease_manager,
-                refuse_join_offload, epoch, join_strategy)
+                table, query, placement, stats, refuse_join_offload, epoch,
+                join_strategy)
             if tail or plan.chosen != "offload":
                 return self._run_tail_proc(table, epoch, query, plan,
                                            list(tail), placement, stats,
@@ -697,7 +697,7 @@ class ClusterClient:
     def far_view_planned_proc(self, table, query: Query,
                               placement: str = "auto",
                               stats: PlanStats | None = None,
-                              lease_manager=None, as_of: int | None = None,
+                              as_of: int | None = None,
                               join_strategy: str | None = None):
         """Process: :meth:`_placed_proc` with the plan always recorded:
         ``"offload"`` (byte- and timing-identical to :meth:`far_view`),
@@ -709,14 +709,14 @@ class ClusterClient:
         current epoch), ``join_strategy`` a join's scatter strategy."""
         if placement != "offload":
             return self._placed_proc(table, query, placement, stats,
-                                     lease_manager, as_of, join_strategy)
+                                     as_of, join_strategy)
         return self._recorded_proc(
-            self.plan(table, query, placement, stats, lease_manager,
-                      as_of=as_of, join_strategy=join_strategy),
+            self.plan(table, query, placement, stats, as_of=as_of,
+                      join_strategy=join_strategy),
             self._offload_proc(table, query, as_of, join_strategy))
 
     def plan(self, table, query: Query, placement: str = "auto",
-             stats: PlanStats | None = None, lease_manager=None,
+             stats: PlanStats | None = None,
              refuse_join_offload: bool = False, as_of: int | None = None,
              join_strategy: str | None = None) -> ExplainPlan:
         """Plan (but do not run) ``query`` over the table's shards:
@@ -728,12 +728,11 @@ class ClusterClient:
         shard's region (a different loaded signature pays the
         partial-reconfiguration charge).  A table is priced at its
         snapshot — ``scan_bytes`` over every chain's base + deltas,
-        ``delta_rows`` for the ship side's software merge.  A
-        ``lease_manager`` folds the expected region-lease wait on a
-        saturated pool into the offload side.  Joins fold the resolved
-        scatter strategy in: partitioned strategies size the per-node
-        build at ``1/N``, an uncached shuffle charges its wire movement
-        against the offload side, and the strategy lands on the plan.
+        ``delta_rows`` for the ship side's software merge.  Joins fold
+        the resolved scatter strategy in: partitioned strategies size the
+        per-node build at ``1/N``, an uncached shuffle charges its wire
+        movement against the offload side, and the strategy lands on the
+        plan.
         """
         table, epoch = self._bind(table, as_of)
         first = table.shards[0]
@@ -753,7 +752,6 @@ class ClusterClient:
             query, first.chain.base, session.node.config,
             placement=placement, stats=stats, cpu=self.cpu,
             loaded_signature=session.connection.region.loaded_pipeline,
-            lease_manager=lease_manager,
             shards=len(table.shards), total_rows=rows,
             buffer_capacity=session.buffer_capacity,
             refuse_join_offload=refuse_join_offload,
@@ -1183,11 +1181,9 @@ class ClusterClient:
         return self.create_table(*args, **kwargs)
 
     def scan_versioned_proc(self, table, query: Query, as_of=None,
-                            placement="offload", stats=None,
-                            lease_manager=None):
+                            placement="offload", stats=None):
         """Process: :meth:`far_view_planned_proc`'s route, unrecorded."""
-        return self._placed_proc(table, query, placement, stats,
-                                 lease_manager, as_of=as_of)
+        return self._placed_proc(table, query, placement, stats, as_of=as_of)
 
     def read_version(self, table, as_of: int | None = None):
         """:meth:`table_read` of the snapshot at ``as_of``."""
@@ -1831,10 +1827,8 @@ class FarviewClient(ClusterClient):
     segment the caller places itself."""
 
     def __init__(self, node: FarviewNode,
-                 buffer_capacity: int = 8 * 1024 * 1024,
-                 cpu_model: CpuCostModel | None = None):
-        self._attach([node], buffer_capacity,
-                     cpu_model if cpu_model is not None else CpuCostModel())
+                 buffer_capacity: int = 8 * 1024 * 1024):
+        self._attach([node], buffer_capacity)
 
     @property
     def node(self) -> FarviewNode:

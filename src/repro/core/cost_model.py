@@ -9,8 +9,7 @@ a few cardinality statistics, it prices
   region setup (partial reconfiguration when the region holds a different
   bitstream), pipeline fill, table ingest at the compiled ingest rate
   overlapped with network egress of the *reduced* result, and the
-  group-by flush tail — plus, on a shared pool, the expected wait for a
-  dynamic-region lease;
+  group-by flush tail;
 * the **ship** side — streaming the raw table bytes to the compute node
   over the same link and running the remaining operators in software,
   priced with the LCPU :class:`~repro.baselines.cpu_model.CpuCostModel`
@@ -25,11 +24,10 @@ reports estimated vs actual so drift is observable.
 
 Why shipping can win at all: with a *warm* region Farview dominates the
 CPU baselines everywhere (Figures 8-12), so for resident pipelines the
-planner simply offloads.  The contested regime is ad-hoc work — a cold
-region that must be partially reconfigured first, or a busy pool where
-the query would wait for a lease.  There the fixed offload penalty must
-be amortized against the egress reduction, and small tables, wide tuples
-or unselective queries tip the balance toward shipping raw bytes.
+planner simply offloads.  The contested regime is ad-hoc work: a cold
+region must be partially reconfigured first.  That fixed offload penalty
+must be amortized against the egress reduction, and small tables, wide
+tuples or unselective queries tip the balance toward shipping raw bytes.
 """
 
 from __future__ import annotations
@@ -254,8 +252,7 @@ class PlacementCostModel:
     def offload_ns(self, *, bytes_in: float, bytes_out: float,
                    ingest_rate: float, fill_cycles: int,
                    flush_groups: float = 0.0, cold: bool = False,
-                   wait_ns: float = 0.0, shards: int = 1,
-                   build_bytes: float = 0.0) -> float:
+                   shards: int = 1, build_bytes: float = 0.0) -> float:
         """Farview pipeline cost for one offloaded fragment.
 
         Ingest and egress are deeply pipelined (§4.1), so the streaming
@@ -280,7 +277,7 @@ class PlacementCostModel:
         flush = (flush_groups * cal.GROUPBY_FLUSH_CYCLES_PER_GROUP
                  * stack.cycle_ns)
         build_fill = build_bytes / self.config.memory.aggregate_bandwidth
-        return (wait_ns + self.region_setup_ns(cold) + self._request_ns()
+        return (self.region_setup_ns(cold) + self._request_ns()
                 + fill_cycles * stack.cycle_ns + build_fill + stream + flush)
 
     # -- distributed join build movement -----------------------------------
@@ -331,15 +328,12 @@ class PlacementCostModel:
 
     # -- incremental view maintenance ---------------------------------------
     def view_refresh_ns(self, delta_bytes: float, delta_rows: float,
-                        depth: int = 1, chains: int = 1) -> float:
+                        depth: int = 1) -> float:
         """Price one incremental view refresh: read the committed delta
-        segments over the wire (one request per chain, serialized — the
-        client folds them in commit order), then run the circuit step in
-        client software."""
-        total = 0.0
-        for _ in range(max(1, int(chains))):
-            total += self.ship_bytes_ns(delta_bytes / max(1, int(chains)))
-        return total + view_circuit_cost_ns(self.cpu, delta_rows, depth)
+        segments over the wire, then run the circuit step in client
+        software."""
+        return (self.ship_bytes_ns(delta_bytes)
+                + view_circuit_cost_ns(self.cpu, delta_rows, depth))
 
     def view_rescan_ns(self, chain_bytes: float, base_rows: float,
                        delta_rows: float, depth: int = 1) -> float:
@@ -391,25 +385,3 @@ class PlacementCostModel:
             out_bytes = bytes_in
         total += cpu.write_ns(int(out_bytes))
         return total
-
-    # -- pool contention ---------------------------------------------------
-    def lease_wait_ns(self, lease_manager, est_service_ns: float) -> float:
-        """Expected wait for a dynamic-region lease on a shared pool.
-
-        A coarse FIFO-queue estimate: with free regions the wait is zero;
-        otherwise the queue ahead of us (plus our own slot) drains at one
-        ``est_service_ns`` per region across the pool.  ``lease_manager``
-        only needs ``queued`` and ``free_regions`` plus a ``nodes`` list —
-        the :class:`~repro.core.elasticity.RegionLeaseManager` surface.
-        """
-        if lease_manager is None:
-            return 0.0
-        free = getattr(lease_manager, "free_regions", 0)
-        if free > 0:
-            return 0.0
-        queued = getattr(lease_manager, "queued", 0)
-        nodes = getattr(lease_manager, "nodes", None) or []
-        total_regions = sum(
-            getattr(n, "regions").config.regions if hasattr(n, "regions")
-            else 0 for n in nodes) or 1
-        return (queued + 1) / total_regions * est_service_ns

@@ -99,16 +99,13 @@ class RegionLeaseManager:
     attribute) is unchanged from the pre-cluster version.
     """
 
-    def __init__(self, target,
-                 buffer_capacity: int = 8 * 1024 * 1024,
-                 policy: str = "fifo"):
+    def __init__(self, target, policy: str = "fifo"):
         if policy not in POLICIES:
             raise QueryError(
                 f"unknown admission policy {policy!r}; choose from {POLICIES}")
         self.nodes: list[FarviewNode] = pool_nodes(target,
                                                    "RegionLeaseManager")
         self.sim: Simulator = self.nodes[0].sim
-        self.buffer_capacity = buffer_capacity
         self.policy = policy
         self._waiters: deque[_Ticket] = deque()
         #: Waiters woken by a release but not yet resumed; newcomers must
@@ -167,8 +164,7 @@ class RegionLeaseManager:
             if index is None:
                 return None
             try:
-                client = FarviewClient(self.nodes[index],
-                                       self.buffer_capacity)
+                client = FarviewClient(self.nodes[index])
                 client.open_connection()
             except (RegionUnavailableError, FaultError):
                 # A region counted free but could not be acquired (e.g.

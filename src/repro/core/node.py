@@ -295,9 +295,7 @@ class FarviewNode:
             raise OperatorError(
                 f"write of {len(data)} bytes exceeds table size "
                 f"{table.size_bytes}")
-        yield from deliver_write(
-            self.sim, self.link, conn.qp, data,
-            per_packet_overhead_ns=self.config.network.per_packet_overhead_ns)
+        yield from deliver_write(self.sim, self.link, conn.qp, data)
         yield from self._request_front_end()
         self._check_alive()
         yield self.mmu.write(conn.domain, vaddr, data)
@@ -329,8 +327,7 @@ class FarviewNode:
         yield from deliver_request(self.sim, self.link, conn.qp)
         yield from self._request_front_end()
         image = self.mmu.image(conn.domain, vaddr + offset, length)
-        streamer = ResponseStreamer(self.sim, self.link, conn.qp,
-                                    self.config.network)
+        streamer = ResponseStreamer(self.sim, self.link, conn.qp)
         yield from self._stream_memory(conn, vaddr + offset, length,
                                        streamer.send)
         total = yield from streamer.finish(image)
@@ -397,8 +394,7 @@ class FarviewNode:
         # before the probe stream starts.
         yield from self._load_join_build(conn, compiled, report)
 
-        streamer = ResponseStreamer(self.sim, self.link, conn.qp,
-                                    self.config.network)
+        streamer = ResponseStreamer(self.sim, self.link, conn.qp)
         sender = Sender(streamer)
 
         if compiled.ingest_mode == "smart":

@@ -268,7 +268,6 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
                    stats: PlanStats | None = None,
                    cpu: CpuCostModel | None = None,
                    loaded_signature: Optional[str] = None,
-                   lease_manager=None,
                    shards: int = 1,
                    total_rows: int | None = None,
                    buffer_capacity: int | None = None,
@@ -288,8 +287,7 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
     pool-level ``total_rows`` and ``shards``.  ``loaded_signature`` is
     the pipeline currently resident in the client's dynamic region —
     fragments whose signature differs are priced with the partial-
-    reconfiguration charge.  ``lease_manager`` (optional) folds expected
-    region-lease wait into the offload side when the pool is saturated.
+    reconfiguration charge.
 
     ``buffer_capacity`` (per-connection receive buffer, bytes) prunes
     ship/hybrid candidates whose shipped intermediate would not fit the
@@ -419,7 +417,6 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
                 build_bytes=build_bytes)
             if fragment.join is not None:
                 node_ns += join_transfer_ns
-            node_ns += cost_model.lease_wait_ns(lease_manager, node_ns)
         client_ns = (cost_model.client_ops_ns(
             steps[k:], [_CLIENT_STEP[op](query) for op in chain[k:]],
             inter_schema, inter_bytes, query) if k < len(chain) else 0.0)

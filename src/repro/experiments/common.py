@@ -39,11 +39,10 @@ class Bench:
     client: FarviewClient
 
 
-def make_bench(config: FarviewConfig | None = None,
-               buffer_capacity: int = 8 * MB) -> Bench:
+def make_bench(config: FarviewConfig | None = None) -> Bench:
     sim = Simulator()
     node = FarviewNode(sim, config if config is not None else EXPERIMENT_CONFIG)
-    client = FarviewClient(node, buffer_capacity=buffer_capacity)
+    client = FarviewClient(node)
     client.open_connection()
     return Bench(sim, node, client)
 

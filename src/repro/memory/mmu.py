@@ -87,7 +87,6 @@ class Mmu:
     """Page tables + TLB + the frame store, timed on the DRAM channels."""
 
     def __init__(self, sim: Simulator, config: MemoryConfig,
-                 tlb_entries: int = 512,
                  burst_bytes: int = DEFAULT_BURST_BYTES):
         if burst_bytes <= 0 or burst_bytes % config.stripe_unit:
             raise MemoryError_(
@@ -100,7 +99,7 @@ class Mmu:
         self.store = FrameStore(config.page_size, self.allocator.total_pages)
         self._read_pipes = [c.read_pipe for c in self.channels]
         self._write_pipes = [c.write_pipe for c in self.channels]
-        self.tlb = Tlb(tlb_entries)
+        self.tlb = Tlb()
         self.burst_bytes = burst_bytes
         #: Per domain: virtual page -> page frame index.
         self._page_tables: dict[int, dict[int, int]] = {}

@@ -83,9 +83,9 @@ class Link:
             size = math.ceil(size / (1.0 - self.loss))
         return size
 
-    def send_up(self, payload_bytes: int, extra_ns: float = 0.0) -> Event:
+    def send_up(self, payload_bytes: int) -> Event:
         """Transmit one client->server packet; fires on arrival at server."""
-        return self.uplink.transfer(self.wire_size(payload_bytes), extra_ns)
+        return self.uplink.transfer(self.wire_size(payload_bytes))
 
     def send_down(self, flow_id: int, payload_bytes: int, extra_ns: float,
                   fn: Callable, *args: Any) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..common.config import NetworkConfig
 from ..common.errors import NetworkError
 from ..sim.engine import Event, Simulator
 from .link import Link
@@ -29,16 +28,15 @@ from .packet import CONTROL_PACKET_BYTES, split_lengths
 from .qp import QueuePair
 
 
-def deliver_request(sim: Simulator, link: Link, qp: QueuePair,
-                    request_bytes: int = CONTROL_PACKET_BYTES):
+def deliver_request(sim: Simulator, link: Link, qp: QueuePair):
     """Process: one control packet client->server.  Yields until delivered."""
     qp.requests_sent += 1
-    yield link.send_up(request_bytes)
+    yield link.send_up(CONTROL_PACKET_BYTES)
 
 
-def deliver_write(sim: Simulator, link: Link, qp: QueuePair, payload: bytes,
-                  per_packet_overhead_ns: float = 0.0):
-    """Process: packetized client->server payload (RDMA WRITE data).
+def deliver_write(sim: Simulator, link: Link, qp: QueuePair, payload: bytes):
+    """Process: packetized client->server payload (RDMA WRITE data), each
+    packet charged the link's per-packet overhead.
 
     Returns the payload so callers can hand it to the memory stack.
     """
@@ -49,8 +47,9 @@ def deliver_write(sim: Simulator, link: Link, qp: QueuePair, payload: bytes,
     # Every packet is priced onto the uplink, one behind the other; the
     # write completes when the last one arrives (the uplink keeps order),
     # which is the only arrival anything waits for.
+    overhead = link.config.per_packet_overhead_ns
     for n in lengths:
-        arrival = link.uplink.occupy(link.wire_size(n), per_packet_overhead_ns)
+        arrival = link.uplink.occupy(link.wire_size(n), overhead)
     yield sim.timeout(arrival)
     return payload
 
@@ -60,17 +59,17 @@ class ResponseStreamer:
 
     Usage (inside server processes)::
 
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         yield from streamer.send(nbytes)          # repeatedly, any lengths
         ...
         yield from streamer.finish(image)         # flush, deliver, land
 
     The stream carries lengths: they are coalesced into wire packets of
-    ``config.packet_size``, and :meth:`finish` flushes the final partial
-    packet.  The response's bytes land in the client's buffer once,
-    whole, when its last packet has — Farview's sender posts one-sided
-    writes into the client's posted buffer (§5.5 "Sending"), and only
-    their timing needs packets.
+    the link's ``packet_size``, each charged its ``per_packet_overhead_ns``,
+    and :meth:`finish` flushes the final partial packet.  The response's
+    bytes land in the client's buffer once, whole, when its last packet
+    has — Farview's sender posts one-sided writes into the client's
+    posted buffer (§5.5 "Sending"), and only their timing needs packets.
 
     A packet costs the event loop its two timed hops — the arbiter grants
     it the wire, :meth:`_on_delivered` runs when it lands — plus one
@@ -78,16 +77,11 @@ class ResponseStreamer:
     The producer is resumed once per chunk, not once per packet.
     """
 
-    def __init__(self, sim: Simulator, link: Link, qp: QueuePair,
-                 config: NetworkConfig,
-                 per_packet_overhead_ns: float | None = None):
+    def __init__(self, sim: Simulator, link: Link, qp: QueuePair):
         self.sim = sim
         self.link = link
         self.qp = qp
-        self.config = config
-        self.per_packet_overhead_ns = (
-            config.per_packet_overhead_ns if per_packet_overhead_ns is None
-            else per_packet_overhead_ns)
+        self.config = link.config
         #: Bytes sent and not yet cut into a packet.
         self._pending = 0
         #: Lengths of the packets cut and waiting for a flow-control
@@ -166,7 +160,8 @@ class ResponseStreamer:
 
     def _transmit(self, nbytes: int) -> None:
         self.link.send_down(self.qp.qp_id, nbytes,
-                            self.per_packet_overhead_ns, self._on_delivered)
+                            self.config.per_packet_overhead_ns,
+                            self._on_delivered)
         self.packets_sent += 1
         self.payload_bytes_sent += nbytes
 

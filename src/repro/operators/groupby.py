@@ -69,14 +69,7 @@ class GroupByOperator(RowOperator):
         #: (``avg`` reads the ``sum``); a fold nothing reads is not kept.
         self._folds = sorted({("sum" if s.func == "avg" else s.func, s.column)
                               for s in self.aggregates if s.func != "count"})
-        #: One record per group: its row count, whether an eviction moved
-        #: it to the overflow area (the client merges those), and one
-        #: float64 field ``func(column)`` per fold.  Sized to a capacity
-        #: that doubles; the first ``len(_ids)`` records are live.
-        self._state = np.zeros(0, dtype=np.dtype([
-            ("count", np.int64), ("spilled", np.bool_),
-            *((f"{func}({column})", np.float64)
-              for func, column in self._folds)], align=True))
+        self._state: np.ndarray | None = None
         self._out_schema: Schema | None = None
 
     # -- binding ---------------------------------------------------------------
@@ -96,6 +89,16 @@ class GroupByOperator(RowOperator):
             raise OperatorError(f"aggregate aliases collide with keys: {overlap}")
         self._out_schema = grouped_schema(schema, self.key_columns,
                                           self.aggregates)
+        #: One record per group: its row count, whether an eviction moved
+        #: it to the overflow area (the client merges those), and one
+        #: field ``func(column)`` per fold — a float64 sum, a ``min`` /
+        #: ``max`` in the column's own dtype.  Sized to a capacity that
+        #: doubles; the first ``len(_ids)`` records are live.
+        self._state = np.zeros(0, dtype=np.dtype([
+            ("count", np.int64), ("spilled", np.bool_),
+            *((f"{func}({column})", np.float64 if func == "sum"
+               else schema.column(column).dtype)
+              for func, column in self._folds)], align=True))
         return self._out_schema
 
     # -- streaming phase -----------------------------------------------------------
@@ -113,10 +116,11 @@ class GroupByOperator(RowOperator):
             np.add.at(state["count"], group, 1)
             for func, column in self._folds:
                 running = state[f"{func}({column})"]
-                values = batch[column].astype(np.float64, copy=False)
+                values = batch[column]
                 if func == "sum":
                     # In row order from the running sum, as ``+=`` per row.
-                    np.add.at(running, group, values)
+                    np.add.at(running, group,
+                              values.astype(np.float64, copy=False))
                 else:
                     running[group[new]] = values[new]  # a group's first value
                     fold_extreme(func, running, group, values)
@@ -185,6 +189,6 @@ class GroupByOperator(RowOperator):
             acc.count = int(record["count"])
             fields = {"sum": acc.sums, "min": acc.mins, "max": acc.maxs}
             for func, column in self._folds:
-                fields[func][lanes.index(column)] = float(
-                    record[f"{func}({column})"])
+                fields[func][lanes.index(column)] = (
+                    record[f"{func}({column})"].item())
         return out

@@ -13,18 +13,13 @@ carry (the "overflow buffer") for the partial word between bursts.
 
 from __future__ import annotations
 
-from ..common.errors import OperatorError
-
 WORD_BYTES = 64
 
 
 class Packer:
     """Accumulates output bytes and releases whole 64-byte words."""
 
-    def __init__(self, word_bytes: int = WORD_BYTES):
-        if word_bytes <= 0:
-            raise OperatorError(f"word size must be positive: {word_bytes}")
-        self.word_bytes = word_bytes
+    def __init__(self):
         self._carry = bytearray()  # the overflow buffer
         self.words_emitted = 0
         self.bytes_in = 0
@@ -33,12 +28,12 @@ class Packer:
         """Append ``data``; return all complete words ready for the queue."""
         self.bytes_in += len(data)
         self._carry.extend(data)
-        whole = (len(self._carry) // self.word_bytes) * self.word_bytes
+        whole = (len(self._carry) // WORD_BYTES) * WORD_BYTES
         if whole == 0:
             return b""
         out = bytes(self._carry[:whole])
         del self._carry[:whole]
-        self.words_emitted += whole // self.word_bytes
+        self.words_emitted += whole // WORD_BYTES
         return out
 
     def flush(self) -> bytes:

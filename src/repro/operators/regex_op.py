@@ -7,21 +7,17 @@ dominated by the length of the string and does not depend on the
 complexity of the regular expression."
 
 Functionally the operator filters tuples whose char column matches the
-pattern (search semantics, like RE2 partial match).  The ``engines``
-attribute models the spatial parallelism for the timing layer.
+pattern (search semantics, like RE2 partial match).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import OperatorError, RegexSyntaxError
+from ..common.errors import OperatorError
 from ..common.records import Schema
 from .base import RowOperator
 from .regex_engine import CompiledRegex
-
-#: Engines instantiated per region — enough to sustain line rate (§5.3).
-DEFAULT_ENGINES = 8
 
 
 class RegexMatchOperator(RowOperator):
@@ -29,17 +25,10 @@ class RegexMatchOperator(RowOperator):
 
     fill_latency_cycles = 16  # deep-pipelined engines
 
-    def __init__(self, column: str, pattern: str,
-                 engines: int = DEFAULT_ENGINES):
+    def __init__(self, column: str, pattern: str):
         super().__init__("regex")
-        if engines <= 0:
-            raise OperatorError(f"engines must be positive: {engines}")
         self.column = column
-        self.engines = engines
-        try:
-            self.regex = CompiledRegex(pattern)
-        except RegexSyntaxError:
-            raise
+        self.regex = CompiledRegex(pattern)
 
     def _bind(self, schema: Schema) -> Schema:
         col = schema.column(self.column)

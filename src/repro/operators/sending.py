@@ -22,9 +22,9 @@ from .packing import Packer
 class Sender:
     """Drives packed result bytes into the response stream."""
 
-    def __init__(self, streamer: ResponseStreamer, packer: Packer | None = None):
+    def __init__(self, streamer: ResponseStreamer):
         self.streamer = streamer
-        self.packer = packer if packer is not None else Packer()
+        self.packer = Packer()
         self.commands_issued = 0
         self._words: list[bytes] = []
 

@@ -168,7 +168,7 @@ def q1_sql() -> str:
             "ORDER BY returnflag, linestatus")
 
 
-def q1_having_sql(min_count: int = 2) -> str:
+def q1_having_sql() -> str:
     """The Q1-class statement with a HAVING prune on small groups."""
     return ("SELECT returnflag, linestatus, "
             "SUM(quantity) AS sum_qty, "
@@ -176,7 +176,7 @@ def q1_having_sql(min_count: int = 2) -> str:
             "FROM lineitem "
             "WHERE shipdate <= 10410 "
             "GROUP BY returnflag, linestatus "
-            f"HAVING COUNT(*) > {min_count} "
+            "HAVING COUNT(*) > 2 "
             "ORDER BY returnflag, linestatus")
 
 

@@ -11,7 +11,7 @@ from repro.baselines.sql_model import _aggregate, _distinct
 from repro.baselines.sw_ops import (map_resizes, software_distinct,
                                     software_groupby)
 from repro.common import calibration as cal
-from repro.common.config import CpuConfig, RnicConfig
+from repro.common.config import RnicConfig
 from repro.common.errors import ConfigurationError
 from repro.common.expr import Col, TextMatch, eval_mask
 from repro.common.records import Column, Schema
@@ -134,7 +134,7 @@ def test_interference_shrinks_bandwidth():
     six = CpuCostModel(active_clients=6)
     assert six.read_bandwidth < solo.read_bandwidth
     # With 6 clients the socket ceiling also binds.
-    assert six.read_bandwidth <= CpuConfig().socket_dram_bandwidth / 6 + 1e-9
+    assert six.read_bandwidth <= cal.CPU_SOCKET_DRAM_BANDWIDTH / 6 + 1e-9
 
 
 def test_growing_hash_costs_more():

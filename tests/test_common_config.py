@@ -5,7 +5,6 @@ import pytest
 from repro.common import calibration as cal
 from repro.common.config import (
     DEFAULT_CONFIG,
-    CpuConfig,
     FarviewConfig,
     MemoryConfig,
     NetworkConfig,
@@ -94,14 +93,7 @@ def test_operator_stack_validation():
         OperatorStackConfig(cuckoo_tables=0)
 
 
-# --- CpuConfig / RnicConfig --------------------------------------------------------------
-
-def test_cpu_validation():
-    with pytest.raises(ConfigurationError):
-        CpuConfig(dram_read_bandwidth=0)
-    with pytest.raises(ConfigurationError):
-        CpuConfig(interference_factor=-0.1)
-
+# --- RnicConfig ---------------------------------------------------------------------------
 
 def test_rnic_validation():
     with pytest.raises(ConfigurationError):

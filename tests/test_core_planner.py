@@ -11,8 +11,7 @@ Three layers of guarantees:
   contract is bit-exact).
 * **Observability** — ExplainPlan carries every candidate, the chosen
   per-operator placement, and estimated vs actual ns within sanity
-  bounds; lease contention and warm regions flip decisions the way the
-  docs promise.
+  bounds; warm regions flip decisions the way the docs promise.
 """
 
 import hashlib
@@ -185,34 +184,6 @@ class TestChainAndFragments:
         plan = plan_placement(query, _table(schema, 1024), tiny,
                               placement="auto")
         assert "join" in plan.chain[plan.split:]
-
-
-class TestLeaseContention:
-    class _BusyManager:
-        """A saturated single-node pool: no free regions, deep queue."""
-        free_regions = 0
-        queued = 50
-
-        def __init__(self, nodes):
-            self.nodes = nodes
-
-    def test_contention_flips_warm_offload_to_ship(self):
-        nrows = MB // 64
-        schema, _ = projection_workload(8, 64)
-        query = Query(predicate=Compare("a", "<", 1), label="t")
-        sim = Simulator()
-        node = FarviewNode(sim, SCENARIO)
-        warm = plan_placement(query, _table(schema, nrows), SCENARIO,
-                              placement="auto",
-                              stats=PlanStats(selectivity=0.5),
-                              loaded_signature=query.signature)
-        assert warm.chosen == "offload"
-        contended = plan_placement(
-            query, _table(schema, nrows), SCENARIO, placement="auto",
-            stats=PlanStats(selectivity=0.5),
-            loaded_signature=query.signature,
-            lease_manager=self._BusyManager([node]))
-        assert contended.chosen == "ship"
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_stream_delivers_exact_bytes():
     payload = bytes(range(256)) * 20  # 5120 B
 
     def server():
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         yield from streamer.send(3000)
         yield from streamer.send(len(payload) - 3000)
         assert qp.buffer.read(0, len(payload)) == bytes(len(payload))
@@ -193,7 +193,7 @@ def test_stream_packet_count():
     sim, config, link, qp = _make_stream()
 
     def server():
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         yield from streamer.send(2500)
         yield from streamer.finish(b"z" * 2500)
         return streamer.packets_sent
@@ -208,7 +208,7 @@ def test_stream_respects_credits():
 
     def run(sim, config, link, qp):
         def server():
-            streamer = ResponseStreamer(sim, link, qp, config)
+            streamer = ResponseStreamer(sim, link, qp)
             yield from streamer.send(16 * KB)
             yield from streamer.finish(b"z" * (16 * KB))
             return sim.now
@@ -223,7 +223,7 @@ def test_stream_empty_finish():
     sim, config, link, qp = _make_stream()
 
     def server():
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         total = yield from streamer.finish(b"")
         return total
 
@@ -234,7 +234,7 @@ def test_stream_send_after_finish_rejected():
     sim, config, link, qp = _make_stream()
 
     def server():
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         yield from streamer.finish(b"")
         try:
             yield from streamer.send(4)
@@ -254,7 +254,7 @@ def test_two_streams_share_downlink_fairly():
     finish = {}
 
     def server(qp, tag):
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         yield from streamer.send(128 * KB)
         yield from streamer.finish(b"x" * (128 * KB))
         finish[tag] = sim.now

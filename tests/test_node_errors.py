@@ -194,7 +194,7 @@ def test_streamer_deposits_are_position_based_not_order_based():
     link = Link(sim, config)
     qp = QueuePair(sim, buffer_capacity=8 * KB, credits=8)
     link.register_flow(qp.qp_id)
-    streamer = ResponseStreamer(sim, link, qp, config)
+    streamer = ResponseStreamer(sim, link, qp)
     payload = bytes(range(256)) * 12  # 3 packets
     landings = []
     # Bypass the link: hold each packet's landing callback.

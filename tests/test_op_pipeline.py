@@ -241,11 +241,6 @@ def test_packer_flush_empty():
     assert packer.words_emitted == 0
 
 
-def test_packer_validation():
-    with pytest.raises(OperatorError):
-        Packer(word_bytes=0)
-
-
 # --- sender -----------------------------------------------------------------------------------
 
 def test_sender_streams_packed_words_end_to_end():
@@ -257,7 +252,7 @@ def test_sender_streams_packed_words_end_to_end():
     payload = bytes(range(256)) * 17  # 4352 bytes, not word-aligned chunks
 
     def server():
-        streamer = ResponseStreamer(sim, link, qp, config)
+        streamer = ResponseStreamer(sim, link, qp)
         sender = Sender(streamer)
         for i in range(0, len(payload), 100):
             yield from sender.send(payload[i:i + 100])

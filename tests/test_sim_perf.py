@@ -728,8 +728,10 @@ def test_one_hash_one_probe_in_src():
     the read path's per-packet deposits, striped channel stores with
     their de-striping copy, and burst producer process, and the table
     flag that forked reads and writes, and the CPU baselines'
-    per-operator methods with the planner's per-operator price chain —
-    and the reference model binds nothing."""
+    per-operator methods with the planner's per-operator price chain, and
+    the options no caller set (the lease-wait term, ``CpuConfig``, the
+    cost-model override and the regex engine count) — and the reference
+    model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -821,7 +823,12 @@ def test_one_hash_one_probe_in_src():
             (("src/repro/baselines/lcpu.py", "src/repro/baselines/rcpu.py"),
              ("def select(", "def distinct(", "def group_by(", "def regex(",
               "def decrypt(")),
-            (("src/repro/core/cost_model.py",), ("step.op ==",))):
+            (("src/repro/core/cost_model.py",), ("step.op ==",)),
+            # Options no caller set: the planner's lease-wait term, the
+            # CPU config class, the client's cost-model override and the
+            # regex operator's engine count.
+            (("src", "docs"), ("lease_manager", "lease_wait_ns", "CpuConfig",
+                               "DEFAULT_ENGINES", "cpu_model="))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))

@@ -248,6 +248,31 @@ def test_view_agrees_with_sql_of_the_same_statement(cell):
     assert sorted_sha(view.schema, view.materialize()) == by_sql()
 
 
+def test_grouped_min_max_keep_int64_beyond_float53():
+    """A grouped MIN / MAX over int64 values past 2**53 returns a value
+    some row holds: offload, ship, a 2-node pool, a view and the model
+    all answer the exact Python ints, not their float64 roundings."""
+    big = 2 ** 60
+    schema = Schema([Column("k", "int64"), Column("v", "int64")])
+    rows = schema.empty(4)
+    rows["k"], rows["v"] = [1, 1, 2, 2], [big + 1, big + 3, big + 5, 7]
+    statement = "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k"
+    exact = {(1, big + 1, big + 3), (2, 7, big + 5)}
+
+    def answer(out: np.ndarray) -> set:
+        return {(int(r["k"]), int(r["lo"]), int(r["hi"])) for r in out}
+
+    for num_nodes in (1, 2):
+        client = make_client(num_nodes)
+        client.create_table("t", schema, rows)
+        for placement in ("offload", "ship", "auto"):
+            result, _ = client.sql(statement, placement=placement)
+            assert answer(result.rows()) == exact, (num_nodes, placement)
+        view, _ = client.create_view(statement, name="v")
+        assert answer(view.materialize()) == exact, num_nodes
+    assert answer(execute_model(statement, {"t": (schema, rows)})[1]) == exact
+
+
 @pytest.mark.parametrize("statement", ["SELECT k FROM t ORDER BY k",
                                        "SELECT k FROM t LIMIT 2"])
 def test_order_by_and_limit_are_not_maintainable(statement):
