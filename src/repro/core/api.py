@@ -72,9 +72,9 @@ from .catalog import Catalog
 from .compile import ParsedWrite, bind_select, parse_sql
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, view_circuit_cost_ns)
-from .planner import (ExplainPlan, build_fragment, client_steps,
-                      operator_chain, plan_placement, run_client_join,
-                      run_client_kernel)
+from .planner import (ExplainPlan, build_fragment, chain_labels,
+                      client_steps, operator_chain, plan_placement,
+                      run_client_join, run_client_kernel)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       join_strategies, merge_aggregate_rows,
                       merge_group_rows, plan_scatter)
@@ -727,37 +727,27 @@ class ClusterClient:
         parallelism; the region-residency check samples the first
         shard's region (a different loaded signature pays the
         partial-reconfiguration charge).  A table is priced at its
-        snapshot — ``scan_bytes`` over every chain's base + deltas,
-        ``delta_rows`` for the ship side's software merge.  Joins fold
-        the resolved scatter strategy in: partitioned strategies size the
-        per-node build at ``1/N``, an uncached shuffle charges its wire
-        movement against the offload side, and the strategy lands on the
-        plan.
+        snapshot (:func:`~repro.core.planner.plan_placement` reads it off
+        the handle).  Joins fold the resolved scatter strategy in: an
+        uncached shuffle charges its wire movement against the offload
+        side, and the strategy lands on the plan.
         """
         table, epoch = self._bind(table, as_of)
-        first = table.shards[0]
-        session = self._sessions[first.node_index]
-        rows, scan_bytes, delta_rows = table.stats_at(epoch)
-        if delta_rows:
+        session = self._sessions[table.shards[0].node_index]
+        if table.has_deltas(epoch):
             query = _merge_query(query)
         strategy = self._resolve_join_strategy(table, query, join_strategy)
         join_transfer_ns = 0.0
-        join_build_shards = 1
-        if strategy in ("colocated", "shuffle"):
-            join_build_shards = table.num_partitions
         if strategy == "shuffle":
             join_transfer_ns = self._movement_ns(
                 as_table(query.join.build_table), table, strategy)
         return plan_placement(
-            query, first.chain.base, session.node.config,
+            query, table, session.node.config, as_of=epoch,
             placement=placement, stats=stats, cpu=self.cpu,
             loaded_signature=session.connection.region.loaded_pipeline,
-            shards=len(table.shards), total_rows=rows,
             buffer_capacity=session.buffer_capacity,
             refuse_join_offload=refuse_join_offload,
-            join_strategy=strategy, join_transfer_ns=join_transfer_ns,
-            join_build_shards=join_build_shards,
-            scan_bytes=float(scan_bytes), delta_rows=float(delta_rows))
+            join_strategy=strategy, join_transfer_ns=join_transfer_ns)
 
     def _run_tail_proc(self, table: Table, epoch: int, query: Query,
                        plan: ExplainPlan | None, tail: list, placement: str,
@@ -800,11 +790,11 @@ class ClusterClient:
                 read_bytes += shipped
             else:
                 fragment = (query if plan is None else
-                            build_fragment(query, plan.chain, plan.split))
+                            build_fragment(query, plan.split))
                 landed = yield from self._offload_proc(table, fragment, at,
                                                        strategy)
                 if plan is None:
-                    chain = operator_chain(query)
+                    chain = chain_labels(operator_chain(query))
                     plan = ExplainPlan("offload", "offload", len(chain),
                                        chain,
                                        join_strategy=landed.join_strategy)
@@ -1597,7 +1587,7 @@ class ClusterClient:
         chain = operator_chain(shard_query)
         schema = table.schema
         if chain:
-            schema = estimate_chain(chain, shard_query, table.schema, 0,
+            schema = estimate_chain(chain, schema, 0,
                                     PlanStats())[-1].schema_out
         return QueryResult(schema=schema, merged=schema.empty(0),
                            report=ExecutionReport(signature="empty-partition"))

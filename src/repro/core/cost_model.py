@@ -39,6 +39,7 @@ from ..baselines.cpu_model import CpuCostModel
 from ..common import calibration as cal
 from ..common.config import FarviewConfig
 from ..common.errors import QueryError
+from ..common.expr import items_schema
 from ..common.records import Schema
 from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
@@ -83,62 +84,44 @@ class PlanStats:
 
 @dataclass
 class CardinalityStep:
-    """Estimated shape of the stream after one operator."""
+    """Estimated shape of the stream after the step node ``op``."""
 
-    op: str
+    op: object
     rows_in: float
     rows_out: float
     schema_out: Schema
 
 
-def join_build_profile(query) -> tuple[int, int, Schema]:
-    """``(build_rows, build_bytes, build_schema)`` of a join's build side.
-
-    Works for every build the compiler accepts: a raw
-    :class:`~repro.core.table.FTable` segment or a
-    :class:`~repro.core.table.Table` handle (a written one counts
-    whole-chain bytes — both sides must read every segment, the node to
-    merge-ingest, the client to software-merge).
-    """
-    build = query.join.build_table
-    rows = getattr(build, "num_rows", 0)
-    return int(rows), int(getattr(build, "size_bytes", 0)), build.schema
-
-
-def estimate_chain(chain: Sequence[str], query, schema: Schema,
-                   num_rows: int, stats: PlanStats) -> list[CardinalityStep]:
-    """Propagate row-count and schema estimates through the operator chain.
-
-    ``chain`` is the ordered operator-name list from
-    :func:`repro.core.planner.operator_chain`; the returned steps line up
-    with it one to one.
+def estimate_chain(chain: Sequence, schema: Schema, num_rows: int,
+                   stats: PlanStats) -> list[CardinalityStep]:
+    """Propagate row-count and schema estimates through ``chain``, the
+    step nodes of :func:`repro.core.planner.operator_chain`; the
+    returned steps line up with it one to one.
     """
     steps: list[CardinalityStep] = []
     rows = float(num_rows)
     current = schema
     for op in chain:
-        rows_in = rows
-        if op == "selection":
+        rows_in, kernel = rows, op.kernel
+        if kernel == "selection":
             rows = rows * stats.selectivity
-        elif op == "regex":
+        elif kernel == "regex":
             rows = rows * stats.regex_selectivity
-        elif op == "join":
-            _brows, _bbytes, build_schema = join_build_profile(query)
-            current = join_output_schema(current, build_schema,
-                                         list(query.join.payload))
+        elif kernel == "join":
+            current = join_output_schema(current, op.build.schema,
+                                         list(op.payload))
             rows = rows * stats.join_match_ratio
-        elif op == "projection":
-            # Project from the *current* schema: after a join the select
-            # list may name appended payload columns.
-            current = current.project(list(query.projection))
-        elif op == "distinct":
+        elif kernel == "eval":
+            # Over the *current* schema: after a join the select list
+            # may name appended payload columns.
+            current = items_schema(op.items, current)
+        elif kernel == "distinct":
             rows = min(rows, max(1.0, rows * stats.distinct_ratio))
-        elif op in ("groupby", "aggregate"):
-            current = grouped_schema(current, query.group_by or (),
-                                     query.aggregates)
-            rows = (min(rows, float(stats.groups)) if op == "groupby"
+        elif kernel == "aggregate":
+            current = grouped_schema(current, op.group_by, op.aggregates)
+            rows = (min(rows, float(stats.groups)) if op.group_by
                     else 1.0)
-        # "decrypt" keeps rows and schema unchanged.
+        # A decrypt keeps rows and schema unchanged.
         steps.append(CardinalityStep(op, rows_in, rows, current))
     return steps
 
@@ -348,33 +331,33 @@ class PlacementCostModel:
                 + view_circuit_cost_ns(self.cpu, base_rows + delta_rows,
                                        depth))
 
-    def client_ops_ns(self, steps: Sequence[CardinalityStep], nodes,
-                      schema_in: Schema, bytes_in: float,
-                      query) -> float:
+    def client_ops_ns(self, steps: Sequence[CardinalityStep],
+                      schema_in: Schema, bytes_in: float) -> float:
         """Software execution of the remainder ``steps`` on the client.
 
         LCPU-style accounting: one cold DRAM scan of the shipped bytes,
-        each step's node (``nodes``, aligned with ``steps``; ``None`` for
-        a decrypt) priced by :func:`kernel_cost` at its estimated rows,
-        one materializing write of the final result (intermediate
-        operators stream through cache).
+        each step's node priced by :func:`kernel_cost` at its estimated
+        rows (a decrypt by AES over the shipped bytes), one
+        materializing write of the final result (intermediate operators
+        stream through cache).
         """
         cpu = self.cpu
         total = cpu.setup_ns() + cpu.read_ns(int(bytes_in))
         current = schema_in
-        for step, node in zip(steps, nodes):
-            if node is None:
+        for step in steps:
+            op = step.op
+            if op.kernel == "decrypt":
                 charges = [("aes", cpu.aes_ns(int(bytes_in)))]
-            elif node.kernel == "join":
+            elif op.kernel == "join":
                 # The client must fetch the build table itself (a second
                 # raw read over the same link) before it builds and probes.
-                brows, bbytes, _bschema = join_build_profile(query)
-                total += self.ship_bytes_ns(float(bbytes))
-                total += cpu.read_ns(bbytes)
-                charges = join_cost(brows, int(step.rows_in), cpu)
+                build = op.build
+                total += self.ship_bytes_ns(float(build.size_bytes))
+                total += cpu.read_ns(build.size_bytes)
+                charges = join_cost(build.num_rows, int(step.rows_in), cpu)
             else:
                 charges = kernel_cost(
-                    node, step.rows_in, current, cpu,
+                    op, step.rows_in, current, cpu,
                     growing=step.rows_out > HASHMAP_GROWTH_THRESHOLD)
             for _name, ns in charges:
                 total += ns

@@ -4,8 +4,9 @@ This is the piece the paper leaves to "the query compiler in Farview"
 (§4.2, future work): it maps a :class:`~repro.core.query.Query` onto the
 operator blocks of §5 and decides execution strategy:
 
-* operator ordering: decrypt -> regex -> selection -> projection ->
-  distinct | group-by | aggregation -> packing (+ encrypt);
+* operator ordering: decrypt -> regex -> selection -> join ->
+  projection -> distinct | group-by | aggregation -> packing
+  (+ encrypt);
 * *smart addressing vs standard projection* (§5.2): chosen by a simple
   cost model over the memory timing constants, reproducing the Figure 7
   crossover (narrow tuples scan sequentially, wide tuples fetch columns);
@@ -88,11 +89,12 @@ def choose_smart_addressing(query: Query, schema: Schema,
     Honour an explicit request; otherwise compare the per-tuple cost of a
     sequential scan against scattered column fetches.  Only projection-only
     queries are eligible (predicates/grouping need the full annotated
-    stream in this prototype, as in the paper's experiments).
+    stream in this prototype, as in the paper's experiments), and never a
+    decrypting one (scattered CTR reads cannot be decrypted).
     """
     if query.smart_addressing is not None:
         return query.smart_addressing
-    if not query.is_projection_only:
+    if not query.is_projection_only or query.decrypt_input:
         return False
     plan = SmartAddressingPlan(schema, list(query.projection or ()))
     return _sa_cost_per_tuple(plan, config) < _standard_cost_per_tuple(

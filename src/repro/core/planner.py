@@ -2,9 +2,10 @@
 
 The paper's interface "is intended to be used by the query compiler in
 Farview" (§4.2); this module is the placement half of that compiler.  A
-:class:`~repro.core.query.Query` is an ordered operator chain
+:class:`~repro.core.query.Query` is an ordered operator chain, the
+compiler's pipeline order
 
-    decrypt -> regex -> selection -> projection ->
+    decrypt -> regex -> selection -> join -> projection ->
     distinct | group-by | aggregation
 
 and any *prefix* of that chain is a valid offloaded fragment: the node
@@ -16,9 +17,6 @@ stay byte-exact).  The planner enumerates every prefix split — from
 default path) — prices each with
 :class:`~repro.core.cost_model.PlacementCostModel`, and picks the
 cheapest.
-
-The chain is ``decrypt -> regex -> selection -> join -> projection ->
-distinct | group-by | aggregation`` (the compiler's pipeline order).
 
 Split-validity notes:
 
@@ -40,11 +38,13 @@ Split-validity notes:
   side — under ``placement="auto"`` the planner then routes the join to
   the client instead of failing.
 
-Whatever runs at the client is one list of step nodes, the ``Bound*``
-nodes of :mod:`repro.core.compile` that each name their ``kernel``:
-:func:`client_steps` produces it for the suffix of a split chain (a
-compiled statement appends its ``tail``), :func:`run_client_kernel` runs
-it, and a view circuit compiles the same list into stages.
+The chain is stated once, by :func:`operator_chain`, as the ``Bound*``
+step nodes of :mod:`repro.core.compile` that each name their ``kernel``
+(a decrypt is :class:`BoundDecrypt`, which no client step runs).  The
+estimate reads each node's own fields, :func:`client_steps` is the
+chain's suffix after a split (a compiled statement appends its
+``tail``), :func:`run_client_kernel` runs it, and a view circuit
+compiles the same list into stages.
 
 The decision, the estimates it was based on, and the eventually measured
 time are the one placement record, :class:`ExplainPlan`: one node per
@@ -80,77 +80,76 @@ from ..operators.join import join_output_schema
 from .compile import (BoundAggregate, BoundArm, BoundDistinct, BoundEval,
                       BoundFilter, BoundRegex)
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
-                         estimate_chain, join_build_profile, join_cost,
-                         kernel_cost)
+                         estimate_chain, join_cost, kernel_cost)
 from .pipeline_compiler import compile_query
 from .query import Query
-from .table import FTable
+from .table import FTable, Table, as_table
 
 #: The three user-facing placement modes.
 PLACEMENTS = ("auto", "offload", "ship")
 
 
-def operator_chain(query: Query) -> list[str]:
-    """The query's operator chain in pipeline order (compiler order)."""
-    chain: list[str] = []
+@dataclass(frozen=True)
+class BoundDecrypt:
+    """Decrypt the scanned table: the node's first operator, or the ship
+    read as the ciphertext lands — never a client step."""
+
+    kernel = "decrypt"
+
+
+def operator_chain(query: Query) -> list:
+    """The query's operators in pipeline (compiler) order, as the step
+    nodes :func:`run_client_kernel` runs; a ``join`` is a raw-read
+    :class:`~repro.core.compile.BoundArm` over its build table."""
+    chain: list = []
     if query.decrypt_input:
-        chain.append("decrypt")
+        chain.append(BoundDecrypt())
     if query.regex is not None:
-        chain.append("regex")
+        chain.append(BoundRegex(query.regex))
     if query.predicate is not None:
-        chain.append("selection")
+        chain.append(BoundFilter(query.predicate))
     if query.join is not None:
-        chain.append("join")
+        join = query.join
+        chain.append(BoundArm(join.build_table, join.build_table.name, None,
+                              join.build_key, join.probe_key, join.payload))
     if query.projection is not None:
-        chain.append("projection")
+        chain.append(BoundEval(tuple((Col(c), c) for c in query.projection)))
     if query.distinct:
-        chain.append("distinct")
-    elif query.group_by:
-        chain.append("groupby")
-    elif query.aggregates:
-        chain.append("aggregate")
+        chain.append(BoundDistinct(query.distinct_columns))
+    elif query.group_by or query.aggregates:
+        chain.append(BoundAggregate(query.group_by or (), query.aggregates))
     return chain
 
 
-#: The step node each :func:`operator_chain` operator runs as at the
-#: client.  ``decrypt`` is none: a ship read decrypts as it lands.
-_CLIENT_STEP = {
-    "decrypt": lambda q: None,
-    "regex": lambda q: BoundRegex(q.regex),
-    "selection": lambda q: BoundFilter(q.predicate),
-    "join": lambda q: BoundArm(q.join.build_table, q.join.build_table.name,
-                               None, q.join.build_key, q.join.probe_key,
-                               q.join.payload),
-    "projection": lambda q: BoundEval(tuple((Col(c), c)
-                                            for c in q.projection)),
-    "distinct": lambda q: BoundDistinct(q.distinct_columns),
-    "groupby": lambda q: BoundAggregate(q.group_by, q.aggregates),
-    "aggregate": lambda q: BoundAggregate((), q.aggregates),
-}
+def chain_labels(chain: list) -> list[str]:
+    """The operator names of ``chain`` an :class:`ExplainPlan` shows."""
+    return ["projection" if op.kernel == "eval"
+            else "groupby" if op.kernel == "aggregate" and op.group_by
+            else op.kernel for op in chain]
 
 
 def client_steps(query: Query, split: int) -> list:
-    """The client's share of ``query`` split at ``split``: one step node
-    per operator of ``operator_chain(query)[split:]``, a ``join`` a
-    raw-read :class:`~repro.core.compile.BoundArm` over its build table.
+    """The client's share of ``query`` split at ``split``: the chain
+    after it, less a leading decrypt (a ship read decrypts as it lands).
     ``split == 0`` is the whole chain: the list a view circuit
     compiles."""
-    return [_CLIENT_STEP[name](query)
-            for name in operator_chain(query)[split:] if name != "decrypt"]
+    return operator_chain(query)[max(split, int(query.decrypt_input)):]
 
 
-def build_fragment(query: Query, chain: list[str], split: int) -> Optional[Query]:
-    """The offloaded prefix ``chain[:split]`` as a standalone Query.
+def build_fragment(query: Query, split: int) -> Optional[Query]:
+    """The offloaded prefix ``operator_chain(query)[:split]`` as a
+    standalone Query.
 
     ``split == len(chain)`` returns the original query (identity — the
     full-offload path must stay byte- and signature-identical);
     ``split == 0`` returns ``None`` (nothing offloaded, raw read).
     """
+    chain = operator_chain(query)
     if split == len(chain):
         return query
     if split == 0:
         return None
-    included = set(chain[:split])
+    included = set(chain_labels(chain[:split]))
     projection = query.projection if "projection" in included else None
     # Smart addressing only applies to projection-only fragments; an
     # explicit hint survives exactly when the fragment still qualifies.
@@ -207,7 +206,6 @@ class ExplainPlan:
     est_chosen_ns: float = float("nan")
     est_offload_ns: float = float("nan")
     est_ship_ns: float = float("nan")
-    stats: PlanStats = field(default_factory=PlanStats)
     actual_ns: Optional[float] = None
     #: Distributed-join build strategy for cluster queries: one of
     #: ``broadcast`` / ``colocated`` / ``shuffle`` when the chosen
@@ -256,38 +254,31 @@ class ExplainPlan:
         return "\n".join(lines)
 
 
-def _requires_full_offload(query: Query) -> Optional[str]:
-    """Why this query cannot be split/shipped, or None if it can."""
-    if query.encrypt_output is not None:
-        return "output encryption is produced by the node's pipeline"
-    return None
-
-
-def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
+def plan_placement(query: Query, table: Table | FTable,
+                   config: FarviewConfig, *, as_of: int | None = None,
                    placement: str = "auto",
                    stats: PlanStats | None = None,
                    cpu: CpuCostModel | None = None,
                    loaded_signature: Optional[str] = None,
-                   shards: int = 1,
-                   total_rows: int | None = None,
                    buffer_capacity: int | None = None,
-                   scan_bytes: float | None = None,
-                   delta_rows: float = 0.0,
                    refuse_join_offload: bool = False,
                    join_strategy: Optional[str] = None,
-                   join_transfer_ns: float = 0.0,
-                   join_build_shards: int = 1) -> ExplainPlan:
+                   join_transfer_ns: float = 0.0) -> ExplainPlan:
     """Choose where each operator of ``query`` runs; returns the
     decision's :class:`ExplainPlan`, whose offloaded fragment is
-    ``build_fragment(query, chain, split)`` (``None`` when ``chosen ==
+    ``build_fragment(query, split)`` (``None`` when ``chosen ==
     "ship"``) and whose client share is ``client_steps(query, split)``.
 
-    ``table`` provides the schema and (for fragments) the compile
-    context; for a sharded table pass one shard's :class:`FTable` plus
-    pool-level ``total_rows`` and ``shards``.  ``loaded_signature`` is
-    the pipeline currently resident in the client's dynamic region —
-    fragments whose signature differs are priced with the partial-
-    reconfiguration charge.
+    ``table`` (a handle, or a raw :class:`FTable` segment) is priced at
+    its snapshot ``as_of`` (default: the current epoch), read off
+    :meth:`~repro.core.table.Table.stats_at`: rows, scan bytes (base +
+    every delta segment, what a delta-merge ingest streams and a ship
+    raw read transfers) and delta rows, whose software merge
+    (:func:`~repro.core.cost_model.delta_merge_cost_ns`) the ship side
+    pays; its shards stream in parallel.  The first shard's base is the
+    compile context.  ``loaded_signature`` is the pipeline resident in
+    the client's dynamic region — fragments whose signature differs pay
+    the partial-reconfiguration charge.
 
     ``buffer_capacity`` (per-connection receive buffer, bytes) prunes
     ship/hybrid candidates whose shipped intermediate would not fit the
@@ -296,13 +287,6 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
     is :meth:`far_view`'s contract).  An *explicit* ``placement="ship"`` that
     cannot fit raises instead of crashing mid-read.
 
-    Versioned tables pass ``scan_bytes`` (base + K delta segments — what
-    the node's delta-merge ingest must stream, and what a ship raw read
-    must transfer) and ``delta_rows``; the ship side is additionally
-    charged the client-side software merge
-    (:func:`~repro.core.cost_model.delta_merge_cost_ns`), so the
-    ship/offload crossover shifts with the delta fraction.
-
     ``refuse_join_offload`` drops every candidate whose offloaded
     fragment contains the join — the clients' fallback after the node's
     on-chip build *load* overflowed at execution time (cuckoo kick
@@ -310,39 +294,47 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
     which is data-dependent and only detectable by actually building).
 
     The cluster router passes the resolved distributed-join strategy:
-    ``join_strategy`` annotates the explain, ``join_transfer_ns`` adds a
-    one-time build-movement charge (a cold shuffle) to every candidate
-    whose fragment offloads the join, and ``join_build_shards`` divides
-    the build-ingest fill for partitioned strategies — a colocated or
-    shuffled build loads only its ``1/N`` fragment into the on-chip
-    hash, which is also why oversized builds that overflow broadcast can
-    still offload partitioned.
+    ``join_strategy`` annotates the explain, and ``join_transfer_ns``
+    adds a one-time build-movement charge (a cold shuffle) to every
+    candidate whose fragment offloads the join.  A colocated or shuffled
+    build loads only its ``1/num_partitions`` fragment into the on-chip
+    hash, so its build-ingest fill is divided by the table's partition
+    count — which is also why oversized builds that overflow broadcast
+    can still offload partitioned.
     """
     if placement not in PLACEMENTS:
         raise QueryError(
             f"placement must be one of {PLACEMENTS}, got {placement!r}")
     stats = stats if stats is not None else PlanStats()
     cost_model = PlacementCostModel(config, cpu)
+    table = as_table(table)
+    base = table.shards[0].chain.base
     # Mirror the compiler's encrypted-table invariants up front: the ship
     # path never compiles a fragment, and no placement can parse
     # ciphertext (or decrypt a plaintext table).
-    if table.encrypted and not query.decrypt_input:
+    if base.encrypted and not query.decrypt_input:
         raise QueryError(
-            f"table {table.name!r} is encrypted; the query must set "
+            f"table {base.name!r} is encrypted; the query must set "
             f"decrypt_input (no placement can parse ciphertext)")
-    if query.decrypt_input and not table.encrypted:
+    if query.decrypt_input and not base.encrypted:
         raise QueryError(
-            f"query asks to decrypt but table {table.name!r} is not "
+            f"query asks to decrypt but table {base.name!r} is not "
             f"encrypted")
     chain = operator_chain(query)
+    labels = chain_labels(chain)
     schema = table.schema
     query.validate(schema)      # ship runs no compiler; type errors stay typed
-    nrows = total_rows if total_rows is not None else table.num_rows
-    bytes_in = nrows * schema.row_width
-    scan_total = float(scan_bytes) if scan_bytes is not None else float(bytes_in)
-    steps = estimate_chain(chain, query, schema, nrows, stats)
+    nrows, scan_bytes, delta_rows = table.stats_at(
+        table.epoch if as_of is None else as_of)
+    shards = len(table.shards)
+    build_parts = (table.num_partitions
+                   if join_strategy in ("colocated", "shuffle") else 1)
+    scan_total = float(scan_bytes)
+    steps = estimate_chain(chain, schema, nrows, stats)
 
-    pinned = _requires_full_offload(query)
+    # Why this query cannot be split/shipped, or None if it can.
+    pinned = ("output encryption is produced by the node's pipeline"
+              if query.encrypt_output is not None else None)
     if placement == "ship" and pinned:
         raise QueryError(f"cannot ship this query to the client: {pinned}")
 
@@ -362,7 +354,7 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
         if k == 0 and not chain and placement == "ship":
             fragment = None
         else:
-            fragment = build_fragment(query, chain, k)
+            fragment = build_fragment(query, k)
         if (refuse_join_offload and fragment is not None
                 and fragment.join is not None):
             continue
@@ -372,20 +364,19 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
             inter_schema, inter_bytes = schema, scan_total
         else:
             compile_fragment = fragment
-            if fragment.join is not None and join_build_shards > 1:
+            if fragment.join is not None and build_parts > 1:
                 # Partitioned strategies load only this shard's build
                 # fragment into the on-chip hash; compile (and price)
                 # against a 1/N-sized proxy so a build that overflows
                 # broadcast can still offload colocated/shuffled.
                 build = fragment.join.build_table
-                frag_rows = max(1, -(-int(build.num_rows)
-                                     // join_build_shards))
+                frag_rows = max(1, -(-int(build.num_rows) // build_parts))
                 proxy = FTable(build.name, build.schema, frag_rows)
                 compile_fragment = _dc_replace(
                     fragment, join=_dc_replace(fragment.join,
                                                build_table=proxy))
             try:
-                compiled = compile_query(compile_fragment, table, config)
+                compiled = compile_query(compile_fragment, base, config)
             except JoinBuildOverflowError:
                 if placement == "offload":
                     raise
@@ -394,20 +385,15 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
                 # ship/hybrid-below-join splits remain in the running.
                 continue
             if k == 0:
-                inter_schema, inter_bytes = schema, float(bytes_in)
-                rows_out = float(nrows)
+                inter_schema = schema
+                inter_bytes = float(nrows * schema.row_width)
             else:
-                last = steps[k - 1]
-                inter_schema = last.schema_out
-                rows_out = last.rows_out
-                inter_bytes = rows_out * inter_schema.row_width
+                inter_schema = steps[k - 1].schema_out
+                inter_bytes = steps[k - 1].rows_out * inter_schema.row_width
             flush_groups = (steps[k - 1].rows_out
-                            if k > 0 and chain[k - 1] == "groupby" else 0.0)
-            build_bytes = 0.0
-            if fragment.join is not None:
-                _brows, bbytes, _bschema = join_build_profile(
-                    compile_fragment)
-                build_bytes = float(bbytes)
+                            if k > 0 and labels[k - 1] == "groupby" else 0.0)
+            build_bytes = (float(compile_fragment.join.build_table.size_bytes)
+                           if fragment.join is not None else 0.0)
             cold = compiled.signature != loaded_signature
             node_ns = cost_model.offload_ns(
                 bytes_in=scan_total, bytes_out=inter_bytes,
@@ -417,9 +403,9 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
                 build_bytes=build_bytes)
             if fragment.join is not None:
                 node_ns += join_transfer_ns
-        client_ns = (cost_model.client_ops_ns(
-            steps[k:], [_CLIENT_STEP[op](query) for op in chain[k:]],
-            inter_schema, inter_bytes, query) if k < len(chain) else 0.0)
+        client_ns = (cost_model.client_ops_ns(steps[k:], inter_schema,
+                                              inter_bytes)
+                     if k < len(chain) else 0.0)
         if fragment is None:
             # Shipping a version chain raw: the client also pays the
             # software merge before the remaining operators can run.
@@ -428,7 +414,7 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
         label = ("ship" if fragment is None
                  else "offload" if k == len(chain) else f"hybrid@{k}")
         if (buffer_capacity is not None and label != "offload"
-                and inter_bytes / max(1, shards) > buffer_capacity):
+                and inter_bytes / shards > buffer_capacity):
             # The shipped intermediate cannot land in the client buffer
             # (exact for ship — raw table bytes — estimated for hybrid).
             if placement == "ship":
@@ -451,12 +437,12 @@ def plan_placement(query: Query, table: FTable, config: FarviewConfig, *,
     chosen = "hybrid" if best.label.startswith("hybrid") else best.label
     by_label = {c.label: c.total_ns for c in candidates}
     explain = ExplainPlan(
-        requested=placement, chosen=chosen, split=best.split, chain=chain,
+        requested=placement, chosen=chosen, split=best.split, chain=labels,
         candidates=candidates, est_chosen_ns=best.total_ns,
         est_offload_ns=by_label.get("offload", float("nan")),
-        est_ship_ns=by_label.get("ship", float("nan")), stats=stats)
+        est_ship_ns=by_label.get("ship", float("nan")))
     if query.join is not None and join_strategy is not None:
-        offloaded = chosen != "ship" and "join" in chain[:best.split]
+        offloaded = chosen != "ship" and "join" in labels[:best.split]
         explain.join_strategy = join_strategy if offloaded else "ship"
     return explain
 

@@ -28,7 +28,8 @@ from repro.common.units import MB
 from repro.core.api import FarviewClient, canonical_result_bytes
 from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
-from repro.core.planner import build_fragment, operator_chain, plan_placement
+from repro.core.planner import (build_fragment, chain_labels, operator_chain,
+                                plan_placement)
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
@@ -126,14 +127,13 @@ class TestChainAndFragments:
     def test_operator_chain_order(self):
         query = Query(projection=("a",), predicate=Compare("a", "<", 1),
                       distinct=True, label="t")
-        assert operator_chain(query) == ["selection", "projection",
-                                         "distinct"]
+        assert chain_labels(operator_chain(query)) == [
+            "selection", "projection", "distinct"]
 
     def test_full_split_is_identity(self):
         query = select_star(Compare("a", "<", 1))
-        chain = operator_chain(query)
-        assert build_fragment(query, chain, len(chain)) is query
-        assert build_fragment(query, chain, 0) is None
+        assert build_fragment(query, len(operator_chain(query))) is query
+        assert build_fragment(query, 0) is None
 
     def test_prefix_fragments_validate(self):
         query = Query(projection=("a", "b"),
@@ -141,10 +141,9 @@ class TestChainAndFragments:
                       group_by=("a",),
                       aggregates=(AggregateSpec("sum", "b"),),
                       label="t")
-        chain = operator_chain(query)
         schema, _ = projection_workload(8, 64)
-        for k in range(len(chain) + 1):
-            fragment = build_fragment(query, chain, k)
+        for k in range(len(operator_chain(query)) + 1):
+            fragment = build_fragment(query, k)
             if fragment is not None:
                 fragment.validate(schema)  # no QueryError
 
@@ -157,8 +156,8 @@ class TestChainAndFragments:
         build = _table(schema, 8, name="dim")
         query = Query(predicate=Compare("a", "<", 1),
                       join=JoinSpec(build, "a", "a", ("b",)), label="t")
-        assert operator_chain(query) == ["selection", "join"]
-        fragment = build_fragment(query, operator_chain(query), 1)
+        assert chain_labels(operator_chain(query)) == ["selection", "join"]
+        fragment = build_fragment(query, 1)
         assert fragment.join is None and fragment.predicate is not None
         plan = plan_placement(query, _table(schema, 1024), SCENARIO,
                               placement="ship")
@@ -252,23 +251,29 @@ def test_placement_never_changes_bytes(assert_uniform_result, selectivity,
     assert digests[placement] == digests["offload"]
 
 
-@pytest.mark.parametrize("shape", ["groupby", "distinct"])
+@pytest.mark.parametrize("shape", ["groupby", "distinct", "encrypted"])
 def test_groupby_hybrid_split_matches_offload(shape):
     """Every split ``k`` of a ``selection -> join -> projection ->
-    groupby`` chain, and of a ``regex -> selection -> projection ->
-    distinct(columns)`` one: offloading ``build_fragment(query, chain,
-    k)`` and running the step nodes of ``client_steps(query, k)`` over
-    what lands gives the full offload's bytes.  ``k = 0`` is the ship
-    split and the list a view circuit compiles — the whole chain as
-    client steps, the join an arm read raw."""
+    groupby`` chain, of a ``regex -> selection -> projection ->
+    distinct(columns)`` one and of an encrypted table's ``decrypt ->
+    selection -> projection -> aggregate``: offloading
+    ``build_fragment(query, k)`` and running the step nodes of
+    ``client_steps(query, k)`` over what lands gives the full offload's
+    bytes.  ``k = 0`` is the ship split and the list a view circuit
+    compiles — the whole chain as client steps, the join an arm read
+    raw, the decrypt done by the read (no client step runs it); at
+    ``k = 1`` the node only decrypts."""
     from repro.baselines.cpu_model import CostBreakdown, CpuCostModel
     from repro.common.expr import Col, TextMatch
     from repro.common.records import Column, Schema
     from repro.core.planner import (client_steps, run_client_join,
                                     run_client_kernel)
     from repro.core.query import JoinSpec
+    from repro.operators.encryption_op import (decrypt_table_image,
+                                               encrypt_table_image)
 
     client = _bench()
+    key, nonce = bytes(range(16)), bytes(range(12))
     if shape == "groupby":
         wl = selection_workload(512, 0.5, seed=3)
         wl.rows["c"] = np.arange(512) % 16
@@ -282,6 +287,18 @@ def test_groupby_hybrid_split_matches_offload(shape):
                       projection=("rate", "d"), group_by=("rate",),
                       aggregates=(AggregateSpec("sum", "d"),), label="h")
         kernels = ["selection", "join", "eval", "aggregate"]
+    elif shape == "encrypted":
+        wl = selection_workload(512, 0.5, seed=5)
+        fact = FTable("E", wl.schema, 512, encrypted=True, key=key,
+                      nonce=nonce)
+        tables = ((fact, encrypt_table_image(wl.schema.to_bytes(wl.rows),
+                                             key, nonce)),)
+        query = Query(decrypt_input=True, predicate=wl.predicate,
+                      projection=("a", "c", "d"),
+                      aggregates=(AggregateSpec("min", "a"),
+                                  AggregateSpec("sum", "d"),
+                                  AggregateSpec("count", "*")), label="e")
+        kernels = ["selection", "eval", "aggregate"]
     else:
         schema = Schema([Column("a", "int64"), Column("b", "int64"),
                          Column("s", "char", 8)])
@@ -302,15 +319,19 @@ def test_groupby_hybrid_split_matches_offload(shape):
         client.table_write(table, table_rows)
     chain = operator_chain(query)
     assert [op.kernel for op in client_steps(query, 0)] == kernels
+    assert client_steps(query, 0) == chain[-len(kernels):]
     offloaded = client.far_view(fact, query)[0]
     expected = canonical_result_bytes(offloaded)
     if shape == "distinct":
         assert offloaded.num_rows == 7
     cpu = CpuCostModel()
     for k in range(len(chain) + 1):
-        fragment = build_fragment(query, chain, k)
+        fragment = build_fragment(query, k)
         if fragment is None:
-            rows = fact.schema.from_bytes(client.table_read(fact)[0])
+            image = client.table_read(fact)[0]
+            if fact.encrypted:
+                image = decrypt_table_image(image, key, nonce)
+            rows = fact.schema.from_bytes(image)
             schema = fact.schema
         else:
             head, _ = client.far_view(fact, fragment)
@@ -422,11 +443,11 @@ def test_cluster_placement_matches_offload():
 def test_versioned_pool_placement_matches_offload(assert_uniform_result,
                                                   num_nodes):
     """A versioned pool table is planned by the same
-    ``plan_placement(shards=N, scan_bytes=, delta_rows=)`` call as
-    everything else: ``ship`` and ``auto`` are sha256-identical to
-    ``offload`` and to the single-node versioned run, at the current
-    epoch and ``as_of`` an older one (on the parent ``ship`` was refused
-    and ``auto`` ran unplanned).  Degraded cell: with a shard's node
+    ``plan_placement(query, table, config, as_of=)`` call as everything
+    else, priced at the snapshot it reads off the handle: ``ship`` and
+    ``auto`` are sha256-identical to ``offload`` and to the single-node
+    versioned run, at the current epoch and ``as_of`` an older one, and
+    the older, smaller snapshot is the cheaper one to ship.  Degraded cell: with a shard's node
     down every placement fails typed — ``offload`` under
     ``allow_degraded`` carrying the survivors' partial, never a wrong
     complete answer."""
@@ -467,6 +488,8 @@ def test_versioned_pool_placement_matches_offload(assert_uniform_result,
             if mode != "offload":
                 assert result.explain.requested == mode
     assert client.plan(vt, query, "ship").chosen == "ship"
+    assert (client.plan(vt, query, "ship", as_of=1).est_ship_ns
+            < client.plan(vt, query, "ship").est_ship_ns)
 
     cluster.node(1).fail()
     client.allow_degraded = True
@@ -638,3 +661,38 @@ def test_encrypted_table_ship_decrypts_client_side():
         result, _ = client.far_view_planned(table, query, placement=mode)
         digests[mode] = _digest(result)
     assert digests["ship"] == digests["offload"]
+
+
+def test_decrypting_projection_never_picks_smart_addressing():
+    """A projection-only query over an encrypted table scans
+    sequentially under every placement: smart addressing cannot decrypt
+    scattered CTR reads, so it is never *chosen* for a decrypting query.
+    It used to be, for one column of a wide table, and ``compile_query``
+    then refused the choice under ``far_view``, ``offload`` and even
+    ``auto`` (only ``ship`` answered).  An explicit
+    ``smart_addressing=True`` keeps its typed refusal."""
+    from dataclasses import replace
+
+    from repro.common.errors import PipelineCompilationError
+    from repro.common.records import Column, Schema
+    from repro.operators.encryption_op import encrypt_table_image
+
+    key, nonce = bytes(range(16)), bytes(range(12))
+    schema = Schema([Column(f"c{i}", "int64") for i in range(64)])
+    rows = schema.empty(256)
+    for i in range(64):
+        rows[f"c{i}"] = np.arange(256) * (i + 1)
+    client = _bench()
+    table = FTable("E", schema, 256, encrypted=True, key=key, nonce=nonce)
+    client.alloc_table_mem(table)
+    client.table_write(
+        table, encrypt_table_image(schema.to_bytes(rows), key, nonce))
+    query = Query(projection=("c0",), decrypt_input=True, label="e")
+    expected = np.ascontiguousarray(rows["c0"]).tobytes()
+    results = [client.far_view(table, query)[0]] + [
+        client.far_view_planned(table, query, placement=mode)[0]
+        for mode in ("offload", "auto", "ship")]
+    for result in results:
+        assert canonical_result_bytes(result) == expected
+    with pytest.raises(PipelineCompilationError):
+        client.far_view(table, replace(query, smart_addressing=True))

@@ -730,8 +730,10 @@ def test_one_hash_one_probe_in_src():
     flag that forked reads and writes, and the CPU baselines'
     per-operator methods with the planner's per-operator price chain, and
     the options no caller set (the lease-wait term, ``CpuConfig``, the
-    cost-model override and the regex engine count) — and the reference
-    model binds nothing."""
+    cost-model override and the regex engine count), and the planner's
+    second statement of a Query's operators (the name-to-node table, the
+    build profile and the snapshot counts ``plan_placement`` was handed)
+    — and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -828,7 +830,11 @@ def test_one_hash_one_probe_in_src():
             # CPU config class, the client's cost-model override and the
             # regex operator's engine count.
             (("src", "docs"), ("lease_manager", "lease_wait_ns", "CpuConfig",
-                               "DEFAULT_ENGINES", "cpu_model="))):
+                               "DEFAULT_ENGINES", "cpu_model=")),
+            # The planner states a Query's operators once, as step nodes,
+            # and reads a table's snapshot off its handle.
+            (("src", "docs"), ("_CLIENT_STEP", "join_build_profile",
+                               "join_build_shards", "total_rows="))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))
