@@ -91,8 +91,10 @@ class Link:
                   fn: Callable, *args: Any) -> None:
         """Transmit one server->client packet through the fair-share
         arbiter; ``fn(*args)`` runs on arrival at the client."""
-        self.down_arbiter.submit(flow_id, self.wire_size(payload_bytes),
-                                 extra_ns, fn, *args)
+        # The undegraded wire size inline: this runs once per packet.
+        size = (self.wire_size(payload_bytes) if self.loss
+                else payload_bytes + self.config.header_overhead)
+        self.down_arbiter.submit(flow_id, size, extra_ns, fn, *args)
 
     def register_flow(self, flow_id: int) -> None:
         self.down_arbiter.register_flow(flow_id)

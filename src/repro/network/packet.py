@@ -22,8 +22,6 @@ def split_lengths(total: int, packet_size: int) -> list[int]:
         raise NetworkError(f"negative payload size: {total}")
     if packet_size <= 0:
         raise NetworkError(f"packet size must be positive: {packet_size}")
-    if total == 0:
-        return []
     full, rem = divmod(total, packet_size)
     lengths = [packet_size] * full
     if rem:

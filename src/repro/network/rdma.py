@@ -44,12 +44,12 @@ def deliver_write(sim: Simulator, link: Link, qp: QueuePair, payload: bytes):
     if not lengths:
         yield link.send_up(CONTROL_PACKET_BYTES)
         return payload
-    # Every packet is priced onto the uplink, one behind the other; the
-    # write completes when the last one arrives (the uplink keeps order),
-    # which is the only arrival anything waits for.
-    overhead = link.config.per_packet_overhead_ns
-    for n in lengths:
-        arrival = link.uplink.occupy(link.wire_size(n), overhead)
+    # Every packet is priced onto the uplink in one call (all but the last
+    # are full-sized); the write completes when the last one arrives (the
+    # uplink keeps order), which is the only arrival anything waits for.
+    sizes = [link.wire_size(lengths[0])] * (len(lengths) - 1)
+    sizes.append(link.wire_size(lengths[-1]))
+    arrival = link.uplink.occupy_each(sizes, link.config.per_packet_overhead_ns)
     yield sim.timeout(arrival)
     return payload
 
@@ -74,7 +74,7 @@ class ResponseStreamer:
     A packet costs the event loop its two timed hops — the arbiter grants
     it the wire, :meth:`_on_delivered` runs when it lands — plus one
     immediate hop (:meth:`_on_credit`) if it had to wait for a credit.
-    The producer is resumed once per chunk, not once per packet.
+    The producer is resumed once per chunk, whose packets are cut in one call.
     """
 
     def __init__(self, sim: Simulator, link: Link, qp: QueuePair):
@@ -107,10 +107,9 @@ class ResponseStreamer:
             raise NetworkError("stream already finished")
         size = self.config.packet_size
         packets, self._pending = divmod(self._pending + nbytes, size)
-        for _ in range(packets):
-            self._emit(size)
+        self._cut(packets, size)
         if self._backlog:
-            self._credited = self.sim.event()
+            self._credited = Event(self.sim)
             yield self._credited
             self._credited = None
 
@@ -123,11 +122,11 @@ class ResponseStreamer:
         if self._finished:
             raise NetworkError("stream already finished")
         if self._pending:
-            self._emit(self._pending)
+            self._cut(1, self._pending)
             self._pending = 0
         self._finished = True
         if self._inflight:
-            self._drained = self.sim.event()
+            self._drained = Event(self.sim)
             yield self._drained
         if len(image) != self.payload_bytes_sent:
             raise NetworkError(
@@ -137,33 +136,33 @@ class ResponseStreamer:
         return self.payload_bytes_sent
 
     # -- internals ---------------------------------------------------------------
-    def _emit(self, nbytes: int) -> None:
-        """Transmit a packet now if a credit is free, else queue it
-        behind the packets already waiting for one."""
-        self._inflight += 1
-        if self._backlog:
-            self._backlog.append(nbytes)
-        elif self.qp.credits.try_acquire():
-            self._transmit(nbytes)
-        else:
-            self._backlog.append(nbytes)
-            self.qp.credits.acquire_then(self._on_credit)
+    def _cut(self, count: int, nbytes: int) -> None:
+        """Cut ``count`` packets of ``nbytes``: transmit one per free
+        credit and queue the rest behind those already waiting for one,
+        as taking each packet's credit in turn would."""
+        self._inflight += count
+        self.packets_sent += count
+        self.payload_bytes_sent += count * nbytes
+        free = 0 if self._backlog else self.qp.credits.take(count)
+        for _ in range(free):
+            self.link.send_down(self.qp.qp_id, nbytes,
+                                self.config.per_packet_overhead_ns,
+                                self._on_delivered)
+        if free < count:
+            if not self._backlog:
+                self.qp.credits.acquire_then(self._on_credit)
+            self._backlog.extend([nbytes] * (count - free))
 
     def _on_credit(self) -> None:
         """A landed packet returned the credit the oldest queued one
         waits for; the pool hands out the next the same way."""
-        self._transmit(self._backlog.popleft())
+        self.link.send_down(self.qp.qp_id, self._backlog.popleft(),
+                            self.config.per_packet_overhead_ns,
+                            self._on_delivered)
         if self._backlog:
             self.qp.credits.acquire_then(self._on_credit)
         elif self._credited is not None:
             self._credited.succeed()
-
-    def _transmit(self, nbytes: int) -> None:
-        self.link.send_down(self.qp.qp_id, nbytes,
-                            self.config.per_packet_overhead_ns,
-                            self._on_delivered)
-        self.packets_sent += 1
-        self.payload_bytes_sent += nbytes
 
     def _on_delivered(self) -> None:
         self.qp.credits.release()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -267,42 +268,47 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Drain the event heap (optionally stopping at time ``until``).
 
-        Returns the simulation time when the loop stopped.  ``max_events``
-        guards against runaway loops in buggy models.
+        Returns the simulation time when the loop stopped.  ``until``
+        before the current time is refused: the clock never runs back.
+        ``max_events`` guards against runaway loops in buggy models.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is None:
+            until = math.inf
+        elif until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self._now}")
         self._running = True
         imm = self._imm
         heap = self._heap
         heappop = heapq.heappop
         steps = 0
+        now = self._now
         try:
             while imm or heap:
-                # Deque entries are due at the current time; a heap entry due
-                # now with a lower ticket was scheduled earlier and runs first.
+                # Deque entries are due at the current time, which never
+                # passes ``until``; a heap entry due now with a lower
+                # ticket was scheduled earlier and runs first.
                 if imm:
-                    if until is not None and self._now > until:
-                        self._now = until
-                        break
-                    if heap and heap[0][0] <= self._now and heap[0][1] < imm[0][0]:
+                    if heap and heap[0][0] <= now and heap[0][1] < imm[0][0]:
                         _t, _seq, fn, args = heappop(heap)
                     else:
                         _seq, fn, args = imm.popleft()
                 else:
                     time, _seq, fn, args = heap[0]
-                    if until is not None and time > until:
+                    if time > until:
                         self._now = until
                         break
                     heappop(heap)
-                    self._now = time
+                    self._now = now = time
                 fn(*args)
                 steps += 1
                 if steps > max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; likely a runaway model")
             else:
-                if until is not None and until > self._now:
+                if self._now < until < math.inf:
                     self._now = until
         finally:
             self.events_processed += steps

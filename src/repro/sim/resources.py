@@ -16,7 +16,8 @@ These model the hardware structures the paper leans on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from heapq import heappush
+from typing import Any, Callable, Deque, Optional, Sequence
 
 from .engine import Event, SimulationError, Simulator
 
@@ -40,7 +41,7 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Event that fires once ``item`` is accepted (backpressure-aware)."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._getters:
             # Hand the item straight to a waiting consumer.
             getter = self._getters.popleft()
@@ -55,7 +56,7 @@ class Store:
 
     def get(self) -> Event:
         """Event that fires with the next item (FIFO order)."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             item = self._items.popleft()
             ev.succeed(item)
@@ -79,7 +80,9 @@ class BandwidthPipe:
     ``latency`` later (which overlaps with other transfers' service — it
     models pipelined access latency, not occupancy) — and returns how long
     from now that is, for the caller to schedule whatever happens then.
-    ``transfer(nbytes)`` is the same as an event to ``yield``.
+    ``occupy_each(sizes)`` prices a train of transfers back to back in
+    one call, and ``transfer(nbytes)`` is ``occupy`` as an event to
+    ``yield``.
     """
 
     def __init__(self, sim: Simulator, rate: float, latency_ns: float = 0.0,
@@ -106,18 +109,36 @@ class BandwidthPipe:
         header processing) — it delays everything queued behind it, unlike
         ``latency_ns`` which only delays this transfer's completion.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
+        return self.occupy_each((nbytes,), extra_ns)
+
+    def occupy_each(self, sizes: Sequence[int], extra_ns: float = 0.0) -> float:
+        """Queue one transfer per entry of ``sizes``, in order, each
+        charged ``extra_ns``; returns the delay from now until the last
+        completes.  The float additions are those of one :meth:`occupy`
+        per transfer, in the same order, so the result is bit-identical.
+        """
         if extra_ns < 0:
             raise SimulationError(f"negative extra occupancy: {extra_ns}")
-        now = self.sim.now
-        start = max(now, self._busy_until)
-        service = nbytes / self.rate + extra_ns
-        done = start + service
+        now = self.sim._now
+        done = self._busy_until
+        if done < now:
+            done = now
+        rate = self.rate
+        occupied = self.occupied_ns
+        total = 0
+        for nbytes in sizes:
+            if nbytes < 0:
+                raise SimulationError(f"negative transfer size: {nbytes}")
+            service = nbytes / rate + extra_ns
+            # A transfer starts where the one before it finished, which
+            # is never before now.
+            done += service
+            occupied += service
+            total += nbytes
         self._busy_until = done
-        self.bytes_transferred += nbytes
-        self.transfers += 1
-        self.occupied_ns += service
+        self.occupied_ns = occupied
+        self.bytes_transferred += total
+        self.transfers += len(sizes)
         return done + self.latency_ns - now
 
     def transfer(self, nbytes: int, extra_ns: float = 0.0) -> Event:
@@ -125,10 +146,6 @@ class BandwidthPipe:
         ev = self.sim.event()
         self.sim.schedule(self.occupy(nbytes, extra_ns), ev.succeed, nbytes)
         return ev
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
 
 
 class CreditPool:
@@ -162,16 +179,21 @@ class CreditPool:
         self.acquire_then(ev._fire)
         return ev
 
-    def try_acquire(self) -> bool:
-        """Take a credit if one is free (then nobody is waiting for it)."""
-        if self._available > 0:
-            self._available -= 1
-            return True
-        return False
+    def take(self, n: int) -> int:
+        """Take up to ``n`` free credits at once and return how many:
+        what ``n`` :meth:`acquire_then` calls would take while credits are
+        free (then nobody waits for one), without a loop slot each."""
+        took = min(n, self._available)
+        self._available -= took
+        return took
 
     def release(self) -> None:
+        """Return a credit: hand it to the oldest waiter, which runs at
+        the next loop slot, or put it back in the pool."""
         if self._waiters:
-            self.sim._immediate(self._waiters.popleft())
+            # ``Simulator._immediate`` inline: this runs once per packet.
+            sim = self.sim
+            sim._imm.append((next(sim._counter), self._waiters.popleft(), ()))
         else:
             self._available += 1
             if self._available > self._capacity:
@@ -214,7 +236,7 @@ class RoundRobinArbiter:
         self._order.append(flow_id)
 
     def unregister_flow(self, flow_id: int) -> None:
-        """Forget a closed flow so ``_grant_next`` stops scanning it.
+        """Forget a closed flow so ``_pump`` stops scanning it.
 
         ``_next`` keeps pointing at the same live flow, so the grant
         order among the remaining flows is unchanged.  A flow that still
@@ -247,31 +269,39 @@ class RoundRobinArbiter:
             self.sim.schedule(0.0, self._pump)
 
     def _pump(self) -> None:
+        """Grant pending items in round-robin flow order until the pipe
+        is busy: price each, then push its completion (when the pipe will
+        have delivered it) and the next grant (when the pipe is free) onto
+        the heap as ``Simulator.schedule`` would, at ``now + delay`` with
+        the next ticket.  A completion due now sits on the heap, not the
+        deque; the loop runs both in ticket order.
+        """
+        sim = self.sim
+        pipe = self.pipe
+        order = self._order
+        flows = self._flows
+        heap = sim._heap
+        counter = sim._counter
         while True:
-            granted = self._grant_next()
-            if granted is None:
+            n = len(order)
+            start = self._next
+            for i in range(start, start + n):
+                flow_id = order[i % n]
+                queue = flows[flow_id]
+                if queue:
+                    break
+            else:
                 self._pumping = False
                 return
-            nbytes, extra_ns, fn, args = granted
-            self.sim.schedule(self.pipe.occupy(nbytes, extra_ns), fn, *args)
-            # Grant again once the pipe is free (occupancy); delivery
-            # latency (propagation) overlaps with the next grant.
-            wait = self.pipe.busy_until - self.sim.now
+            self._next = (i + 1) % n
+            nbytes, extra_ns, fn, args = queue.popleft()
+            if not queue and flow_id in self._draining:
+                self._draining.discard(flow_id)
+                self.unregister_flow(flow_id)
+            now = sim._now
+            heappush(heap, (now + pipe.occupy_each((nbytes,), extra_ns),
+                            next(counter), fn, args))
+            wait = pipe._busy_until - now
             if wait > 0:
-                self.sim.schedule(wait, self._pump)
+                heappush(heap, (now + wait, next(counter), self._pump, ()))
                 return
-
-    def _grant_next(self) -> Optional[tuple[int, float, Callable, tuple]]:
-        """Pick the next pending item in round-robin flow order."""
-        n = len(self._order)
-        for i in range(n):
-            flow_id = self._order[(self._next + i) % n]
-            queue = self._flows[flow_id]
-            if queue:
-                self._next = (self._next + i + 1) % n
-                item = queue.popleft()
-                if not queue and flow_id in self._draining:
-                    self._draining.discard(flow_id)
-                    self.unregister_flow(flow_id)
-                return item
-        return None

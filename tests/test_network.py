@@ -158,6 +158,42 @@ def test_deliver_write_returns_payload():
     assert sim.run_process(proc()) == b"w" * 3000
 
 
+@pytest.mark.parametrize("loss", (0.0, 0.1))
+def test_deliver_write_prices_like_one_packet_at_a_time(loss):
+    """An upload priced in one call lands where pricing its packets onto
+    the uplink one by one would put it — on a busy, degraded, lossy link
+    with a per-packet overhead and a short last packet too — and leaves
+    the uplink in the same state, to the last bit."""
+    config = NetworkConfig(per_packet_overhead_ns=13.7)
+    payload = b"w" * (5 * config.packet_size + 333)
+    links = []
+    for _ in range(2):
+        sim = Simulator()
+        sim.run(until=1_234.5)
+        link = Link(sim, config)
+        if loss:
+            link.degrade(latency_add_ns=77.0, rate_factor=0.7, loss=loss)
+        link.uplink.occupy(40_000)
+        links.append(link)
+    batched, one_by_one = links
+    qp = QueuePair(batched.sim, buffer_capacity=1024, credits=4)
+    start = batched.sim.now
+    assert batched.sim.run_process(
+        deliver_write(batched.sim, batched, qp, payload)) == payload
+    for n in split_lengths(len(payload), config.packet_size):
+        delay = one_by_one.uplink.occupy(one_by_one.wire_size(n),
+                                         config.per_packet_overhead_ns)
+    assert batched.sim.now.hex() == (start + delay).hex()
+    for pipe in (batched.uplink, one_by_one.uplink):
+        assert pipe.transfers == 7
+    assert ((batched.uplink._busy_until.hex(),
+             batched.uplink.occupied_ns.hex(),
+             batched.uplink.bytes_transferred)
+            == (one_by_one.uplink._busy_until.hex(),
+                one_by_one.uplink.occupied_ns.hex(),
+                one_by_one.uplink.bytes_transferred))
+
+
 # --- response streaming ------------------------------------------------------------------
 
 def _make_stream(credits=8):

@@ -131,6 +131,24 @@ def test_run_until_stops_early():
     assert sim.now == pytest.approx(50.0)
 
 
+def test_run_until_the_past_is_refused_and_keeps_the_clock():
+    """``run(until=t)`` with ``t`` before ``now`` used to set the clock
+    back to ``t``, whether the next entry due was a zero-delay callback
+    or a timed one.  It raises, and the clock and the pending work are
+    left as they were."""
+    for delay in (0.0, 5.0):
+        sim = Simulator()
+        log = []
+        sim.schedule(10.0, log.append, "past")
+        sim.run()
+        sim.schedule(delay, log.append, "pending")
+        with pytest.raises(SimulationError):
+            sim.run(until=3.0)
+        assert sim.now == 10.0 and log == ["past"]
+        sim.run(until=sim.now + delay)
+        assert log == ["past", "pending"] and sim.now == 10.0 + delay
+
+
 def test_deadlock_detected_by_run_process():
     sim = Simulator()
 

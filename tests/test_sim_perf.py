@@ -179,6 +179,30 @@ def test_response_packet_callback_budget():
     assert events <= 3.5 * packets
 
 
+def test_response_packet_python_call_budget():
+    """Each of a packet's hops runs in one frame plus the pricing and
+    scheduling it needs: a warm 1 MiB raw READ makes at most 10
+    Python-level calls into ``repro.sim`` + ``repro.network`` a packet
+    (19.9 when the grant relayed its pick through ``_grant_next`` and
+    read the clock and the pipe through properties, the streamer cut
+    each packet through ``_emit`` / ``try_acquire`` / ``_transmit``, and
+    the link priced its wire size in a call of its own)."""
+    sim, client, table, workload = _one_mebibyte_table()
+    client.table_write(table, workload.rows)
+    client.table_read(table)
+    qp = client.connection.qp
+    packets = qp.responses_received
+    profile = cProfile.Profile()
+    profile.enable()
+    client.table_read(table)
+    profile.disable()
+    packets = qp.responses_received - packets
+    assert packets == MB // KB
+    calls = (_calls_into(profile, "/repro/sim/")
+             + _calls_into(profile, "/repro/network/"))
+    assert calls <= 10 * packets
+
+
 def test_table_write_callbacks_are_per_burst():
     """Uploading 1 MiB prices its 1,024 packets onto the uplink and waits
     once for the last arrival; the loop's work is the 64 DRAM write bursts
@@ -732,8 +756,11 @@ def test_one_hash_one_probe_in_src():
     the options no caller set (the lease-wait term, ``CpuConfig``, the
     cost-model override and the regex engine count), and the planner's
     second statement of a Query's operators (the name-to-node table, the
-    build profile and the snapshot counts ``plan_placement`` was handed)
-    — and the reference model binds nothing."""
+    build profile and the snapshot counts ``plan_placement`` was handed),
+    and the response packet's relays (the grant's pick helper, the
+    clock and pipe-horizon property hops, and the streamer's per-packet
+    cut, credit probe and transmit) — and the reference model binds
+    nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -834,7 +861,13 @@ def test_one_hash_one_probe_in_src():
             # The planner states a Query's operators once, as step nodes,
             # and reads a table's snapshot off its handle.
             (("src", "docs"), ("_CLIENT_STEP", "join_build_profile",
-                               "join_build_shards", "total_rows="))):
+                               "join_build_shards", "total_rows=")),
+            # A response packet's hops run in one frame each: no relay
+            # for the grant's pick, the clock or the pipe's horizon, and
+            # no per-packet cut, credit probe or transmit helper.
+            (("src", "docs"), ("_grant_next", "def busy_until",
+                               ".busy_until", "try_acquire", "def _emit(",
+                               "def _transmit("))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))

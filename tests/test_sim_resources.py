@@ -162,6 +162,40 @@ def test_pipe_rejects_bad_args():
         pipe.transfer(-1)
 
 
+def _pipe_state(pipe):
+    return (pipe._busy_until.hex(), pipe.occupied_ns.hex(),
+            pipe.bytes_transferred, pipe.transfers)
+
+
+@pytest.mark.parametrize("busy_ns, extra_ns, sizes", [
+    (0.0, 0.0, [1088] * 8),                # idle pipe
+    (5_000.0, 0.0, [1088] * 8),            # queued behind earlier work
+    (0.0, 13.7, [1088] * 8),               # per-packet overhead
+    (0.0, 0.0, [1088] * 7 + [417]),        # short last packet
+    (5_000.0, 13.7, [1088] * 7 + [417]),   # all three at once
+])
+def test_occupy_each_prices_like_one_occupy_per_transfer(busy_ns, extra_ns,
+                                                          sizes):
+    """Pricing a train of transfers in one call makes the same float
+    additions in the same order as one ``occupy`` per transfer: the
+    pipe's horizon, occupancy, counters and the returned delay agree
+    to the last bit."""
+    pipes = []
+    for _ in range(2):
+        sim = Simulator()
+        sim.run(until=1_234.5)
+        pipe = BandwidthPipe(sim, rate=12.3, latency_ns=501.0)
+        if busy_ns:
+            pipe.occupy(busy_ns * pipe.rate)
+        pipes.append(pipe)
+    each, one_by_one = pipes
+    delay = each.occupy_each(sizes, extra_ns)
+    for nbytes in sizes:
+        last = one_by_one.occupy(nbytes, extra_ns)
+    assert delay.hex() == last.hex()
+    assert _pipe_state(each) == _pipe_state(one_by_one)
+
+
 # --- CreditPool ----------------------------------------------------------------
 
 def test_credits_block_when_exhausted():
