@@ -121,6 +121,24 @@ SMOKE_BASELINE_SIM_NS: dict[str, float] = {
     "fig21_serving": 4023463.3341900907,
 }
 
+#: Simulator callbacks each SMOKE run executes, compared exactly: a
+#: perf-only change may move them only on purpose (a change to the data
+#: plane's callbacks), and then says so beside the new pin.
+SMOKE_BASELINE_EVENTS: dict[str, int] = {
+    "fig6_read": 818,
+    "fig7_smart": 33,
+    "fig8_selection": 101,
+    "fig12_multiclient": 192,
+    "fig13_scaleout": 288,
+    "fig14_pushdown": 468,
+    "fig15_updates": 489,
+    "fig16_joins": 793,
+    "fig18_minitpch": 1861,
+    "fig19_shuffle": 1087,
+    "fig20_views": 465,
+    "fig21_serving": 781,
+}
+
 SMOKE_BASELINE_SHA256: dict[str, str] = {
     "fig6_read":
         "a20d5fce424d457a18592f07ac2e3ae1ebf10af4c465981152e226ec12ed21a9",
@@ -873,7 +891,7 @@ def run_check(json_path: Path) -> int:
     """CI gate: verify the guards *without* rewriting any baseline.
 
     1. Re-runs every SMOKE workload and compares its (deterministic)
-       ``sim_ns`` and ``sha256`` against the pinned
+       ``sim_ns``, ``sha256`` and ``events`` against the pinned
        ``SMOKE_BASELINE_*`` tables.
     2. Cross-checks the committed ``BENCH_perf.json`` against
        ``BASELINE_SIM_NS``: every workload present, every stored
@@ -924,14 +942,21 @@ def run_check(json_path: Path) -> int:
         sample = fn()
         ref_sim = SMOKE_BASELINE_SIM_NS.get(name)
         ref_sha = SMOKE_BASELINE_SHA256.get(name)
+        ref_events = SMOKE_BASELINE_EVENTS.get(name)
         sim_ok = ref_sim is not None and not rel_mismatch(sample["sim_ns"],
                                                           ref_sim)
         sha_ok = sample["sha256"] == ref_sha
+        events_ok = sample["events"] == ref_events
         print(f"{name:>20}: sim_ns {'ok' if sim_ok else 'MISMATCH'}  "
-              f"sha256 {'ok' if sha_ok else 'MISMATCH'}")
-        if ref_sim is None or ref_sha is None:
+              f"sha256 {'ok' if sha_ok else 'MISMATCH'}  "
+              f"events {'ok' if events_ok else 'MISMATCH'}")
+        if ref_sim is None or ref_sha is None or ref_events is None:
             failures.append(f"{name}: no pinned smoke baseline")
             continue
+        if not events_ok:
+            failures.append(
+                f"{name}: smoke events {sample['events']} != pinned "
+                f"{ref_events}")
         if not sim_ok:
             failures.append(
                 f"{name}: smoke sim_ns {sample['sim_ns']!r} != pinned "

@@ -110,8 +110,14 @@ def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
     the output rows whose source row ends within them and that no
     earlier call released, emitted through the packer-side stages.  A
     burst that completes no output row calls nothing in the pipeline.
-    Only the output rows outlive the call, not ``image``."""
+    Only the output rows outlive the call, not ``image``: where they
+    share the memory of a pool view (no row operator copied them) they
+    are copied once, so a write landing mid-stream cannot change them.
+    Rows over ``bytes`` need neither the copy nor the test, which would
+    copy a ``bytes`` image to compare addresses."""
     rows, source = pipeline.run(image)
+    if isinstance(image, memoryview) and np.may_share_memory(rows, image):
+        rows = rows.copy()
     ends = (source + 1) * pipeline.input_schema.row_width
     size, released = len(image), 0
 
@@ -326,7 +332,8 @@ class FarviewNode:
         conn.qp.buffer.require_room(length)
         yield from deliver_request(self.sim, self.link, conn.qp)
         yield from self._request_front_end()
-        image = self.mmu.image(conn.domain, vaddr + offset, length)
+        # The image lands when the stream ends: the view is copied now.
+        image = bytes(self.mmu.image(conn.domain, vaddr + offset, length))
         streamer = ResponseStreamer(self.sim, self.link, conn.qp)
         yield from self._stream_memory(conn, vaddr + offset, length,
                                        streamer.send)
@@ -559,8 +566,9 @@ class FarviewNode:
             self._check_alive()
             self.require_access(conn, seg)
             vaddr = seg.require_allocated()
-            images[seg.name] = self.mmu.image(conn.domain, vaddr,
-                                              seg.size_bytes)
+            # The image outlives the timed read below: copied, not a view.
+            images[seg.name] = bytes(self.mmu.image(conn.domain, vaddr,
+                                                    seg.size_bytes))
             yield self.mmu.read(conn.domain, vaddr, seg.size_bytes)
             if report is not None:
                 report.bytes_scanned += seg.size_bytes

@@ -39,6 +39,10 @@ class FrameStore:
         base = index * self.page_size
         return self._data[base:base + self.page_size]
 
+    def view(self, start: int, length: int) -> memoryview:
+        """Read-only, uncopied view of bytes ``[start, +length)``."""
+        return memoryview(self._data[start:start + length]).toreadonly()
+
 
 class DramChannel:
     """One memory channel: read and write bandwidth pipes."""

@@ -205,39 +205,34 @@ class Mmu:
                     f"unmapped page {vpage}")
 
     # -- functional data path ------------------------------------------------------
-    def image(self, domain: int, vaddr: int, length: int) -> bytes:
-        """Untimed read of a virtual range: one join of its pages' bytes.
-
-        Walks the page table and leaves the TLB alone (no fill, no hit or
-        miss counted): a verb takes the image it ships or scans once,
-        while each timed burst translates its own pages (:meth:`read`);
-        where the hardware would translate the range itself, the caller
-        does (:meth:`translate_range`).
-        """
-        return b"".join(self._spans(domain, vaddr, length, translate=False))
+    def image(self, domain: int, vaddr: int,
+              length: int) -> bytes | memoryview:
+        """Untimed read of a virtual range, off the page table (the TLB
+        is left alone: timed bursts translate their own pages).  Over
+        consecutive page frames it is a read-only view of the frame store,
+        which shows later writes, so a caller keeping the bytes past its
+        callback takes ``bytes(...)`` of it; else a join of its pages."""
+        self._check_bounds(domain, vaddr, length)
+        size, table = self.config.page_size, self._page_tables[domain]
+        first, offset = divmod(vaddr, size)
+        frames = [table[v] for v in range(first, (vaddr + max(length, 1) - 1) // size + 1)]
+        if frames == list(range(frames[0], frames[0] + len(frames))):
+            return self.store.view(frames[0] * size + offset, length)
+        spans = [self.store.view(frame * size, size) for frame in frames]
+        spans[-1] = spans[-1][:(offset + length - 1) % size + 1]
+        spans[0] = spans[0][offset:]
+        return b"".join(spans)
 
     def poke(self, domain: int, vaddr: int, data: bytes | memoryview) -> None:
         """Untimed write of a virtual range (translated through the TLB)."""
         src = np.frombuffer(data, dtype=np.uint8)
+        self._check_bounds(domain, vaddr, len(src))
         cursor = 0
-        for span in self._spans(domain, vaddr, len(src), translate=True):
+        while cursor < len(src):
+            frame, offset, _ = self.translate(domain, vaddr + cursor)
+            span = self.store.frame(frame)[offset:offset + len(src) - cursor]
             span[:] = src[cursor:cursor + len(span)]
             cursor += len(span)
-
-    def _spans(self, domain: int, vaddr: int, length: int, translate: bool):
-        """Yield, page by page, the store slice backing ``[vaddr,
-        +length)``: through the TLB, or straight off the page table."""
-        self._check_bounds(domain, vaddr, length)
-        page_size = self.config.page_size
-        table = self._page_tables[domain]
-        end = vaddr + length
-        while vaddr < end:
-            vpage, offset = divmod(vaddr, page_size)
-            frame = (self.translate(domain, vaddr)[0] if translate
-                     else table[vpage])
-            chunk = min(end - vaddr, page_size - offset)
-            yield self.store.frame(frame)[offset:offset + chunk]
-            vaddr += chunk
 
     # -- timed data path -------------------------------------------------------------
     def _translation_charge(self, domain: int, vaddr: int,

@@ -15,7 +15,8 @@ import pytest
 from repro.baselines.sql_model import _aggregate, execute_model
 from repro.baselines.sw_ops import software_groupby
 from repro.common.errors import CatalogError, QueryError
-from repro.common.expr import CMP_OPS, Cmp, Col, Lit, eval_mask
+from repro.common.expr import (CMP_OPS, BoolAnd, BoolOr, Cmp, Col, Lit,
+                               eval_mask)
 from repro.common.records import default_schema
 from repro.core import (
     ClusterClient,
@@ -415,24 +416,40 @@ _SPAN_EDGES = {"a": [-1, 0, 3, 2**53, 2**53 + 1, 2**63 - 1],
                "b": [-1.0, -0.0, 0.0, 0.5, 2.0**53, 2.0**60]}
 _SPAN_LITERALS = [-1, 0, 2**53, 2**53 + 1, 2**63 - 1, 2**64,
                   -0.0, 0.5, 2.0**53, float("nan")]
+#: The literals whose comparisons the AND / OR cases pair up.
+_COMPOUND_LITERALS = [-1, 2**53 + 1, 0.5, float("nan")]
 
 
 @pytest.mark.parametrize("key", ["a", "b"])
 def test_pruned_span_holds_no_matching_row(key):
     """Soundness of range pruning against the evaluator, exhaustively
-    over edge spans and comparisons: a span it calls empty holds no
-    value ``eval_mask`` matches, across int/float promotion, values
-    beyond 2**53, signed zeros and NaN literals.  AND / OR of sound
-    answers stay sound, so single comparisons cover the walk."""
+    over edge spans: a span it calls empty holds no value ``eval_mask``
+    matches, for single comparisons across int/float promotion, values
+    beyond 2**53, signed zeros and NaN literals, and for every AND / OR
+    of two comparisons.  A non-numeric literal, which the evaluator
+    cannot compare with a number, never prunes, not even beside a
+    comparison that would."""
+    def compare(op, value):
+        return Cmp(op, Col(key), Lit(value))
+
+    pairs = list(itertools.starmap(
+        compare, itertools.product(CMP_OPS, _COMPOUND_LITERALS)))
+    conditions = list(itertools.starmap(
+        compare, itertools.product(CMP_OPS, _SPAN_LITERALS)))
+    conditions += [kind(p, q) for kind in (BoolAnd, BoolOr)
+                   for p, q in itertools.product(pairs, repeat=2)]
+    opaque = [compare(op, value) for op in CMP_OPS for value in ("x", b"x")]
+    opaque += [BoolOr(p, q) for p, q in itertools.product(pairs, opaque)]
     edges = _SPAN_EDGES[key]
     for i, j in itertools.combinations_with_replacement(range(len(edges)), 2):
         rows = default_schema().empty(j - i + 1)
         rows[key] = edges[i:j + 1]
         lo, hi = rows[key].min(), rows[key].max()
-        for op, value in itertools.product(CMP_OPS, _SPAN_LITERALS):
-            cond = Cmp(op, Col(key), Lit(value))
+        for cond in conditions:
             if not _interval_may_match(cond, key, lo, hi):
                 assert not eval_mask(cond, rows).any(), (cond, lo, hi)
+        for cond in opaque:
+            assert _interval_may_match(cond, key, lo, hi), (cond, lo, hi)
 
 
 def test_create_table_skips_empty_shards_and_registers():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, OperatorStackConfig
-from repro.common.errors import ConnectionError_, RegionUnavailableError
+from repro.common.errors import (ConnectionError_, RegionUnavailableError,
+                                 TranslationFault)
 from repro.common.expr import eval_mask
-from repro.common.records import default_schema
+from repro.common.records import default_schema, wide_schema
 from repro.core.api import ClusterClient, FarviewClient
 from repro.core.cluster import FarviewCluster
 from repro.core.node import FarviewNode
@@ -20,6 +21,7 @@ from repro.sim.engine import Simulator
 from repro.workloads.generator import (
     distinct_workload,
     groupby_workload,
+    make_rows,
     selection_workload,
     string_workload,
 )
@@ -316,8 +318,6 @@ def test_encrypted_transmission(client):
 
 
 def test_smart_addressing_query(client):
-    from repro.common.records import wide_schema
-    from repro.workloads.generator import make_rows
     schema = wide_schema(512)
     rows = make_rows(schema, 128)
     table = upload(client, "W", schema, rows)
@@ -429,3 +429,77 @@ def test_two_clients_run_concurrently():
     # Results stay correct under concurrency.
     for tag, (_, result) in finish.items():
         assert len(result.rows()) == 32
+
+
+# --- a stream reads the table as it stood when the stream started ----------------
+
+def _run_midway(client, make_proc):
+    """Time ``make_proc()`` warm, start it once more and run the loop
+    halfway through; returns the process, with some of its response
+    packets landed and some still to come."""
+    sim, qp = client.sim, client.connection.qp
+    for _ in range(2):
+        start = sim.now
+        sim.run_process(make_proc())
+    took, landed = sim.now - start, qp.responses_received
+    proc = sim.process(make_proc())
+    sim.run(until=sim.now + took / 2)
+    assert not proc.triggered and qp.responses_received > landed
+    return proc
+
+
+def _overwrite(client, table, schema):
+    """Land other rows in ``table``'s pages now, as a write's DRAM step
+    does."""
+    other = schema.to_bytes(make_rows(schema, table.num_rows, seed=99))
+    client.node.mmu.write(client.connection.domain, table.vaddr, other)
+
+
+def _free_and_reuse(client, table, schema):
+    """Free ``table`` and land other rows in a table allocated over its
+    recycled frames."""
+    client.free_table_mem(table)
+    reuse = FTable("reuse", schema, table.num_rows)
+    client.alloc_table_mem(reuse)
+    _overwrite(client, reuse, schema)
+
+
+_SCANS = {"no_row_operator": Query(),
+          "streamed_projection": Query(projection=("a", "c"),
+                                       smart_addressing=False),
+          "smart_addressing": Query(projection=("a", "c"),
+                                    smart_addressing=True)}
+
+
+@pytest.mark.parametrize("verb", ["raw_read", *_SCANS])
+@pytest.mark.parametrize("rewrite", [_overwrite, _free_and_reuse],
+                         ids=["overwrite", "free_and_reuse"])
+def test_a_stream_reads_the_table_as_it_stood_at_its_start(client, verb,
+                                                            rewrite):
+    """The node hands a scan a view of the pool, not a copy, wherever the
+    view is used up within the callback that took it.  A table rewritten
+    mid-stream — in place, or freed and its frames written by the next
+    allocation — must still yield the image as it stood when the stream
+    started: the raw READ keeps a copy to land, and rows that would alias
+    the pool (no row operator copied them) are copied before they are
+    released burst by burst.  A stream that still reads a freed table's
+    pages fails typed instead."""
+    schema = wide_schema(64)
+    rows = make_rows(schema, 4096, seed=1)   # 256 KiB: four 64 KiB pages
+    table = upload(client, "T", schema, rows)
+    query = _SCANS.get(verb)
+    proc = _run_midway(client, lambda: (
+        client.table_read_proc(table) if query is None
+        else client.far_view_proc(table, query)))
+    rewrite(client, table, schema)
+    client.sim.run()
+    if rewrite is _free_and_reuse and verb != "smart_addressing":
+        assert not proc.ok and isinstance(proc.value, TranslationFault)
+        return
+    if query is None:
+        assert proc.value == schema.to_bytes(rows)
+        return
+    got = proc.value.rows()
+    assert len(got) == len(rows)
+    for name in query.projection or schema.names:
+        np.testing.assert_array_equal(got[name], rows[name])

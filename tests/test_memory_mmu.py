@@ -1,5 +1,6 @@
 """MMU: translation, isolation, the frame store, timed accesses."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,44 @@ def test_fresh_pool_allocation_stores_nothing(mmu, monkeypatch):
     mmu.free(1, first)
     mmu.alloc(1, page)                  # one recycled frame: the last freed
     assert touched == [2]
+
+
+def test_image_over_consecutive_frames_is_a_read_only_view(mmu):
+    """A range on consecutive page frames — inside one page, or across
+    the fresh frames of one allocation — is the frame store's own bytes,
+    not a copy: it shares the store's memory, refuses writes, and shows
+    a later write (so a caller that keeps it past its callback copies)."""
+    page = mmu.config.page_size
+    vaddr = mmu.alloc(1, 3 * page)
+    payload = bytes(range(256)) * (3 * page // 256)
+    mmu.poke(1, vaddr, payload)
+    for start, length in ((100, 200), (page - 50, 2 * page)):
+        view = mmu.image(1, vaddr + start, length)
+        assert isinstance(view, memoryview) and view.readonly
+        assert view == payload[start:start + length]
+        assert np.shares_memory(np.asarray(view), mmu.store.frame(0))
+        with pytest.raises(TypeError):
+            view[0] = 0
+        mmu.poke(1, vaddr + start, b"\xff")
+        assert view[0] == 0xFF
+
+
+def test_image_over_recycled_frames_is_joined_bytes(mmu):
+    """Frames are reused last-freed-first, so an allocation over recycled
+    frames maps its pages to descending frames: a multi-page image is
+    then one join of its pages' slices, equal byte for byte and its own."""
+    page = mmu.config.page_size
+    mmu.free(1, mmu.alloc(1, 3 * page))
+    vaddr = mmu.alloc(1, 3 * page)
+    assert [mmu.translate(1, vaddr + i * page)[0] for i in range(3)] \
+        == [2, 1, 0]
+    payload = bytes(range(251)) * (3 * page // 251 + 1)
+    mmu.poke(1, vaddr, payload[:3 * page])
+    for start, length in ((0, 3 * page), (page - 70, page + 140),
+                          (10, 2 * page + 5), (page + 3, 100)):
+        got = mmu.image(1, vaddr + start, length)
+        assert got == payload[start:start + length]
+        assert type(got) is (memoryview if length == 100 else bytes)
 
 
 def test_read_beyond_mapping_faults(mmu):

@@ -10,6 +10,7 @@ import cProfile
 import pstats
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,12 +349,12 @@ def test_grouping_operator_python_call_budget():
             assert 0 < calls < budget, (op.name, distinct, calls)
 
 
-def _frame_copies(profile) -> int:
-    """How many page frames the profiled code took bytes out of or put
-    bytes into (``FrameStore.frame`` calls)."""
+def _store_reaches(profile) -> int:
+    """How many times the profiled code reached into the frame store for
+    bytes (``FrameStore.frame`` and ``FrameStore.view`` calls)."""
     return sum(nc for (filename, _, name), (_, nc, _, _, _)
                in pstats.Stats(profile).stats.items()
-               if name == "frame"
+               if name in ("frame", "view")
                and filename.replace("\\", "/").endswith("memory/dram.py"))
 
 
@@ -361,9 +362,11 @@ def test_raw_read_lands_its_bytes_once():
     """A 1 MiB raw READ over 64 KiB pages: its 1,024 packets carry
     lengths, so it makes O(1) calls into ``network/qp.py`` (1,024
     ``deposit`` calls, one a packet, when each landed its own slice),
-    and the MMU takes its bytes out of the frame store once per page
-    (16), not once per 16 KiB burst (64) — and they reach the client as
-    the one image the node took, with no second copy out of a buffer."""
+    and the MMU reaches into the frame store once: its 16 pages sit on
+    consecutive fresh frames, so the image is one view (one slice a page,
+    16, when every image was a join; once per 16 KiB burst, 64, before
+    that) — and the bytes reach the client as the one copy the node took
+    of that view, with no second copy out of a buffer."""
     sim = Simulator()
     node = FarviewNode(sim, FarviewConfig(memory=MemoryConfig(
         channels=2, channel_capacity=16 * MB, page_size=64 * KB)))
@@ -381,7 +384,53 @@ def test_raw_read_lands_its_bytes_once():
     assert data == workload.schema.to_bytes(workload.rows)
     assert qp.responses_received == MB // KB
     assert 0 < _calls_into(profile, "/repro/network/qp.py") < 10
-    assert _frame_copies(profile) == MB // (64 * KB)
+    assert _store_reaches(profile) == 1
+
+
+def _eight_mebibyte_wide_table():
+    """A warm client holding a 16,384 x 512 B table (8 MiB) on fresh
+    frames, with a buffer that holds it whole."""
+    sim = Simulator()
+    node = FarviewNode(sim, FarviewConfig(
+        memory=MemoryConfig(channels=2, channel_capacity=16 * MB)))
+    client = FarviewClient(node, buffer_capacity=8 * MB)
+    client.open_connection()
+    schema = wide_schema(512)
+    rows = make_rows(schema, 8 * MB // 512, seed=7)
+    table = FTable("wide", schema, len(rows))
+    client.alloc_table_mem(table)
+    client.table_write(table, rows)
+    return client, table, rows
+
+
+def _traced_peak(verb, *args):
+    """Peak bytes allocated while ``verb(*args)`` runs (run once before,
+    untraced, so nothing is cold), and its value."""
+    verb(*args)
+    tracemalloc.start()
+    try:
+        value = verb(*args)[0]
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_scan_reads_the_pool_in_place():
+    """Copy budget of one warm query over an 8 MiB table: a
+    smart-addressing projection gathers its three columns (384 KiB)
+    straight out of a view of the frame store, so it peaks under 2 MiB
+    (8.9 MiB when every image was a joined copy of the table).  A raw
+    READ keeps one snapshot, the image it lands: its peak stays within
+    1.25x the bytes it reads."""
+    client, table, rows = _eight_mebibyte_wide_table()
+    projection = Query(projection=("a", "b", "c"), smart_addressing=True)
+    peak, result = _traced_peak(client.far_view, table, projection)
+    assert result.report.ingest_mode == "smart"
+    np.testing.assert_array_equal(result.rows()["c"], rows["c"])
+    assert peak < 2 * MB, peak
+    peak, image = _traced_peak(client.table_read, table)
+    assert len(image) == table.size_bytes == 8 * MB
+    assert peak <= 1.25 * table.size_bytes, peak
 
 
 # -- a pipeline scan runs its operators once -----------------------------------
@@ -389,8 +438,8 @@ def test_raw_read_lands_its_bytes_once():
 def _grouping_scan_calls(bursts):
     """One offloaded GROUP BY scan of a ``bursts``-burst table on a warm
     region: the Python-level calls it makes into ``repro.operators`` and
-    ``repro.common``, and how many page frames the MMU copies bytes out
-    of (``_frame_copies``) against how many pages the table spans."""
+    ``repro.common``, and how many times the MMU reaches into the frame
+    store for bytes (``_store_reaches``)."""
     sim = Simulator()
     config = FarviewConfig(memory=MemoryConfig(channels=2,
                                                channel_capacity=16 * MB))
@@ -413,26 +462,23 @@ def _grouping_scan_calls(bursts):
         client.connection, table, compiled))
     profile.disable()
     assert report.rows_in == nrows and report.rows_out == 16
-    page_reads = _frame_copies(profile)
-    pages = -(-table.size_bytes // config.memory.page_size)
     return (_calls_into(profile, "/repro/operators/"),
-            _calls_into(profile, "/repro/common/"), page_reads, pages)
+            _calls_into(profile, "/repro/common/"), _store_reaches(profile))
 
 
 def test_pipeline_scan_python_call_budget():
     """A pipeline scan computes its result once: at 512 DRAM bursts it
     makes exactly as many Python-level calls into ``repro.operators`` and
-    ``repro.common`` as at 64, and the MMU copies the table out of the
-    frame store once per page it spans, not once per burst — each burst
-    is only timed, translated and fault-checked.  Here that is 48 and 24
-    calls at either size; running the operators burst by burst made 8
-    and 6 more calls a burst (4,172 and 3,087 at 512 bursts), and one
-    16 KiB de-striping copy a burst."""
-    *small, small_reads, small_pages = _grouping_scan_calls(64)
-    *large, large_reads, large_pages = _grouping_scan_calls(512)
+    ``repro.common`` as at 64, and the MMU hands the pipeline the table
+    as one view of the frame store, not a copy per page it spans or per
+    burst — each burst is only timed, translated and fault-checked.
+    Here that is 48 and 24 calls at either size; running the operators
+    burst by burst made 8 and 6 more calls a burst (4,172 and 3,087 at
+    512 bursts), and one 16 KiB de-striping copy a burst."""
+    *small, small_reads = _grouping_scan_calls(64)
+    *large, large_reads = _grouping_scan_calls(512)
     assert small == large and all(small), (small, large)
-    assert (small_reads, large_reads) == (small_pages, large_pages)
-    assert large_pages < 512
+    assert small_reads == large_reads == 1
 
 
 # -- host-side grouping stays one array transform ------------------------------
