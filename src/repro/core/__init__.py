@@ -12,7 +12,6 @@ from .cost_model import PlacementCostModel, PlanStats, estimate_chain
 from .planner import (
     ExplainPlan,
     build_fragment,
-    operator_chain,
     plan_placement,
 )
 from .cluster import (
@@ -28,6 +27,7 @@ from .pipeline_compiler import (
     CompiledQuery,
     choose_smart_addressing,
     compile_query,
+    operator_chain,
 )
 from .query import (
     JoinSpec,

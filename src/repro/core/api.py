@@ -73,15 +73,15 @@ from .compile import ParsedWrite, bind_select, parse_sql
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, view_circuit_cost_ns)
 from .planner import (ExplainPlan, build_fragment, chain_labels,
-                      client_steps, operator_chain, plan_placement,
-                      run_client_join, run_client_kernel)
+                      client_steps, plan_placement, run_client_join,
+                      run_client_kernel)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       join_strategies, merge_aggregate_rows,
                       merge_group_rows, plan_scatter)
 from .faults import RetryPolicy
 from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
-from .pipeline_compiler import compile_query
+from .pipeline_compiler import compile_query, operator_chain
 from .query import Query
 from .table import FTable, Shard, Table, as_table
 from .versioning import (ROWID_COLUMN, VersionChain, delta_schema,

@@ -95,7 +95,7 @@ class CardinalityStep:
 def estimate_chain(chain: Sequence, schema: Schema, num_rows: int,
                    stats: PlanStats) -> list[CardinalityStep]:
     """Propagate row-count and schema estimates through ``chain``, the
-    step nodes of :func:`repro.core.planner.operator_chain`; the
+    step nodes of :func:`repro.core.pipeline_compiler.operator_chain`; the
     returned steps line up with it one to one.
     """
     steps: list[CardinalityStep] = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,10 +41,12 @@ from ..operators.base import OperatorPipeline
 from ..operators.sending import Sender
 from ..sim.engine import Simulator
 from ..sim.resources import BandwidthPipe, Store
-from .pipeline_compiler import CompiledQuery
 from .table import FTable
 from .versioning import (ROWID_COLUMN, VersionView, delete_schema,
                          delta_schema, encode_value)
+
+if TYPE_CHECKING:   # pipeline_compiler -> compile -> cluster -> node
+    from .pipeline_compiler import CompiledQuery
 
 #: Default client receive-buffer capacity (results of one query).
 DEFAULT_CLIENT_BUFFER = 8 * 1024 * 1024

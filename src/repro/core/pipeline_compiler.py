@@ -4,9 +4,11 @@ This is the piece the paper leaves to "the query compiler in Farview"
 (§4.2, future work): it maps a :class:`~repro.core.query.Query` onto the
 operator blocks of §5 and decides execution strategy:
 
-* operator ordering: decrypt -> regex -> selection -> join ->
-  projection -> distinct | group-by | aggregation -> packing
-  (+ encrypt);
+* operator ordering: :func:`operator_chain` states it once, as the
+  ``Bound*`` step nodes of :mod:`repro.core.compile` (decrypt -> regex ->
+  selection -> join -> projection -> distinct | group-by | aggregation);
+  :func:`compile_query` walks it, each node giving its operator and its
+  shape in the region signature, then adds packing (+ encrypt);
 * *smart addressing vs standard projection* (§5.2): chosen by a simple
   cost model over the memory timing constants, reproducing the Figure 7
   crossover (narrow tuples scan sequentially, wide tuples fetch columns);
@@ -23,6 +25,7 @@ from ..common import calibration as cal
 from ..common.config import FarviewConfig
 from ..common.errors import (JoinBuildOverflowError, PipelineCompilationError,
                              QueryError)
+from ..common.expr import Col, render_expr
 from ..common.records import Schema
 from ..operators.aggregate import StandaloneAggregateOperator
 from ..operators.base import ByteOperator, OperatorPipeline, RowOperator
@@ -33,23 +36,55 @@ from ..operators.join import SmallTableJoinOperator
 from ..operators.projection import ProjectionOperator, SmartAddressingPlan
 from ..operators.regex_op import RegexMatchOperator
 from ..operators.selection import SelectionOperator, VectorizedSelectionOperator
+from .compile import (BoundAggregate, BoundArm, BoundDistinct, BoundEval,
+                      BoundFilter, BoundRegex)
 from .query import Query
 from .table import FTable, as_table
 from .versioning import VersionView
+
+
+@dataclass(frozen=True)
+class BoundDecrypt:
+    """Decrypt the scanned table: the node's first operator, or the ship
+    read as the ciphertext lands — never a client step."""
+
+    kernel = "decrypt"
+
+
+def operator_chain(query: Query) -> list:
+    """The query's operators in pipeline order, as the step nodes
+    :func:`~repro.core.planner.run_client_kernel` runs (a ``join`` is a
+    raw-read :class:`~repro.core.compile.BoundArm` over its build)."""
+    chain: list = []
+    if query.decrypt_input:
+        chain.append(BoundDecrypt())
+    if query.regex is not None:
+        chain.append(BoundRegex(query.regex))
+    if query.predicate is not None:
+        chain.append(BoundFilter(query.predicate))
+    if query.join is not None:
+        join = query.join
+        chain.append(BoundArm(join.build_table, join.build_table.name, None,
+                              join.build_key, join.probe_key, join.payload))
+    if query.projection is not None:
+        chain.append(BoundEval(tuple((Col(c), c) for c in query.projection)))
+    if query.distinct:
+        chain.append(BoundDistinct(query.distinct_columns))
+    elif query.group_by or query.aggregates:
+        chain.append(BoundAggregate(query.group_by or (), query.aggregates))
+    return chain
 
 
 @dataclass
 class CompiledQuery:
     """Everything the node needs to execute one query."""
 
-    query: Query
     pipeline: OperatorPipeline
-    signature: str                       # bitstream identity for the region
+    signature: str                       # region identity: shapes + hints
     resource_operators: list[str]        # names for the resource model
     ingest_mode: str                     # "standard" | "vectorized" | "smart"
     ingest_rate: float                   # bytes/ns into the pipeline
     sa_plan: Optional[SmartAddressingPlan] = None
-    lanes: int = 1
     join_op: Optional[SmallTableJoinOperator] = None
     #: The build side's snapshot (resolved at compile time, pinned by the
     #: client verb) whose visible rows load into the on-chip hash.
@@ -87,23 +122,24 @@ def choose_smart_addressing(query: Query, schema: Schema,
     """The Figure 7 planning rule.
 
     Honour an explicit request; otherwise compare the per-tuple cost of a
-    sequential scan against scattered column fetches.  Only projection-only
-    queries are eligible (predicates/grouping need the full annotated
-    stream in this prototype, as in the paper's experiments), and never a
-    decrypting one (scattered CTR reads cannot be decrypted).
+    sequential scan against scattered column fetches.  Only a chain that
+    is one projection is eligible (predicates/grouping need the full
+    annotated stream in this prototype, as in the paper's experiments),
+    so never a decrypting one (scattered CTR reads cannot be decrypted).
     """
     if query.smart_addressing is not None:
         return query.smart_addressing
-    if not query.is_projection_only or query.decrypt_input:
+    if [op.kernel for op in operator_chain(query)] != ["eval"]:
         return False
-    plan = SmartAddressingPlan(schema, list(query.projection or ()))
+    plan = SmartAddressingPlan(schema, list(query.projection))
     return _sa_cost_per_tuple(plan, config) < _standard_cost_per_tuple(
         schema.row_width, config)
 
 
 def compile_query(query: Query, table: FTable,
                   config: FarviewConfig) -> CompiledQuery:
-    """Compile ``query`` against ``table`` into a deployable pipeline."""
+    """Compile ``query`` against ``table``: a hardware operator per node
+    of :func:`operator_chain`, and the region signature in the same walk."""
     schema = table.schema
     try:
         query.validate(schema)
@@ -119,8 +155,10 @@ def compile_query(query: Query, table: FTable,
             f"table {table.name!r} is encrypted; the query must set "
             f"decrypt_input (the operators cannot parse ciphertext)")
 
+    chain = operator_chain(query)
     use_sa = choose_smart_addressing(query, schema, config)
-    if use_sa and not query.is_projection_only:
+    kernels = [op.kernel for op in chain[query.decrypt_input:]]
+    if use_sa and kernels != ["eval"]:
         raise PipelineCompilationError(
             "smart addressing supports projection-only queries")
     if use_sa and table.encrypted:
@@ -128,118 +166,108 @@ def compile_query(query: Query, table: FTable,
             "smart addressing cannot decrypt scattered CTR reads in this "
             "prototype; use standard projection")
 
-    pre_ops: list[ByteOperator] = []
-    post_ops: list[ByteOperator] = []
-    row_ops: list[RowOperator] = []
-    resource_ops: list[str] = []
-
-    if query.decrypt_input:
-        assert table.key is not None and table.nonce is not None
-        pre_ops.append(DecryptOperator(table.key, table.nonce))
-        resource_ops.append("decryption")
-
-    lanes = 1
-    if query.regex is not None:
-        row_ops.append(RegexMatchOperator(query.regex.column.name,
-                                          query.regex.engine_pattern))
-        resource_ops.append("regex")
-    if query.predicate is not None:
-        if query.vectorized:
-            op = VectorizedSelectionOperator.for_configuration(
-                query.predicate,
-                memory_channels=config.memory.channels,
-                tuple_width=schema.row_width,
-                datapath_bytes=config.operator_stack.datapath_bytes)
-            lanes = op.lanes
-            row_ops.append(op)
-        else:
-            row_ops.append(SelectionOperator(query.predicate))
-        resource_ops.append("selection")
-
     stack = config.operator_stack
-    join_op: Optional[SmallTableJoinOperator] = None
-    join_build: Optional[VersionView] = None
-    if query.join is not None:
-        build = as_table(query.join.build_table)
-        build_rows = build.num_rows
-        if len(build.shards) == 1:
-            # Snapshot the chain at the current epoch; the client verb
-            # pins that epoch around the execution so concurrent dim
-            # writes/compactions cannot leak into this join.
-            chain = build.shards[0].chain
-            join_build = chain.view_at(chain.epoch)
-        # else: a build spread over several shards is capacity-checkable
-        # here, but the scatter router must swap in a node-local copy
-        # before this pipeline can actually load it.
-        if build_rows > stack.cuckoo_tables * stack.cuckoo_slots:
-            raise JoinBuildOverflowError(
-                f"build side of {build_rows} rows exceeds the on-chip "
-                f"hash capacity ({stack.cuckoo_tables * stack.cuckoo_slots}"
-                f" slots); run the join on the client instead")
-        join_op = SmallTableJoinOperator(
-            build.schema, query.join.build_key, query.join.probe_key,
-            list(query.join.payload),
-            ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,
-            max_kicks=stack.cuckoo_max_kicks)
-        row_ops.append(join_op)
-        resource_ops.append("join_small_table")
+    cuckoo = dict(ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,
+                  max_kicks=stack.cuckoo_max_kicks)
+    pre_ops: list[ByteOperator] = []
+    row_ops: list[RowOperator] = []
+    post_ops: list[ByteOperator] = []
+    resource_ops: list[str] = []
+    parts: list[str] = []
+    input_schema, lanes, sa_plan, join_op, join_build = (schema, 1, None,
+                                                         None, None)
+    for op in chain:
+        kernel = op.kernel
+        if kernel == "decrypt":
+            assert table.key is not None and table.nonce is not None
+            pre_ops.append(DecryptOperator(table.key, table.nonce))
+            resource, shape = "decryption", "dec"
+        elif kernel == "regex":
+            column, pattern = op.match.column.name, op.match.engine_pattern
+            row_ops.append(RegexMatchOperator(column, pattern))
+            resource, shape = "regex", f"regex[{column}:{pattern}]"
+        elif kernel == "selection":
+            if query.vectorized:
+                selection = VectorizedSelectionOperator.for_configuration(
+                    op.predicate, memory_channels=config.memory.channels,
+                    tuple_width=schema.row_width,
+                    datapath_bytes=stack.datapath_bytes)
+                lanes = selection.lanes
+            else:
+                selection = SelectionOperator(op.predicate)
+            row_ops.append(selection)
+            resource, shape = "selection", f"sel[{render_expr(op.predicate)}]"
+        elif kernel == "join":
+            # One shard: its chain's snapshot now, the epoch the client
+            # verb pins; the scatter router swaps a sharded build for a
+            # node-local copy before this pipeline loads it.
+            build = as_table(op.build)
+            if len(build.shards) == 1:
+                versions = build.shards[0].chain
+                join_build = versions.view_at(versions.epoch)
+            capacity = stack.cuckoo_tables * stack.cuckoo_slots
+            if build.num_rows > capacity:
+                raise JoinBuildOverflowError(
+                    f"build side of {build.num_rows} rows exceeds the "
+                    f"on-chip hash capacity ({capacity} slots); run the "
+                    f"join on the client instead")
+            join_op = SmallTableJoinOperator(
+                build.schema, op.build_key, op.probe_key, list(op.payload),
+                **cuckoo)
+            row_ops.append(join_op)
+            resource = "join_small_table"
+            shape = f"join[{op.table}.{op.build_key}={op.probe_key}]"
+        elif kernel == "eval":
+            columns = [name for _, name in op.items]
+            if use_sa:
+                sa_plan = SmartAddressingPlan(schema, columns)
+                input_schema = sa_plan.out_schema
+                resource = "smart_addressing"
+            else:
+                row_ops.append(ProjectionOperator(columns))
+                resource = "projection"
+            shape = f"proj[{','.join(columns)}]"
+        elif kernel == "distinct":
+            row_ops.append(DistinctOperator(
+                list(op.columns) if op.columns else None, **cuckoo,
+                lru_depth_per_way=stack.lru_depth_per_table))
+            resource = "distinct"
+            shape = f"distinct[{','.join(op.columns or ('*',))}]"
+        else:
+            aggs = ",".join(f"{s.func}({s.column})" for s in op.aggregates)
+            if op.group_by:
+                row_ops.append(GroupByOperator(
+                    list(op.group_by), list(op.aggregates), **cuckoo,
+                    lru_depth_per_way=stack.lru_depth_per_table))
+                resource = "groupby"
+                shape = f"groupby[{','.join(op.group_by)};{aggs}]"
+            else:
+                row_ops.append(StandaloneAggregateOperator(
+                    list(op.aggregates)))
+                resource, shape = "aggregation", f"agg[{aggs}]"
+        resource_ops.append(resource)
+        parts.append(shape)
 
-    sa_plan: Optional[SmartAddressingPlan] = None
-    if use_sa:
-        sa_plan = SmartAddressingPlan(schema, list(query.projection or ()))
-        resource_ops.append("smart_addressing")
-        input_schema = sa_plan.out_schema
-    else:
-        input_schema = schema
-        if query.projection is not None:
-            row_ops.append(ProjectionOperator(list(query.projection)))
-            resource_ops.append("projection")
-    if query.distinct:
-        row_ops.append(DistinctOperator(
-            list(query.distinct_columns) if query.distinct_columns else None,
-            ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,
-            max_kicks=stack.cuckoo_max_kicks,
-            lru_depth_per_way=stack.lru_depth_per_table))
-        resource_ops.append("distinct")
-    elif query.group_by:
-        row_ops.append(GroupByOperator(
-            list(query.group_by), list(query.aggregates),
-            ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,
-            max_kicks=stack.cuckoo_max_kicks,
-            lru_depth_per_way=stack.lru_depth_per_table))
-        resource_ops.append("groupby")
-    elif query.aggregates:
-        row_ops.append(StandaloneAggregateOperator(list(query.aggregates)))
-        resource_ops.append("aggregation")
-
+    # The hints: lanes widen the scan-side operators' ingest, and the
+    # packed output is encrypted last.
+    if query.vectorized:
+        parts.insert(sum(op.kernel in ("decrypt", "regex", "selection", "join")
+                         for op in chain), "vec")
     if query.encrypt_output is not None:
-        key, nonce = query.encrypt_output
-        post_ops.append(EncryptOperator(key, nonce))
+        post_ops.append(EncryptOperator(*query.encrypt_output))
         resource_ops.append("encryption")
-
+        parts.append("enc")
     resource_ops.extend(["packing", "sending"])
-
-    pipeline = OperatorPipeline(query.signature, input_schema,
-                                row_ops=row_ops, pre_ops=pre_ops,
-                                post_ops=post_ops)
-
-    if use_sa:
-        ingest_mode = "smart"
-        # SA timing is request-driven; the rate field carries the effective
-        # assembled-output rate for reporting only.
-        ingest_rate = config.memory.aggregate_bandwidth
-    elif query.vectorized:
-        ingest_mode = "vectorized"
-        ingest_rate = min(lanes * stack.region_throughput,
-                          config.memory.aggregate_bandwidth)
-    else:
-        ingest_mode = "standard"
-        ingest_rate = min(stack.region_throughput,
-                          config.memory.aggregate_bandwidth)
-
-    return CompiledQuery(query=query, pipeline=pipeline,
-                         signature=query.signature,
-                         resource_operators=resource_ops,
-                         ingest_mode=ingest_mode, ingest_rate=ingest_rate,
-                         sa_plan=sa_plan, lanes=lanes,
-                         join_op=join_op, join_build=join_build)
+    signature = "|".join(parts) or "raw-read"
+    # Smart-addressing timing is request-driven: its rate is the assembled
+    # output's, for reporting only.
+    bandwidth = config.memory.aggregate_bandwidth
+    return CompiledQuery(
+        pipeline=OperatorPipeline(signature, input_schema, row_ops=row_ops,
+                                  pre_ops=pre_ops, post_ops=post_ops),
+        signature=signature, resource_operators=resource_ops,
+        ingest_mode=("smart" if use_sa else
+                     "vectorized" if query.vectorized else "standard"),
+        ingest_rate=(bandwidth if use_sa else
+                     min(lanes * stack.region_throughput, bandwidth)),
+        sa_plan=sa_plan, join_op=join_op, join_build=join_build)

@@ -38,13 +38,14 @@ Split-validity notes:
   side — under ``placement="auto"`` the planner then routes the join to
   the client instead of failing.
 
-The chain is stated once, by :func:`operator_chain`, as the ``Bound*``
+The chain is stated once, by the compiler's
+:func:`~repro.core.pipeline_compiler.operator_chain`, as the ``Bound*``
 step nodes of :mod:`repro.core.compile` that each name their ``kernel``
-(a decrypt is :class:`BoundDecrypt`, which no client step runs).  The
-estimate reads each node's own fields, :func:`client_steps` is the
-chain's suffix after a split (a compiled statement appends its
-``tail``), :func:`run_client_kernel` runs it, and a view circuit
-compiles the same list into stages.
+(a decrypt is a ``BoundDecrypt``, which no client step runs).  The node
+compiles its prefix, the estimate reads each node's own fields,
+:func:`client_steps` is the chain's suffix after a split (a compiled
+statement appends its ``tail``), :func:`run_client_kernel` runs it, and
+a view circuit compiles the same list into stages.
 
 The decision, the estimates it was based on, and the eventually measured
 time are the one placement record, :class:`ExplainPlan`: one node per
@@ -73,52 +74,18 @@ from ..baselines.sw_ops import (
 )
 from ..common.config import FarviewConfig
 from ..common.errors import JoinBuildOverflowError, QueryError
-from ..common.expr import Col, eval_items, items_schema
+from ..common.expr import eval_items, items_schema
 from ..common.records import Schema
 from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
-from .compile import (BoundAggregate, BoundArm, BoundDistinct, BoundEval,
-                      BoundFilter, BoundRegex)
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, join_cost, kernel_cost)
-from .pipeline_compiler import compile_query
+from .pipeline_compiler import compile_query, operator_chain
 from .query import Query
 from .table import FTable, Table, as_table
 
 #: The three user-facing placement modes.
 PLACEMENTS = ("auto", "offload", "ship")
-
-
-@dataclass(frozen=True)
-class BoundDecrypt:
-    """Decrypt the scanned table: the node's first operator, or the ship
-    read as the ciphertext lands — never a client step."""
-
-    kernel = "decrypt"
-
-
-def operator_chain(query: Query) -> list:
-    """The query's operators in pipeline (compiler) order, as the step
-    nodes :func:`run_client_kernel` runs; a ``join`` is a raw-read
-    :class:`~repro.core.compile.BoundArm` over its build table."""
-    chain: list = []
-    if query.decrypt_input:
-        chain.append(BoundDecrypt())
-    if query.regex is not None:
-        chain.append(BoundRegex(query.regex))
-    if query.predicate is not None:
-        chain.append(BoundFilter(query.predicate))
-    if query.join is not None:
-        join = query.join
-        chain.append(BoundArm(join.build_table, join.build_table.name, None,
-                              join.build_key, join.probe_key, join.payload))
-    if query.projection is not None:
-        chain.append(BoundEval(tuple((Col(c), c) for c in query.projection)))
-    if query.distinct:
-        chain.append(BoundDistinct(query.distinct_columns))
-    elif query.group_by or query.aggregates:
-        chain.append(BoundAggregate(query.group_by or (), query.aggregates))
-    return chain
 
 
 def chain_labels(chain: list) -> list[str]:
@@ -136,6 +103,19 @@ def client_steps(query: Query, split: int) -> list:
     return operator_chain(query)[max(split, int(query.decrypt_input)):]
 
 
+#: The Query fields that state each chain kernel, at their "absent"
+#: values: a fragment resets those of the nodes after its split.
+_KERNEL_FIELDS = {
+    "decrypt": {"decrypt_input": False},
+    "regex": {"regex": None},
+    "selection": {"predicate": None},
+    "join": {"join": None},
+    "eval": {"projection": None},
+    "distinct": {"distinct": False, "distinct_columns": None},
+    "aggregate": {"group_by": None, "aggregates": ()},
+}
+
+
 def build_fragment(query: Query, split: int) -> Optional[Query]:
     """The offloaded prefix ``operator_chain(query)[:split]`` as a
     standalone Query.
@@ -149,27 +129,15 @@ def build_fragment(query: Query, split: int) -> Optional[Query]:
         return query
     if split == 0:
         return None
-    included = set(chain_labels(chain[:split]))
-    projection = query.projection if "projection" in included else None
-    # Smart addressing only applies to projection-only fragments; an
-    # explicit hint survives exactly when the fragment still qualifies.
-    smart = query.smart_addressing if included == {"projection"} else None
-    return Query(
-        projection=projection,
-        predicate=query.predicate if "selection" in included else None,
-        regex=query.regex if "regex" in included else None,
-        join=query.join if "join" in included else None,
-        distinct="distinct" in included,
-        distinct_columns=(query.distinct_columns
-                          if "distinct" in included else None),
-        group_by=query.group_by if "groupby" in included else None,
-        aggregates=(query.aggregates
-                    if ("groupby" in included or "aggregate" in included)
-                    else ()),
-        decrypt_input="decrypt" in included,
-        vectorized=query.vectorized and "selection" in included,
-        smart_addressing=smart,
-        label=query.label)
+    reset: dict = {"encrypt_output": None}
+    for op in chain[split:]:
+        reset.update(_KERNEL_FIELDS[op.kernel])
+    kept = [op.kernel for op in chain[:split]]
+    # Lanes widen the filter, and smart addressing reads a fragment that
+    # is one projection: each hint survives only with what it serves.
+    return _dc_replace(
+        query, **reset, vectorized=query.vectorized and "selection" in kept,
+        smart_addressing=query.smart_addressing if kept == ["eval"] else None)
 
 
 @dataclass
@@ -321,7 +289,6 @@ def plan_placement(query: Query, table: Table | FTable,
             f"query asks to decrypt but table {base.name!r} is not "
             f"encrypted")
     chain = operator_chain(query)
-    labels = chain_labels(chain)
     schema = table.schema
     query.validate(schema)      # ship runs no compiler; type errors stay typed
     nrows, scan_bytes, delta_rows = table.stats_at(
@@ -390,8 +357,9 @@ def plan_placement(query: Query, table: Table | FTable,
             else:
                 inter_schema = steps[k - 1].schema_out
                 inter_bytes = steps[k - 1].rows_out * inter_schema.row_width
-            flush_groups = (steps[k - 1].rows_out
-                            if k > 0 and labels[k - 1] == "groupby" else 0.0)
+            flush_groups = (steps[k - 1].rows_out if k > 0
+                            and chain[k - 1].kernel == "aggregate"
+                            and chain[k - 1].group_by else 0.0)
             build_bytes = (float(compile_fragment.join.build_table.size_bytes)
                            if fragment.join is not None else 0.0)
             cold = compiled.signature != loaded_signature
@@ -437,12 +405,13 @@ def plan_placement(query: Query, table: Table | FTable,
     chosen = "hybrid" if best.label.startswith("hybrid") else best.label
     by_label = {c.label: c.total_ns for c in candidates}
     explain = ExplainPlan(
-        requested=placement, chosen=chosen, split=best.split, chain=labels,
+        requested=placement, chosen=chosen, split=best.split,
+        chain=chain_labels(chain),
         candidates=candidates, est_chosen_ns=best.total_ns,
         est_offload_ns=by_label.get("offload", float("nan")),
         est_ship_ns=by_label.get("ship", float("nan")))
     if query.join is not None and join_strategy is not None:
-        offloaded = chosen != "ship" and "join" in labels[:best.split]
+        offloaded = any(op.kernel == "join" for op in chain[:best.split])
         explain.join_strategy = join_strategy if offloaded else "ship"
     return explain
 

@@ -3,8 +3,9 @@
 A :class:`Query` captures the offloadable fragment of a SQL statement —
 projection, selection, regex filter, distinct, group-by/aggregation, and
 encryption handling — plus execution hints (vectorization, smart
-addressing).  The pipeline compiler turns it into an operator pipeline for
-a dynamic region.
+addressing).  The pipeline compiler lowers it once, to
+:func:`~repro.core.pipeline_compiler.operator_chain`, and compiles that
+chain into an operator pipeline for a dynamic region.
 
 The paper positions this as the layer a query compiler would target ("The
 interface presented here is intended to be used by the query compiler in
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import QueryError
-from ..common.expr import Expr, TextMatch, check_condition, render_expr
+from ..common.expr import Expr, TextMatch, check_condition
 from ..common.records import Schema
 from ..operators.aggregate import AggregateSpec
 from ..operators.join import join_output_schema
@@ -165,46 +166,6 @@ class Query:
             if name not in projected:
                 raise QueryError(
                     f"distinct column {name!r} dropped by projection")
-
-    # -- introspection -------------------------------------------------------------
-    @property
-    def is_projection_only(self) -> bool:
-        return (self.predicate is None and self.regex is None
-                and self.join is None
-                and not self.distinct and self.group_by is None
-                and not self.aggregates and self.projection is not None)
-
-    @property
-    def signature(self) -> str:
-        """Stable pipeline identity for region bitstream caching."""
-        parts = []
-        if self.decrypt_input:
-            parts.append("dec")
-        if self.regex is not None:
-            parts.append(f"regex[{self.regex.column.name}:"
-                         f"{self.regex.engine_pattern}]")
-        if self.predicate is not None:
-            parts.append(f"sel[{render_expr(self.predicate)}]")
-        if self.join is not None:
-            build_name = getattr(self.join.build_table, "name", "?")
-            parts.append(f"join[{build_name}.{self.join.build_key}="
-                         f"{self.join.probe_key}]")
-        if self.vectorized:
-            parts.append("vec")
-        if self.projection is not None:
-            parts.append(f"proj[{','.join(self.projection)}]")
-        if self.distinct:
-            cols = ",".join(self.distinct_columns or ("*",))
-            parts.append(f"distinct[{cols}]")
-        if self.group_by:
-            aggs = ",".join(f"{s.func}({s.column})" for s in self.aggregates)
-            parts.append(f"groupby[{','.join(self.group_by)};{aggs}]")
-        elif self.aggregates:
-            aggs = ",".join(f"{s.func}({s.column})" for s in self.aggregates)
-            parts.append(f"agg[{aggs}]")
-        if self.encrypt_output is not None:
-            parts.append("enc")
-        return "|".join(parts) if parts else "raw-read"
 
 
 def select_star(predicate: Expr, vectorized: bool = False) -> Query:

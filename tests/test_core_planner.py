@@ -28,8 +28,8 @@ from repro.common.units import MB
 from repro.core.api import FarviewClient, canonical_result_bytes
 from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
-from repro.core.planner import (build_fragment, chain_labels, operator_chain,
-                                plan_placement)
+from repro.core.pipeline_compiler import compile_query, operator_chain
+from repro.core.planner import build_fragment, chain_labels, plan_placement
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
@@ -116,10 +116,12 @@ class TestGoldenCrossovers:
             nrows = MB // 64
             schema, _ = projection_workload(8, 64)
             query = Query(predicate=Compare("a", "<", 1), label="golden")
-            plan = plan_placement(query, _table(schema, nrows), SCENARIO,
+            table = _table(schema, nrows)
+            loaded = compile_query(query, table, SCENARIO).signature
+            plan = plan_placement(query, table, SCENARIO,
                                   placement="auto",
                                   stats=PlanStats(selectivity=sel),
-                                  loaded_signature=query.signature)
+                                  loaded_signature=loaded)
             assert plan.chosen == "offload", sel
 
 

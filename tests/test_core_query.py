@@ -9,9 +9,11 @@ from repro.common.errors import (
     QueryError,
 )
 from repro.common.expr import Col, TextMatch
-from repro.common.records import default_schema, string_schema, wide_schema
+from repro.common.records import (Column, Schema, default_schema,
+                                  string_schema, wide_schema)
 from repro.core.catalog import Catalog
 from repro.core.pipeline_compiler import choose_smart_addressing, compile_query
+from repro.core.planner import build_fragment
 from repro.core.query import (JoinSpec, Query, group_by_sum,
                               select_distinct, select_star)
 from repro.core.table import FTable
@@ -147,12 +149,17 @@ def test_post_join_stages_validate_against_the_post_join_schema():
 
 
 def test_query_signature_stable_and_distinct():
+    table = make_table()
+
+    def signature(query):
+        return compile_query(query, table, CONFIG).signature
+
     q1 = select_star(Compare("a", "<", 5))
     q2 = select_star(Compare("a", "<", 5))
     q3 = select_star(Compare("a", "<", 6))
-    assert q1.signature == q2.signature
-    assert q1.signature != q3.signature
-    assert Query().signature == "raw-read"
+    assert signature(q1) == signature(q2)
+    assert signature(q1) != signature(q3)
+    assert signature(Query()) == "raw-read"
 
 
 # --- smart addressing planning (Figure 7 rule) ------------------------------------------
@@ -198,7 +205,7 @@ def test_compile_vectorized_sets_lanes_and_rate():
     compiled = compile_query(
         select_star(Compare("a", "<", 5), vectorized=True), table, CONFIG)
     assert compiled.ingest_mode == "vectorized"
-    assert compiled.lanes >= 2
+    assert compiled.pipeline.row_ops[0].lanes >= 2
     assert compiled.ingest_rate > CONFIG.operator_stack.region_throughput
 
 
@@ -263,3 +270,100 @@ def test_compile_always_includes_pack_send():
     table = make_table()
     compiled = compile_query(Query(), table, CONFIG)
     assert compiled.resource_operators[-2:] == ["packing", "sending"]
+
+
+# --- the region signature: golden strings --------------------------------------
+# Captured from the compiler before it walked the operator chain: a
+# region is reused exactly when these strings match, so they never move.
+
+_KEY, _NONCE = b"k" * 16, b"n" * 12
+_SCHEMA = Schema([Column("a", "int64", 8), Column("b", "int64", 8),
+                  Column("s", "char", 16)]
+                 + [Column(f"p{i}", "int64", 8) for i in range(4)])
+_PLAIN = FTable("t", _SCHEMA, 100)
+_ENCRYPTED = FTable("e", _SCHEMA, 100, encrypted=True, key=_KEY,
+                    nonce=_NONCE)
+_DIM = FTable("dim", Schema([Column("id", "int64", 8),
+                             Column("rate", "int64", 8)]), 8)
+_LT5 = Compare("a", "<", 5)
+_LIKE = TextMatch(Col("s"), "%far%")
+
+
+def _join():
+    return JoinSpec(_DIM, "id", "a", ("rate",))
+
+
+@pytest.mark.parametrize("query, table, signature", [
+    (Query(), _PLAIN, "raw-read"),
+    (Query(decrypt_input=True), _ENCRYPTED, "dec"),
+    (Query(regex=_LIKE), _PLAIN, r"regex[s:^[\s\S]*far[\s\S]*$]"),
+    (Query(regex=TextMatch(Col("s"), "ab|cd", regexp=True)), _PLAIN,
+     "regex[s:ab|cd]"),
+    (select_star(_LT5), _PLAIN, "sel[a < 5]"),
+    (Query(join=_join()), _PLAIN, "join[dim.id=a]"),
+    (Query(projection=("a", "b")), _PLAIN, "proj[a,b]"),
+    (Query(distinct=True), _PLAIN, "distinct[*]"),
+    (Query(projection=("a", "b"), distinct=True, distinct_columns=("a",)),
+     _PLAIN, "proj[a,b]|distinct[a]"),
+    (group_by_sum("a", "b"), _PLAIN, "groupby[a;sum(b)]"),
+    (Query(aggregates=(AggregateSpec("count", "*"),
+                       AggregateSpec("max", "b"))), _PLAIN,
+     "agg[count(*),max(b)]"),
+    (select_star(_LT5, vectorized=True), _PLAIN, "sel[a < 5]|vec"),
+    # ``vec`` follows every scan-side operator, the join included.
+    (Query(predicate=_LT5, join=_join(), vectorized=True), _PLAIN,
+     "sel[a < 5]|join[dim.id=a]|vec"),
+    (Query(projection=("a",), vectorized=True), _PLAIN, "vec|proj[a]"),
+    (Query(projection=("a",), encrypt_output=(_KEY, _NONCE)), _PLAIN,
+     "proj[a]|enc"),
+    (Query(decrypt_input=True, regex=_LIKE, predicate=_LT5, join=_join(),
+           projection=("a", "rate"), group_by=("a",),
+           aggregates=(AggregateSpec("sum", "rate"),), vectorized=True,
+           encrypt_output=(_KEY, _NONCE)), _ENCRYPTED,
+     r"dec|regex[s:^[\s\S]*far[\s\S]*$]|sel[a < 5]|join[dim.id=a]|vec|"
+     r"proj[a,rate]|groupby[a;sum(rate)]|enc"),
+])
+def test_region_signature_is_golden(query, table, signature):
+    compiled = compile_query(query, table, CONFIG)
+    assert compiled.signature == signature
+    assert compiled.pipeline.name == signature
+
+
+@pytest.mark.parametrize("predicate, refusal", [
+    (None, "smart addressing cannot decrypt scattered CTR reads in this "
+           "prototype; use standard projection"),
+    (_LT5, "smart addressing supports projection-only queries"),
+])
+def test_forced_smart_addressing_refusals_on_an_encrypted_table(predicate,
+                                                                 refusal):
+    """A decrypt ahead of the projection is not what makes a query
+    ineligible: the projection-only check skips it, and the encryption
+    check refuses next."""
+    query = Query(projection=("a",), predicate=predicate,
+                  decrypt_input=True, smart_addressing=True)
+    with pytest.raises(PipelineCompilationError) as exc:
+        compile_query(query, _ENCRYPTED, CONFIG)
+    assert str(exc.value) == refusal
+
+
+def test_fragment_drops_vectorized_once_the_filter_is_cut():
+    query = Query(regex=_LIKE, predicate=_LT5, projection=("a",),
+                  vectorized=True)
+    assert [build_fragment(query, k).vectorized for k in (1, 2, 3)] == [
+        False, True, True]
+    unfiltered = Query(projection=("a",), distinct=True, vectorized=True)
+    assert not build_fragment(unfiltered, 1).vectorized
+
+
+def test_fragment_keeps_an_explicit_smart_hint_only_on_a_projection():
+    hinted = Query(projection=("a",), distinct=True, smart_addressing=False)
+    assert build_fragment(hinted, 1).smart_addressing is False
+    assert build_fragment(hinted, 2) is hinted
+    filtered = Query(predicate=_LT5, projection=("a",), distinct=True,
+                     smart_addressing=False)
+    assert [build_fragment(filtered, k).smart_addressing
+            for k in (1, 2)] == [None, None]
+    decrypting = Query(projection=("a",), distinct=True, decrypt_input=True,
+                       smart_addressing=False)
+    assert [build_fragment(decrypting, k).smart_addressing
+            for k in (1, 2)] == [None, None]

@@ -505,23 +505,27 @@ def test_build_overflow_auto_placement_ships_and_stays_exact():
         serial_join_model(fact, dim))
 
 
+#: One way and one kick: a 48-row build passes the 64-slot nominal
+#: check at compile time and overflows while it loads.
+KICK_LIMITED = FarviewConfig(
+    memory=TEST_CONFIG.memory,
+    operator_stack=OperatorStackConfig(cuckoo_tables=1, cuckoo_slots=64,
+                                       cuckoo_max_kicks=1))
+
+
 def test_kick_exhaustion_below_nominal_capacity_auto_falls_back():
     """Cuckoo kick chains can exhaust below the compiler's nominal
     capacity pre-check (data-dependent).  Pure offload surfaces the
     typed error from the build load; auto re-plans with the join on the
     client and still matches the serial model."""
-    config = FarviewConfig(
-        memory=TEST_CONFIG.memory,
-        operator_stack=OperatorStackConfig(cuckoo_tables=1,
-                                           cuckoo_slots=64, cuckoo_max_kicks=1))
     dim = make_dim(list(range(48)), seed=30)        # < 64 nominal slots
     fact = make_fact(list(range(48)) * 3, seed=31)
-    probe_client = single_client(config)
+    probe_client = single_client(KICK_LIMITED)
     dim_table = upload(probe_client, "dim", DIM_SCHEMA, dim)
     fact_table = upload(probe_client, "fact", FACT_SCHEMA, fact)
     with pytest.raises(JoinBuildOverflowError, match="does not fit"):
         probe_client.far_view(fact_table, make_query(dim_table))
-    client = single_client(config)
+    client = single_client(KICK_LIMITED)
     dim_table = upload(client, "dim", DIM_SCHEMA, dim)
     fact_table = upload(client, "fact", FACT_SCHEMA, fact)
     result, _ = client.far_view_planned(fact_table, make_query(dim_table),
@@ -529,6 +533,50 @@ def test_kick_exhaustion_below_nominal_capacity_auto_falls_back():
     assert "join" in result.explain.chain[result.explain.split:]
     assert sha(canonical_result_bytes(result)) == sha(
         serial_join_model(fact, dim))
+
+
+def test_auto_replans_an_offload_whose_build_overflows_at_load():
+    """auto's first plan offloads the join: the region is warm with the
+    pipeline a refused ``far_view`` loaded.  The build then overflows
+    while it loads, below nominal capacity, and auto re-plans with
+    ``refuse_join_offload`` — the join runs on the client, exactly."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    client = single_client(KICK_LIMITED)
+    dim_table = upload(client, "dim", DIM_SCHEMA, dim)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query = make_query(dim_table)
+    with pytest.raises(JoinBuildOverflowError, match="does not fit"):
+        client.far_view(fact_table, query)
+    assert client.plan(fact_table, query, "auto").chosen == "offload"
+    result, _ = client.far_view_planned(fact_table, query, placement="auto")
+    assert result.explain.chosen == "ship"
+    assert sha(canonical_result_bytes(result)) == sha(
+        serial_join_model(fact, dim))
+
+
+def test_auto_ships_when_the_dynamic_region_fails():
+    """With a cheap reconfiguration auto's first plan offloads; the
+    region has failed, so the offload raises and auto ships instead (a
+    raw read needs no region), exactly."""
+    from repro.core.faults import FaultInjector
+
+    config = FarviewConfig(memory=TEST_CONFIG.memory,
+                           operator_stack=OperatorStackConfig(
+                               reconfiguration_ns=1.0))
+    dim = make_dim(list(range(40)), seed=3)
+    fact = make_fact(list(range(60)) * 40, seed=4)
+    client = single_client(config)
+    dim_table = upload(client, "dim", DIM_SCHEMA, dim)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query, stats = make_query(dim_table, cut=10), PlanStats(selectivity=0.2)
+    assert client.plan(fact_table, query, "auto", stats).chosen == "offload"
+    FaultInjector(client.node).fail_region(0, 0)
+    result, _ = client.far_view_planned(fact_table, query, placement="auto",
+                                        stats=stats)
+    assert result.explain.chosen == "ship"
+    assert sha(canonical_result_bytes(result)) == sha(
+        serial_join_model(fact, dim, cut=10))
 
 
 def test_sql_join_with_group_by_runs_end_to_end():

@@ -803,7 +803,9 @@ def test_one_hash_one_probe_in_src():
     cost-model override and the regex engine count), and the planner's
     second statement of a Query's operators (the name-to-node table, the
     build profile and the snapshot counts ``plan_placement`` was handed),
-    and the response packet's relays (the grant's pick helper, the
+    and the node's restatements of that chain (the Query's signature and
+    projection-only test, the fragment's label set), and the response
+    packet's relays (the grant's pick helper, the
     clock and pipe-horizon property hops, and the streamer's per-packet
     cut, credit probe and transmit) — and the reference model binds
     nothing."""
@@ -908,6 +910,11 @@ def test_one_hash_one_probe_in_src():
             # and reads a table's snapshot off its handle.
             (("src", "docs"), ("_CLIENT_STEP", "join_build_profile",
                                "join_build_shards", "total_rows=")),
+            # The node compiles the chain: the region signature is built
+            # in compile_query's walk, and a fragment resets the fields
+            # of the nodes after its split.
+            (("src", "docs"), ("is_projection_only", "def signature(",
+                               "chain_labels(chain[:")),
             # A response packet's hops run in one frame each: no relay
             # for the grant's pick, the clock or the pipe's horizon, and
             # no per-packet cut, credit probe or transmit helper.
