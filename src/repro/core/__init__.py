@@ -11,7 +11,6 @@ from .catalog import Catalog
 from .cost_model import PlacementCostModel, PlanStats, estimate_chain
 from .planner import (
     ExplainPlan,
-    build_fragment,
     plan_placement,
 )
 from .cluster import (
@@ -26,6 +25,7 @@ from .partition import PartitionSpec, partition_indices, shard_assignment
 from .pipeline_compiler import (
     CompiledQuery,
     choose_smart_addressing,
+    compile_chain,
     compile_query,
     operator_chain,
 )
@@ -57,7 +57,6 @@ __all__ = [
     "PlanStats",
     "estimate_chain",
     "ExplainPlan",
-    "build_fragment",
     "operator_chain",
     "plan_placement",
     "FarviewCluster",
@@ -76,6 +75,7 @@ __all__ = [
     "TenantSession",
     "CompiledQuery",
     "choose_smart_addressing",
+    "compile_chain",
     "compile_query",
     "JoinSpec",
     "Query",

@@ -72,16 +72,16 @@ from .catalog import Catalog
 from .compile import ParsedWrite, bind_select, parse_sql
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, view_circuit_cost_ns)
-from .planner import (ExplainPlan, build_fragment, chain_labels,
-                      client_steps, plan_placement, run_client_join,
-                      run_client_kernel)
+from .planner import (ExplainPlan, chain_labels, client_steps,
+                      plan_placement, run_client_join, run_client_kernel)
 from .cluster import (JOIN_STRATEGIES, FarviewCluster, ScatterPlan,
                       join_strategies, merge_aggregate_rows,
                       merge_group_rows, plan_scatter)
 from .faults import RetryPolicy
 from .node import Connection, ExecutionReport, FarviewNode
 from .partition import PartitionSpec, partition_indices, replica_nodes
-from .pipeline_compiler import compile_query, operator_chain
+from .pipeline_compiler import (compile_chain, join_arm, lower_query,
+                                over_deltas)
 from .query import Query
 from .table import FTable, Shard, Table, as_table
 from .versioning import (ROWID_COLUMN, VersionChain, delta_schema,
@@ -96,10 +96,10 @@ class QueryResult:
     """Client-visible result of any verb that returns rows.
 
     One shape for every execution.  A *direct* node execution sets
-    ``report`` (the node's :class:`ExecutionReport`), ``query`` (what the
-    node ran) and ``stream`` (the raw shipped bytes, possibly encrypted,
-    possibly carrying overflow duplicates the client dedups on the
-    query's DISTINCT key).  Every other execution sets ``merged``, the
+    ``report`` (the node's :class:`ExecutionReport`), ``ops`` (the step
+    nodes it ran) and ``stream`` (the raw shipped bytes, possibly
+    encrypted, possibly carrying overflow duplicates the client dedups
+    on the DISTINCT key).  Every other execution sets ``merged``, the
     final rows after the client-side work: a scatter-gather merge, or
     a statement's one client tail, whose ``client_cost`` is its one
     bill (one setup, one result write), already in
@@ -112,9 +112,9 @@ class QueryResult:
     #: Node-side execution report; ``None`` unless one node ran this
     #: result's pipeline directly.
     report: Optional[ExecutionReport] = None
-    #: The :class:`Query` a direct node execution ran: what ``rows()``
-    #: dedups on and merges overflowed groups by.
-    query: Optional[Query] = None
+    #: The step nodes a direct node execution ran: what ``rows()``
+    #: decrypts with, dedups on and merges overflowed groups by.
+    ops: list = field(default_factory=list, repr=False)
     #: The :class:`~repro.core.planner.ExplainPlan`: the head Query's
     #: node, plus one ``tail`` entry per compiled client step; ``None``
     #: on the plan-free offload path with nothing after the head.
@@ -128,7 +128,6 @@ class QueryResult:
     #: ``colocated`` / ``shuffle``), ``None`` otherwise.
     join_strategy: Optional[str] = None
     stream: Optional[bytes] = field(default=None, repr=False)
-    output_key: Optional[tuple[bytes, bytes]] = None  # (key, nonce) if encrypted
     merged: Optional[np.ndarray] = field(default=None, repr=False)
     #: Bytes the client read raw over the wire for this result (shipped
     #: table image, shipped join build sides) outside any sub-result.
@@ -143,18 +142,18 @@ class QueryResult:
         groups the node aggregated beside its tables."""
         if self.merged is not None:
             return self.merged
-        data = self.stream
-        if self.output_key is not None:
-            key, nonce = self.output_key
-            data = AesCtr(key, nonce).process(data)
+        data, ops = self.stream, {op.kernel: op for op in self.ops}
+        if "encrypt" in ops:
+            data = AesCtr(ops["encrypt"].key, ops["encrypt"].nonce).process(
+                data)
         rows = self.schema.from_bytes(data)
         if self.report.overflow_keys:
             rows = software_distinct(rows, self.schema,
-                                     self.query.distinct_columns).rows
+                                     ops["distinct"].columns).rows
         if self.report.overflow_groups:
             rows = np.concatenate([rows, accumulator_rows(
-                self.schema, self.query.group_by, self.query.aggregates,
-                self.report.overflow_groups)])
+                self.schema, ops["aggregate"].group_by,
+                ops["aggregate"].aggregates, self.report.overflow_groups)])
         return rows
 
     @property
@@ -230,19 +229,6 @@ def _with_blocking_verbs(cls):
         if verb != name and not name.startswith("_") and verb not in own:
             setattr(cls, verb, _blocking(cls, verb, proc))
     return cls
-
-
-def _merge_query(query: Query) -> Query:
-    """Delta-merge ingest needs the full row stream (like joins), so
-    smart addressing is not applicable to a scan over deltas."""
-    if query.smart_addressing:
-        raise QueryError(
-            "smart addressing is incompatible with a scan over deltas: "
-            "the delta-merge ingest consumes the full row stream; compact "
-            "the table first")
-    if query.smart_addressing is None:
-        return replace(query, smart_addressing=False)
-    return query
 
 
 @dataclass
@@ -393,25 +379,25 @@ class _NodeSession:
         for segment in chain.unpin(token):
             self.free_segment(segment)
 
-    def _scan_once_proc(self, chain: VersionChain, query: Query,
-                        epoch: int):
+    def _scan_once_proc(self, chain: VersionChain, ops: list, epoch: int):
         """Process: one offloaded scan of the chain's snapshot at
-        ``epoch``.  Returns the node's own :class:`QueryResult` (report +
-        stream)."""
+        ``epoch`` through the step nodes ``ops``.  Returns the node's own
+        :class:`QueryResult` (report + stream)."""
         conn = self.connection
         # Pins are taken before any simulated time passes (the compile
         # resolves the same epochs), so a chain — or a join build side
         # probed in place — being updated or compacted mid-scan cannot
         # change or free the segments this scan reads.
         pins = [(chain, chain.pin(epoch))]
-        if query.join is not None:
-            build = as_table(query.join.build_table).shards[0].chain
-            pins.append((build, build.pin(build.epoch)))
+        for op in ops:
+            if op.kernel == "join":
+                build = as_table(op.build).shards[0].chain
+                pins.append((build, build.pin(build.epoch)))
         try:
             # Pipelines are stateful/one-shot: always compile a fresh one;
             # the signature keeps region reconfiguration free across
             # repeats.
-            compiled = compile_query(query, chain.base, self.node.config)
+            compiled = compile_chain(ops, chain.base, self.node.config)
             conn.qp.buffer.reset()
             start = self.sim.now
             report = yield from self.node.serve_farview(
@@ -420,10 +406,9 @@ class _NodeSession:
             for pinned, token in reversed(pins):
                 self._release_pin(pinned, token)
         return QueryResult(
-            schema=compiled.output_schema, report=report, query=query,
+            schema=compiled.output_schema, report=report, ops=ops,
             stream=conn.qp.buffer.read(0, report.bytes_shipped),
-            response_time_ns=self.sim.now - start,
-            output_key=query.encrypt_output)
+            response_time_ns=self.sim.now - start)
 
     def read_chain_proc(self, chain: VersionChain, epoch: int,
                         offset: int = 0, length: int | None = None):
@@ -652,25 +637,30 @@ class ClusterClient:
         tail is the paper's path: no planner, no explain, timing-exact.
         Anything else plans the head once (plan-free under
         ``"offload"``) and runs one :meth:`_run_tail_proc`, unless the
-        whole chain offloads and leaves the client nothing.  Under
-        ``"auto"`` a join build overflowing the on-chip hash below
-        nominal capacity re-plans with the join on the client, and a
-        dead dynamic region ships (raw reads need no region)."""
-        if placement == "offload" and not tail:
-            return (yield from self._offload_proc(table, query, as_of,
-                                                  join_strategy))
+        whole chain offloads and leaves the client nothing.  The Query
+        is lowered once, by the plan or here.  Under ``"auto"`` a join
+        build overflowing the on-chip hash below nominal capacity
+        re-plans with the join on the client, and a dead dynamic region
+        ships (raw reads need no region); the record is the auto call's,
+        timed from its first attempt."""
         table, epoch = self._bind(table, as_of)
+        if placement == "offload" and not tail:
+            return (yield from self._offload_proc(
+                table, lower_query(query, table.schema), epoch,
+                join_strategy))
+        start = self.sim.now
 
         def attempt(placement, refuse_join_offload=False):
             plan = None if placement == "offload" else self.plan(
                 table, query, placement, stats, refuse_join_offload, epoch,
                 join_strategy)
+            ops = plan.ops if plan else lower_query(query, table.schema)
             if tail or plan.chosen != "offload":
-                return self._run_tail_proc(table, epoch, query, plan,
+                return self._run_tail_proc(table, epoch, ops, plan,
                                            list(tail), placement, stats,
                                            join_strategy)
             return self._recorded_proc(plan, self._offload_proc(
-                table, query, epoch, join_strategy))
+                table, ops, epoch, join_strategy))
 
         try:
             return (yield from attempt(placement))
@@ -680,11 +670,15 @@ class ClusterClient:
             # the build.
             if placement != "auto" or query.join is None:
                 raise
-            return (yield from attempt(placement, refuse_join_offload=True))
+            result = yield from attempt(placement, refuse_join_offload=True)
         except RegionFailedError:
             if placement != "auto":
                 raise
-            return (yield from attempt("ship"))
+            result = yield from attempt("ship")
+        result.explain.requested = placement
+        result.explain.actual_ns = result.response_time_ns = (self.sim.now
+                                                              - start)
+        return result
 
     def _recorded_proc(self, plan: ExplainPlan, proc):
         """Process: ``proc``, its result carrying ``plan`` timed to it."""
@@ -710,10 +704,10 @@ class ClusterClient:
         if placement != "offload":
             return self._placed_proc(table, query, placement, stats,
                                      as_of, join_strategy)
-        return self._recorded_proc(
-            self.plan(table, query, placement, stats, as_of=as_of,
-                      join_strategy=join_strategy),
-            self._offload_proc(table, query, as_of, join_strategy))
+        plan = self.plan(table, query, placement, stats, as_of=as_of,
+                         join_strategy=join_strategy)
+        return self._recorded_proc(plan, self._offload_proc(
+            table, plan.ops, as_of, join_strategy))
 
     def plan(self, table, query: Query, placement: str = "auto",
              stats: PlanStats | None = None,
@@ -734,13 +728,12 @@ class ClusterClient:
         """
         table, epoch = self._bind(table, as_of)
         session = self._sessions[table.shards[0].node_index]
-        if table.has_deltas(epoch):
-            query = _merge_query(query)
-        strategy = self._resolve_join_strategy(table, query, join_strategy)
+        arm = join_arm(query.join) if query.join is not None else None
+        strategy = self._resolve_join_strategy(table, arm, join_strategy)
         join_transfer_ns = 0.0
         if strategy == "shuffle":
-            join_transfer_ns = self._movement_ns(
-                as_table(query.join.build_table), table, strategy)
+            join_transfer_ns = self._movement_ns(as_table(arm.build), table,
+                                                 strategy)
         return plan_placement(
             query, table, session.node.config, as_of=epoch,
             placement=placement, stats=stats, cpu=self.cpu,
@@ -749,20 +742,21 @@ class ClusterClient:
             refuse_join_offload=refuse_join_offload,
             join_strategy=strategy, join_transfer_ns=join_transfer_ns)
 
-    def _run_tail_proc(self, table: Table, epoch: int, query: Query,
+    def _run_tail_proc(self, table: Table, epoch: int, ops: list,
                        plan: ExplainPlan | None, tail: list, placement: str,
                        stats=None, join_strategy: str | None = None):
         """Process: the one client tail — one statement, one bill (one
         ``setup``, its reads and kernels, one result write), one clock
         advance.
 
-        ``land`` puts a Query's rows into the bill, the head's and each
-        filtered arm's alike — ship: the raw :meth:`_read_raw_proc`;
-        hybrid: the offloaded prefix plus ``read_ns``; whole chain (``plan``
-        ``None``: plan-free): the node's result — then runs its
-        ``client_steps(query, split)``; the head's are followed by
-        ``tail``.  A ``join`` step reads its build raw or lands the
-        arm's Query, planned under ``placement``, then probes it
+        ``land`` puts a chain's rows into the bill, the head's ``ops``
+        and each filtered arm's alike — ship: the raw
+        :meth:`_read_raw_proc`; hybrid: the offloaded slice
+        ``ops[:split]`` plus ``read_ns``; whole chain (``plan`` ``None``:
+        plan-free): the node's result — then runs its ``client_steps(ops,
+        split)``; the head's are followed by ``tail``.  A ``join`` step
+        reads its build raw or lands the arm's Query, lowered once by
+        its plan (or, plan-free, here) under ``placement``, then probes it
         (:func:`~repro.core.planner.run_client_join`); any other step is
         :func:`~repro.core.planner.run_client_kernel`.  One snapshot:
         ``table`` at ``epoch`` and every build side at its current epoch
@@ -771,7 +765,7 @@ class ClusterClient:
         tail step."""
         sim, cpu = self.sim, self.cpu
         start = sim.now
-        steps = [] if plan is None else client_steps(query, plan.split)
+        steps = [] if plan is None else client_steps(ops, plan.split)
         snapshot = [(table, epoch)] + [self._bind(op.build) for op
                                        in steps + tail if op.kernel == "join"]
         epochs = {handle.name: at for handle, at in snapshot}
@@ -781,22 +775,20 @@ class ClusterClient:
         cost.add("setup", cpu.setup_ns())
         parts, read_bytes = [], 0
 
-        def land(table, at, query, plan, steps, strategy=None):
+        def land(table, at, ops, plan, steps, strategy=None):
             nonlocal read_bytes
             if plan is not None and plan.chosen == "ship":
                 rows, shipped = yield from self._read_raw_proc(table, at,
-                                                               cost, query)
+                                                               cost, ops)
                 schema = table.schema
                 read_bytes += shipped
             else:
-                fragment = (query if plan is None else
-                            build_fragment(query, plan.split))
-                landed = yield from self._offload_proc(table, fragment, at,
-                                                       strategy)
+                landed = yield from self._offload_proc(
+                    table, ops if plan is None else ops[:plan.split], at,
+                    strategy)
                 if plan is None:
-                    chain = chain_labels(operator_chain(query))
-                    plan = ExplainPlan("offload", "offload", len(chain),
-                                       chain,
+                    plan = ExplainPlan("offload", "offload", len(ops),
+                                       chain_labels(ops), ops=ops,
                                        join_strategy=landed.join_strategy)
                 elif plan.chosen == "hybrid":
                     cost.add("read", cpu.read_ns(landed.bytes_shipped))
@@ -820,14 +812,16 @@ class ClusterClient:
             else:
                 arm = None if placement == "offload" else self.plan(
                     op.build, op.query, placement, stats, as_of=at)
+                arm_ops = (lower_query(op.query, op.build.schema)
+                           if arm is None else arm.ops)
                 build_rows, build_schema, arm = yield from land(
-                    as_table(op.build), at, op.query, arm,
-                    [] if arm is None else client_steps(op.query, arm.split))
+                    as_table(op.build), at, arm_ops, arm,
+                    [] if arm is None else client_steps(arm_ops, arm.split))
             return (*run_client_join(rows, schema, build_rows, build_schema,
                                      op, cpu, cost), arm)
 
         try:
-            rows, schema, record = yield from land(table, epoch, query, plan,
+            rows, schema, record = yield from land(table, epoch, ops, plan,
                                                    steps, join_strategy)
             for op in tail:
                 rows, schema, arm = yield from step(op, rows, schema)
@@ -846,19 +840,19 @@ class ClusterClient:
                            read_bytes=read_bytes)
 
     def _read_raw_proc(self, table, epoch: int, cost: CostBreakdown,
-                       query: Query | None = None):
+                       ops=()):
         """Process: the one raw read of a whole table at ``epoch``
         (:meth:`table_read_proc`: base + deltas cross the wire), decoded;
         returns ``(rows, bytes_shipped)`` and charges the client the
         read and the merge of the deltas (none without them).  A ship
-        plan passes its ``query``: it also pays the decrypt it asks
-        for."""
+        plan passes its chain's ``ops``: it also pays the decrypt they
+        start with."""
         cpu, table = self.cpu, as_table(table)
         visible, shipped, delta_rows = table.stats_at(epoch)
         data = yield from self.table_read_proc(table, as_of=epoch)
         cost.add("read", cpu.read_ns(shipped))
         cost.add("merge", delta_merge_cost_ns(cpu, visible, delta_rows))
-        if query is not None and query.decrypt_input:
+        if ops and ops[0].kernel == "decrypt":
             # Only a caller-placed segment can be encrypted; the pool's
             # create loop writes plaintext shards.
             base = table.shards[0].chain.base
@@ -1377,18 +1371,18 @@ class ClusterClient:
             strategy, build.size_bytes, fact.num_partitions,
             copies=min(fact.partition.replicas, self.num_nodes))
 
-    def _resolve_join_strategy(self, table: Table, query: Query,
+    def _resolve_join_strategy(self, table: Table, arm,
                                requested: str | None = None
                                ) -> Optional[str]:
-        """Resolve the scatter strategy for a join query — ``None`` when
-        there is nothing to scatter: no join, or a build side probed in
-        place (:func:`~repro.core.cluster.join_strategies`).  An explicit
+        """Resolve the scatter strategy for the join ``arm`` — ``None``
+        when there is nothing to scatter: no join, or a build side probed
+        in place (:func:`~repro.core.cluster.join_strategies`).  An explicit
         ``requested`` strategy is validated against the feasible set
         (a typed error explains an infeasible request); under ``None``
         (auto) the cheapest build-movement cost wins
         (:meth:`_movement_ns`), ties broken toward the strategy that
         moves least."""
-        feasible = join_strategies(table, query)
+        feasible = join_strategies(table, arm)
         if requested is not None:
             if requested not in JOIN_STRATEGIES:
                 raise QueryError(
@@ -1406,14 +1400,14 @@ class ClusterClient:
             return requested
         if len(feasible) <= 1:
             return feasible[0] if feasible else None
-        build = as_table(query.join.build_table)
+        build = as_table(arm.build)
         order = {"colocated": 0, "shuffle": 1, "broadcast": 2}
         return min(feasible, key=lambda s: (
             self._movement_ns(build, table, s), order[s]))
 
-    def _place_build_proc(self, join, fact: Table, strategy: str):
-        """Process: make sure the build side of ``join`` is placed for
-        ``strategy``; returns the :class:`_Placement` to probe against.
+    def _place_build_proc(self, arm, fact: Table, strategy: str):
+        """Process: make sure the build side of the join ``arm`` is placed
+        for ``strategy``; returns the :class:`_Placement` to probe against.
 
         One layout, three strategies.  ``colocated`` is the placement
         that already exists — the build's own shards and their ring
@@ -1428,7 +1422,7 @@ class ClusterClient:
         re-placed onto the survivors.  A move a commit overtook serves
         the joins that waited on it, uncached.
         """
-        build = as_table(join.build_table)
+        build = as_table(arm.build)
         if strategy == "colocated":
             return _Placement(
                 {(s.node_index, c.node_index): c
@@ -1465,7 +1459,7 @@ class ClusterClient:
             inflight = self._moves.get(key)
             if inflight is None:
                 inflight = self._moves[key] = self.sim.process(
-                    self._move_build_proc(build, key, join.build_key,
+                    self._move_build_proc(build, key, arm.build_key,
                                           num_partitions, targets),
                     name=f"cluster.move[{key[0]}->{key[1]}]")
             try:
@@ -1558,10 +1552,10 @@ class ClusterClient:
             yield from session.table_write_proc(segment, image)
             self.replica_bytes_moved += segment.size_bytes
 
-    def _localize_join(self, shard_query: Query, placement: _Placement,
-                       partition: int, node_index: int) -> Query:
+    def _localize_join(self, ops: list, placement: _Placement,
+                       partition: int, node_index: int) -> list:
         """Swap the node-local copy of build ``partition`` into one
-        shard's fragment.
+        shard's chain.
 
         Raises :class:`NodeFailedError` when the node has no live copy
         (never placed there, or crashed since) — the shard executor
@@ -1573,21 +1567,20 @@ class ClusterClient:
             raise NodeFailedError(
                 f"no live copy of build partition {partition} on node "
                 f"{node_index}")
-        spec = replace(shard_query.join, build_table=rep.chain.base)
-        return replace(shard_query, join=spec)
+        copy = rep.chain.base
+        return [replace(op, build=copy, table=copy.name)
+                if op.kernel == "join" else op for op in ops]
 
-    def _empty_shard_result(self, table: Table,
-                            shard_query: Query) -> QueryResult:
+    def _empty_shard_result(self, table: Table, ops: list) -> QueryResult:
         """A zero-row stand-in for a fact shard whose join-build
         partition holds no rows: under co-located and shuffle joins it
         cannot produce output (inner join: nothing to match), and the
         pool cannot even host a zero-byte build table (the MMU rejects
         empty allocations), so the client answers these shards locally —
         zero requests, zero bytes on the wire."""
-        chain = operator_chain(shard_query)
         schema = table.schema
-        if chain:
-            schema = estimate_chain(chain, schema, 0,
+        if ops:
+            schema = estimate_chain(ops, schema, 0,
                                     PlanStats())[-1].schema_out
         return QueryResult(schema=schema, merged=schema.empty(0),
                            report=ExecutionReport(signature="empty-partition"))
@@ -1688,22 +1681,26 @@ class ClusterClient:
 
     def far_view_proc(self, table, query: Query,
                       join_strategy: str | None = None):
-        """Process: the Farview verb — scatter the shard fragment,
-        gather + merge (:meth:`_offload_proc`) over the snapshot at the
-        table's current epoch; returns a :class:`QueryResult`.  A join's
-        build side is placed under ``join_strategy``
-        (:meth:`_resolve_join_strategy`)."""
-        return self._offload_proc(table, query, None, join_strategy)
+        """Process: the Farview verb — lower ``query`` once, scatter the
+        shard chain, gather + merge (:meth:`_offload_proc`) over the
+        snapshot at the table's current epoch; returns a
+        :class:`QueryResult`.  A join's build side is placed under
+        ``join_strategy`` (:meth:`_resolve_join_strategy`)."""
+        table = as_table(table)
+        return self._offload_proc(table, lower_query(query, table.schema),
+                                  None, join_strategy)
 
-    def _offload_proc(self, table, query: Query, as_of: int | None = None,
+    def _offload_proc(self, table, ops: list, as_of: int | None = None,
                       join_strategy: str | None = None):
-        """Process: the one offloaded scan.
+        """Process: the one offloaded scan of the step nodes ``ops`` — a
+        lowered Query, or the slice of one a plan offloads.
 
         The epoch is resolved once, so every shard — and every retry —
         reads the same snapshot; with deltas at it, forced smart
-        addressing is refused (:func:`_merge_query`).  A join places its
-        build side first (:meth:`_place_build_proc`) and holds that
-        placement until the scan ends; the fragment is localized per
+        addressing is refused
+        (:func:`~repro.core.pipeline_compiler.over_deltas`).  A join
+        places its build side first (:meth:`_place_build_proc`) and holds
+        that placement until the scan ends; the chain is localized per
         candidate node lazily, so a failover probes against the
         surviving node's build copy.  Fact shards facing an
         empty build partition are answered client-side, and
@@ -1714,33 +1711,34 @@ class ClusterClient:
         """
         table, epoch = self._bind(table, as_of)
         if table.has_deltas(epoch):
-            query = _merge_query(query)
+            ops = over_deltas(ops)
         # A strategy pinned for a whole statement does not apply to a
         # fragment whose join stayed on the client.
+        arm = next((op for op in ops if op.kernel == "join"), None)
         strategy = self._resolve_join_strategy(
-            table, query, join_strategy if query.join is not None else None)
+            table, arm, join_strategy if arm is not None else None)
         lone = len(table.shards) == 1
-        plan = None if lone else plan_scatter(query, table,
+        plan = None if lone else plan_scatter(ops, table,
                                               join_strategy=strategy)
-        fragment = query if lone else plan.shard_query
+        fragment = ops if lone else plan.shard_chain
         start = self.sim.now
         placement = None
         if strategy is not None:
-            placement = yield from self._place_build_proc(query.join, table,
+            placement = yield from self._place_build_proc(arm, table,
                                                           strategy)
             placement.users += 1
         empty = placement.empty if placement is not None else frozenset()
         pruned = frozenset() if lone else frozenset(plan.pruned_nodes)
 
         def make(shard, candidate):
-            q = fragment
+            local = fragment
             if placement is not None:
-                q = self._localize_join(
-                    q, placement,
+                local = self._localize_join(
+                    local, placement,
                     0 if strategy == "broadcast" else shard.node_index,
                     candidate.node_index)
             return self._sessions[candidate.node_index]._scan_once_proc(
-                candidate.chain, q, epoch)
+                candidate.chain, local, epoch)
 
         try:
             live = iter((yield from self._scatter_proc(
@@ -1759,10 +1757,10 @@ class ClusterClient:
             result.response_time_ns = elapsed
             result.join_strategy = strategy
             return result
-        return self._gather(table, query, plan, shard_results, elapsed)
+        return self._gather(table, plan, shard_results, elapsed)
 
-    def _gather(self, table: Table, query: Query, plan: ScatterPlan,
-                shard_results: list, elapsed_ns: float) -> QueryResult:
+    def _gather(self, table: Table, plan: ScatterPlan, shard_results: list,
+                elapsed_ns: float) -> QueryResult:
         """Client-side merge step of the scatter-gather execution.
 
         Shard slots holding :data:`_SHARD_LOST` (every replica gone,
@@ -1776,27 +1774,24 @@ class ClusterClient:
         if not survivors:
             raise NodeFailedError(
                 f"every shard of {table.name!r} is unavailable")
-        parts = [r.rows() for r in survivors]
-        stacked = np.concatenate(parts)
-        # Grouping and aggregation sit after the join in the chain.
-        table_schema = query.post_join_schema(table.schema)
-        schema = survivors[0].schema
-        if plan.mode in ("group", "aggregate"):
-            schema = grouped_schema(table_schema, query.group_by or (),
-                                    [p.spec for p in plan.partial_plans])
-        if plan.mode == "group":
-            merged = merge_group_rows(stacked, table_schema,
-                                      list(query.group_by),
-                                      plan.shard_specs, plan.partial_plans)
-        elif plan.mode == "aggregate":
-            merged = merge_aggregate_rows(stacked, table_schema,
-                                          plan.shard_specs,
-                                          plan.partial_plans)
-        elif plan.mode == "distinct":
-            merged = software_distinct(stacked, schema,
-                                       query.distinct_columns).rows
-        else:
-            merged = stacked
+        merged = np.concatenate([r.rows() for r in survivors])
+        schema, ops, plans = (survivors[0].schema, plan.shard_chain,
+                              plan.partial_plans)
+        # The merge reads its keys and partial specs off the shard
+        # chain's grouping node, over the schema that node reads.
+        i = next((i for i, op in enumerate(ops)
+                  if op.kernel in ("distinct", "aggregate")), 0)
+        if plan.mode == "distinct":
+            merged = software_distinct(merged, schema, ops[i].columns).rows
+        elif plan.mode != "concat":
+            source = (estimate_chain(ops[:i], table.schema, 0,
+                                     PlanStats())[-1].schema_out
+                      if i else table.schema)
+            keys, specs = ops[i].group_by, ops[i].aggregates
+            schema = grouped_schema(source, keys, [p.spec for p in plans])
+            merged = (merge_group_rows(merged, source, keys, specs, plans)
+                      if keys else
+                      merge_aggregate_rows(merged, source, specs, plans))
         result = QueryResult(schema=schema, parts=survivors,
                              response_time_ns=elapsed_ns, merged=merged,
                              join_strategy=plan.join_strategy)

@@ -11,8 +11,9 @@ exercise one node.  This module adds the pool:
 * the partition-aware join feasibility checks and plan-time range
   pruning over a :class:`~repro.core.table.Table` — one handle split
   into per-node shards under a :class:`~repro.core.partition.PartitionSpec`.
-* :func:`plan_scatter` — rewrites a :class:`~repro.core.query.Query` into
-  the fragment each shard executes plus the client-side merge mode.
+* :func:`plan_scatter` — rewrites a Query's operator chain (the step
+  nodes of :func:`~repro.core.pipeline_compiler.operator_chain`) into
+  the chain each shard executes plus the client-side merge mode.
   Non-decomposable aggregates (``avg``) are rewritten into exact partials
   (sum + count) via :func:`~repro.operators.aggregate.decompose_partials`.
 * the merge kernels — :func:`merge_group_rows`,
@@ -58,7 +59,6 @@ from ..operators.aggregate import (AggregateSpec, PartialPlan,
                                    grouped_schema)
 from ..sim.engine import Simulator
 from .node import FarviewNode
-from .query import Query
 from .table import as_table
 
 #: Scatter-level strategies for executing a distributed join's build
@@ -149,8 +149,9 @@ def colocated_compatible(fact, build, probe_key: str, build_key: str) -> bool:
     return fcol.width == bcol.width and fcol.kind == bcol.kind
 
 
-def join_strategies(table, query: Query) -> tuple[str, ...]:
-    """Feasible scatter strategies for this query's join.
+def join_strategies(table, arm) -> tuple[str, ...]:
+    """Feasible scatter strategies for the join ``arm`` (the chain's
+    :class:`~repro.core.compile.BoundArm`, or ``None``).
 
     None for a build side the pool does not copy — one with deltas at
     its current epoch (its visible rows are a merge, and they change) or
@@ -165,9 +166,9 @@ def join_strategies(table, query: Query) -> tuple[str, ...]:
     join key with a compatible shard map, the join runs shard-local with
     zero replica bytes (``colocated``).
     """
-    if query.join is None:
+    if arm is None:
         return ()
-    build = as_table(query.join.build_table)
+    build = as_table(arm.build)
     if build.partition is None or build.has_deltas(build.epoch):
         if not (len(table.shards) == 1 == len(build.shards)
                 and table.shards[0].node_index == build.shards[0].node_index):
@@ -180,10 +181,9 @@ def join_strategies(table, query: Query) -> tuple[str, ...]:
                 f"create_table, to join against it pool-wide")
         return ()
     feasible = ["broadcast"]
-    if hash_partitioned_on(table, query.join.probe_key):
+    if hash_partitioned_on(table, arm.probe_key):
         feasible.append("shuffle")
-        if colocated_compatible(table, build, query.join.probe_key,
-                                query.join.build_key):
+        if colocated_compatible(table, build, arm.probe_key, arm.build_key):
             feasible.append("colocated")
     return tuple(feasible)
 
@@ -224,8 +224,9 @@ def _interval_may_match(pred, key: str, lo, hi) -> bool:
     return True
 
 
-def prune_scatter_shards(table, query: Query) -> tuple[int, ...]:
-    """Node indices of shards statically excluded by the predicate.
+def prune_scatter_shards(table, chain: list) -> tuple[int, ...]:
+    """Node indices of shards statically excluded by the predicate of
+    ``chain``'s filter.
 
     Range-partitioned tables record each shard's observed ``[min, max]``
     key span at create time; a shard whose span cannot satisfy a range
@@ -235,16 +236,17 @@ def prune_scatter_shards(table, query: Query) -> tuple[int, ...]:
     through the ordinary merge).
     """
     part, spans = table.partition, table.shard_ranges
+    predicate = next((op.predicate for op in chain
+                      if op.kernel == "selection"), None)
     if (part is None or part.scheme != "range" or not spans
-            or query.predicate is None):
+            or predicate is None):
         return ()
     pruned = []
     for shard in table.shards:
         span = spans.get(shard.node_index)
         if span is None:
             continue
-        if not _interval_may_match(query.predicate, part.key,
-                                   span[0], span[1]):
+        if not _interval_may_match(predicate, part.key, span[0], span[1]):
             pruned.append(shard.node_index)
     if len(pruned) == len(table.shards):
         pruned = pruned[1:]  # keep one stream for the gather
@@ -255,30 +257,30 @@ def prune_scatter_shards(table, query: Query) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """How one query fans out to shards and folds back together.
+    """How one chain fans out to shards and folds back together.
 
     ``mode`` selects the gather kernel: ``concat`` (stateless operators —
     selection, projection, regex — just concatenate), ``distinct``
     (first-wins dedup on the key columns), ``group`` (re-merge partial
-    groups), ``aggregate`` (merge one partial row per shard).
+    groups), ``aggregate`` (merge one partial row per shard).  The
+    ``shard_chain``'s aggregate node carries the partial specs.
 
     ``join_strategy`` records the resolved scatter strategy for a join
-    query (one of :data:`JOIN_STRATEGIES`, or ``None`` for join-less
-    queries); ``pruned_nodes`` are shards statically excluded by a range
+    (one of :data:`JOIN_STRATEGIES`, or ``None`` for join-less
+    chains); ``pruned_nodes`` are shards statically excluded by a range
     predicate on the partition key (:func:`prune_scatter_shards`).
     """
 
-    shard_query: Query
+    shard_chain: list
     mode: str
-    shard_specs: tuple[AggregateSpec, ...] = ()
     partial_plans: tuple[PartialPlan, ...] = ()
     join_strategy: Optional[str] = None
     pruned_nodes: tuple[int, ...] = ()
 
 
-def plan_scatter(query: Query, table=None,
+def plan_scatter(chain: list, table=None,
                  join_strategy: Optional[str] = None) -> ScatterPlan:
-    """Rewrite ``query`` into its shard fragment + merge mode.
+    """Rewrite ``chain`` into its shard chain + merge mode.
 
     Joins scatter unchanged: the router places the build side first
     (:meth:`~repro.core.api.ClusterClient._place_build_proc`) and swaps
@@ -298,22 +300,21 @@ def plan_scatter(query: Query, table=None,
     router resolves it via
     :meth:`~repro.core.api.ClusterClient._resolve_join_strategy`).
     """
-    pruned = (prune_scatter_shards(table, query)
+    pruned = (prune_scatter_shards(table, chain)
               if table is not None else ())
-    if query.group_by:
-        shard_specs, plans = decompose_partials(query.aggregates)
-        shard_query = replace(query, aggregates=tuple(shard_specs))
-        return ScatterPlan(shard_query, "group", tuple(shard_specs),
-                           tuple(plans), join_strategy, pruned)
-    if query.aggregates:
-        shard_specs, plans = decompose_partials(query.aggregates)
-        shard_query = replace(query, aggregates=tuple(shard_specs))
-        return ScatterPlan(shard_query, "aggregate", tuple(shard_specs),
-                           tuple(plans), join_strategy, pruned)
-    if query.distinct:
-        return ScatterPlan(query, "distinct",
-                           join_strategy=join_strategy, pruned_nodes=pruned)
-    return ScatterPlan(query, "concat",
+    for i, op in enumerate(chain):
+        if op.kernel == "aggregate":
+            shard_specs, plans = decompose_partials(op.aggregates)
+            shard_chain = [*chain[:i], replace(op, aggregates=tuple(
+                shard_specs)), *chain[i + 1:]]
+            return ScatterPlan(shard_chain,
+                               "group" if op.group_by else "aggregate",
+                               tuple(plans), join_strategy, pruned)
+        if op.kernel == "distinct":
+            return ScatterPlan(chain, "distinct",
+                               join_strategy=join_strategy,
+                               pruned_nodes=pruned)
+    return ScatterPlan(chain, "concat",
                        join_strategy=join_strategy, pruned_nodes=pruned)
 
 

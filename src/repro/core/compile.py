@@ -20,9 +20,10 @@ then bound by :func:`bind_select`, three steps on that one tree:
   ``tail``, one ``Bound*`` step node per operator in run order — each
   further join a :class:`BoundArm` whose filtered build read is its own,
   independently placed, Query.  The ``Bound*`` nodes are the one
-  vocabulary of client work: a split Query's suffix and a view circuit's
-  stages are written in them too.  When nothing is left for the client
-  the statement *is* its head query, and the clients run it as one.
+  vocabulary of a chain: a Query lowers to them too, its filter and
+  projection carrying the node's hints.  When nothing is left for the
+  client the statement *is* its head query, and the clients run it as
+  one.
 
 The grammar, write statements included, is ``docs/SQL.md``.
 
@@ -140,11 +141,8 @@ def _tokenize(sql: str, base: int = 0) -> list[_Token]:
 @dataclass(frozen=True)
 class ParsedQuery:
     """A parsed SELECT: the FROM table's name and the relational-algebra
-    DAG the statement parsed to.  The parser has no catalog, so nothing
-    is resolved yet — :func:`bind_select` does that.
-
-    ``placement`` carries the optional ``/*+ placement(...) */`` hint
-    (``None`` when the statement leaves the decision to the caller).
+    DAG the statement parsed to, unresolved (:func:`bind_select` binds
+    it); ``placement`` is the optional ``/*+ placement(...) */`` hint.
     """
 
     table: str
@@ -666,17 +664,19 @@ class BoundRegex:
 
 @dataclass(frozen=True)
 class BoundEval:
-    """Expression projection: output columns are ``items`` exactly."""
+    """Expression projection onto ``items`` (``smart``: the node's hint)."""
 
     items: tuple[tuple[Expr, str], ...]
+    smart: Optional[bool] = None
     kernel = "eval"
 
 
 @dataclass(frozen=True)
 class BoundFilter:
-    """Row filter over the current intermediate (WHERE, HAVING)."""
+    """Row filter (WHERE, HAVING); the node may run it ``vectorized``."""
 
     predicate: Expr
+    vectorized: bool = False
     kernel = "selection"
 
 

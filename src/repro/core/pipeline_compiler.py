@@ -6,9 +6,10 @@ operator blocks of §5 and decides execution strategy:
 
 * operator ordering: :func:`operator_chain` states it once, as the
   ``Bound*`` step nodes of :mod:`repro.core.compile` (decrypt -> regex ->
-  selection -> join -> projection -> distinct | group-by | aggregation);
-  :func:`compile_query` walks it, each node giving its operator and its
-  shape in the region signature, then adds packing (+ encrypt);
+  selection -> join -> projection -> distinct | group-by | aggregation
+  -> encrypt), each hint riding the node it serves; :func:`compile_chain`
+  walks any slice of it, each node giving its operator and its shape in
+  the region signature, then adds packing;
 * *smart addressing vs standard projection* (§5.2): chosen by a simple
   cost model over the memory timing constants, reproducing the Figure 7
   crossover (narrow tuples scan sequentially, wide tuples fetch columns);
@@ -18,7 +19,7 @@ operator blocks of §5 and decides execution strategy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..common import calibration as cal
@@ -51,28 +52,67 @@ class BoundDecrypt:
     kernel = "decrypt"
 
 
+@dataclass(frozen=True)
+class BoundEncrypt:
+    """Encrypt the packed output: the node's last operator, no client's."""
+
+    key: bytes
+    nonce: bytes
+    kernel = "encrypt"
+
+
+def join_arm(join) -> BoundArm:
+    """A Query's ``JoinSpec`` as its chain's raw-read join arm."""
+    return BoundArm(join.build_table, join.build_table.name, None,
+                    join.build_key, join.probe_key, join.payload)
+
+
 def operator_chain(query: Query) -> list:
     """The query's operators in pipeline order, as the step nodes
     :func:`~repro.core.planner.run_client_kernel` runs (a ``join`` is a
-    raw-read :class:`~repro.core.compile.BoundArm` over its build)."""
+    raw-read :class:`~repro.core.compile.BoundArm` over its build).  The
+    filter carries ``vectorized`` and the projection the smart-addressing
+    hint: a slice of the chain is a whole fragment."""
     chain: list = []
     if query.decrypt_input:
         chain.append(BoundDecrypt())
     if query.regex is not None:
         chain.append(BoundRegex(query.regex))
     if query.predicate is not None:
-        chain.append(BoundFilter(query.predicate))
+        chain.append(BoundFilter(query.predicate, query.vectorized))
     if query.join is not None:
-        join = query.join
-        chain.append(BoundArm(join.build_table, join.build_table.name, None,
-                              join.build_key, join.probe_key, join.payload))
+        chain.append(join_arm(query.join))
     if query.projection is not None:
-        chain.append(BoundEval(tuple((Col(c), c) for c in query.projection)))
+        chain.append(BoundEval(tuple((Col(c), c) for c in query.projection),
+                               query.smart_addressing))
     if query.distinct:
         chain.append(BoundDistinct(query.distinct_columns))
     elif query.group_by or query.aggregates:
         chain.append(BoundAggregate(query.group_by or (), query.aggregates))
+    if query.encrypt_output is not None:
+        chain.append(BoundEncrypt(*query.encrypt_output))
     return chain
+
+
+def lower_query(query: Query, schema: Schema) -> list:
+    """Validate ``query`` against ``schema`` and return its chain."""
+    try:
+        query.validate(schema)
+    except QueryError as exc:
+        raise PipelineCompilationError(str(exc)) from exc
+    return operator_chain(query)
+
+
+def over_deltas(chain: list) -> list:
+    """``chain`` for a scan over deltas: the delta-merge ingest consumes
+    the full row stream (like a join), so no smart addressing."""
+    if any(op.kernel == "eval" and op.smart for op in chain):
+        raise QueryError(
+            "smart addressing is incompatible with a scan over deltas: the "
+            "delta-merge ingest consumes the full row stream; compact the "
+            "table first")
+    return [replace(op, smart=False) if op.kernel == "eval" else op
+            for op in chain]
 
 
 @dataclass
@@ -117,47 +157,52 @@ def _sa_cost_per_tuple(plan: SmartAddressingPlan, config: FarviewConfig) -> floa
     return plan.requests_per_tuple * per_request / mem.channels
 
 
-def choose_smart_addressing(query: Query, schema: Schema,
+def choose_smart_addressing(chain: list, schema: Schema,
                             config: FarviewConfig) -> bool:
     """The Figure 7 planning rule.
 
-    Honour an explicit request; otherwise compare the per-tuple cost of a
-    sequential scan against scattered column fetches.  Only a chain that
-    is one projection is eligible (predicates/grouping need the full
-    annotated stream in this prototype, as in the paper's experiments),
-    so never a decrypting one (scattered CTR reads cannot be decrypted).
+    Honour the projection node's hint; otherwise compare the per-tuple
+    cost of a sequential scan against scattered column fetches.  Only a
+    lone projection (its output encrypted or not) is eligible: predicates
+    and grouping need the full annotated stream in this prototype, as in
+    the paper's experiments, and scattered CTR reads cannot be decrypted.
     """
-    if query.smart_addressing is not None:
-        return query.smart_addressing
-    if [op.kernel for op in operator_chain(query)] != ["eval"]:
+    ops = [op for op in chain if op.kernel != "encrypt"]
+    hint = next((op.smart for op in ops if op.kernel == "eval"), None)
+    if hint is not None:
+        return hint
+    if [op.kernel for op in ops] != ["eval"]:
         return False
-    plan = SmartAddressingPlan(schema, list(query.projection))
+    plan = SmartAddressingPlan(schema, [name for _, name in ops[0].items])
     return _sa_cost_per_tuple(plan, config) < _standard_cost_per_tuple(
         schema.row_width, config)
 
 
 def compile_query(query: Query, table: FTable,
                   config: FarviewConfig) -> CompiledQuery:
-    """Compile ``query`` against ``table``: a hardware operator per node
-    of :func:`operator_chain`, and the region signature in the same walk."""
-    schema = table.schema
-    try:
-        query.validate(schema)
-    except QueryError as exc:
-        raise PipelineCompilationError(str(exc)) from exc
+    """Compile ``query`` against ``table``: the validated §4.2 entry,
+    :func:`compile_chain` over its whole :func:`operator_chain`."""
+    return compile_chain(lower_query(query, table.schema), table, config)
 
-    if query.decrypt_input and not table.encrypted:
+
+def compile_chain(chain: list, table: FTable,
+                  config: FarviewConfig) -> CompiledQuery:
+    """Compile ``chain`` — any slice of an :func:`operator_chain` —
+    against ``table``: a hardware operator per node, and the region
+    signature in the same walk."""
+    schema = table.schema
+    decrypt = chain[:1] == [BoundDecrypt()]
+    if decrypt and not table.encrypted:
         raise PipelineCompilationError(
             f"query asks to decrypt but table {table.name!r} is not "
             f"encrypted")
-    if table.encrypted and not query.decrypt_input:
+    if table.encrypted and not decrypt:
         raise PipelineCompilationError(
             f"table {table.name!r} is encrypted; the query must set "
             f"decrypt_input (the operators cannot parse ciphertext)")
 
-    chain = operator_chain(query)
-    use_sa = choose_smart_addressing(query, schema, config)
-    kernels = [op.kernel for op in chain[query.decrypt_input:]]
+    use_sa = choose_smart_addressing(chain, schema, config)
+    kernels = [op.kernel for op in chain[decrypt:] if op.kernel != "encrypt"]
     if use_sa and kernels != ["eval"]:
         raise PipelineCompilationError(
             "smart addressing supports projection-only queries")
@@ -176,6 +221,7 @@ def compile_query(query: Query, table: FTable,
     parts: list[str] = []
     input_schema, lanes, sa_plan, join_op, join_build = (schema, 1, None,
                                                          None, None)
+    vectorized = False
     for op in chain:
         kernel = op.kernel
         if kernel == "decrypt":
@@ -187,7 +233,8 @@ def compile_query(query: Query, table: FTable,
             row_ops.append(RegexMatchOperator(column, pattern))
             resource, shape = "regex", f"regex[{column}:{pattern}]"
         elif kernel == "selection":
-            if query.vectorized:
+            vectorized = op.vectorized
+            if vectorized:
                 selection = VectorizedSelectionOperator.for_configuration(
                     op.predicate, memory_channels=config.memory.channels,
                     tuple_width=schema.row_width,
@@ -233,6 +280,9 @@ def compile_query(query: Query, table: FTable,
                 lru_depth_per_way=stack.lru_depth_per_table))
             resource = "distinct"
             shape = f"distinct[{','.join(op.columns or ('*',))}]"
+        elif kernel == "encrypt":
+            post_ops.append(EncryptOperator(op.key, op.nonce))
+            resource, shape = "encryption", "enc"
         else:
             aggs = ",".join(f"{s.func}({s.column})" for s in op.aggregates)
             if op.group_by:
@@ -248,15 +298,10 @@ def compile_query(query: Query, table: FTable,
         resource_ops.append(resource)
         parts.append(shape)
 
-    # The hints: lanes widen the scan-side operators' ingest, and the
-    # packed output is encrypted last.
-    if query.vectorized:
+    # Lanes widen the scan-side operators' ingest.
+    if vectorized:
         parts.insert(sum(op.kernel in ("decrypt", "regex", "selection", "join")
                          for op in chain), "vec")
-    if query.encrypt_output is not None:
-        post_ops.append(EncryptOperator(*query.encrypt_output))
-        resource_ops.append("encryption")
-        parts.append("enc")
     resource_ops.extend(["packing", "sending"])
     signature = "|".join(parts) or "raw-read"
     # Smart-addressing timing is request-driven: its rate is the assembled
@@ -267,7 +312,7 @@ def compile_query(query: Query, table: FTable,
                                   pre_ops=pre_ops, post_ops=post_ops),
         signature=signature, resource_operators=resource_ops,
         ingest_mode=("smart" if use_sa else
-                     "vectorized" if query.vectorized else "standard"),
+                     "vectorized" if vectorized else "standard"),
         ingest_rate=(bandwidth if use_sa else
                      min(lanes * stack.region_throughput, bandwidth)),
         sa_plan=sa_plan, join_op=join_op, join_build=join_build)

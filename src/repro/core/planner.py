@@ -6,44 +6,30 @@ Farview" (§4.2); this module is the placement half of that compiler.  A
 compiler's pipeline order
 
     decrypt -> regex -> selection -> join -> projection ->
-    distinct | group-by | aggregation
+    distinct | group-by | aggregation -> encrypt
 
 and any *prefix* of that chain is a valid offloaded fragment: the node
-runs the prefix and ships the (reduced) intermediate, the client executes
-the remaining suffix in software (the same
-:mod:`repro.baselines.sw_ops` kernels the CPU baselines use, so results
-stay byte-exact).  The planner enumerates every prefix split — from
-"ship everything raw" (k = 0) to "offload everything" (k = N, today's
-default path) — prices each with
-:class:`~repro.core.cost_model.PlacementCostModel`, and picks the
-cheapest.
-
-Split-validity notes:
-
-* prefix splits always validate: the compiler's operator order puts
-  every producer before its consumers (e.g. a fragment containing
-  group-by also contains the projection it reads through, and a
-  projection naming join-payload columns also contains the join);
-* encrypted tables force ``decrypt`` to be either offloaded first or
-  shipped as ciphertext and decrypted client-side (k = 0);
-* output encryption pins the query to full offload (transport
-  encryption is only meaningful for node-produced results);
-* joins split both ways: offloading the join pays build-ingest + BRAM
-  fill at the node, shipping it pays a second raw read of the build
-  table plus build-hash + probe CPU cost
-  (:func:`~repro.baselines.sw_ops.software_join`, byte-compatible with
-  the on-chip operator).  A build side too large for the on-chip hash
-  is a *typed refusal*
-  (:class:`~repro.common.errors.JoinBuildOverflowError`) on the offload
-  side — under ``placement="auto"`` the planner then routes the join to
-  the client instead of failing.
+runs the prefix and ships the (reduced) intermediate, the client runs
+the suffix in software (the :mod:`repro.baselines.sw_ops` kernels of the
+CPU baselines, so results stay byte-exact).  The planner prices every
+split — from "ship everything raw" (k = 0) to "offload everything"
+(k = N) — with :class:`~repro.core.cost_model.PlacementCostModel`, and
+picks the cheapest.  Every prefix compiles, since the order puts each
+producer before its consumers; an encrypted table's ``decrypt`` is
+offloaded first or done by the ship read (k = 0); output encryption
+pins the query to full offload; a join offloaded pays build ingest and
+BRAM fill, a join shipped a raw read of its build plus the client's
+hash and probe (:func:`~repro.baselines.sw_ops.software_join`), and a
+build too large for the on-chip hash is a typed refusal
+(:class:`~repro.common.errors.JoinBuildOverflowError`) that ``auto``
+routes to the client instead.
 
 The chain is stated once, by the compiler's
-:func:`~repro.core.pipeline_compiler.operator_chain`, as the ``Bound*``
-step nodes of :mod:`repro.core.compile` that each name their ``kernel``
-(a decrypt is a ``BoundDecrypt``, which no client step runs).  The node
-compiles its prefix, the estimate reads each node's own fields,
-:func:`client_steps` is the chain's suffix after a split (a compiled
+:func:`~repro.core.pipeline_compiler.operator_chain`, as ``Bound*`` step
+nodes that each name their ``kernel`` and carry their hints (no client
+step runs a ``BoundDecrypt`` or ``BoundEncrypt``).  The node compiles a
+prefix slice by the same walk as a whole Query, the estimate reads each
+node's own fields, :func:`client_steps` is the suffix (a compiled
 statement appends its ``tail``), :func:`run_client_kernel` runs it, and
 a view circuit compiles the same list into stages.
 
@@ -80,7 +66,8 @@ from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, join_cost, kernel_cost)
-from .pipeline_compiler import compile_query, operator_chain
+from .pipeline_compiler import (BoundDecrypt, compile_chain, operator_chain,
+                                over_deltas)
 from .query import Query
 from .table import FTable, Table, as_table
 
@@ -95,49 +82,11 @@ def chain_labels(chain: list) -> list[str]:
             else op.kernel for op in chain]
 
 
-def client_steps(query: Query, split: int) -> list:
-    """The client's share of ``query`` split at ``split``: the chain
-    after it, less a leading decrypt (a ship read decrypts as it lands).
-    ``split == 0`` is the whole chain: the list a view circuit
-    compiles."""
-    return operator_chain(query)[max(split, int(query.decrypt_input)):]
-
-
-#: The Query fields that state each chain kernel, at their "absent"
-#: values: a fragment resets those of the nodes after its split.
-_KERNEL_FIELDS = {
-    "decrypt": {"decrypt_input": False},
-    "regex": {"regex": None},
-    "selection": {"predicate": None},
-    "join": {"join": None},
-    "eval": {"projection": None},
-    "distinct": {"distinct": False, "distinct_columns": None},
-    "aggregate": {"group_by": None, "aggregates": ()},
-}
-
-
-def build_fragment(query: Query, split: int) -> Optional[Query]:
-    """The offloaded prefix ``operator_chain(query)[:split]`` as a
-    standalone Query.
-
-    ``split == len(chain)`` returns the original query (identity — the
-    full-offload path must stay byte- and signature-identical);
-    ``split == 0`` returns ``None`` (nothing offloaded, raw read).
-    """
-    chain = operator_chain(query)
-    if split == len(chain):
-        return query
-    if split == 0:
-        return None
-    reset: dict = {"encrypt_output": None}
-    for op in chain[split:]:
-        reset.update(_KERNEL_FIELDS[op.kernel])
-    kept = [op.kernel for op in chain[:split]]
-    # Lanes widen the filter, and smart addressing reads a fragment that
-    # is one projection: each hint survives only with what it serves.
-    return _dc_replace(
-        query, **reset, vectorized=query.vectorized and "selection" in kept,
-        smart_addressing=query.smart_addressing if kept == ["eval"] else None)
+def client_steps(chain: list, split: int) -> list:
+    """The client's share of ``chain`` split at ``split``: the nodes
+    after it, less a leading decrypt (a ship read decrypts as it lands);
+    at ``split == 0``, the list a view circuit compiles."""
+    return chain[max(split, int(chain[:1] == [BoundDecrypt()])):]
 
 
 @dataclass
@@ -182,6 +131,8 @@ class ExplainPlan:
     join_strategy: Optional[str] = None
     tail: list[tuple[str, Optional[ExplainPlan]]] = field(
         default_factory=list)
+    #: The step nodes ``chain`` names; ``ops[:split]`` is offloaded.
+    ops: list = field(default_factory=list, repr=False)
 
     @property
     def placements(self) -> list[tuple[str, str]]:
@@ -233,9 +184,10 @@ def plan_placement(query: Query, table: Table | FTable,
                    join_strategy: Optional[str] = None,
                    join_transfer_ns: float = 0.0) -> ExplainPlan:
     """Choose where each operator of ``query`` runs; returns the
-    decision's :class:`ExplainPlan`, whose offloaded fragment is
-    ``build_fragment(query, split)`` (``None`` when ``chosen ==
-    "ship"``) and whose client share is ``client_steps(query, split)``.
+    decision's :class:`ExplainPlan`.  The Query is validated and lowered
+    here, once (:func:`~repro.core.pipeline_compiler.over_deltas` when
+    the snapshot has delta rows): the plan's ``ops[:split]`` is the
+    offloaded slice and ``client_steps(ops, split)`` the client's.
 
     ``table`` (a handle, or a raw :class:`FTable` segment) is priced at
     its snapshot ``as_of`` (default: the current epoch), read off
@@ -249,26 +201,22 @@ def plan_placement(query: Query, table: Table | FTable,
     the partial-reconfiguration charge.
 
     ``buffer_capacity`` (per-connection receive buffer, bytes) prunes
-    ship/hybrid candidates whose shipped intermediate would not fit the
-    client buffer — a raw read of a table larger than the buffer cannot
-    land.  Full offload is never pruned (its result-must-fit behaviour
-    is :meth:`far_view`'s contract).  An *explicit* ``placement="ship"`` that
-    cannot fit raises instead of crashing mid-read.
+    ship/hybrid candidates whose shipped intermediate would not land in
+    it; full offload is never pruned (a result that must fit is
+    :meth:`far_view`'s contract), and an explicit ``"ship"`` that cannot
+    fit raises instead of crashing mid-read.
 
     ``refuse_join_offload`` drops every candidate whose offloaded
-    fragment contains the join — the clients' fallback after the node's
-    on-chip build *load* overflowed at execution time (cuckoo kick
-    chains can exhaust below the compiler's nominal-capacity pre-check,
-    which is data-dependent and only detectable by actually building).
+    fragment holds the join — the fallback after the node's on-chip
+    build *load* overflowed below the compiler's nominal-capacity
+    pre-check (cuckoo kick chains are data-dependent).
 
     The cluster router passes the resolved distributed-join strategy:
     ``join_strategy`` annotates the explain, and ``join_transfer_ns``
-    adds a one-time build-movement charge (a cold shuffle) to every
-    candidate whose fragment offloads the join.  A colocated or shuffled
-    build loads only its ``1/num_partitions`` fragment into the on-chip
-    hash, so its build-ingest fill is divided by the table's partition
-    count — which is also why oversized builds that overflow broadcast
-    can still offload partitioned.
+    (a cold shuffle's build movement) is charged to every candidate
+    that offloads the join.  A colocated or shuffled build loads only
+    its ``1/num_partitions`` fragment into the on-chip hash, so a build
+    that overflows broadcast can still offload partitioned.
     """
     if placement not in PLACEMENTS:
         raise QueryError(
@@ -288,11 +236,13 @@ def plan_placement(query: Query, table: Table | FTable,
         raise QueryError(
             f"query asks to decrypt but table {base.name!r} is not "
             f"encrypted")
-    chain = operator_chain(query)
     schema = table.schema
     query.validate(schema)      # ship runs no compiler; type errors stay typed
     nrows, scan_bytes, delta_rows = table.stats_at(
         table.epoch if as_of is None else as_of)
+    chain = operator_chain(query)
+    if delta_rows:
+        chain = over_deltas(chain)
     shards = len(table.shards)
     build_parts = (table.num_partitions
                    if join_strategy in ("colocated", "shuffle") else 1)
@@ -301,7 +251,7 @@ def plan_placement(query: Query, table: Table | FTable,
 
     # Why this query cannot be split/shipped, or None if it can.
     pinned = ("output encryption is produced by the node's pipeline"
-              if query.encrypt_output is not None else None)
+              if any(op.kernel == "encrypt" for op in chain) else None)
     if placement == "ship" and pinned:
         raise QueryError(f"cannot ship this query to the client: {pinned}")
 
@@ -318,32 +268,28 @@ def plan_placement(query: Query, table: Table | FTable,
     for k in splits:
         # On an operator-less query split 0 == len(chain); an explicit
         # "ship" still means a raw read, not the (empty) offload pipeline.
-        if k == 0 and not chain and placement == "ship":
-            fragment = None
-        else:
-            fragment = build_fragment(query, k)
-        if (refuse_join_offload and fragment is not None
-                and fragment.join is not None):
+        shipped = k == 0 and (bool(chain) or placement == "ship")
+        fragment = chain[:k]
+        arm = next((op for op in fragment if op.kernel == "join"), None)
+        if refuse_join_offload and arm is not None:
             continue
-        if fragment is None:
+        if shipped:
             node_ns = cost_model.ship_bytes_ns(scan_total, shards)
             cold = False
             inter_schema, inter_bytes = schema, scan_total
         else:
-            compile_fragment = fragment
-            if fragment.join is not None and build_parts > 1:
+            if arm is not None and build_parts > 1:
                 # Partitioned strategies load only this shard's build
                 # fragment into the on-chip hash; compile (and price)
                 # against a 1/N-sized proxy so a build that overflows
                 # broadcast can still offload colocated/shuffled.
-                build = fragment.join.build_table
-                frag_rows = max(1, -(-int(build.num_rows) // build_parts))
-                proxy = FTable(build.name, build.schema, frag_rows)
-                compile_fragment = _dc_replace(
-                    fragment, join=_dc_replace(fragment.join,
-                                               build_table=proxy))
+                frag_rows = max(1, -(-int(arm.build.num_rows) // build_parts))
+                arm = _dc_replace(arm, build=FTable(
+                    arm.build.name, arm.build.schema, frag_rows))
+                fragment = [arm if op.kernel == "join" else op
+                            for op in fragment]
             try:
-                compiled = compile_query(compile_fragment, base, config)
+                compiled = compile_chain(fragment, base, config)
             except JoinBuildOverflowError:
                 if placement == "offload":
                     raise
@@ -357,11 +303,13 @@ def plan_placement(query: Query, table: Table | FTable,
             else:
                 inter_schema = steps[k - 1].schema_out
                 inter_bytes = steps[k - 1].rows_out * inter_schema.row_width
-            flush_groups = (steps[k - 1].rows_out if k > 0
-                            and chain[k - 1].kernel == "aggregate"
-                            and chain[k - 1].group_by else 0.0)
-            build_bytes = (float(compile_fragment.join.build_table.size_bytes)
-                           if fragment.join is not None else 0.0)
+            # A fragment holding the group-by (then maybe the output
+            # encryption) flushes its groups.
+            flush_groups = sum((step.rows_out for step in steps[:k]
+                                if step.op.kernel == "aggregate"
+                                and step.op.group_by), 0.0)
+            build_bytes = (float(arm.build.size_bytes)
+                           if arm is not None else 0.0)
             cold = compiled.signature != loaded_signature
             node_ns = cost_model.offload_ns(
                 bytes_in=scan_total, bytes_out=inter_bytes,
@@ -369,17 +317,17 @@ def plan_placement(query: Query, table: Table | FTable,
                 fill_cycles=compiled.pipeline.fill_latency_cycles,
                 flush_groups=flush_groups, cold=cold, shards=shards,
                 build_bytes=build_bytes)
-            if fragment.join is not None:
+            if arm is not None:
                 node_ns += join_transfer_ns
         client_ns = (cost_model.client_ops_ns(steps[k:], inter_schema,
                                               inter_bytes)
                      if k < len(chain) else 0.0)
-        if fragment is None:
+        if shipped:
             # Shipping a version chain raw: the client also pays the
             # software merge before the remaining operators can run.
             client_ns += delta_merge_cost_ns(cost_model.cpu, nrows,
                                              delta_rows)
-        label = ("ship" if fragment is None
+        label = ("ship" if shipped
                  else "offload" if k == len(chain) else f"hybrid@{k}")
         if (buffer_capacity is not None and label != "offload"
                 and inter_bytes / shards > buffer_capacity):
@@ -409,10 +357,10 @@ def plan_placement(query: Query, table: Table | FTable,
         chain=chain_labels(chain),
         candidates=candidates, est_chosen_ns=best.total_ns,
         est_offload_ns=by_label.get("offload", float("nan")),
-        est_ship_ns=by_label.get("ship", float("nan")))
-    if query.join is not None and join_strategy is not None:
-        offloaded = any(op.kernel == "join" for op in chain[:best.split])
-        explain.join_strategy = join_strategy if offloaded else "ship"
+        est_ship_ns=by_label.get("ship", float("nan")), ops=chain)
+    if join_strategy is not None and "join" in explain.chain:
+        explain.join_strategy = (join_strategy if "join" in
+                                 explain.chain[:best.split] else "ship")
     return explain
 
 

@@ -3,9 +3,10 @@
 A :class:`Query` captures the offloadable fragment of a SQL statement —
 projection, selection, regex filter, distinct, group-by/aggregation, and
 encryption handling — plus execution hints (vectorization, smart
-addressing).  The pipeline compiler lowers it once, to
-:func:`~repro.core.pipeline_compiler.operator_chain`, and compiles that
-chain into an operator pipeline for a dynamic region.
+addressing).  It is validated and lowered once, where it enters, to
+:func:`~repro.core.pipeline_compiler.operator_chain`: each hint rides
+its step node, and any slice of that chain compiles into an operator
+pipeline for a dynamic region.
 
 The paper positions this as the layer a query compiler would target ("The
 interface presented here is intended to be used by the query compiler in
@@ -54,9 +55,10 @@ class Query:
     ``predicate`` is a condition and ``regex`` a LIKE / REGEXP term of
     the one expression language (:mod:`repro.common.expr`).
 
-    ``vectorized`` requests the vectorized processing model (§5.3);
+    ``vectorized`` runs the selection vectorized (§5.3);
     ``smart_addressing`` forces (True/False) or lets the planner decide
-    (None) between standard projection and smart addressing (§5.2).
+    (None) between standard projection and smart addressing (§5.2).  A
+    hint rides the step it serves, so one without that step is refused.
     """
 
     projection: Optional[tuple[str, ...]] = None
@@ -94,6 +96,10 @@ class Query:
             raise QueryError(
                 "small-table joins need the full probe tuple stream; smart "
                 "addressing is not applicable")
+        if self.vectorized and self.predicate is None:
+            raise QueryError("vectorized selection needs a predicate")
+        if self.smart_addressing and self.projection is None:
+            raise QueryError("smart addressing needs a projection")
         if self.encrypt_output is not None:
             key, nonce = self.encrypt_output
             if len(key) != 16 or len(nonce) != 12:

@@ -63,7 +63,7 @@ from ..operators.aggregate import AggregateSpec, grouped_schema
 from ..operators.join import gather_join_output, join_output_schema
 from ..operators.regex_engine import CompiledRegex
 from .compile import BoundSelect
-from .planner import client_steps
+from .planner import client_steps, operator_chain
 from .versioning import (ROWID_COLUMN, ChainListener, DeltaSegment,
                          VersionChain, delete_schema, delta_schema)
 from .zset import ZSet, stage_slots
@@ -390,13 +390,13 @@ def compile_circuit(bound: BoundSelect) -> Circuit:
     static_loads: list[tuple[JoinStage, object]] = []
     stages: list[_Stage] = []
     schema = base.schema
-    for op in client_steps(bound.query, 0) + list(bound.tail):
+    for op in client_steps(operator_chain(bound.query), 0) + list(bound.tail):
         if op.kernel == "join":
             prestages: list[_Stage] = []
             build_schema = op.build.schema
             if op.query is not None:
                 op.query.validate(build_schema)
-                for sub in client_steps(op.query, 0):
+                for sub in client_steps(operator_chain(op.query), 0):
                     prestages.append(_linear_stage(sub, build_schema))
                     build_schema = prestages[-1].out_schema
             stage: _Stage = JoinStage(

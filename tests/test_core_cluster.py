@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.core.cluster import (_interval_may_match, merge_group_rows,
                                 prune_scatter_shards)
+from repro.core.pipeline_compiler import operator_chain
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.experiments.common import EXPERIMENT_CONFIG
@@ -189,14 +190,21 @@ def test_decompose_shares_partials_between_avgs_and_keeps_originals():
 # -- scatter planning ----------------------------------------------------------
 
 def test_plan_scatter_modes():
-    assert plan_scatter(select_distinct(["a"])).mode == "distinct"
-    assert plan_scatter(Query(group_by=("a",),
-                              aggregates=(AggregateSpec("sum", "b"),),
-                              label="g")).mode == "group"
-    assert plan_scatter(Query(aggregates=(AggregateSpec("count", "*"),),
-                              label="agg")).mode == "aggregate"
+    assert plan_scatter(operator_chain(
+        select_distinct(["a"]))).mode == "distinct"
+    group = plan_scatter(operator_chain(Query(
+        group_by=("a",), aggregates=(AggregateSpec("avg", "b"),),
+        label="g")))
+    assert group.mode == "group"
+    # The shard chain's aggregate node carries the exact partials.
+    assert [spec.func for spec in group.shard_chain[-1].aggregates] == [
+        "sum", "count"]
+    assert plan_scatter(operator_chain(Query(
+        aggregates=(AggregateSpec("count", "*"),),
+        label="agg"))).mode == "aggregate"
     wl = selection_workload(64, 0.5)
-    assert plan_scatter(select_star(wl.predicate)).mode == "concat"
+    assert plan_scatter(operator_chain(
+        select_star(wl.predicate))).mode == "concat"
 
 
 def test_plan_scatter_keeps_joins_in_shard_fragment():
@@ -205,12 +213,14 @@ def test_plan_scatter_keeps_joins_in_shard_fragment():
     from repro.core.query import JoinSpec
     build = FTable("D", distinct_workload(8, 8)[0], 8)
     query = Query(join=JoinSpec(build, "a", "a", ("b",)), label="j")
-    plan = plan_scatter(query)
-    assert plan.mode == "concat" and plan.shard_query.join is not None
+    plan = plan_scatter(operator_chain(query))
+    assert plan.mode == "concat"
+    assert [op.kernel for op in plan.shard_chain] == ["join"]
     distinct = Query(join=JoinSpec(build, "a", "a", ("b",)),
                      distinct=True, label="jd")
-    plan = plan_scatter(distinct)
-    assert plan.mode == "distinct" and plan.shard_query.join is not None
+    plan = plan_scatter(operator_chain(distinct))
+    assert plan.mode == "distinct"
+    assert [op.kernel for op in plan.shard_chain] == ["join", "distinct"]
 
 
 # -- byte-identity: the acceptance criterion -----------------------------------
@@ -404,7 +414,7 @@ def test_range_pruning_is_exact_for_int64_keys_beyond_2_53(
     table = client.create_table("big", schema, rows, PartitionSpec(
         "range", key=key, bounds=((0, 2**52), (2**52, 2**54))))
     query = select_star(Compare(key, op, literal))
-    assert prune_scatter_shards(table, query) == pruned
+    assert prune_scatter_shards(table, operator_chain(query)) == pruned
     expected = schema.to_bytes(rows[eval_mask(query.predicate, rows)])
     viewed, _ = client.far_view(table, query)
     bound, _ = client.sql(f"SELECT * FROM big WHERE {key} {sql_op} {literal}")

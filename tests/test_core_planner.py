@@ -28,8 +28,9 @@ from repro.common.units import MB
 from repro.core.api import FarviewClient, canonical_result_bytes
 from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
-from repro.core.pipeline_compiler import compile_query, operator_chain
-from repro.core.planner import build_fragment, chain_labels, plan_placement
+from repro.core.pipeline_compiler import (compile_chain, compile_query,
+                                          operator_chain)
+from repro.core.planner import chain_labels, plan_placement
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
 from repro.operators.aggregate import AggregateSpec
@@ -134,8 +135,10 @@ class TestChainAndFragments:
 
     def test_full_split_is_identity(self):
         query = select_star(Compare("a", "<", 1))
-        assert build_fragment(query, len(operator_chain(query))) is query
-        assert build_fragment(query, 0) is None
+        table = _table(projection_workload(8, 64)[0], 8)
+        chain = operator_chain(query)
+        assert compile_chain(chain, table, SCENARIO).signature == \
+            compile_query(query, table, SCENARIO).signature
 
     def test_prefix_fragments_validate(self):
         query = Query(projection=("a", "b"),
@@ -143,11 +146,12 @@ class TestChainAndFragments:
                       group_by=("a",),
                       aggregates=(AggregateSpec("sum", "b"),),
                       label="t")
-        schema, _ = projection_workload(8, 64)
-        for k in range(len(operator_chain(query)) + 1):
-            fragment = build_fragment(query, k)
-            if fragment is not None:
-                fragment.validate(schema)  # no QueryError
+        table = _table(projection_workload(8, 64)[0], 8)
+        chain = operator_chain(query)
+        signatures = [compile_chain(chain[:k], table, SCENARIO).signature
+                      for k in range(len(chain) + 1)]
+        assert signatures == ["raw-read", "sel[a < 1]", "sel[a < 1]|proj[a,b]",
+                              "sel[a < 1]|proj[a,b]|groupby[a;sum(b)]"]
 
     def test_join_is_splittable(self):
         """Joins sit in the chain after selection and ship cleanly now
@@ -158,9 +162,10 @@ class TestChainAndFragments:
         build = _table(schema, 8, name="dim")
         query = Query(predicate=Compare("a", "<", 1),
                       join=JoinSpec(build, "a", "a", ("b",)), label="t")
-        assert chain_labels(operator_chain(query)) == ["selection", "join"]
-        fragment = build_fragment(query, 1)
-        assert fragment.join is None and fragment.predicate is not None
+        chain = operator_chain(query)
+        assert chain_labels(chain) == ["selection", "join"]
+        fragment = compile_chain(chain[:1], _table(schema, 1024), SCENARIO)
+        assert fragment.signature == "sel[a < 1]"
         plan = plan_placement(query, _table(schema, 1024), SCENARIO,
                               placement="ship")
         assert plan.chosen == "ship" and "join" in plan.chain[plan.split:]
@@ -258,9 +263,9 @@ def test_groupby_hybrid_split_matches_offload(shape):
     """Every split ``k`` of a ``selection -> join -> projection ->
     groupby`` chain, of a ``regex -> selection -> projection ->
     distinct(columns)`` one and of an encrypted table's ``decrypt ->
-    selection -> projection -> aggregate``: offloading
-    ``build_fragment(query, k)`` and running the step nodes of
-    ``client_steps(query, k)`` over what lands gives the full offload's
+    selection -> projection -> aggregate``: offloading the slice
+    ``chain[:k]`` and running the step nodes of
+    ``client_steps(chain, k)`` over what lands gives the full offload's
     bytes.  ``k = 0`` is the ship split and the list a view circuit
     compiles — the whole chain as client steps, the join an arm read
     raw, the decrypt done by the read (no client step runs it); at
@@ -320,26 +325,26 @@ def test_groupby_hybrid_split_matches_offload(shape):
         client.alloc_table_mem(table)
         client.table_write(table, table_rows)
     chain = operator_chain(query)
-    assert [op.kernel for op in client_steps(query, 0)] == kernels
-    assert client_steps(query, 0) == chain[-len(kernels):]
+    assert [op.kernel for op in client_steps(chain, 0)] == kernels
+    assert client_steps(chain, 0) == chain[-len(kernels):]
     offloaded = client.far_view(fact, query)[0]
     expected = canonical_result_bytes(offloaded)
     if shape == "distinct":
         assert offloaded.num_rows == 7
     cpu = CpuCostModel()
     for k in range(len(chain) + 1):
-        fragment = build_fragment(query, k)
-        if fragment is None:
+        if k == 0:
             image = client.table_read(fact)[0]
             if fact.encrypted:
                 image = decrypt_table_image(image, key, nonce)
             rows = fact.schema.from_bytes(image)
             schema = fact.schema
         else:
-            head, _ = client.far_view(fact, fragment)
+            head = client.sim.run_process(
+                client._offload_proc(fact, chain[:k]), "slice")
             rows, schema = head.rows(), head.schema
         cost = CostBreakdown()
-        for op in client_steps(query, k):
+        for op in client_steps(chain, k):
             if op.kernel == "join":
                 assert op.query is None and op.build is dim
                 rows, schema = run_client_join(rows, schema, dim_rows,
@@ -371,8 +376,8 @@ def test_ship_tail_bills_what_lcpu_charges(shape):
     client.alloc_table_mem(table)
     client.table_write(table, wl.rows)
     shipped, _ = client.far_view_planned(table, query, placement="ship")
-    rows, _, cost = LcpuBaseline(client.cpu).run(wl.schema, wl.rows,
-                                                 client_steps(query, 0))
+    rows, _, cost = LcpuBaseline(client.cpu).run(
+        wl.schema, wl.rows, client_steps(operator_chain(query), 0))
     assert shipped.client_cost.parts.pop("merge") == 0.0
     assert list(shipped.client_cost.parts.items()) == list(cost.parts.items())
     assert canonical_result_bytes(shipped) == shipped.schema.to_bytes(rows)
@@ -582,6 +587,42 @@ def test_software_aggregate_large_int_extremes_bit_exact():
         digests[mode] = _digest(result)
         assert result.rows()["max_a"][0] == 2 ** 60 + 1
     assert digests["ship"] == digests["offload"]
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_warm_selection_region_picks_the_hybrid_split(num_nodes):
+    """The hybrid route end to end: with the region warm from a
+    ``select_star`` (it holds ``sel[...]``), a selective GROUP BY under
+    ``auto`` offloads only the filter and groups on the client — its
+    bill has the ``read`` of the landed prefix — and its bytes are the
+    full offload's, on one node and on a 2-node pool."""
+    from repro.core.api import ClusterClient
+    from repro.core.cluster import FarviewCluster
+
+    wl = selection_workload(16_384, 0.05, seed=3)
+    wl.rows["c"] = np.arange(16_384) % 16
+    if num_nodes == 1:
+        client = _bench()
+        table = FTable("S", wl.schema, 16_384)
+        client.alloc_table_mem(table)
+        client.table_write(table, wl.rows)
+    else:
+        client = ClusterClient(FarviewCluster(Simulator(), num_nodes,
+                                              SCENARIO))
+        client.open_connection()
+        table = client.create_table("S", wl.schema, wl.rows)
+    client.far_view(table, select_star(wl.predicate))
+    query = Query(predicate=wl.predicate, group_by=("c",),
+                  aggregates=(AggregateSpec("sum", "d"),), label="h")
+    result, elapsed = client.far_view_planned(
+        table, query, placement="auto",
+        stats=PlanStats(selectivity=0.05, groups=16))
+    explain = result.explain
+    assert (explain.chosen, explain.split) == ("hybrid", 1)
+    assert explain.actual_ns == elapsed
+    assert result.client_cost.parts["read"] > 0
+    full, _ = client.far_view_planned(table, query, placement="offload")
+    assert canonical_result_bytes(result) == canonical_result_bytes(full)
 
 
 def test_cluster_hybrid_keeps_fragment_result():

@@ -12,8 +12,9 @@ from repro.common.expr import Col, TextMatch
 from repro.common.records import (Column, Schema, default_schema,
                                   string_schema, wide_schema)
 from repro.core.catalog import Catalog
-from repro.core.pipeline_compiler import choose_smart_addressing, compile_query
-from repro.core.planner import build_fragment
+from repro.core.pipeline_compiler import (choose_smart_addressing,
+                                          compile_chain, compile_query,
+                                          operator_chain)
 from repro.core.query import (JoinSpec, Query, group_by_sum,
                               select_distinct, select_star)
 from repro.core.table import FTable
@@ -111,6 +112,18 @@ def test_query_invalid_combinations():
         Query(encrypt_output=(b"short", b"x" * 12))
 
 
+def test_a_hint_without_the_step_it_rides_is_refused():
+    """Lanes widen the filter and smart addressing reads the projection:
+    without that step a hint has no node to ride.  (A vectorized query
+    without a predicate used to compile to a ``vec`` that did nothing:
+    ``vec|proj[a]`` ingested at ``proj[a]``'s rate.)"""
+    with pytest.raises(QueryError, match="vectorized selection needs"):
+        Query(projection=("a",), vectorized=True)
+    with pytest.raises(QueryError, match="smart addressing needs"):
+        Query(predicate=Compare("a", "<", 5), smart_addressing=True)
+    Query(smart_addressing=False)          # standard is every scan's
+
+
 def test_query_validates_against_schema():
     schema = default_schema()
     Query(projection=("a", "b")).validate(schema)
@@ -167,27 +180,27 @@ def test_query_signature_stable_and_distinct():
 def test_planner_prefers_standard_for_narrow_tuples():
     schema = wide_schema(256)
     q = Query(projection=("a", "b", "c"))
-    assert not choose_smart_addressing(q, schema, CONFIG)
+    assert not choose_smart_addressing(operator_chain(q), schema, CONFIG)
 
 
 def test_planner_prefers_smart_for_wide_tuples():
     schema = wide_schema(512)
     q = Query(projection=("a", "b", "c"))
-    assert choose_smart_addressing(q, schema, CONFIG)
+    assert choose_smart_addressing(operator_chain(q), schema, CONFIG)
 
 
 def test_planner_honours_explicit_choice():
     schema = wide_schema(512)
     q = Query(projection=("a",), smart_addressing=False)
-    assert not choose_smart_addressing(q, schema, CONFIG)
+    assert not choose_smart_addressing(operator_chain(q), schema, CONFIG)
     q2 = Query(projection=("a",), smart_addressing=True)
-    assert choose_smart_addressing(q2, schema, CONFIG)
+    assert choose_smart_addressing(operator_chain(q2), schema, CONFIG)
 
 
 def test_planner_rejects_sa_for_non_projection_queries():
     schema = wide_schema(512)
     q = Query(predicate=Compare("a", "<", 5))
-    assert not choose_smart_addressing(q, schema, CONFIG)
+    assert not choose_smart_addressing(operator_chain(q), schema, CONFIG)
 
 
 # --- compiler ------------------------------------------------------------------------------
@@ -313,7 +326,8 @@ def _join():
     # ``vec`` follows every scan-side operator, the join included.
     (Query(predicate=_LT5, join=_join(), vectorized=True), _PLAIN,
      "sel[a < 5]|join[dim.id=a]|vec"),
-    (Query(projection=("a",), vectorized=True), _PLAIN, "vec|proj[a]"),
+    (Query(predicate=_LT5, projection=("a",), vectorized=True), _PLAIN,
+     "sel[a < 5]|vec|proj[a]"),
     (Query(projection=("a",), encrypt_output=(_KEY, _NONCE)), _PLAIN,
      "proj[a]|enc"),
     (Query(decrypt_input=True, regex=_LIKE, predicate=_LT5, join=_join(),
@@ -347,23 +361,35 @@ def test_forced_smart_addressing_refusals_on_an_encrypted_table(predicate,
 
 
 def test_fragment_drops_vectorized_once_the_filter_is_cut():
-    query = Query(regex=_LIKE, predicate=_LT5, projection=("a",),
-                  vectorized=True)
-    assert [build_fragment(query, k).vectorized for k in (1, 2, 3)] == [
-        False, True, True]
-    unfiltered = Query(projection=("a",), distinct=True, vectorized=True)
-    assert not build_fragment(unfiltered, 1).vectorized
+    """The lanes ride the filter node: a slice without it compiles
+    without them, one with it compiles exactly as the whole chain's
+    prefix did when fragments were Queries."""
+    chain = operator_chain(Query(regex=_LIKE, predicate=_LT5,
+                                 projection=("a",), vectorized=True))
+    compiled = [compile_chain(chain[:k], _PLAIN, CONFIG) for k in (1, 2, 3)]
+    assert [c.ingest_mode for c in compiled] == [
+        "standard", "vectorized", "vectorized"]
+    assert [c.signature for c in compiled] == [
+        r"regex[s:^[\s\S]*far[\s\S]*$]",
+        r"regex[s:^[\s\S]*far[\s\S]*$]|sel[a < 5]|vec",
+        r"regex[s:^[\s\S]*far[\s\S]*$]|sel[a < 5]|vec|proj[a]"]
 
 
-def test_fragment_keeps_an_explicit_smart_hint_only_on_a_projection():
-    hinted = Query(projection=("a",), distinct=True, smart_addressing=False)
-    assert build_fragment(hinted, 1).smart_addressing is False
-    assert build_fragment(hinted, 2) is hinted
-    filtered = Query(predicate=_LT5, projection=("a",), distinct=True,
-                     smart_addressing=False)
-    assert [build_fragment(filtered, k).smart_addressing
-            for k in (1, 2)] == [None, None]
-    decrypting = Query(projection=("a",), distinct=True, decrypt_input=True,
-                       smart_addressing=False)
-    assert [build_fragment(decrypting, k).smart_addressing
-            for k in (1, 2)] == [None, None]
+def test_a_slice_carries_the_smart_hint_of_its_projection():
+    """The smart-addressing hint rides the projection node: the slice
+    that is that projection honours it, and a longer chain holding it
+    is refused as the whole Query is."""
+    wide = FTable("w", wide_schema(512), 100)
+    for hint, mode in ((None, "smart"), (False, "standard"),
+                       (True, "smart")):
+        query = Query(projection=("a", "b", "c"), distinct=True,
+                      smart_addressing=hint)
+        chain = operator_chain(query)
+        assert compile_chain(chain[:1], wide, CONFIG).ingest_mode == mode
+        if hint:
+            with pytest.raises(PipelineCompilationError,
+                               match="projection-only"):
+                compile_query(query, wide, CONFIG)
+        else:
+            assert compile_query(query, wide,
+                                 CONFIG).ingest_mode == "standard"

@@ -37,6 +37,7 @@ from repro.core.api import (ClusterClient, FarviewClient,
 from repro.core.cluster import FarviewCluster
 from repro.core.cost_model import PlanStats
 from repro.core.node import FarviewNode
+from repro.core.pipeline_compiler import join_arm
 from repro.core.query import JoinSpec, Query
 from repro.core.table import FTable
 from repro.operators.selection import Compare
@@ -330,7 +331,8 @@ def test_concurrent_broadcasts_share_one_replica_set(strategy):
     results = {}
 
     def requester(tag):
-        results[tag] = yield from cc._place_build_proc(join, fact, strategy)
+        results[tag] = yield from cc._place_build_proc(join_arm(join), fact,
+                                                       strategy)
 
     procs = [sim.process(requester(0)), sim.process(requester(1))]
     sim.run()
@@ -360,7 +362,7 @@ def test_drop_mid_move_frees_orphaned_copies(strategy):
 
     def requester():
         try:
-            yield from cc._place_build_proc(join, fact, strategy)
+            yield from cc._place_build_proc(join_arm(join), fact, strategy)
         except FarviewError as exc:  # the build vanished under the join
             outcome.append(exc)
 
@@ -549,8 +551,11 @@ def test_auto_replans_an_offload_whose_build_overflows_at_load():
     with pytest.raises(JoinBuildOverflowError, match="does not fit"):
         client.far_view(fact_table, query)
     assert client.plan(fact_table, query, "auto").chosen == "offload"
-    result, _ = client.far_view_planned(fact_table, query, placement="auto")
+    result, elapsed = client.far_view_planned(fact_table, query,
+                                              placement="auto")
     assert result.explain.chosen == "ship"
+    # The record times the whole call, the refused first attempt too.
+    assert result.explain.actual_ns == result.response_time_ns == elapsed
     assert sha(canonical_result_bytes(result)) == sha(
         serial_join_model(fact, dim))
 
@@ -575,6 +580,8 @@ def test_auto_ships_when_the_dynamic_region_fails():
     result, _ = client.far_view_planned(fact_table, query, placement="auto",
                                         stats=stats)
     assert result.explain.chosen == "ship"
+    # An auto call that fell back is recorded as one.
+    assert result.explain.requested == "auto"
     assert sha(canonical_result_bytes(result)) == sha(
         serial_join_model(fact, dim, cut=10))
 
@@ -894,8 +901,8 @@ def test_strategy_equivalence_matrix(assert_uniform_result):
                         f"{cell} diverged"
                     continue
                 requested = None if strategy == "auto" else strategy
-                if (requested is not None
-                        and requested not in join_strategies(fs, query)):
+                if (requested is not None and requested not in
+                        join_strategies(fs, join_arm(query.join))):
                     with pytest.raises(QueryError, match="infeasible"):
                         cc.far_view(fs, query, join_strategy=requested)
                     continue
@@ -1006,3 +1013,57 @@ def test_colocated_requires_identical_shard_counts():
         PartitionSpec("hash", key="id"))
     assert fs2.num_partitions != ds4.num_partitions
     assert not colocated_compatible(fs2, ds4, "a", "id")
+
+
+def test_plan_charges_an_unplaced_shuffle_against_the_offload():
+    """On a 4-node pool with the fact hash-partitioned on its key and the
+    dimension chunk-partitioned, ``plan`` resolves ``shuffle`` and
+    charges the build's movement to its offload candidate: the same
+    plan costs less once a join has placed the build."""
+    fact = make_fact(list(range(64)) * 8, seed=48)
+    dim = make_dim(list(range(64)), seed=49)
+    cc, fs, ds = _matrix_cluster(4, fact, dim,
+                                 PartitionSpec("hash", key="a"),
+                                 PartitionSpec())
+    query = make_query(ds)
+
+    def offload_ns():
+        plan = cc.plan(fs, query, "offload")
+        assert plan.join_strategy == "shuffle"
+        (candidate,) = plan.candidates
+        return candidate.total_ns
+
+    cold = offload_ns()
+    result, _ = cc.far_view(fs, query)
+    assert result.join_strategy == "shuffle" and cc.replica_bytes_moved > 0
+    assert offload_ns() < cold
+    expected = _matrix_expected(fact, dim, PartitionSpec("hash", key="a"), 4)
+    assert sha(result.data) == sha(expected)
+
+
+def test_colocated_shards_facing_an_empty_build_partition_answer_locally():
+    """A 2-row dimension hashed on ``id`` has shards on nodes 0 and 2
+    only, while a 512-row fact with keys 0-15 has shards on all four:
+    under a co-located join the two fact shards facing an empty build
+    partition are answered client-side, with no request, and the merge
+    is the serial model's rows."""
+    from repro.experiments import fig19_shuffle as fig19
+
+    fact = fig19.make_fact(512, key_range=16)
+    dim = fig19.make_dim(2)
+    cc = ClusterClient(FarviewCluster(Simulator(), 4, TEST_CONFIG))
+    cc.open_connection()
+    ds = cc.create_table("dim", fig19.DIM_SCHEMA, dim,
+                         partition=PartitionSpec("hash", key="id"))
+    fs = cc.create_table("fact", fig19.FACT_SCHEMA, fact,
+                         partition=PartitionSpec("hash", key="key"))
+    assert [s.node_index for s in ds.shards] == [0, 2]
+    assert [s.node_index for s in fs.shards] == [0, 1, 2, 3]
+    result, _ = cc.far_view(fs, fig19.join_query(ds))
+    assert result.join_strategy == "colocated"
+    empty = [part for part in result.parts
+             if part.report.signature == "empty-partition"]
+    assert len(empty) == 2
+    assert all(part.bytes_shipped == 0 for part in empty)
+    assert fig19.canonical_sha(result.schema, result.rows()) == \
+        fig19.canonical_sha(fig19.JOINED_SCHEMA, fig19.serial_model(fact, dim))

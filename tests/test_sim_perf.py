@@ -774,6 +774,40 @@ def test_a_statement_enters_the_client_tail_once(monkeypatch):
     assert (entries, deepest) == (with_client_work, 1)
 
 
+def _lowerings(call) -> int:
+    """How often ``call()`` lowers a Query to its step nodes: calls of
+    ``pipeline_compiler.operator_chain``, whoever makes them."""
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    return sum(nc for (filename, _, name), (_, nc, _, _, _)
+               in pstats.Stats(profile).stats.items()
+               if name == "operator_chain"
+               and filename.endswith("pipeline_compiler.py"))
+
+
+def test_a_query_is_lowered_once_where_it_enters():
+    """A Query is lowered where it enters — the verb, the plan, an arm's
+    landing — and below that the node path slices its step nodes: a
+    4-shard GROUP BY ``far_view`` lowers once (8 times while every shard
+    compiled the Query again), an ``auto``-planned GROUP BY once (13
+    while every candidate packed a prefix back into a Query), and a
+    fig18 statement under ``auto`` at most once per Query it holds (up
+    to 18)."""
+    client = ClusterClient(FarviewCluster(Simulator(), 4))
+    client.open_connection()
+    schema, rows = groupby_workload(4096, 64, seed=1)
+    table = client.create_table("T", schema, rows)
+    query = Query(group_by=("a",), aggregates=(AggregateSpec("sum", "b"),))
+    assert _lowerings(lambda: client.far_view(table, query)) == 1
+    assert _lowerings(lambda: client.far_view_planned(
+        table, query, placement="auto")) == 1
+    for name, (tschema, trows) in make_tables(256, 64, 16).items():
+        client.create_table(name, tschema, trows)
+    for label, statement in QUERIES:
+        assert _lowerings(lambda: client.sql(
+            statement, placement="auto")) <= 3, label
+
+
 def test_one_hash_one_probe_in_src():
     """The scalar hash twin and the unhashed-probe branches stay deleted
     — and so do the forked scan verb, the per-strategy build-placement
@@ -915,6 +949,11 @@ def test_one_hash_one_probe_in_src():
             # of the nodes after its split.
             (("src", "docs"), ("is_projection_only", "def signature(",
                                "chain_labels(chain[:")),
+            # A node runs a slice of the operator chain: each hint rides
+            # its step node, so no fragment is packed back into a Query,
+            # and the scatter and the result read nodes, not a Query.
+            (("src", "docs"), ("build_fragment", "_KERNEL_FIELDS",
+                               "_merge_query", "shard_query")),
             # A response packet's hops run in one frame each: no relay
             # for the grant's pick, the clock or the pipe's horizon, and
             # no per-packet cut, credit probe or transmit helper.
