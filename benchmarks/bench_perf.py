@@ -125,18 +125,18 @@ SMOKE_BASELINE_SIM_NS: dict[str, float] = {
 #: perf-only change may move them only on purpose (a change to the data
 #: plane's callbacks), and then says so beside the new pin.
 SMOKE_BASELINE_EVENTS: dict[str, int] = {
-    "fig6_read": 818,
-    "fig7_smart": 33,
-    "fig8_selection": 101,
-    "fig12_multiclient": 192,
-    "fig13_scaleout": 288,
-    "fig14_pushdown": 468,
-    "fig15_updates": 489,
-    "fig16_joins": 793,
-    "fig18_minitpch": 1861,
-    "fig19_shuffle": 1087,
-    "fig20_views": 465,
-    "fig21_serving": 781,
+    "fig6_read": 101,
+    "fig7_smart": 9,
+    "fig8_selection": 30,
+    "fig12_multiclient": 180,
+    "fig13_scaleout": 264,
+    "fig14_pushdown": 93,
+    "fig15_updates": 233,
+    "fig16_joins": 185,
+    "fig18_minitpch": 703,
+    "fig19_shuffle": 525,
+    "fig20_views": 401,
+    "fig21_serving": 744,
 }
 
 SMOKE_BASELINE_SHA256: dict[str, str] = {

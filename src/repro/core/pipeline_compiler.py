@@ -95,11 +95,9 @@ def operator_chain(query: Query) -> list:
 
 
 def lower_query(query: Query, schema: Schema) -> list:
-    """Validate ``query`` against ``schema`` and return its chain."""
-    try:
-        query.validate(schema)
-    except QueryError as exc:
-        raise PipelineCompilationError(str(exc)) from exc
+    """Validate ``query`` against ``schema`` (a :class:`QueryError`
+    whatever the verb) and return its chain."""
+    query.validate(schema)
     return operator_chain(query)
 
 
@@ -178,6 +176,21 @@ def choose_smart_addressing(chain: list, schema: Schema,
         schema.row_width, config)
 
 
+def refuse_smart_addressing(chain: list, encrypted: bool) -> None:
+    """Raise the node's refusal of smart addressing for ``chain`` (over
+    an ``encrypted`` table), if it has one: every placement refuses a
+    forced hint with this text, the ones that compile nothing too."""
+    decrypt = chain[:1] == [BoundDecrypt()]
+    kernels = [op.kernel for op in chain[decrypt:] if op.kernel != "encrypt"]
+    if kernels != ["eval"]:
+        raise PipelineCompilationError(
+            "smart addressing supports projection-only queries")
+    if encrypted:
+        raise PipelineCompilationError(
+            "smart addressing cannot decrypt scattered CTR reads in this "
+            "prototype; use standard projection")
+
+
 def compile_query(query: Query, table: FTable,
                   config: FarviewConfig) -> CompiledQuery:
     """Compile ``query`` against ``table``: the validated §4.2 entry,
@@ -202,14 +215,8 @@ def compile_chain(chain: list, table: FTable,
             f"decrypt_input (the operators cannot parse ciphertext)")
 
     use_sa = choose_smart_addressing(chain, schema, config)
-    kernels = [op.kernel for op in chain[decrypt:] if op.kernel != "encrypt"]
-    if use_sa and kernels != ["eval"]:
-        raise PipelineCompilationError(
-            "smart addressing supports projection-only queries")
-    if use_sa and table.encrypted:
-        raise PipelineCompilationError(
-            "smart addressing cannot decrypt scattered CTR reads in this "
-            "prototype; use standard projection")
+    if use_sa:
+        refuse_smart_addressing(chain, table.encrypted)
 
     stack = config.operator_stack
     cuckoo = dict(ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,

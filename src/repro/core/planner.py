@@ -66,8 +66,9 @@ from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, join_cost, kernel_cost)
-from .pipeline_compiler import (BoundDecrypt, compile_chain, operator_chain,
-                                over_deltas)
+from .pipeline_compiler import (BoundDecrypt, compile_chain, lower_query,
+                                operator_chain, over_deltas,
+                                refuse_smart_addressing)
 from .query import Query
 from .table import FTable, Table, as_table
 
@@ -237,12 +238,14 @@ def plan_placement(query: Query, table: Table | FTable,
             f"query asks to decrypt but table {base.name!r} is not "
             f"encrypted")
     schema = table.schema
-    query.validate(schema)      # ship runs no compiler; type errors stay typed
+    chain = lower_query(query, schema)
     nrows, scan_bytes, delta_rows = table.stats_at(
         table.epoch if as_of is None else as_of)
-    chain = operator_chain(query)
     if delta_rows:
         chain = over_deltas(chain)
+    if any(op.kernel == "eval" and op.smart for op in chain):
+        # Ship runs no compiler: a forced hint is refused here for all.
+        refuse_smart_addressing(chain, base.encrypted)
     shards = len(table.shards)
     build_parts = (table.num_partitions
                    if join_strategy in ("colocated", "shuffle") else 1)

@@ -9,7 +9,6 @@ sender is added as extra occupancy.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
 
 from ..common.config import NetworkConfig
 from ..common.errors import QueryError
@@ -51,7 +50,9 @@ class Link:
     def degrade(self, latency_add_ns: float = 0.0, rate_factor: float = 1.0,
                 loss: float = 0.0) -> None:
         """Degrade both directions; affects future transfers only (queued
-        transfers already priced are untouched — deterministic)."""
+        transfers already priced are untouched — deterministic).  A
+        downlink train is cut first: its packets granted so far keep the
+        old rate."""
         if rate_factor <= 0:
             raise QueryError(f"rate_factor must be positive: {rate_factor}")
         if not 0.0 <= loss < 1.0:
@@ -59,6 +60,7 @@ class Link:
         if latency_add_ns < 0:
             raise QueryError(f"negative latency spike: {latency_add_ns}")
         base_latency = self.config.one_way_latency_ns
+        self.down_arbiter.cut()
         for pipe in (self.uplink, self.downlink):
             pipe.rate = self.config.line_rate * rate_factor
             pipe.latency_ns = base_latency + latency_add_ns
@@ -68,6 +70,7 @@ class Link:
 
     def restore(self) -> None:
         """Undo any degradation, returning the link to its line rate."""
+        self.down_arbiter.cut()
         for pipe in (self.uplink, self.downlink):
             pipe.rate = self.config.line_rate
             pipe.latency_ns = self.config.one_way_latency_ns
@@ -86,15 +89,6 @@ class Link:
     def send_up(self, payload_bytes: int) -> Event:
         """Transmit one client->server packet; fires on arrival at server."""
         return self.uplink.transfer(self.wire_size(payload_bytes))
-
-    def send_down(self, flow_id: int, payload_bytes: int, extra_ns: float,
-                  fn: Callable, *args: Any) -> None:
-        """Transmit one server->client packet through the fair-share
-        arbiter; ``fn(*args)`` runs on arrival at the client."""
-        # The undegraded wire size inline: this runs once per packet.
-        size = (self.wire_size(payload_bytes) if self.loss
-                else payload_bytes + self.config.header_overhead)
-        self.down_arbiter.submit(flow_id, size, extra_ns, fn, *args)
 
     def register_flow(self, flow_id: int) -> None:
         self.down_arbiter.register_flow(flow_id)

@@ -72,7 +72,11 @@ class QueuePair:
         self.region_index: int | None = None
         self.domain: int | None = None
         self.requests_sent = 0
-        self.responses_received = 0
+
+    @property
+    def responses_received(self) -> int:
+        """Response packets landed: each returned its credit."""
+        return self.credits.returned
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "idle"

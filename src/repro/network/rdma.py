@@ -6,8 +6,8 @@ Implements the data movement shared by all one-sided verbs (paper §4.2-4.3):
   (wire + propagation + NIC processing).
 * :class:`ResponseStreamer` — the server streams a response to the
   client's buffer as a sequence of packets through the fair-share downlink
-  arbiter, consuming a flow-control credit per packet in flight and
-  releasing it when the packet lands (credit-based flow control, §4.3).
+  arbiter, which holds a flow-control credit per packet in flight and
+  returns it when the packet lands (credit-based flow control, §4.3).
   Packets carry lengths; the response's bytes land whole once the last
   packet has, so the order packets land in cannot change them.
 * :func:`deliver_write` — packetized client->server payload for RDMA WRITE.
@@ -19,10 +19,8 @@ way the paper's deeply pipelined design intends (§4.1).
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..common.errors import NetworkError
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Simulator
 from .link import Link
 from .packet import CONTROL_PACKET_BYTES, split_lengths
 from .qp import QueuePair
@@ -71,10 +69,11 @@ class ResponseStreamer:
     has — Farview's sender posts one-sided writes into the client's
     posted buffer (§5.5 "Sending"), and only their timing needs packets.
 
-    A packet costs the event loop its two timed hops — the arbiter grants
-    it the wire, :meth:`_on_delivered` runs when it lands — plus one
-    immediate hop (:meth:`_on_credit`) if it had to wait for a credit.
-    The producer is resumed once per chunk, whose packets are cut in one call.
+    The packets' credit loop is the downlink arbiter's
+    (:meth:`~repro.sim.resources.RoundRobinArbiter.open_stream`): alone
+    on the wire, the stream runs as a train and costs the event loop a
+    callback per chunk the producer waits on, not hops per packet.  The
+    producer is resumed once per chunk, whose packets are cut in one call.
     """
 
     def __init__(self, sim: Simulator, link: Link, qp: QueuePair):
@@ -82,17 +81,12 @@ class ResponseStreamer:
         self.link = link
         self.qp = qp
         self.config = link.config
+        self._arbiter = link.down_arbiter
+        self._stream = self._arbiter.open_stream(
+            qp.qp_id, qp.credits, link.wire_size,
+            self.config.per_packet_overhead_ns)
         #: Bytes sent and not yet cut into a packet.
         self._pending = 0
-        #: Lengths of the packets cut and waiting for a flow-control
-        #: credit, oldest first; while there are any, one waiter of ours
-        #: is in the pool's FIFO.
-        self._backlog: deque[int] = deque()
-        #: Packets cut and not yet landed (the backlog included).
-        self._inflight = 0
-        #: What :meth:`send` / :meth:`finish` are parked on, if they are.
-        self._credited: Event | None = None
-        self._drained: Event | None = None
         self._finished = False
         self.packets_sent = 0
         self.payload_bytes_sent = 0
@@ -108,10 +102,9 @@ class ResponseStreamer:
         size = self.config.packet_size
         packets, self._pending = divmod(self._pending + nbytes, size)
         self._cut(packets, size)
-        if self._backlog:
-            self._credited = Event(self.sim)
-            yield self._credited
-            self._credited = None
+        credited = self._arbiter.credited(self._stream)
+        if credited is not None:
+            yield credited
 
     def finish(self, image: bytes):
         """Process: flush the final partial packet, wait for delivery and
@@ -125,9 +118,9 @@ class ResponseStreamer:
             self._cut(1, self._pending)
             self._pending = 0
         self._finished = True
-        if self._inflight:
-            self._drained = Event(self.sim)
-            yield self._drained
+        drained = self._arbiter.drained(self._stream)
+        if drained is not None:
+            yield drained
         if len(image) != self.payload_bytes_sent:
             raise NetworkError(
                 f"response image of {len(image)} bytes for a stream of "
@@ -135,38 +128,7 @@ class ResponseStreamer:
         self.qp.buffer.land(image)
         return self.payload_bytes_sent
 
-    # -- internals ---------------------------------------------------------------
     def _cut(self, count: int, nbytes: int) -> None:
-        """Cut ``count`` packets of ``nbytes``: transmit one per free
-        credit and queue the rest behind those already waiting for one,
-        as taking each packet's credit in turn would."""
-        self._inflight += count
         self.packets_sent += count
         self.payload_bytes_sent += count * nbytes
-        free = 0 if self._backlog else self.qp.credits.take(count)
-        for _ in range(free):
-            self.link.send_down(self.qp.qp_id, nbytes,
-                                self.config.per_packet_overhead_ns,
-                                self._on_delivered)
-        if free < count:
-            if not self._backlog:
-                self.qp.credits.acquire_then(self._on_credit)
-            self._backlog.extend([nbytes] * (count - free))
-
-    def _on_credit(self) -> None:
-        """A landed packet returned the credit the oldest queued one
-        waits for; the pool hands out the next the same way."""
-        self.link.send_down(self.qp.qp_id, self._backlog.popleft(),
-                            self.config.per_packet_overhead_ns,
-                            self._on_delivered)
-        if self._backlog:
-            self.qp.credits.acquire_then(self._on_credit)
-        elif self._credited is not None:
-            self._credited.succeed()
-
-    def _on_delivered(self) -> None:
-        self.qp.credits.release()
-        self.qp.responses_received += 1
-        self._inflight -= 1
-        if not self._inflight and self._drained is not None:
-            self._drained.succeed()
+        self._arbiter.send(self._stream, count, nbytes)

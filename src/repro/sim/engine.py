@@ -224,6 +224,18 @@ class Simulator:
         self._running = False
         #: Total callbacks executed across all runs (perf harness metric).
         self.events_processed = 0
+        #: ``settle(until) -> time reached`` of each resource whose state
+        #: advances between loop callbacks (a downlink train): a run that
+        #: stops settles it, so what it reads is what the clock says.
+        self._settlers: list[Callable[[float], float]] = []
+        #: The ticket of the callback running now (infinite outside one).
+        self._seq: float = math.inf
+        #: While a train runs, a ticket drawn each time the clock moves
+        #: on, before any callback at the new time: a train hop's place
+        #: among the loop's tickets is read off these (see
+        #: ``RoundRobinArbiter._ticket``).
+        self._mark_times: list[float] = []
+        self._mark_tickets: list[int] = []
 
     @property
     def now(self) -> float:
@@ -271,6 +283,9 @@ class Simulator:
         Returns the simulation time when the loop stopped.  ``until``
         before the current time is refused: the clock never runs back.
         ``max_events`` guards against runaway loops in buggy models.
+        A train still running when the loop stops is settled to
+        ``until``; one that outlasts every callback runs to its end, as
+        its packets' own callbacks would have.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -283,6 +298,9 @@ class Simulator:
         imm = self._imm
         heap = self._heap
         heappop = heapq.heappop
+        settlers = self._settlers
+        counter = self._counter
+        mark_times, mark_tickets = self._mark_times, self._mark_tickets
         steps = 0
         now = self._now
         try:
@@ -301,18 +319,29 @@ class Simulator:
                         self._now = until
                         break
                     heappop(heap)
+                    if settlers and time > now:
+                        mark_times.append(time)
+                        mark_tickets.append(next(counter))
                     self._now = now = time
+                self._seq = _seq
                 fn(*args)
                 steps += 1
                 if steps > max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; likely a runaway model")
-            else:
-                if self._now < until < math.inf:
-                    self._now = until
         finally:
             self.events_processed += steps
             self._running = False
+            self._seq = math.inf
+        for settle in tuple(settlers):
+            reached = settle(until)
+            if reached > self._now:
+                self._now = reached
+        if self._now < until < math.inf:
+            self._now = until
+        if settlers and (not mark_times or mark_times[-1] < self._now):
+            mark_times.append(self._now)
+            mark_tickets.append(next(counter))
         return self._now
 
     def run_process(self, gen: ProcessGenerator, name: str = "") -> Any:

@@ -739,3 +739,47 @@ def test_decrypting_projection_never_picks_smart_addressing():
         assert canonical_result_bytes(result) == expected
     with pytest.raises(PipelineCompilationError):
         client.far_view(table, replace(query, smart_addressing=True))
+
+
+# -- one refusal, one error class, whatever the route -------------------------
+
+def _loaded_selection_client():
+    client = _bench()
+    workload = selection_workload(256, 0.5, seed=7)
+    table = FTable("R", workload.schema, len(workload.rows))
+    client.alloc_table_mem(table)
+    client.table_write(table, workload.rows)
+    return client, table
+
+
+@pytest.mark.parametrize("placement", ["offload", "auto", "ship"])
+def test_a_refused_smart_hint_is_refused_under_every_placement(placement):
+    """Regression: ``ship`` compiles nothing, so it ran a query whose
+    forced smart-addressing hint the node refuses and returned its rows;
+    ``offload`` and ``auto`` refused it.  Every placement now refuses it
+    with the node's text."""
+    from repro.common.errors import PipelineCompilationError
+
+    client, table = _loaded_selection_client()
+    query = Query(predicate=Compare("a", "<", 100), projection=("a",),
+                  smart_addressing=True)
+    with pytest.raises(PipelineCompilationError,
+                       match="^smart addressing supports projection-only "
+                             "queries$"):
+        client.far_view_planned(table, query, placement=placement)
+
+
+def test_an_invalid_query_raises_query_error_from_every_verb():
+    """Regression: an unknown column raised ``PipelineCompilationError``
+    (an ``OperatorError``) from ``far_view`` and ``QueryError`` from
+    ``far_view_planned``; a Query that fails validation is a
+    ``QueryError`` from both verbs, under every placement."""
+    from repro.common.errors import QueryError
+
+    client, table = _loaded_selection_client()
+    query = Query(predicate=Compare("nope", "<", 1))
+    with pytest.raises(QueryError, match="nope"):
+        client.far_view(table, query)
+    for placement in ("offload", "auto", "ship"):
+        with pytest.raises(QueryError, match="nope"):
+            client.far_view_planned(table, query, placement=placement)

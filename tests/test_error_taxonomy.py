@@ -115,8 +115,11 @@ def trigger_region_unavailable():
 
 
 def trigger_pipeline_compilation_error():
+    # A query the node cannot compile: smart addressing forced on a
+    # query that filters.  (An unknown column is a QueryError.)
     client, table, _wl = make_loaded_client()
-    client.far_view(table, select_star(Compare("no_such_column", "<", 1)))
+    client.far_view(table, Query(predicate=Compare("a", "<", 1),
+                                 projection=("a",), smart_addressing=True))
 
 
 def trigger_join_build_overflow():

@@ -73,7 +73,8 @@ def test_downlink_arbiter_interleaves_two_qps():
     def sender(flow, n):
         for i in range(n):
             landed = sim.event()
-            link.send_down(flow, 1024, 0.0, landed.succeed)
+            link.down_arbiter.submit(flow, link.wire_size(1024), 0.0,
+                                     landed.succeed)
             yield landed
         done_times[flow] = sim.now
 

@@ -197,8 +197,11 @@ def test_streamer_deposits_are_position_based_not_order_based():
     streamer = ResponseStreamer(sim, link, qp)
     payload = bytes(range(256)) * 12  # 3 packets
     landings = []
-    # Bypass the link: hold each packet's landing callback.
-    link.send_down = (lambda _flow, _nbytes, _extra, fn, *args:
+    # Bypass the wire: send packet by packet (no train) and hold each
+    # packet's landing callback.
+    arbiter = link.down_arbiter
+    arbiter._start_train = lambda _stream: None
+    arbiter.submit = (lambda _flow, _nbytes, _extra, fn, *args:
                       landings.append((fn, args)))
 
     def server():

@@ -124,7 +124,7 @@ def _calls_into(profile, package: str) -> int:
                if package in filename.replace("\\", "/"))
 
 
-# -- a response packet is two loop callbacks, a burst a handful -------------------
+# -- a lone stream's packets are a train: the loop works per burst ------------
 
 def _one_mebibyte_table():
     """One warm client holding a 1 MiB selection table on a default node
@@ -149,24 +149,25 @@ def _events_and_packets(sim, client, verb, *args):
 
 
 def test_response_packet_callback_budget():
-    """A packet's own loop callbacks are its two timed hops — granted the
-    wire, landed — plus one immediate hop when it had to wait for a credit.
+    """A stream alone on the downlink runs as a train: its packets' grants,
+    landings and credit hand-offs take no loop callbacks, and the loop
+    runs one where the producer waits (a chunk's credit wait ending, the
+    stream draining).
 
-    1 MiB raw READ at 32 credits: DRAM outruns the wire, so nearly every
-    packet queues for a credit: 3 callbacks a packet + ~7 a burst = 3.4 a
-    packet (6.6 when each packet also resumed the producer, relayed its
-    pipe event through a lambda and an arbiter ``done`` event, and sat in
-    an ``AllOf`` at the end).  A selection at 50 % never exhausts the
-    window: against the same scan shipping nothing, a packet adds its
-    two callbacks (2.1 measured; 3.0 a packet all told, 8 packets sharing
-    a burst's ~7 callbacks, which this budget leaves alone; 7.6 before).
+    1 MiB raw READ at 32 credits, 64 bursts of 16 packets: 389 callbacks,
+    6.1 a burst (3,362 — 3.3 a packet — when every packet was granted,
+    landed and handed its credit on by a callback of its own; 6.6 a
+    packet before that).  A selection at 50 % never exhausts the window:
+    against the same scan shipping nothing, its 515 packets add 2
+    callbacks (1,095 one hop at a time).
     """
     sim, client, table, workload = _one_mebibyte_table()
     client.table_write(table, workload.rows)
+    bursts = MB // DEFAULT_BURST_BYTES
     events, packets, image = _events_and_packets(
         sim, client, client.table_read, table)
     assert packets == MB // KB and len(image) == MB
-    assert events <= 3.5 * packets
+    assert events <= 8 * bursts
 
     nothing = select_star(Compare("a", "<", 0))
     half = select_star(workload.predicate)
@@ -176,18 +177,19 @@ def test_response_packet_callback_budget():
         sim, client, client.far_view, table, half)
     assert idle_packets == 0 and packets == -(-result.num_rows * 64 // KB)
     assert 0.45 * MB < result.num_rows * 64 < 0.55 * MB
-    assert events - idle_events <= 2.5 * packets
-    assert events <= 3.5 * packets
+    assert events - idle_events <= 4
+    assert events <= 8 * bursts
 
 
 def test_response_packet_python_call_budget():
-    """Each of a packet's hops runs in one frame plus the pricing and
-    scheduling it needs: a warm 1 MiB raw READ makes at most 10
-    Python-level calls into ``repro.sim`` + ``repro.network`` a packet
-    (19.9 when the grant relayed its pick through ``_grant_next`` and
-    read the clock and the pipe through properties, the streamer cut
-    each packet through ``_emit`` / ``try_acquire`` / ``_transmit``, and
-    the link priced its wire size in a call of its own)."""
+    """A train replays its packets' hops inline, so what a warm 1 MiB raw
+    READ calls in ``repro.sim`` + ``repro.network`` is per burst: at most
+    48 Python-level calls a burst (39.7 measured: the producer's send,
+    the Store hand-off, the chunk's settle, plan and callback; 156, 9.8 a
+    packet, when each packet's hops ran in frames of their own; 19.9 a
+    packet when the grant relayed its pick through ``_grant_next`` and
+    the streamer cut each packet through ``_emit`` / ``try_acquire`` /
+    ``_transmit``)."""
     sim, client, table, workload = _one_mebibyte_table()
     client.table_write(table, workload.rows)
     client.table_read(table)
@@ -201,7 +203,7 @@ def test_response_packet_python_call_budget():
     assert packets == MB // KB
     calls = (_calls_into(profile, "/repro/sim/")
              + _calls_into(profile, "/repro/network/"))
-    assert calls <= 10 * packets
+    assert calls <= 48 * (MB // DEFAULT_BURST_BYTES)
 
 
 def test_table_write_callbacks_are_per_burst():

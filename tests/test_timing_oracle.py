@@ -10,7 +10,11 @@ plane's timing live here:
 * a golden grid of four concurrent mixed flows under credit windows of
   1-3 and non-power-of-two packets — the contention cell the default
   configuration's pins do not have — recorded on the commit before the
-  data plane went to plain callbacks and held to exact equality.
+  data plane went to plain callbacks and held to exact equality;
+* golden cells for a lone flow's downlink train — cut mid-stream by a
+  second flow, by a link fault and by an abandoned connection, bound by
+  its credit window, and read by a run stopped inside it — recorded on
+  the commit before trains, when every packet hop was a loop callback.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ import pytest
 from repro.common.config import FarviewConfig, MemoryConfig, NetworkConfig
 from repro.common.records import default_schema
 from repro.core.api import FarviewClient
+from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.core.node import FarviewNode
 from repro.core.query import select_star
 from repro.core.table import FTable
@@ -501,3 +506,353 @@ def test_contention_grid_matches_the_recorded_run(cell):
     # Exact equality, not a tolerance: repr(float) round-trips.
     assert ends == golden_ends
     assert occupied == golden_occupied
+
+
+# -- a lone flow's train, cut and stopped: golden cells -----------------------
+
+def _reader(node, nbytes, seed):
+    """A warm client holding a table of ``nbytes`` (``a`` cycles 0..99)."""
+    schema = default_schema()
+    client = FarviewClient(node, buffer_capacity=nbytes + KB)
+    client.open_connection()
+    table = FTable(f"r{seed}", schema, nbytes // schema.row_width)
+    rows = schema.empty(table.num_rows)
+    rows["a"] = (np.arange(table.num_rows) * 7 + seed) % 100
+    client.alloc_table_mem(table)
+    client.table_write(table, rows)
+    return client, table
+
+
+def _cut_by_a_second_flow(credits, delay):
+    """A 256 KiB raw READ; ``delay`` ns after it is issued, a second
+    connection's 50 % selection starts, its response mid-stream."""
+    sim, node = _node(1024, credits, 2)
+    read, big = _reader(node, 256 * KB, 1)
+    scan, small = _reader(node, 16 * KB, 2)
+    query = select_star(Compare("a", "<", 50))
+    scan.far_view(small, query)                 # deployed: both run warm
+    ends = []
+
+    def issue(tag, delay, proc):
+        yield sim.timeout(delay)
+        yield from proc
+        ends.append((tag, sim.now))
+
+    sim.process(issue("read", 0.0, read.table_read_proc(big)))
+    sim.process(issue("scan", delay, scan.far_view_proc(small, query)))
+    sim.run()
+    return tuple(ends), node.link.downlink.occupied_ns.hex()
+
+
+def _cut_by_a_link_fault(credits, loss):
+    """The same READ; a fault plan degrades the link 6 µs in and
+    restores it 8 µs later."""
+    sim, node = _node(1024, credits, 2)
+    read, big = _reader(node, 256 * KB, 1)
+    FaultInjector(node, FaultPlan([
+        FaultEvent(sim.now + 6_000.0, "link_degrade", latency_add_ns=300.0,
+                   rate_factor=0.5, loss=loss),
+        FaultEvent(sim.now + 14_000.0, "link_restore")])).install()
+    _data, _elapsed = read.table_read(big)
+    return (sim.now,), node.link.downlink.occupied_ns.hex()
+
+
+def _abandoned_mid_stream(credits):
+    """The same READ; 8 µs in its connection is abandoned, and 1 µs
+    later a second connection reads 16 KiB."""
+    sim, node = _node(1024, credits, 2)
+    read, big = _reader(node, 256 * KB, 1)
+    other, small = _reader(node, 16 * KB, 2)
+    ends = []
+
+    def issue(tag, delay, make):
+        yield sim.timeout(delay)
+        if make is None:
+            read.abandon_connection()
+        else:
+            yield from make()
+        ends.append((tag, sim.now))
+
+    sim.process(issue("read", 0.0, lambda: read.table_read_proc(big)))
+    sim.process(issue("abandon", 8_000.0, None))
+    sim.process(issue("other", 9_000.0, lambda: other.table_read_proc(small)))
+    sim.run()
+    return tuple(ends), node.link.downlink.occupied_ns.hex()
+
+
+def _bound_by_the_window(credits, packet_size, verb):
+    """A 64 KiB READ or selection, twice, alone under a credit window of
+    one or two packets."""
+    sim, node = _node(packet_size, credits, 2)
+    client, table = _reader(node, 64 * KB, 1)
+    query = select_star(Compare("a", "<", 50))
+    if verb == "select":
+        client.far_view(table, query)
+    ends = []
+    for _ in range(2):
+        if verb == "select":
+            client.far_view(table, query)
+        else:
+            client.table_read(table)
+        ends.append(sim.now)
+    return tuple(ends), node.link.downlink.occupied_ns.hex()
+
+
+def _stopped_inside(credits):
+    """The same READ, warm, run to 10 %, 37 %, 50 % and 99 % of its
+    time: what the loop reads at each stop."""
+    sim, node = _node(1024, credits, 2)
+    read, big = _reader(node, 256 * KB, 1)
+    start = sim.now
+    read.table_read(big)
+    took, qp, down = sim.now - start, read.connection.qp, node.link.downlink
+    start = sim.now
+    proc = sim.process(read.table_read_proc(big))
+    seen = []
+    for share in (0.1, 0.37, 0.5, 0.99):
+        sim.run(until=start + took * share)
+        seen.append((qp.responses_received, down.transfers,
+                     down.bytes_transferred, down.occupied_ns.hex()))
+    sim.run()
+    assert proc.ok
+    return (sim.now, *seen), down.occupied_ns.hex()
+
+
+#: credits -> four clients on one node (KiB, verb, first issue at ns,
+#: repeats, gap after each ns) under a link fault (degrade at ns, added
+#: latency, rate factor, loss, restore after ns); in each, one flow's
+#: submit falls on the very instant of a train's grant, so the cut must
+#: run the hops due then in the per-packet loop's ticket order.
+TIE_SCENARIOS = {
+    32: (1024, 4, ((64, "select", 0.0, 2, 137.5),
+                   (4, "select", 500.0, 3, 0.0),
+                   (4, "read", 0.0, 1, 0.0),
+                   (16, "select", 0.0, 3, 137.5)),
+         (10371.036940668027, 250.0, 1.0, 0.05, 16738.08965947789)),
+    4: (1000, 1, ((256, "select", 500.0, 2, 2000.0),
+                  (64, "read", 0.0, 3, 2000.0),
+                  (4, "select", 0.0, 3, 137.5),
+                  (100, "select", 0.0, 3, 0.0)),
+        (22707.165049733045, 0.0, 0.8, 0.05, 3713.895453553846)),
+    # Here the grant falls on a credit wait's last landing, whose
+    # hand-off restarts the pump after the other flow's submit.
+    3: (1000, 2, ((4, "select", 275.0, 4, 137.5),
+                  (8, "read", 0.0, 4, 0.0),
+                  (8, "read", 275.0, 2, 0.0)),
+        (22.61966976436991, 250.0, 0.5, 0.0, 137.5)),
+}
+
+
+def _cut_at_a_tie(credits):
+    packet_size, channels, clients, fault = TIE_SCENARIOS[credits]
+    sim, node = _node(packet_size, credits, channels)
+    query = select_star(Compare("a", "<", 100))
+    ends = []
+
+    def issue(i, client, table, verb, delay, repeats, gap):
+        if delay:
+            yield sim.timeout(delay)
+        for repeat in range(repeats):
+            if verb == "select":
+                yield from client.far_view_proc(table, query)
+            else:
+                yield from client.table_read_proc(table)
+            ends.append((i, repeat, sim.now))
+            if gap:
+                yield sim.timeout(gap)
+
+    procs = []
+    for i, (kib, verb, *timing) in enumerate(clients):
+        client, table = _reader(node, kib * KB, i)
+        if verb == "select":
+            client.far_view(table, query)
+        procs.append((i, client, table, verb, *timing))
+    at, latency, rate, loss, restore = fault
+    start = sim.now
+    FaultInjector(node, FaultPlan([
+        FaultEvent(start + at, "link_degrade", latency_add_ns=latency,
+                   rate_factor=rate, loss=loss),
+        FaultEvent(start + at + restore, "link_restore")])).install()
+    for args in procs:
+        sim.process(issue(*args))
+    sim.run()
+    return tuple(ends), node.link.downlink.occupied_ns.hex()
+
+
+#: credits -> (when a fault plan is installed mid-stream, its link
+#: degrades as (at ns, rate factor, loss)).  Under 2 credits the fault
+#: strikes at the very landing that ends the producer's credit wait for
+#: its chunk: after that landing was scheduled, before its hand-off
+#: sizes the next packet.  Under 32 a no-op degrade cuts the train 30 ns
+#: after a grant, and the fault strikes at the very next grant: after
+#: that grant was scheduled, so at the old rate.
+STRIKES = {
+    2: (45_000.0, ((49_354.436543209806, 0.5, 0.1),)),
+    32: (45_533.31654320978, ((45_553.31654320978, 1.0, 0.0),
+                              (45_611.63654320978, 0.5, 0.0))),
+}
+
+
+def _struck_at_a_train_hop(credits):
+    """The 256 KiB READ, and a link fault that falls on one of its
+    train's hops (``STRIKES``)."""
+    sim, node = _node(1024, credits, 2)
+    read, big = _reader(node, 256 * KB, 1)
+    install, degrades = STRIKES[credits]
+    ends = []
+
+    def issue():
+        yield from read.table_read_proc(big)
+        ends.append(sim.now)
+
+    def strike():
+        yield sim.timeout(install - sim.now)
+        FaultInjector(node, FaultPlan([
+            FaultEvent(at, "link_degrade", rate_factor=rate, loss=loss)
+            for at, rate, loss in degrades])).install()
+
+    sim.process(issue())
+    sim.process(strike())
+    sim.run()
+    return tuple(ends), node.link.downlink.occupied_ns.hex()
+
+
+TRAIN_CELLS = {"second_flow": _cut_by_a_second_flow,
+               "struck": _struck_at_a_train_hop,
+               "tie": _cut_at_a_tie,
+               "link_fault": _cut_by_a_link_fault,
+               "abandoned": _abandoned_mid_stream,
+               "window": _bound_by_the_window,
+               "stopped": _stopped_inside}
+
+#: cell -> (what completed and when, or what a stopped run read, and
+#: ``downlink.occupied_ns.hex()`` at the end), as the commit before
+#: trains (584bed0) printed them.
+TRAIN_GOLDEN = {
+    ('second_flow', 2, 0.0): (
+        (('scan', 4054049.926913579), ('read', 4155828.406913558)),
+        '0x1.77b851eb851dbp+14'),
+    ('second_flow', 2, 5000.0): (
+        (('scan', 4058565.127901232), ('read', 4155798.7279012124)),
+        '0x1.77b851eb851dbp+14'),
+    ('second_flow', 2, 9137.5): (
+        (('scan', 4062756.727901231), ('read', 4155798.7279012124)),
+        '0x1.77b851eb851dbp+14'),
+    ('second_flow', 32, 0.0): (
+        (('scan', 4049523.1279012277), ('read', 4069836.727901189)),
+        '0x1.77b851eb851dbp+14'),
+    ('second_flow', 32, 5000.0): (
+        (('scan', 4054027.447901219), ('read', 4069836.727901189)),
+        '0x1.77b851eb851dbp+14'),
+    ('second_flow', 32, 9137.5): (
+        (('scan', 4058178.4879012113), ('read', 4069836.727901189)),
+        '0x1.77b851eb851dbp+14'),
+    ('link_fault', 2, 0.0): (
+        (146802.8365432105,),
+        '0x1.733851eb851dap+14'),
+    ('link_fault', 2, 0.1): (
+        (146940.59654321047,),
+        '0x1.7737ae147ae03p+14'),
+    ('link_fault', 32, 0.0): (
+        (64113.95654320972,),
+        '0x1.a0c28f5c28f4ep+14'),
+    ('link_fault', 32, 0.1): (
+        (64596.596543209824,),
+        '0x1.a84d1eb851eacp+14'),
+    ('abandoned', 16): (
+        (('abandon', 46129.58320987647),
+         ('other', 53186.67555555545),
+         ('read', 65463.15555555541)),
+        '0x1.775c28f5c28e5p+14'),
+    ('abandoned', 32): (
+        (('abandon', 46129.58320987647),
+         ('other', 53186.67555555545),
+         ('read', 65463.15555555541)),
+        '0x1.775c28f5c28e5p+14'),
+    ('window', 1, 1024, 'read'): (
+        (66238.20839506171, 122451.22074074116),
+        '0x1.6147ae147ae09p+13'),
+    ('window', 1, 1024, 'select'): (
+        (4073526.1007407317, 4105276.553086406),
+        '0x1.0a851eb851eb2p+13'),
+    ('window', 1, 4096, 'read'): (
+        (29623.80839506175, 49529.62074074079),
+        '0x1.4e147ae147ae1p+13'),
+    ('window', 1, 4096, 'select'): (
+        (4035797.6207407424, 4048837.4330864223),
+        '0x1.f83d70a3d70a3p+12'),
+    ('window', 2, 1024, 'read'): (
+        (39500.28839506172, 68975.38074074076),
+        '0x1.6147ae147ae09p+13'),
+    ('window', 2, 1024, 'select'): (
+        (4047229.780740736, 4065832.0730864126),
+        '0x1.0a851eb851eb2p+13'),
+    ('window', 2, 4096, 'read'): (
+        (21285.24839506174, 32852.50074074077),
+        '0x1.4e147ae147ae1p+13'),
+    ('window', 2, 4096, 'select'): (
+        (4027672.980740742, 4036650.4730864214),
+        '0x1.f83d70a3d70a3p+12'),
+    ('tie', 32): (
+        ((2, 0, 12039997.288888892),
+         (1, 0, 12040998.817777783),
+         (3, 0, 12043736.737777792),
+         (1, 1, 12044796.577777795),
+         (0, 0, 12049049.297777802),
+         (1, 2, 12049142.3377778),
+         (3, 1, 12050351.85777779),
+         (3, 2, 12057971.93061727),
+         (0, 1, 12061228.330617238)),
+        '0x1.844147ae147bcp+14'),
+    ('tie', 4): (
+        ((2, 0, 12181117.514074111),
+         (2, 1, 12187966.872098822),
+         (2, 2, 12194506.952098843),
+         (1, 0, 12195852.232098848),
+         (3, 0, 12209866.012098853),
+         (1, 1, 12218227.503456892),
+         (1, 2, 12241355.10345695),
+         (3, 1, 12241748.62345695),
+         (0, 0, 12254279.15481498),
+         (3, 2, 12271464.966173016),
+         (0, 1, 12324875.68617304)),
+        '0x1.deda28f5c2819p+16'),
+    ('tie', 3): (
+        ((0, 0, 4017382.644444443),
+         (1, 0, 4017822.324444442),
+         (2, 0, 4018313.1244444423),
+         (0, 1, 4021730.4972839486),
+         (1, 1, 4022849.9775308617),
+         (2, 1, 4023238.1772839483),
+         (0, 2, 4026180.950370368),
+         (1, 2, 4027875.5103703677),
+         (0, 3, 4030458.6034567878),
+         (1, 3, 4032800.5632098736)),
+        '0x1.7bc28f5c28f57p+12'),
+    ('struck', 2): (
+        (156288.59654321047,),
+        '0x1.6e7bd70a3d702p+15'),
+    ('struck', 32): (
+        (73652.5165432097,),
+        '0x1.1ae6666666659p+15'),
+    ('stopped', 2): (
+        (254038.40888889035,
+         (275, 277, 305808, '0x1.7e428f5c28f4bp+14'),
+         (346, 348, 384192, '0x1.e03d70a3d708dp+14'),
+         (380, 382, 421728, '0x1.07947ae147ad5p+15'),
+         (508, 510, 563040, '0x1.5fe6666666655p+15')),
+        '0x1.6147ae147ae03p+15'),
+    ('stopped', 32): (
+        (85971.68888889029,
+         (256, 257, 283728, '0x1.62a8f5c28f5b3p+14'),
+         (327, 336, 370944, '0x1.cfae147ae1465p+14'),
+         (365, 374, 412896, '0x1.020f5c28f5c1dp+15'),
+         (509, 512, 565248, '0x1.6147ae147ae03p+15')),
+        '0x1.6147ae147ae03p+15'),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(TRAIN_GOLDEN, key=repr), ids=repr)
+def test_a_cut_or_stopped_train_matches_the_per_packet_run(cell):
+    kind, *args = cell
+    assert TRAIN_CELLS[kind](*args) == TRAIN_GOLDEN[cell]
