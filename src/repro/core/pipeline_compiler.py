@@ -176,16 +176,27 @@ def choose_smart_addressing(chain: list, schema: Schema,
         schema.row_width, config)
 
 
-def refuse_smart_addressing(chain: list, encrypted: bool) -> None:
-    """Raise the node's refusal of smart addressing for ``chain`` (over
-    an ``encrypted`` table), if it has one: every placement refuses a
-    forced hint with this text, the ones that compile nothing too."""
+def check_chain(chain: list, table: FTable) -> None:
+    """Refuse what no placement can run, with one class and text on every
+    route, the placements that compile nothing included: ``chain`` and
+    ``table`` disagreeing on encryption (a :class:`QueryError`), or a
+    forced smart-addressing hint the node cannot honour."""
     decrypt = chain[:1] == [BoundDecrypt()]
+    if decrypt and not table.encrypted:
+        raise QueryError(
+            f"query asks to decrypt but table {table.name!r} is not "
+            f"encrypted")
+    if table.encrypted and not decrypt:
+        raise QueryError(
+            f"table {table.name!r} is encrypted; the query must set "
+            f"decrypt_input (no placement can parse ciphertext)")
+    if not any(op.kernel == "eval" and op.smart for op in chain):
+        return
     kernels = [op.kernel for op in chain[decrypt:] if op.kernel != "encrypt"]
     if kernels != ["eval"]:
         raise PipelineCompilationError(
             "smart addressing supports projection-only queries")
-    if encrypted:
+    if table.encrypted:
         raise PipelineCompilationError(
             "smart addressing cannot decrypt scattered CTR reads in this "
             "prototype; use standard projection")
@@ -204,19 +215,8 @@ def compile_chain(chain: list, table: FTable,
     against ``table``: a hardware operator per node, and the region
     signature in the same walk."""
     schema = table.schema
-    decrypt = chain[:1] == [BoundDecrypt()]
-    if decrypt and not table.encrypted:
-        raise PipelineCompilationError(
-            f"query asks to decrypt but table {table.name!r} is not "
-            f"encrypted")
-    if table.encrypted and not decrypt:
-        raise PipelineCompilationError(
-            f"table {table.name!r} is encrypted; the query must set "
-            f"decrypt_input (the operators cannot parse ciphertext)")
-
+    check_chain(chain, table)
     use_sa = choose_smart_addressing(chain, schema, config)
-    if use_sa:
-        refuse_smart_addressing(chain, table.encrypted)
 
     stack = config.operator_stack
     cuckoo = dict(ways=stack.cuckoo_tables, slots_per_way=stack.cuckoo_slots,

@@ -66,9 +66,8 @@ from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, join_cost, kernel_cost)
-from .pipeline_compiler import (BoundDecrypt, compile_chain, lower_query,
-                                operator_chain, over_deltas,
-                                refuse_smart_addressing)
+from .pipeline_compiler import (BoundDecrypt, check_chain, compile_chain,
+                                lower_query, operator_chain, over_deltas)
 from .query import Query
 from .table import FTable, Table, as_table
 
@@ -226,26 +225,13 @@ def plan_placement(query: Query, table: Table | FTable,
     cost_model = PlacementCostModel(config, cpu)
     table = as_table(table)
     base = table.shards[0].chain.base
-    # Mirror the compiler's encrypted-table invariants up front: the ship
-    # path never compiles a fragment, and no placement can parse
-    # ciphertext (or decrypt a plaintext table).
-    if base.encrypted and not query.decrypt_input:
-        raise QueryError(
-            f"table {base.name!r} is encrypted; the query must set "
-            f"decrypt_input (no placement can parse ciphertext)")
-    if query.decrypt_input and not base.encrypted:
-        raise QueryError(
-            f"query asks to decrypt but table {base.name!r} is not "
-            f"encrypted")
     schema = table.schema
     chain = lower_query(query, schema)
     nrows, scan_bytes, delta_rows = table.stats_at(
         table.epoch if as_of is None else as_of)
     if delta_rows:
         chain = over_deltas(chain)
-    if any(op.kernel == "eval" and op.smart for op in chain):
-        # Ship runs no compiler: a forced hint is refused here for all.
-        refuse_smart_addressing(chain, base.encrypted)
+    check_chain(chain, base)    # ship compiles nothing: refuse here for all
     shards = len(table.shards)
     build_parts = (table.num_partitions
                    if join_strategy in ("colocated", "shuffle") else 1)

@@ -769,17 +769,20 @@ def test_a_refused_smart_hint_is_refused_under_every_placement(placement):
         client.far_view_planned(table, query, placement=placement)
 
 
-def test_an_invalid_query_raises_query_error_from_every_verb():
-    """Regression: an unknown column raised ``PipelineCompilationError``
-    (an ``OperatorError``) from ``far_view`` and ``QueryError`` from
-    ``far_view_planned``; a Query that fails validation is a
-    ``QueryError`` from both verbs, under every placement."""
+@pytest.mark.parametrize("query, text", [
+    (Query(predicate=Compare("nope", "<", 1)), "nope"),
+    (Query(decrypt_input=True), "is not encrypted")])
+def test_an_invalid_query_raises_query_error_from_every_verb(query, text):
+    """Regression: an unknown column, or a decrypt of a plain table,
+    raised ``PipelineCompilationError`` (an ``OperatorError``) from
+    ``far_view`` and ``QueryError`` from ``far_view_planned``; a Query
+    the table cannot take is a ``QueryError`` from both verbs, under
+    every placement."""
     from repro.common.errors import QueryError
 
     client, table = _loaded_selection_client()
-    query = Query(predicate=Compare("nope", "<", 1))
-    with pytest.raises(QueryError, match="nope"):
+    with pytest.raises(QueryError, match=text):
         client.far_view(table, query)
     for placement in ("offload", "auto", "ship"):
-        with pytest.raises(QueryError, match="nope"):
+        with pytest.raises(QueryError, match=text):
             client.far_view_planned(table, query, placement=placement)

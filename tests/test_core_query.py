@@ -241,13 +241,13 @@ def test_compile_join_loads_the_build_side_on_chip():
 def test_compile_rejects_encrypted_table_without_decrypt():
     table = FTable("e", default_schema(), 10, encrypted=True,
                    key=b"k" * 16, nonce=b"n" * 12)
-    with pytest.raises(PipelineCompilationError):
+    with pytest.raises(QueryError):
         compile_query(select_star(Compare("a", "<", 5)), table, CONFIG)
 
 
 def test_compile_rejects_decrypt_of_plain_table():
     table = make_table()
-    with pytest.raises(PipelineCompilationError):
+    with pytest.raises(QueryError):
         compile_query(Query(decrypt_input=True), table, CONFIG)
 
 
