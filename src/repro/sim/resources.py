@@ -294,10 +294,11 @@ class RoundRobinArbiter:
         #: The stream running as a train, and its state: the wire sizes
         #: submitted and not granted; the landing times of those granted
         #: and not landed, and when each was granted; the pump's next
-        #: grant and when it was scheduled; the instant its hops have run
-        #: to; whether it granted any; and the state its wait was planned
-        #: from, to go back to while it is ahead of the loop (planned past
-        #: now and not yet caught up by its callback).
+        #: grant and when it was scheduled (infinite for a hand-off's
+        #: restart, which waits behind the immediate deque); the instant
+        #: its hops have run to; whether it granted any; and the state its
+        #: wait was planned from, to go back to while it is ahead of the
+        #: loop (planned past now and not yet caught up by its callback).
         self._train: Optional[_Stream] = None
         self._queue: Deque[int] = deque()
         self._landings: Deque[float] = deque()
