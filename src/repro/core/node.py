@@ -20,6 +20,7 @@ concurrent clients share DRAM and downlink fairly (§4.3-4.4).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,8 +40,8 @@ from ..network.qp import QueuePair
 from ..network.rdma import ResponseStreamer, deliver_request, deliver_write
 from ..operators.base import OperatorPipeline
 from ..operators.sending import Sender
-from ..sim.engine import Simulator
-from ..sim.resources import BandwidthPipe, Store
+from ..sim.engine import Event, Simulator
+from ..sim.resources import BandwidthPipe
 from .table import FTable
 from .versioning import (ROWID_COLUMN, VersionView, delete_schema,
                          delta_schema, encode_value)
@@ -54,55 +55,125 @@ DEFAULT_CLIENT_BUFFER = 8 * 1024 * 1024
 _domain_ids = itertools.count(1)
 
 
-class _StreamAbort:
-    """Failure sentinel a failing burst producer hands its consumer:
-    pushing the error through the queue, not raising it in a loop
-    callback, keeps the consumer from waiting on ``store.get()``
-    forever and fails the verb in its own process."""
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-
-
 class _BurstReader:
-    """The producer side of :meth:`FarviewNode._stream_memory`, as loop
-    callbacks: each burst is fetched (translated, fault-checked), charged
-    on the DRAM pipes (:meth:`Mmu.read_burst`) and put into ``store``
-    when it lands; the next is fetched in the slot after the put is
-    accepted, so the reader runs at most two bursts ahead."""
+    """Streams ``[vaddr, +length)`` of a connection's memory to a
+    consumer, burst by burst, as loop callbacks.
 
-    __slots__ = ("node", "conn", "vaddr", "length", "store", "cursor")
+    Each burst is fetched (translated and fault-checked,
+    :meth:`Mmu.translate_range`) and charged on the DRAM pipes; when it
+    lands it goes to ``consume(nbytes)`` at once if the consumer waits
+    for it, else into a two-slot buffer, and the next burst is fetched.
+    A third landing waits for a slot and fetches nothing, so the reader
+    runs at most two bursts ahead.  ``consume`` ends, in its own slot or
+    in a later callback, with :meth:`after`: the next landing now, or
+    once the response stream's credit wait is over.
+    The end of the data, a crash or a memory fault (a typed error, never
+    a consumer parked forever) goes the same way and fires ``done``,
+    which the verb's process waits on, in the consumer's slot.
+
+    Every hop draws the ticket that a reader process and a consumer
+    process with a two-slot queue between them would draw, in their
+    order: a burst's consumer and its next fetch are hand-off hops
+    (:meth:`Simulator._hand_off`), run inline where the loop would run
+    them next anyway.
+    """
+
+    __slots__ = ("node", "sim", "conn", "vaddr", "length", "cursor",
+                 "consume", "buffer", "held", "idle", "done")
 
     def __init__(self, node: "FarviewNode", conn: "Connection", vaddr: int,
-                 length: int, store: Store):
-        self.node, self.conn, self.store = node, conn, store
+                 length: int, consume):
+        self.node, self.sim, self.conn = node, node.sim, conn
         self.vaddr, self.length, self.cursor = vaddr, length, 0
+        self.consume = consume
+        #: Landings not yet consumed (at most two), and one held back
+        #: with whether it fetches the next burst once it has a slot.
+        self.buffer: deque = deque()
+        self.held: tuple | None = None
+        self.idle = True
+        self.done = Event(node.sim)
+        node.sim._immediate(self.fetch)
 
-    def fetch(self, _accepted=None) -> None:
+    def fetch(self) -> None:
         node = self.node
         if self.cursor >= self.length:
-            self.store.put(None)
+            self._land(None, False)
         elif node.failed:
-            # Fail-stop mid-stream: hand the consumer a typed abort
-            # instead of more data (never partial-then-silent).
-            self.store.put(_StreamAbort(NodeFailedError(
+            # Fail-stop mid-stream: a typed error, never partial-then-silent.
+            self._land(NodeFailedError(
                 f"node crashed mid-stream (incarnation "
-                f"{node.incarnation})")))
+                f"{node.incarnation})"), False)
         else:
             n = min(node.mmu.burst_bytes, self.length - self.cursor)
             try:
-                node.mmu.read_burst(self.conn.domain, self.vaddr + self.cursor,
-                                    n, self.landed)
+                node.mmu.translate_range(self.conn.domain,
+                                         self.vaddr + self.cursor, n,
+                                         self.landed)
             except FarviewError as exc:
-                # A memory fault mid-stream reaches the consumer as a
-                # typed abort, never as a consumer parked forever.
-                self.store.put(_StreamAbort(exc))
+                self._land(exc, False)
 
     def landed(self, n: int) -> None:
         self.cursor += n
-        self.store.put(n).add_callback(self.fetch)
+        self._land(n, True)
+
+    def _land(self, item, fetch: bool) -> None:
+        if self.idle:
+            self.idle = False
+            if fetch:
+                self.sim._hand_off(self._take, (item,), (self.fetch, ()))
+            else:
+                self.sim._hand_off(self._take, (item,))
+        elif len(self.buffer) < 2:
+            self.buffer.append(item)
+            if fetch:
+                self.sim._hand_off(self.fetch, ())
+        else:
+            self.held = (item, fetch)
+
+    def after(self, credited: Event | None) -> None:
+        """The consumer's turn is over: it takes the next landing now, or
+        once ``credited`` (a cut's credit wait) fires."""
+        if credited is None:
+            self.next()
+        else:
+            credited.add_callback(self.next)
+
+    def next(self, _event=None) -> None:
+        """The consumer is ready for the next landing."""
+        if not self.buffer:
+            self.idle = True
+            return
+        take = (self.buffer.popleft(),)
+        held = self.held
+        if held is not None:
+            self.held = None
+            self.buffer.append(held[0])
+            if held[1]:
+                self.sim._hand_off(self.fetch, (), (self._take, take))
+                return
+        self.sim._hand_off(self._take, take)
+
+    def _take(self, item) -> None:
+        if type(item) is int:
+            try:
+                self.consume(item)
+            except Exception as exc:    # the consumer's error fails the
+                self.fail(exc)          # verb, not the event loop
+        elif item is None:
+            # The consumer's closures refer back to this reader: dropping
+            # them frees its rows with the verb, not at the next collection.
+            self.consume = None
+            self.done._fire()
+        else:
+            self.fail(item)
+
+    def fail(self, exc: BaseException) -> None:
+        """End the stream with ``exc`` raised in the waiting verb; the
+        reader runs on until its buffer is full, as it would beside a
+        consumer that died."""
+        self.consume = None
+        self.done._ok = False
+        self.done._fire(exc)
 
 
 def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
@@ -113,6 +184,8 @@ def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
     the output rows whose source row ends within them and that no
     earlier call released, emitted through the packer-side stages.  A
     burst that completes no output row calls nothing in the pipeline.
+    A streamed scan calls it from the callback that ends a burst's
+    ingest, smart addressing once per request batch.
     Only the output rows outlive the call, not ``image``: where they
     share the memory of a pool view (no row operator copied them) they
     are copied once, so a write landing mid-stream cannot change them.
@@ -338,27 +411,20 @@ class FarviewNode:
         # The image lands when the stream ends: the view is copied now.
         image = bytes(self.mmu.image(conn.domain, vaddr + offset, length))
         streamer = ResponseStreamer(self.sim, self.link, conn.qp)
-        yield from self._stream_memory(conn, vaddr + offset, length,
-                                       streamer.send)
+
+        def consume(nbytes: int) -> None:
+            reader.after(streamer.cut(nbytes))
+
+        reader = _BurstReader(self, conn, vaddr + offset, length, consume)
+        try:
+            yield reader.done
+        except Exception:
+            streamer.abandon()
+            raise
         total = yield from streamer.finish(image)
         # A crash before the final ack means the response never completed.
         self._check_alive()
         return total
-
-    def _stream_memory(self, conn: Connection, vaddr: int, length: int,
-                       sink_send):
-        """Producer/consumer: overlapped burst reads feeding ``sink_send``
-        each burst's length, two bursts ahead of it at most."""
-        store = Store(self.sim, capacity=2, name="read-bursts")
-        self.sim._immediate(_BurstReader(self, conn, vaddr, length,
-                                         store).fetch)
-        while True:
-            chunk = yield store.get()
-            if chunk is None:
-                return
-            if type(chunk) is _StreamAbort:
-                raise chunk.exc
-            yield from sink_send(chunk)
 
     # -- the Farview verb (§4.2 farView) ----------------------------------------------------------
     def serve_farview(self, conn: Connection, source: FTable | VersionView,
@@ -406,23 +472,26 @@ class FarviewNode:
 
         streamer = ResponseStreamer(self.sim, self.link, conn.qp)
         sender = Sender(streamer)
+        try:
+            if compiled.ingest_mode == "smart":
+                source_rows = yield from self._run_smart_addressing(
+                    conn, table, compiled, sender, report)
+            else:
+                source_rows = yield from self._run_streaming(
+                    conn, table, view, compiled, sender, report)
 
-        if compiled.ingest_mode == "smart":
-            source_rows = yield from self._run_smart_addressing(
-                conn, table, compiled, sender, report)
-        else:
-            source_rows = yield from self._run_streaming(
-                conn, table, view, compiled, sender, report)
-
-        # End of stream: flush grouping state (costs cycles per group) and
-        # the packer/encryption tails, then wait for delivery.
-        tail = compiled.pipeline.flush()
-        flush_ns = compiled.pipeline.flush_cycles() * stack.cycle_ns
-        if flush_ns > 0:
-            yield self.sim.timeout(flush_ns)
-        if tail:
-            yield from sender.send(tail)
-        total = yield from sender.finish()
+            # End of stream: flush grouping state (costs cycles per group)
+            # and the packer/encryption tails, then wait for delivery.
+            tail = compiled.pipeline.flush()
+            flush_ns = compiled.pipeline.flush_cycles() * stack.cycle_ns
+            if flush_ns > 0:
+                yield self.sim.timeout(flush_ns)
+            if tail:
+                yield from sender.send(tail)
+            total = yield from sender.finish()
+        except Exception:
+            streamer.abandon()
+            raise
         self._check_alive()
 
         self._collect_overflow(compiled, report)
@@ -460,8 +529,9 @@ class FarviewNode:
 
         The result depends only on the table, so the pipeline runs once
         over the whole scanned image, read untimed up front; each timed
-        DRAM burst then releases the output rows whose source row it
-        completed (:func:`releaser`).
+        DRAM burst (:class:`_BurstReader`) then crosses the ingest pipe
+        and releases the output rows whose source row it completed
+        (:func:`releaser`).
 
         With a ``view`` the ingest is the delta-aware merge: the delta
         segments are prefetched into the merge unit first (timed DRAM
@@ -486,21 +556,28 @@ class FarviewNode:
                                name=f"region{conn.region.index}.ingest")
         streamed = 0
 
-        def sink(nbytes: int):
-            nonlocal streamed
+        def consume(nbytes: int) -> None:
             if conn.region.state is RegionState.FAILED:
                 raise RegionFailedError(
                     f"region {conn.region.index} failed mid-pipeline")
-            yield self.sim.timeout(ingest.occupy(nbytes))
-            report.bytes_scanned += nbytes
-            streamed += nbytes
-            # The merge unit feeds the visible image in proportion to the
-            # base bytes streamed so far.
-            out = release(streamed, length)
-            if out:
-                yield from sender.send(out)
+            self.sim.schedule(ingest.occupy(nbytes), ingested, nbytes)
 
-        yield from self._stream_memory(conn, vaddr, length, sink)
+        def ingested(nbytes: int) -> None:
+            nonlocal streamed
+            try:
+                report.bytes_scanned += nbytes
+                streamed += nbytes
+                # The merge unit feeds the visible image in proportion to
+                # the base bytes streamed so far.
+                out = release(streamed, length)
+                credited = sender.cut(out) if out else None
+            except Exception as exc:    # fails the verb, as in consume
+                reader.fail(exc)
+                return
+            reader.after(credited)
+
+        reader = _BurstReader(self, conn, vaddr, length, consume)
+        yield reader.done
         return source_rows
 
     def _merged_image(self, conn: Connection, view: VersionView,

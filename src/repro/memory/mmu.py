@@ -64,10 +64,6 @@ class Tlb:
         while len(self._map) > self.entries:
             self._map.popitem(last=False)
 
-    def contains(self, domain: int, vpage: int) -> bool:
-        """Non-mutating residency probe (no stats, no LRU promotion)."""
-        return (domain, vpage) in self._map
-
     def invalidate_domain(self, domain: int) -> None:
         stale = [k for k in self._map if k[0] == domain]
         for key in stale:
@@ -173,36 +169,53 @@ class Mmu:
         self.tlb.invalidate_domain(domain)
 
     # -- translation --------------------------------------------------------------
-    def translate(self, domain: int, vaddr: int) -> tuple[int, int, float]:
-        """Translate one address; returns (frame, page_offset, latency_ns)."""
-        self._require_domain(domain)
-        page_size = self.config.page_size
-        vpage, page_offset = divmod(vaddr, page_size)
-        frame = self.tlb.lookup(domain, vpage)
-        latency = self.config.tlb_hit_ns
-        if frame is None:
-            table = self._page_tables[domain]
+    def translate_range(self, domain: int, vaddr: int, length: int,
+                        landed: Callable[[int], None] | None = None) -> float:
+        """Translate every page ``[vaddr, +length)`` touches through the
+        TLB, in one frame: fault-checked, probed (the latency returned is
+        each page's hit or miss as the TLB stood before), then looked up
+        and filled page by page.  With ``landed`` it is one burst of a
+        streamed read: after that latency every channel is charged its
+        stripe share, and ``landed(length)`` runs when the slowest is
+        done."""
+        table = self._page_tables.get(domain)
+        if table is None or vaddr < 0 or length <= 0:
+            # The fault, or an empty access's check of the page at vaddr.
+            table = self._check_bounds(domain, vaddr, length)
+        config, tlb = self.config, self.tlb
+        size = config.page_size
+        pages = range(vaddr // size, (vaddr + length - 1) // size + 1) if length else ()
+        hit, miss, cached = config.tlb_hit_ns, config.tlb_miss_ns, tlb._map
+        translation = 0.0
+        for vpage in pages:     # fault-checked, probed (no stats, no LRU)
             if vpage not in table:
-                raise TranslationFault(
-                    f"domain {domain}: no mapping for vaddr {vaddr:#x}")
-            frame = table[vpage]
-            self.tlb.fill(domain, vpage, frame)
-            latency = self.config.tlb_miss_ns
-        self.translation_ns_accumulated += latency
-        return frame, page_offset, latency
+                self._check_bounds(domain, vaddr, length)
+            translation += hit if (domain, vpage) in cached else miss
+        for vpage in pages:
+            if tlb.lookup(domain, vpage) is None:
+                tlb.fill(domain, vpage, table[vpage])
+                self.translation_ns_accumulated += miss
+            else:
+                self.translation_ns_accumulated += hit
+        if landed is not None:
+            self._charge(translation, length, self._read_pipes, landed)
+        return translation
 
-    def _check_bounds(self, domain: int, vaddr: int, length: int) -> None:
-        """Fault an access outside ``domain``'s mapped pages."""
-        self._require_domain(domain)
+    def _check_bounds(self, domain: int, vaddr: int, length: int) -> dict:
+        """Fault an access outside ``domain``'s mapped pages; returns the
+        domain's page table."""
+        table = self._page_tables.get(domain)
+        if table is None:
+            raise ProtectionFault(f"unknown protection domain {domain}")
         if vaddr < 0 or length < 0:
             raise MemoryError_(f"bad access ({vaddr:#x}, {length})")
         page_size = self.config.page_size
-        table = self._page_tables[domain]
         for vpage in range(vaddr // page_size, (vaddr + max(length, 1) - 1) // page_size + 1):
             if vpage not in table:
                 raise TranslationFault(
                     f"domain {domain}: access [{vaddr:#x}, +{length}) touches "
                     f"unmapped page {vpage}")
+        return table
 
     # -- functional data path ------------------------------------------------------
     def image(self, domain: int, vaddr: int,
@@ -212,8 +225,8 @@ class Mmu:
         consecutive page frames it is a read-only view of the frame store,
         which shows later writes, so a caller keeping the bytes past its
         callback takes ``bytes(...)`` of it; else a join of its pages."""
-        self._check_bounds(domain, vaddr, length)
-        size, table = self.config.page_size, self._page_tables[domain]
+        table = self._check_bounds(domain, vaddr, length)
+        size = self.config.page_size
         first, offset = divmod(vaddr, size)
         frames = [table[v] for v in range(first, (vaddr + max(length, 1) - 1) // size + 1)]
         if frames == list(range(frames[0], frames[0] + len(frames))):
@@ -223,50 +236,21 @@ class Mmu:
         spans[0] = spans[0][offset:]
         return b"".join(spans)
 
-    def poke(self, domain: int, vaddr: int, data: bytes | memoryview) -> None:
-        """Untimed write of a virtual range (translated through the TLB)."""
+    def poke(self, domain: int, vaddr: int, data: bytes | memoryview) -> float:
+        """Untimed write of a virtual range, translated through the TLB
+        (:meth:`translate_range`); returns that translation's latency."""
         src = np.frombuffer(data, dtype=np.uint8)
-        self._check_bounds(domain, vaddr, len(src))
+        translation = self.translate_range(domain, vaddr, len(src))
+        size, table = self.config.page_size, self._page_tables[domain]
         cursor = 0
         while cursor < len(src):
-            frame, offset, _ = self.translate(domain, vaddr + cursor)
-            span = self.store.frame(frame)[offset:offset + len(src) - cursor]
+            vpage, offset = divmod(vaddr + cursor, size)
+            span = self.store.frame(table[vpage])[offset:offset + len(src) - cursor]
             span[:] = src[cursor:cursor + len(span)]
             cursor += len(span)
-
-    # -- timed data path -------------------------------------------------------------
-    def _translation_charge(self, domain: int, vaddr: int,
-                            length: int) -> float:
-        """Translation latency for an access: hit or miss per page touched.
-
-        Probed *before* the access translates (which fills the TLB), so
-        the timed path charges the miss penalty exactly for pages that
-        were cold when the request arrived.
-        """
-        if length <= 0:
-            return 0.0
-        page_size = self.config.page_size
-        charge = 0.0
-        for vpage in range(vaddr // page_size,
-                           (vaddr + length - 1) // page_size + 1):
-            if self.tlb.contains(domain, vpage):
-                charge += self.config.tlb_hit_ns
-            else:
-                charge += self.config.tlb_miss_ns
-        return charge
-
-    def translate_range(self, domain: int, vaddr: int, length: int) -> float:
-        """Translate every page ``[vaddr, +length)`` touches through the
-        TLB (fault-checked, filling it); returns the latency those
-        translations cost as the TLB stood before."""
-        translation = self._translation_charge(domain, vaddr, length)
-        self._check_bounds(domain, vaddr, length)
-        page_size = self.config.page_size
-        for vpage in range(vaddr // page_size,
-                           (vaddr + length - 1) // page_size + 1):
-            self.translate(domain, max(vaddr, vpage * page_size))
         return translation
 
+    # -- timed data path -------------------------------------------------------------
     def read(self, domain: int, vaddr: int, length: int) -> Event:
         """Timed striped read; the event fires with ``length``.
 
@@ -282,18 +266,9 @@ class Mmu:
                             self._read_pipes, done.succeed)
         return done
 
-    def read_burst(self, domain: int, vaddr: int, length: int,
-                   landed: Callable[[int], None]) -> None:
-        """One burst of a streamed read, as callbacks on the priced
-        pipes: translated and fault-checked now, then translation delay
-        → channel occupancy → ``landed(length)``."""
-        self._charge(self.translate_range(domain, vaddr, length), length,
-                     self._read_pipes, landed)
-
     def write(self, domain: int, vaddr: int, data: bytes) -> Event:
         """Timed striped write; event fires when the last burst lands."""
-        translation = self._translation_charge(domain, vaddr, len(data))
-        self.poke(domain, vaddr, data)
+        translation = self.poke(domain, vaddr, data)
         done = self.sim.event()
         self.sim._immediate(self._charge, translation, len(data),
                             self._write_pipes, done.succeed)
@@ -315,8 +290,16 @@ class Mmu:
             return
         burst = min(self.burst_bytes, length - cursor)
         per_channel = self.allocator.channel_extent(burst)
-        self.sim.schedule(max([pipe.occupy(per_channel) for pipe in pipes]),
-                          self._burst, cursor + burst, length, pipes, landed)
+        sizes, done = (per_channel,), 0.0
+        for pipe in pipes:
+            delay = pipe.occupy_each(sizes)
+            if delay > done:
+                done = delay
+        if cursor + burst < length:
+            self.sim.schedule(done, self._burst, cursor + burst, length,
+                              pipes, landed)
+        else:
+            self.sim.schedule(done, landed, length)
 
     # -- introspection ------------------------------------------------------------
     @property

@@ -19,8 +19,10 @@ way the paper's deeply pipelined design intends (§4.1).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..common.errors import NetworkError
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from .link import Link
 from .packet import CONTROL_PACKET_BYTES, split_lengths
 from .qp import QueuePair
@@ -62,6 +64,9 @@ class ResponseStreamer:
         ...
         yield from streamer.finish(image)         # flush, deliver, land
 
+    A producer that runs as callbacks calls :meth:`cut` instead and waits
+    on the event it returns.
+
     The stream carries lengths: they are coalesced into wire packets of
     the link's ``packet_size``, each charged its ``per_packet_overhead_ns``,
     and :meth:`finish` flushes the final partial packet.  The response's
@@ -92,19 +97,30 @@ class ResponseStreamer:
         self.payload_bytes_sent = 0
 
     # -- producer interface ----------------------------------------------------
-    def send(self, nbytes: int):
-        """Process: cut ``nbytes`` more into packets and put them on the
-        wire; returns once the last of them holds a flow-control credit
-        (so a producer is back-pressured exactly as if it had waited for
-        each credit in turn, but is resumed once)."""
+    def cut(self, nbytes: int) -> Optional[Event]:
+        """Cut ``nbytes`` more into packets and put them on the wire;
+        returns the event that fires once the last of them holds a
+        flow-control credit, or None if it already does (so a producer
+        is back-pressured exactly as if it had waited for each credit in
+        turn, but is resumed once)."""
         if self._finished:
             raise NetworkError("stream already finished")
         size = self.config.packet_size
         packets, self._pending = divmod(self._pending + nbytes, size)
         self._cut(packets, size)
-        credited = self._arbiter.credited(self._stream)
+        return self._arbiter.credited(self._stream)
+
+    def send(self, nbytes: int):
+        """Process: :meth:`cut`, then wait for the event it returns."""
+        credited = self.cut(nbytes)
         if credited is not None:
             yield credited
+
+    def abandon(self) -> None:
+        """The producer failed: the stream closes once its packets land."""
+        if not self._finished:
+            self._finished = True
+            self._arbiter.drained(self._stream)
 
     def finish(self, image: bytes):
         """Process: flush the final partial packet, wait for delivery and

@@ -15,7 +15,10 @@ response's bytes, joined once.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..network.rdma import ResponseStreamer
+from ..sim.engine import Event
 from .packing import Packer
 
 
@@ -28,13 +31,21 @@ class Sender:
         self.commands_issued = 0
         self._words: list[bytes] = []
 
-    def send(self, data: bytes):
-        """Process: pack ``data`` and emit any whole words to the network."""
+    def cut(self, data: bytes) -> Optional[Event]:
+        """Pack ``data`` and cut any whole words into the stream; returns
+        the event to wait on (:meth:`ResponseStreamer.cut`), or None."""
         ready = self.packer.pack(data)
-        if ready:
-            self.commands_issued += 1
-            self._words.append(ready)
-            yield from self.streamer.send(len(ready))
+        if not ready:
+            return None
+        self.commands_issued += 1
+        self._words.append(ready)
+        return self.streamer.cut(len(ready))
+
+    def send(self, data: bytes):
+        """Process: :meth:`cut`, then wait for the event it returns."""
+        credited = self.cut(data)
+        if credited is not None:
+            yield credited
 
     def finish(self):
         """Process: flush the final partial word and close the stream,

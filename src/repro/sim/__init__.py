@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel and shared resources."""
 
 from .engine import AllOf, Event, Process, SimulationError, Simulator, Timeout
-from .resources import BandwidthPipe, CreditPool, RoundRobinArbiter, Store
+from .resources import BandwidthPipe, CreditPool, RoundRobinArbiter
 from .stats import Series, percentile
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "BandwidthPipe",
     "CreditPool",
     "RoundRobinArbiter",
-    "Store",
     "Series",
     "percentile",
 ]

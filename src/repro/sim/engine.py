@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A compact, dependency-free engine in the style of SimPy: *processes* are
-Python generators that ``yield`` events (timeouts, queue operations, other
+Python generators that ``yield`` events (timeouts, credits, other
 processes) and are resumed by the event loop when those events fire.  Time is
 a float in **nanoseconds** (see :mod:`repro.common.units`).
 
@@ -13,12 +13,11 @@ Example::
 
     sim = Simulator()
 
-    def producer(env, store):
+    def ticker(sim, pipe):
         for i in range(3):
-            yield env.timeout(10.0)
-            yield store.put(i)
+            yield sim.timeout(pipe.occupy(64))  # a priced transfer, waited out
 
-    # (see repro.sim.resources for Store)
+    # (see repro.sim.resources for BandwidthPipe)
 """
 
 from __future__ import annotations
@@ -87,6 +86,20 @@ class Event:
         for fn in self._callbacks:
             fn(self)
         self._callbacks.clear()
+
+    def _hand_off(self, value: Any = None) -> None:
+        """:meth:`succeed`, its waiters run as hand-off hops
+        (:meth:`Simulator._hand_off`): the caller triggers it last."""
+        self._value = value
+        self.triggered = True
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            if len(callbacks) == 1:
+                self.sim._hand_off(callbacks[0], (self,))
+            else:
+                self.sim._hand_off(callbacks[0], (self,),
+                                   *[(fn, (self,)) for fn in callbacks[1:]])
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event now with an exception to raise in the waiter."""
@@ -262,6 +275,37 @@ class Simulator:
         counter = self._counter
         for fn in fns:
             imm.append((next(counter), fn, (event,)))
+
+    def _hand_off(self, fn: Callable, args: tuple, *later: tuple) -> None:
+        """Queue ``fn(*args)``, then each ``(fn, args)`` of ``later``, at
+        the current time, in order, as :meth:`_immediate` would, their
+        tickets drawn first; but run each here, with ``_seq`` set to its
+        ticket, while it is what the loop would run next anyway: no deque
+        entry and no heap entry due now holds a lower ticket.  So a hop
+        runs where and as it would from the loop, without a loop callback
+        of its own.  The caller hands off last: nothing it does may come
+        after the hops.
+        """
+        counter, imm, heap, now = self._counter, self._imm, self._heap, self._now
+        ticket = next(counter)
+        if imm or (heap and heap[0][0] <= now):
+            imm.append((ticket, fn, args))
+            for hop in later:
+                imm.append((next(counter), *hop))
+            return
+        # The later hops wait at the front of the deque, so a hand-off
+        # made inside a hop queues behind them.
+        for hop in later:
+            imm.append((next(counter), *hop))
+        self._seq = ticket
+        fn(*args)
+        for _ in later:
+            ticket = imm[0][0]
+            if heap and heap[0][0] <= now and heap[0][1] < ticket:
+                return
+            _ticket, fn, args = imm.popleft()
+            self._seq = ticket
+            fn(*args)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)

@@ -2,9 +2,6 @@
 
 These model the hardware structures the paper leans on:
 
-* :class:`Store` — a bounded FIFO with blocking put/get, the AXI-stream
-  queue used between stacks (§4.1 "data is buffered in queues as it
-  traverses from one stack to the other").
 * :class:`BandwidthPipe` — a serializing, rate-limited channel (a DRAM
   channel or a network link): transfers queue behind one another and each
   occupies the pipe for ``size / rate``.
@@ -25,56 +22,6 @@ from heapq import heapify, heappush
 from typing import Any, Callable, Deque, Optional, Sequence
 
 from .engine import Event, SimulationError, Simulator
-
-
-class Store:
-    """A FIFO queue with optional capacity and blocking put/get events."""
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError(f"store capacity must be positive: {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Event that fires once ``item`` is accepted (backpressure-aware)."""
-        ev = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to a waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed()
-        elif not self.is_full:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Event that fires with the next item (FIFO order)."""
-        ev = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            ev.succeed(item)
-            self._admit_waiting_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and not self.is_full:
-            ev, item = self._putters.popleft()
-            self._items.append(item)
-            ev.succeed()
 
 
 class BandwidthPipe:
@@ -289,8 +236,10 @@ class RoundRobinArbiter:
         self._order: list[int] = []
         self._next = 0
         self._pumping = False
-        #: Unregistered flows whose last queued items are still to grant.
+        #: Unregistered flows whose last queued items are still to grant,
+        #: or with a stream still open; per flow, its streams not drained.
         self._draining: set[int] = set()
+        self._open: dict[int, int] = {}
         #: The stream running as a train, and its state: the wire sizes
         #: submitted and not granted; the landing times of those granted
         #: and not landed, and when each was granted; the pump's next
@@ -325,13 +274,15 @@ class RoundRobinArbiter:
 
         ``_next`` keeps pointing at the same live flow, so the grant
         order among the remaining flows is unchanged.  A flow that still
-        has queued items (its connection was abandoned mid-stream) is
-        dropped once they have been granted.
+        has queued items or an open stream (its connection was abandoned
+        mid-stream) drains: it is dropped once they have been granted and
+        the stream has drained, whatever its credit window left in the
+        stream's backlog or its producer still cuts.
         """
         if flow_id not in self._flows:
             raise SimulationError(f"unknown flow {flow_id}")
         self.cut()
-        if self._flows[flow_id]:
+        if self._flows[flow_id] or self._open.get(flow_id):
             self._draining.add(flow_id)
             return
         index = self._order.index(flow_id)
@@ -383,7 +334,8 @@ class RoundRobinArbiter:
                 return
             self._next = (i + 1) % n
             nbytes, extra_ns, fn, args = queue.popleft()
-            if not queue and flow_id in self._draining:
+            if (not queue and flow_id in self._draining
+                    and not self._open.get(flow_id)):
                 self._draining.discard(flow_id)
                 self.unregister_flow(flow_id)
             now = sim._now
@@ -406,6 +358,7 @@ class RoundRobinArbiter:
             raise SimulationError(f"unknown flow {flow_id}")
         stream = _Stream(flow_id, credits, size_of, extra_ns)
         stream.on_credit = partial(self._credit, stream)
+        self._open[flow_id] = self._open.get(flow_id, 0) + 1
         return stream
 
     def send(self, stream: _Stream, count: int, payload: int) -> None:
@@ -464,6 +417,7 @@ class RoundRobinArbiter:
             if not stream.outstanding:
                 self._end_train()
         if not stream.outstanding:
+            self._close(stream)
             return None
         stream.drained = Event(self.sim)
         if stream is self._train:
@@ -476,7 +430,19 @@ class RoundRobinArbiter:
         stream.outstanding -= 1
         if not stream.outstanding and stream.drained is not None:
             drained, stream.drained = stream.drained, None
+            self._close(stream)
             drained.succeed()
+
+    def _close(self, stream: _Stream) -> None:
+        """A finished stream has drained: a draining flow with nothing
+        left is dropped now."""
+        flow_id = stream.flow_id
+        left = self._open.pop(flow_id) - 1
+        if left:
+            self._open[flow_id] = left
+        elif flow_id in self._draining and not self._flows[flow_id]:
+            self._draining.discard(flow_id)
+            self.unregister_flow(flow_id)
 
     def _credit(self, stream: _Stream) -> None:
         """A landed packet returned the credit the backlog's oldest packet
@@ -660,7 +626,8 @@ class RoundRobinArbiter:
             event, stream.drained = stream.drained, None
             if stream is self._train:
                 self._end_train()
-        event.succeed()
+            self._close(stream)
+        event._hand_off()
 
     def _advance(self, until: float, before: float = math.inf,
                  stop: bool = False) -> float:

@@ -42,15 +42,19 @@ def test_cold_read_charges_miss_penalty(sim, mmu_small):
 
 
 def test_translation_charge_counts_pages(mmu_small):
+    """The charge is each page's hit or miss as the TLB stood before the
+    range was translated."""
     page = mmu_small.config.page_size
     vaddr = mmu_small.alloc(1, 3 * page)
-    charge = mmu_small._translation_charge(1, vaddr, 3 * page)
+    charge = mmu_small.translate_range(1, vaddr, 3 * page)
     assert charge == pytest.approx(3 * mmu_small.config.tlb_miss_ns)
-    # Warm the TLB by translating the range, then recompute.
-    mmu_small.translate_range(1, vaddr, 3 * page)
-    warm_charge = mmu_small._translation_charge(1, vaddr, 3 * page)
+    # The first translation warmed the TLB.
+    warm_charge = mmu_small.translate_range(1, vaddr, 3 * page)
     assert warm_charge == pytest.approx(3 * mmu_small.config.tlb_hit_ns)
 
 
 def test_zero_length_access_charges_nothing(mmu_small):
-    assert mmu_small._translation_charge(1, 0, 0) == 0.0
+    vaddr = mmu_small.alloc(1, 64)
+    tlb = mmu_small.tlb
+    assert mmu_small.translate_range(1, vaddr, 0) == 0.0
+    assert (tlb.hits, tlb.misses) == (0, 0)

@@ -152,14 +152,17 @@ def test_response_packet_callback_budget():
     """A stream alone on the downlink runs as a train: its packets' grants,
     landings and credit hand-offs take no loop callbacks, and the loop
     runs one where the producer waits (a chunk's credit wait ending, the
-    stream draining).
+    stream draining).  A burst's consumer and next fetch run inside the
+    callback that hands them off when nothing else is due then.
 
-    1 MiB raw READ at 32 credits, 64 bursts of 16 packets: 389 callbacks,
-    6.1 a burst (3,362 — 3.3 a packet — when every packet was granted,
-    landed and handed its credit on by a callback of its own; 6.6 a
-    packet before that).  A selection at 50 % never exhausts the window:
-    against the same scan shipping nothing, its 515 packets add 2
-    callbacks (1,095 one hop at a time).
+    1 MiB raw READ at 32 credits, 64 bursts of 16 packets: 197 callbacks,
+    3.1 a burst — translation delay, channel occupancy, the credit wait's
+    end (389, 6.1 a burst, while a reader process fed the producer
+    through a two-slot queue; 3,362 — 3.3 a packet — when every packet
+    was granted, landed and handed its credit on by a callback of its
+    own; 6.6 a packet before that).  A selection at 50 % never exhausts
+    the window: against the same scan shipping nothing, its 515 packets
+    add 1 callback (1,095 one hop at a time).
     """
     sim, client, table, workload = _one_mebibyte_table()
     client.table_write(table, workload.rows)
@@ -167,7 +170,7 @@ def test_response_packet_callback_budget():
     events, packets, image = _events_and_packets(
         sim, client, client.table_read, table)
     assert packets == MB // KB and len(image) == MB
-    assert events <= 8 * bursts
+    assert events <= 4 * bursts
 
     nothing = select_star(Compare("a", "<", 0))
     half = select_star(workload.predicate)
@@ -184,12 +187,13 @@ def test_response_packet_callback_budget():
 def test_response_packet_python_call_budget():
     """A train replays its packets' hops inline, so what a warm 1 MiB raw
     READ calls in ``repro.sim`` + ``repro.network`` is per burst: at most
-    48 Python-level calls a burst (39.7 measured: the producer's send,
-    the Store hand-off, the chunk's settle, plan and callback; 156, 9.8 a
-    packet, when each packet's hops ran in frames of their own; 19.9 a
-    packet when the grant relayed its pick through ``_grant_next`` and
-    the streamer cut each packet through ``_emit`` / ``try_acquire`` /
-    ``_transmit``)."""
+    24 Python-level calls a burst (23.9 measured: the chunk's cut,
+    settle, plan and callback, the hand-offs and the two channels'
+    occupancy; 40.7 with the Store hand-off, its three events and two
+    generator resumes; 156, 9.8 a packet, when each packet's hops ran in
+    frames of their own; 19.9 a packet when the grant relayed its pick
+    through ``_grant_next`` and the streamer cut each packet through
+    ``_emit`` / ``try_acquire`` / ``_transmit``)."""
     sim, client, table, workload = _one_mebibyte_table()
     client.table_write(table, workload.rows)
     client.table_read(table)
@@ -203,7 +207,44 @@ def test_response_packet_python_call_budget():
     assert packets == MB // KB
     calls = (_calls_into(profile, "/repro/sim/")
              + _calls_into(profile, "/repro/network/"))
-    assert calls <= 48 * (MB // DEFAULT_BURST_BYTES)
+    assert calls <= 24 * (MB // DEFAULT_BURST_BYTES)
+
+
+def test_a_burst_enters_the_memory_stack_in_one_frame_a_hop():
+    """A streamed burst's translation is one frame (fault check, TLB
+    probe, lookup or fill) and its channel occupancy another, so a warm
+    1 MiB raw READ makes 5 calls a burst into ``repro.memory``: the
+    fetch's ``translate_range``, TLB lookup and charge, the occupancy hop
+    and its stripe extent (14.1 a burst when the fetch went through
+    ``translate_range`` → ``_translation_charge`` / ``_check_bounds`` /
+    ``translate`` and a list of ``occupy`` wrappers); the few beyond are
+    the verb's own image and bounds check."""
+    sim, client, table, workload = _one_mebibyte_table()
+    client.table_write(table, workload.rows)
+    client.table_read(table)
+    profile = cProfile.Profile()
+    profile.enable()
+    client.table_read(table)
+    profile.disable()
+    bursts = MB // DEFAULT_BURST_BYTES
+    assert _calls_into(profile, "/repro/memory/") <= 5 * bursts + 8
+
+
+def test_streaming_selection_callback_budget():
+    """A streaming selection's burst is three loop callbacks — the
+    translation delay, the channel occupancy and the ingest pipe — and
+    the consumer's turn and the next fetch run inside them: a 50 %
+    selection over a warm 1 MiB table (64 bursts) makes 203, 3.2 a
+    burst (333, 5.2 a burst, while the ingest waited in a consumer
+    process fed through a two-slot queue)."""
+    sim, client, table, workload = _one_mebibyte_table()
+    client.table_write(table, workload.rows)
+    half = select_star(workload.predicate)
+    client.far_view(table, half)                      # deployed: warm
+    events, packets, result = _events_and_packets(
+        sim, client, client.far_view, table, half)
+    assert packets == -(-result.num_rows * 64 // KB)
+    assert events <= 3.5 * (MB // DEFAULT_BURST_BYTES)
 
 
 def test_table_write_callbacks_are_per_burst():
@@ -843,7 +884,8 @@ def test_one_hash_one_probe_in_src():
     projection-only test, the fragment's label set), and the response
     packet's relays (the grant's pick helper, the
     clock and pipe-horizon property hops, and the streamer's per-packet
-    cut, credit probe and transmit) — and the reference model binds
+    cut, credit probe and transmit), and the burst hand-off's queue
+    resource and consumer loop — and the reference model binds
     nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
@@ -961,7 +1003,11 @@ def test_one_hash_one_probe_in_src():
             # no per-packet cut, credit probe or transmit helper.
             (("src", "docs"), ("_grant_next", "def busy_until",
                                ".busy_until", "try_acquire", "def _emit(",
-                               "def _transmit("))):
+                               "def _transmit(")),
+            # A DRAM burst reaches the response stream as callbacks: no
+            # queue resource between a reader and a consumer process.
+            # (``FrameStore`` is the pool's bytes, not a queue.)
+            (("src", "docs"), ("class Store", " Store(", "_stream_memory"))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))

@@ -1,80 +1,10 @@
-"""Stores, bandwidth pipes, credit pools, and fair arbitration."""
+"""Bandwidth pipes, credit pools, and fair arbitration."""
 
 import pytest
 
 from repro.common.errors import FlowControlError
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import BandwidthPipe, CreditPool, RoundRobinArbiter, Store
-
-
-# --- Store -------------------------------------------------------------------
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-
-    def proc():
-        yield store.put("a")
-        yield store.put("b")
-        first = yield store.get()
-        second = yield store.get()
-        return first, second
-
-    assert sim.run_process(proc()) == ("a", "b")
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return item, sim.now
-
-    def producer():
-        yield sim.timeout(25.0)
-        yield store.put("x")
-
-    def main():
-        c = sim.process(consumer())
-        sim.process(producer())
-        result = yield c
-        return result
-
-    item, when = sim.run_process(main())
-    assert item == "x"
-    assert when == pytest.approx(25.0)
-
-
-def test_store_capacity_backpressure():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put(1)
-        log.append(("put1", sim.now))
-        yield store.put(2)  # blocks until consumer drains
-        log.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(50.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    def main():
-        p = sim.process(producer())
-        c = sim.process(consumer())
-        yield sim.all_of([p, c])
-
-    sim.run_process(main())
-    put2_time = dict((e[0], e[-1]) for e in log)["put2"]
-    assert put2_time == pytest.approx(50.0)
-
-
-def test_store_rejects_bad_capacity():
-    with pytest.raises(SimulationError):
-        Store(Simulator(), capacity=0)
+from repro.sim.resources import BandwidthPipe, CreditPool, RoundRobinArbiter
 
 
 # --- BandwidthPipe -----------------------------------------------------------

@@ -14,15 +14,22 @@ plane's timing live here:
 * golden cells for a lone flow's downlink train — cut mid-stream by a
   second flow, by a link fault and by an abandoned connection, bound by
   its credit window, and read by a run stopped inside it — recorded on
-  the commit before trains, when every packet hop was a loop callback.
+  the commit before trains, when every packet hop was a loop callback;
+* golden cells for a DRAM burst's hand-off on round-number timings,
+  where a landing shares its instant with another flow's hops — two
+  READs, a READ beside a selection, runs stopped mid-scan, a crash and a
+  memory fault mid-scan — recorded on the commit before the hand-off was
+  callbacks, when a reader process fed a consumer process.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.common.config import FarviewConfig, MemoryConfig, NetworkConfig
+from repro.common.errors import FarviewError
 from repro.common.records import default_schema
 from repro.core.api import FarviewClient
 from repro.core.faults import FaultEvent, FaultInjector, FaultPlan
@@ -856,3 +863,341 @@ TRAIN_GOLDEN = {
 def test_a_cut_or_stopped_train_matches_the_per_packet_run(cell):
     kind, *args = cell
     assert TRAIN_CELLS[kind](*args) == TRAIN_GOLDEN[cell]
+
+
+#: credits -> :func:`_abandoned_mid_stream` under a window narrow enough
+#: that packets still wait in the stream's backlog when its flow's queue
+#: empties.  Recorded on the change that drains that backlog like the
+#: queue: before it, the credit the next landing handed to the backlog
+#: submitted to the dropped flow and raised ``SimulationError: unknown
+#: flow`` out of ``sim.run``.
+ABANDONED_UNDER_A_NARROW_WINDOW = {
+    2: ((('abandon', 46129.58320987647), ('other', 56484.995555555484),
+         ('read', 148083.39555555617)), '0x1.775c28f5c28e5p+14'),
+    4: ((('abandon', 46129.58320987647), ('other', 53396.675555555485),
+         ('read', 94739.31555555573)), '0x1.775c28f5c28e5p+14'),
+    8: ((('abandon', 46129.58320987647), ('other', 53487.875555555474),
+         ('read', 69327.63555555549)), '0x1.775c28f5c28e5p+14'),
+}
+
+
+@pytest.mark.parametrize("credits", sorted(ABANDONED_UNDER_A_NARROW_WINDOW))
+def test_an_abandoned_read_completes_under_any_credit_window(credits):
+    """The abandoned READ completes whatever its credit window, as it
+    does at 16 and 32 (``TRAIN_GOLDEN``): a dropped flow keeps draining
+    until its open stream has."""
+    assert (_abandoned_mid_stream(credits)
+            == ABANDONED_UNDER_A_NARROW_WINDOW[credits])
+
+
+# -- a burst's hand-off at a tie: golden cells ---------------------------------
+
+#: scenario -> (credits, packet size, one-way ns, DRAM channel B/ns, DRAM
+#: access latency ns, TLB hit ns, TLB miss ns) on a node with an 8 B/ns
+#: wire, no packet header or per-packet cost, a 1,024 ns request front
+#: end and two DRAM channels; then per client (KiB, verb, first issue at
+#: ns, repeats).  On these round numbers a burst lands, and its consumer
+#: and next fetch are handed off, at the instant of another flow's DRAM
+#: hop or downlink callback.
+HAND_OFF_SCENARIOS = {
+    "a": ((32, 512, 512.0, 16.0, 0.0, 0.0, 64.0),
+          ((128, "read", 512.0, 2), (96, "read", 1024.0, 2))),
+    "b": ((8, 1024, 256.0, 32.0, 128.0, 0.0, 128.0),
+          ((48, "read", 512.0, 2), (48, "read", 0.0, 3))),
+    "c": ((32, 1024, 256.0, 8.0, 0.0, 0.0, 128.0),
+          ((96, "read", 0.0, 3), (128, "select", 1024.0, 1))),
+    "d": ((4, 512, 512.0, 32.0, 64.0, 16.0, 64.0),
+          ((96, "read", 1024.0, 3), (64, "select", 0.0, 2))),
+    "e": ((4, 512, 512.0, 32.0, 64.0, 16.0, 64.0),
+          ((96, "read", 1024.0, 1), (64, "select", 0.0, 1))),
+}
+
+
+def _hand_off_node(scenario):
+    timings, clients = HAND_OFF_SCENARIOS[scenario]
+    credits, packet_size, one_way, bandwidth, latency, hit, miss = timings
+    sim = Simulator()
+    node = FarviewNode(sim, FarviewConfig(
+        network=NetworkConfig(line_rate=8.0, packet_size=packet_size,
+                              header_overhead=0, one_way_latency_ns=one_way,
+                              request_overhead_ns=1024.0,
+                              per_packet_overhead_ns=0.0,
+                              initial_credits=credits),
+        memory=MemoryConfig(channels=2, channel_bandwidth=bandwidth,
+                            efficiency=1.0, access_latency_ns=latency,
+                            tlb_hit_ns=hit, tlb_miss_ns=miss,
+                            channel_capacity=16 * MB)))
+    query = select_star(Compare("a", "<", 50))
+    issued = []
+    for i, (kib, verb, delay, repeats) in enumerate(clients):
+        client, table = _reader(node, kib * KB, i)
+        if verb == "select":
+            client.far_view(table, query)       # deployed: every scan warm
+
+        def scans(client=client, table=table, verb=verb, repeats=repeats):
+            for _ in range(repeats):
+                if verb == "select":
+                    yield from client.far_view_proc(table, query)
+                else:
+                    yield from client.table_read_proc(table)
+
+        issued.append((f"{verb}{i}", delay, client, table, scans))
+    return sim, node, issued
+
+
+def _pool_state(node):
+    """Both DRAM read pipes' and the downlink's occupancy, and the TLB's
+    hits and misses."""
+    return (*(channel.read_pipe.occupied_ns.hex()
+              for channel in node.mmu.channels),
+            node.link.downlink.occupied_ns.hex(),
+            node.mmu.tlb.hits, node.mmu.tlb.misses)
+
+
+def _issue(sim, ends, tag, delay, make):
+    """Process: ``make()`` after ``delay`` ns; its completion, or the
+    typed error it raised, goes into ``ends`` with the time."""
+    if delay:
+        yield sim.timeout(delay)
+    try:
+        yield from make()
+    except FarviewError as exc:
+        ends.append((tag, type(exc).__name__, sim.now))
+    else:
+        ends.append((tag, sim.now))
+
+
+def _run_issued(sim, node, issued, more=()):
+    """Run every client's scans and the ``(tag, delay, make)`` processes
+    of ``more``: what completed or failed, and when."""
+    ends = []
+    for tag, delay, _client, _table, scans in issued:
+        sim.process(_issue(sim, ends, tag, delay, scans))
+    for tag, delay, make in more:
+        sim.process(_issue(sim, ends, tag, delay, make))
+    sim.run()
+    return tuple(ends), _pool_state(node)
+
+
+def _hand_off_at_a_tie(scenario):
+    """Every client's scans, as the scenario issues them."""
+    return _run_issued(*_hand_off_node(scenario))
+
+
+def _hand_off_stopped(scenario):
+    """The same scans, the run stopped every 4,096 ns up to 16 µs: what
+    each stop reads."""
+    sim, node, issued = _hand_off_node(scenario)
+    ends, start, seen = [], sim.now, []
+    for tag, delay, _client, _table, scans in issued:
+        sim.process(_issue(sim, ends, tag, delay, scans))
+    for stop in range(1, 5):
+        sim.run(until=start + stop * 4096.0)
+        seen.append((tuple(client.connection.qp.responses_received
+                           for _tag, _delay, client, _table, _scans
+                           in issued), *_pool_state(node)))
+    sim.run()
+    return (tuple(ends), *seen), _pool_state(node)
+
+
+def _hand_off_crashed(scenario, at):
+    """The same scans, the node crashed ``at`` ns after they are issued."""
+    sim, node, issued = _hand_off_node(scenario)
+    FaultInjector(node, FaultPlan([FaultEvent(sim.now + at, "node_crash")])
+                  ).install()
+    return _run_issued(sim, node, issued)
+
+
+def _hand_off_faulted(scenario, at):
+    """The same scans, every scanned table freed ``at`` ns after they are
+    issued: the next burst's translation faults."""
+    sim, node, issued = _hand_off_node(scenario)
+
+    def free(client, table):
+        node.free_table_mem(client.connection, table)
+        yield from ()
+
+    return _run_issued(sim, node, issued, [
+        (f"free{i}", at, partial(free, client, table))
+        for i, (_tag, _delay, client, table, _scans) in enumerate(issued)])
+
+
+HAND_OFF_CELLS = {"tie": _hand_off_at_a_tie, "stopped": _hand_off_stopped,
+                  "crashed": _hand_off_crashed,
+                  "memory_fault": _hand_off_faulted}
+
+HAND_OFF_GRID = (("tie", "a"), ("tie", "b"), ("tie", "c"), ("tie", "d"),
+                 ("stopped", "c"), ("stopped", "d"),
+                 ("crashed", "a", 8192.0), ("crashed", "c", 8192.0),
+                 ("crashed", "d", 6144.0), ("memory_fault", "e", 2048.0),
+                 ("memory_fault", "e", 4096.0))
+
+#: cell -> (what completed or failed and when, or what each stop of a
+#: stopped run read, then both DRAM read pipes' and the downlink's
+#: ``occupied_ns.hex()`` and the TLB's hits and misses at the end), as the
+#: commit before the hand-off was callbacks (51c24a8) printed them, where
+#: a reader process fed a consumer process through a two-slot queue.
+HAND_OFF_GOLDEN = {
+    ('tie', 'a'):
+        ((('read1', 91720.0), ('read0', 99464.0)),
+         ('0x1.c000000000000p+13',
+          '0x1.c000000000000p+13',
+          '0x1.c000000000000p+15',
+          28,
+          2)),
+    ('tie', 'b'):
+        ((('read0', 45072.0), ('read1', 52248.0)),
+         ('0x1.e000000000000p+11',
+          '0x1.e000000000000p+11',
+          '0x1.e000000000000p+14',
+          15,
+          2)),
+    ('tie', 'c'):
+        ((('select1', 4079680.0), ('read0', 4110416.0)),
+         ('0x1.1000000000000p+15',
+          '0x1.1000000000000p+15',
+          '0x1.a040000000000p+15',
+          34,
+          2)),
+    ('tie', 'd'):
+        ((('select1', 4071384.0), ('read0', 4132280.0)),
+         ('0x1.e000000000000p+12',
+          '0x1.e000000000000p+12',
+          '0x1.8060000000000p+15',
+          30,
+          2)),
+    ('stopped', 'c'):
+        (((('select1', 4079680.0), ('read0', 4110416.0)),
+          ((11, 65),
+           '0x1.8000000000000p+13',
+           '0x1.8000000000000p+13',
+           '0x1.3880000000000p+13',
+           12,
+           2),
+          ((33, 75),
+           '0x1.0000000000000p+14',
+           '0x1.0000000000000p+14',
+           '0x1.b880000000000p+13',
+           16,
+           2),
+          ((49, 91),
+           '0x1.3000000000000p+14',
+           '0x1.3000000000000p+14',
+           '0x1.1c40000000000p+14',
+           19,
+           2),
+          ((65, 107),
+           '0x1.6000000000000p+14',
+           '0x1.6000000000000p+14',
+           '0x1.5c40000000000p+14',
+           22,
+           2)),
+         ('0x1.1000000000000p+15',
+          '0x1.1000000000000p+15',
+          '0x1.a040000000000p+15',
+          34,
+          2)),
+    ('stopped', 'd'):
+        (((('select1', 4071384.0), ('read0', 4132280.0)),
+          ((5, 69),
+           '0x1.8000000000000p+11',
+           '0x1.8000000000000p+11',
+           '0x1.4500000000000p+12',
+           12,
+           2),
+          ((33, 93),
+           '0x1.a000000000000p+11',
+           '0x1.a000000000000p+11',
+           '0x1.0a80000000000p+13',
+           13,
+           2),
+          ((61, 113),
+           '0x1.c000000000000p+11',
+           '0x1.c000000000000p+11',
+           '0x1.6480000000000p+13',
+           14,
+           2),
+          ((89, 130),
+           '0x1.c000000000000p+11',
+           '0x1.c000000000000p+11',
+           '0x1.bb00000000000p+13',
+           14,
+           2)),
+         ('0x1.e000000000000p+12',
+          '0x1.e000000000000p+12',
+          '0x1.8060000000000p+15',
+          30,
+          2)),
+    ('crashed', 'a', 8192.0):
+        ((('read0', 'NodeFailedError', 62024.0),
+          ('read1', 'NodeFailedError', 66696.0)),
+         ('0x1.8000000000000p+12',
+          '0x1.8000000000000p+12',
+          '0x1.8000000000000p+14',
+          12,
+          2)),
+    ('crashed', 'c', 8192.0):
+        ((('select1', 'NodeFailedError', 4067120.0),
+          ('read0', 'NodeFailedError', 4069424.0)),
+         ('0x1.0000000000000p+14',
+          '0x1.0000000000000p+14',
+          '0x1.5040000000000p+14',
+          16,
+          2)),
+    ('crashed', 'd', 6144.0):
+        ((('select1', 'NodeFailedError', 4056480.0),
+          ('read0', 'NodeFailedError', 4062736.0)),
+         ('0x1.8000000000000p+11',
+          '0x1.8000000000000p+11',
+          '0x1.0080000000000p+14',
+          12,
+          2)),
+    ('memory_fault', 'e', 2048.0):
+        ((('free0', 4043512.0),
+          ('free1', 4043512.0),
+          ('read0', 'TranslationFault', 4044032.0),
+          ('select1', 'TranslationFault', 4049248.0)),
+         ('0x1.8000000000000p+10',
+          '0x1.8000000000000p+10',
+          '0x1.8100000000000p+12',
+          6,
+          2)),
+    ('memory_fault', 'e', 4096.0):
+        ((('free0', 4045560.0),
+          ('free1', 4045560.0),
+          ('select1', 4056480.0),
+          ('read0', 'TranslationFault', 4062736.0)),
+         ('0x1.8000000000000p+11',
+          '0x1.8000000000000p+11',
+          '0x1.0080000000000p+14',
+          12,
+          2)),
+}
+
+
+@pytest.mark.parametrize("cell", HAND_OFF_GRID, ids=repr)
+def test_a_burst_hand_off_at_a_tie_matches_the_process_run(cell):
+    """Run inline only where the loop would run it next, a burst's
+    hand-off keeps every completion, stop reading, pipe occupancy and
+    TLB count; a crash or a fault mid-scan still fails the verb with
+    its typed error."""
+    kind, *args = cell
+    assert HAND_OFF_CELLS[kind](*args) == HAND_OFF_GOLDEN[cell]
+
+
+def test_a_dropped_flow_leaves_the_arbiter_once_its_streams_end():
+    """A flow dropped mid-response drains only while a stream on it is
+    open: once a crash has failed both scans mid-stream (each abandoning
+    its response stream) and both connections are abandoned, the
+    downlink arbiter keeps no trace of either flow."""
+    sim, node, issued = _hand_off_node("d")
+    FaultInjector(node, FaultPlan([
+        FaultEvent(sim.now + 6144.0, "node_crash")])).install()
+    ends, _state = _run_issued(sim, node, issued)
+    assert [end[1] for end in ends] == ["NodeFailedError"] * 2
+    for _tag, _delay, client, _table, _scans in issued:
+        client.abandon_connection()
+    sim.run()
+    arbiter = node.link.down_arbiter
+    assert (arbiter._order, arbiter._open, arbiter._draining) == ([], {},
+                                                                  set())
