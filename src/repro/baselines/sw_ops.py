@@ -18,7 +18,8 @@ import numpy as np
 
 from ..common.errors import OperatorError
 from ..common.expr import Expr, eval_mask
-from ..common.records import Schema, first_occurrence, key_image
+from ..common.records import (Schema, first_occurrence, key_image,
+                              take_rows)
 from ..operators.aggregate import (
     Accumulator,
     AggregateSpec,
@@ -37,7 +38,7 @@ def software_select(rows: np.ndarray, predicate: Expr) -> np.ndarray:
     """Scan + filter, as the LCPU query thread would."""
     if len(rows) == 0:
         return rows
-    return rows[eval_mask(predicate, rows)]
+    return take_rows(rows, eval_mask(predicate, rows))
 
 
 def software_project(rows: np.ndarray, schema: Schema,
@@ -68,7 +69,8 @@ def software_distinct(rows: np.ndarray, schema: Schema,
     """Hash-based DISTINCT: the first row of every key (``None``: the
     whole row), in row order."""
     first, _ = first_occurrence(key_image(rows, key_columns or schema.names))
-    return DistinctOutput(rows=rows[first], map_resizes=map_resizes(len(first)))
+    return DistinctOutput(rows=take_rows(rows, first),
+                          map_resizes=map_resizes(len(first)))
 
 
 @dataclass
@@ -183,7 +185,7 @@ def software_sort(rows: np.ndarray, keys: list[tuple[str, bool]]
         if not ascending:
             codes = -codes
         idx = idx[np.argsort(codes, kind="stable")]
-    return rows[idx]
+    return take_rows(rows, idx)
 
 
 def software_limit(rows: np.ndarray, count: int) -> np.ndarray:
@@ -194,7 +196,7 @@ def software_limit(rows: np.ndarray, count: int) -> np.ndarray:
 def software_regex(rows: np.ndarray, column: str,
                    pattern: str) -> np.ndarray:
     """RE2-equivalent filter over a char column."""
-    return rows[CompiledRegex(pattern).search_column(rows[column])]
+    return take_rows(rows, CompiledRegex(pattern).search_column(rows[column]))
 
 
 def software_decrypt(image: bytes, key: bytes, nonce: bytes) -> bytes:

@@ -64,7 +64,7 @@ from ..common.errors import (CatalogError, ConnectionError_,
                              QueryError, RegionFailedError,
                              RequestTimeoutError)
 from ..common.expr import Col, Expr, TextMatch
-from ..common.records import Schema
+from ..common.records import Schema, concat_rows, take_rows
 from ..operators.aggregate import (AggregateSpec, accumulator_rows,
                                    grouped_schema)
 from ..operators.crypto import AesCtr
@@ -970,7 +970,7 @@ class ClusterClient:
             for node_index, idx in enumerate(indices):
                 if len(idx) == 0:
                     continue
-                part = rows if len(idx) == len(rows) else rows[idx]
+                part = rows if len(idx) == len(rows) else take_rows(rows, idx)
                 # k-replica placement: byte-identical copies on the next
                 # ring nodes.  The stamp rule (Shard): a replicated
                 # table's copies carry their node's incarnation; an
@@ -1495,7 +1495,7 @@ class ClusterClient:
                 if len(idx) == 0:
                     continue
                 if partition not in images:
-                    images[partition] = build.schema.to_bytes(rows[idx])
+                    images[partition] = take_rows(rows, idx).tobytes()
                 by_node.setdefault(node_index, []).append(
                     (partition, len(idx), images[partition]))
             procs = [
@@ -1774,7 +1774,7 @@ class ClusterClient:
         if not survivors:
             raise NodeFailedError(
                 f"every shard of {table.name!r} is unavailable")
-        merged = np.concatenate([r.rows() for r in survivors])
+        merged = concat_rows([r.rows() for r in survivors])
         schema, ops, plans = (survivors[0].schema, plan.shard_chain,
                               plan.partial_plans)
         # The merge reads its keys and partial specs off the shard

@@ -28,10 +28,12 @@ import numpy as np
 
 from ..common import calibration as cal
 from ..common.config import FarviewConfig
-from ..common.errors import (ConnectionError_, FarviewError, NodeFailedError,
+from ..common.errors import (ConnectionError_, FarviewError,
+                             JoinBuildOverflowError, NodeFailedError,
                              OperatorError, ProtectionFault, RegionFailedError,
                              RegionUnavailableError, TranslationFault)
 from ..common.expr import eval_mask
+from ..common.records import copy_rows, take_rows
 from ..fpga.region import DynamicRegion, RegionManager, RegionState
 from ..fpga.resource_model import ResourceModel
 from ..memory.mmu import Mmu
@@ -193,7 +195,7 @@ def releaser(pipeline: OperatorPipeline, image: bytes | memoryview):
     copy a ``bytes`` image to compare addresses."""
     rows, source = pipeline.run(image)
     if isinstance(image, memoryview) and np.may_share_memory(rows, image):
-        rows = rows.copy()
+        rows = copy_rows(rows)
     ends = (source + 1) * pipeline.input_schema.row_width
     size, released = len(image), 0
 
@@ -468,7 +470,15 @@ class FarviewNode:
 
         # §7 extension: read the small build table into the on-chip hash
         # before the probe stream starts.
-        yield from self._load_join_build(conn, compiled, report)
+        try:
+            yield from self._load_join_build(conn, compiled, report)
+        except JoinBuildOverflowError:
+            # A pipeline whose build does not fit is refused, not left
+            # resident: the next plan must price this region cold, or
+            # ``auto`` would retry the offload it cannot run.
+            conn.region.loaded_pipeline = None
+            self.resources.undeploy(conn.region.index)
+            raise
 
         streamer = ResponseStreamer(self.sim, self.link, conn.qp)
         sender = Sender(streamer)
@@ -618,11 +628,19 @@ class FarviewNode:
         # Timing: each coalesced run is a discrete DRAM request paying a
         # stripe-unit read plus activate/precharge, spread round-robin over
         # the channels.  Batched so output streaming overlaps.
-        total_requests = num_tuples * plan.requests_per_tuple
+        per_tuple, row_width = plan.requests_per_tuple, plan.schema.row_width
+        total_requests = num_tuples * per_tuple
         batch_requests = 1024
         done_requests = 0
         while done_requests < total_requests:
             batch = min(batch_requests, total_requests - done_requests)
+            # The batch's requests fault on a page freed since the scan
+            # began, as a raw READ's next burst does; the pages were
+            # translated (and charged) once above, so this only checks.
+            first = done_requests // per_tuple
+            last = (done_requests + batch - 1) // per_tuple + 1
+            self.mmu.check_bounds(conn.domain, vaddr + first * row_width,
+                                  (last - first) * row_width)
             per_channel = (batch + mem.channels - 1) // mem.channels
             yield self.sim.timeout(max(
                 channel.read_pipe.occupy(
@@ -698,7 +716,7 @@ class FarviewNode:
         drows = dschema.empty(int(mask.sum()))
         drows[ROWID_COLUMN] = ids[mask]
         if coerced is not None:
-            matched = rows[mask]
+            matched = take_rows(rows, mask)
             for name in view.schema.names:
                 drows[name] = coerced.get(name, matched[name])
         segment = yield from self._write_segment(conn, segment_name,

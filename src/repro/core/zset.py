@@ -188,7 +188,7 @@ class ZSet:
             raise QueryError(
                 f"negative weight {weights[weights < 0][0]} in canonical "
                 f"image: this Z-set is a delta, not a relation")
-        return np.repeat(self.rows[order], weights)
+        return np.repeat(self.images[order], weights).view(self.schema.dtype)
 
     def canonical_bytes(self) -> bytes:
         """:meth:`materialize` as one byte image."""

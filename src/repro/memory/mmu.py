@@ -181,7 +181,7 @@ class Mmu:
         table = self._page_tables.get(domain)
         if table is None or vaddr < 0 or length <= 0:
             # The fault, or an empty access's check of the page at vaddr.
-            table = self._check_bounds(domain, vaddr, length)
+            table = self.check_bounds(domain, vaddr, length)
         config, tlb = self.config, self.tlb
         size = config.page_size
         pages = range(vaddr // size, (vaddr + length - 1) // size + 1) if length else ()
@@ -189,7 +189,7 @@ class Mmu:
         translation = 0.0
         for vpage in pages:     # fault-checked, probed (no stats, no LRU)
             if vpage not in table:
-                self._check_bounds(domain, vaddr, length)
+                self.check_bounds(domain, vaddr, length)
             translation += hit if (domain, vpage) in cached else miss
         for vpage in pages:
             if tlb.lookup(domain, vpage) is None:
@@ -201,8 +201,9 @@ class Mmu:
             self._charge(translation, length, self._read_pipes, landed)
         return translation
 
-    def _check_bounds(self, domain: int, vaddr: int, length: int) -> dict:
-        """Fault an access outside ``domain``'s mapped pages; returns the
+    def check_bounds(self, domain: int, vaddr: int, length: int) -> dict:
+        """Fault an access outside ``domain``'s mapped pages, off the
+        page table alone (untimed, the TLB left alone); returns the
         domain's page table."""
         table = self._page_tables.get(domain)
         if table is None:
@@ -225,7 +226,7 @@ class Mmu:
         consecutive page frames it is a read-only view of the frame store,
         which shows later writes, so a caller keeping the bytes past its
         callback takes ``bytes(...)`` of it; else a join of its pages."""
-        table = self._check_bounds(domain, vaddr, length)
+        table = self.check_bounds(domain, vaddr, length)
         size = self.config.page_size
         first, offset = divmod(vaddr, size)
         frames = [table[v] for v in range(first, (vaddr + max(length, 1) - 1) // size + 1)]

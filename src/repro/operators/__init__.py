@@ -12,7 +12,7 @@ from .encryption_op import (
     encrypt_table_image,
 )
 from .groupby import GroupByOperator
-from .hashing import hash_key_batch, hash_u64_array, mix64
+from .hashing import hash_key_batch, hash_u64_array
 from .lru_cache import ShiftRegisterLru
 from .packing import Packer
 from .projection import ProjectionOperator, SmartAddressingPlan
@@ -46,7 +46,6 @@ __all__ = [
     "GroupByOperator",
     "hash_key_batch",
     "hash_u64_array",
-    "mix64",
     "ShiftRegisterLru",
     "Packer",
     "ProjectionOperator",

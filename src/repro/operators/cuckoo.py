@@ -42,6 +42,9 @@ class CuckooHashTable:
         self.ways = ways
         self.slots_per_way = slots_per_way
         self.max_kicks = max_kicks
+        #: Way ``w`` hashes with seed ``w``: a column, so one
+        #: :func:`hash_key_batch` call hashes every way.
+        self._way_seeds = np.arange(ways)[:, None]
         #: Entry id -> key, value and per-way slot row.  Ids are never
         #: reused: an overflowed entry keeps its id, resident nowhere.
         self._keys: list[bytes] = []
@@ -60,16 +63,16 @@ class CuckooHashTable:
     # -- hashing ----------------------------------------------------------------
     def way_slots(self, raw: bytes | memoryview, width: int) -> np.ndarray:
         """``(ways, n)`` slot indices for a packed batch of fixed-width keys
-        — way ``w`` hashes with seed ``w``, one vectorized pass each.
+        — way ``w`` hashes with seed ``w``, every way in one broadcast
+        pass (the ways "can be looked up in parallel").
 
         Hashing dominates the operators' per-key cost, so they hash whole
         batches up front and thread each key's column through :meth:`put`
         / :meth:`get`.  Called without one, those hash the one key as a
         batch of one.
         """
-        return np.stack([
-            hash_key_batch(raw, width, seed=way) % self.slots_per_way
-            for way in range(self.ways)]).astype(np.intp)
+        hashes = hash_key_batch(raw, width, seed=self._way_seeds)
+        return (hashes % np.uint64(self.slots_per_way)).astype(np.intp)
 
     # -- lookup -----------------------------------------------------------------
     def _probe(self, key: bytes,

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema, first_occurrence, key_image
+from ..common.records import (Schema, first_occurrence, key_image,
+                              take_rows)
 from .base import RowOperator
 from .cuckoo import CuckooHashTable
 from .lru_cache import ShiftRegisterLru
@@ -70,7 +71,7 @@ class DistinctOperator(RowOperator):
             self._step(image[done:], keep[done:])
         picked = np.flatnonzero(keep)
         self.duplicates_dropped += n - len(picked)
-        return batch[picked], picked
+        return take_rows(batch, picked), picked
 
     def _admit_new(self, image: np.ndarray, keep: np.ndarray) -> int:
         """The batch path, valid while nothing has overflowed: keep the

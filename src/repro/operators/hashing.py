@@ -13,23 +13,10 @@ import numpy as np
 
 from ..common.errors import OperatorError
 
-_MASK64 = (1 << 64) - 1
-
 #: Odd multipliers for the seeded mixers (from splitmix64 / murmur3 lineage).
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _SEED_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def mix64(value: int, seed: int = 0) -> int:
-    """SplitMix64 finalizer over one 64-bit value (seeded)."""
-    x = (value + (seed + 1) * _SEED_GOLDEN) & _MASK64
-    x ^= x >> 30
-    x = (x * _M1) & _MASK64
-    x ^= x >> 27
-    x = (x * _M2) & _MASK64
-    x ^= x >> 31
-    return x
 
 
 def key_words(raw: bytes | memoryview, width: int) -> np.ndarray:
@@ -56,7 +43,7 @@ def key_words(raw: bytes | memoryview, width: int) -> np.ndarray:
 
 
 def hash_key_batch(raw: bytes | memoryview, width: int,
-                   seed: int = 0) -> np.ndarray:
+                   seed: int | np.ndarray = 0) -> np.ndarray:
     """Hash ``n`` fixed-width byte keys in one vectorized pass.
 
     ``raw`` packs ``n`` keys of ``width`` bytes back to back (a key-schema
@@ -64,21 +51,30 @@ def hash_key_batch(raw: bytes | memoryview, width: int,
     first, then each 8-byte word of :func:`key_words` is XOR-chained
     through the seeded mixer.  This is the only key hash — a single key is
     a batch of one.
+
+    ``seed`` may be a column of ``k`` seeds (shape ``(k, 1)``): every key
+    is then hashed under each seed in the same broadcast pass, and the
+    result is ``(k, n)``, row ``i`` bit-identical to a call with seed
+    ``seed[i, 0]`` — the cuckoo ways' independent hash functions at once.
     """
-    if seed < 0:
-        raise OperatorError(f"negative hash seed: {seed}")
+    seed = np.asarray(seed)
+    if (seed < 0).any():
+        raise OperatorError(f"negative hash seed: {seed.min()}")
     words = key_words(raw, width)
-    acc = np.full(len(words), mix64(width, seed), dtype=np.uint64)
+    acc = hash_u64_array(np.uint64(width), seed)
     for j in range(words.shape[1]):
         acc = hash_u64_array(acc ^ words[:, j], seed)
     return acc
 
 
-def hash_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized SplitMix64 over a uint64 array (one hash per element)."""
-    x = values.astype(np.uint64, copy=True)
+def hash_u64_array(values: np.ndarray, seed: int | np.ndarray = 0
+                   ) -> np.ndarray:
+    """Vectorized SplitMix64 over a uint64 array (one hash per element),
+    seeded by ``seed`` or, broadcast against ``values``, by an array of
+    seeds.  This is the only mixer."""
     with np.errstate(over="ignore"):
-        x += np.uint64(((seed + 1) * _SEED_GOLDEN) & _MASK64)
+        x = np.add(values, (np.asarray(seed, dtype=np.uint64) + np.uint64(1))
+                   * np.uint64(_SEED_GOLDEN), dtype=np.uint64)
         x ^= x >> np.uint64(30)
         x *= np.uint64(_M1)
         x ^= x >> np.uint64(27)

@@ -100,7 +100,7 @@ class SmallTableJoinOperator(RowOperator):
         """Load the small table into the on-chip hash, at query start (a
         cold join loads its build on every execution).
 
-        All keys are hashed per way in one pass and the build *row
+        All keys are hashed for every way in one pass and the build *row
         indices* go in through one bulk :meth:`CuckooHashTable.insert` —
         an array pass per way, with only the rows from the first eviction
         chain on placed one at a time.  What the probe then reads is

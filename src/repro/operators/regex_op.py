@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import OperatorError
-from ..common.records import Schema
+from ..common.records import Schema, take_rows
 from .base import RowOperator
 from .regex_engine import CompiledRegex
 
@@ -39,4 +39,4 @@ class RegexMatchOperator(RowOperator):
 
     def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         picked = np.flatnonzero(self.regex.search_column(batch[self.column]))
-        return batch[picked], picked
+        return take_rows(batch, picked), picked

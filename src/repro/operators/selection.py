@@ -23,7 +23,7 @@ import numpy as np
 from ..common.errors import OperatorError, QueryError
 from ..common.expr import (BoolAnd, BoolNot, BoolOr, Cmp, Col, Expr, Lit,
                            check_condition, eval_mask)
-from ..common.records import Schema
+from ..common.records import Schema, take_rows
 from .base import RowOperator
 
 #: ``And(p, q)``, ``Or(p, q)``, ``Not(p)``: the boolean condition nodes.
@@ -51,7 +51,7 @@ class SelectionOperator(RowOperator):
 
     def _process(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         picked = np.flatnonzero(eval_mask(self.predicate, batch))
-        return batch[picked], picked
+        return take_rows(batch, picked), picked
 
 
 class VectorizedSelectionOperator(SelectionOperator):

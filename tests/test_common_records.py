@@ -9,10 +9,14 @@ from repro.common.errors import QueryError
 from repro.common.records import (
     Column,
     Schema,
+    _group_words,
+    concat_rows,
+    copy_rows,
     default_schema,
     first_occurrence,
     key_image,
     string_schema,
+    take_rows,
     wide_schema,
 )
 
@@ -242,8 +246,8 @@ def test_first_occurrence_matches_dict_oracle(data):
 def test_first_occurrence_many_rows_few_keys(width):
     """4,096 rows over five keys, each key's rows spread over the whole
     input: a group's first row is its earliest, which an unstable sort of
-    the key words gets wrong, and equal keys stay equal whatever bytes
-    pad them to a word."""
+    the key words gets wrong unless it takes each run's least row, and
+    equal keys stay equal whatever bytes pad them to a word."""
     schema, columns = KEYED[width]
     pool = np.random.default_rng(width).integers(
         0, 256, (5, schema.row_width), dtype=np.uint8)
@@ -299,3 +303,132 @@ def test_keys_group_on_bytes_not_values():
     assert groups(key_image(short, ["s"])) == [0, 1, 0]
     check_kernel_against_dict(rows, ["f", "s"])
     check_kernel_against_dict(rows, ["s"])
+
+
+def stable_group_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The word grouping as a stable sort computes it: a stable sort
+    keeps each run in row order, so its first element is the row where
+    the group first appears."""
+    order = np.argsort(words, kind="stable")
+    ordered = words[order]
+    starts = np.ones(len(words), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    run_first = order[starts]
+    rank = np.argsort(run_first)
+    group_of_run = np.empty(len(rank), dtype=np.intp)
+    group_of_run[rank] = np.arange(len(rank))
+    group = np.empty(len(words), dtype=np.intp)
+    group[order] = group_of_run[np.cumsum(starts) - 1]
+    return run_first[rank], group
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["empty", "single", "all equal", "many duplicates",
+                        "any"]),
+       st.sampled_from(["<u1", "<u2", "<u4", "<u8"]), st.data())
+def test_group_words_equals_the_stable_sort(shape, dtype, data):
+    """The unstable word sort returns the stable sort's ``(first, group)``:
+    the least row of each run is the row the stable sort puts first."""
+    top = np.iinfo(dtype).max
+    most = {"empty": 0, "single": 1, "any": 64}.get(shape, 3_000)
+    n = data.draw(st.integers(min(most, 2), most), label="n")
+    if shape == "all equal":
+        words = np.full(n, data.draw(st.integers(0, top)), dtype=dtype)
+    elif shape == "many duplicates":
+        pool = data.draw(st.lists(st.integers(0, top), min_size=1,
+                                  max_size=5, unique=True))
+        picks = np.random.default_rng(data.draw(st.integers(0, 2**32))
+                                      ).integers(0, len(pool), n)
+        words = np.array(pool, dtype=dtype)[picks]
+    else:
+        words = np.array(data.draw(st.lists(st.integers(0, top), min_size=n,
+                                            max_size=n)), dtype=dtype)
+    first, group = _group_words(words)
+    want_first, want_group = stable_group_words(words)
+    assert first.dtype == group.dtype == np.intp
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(group, want_group)
+
+
+# --- the row helpers: whole rows moved as one block each -----------------------
+
+#: An int64, a float64 and a char column with room for embedded NULs.
+MIXED = Schema([Column("i", "int64"), Column("f", "float64"),
+                Column("s", "char", 5)])
+#: Float bit patterns a value-wise copy could change: +0.0, -0.0, quiet
+#: and signalling NaNs with payloads, a negative NaN, +inf.
+FLOAT_BITS = (0, 1 << 63, 0x7FF8000000000000, 0x7FF8DEADBEEF0001,
+              0x7FF0000000000001, 0xFFF8000000000123, 0x7FF0000000000000)
+
+
+@st.composite
+def mixed_rows(draw, min_size=0):
+    """A read-only, a writable, or a strided :data:`MIXED` array."""
+    n = draw(st.integers(min_size, 24))
+    image = bytearray()
+    for _ in range(n):
+        image += draw(st.integers(-2**63, 2**63 - 1)).to_bytes(
+            8, "little", signed=True)
+        image += draw(st.one_of(st.sampled_from(FLOAT_BITS),
+                                st.integers(0, 2**64 - 1))).to_bytes(
+            8, "little")
+        image += bytes(draw(st.lists(st.sampled_from([0, 0, 1, 65, 255]),
+                                     min_size=5, max_size=5)))
+    layout = draw(st.sampled_from(["read-only", "writable", "strided"]))
+    if layout == "read-only":
+        rows = MIXED.from_bytes(bytes(image))
+        assert not rows.flags.writeable
+        return rows
+    if layout == "writable":
+        return np.frombuffer(image, dtype=MIXED.dtype)
+    step = draw(st.integers(2, 3))
+    wide = MIXED.from_bytes(bytes(image) * step)
+    return wide[draw(st.integers(0, step - 1))::step]
+
+
+def assert_same_rows(got: np.ndarray, want: np.ndarray,
+                     source: np.ndarray) -> None:
+    """Same dtype, shape and bytes; owned, writable and apart from
+    ``source``."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert not np.shares_memory(got, source)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_rows(), st.data())
+def test_take_rows_equals_a_structured_gather(rows, data):
+    n = len(rows)
+    kind = data.draw(st.sampled_from(["empty", "full", "drawn", "mask"]))
+    if kind == "empty":
+        index = np.array([], dtype=np.intp)
+    elif kind == "full":
+        index = np.arange(n)
+    elif kind == "mask":
+        index = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                            max_size=n)), dtype=bool)
+    else:
+        # Repeated, out of order and negative indices.
+        index = np.array(data.draw(st.lists(st.integers(-n, n - 1))
+                                   if n else st.just([])), dtype=np.intp)
+    assert_same_rows(take_rows(rows, index), rows[index], rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_rows())
+def test_copy_rows_equals_a_structured_copy(rows):
+    assert_same_rows(copy_rows(rows), rows.copy(), rows)
+    copied = MIXED.from_bytes(rows.tobytes(), copy=True)
+    assert copied.flags.writeable and copied.tobytes() == rows.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_rows(), min_size=1, max_size=3))
+def test_concat_rows_equals_a_structured_concatenate(parts):
+    got = concat_rows(parts)
+    want = np.concatenate(parts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.flags.writeable
+    assert not any(np.shares_memory(got, part) for part in parts)
+

@@ -493,7 +493,7 @@ def test_a_stream_reads_the_table_as_it_stood_at_its_start(client, verb,
         else client.far_view_proc(table, query)))
     rewrite(client, table, schema)
     client.sim.run()
-    if rewrite is _free_and_reuse and verb != "smart_addressing":
+    if rewrite is _free_and_reuse:
         assert not proc.ok and isinstance(proc.value, TranslationFault)
         return
     if query is None:

@@ -21,6 +21,7 @@ entry point — never as silently wrong bytes.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -538,18 +539,17 @@ def test_kick_exhaustion_below_nominal_capacity_auto_falls_back():
 
 
 def test_auto_replans_an_offload_whose_build_overflows_at_load():
-    """auto's first plan offloads the join: the region is warm with the
-    pipeline a refused ``far_view`` loaded.  The build then overflows
-    while it loads, below nominal capacity, and auto re-plans with
+    """With a cheap reconfiguration auto's first plan offloads the join,
+    even to a cold region.  The build then overflows while it loads,
+    below nominal capacity, and auto re-plans with
     ``refuse_join_offload`` — the join runs on the client, exactly."""
     dim = make_dim(list(range(48)), seed=30)
     fact = make_fact(list(range(48)) * 3, seed=31)
-    client = single_client(KICK_LIMITED)
+    client = single_client(replace(KICK_LIMITED, operator_stack=replace(
+        KICK_LIMITED.operator_stack, reconfiguration_ns=1.0)))
     dim_table = upload(client, "dim", DIM_SCHEMA, dim)
     fact_table = upload(client, "fact", FACT_SCHEMA, fact)
     query = make_query(dim_table)
-    with pytest.raises(JoinBuildOverflowError, match="does not fit"):
-        client.far_view(fact_table, query)
     assert client.plan(fact_table, query, "auto").chosen == "offload"
     result, elapsed = client.far_view_planned(fact_table, query,
                                               placement="auto")
@@ -558,6 +558,34 @@ def test_auto_replans_an_offload_whose_build_overflows_at_load():
     assert result.explain.actual_ns == result.response_time_ns == elapsed
     assert sha(canonical_result_bytes(result)) == sha(
         serial_join_model(fact, dim))
+
+
+def test_a_refused_build_leaves_no_pipeline_for_auto_to_retry():
+    """A pipeline the node refused while loading its build does not stay
+    resident: the region is cold again, so ``auto`` prices the offload
+    cold and ships at once — each later call takes exactly the time of
+    ``ship`` alone, with no failed attempt in front of it."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    shipper = single_client(KICK_LIMITED)
+    query = make_query(upload(shipper, "dim", DIM_SCHEMA, dim))
+    _, ship_ns = shipper.far_view_planned(
+        upload(shipper, "fact", FACT_SCHEMA, fact), query, placement="ship")
+    client = single_client(KICK_LIMITED)
+    dim_table = upload(client, "dim", DIM_SCHEMA, dim)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query = make_query(dim_table)
+    with pytest.raises(JoinBuildOverflowError, match="does not fit"):
+        client.far_view(fact_table, query)
+    assert client.connection.region.loaded_pipeline is None
+    assert client.plan(fact_table, query, "auto").chosen == "ship"
+    for _ in range(3):
+        result, elapsed = client.far_view_planned(fact_table, query,
+                                                  placement="auto")
+        assert result.explain.chosen == "ship"
+        assert elapsed == pytest.approx(ship_ns, rel=1e-12)
+        assert sha(canonical_result_bytes(result)) == sha(
+            serial_join_model(fact, dim))
 
 
 def test_auto_ships_when_the_dynamic_region_fails():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import OperatorError
 from repro.operators.cuckoo import CuckooHashTable
+from repro.operators.hashing import hash_key_batch
 from repro.operators.lru_cache import ShiftRegisterLru
 
 
@@ -47,6 +48,24 @@ def test_precomputed_slots_equal_hashing_on_demand():
         assert table.get(key) == expected           # batch of one
         assert table.get(key, slots[i]) == expected  # precomputed row
         assert (key in table) == (i < 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 4), st.integers(1, 5000),
+       st.integers(0, 40), st.data())
+def test_one_pass_way_slots_equal_one_hash_per_way(width, ways,
+                                                   slots_per_way, n, data):
+    """All ways hashed in one broadcast pass give, way by way, the slots
+    of ``hash_key_batch`` seeded with the way: bit for bit, as ``intp``."""
+    raw = data.draw(st.binary(min_size=width * n, max_size=width * n))
+    table = CuckooHashTable(ways, slots_per_way)
+    slots = table.way_slots(raw, width)
+    assert slots.dtype == np.intp and slots.shape == (ways, n)
+    for way in range(ways):
+        np.testing.assert_array_equal(
+            slots[way],
+            (hash_key_batch(raw, width, seed=way) % slots_per_way
+             ).astype(np.intp))
 
 
 def test_many_inserts_without_overflow():

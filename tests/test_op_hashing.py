@@ -11,27 +11,25 @@ from repro.operators.hashing import (
     hash_key_batch,
     hash_u64_array,
     key_words,
-    mix64,
 )
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(value: int, seed: int = 0) -> int:
+    """The seeded SplitMix64 finalizer in plain integers: the reference
+    the vectorized mixer is held to."""
+    x = (value + (seed + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def hash_one(key: bytes, seed: int = 0) -> int:
     """One key through the only key hash: a batch of one."""
     return int(hash_key_batch(key, len(key), seed)[0])
-
-
-def test_mix64_deterministic():
-    assert mix64(42) == mix64(42)
-    assert mix64(42, seed=1) == mix64(42, seed=1)
-
-
-def test_mix64_seed_changes_output():
-    assert mix64(42, seed=0) != mix64(42, seed=1)
-
-
-def test_mix64_stays_in_64_bits():
-    for v in (0, 1, 2**63, 2**64 - 1):
-        assert 0 <= mix64(v) < 2**64
 
 
 def test_hash_key_distinguishes_lengths():
@@ -111,12 +109,13 @@ def test_key_words_pads_the_last_word_with_zeros():
 
 
 def test_vectorized_matches_scalar():
-    values = np.array([0, 1, 42, 2**40, 2**64 - 1], dtype=np.uint64)
-    hashed = hash_u64_array(values, seed=3)
-    for v, h in zip(values, hashed):
+    values = np.array([0, 1, 42, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
+    for seed in (0, 1, 3):
+        hashed = hash_u64_array(values, seed=seed)
+        assert hashed.dtype == np.uint64
         # One 8-byte key is mixed twice by hash_key_batch (length, then
         # the word); hash_u64_array alone is exactly the scalar mixer.
-        assert int(h) == mix64(int(v), seed=3)
+        assert hashed.tolist() == [splitmix64(int(v), seed) for v in values]
     # determinism
     np.testing.assert_array_equal(hashed, hash_u64_array(values, seed=3))
 
@@ -152,6 +151,25 @@ def test_family_validation():
         CuckooHashTable(ways=0, slots_per_way=8)
     with pytest.raises(OperatorError):
         hash_key_batch(b"x", 1, seed=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 4), st.integers(0, 40),
+       st.data())
+def test_a_seed_column_hashes_every_seed_in_one_pass(width, ways, n, data):
+    """Row ``i`` of a ``(k, 1)`` seed column's hash is the hash under
+    ``seed[i]`` alone, bit for bit, and the broadcast pass rejects a
+    negative seed anywhere in the column."""
+    raw = data.draw(st.binary(min_size=width * n, max_size=width * n))
+    seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=ways,
+                               max_size=ways))
+    column = np.array(seeds)[:, None]
+    hashed = hash_key_batch(raw, width, seed=column)
+    assert hashed.dtype == np.uint64 and hashed.shape == (ways, n)
+    for row, seed in zip(hashed, seeds):
+        np.testing.assert_array_equal(row, hash_key_batch(raw, width, seed))
+    with pytest.raises(OperatorError):
+        hash_key_batch(raw, width, seed=np.array([[0], [-1]]))
 
 
 @settings(max_examples=50, deadline=None)
