@@ -639,10 +639,11 @@ class ClusterClient:
         ``"offload"``) and runs one :meth:`_run_tail_proc`, unless the
         whole chain offloads and leaves the client nothing.  The Query
         is lowered once, by the plan or here.  Under ``"auto"`` a join
-        build overflowing the on-chip hash below nominal capacity
-        re-plans with the join on the client, and a dead dynamic region
-        ships (raw reads need no region); the record is the auto call's,
-        timed from its first attempt."""
+        build overflowing the on-chip hash below nominal capacity is
+        refused in the region (:meth:`plan` then keeps the join on the
+        client), and a dead dynamic region ships (raw reads need no
+        region); the record is the auto call's, timed from its first
+        attempt."""
         table, epoch = self._bind(table, as_of)
         if placement == "offload" and not tail:
             return (yield from self._offload_proc(
@@ -650,10 +651,9 @@ class ClusterClient:
                 join_strategy))
         start = self.sim.now
 
-        def attempt(placement, refuse_join_offload=False):
+        def attempt(placement):
             plan = None if placement == "offload" else self.plan(
-                table, query, placement, stats, refuse_join_offload, epoch,
-                join_strategy)
+                table, query, placement, stats, epoch, join_strategy)
             ops = plan.ops if plan else lower_query(query, table.schema)
             if tail or plan.chosen != "offload":
                 return self._run_tail_proc(table, epoch, ops, plan,
@@ -670,7 +670,10 @@ class ClusterClient:
             # the build.
             if placement != "auto" or query.join is None:
                 raise
-            result = yield from attempt(placement, refuse_join_offload=True)
+            arm = join_arm(query.join)
+            self._sessions[table.shards[0].node_index].connection.region \
+                .refused = arm.table, arm.build_key, as_table(arm.build).epoch
+            result = yield from attempt(placement)
         except RegionFailedError:
             if placement != "auto":
                 raise
@@ -710,8 +713,7 @@ class ClusterClient:
             table, plan.ops, as_of, join_strategy))
 
     def plan(self, table, query: Query, placement: str = "auto",
-             stats: PlanStats | None = None,
-             refuse_join_offload: bool = False, as_of: int | None = None,
+             stats: PlanStats | None = None, as_of: int | None = None,
              join_strategy: str | None = None) -> ExplainPlan:
         """Plan (but do not run) ``query`` over the table's shards:
         offload, ship, or hybrid — where should each operator go?
@@ -724,10 +726,12 @@ class ClusterClient:
         snapshot (:func:`~repro.core.planner.plan_placement` reads it off
         the handle).  Joins fold the resolved scatter strategy in: an
         uncached shuffle charges its wire movement against the offload
-        side, and the strategy lands on the plan.
+        side, and the strategy lands on the plan.  A join stays on the
+        client while that region refuses its build, at this epoch.
         """
         table, epoch = self._bind(table, as_of)
         session = self._sessions[table.shards[0].node_index]
+        region = session.connection.region
         arm = join_arm(query.join) if query.join is not None else None
         strategy = self._resolve_join_strategy(table, arm, join_strategy)
         join_transfer_ns = 0.0
@@ -737,9 +741,10 @@ class ClusterClient:
         return plan_placement(
             query, table, session.node.config, as_of=epoch,
             placement=placement, stats=stats, cpu=self.cpu,
-            loaded_signature=session.connection.region.loaded_pipeline,
+            loaded_signature=region.loaded_pipeline,
             buffer_capacity=session.buffer_capacity,
-            refuse_join_offload=refuse_join_offload,
+            refuse_join_offload=arm is not None and region.refused == (
+                arm.table, arm.build_key, as_table(arm.build).epoch),
             join_strategy=strategy, join_transfer_ns=join_transfer_ns)
 
     def _run_tail_proc(self, table: Table, epoch: int, ops: list,

@@ -279,6 +279,8 @@ class FarviewNode:
         assigned at crash time.  Clients must re-create state; stale
         handles are rejected by their recorded incarnation."""
         self.failed = False
+        for region in self.regions.regions:
+            region.refused = None
         for listener in self._recover_listeners:
             listener(self)
 

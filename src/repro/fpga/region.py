@@ -34,6 +34,10 @@ class DynamicRegion:
         self.index = index
         self.state = RegionState.FREE
         self.loaded_pipeline: str | None = None
+        #: ``(build table, build key, build epoch)`` of a join build that
+        #: overflowed the on-chip hash while loading here: plans keep
+        #: that join on the client until another pipeline loads.
+        self.refused: tuple[str, str, int] | None = None
         self.owner_qp: int | None = None
         self.reconfigurations = 0
         self.failures = 0
@@ -49,10 +53,12 @@ class DynamicRegion:
             # A failed region drops its owner but stays failed until
             # repaired — it must never be handed to the next connection.
             self.loaded_pipeline = None
+            self.refused = None
             self.owner_qp = None
             return
         self.state = RegionState.FREE
         self.loaded_pipeline = None
+        self.refused = None
         self.owner_qp = None
 
     def fail(self) -> None:
@@ -61,6 +67,7 @@ class DynamicRegion:
         :class:`~repro.common.errors.RegionFailedError`."""
         self.state = RegionState.FAILED
         self.loaded_pipeline = None
+        self.refused = None
         self.failures += 1
 
     def repair(self) -> None:
@@ -93,6 +100,7 @@ class DynamicRegion:
             raise RegionFailedError(
                 f"region {self.index} failed mid-reconfiguration")
         self.loaded_pipeline = pipeline_name
+        self.refused = None
         self.state = RegionState.READY
         self.reconfigurations += 1
 

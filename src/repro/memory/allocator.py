@@ -15,8 +15,7 @@ themselves are kept unstriped, frame by frame (``dram.FrameStore``).
 
 Frames are handed out recycled-first (last freed, first reused), then
 in ascending order from a high-water mark: constant-time allocate/free,
-no fragmentation because all frames are equal-sized, and a frame at or
-above the mark has never held data.
+no fragmentation because all frames are equal-sized.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ class StripedAllocator:
         # membership for the double-free check, ``popitem`` for
         # last-in-first-out).
         self._recycled: dict[int, None] = {}
-        #: Frames ``[0, high_water)`` have been handed out at some time;
-        #: the bytes of the rest are untouched, hence zero.
+        #: Frames ``[0, high_water)`` have been handed out at some time.
         self.high_water = 0
         self.pages_allocated = 0
 

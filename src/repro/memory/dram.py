@@ -23,21 +23,35 @@ from ..sim.resources import BandwidthPipe
 
 class FrameStore:
     """``frames`` page frames of ``page_size`` bytes, lazily zero: the
-    host backs a frame with memory only once something is stored in
-    it (multi-GB pools cost nothing until touched)."""
+    host backs a frame with memory only once something is stored in it
+    (multi-GB pools cost nothing until touched).  Every store goes
+    through :meth:`write`, which keeps each frame's written extent, so
+    :meth:`zero` clears only the bytes a frame's last owner wrote."""
 
     def __init__(self, page_size: int, frames: int):
         self.page_size = page_size
         self.frames = frames
         self._data = np.zeros(frames * page_size, dtype=np.uint8)
+        #: Per frame: bytes past this offset are zero.
+        self._written = [0] * frames
 
-    def frame(self, index: int) -> np.ndarray:
-        """Writable view of frame ``index``; it aliases the store."""
-        if not 0 <= index < self.frames:
-            raise MemoryError_(
-                f"frame {index} outside the store's {self.frames} frames")
+    def write(self, index: int, offset: int, data: np.ndarray) -> None:
+        """Store ``data`` at ``offset`` into frame ``index``."""
+        end = offset + len(data)
+        if not (0 <= index < self.frames
+                and 0 <= offset <= end <= self.page_size):
+            raise MemoryError_(f"write [{offset}, {end}) outside frame {index}")
         base = index * self.page_size
-        return self._data[base:base + self.page_size]
+        self._data[base + offset:base + end] = data
+        self._written[index] = max(self._written[index], end)
+
+    def zero(self, index: int) -> None:
+        """Make frame ``index`` read zero: store zeros over its written
+        extent only, then forget it (a frame nobody wrote costs nothing)."""
+        base, end = index * self.page_size, self._written[index]
+        if end:
+            self._data[base:base + end] = 0
+            self._written[index] = 0
 
     def view(self, start: int, length: int) -> memoryview:
         """Read-only, uncopied view of bytes ``[start, +length)``."""

@@ -19,7 +19,6 @@ Key properties modelled from the paper:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -70,15 +69,6 @@ class Tlb:
             del self._map[key]
 
 
-@dataclass
-class _Allocation:
-    """One virtual allocation: contiguous vaddr range over whole pages."""
-
-    vaddr: int
-    nbytes: int
-    pages: list[int] = field(default_factory=list)  # virtual page numbers
-
-
 class Mmu:
     """Page tables + TLB + the frame store, timed on the DRAM channels."""
 
@@ -99,7 +89,8 @@ class Mmu:
         self.burst_bytes = burst_bytes
         #: Per domain: virtual page -> page frame index.
         self._page_tables: dict[int, dict[int, int]] = {}
-        self._allocations: dict[int, dict[int, _Allocation]] = {}
+        #: Per domain: vaddr -> the virtual pages allocated there.
+        self._allocations: dict[int, dict[int, range]] = {}
         self._next_vpage: dict[int, int] = {}
         self.translation_ns_accumulated = 0.0
 
@@ -116,8 +107,8 @@ class Mmu:
 
     def destroy_domain(self, domain: int) -> None:
         self._require_domain(domain)
-        for alloc in list(self._allocations[domain].values()):
-            self.free(domain, alloc.vaddr)
+        for vaddr in list(self._allocations[domain]):
+            self.free(domain, vaddr)
         del self._page_tables[domain]
         del self._allocations[domain]
         del self._next_vpage[domain]
@@ -138,33 +129,26 @@ class Mmu:
         if npages > self.allocator.free_pages:
             raise OutOfMemoryError(
                 f"need {npages} pages, only {self.allocator.free_pages} free")
-        first_vpage = self._next_vpage[domain]
-        alloc = _Allocation(vaddr=first_vpage * page_size, nbytes=nbytes)
+        first = self._next_vpage[domain]
+        self._next_vpage[domain] = first + npages
+        pages = range(first, first + npages)
         table = self._page_tables[domain]
-        # Scrub recycled frames: fresh allocations read as zero, and no
-        # data leaks across protection domains when pages are reused.  A
-        # frame never handed out before reads zero as it is, and storing
-        # into it would only make the host back it with real memory.
-        recycled_below = self.allocator.high_water
-        for i in range(npages):
-            vpage = first_vpage + i
-            frame = self.allocator.allocate_page()
-            if frame < recycled_below:
-                self.store.frame(frame)[:] = 0
-            table[vpage] = frame
-            alloc.pages.append(vpage)
-        self._next_vpage[domain] = first_vpage + npages
-        self._allocations[domain][alloc.vaddr] = alloc
-        return alloc.vaddr
+        for vpage in pages:
+            # Fresh allocations read as zero, and no data leaks across
+            # protection domains when frames are reused.
+            table[vpage] = frame = self.allocator.allocate_page()
+            self.store.zero(frame)
+        self._allocations[domain][first * page_size] = pages
+        return first * page_size
 
     def free(self, domain: int, vaddr: int) -> None:
         self._require_domain(domain)
-        alloc = self._allocations[domain].pop(vaddr, None)
-        if alloc is None:
+        pages = self._allocations[domain].pop(vaddr, None)
+        if pages is None:
             raise MemoryError_(
                 f"domain {domain}: no allocation at vaddr {vaddr:#x}")
         table = self._page_tables[domain]
-        for vpage in alloc.pages:
+        for vpage in pages:
             self.allocator.free_page(table.pop(vpage))
         self.tlb.invalidate_domain(domain)
 
@@ -246,8 +230,8 @@ class Mmu:
         cursor = 0
         while cursor < len(src):
             vpage, offset = divmod(vaddr + cursor, size)
-            span = self.store.frame(table[vpage])[offset:offset + len(src) - cursor]
-            span[:] = src[cursor:cursor + len(span)]
+            span = src[cursor:cursor + size - offset]
+            self.store.write(table[vpage], offset, span)
             cursor += len(span)
         return translation
 

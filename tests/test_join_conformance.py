@@ -560,6 +560,76 @@ def test_auto_replans_an_offload_whose_build_overflows_at_load():
         serial_join_model(fact, dim))
 
 
+#: ``KICK_LIMITED`` with a reconfiguration so cheap that auto's plan
+#: offloads the join even to a cold region.
+CHEAP_KICK_LIMITED = replace(KICK_LIMITED, operator_stack=replace(
+    KICK_LIMITED.operator_stack, reconfiguration_ns=1.0))
+
+
+def test_auto_pays_a_refused_offload_once():
+    """The region remembers a join build that overflowed while loading:
+    after auto's first call pays the refused attempt, the plan keeps the
+    join on the client, and each later call takes exactly the time of
+    ``ship`` alone and still matches the serial model (every call paid
+    the refusal before)."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    shipper = single_client(CHEAP_KICK_LIMITED)
+    query = make_query(upload(shipper, "dim", DIM_SCHEMA, dim))
+    _, ship_ns = shipper.far_view_planned(
+        upload(shipper, "fact", FACT_SCHEMA, fact), query, placement="ship")
+    client = single_client(CHEAP_KICK_LIMITED)
+    dim_table = upload(client, "dim", DIM_SCHEMA, dim)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query = make_query(dim_table)
+    _, first = client.far_view_planned(fact_table, query, placement="auto")
+    assert first > ship_ns
+    assert client.plan(fact_table, query, "auto").chosen == "ship"
+    for _ in range(3):
+        result, elapsed = client.far_view_planned(fact_table, query,
+                                                  placement="auto")
+        assert result.explain.chosen == "ship"
+        assert elapsed == pytest.approx(ship_ns, rel=1e-12)
+        assert sha(canonical_result_bytes(result)) == sha(
+            serial_join_model(fact, dim))
+
+
+def test_a_refusal_is_forgotten_on_a_build_write_a_reload_or_recovery():
+    """The refusal is keyed by the build side and its epoch.  A write to
+    the build side, or another pipeline loaded into the region, forgets
+    it: the next auto call tries the offload again, once, and the calls
+    after it ship at once.  A node that recovers forgets every
+    refusal."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    client = single_client(CHEAP_KICK_LIMITED)
+    dim_table = client.create_versioned_table("dim", DIM_SCHEMA, dim)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query = make_query(dim_table)
+    expected = sha(serial_join_model(fact, dim))
+    forget = (lambda: None,
+              lambda: client.update_where(dim_table, Compare("id", "<", -1),
+                                          {"rate": 0.0}),
+              lambda: client.far_view(fact_table, Query(
+                  predicate=Compare("a", "<", 10))))
+    for step in forget:
+        step()
+        times = [client.far_view_planned(fact_table, query,
+                                         placement="auto") for _ in range(3)]
+        _, ship_ns = client.far_view_planned(fact_table, query,
+                                             placement="ship")
+        assert times[0][1] > ship_ns
+        for result, elapsed in times[1:]:
+            assert result.explain.chosen == "ship"
+            assert elapsed == pytest.approx(ship_ns, rel=1e-12)
+            assert sha(canonical_result_bytes(result)) == expected
+    region = client.connection.region
+    assert region.refused is not None
+    client.node.fail()
+    client.node.recover()
+    assert region.refused is None
+
+
 def test_a_refused_build_leaves_no_pipeline_for_auto_to_retry():
     """A pipeline the node refused while loading its build does not stay
     resident: the region is cold again, so ``auto`` prices the offload

@@ -23,26 +23,53 @@ def store():
     return FrameStore(page_size=64 * KB, frames=16)
 
 
-def test_store_slice_round_trip(store):
-    """A frame view aliases live store memory: what is stored through one
-    view reads back through another, and frames do not overlap."""
-    store.frame(3)[100:111] = np.frombuffer(b"hello world", np.uint8)
-    assert store.frame(3)[100:111].tobytes() == b"hello world"
-    assert store.frame(3)[96:104].tobytes() == b"\x00" * 4 + b"hell"
-    assert not store.frame(2).any() and not store.frame(4).any()
+def _frame(store, index):
+    """The bytes of frame ``index``, read through the store's view."""
+    return store.view(index * store.page_size, store.page_size)
+
+
+def test_store_write_round_trip(store):
+    """What is stored into a frame reads back through a view of the
+    store, at the frame's offset, and frames do not overlap."""
+    store.write(3, 100, np.frombuffer(b"hello world", np.uint8))
+    assert _frame(store, 3)[100:111] == b"hello world"
+    assert _frame(store, 3)[96:104] == b"\x00" * 4 + b"hell"
+    assert store.view(3 * 64 * KB + 100, 5) == b"hello"
+    assert _frame(store, 2) == bytes(64 * KB) == _frame(store, 4)
 
 
 def test_store_reads_zero_until_written(store):
-    assert store.frame(0)[:4].tobytes() == b"\x00\x00\x00\x00"
-    assert not any(store.frame(i).any() for i in range(store.frames))
+    assert store.view(0, store.frames * 64 * KB) == bytes(16 * 64 * KB)
 
 
-def test_out_of_range_access_raises(store):
+def test_zero_clears_the_furthest_write_and_forgets_it(store):
+    """``zero`` makes a frame read zero again over everything written
+    into it since it was last zero, the furthest write included, and
+    leaves the other frames alone."""
+    store.write(5, 64 * KB - 3, np.frombuffer(b"end", np.uint8))
+    store.write(5, 10, np.frombuffer(b"start", np.uint8))
+    store.write(6, 0, np.frombuffer(b"kept", np.uint8))
+    store.zero(5)
+    assert _frame(store, 5) == bytes(64 * KB)
+    assert _frame(store, 6)[:4] == b"kept"
+    store.write(5, 7, np.frombuffer(b"again", np.uint8))
+    store.zero(5)
+    assert _frame(store, 5) == bytes(64 * KB)
+
+
+def test_out_of_range_write_raises(store):
+    """A write names one frame and must fit inside it."""
+    one = np.frombuffer(b"x", np.uint8)
     with pytest.raises(MemoryError_):
-        store.frame(16)
+        store.write(16, 0, one)
     with pytest.raises(MemoryError_):
-        store.frame(-1)
-    assert len(store.frame(15)) == 64 * KB
+        store.write(-1, 0, one)
+    with pytest.raises(MemoryError_):
+        store.write(15, 64 * KB - 1, np.frombuffer(b"xy", np.uint8))
+    with pytest.raises(MemoryError_):
+        store.write(15, -1, one)
+    store.write(15, 64 * KB - 1, one)
+    assert store.view(16 * 64 * KB - 1, 1) == b"x"
 
 
 def test_read_write_pipes_are_decoupled(sim, channel):

@@ -192,24 +192,49 @@ def test_partially_recycled_multi_page_allocation_reads_zero(mmu):
     assert mmu.image(1, vaddrs[1], sizes[1]) == b"\xa5" * sizes[1]
 
 
-def test_fresh_pool_allocation_stores_nothing(mmu, monkeypatch):
-    """The frame store is lazily zero: allocating frames that were never
-    handed out must not touch it (a store per frame made the host back
-    every page of a pool nobody had written to); a recycled frame is
-    scrubbed, one store into its frame."""
-    touched = []
-    frame = mmu.store.frame
-    monkeypatch.setattr(mmu.store, "frame",
-                        lambda index: touched.append(index) or frame(index))
+def _count_stores(store) -> list[int]:
+    """Make ``store`` count what is stored into its pool: one entry per
+    store, its size in bytes (a slice of the pool keeps the counting
+    class, so a store through any view of it counts too)."""
+    sizes = []
+
+    class Counting(np.ndarray):
+        def __setitem__(self, key, value):
+            sizes.append(np.ndarray.__getitem__(self, key).size)
+            super().__setitem__(key, value)
+
+    store._data = store._data.view(Counting)
+    return sizes
+
+
+def test_fresh_pool_allocation_stores_nothing(mmu):
+    """The frame store is lazily zero, and an allocation stores into it
+    only what a recycled frame's last owner wrote: nothing for frames
+    never handed out (a store per frame made the host back every page
+    of a pool nobody had written to), nothing for recycled frames nobody
+    wrote, and ``offset + k`` bytes, once, for a frame whose owner poked
+    ``k`` bytes at ``offset`` (scrubbing the whole page stored 64 KiB)."""
+    stored = _count_stores(mmu.store)
     page = mmu.config.page_size
     first = mmu.alloc(1, 3 * page)
     mmu.alloc(1, 100)
-    assert touched == []
+    assert stored == []
     assert mmu.image(1, first, 3 * page) == bytes(3 * page)
-    touched.clear()
     mmu.free(1, first)
-    mmu.alloc(1, page)                  # one recycled frame: the last freed
-    assert touched == [2]
+    mmu.create_domain(2)
+    unwritten = mmu.alloc(2, 3 * page)      # the same three frames
+    assert stored == []
+    offset, k = 1000, 37
+    mmu.poke(2, unwritten + page + offset, b"\x5a" * k)
+    assert stored == [k]
+    stored.clear()
+    mmu.free(2, unwritten)
+    again = mmu.alloc(1, 3 * page)
+    assert stored == [offset + k]
+    assert mmu.image(1, again, 3 * page) == bytes(3 * page)
+    mmu.free(1, again)
+    mmu.alloc(2, 3 * page)                  # zeroed once, then forgotten
+    assert stored == [offset + k]
 
 
 def test_image_over_consecutive_frames_is_a_read_only_view(mmu):
@@ -225,7 +250,8 @@ def test_image_over_consecutive_frames_is_a_read_only_view(mmu):
         view = mmu.image(1, vaddr + start, length)
         assert isinstance(view, memoryview) and view.readonly
         assert view == payload[start:start + length]
-        assert np.shares_memory(np.asarray(view), mmu.store.frame(0))
+        assert np.shares_memory(np.asarray(view),
+                                np.asarray(mmu.store.view(0, 3 * page)))
         with pytest.raises(TypeError):
             view[0] = 0
         mmu.poke(1, vaddr + start, b"\xff")

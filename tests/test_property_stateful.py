@@ -30,9 +30,12 @@ MB = 1024 * KB
 class MmuModelCheck(RuleBasedStateMachine):
     """The striped MMU must behave exactly like one flat byte array.
 
-    Hypothesis drives random allocations, writes and reads against both
-    the MMU (2-channel striping, 64 KB pages) and a plain ``bytearray``
-    reference per allocation; any divergence is a striping/translation bug.
+    Hypothesis drives random allocations, writes and reads in two
+    protection domains against both the MMU (2-channel striping, 64 KB
+    pages) and a plain ``bytearray`` reference per allocation over the
+    whole pages it maps (zero where never written); any divergence is a
+    striping/translation bug, or a frame that reached its next owner
+    with bytes its last owner wrote.
     """
 
     def __init__(self):
@@ -40,62 +43,90 @@ class MmuModelCheck(RuleBasedStateMachine):
         self.sim = Simulator()
         config = MemoryConfig(channels=2, channel_capacity=2 * MB,
                               page_size=64 * KB)
+        self.page = config.page_size
         self.mmu = Mmu(self.sim, config)
         self.mmu.create_domain(1)
-        #: vaddr -> reference bytearray
-        self.reference: dict[int, bytearray] = {}
+        self.mmu.create_domain(2)
+        #: (domain, vaddr) -> the allocation's size and reference pages
+        self.reference: dict[tuple[int, int], tuple[int, bytearray]] = {}
 
-    @rule(size=st.integers(min_value=1, max_value=96 * KB))
-    def allocate(self, size):
+    def _allocate(self, domain, size):
+        vaddr = self.mmu.alloc(domain, size)
+        pages = -(-size // self.page)
+        self.reference[domain, vaddr] = size, bytearray(pages * self.page)
+
+    @rule(domain=st.sampled_from((1, 2)),
+          size=st.integers(min_value=1, max_value=96 * KB))
+    def allocate(self, domain, size):
         if self.mmu.allocator.free_pages < 2:
             return  # avoid OOM noise; exhaustion is tested elsewhere
-        vaddr = self.mmu.alloc(1, size)
-        self.reference[vaddr] = bytearray(size)
+        self._allocate(domain, size)
 
     @precondition(lambda self: self.reference)
     @rule(data=st.data(), payload=st.binary(min_size=1, max_size=4 * KB))
     def write(self, data, payload):
-        vaddr = data.draw(st.sampled_from(sorted(self.reference)))
-        ref = self.reference[vaddr]
-        if len(payload) > len(ref):
-            payload = payload[:len(ref)]
-        offset = data.draw(st.integers(0, len(ref) - len(payload)))
-        self.mmu.poke(1, vaddr + offset, payload)
-        ref[offset:offset + len(payload)] = payload
+        """Poke anywhere in the pages an allocation maps — past its size
+        too, often ending on a page's last byte."""
+        (domain, vaddr), (_, ref) = data.draw(
+            st.sampled_from(sorted(self.reference.items())))
+        page_ends = st.sampled_from(range(self.page, len(ref) + 1, self.page))
+        end = data.draw(st.one_of(page_ends,
+                                  st.integers(len(payload), len(ref))))
+        self.mmu.poke(domain, vaddr + end - len(payload), payload)
+        ref[end - len(payload):end] = payload
 
     @precondition(lambda self: self.reference)
     @rule(data=st.data())
     def read_matches_reference(self, data):
-        vaddr = data.draw(st.sampled_from(sorted(self.reference)))
-        ref = self.reference[vaddr]
-        length = data.draw(st.integers(1, len(ref)))
-        offset = data.draw(st.integers(0, len(ref) - length))
-        got = self.mmu.image(1, vaddr + offset, length)
+        (domain, vaddr), (size, ref) = data.draw(
+            st.sampled_from(sorted(self.reference.items())))
+        length = data.draw(st.integers(1, size))
+        offset = data.draw(st.integers(0, size - length))
+        got = self.mmu.image(domain, vaddr + offset, length)
         assert got == bytes(ref[offset:offset + length])
 
     @precondition(lambda self: self.reference)
     @rule(data=st.data())
     def image_matches_reference_and_leaves_the_tlb(self, data):
-        vaddr = data.draw(st.sampled_from(sorted(self.reference)))
-        ref = self.reference[vaddr]
+        (domain, vaddr), (size, ref) = data.draw(
+            st.sampled_from(sorted(self.reference.items())))
         tlb = self.mmu.tlb
         before = (list(tlb._map), tlb.hits, tlb.misses)
-        assert self.mmu.image(1, vaddr, len(ref)) == bytes(ref)
+        assert self.mmu.image(domain, vaddr, size) == bytes(ref[:size])
         assert (list(tlb._map), tlb.hits, tlb.misses) == before
+
+    @rule()
+    def mapped_pages_read_zero_where_never_written(self):
+        """Every byte of every page an allocation maps, past its size up
+        to the page end, is the reference's: zero wherever this owner
+        never wrote, whatever the frame held before."""
+        for (domain, vaddr), (_, ref) in self.reference.items():
+            assert self.mmu.image(domain, vaddr, len(ref)) == ref
 
     @precondition(lambda self: len(self.reference) > 1)
     @rule(data=st.data())
     def free_one(self, data):
-        vaddr = data.draw(st.sampled_from(sorted(self.reference)))
-        self.mmu.free(1, vaddr)
-        del self.reference[vaddr]
+        key = data.draw(st.sampled_from(sorted(self.reference)))
+        self.mmu.free(*key)
+        del self.reference[key]
+
+    @precondition(lambda self: self.reference)
+    @rule(data=st.data())
+    def hand_over(self, data):
+        """Free an allocation and allocate its size in the other domain:
+        last freed, first reused, so the new owner gets the same frames
+        (twice over when drawn again)."""
+        key = data.draw(st.sampled_from(sorted(self.reference)))
+        size, _ = self.reference.pop(key)
+        self.mmu.free(*key)
+        self._allocate(3 - key[0], size)
 
     @invariant()
     def page_accounting_consistent(self):
-        page = self.mmu.config.page_size
-        expected = sum((len(ref) + page - 1) // page
-                       for ref in self.reference.values())
-        assert self.mmu.domain_pages(1) == expected
+        for domain in (1, 2):
+            expected = sum(len(ref) // self.page for (owner, _), (_, ref)
+                           in self.reference.items() if owner == domain)
+            assert self.mmu.domain_pages(domain) == expected
 
 
 MmuModelCheck.TestCase.settings = settings(

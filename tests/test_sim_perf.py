@@ -394,10 +394,10 @@ def test_grouping_operator_python_call_budget():
 
 def _store_reaches(profile) -> int:
     """How many times the profiled code reached into the frame store for
-    bytes (``FrameStore.frame`` and ``FrameStore.view`` calls)."""
+    bytes (``FrameStore.write`` and ``FrameStore.view`` calls)."""
     return sum(nc for (filename, _, name), (_, nc, _, _, _)
                in pstats.Stats(profile).stats.items()
-               if name in ("frame", "view")
+               if name in ("write", "view")
                and filename.replace("\\", "/").endswith("memory/dram.py"))
 
 
