@@ -69,7 +69,7 @@ from ..operators.aggregate import (AggregateSpec, accumulator_rows,
                                    grouped_schema)
 from ..operators.crypto import AesCtr
 from .catalog import Catalog
-from .compile import ParsedWrite, bind_select, parse_sql
+from .compile import ParsedWrite
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
                          estimate_chain, view_circuit_cost_ns)
 from .planner import (ExplainPlan, chain_labels, client_steps,
@@ -906,14 +906,14 @@ class ClusterClient:
         SET ... WHERE`` and ``DELETE FROM ... WHERE`` commit write
         batches against a writable table and return the new epoch.
         Placement precedence for reads: the ``placement`` argument, then
-        a ``/*+ placement(...) */`` hint, then full offload.  Parsing and binding run when the verb is called; the
-        rest runs in the caller's process, beside any other statement.
+        a ``/*+ placement(...) */`` hint, then full offload.  The catalog
+        prepares the statement when the verb is called (a SELECT is bound
+        once per catalog state); the rest runs in the caller's process.
         """
-        parsed = parse_sql(statement)
-        if isinstance(parsed, ParsedWrite):
+        parsed, bound = self.catalog.prepare(statement)
+        if bound is None:
             return self._sql_write(self.catalog.lookup(parsed.table), parsed)
         placement = placement or parsed.placement or "offload"
-        bound = bind_select(parsed, self.catalog)
         return self._placed_proc(bound.base, bound.query, placement, stats,
                                  tail=bound.tail)
 
@@ -1196,10 +1196,9 @@ class ClusterClient:
         deltas on top of the snapshot instead of being half-read.
         Returns the registered :class:`MaterializedView`.
         """
-        parsed = parse_sql(sql)
-        if isinstance(parsed, ParsedWrite):
+        _parsed, bound = self.catalog.prepare(sql)
+        if bound is None:
             raise QueryError("a view is defined by a SELECT statement")
-        bound = bind_select(parsed, self.catalog)
         circuit = compile_circuit(bound)
         engine = self.views
         view_name = engine.fresh_name() if name is None else name

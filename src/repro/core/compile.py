@@ -729,7 +729,7 @@ class BoundArm:
     kernel = "join"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundSelect:
     """A fully resolved SELECT, ready to execute.
 

@@ -303,6 +303,58 @@ def test_ill_typed_statement_is_a_typed_error_on_every_placement(bench):
                          placement=placement)
 
 
+def _pool_client():
+    from repro.core.api import ClusterClient
+    from repro.core.cluster import FarviewCluster
+    from repro.sim.engine import Simulator
+
+    client = ClusterClient(FarviewCluster(Simulator(), 2))
+    client.open_connection()
+    return client
+
+
+def test_a_select_refused_for_an_unknown_table_runs_once_it_exists():
+    """The catalog keeps no refusal and no binding past a drop: a SELECT
+    refused with :class:`CatalogError` binds and runs after
+    ``create_table``, is refused again after ``drop_table``, and reads
+    the new rows once the name is created again, matching the serial
+    model each time."""
+    from repro.baselines.sql_model import execute_model
+    from repro.common.errors import CatalogError
+    from repro.core.api import canonical_result_bytes
+    from repro.workloads.generator import make_rows
+
+    client = _pool_client()
+    statement = "SELECT a, c FROM late WHERE c < 3"
+    schema = default_schema()
+    for size in (256, 96):
+        with pytest.raises(CatalogError):
+            client.sql(statement)
+        rows = make_rows(schema, size, seed=size)
+        rows["c"] = np.arange(size) % 7
+        table = client.create_table("late", schema, rows)
+        result, _ = client.sql(statement)
+        model_schema, model_rows = execute_model(statement,
+                                                 {"late": (schema, rows)})
+        assert canonical_result_bytes(result) == model_schema.to_bytes(
+            model_rows)
+        client.drop_table(table)
+
+
+@pytest.mark.parametrize("statement", ["SELECT FROM S",
+                                       "SELECT nope FROM S"])
+def test_a_syntax_error_is_raised_on_every_call(statement):
+    """A statement that fails to parse, or to bind, raises
+    :class:`SqlSyntaxError` on every call, and the catalog keeps
+    nothing for it."""
+    client = _pool_client()
+    client.create_table("S", default_schema(), default_schema().empty(8))
+    for _ in range(3):
+        with pytest.raises(SqlSyntaxError):
+            client.sql(statement)
+    assert statement not in client.catalog._prepared
+
+
 # --- write statements (versioned write path) ----------------------------------
 
 def test_insert_values():

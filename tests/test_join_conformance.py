@@ -1165,3 +1165,72 @@ def test_colocated_shards_facing_an_empty_build_partition_answer_locally():
     assert all(part.bytes_shipped == 0 for part in empty)
     assert fig19.canonical_sha(result.schema, result.rows()) == \
         fig19.canonical_sha(fig19.JOINED_SCHEMA, fig19.serial_model(fact, dim))
+
+
+# ---------------------------------------------------------------------------
+# A catalog binds a SELECT once per catalog state
+# ---------------------------------------------------------------------------
+
+from repro.baselines.sql_model import execute_model  # noqa: E402
+from repro.core.compile import bind_select, parse_sql  # noqa: E402
+
+
+def test_a_recreated_table_binds_the_same_join_text_again():
+    """``dim`` dropped and created again under the same name, first
+    chunk-partitioned, then hashed on the join key: the same join text
+    binds against each new handle, co-locates exactly when both sides
+    hash on the key, and matches the serial model every time."""
+    fact = make_fact(list(range(40)) * 2, seed=48)
+    dim = make_dim(list(range(32)), seed=49)
+    fact_spec = PartitionSpec("hash", key="a")
+    statement = ("SELECT a, b, c, rate, zone FROM fact "
+                 "JOIN dim ON fact.a = dim.id")
+    cc, _fs, ds = _matrix_cluster(4, fact, dim, fact_spec, PartitionSpec())
+    expected = sha(_matrix_expected(fact, dim, fact_spec, 4))
+    model_schema, model_rows = execute_model(
+        statement, {"fact": (FACT_SCHEMA, fact), "dim": (DIM_SCHEMA, dim)})
+    for dim_spec in (PartitionSpec(), PartitionSpec("hash", key="id")):
+        if dim_spec != ds.partition:
+            cc.drop_table("dim")
+            ds = cc.create_table("dim", DIM_SCHEMA, dim, partition=dim_spec)
+        result, _ = cc.sql(statement)
+        assert cc.catalog.prepare(statement)[1].query.join.build_table is ds
+        assert (result.join_strategy == "colocated") == (
+            dim_spec.scheme == "hash")
+        assert sha(result.data) == expected
+        assert result.schema == model_schema
+        assert sorted(result.rows().tolist()) == sorted(model_rows.tolist())
+
+
+#: A statement with a head, a client arm over a filtered build and a
+#: HAVING step after its grouping: every part of a bound SELECT.
+_PREPARED_STATEMENT = (f"SELECT zone, SUM(fact.v) AS s, COUNT(*) AS n "
+                       f"{_CELL_ON} WHERE dim.zone < 3 AND k < 20 "
+                       f"GROUP BY zone HAVING COUNT(*) > 2")
+
+
+def test_a_prepared_select_is_never_mutated_by_its_runs():
+    """One text under ``offload``, ``ship`` and ``auto``, then as a view:
+    after each use the kept :class:`BoundSelect` still equals a fresh
+    bind of the text, and each result is byte-identical to a twin
+    client's that binds the text afresh for every call."""
+    fact, dim = _cell_tables()
+    client, twin = (_cell_client(2, fact, dim) for _ in range(2))
+    _parsed, kept = client.catalog.prepare(_PREPARED_STATEMENT)
+    assert kept.tail and any(op.kernel == "join" for op in kept.tail)
+
+    def fresh():
+        return bind_select(parse_sql(_PREPARED_STATEMENT), client.catalog)
+
+    for placement in ("offload", "ship", "auto"):
+        result, elapsed = client.sql(_PREPARED_STATEMENT, placement=placement)
+        assert client.catalog.prepare(_PREPARED_STATEMENT)[1] is kept
+        assert kept == fresh()
+        twin.catalog._prepared.clear()
+        alone, alone_ns = twin.sql(_PREPARED_STATEMENT, placement=placement)
+        assert result.data == alone.data and elapsed == alone_ns
+    view, _ = client.create_view(_PREPARED_STATEMENT, name="kept")
+    twin.catalog._prepared.clear()
+    alone, _ = twin.create_view(_PREPARED_STATEMENT, name="kept")
+    assert view.bound is kept and kept == fresh()
+    assert view.sha256() == alone.sha256()

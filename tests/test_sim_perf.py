@@ -851,6 +851,70 @@ def test_a_query_is_lowered_once_where_it_enters():
             statement, placement="auto")) <= 3, label
 
 
+# -- a SELECT is bound once per catalog state ---------------------------------
+
+def _compile_calls(call, *args) -> int:
+    """Python-level calls ``call(*args)`` makes into the SQL compiler
+    (``core/compile.py`` and the IR it binds, ``core/ir.py``)."""
+    profile = cProfile.Profile()
+    profile.runcall(call, *args)
+    return (_calls_into(profile, "/repro/core/compile.py")
+            + _calls_into(profile, "/repro/core/ir.py"))
+
+
+def test_a_select_is_bound_once_per_catalog_state():
+    """Running a fig18 statement again on an unchanged catalog makes no
+    call into the compiler (6,498 over ``sql_join``'s measured phase
+    while every call parsed and bound its text again); a
+    ``create_table`` or a ``drop_table`` makes the next call bind
+    again."""
+    client = ClusterClient(FarviewCluster(Simulator(), 2))
+    client.open_connection()
+    tables = make_tables(256, 64, 16)
+    for name, (schema, rows) in tables.items():
+        client.create_table(name, schema, rows)
+    for _label, statement in QUERIES:
+        for placement in ("offload", "ship", "auto"):
+            client.sql(statement, placement=placement)
+            assert _compile_calls(client.sql, statement, placement) == 0
+    statement = QUERIES[0][1]
+    extra = client.create_table("extra", *tables["customer"])
+    assert _compile_calls(client.sql, statement) > 0
+    assert _compile_calls(client.sql, statement) == 0
+    client.drop_table(extra)
+    assert _compile_calls(client.sql, statement) > 0
+    assert _compile_calls(client.sql, statement) == 0
+
+
+def test_the_catalog_keeps_no_write_and_at_most_its_cap_of_selects():
+    """1,000 distinct INSERT texts leave nothing behind, and of more
+    distinct SELECT texts than the cap the catalog keeps the most
+    recently used ``_PREPARED_CAP``."""
+    from repro.core.catalog import _PREPARED_CAP
+
+    client = ClusterClient(FarviewCluster(Simulator(), 2))
+    client.open_connection()
+    schema = default_schema()
+    client.create_table("t", schema, make_rows(schema, 64))
+    catalog = client.catalog
+    for i in range(1_000):
+        catalog.prepare(f"INSERT INTO t VALUES ({i}, {i}.5, 1, 2, 3, 4, 5, 6)")
+    client.sql("INSERT INTO t VALUES (7, 0.5, 1, 2, 3, 4, 5, 6)")
+    client.sql("UPDATE t SET c = 1 WHERE a < 8")
+    client.sql("DELETE FROM t WHERE a = 7")
+    assert len(catalog._prepared) == 0
+    selects = [f"SELECT a FROM t WHERE a < {i}"
+               for i in range(_PREPARED_CAP + 8)]
+    for statement in selects:
+        catalog.prepare(statement)
+    assert list(catalog._prepared) == selects[8:]
+    catalog.prepare(selects[8])             # used again: kept the longest
+    catalog.prepare("SELECT b FROM t")
+    assert len(catalog._prepared) == _PREPARED_CAP
+    assert selects[8] in catalog._prepared
+    assert selects[9] not in catalog._prepared
+
+
 def test_one_hash_one_probe_in_src():
     """The scalar hash twin and the unhashed-probe branches stay deleted
     — and so do the forked scan verb, the per-strategy build-placement
