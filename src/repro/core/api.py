@@ -324,8 +324,8 @@ class _NodeSession:
         """Drop the connection handle without a node round trip — for a
         lease holder whose node died mid-lease: the close RPC cannot
         reach it, and the node-side state is gone with the crashed
-        incarnation.  Clears the node's stale connection entry and link
-        flow too, so a recovered node does not resurrect them and
+        incarnation.  Clears the node's connection entry and link flow
+        too: the recovered node then frees its region and domain, and
         lease-manager accounting stays exact."""
         conn = self.connection
         conn.qp.connected = False
@@ -672,7 +672,7 @@ class ClusterClient:
                 raise
             arm = join_arm(query.join)
             self._sessions[table.shards[0].node_index].connection.region \
-                .refused = arm.table, arm.build_key, as_table(arm.build).epoch
+                .refuse(arm.build, arm.build_key, as_table(arm.build).epoch)
             result = yield from attempt(placement)
         except RegionFailedError:
             if placement != "auto":
@@ -720,18 +720,17 @@ class ClusterClient:
         Returns the decision's :class:`~repro.core.planner.ExplainPlan`.
 
         Estimates use table-level cardinalities with per-shard streaming
-        parallelism; the region-residency check samples the first
-        shard's region (a different loaded signature pays the
-        partial-reconfiguration charge).  A table is priced at its
-        snapshot (:func:`~repro.core.planner.plan_placement` reads it off
-        the handle).  Joins fold the resolved scatter strategy in: an
+        parallelism; the first shard's region answers residency (a
+        pipeline it does not hold pays the partial-reconfiguration
+        charge).  A table is priced at its snapshot
+        (:func:`~repro.core.planner.plan_placement` reads it off the
+        handle).  Joins fold the resolved scatter strategy in: an
         uncached shuffle charges its wire movement against the offload
-        side, and the strategy lands on the plan.  A join stays on the
-        client while that region refuses its build, at this epoch.
+        side, and the strategy lands on the plan.  Under ``auto`` a join
+        stays on the client while that region refuses its build.
         """
         table, epoch = self._bind(table, as_of)
         session = self._sessions[table.shards[0].node_index]
-        region = session.connection.region
         arm = join_arm(query.join) if query.join is not None else None
         strategy = self._resolve_join_strategy(table, arm, join_strategy)
         join_transfer_ns = 0.0
@@ -741,10 +740,8 @@ class ClusterClient:
         return plan_placement(
             query, table, session.node.config, as_of=epoch,
             placement=placement, stats=stats, cpu=self.cpu,
-            loaded_signature=region.loaded_pipeline,
+            region=session.connection.region,
             buffer_capacity=session.buffer_capacity,
-            refuse_join_offload=arm is not None and region.refused == (
-                arm.table, arm.build_key, as_table(arm.build).epoch),
             join_strategy=strategy, join_transfer_ns=join_transfer_ns)
 
     def _run_tail_proc(self, table: Table, epoch: int, ops: list,
@@ -1572,8 +1569,8 @@ class ClusterClient:
                 f"no live copy of build partition {partition} on node "
                 f"{node_index}")
         copy = rep.chain.base
-        return [replace(op, build=copy, table=copy.name)
-                if op.kernel == "join" else op for op in ops]
+        return [replace(op, build=copy) if op.kernel == "join" else op
+                for op in ops]
 
     def _empty_shard_result(self, table: Table, ops: list) -> QueryResult:
         """A zero-row stand-in for a fact shard whose join-build

@@ -276,11 +276,18 @@ class FarviewNode:
 
     def recover(self) -> None:
         """Bring the node back — logically empty, under the incarnation
-        assigned at crash time.  Clients must re-create state; stale
-        handles are rejected by their recorded incarnation."""
+        assigned at crash time — and free each abandoned connection's
+        region and protection domain.  Clients must re-create state;
+        stale handles are rejected by their recorded incarnation."""
         self.failed = False
+        live = {conn.domain for conn in self.connections.values()}
+        for domain in self.mmu.domains - live:
+            self.mmu.destroy_domain(domain)
         for region in self.regions.regions:
-            region.refused = None
+            region.forget()
+            if region.owner_qp not in self.connections:
+                self.regions.release(region)
+                self.resources.undeploy(region.index)
         for listener in self._recover_listeners:
             listener(self)
 
@@ -314,8 +321,6 @@ class FarviewNode:
             self.link.unregister_flow(qp.qp_id)
             raise
         qp.connected = True
-        qp.region_index = region.index
-        qp.domain = domain
         conn = Connection(qp=qp, domain=domain, region=region, node=self)
         self.connections[qp.qp_id] = conn
         return conn
@@ -352,7 +357,7 @@ class FarviewNode:
         owner = table.domain
         if owner is None or owner == conn.domain:
             return
-        if self.mmu.has_domain(owner):
+        if owner in self.mmu.domains:
             raise ProtectionFault(
                 f"table {table.name!r} belongs to protection domain "
                 f"{owner}, not {conn.domain}")
@@ -458,8 +463,7 @@ class FarviewNode:
         yield from deliver_request(self.sim, self.link, conn.qp)
         yield from self._request_front_end()
 
-        # Partial reconfiguration if this region holds a different pipeline.
-        if conn.region.loaded_pipeline != compiled.signature:
+        if not conn.region.holds(compiled.signature):
             report.reconfigured = True
             yield self.sim.process(
                 conn.region.load_pipeline(compiled.signature))
@@ -475,10 +479,8 @@ class FarviewNode:
         try:
             yield from self._load_join_build(conn, compiled, report)
         except JoinBuildOverflowError:
-            # A pipeline whose build does not fit is refused, not left
-            # resident: the next plan must price this region cold, or
-            # ``auto`` would retry the offload it cannot run.
-            conn.region.loaded_pipeline = None
+            # A pipeline whose build does not fit is not left resident.
+            conn.region.unload()
             self.resources.undeploy(conn.region.index)
             raise
 

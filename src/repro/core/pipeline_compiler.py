@@ -270,7 +270,7 @@ def compile_chain(chain: list, table: FTable,
                 **cuckoo)
             row_ops.append(join_op)
             resource = "join_small_table"
-            shape = f"join[{op.table}.{op.build_key}={op.probe_key}]"
+            shape = f"join[{op.build_key}={op.probe_key}]"
         elif kernel == "eval":
             columns = [name for _, name in op.items]
             if use_sa:

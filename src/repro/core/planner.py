@@ -62,6 +62,7 @@ from ..common.config import FarviewConfig
 from ..common.errors import JoinBuildOverflowError, QueryError
 from ..common.expr import eval_items, items_schema
 from ..common.records import Schema
+from ..fpga.region import DynamicRegion
 from ..operators.aggregate import grouped_schema
 from ..operators.join import join_output_schema
 from .cost_model import (PlacementCostModel, PlanStats, delta_merge_cost_ns,
@@ -178,9 +179,8 @@ def plan_placement(query: Query, table: Table | FTable,
                    placement: str = "auto",
                    stats: PlanStats | None = None,
                    cpu: CpuCostModel | None = None,
-                   loaded_signature: Optional[str] = None,
+                   region: DynamicRegion | None = None,
                    buffer_capacity: int | None = None,
-                   refuse_join_offload: bool = False,
                    join_strategy: Optional[str] = None,
                    join_transfer_ns: float = 0.0) -> ExplainPlan:
     """Choose where each operator of ``query`` runs; returns the
@@ -196,20 +196,16 @@ def plan_placement(query: Query, table: Table | FTable,
     raw read transfers) and delta rows, whose software merge
     (:func:`~repro.core.cost_model.delta_merge_cost_ns`) the ship side
     pays; its shards stream in parallel.  The first shard's base is the
-    compile context.  ``loaded_signature`` is the pipeline resident in
-    the client's dynamic region — fragments whose signature differs pay
-    the partial-reconfiguration charge.
+    compile context.  ``region`` is the client's dynamic region: a
+    fragment it does not hold pays the partial-reconfiguration charge,
+    and under ``auto`` a join whose build it refuses (the build
+    overflowed while loading there) stays on the client.
 
     ``buffer_capacity`` (per-connection receive buffer, bytes) prunes
     ship/hybrid candidates whose shipped intermediate would not land in
     it; full offload is never pruned (a result that must fit is
     :meth:`far_view`'s contract), and an explicit ``"ship"`` that cannot
     fit raises instead of crashing mid-read.
-
-    ``refuse_join_offload`` drops every candidate whose offloaded
-    fragment holds the join — the fallback after the node's on-chip
-    build *load* overflowed below the compiler's nominal-capacity
-    pre-check (cuckoo kick chains are data-dependent).
 
     The cluster router passes the resolved distributed-join strategy:
     ``join_strategy`` annotates the explain, and ``join_transfer_ns``
@@ -260,7 +256,9 @@ def plan_placement(query: Query, table: Table | FTable,
         shipped = k == 0 and (bool(chain) or placement == "ship")
         fragment = chain[:k]
         arm = next((op for op in fragment if op.kernel == "join"), None)
-        if refuse_join_offload and arm is not None:
+        if (arm is not None and placement == "auto" and region is not None
+                and region.refuses(arm.build, arm.build_key,
+                                   as_table(arm.build).epoch)):
             continue
         if shipped:
             node_ns = cost_model.ship_bytes_ns(scan_total, shards)
@@ -299,7 +297,7 @@ def plan_placement(query: Query, table: Table | FTable,
                                 and step.op.group_by), 0.0)
             build_bytes = (float(arm.build.size_bytes)
                            if arm is not None else 0.0)
-            cold = compiled.signature != loaded_signature
+            cold = region is None or not region.holds(compiled.signature)
             node_ns = cost_model.offload_ns(
                 bytes_in=scan_total, bytes_out=inter_bytes,
                 ingest_rate=compiled.ingest_rate,

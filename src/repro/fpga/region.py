@@ -34,31 +34,39 @@ class DynamicRegion:
         self.index = index
         self.state = RegionState.FREE
         self.loaded_pipeline: str | None = None
-        #: ``(build table, build key, build epoch)`` of a join build that
-        #: overflowed the on-chip hash while loading here: plans keep
-        #: that join on the client until another pipeline loads.
-        self.refused: tuple[str, str, int] | None = None
+        #: ``(build handle, build key, build epoch)``: see :meth:`refuse`.
+        self.refused: tuple | None = None
         self.owner_qp: int | None = None
         self.reconfigurations = 0
-        self.failures = 0
 
-    def assign(self, qp_id: int) -> None:
-        if self.state is not RegionState.FREE:
-            raise OperatorError(
-                f"region {self.index} is {self.state.value}, cannot assign")
-        self.owner_qp = qp_id
+    def holds(self, signature: str) -> bool:
+        """Is ``signature`` resident, or must the region reconfigure?"""
+        return self.loaded_pipeline == signature
+
+    def refuse(self, build, key: str, epoch: int) -> None:
+        """Record that join build ``build`` (a Query's handle) on ``key``
+        overflowed the on-chip hash here at ``epoch``: ``auto`` keeps the
+        join on the client until :meth:`unload` or :meth:`forget`."""
+        self.refused = build, key, epoch
+
+    def refuses(self, build, key: str, epoch: int) -> bool:
+        """Did exactly this build overflow here, at this epoch?"""
+        return self.refused == (build, key, epoch)
+
+    def forget(self) -> None:
+        """Forget a refused build: the node recovered, its pool empty."""
+        self.refused = None
+
+    def unload(self) -> None:
+        """Forget the resident pipeline, and with it a refused build."""
+        self.loaded_pipeline = self.refused = None
 
     def release(self) -> None:
-        if self.state is RegionState.FAILED:
-            # A failed region drops its owner but stays failed until
-            # repaired — it must never be handed to the next connection.
-            self.loaded_pipeline = None
-            self.refused = None
-            self.owner_qp = None
-            return
-        self.state = RegionState.FREE
-        self.loaded_pipeline = None
-        self.refused = None
+        # A failed region drops its owner but stays failed until
+        # repaired — it must never be handed to the next connection.
+        if self.state is not RegionState.FAILED:
+            self.state = RegionState.FREE
+        self.unload()
         self.owner_qp = None
 
     def fail(self) -> None:
@@ -66,9 +74,7 @@ class DynamicRegion:
         resident pipeline is lost; queries touching it raise
         :class:`~repro.common.errors.RegionFailedError`."""
         self.state = RegionState.FAILED
-        self.loaded_pipeline = None
-        self.refused = None
-        self.failures += 1
+        self.unload()
 
     def repair(self) -> None:
         """Fault injection: bring a failed region back (empty — the owner,
@@ -90,7 +96,7 @@ class DynamicRegion:
             raise OperatorError(f"region {self.index} has no owner")
         if self.state is RegionState.CONFIGURING:
             raise OperatorError(f"region {self.index} is mid-reconfiguration")
-        if self.loaded_pipeline == pipeline_name:
+        if self.holds(pipeline_name):
             self.state = RegionState.READY
             return
         self.state = RegionState.CONFIGURING
@@ -99,8 +105,8 @@ class DynamicRegion:
             # The region died during reconfiguration.
             raise RegionFailedError(
                 f"region {self.index} failed mid-reconfiguration")
+        self.unload()
         self.loaded_pipeline = pipeline_name
-        self.refused = None
         self.state = RegionState.READY
         self.reconfigurations += 1
 
@@ -108,8 +114,6 @@ class RegionManager:
     """Allocates the fixed pool of dynamic regions to client connections."""
 
     def __init__(self, sim: Simulator, config: OperatorStackConfig):
-        self.sim = sim
-        self.config = config
         self.regions = [DynamicRegion(sim, config, i)
                         for i in range(config.regions)]
 
@@ -117,7 +121,7 @@ class RegionManager:
         """Assign a free region to a connection, or raise."""
         for region in self.regions:
             if region.state is RegionState.FREE and region.owner_qp is None:
-                region.assign(qp_id)
+                region.owner_qp = qp_id
                 return region
         raise RegionUnavailableError(
             f"all {len(self.regions)} dynamic regions are in use")

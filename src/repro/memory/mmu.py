@@ -102,8 +102,9 @@ class Mmu:
         self._allocations[domain] = {}
         self._next_vpage[domain] = 0
 
-    def has_domain(self, domain: int) -> bool:
-        return domain in self._page_tables
+    @property
+    def domains(self):
+        return self._page_tables.keys()
 
     def destroy_domain(self, domain: int) -> None:
         self._require_domain(domain)

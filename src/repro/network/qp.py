@@ -69,8 +69,6 @@ class QueuePair:
         self.buffer = ClientBuffer(buffer_capacity)
         self.credits = CreditPool(sim, credits, name=f"qp{self.qp_id}")
         self.connected = False
-        self.region_index: int | None = None
-        self.domain: int | None = None
         self.requests_sent = 0
 
     @property
@@ -80,4 +78,4 @@ class QueuePair:
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "idle"
-        return f"QueuePair(id={self.qp_id}, {state}, region={self.region_index})"
+        return f"QueuePair(id={self.qp_id}, {state})"

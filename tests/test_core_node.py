@@ -107,13 +107,22 @@ def test_refused_and_closed_connections_leave_nothing_behind():
     assert node.link.down_arbiter._flows == {}
     assert node.link.down_arbiter._order == []
     assert node.free_regions == regions
-    # The crash path drops its flow too (no node round trip).
-    holder = FarviewClient(node)
-    holder.open_connection()
-    node.fail()
-    holder.abandon_connection()
-    assert node.connections == {}
-    assert node.link.down_arbiter._flows == {}
+    # The crash path drops its flow at once (no node round trip); the
+    # recovered node takes back the region, the domain and its pages.
+    free_pages = node.mmu.allocator.free_pages
+    for _ in range(regions + 1):
+        holder = FarviewClient(node)
+        holder.open_connection()
+        holder.alloc_table_mem(FTable("t", selection_workload(1, 1.0).schema,
+                                      1))
+        node.fail()
+        holder.abandon_connection()
+        assert node.connections == {}
+        assert node.link.down_arbiter._flows == {}
+        node.recover()
+        assert node.free_regions == regions
+        assert node.mmu._page_tables == {}
+        assert node.mmu.allocator.free_pages == free_pages
 
 
 def test_verbs_require_connection():

@@ -33,6 +33,7 @@ from repro.core.pipeline_compiler import (compile_chain, compile_query,
 from repro.core.planner import chain_labels, plan_placement
 from repro.core.query import Query, select_distinct, select_star
 from repro.core.table import FTable
+from repro.fpga.region import RegionManager
 from repro.operators.aggregate import AggregateSpec
 from repro.operators.selection import Compare
 from repro.sim.engine import Simulator
@@ -118,11 +119,14 @@ class TestGoldenCrossovers:
             schema, _ = projection_workload(8, 64)
             query = Query(predicate=Compare("a", "<", 1), label="golden")
             table = _table(schema, nrows)
-            loaded = compile_query(query, table, SCENARIO).signature
+            region = RegionManager(Simulator(),
+                                   SCENARIO.operator_stack).acquire(qp_id=1)
+            region.sim.run_process(region.load_pipeline(
+                compile_query(query, table, SCENARIO).signature))
             plan = plan_placement(query, table, SCENARIO,
                                   placement="auto",
                                   stats=PlanStats(selectivity=sel),
-                                  loaded_signature=loaded)
+                                  region=region)
             assert plan.chosen == "offload", sel
 
 

@@ -286,8 +286,10 @@ def test_compile_always_includes_pack_send():
 
 
 # --- the region signature: golden strings --------------------------------------
-# Captured from the compiler before it walked the operator chain: a
-# region is reused exactly when these strings match, so they never move.
+# A region is reused exactly when these strings match, so one moves only
+# when the bitstream identity does.  A join's shape names its keys, not
+# its build table: the build rows are data, reloaded into the on-chip
+# hash on every request, so two builds on the same keys share a region.
 
 _KEY, _NONCE = b"k" * 16, b"n" * 12
 _SCHEMA = Schema([Column("a", "int64", 8), Column("b", "int64", 8),
@@ -313,7 +315,7 @@ def _join():
     (Query(regex=TextMatch(Col("s"), "ab|cd", regexp=True)), _PLAIN,
      "regex[s:ab|cd]"),
     (select_star(_LT5), _PLAIN, "sel[a < 5]"),
-    (Query(join=_join()), _PLAIN, "join[dim.id=a]"),
+    (Query(join=_join()), _PLAIN, "join[id=a]"),
     (Query(projection=("a", "b")), _PLAIN, "proj[a,b]"),
     (Query(distinct=True), _PLAIN, "distinct[*]"),
     (Query(projection=("a", "b"), distinct=True, distinct_columns=("a",)),
@@ -325,7 +327,7 @@ def _join():
     (select_star(_LT5, vectorized=True), _PLAIN, "sel[a < 5]|vec"),
     # ``vec`` follows every scan-side operator, the join included.
     (Query(predicate=_LT5, join=_join(), vectorized=True), _PLAIN,
-     "sel[a < 5]|join[dim.id=a]|vec"),
+     "sel[a < 5]|join[id=a]|vec"),
     (Query(predicate=_LT5, projection=("a",), vectorized=True), _PLAIN,
      "sel[a < 5]|vec|proj[a]"),
     (Query(projection=("a",), encrypt_output=(_KEY, _NONCE)), _PLAIN,
@@ -334,8 +336,11 @@ def _join():
            projection=("a", "rate"), group_by=("a",),
            aggregates=(AggregateSpec("sum", "rate"),), vectorized=True,
            encrypt_output=(_KEY, _NONCE)), _ENCRYPTED,
-     r"dec|regex[s:^[\s\S]*far[\s\S]*$]|sel[a < 5]|join[dim.id=a]|vec|"
+     r"dec|regex[s:^[\s\S]*far[\s\S]*$]|sel[a < 5]|join[id=a]|vec|"
      r"proj[a,rate]|groupby[a;sum(rate)]|enc"),
+    # Another build on the same keys: the same shape as ``_join()``'s.
+    (Query(join=JoinSpec(FTable("other", _DIM.schema, 3), "id", "a",
+                         ("rate",))), _PLAIN, "join[id=a]"),
 ])
 def test_region_signature_is_golden(query, table, signature):
     compiled = compile_query(query, table, CONFIG)

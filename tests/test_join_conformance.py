@@ -541,8 +541,8 @@ def test_kick_exhaustion_below_nominal_capacity_auto_falls_back():
 def test_auto_replans_an_offload_whose_build_overflows_at_load():
     """With a cheap reconfiguration auto's first plan offloads the join,
     even to a cold region.  The build then overflows while it loads,
-    below nominal capacity, and auto re-plans with
-    ``refuse_join_offload`` — the join runs on the client, exactly."""
+    below nominal capacity, and auto re-plans with the region refusing
+    that build — the join runs on the client, exactly."""
     dim = make_dim(list(range(48)), seed=30)
     fact = make_fact(list(range(48)) * 3, seed=31)
     client = single_client(replace(KICK_LIMITED, operator_stack=replace(
@@ -656,6 +656,85 @@ def test_a_refused_build_leaves_no_pipeline_for_auto_to_retry():
         assert elapsed == pytest.approx(ship_ns, rel=1e-12)
         assert sha(canonical_result_bytes(result)) == sha(
             serial_join_model(fact, dim))
+
+
+def test_a_refusal_does_not_bind_an_explicit_offload():
+    """A refusal prunes ``auto``'s candidates only: an explicit offload
+    of a refused build is planned, and running it raises the build's
+    own :class:`JoinBuildOverflowError`, not a buffer complaint."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    client = single_client(CHEAP_KICK_LIMITED)
+    fact_table = upload(client, "fact", FACT_SCHEMA, fact)
+    query = make_query(upload(client, "dim", DIM_SCHEMA, dim))
+    client.far_view_planned(fact_table, query, placement="auto")
+    assert client.plan(fact_table, query, "auto").chosen == "ship"
+    assert client.plan(fact_table, query, "offload").chosen == "offload"
+    for run in (lambda: client.far_view(fact_table, query),
+                lambda: client.far_view_planned(fact_table, query,
+                                                placement="offload")):
+        with pytest.raises(JoinBuildOverflowError, match="does not fit"):
+            run()
+
+
+def test_a_refusal_does_not_outlive_its_build_handle():
+    """The refusal is keyed by the build handle, not its name: a table
+    dropped and created again under the same name at the same epoch is
+    a new build, and its 3 rows offload under ``auto``."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    client = single_client(CHEAP_KICK_LIMITED)
+    fact_table = client.create_table("fact", FACT_SCHEMA, fact)
+    refused = client.create_table("dim", DIM_SCHEMA, dim)
+    client.far_view_planned(fact_table, make_query(refused),
+                            placement="auto")
+    assert client.plan(fact_table, make_query(refused)).chosen == "ship"
+    client.drop_table(refused)
+    small = dim[:3]
+    query = make_query(client.create_table("dim", DIM_SCHEMA, small))
+    assert client.plan(fact_table, query, "offload").chosen == "offload"
+    result, _ = client.far_view_planned(fact_table, query, placement="auto")
+    assert result.explain.chosen == "offload"
+    assert sha(canonical_result_bytes(result)) == sha(
+        serial_join_model(fact, small))
+
+
+@pytest.mark.parametrize("num_nodes, scheme, strategy", [
+    (1, "chunk", "broadcast"), (2, "chunk", "broadcast"),
+    (2, "hash", "colocated")])
+def test_a_warm_join_over_a_catalog_build_is_priced_warm(num_nodes, scheme,
+                                                          strategy):
+    """ROADMAP item 11(g): once a join has offloaded, the plan for it on
+    the same connection is warm, whatever table the build is.  The node
+    loads the node-local copy of a catalog build and the plan names the
+    catalog handle; both compile the one shape-only signature, so
+    ``auto`` offloads, in exactly the time of the warm offload — on one
+    node, the time of the same join over a build uploaded as an
+    ``FTable``."""
+    dim = make_dim(list(range(48)), seed=30)
+    fact = make_fact(list(range(48)) * 3, seed=31)
+    fact_spec, dim_spec = _matrix_specs(scheme)
+    client, fact_table, dim_table = _matrix_cluster(num_nodes, fact, dim,
+                                                    fact_spec, dim_spec)
+    query = make_query(dim_table)
+    client.far_view(fact_table, query)
+    warm, warm_ns = client.far_view(fact_table, query)
+    assert warm.join_strategy == strategy
+    offload = client.plan(fact_table, query, "offload")
+    assert [c.cold for c in offload.candidates] == [False]
+    result, elapsed = client.far_view_planned(fact_table, query,
+                                              placement="auto")
+    assert result.explain.chosen == "offload"
+    assert elapsed == warm_ns
+    assert sha(canonical_result_bytes(result)) == sha(_matrix_expected(
+        fact, dim, fact_spec, num_nodes))
+    if num_nodes == 1:
+        uploaded = single_client()
+        uploaded_fact = upload(uploaded, "fact", FACT_SCHEMA, fact)
+        uploaded_query = make_query(upload(uploaded, "dim", DIM_SCHEMA,
+                                           dim))
+        uploaded.far_view(uploaded_fact, uploaded_query)
+        assert uploaded.far_view(uploaded_fact, uploaded_query)[1] == warm_ns
 
 
 def test_auto_ships_when_the_dynamic_region_fails():

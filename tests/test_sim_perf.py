@@ -949,8 +949,8 @@ def test_one_hash_one_probe_in_src():
     packet's relays (the grant's pick helper, the
     clock and pipe-horizon property hops, and the streamer's per-packet
     cut, credit probe and transmit), and the burst hand-off's queue
-    resource and consumer loop — and the reference model binds
-    nothing."""
+    resource and consumer loop, and the planner's own residency
+    parameters — and the reference model binds nothing."""
     repo = Path(__file__).resolve().parent.parent
     for roots, names in (
             (("src",), ("hash_key(", "HashFamily", "slots is None",
@@ -1071,7 +1071,10 @@ def test_one_hash_one_probe_in_src():
             # A DRAM burst reaches the response stream as callbacks: no
             # queue resource between a reader and a consumer process.
             # (``FrameStore`` is the pool's bytes, not a queue.)
-            (("src", "docs"), ("class Store", " Store(", "_stream_memory"))):
+            (("src", "docs"), ("class Store", " Store(", "_stream_memory")),
+            # The region answers residency: the planner is handed the
+            # region, not its resident signature or a refusal flag.
+            (("src", "docs"), ("loaded_signature", "refuse_join_offload"))):
         for root in roots:
             paths = ([repo / root] if (repo / root).is_file()
                      else (repo / root).rglob("*.*"))
